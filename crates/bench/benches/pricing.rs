@@ -1,11 +1,17 @@
 //! Criterion benches for the mechanism: Theorem-1 price computation,
-//! payment settlement (Sect. 6.4), and overcharge analysis (Sect. 7).
+//! payment settlement (Sect. 6.4), overcharge analysis (Sect. 7), and the
+//! distributed counterpart's per-node step — one `PricingBgpNode::handle`
+//! call (ingest, select, `refresh_prices`, advertise-on-change) on
+//! converged tables.
 
 use bgpvcg_bench::families::Family;
+use bgpvcg_bench::fixpoint::converged_hub;
+use bgpvcg_bgp::ProtocolNode;
 use bgpvcg_core::{accounting::PaymentLedger, overcharge::OverchargeReport, vcg};
 use bgpvcg_netgraph::TrafficMatrix;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_vcg_compute(c: &mut Criterion) {
     let mut group = c.benchmark_group("vcg_compute");
@@ -48,10 +54,36 @@ fn bench_overcharge_analysis(c: &mut Criterion) {
     group.finish();
 }
 
+/// The price relaxation as the engines run it: the hub of
+/// `fixpoint::converged_hub` handles its first neighbour's two alternating
+/// tables. Each call overwrites the neighbour's Rib-In column, re-selects
+/// and re-relaxes every destination it names, and emits the price deltas
+/// that result — the steady-state stage of Sect. 6, with nothing cold in
+/// it.
+fn bench_handle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pricing_handle");
+    group.sample_size(20);
+    for &n in &[64usize, 256] {
+        let (mut nodes, tables) = converged_hub(n);
+        let inboxes = tables.map(|table| [Arc::new(table)]);
+        let hub = &mut nodes[0];
+        group.throughput(Throughput::Elements(inboxes[0][0].entry_count() as u64));
+        group.bench_function(BenchmarkId::new("relax_and_emit", n), |b| {
+            let mut flip = 0;
+            b.iter(|| {
+                flip ^= 1;
+                black_box(hub.handle(black_box(&inboxes[flip])))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_vcg_compute,
     bench_settlement,
-    bench_overcharge_analysis
+    bench_overcharge_analysis,
+    bench_handle
 );
 criterion_main!(benches);

@@ -11,6 +11,9 @@
 //!
 //! * [`families`] — the graph families every sweep runs over (structured,
 //!   random, and Internet-like).
+//! * [`fixpoint`] — the converged hub and steady-state message the
+//!   per-node microbenches (`benches/selector.rs`, `benches/pricing.rs`)
+//!   share.
 //! * [`table`] — a plain-text table renderer so every binary prints
 //!   paper-style rows that can be pasted into `EXPERIMENTS.md`.
 //! * [`stats`] — small numeric summaries (mean/min/max).
@@ -20,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 pub mod families;
+pub mod fixpoint;
 pub mod obs;
 pub mod stats;
 pub mod table;

@@ -1517,6 +1517,7 @@ fn parallel_handle<N: ProtocolNode>(
     workers: usize,
 ) -> Vec<(u32, Option<Update>)> {
     let chunk = receiving.len().div_ceil(workers).max(1);
+    // lint:allow(output: the merged result list this function returns, sized once)
     let mut merged = Vec::with_capacity(receiving.len());
     let (sender, collector) = crossbeam::channel::unbounded();
     std::thread::scope(|scope| {

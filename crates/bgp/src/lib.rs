@@ -61,6 +61,6 @@ pub use adversary::{Accusation, Adversary, Strategy, WireAuditor, WireFinding};
 pub use chaos::{ChaosEngine, ChaosReport, FaultPlan};
 pub use dynamics::{LocalEvent, TopologyEvent};
 pub use message::{Frame, FrameKind, PathEntry, RouteAdvertisement, RouteInfo, SharedPath, Update};
-pub use node::{PlainBgpNode, ProtocolNode};
+pub use node::{uncaused, AdjRibOut, PlainBgpNode, ProtocolNode};
 pub use selector::{RouteSelector, SelectedRoute};
 pub use stats::StateSnapshot;

@@ -72,11 +72,17 @@ fn fnv1a_path(entries: &[PathEntry]) -> u64 {
 
 impl From<Vec<PathEntry>> for SharedPath {
     fn from(entries: Vec<PathEntry>) -> SharedPath {
+        entries.into_iter().collect()
+    }
+}
+
+impl FromIterator<PathEntry> for SharedPath {
+    /// Interns a path straight from an iterator: with an exact-size source
+    /// this is one allocation, where going through a `Vec` is two.
+    fn from_iter<I: IntoIterator<Item = PathEntry>>(entries: I) -> SharedPath {
+        let entries: Arc<[PathEntry]> = entries.into_iter().collect();
         let hash = fnv1a_path(&entries);
-        SharedPath {
-            entries: entries.into(),
-            hash,
-        }
+        SharedPath { entries, hash }
     }
 }
 
@@ -98,6 +104,10 @@ impl PartialEq for SharedPath {
 }
 
 impl Eq for SharedPath {}
+
+/// Price slots a retained route's array starts with: the transit count of
+/// a six-node path, which few lowest-cost routes on AS-like graphs exceed.
+const PRICE_ROOM: usize = 4;
 
 /// The routing payload for one destination: a usable path, a compressed
 /// price-only delta against the previously advertised path, or an explicit
@@ -178,38 +188,19 @@ impl RouteInfo {
         prices.get(pos).copied()
     }
 
-    /// Compresses `next` into a [`RouteInfo::PriceDelta`] against `prev`
-    /// when only price entries changed: both must be reachable over the
-    /// *same* path (shared-handle or content equality) with the same path
-    /// cost and price-array length, and at least one price cell must
-    /// differ. Returns `None` whenever a full advertisement is required —
-    /// the caller falls back to sending `next` as-is.
-    pub fn delta_from(prev: &RouteInfo, next: &RouteInfo) -> Option<RouteInfo> {
-        let (
-            RouteInfo::Reachable {
-                path: prev_path,
-                path_cost: prev_cost,
-                prices: prev_prices,
-            },
-            RouteInfo::Reachable {
-                path: next_path,
-                path_cost: next_cost,
-                prices: next_prices,
-            },
-        ) = (prev, next)
-        else {
-            return None;
-        };
-        if prev_path != next_path
-            || prev_cost != next_cost
-            || prev_prices.len() != next_prices.len()
-            || next_prices.len() > usize::from(u16::MAX)
-        {
+    /// The [`RouteInfo::PriceDelta`] that turns the price array `sent`
+    /// into `now` on the unchanged `path` — for a sender whose selected
+    /// path and path cost equal what it last advertised and whose prices
+    /// alone moved. `None` whenever a full advertisement is required: the
+    /// arrays differ in length, are too long for a `u16` index, or are
+    /// equal.
+    pub fn price_delta(path: &SharedPath, sent: &[Cost], now: &[Cost]) -> Option<RouteInfo> {
+        if sent.len() != now.len() || now.len() > usize::from(u16::MAX) {
             return None;
         }
-        let entries: Vec<(u16, Cost)> = prev_prices
+        let entries: Vec<(u16, Cost)> = sent
             .iter()
-            .zip(next_prices)
+            .zip(now)
             .enumerate()
             .filter(|(_, (old, new))| old != new)
             .map(|(idx, (_, new))| (idx as u16, *new))
@@ -218,9 +209,49 @@ impl RouteInfo {
             return None;
         }
         Some(RouteInfo::PriceDelta {
-            base_path_hash: next_path.hash64(),
+            base_path_hash: path.hash64(),
             entries,
         })
+    }
+
+    /// Writes this route into a retained-state cell (Rib-In, Adj-RIB-Out).
+    /// A cell that already holds a route keeps its price vector's
+    /// allocation, and one taking its first priced route gets room for
+    /// [`PRICE_ROOM`] entries, so cells that are overwritten stage after
+    /// stage — while paths, and with them price arrays, still lengthen —
+    /// settle into not allocating at all.
+    pub fn store_into(&self, cell: &mut Option<RouteInfo>) {
+        let RouteInfo::Reachable {
+            path,
+            path_cost,
+            prices,
+        } = self
+        else {
+            *cell = Some(self.clone());
+            return;
+        };
+        if let Some(RouteInfo::Reachable {
+            path: held_path,
+            path_cost: held_cost,
+            prices: held_prices,
+        }) = cell
+        {
+            held_path.clone_from(path);
+            *held_cost = *path_cost;
+            held_prices.clone_from(prices);
+            return;
+        }
+        let room = match prices.len() {
+            0 => 0, // plain BGP and transit-free routes carry no prices
+            len => len.max(PRICE_ROOM),
+        };
+        let mut held_prices = Vec::with_capacity(room);
+        held_prices.extend_from_slice(prices);
+        *cell = Some(RouteInfo::Reachable {
+            path: path.clone(),
+            path_cost: *path_cost,
+            prices: held_prices,
+        });
     }
 }
 
@@ -449,20 +480,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_from_compresses_price_only_changes() {
-        let prev = reachable();
-        let RouteInfo::Reachable {
-            path, path_cost, ..
-        } = prev.clone()
-        else {
+    fn price_delta_lists_only_the_cells_that_moved() {
+        let RouteInfo::Reachable { path, prices, .. } = reachable() else {
             unreachable!()
         };
-        let next = RouteInfo::Reachable {
-            path: path.clone(),
-            path_cost,
-            prices: vec![Cost::new(4), Cost::new(2)],
-        };
-        let delta = RouteInfo::delta_from(&prev, &next).expect("one price cell relaxed");
+        let now = [Cost::new(4), Cost::new(2)];
+        let delta = RouteInfo::price_delta(&path, &prices, &now).expect("one price cell relaxed");
         assert_eq!(
             delta,
             RouteInfo::PriceDelta {
@@ -473,20 +496,50 @@ mod tests {
     }
 
     #[test]
-    fn delta_from_requires_identical_route_shape() {
-        let prev = reachable();
-        // Unchanged info: nothing to send as a delta.
-        assert_eq!(RouteInfo::delta_from(&prev, &prev.clone()), None);
-        // Path changed: full advertisement required.
-        let rerouted = RouteInfo::Reachable {
-            path: vec![entry(0, 2), entry(5, 1), entry(2, 4)].into(),
-            path_cost: Cost::new(1),
-            prices: vec![Cost::new(3)],
+    fn price_delta_requires_same_length_and_a_change() {
+        let RouteInfo::Reachable { path, prices, .. } = reachable() else {
+            unreachable!()
         };
-        assert_eq!(RouteInfo::delta_from(&prev, &rerouted), None);
-        // Withdrawals never compress.
-        assert_eq!(RouteInfo::delta_from(&prev, &RouteInfo::Withdrawn), None);
-        assert_eq!(RouteInfo::delta_from(&RouteInfo::Withdrawn, &prev), None);
+        // Unchanged prices: nothing to send as a delta.
+        assert_eq!(RouteInfo::price_delta(&path, &prices, &prices), None);
+        // A different transit count means a different path: full advertisement.
+        assert_eq!(
+            RouteInfo::price_delta(&path, &prices, &[Cost::new(3)]),
+            None
+        );
+    }
+
+    #[test]
+    fn store_into_reuses_the_held_price_vector() {
+        let mut cell = None;
+        reachable().store_into(&mut cell);
+        assert_eq!(cell, Some(reachable()));
+        let held = |cell: &Option<RouteInfo>| match cell {
+            Some(RouteInfo::Reachable { prices, .. }) => (prices.as_ptr(), prices.capacity()),
+            _ => unreachable!(),
+        };
+        let before = held(&cell);
+        assert!(
+            before.1 >= PRICE_ROOM,
+            "room to lengthen without reallocating"
+        );
+        let longer = RouteInfo::Reachable {
+            path: vec![
+                entry(0, 2),
+                entry(5, 1),
+                entry(4, 2),
+                entry(3, 1),
+                entry(2, 4),
+            ]
+            .into(),
+            path_cost: Cost::new(4),
+            prices: vec![Cost::new(9), Cost::new(4), Cost::new(3)],
+        };
+        longer.store_into(&mut cell);
+        assert_eq!(cell.as_ref(), Some(&longer));
+        assert_eq!(held(&cell), before, "overwritten in place");
+        RouteInfo::Withdrawn.store_into(&mut cell);
+        assert_eq!(cell, Some(RouteInfo::Withdrawn));
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use crate::dynamics::LocalEvent;
 use crate::message::{RouteAdvertisement, RouteInfo, Update};
-use crate::selector::RouteSelector;
+use crate::selector::{RouteSelector, SelectedRoute};
 use crate::stats::StateSnapshot;
-use bgpvcg_netgraph::{AsGraph, AsId};
-use std::collections::{BTreeMap, BTreeSet};
+use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use std::sync::Arc;
 
 /// The behaviour an AS must implement to be driven by either engine.
@@ -55,6 +54,211 @@ pub trait ProtocolNode: Send {
     fn configure_delta_encoding(&mut self, _on: bool) {}
 }
 
+/// `mark` value of a destination no inbound update has touched yet.
+const NOT_DIRTY: u32 = u32::MAX;
+
+/// Pairs destinations with cause 0, the environment: what `start` and
+/// local events hand to [`AdjRibOut::emit`].
+pub fn uncaused(dests: impl IntoIterator<Item = AsId>) -> impl Iterator<Item = (AsId, u64)> {
+    dests.into_iter().map(|dest| (dest, 0))
+}
+
+/// Adj-RIB-Out: what a node last advertised per destination, and with it
+/// the advertise-on-change step every node type shares — folding a stage's
+/// inbox into a dirty list with provenance, suppressing unchanged
+/// advertisements, and compressing price-only changes to
+/// [`RouteInfo::PriceDelta`]. Tables are indexed by destination and the
+/// scratch is reused, so a `handle` call allocates only what it emits.
+#[derive(Debug, Clone)]
+pub struct AdjRibOut {
+    /// What was last advertised per destination (`None`: nothing yet), so
+    /// only changes are sent. Always holds the *full* route state — when a
+    /// compressed [`RouteInfo::PriceDelta`] goes out on the wire, this
+    /// still records the reassembled `Reachable` it stands for.
+    advertised: Vec<Option<RouteInfo>>,
+    /// Whether change advertisements may be compressed to
+    /// [`RouteInfo::PriceDelta`] when only price entries moved on an
+    /// unchanged selected path (the monotone-relaxation common case of
+    /// Sect. 6). On by default.
+    delta_encoding: bool,
+    /// The destinations the `handle` call in progress touched, each with
+    /// the id of the last inbound update (in inbox order) that touched it.
+    /// Lent to the caller by `ingest`, returned through `recycle`.
+    dirty: Vec<(AsId, u64)>,
+    /// Per destination: its position in `dirty`, or [`NOT_DIRTY`].
+    mark: Vec<u32>,
+}
+
+impl AdjRibOut {
+    /// An empty Adj-RIB-Out for a node of an `n`-node network.
+    pub fn new(n: usize) -> Self {
+        AdjRibOut {
+            advertised: vec![None; n],
+            delta_encoding: true,
+            dirty: Vec::new(),
+            mark: vec![NOT_DIRTY; n],
+        }
+    }
+
+    /// Enables or disables [`RouteInfo::PriceDelta`] compression of change
+    /// advertisements (on by default).
+    pub fn set_delta_encoding(&mut self, on: bool) {
+        self.delta_encoding = on;
+    }
+
+    /// Forgets everything advertised (a restart).
+    pub fn reset(&mut self) {
+        self.advertised.fill(None);
+    }
+
+    /// Ingests one stage's inbox into `selector` and returns the affected
+    /// destinations, ascending, each attributed to the last inbound update
+    /// whose ingestion touched it. The list is this value's own buffer:
+    /// hand it back with [`recycle`](Self::recycle) once emitted.
+    pub fn ingest(
+        &mut self,
+        selector: &mut RouteSelector,
+        updates: &[Arc<Update>],
+    ) -> Vec<(AsId, u64)> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for update in updates {
+            for &dest in selector.ingest(update) {
+                let Some(mark) = self.mark.get_mut(dest.index()) else {
+                    continue;
+                };
+                match dirty.get_mut(*mark as usize) {
+                    Some(touched) => touched.1 = update.id,
+                    None => {
+                        *mark = dirty.len() as u32;
+                        dirty.push((dest, update.id));
+                    }
+                }
+            }
+        }
+        for &(dest, _) in &dirty {
+            self.mark[dest.index()] = NOT_DIRTY;
+        }
+        dirty.sort_unstable_by_key(|&(dest, _)| dest);
+        dirty
+    }
+
+    /// Takes back the list [`ingest`](Self::ingest) lent out.
+    pub fn recycle(&mut self, mut dirty: Vec<(AsId, u64)>) {
+        dirty.clear();
+        self.dirty = dirty;
+    }
+
+    /// Builds the outgoing update for the given `(destination, cause)`
+    /// pairs: each destination's current state — `selector`'s route plus
+    /// the caller's price array for it — is compared with what was last
+    /// advertised, and what differs is sent and recorded. The update's
+    /// `causes` vector is built in lockstep with its advertisements.
+    pub fn emit<'p>(
+        &mut self,
+        selector: &RouteSelector,
+        dests: impl IntoIterator<Item = (AsId, u64)>,
+        prices: impl Fn(AsId) -> &'p [Cost],
+    ) -> Option<Update> {
+        // Nearly every destination that reaches this point has changed, so
+        // both output lists are sized once instead of grown by doubling.
+        let dests = dests.into_iter();
+        // lint:allow(output: the emitted update's advertisement list)
+        let mut ads = Vec::with_capacity(dests.size_hint().0);
+        // lint:allow(output: the emitted update's provenance list)
+        let mut causes = Vec::with_capacity(dests.size_hint().0);
+        for (dest, cause) in dests {
+            if let Some(info) = self.diff(dest, selector.selected(dest), prices(dest)) {
+                ads.push(RouteAdvertisement {
+                    destination: dest,
+                    info,
+                });
+                causes.push(cause);
+            }
+        }
+        let mut update = Update::if_nonempty(selector.id(), ads)?;
+        update.causes = causes;
+        Some(update)
+    }
+
+    /// The wire form of `dest`'s current state if it differs from what was
+    /// last advertised, recording it; `None` when there is nothing to say.
+    /// State is compared with the recorded advertisement in place, so an
+    /// unchanged destination costs no allocation and a changed one only
+    /// its wire form.
+    fn diff(
+        &mut self,
+        dest: AsId,
+        route: Option<&SelectedRoute>,
+        prices: &[Cost],
+    ) -> Option<RouteInfo> {
+        let sent = self.advertised.get_mut(dest.index())?;
+        let Some(route) = route else {
+            // Never advertise an initial withdrawal: silence means the
+            // same thing and costs nothing.
+            if matches!(sent, None | Some(RouteInfo::Withdrawn)) {
+                return None;
+            }
+            *sent = Some(RouteInfo::Withdrawn);
+            return Some(RouteInfo::Withdrawn);
+        };
+        if let Some(RouteInfo::Reachable {
+            path,
+            path_cost,
+            prices: sent_prices,
+        }) = sent
+        {
+            if *path == route.path && *path_cost == route.cost {
+                if sent_prices == prices {
+                    return None;
+                }
+                // Only price entries moved on an unchanged path (the
+                // monotone-relaxation common case): send a compressed delta
+                // against the previously advertised route; the receiver
+                // patches its retained copy.
+                let delta = self
+                    .delta_encoding
+                    .then(|| RouteInfo::price_delta(path, sent_prices, prices));
+                if let Some(delta) = delta.flatten() {
+                    sent_prices.copy_from_slice(prices);
+                    return Some(delta);
+                }
+            }
+        }
+        let info = RouteInfo::Reachable {
+            path: route.path.clone(),
+            path_cost: route.cost,
+            // lint:allow(output: a full advertisement's own price array)
+            prices: prices.to_vec(),
+        };
+        info.store_into(sent);
+        Some(info)
+    }
+
+    /// `selector`'s whole table as an update, with the caller's price
+    /// arrays — what a real BGP speaker sends when a session is
+    /// established. Reads the table, not what was last advertised.
+    pub fn full_table<'p>(
+        selector: &RouteSelector,
+        prices: impl Fn(AsId) -> &'p [Cost],
+    ) -> Option<Update> {
+        let ads = selector
+            .destinations()
+            .filter_map(|dest| {
+                let route = selector.selected(dest)?;
+                Some(RouteAdvertisement {
+                    destination: dest,
+                    info: RouteInfo::Reachable {
+                        path: route.path.clone(),
+                        path_cost: route.cost,
+                        prices: prices(dest).to_vec(),
+                    },
+                })
+            })
+            .collect();
+        Update::if_nonempty(selector.id(), ads)
+    }
+}
+
 /// A plain lowest-cost-path BGP speaker: route selection and advertisement,
 /// no prices. This is the baseline protocol the paper extends; experiments
 /// E5/E6 compare its state and traffic against the pricing extension.
@@ -72,16 +276,9 @@ pub trait ProtocolNode: Send {
 #[derive(Debug, Clone)]
 pub struct PlainBgpNode {
     selector: RouteSelector,
-    /// What we last advertised per destination, so we only send changes.
-    /// Always holds the *full* route state — when a compressed
-    /// [`RouteInfo::PriceDelta`] goes out on the wire, this map still
-    /// records the reassembled `Reachable` it stands for.
-    advertised: BTreeMap<AsId, RouteInfo>,
-    /// Whether change advertisements may be compressed to
-    /// [`RouteInfo::PriceDelta`] when only prices moved. On by default;
-    /// plain BGP carries no prices, so the flag is inert here and exists
-    /// for API symmetry with the pricing node.
-    delta_encoding: bool,
+    /// Change suppression. Plain BGP carries no prices, so delta encoding
+    /// is inert here and exists for API symmetry with the pricing node.
+    out: AdjRibOut,
 }
 
 impl PlainBgpNode {
@@ -91,10 +288,15 @@ impl PlainBgpNode {
     ///
     /// Panics if `id` is not in the graph.
     pub fn new(graph: &AsGraph, id: AsId) -> Self {
+        let n = graph.node_count();
         PlainBgpNode {
-            selector: RouteSelector::new(id, graph.cost(id), graph.neighbors(id).iter().copied()),
-            advertised: BTreeMap::new(),
-            delta_encoding: true,
+            selector: RouteSelector::with_node_count(
+                id,
+                graph.cost(id),
+                graph.neighbors(id).iter().copied(),
+                n,
+            ),
+            out: AdjRibOut::new(n),
         }
     }
 
@@ -102,7 +304,7 @@ impl PlainBgpNode {
     /// advertisements (on by default). The delta-stream equivalence
     /// proptests run both settings and assert identical fixpoints.
     pub fn set_delta_encoding(&mut self, on: bool) {
-        self.delta_encoding = on;
+        self.out.set_delta_encoding(on);
     }
 
     /// Creates one node per AS of the graph, in AS order — ready to hand to
@@ -119,69 +321,9 @@ impl PlainBgpNode {
         &self.selector
     }
 
-    /// The advertisement for one destination reflecting current state:
-    /// reachable with the selected path, or withdrawn.
-    fn advertisement_for(&self, dest: AsId) -> RouteInfo {
-        match self.selector.selected(dest) {
-            Some(route) => RouteInfo::Reachable {
-                path: route.path.clone(),
-                path_cost: route.cost,
-                prices: Vec::new(),
-            },
-            None => RouteInfo::Withdrawn,
-        }
-    }
-
-    /// Builds the outgoing update for the given destinations, comparing
-    /// against what was last advertised; records what is sent. Environment
-    /// paths (start, local events) pass no cause map, so every entry's
-    /// provenance stays cause 0.
-    fn emit(&mut self, dests: impl IntoIterator<Item = AsId>) -> Option<Update> {
-        self.emit_caused(dests, &BTreeMap::new())
-    }
-
-    /// [`emit`](Self::emit) with provenance: `causes` maps each destination
-    /// to the [`Update::id`] of the inbound update that made it change, and
-    /// the emitted update's `causes` vector is built in lockstep with its
-    /// advertisements.
-    fn emit_caused(
-        &mut self,
-        dests: impl IntoIterator<Item = AsId>,
-        causes: &BTreeMap<AsId, u64>,
-    ) -> Option<Update> {
-        let mut ads = Vec::new();
-        let mut ad_causes = Vec::new();
-        for dest in dests {
-            let info = self.advertisement_for(dest);
-            let changed = match self.advertised.get(&dest) {
-                Some(prev) => *prev != info,
-                // Never advertise an initial withdrawal: silence means the
-                // same thing and costs nothing.
-                None => !matches!(info, RouteInfo::Withdrawn),
-            };
-            if changed {
-                // When only price entries moved on an unchanged path (the
-                // monotone-relaxation common case), send a compressed delta
-                // against the previously advertised route; the receiver
-                // patches its retained copy. `advertised` always records
-                // the full state the wire form stands for.
-                let wire_info = self
-                    .advertised
-                    .get(&dest)
-                    .filter(|_| self.delta_encoding)
-                    .and_then(|prev| RouteInfo::delta_from(prev, &info))
-                    .unwrap_or_else(|| info.clone());
-                self.advertised.insert(dest, info);
-                ads.push(RouteAdvertisement {
-                    destination: dest,
-                    info: wire_info,
-                });
-                ad_causes.push(causes.get(&dest).copied().unwrap_or(0));
-            }
-        }
-        let mut update = Update::if_nonempty(self.selector.id(), ads)?;
-        update.causes = ad_causes;
-        Some(update)
+    /// Advertises whichever of `dests` changed since last advertised.
+    fn emit(&mut self, dests: impl IntoIterator<Item = (AsId, u64)>) -> Option<Update> {
+        self.out.emit(&self.selector, dests, |_| &[])
     }
 }
 
@@ -195,34 +337,22 @@ impl ProtocolNode for PlainBgpNode {
     }
 
     fn start(&mut self) -> Option<Update> {
-        self.emit([self.selector.id()])
+        self.emit(uncaused([self.selector.id()]))
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut affected: BTreeSet<AsId> = BTreeSet::new();
-        // Provenance: each affected destination is attributed to the last
-        // inbound update (in inbox order) whose ingestion touched it.
-        let mut causes: BTreeMap<AsId, u64> = BTreeMap::new();
-        for update in updates {
-            for dest in self.selector.ingest(update) {
-                causes.insert(dest, update.id);
-                affected.insert(dest);
-            }
-        }
-        let mut changed = BTreeSet::new();
-        for dest in affected {
-            if self.selector.decide(dest) {
-                changed.insert(dest);
-            }
-        }
-        self.emit_caused(changed, &causes)
+        let mut dirty = self.out.ingest(&mut self.selector, updates);
+        dirty.retain(|&(dest, _)| self.selector.decide(dest));
+        let update = self.emit(dirty.iter().copied());
+        self.out.recycle(dirty);
+        update
     }
 
     fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
         match event {
             LocalEvent::LinkDown(neighbor) => {
                 let changed = self.selector.link_down(neighbor);
-                self.emit(changed)
+                self.emit(uncaused(changed))
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
@@ -233,46 +363,22 @@ impl ProtocolNode for PlainBgpNode {
                 // are re-advertised — `set_declared_cost` reports them, and a
                 // no-op change (same cost) reports none.
                 let changed = self.selector.set_declared_cost(cost);
-                self.emit(changed)
+                self.emit(uncaused(changed))
             }
         }
     }
 
     fn full_table(&self) -> Option<Update> {
-        let ads: Vec<RouteAdvertisement> = self
-            .selector
-            .destinations()
-            .map(|dest| RouteAdvertisement {
-                destination: dest,
-                info: self.advertisement_for(dest),
-            })
-            .collect();
-        Update::if_nonempty(self.selector.id(), ads)
+        AdjRibOut::full_table(&self.selector, |_| &[])
     }
 
     fn reset(&mut self) {
         self.selector.reset();
-        self.advertised.clear();
+        self.out.reset();
     }
 
     fn state(&self) -> StateSnapshot {
-        let mut snapshot = StateSnapshot::default();
-        for dest in self.selector.destinations() {
-            if let Some(route) = self.selector.selected(dest) {
-                snapshot.table_entries += 1;
-                snapshot.table_path_nodes += route.path.len();
-            }
-        }
-        let neighbors: Vec<AsId> = self.selector.neighbors().collect();
-        for a in neighbors {
-            for dest in self.selector.destinations().collect::<Vec<_>>() {
-                if let Some(info) = self.selector.rib(a, dest) {
-                    snapshot.rib_entries += 1;
-                    snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
-                }
-            }
-        }
-        snapshot
+        self.selector.state()
     }
 }
 
@@ -394,5 +500,42 @@ mod tests {
         assert_eq!(snap.table_path_nodes, 1 + 2);
         assert_eq!(snap.rib_entries, 1);
         assert_eq!(snap.price_entries, 0);
+    }
+
+    #[test]
+    fn out_of_range_ids_neither_panic_nor_grow_a_graph_built_node() {
+        use crate::message::PathEntry;
+        let g = fig1();
+        let mut d = PlainBgpNode::new(&g, Fig1::D);
+        let huge = AsId::new(u32::MAX);
+        let hop = |node, cost| PathEntry {
+            node,
+            cost: Cost::new(cost),
+        };
+        let reach = |destination, path: Vec<PathEntry>| RouteAdvertisement {
+            destination,
+            info: RouteInfo::Reachable {
+                path: path.into(),
+                path_cost: Cost::ZERO,
+                prices: Vec::new(),
+            },
+        };
+        let before = d.state();
+        let hostile = Update::if_nonempty(
+            Fig1::Z,
+            vec![
+                reach(huge, vec![hop(Fig1::Z, 4), hop(huge, 1)]),
+                reach(
+                    Fig1::X,
+                    vec![hop(Fig1::Z, 4), hop(huge, 1), hop(Fig1::X, 1)],
+                ),
+            ],
+        )
+        .unwrap();
+        assert!(d.selector.ingest(&hostile).is_empty(), "nothing affected");
+        assert!(d.handle(&[Arc::new(hostile)]).is_none());
+        assert_eq!(d.state(), before);
+        assert_eq!(d.selector().route_cost(huge), Cost::INFINITE);
+        assert_eq!(d.selector().destinations().count(), 1);
     }
 }

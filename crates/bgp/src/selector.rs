@@ -1,9 +1,10 @@
 //! Route selection: the per-node path-vector decision process.
 
 use crate::message::{PathEntry, RouteInfo, SharedPath, Update};
+use crate::stats::StateSnapshot;
 use bgpvcg_lcp::Route;
 use bgpvcg_netgraph::{AsId, Cost};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A selected routing-table entry: the chosen path (cost-annotated) and its
@@ -41,10 +42,12 @@ impl SelectedRoute {
 
 /// Structural validity of an incoming reachable advertisement: the path is
 /// non-empty, starts at the advertiser, ends at the destination, repeats no
-/// node, and carries at most one price slot per transit node. Everything a
-/// receiver later indexes into is covered, so a malformed message can be
-/// dropped here once instead of defended against everywhere.
-fn well_formed(from: AsId, destination: AsId, info: &RouteInfo) -> bool {
+/// node, names no node at or beyond `bound` (the receiver's tables are
+/// indexed by AS number, so an id must never decide an allocation), and
+/// carries at most one price slot per transit node. Everything a receiver
+/// later indexes into is covered, so a malformed message can be dropped
+/// here once instead of defended against everywhere.
+fn well_formed(from: AsId, destination: AsId, info: &RouteInfo, bound: usize) -> bool {
     let RouteInfo::Reachable { path, prices, .. } = info else {
         // Withdrawals carry no structure; price deltas are validated
         // against the retained route at application time (see `ingest`).
@@ -56,32 +59,18 @@ fn well_formed(from: AsId, destination: AsId, info: &RouteInfo) -> bool {
     if first.node != from || last.node != destination {
         return false;
     }
-    let mut seen = std::collections::BTreeSet::new();
-    if !path.iter().all(|e| seen.insert(e.node)) {
-        return false;
-    }
-    prices.len() <= path.len().saturating_sub(2)
+    // Each node against its predecessors, in place: no set to build, and
+    // on the few-hop paths of real tables fewer comparisons than one
+    // ordered-set insertion.
+    let simple = path.iter().enumerate().all(|(at, entry)| {
+        entry.node.index() < bound && path[..at].iter().all(|seen| seen.node != entry.node)
+    });
+    simple && prices.len() <= path.len().saturating_sub(2)
 }
 
-/// Compares two candidate routes under the deterministic route order
-/// `(transit cost, hop count, lexicographic AS path)`. Candidates are
-/// compared as plain `(path, cost)` pairs so selection never has to intern
-/// a losing path.
-fn candidate_cmp(
-    a_path: &[PathEntry],
-    a_cost: Cost,
-    b_path: &[PathEntry],
-    b_cost: Cost,
-) -> std::cmp::Ordering {
-    a_cost
-        .cmp(&b_cost)
-        .then_with(|| a_path.len().cmp(&b_path.len()))
-        .then_with(|| {
-            a_path
-                .iter()
-                .map(|e| e.node)
-                .cmp(b_path.iter().map(|e| e.node))
-        })
+/// The AS numbers along a path, for the lexicographic tie-break.
+fn nodes(path: &[PathEntry]) -> impl Iterator<Item = AsId> + '_ {
+    path.iter().map(|e| e.node)
 }
 
 /// The path-vector decision process of one AS: Rib-In (the last routes each
@@ -93,49 +82,90 @@ fn candidate_cmp(
 /// `bgpvcg-core`, all drive the same code (the paper's mechanism is an
 /// extension of BGP, so the BGP decision process must be shared, not
 /// duplicated).
+///
+/// State is dense and destination-major (AS numbers are `0..n`): the
+/// sorted neighbor list assigns each neighbor a *slot*, and the Rib-In
+/// cells of one destination — one per slot — are contiguous, so selection
+/// and the price relaxation walk one short row instead of probing a map
+/// per neighbor. See `docs/PERFORMANCE.md` § "Per-node state layout".
 #[derive(Debug, Clone)]
 pub struct RouteSelector {
     id: AsId,
     /// This node's own declared transit cost (what it stamps into path
     /// entries it originates or extends).
     declared_cost: Cost,
-    /// Per-neighbor Rib-In: destination → last advertised route.
-    rib_in: BTreeMap<AsId, BTreeMap<AsId, RouteInfo>>,
-    /// Receive-cost vectors advertised by neighbors (per-neighbor cost
-    /// model only; empty in the paper's base model). `vectors[a][u]` is the
-    /// cost `a` incurs receiving a transit packet from `u`.
-    neighbor_vectors: BTreeMap<AsId, BTreeMap<AsId, Cost>>,
-    /// The selected routing table: destination → chosen route. Own
-    /// destination always maps to the trivial route.
-    table: BTreeMap<AsId, SelectedRoute>,
+    /// Physical neighbors, ascending; a neighbor's position is its slot.
+    neighbors: Vec<AsId>,
+    /// Per slot: the receive-cost vector that neighbor last advertised
+    /// (per-neighbor cost model only; empty in the paper's base model).
+    /// `vectors[slot][u]` is the cost the neighbor incurs receiving a
+    /// transit packet from `u`.
+    vectors: Vec<BTreeMap<AsId, Cost>>,
+    /// Rib-In: `rib[dest.index() * neighbors.len() + slot]` is the route
+    /// that neighbor last advertised for `dest`.
+    rib: Vec<Option<RouteInfo>>,
+    /// The selected routing table, indexed by destination. Own destination
+    /// always holds the trivial route.
+    table: Vec<Option<SelectedRoute>>,
+    /// Advertisements naming an AS at or beyond this index are malformed:
+    /// the node count for a selector built from a graph, unbounded for one
+    /// that grows its tables on demand.
+    bound: usize,
+    /// `ingest`'s result buffer, reused across calls.
+    affected: Vec<AsId>,
 }
 
 impl RouteSelector {
     /// Creates a selector for node `id` with the given declared cost and
-    /// physical neighbors.
+    /// physical neighbors. Its tables grow to the largest destination it
+    /// is told about; a selector for a known network should be built
+    /// [`with_node_count`](Self::with_node_count) instead.
     pub fn new<I: IntoIterator<Item = AsId>>(id: AsId, declared_cost: Cost, neighbors: I) -> Self {
-        let rib_in = neighbors
-            .into_iter()
-            .map(|a| (a, BTreeMap::new()))
-            .collect();
-        let mut table = BTreeMap::new();
-        table.insert(
-            id,
-            SelectedRoute {
-                path: vec![PathEntry {
-                    node: id,
-                    cost: declared_cost,
-                }]
-                .into(),
-                cost: Cost::ZERO,
-            },
-        );
+        Self::build(id, declared_cost, neighbors, id.index() + 1, usize::MAX)
+    }
+
+    /// Creates a selector for node `id` of an `n`-node network: tables are
+    /// sized once, and [`ingest`](Self::ingest) drops any advertisement
+    /// naming an AS outside `0..n`, so no message can make the node
+    /// allocate by the value of an id it carries.
+    pub fn with_node_count<I: IntoIterator<Item = AsId>>(
+        id: AsId,
+        declared_cost: Cost,
+        neighbors: I,
+        n: usize,
+    ) -> Self {
+        let rows = n.max(id.index() + 1);
+        Self::build(id, declared_cost, neighbors, rows, rows)
+    }
+
+    fn build<I: IntoIterator<Item = AsId>>(
+        id: AsId,
+        declared_cost: Cost,
+        neighbors: I,
+        rows: usize,
+        bound: usize,
+    ) -> Self {
+        let mut neighbors: Vec<AsId> = neighbors.into_iter().collect();
+        neighbors.sort_unstable();
+        neighbors.dedup();
+        let mut table = vec![None; rows];
+        table[id.index()] = Some(SelectedRoute {
+            path: vec![PathEntry {
+                node: id,
+                cost: declared_cost,
+            }]
+            .into(),
+            cost: Cost::ZERO,
+        });
         RouteSelector {
             id,
             declared_cost,
-            rib_in,
-            neighbor_vectors: BTreeMap::new(),
+            vectors: vec![BTreeMap::new(); neighbors.len()],
+            rib: vec![None; rows * neighbors.len()],
+            neighbors,
             table,
+            bound,
+            affected: Vec::new(),
         }
     }
 
@@ -151,136 +181,172 @@ impl RouteSelector {
 
     /// Changes this node's declared cost (a strategic deviation or dynamic
     /// re-declaration). Every selected route's first path entry carries the
-    /// declared cost, so all of them are restamped; the returned set names
-    /// exactly the destinations whose table entry changed (empty for a
-    /// no-op re-declaration of the same cost), so the caller re-advertises
-    /// only those instead of rescanning the table.
-    pub fn set_declared_cost(&mut self, cost: Cost) -> BTreeSet<AsId> {
+    /// declared cost, so all of them are restamped; the returned list names
+    /// exactly the destinations whose table entry changed, ascending (empty
+    /// for a no-op re-declaration of the same cost), so the caller
+    /// re-advertises only those instead of rescanning the table.
+    pub fn set_declared_cost(&mut self, cost: Cost) -> Vec<AsId> {
         if cost == self.declared_cost {
-            return BTreeSet::new();
+            return Vec::new();
         }
         self.declared_cost = cost;
-        let mut changed = BTreeSet::new();
-        for (dest, route) in &mut self.table {
+        let head = PathEntry {
+            node: self.id,
+            cost,
+        };
+        for route in self.table.iter_mut().flatten() {
             // Interned paths are immutable: restamping the declared cost
             // mints a fresh handle (re-declaration is rare; sharing wins on
             // the per-stage re-advertisement path).
-            let mut entries = route.path.to_vec();
-            entries[0].cost = cost;
-            route.path = entries.into();
-            changed.insert(*dest);
+            route.path = std::iter::once(head)
+                .chain(route.path[1..].iter().copied())
+                .collect();
         }
-        changed
+        self.destinations().collect()
     }
 
     /// Current physical neighbors, ascending.
     pub fn neighbors(&self) -> impl Iterator<Item = AsId> + '_ {
-        self.rib_in.keys().copied()
+        self.neighbors.iter().copied()
     }
 
     /// Returns `true` if `a` is currently a neighbor.
     pub fn has_neighbor(&self, a: AsId) -> bool {
-        self.rib_in.contains_key(&a)
+        self.slot(a).is_some()
+    }
+
+    /// The Rib-In slot of neighbor `a`.
+    fn slot(&self, a: AsId) -> Option<usize> {
+        self.neighbors.binary_search(&a).ok()
+    }
+
+    /// The Rib-In cells for `dest`, one per slot (empty for a destination
+    /// beyond the tables).
+    fn row(&self, dest: AsId) -> &[Option<RouteInfo>] {
+        let deg = self.neighbors.len();
+        let start = dest.index() * deg;
+        self.rib.get(start..start + deg).unwrap_or(&[])
     }
 
     /// The route `a` last advertised for `dest`, if any.
     pub fn rib(&self, a: AsId, dest: AsId) -> Option<&RouteInfo> {
-        self.rib_in.get(&a)?.get(&dest)
+        self.row(dest).get(self.slot(a)?)?.as_ref()
     }
 
     /// The destinations neighbor `a` currently advertises, ascending. Empty
     /// for non-neighbors. Used to scope recomputation after a link event to
     /// the destinations the vanished Rib-In actually covered.
-    pub fn rib_destinations(&self, a: AsId) -> BTreeSet<AsId> {
-        self.rib_in
-            .get(&a)
-            .map(|routes| routes.keys().copied().collect())
-            .unwrap_or_default()
+    pub fn rib_destinations(&self, a: AsId) -> Vec<AsId> {
+        let Some(slot) = self.slot(a) else {
+            return Vec::new();
+        };
+        // The slot's column: every `deg`-th cell, one per destination.
+        let column = self.rib.iter().skip(slot).step_by(self.neighbors.len());
+        (0u32..)
+            .zip(column)
+            .filter(|(_, cell)| cell.is_some())
+            .map(|(dest, _)| AsId::new(dest))
+            .collect()
     }
 
     /// The Rib-In entries for `dest` across all current neighbors, ascending
     /// by neighbor. This is the candidate set both route selection and the
-    /// pricing relaxation pass iterate; exposing it lets callers hoist the
-    /// per-neighbor lookup out of their inner loops.
+    /// pricing relaxation pass iterate: one contiguous row.
     pub fn rib_for(&self, dest: AsId) -> impl Iterator<Item = (AsId, &RouteInfo)> + '_ {
-        self.rib_in
+        self.neighbors
             .iter()
-            .filter_map(move |(&a, routes)| routes.get(&dest).map(|info| (a, info)))
-    }
-
-    /// The declared cost of neighbor `a` as learned from its advertisements
-    /// (the first path entry of anything it sends is itself), or `None`
-    /// before `a` has advertised anything.
-    pub fn neighbor_cost(&self, a: AsId) -> Option<Cost> {
-        let routes = self.rib_in.get(&a)?;
-        routes
-            .values()
-            .find_map(|info| info.path().and_then(|p| p.first()).map(|e| e.cost))
+            .zip(self.row(dest))
+            .filter_map(|(&a, cell)| cell.as_ref().map(|info| (a, info)))
     }
 
     /// The receive-cost vector neighbor `a` last advertised (per-neighbor
     /// cost model), if any.
     pub fn neighbor_vector(&self, a: AsId) -> Option<&BTreeMap<AsId, Cost>> {
-        self.neighbor_vectors.get(&a)
+        self.vectors
+            .get(self.slot(a)?)
+            .filter(|vector| !vector.is_empty())
     }
 
     /// The cost neighbor `a` incurs receiving a transit packet *from this
     /// node*, per `a`'s advertised vector (per-neighbor model only).
     pub fn recv_cost_from(&self, a: AsId) -> Option<Cost> {
-        self.neighbor_vectors.get(&a)?.get(&self.id).copied()
+        self.neighbor_vector(a)?.get(&self.id).copied()
     }
 
     /// The selected route to `dest` (trivial for `dest == id`).
     pub fn selected(&self, dest: AsId) -> Option<&SelectedRoute> {
-        self.table.get(&dest)
+        self.table.get(dest.index())?.as_ref()
     }
 
     /// The selected route to `dest` as an [`Route`].
     pub fn route(&self, dest: AsId) -> Option<Route> {
-        self.table.get(&dest).map(SelectedRoute::as_route)
+        self.selected(dest).map(SelectedRoute::as_route)
     }
 
     /// The selected route's transit cost `c(self, dest)`, or
     /// [`Cost::INFINITE`] if no route is known.
     pub fn route_cost(&self, dest: AsId) -> Cost {
-        self.table.get(&dest).map_or(Cost::INFINITE, |r| r.cost)
+        self.selected(dest).map_or(Cost::INFINITE, |r| r.cost)
     }
 
     /// All destinations with a selected route, ascending.
     pub fn destinations(&self) -> impl Iterator<Item = AsId> + '_ {
-        self.table.keys().copied()
+        (0u32..)
+            .map(AsId::new)
+            .zip(&self.table)
+            .filter_map(|(dest, route)| route.as_ref().map(|_| dest))
     }
 
-    /// Ingests an UPDATE from a neighbor into the Rib-In, returning the set
-    /// of destinations whose advertised state changed. Messages from
-    /// non-neighbors (possible transiently around link failures in the
-    /// asynchronous engine) are ignored.
-    pub fn ingest(&mut self, update: &Update) -> BTreeSet<AsId> {
-        let mut affected = BTreeSet::new();
-        if !self.rib_in.contains_key(&update.from) {
-            return affected;
-        }
-        if !update.sender_costs.is_empty() {
-            let vector: BTreeMap<AsId, Cost> = update.sender_costs.iter().copied().collect();
-            let previous = self.neighbor_vectors.insert(update.from, vector);
-            if previous.as_ref() != self.neighbor_vectors.get(&update.from) {
-                // A changed cost vector re-prices every candidate through
-                // this neighbor.
-                // lint:allow(bounds: rib_in membership for update.from is checked at fn entry)
-                affected.extend(self.rib_in[&update.from].keys().copied());
+    /// Table and Rib-In sizes in one pass over the dense rows (the price
+    /// fields stay zero: prices belong to the node types built on top).
+    /// Rib-In cells are counted for destinations that have a selected
+    /// route, which at a fixpoint is every destination anyone advertises.
+    pub fn state(&self) -> StateSnapshot {
+        let mut snapshot = StateSnapshot::default();
+        for (dest, route) in (0u32..).zip(&self.table) {
+            let Some(route) = route else {
+                continue;
+            };
+            snapshot.table_entries += 1;
+            snapshot.table_path_nodes += route.path.len();
+            for info in self.row(AsId::new(dest)).iter().flatten() {
+                snapshot.rib_entries += 1;
+                snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
             }
         }
-        let from = update.from;
-        let Some(routes) = self.rib_in.get_mut(&from) else {
-            return affected; // unreachable: membership checked on entry
+        snapshot
+    }
+
+    /// Ingests an UPDATE from a neighbor into the Rib-In, returning the
+    /// destinations whose advertised state changed, in message order (a
+    /// destination the update names twice can appear twice). Messages from
+    /// non-neighbors (possible transiently around link failures in the
+    /// asynchronous engine) are ignored. The returned slice is the
+    /// selector's own buffer, valid until the next call.
+    pub fn ingest(&mut self, update: &Update) -> &[AsId] {
+        self.affected.clear();
+        let Some(slot) = self.slot(update.from) else {
+            return &self.affected;
         };
+        let deg = self.neighbors.len();
+        if !update.sender_costs.is_empty() {
+            // lint:allow(per-neighbor cost model only: the vector is retained state, and the paper's base model never sends one)
+            let vector: BTreeMap<AsId, Cost> = update.sender_costs.iter().copied().collect();
+            if let Some(known) = self.vectors.get_mut(slot).filter(|known| **known != vector) {
+                *known = vector;
+                // A changed cost vector re-prices every candidate through
+                // this neighbor.
+                let column = self.rib_destinations(update.from);
+                self.affected.extend(column);
+            }
+        }
         for ad in &update.advertisements {
-            match &ad.info {
-                RouteInfo::Withdrawn => {
-                    if routes.remove(&ad.destination).is_some() {
-                        affected.insert(ad.destination);
-                    }
-                }
+            let dest = ad.destination;
+            let changed = match &ad.info {
+                RouteInfo::Withdrawn => self
+                    .rib
+                    .get_mut(dest.index() * deg + slot)
+                    .is_some_and(|cell| cell.take().is_some()),
                 RouteInfo::PriceDelta {
                     base_path_hash,
                     entries,
@@ -291,8 +357,8 @@ impl RouteSelector {
                     // price index — drops the delta silently: the sender's
                     // next full advertisement (session resynchronization
                     // always sends one) restores the state.
-                    let Some(RouteInfo::Reachable { path, prices, .. }) =
-                        routes.get_mut(&ad.destination)
+                    let Some(Some(RouteInfo::Reachable { path, prices, .. })) =
+                        self.rib.get_mut(dest.index() * deg + slot)
                     else {
                         continue;
                     };
@@ -307,31 +373,39 @@ impl RouteSelector {
                     for &(idx, value) in entries {
                         // lint:allow(bounds: every idx range-checked above)
                         let cell = &mut prices[usize::from(idx)];
-                        if *cell != value {
-                            *cell = value;
-                            touched = true;
-                        }
+                        touched |= *cell != value;
+                        *cell = value;
                     }
-                    if touched {
-                        affected.insert(ad.destination);
-                    }
+                    touched
                 }
                 reachable => {
                     // Drop structurally malformed advertisements instead of
                     // trusting them: a misbehaving or buggy neighbor must
                     // not be able to crash this node (the paper's Sect. 7
                     // notes the agents themselves run the algorithm).
-                    if !well_formed(from, ad.destination, reachable) {
+                    if !well_formed(update.from, dest, reachable, self.bound) {
                         continue;
                     }
-                    let prev = routes.insert(ad.destination, reachable.clone());
-                    if prev.as_ref() != Some(reachable) {
-                        affected.insert(ad.destination);
+                    if dest.index() >= self.table.len() {
+                        // Only a selector built without a node count gets
+                        // here: `well_formed` bounds every other one.
+                        self.table.resize(dest.index() + 1, None);
+                        self.rib.resize((dest.index() + 1) * deg, None);
+                    }
+                    match self.rib.get_mut(dest.index() * deg + slot) {
+                        Some(cell) if cell.as_ref() != Some(reachable) => {
+                            reachable.store_into(cell);
+                            true
+                        }
+                        _ => false,
                     }
                 }
+            };
+            if changed {
+                self.affected.push(dest);
             }
         }
-        affected
+        &self.affected
     }
 
     /// Re-runs route selection for one destination; returns `true` if the
@@ -339,110 +413,116 @@ impl RouteSelector {
     ///
     /// Selection: over all neighbors `a` whose Rib-In holds a route for
     /// `dest` not containing this node (loop suppression), extend that route
-    /// by this node and keep the minimum under the deterministic order.
+    /// by this node and keep the minimum under the deterministic route
+    /// order `(transit cost, hop count, lexicographic AS path)`.
     pub fn decide(&mut self, dest: AsId) -> bool {
         if dest == self.id {
             return false; // the trivial route is permanent
         }
-        // Candidates stay plain `(path, cost)` pairs; only the winning
-        // route — and only when it differs from the table entry — is
-        // interned into a SharedPath, so the content hash is computed once
-        // per actual route change, never per candidate.
-        let mut best: Option<(Vec<PathEntry>, Cost)> = None;
-        for (a, routes) in &self.rib_in {
-            let Some(info) = routes.get(&dest) else {
-                continue;
-            };
-            let RouteInfo::Reachable {
+        // Candidates are compared where they lie in the row. Every
+        // extension starts with this node, so ordering the advertised
+        // paths orders the extensions; only a winner that differs from the
+        // table entry is materialised and interned, so losing candidates
+        // cost neither an allocation nor a content hash.
+        let mut best: Option<(&[PathEntry], PathEntry, Cost)> = None;
+        let cells = self.neighbors.iter().zip(&self.vectors).zip(self.row(dest));
+        for ((&a, vector), cell) in cells {
+            let Some(RouteInfo::Reachable {
                 path, path_cost, ..
-            } = info
+            }) = cell
             else {
                 continue;
             };
-            if info.contains(self.id) {
-                continue; // loop suppression
-            }
             // Extending by ourselves turns the advertiser into a transit
             // node (unless it is the destination, which stays an endpoint).
             // In the base model the advertiser's cost is the first path
             // entry; in the per-neighbor model it is the advertiser's
-            // receive cost *from us*, taken from its advertised vector.
-            let vector_cost = self
-                .neighbor_vectors
-                .get(a)
-                .and_then(|v| v.get(&self.id))
-                .copied();
-            let added = if *a == dest {
-                Cost::ZERO
-            } else {
-                vector_cost.unwrap_or(path[0].cost)
+            // receive cost *from us*, taken from its advertised vector, and
+            // the advertiser's entry is restamped with it: each path entry
+            // carries the node's cost *given its predecessor on this path*.
+            let vector_cost = vector.get(&self.id).copied();
+            let added = match vector_cost {
+                _ if a == dest => Cost::ZERO,
+                Some(cost) => cost,
+                None => path[0].cost,
             };
-            let mut full_path = Vec::with_capacity(path.len() + 1);
-            full_path.push(PathEntry {
-                node: self.id,
-                cost: self.declared_cost,
+            let advertiser = PathEntry {
+                node: a,
+                cost: vector_cost.map_or(path[0].cost, |_| added),
+            };
+            let cost = *path_cost + added;
+            let better = best.is_none_or(|(best_path, _, best_cost)| {
+                cost.cmp(&best_cost)
+                    .then_with(|| path.len().cmp(&best_path.len()))
+                    .then_with(|| nodes(path).cmp(nodes(best_path)))
+                    .is_lt()
             });
-            full_path.extend_from_slice(path);
-            if vector_cost.is_some() {
-                // Per-neighbor model: each path entry carries the node's
-                // cost *given its predecessor on this path*, so the
-                // advertiser's entry is restamped for the new predecessor.
-                full_path[1].cost = added;
-            }
-            let candidate_cost = *path_cost + added;
-            let better = match &best {
-                None => true,
-                Some((best_path, best_cost)) => {
-                    candidate_cmp(&full_path, candidate_cost, best_path, *best_cost)
-                        == std::cmp::Ordering::Less
-                }
-            };
-            if better {
-                best = Some((full_path, candidate_cost));
+            // Loop suppression last: it scans the path, and only a
+            // would-be winner needs it.
+            if better && !path.iter().any(|e| e.node == self.id) {
+                best = Some((path, advertiser, cost));
             }
         }
-        let changed = match (&best, self.table.get(&dest)) {
-            (Some((path, cost)), Some(old)) => *cost != old.cost || path[..] != old.path[..],
-            (None, None) => false,
-            _ => true,
+        let head = PathEntry {
+            node: self.id,
+            cost: self.declared_cost,
         };
-        if changed {
-            match best {
-                Some((path, cost)) => {
-                    self.table.insert(
-                        dest,
-                        SelectedRoute {
-                            path: path.into(),
-                            cost,
-                        },
-                    );
-                }
-                None => {
-                    self.table.remove(&dest);
-                }
+        let unchanged = match (best, self.selected(dest)) {
+            (None, None) => true,
+            (Some((path, advertiser, cost)), Some(old)) => {
+                cost == old.cost
+                    && old.path.len() == path.len() + 1
+                    && old.path[0] == head
+                    && old.path[1] == advertiser
+                    && old.path[2..] == path[1..]
             }
+            _ => false,
+        };
+        if unchanged {
+            return false;
         }
-        changed
+        let route = best.map(|(path, advertiser, cost)| {
+            let extended = [head, advertiser]
+                .into_iter()
+                .chain(path[1..].iter().copied());
+            SelectedRoute {
+                // lint:allow(output: the interned winning path, one allocation per route change)
+                path: extended.collect(),
+                cost,
+            }
+        });
+        if let Some(entry) = self.table.get_mut(dest.index()) {
+            *entry = route;
+        }
+        true
     }
 
-    /// Re-runs selection for every destination mentioned anywhere in the
-    /// Rib-In or currently in the table; returns those whose selection
-    /// changed.
-    pub fn decide_all(&mut self) -> BTreeSet<AsId> {
-        let mut dests: BTreeSet<AsId> = self.table.keys().copied().collect();
-        for routes in self.rib_in.values() {
-            dests.extend(routes.keys().copied());
-        }
-        dests
-            .into_iter()
+    /// Re-runs selection for every destination; returns those whose
+    /// selection changed, ascending.
+    pub fn decide_all(&mut self) -> Vec<AsId> {
+        (0..self.table.len() as u32)
+            .map(AsId::new)
             .filter(|&dest| self.decide(dest))
             .collect()
     }
 
     /// Handles a link to `a` coming up: adds the neighbor with an empty
-    /// Rib-In. Idempotent.
+    /// Rib-In column at its sorted slot. Idempotent.
     pub fn link_up(&mut self, a: AsId) {
-        self.rib_in.entry(a).or_default();
+        let Err(slot) = self.neighbors.binary_search(&a) else {
+            return;
+        };
+        let deg = self.neighbors.len();
+        self.neighbors.insert(slot, a);
+        self.vectors.insert(slot, BTreeMap::new());
+        // Re-stride every row around the new column.
+        let mut cells = std::mem::take(&mut self.rib).into_iter();
+        self.rib.reserve(self.table.len() * (deg + 1));
+        for _ in 0..self.table.len() {
+            self.rib.extend(cells.by_ref().take(slot));
+            self.rib.push(None);
+            self.rib.extend(cells.by_ref().take(deg - slot));
+        }
     }
 
     /// Forgets everything learned from the network — Rib-In contents,
@@ -452,36 +532,47 @@ impl RouteSelector {
     /// by a restart: the process loses its RIBs but keeps its configuration
     /// (who it is, what it charges, which links are physically attached).
     pub fn reset(&mut self) {
-        for routes in self.rib_in.values_mut() {
-            routes.clear();
+        self.rib.fill(None);
+        self.vectors.iter_mut().for_each(BTreeMap::clear);
+        let own = self.id.index();
+        for (dest, route) in self.table.iter_mut().enumerate() {
+            if dest != own {
+                *route = None;
+            }
         }
-        self.neighbor_vectors.clear();
-        self.table.retain(|dest, _| *dest == self.id);
     }
 
-    /// Handles the link to `a` going down: drops its Rib-In and re-decides
-    /// the destinations it covered; returns those whose selection changed.
+    /// Handles the link to `a` going down: drops its Rib-In column and
+    /// re-decides the destinations it covered; returns those whose
+    /// selection changed, ascending.
     ///
     /// Removing neighbor `a` only removes candidates, and only for the
     /// destinations `a` had advertised — every other destination's candidate
     /// set (and therefore its selection) is untouched, so re-deciding the
-    /// dropped Rib-In's keys is equivalent to a full `decide_all` rescan.
-    pub fn link_down(&mut self, a: AsId) -> BTreeSet<AsId> {
-        let Some(dropped) = self.rib_in.remove(&a) else {
-            return BTreeSet::new();
+    /// dropped column's destinations is equivalent to a full `decide_all`
+    /// rescan.
+    pub fn link_down(&mut self, a: AsId) -> Vec<AsId> {
+        let Some(slot) = self.slot(a) else {
+            return Vec::new();
         };
-        self.neighbor_vectors.remove(&a);
+        let mut dropped = self.rib_destinations(a);
+        let deg = self.neighbors.len();
+        let mut at = 0;
+        self.rib.retain(|_| {
+            at += 1;
+            (at - 1) % deg != slot
+        });
+        self.neighbors.remove(slot);
+        self.vectors.remove(slot);
+        dropped.retain(|&dest| self.decide(dest));
         dropped
-            .into_keys()
-            .filter(|&dest| self.decide(dest))
-            .collect()
     }
 }
 
 impl fmt::Display for RouteSelector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "RouteSelector for {}:", self.id)?;
-        for (dest, route) in &self.table {
+        for (dest, route) in self.destinations().zip(self.table.iter().flatten()) {
             writeln!(f, "  {dest}: {}", route.as_route())?;
         }
         Ok(())
@@ -543,7 +634,7 @@ mod tests {
         let mut s = selector();
         // Neighbor 1 (cost 3) advertises itself.
         let affected = s.ingest(&update(1, vec![ad(1, vec![entry(1, 3)], 0)]));
-        assert_eq!(affected, BTreeSet::from([AsId::new(1)]));
+        assert_eq!(affected, [AsId::new(1)]);
         assert!(s.decide(AsId::new(1)));
         let route = s.selected(AsId::new(1)).unwrap();
         assert_eq!(route.cost, Cost::ZERO, "destination is an endpoint");
@@ -591,7 +682,7 @@ mod tests {
                 info: RouteInfo::Withdrawn,
             }],
         ));
-        assert_eq!(affected, BTreeSet::from([AsId::new(1)]));
+        assert_eq!(affected, [AsId::new(1)]);
         assert!(s.decide(AsId::new(1)));
         assert!(s.selected(AsId::new(1)).is_none());
     }
@@ -609,14 +700,6 @@ mod tests {
         let u = update(1, vec![ad(1, vec![entry(1, 3)], 0)]);
         assert!(!s.ingest(&u).is_empty());
         assert!(s.ingest(&u).is_empty(), "identical re-advertisement");
-    }
-
-    #[test]
-    fn neighbor_cost_learned_from_any_advertisement() {
-        let mut s = selector();
-        assert_eq!(s.neighbor_cost(AsId::new(1)), None);
-        s.ingest(&update(1, vec![ad(9, vec![entry(1, 3), entry(9, 2)], 0)]));
-        assert_eq!(s.neighbor_cost(AsId::new(1)), Some(Cost::new(3)));
     }
 
     #[test]
@@ -807,7 +890,7 @@ mod tests {
         let mut s = selector();
         s.ingest(&update(1, vec![ad(1, vec![entry(1, 3)], 0)]));
         let first = s.decide_all();
-        assert_eq!(first, BTreeSet::from([AsId::new(1)]));
+        assert_eq!(first, [AsId::new(1)]);
         let second = s.decide_all();
         assert!(second.is_empty());
     }
@@ -855,7 +938,7 @@ mod tests {
         let mut s = selector();
         let path = priced_base(&mut s);
         let affected = s.ingest(&delta_update(path.hash64(), vec![(0, Cost::new(4))]));
-        assert_eq!(affected, BTreeSet::from([AsId::new(9)]));
+        assert_eq!(affected, [AsId::new(9)]);
         let patched = s.rib(AsId::new(1), AsId::new(9)).unwrap();
         assert_eq!(patched.price_of(AsId::new(4)), Some(Cost::new(4)));
         assert_eq!(
@@ -887,5 +970,45 @@ mod tests {
         assert!(fresh
             .ingest(&delta_update(path.hash64(), vec![(0, Cost::new(4))]))
             .is_empty());
+    }
+
+    #[test]
+    fn sized_selector_drops_out_of_range_ids_without_growing() {
+        let huge = u32::MAX;
+        let mut s = RouteSelector::with_node_count(
+            AsId::new(0),
+            Cost::new(5),
+            [AsId::new(1), AsId::new(2)],
+            10,
+        );
+        let cells = s.rib.len();
+        // As destination (the path must end there to be otherwise valid).
+        let as_dest = update(1, vec![ad(huge, vec![entry(1, 3), entry(huge, 2)], 0)]);
+        assert!(s.ingest(&as_dest).is_empty());
+        // As a transit node on a path to a destination that is in range.
+        let as_transit = update(
+            1,
+            vec![ad(9, vec![entry(1, 3), entry(huge, 1), entry(9, 2)], 1)],
+        );
+        assert!(s.ingest(&as_transit).is_empty());
+        // Withdrawals and deltas for it find no cell.
+        let withdraw = update(
+            1,
+            vec![RouteAdvertisement {
+                destination: AsId::new(huge),
+                info: RouteInfo::Withdrawn,
+            }],
+        );
+        assert!(s.ingest(&withdraw).is_empty());
+        assert!(!s.decide(AsId::new(huge)));
+        assert_eq!((s.rib.len(), s.table.len()), (cells, 10), "no growth");
+        assert!(s.rib(AsId::new(1), AsId::new(9)).is_none());
+        // The unsized constructor is the one that grows, and only by what
+        // a well-formed advertisement's destination asks for.
+        let mut open = selector();
+        assert!(!open
+            .ingest(&update(1, vec![ad(9, vec![entry(1, 3), entry(9, 2)], 0)]))
+            .is_empty());
+        assert_eq!(open.table.len(), 10);
     }
 }

@@ -24,10 +24,9 @@ use crate::errors::MechanismError;
 use crate::outcome::{PairOutcome, RoutingOutcome};
 use bgpvcg_bgp::engine::{RunReport, SyncEngine};
 use bgpvcg_bgp::{
-    LocalEvent, ProtocolNode, RouteAdvertisement, RouteInfo, RouteSelector, StateSnapshot, Update,
+    uncaused, AdjRibOut, LocalEvent, ProtocolNode, RouteInfo, RouteSelector, StateSnapshot, Update,
 };
 use bgpvcg_netgraph::{AsId, Cost};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A BGP speaker computing VCG prices under per-neighbor (receive-side)
@@ -51,19 +50,15 @@ pub struct NcPricingNode {
     selector: RouteSelector,
     /// This node's declared receive-cost vector, attached to every UPDATE.
     vector: Vec<(AsId, Cost)>,
-    /// Per destination: margin entries aligned with the selected route's
-    /// transit nodes, recomputed from scratch on every refresh (same
-    /// rationale as the base `PricingBgpNode`).
-    margins: BTreeMap<AsId, Vec<Cost>>,
-    /// Last advertised state per destination, for change suppression.
-    /// Always holds the *full* route state — when a compressed
-    /// [`RouteInfo::PriceDelta`] goes out on the wire, this map records the
-    /// reassembled `Reachable` it stands for.
-    advertised: BTreeMap<AsId, RouteInfo>,
-    /// Whether change advertisements may be compressed to
-    /// [`RouteInfo::PriceDelta`] when only margin entries relaxed on an
-    /// unchanged selected path. On by default.
-    delta_encoding: bool,
+    /// Per destination (index `dest.index()`): margin entries aligned with
+    /// the selected route's transit nodes (empty where it has none),
+    /// recomputed from scratch on every refresh (same rationale as the base
+    /// `PricingBgpNode`).
+    margins: Vec<Vec<Cost>>,
+    /// Change suppression and delta compression of what goes out.
+    out: AdjRibOut,
+    /// The array `refresh_margins` relaxes into, reused across calls.
+    scratch: Vec<Cost>,
 }
 
 impl NcPricingNode {
@@ -77,12 +72,18 @@ impl NcPricingNode {
     ///
     /// Panics if `id` is not in the graph.
     pub fn new(graph: &NeighborCostGraph, id: AsId) -> Self {
+        let n = graph.node_count();
         NcPricingNode {
-            selector: RouteSelector::new(id, Cost::ZERO, graph.neighbors(id).iter().copied()),
+            selector: RouteSelector::with_node_count(
+                id,
+                Cost::ZERO,
+                graph.neighbors(id).iter().copied(),
+                n,
+            ),
             vector: graph.cost_vector(id),
-            margins: BTreeMap::new(),
-            advertised: BTreeMap::new(),
-            delta_encoding: true,
+            margins: vec![Vec::new(); n],
+            out: AdjRibOut::new(n),
+            scratch: Vec::new(),
         }
     }
 
@@ -90,7 +91,7 @@ impl NcPricingNode {
     /// advertisements (on by default). The delta-stream equivalence
     /// proptests run both settings and assert identical fixpoints.
     pub fn set_delta_encoding(&mut self, on: bool) {
-        self.delta_encoding = on;
+        self.out.set_delta_encoding(on);
     }
 
     /// One node per AS, in AS order.
@@ -115,7 +116,7 @@ impl NcPricingNode {
         }
         let transit = &route.path[1..route.path.len() - 1];
         let pos = transit.iter().position(|e| e.node == k)?;
-        let margin = self.margins.get(&dest)?.get(pos).copied()?;
+        let margin = self.margins.get(dest.index())?.get(pos).copied()?;
         // The path entry carries c_k(pred) for this path (restamped on
         // extension).
         // lint:allow(bounds: pos is a position hit over transit itself)
@@ -125,32 +126,37 @@ impl NcPricingNode {
     /// Recomputes the margin array for `dest` from the current Rib-In;
     /// returns `true` if it changed.
     fn refresh_margins(&mut self, dest: AsId) -> bool {
-        let me = self.selector.id();
-        if dest == me {
+        let Some(stored) = self.margins.get_mut(dest.index()) else {
             return false;
-        }
-        let Some(route) = self.selector.selected(dest) else {
-            return self.margins.remove(&dest).is_some();
         };
-        if route.path.len() < 3 {
-            return self.margins.remove(&dest).is_some();
+        let transit = match self.selector.selected(dest) {
+            Some(route) if dest != self.selector.id() => &route.path[1..route.path.len() - 1],
+            _ => &[],
+        };
+        if transit.is_empty() {
+            // Own destination, no route, or a route without transit nodes.
+            let had_margins = !stored.is_empty();
+            stored.clear();
+            return had_margins;
         }
-        let transit = &route.path[1..route.path.len() - 1];
-        let mut arr = vec![Cost::INFINITE; transit.len()];
-        let my_route_cost = route.cost;
+        let my_route_cost = self.selector.route_cost(dest);
+        let arr = &mut self.scratch;
+        arr.clear();
+        arr.resize(transit.len(), Cost::INFINITE);
 
         // Neighbors outer, transit inner: the per-advertisement values
         // (receive cost, shift) hoist out of the transit scan and the
-        // Rib-In is probed once per neighbor. The component-wise minimum
-        // is order-independent, so the array is identical either way.
+        // Rib-In row is walked once. The component-wise minimum is
+        // order-independent, so the array is identical either way.
         for (a, info) in self.selector.rib_for(dest) {
             // c_a(i): a's receive cost from us, from a's vector.
             let Some(a_recv_from_me) = self.selector.recv_cost_from(a) else {
                 continue;
             };
             let RouteInfo::Reachable {
+                path: a_path,
                 path_cost: a_route_cost,
-                ..
+                prices: a_margins,
             } = info
             else {
                 continue;
@@ -158,69 +164,42 @@ impl NcPricingNode {
             let Some(shift) = (a_recv_from_me + *a_route_cost).checked_sub(my_route_cost) else {
                 continue;
             };
-            for (pos, k_entry) in transit.iter().enumerate() {
+            for (k_entry, cell) in transit.iter().zip(arr.iter_mut()) {
                 let k = k_entry.node;
                 if a == k {
                     continue; // the link i–a is never on a k-avoiding path
                 }
-                let bound = if let Some(m) = info.price_of(k) {
-                    // k is transit on a's path: compose margins.
-                    m + shift
-                } else if !info.contains(k) {
+                // One scan of a's path places k on it.
+                let bound = match a_path.iter().position(|e| e.node == k) {
                     // a's path is itself k-avoiding once extended by i–a.
-                    shift
-                } else {
-                    continue; // k is an endpoint of a's path (only k == dest)
+                    None => shift,
+                    // k is transit on a's path: compose margins.
+                    Some(at) if at + 1 < a_path.len() => match a_margins.get(at - 1) {
+                        Some(&m) => m + shift,
+                        None => continue, // a margin array shorter than its path
+                    },
+                    Some(_) => continue, // k is an endpoint of a's path (only k == dest)
                 };
-                // lint:allow(bounds: pos enumerates transit and arr is sized to transit len)
-                if bound < arr[pos] {
-                    // lint:allow(bounds: pos enumerates transit and arr is sized to transit len)
-                    arr[pos] = bound;
+                if bound < *cell {
+                    *cell = bound;
                 }
             }
         }
         crate::invariants::margin_step(transit, arr.as_slice());
-        let changed = self.margins.get(&dest) != Some(&arr);
-        self.margins.insert(dest, arr);
+        let changed = stored != arr;
+        if changed {
+            stored.clone_from(arr);
+        }
         changed
     }
 
-    fn advertisement_for(&self, dest: AsId) -> RouteInfo {
-        match self.selector.selected(dest) {
-            Some(route) => RouteInfo::Reachable {
-                path: route.path.clone(),
-                path_cost: route.cost,
-                prices: self.margins.get(&dest).cloned().unwrap_or_default(),
-            },
-            None => RouteInfo::Withdrawn,
-        }
-    }
-
-    fn emit(&mut self, dests: impl IntoIterator<Item = AsId>) -> Option<Update> {
-        let mut ads = Vec::new();
-        for dest in dests {
-            let info = self.advertisement_for(dest);
-            let changed = match self.advertised.get(&dest) {
-                Some(prev) => *prev != info,
-                None => !matches!(info, RouteInfo::Withdrawn),
-            };
-            if changed {
-                // Margin-only movement on an unchanged path compresses to a
-                // delta exactly like the base model's price relaxation.
-                let wire_info = self
-                    .advertised
-                    .get(&dest)
-                    .filter(|_| self.delta_encoding)
-                    .and_then(|prev| RouteInfo::delta_from(prev, &info))
-                    .unwrap_or_else(|| info.clone());
-                self.advertised.insert(dest, info);
-                ads.push(RouteAdvertisement {
-                    destination: dest,
-                    info: wire_info,
-                });
-            }
-        }
-        Update::if_nonempty(self.selector.id(), ads)
+    /// Advertises whichever of `dests` changed since last advertised, with
+    /// this node's receive-cost vector attached. Margin-only movement on an
+    /// unchanged path compresses to a delta exactly like the base model's
+    /// price relaxation.
+    fn emit(&mut self, dests: impl IntoIterator<Item = (AsId, u64)>) -> Option<Update> {
+        self.out
+            .emit(&self.selector, dests, |dest| &self.margins[dest.index()])
             .map(|u| u.with_sender_costs(self.vector.clone()))
     }
 }
@@ -235,22 +214,18 @@ impl ProtocolNode for NcPricingNode {
     }
 
     fn start(&mut self) -> Option<Update> {
-        self.emit([self.selector.id()])
+        self.emit(uncaused([self.selector.id()]))
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut affected: BTreeSet<AsId> = BTreeSet::new();
-        for update in updates {
-            affected.extend(self.selector.ingest(update));
-        }
-        let mut out = BTreeSet::new();
-        for &dest in &affected {
+        let mut dirty = self.out.ingest(&mut self.selector, updates);
+        dirty.retain(|&(dest, _)| {
             let route_changed = self.selector.decide(dest);
-            if self.refresh_margins(dest) || route_changed {
-                out.insert(dest);
-            }
-        }
-        self.emit(out)
+            self.refresh_margins(dest) || route_changed
+        });
+        let update = self.emit(dirty.iter().copied());
+        self.out.recycle(dirty);
+        update
     }
 
     fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
@@ -272,7 +247,7 @@ impl ProtocolNode for NcPricingNode {
                 for &dest in &affected {
                     self.refresh_margins(dest);
                 }
-                self.emit(affected)
+                self.emit(uncaused(affected))
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
@@ -286,15 +261,7 @@ impl ProtocolNode for NcPricingNode {
     }
 
     fn full_table(&self) -> Option<Update> {
-        let ads: Vec<RouteAdvertisement> = self
-            .selector
-            .destinations()
-            .map(|dest| RouteAdvertisement {
-                destination: dest,
-                info: self.advertisement_for(dest),
-            })
-            .collect();
-        Update::if_nonempty(self.selector.id(), ads)
+        AdjRibOut::full_table(&self.selector, |dest| &self.margins[dest.index()])
             .map(|u| u.with_sender_costs(self.vector.clone()))
     }
 
@@ -302,30 +269,15 @@ impl ProtocolNode for NcPricingNode {
         // The declared vector is configuration, not learned state: a
         // restarted node still charges the same per-neighbor receive costs.
         self.selector.reset();
-        self.margins.clear();
-        self.advertised.clear();
+        self.margins.iter_mut().for_each(Vec::clear);
+        self.out.reset();
     }
 
     fn state(&self) -> StateSnapshot {
-        let mut snapshot = StateSnapshot::default();
-        for dest in self.selector.destinations() {
-            if let Some(route) = self.selector.selected(dest) {
-                snapshot.table_entries += 1;
-                snapshot.table_path_nodes += route.path.len();
-            }
-        }
-        let neighbors: Vec<AsId> = self.selector.neighbors().collect();
-        for a in neighbors {
-            for dest in self.selector.destinations().collect::<Vec<_>>() {
-                if let Some(info) = self.selector.rib(a, dest) {
-                    snapshot.rib_entries += 1;
-                    snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
-                }
-            }
-        }
         // One margin per transit node of the selected route; a deployable
         // encoding labels each with that node's AS number (one cell each).
-        snapshot.price_entries = self.margins.values().map(Vec::len).sum();
+        let mut snapshot = self.selector.state();
+        snapshot.price_entries = self.margins.iter().map(Vec::len).sum();
         snapshot.price_path_nodes = snapshot.price_entries;
         snapshot
     }

@@ -13,11 +13,10 @@
 //! mechanism deployable as "a straightforward extension to BGP".
 
 use bgpvcg_bgp::{
-    LocalEvent, PathEntry, ProtocolNode, RouteAdvertisement, RouteInfo, RouteSelector,
+    uncaused, AdjRibOut, LocalEvent, PathEntry, ProtocolNode, RouteInfo, RouteSelector,
     StateSnapshot, Update,
 };
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A BGP speaker extended with the paper's distributed VCG price
@@ -41,22 +40,17 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct PricingBgpNode {
     selector: RouteSelector,
-    /// Per destination: price entries `p^k_ij`, aligned with the selected
-    /// route's transit nodes. Recomputed from scratch (all `∞`, then one
+    /// Per destination (index `dest.index()`): price entries `p^k_ij`,
+    /// aligned with the selected route's transit nodes; empty where the
+    /// route has none. Recomputed from scratch (all `∞`, then one
     /// relaxation pass over the current Rib-In) on every refresh — the
     /// realization of the paper's "price computation must start over
     /// whenever there is a route change"; see [`Self::refresh_prices`].
-    prices: BTreeMap<AsId, Vec<Cost>>,
-    /// Last advertised state per destination, for change suppression.
-    /// Always holds the *full* route state — when a compressed
-    /// [`RouteInfo::PriceDelta`] goes out on the wire, this map records the
-    /// reassembled `Reachable` it stands for.
-    advertised: BTreeMap<AsId, RouteInfo>,
-    /// Whether change advertisements may be compressed to
-    /// [`RouteInfo::PriceDelta`] when only price entries relaxed on an
-    /// unchanged selected path (the monotone-relaxation common case of
-    /// Sect. 6). On by default.
-    delta_encoding: bool,
+    prices: Vec<Vec<Cost>>,
+    /// Change suppression and delta compression of what goes out.
+    out: AdjRibOut,
+    /// The array `refresh_prices` relaxes into, reused across calls.
+    scratch: Vec<Cost>,
 }
 
 impl PricingBgpNode {
@@ -66,11 +60,17 @@ impl PricingBgpNode {
     ///
     /// Panics if `id` is not in the graph.
     pub fn new(graph: &AsGraph, id: AsId) -> Self {
+        let n = graph.node_count();
         PricingBgpNode {
-            selector: RouteSelector::new(id, graph.cost(id), graph.neighbors(id).iter().copied()),
-            prices: BTreeMap::new(),
-            advertised: BTreeMap::new(),
-            delta_encoding: true,
+            selector: RouteSelector::with_node_count(
+                id,
+                graph.cost(id),
+                graph.neighbors(id).iter().copied(),
+                n,
+            ),
+            prices: vec![Vec::new(); n],
+            out: AdjRibOut::new(n),
+            scratch: Vec::new(),
         }
     }
 
@@ -78,7 +78,7 @@ impl PricingBgpNode {
     /// advertisements (on by default). The delta-stream equivalence
     /// proptests run both settings and assert identical fixpoints.
     pub fn set_delta_encoding(&mut self, on: bool) {
-        self.delta_encoding = on;
+        self.out.set_delta_encoding(on);
     }
 
     /// Creates one pricing node per AS, in AS order.
@@ -97,7 +97,8 @@ impl PricingBgpNode {
     /// The current price array for `dest`, aligned with the selected
     /// route's transit nodes.
     pub fn prices(&self, dest: AsId) -> Option<&[Cost]> {
-        self.prices.get(&dest).map(Vec::as_slice)
+        let array = self.prices.get(dest.index())?;
+        (!array.is_empty()).then_some(array.as_slice())
     }
 
     /// The current price `p^k_{i,dest}` for transit node `k` of the
@@ -106,7 +107,7 @@ impl PricingBgpNode {
         let route = self.selector.selected(dest)?;
         let transit = &route.path[1..route.path.len().saturating_sub(1)];
         let pos = transit.iter().position(|e| e.node == k)?;
-        self.prices.get(&dest)?.get(pos).copied()
+        self.prices.get(dest.index())?.get(pos).copied()
     }
 
     /// One relaxation pass for `dest`: recomputes the price array *from
@@ -126,21 +127,23 @@ impl PricingBgpNode {
     /// pass the entries still only relax downward from `∞`, exactly as in
     /// Fig. 3.
     fn refresh_prices(&mut self, dest: AsId) -> bool {
-        let me = self.selector.id();
-        if dest == me {
+        let Some(stored) = self.prices.get_mut(dest.index()) else {
             return false;
-        }
-        let Some(route) = self.selector.selected(dest) else {
-            return self.prices.remove(&dest).is_some();
         };
-        let transit: &[PathEntry] = &route.path[1..route.path.len() - 1];
+        let transit: &[PathEntry] = match self.selector.selected(dest) {
+            Some(route) if dest != self.selector.id() => &route.path[1..route.path.len() - 1],
+            _ => &[],
+        };
         if transit.is_empty() {
-            return self.prices.remove(&dest).is_some();
+            // Own destination, no route, or a route without transit nodes.
+            let had_prices = !stored.is_empty();
+            stored.clear();
+            return had_prices;
         }
-
-        let mut arr = vec![Cost::INFINITE; transit.len()];
-
-        let my_route_cost = route.cost;
+        let my_route_cost = self.selector.route_cost(dest);
+        let arr = &mut self.scratch;
+        arr.clear();
+        arr.resize(transit.len(), Cost::INFINITE);
 
         // The paper states its relaxation as four cases by the neighbor's
         // position in the tree T(j) — parent (i), child (ii), unrelated
@@ -163,15 +166,14 @@ impl PricingBgpNode {
         // valid for every neighbor and every interleaving (the advertised
         // prices-plus-path-cost sum is grounded in real k-avoiding paths).
         // Neighbors are the outer loop so the per-advertisement values
-        // (declared cost, shift) are hoisted out of the transit scan and the
-        // Rib-In is probed once per neighbor instead of once per
-        // `(transit, neighbor)` pair. The component-wise minimum is
+        // (declared cost, shift) are hoisted out of the transit scan and
+        // the Rib-In row is walked once. The component-wise minimum is
         // order-independent, so the array is identical either way.
         for (a, info) in self.selector.rib_for(dest) {
             let RouteInfo::Reachable {
                 path: a_path,
                 path_cost: a_route_cost,
-                ..
+                prices: a_prices,
             } = info
             else {
                 continue;
@@ -183,103 +185,50 @@ impl PricingBgpNode {
             let Some(shift) = (a_declared + *a_route_cost).checked_sub(my_route_cost) else {
                 continue;
             };
-            for (pos, k_entry) in transit.iter().enumerate() {
+            for (k_entry, cell) in transit.iter().zip(arr.iter_mut()) {
                 let k = k_entry.node;
                 // Excluded case: the link i–a is never on a k-avoiding path
                 // when a IS k, so that neighbor offers no bound for k.
                 if a == k {
                     continue;
                 }
-                let bound = if let Some(p) = info.price_of(k) {
+                // One scan of a's path places k on it.
+                let bound = match a_path.iter().position(|e| e.node == k) {
+                    // Case (iv): k is not on a's path at all, so that path
+                    // extended by the link i–a is itself k-avoiding.
+                    None => k_entry.cost + shift,
                     // Cases (i)/(ii)/(iii): k is a transit node of a's
                     // advertised path, whose price array bounds the cost of
                     // a's best k-avoiding path.
-                    p + shift
-                } else if !info.contains(k) {
-                    // Case (iv): k is not on a's path at all, so that path
-                    // extended by the link i–a is itself k-avoiding.
-                    k_entry.cost + shift
-                } else {
-                    // k is an endpoint of a's path. k == a was excluded
-                    // above and k == dest cannot be transit on our route,
-                    // so this is only reachable on transiently inconsistent
-                    // state; no bound.
-                    continue;
+                    Some(at) if at + 1 < a_path.len() => match a_prices.get(at - 1) {
+                        Some(&p) => p + shift,
+                        None => continue, // a price array shorter than its path
+                    },
+                    // k is the far endpoint of a's path (k == a was
+                    // excluded above and k == dest cannot be transit on our
+                    // route, so this is only reachable on transiently
+                    // inconsistent state); no bound.
+                    Some(_) => continue,
                 };
-                // lint:allow(bounds: pos enumerates transit and arr is sized to transit len)
-                if bound < arr[pos] {
-                    // lint:allow(bounds: pos enumerates transit and arr is sized to transit len)
-                    arr[pos] = bound;
+                if bound < *cell {
+                    *cell = bound;
                 }
             }
         }
 
         crate::invariants::relaxation_step(transit, arr.as_slice());
-        let changed = self.prices.get(&dest) != Some(&arr);
-        self.prices.insert(dest, arr);
+        let changed = stored != arr;
+        if changed {
+            stored.clone_from(arr);
+        }
         changed
     }
 
-    /// The advertisement for `dest` reflecting current state (route +
-    /// prices, or withdrawal).
-    fn advertisement_for(&self, dest: AsId) -> RouteInfo {
-        match self.selector.selected(dest) {
-            Some(route) => RouteInfo::Reachable {
-                path: route.path.clone(),
-                path_cost: route.cost,
-                prices: self.prices.get(&dest).cloned().unwrap_or_default(),
-            },
-            None => RouteInfo::Withdrawn,
-        }
-    }
-
-    /// Emits changed advertisements, mirroring
-    /// [`bgpvcg_bgp::PlainBgpNode`]'s change-suppression rule. Environment
-    /// paths (start, local events) pass no cause map, so provenance stays
-    /// cause 0.
-    fn emit(&mut self, dests: impl IntoIterator<Item = AsId>) -> Option<Update> {
-        self.emit_caused(dests, &BTreeMap::new())
-    }
-
-    /// [`emit`](Self::emit) with provenance: the emitted update's `causes`
-    /// vector is built in lockstep with its advertisements from the
-    /// per-destination cause map `handle` assembled.
-    fn emit_caused(
-        &mut self,
-        dests: impl IntoIterator<Item = AsId>,
-        causes: &BTreeMap<AsId, u64>,
-    ) -> Option<Update> {
-        let mut ads = Vec::new();
-        let mut ad_causes = Vec::new();
-        for dest in dests {
-            let info = self.advertisement_for(dest);
-            let changed = match self.advertised.get(&dest) {
-                Some(prev) => *prev != info,
-                None => !matches!(info, RouteInfo::Withdrawn),
-            };
-            if changed {
-                // When only price entries moved on an unchanged path (the
-                // monotone-relaxation common case), send a compressed delta
-                // against the previously advertised route; the receiver
-                // patches its retained copy. `advertised` always records
-                // the full state the wire form stands for.
-                let wire_info = self
-                    .advertised
-                    .get(&dest)
-                    .filter(|_| self.delta_encoding)
-                    .and_then(|prev| RouteInfo::delta_from(prev, &info))
-                    .unwrap_or_else(|| info.clone());
-                self.advertised.insert(dest, info);
-                ads.push(RouteAdvertisement {
-                    destination: dest,
-                    info: wire_info,
-                });
-                ad_causes.push(causes.get(&dest).copied().unwrap_or(0));
-            }
-        }
-        let mut update = Update::if_nonempty(self.selector.id(), ads)?;
-        update.causes = ad_causes;
-        Some(update)
+    /// Advertises whichever of `dests` changed since last advertised,
+    /// mirroring [`bgpvcg_bgp::PlainBgpNode`]'s change-suppression rule.
+    fn emit(&mut self, dests: impl IntoIterator<Item = (AsId, u64)>) -> Option<Update> {
+        self.out
+            .emit(&self.selector, dests, |dest| &self.prices[dest.index()])
     }
 }
 
@@ -293,28 +242,18 @@ impl ProtocolNode for PricingBgpNode {
     }
 
     fn start(&mut self) -> Option<Update> {
-        self.emit([self.selector.id()])
+        self.emit(uncaused([self.selector.id()]))
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut affected: BTreeSet<AsId> = BTreeSet::new();
-        // Provenance: each affected destination is attributed to the last
-        // inbound update (in inbox order) whose ingestion touched it.
-        let mut causes: BTreeMap<AsId, u64> = BTreeMap::new();
-        for update in updates {
-            for dest in self.selector.ingest(update) {
-                causes.insert(dest, update.id);
-                affected.insert(dest);
-            }
-        }
-        let mut out = BTreeSet::new();
-        for &dest in &affected {
+        let mut dirty = self.out.ingest(&mut self.selector, updates);
+        dirty.retain(|&(dest, _)| {
             let route_changed = self.selector.decide(dest);
-            if self.refresh_prices(dest) || route_changed {
-                out.insert(dest);
-            }
-        }
-        self.emit_caused(out, &causes)
+            self.refresh_prices(dest) || route_changed
+        });
+        let update = self.emit(dirty.iter().copied());
+        self.out.recycle(dirty);
+        update
     }
 
     fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
@@ -337,7 +276,7 @@ impl ProtocolNode for PricingBgpNode {
                 for &dest in &affected {
                     self.refresh_prices(dest);
                 }
-                self.emit(affected)
+                self.emit(uncaused(affected))
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
@@ -350,54 +289,31 @@ impl ProtocolNode for PricingBgpNode {
                 // so the price arrays are untouched. Re-advertise exactly
                 // the table entries whose first path entry restamped.
                 let changed = self.selector.set_declared_cost(cost);
-                self.emit(changed)
+                self.emit(uncaused(changed))
             }
         }
     }
 
     fn full_table(&self) -> Option<Update> {
-        let ads: Vec<RouteAdvertisement> = self
-            .selector
-            .destinations()
-            .map(|dest| RouteAdvertisement {
-                destination: dest,
-                info: self.advertisement_for(dest),
-            })
-            .collect();
-        Update::if_nonempty(self.selector.id(), ads)
+        AdjRibOut::full_table(&self.selector, |dest| &self.prices[dest.index()])
     }
 
     fn reset(&mut self) {
         self.selector.reset();
-        self.prices.clear();
-        self.advertised.clear();
+        self.prices.iter_mut().for_each(Vec::clear);
+        self.out.reset();
     }
 
     fn state(&self) -> StateSnapshot {
-        // Reuse the plain node's accounting for the shared structures...
-        let mut snapshot = StateSnapshot::default();
-        for dest in self.selector.destinations() {
-            if let Some(route) = self.selector.selected(dest) {
-                snapshot.table_entries += 1;
-                snapshot.table_path_nodes += route.path.len();
-            }
-        }
-        let neighbors: Vec<AsId> = self.selector.neighbors().collect();
-        for a in neighbors {
-            for dest in self.selector.destinations().collect::<Vec<_>>() {
-                if let Some(info) = self.selector.rib(a, dest) {
-                    snapshot.rib_entries += 1;
-                    snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
-                }
-            }
-        }
-        // ...plus the extension's price state (own arrays and the arrays
-        // remembered in the Rib-In are both part of the node's footprint;
-        // the former is the paper's "added state"). The arrays are stored
-        // here aligned with the selected route's transit slice, but a
-        // deployable encoding labels each price with the transit node it
-        // prices — one AS cell per entry, counted as `price_path_nodes`.
-        snapshot.price_entries = self.prices.values().map(Vec::len).sum();
+        // The shared structures, plus the extension's price state (own
+        // arrays and the arrays remembered in the Rib-In are both part of
+        // the node's footprint; the former is the paper's "added state").
+        // The arrays are stored here aligned with the selected route's
+        // transit slice, but a deployable encoding labels each price with
+        // the transit node it prices — one AS cell per entry, counted as
+        // `price_path_nodes`.
+        let mut snapshot = self.selector.state();
+        snapshot.price_entries = self.prices.iter().map(Vec::len).sum();
         snapshot.price_path_nodes = snapshot.price_entries;
         snapshot
     }
@@ -406,6 +322,7 @@ impl ProtocolNode for PricingBgpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpvcg_bgp::RouteAdvertisement;
     use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
 
     #[test]
@@ -602,5 +519,45 @@ mod tests {
         assert_eq!(x.state().price_entries, 2);
         // Each price entry carries one transit-node AS label cell.
         assert_eq!(x.state().price_path_nodes, 2);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_dropped_before_any_table_is_indexed() {
+        // `prices` and the Adj-RIB-Out are indexed by destination: an id
+        // outside the graph must never get that far.
+        let g = fig1();
+        let mut x = PricingBgpNode::new(&g, Fig1::X);
+        let huge = AsId::new(u32::MAX);
+        let hop = |node, cost| PathEntry {
+            node,
+            cost: Cost::new(cost),
+        };
+        let reach = |destination, path: Vec<PathEntry>, prices| RouteAdvertisement {
+            destination,
+            info: RouteInfo::Reachable {
+                path: path.into(),
+                path_cost: Cost::new(1),
+                prices,
+            },
+        };
+        let hostile = Update {
+            from: Fig1::A,
+            sender_costs: Vec::new(),
+            advertisements: vec![
+                reach(huge, vec![hop(Fig1::A, 5), hop(huge, 1)], vec![]),
+                reach(
+                    Fig1::Z,
+                    vec![hop(Fig1::A, 5), hop(huge, 1), hop(Fig1::Z, 4)],
+                    vec![Cost::new(2)],
+                ),
+            ],
+            id: 7,
+            causes: Vec::new(),
+        };
+        let before = x.state();
+        assert!(x.handle(&[Arc::new(hostile)]).is_none());
+        assert_eq!(x.state(), before);
+        assert_eq!(x.prices(huge), None);
+        assert_eq!(x.selector().route_cost(Fig1::Z), Cost::INFINITE);
     }
 }

@@ -1383,6 +1383,24 @@ fn cmd_ci(root: &Path) -> ExitCode {
         ],
         false,
     );
+    for bench in ["selector", "pricing"] {
+        ok &= run_step(
+            root,
+            &format!("{bench} microbench smoke"),
+            "cargo",
+            &[
+                "bench",
+                "-q",
+                "-p",
+                "bgpvcg-bench",
+                "--bench",
+                bench,
+                "--",
+                "--test",
+            ],
+            false,
+        );
+    }
     if ok {
         println!("xtask ci: all steps passed");
         ExitCode::SUCCESS

@@ -3,3 +3,4 @@
 pub mod chaos;
 pub mod message;
 pub mod node;
+pub mod selector;

@@ -6,3 +6,4 @@ pub mod chaos;
 pub mod dynamics;
 pub mod message;
 pub mod node;
+pub mod selector;

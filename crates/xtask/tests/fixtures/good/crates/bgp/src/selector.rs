@@ -1,0 +1,43 @@
+//! Fixture: the dense selector's hot paths — reused buffers, candidates
+//! compared in place, and one annotated allocation for the winner.
+
+/// A dense route selector.
+#[derive(Debug)]
+pub struct RouteSelector {
+    rib: Vec<Option<u64>>,
+    table: Vec<Option<Vec<u64>>>,
+    affected: Vec<u32>,
+}
+
+impl RouteSelector {
+    /// Ingests advertisements, reporting changed destinations in the
+    /// selector's own reused buffer.
+    pub fn ingest(&mut self, ads: &[(u32, u64)]) -> &[u32] {
+        self.affected.clear();
+        for &(dest, cost) in ads {
+            if let Some(cell) = self.rib.get_mut(dest as usize) {
+                if *cell != Some(cost) {
+                    *cell = Some(cost);
+                    self.affected.push(dest);
+                }
+            }
+        }
+        &self.affected
+    }
+
+    /// Re-selects `dest`; only a winner that differs is materialised.
+    pub fn decide(&mut self, dest: u32) -> bool {
+        let Some(best) = self.rib.get(dest as usize).copied().flatten() else {
+            return false;
+        };
+        let Some(entry) = self.table.get_mut(dest as usize) else {
+            return false;
+        };
+        if entry.as_deref() == Some(&[best]) {
+            return false;
+        }
+        // lint:allow(output: the interned winning path)
+        *entry = Some(std::iter::once(best).collect());
+        true
+    }
+}

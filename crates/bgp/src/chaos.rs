@@ -522,7 +522,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// resets and restarts are traced, and broadcast updates narrate
     /// through the same [`UpdateTracer`] the synchronous engine uses.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.tracer = Some(UpdateTracer::new(telemetry));
+        self.tracer = Some(UpdateTracer::with_node_count(telemetry, self.nodes.len()));
         self.telemetry = Some(telemetry.clone());
     }
 
@@ -539,7 +539,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             Some(t) => t.tee(recorder.sink()),
             None => Telemetry::new(recorder.sink()),
         };
-        self.tracer = Some(UpdateTracer::new(&telemetry));
+        self.tracer = Some(UpdateTracer::with_node_count(&telemetry, self.nodes.len()));
         self.telemetry = Some(telemetry);
         self.flight = Some(recorder);
     }
@@ -581,12 +581,12 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// the stage budget runs out. Call after `attach_telemetry` /
     /// `attach_flight_recorder`.
     pub fn attach_health(&mut self, config: HealthConfig) {
-        let sink = Arc::new(HealthSink::new(config));
+        let sink = Arc::new(HealthSink::with_node_count(config, self.nodes.len()));
         let telemetry = match &self.telemetry {
             Some(t) => t.tee(Arc::clone(&sink) as Arc<dyn TraceSink>),
             None => Telemetry::new(Arc::clone(&sink) as Arc<dyn TraceSink>),
         };
-        self.tracer = Some(UpdateTracer::new(&telemetry));
+        self.tracer = Some(UpdateTracer::with_node_count(&telemetry, self.nodes.len()));
         self.telemetry = Some(telemetry);
         self.health = Some(sink);
     }
@@ -888,7 +888,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         let table = self.nodes[from as usize].full_table();
         if let Some(table) = table {
             let payload = self.adversarial_payload(from, to, &table).unwrap_or(table);
-            self.send_frame(from, to, FrameKind::Data(payload));
+            self.send_frame(from, to, FrameKind::Data(payload.into()));
         }
         self.stage_active = true;
     }
@@ -924,8 +924,9 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// Broadcasts `update` from node `idx` as sequenced Data frames to
     /// every established session. The update is stamped with the next
     /// provenance id here, *before* tracing and framing, so receivers see
-    /// the same id the tracer reported (frames carry the update by clone —
-    /// provenance never crosses the wire codec).
+    /// the same id the tracer reported (frames share the update by `Arc` —
+    /// provenance never crosses the wire codec). Only an
+    /// adversary-perturbed copy gets a payload of its own.
     fn broadcast(&mut self, idx: u32, mut update: Update) {
         self.update_seq += 1;
         update.id = self.update_seq;
@@ -933,6 +934,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.observe_update(&update, self.stage);
         }
+        let update = Arc::new(update);
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
         let neighbors = self.adjacency[idx as usize].clone();
         for to in neighbors {
@@ -942,9 +944,10 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 .get(&to)
                 .is_some_and(|s| s.send.established);
             if established {
-                let payload = self
-                    .adversarial_payload(idx, to, &update)
-                    .unwrap_or_else(|| update.clone());
+                let payload = match self.adversarial_payload(idx, to, &update) {
+                    Some(perturbed) => Arc::new(perturbed),
+                    None => Arc::clone(&update),
+                };
                 self.send_frame(idx, to, FrameKind::Data(payload));
             }
         }
@@ -1007,7 +1010,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                                 FrameKind::Open => opened = true,
                                 FrameKind::Data(update) => {
                                     // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                                    self.pending[me as usize].push(Arc::new(update));
+                                    self.pending[me as usize].push(update);
                                 }
                                 FrameKind::Keepalive => {}
                             }
@@ -1045,7 +1048,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
                 if let Some(table) = self.nodes[me as usize].full_table() {
                     let payload = self.adversarial_payload(me, peer, &table).unwrap_or(table);
-                    self.send_frame(me, peer, FrameKind::Data(payload));
+                    self.send_frame(me, peer, FrameKind::Data(payload.into()));
                 }
             }
         }

@@ -60,9 +60,9 @@ struct EventInstruments {
 }
 
 impl EventInstruments {
-    fn new(telemetry: &Telemetry) -> Self {
+    fn new(telemetry: &Telemetry, n: usize) -> Self {
         EventInstruments {
-            tracer: Mutex::new(UpdateTracer::new(telemetry)),
+            tracer: Mutex::new(UpdateTracer::with_node_count(telemetry, n)),
             seq: AtomicU64::new(0),
             updates_sent: telemetry.counter(metric::UPDATES_SENT),
             messages: telemetry.counter(metric::MESSAGES),
@@ -243,7 +243,7 @@ where
     N: ProtocolNode,
 {
     assert!((0.0..1.0).contains(&chaos), "chaos must be in [0, 1)");
-    let instruments = telemetry.map(EventInstruments::new);
+    let instruments = telemetry.map(|t| EventInstruments::new(t, nodes.len()));
     let chaotic = chaos > 0.0;
     assert_eq!(nodes.len(), graph.node_count(), "one node per AS");
     let n = nodes.len();

@@ -331,7 +331,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// registry's `bgp_*` metrics (see [`metric`]) current. Detached
     /// engines pay nothing.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.instruments = Some(RunInstruments::new(telemetry));
+        self.instruments = Some(RunInstruments::new(telemetry, self.nodes.len()));
     }
 
     /// Attaches a divergence flight recorder: the most recent `capacity`
@@ -348,7 +348,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
             Some(ins) => ins.telemetry().tee(recorder.sink()),
             None => Telemetry::new(recorder.sink()),
         };
-        self.instruments = Some(RunInstruments::new(&telemetry));
+        self.instruments = Some(RunInstruments::new(&telemetry, self.nodes.len()));
         self.flight = Some(recorder);
     }
 
@@ -394,12 +394,12 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// findings are emitted as `HealthVerdict` trace events at each run
     /// end. Call after `attach_telemetry` / `attach_flight_recorder`.
     pub fn attach_health(&mut self, config: HealthConfig) {
-        let sink = Arc::new(HealthSink::new(config));
+        let sink = Arc::new(HealthSink::with_node_count(config, self.nodes.len()));
         let telemetry = match self.instruments.take() {
             Some(ins) => ins.telemetry().tee(Arc::clone(&sink) as Arc<dyn TraceSink>),
             None => Telemetry::new(Arc::clone(&sink) as Arc<dyn TraceSink>),
         };
-        self.instruments = Some(RunInstruments::new(&telemetry));
+        self.instruments = Some(RunInstruments::new(&telemetry, self.nodes.len()));
         self.health = Some(sink);
     }
 
@@ -867,9 +867,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
             return;
         }
         if let Some(ins) = instruments.as_mut() {
-            for event in &self.pending_events {
-                ins.telemetry().record(event);
-            }
+            ins.telemetry().record_all(&self.pending_events);
         }
         self.pending_events.clear();
     }

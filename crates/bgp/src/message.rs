@@ -378,8 +378,10 @@ pub enum FrameKind {
     /// Establishes (or re-establishes) the sender's stream: the receiver
     /// resets its per-neighbor receive state to this frame's epoch.
     Open,
-    /// A sequenced routing UPDATE.
-    Data(Update),
+    /// A sequenced routing UPDATE, shared: the frames of one broadcast,
+    /// their retransmit-buffer copies and any duplicates all point at one
+    /// payload.
+    Data(Arc<Update>),
     /// Liveness probe carrying only ack state; sent when the stream has
     /// been idle long enough that the peer's hold timer could fire.
     Keepalive,
@@ -565,13 +567,16 @@ mod tests {
         };
         assert!(base.is_sequenced());
         let data = Frame {
-            kind: FrameKind::Data(Update {
-                from: AsId::new(0),
-                sender_costs: Vec::new(),
-                advertisements: vec![],
-                id: 0,
-                causes: Vec::new(),
-            }),
+            kind: FrameKind::Data(
+                Update {
+                    from: AsId::new(0),
+                    sender_costs: Vec::new(),
+                    advertisements: vec![],
+                    id: 0,
+                    causes: Vec::new(),
+                }
+                .into(),
+            ),
             ..base.clone()
         };
         assert!(data.is_sequenced());

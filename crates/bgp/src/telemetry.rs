@@ -8,10 +8,9 @@
 //! `(node, destination, transit)` cell (absent cells read as `∞`, matching
 //! the paper's "prices start at ∞ and relax downward").
 
-use crate::message::{RouteInfo, Update};
+use crate::message::{RouteInfo, SharedPath, Update};
 use bgpvcg_netgraph::Cost;
-use bgpvcg_telemetry::{Counter, Telemetry, TraceEvent, INFINITE};
-use std::collections::BTreeMap;
+use bgpvcg_telemetry::{dense_cell, Counter, Telemetry, TraceEvent, INFINITE};
 
 /// Canonical metric names shared by the engines and every experiment
 /// binary, so `--metrics-out` expositions are comparable across runs.
@@ -49,25 +48,76 @@ pub fn cost_raw(cost: Cost) -> u64 {
 #[derive(Debug)]
 pub struct UpdateTracer {
     telemetry: Telemetry,
-    /// Last price value traced per `(node, dest, transit)` — absent = `∞`.
-    prices: BTreeMap<(u32, u32, u32), u64>,
-    /// Last path traced per `(node, dest)`, as `(hop, cumulative cost)`
-    /// pairs — absent = no route advertised (or last ad was a withdrawal).
-    routes: BTreeMap<(u32, u32), Vec<(u32, u64)>>,
+    /// Advertisements naming an AS at or beyond this index are not traced:
+    /// the node count for a sized tracer, unbounded for one that grows on
+    /// demand.
+    bound: usize,
+    /// `shadow[node][dest]`: what `node` last advertised for `dest`. A
+    /// node's row is allocated at its first advertisement.
+    shadow: Vec<Vec<ShadowCell>>,
+    /// One update's events, delivered to the sink in a single call.
+    events: Vec<TraceEvent>,
     routes_selected: Counter,
     routes_withdrawn: Counter,
     price_relaxations: Counter,
 }
 
+/// The tracer's memory of one `(advertiser, destination)` pair.
+#[derive(Debug, Default)]
+struct ShadowCell {
+    /// Last path traced (a pointer clone of the advertised one) — `None` =
+    /// no route advertised, or the last advertisement was a withdrawal.
+    route: Option<SharedPath>,
+    /// Last value traced per transit node `k` — absent = `∞`. Keyed by the
+    /// transit's *id*, so an entry outlives both a withdrawal and a path
+    /// change; kept in the order of the last traced path, so the price at
+    /// index `i` of an unchanged path is found at position `i`.
+    prices: Vec<(u32, u64)>,
+}
+
+/// Stores `new` in `traced` as the value last traced for transit `k`, which
+/// the advertised path carries at price index `i`, and returns the value it
+/// replaces if that differs. `k`'s entry moves to position `i`, where the
+/// next advertisement over the same path finds it without a search.
+fn relax(traced: &mut Vec<(u32, u64)>, i: usize, k: u32, new: u64) -> Option<u64> {
+    let mut at = i;
+    if traced.get(i).is_none_or(|&(id, _)| id != k) {
+        at = traced
+            .iter()
+            .position(|&(id, _)| id == k)
+            .unwrap_or(traced.len());
+        if at == traced.len() {
+            traced.push((k, INFINITE));
+        }
+        if i < traced.len() {
+            traced.swap(i, at);
+            at = i;
+        }
+    }
+    let (_, old) = traced.get_mut(at)?;
+    (*old != new).then(|| std::mem::replace(old, new))
+}
+
 impl UpdateTracer {
-    /// Creates a tracer recording through `telemetry`'s sink and registry.
+    /// Creates a tracer recording through `telemetry`'s sink and registry
+    /// whose shadow grows to the largest AS number an update names — for
+    /// trusted streams only; an engine, which knows its node count, builds
+    /// one [`with_node_count`](Self::with_node_count).
     pub fn new(telemetry: &Telemetry) -> Self {
+        Self::with_node_count(telemetry, usize::MAX)
+    }
+
+    /// Creates a tracer for an `n`-node network: an advertisement from or
+    /// for an AS outside `0..n` is not traced, so no update can make the
+    /// tracer allocate by the value of an id it carries.
+    pub fn with_node_count(telemetry: &Telemetry, n: usize) -> Self {
         UpdateTracer {
             routes_selected: telemetry.counter(metric::ROUTES_SELECTED),
             routes_withdrawn: telemetry.counter(metric::ROUTES_WITHDRAWN),
             price_relaxations: telemetry.counter(metric::PRICE_RELAXATIONS),
-            prices: BTreeMap::new(),
-            routes: BTreeMap::new(),
+            bound: n,
+            shadow: Vec::new(),
+            events: Vec::new(),
             telemetry: telemetry.clone(),
         }
     }
@@ -84,23 +134,42 @@ impl UpdateTracer {
     pub fn observe_update(&mut self, update: &Update, stage: u64) {
         let node = update.from.raw();
         let effect = update.id;
+        let Some(row) = dense_cell(&mut self.shadow, node, self.bound) else {
+            return;
+        };
+        let events = &mut self.events;
+        events.clear();
+        let (mut selected, mut withdrawn) = (0u64, 0u64);
         for (i, ad) in update.advertisements.iter().enumerate() {
             let dest = ad.destination.raw();
+            let Some(ShadowCell {
+                route,
+                prices: traced,
+            }) = dense_cell(row, dest, self.bound)
+            else {
+                continue;
+            };
             let cause = update.cause_of(i);
+            let price_relaxed = |k: u32, old: u64, new: u64| TraceEvent::PriceRelaxed {
+                node,
+                dest,
+                k,
+                stage,
+                old,
+                new,
+                cause,
+                effect,
+            };
             match &ad.info {
                 RouteInfo::Reachable {
                     path,
                     path_cost,
                     prices,
                 } => {
-                    let shadow: Vec<(u32, u64)> = path
-                        .iter()
-                        .map(|e| (e.node.raw(), cost_raw(e.cost)))
-                        .collect();
-                    if self.routes.get(&(node, dest)) != Some(&shadow) {
-                        self.routes.insert((node, dest), shadow);
-                        self.routes_selected.inc();
-                        self.telemetry.record(&TraceEvent::RouteSelected {
+                    if route.as_ref() != Some(path) {
+                        *route = Some(path.clone());
+                        selected += 1;
+                        events.push(TraceEvent::RouteSelected {
                             node,
                             dest,
                             stage,
@@ -112,25 +181,13 @@ impl UpdateTracer {
                     }
                     // Transit nodes are path[1..len-1], in path order —
                     // the same order the price array uses.
-                    if path.len() >= 3 {
-                        for (entry, price) in path[1..path.len() - 1].iter().zip(prices) {
-                            let key = (node, dest, entry.node.raw());
-                            let new = cost_raw(*price);
-                            let old = self.prices.get(&key).copied().unwrap_or(INFINITE);
-                            if new != old {
-                                self.prices.insert(key, new);
-                                self.price_relaxations.inc();
-                                self.telemetry.record(&TraceEvent::PriceRelaxed {
-                                    node,
-                                    dest,
-                                    k: entry.node.raw(),
-                                    stage,
-                                    old,
-                                    new,
-                                    cause,
-                                    effect,
-                                });
-                            }
+                    let transits = path.get(1..path.len().saturating_sub(1)).unwrap_or(&[]);
+                    let priced = transits.iter().zip(prices);
+                    traced.reserve(priced.len().saturating_sub(traced.len()));
+                    for (index, (entry, price)) in priced.enumerate() {
+                        let (k, new) = (entry.node.raw(), cost_raw(*price));
+                        if let Some(old) = relax(traced, index, k, new) {
+                            events.push(price_relaxed(k, old, new));
                         }
                     }
                 }
@@ -141,36 +198,23 @@ impl UpdateTracer {
                     // a full advertisement over the same session, so the
                     // shadow is present — if it is not (defensive), the
                     // cells cannot be attributed and the ad is skipped.
-                    let Some(shadow) = self.routes.get(&(node, dest)) else {
+                    let Some(route) = route.as_ref() else {
                         continue;
                     };
                     for &(index, price) in entries {
-                        let Some(&(transit, _)) = shadow.get(usize::from(index) + 1) else {
+                        let Some(transit) = route.get(usize::from(index) + 1) else {
                             continue;
                         };
-                        let key = (node, dest, transit);
-                        let new = cost_raw(price);
-                        let old = self.prices.get(&key).copied().unwrap_or(INFINITE);
-                        if new != old {
-                            self.prices.insert(key, new);
-                            self.price_relaxations.inc();
-                            self.telemetry.record(&TraceEvent::PriceRelaxed {
-                                node,
-                                dest,
-                                k: transit,
-                                stage,
-                                old,
-                                new,
-                                cause,
-                                effect,
-                            });
+                        let (k, new) = (transit.node.raw(), cost_raw(price));
+                        if let Some(old) = relax(traced, usize::from(index), k, new) {
+                            events.push(price_relaxed(k, old, new));
                         }
                     }
                 }
                 RouteInfo::Withdrawn => {
-                    self.routes.remove(&(node, dest));
-                    self.routes_withdrawn.inc();
-                    self.telemetry.record(&TraceEvent::Withdrawn {
+                    *route = None;
+                    withdrawn += 1;
+                    events.push(TraceEvent::Withdrawn {
                         node,
                         dest,
                         stage,
@@ -180,6 +224,11 @@ impl UpdateTracer {
                 }
             }
         }
+        let relaxed = events.len() as u64 - selected - withdrawn;
+        self.routes_selected.add(selected);
+        self.routes_withdrawn.add(withdrawn);
+        self.price_relaxations.add(relaxed);
+        self.telemetry.record_all(events);
     }
 
     /// The telemetry handle this tracer records through.
@@ -201,9 +250,10 @@ pub(crate) struct RunInstruments {
 }
 
 impl RunInstruments {
-    pub(crate) fn new(telemetry: &Telemetry) -> Self {
+    /// Instruments for an `n`-node engine recording through `telemetry`.
+    pub(crate) fn new(telemetry: &Telemetry, n: usize) -> Self {
         RunInstruments {
-            tracer: UpdateTracer::new(telemetry),
+            tracer: UpdateTracer::with_node_count(telemetry, n),
             updates_sent: telemetry.counter(metric::UPDATES_SENT),
             messages: telemetry.counter(metric::MESSAGES),
             entries: telemetry.counter(metric::ENTRIES),
@@ -354,6 +404,27 @@ mod tests {
             }]
         );
         assert_eq!(telemetry.snapshot().counters[metric::ROUTES_WITHDRAWN], 1);
+    }
+
+    #[test]
+    fn sized_tracer_never_allocates_by_id_value() {
+        let (telemetry, ring) = Telemetry::ring(8);
+        let mut tracer = UpdateTracer::with_node_count(&telemetry, 4);
+        let mut update = priced_update(vec![Cost::new(5), Cost::new(6)], 1, 0);
+        update.advertisements[0].destination = AsId::new(u32::MAX);
+        tracer.observe_update(&update, 1);
+        assert!(
+            ring.events().is_empty(),
+            "an ad for an AS >= n is not traced"
+        );
+        assert_eq!(tracer.shadow.len(), 4, "rows stop at the node count");
+        assert!(tracer.shadow.iter().all(|row| row.len() <= 4));
+        update.from = AsId::new(u32::MAX);
+        tracer.observe_update(&update, 2);
+        assert_eq!(tracer.shadow.len(), 4);
+        // In-range advertisements still trace: one route, two prices.
+        tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::new(6)], 2, 1), 3);
+        assert_eq!(ring.total_recorded(), 3);
     }
 
     #[test]

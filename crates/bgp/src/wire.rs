@@ -791,7 +791,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame, DecodeError> {
             // can legally carry a v1 payload (and vice versa) during a
             // version transition.
             let payload = r.take(buf.len() - r.pos)?;
-            FrameKind::Data(decode_update(payload)?)
+            FrameKind::Data(decode_update(payload)?.into())
         }
         FRAME_KIND_KEEPALIVE => {
             finish_frame(&r)?;
@@ -1165,7 +1165,7 @@ mod tests {
                 seq: 1,
                 ack_epoch: 2,
                 ack: 7,
-                kind: FrameKind::Data(sample_update()),
+                kind: FrameKind::Data(sample_update().into()),
             },
             Frame {
                 epoch: 3,

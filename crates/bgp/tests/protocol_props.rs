@@ -239,7 +239,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
     let kind = prop_oneof![
         1 => Just(FrameKind::Open),
         1 => Just(FrameKind::Keepalive),
-        3 => update_strategy().prop_map(FrameKind::Data),
+        3 => update_strategy().prop_map(|update| FrameKind::Data(update.into())),
     ];
     (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), kind).prop_map(
         |(epoch, seq, ack_epoch, ack, kind)| Frame {

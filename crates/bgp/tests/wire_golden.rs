@@ -418,7 +418,7 @@ fn golden_session_frame_layout() {
     // Data: kind byte 1, the embedded UPDATE in its own (golden-pinned)
     // layout directly after the header.
     let data = Frame {
-        kind: FrameKind::Data(sample()),
+        kind: FrameKind::Data(sample().into()),
         ..open
     };
     let data_bytes = wire::encode_frame(&data);
@@ -440,7 +440,7 @@ fn session_frames_reject_corruption() {
         seq: 1,
         ack_epoch: 1,
         ack: 1,
-        kind: FrameKind::Data(sample()),
+        kind: FrameKind::Data(sample().into()),
     };
     let bytes = wire::encode_frame(&frame);
 
@@ -508,7 +508,7 @@ fn golden_v2_session_frame_layout() {
 
     // Data: the v2-encoded UPDATE rides directly after the header.
     let data = Frame {
-        kind: FrameKind::Data(sample_v2()),
+        kind: FrameKind::Data(sample_v2().into()),
         ..open
     };
     let data_bytes = wire::encode_frame_v2(&data);
@@ -526,7 +526,7 @@ fn v2_session_frames_reject_corruption() {
         seq: 1,
         ack_epoch: 1,
         ack: 1,
-        kind: FrameKind::Data(sample_v2()),
+        kind: FrameKind::Data(sample_v2().into()),
     };
     let bytes = wire::encode_frame_v2(&frame);
 

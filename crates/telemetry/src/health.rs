@@ -34,6 +34,7 @@
 //! so serial and parallel engines folding the same (deterministically
 //! ordered) event stream produce bit-identical verdicts and sketches.
 
+use crate::dense_cell;
 use crate::event::TraceEvent;
 use crate::series::QuantileSketch;
 use crate::sink::TraceSink;
@@ -141,7 +142,13 @@ struct RouteHistory {
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     config: HealthConfig,
-    routes: BTreeMap<(u32, u32), RouteHistory>,
+    /// Events naming an AS at or beyond this index leave the dense tables
+    /// untouched: the node count for a sized monitor, unbounded for one
+    /// that grows on demand.
+    bound: usize,
+    /// `routes[node][dest]`; a node's row is allocated at its first
+    /// selection.
+    routes: Vec<Vec<Option<RouteHistory>>>,
     /// Stage currently being filled by `relax_in_stage`.
     current_stage: u64,
     relax_in_stage: u64,
@@ -149,9 +156,9 @@ pub struct HealthMonitor {
     /// `churn_window`.
     churn_history: Vec<u64>,
     last_progress_stage: u64,
-    /// Stage of the last advertised-state change per destination, folded
-    /// into `latency` at each quiescence.
-    last_change_by_dest: BTreeMap<u32, u64>,
+    /// Stage of the last advertised-state change, indexed by destination,
+    /// folded into `latency` at each quiescence.
+    last_change_by_dest: Vec<Option<u64>>,
     latency: BTreeMap<u32, QuantileSketch>,
     findings: Vec<HealthFinding>,
     fired: [bool; 3],
@@ -159,16 +166,28 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor with the given thresholds.
+    /// A monitor with the given thresholds whose tables grow to the largest
+    /// AS number an event names — for trusted streams only; a monitor for
+    /// a known network should be built
+    /// [`with_node_count`](Self::with_node_count) instead.
     pub fn new(config: HealthConfig) -> Self {
+        Self::with_node_count(config, usize::MAX)
+    }
+
+    /// A monitor for an `n`-node network: an event naming an AS outside
+    /// `0..n` (including [`RUN_WIDE`]) still counts as progress and churn
+    /// but never sizes a table, so no event can make the monitor allocate
+    /// by the value of an id it carries.
+    pub fn with_node_count(config: HealthConfig, n: usize) -> Self {
         HealthMonitor {
             config,
-            routes: BTreeMap::new(),
+            bound: n,
+            routes: Vec::new(),
             current_stage: 0,
             relax_in_stage: 0,
             churn_history: Vec::new(),
             last_progress_stage: 0,
-            last_change_by_dest: BTreeMap::new(),
+            last_change_by_dest: Vec::new(),
             latency: BTreeMap::new(),
             findings: Vec::new(),
             fired: [false; 3],
@@ -260,24 +279,27 @@ impl HealthMonitor {
 
     fn on_progress(&mut self, dest: u32, stage: u64) {
         self.last_progress_stage = self.last_progress_stage.max(stage);
-        let entry = self.last_change_by_dest.entry(dest).or_insert(stage);
-        *entry = (*entry).max(stage);
+        if let Some(last) = dense_cell(&mut self.last_change_by_dest, dest, self.bound) {
+            *last = (*last).max(Some(stage));
+        }
     }
 
     fn on_route_selected(&mut self, node: u32, dest: u32, stage: u64, sig: (u32, u64)) {
         let config = self.config;
+        let Some(history) = dense_cell(&mut self.routes, node, self.bound)
+            .and_then(|row| dense_cell(row, dest, self.bound))
+        else {
+            return;
+        };
         let mut finding = None;
-        match self.routes.get_mut(&(node, dest)) {
+        match history {
             None => {
-                self.routes.insert(
-                    (node, dest),
-                    RouteHistory {
-                        last: sig,
-                        before_last: None,
-                        revisits: 0,
-                        window_start: stage,
-                    },
-                );
+                *history = Some(RouteHistory {
+                    last: sig,
+                    before_last: None,
+                    revisits: 0,
+                    window_start: stage,
+                });
             }
             Some(history) => {
                 if sig == history.last {
@@ -315,10 +337,11 @@ impl HealthMonitor {
     fn on_quiescent(&mut self) {
         // Fold each destination's settle stage into its latency sketch and
         // reset for the next convergence episode on the same monitor.
-        for (&dest, &stage) in &self.last_change_by_dest {
-            self.latency.entry(dest).or_default().record(stage);
+        for (dest, last) in self.last_change_by_dest.iter_mut().enumerate() {
+            if let Some(stage) = last.take() {
+                self.latency.entry(dest as u32).or_default().record(stage);
+            }
         }
-        self.last_change_by_dest.clear();
     }
 
     fn fire(&mut self, finding: HealthFinding) {
@@ -411,11 +434,18 @@ struct HealthSinkState {
 }
 
 impl HealthSink {
-    /// A sink folding into a fresh monitor with the given thresholds.
+    /// A sink folding into a fresh grow-on-demand monitor
+    /// ([`HealthMonitor::new`]) with the given thresholds.
     pub fn new(config: HealthConfig) -> Self {
+        Self::with_node_count(config, usize::MAX)
+    }
+
+    /// A sink folding into a fresh monitor sized for an `n`-node network
+    /// ([`HealthMonitor::with_node_count`]).
+    pub fn with_node_count(config: HealthConfig, n: usize) -> Self {
         HealthSink {
             state: Mutex::new(HealthSinkState {
-                monitor: HealthMonitor::new(config),
+                monitor: HealthMonitor::with_node_count(config, n),
                 emitted: 0,
             }),
         }
@@ -460,6 +490,13 @@ impl HealthSink {
 impl TraceSink for HealthSink {
     fn record(&self, event: &TraceEvent) {
         self.lock().monitor.fold(event);
+    }
+
+    fn record_all(&self, events: &[TraceEvent]) {
+        let mut state = self.lock();
+        for event in events {
+            state.monitor.fold(event);
+        }
     }
 }
 
@@ -584,6 +621,37 @@ mod tests {
             monitor.fold(&TraceEvent::StageStart { stage });
         }
         assert_eq!(monitor.findings().len(), 1);
+    }
+
+    #[test]
+    fn sized_monitor_never_allocates_by_id_value() {
+        let config = HealthConfig {
+            stall_stages: 2,
+            ..HealthConfig::default()
+        };
+        let mut monitor = HealthMonitor::with_node_count(config, 4);
+        // Out-of-range ids size no table, but the events still count as
+        // progress: no stall although nothing in range ever changed.
+        for stage in 1..=8u64 {
+            monitor.fold(&TraceEvent::StageStart { stage });
+            monitor.fold(&select(RUN_WIDE, RUN_WIDE, stage, 2, 9));
+        }
+        assert!(monitor.routes.is_empty() && monitor.last_change_by_dest.is_empty());
+        assert!(!monitor.stalled() && monitor.findings().is_empty());
+        monitor.fold(&select(1, RUN_WIDE, 8, 2, 9));
+        assert!(
+            monitor.routes.iter().all(Vec::is_empty),
+            "an out-of-range dest sizes no row"
+        );
+        monitor.fold(&TraceEvent::Quiescent {
+            stage: 8,
+            messages: 0,
+        });
+        assert!(monitor.latency().is_empty());
+        // In-range events are tracked as ever.
+        monitor.fold(&select(1, 2, 8, 2, 9));
+        assert_eq!(monitor.routes.len(), 4);
+        assert_eq!(monitor.last_change_by_dest, [None, None, Some(8), None]);
     }
 
     #[test]

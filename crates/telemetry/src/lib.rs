@@ -75,6 +75,27 @@ pub use sink::{JsonlSink, NullSink, RingBufferSink, TeeSink, TraceSink};
 use std::path::Path;
 use std::sync::Arc;
 
+/// The cell for AS number `id` in one of the observers' dense shadow
+/// tables, or `None` when `id` is outside `0..bound` — a table never
+/// allocates by the value of an id a message carries. A table with a node
+/// count is sized to it the first time it is touched; an unbounded one
+/// (`bound == usize::MAX`) grows to the largest id seen.
+pub fn dense_cell<T: Default>(table: &mut Vec<T>, id: u32, bound: usize) -> Option<&mut T> {
+    let index = id as usize;
+    if index >= bound {
+        return None;
+    }
+    if table.len() <= index {
+        let len = if bound == usize::MAX {
+            index + 1
+        } else {
+            bound
+        };
+        table.resize_with(len, T::default);
+    }
+    table.get_mut(index)
+}
+
 /// The bundled observability handle: a metrics registry, a trace sink, and
 /// a clock, shared by reference so clones are cheap and all observe the
 /// same run.
@@ -169,6 +190,12 @@ impl Telemetry {
     /// Records one trace event.
     pub fn record(&self, event: &TraceEvent) {
         self.sink.record(event);
+    }
+
+    /// Records one update's events, in order, in a single sink call (see
+    /// [`TraceSink::record_all`]).
+    pub fn record_all(&self, events: &[TraceEvent]) {
+        self.sink.record_all(events);
     }
 
     /// Flushes the trace sink.

@@ -42,7 +42,10 @@ pub mod span {
     pub const STAGE: super::SpanId = 0;
     /// Route selection: delivering updates into nodes' route selectors.
     pub const ROUTE_SELECT: super::SpanId = 1;
-    /// Price relaxation bookkeeping (shadow diffing advertised prices).
+    /// The observer's share of a broadcast: the update tracer diffing the
+    /// advertised routes and prices against its shadow, plus every sink
+    /// teed behind it (the health monitor's fold included). The node's own
+    /// price relaxation runs inside `handle`, under [`ROUTE_SELECT`].
     pub const PRICE_RELAX: super::SpanId = 2;
     /// Wire-format v2 encode on the update fan-out path.
     pub const WIRE_ENCODE: super::SpanId = 3;
@@ -52,7 +55,9 @@ pub mod span {
     pub const AUDIT_SHADOW: super::SpanId = 5;
     /// Byzantine adversary wire tap rewriting advertisements.
     pub const ADVERSARY_TAP: super::SpanId = 6;
-    /// Streaming health-detector fold over the event stream.
+    /// The engine's per-stage poll of the health monitor's stall verdict
+    /// (the fold itself happens as events are recorded — see
+    /// [`PRICE_RELAX`]).
     pub const HEALTH_FOLD: super::SpanId = 7;
 
     /// Names matching the ids above, exported in profile JSON.

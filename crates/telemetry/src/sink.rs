@@ -15,16 +15,33 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
     /// made by a single thread.
     fn record(&self, event: &TraceEvent);
 
+    /// Records a run of events — one update's worth — exactly as one
+    /// `record` call each, in order, would. Sinks override it to pay their
+    /// per-call cost (a lock, a fan-out) once per run.
+    fn record_all(&self, events: &[TraceEvent]) {
+        for event in events {
+            self.record(event);
+        }
+    }
+
     /// Flushes any buffered output. Default: no-op.
     fn flush(&self) {}
 }
 
-/// Discards every event — the zero-cost default when only metrics matter.
+/// Discards every event — the default when only metrics matter. The sink
+/// is free; attaching it is not: the engine still diffs every broadcast
+/// into events and counters before they land here. The benchmark's traced
+/// `telemetry.null_sink_ratio` reads 1.61 on `cold-ba256` and 1.32 on
+/// `cold-ring128` (2.14 and 2.11 with the map-based tracer), of which
+/// 1.44 and 1.16 are that single-shot metric's floor — see
+/// `docs/OBSERVABILITY.md` § "Sinks and wiring".
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&self, _event: &TraceEvent) {}
+
+    fn record_all(&self, _events: &[TraceEvent]) {}
 }
 
 /// Writes one JSON object per line to an arbitrary writer (file, pipe,
@@ -77,10 +94,16 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 /// experiments read back from.
 #[derive(Debug)]
 pub struct RingBufferSink {
-    events: Mutex<VecDeque<TraceEvent>>,
+    state: Mutex<RingState>,
     capacity: usize,
+}
+
+/// What the ring guards with its one lock.
+#[derive(Debug)]
+struct RingState {
+    events: VecDeque<TraceEvent>,
     /// Total events ever recorded (including evicted ones).
-    recorded: Mutex<u64>,
+    recorded: u64,
 }
 
 impl RingBufferSink {
@@ -92,37 +115,42 @@ impl RingBufferSink {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBufferSink {
-            events: Mutex::new(VecDeque::with_capacity(capacity.min(1 << 16))),
+            state: Mutex::new(RingState {
+                events: VecDeque::with_capacity(capacity.min(1 << 16)),
+                recorded: 0,
+            }),
             capacity,
-            recorded: Mutex::new(0),
         }
     }
 
     /// Copies out the buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.events.iter().cloned().collect()
     }
 
     /// Total number of events ever recorded, including any that were
     /// evicted once the buffer filled.
     pub fn total_recorded(&self) -> u64 {
-        *self.recorded.lock().unwrap_or_else(PoisonError::into_inner)
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.recorded
     }
 }
 
 impl TraceSink for RingBufferSink {
     fn record(&self, event: &TraceEvent) {
-        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        if events.len() == self.capacity {
-            events.pop_front();
+        self.record_all(std::slice::from_ref(event));
+    }
+
+    fn record_all(&self, events: &[TraceEvent]) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        for event in events {
+            if state.events.len() == self.capacity {
+                state.events.pop_front();
+            }
+            state.events.push_back(event.clone());
         }
-        events.push_back(event.clone());
-        *self.recorded.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        state.recorded += events.len() as u64;
     }
 }
 
@@ -148,6 +176,11 @@ impl TraceSink for TeeSink {
     fn record(&self, event: &TraceEvent) {
         self.first.record(event);
         self.second.record(event);
+    }
+
+    fn record_all(&self, events: &[TraceEvent]) {
+        self.first.record_all(events);
+        self.second.record_all(events);
     }
 
     fn flush(&self) {

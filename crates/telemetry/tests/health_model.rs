@@ -1,0 +1,381 @@
+//! Differential model test for [`HealthMonitor`].
+//!
+//! The production monitor keeps its per-`(node, dest)` route history and
+//! per-destination settle stages in vectors indexed by AS number. The
+//! monitor it replaced kept them in ordered maps — slower, and for exactly
+//! that reason easy to believe. It lives on here, test-only, as the oracle:
+//! seeded random event streams (with flap and churn-spike patterns mixed
+//! in) are folded by both, and the findings and the report JSON must be
+//! identical at every step that can change them.
+//!
+//! The crate has no dependencies, dev-dependencies included, so the streams
+//! come from a few lines of xorshift rather than from proptest.
+
+use bgpvcg_telemetry::health::{DETECTOR_CHURN, DETECTOR_OSCILLATION, DETECTOR_STALL, RUN_WIDE};
+use bgpvcg_telemetry::{HealthConfig, HealthFinding, HealthMonitor, QuantileSketch, TraceEvent};
+use std::collections::BTreeMap;
+
+#[derive(Debug, Clone, Copy)]
+struct RouteHistory {
+    last: (u32, u64),
+    before_last: Option<(u32, u64)>,
+    revisits: u64,
+    window_start: u64,
+}
+
+/// The map-based monitor, as it was before the dense tables.
+#[derive(Debug)]
+struct MapMonitor {
+    config: HealthConfig,
+    routes: BTreeMap<(u32, u32), RouteHistory>,
+    current_stage: u64,
+    relax_in_stage: u64,
+    churn_history: Vec<u64>,
+    last_progress_stage: u64,
+    last_change_by_dest: BTreeMap<u32, u64>,
+    latency: BTreeMap<u32, QuantileSketch>,
+    findings: Vec<HealthFinding>,
+    fired: [bool; 3],
+    stages_seen: u64,
+}
+
+impl MapMonitor {
+    fn new(config: HealthConfig) -> Self {
+        MapMonitor {
+            config,
+            routes: BTreeMap::new(),
+            current_stage: 0,
+            relax_in_stage: 0,
+            churn_history: Vec::new(),
+            last_progress_stage: 0,
+            last_change_by_dest: BTreeMap::new(),
+            latency: BTreeMap::new(),
+            findings: Vec::new(),
+            fired: [false; 3],
+            stages_seen: 0,
+        }
+    }
+
+    fn fold(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::StageStart { stage } => self.on_stage_start(stage),
+            TraceEvent::RouteSelected {
+                node,
+                dest,
+                stage,
+                hops,
+                path_cost,
+                ..
+            } => {
+                self.on_progress(dest, stage);
+                self.on_route_selected(node, dest, stage, (hops, path_cost));
+            }
+            TraceEvent::PriceRelaxed { dest, stage, .. } => {
+                self.on_progress(dest, stage);
+                if stage == self.current_stage {
+                    self.relax_in_stage += 1;
+                }
+            }
+            TraceEvent::Withdrawn { dest, stage, .. } => self.on_progress(dest, stage),
+            TraceEvent::Quiescent { .. } => {
+                for (&dest, &stage) in &self.last_change_by_dest {
+                    self.latency.entry(dest).or_default().record(stage);
+                }
+                self.last_change_by_dest.clear();
+            }
+            _ => {}
+        }
+    }
+
+    fn on_stage_start(&mut self, stage: u64) {
+        self.stages_seen += 1;
+        if stage > self.current_stage && self.current_stage > 0 {
+            self.judge_churn();
+            if self.churn_history.len() == self.config.churn_window as usize {
+                self.churn_history.remove(0);
+            }
+            self.churn_history.push(self.relax_in_stage);
+        }
+        self.current_stage = stage;
+        self.relax_in_stage = 0;
+        let quiet = stage.saturating_sub(self.last_progress_stage);
+        if quiet > self.config.stall_stages && !self.fired[DETECTOR_STALL as usize] {
+            self.fire(HealthFinding {
+                detector: DETECTOR_STALL,
+                stage,
+                node: RUN_WIDE,
+                dest: RUN_WIDE,
+                count: quiet,
+                threshold: self.config.stall_stages,
+            });
+        }
+    }
+
+    fn judge_churn(&mut self) {
+        if self.churn_history.len() < self.config.churn_window as usize
+            || self.fired[DETECTOR_CHURN as usize]
+        {
+            return;
+        }
+        let baseline: u64 =
+            self.churn_history.iter().sum::<u64>() / self.config.churn_window.max(1);
+        let threshold = (baseline * self.config.churn_factor).max(self.config.churn_min_events);
+        if self.relax_in_stage > threshold {
+            self.fire(HealthFinding {
+                detector: DETECTOR_CHURN,
+                stage: self.current_stage,
+                node: RUN_WIDE,
+                dest: RUN_WIDE,
+                count: self.relax_in_stage,
+                threshold,
+            });
+        }
+    }
+
+    fn on_progress(&mut self, dest: u32, stage: u64) {
+        self.last_progress_stage = self.last_progress_stage.max(stage);
+        let entry = self.last_change_by_dest.entry(dest).or_insert(stage);
+        *entry = (*entry).max(stage);
+    }
+
+    fn on_route_selected(&mut self, node: u32, dest: u32, stage: u64, sig: (u32, u64)) {
+        let config = self.config;
+        let mut finding = None;
+        match self.routes.get_mut(&(node, dest)) {
+            None => {
+                self.routes.insert(
+                    (node, dest),
+                    RouteHistory {
+                        last: sig,
+                        before_last: None,
+                        revisits: 0,
+                        window_start: stage,
+                    },
+                );
+            }
+            Some(history) => {
+                if sig == history.last {
+                    return;
+                }
+                if stage.saturating_sub(history.window_start) > config.flap_window {
+                    history.revisits = 0;
+                    history.window_start = stage;
+                }
+                if history.before_last == Some(sig) {
+                    history.revisits += 1;
+                    if history.revisits >= config.flap_revisits {
+                        finding = Some(HealthFinding {
+                            detector: DETECTOR_OSCILLATION,
+                            stage,
+                            node,
+                            dest,
+                            count: history.revisits,
+                            threshold: config.flap_revisits,
+                        });
+                    }
+                }
+                history.before_last = Some(history.last);
+                history.last = sig;
+            }
+        }
+        if let Some(finding) = finding {
+            if !self.fired[DETECTOR_OSCILLATION as usize] {
+                self.fire(finding);
+            }
+        }
+    }
+
+    fn fire(&mut self, finding: HealthFinding) {
+        self.fired[finding.detector as usize] = true;
+        self.findings.push(finding);
+    }
+
+    fn to_json(&self) -> String {
+        let findings: Vec<String> = self
+            .findings
+            .iter()
+            .map(|f| {
+                format!(
+                    "{{\"detector\":\"{}\",\"stage\":{},\"node\":{},\"dest\":{},\"count\":{},\"threshold\":{}}}",
+                    f.detector_name(),
+                    f.stage,
+                    f.node,
+                    f.dest,
+                    f.count,
+                    f.threshold
+                )
+            })
+            .collect();
+        let destinations: Vec<String> = self
+            .latency
+            .iter()
+            .map(|(dest, sketch)| format!("{{\"dest\":{dest},\"latency\":{}}}", sketch.to_json()))
+            .collect();
+        format!(
+            "{{\"version\":1,\"schema\":\"bgpvcg-health-v1\",\"stages\":{},\"findings\":[{}],\"destinations\":[{}]}}",
+            self.stages_seen,
+            findings.join(","),
+            destinations.join(",")
+        )
+    }
+}
+
+/// AS numbers the streams draw nodes and destinations from.
+const UNIVERSE: u32 = 5;
+
+/// xorshift64*: all the randomness these streams need.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        (self.next() >> 33) % n
+    }
+}
+
+fn select(node: u32, dest: u32, stage: u64, hops: u32, path_cost: u64) -> TraceEvent {
+    TraceEvent::RouteSelected {
+        node,
+        dest,
+        stage,
+        hops,
+        path_cost,
+        cause: 0,
+        effect: stage,
+    }
+}
+
+fn relax(dest: u32, stage: u64) -> TraceEvent {
+    TraceEvent::PriceRelaxed {
+        node: 0,
+        dest,
+        k: 1,
+        stage,
+        old: 9,
+        new: 8,
+        cause: 0,
+        effect: stage,
+    }
+}
+
+/// A seeded stream: stages that mostly advance (sometimes repeat, skip, or
+/// go quiet), selections over a signature space small enough that routes
+/// are revisited, events stamped with an earlier stage now and then,
+/// relaxation bursts, withdrawals, quiescence marks that start a new
+/// episode, kinds the monitor ignores — plus, on some seeds, a sustained
+/// two-route flap on one pair and a relaxation spike after a calm baseline.
+fn stream(seed: u64) -> Vec<TraceEvent> {
+    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let mut events = Vec::new();
+    let mut stage = 0u64;
+    let flap = rng.below(3) == 0;
+    let spike_at = (rng.below(3) == 0).then(|| 6 + rng.below(10));
+    let id = |rng: &mut Rng| rng.below(u64::from(UNIVERSE)) as u32;
+    for _ in 0..20 + rng.below(40) {
+        stage += match rng.below(8) {
+            0 => 0,
+            1 => 2 + rng.below(5),
+            _ => 1,
+        };
+        events.push(TraceEvent::StageStart { stage });
+        if rng.below(6) == 0 {
+            continue; // a quiet stage
+        }
+        if flap {
+            let (hops, cost) = if stage.is_multiple_of(2) {
+                (2, 10)
+            } else {
+                (3, 9)
+            };
+            events.push(select(1, 2, stage, hops, cost));
+        }
+        for _ in 0..rng.below(5) {
+            let at = stage.saturating_sub(u64::from(rng.below(5) == 0));
+            events.push(match rng.below(10) {
+                0..=4 => select(
+                    id(&mut rng),
+                    id(&mut rng),
+                    at,
+                    1 + rng.below(2) as u32,
+                    rng.below(3),
+                ),
+                5..=7 => relax(id(&mut rng), at),
+                8 => TraceEvent::Withdrawn {
+                    node: id(&mut rng),
+                    dest: id(&mut rng),
+                    stage: at,
+                    cause: 0,
+                    effect: at,
+                },
+                _ => TraceEvent::SessionReset {
+                    stage: at,
+                    node: id(&mut rng),
+                    peer: id(&mut rng),
+                },
+            });
+        }
+        if spike_at == Some(stage) {
+            events.extend((0..40 + rng.below(40)).map(|_| relax(3, stage)));
+        }
+        if rng.below(12) == 0 {
+            events.push(TraceEvent::Quiescent {
+                stage,
+                messages: stage,
+            });
+        }
+    }
+    events.push(TraceEvent::Quiescent {
+        stage,
+        messages: stage,
+    });
+    events
+}
+
+/// Thresholds low enough that random streams trip every detector.
+const TIGHT: HealthConfig = HealthConfig {
+    flap_revisits: 2,
+    flap_window: 6,
+    churn_window: 3,
+    churn_factor: 2,
+    churn_min_events: 4,
+    stall_stages: 4,
+};
+
+#[test]
+fn dense_monitor_matches_map_oracle() {
+    let mut fired = [0usize; 3];
+    for seed in 0..400u64 {
+        let config = if seed.is_multiple_of(2) {
+            TIGHT
+        } else {
+            HealthConfig::default()
+        };
+        let mut oracle = MapMonitor::new(config);
+        let mut open = HealthMonitor::new(config);
+        let mut sized = HealthMonitor::with_node_count(config, UNIVERSE as usize);
+        for (step, event) in stream(seed).iter().enumerate() {
+            oracle.fold(event);
+            open.fold(event);
+            sized.fold(event);
+            assert_eq!(open.findings(), oracle.findings, "seed {seed} step {step}");
+            assert_eq!(sized.findings(), oracle.findings, "seed {seed} step {step}");
+            if matches!(event, TraceEvent::Quiescent { .. }) {
+                assert_eq!(open.to_json(), oracle.to_json(), "seed {seed} step {step}");
+                assert_eq!(sized.to_json(), oracle.to_json(), "seed {seed} step {step}");
+            }
+        }
+        for finding in &oracle.findings {
+            fired[finding.detector as usize] += 1;
+        }
+    }
+    assert!(
+        fired.iter().all(|&count| count >= 10),
+        "the streams must exercise every detector, fired {fired:?}"
+    );
+}

@@ -1383,7 +1383,7 @@ fn cmd_ci(root: &Path) -> ExitCode {
         ],
         false,
     );
-    for bench in ["selector", "pricing"] {
+    for bench in ["selector", "pricing", "tracer"] {
         ok &= run_step(
             root,
             &format!("{bench} microbench smoke"),

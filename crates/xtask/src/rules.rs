@@ -23,9 +23,11 @@
 //!    `vec![` / `.to_vec()` / `.collect()` / `{Hash,BTree}Map::new()` /
 //!    `BTreeSet::new()` allocation inside the hot-path bodies listed in
 //!    [`STAGE_ALLOC_SCOPES`]: the synchronous engine's stage loop, the
-//!    wire-v2 encode path, the profiler brackets, and the per-node step
+//!    wire-v2 encode path, the profiler brackets, the per-node step
 //!    (selector ingest/decide, the `handle`s, the relaxations, the
-//!    Adj-RIB-Out diff/emit), whose buffers are reused by design.
+//!    Adj-RIB-Out diff/emit), and the observer (the update tracer's
+//!    shadow diff, the health monitor's fold), whose buffers are reused
+//!    by design.
 //! 7. **unsafe-audit** — every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`, no first-party line uses `unsafe`, and
 //!    vendored stand-ins are unsafe-free unless enumerated (with a reason)
@@ -512,7 +514,12 @@ fn trace_event_mentions(line: &str) -> Vec<String> {
 /// relaxations, and the shared Adj-RIB-Out diff/emit. At node level the
 /// only allocations left are the ones that *are* the output (the emitted
 /// update's lists, a full advertisement's price array, the interned
-/// winning path); each carries a `lint:allow` naming it.
+/// winning path); each carries a `lint:allow` naming it. The observer is
+/// held to the same rule: the update tracer's shadow diff and the health
+/// monitor's fold run once per advertisement and once per event of every
+/// observed run, and may grow only a shadow row toward the node count
+/// (`bgpvcg_telemetry::dense_cell`) and the reused event buffer toward its
+/// high-water mark.
 pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     (
         "crates/bgp/src/engine/sync.rs",
@@ -543,6 +550,14 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     (
         "crates/core/src/neighbor_costs/node.rs",
         &["handle", "refresh_margins", "emit"],
+    ),
+    (
+        "crates/bgp/src/telemetry.rs",
+        &["observe_update", "on_broadcast"],
+    ),
+    (
+        "crates/telemetry/src/health.rs",
+        &["fold", "on_progress", "on_route_selected"],
     ),
 ];
 

@@ -1,4 +1,5 @@
-//! Fixture: a causal event emitted without its provenance ids.
+//! Fixture: a causal event emitted without its provenance ids, and a
+//! tracer that copies every advertised path to compare it.
 
 /// Emits a route selection that forgot to thread `cause`/`effect`.
 pub fn observe_selection(t: &Telemetry) {
@@ -37,4 +38,15 @@ pub fn observe_adversary(t: &Telemetry) {
         advertised: 12,
         violation: 1,
     });
+}
+
+/// Diffs an advertised path against the shadow by copying it into a fresh
+/// `Vec` first — once per advertisement, changed or not.
+pub fn observe_update(shadow: &mut Vec<(u32, u64)>, path: &[(u32, u64)]) -> bool {
+    let copy: Vec<(u32, u64)> = path.iter().map(|&(node, cost)| (node, cost)).collect();
+    if *shadow == copy {
+        return false;
+    }
+    *shadow = copy;
+    true
 }

@@ -1,4 +1,5 @@
-//! Fixture: causal emission sites thread full provenance.
+//! Fixture: causal emission sites thread full provenance, and the update
+//! tracer diffs against a dense shadow without allocating per advertisement.
 
 /// Emits a route selection carrying its `cause`/`effect` ids.
 pub fn observe_selection(t: &Telemetry) {
@@ -44,4 +45,37 @@ pub fn count_selections(events: &[TraceEvent]) -> usize {
         .iter()
         .filter(|e| matches!(e, TraceEvent::RouteSelected { .. }))
         .count()
+}
+
+/// A dense update tracer: one shadow cell per `(advertiser, destination)`
+/// in rows indexed by AS number, and one reused event buffer.
+#[derive(Debug)]
+pub struct UpdateTracer {
+    bound: usize,
+    shadow: Vec<Vec<Option<u64>>>,
+    events: Vec<u64>,
+}
+
+impl UpdateTracer {
+    /// Diffs one update's advertised path hashes against the shadow in
+    /// place; the only allocation is a node's row, once.
+    pub fn observe_update(&mut self, node: usize, ads: &[(usize, u64)]) -> &[u64] {
+        self.events.clear();
+        let Some(row) = self.shadow.get_mut(node) else {
+            return &self.events;
+        };
+        if row.is_empty() {
+            // lint:allow(growth: a node's row, sized to the node count at its first advertisement)
+            *row = vec![None; self.bound];
+        }
+        for &(dest, hash) in ads {
+            if let Some(cell) = row.get_mut(dest) {
+                if *cell != Some(hash) {
+                    *cell = Some(hash);
+                    self.events.push(hash);
+                }
+            }
+        }
+        &self.events
+    }
 }

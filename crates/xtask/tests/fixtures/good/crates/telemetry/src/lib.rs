@@ -4,3 +4,4 @@
 
 pub mod clock;
 pub mod event;
+pub mod health;

@@ -297,7 +297,9 @@ fn main() {
             let g = family.build(n, seed);
             let reference = protocol::run_sync(&g).unwrap();
             for &w in workers {
-                let mut engine = protocol::build_audited_sync_engine_parallel(&g, w).unwrap();
+                let mut engine = protocol::build_audited_sync_engine(&g)
+                    .unwrap()
+                    .with_parallelism(w);
                 engine.attach_telemetry(obs.telemetry());
                 engine.attach_health(HealthConfig::default());
                 assert!(engine.run_to_convergence().converged);

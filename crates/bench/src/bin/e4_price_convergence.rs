@@ -46,15 +46,19 @@ fn main() {
             let dprime = diameter::avoiding_hop_diameter(&avoidance);
             let bound = d.max(dprime);
 
-            let run =
-                protocol::run_sync_telemetry(&g, telemetry).expect("family graphs are biconnected");
+            let mut engine =
+                protocol::build_sync_engine(&g).expect("family graphs are biconnected");
+            engine.attach_telemetry(telemetry);
+            let report = engine.run_to_convergence();
+            let outcome = protocol::outcome_from_nodes(&engine.into_nodes())
+                .expect("a converged run has every price");
             let reference =
                 vcg::from_parts(&g, &lcp, &avoidance).expect("family graphs are biconnected");
-            let exact = run.outcome == reference;
+            let exact = outcome == reference;
             let stages = telemetry.gauge(metric::STAGES_TO_QUIESCENCE).get() as usize;
-            assert_eq!(stages, run.report.stages, "gauge mirrors the report");
+            assert_eq!(stages, report.stages, "gauge mirrors the report");
             let within = stages <= bound;
-            all_ok &= exact && within && run.report.converged;
+            all_ok &= exact && within && report.converged;
 
             table.row([
                 family.name().to_string(),

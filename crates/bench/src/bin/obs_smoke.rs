@@ -96,9 +96,12 @@ fn main() {
     // the run must self-stabilize to the fault-free fixpoint.
     let fault_free = protocol::run_sync(&g).expect("Fig. 1 is biconnected");
     let plan = FaultPlan::lossy(7, 12).with_crash(3, Fig1::D, 9);
-    let (chaos_outcome, chaos_report) =
-        protocol::run_chaos_telemetry(&g, plan, 5_000, &telemetry).expect("chaos run");
+    let mut chaos = protocol::build_chaos_engine(&g, plan).expect("Fig. 1 is biconnected");
+    chaos.attach_telemetry(&telemetry);
+    let chaos_report = chaos.run_to_stable(5_000);
     assert!(chaos_report.converged, "chaos run must quiesce");
+    let chaos_outcome =
+        protocol::outcome_from_nodes(&chaos.into_nodes()).expect("a quiesced run has every price");
     assert_eq!(
         chaos_outcome, fault_free.outcome,
         "chaos run must self-stabilize to the fault-free fixpoint"

@@ -45,7 +45,9 @@ proptest! {
         let family = Family::ALL[family_idx];
         let graph = family.build(n, seed ^ 0xAD5E_11A2);
         let reference = protocol::run_sync(&graph).unwrap();
-        let mut engine = protocol::build_audited_sync_engine_parallel(&graph, workers).unwrap();
+        let mut engine = protocol::build_audited_sync_engine(&graph)
+            .unwrap()
+            .with_parallelism(workers);
         let report = engine.run_to_convergence();
         prop_assert!(report.converged, "{}: {report:?}", family.name());
         prop_assert!(
@@ -81,8 +83,9 @@ proptest! {
         };
 
         let run = |workers: usize| {
-            let mut engine =
-                protocol::build_audited_sync_engine_parallel(&graph, workers).unwrap();
+            let mut engine = protocol::build_audited_sync_engine(&graph)
+                .unwrap()
+                .with_parallelism(workers);
             engine.set_adversary(culprit, Adversary::new(strategy, seed % 101));
             let report = engine.run_to_convergence();
             assert!(report.converged, "{}/{}", family.name(), strategy.name());

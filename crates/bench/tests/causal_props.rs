@@ -28,8 +28,10 @@ proptest! {
         let family = Family::ALL[family_idx];
         let graph = family.build(n, seed ^ 0x5DEE_CE66);
         let (telemetry, ring) = Telemetry::ring(1 << 16);
-        let run = protocol::run_sync_telemetry(&graph, &telemetry).unwrap();
-        prop_assert!(run.report.converged, "{:?}", run.report);
+        let mut engine = protocol::build_sync_engine(&graph).unwrap();
+        engine.attach_telemetry(&telemetry);
+        let report = engine.run_to_convergence();
+        prop_assert!(report.converged, "{:?}", report);
 
         let dags = CausalDag::from_events(&ring.events());
         prop_assert_eq!(dags.len(), 1, "one run must yield one segment");

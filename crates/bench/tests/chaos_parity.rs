@@ -11,8 +11,9 @@
 
 use bgpvcg_bench::families::Family;
 use bgpvcg_bgp::chaos::FaultPlan;
+use bgpvcg_bgp::engine::run_event_driven;
 use bgpvcg_bgp::TopologyEvent;
-use bgpvcg_core::protocol;
+use bgpvcg_core::{protocol, PricingBgpNode};
 use bgpvcg_netgraph::generators::structured::hypercube;
 use bgpvcg_netgraph::{AsId, Cost};
 use proptest::prelude::*;
@@ -62,8 +63,9 @@ proptest! {
         prop_assert_eq!(outcome, reference);
     }
 
-    /// The duplicate/delay-faulty asynchronous engine reaches the same
-    /// fixpoint as the synchronous reference for any seed.
+    /// The asynchronous engine — seeded reordering plus 10% duplicated
+    /// deliveries — reaches the same fixpoint as the synchronous reference
+    /// for any seed.
     #[test]
     fn faulty_async_matches_fault_free_fixpoint(
         family_idx in 0usize..Family::ALL.len(),
@@ -73,10 +75,9 @@ proptest! {
         let family = Family::ALL[family_idx];
         let graph = family.build(n, seed ^ 0xA076_1D64);
         let reference = protocol::run_sync(&graph).unwrap().outcome;
-        let mut plan = FaultPlan::lossy(seed, 16);
-        plan.drop_rate = 0.0; // losses are the session layer's business
-        let (outcome, _) = protocol::run_async_faulty(&graph, &plan).unwrap();
-        prop_assert_eq!(outcome, reference);
+        let nodes = PricingBgpNode::from_graph(&graph);
+        let (nodes, _) = run_event_driven(&graph, nodes, seed, 0.10, None);
+        prop_assert_eq!(protocol::outcome_from_nodes(&nodes).unwrap(), reference);
     }
 }
 

@@ -52,15 +52,12 @@ use crate::adversary::Adversary;
 use crate::dynamics::LocalEvent;
 use crate::message::{Frame, FrameKind, Update};
 use crate::node::ProtocolNode;
-use crate::telemetry::UpdateTracer;
+use crate::telemetry::Instruments;
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId};
 use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot};
 use bgpvcg_telemetry::profile::span;
-use bgpvcg_telemetry::{
-    Clock, HealthConfig, HealthSink, SpanId, SpanProfiler, SystemClock, Telemetry, TraceEvent,
-    TraceSink,
-};
+use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -372,11 +369,8 @@ pub struct ChaosEngine<N> {
     update_seq: u64,
     stage: u64,
     report: ChaosReport,
-    telemetry: Option<Telemetry>,
-    tracer: Option<UpdateTracer>,
-    /// Attached divergence flight recorder, dumped when a run exhausts its
-    /// stage budget without stabilizing.
-    flight: Option<FlightRecorder>,
+    /// Everything that observes a run (see [`Instruments`]).
+    instruments: Instruments,
     /// Scratch: updates delivered in-order this stage, per node index.
     pending: Vec<Vec<Arc<Update>>>,
     /// Scratch: `true` while the current stage has observed recovery-layer
@@ -391,16 +385,6 @@ pub struct ChaosEngine<N> {
     /// function, so retransmitted and re-established streams stay
     /// self-consistent and runs replay exactly.
     adversaries: Vec<Option<Adversary>>,
-    /// Attached hierarchical span profiler (`None` = zero overhead); see
-    /// [`attach_profiler`](Self::attach_profiler).
-    profiler: Option<SpanProfiler>,
-    /// Clock backing the profiler's timestamps.
-    prof_clock: Option<Arc<dyn Clock>>,
-    /// Attached streaming health monitor, teed into the trace stream; see
-    /// [`attach_health`](Self::attach_health).
-    health: Option<Arc<HealthSink>>,
-    /// Whether the one-shot health-stall post-mortem has been written.
-    health_stall_dumped: bool,
 }
 
 impl<N: ProtocolNode> ChaosEngine<N> {
@@ -440,17 +424,11 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 converged: true,
                 ..ChaosReport::default()
             },
-            telemetry: None,
-            tracer: None,
-            flight: None,
+            instruments: Instruments::new(n),
             pending: vec![Vec::new(); n],
             stage_active: false,
             scratch: Vec::new(),
             adversaries: (0..n).map(|_| None).collect(),
-            profiler: None,
-            prof_clock: None,
-            health: None,
-            health_stall_dumped: false,
         }
     }
 
@@ -486,9 +464,9 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     fn adversarial_payload(&mut self, from: u32, to: u32, update: &Update) -> Option<Update> {
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
         self.adversaries[from as usize].as_ref()?;
-        self.prof_enter(span::ADVERSARY_TAP);
+        self.instruments.enter(span::ADVERSARY_TAP);
         let out = self.adversarial_payload_tapped(from, to, update);
-        self.prof_exit();
+        self.instruments.exit();
         out
     }
 
@@ -509,7 +487,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         let adversary = self.adversaries[from as usize].as_mut()?;
         let strategy = adversary.strategy().code();
         let perturbed = adversary.perturb(AsId::new(to), rank, update)?;
-        self.record(&TraceEvent::AdversaryInjected {
+        self.instruments.record(&TraceEvent::AdversaryInjected {
             stage: self.stage,
             node: from,
             peer: to,
@@ -520,57 +498,43 @@ impl<N: ProtocolNode> ChaosEngine<N> {
 
     /// Attaches observability: fault injections, retransmits, session
     /// resets and restarts are traced, and broadcast updates narrate
-    /// through the same [`UpdateTracer`] the synchronous engine uses.
+    /// through the same `UpdateTracer` the synchronous engine uses. The
+    /// `attach_*` methods compose in any order.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.tracer = Some(UpdateTracer::with_node_count(telemetry, self.nodes.len()));
-        self.telemetry = Some(telemetry.clone());
+        self.instruments.attach_telemetry(telemetry);
     }
 
     /// Attaches a divergence flight recorder: the most recent `capacity`
     /// trace events are retained, and a run that exhausts its stage budget
     /// without stabilizing dumps the tail plus per-node session snapshots
-    /// to `path` (see [`bgpvcg_telemetry::flight`]). Call after
-    /// [`attach_telemetry`](Self::attach_telemetry): the recorder tees off
-    /// whatever telemetry is attached at that point (and works standalone
-    /// on a detached engine).
+    /// to `path` (see [`bgpvcg_telemetry::flight`]). The recorder is teed
+    /// into whatever telemetry is attached, and works standalone on a
+    /// detached engine.
     pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        let recorder = FlightRecorder::new(path.to_path_buf(), capacity);
-        let telemetry = match &self.telemetry {
-            Some(t) => t.tee(recorder.sink()),
-            None => Telemetry::new(recorder.sink()),
-        };
-        self.tracer = Some(UpdateTracer::with_node_count(&telemetry, self.nodes.len()));
-        self.telemetry = Some(telemetry);
-        self.flight = Some(recorder);
+        self.instruments.attach_flight_recorder(path, capacity);
     }
 
     /// The attached flight recorder, if any.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+        self.instruments.flight_recorder()
     }
 
     /// Attaches the hierarchical span profiler over the harness phases
     /// (per-stage root, route-select/handle, wire framing, and the
     /// session/retransmit timer pass). Timestamps come from the attached
-    /// telemetry's clock, or a fresh [`SystemClock`] when detached. Call
-    /// after [`attach_telemetry`](Self::attach_telemetry).
+    /// telemetry's clock, or a fresh `SystemClock` when detached.
     pub fn attach_profiler(&mut self) {
-        self.prof_clock = Some(match &self.telemetry {
-            Some(t) => t.clock_handle(),
-            None => Arc::new(SystemClock::new()),
-        });
-        self.profiler = Some(SpanProfiler::engine());
+        self.instruments.attach_profiler();
     }
 
     /// The attached span profiler's current totals, if any.
     pub fn profiler(&self) -> Option<&SpanProfiler> {
-        self.profiler.as_ref()
+        self.instruments.profiler()
     }
 
     /// Detaches and returns the span profiler (e.g. to merge shards).
     pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
-        self.prof_clock = None;
-        self.profiler.take()
+        self.instruments.take_profiler()
     }
 
     /// Attaches the streaming convergence-health monitor: a [`HealthSink`]
@@ -578,147 +542,57 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// [`run_to_stable`](Self::run_to_stable) polls the stall detector
     /// after every stage and — with a flight recorder attached — writes a
     /// [`flight::REASON_HEALTH_STALL`] post-mortem at first stall, before
-    /// the stage budget runs out. Call after `attach_telemetry` /
-    /// `attach_flight_recorder`.
+    /// the stage budget runs out.
     pub fn attach_health(&mut self, config: HealthConfig) {
-        let sink = Arc::new(HealthSink::with_node_count(config, self.nodes.len()));
-        let telemetry = match &self.telemetry {
-            Some(t) => t.tee(Arc::clone(&sink) as Arc<dyn TraceSink>),
-            None => Telemetry::new(Arc::clone(&sink) as Arc<dyn TraceSink>),
-        };
-        self.tracer = Some(UpdateTracer::with_node_count(&telemetry, self.nodes.len()));
-        self.telemetry = Some(telemetry);
-        self.health = Some(sink);
+        self.instruments.attach_health(config);
     }
 
     /// The attached health monitor, if any.
     pub fn health_sink(&self) -> Option<&Arc<HealthSink>> {
-        self.health.as_ref()
+        self.instruments.health_sink()
     }
 
-    /// Opens span `id` on the attached profiler (no-op when detached).
-    fn prof_enter(&mut self, id: SpanId) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.enter(id, clock.now_nanos());
-        }
-    }
-
-    /// Closes the innermost open span (no-op when detached).
-    fn prof_exit(&mut self) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.exit(clock.now_nanos());
-        }
-    }
-
-    /// Writes the one-shot health-stall post-mortem (the fired findings as
-    /// snapshots plus the session-layer run counters). Best-effort; a
-    /// no-op without a recorder.
-    fn dump_health_flight(&mut self) {
-        if self.health_stall_dumped {
-            return;
-        }
-        self.health_stall_dumped = true;
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let findings = self
-            .health
-            .as_ref()
-            .map(|h| h.findings())
-            .unwrap_or_default();
-        let snapshots: Vec<StateSnapshot> = findings
-            .iter()
-            .take(64)
-            .map(|f| StateSnapshot {
-                node: f.node,
-                fields: vec![
-                    ("detector", u64::from(f.detector)),
-                    ("stage", f.stage),
-                    ("dest", u64::from(f.dest)),
-                    ("count", f.count),
-                    ("threshold", f.threshold),
-                ],
-            })
-            .collect();
-        let _ = recorder.dump(
-            flight::REASON_HEALTH_STALL,
-            self.stage,
-            &[
-                ("findings", findings.len() as u64),
-                ("messages", self.report.messages),
-                ("retransmits", self.report.retransmits),
-                ("session_resets", self.report.session_resets),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ],
-            &snapshots,
-        );
-    }
-
-    /// Emits end-of-run observability: freshly-fired health findings as
-    /// `HealthVerdict` events and the profiler's cumulative per-span
-    /// totals as `SpanSummary` events, stamped with the current stage.
-    fn emit_run_observability(&mut self) {
-        let Some(telemetry) = self.telemetry.clone() else {
-            return;
-        };
-        if let Some(health) = self.health.as_ref() {
-            for finding in health.drain_new_findings() {
-                telemetry.record(&finding.to_event());
-            }
-        }
-        if let Some(profiler) = self.profiler.as_ref() {
-            for event in profiler.summary_events(self.stage) {
-                telemetry.record(&event);
-            }
-        }
-    }
-
-    /// Writes the divergence dump after a budget exhaustion. Best-effort:
-    /// I/O errors are swallowed, the recorder being advisory.
+    /// Writes the divergence dump after a budget exhaustion.
     fn dump_flight(&self) {
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let mut snapshots: Vec<StateSnapshot> = self
-            .sessions
-            .iter()
-            .zip(&self.up)
-            .zip(&self.pending)
-            .enumerate()
-            .map(|(idx, ((sessions, &up), pending))| StateSnapshot {
-                node: idx as u32,
-                fields: vec![
-                    ("up", u64::from(up)),
-                    (
-                        "sessions_established",
-                        sessions.values().filter(|s| s.send.established).count() as u64,
-                    ),
-                    (
-                        "unacked_frames",
-                        sessions.values().map(|s| s.send.unacked.len() as u64).sum(),
-                    ),
-                    ("pending_updates", pending.len() as u64),
-                ],
-            })
-            .collect();
-        snapshots.truncate(64);
         let frames_in_flight: u64 = self.channels.values().map(|c| c.queue.len() as u64).sum();
-        let _ = recorder.dump(
+        let summary = [
+            ("stages", self.report.stages),
+            ("messages", self.report.messages),
+            ("frames_dropped", self.report.frames_dropped),
+            ("retransmits", self.report.retransmits),
+            ("session_resets", self.report.session_resets),
+            ("holds_fired", self.report.holds_fired),
+            ("frames_in_flight", frames_in_flight),
+            ("updates_stamped", self.update_seq),
+            ("nodes", self.nodes.len() as u64),
+        ];
+        let snapshots = || {
+            let per_node = self.sessions.iter().zip(&self.up).zip(&self.pending);
+            per_node
+                .take(64)
+                .enumerate()
+                .map(|(idx, ((sessions, &up), pending))| StateSnapshot {
+                    node: idx as u32,
+                    fields: vec![
+                        ("up", u64::from(up)),
+                        (
+                            "sessions_established",
+                            sessions.values().filter(|s| s.send.established).count() as u64,
+                        ),
+                        (
+                            "unacked_frames",
+                            sessions.values().map(|s| s.send.unacked.len() as u64).sum(),
+                        ),
+                        ("pending_updates", pending.len() as u64),
+                    ],
+                })
+                .collect()
+        };
+        self.instruments.dump_abort(
             flight::REASON_NOT_STABILIZED,
             self.stage,
-            &[
-                ("stages", self.report.stages),
-                ("messages", self.report.messages),
-                ("frames_dropped", self.report.frames_dropped),
-                ("retransmits", self.report.retransmits),
-                ("session_resets", self.report.session_resets),
-                ("holds_fired", self.report.holds_fired),
-                ("frames_in_flight", frames_in_flight),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ],
-            &snapshots,
+            &summary,
+            snapshots,
         );
     }
 
@@ -762,12 +636,6 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// comparisons).
     pub fn into_nodes(self) -> Vec<N> {
         self.nodes
-    }
-
-    fn record(&self, event: &TraceEvent) {
-        if let Some(t) = &self.telemetry {
-            t.record(event);
-        }
     }
 
     /// `true` if the undirected link `a`–`b` exists, both ends are up, and
@@ -823,7 +691,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         if stage < self.plan.horizon {
             if self.rng.gen_bool(self.plan.drop_rate) {
                 self.report.frames_dropped += 1;
-                self.record(&TraceEvent::FaultInjected {
+                self.instruments.record(&TraceEvent::FaultInjected {
                     stage,
                     node: from,
                     peer: to,
@@ -834,7 +702,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             if self.rng.gen_bool(self.plan.delay_rate) {
                 deliver_at += self.rng.gen_range(1..=self.plan.max_delay.max(1));
                 self.report.frames_delayed += 1;
-                self.record(&TraceEvent::FaultInjected {
+                self.instruments.record(&TraceEvent::FaultInjected {
                     stage,
                     node: from,
                     peer: to,
@@ -843,7 +711,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             }
             if self.rng.gen_bool(self.plan.duplicate_rate) {
                 self.report.frames_duplicated += 1;
-                self.record(&TraceEvent::FaultInjected {
+                self.instruments.record(&TraceEvent::FaultInjected {
                     stage,
                     node: from,
                     peer: to,
@@ -899,7 +767,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.report.holds_fired += 1;
         self.report.session_resets += 1;
         self.stage_active = true;
-        self.record(&TraceEvent::SessionReset {
+        self.instruments.record(&TraceEvent::SessionReset {
             stage: self.stage,
             node: me,
             peer,
@@ -931,9 +799,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.update_seq += 1;
         update.id = self.update_seq;
         self.stage_active = true;
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.observe_update(&update, self.stage);
-        }
+        self.instruments.trace_update(&update, self.stage);
         let update = Arc::new(update);
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
         let neighbors = self.adjacency[idx as usize].clone();
@@ -1022,7 +888,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         if resets > 0 {
             self.report.session_resets += resets;
             self.stage_active = true;
-            self.record(&TraceEvent::SessionReset {
+            self.instruments.record(&TraceEvent::SessionReset {
                 stage,
                 node: me,
                 peer,
@@ -1057,7 +923,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             // from it over the dead incarnation: bounce the link locally so
             // the stale Rib-In is dropped before the sessions restart.
             self.report.session_resets += 1;
-            self.record(&TraceEvent::SessionReset {
+            self.instruments.record(&TraceEvent::SessionReset {
                 stage,
                 node: me,
                 peer,
@@ -1123,7 +989,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             }
             self.cut.push(key);
             self.stage_active = true;
-            self.record(&TraceEvent::FaultInjected {
+            self.instruments.record(&TraceEvent::FaultInjected {
                 stage,
                 node: ai,
                 peer: bi,
@@ -1143,7 +1009,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 continue;
             }
             let (ai, bi) = (a.index() as u32, b.index() as u32);
-            self.record(&TraceEvent::FaultInjected {
+            self.instruments.record(&TraceEvent::FaultInjected {
                 stage,
                 node: ai,
                 peer: bi,
@@ -1165,7 +1031,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.up[ki] = false;
         self.report.crashes += 1;
         self.stage_active = true;
-        self.record(&TraceEvent::FaultInjected {
+        self.instruments.record(&TraceEvent::FaultInjected {
             stage: self.stage,
             node: ki as u32,
             peer: fault::NODE_PEER,
@@ -1199,7 +1065,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.up[ki] = true;
         self.report.restarts += 1;
         self.stage_active = true;
-        self.record(&TraceEvent::NodeRestart {
+        self.instruments.record(&TraceEvent::NodeRestart {
             stage: self.stage,
             node: ki as u32,
         });
@@ -1217,11 +1083,11 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// faults, establishment, delivery, handling, timers — and every loop
     /// iterates in ascending node/peer order, so runs replay exactly.
     pub fn step(&mut self) {
-        self.prof_enter(span::STAGE);
+        self.instruments.enter(span::STAGE);
         self.stage += 1;
         self.stage_active = false;
         let stage = self.stage;
-        self.record(&TraceEvent::StageStart { stage });
+        self.instruments.record(&TraceEvent::StageStart { stage });
         self.apply_scheduled_faults();
 
         // Establishment pass: every live directed link without an
@@ -1291,7 +1157,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
 
         // Handle pass: nodes ingest this stage's in-order Data payloads
         // and broadcast what changed.
-        self.prof_enter(span::ROUTE_SELECT);
+        self.instruments.enter(span::ROUTE_SELECT);
         for idx in 0..self.nodes.len() as u32 {
             // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
             let updates = std::mem::take(&mut self.pending[idx as usize]);
@@ -1303,15 +1169,15 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
             let out = self.nodes[idx as usize].handle(&updates);
             if let Some(update) = out {
-                self.prof_enter(span::WIRE_ENCODE);
+                self.instruments.enter(span::WIRE_ENCODE);
                 self.broadcast(idx, update);
-                self.prof_exit();
+                self.instruments.exit();
             }
         }
-        self.prof_exit();
+        self.instruments.exit();
 
         // Timer pass: retransmits, hold expiry, keepalives.
-        self.prof_enter(span::SESSION_RETRANSMIT);
+        self.instruments.enter(span::SESSION_RETRANSMIT);
         for me in 0..self.nodes.len() as u32 {
             // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
             if !self.up[me as usize] {
@@ -1358,7 +1224,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 for (seq, kind) in resend {
                     self.report.retransmits += 1;
                     self.stage_active = true;
-                    self.record(&TraceEvent::Retransmit {
+                    self.instruments.record(&TraceEvent::Retransmit {
                         stage,
                         from: me,
                         to: peer,
@@ -1385,8 +1251,8 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 }
             }
         }
-        self.prof_exit();
-        self.prof_exit();
+        self.instruments.exit();
+        self.instruments.exit();
     }
 
     /// `true` when nothing recovery-relevant is pending: no sequenced
@@ -1418,16 +1284,14 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         let mut idle_streak = 0u64;
         while self.stage < max_stages {
             self.step();
-            // Health bookkeeping: the monitor folded this stage's events
-            // through the trace tee; at first stall verdict the flight
-            // recorder is armed with the health post-mortem, before the
-            // stage budget runs out and a generic not-stabilized dump
-            // would bury the cause.
-            self.prof_enter(span::HEALTH_FOLD);
-            if self.health.as_ref().is_some_and(|h| h.stalled()) {
-                self.dump_health_flight();
-            }
-            self.prof_exit();
+            let run_counters = [
+                ("messages", self.report.messages),
+                ("retransmits", self.report.retransmits),
+                ("session_resets", self.report.session_resets),
+                ("updates_stamped", self.update_seq),
+                ("nodes", self.nodes.len() as u64),
+            ];
+            self.instruments.poll_stall(self.stage, &run_counters);
             if self.stage > activity_end && self.is_idle() {
                 idle_streak += 1;
                 if idle_streak >= 2 {
@@ -1440,27 +1304,15 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         }
         self.report.converged = false;
         self.finish(activity_end);
-        // The health post-mortem, if one fired, is the richer artifact —
-        // don't overwrite it with the generic budget-exhaustion dump.
-        if !self.health_stall_dumped {
-            self.dump_flight();
-        }
+        self.dump_flight();
         self.report
     }
 
     fn finish(&mut self, activity_end: u64) {
         self.report.stages = self.stage;
         self.report.recovery_stages = self.stage.saturating_sub(activity_end);
-        if let Some(t) = &self.telemetry {
-            t.record(&TraceEvent::Quiescent {
-                stage: self.stage,
-                messages: self.report.messages,
-            });
-        }
-        self.emit_run_observability();
-        if let Some(t) = &self.telemetry {
-            t.flush();
-        }
+        self.instruments
+            .finish(self.stage, Some(self.report.messages));
     }
 }
 

@@ -1,13 +1,11 @@
 //! Execution engines driving [`ProtocolNode`](crate::ProtocolNode) state
 //! machines: the paper's synchronous-stage model ([`SyncEngine`]) and an
-//! asynchronous, channel-driven alternative ([`run_event_driven`]).
+//! asynchronous alternative under a seeded scheduler
+//! ([`run_event_driven`]).
 
 mod event;
 mod invariants;
 mod sync;
 
-pub use event::{
-    run_event_driven, run_event_driven_chaotic, run_event_driven_faulty,
-    run_event_driven_telemetry, EventReport,
-};
+pub use event::{run_event_driven, EventReport};
 pub use sync::{RunReport, StageTrace, SyncEngine};

@@ -15,15 +15,12 @@ use crate::dynamics::{LocalEvent, TopologyEvent};
 use crate::message::{RouteInfo, Update};
 use crate::node::ProtocolNode;
 use crate::stats::StateSnapshot;
-use crate::telemetry::{metric, RunInstruments};
+use crate::telemetry::{metric, Instruments};
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost, GraphError};
 use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
 use bgpvcg_telemetry::profile::span;
-use bgpvcg_telemetry::{
-    Clock, HealthConfig, HealthSink, SpanId, SpanProfiler, SystemClock, Telemetry, TraceEvent,
-    TraceSink,
-};
+use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -186,14 +183,9 @@ pub struct SyncEngine<N> {
     /// identical ids). 0 is reserved for the environment; see
     /// [`Update::id`].
     update_seq: u64,
-    /// Attached observability instruments (None = zero overhead). Taken out
-    /// of the engine for the duration of each run loop so broadcasts can
-    /// borrow `self` mutably while the instruments record.
-    instruments: Option<RunInstruments>,
-    /// Attached divergence flight recorder: a bounded tail of the event
-    /// stream, dumped as one JSON artifact when a run exceeds the stage
-    /// limit.
-    flight: Option<FlightRecorder>,
+    /// Everything that observes a run (see [`Instruments`]); detached, it
+    /// costs an `Option` check per call.
+    instruments: Instruments,
     /// Per-node Byzantine wire wrappers (`None` = honest). Consulted on
     /// every outgoing delivery; see [`set_adversary`](Self::set_adversary).
     adversaries: Vec<Option<Adversary>>,
@@ -208,23 +200,10 @@ pub struct SyncEngine<N> {
     quarantined: Vec<AsId>,
     /// Every accusation the attached auditor returned, in order.
     accusations: Vec<Accusation>,
-    /// Scratch: trace events produced inside `broadcast`/`unicast` (which
-    /// run while the caller holds the instruments), drained into the
-    /// instruments after each delivery batch. Empty on the honest path.
+    /// Scratch: trace events produced inside `broadcast`/`unicast`,
+    /// recorded after each delivery batch so an injection follows the
+    /// events of the batch it perturbed. Empty on the honest path.
     pending_events: Vec<TraceEvent>,
-    /// Attached hierarchical span profiler (`None` = zero overhead): the
-    /// engine phases of [`span`] timed with zero per-enter/exit
-    /// allocations. See [`attach_profiler`](Self::attach_profiler).
-    profiler: Option<SpanProfiler>,
-    /// Clock the profiler stamps with, captured at attach time so the hot
-    /// loop never goes through the (taken-out) instruments.
-    prof_clock: Option<Arc<dyn Clock>>,
-    /// Attached streaming health monitor, teed into the trace stream so it
-    /// folds every event as it is recorded. See
-    /// [`attach_health`](Self::attach_health).
-    health: Option<Arc<HealthSink>>,
-    /// Whether the one-shot health-stall post-mortem has been written.
-    health_stall_dumped: bool,
     /// Per-stage observer over the settled node array (economic gauges
     /// etc.), invoked after every executed stage of a traced run.
     stage_observer: Option<ObserverSlot<N>>,
@@ -285,18 +264,13 @@ impl<N: ProtocolNode> SyncEngine<N> {
             started: false,
             steps_executed: 0,
             update_seq: 0,
-            instruments: None,
-            flight: None,
+            instruments: Instruments::new(n),
             adversaries: vec![None; n],
             auditor: None,
             auto_quarantine: true,
             quarantined: Vec::new(),
             accusations: Vec::new(),
             pending_events: Vec::new(),
-            profiler: None,
-            prof_clock: None,
-            health: None,
-            health_stall_dumped: false,
             stage_observer: None,
         }
     }
@@ -329,32 +303,24 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// Attaches observability: from now on every run narrates itself as
     /// [`TraceEvent`]s through `telemetry`'s sink and keeps the shared
     /// registry's `bgp_*` metrics (see [`metric`]) current. Detached
-    /// engines pay nothing.
+    /// engines pay nothing. The `attach_*` methods compose in any order.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.instruments = Some(RunInstruments::new(telemetry, self.nodes.len()));
+        self.instruments.attach_telemetry(telemetry);
     }
 
     /// Attaches a divergence flight recorder: the most recent `capacity`
     /// trace events are retained in memory, and if a run exceeds the stage
     /// limit the tail plus per-node state snapshots are dumped to `path`
     /// as one schema-valid JSON artifact (see
-    /// [`bgpvcg_telemetry::flight`]). Call after
-    /// [`attach_telemetry`](Self::attach_telemetry): the recorder tees off
-    /// whatever telemetry is attached at that point (and works standalone
-    /// on a detached engine).
+    /// [`bgpvcg_telemetry::flight`]). The recorder is teed into whatever
+    /// telemetry is attached, and works standalone on a detached engine.
     pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        let recorder = FlightRecorder::new(path.to_path_buf(), capacity);
-        let telemetry = match self.instruments.take() {
-            Some(ins) => ins.telemetry().tee(recorder.sink()),
-            None => Telemetry::new(recorder.sink()),
-        };
-        self.instruments = Some(RunInstruments::new(&telemetry, self.nodes.len()));
-        self.flight = Some(recorder);
+        self.instruments.attach_flight_recorder(path, capacity);
     }
 
     /// The attached flight recorder, if any.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+        self.instruments.flight_recorder()
     }
 
     /// Attaches the hierarchical span profiler over the engine phases of
@@ -363,24 +329,19 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// per-stage root). Enter/exit on the hot path is allocation-free;
     /// detached engines pay nothing. Timestamps come from the attached
     /// telemetry's clock (so tests can script them), or a fresh
-    /// [`SystemClock`] on a detached engine. Attach telemetry first.
+    /// `SystemClock` on a detached engine.
     pub fn attach_profiler(&mut self) {
-        self.prof_clock = Some(match self.instruments.as_ref() {
-            Some(ins) => ins.telemetry().clock_handle(),
-            None => Arc::new(SystemClock::new()),
-        });
-        self.profiler = Some(SpanProfiler::engine());
+        self.instruments.attach_profiler();
     }
 
     /// The attached span profiler's current totals, if any.
     pub fn profiler(&self) -> Option<&SpanProfiler> {
-        self.profiler.as_ref()
+        self.instruments.profiler()
     }
 
     /// Detaches and returns the span profiler (e.g. to merge shards).
     pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
-        self.prof_clock = None;
-        self.profiler.take()
+        self.instruments.take_profiler()
     }
 
     /// Attaches the streaming convergence-health monitor: a
@@ -392,20 +353,14 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// [`flight::REASON_HEALTH_STALL`] post-mortem at first stall, before
     /// any stage-limit overrun destroys the evidence. Freshly-fired
     /// findings are emitted as `HealthVerdict` trace events at each run
-    /// end. Call after `attach_telemetry` / `attach_flight_recorder`.
+    /// end.
     pub fn attach_health(&mut self, config: HealthConfig) {
-        let sink = Arc::new(HealthSink::with_node_count(config, self.nodes.len()));
-        let telemetry = match self.instruments.take() {
-            Some(ins) => ins.telemetry().tee(Arc::clone(&sink) as Arc<dyn TraceSink>),
-            None => Telemetry::new(Arc::clone(&sink) as Arc<dyn TraceSink>),
-        };
-        self.instruments = Some(RunInstruments::new(&telemetry, self.nodes.len()));
-        self.health = Some(sink);
+        self.instruments.attach_health(config);
     }
 
     /// The attached health monitor, if any.
     pub fn health_sink(&self) -> Option<&Arc<HealthSink>> {
-        self.health.as_ref()
+        self.instruments.health_sink()
     }
 
     /// Installs a per-stage observer invoked with `(stage, nodes)` after
@@ -416,123 +371,37 @@ impl<N: ProtocolNode> SyncEngine<N> {
         self.stage_observer = Some(ObserverSlot(observer));
     }
 
-    /// Opens span `id` on the attached profiler (no-op when detached).
-    fn prof_enter(&mut self, id: SpanId) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.enter(id, clock.now_nanos());
-        }
-    }
-
-    /// Closes the innermost open span (no-op when detached).
-    fn prof_exit(&mut self) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.exit(clock.now_nanos());
-        }
-    }
-
-    /// Writes the one-shot health-stall post-mortem: run counters plus the
-    /// fired findings as snapshots. Best-effort like
-    /// [`dump_flight`](Self::dump_flight); a no-op without a recorder.
-    fn dump_health_flight(&mut self, stage: u64, report: &RunReport) {
-        if self.health_stall_dumped {
-            return;
-        }
-        self.health_stall_dumped = true;
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let findings = self
-            .health
-            .as_ref()
-            .map(|h| h.findings())
-            .unwrap_or_default();
-        let snapshots: Vec<FlightSnapshot> = findings
-            .iter()
-            .take(64)
-            .map(|f| FlightSnapshot {
-                node: f.node,
-                fields: vec![
-                    ("detector", u64::from(f.detector)),
-                    ("stage", f.stage),
-                    ("dest", u64::from(f.dest)),
-                    ("count", f.count),
-                    ("threshold", f.threshold),
-                ],
-            })
-            .collect();
-        let _ = recorder.dump(
-            flight::REASON_HEALTH_STALL,
-            stage,
-            &[
-                ("findings", findings.len() as u64),
-                ("stage_limit", self.stage_limit as u64),
-                ("messages", report.messages as u64),
-                ("dirty_nodes", self.dirty.len() as u64),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ],
-            &snapshots,
-        );
-    }
-
-    /// Emits end-of-run observability: freshly-fired health findings as
-    /// `HealthVerdict` events and the profiler's cumulative per-span
-    /// totals as `SpanSummary` events. Stamped with the run's final stage.
-    fn emit_run_observability(&mut self, instruments: &Option<RunInstruments>, stage: u64) {
-        let Some(ins) = instruments.as_ref() else {
-            return;
-        };
-        if let Some(health) = self.health.as_ref() {
-            for finding in health.drain_new_findings() {
-                ins.telemetry().record(&finding.to_event());
-            }
-        }
-        if let Some(profiler) = self.profiler.as_ref() {
-            for event in profiler.summary_events(stage) {
-                ins.telemetry().record(&event);
-            }
-        }
-    }
-
-    /// Writes the divergence dump after a stage-limit abort. Best-effort:
-    /// the recorder is advisory and must not take a failing run further
-    /// down, so I/O errors are swallowed.
+    /// Writes the divergence dump after a stage-limit abort.
     fn dump_flight(&self, executed: usize, report: &RunReport) {
-        let Some(recorder) = &self.flight else {
-            return;
+        let summary = [
+            ("stage_limit", self.stage_limit as u64),
+            ("stages_with_changes", report.stages as u64),
+            ("messages", report.messages as u64),
+            ("entries", report.entries as u64),
+            ("dirty_nodes", self.dirty.len() as u64),
+            ("updates_stamped", self.update_seq),
+            ("nodes", self.nodes.len() as u64),
+        ];
+        let snapshots = || {
+            let per_node = self.inboxes.iter().zip(&self.adjacency).zip(&self.down);
+            // Bound the artifact on huge topologies; the run summary still
+            // carries the totals.
+            per_node
+                .take(64)
+                .enumerate()
+                .map(|(idx, ((inbox, neighbors), &down))| FlightSnapshot {
+                    node: idx as u32,
+                    fields: vec![
+                        ("inbox_depth", inbox.len() as u64),
+                        ("neighbors", neighbors.len() as u64),
+                        ("down", u64::from(down)),
+                    ],
+                })
+                .collect()
         };
-        let mut snapshots: Vec<FlightSnapshot> = self
-            .inboxes
-            .iter()
-            .zip(&self.adjacency)
-            .zip(&self.down)
-            .enumerate()
-            .map(|(idx, ((inbox, neighbors), &down))| FlightSnapshot {
-                node: idx as u32,
-                fields: vec![
-                    ("inbox_depth", inbox.len() as u64),
-                    ("neighbors", neighbors.len() as u64),
-                    ("down", u64::from(down)),
-                ],
-            })
-            .collect();
-        // Bound the artifact on huge topologies; the run summary still
-        // carries the totals.
-        snapshots.truncate(64);
-        let _ = recorder.dump(
-            flight::REASON_STAGE_LIMIT,
-            executed as u64,
-            &[
-                ("stage_limit", self.stage_limit as u64),
-                ("stages_with_changes", report.stages as u64),
-                ("messages", report.messages as u64),
-                ("entries", report.entries as u64),
-                ("dirty_nodes", self.dirty.len() as u64),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ],
-            &snapshots,
-        );
+        let stage = executed as u64;
+        self.instruments
+            .dump_abort(flight::REASON_STAGE_LIMIT, stage, &summary, snapshots);
     }
 
     /// Collects the attached auditor's end-of-stage accusations, narrates
@@ -543,32 +412,25 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// honest subgraph reconverges within the same
     /// `run_to_convergence` call. An accusation whose removal would break
     /// the live graph's biconnectivity is recorded but not quarantined.
-    fn audit_stage(
-        &mut self,
-        stage: u64,
-        report: &mut RunReport,
-        instruments: &mut Option<RunInstruments>,
-    ) {
+    fn audit_stage(&mut self, stage: u64, report: &mut RunReport) {
         if self.auditor.is_none() {
             return;
         }
-        self.prof_enter(span::AUDIT_SHADOW);
+        self.instruments.enter(span::AUDIT_SHADOW);
         let accusations = match self.auditor.as_mut() {
             Some(auditor) => auditor.0.end_stage(stage),
             None => Vec::new(),
         };
         for accusation in accusations {
-            if let Some(ins) = instruments.as_mut() {
-                for finding in &accusation.findings {
-                    ins.telemetry().record(&TraceEvent::AuditViolation {
-                        stage,
-                        node: accusation.node.index() as u32,
-                        dest: finding.destination.index() as u32,
-                        expected: advertised_cost_raw(finding.expected.as_ref()),
-                        advertised: advertised_cost_raw(finding.advertised.as_ref()),
-                        violation: u32::from(finding.equivocation),
-                    });
-                }
+            for finding in &accusation.findings {
+                self.instruments.record(&TraceEvent::AuditViolation {
+                    stage,
+                    node: accusation.node.index() as u32,
+                    dest: finding.destination.index() as u32,
+                    expected: advertised_cost_raw(finding.expected.as_ref()),
+                    advertised: advertised_cost_raw(finding.advertised.as_ref()),
+                    violation: u32::from(finding.equivocation),
+                });
             }
             self.dump_audit_flight(stage, &accusation);
             let culprit = accusation.node;
@@ -580,20 +442,18 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 .validate_event(TopologyEvent::NodeDown(culprit))
                 .is_ok()
             {
-                if let Some(ins) = instruments.as_mut() {
-                    ins.telemetry().record(&TraceEvent::NodeQuarantined {
-                        stage,
-                        node: culprit.index() as u32,
-                    });
-                }
+                self.instruments.record(&TraceEvent::NodeQuarantined {
+                    stage,
+                    node: culprit.index() as u32,
+                });
                 // The wire tap goes with the node: a quarantined adversary
                 // sends nothing more to perturb.
                 self.adversaries[culprit.index()] = None;
-                self.inject_event(TopologyEvent::NodeDown(culprit), report, instruments);
+                self.inject_event(TopologyEvent::NodeDown(culprit), report);
                 self.quarantined.push(culprit);
             }
         }
-        self.prof_exit();
+        self.instruments.exit();
     }
 
     /// Writes the audit post-mortem after an accusation: the accused node,
@@ -601,7 +461,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// and the recorded event tail. Best-effort like
     /// [`dump_flight`](Self::dump_flight).
     fn dump_audit_flight(&self, stage: u64, accusation: &Accusation) {
-        let Some(recorder) = &self.flight else {
+        let Some(recorder) = self.instruments.flight_recorder() else {
             return;
         };
         let summary: Vec<(&str, u64)> = vec![
@@ -778,7 +638,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
         let mut bytes_v2 = 0usize;
         let tapped = self.adversaries[from.index()].is_some();
         if tapped {
-            self.prof_enter(span::ADVERSARY_TAP);
+            self.instruments.enter(span::ADVERSARY_TAP);
         }
         let neighbors = &self.adjacency[from.index()];
         for (rank, &to) in neighbors.iter().enumerate() {
@@ -814,7 +674,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
             messages += 1;
         }
         if tapped {
-            self.prof_exit();
+            self.instruments.exit();
         }
         (messages, entries, bytes, bytes_v2)
     }
@@ -859,45 +719,39 @@ impl<N: ProtocolNode> SyncEngine<N> {
         (1, entries, size, size_v2)
     }
 
-    /// Drains trace events produced inside `broadcast`/`unicast` (adversary
-    /// injections) into the caller-held instruments. A no-op on honest
-    /// runs.
-    fn drain_pending_events(&mut self, instruments: &mut Option<RunInstruments>) {
-        if self.pending_events.is_empty() {
-            return;
+    /// Records the trace events produced inside `broadcast`/`unicast`
+    /// (adversary injections). A no-op on honest runs.
+    fn drain_pending_events(&mut self) {
+        if !self.pending_events.is_empty() {
+            self.instruments.record_all(&self.pending_events);
+            self.pending_events.clear();
         }
-        if let Some(ins) = instruments.as_mut() {
-            ins.telemetry().record_all(&self.pending_events);
-        }
-        self.pending_events.clear();
     }
 
-    /// Runs every node's `start()` hook, broadcasting the origin
-    /// advertisements (traced as stage 0, preceding stage 1). Returns the
-    /// (messages, entries, bytes, bytes_v2) totals.
-    fn start_protocol(
-        &mut self,
-        instruments: &mut Option<RunInstruments>,
-    ) -> (usize, usize, usize, usize) {
-        let mut totals = (0usize, 0usize, 0usize, 0usize);
+    /// Runs every node's `start()` hook, announcing the origin
+    /// advertisements.
+    fn start_protocol(&mut self, report: &mut RunReport) {
         for idx in 0..self.nodes.len() {
             // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            if let Some(mut update) = self.nodes[idx].start() {
-                self.stamp(&mut update);
-                let update = Arc::new(update);
-                let from = AsId::new(idx as u32);
-                let (m, e, b, b2) = self.broadcast(from, &update, 0);
-                if let Some(ins) = instruments.as_mut() {
-                    ins.on_broadcast(&update, 0, m, e, b);
-                }
-                totals.0 += m;
-                totals.1 += e;
-                totals.2 += b;
-                totals.3 += b2;
+            if let Some(update) = self.nodes[idx].start() {
+                self.announce(AsId::new(idx as u32), update, report);
             }
         }
-        self.drain_pending_events(instruments);
-        totals
+        self.drain_pending_events();
+    }
+
+    /// Stamps and broadcasts what a node emits ahead of a run's stage 1 —
+    /// its origin advertisement, or its reaction to a topology event —
+    /// traced as stage 0 and accounted to `report`.
+    fn announce(&mut self, from: AsId, mut update: Update, report: &mut RunReport) {
+        self.stamp(&mut update);
+        let update = Arc::new(update);
+        let (m, e, b, b2) = self.broadcast(from, &update, 0);
+        self.instruments.on_broadcast(&update, 0, m, e, b);
+        report.messages += m;
+        report.entries += e;
+        report.bytes += b;
+        report.bytes_v2 += b2;
     }
 
     /// Executes one synchronous stage: swap the double-buffered queues,
@@ -907,17 +761,13 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// This is the engine's hot loop: it must not allocate per stage
     /// beyond inbox growth toward the run's high-water mark (enforced by
     /// the `stage-alloc` xtask lint rule on this function body).
-    fn run_stage(
-        &mut self,
-        stage: usize,
-        instruments: &mut Option<RunInstruments>,
-    ) -> StageOutcome {
-        self.prof_enter(span::STAGE);
-        let wall_start = instruments.as_ref().map(|ins| {
-            ins.telemetry().record(&TraceEvent::StageStart {
+    fn run_stage(&mut self, stage: usize) -> StageOutcome {
+        self.instruments.enter(span::STAGE);
+        let wall_start = self.instruments.telemetry().map(|telemetry| {
+            telemetry.record(&TraceEvent::StageStart {
                 stage: stage as u64,
             });
-            ins.telemetry().now_nanos()
+            telemetry.now_nanos()
         });
         // Swap the double buffers: `delivered`/`receiving` now hold this
         // stage's input, while `inboxes`/`dirty` (emptied last stage,
@@ -931,70 +781,40 @@ impl<N: ProtocolNode> SyncEngine<N> {
         // Ascending node order: the broadcast order below is the engine's
         // determinism contract (serial and parallel runs match exactly).
         receiving.sort_unstable();
-        let mut trace = StageTrace {
-            stage,
-            receiving_nodes: receiving.len(),
-            changed_nodes: 0,
-            messages: 0,
-            bytes: 0,
+        let mut outcome = StageOutcome {
+            trace: StageTrace {
+                stage,
+                receiving_nodes: receiving.len(),
+                changed_nodes: 0,
+                messages: 0,
+                bytes: 0,
+            },
+            entries: 0,
+            bytes_v2: 0,
+            link_max: 0,
         };
-        let mut entries = 0usize;
-        let mut bytes_v2 = 0usize;
-        let mut link_max = 0usize;
         for &idx in &receiving {
             // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            link_max = link_max.max(self.delivered[idx as usize].len());
+            outcome.link_max = outcome.link_max.max(self.delivered[idx as usize].len());
         }
-        self.prof_enter(span::ROUTE_SELECT);
+        self.instruments.enter(span::ROUTE_SELECT);
         if self.workers > 1 && receiving.len() > 1 {
             // Parallel path: handles run partitioned across the pool, the
-            // merged emissions come back sorted by node index, and the
-            // broadcasts below replay them in exactly the serial order.
+            // merged emissions come back sorted by node index, and
+            // advertising them in that order replays the serial run exactly.
             let merged =
                 parallel_handle(&mut self.nodes, &self.delivered, &receiving, self.workers);
             for (idx, emitted) in merged {
-                if let Some(mut update) = emitted {
-                    self.stamp(&mut update);
-                    let update = Arc::new(update);
-                    trace.changed_nodes += 1;
-                    self.prof_enter(span::WIRE_ENCODE);
-                    let (m, e, b, b2) = self.broadcast(AsId::new(idx), &update, stage as u64);
-                    self.prof_exit();
-                    self.prof_enter(span::PRICE_RELAX);
-                    if let Some(ins) = instruments.as_mut() {
-                        ins.on_broadcast(&update, stage as u64, m, e, b);
-                    }
-                    self.prof_exit();
-                    trace.messages += m;
-                    entries += e;
-                    trace.bytes += b;
-                    bytes_v2 += b2;
-                }
+                self.advertise(idx, emitted, &mut outcome);
             }
         } else {
             for &idx in &receiving {
                 // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
                 let emitted = self.nodes[idx as usize].handle(&self.delivered[idx as usize]);
-                if let Some(mut update) = emitted {
-                    self.stamp(&mut update);
-                    let update = Arc::new(update);
-                    trace.changed_nodes += 1;
-                    self.prof_enter(span::WIRE_ENCODE);
-                    let (m, e, b, b2) = self.broadcast(AsId::new(idx), &update, stage as u64);
-                    self.prof_exit();
-                    self.prof_enter(span::PRICE_RELAX);
-                    if let Some(ins) = instruments.as_mut() {
-                        ins.on_broadcast(&update, stage as u64, m, e, b);
-                    }
-                    self.prof_exit();
-                    trace.messages += m;
-                    entries += e;
-                    trace.bytes += b;
-                    bytes_v2 += b2;
-                }
+                self.advertise(idx, emitted, &mut outcome);
             }
         }
-        self.prof_exit();
+        self.instruments.exit();
         // Restore the reusable buffers: only the slots this stage actually
         // used need clearing (everything else is already empty).
         for &idx in &receiving {
@@ -1003,20 +823,38 @@ impl<N: ProtocolNode> SyncEngine<N> {
         }
         receiving.clear();
         self.stage_dirty = receiving;
-        self.drain_pending_events(instruments);
-        if let (Some(ins), Some(start)) = (instruments.as_ref(), wall_start) {
-            let elapsed = ins.telemetry().now_nanos().saturating_sub(start);
-            ins.telemetry()
+        self.drain_pending_events();
+        if let (Some(telemetry), Some(start)) = (self.instruments.telemetry(), wall_start) {
+            let elapsed = telemetry.now_nanos().saturating_sub(start);
+            telemetry
                 .histogram(metric::STAGE_WALL_NANOS)
                 .observe(elapsed);
         }
-        self.prof_exit();
-        StageOutcome {
-            trace,
-            entries,
-            bytes_v2,
-            link_max,
-        }
+        self.instruments.exit();
+        outcome
+    }
+
+    /// What a stage does with node `idx`'s `handle` result, on the serial
+    /// and the parallel path alike: stamp the emitted update, broadcast it
+    /// and account it to the stage.
+    fn advertise(&mut self, idx: u32, emitted: Option<Update>, outcome: &mut StageOutcome) {
+        let Some(mut update) = emitted else {
+            return;
+        };
+        let stage = outcome.trace.stage as u64;
+        self.stamp(&mut update);
+        let update = Arc::new(update);
+        outcome.trace.changed_nodes += 1;
+        self.instruments.enter(span::WIRE_ENCODE);
+        let (m, e, b, b2) = self.broadcast(AsId::new(idx), &update, stage);
+        self.instruments.exit();
+        self.instruments.enter(span::PRICE_RELAX);
+        self.instruments.on_broadcast(&update, stage, m, e, b);
+        self.instruments.exit();
+        outcome.trace.messages += m;
+        outcome.entries += e;
+        outcome.trace.bytes += b;
+        outcome.bytes_v2 += b2;
     }
 
     /// Runs stages until no node has pending input, starting the protocol
@@ -1046,21 +884,16 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// assert!(stages >= 3, "Fig. 1 routing needs d = 3 stages plus drain");
     /// ```
     pub fn step(&mut self) -> Option<StageTrace> {
-        let mut instruments = self.instruments.take();
         if !self.started {
             self.started = true;
-            let _ = self.start_protocol(&mut instruments);
+            self.start_protocol(&mut RunReport::default());
             self.steps_executed = 0;
         }
         if self.dirty.is_empty() {
-            self.instruments = instruments;
             return None;
         }
         self.steps_executed += 1;
-        let stage = self.steps_executed;
-        let outcome = self.run_stage(stage, &mut instruments);
-        self.instruments = instruments;
-        Some(outcome.trace)
+        Some(self.run_stage(self.steps_executed).trace)
     }
 
     /// Like [`run_to_convergence`](Self::run_to_convergence), but invokes
@@ -1075,19 +908,14 @@ impl<N: ProtocolNode> SyncEngine<N> {
             converged: true,
             ..RunReport::default()
         };
-        let mut instruments = self.instruments.take();
         if !self.started {
             self.started = true;
-            let (m, e, b, b2) = self.start_protocol(&mut instruments);
-            report.messages += m;
-            report.entries += e;
-            report.bytes += b;
-            report.bytes_v2 += b2;
+            self.start_protocol(&mut report);
         }
         // Cross-check the stage-0 emissions (origin broadcasts, or the
         // topology-event reactions a caller queued before entering) before
         // stage 1 delivers them.
-        self.audit_stage(0, &mut report, &mut instruments);
+        self.audit_stage(0, &mut report);
 
         // `stages` reports the last stage in which some node's advertised
         // state changed — the moment the tables are final. One further
@@ -1099,18 +927,12 @@ impl<N: ProtocolNode> SyncEngine<N> {
             if executed >= self.stage_limit {
                 report.converged = false;
                 invariants::convergence(&report, executed, self.stage_limit);
-                self.emit_run_observability(&instruments, executed as u64);
-                self.instruments = instruments;
-                // The health post-mortem, if one fired, is the richer
-                // artifact — don't overwrite it with the generic
-                // stage-limit dump.
-                if !self.health_stall_dumped {
-                    self.dump_flight(executed, &report);
-                }
+                self.instruments.finish(executed as u64, None);
+                self.dump_flight(executed, &report);
                 return report;
             }
             executed += 1;
-            let outcome = self.run_stage(executed, &mut instruments);
+            let outcome = self.run_stage(executed);
             if outcome.trace.changed_nodes > 0 {
                 report.stages = executed;
             }
@@ -1120,17 +942,15 @@ impl<N: ProtocolNode> SyncEngine<N> {
             report.bytes_v2 += outcome.bytes_v2;
             report.max_link_messages_per_stage =
                 report.max_link_messages_per_stage.max(outcome.link_max);
-            self.audit_stage(executed as u64, &mut report, &mut instruments);
-            // Health bookkeeping: the monitor folded this stage's events as
-            // they were recorded (it sits in the trace tee); here the
-            // engine polls its stall verdict and arms the flight recorder
-            // the moment divergence is detected — long before the hard
-            // stage-limit abort would destroy the evidence.
-            self.prof_enter(span::HEALTH_FOLD);
-            if self.health.as_ref().is_some_and(|h| h.stalled()) {
-                self.dump_health_flight(executed as u64, &report);
-            }
-            self.prof_exit();
+            self.audit_stage(executed as u64, &mut report);
+            let run_counters = [
+                ("stage_limit", self.stage_limit as u64),
+                ("messages", report.messages as u64),
+                ("dirty_nodes", self.dirty.len() as u64),
+                ("updates_stamped", self.update_seq),
+                ("nodes", self.nodes.len() as u64),
+            ];
+            self.instruments.poll_stall(executed as u64, &run_counters);
             if let Some(mut slot) = self.stage_observer.take() {
                 (slot.0)(executed as u64, &self.nodes);
                 self.stage_observer = Some(slot);
@@ -1138,21 +958,13 @@ impl<N: ProtocolNode> SyncEngine<N> {
             observer(outcome.trace);
         }
         invariants::convergence(&report, executed, self.stage_limit);
-        if let Some(ins) = instruments.as_ref() {
-            let telemetry = ins.telemetry();
+        if let Some(telemetry) = self.instruments.telemetry() {
             telemetry
                 .gauge(metric::STAGES_TO_QUIESCENCE)
                 .set(report.stages as u64);
-            telemetry.record(&TraceEvent::Quiescent {
-                stage: report.stages as u64,
-                messages: report.messages as u64,
-            });
         }
-        self.emit_run_observability(&instruments, report.stages as u64);
-        if let Some(ins) = instruments.as_ref() {
-            ins.telemetry().flush();
-        }
-        self.instruments = instruments;
+        let messages = Some(report.messages as u64);
+        self.instruments.finish(report.stages as u64, messages);
         report
     }
 
@@ -1323,9 +1135,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
             converged: true,
             ..RunReport::default()
         };
-        let mut instruments = self.instruments.take();
-        self.inject_event(event, &mut report, &mut instruments);
-        self.instruments = instruments;
+        self.inject_event(event, &mut report);
         let reconverge = self.run_to_convergence();
         report.absorb(reconverge);
         Ok(report)
@@ -1338,12 +1148,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// already inside) the convergence loop that absorbs the queued
     /// traffic — the auditor's quarantine path injects events mid-run
     /// through exactly this hook.
-    fn inject_event(
-        &mut self,
-        event: TopologyEvent,
-        report: &mut RunReport,
-        instruments: &mut Option<RunInstruments>,
-    ) {
+    fn inject_event(&mut self, event: TopologyEvent, report: &mut RunReport) {
         if let Some(auditor) = self.auditor.as_mut() {
             auditor.0.on_topology(&event);
         }
@@ -1431,8 +1236,8 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 .collect(),
             _ => event.local_views(),
         };
-        if let (TopologyEvent::NodeUp(k), Some(ins)) = (event, instruments.as_ref()) {
-            ins.telemetry().record(&TraceEvent::NodeRestart {
+        if let TopologyEvent::NodeUp(k) = event {
+            self.instruments.record(&TraceEvent::NodeRestart {
                 stage: 0,
                 node: k.index() as u32,
             });
@@ -1441,17 +1246,8 @@ impl<N: ProtocolNode> SyncEngine<N> {
             if let Some(auditor) = self.auditor.as_mut() {
                 auditor.0.on_local_event(id, &local);
             }
-            if let Some(mut update) = self.nodes[id.index()].apply_event(local) {
-                self.stamp(&mut update);
-                let update = Arc::new(update);
-                let (m, e, b, b2) = self.broadcast(id, &update, 0);
-                if let Some(ins) = instruments.as_mut() {
-                    ins.on_broadcast(&update, 0, m, e, b);
-                }
-                report.messages += m;
-                report.entries += e;
-                report.bytes += b;
-                report.bytes_v2 += b2;
+            if let Some(update) = self.nodes[id.index()].apply_event(local) {
+                self.announce(id, update, report);
             }
         }
         // Session establishment: every (re)activated link exchanges full
@@ -1465,16 +1261,14 @@ impl<N: ProtocolNode> SyncEngine<N> {
         for (me, other) in established {
             if let Some(table) = self.nodes[me.index()].full_table() {
                 let (m, e, bytes, bytes_v2) = self.unicast(me, other, table, 0);
-                if let Some(ins) = instruments.as_mut() {
-                    ins.on_unicast(m, e, bytes);
-                }
+                self.instruments.on_unicast(m, e, bytes);
                 report.messages += m;
                 report.entries += e;
                 report.bytes += bytes;
                 report.bytes_v2 += bytes_v2;
             }
         }
-        self.drain_pending_events(instruments);
+        self.drain_pending_events();
     }
 
     /// State snapshots of every node (for the E5 experiment), in AS order.

@@ -4,16 +4,20 @@
 //! network of Autonomous Systems exchanging *routing tables* with their
 //! physical neighbors. Each node stores, per destination, the selected
 //! lowest-cost AS path and its cost; a node re-advertises exactly when its
-//! table changes. Two execution engines drive the same node logic:
+//! table changes. Three executors drive the same node logic, all
+//! deterministic and all observed through one instrument bundle:
 //!
 //! * [`engine::SyncEngine`] — the paper's synchronous-stage model: each
 //!   stage every node ingests the tables its neighbors sent last stage,
 //!   recomputes, and re-advertises on change. Deterministic; used by all
 //!   experiments; its stage counter is the quantity bounded by `d` (plain
 //!   BGP) and `max(d, d′)` (the pricing extension).
-//! * [`engine::run_event_driven`] — an asynchronous engine (one OS thread
-//!   per AS, crossbeam channels as links) showing that nothing depends on
-//!   stage synchrony.
+//! * [`engine::run_event_driven`] — an asynchronous engine (one FIFO per
+//!   directed link, deliveries in an order a seeded scheduler draws)
+//!   showing that nothing depends on stage synchrony.
+//! * [`chaos::ChaosEngine`] — the same stages over seeded-faulty channels
+//!   behind a sequenced session layer, showing the mechanism
+//!   self-stabilizes.
 //!
 //! The route-selection logic itself lives in [`RouteSelector`] so that both
 //! the plain BGP node ([`PlainBgpNode`]) and the pricing extension in

@@ -1,16 +1,25 @@
 //! Telemetry glue: turning protocol [`Update`]s into typed trace events
 //! and shared-registry metrics.
 //!
-//! Both engines drive the same [`UpdateTracer`]: it watches every broadcast
-//! UPDATE and narrates it as [`TraceEvent`]s — `RouteSelected` / `Withdrawn`
-//! per advertisement, and `PriceRelaxed` per price-entry change, diffed
-//! against a shadow copy of the last value traced per
+//! All three executors drive the same [`UpdateTracer`]: it watches every
+//! broadcast UPDATE and narrates it as [`TraceEvent`]s — `RouteSelected` /
+//! `Withdrawn` per advertisement, and `PriceRelaxed` per price-entry change,
+//! diffed against a shadow copy of the last value traced per
 //! `(node, destination, transit)` cell (absent cells read as `∞`, matching
-//! the paper's "prices start at ∞ and relax downward").
+//! the paper's "prices start at ∞ and relax downward"). They hold it inside
+//! one `Instruments` bundle, which owns everything else that observes a run
+//! too: flight recorder, health monitor, span profiler.
 
 use crate::message::{RouteInfo, SharedPath, Update};
 use bgpvcg_netgraph::Cost;
-use bgpvcg_telemetry::{dense_cell, Counter, Telemetry, TraceEvent, INFINITE};
+use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
+use bgpvcg_telemetry::profile::span;
+use bgpvcg_telemetry::{
+    dense_cell, Clock, Counter, HealthConfig, HealthSink, SpanId, SpanProfiler, SystemClock,
+    Telemetry, TraceEvent, TraceSink, INFINITE,
+};
+use std::path::Path;
+use std::sync::Arc;
 
 /// Canonical metric names shared by the engines and every experiment
 /// binary, so `--metrics-out` expositions are comparable across runs.
@@ -237,27 +246,147 @@ impl UpdateTracer {
     }
 }
 
-/// The synchronous engine's bundled instruments: the tracer plus cached
-/// traffic counter handles, held as `Option` inside the engine and taken
-/// out for the duration of each run loop.
-#[derive(Debug)]
-pub(crate) struct RunInstruments {
-    pub(crate) tracer: UpdateTracer,
-    pub(crate) updates_sent: Counter,
-    pub(crate) messages: Counter,
-    pub(crate) entries: Counter,
-    pub(crate) bytes: Counter,
+/// Everything that observes one executor's runs, behind one value: the
+/// parts a caller attached (base [`Telemetry`], flight recorder, health
+/// monitor, span profiler) and what is derived from them — the tee feeding
+/// every sink, the [`UpdateTracer`] recording through it, the cached
+/// traffic counters, and the clock spans are stamped with. Every attach
+/// rebuilds the derived state from the *parts*, so attach order does not
+/// matter. With nothing attached every method is an `Option` check.
+#[derive(Debug, Default)]
+pub(crate) struct Instruments {
+    /// Node count: sizes the tracer's and the health monitor's tables.
+    n: usize,
+    base: Option<Telemetry>,
+    flight: Option<FlightRecorder>,
+    health: Option<Arc<HealthSink>>,
+    profiler: Option<SpanProfiler>,
+    /// The clock spans are stamped with: the attached telemetry's (so tests
+    /// can script it), or a [`SystemClock`]. `Some` while a profiler is.
+    clock: Option<Arc<dyn Clock>>,
+    /// Records through the tee base → flight ring → health monitor; `None`
+    /// when no sink is attached.
+    tracer: Option<UpdateTracer>,
+    /// The `bgp_*` traffic counter handles, registered by the first
+    /// accounted delivery — an executor that only
+    /// [`trace`](Self::trace_update)s never creates them.
+    traffic: Option<Traffic>,
+    /// Whether the one-shot health-stall post-mortem has been written.
+    stall_dumped: bool,
 }
 
-impl RunInstruments {
-    /// Instruments for an `n`-node engine recording through `telemetry`.
-    pub(crate) fn new(telemetry: &Telemetry, n: usize) -> Self {
-        RunInstruments {
-            tracer: UpdateTracer::with_node_count(telemetry, n),
-            updates_sent: telemetry.counter(metric::UPDATES_SENT),
-            messages: telemetry.counter(metric::MESSAGES),
-            entries: telemetry.counter(metric::ENTRIES),
-            bytes: telemetry.counter(metric::BYTES),
+/// Cached handles of the four traffic counters.
+#[derive(Debug)]
+struct Traffic {
+    updates_sent: Counter,
+    messages: Counter,
+    entries: Counter,
+    bytes: Counter,
+}
+
+impl Instruments {
+    /// Detached instruments for an `n`-node executor.
+    pub(crate) fn new(n: usize) -> Self {
+        Instruments {
+            n,
+            ..Instruments::default()
+        }
+    }
+
+    /// Re-derives tee, tracer, counters and span clock from the parts.
+    fn rebuild(&mut self) {
+        let health = self
+            .health
+            .iter()
+            .map(|h| Arc::clone(h) as Arc<dyn TraceSink>);
+        let extras = self.flight.iter().map(FlightRecorder::sink).chain(health);
+        let telemetry = extras.fold(self.base.clone(), |tee, sink| {
+            Some(match tee {
+                Some(telemetry) => telemetry.tee(sink),
+                None => Telemetry::new(sink),
+            })
+        });
+        self.clock = self.profiler.as_ref().map(|_| match &telemetry {
+            Some(telemetry) => telemetry.clock_handle(),
+            None => Arc::new(SystemClock::new()),
+        });
+        self.tracer = telemetry.map(|t| UpdateTracer::with_node_count(&t, self.n));
+        self.traffic = None;
+    }
+
+    pub(crate) fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.base = Some(telemetry.clone());
+        self.rebuild();
+    }
+
+    pub(crate) fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
+        self.flight = Some(FlightRecorder::new(path.to_path_buf(), capacity));
+        self.rebuild();
+    }
+
+    pub(crate) fn attach_health(&mut self, config: HealthConfig) {
+        self.health = Some(Arc::new(HealthSink::with_node_count(config, self.n)));
+        self.rebuild();
+    }
+
+    pub(crate) fn attach_profiler(&mut self) {
+        self.profiler = Some(SpanProfiler::engine());
+        self.rebuild();
+    }
+
+    pub(crate) fn flight_recorder(&self) -> Option<&FlightRecorder> {
+        self.flight.as_ref()
+    }
+
+    pub(crate) fn health_sink(&self) -> Option<&Arc<HealthSink>> {
+        self.health.as_ref()
+    }
+
+    pub(crate) fn profiler(&self) -> Option<&SpanProfiler> {
+        self.profiler.as_ref()
+    }
+
+    pub(crate) fn take_profiler(&mut self) -> Option<SpanProfiler> {
+        self.clock = None;
+        self.profiler.take()
+    }
+
+    /// The handle every attached sink is fed through, if any is attached.
+    pub(crate) fn telemetry(&self) -> Option<&Telemetry> {
+        self.tracer.as_ref().map(UpdateTracer::telemetry)
+    }
+
+    /// Opens span `id` on the attached profiler.
+    pub(crate) fn enter(&mut self, id: SpanId) {
+        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.clock.as_ref()) {
+            profiler.enter(id, clock.now_nanos());
+        }
+    }
+
+    /// Closes the innermost open span.
+    pub(crate) fn exit(&mut self) {
+        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.clock.as_ref()) {
+            profiler.exit(clock.now_nanos());
+        }
+    }
+
+    pub(crate) fn record(&self, event: &TraceEvent) {
+        if let Some(telemetry) = self.telemetry() {
+            telemetry.record(event);
+        }
+    }
+
+    pub(crate) fn record_all(&self, events: &[TraceEvent]) {
+        if let Some(telemetry) = self.telemetry() {
+            telemetry.record_all(events);
+        }
+    }
+
+    /// Narrates one broadcast without accounting traffic — for an executor
+    /// that counts messages where they arrive, not where they are sent.
+    pub(crate) fn trace_update(&mut self, update: &Update, stage: u64) {
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.observe_update(update, stage);
         }
     }
 
@@ -271,24 +400,104 @@ impl RunInstruments {
         entries: usize,
         bytes: usize,
     ) {
-        self.updates_sent.inc();
-        self.messages.add(messages as u64);
-        self.entries.add(entries as u64);
-        self.bytes.add(bytes as u64);
-        self.tracer.observe_update(update, stage);
+        if let Some(traffic) = self.account(messages, entries, bytes) {
+            traffic.updates_sent.inc();
+        }
+        self.trace_update(update, stage);
     }
 
     /// Accounts a session-establishment unicast (full table): traffic only,
     /// no events — a full table re-states unchanged routes, which the
     /// tracer's change semantics must not misreport as reselections.
     pub(crate) fn on_unicast(&mut self, messages: usize, entries: usize, bytes: usize) {
-        self.messages.add(messages as u64);
-        self.entries.add(entries as u64);
-        self.bytes.add(bytes as u64);
+        self.account(messages, entries, bytes);
     }
 
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        self.tracer.telemetry()
+    /// Adds deliveries to the traffic counters, registering them first if
+    /// this is the first accounted delivery since the last attach.
+    fn account(&mut self, messages: usize, entries: usize, bytes: usize) -> Option<&Traffic> {
+        let telemetry = self.tracer.as_ref()?.telemetry();
+        let traffic = self.traffic.get_or_insert_with(|| Traffic {
+            updates_sent: telemetry.counter(metric::UPDATES_SENT),
+            messages: telemetry.counter(metric::MESSAGES),
+            entries: telemetry.counter(metric::ENTRIES),
+            bytes: telemetry.counter(metric::BYTES),
+        });
+        traffic.messages.add(messages as u64);
+        traffic.entries.add(entries as u64);
+        traffic.bytes.add(bytes as u64);
+        Some(traffic)
+    }
+
+    /// Polls the health monitor's stall verdict — it folded the stage's
+    /// events as they were recorded, sitting in the tee — and at the first
+    /// stall writes the one-shot [`flight::REASON_HEALTH_STALL`]
+    /// post-mortem: the fired findings as snapshots plus the executor's
+    /// `summary` counters. That arms the recorder the moment divergence is
+    /// detected, long before a stage-limit abort would bury the cause.
+    pub(crate) fn poll_stall(&mut self, stage: u64, summary: &[(&str, u64)]) {
+        self.enter(span::HEALTH_FOLD);
+        if !self.stall_dumped && self.health.as_ref().is_some_and(|h| h.stalled()) {
+            self.stall_dumped = true;
+            if let (Some(recorder), Some(health)) = (&self.flight, &self.health) {
+                let findings = health.findings();
+                let snapshots: Vec<FlightSnapshot> = findings
+                    .iter()
+                    .take(64)
+                    .map(|f| FlightSnapshot {
+                        node: f.node,
+                        fields: vec![
+                            ("detector", u64::from(f.detector)),
+                            ("stage", f.stage),
+                            ("dest", u64::from(f.dest)),
+                            ("count", f.count),
+                            ("threshold", f.threshold),
+                        ],
+                    })
+                    .collect();
+                let mut fields = vec![("findings", findings.len() as u64)];
+                fields.extend_from_slice(summary);
+                let _ = recorder.dump(flight::REASON_HEALTH_STALL, stage, &fields, &snapshots);
+            }
+        }
+        self.exit();
+    }
+
+    /// Writes the post-mortem of a run that hit its stage budget — unless
+    /// the health-stall dump already fired: that one is the richer artifact
+    /// and must not be overwritten. Best-effort: the recorder is advisory
+    /// and must not take a failing run further down, so I/O errors are
+    /// swallowed.
+    pub(crate) fn dump_abort(
+        &self,
+        reason: &str,
+        stage: u64,
+        summary: &[(&str, u64)],
+        snapshots: impl FnOnce() -> Vec<FlightSnapshot>,
+    ) {
+        if let Some(recorder) = self.flight.as_ref().filter(|_| !self.stall_dumped) {
+            let _ = recorder.dump(reason, stage, summary, &snapshots());
+        }
+    }
+
+    /// Ends a run: the closing `Quiescent` carrying `messages` (`None` for
+    /// a run cut off by its stage limit), the health findings fired since
+    /// the previous run as `HealthVerdict`s, the profiler's cumulative
+    /// per-span totals as `SpanSummary`s, then a flush.
+    pub(crate) fn finish(&self, stage: u64, messages: Option<u64>) {
+        let Some(telemetry) = self.telemetry() else {
+            return;
+        };
+        if let Some(messages) = messages {
+            telemetry.record(&TraceEvent::Quiescent { stage, messages });
+        }
+        for finding in self.health.iter().flat_map(|h| h.drain_new_findings()) {
+            telemetry.record(&finding.to_event());
+        }
+        for event in self.profiler.iter().flat_map(|p| p.summary_events(stage)) {
+            telemetry.record(&event);
+        }
+        telemetry.flush();
     }
 }
 

@@ -565,7 +565,9 @@ mod tests {
         for (gi, g) in graphs.iter().enumerate() {
             let reference = protocol::run_sync(g).unwrap();
             for workers in [1usize, 4] {
-                let mut engine = protocol::build_audited_sync_engine_parallel(g, workers).unwrap();
+                let mut engine = protocol::build_audited_sync_engine(g)
+                    .unwrap()
+                    .with_parallelism(workers);
                 let report = engine.run_to_convergence();
                 assert!(report.converged, "graph {gi} workers {workers}");
                 assert!(

@@ -337,9 +337,9 @@ fn outcome_from_nc_nodes(nodes: &[NcPricingNode]) -> Result<RoutingOutcome, Mech
 }
 
 /// Runs the generalized pricing protocol on the asynchronous engine until
-/// quiescence; the margin relaxation's fixpoint is unique, so the result
-/// equals [`run_nc_sync`]'s (and [`super::compute`]'s) for any
-/// interleaving.
+/// quiescence, in the delivery order `seed` draws; the margin relaxation's
+/// fixpoint is unique, so the result equals [`run_nc_sync`]'s (and
+/// [`super::compute`]'s) for any interleaving.
 ///
 /// # Errors
 ///
@@ -347,10 +347,12 @@ fn outcome_from_nc_nodes(nodes: &[NcPricingNode]) -> Result<RoutingOutcome, Mech
 /// mechanism's preconditions.
 pub fn run_nc_async(
     graph: &NeighborCostGraph,
+    seed: u64,
 ) -> Result<(RoutingOutcome, bgpvcg_bgp::engine::EventReport), MechanismError> {
     graph.validate_for_mechanism()?;
+    let nodes = NcPricingNode::from_graph(graph);
     let (nodes, report) =
-        bgpvcg_bgp::engine::run_event_driven(graph.topology(), NcPricingNode::from_graph(graph));
+        bgpvcg_bgp::engine::run_event_driven(graph.topology(), nodes, seed, 0.0, None);
     Ok((outcome_from_nc_nodes(&nodes)?, report))
 }
 
@@ -470,7 +472,7 @@ mod tests {
     fn run_nc_async_matches_centralized() {
         let g = random_nc_graph(12, 500);
         let reference = compute(&g).unwrap();
-        let (outcome, report) = run_nc_async(&g).unwrap();
+        let (outcome, report) = run_nc_async(&g, 0).unwrap();
         assert!(report.messages > 0);
         assert_eq!(outcome, reference);
     }
@@ -484,8 +486,9 @@ mod tests {
         use bgpvcg_bgp::engine::run_event_driven;
         let g = random_nc_graph(12, 400);
         let reference = compute(&g).unwrap();
-        for _ in 0..2 {
-            let (nodes, _) = run_event_driven(g.topology(), NcPricingNode::from_graph(&g));
+        for seed in 0..2 {
+            let nodes = NcPricingNode::from_graph(&g);
+            let (nodes, _) = run_event_driven(g.topology(), nodes, seed, 0.0, None);
             for node in &nodes {
                 let i = node.id();
                 for j in g.nodes() {

@@ -3,20 +3,18 @@
 //! These helpers validate the graph, wire [`PricingBgpNode`]s into an
 //! engine, run to convergence, and extract a [`RoutingOutcome`] directly
 //! comparable (by `==`) with the centralized Theorem-1 reference from
-//! [`crate::vcg`].
+//! [`crate::vcg`]. A run that needs more than the defaults — telemetry, a
+//! health monitor, a worker pool, an adversary — takes a `build_*` engine,
+//! configures it (`attach_*`, `with_parallelism`, …), runs it, and hands
+//! the nodes to [`outcome_from_nodes`].
 
 use crate::errors::MechanismError;
 use crate::outcome::{PairOutcome, RoutingOutcome};
 use crate::pricing_node::PricingBgpNode;
-use crate::telemetry::metric;
 use bgpvcg_bgp::chaos::{ChaosEngine, ChaosReport, FaultPlan};
-use bgpvcg_bgp::engine::{
-    run_event_driven, run_event_driven_faulty, run_event_driven_telemetry, EventReport, RunReport,
-    SyncEngine,
-};
+use bgpvcg_bgp::engine::{run_event_driven, EventReport, RunReport, SyncEngine};
 use bgpvcg_bgp::{ProtocolNode, StateSnapshot};
 use bgpvcg_netgraph::{AsGraph, GraphError};
-use bgpvcg_telemetry::{HealthConfig, HealthMonitor, SpanProfiler, Telemetry};
 
 /// Everything a synchronous pricing run produces.
 #[derive(Debug, Clone)]
@@ -64,15 +62,7 @@ pub fn build_sync_engine(graph: &AsGraph) -> Result<SyncEngine<PricingBgpNode>, 
 /// # }
 /// ```
 pub fn run_sync(graph: &AsGraph) -> Result<PricingRun, MechanismError> {
-    let mut engine = build_sync_engine(graph)?;
-    let report = engine.run_to_convergence();
-    let snapshots = engine.state_snapshots();
-    let outcome = outcome_from_nodes(&engine.into_nodes())?;
-    Ok(PricingRun {
-        outcome,
-        report,
-        snapshots,
-    })
+    run_sync_parallel(graph, 1)
 }
 
 /// Like [`build_sync_engine`], but with an [`OnlineAuditor`] attached:
@@ -93,21 +83,6 @@ pub fn build_audited_sync_engine(
     let mut engine = build_sync_engine(graph)?;
     engine.attach_auditor(Box::new(crate::audit::OnlineAuditor::new(graph)));
     Ok(engine)
-}
-
-/// Like [`build_audited_sync_engine`], with a deterministic worker pool —
-/// the auditor observes the engine's canonical broadcast order, which is
-/// identical for any worker count.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail.
-pub fn build_audited_sync_engine_parallel(
-    graph: &AsGraph,
-    workers: usize,
-) -> Result<SyncEngine<PricingBgpNode>, GraphError> {
-    Ok(build_audited_sync_engine(graph)?.with_parallelism(workers))
 }
 
 /// Like [`build_sync_engine`], but with a deterministic worker pool of
@@ -163,196 +138,23 @@ pub fn run_sync_parallel(graph: &AsGraph, workers: usize) -> Result<PricingRun, 
     })
 }
 
-/// Like [`run_sync`], but the run narrates itself through `telemetry`: the
-/// engine traces every stage and broadcast (the `bgp_*` metrics and the
-/// JSONL event stream), and the price extraction records the `vcg_*`
-/// extraction counters.
+/// Runs the pricing protocol on the asynchronous executor until
+/// quiescence, delivering messages in the per-link-FIFO order `seed` draws
+/// (see [`run_event_driven`]). The outcome does not depend on the seed: the
+/// pricing fixpoint is unique.
 ///
 /// # Errors
 ///
 /// Returns the graph-validation error if the mechanism's preconditions
 /// fail.
-pub fn run_sync_telemetry(
+pub fn run_async(
     graph: &AsGraph,
-    telemetry: &Telemetry,
-) -> Result<PricingRun, MechanismError> {
-    let mut engine = build_sync_engine(graph)?;
-    engine.attach_telemetry(telemetry);
-    let report = engine.run_to_convergence();
-    let snapshots = engine.state_snapshots();
-    let outcome = outcome_from_nodes(&engine.into_nodes())?;
-    record_extraction(&outcome, telemetry);
-    Ok(PricingRun {
-        outcome,
-        report,
-        snapshots,
-    })
-}
-
-/// A [`PricingRun`] plus the health and profiling artifacts of a fully
-/// observed run (see [`run_sync_observed`]).
-#[derive(Debug)]
-pub struct ObservedRun {
-    /// The run itself.
-    pub run: PricingRun,
-    /// Final health-monitor state: findings, latency sketches, stage
-    /// count.
-    pub health: HealthMonitor,
-    /// The span profiler's totals over the run.
-    pub profile: SpanProfiler,
-}
-
-/// Like [`run_sync_telemetry`], but with the full observability stack
-/// attached: the streaming [`HealthMonitor`] folds the trace as it is
-/// emitted (verdicts traced as `HealthVerdict` events) and the span
-/// profiler times the engine phases (totals traced as `SpanSummary`
-/// events). Returns both artifacts alongside the run.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail.
-pub fn run_sync_observed(
-    graph: &AsGraph,
-    telemetry: &Telemetry,
-    health: HealthConfig,
-) -> Result<ObservedRun, MechanismError> {
-    let mut engine = build_sync_engine(graph)?;
-    engine.attach_telemetry(telemetry);
-    engine.attach_health(health);
-    engine.attach_profiler();
-    let report = engine.run_to_convergence();
-    let snapshots = engine.state_snapshots();
-    let health = engine
-        .health_sink()
-        // lint:allow(infallible: attach_health ran unconditionally four lines up)
-        .expect("health attached above")
-        .snapshot();
-    // lint:allow(infallible: attach_profiler ran unconditionally above)
-    let profile = engine.take_profiler().expect("profiler attached above");
-    let outcome = outcome_from_nodes(&engine.into_nodes())?;
-    record_extraction(&outcome, telemetry);
-    Ok(ObservedRun {
-        run: PricingRun {
-            outcome,
-            report,
-            snapshots,
-        },
-        health,
-        profile,
-    })
-}
-
-/// The chaos twin of [`run_sync_observed`]: session-layer recovery under
-/// the fault plan with the health monitor and span profiler attached.
-///
-/// # Errors
-///
-/// As for [`run_chaos`].
-pub fn run_chaos_observed(
-    graph: &AsGraph,
-    plan: FaultPlan,
-    max_stages: u64,
-    telemetry: &Telemetry,
-    health: HealthConfig,
-) -> Result<(RoutingOutcome, ChaosReport, HealthMonitor, SpanProfiler), MechanismError> {
-    let mut engine = build_chaos_engine(graph, plan)?;
-    engine.attach_telemetry(telemetry);
-    engine.attach_health(health);
-    engine.attach_profiler();
-    let report = engine.run_to_stable(max_stages);
-    let health = engine
-        .health_sink()
-        // lint:allow(infallible: attach_health ran unconditionally four lines up)
-        .expect("health attached above")
-        .snapshot();
-    // lint:allow(infallible: attach_profiler ran unconditionally above)
-    let profile = engine.take_profiler().expect("profiler attached above");
-    let outcome = outcome_from_nodes(&engine.into_nodes())?;
-    record_extraction(&outcome, telemetry);
-    Ok((outcome, report, health, profile))
-}
-
-/// Like [`run_async`], but observed through `telemetry` (broadcast-keyed
-/// trace events plus the shared `bgp_*` / `vcg_*` counters).
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail.
-pub fn run_async_telemetry(
-    graph: &AsGraph,
-    telemetry: &Telemetry,
+    seed: u64,
 ) -> Result<(RoutingOutcome, EventReport), MechanismError> {
     graph.validate_for_mechanism()?;
     crate::invariants::mechanism_preconditions(graph);
-    let (nodes, report) =
-        run_event_driven_telemetry(graph, PricingBgpNode::from_graph(graph), telemetry);
-    let outcome = outcome_from_nodes(&nodes)?;
-    record_extraction(&outcome, telemetry);
-    Ok((outcome, report))
-}
-
-/// Counts what price extraction pulled out of the converged nodes.
-fn record_extraction(outcome: &RoutingOutcome, telemetry: &Telemetry) {
-    let mut pairs = 0u64;
-    let mut price_entries = 0u64;
-    let n = outcome.node_count();
-    for i in 0..n {
-        for j in 0..n {
-            let (i, j) = (
-                bgpvcg_netgraph::AsId::new(i as u32),
-                bgpvcg_netgraph::AsId::new(j as u32),
-            );
-            if let Some(pair) = outcome.pair(i, j) {
-                pairs += 1;
-                price_entries += pair.prices().len() as u64;
-            }
-        }
-    }
-    telemetry.counter(metric::PAIRS_EXTRACTED).add(pairs);
-    telemetry
-        .counter(metric::PRICE_ENTRIES_EXTRACTED)
-        .add(price_entries);
-}
-
-/// Runs the pricing protocol on the asynchronous (threads + channels)
-/// engine until quiescence.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail.
-pub fn run_async(graph: &AsGraph) -> Result<(RoutingOutcome, EventReport), MechanismError> {
-    graph.validate_for_mechanism()?;
-    crate::invariants::mechanism_preconditions(graph);
-    let (nodes, report) = run_event_driven(graph, PricingBgpNode::from_graph(graph));
-    Ok((outcome_from_nodes(&nodes)?, report))
-}
-
-/// Like [`run_async`], but deliveries are perturbed by the plan's
-/// transport-survivable faults (duplication, delay, adversarial
-/// reordering — loss-class faults are ignored; see
-/// [`run_event_driven_faulty`]). The outcome must still equal the
-/// fault-free one: the pricing fixpoint is unique and the faults preserve
-/// per-sender FIFO.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail, or [`MechanismError::MissingPrice`] if the run somehow quiesced
-/// short of the pricing fixpoint.
-///
-/// # Panics
-///
-/// Panics if a plan rate is outside `[0, 1)`.
-pub fn run_async_faulty(
-    graph: &AsGraph,
-    plan: &FaultPlan,
-) -> Result<(RoutingOutcome, EventReport), MechanismError> {
-    graph.validate_for_mechanism()?;
-    crate::invariants::mechanism_preconditions(graph);
-    let (nodes, report) = run_event_driven_faulty(graph, PricingBgpNode::from_graph(graph), plan);
+    let nodes = PricingBgpNode::from_graph(graph);
+    let (nodes, report) = run_event_driven(graph, nodes, seed, 0.0, None);
     Ok((outcome_from_nodes(&nodes)?, report))
 }
 
@@ -396,27 +198,6 @@ pub fn run_chaos(
     let mut engine = build_chaos_engine(graph, plan)?;
     let report = engine.run_to_stable(max_stages);
     Ok((outcome_from_nodes(&engine.into_nodes())?, report))
-}
-
-/// Like [`run_chaos`], but narrated through `telemetry`: fault injections,
-/// retransmissions, session resets, and node restarts all trace, alongside
-/// the usual route/price events.
-///
-/// # Errors
-///
-/// As for [`run_chaos`].
-pub fn run_chaos_telemetry(
-    graph: &AsGraph,
-    plan: FaultPlan,
-    max_stages: u64,
-    telemetry: &Telemetry,
-) -> Result<(RoutingOutcome, ChaosReport), MechanismError> {
-    let mut engine = build_chaos_engine(graph, plan)?;
-    engine.attach_telemetry(telemetry);
-    let report = engine.run_to_stable(max_stages);
-    let outcome = outcome_from_nodes(&engine.into_nodes())?;
-    record_extraction(&outcome, telemetry);
-    Ok((outcome, report))
 }
 
 /// Extracts the distributed state of converged nodes into a
@@ -575,7 +356,7 @@ mod tests {
     #[test]
     fn async_engine_matches_centralized() {
         let g = fig1();
-        let (outcome, report) = run_async(&g).unwrap();
+        let (outcome, report) = run_async(&g, 0).unwrap();
         assert!(report.messages > 0);
         assert_eq!(outcome, vcg::compute(&g).unwrap());
     }
@@ -585,25 +366,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let costs = random_costs(14, 0, 8, &mut rng);
         let g = erdos_renyi(costs, 0.3, &mut rng);
-        let (outcome, _) = run_async(&g).unwrap();
+        let (outcome, _) = run_async(&g, 1).unwrap();
         assert_eq!(outcome, vcg::compute(&g).unwrap());
     }
 
     #[test]
-    fn chaotic_async_delivery_still_computes_vcg_prices() {
-        use bgpvcg_bgp::engine::run_event_driven_chaotic;
+    fn reordered_async_delivery_still_computes_vcg_prices() {
         let mut rng = StdRng::seed_from_u64(77);
         let costs = random_costs(14, 1, 9, &mut rng);
         let g = erdos_renyi(costs, 0.3, &mut rng);
         let reference = vcg::compute(&g).unwrap();
         for seed in 0..2 {
-            let (nodes, _) =
-                run_event_driven_chaotic(&g, crate::PricingBgpNode::from_graph(&g), 0.35, seed);
-            assert_eq!(
-                outcome_from_nodes(&nodes).unwrap(),
-                reference,
-                "seed {seed}"
-            );
+            let (outcome, _) = run_async(&g, seed).unwrap();
+            assert_eq!(outcome, reference, "seed {seed}");
         }
     }
 
@@ -630,19 +405,19 @@ mod tests {
     }
 
     #[test]
-    fn faulty_async_delivery_still_computes_vcg_prices() {
+    fn duplicated_async_delivery_still_computes_vcg_prices() {
         let mut rng = StdRng::seed_from_u64(91);
         let costs = random_costs(12, 1, 9, &mut rng);
         let g = erdos_renyi(costs, 0.3, &mut rng);
         let reference = vcg::compute(&g).unwrap();
         for seed in 0..2 {
-            let plan = FaultPlan {
-                duplicate_rate: 0.2,
-                delay_rate: 0.2,
-                ..FaultPlan::lossy(seed, 0)
-            };
-            let (outcome, _) = run_async_faulty(&g, &plan).unwrap();
-            assert_eq!(outcome, reference, "seed {seed}");
+            let nodes = PricingBgpNode::from_graph(&g);
+            let (nodes, _) = run_event_driven(&g, nodes, seed, 0.2, None);
+            assert_eq!(
+                outcome_from_nodes(&nodes).unwrap(),
+                reference,
+                "seed {seed}"
+            );
         }
     }
 
@@ -651,7 +426,7 @@ mod tests {
         let path =
             bgpvcg_netgraph::generators::from_edges(vec![Cost::new(1); 3], &[(0, 1), (1, 2)]);
         assert!(run_sync(&path).is_err());
-        assert!(run_async(&path).is_err());
+        assert!(run_async(&path, 0).is_err());
         assert!(build_sync_engine(&path).is_err());
     }
 

@@ -2,17 +2,13 @@
 //!
 //! The protocol-layer `bgp_*` metrics live in
 //! [`bgpvcg_bgp::telemetry::metric`]; this module names the metrics the
-//! mechanism itself contributes — price extraction, payment settlement, and
-//! the strategyproofness harness — so every experiment binary's
-//! `--metrics-out` exposition uses one vocabulary. See
+//! mechanism itself contributes — payment settlement, the
+//! strategyproofness harness and the economic gauges — so every experiment
+//! binary's `--metrics-out` exposition uses one vocabulary. See
 //! `docs/OBSERVABILITY.md` for the full taxonomy.
 
 /// Mechanism metric names (`vcg_*` namespace).
 pub mod metric {
-    /// Routed `(source, destination)` pairs extracted from converged nodes.
-    pub const PAIRS_EXTRACTED: &str = "vcg_pairs_extracted_total";
-    /// Price entries `p^k_ij` extracted from converged nodes.
-    pub const PRICE_ENTRIES_EXTRACTED: &str = "vcg_price_entries_extracted_total";
     /// Traffic-matrix flows settled into payments.
     pub const FLOWS_SETTLED: &str = "vcg_flows_settled_total";
     /// Packets those flows carried.

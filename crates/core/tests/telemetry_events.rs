@@ -8,8 +8,9 @@
 //! the last `PriceRelaxed.new` value both engines trace is the same, and it
 //! equals the converged Theorem-1 price.
 
+use bgpvcg_bgp::engine::run_event_driven;
 use bgpvcg_core::telemetry::metric as vcg_metric;
-use bgpvcg_core::{protocol, vcg};
+use bgpvcg_core::{protocol, vcg, PricingBgpNode};
 use bgpvcg_netgraph::generators::structured::fig1;
 use bgpvcg_netgraph::AsId;
 use bgpvcg_telemetry::{Telemetry, TraceEvent, INFINITE};
@@ -52,19 +53,23 @@ fn sync_and_event_price_relaxations_project_to_the_same_fixpoint() {
     let g = fig1();
 
     let (sync_tel, sync_ring) = Telemetry::ring(1 << 16);
-    let sync_run = protocol::run_sync_telemetry(&g, &sync_tel).unwrap();
-    assert!(sync_run.report.converged);
+    let mut engine = protocol::build_sync_engine(&g).unwrap();
+    engine.attach_telemetry(&sync_tel);
+    assert!(engine.run_to_convergence().converged);
+    let sync_outcome = protocol::outcome_from_nodes(&engine.into_nodes()).unwrap();
     let sync_prices = fixpoint_projection(&sync_ring.events());
 
     let (event_tel, event_ring) = Telemetry::ring(1 << 16);
-    let (event_outcome, _) = protocol::run_async_telemetry(&g, &event_tel).unwrap();
+    let nodes = PricingBgpNode::from_graph(&g);
+    let (nodes, _) = run_event_driven(&g, nodes, 7, 0.0, Some(&event_tel));
+    let event_outcome = protocol::outcome_from_nodes(&nodes).unwrap();
     let event_prices = fixpoint_projection(&event_ring.events());
 
     assert_eq!(
         sync_prices, event_prices,
         "both engines must relax every price cell to the same fixpoint"
     );
-    assert_eq!(sync_run.outcome, event_outcome);
+    assert_eq!(sync_outcome, event_outcome);
 
     // The traced fixpoint is the converged Theorem-1 price table: every
     // extracted finite price appears as some cell's final traced value.
@@ -84,29 +89,6 @@ fn sync_and_event_price_relaxations_project_to_the_same_fixpoint() {
             }
         }
     }
-}
-
-#[test]
-fn extraction_counters_record_the_outcome_shape() {
-    let g = fig1();
-    let telemetry = Telemetry::null();
-    let run = protocol::run_sync_telemetry(&g, &telemetry).unwrap();
-    let snap = telemetry.snapshot();
-    let n = g.node_count();
-    // Fig. 1 is biconnected: every ordered pair routes.
-    assert_eq!(
-        snap.counters[vcg_metric::PAIRS_EXTRACTED],
-        (n * (n - 1)) as u64
-    );
-    let price_entries: u64 = (0..n as u32)
-        .flat_map(|i| (0..n as u32).map(move |j| (i, j)))
-        .filter_map(|(i, j)| run.outcome.pair(AsId::new(i), AsId::new(j)))
-        .map(|pair| pair.prices().len() as u64)
-        .sum();
-    assert_eq!(
-        snap.counters[vcg_metric::PRICE_ENTRIES_EXTRACTED],
-        price_entries
-    );
 }
 
 #[test]

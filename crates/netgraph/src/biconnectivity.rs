@@ -45,48 +45,64 @@ pub(crate) fn articulation_points(graph: &AsGraph) -> Vec<AsId> {
 
     // Iterative DFS: each frame is (node, index into its adjacency list).
     for root in 0..n {
+        // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
         if disc[root] != usize::MAX {
             continue;
         }
         let mut root_children = 0usize;
         let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+        // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
         disc[root] = timer;
+        // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
         low[root] = timer;
         timer += 1;
         while let Some(&mut (u, ref mut next)) = stack.last_mut() {
             let neighbors = graph.neighbors(AsId::new(u as u32));
             if *next < neighbors.len() {
+                // lint:allow(bounds: `*next < neighbors.len()` was checked on the line above)
                 let v = neighbors[*next].index();
                 *next += 1;
+                // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                 if disc[v] == usize::MAX {
+                    // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                     parent[v] = Some(u);
                     if u == root {
                         root_children += 1;
                     }
+                    // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                     disc[v] = timer;
+                    // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                     low[v] = timer;
                     timer += 1;
                     stack.push((v, 0));
+                // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                 } else if parent[u] != Some(v) {
                     // Back edge (or forward edge in undirected DFS): update low.
+                    // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                     low[u] = low[u].min(disc[v]);
                 }
             } else {
                 stack.pop();
+                // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                 if let Some(p) = parent[u] {
+                    // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                     low[p] = low[p].min(low[u]);
+                    // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                     if p != root && low[u] >= disc[p] {
+                        // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
                         is_cut[p] = true;
                     }
                 }
             }
         }
         if root_children >= 2 {
+            // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
             is_cut[root] = true;
         }
     }
 
     (0..n)
+        // lint:allow(bounds: the DFS tables are sized n and every index is a node id of this graph, below n)
         .filter(|&k| is_cut[k])
         .map(|k| AsId::new(k as u32))
         .collect()

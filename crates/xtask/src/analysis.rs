@@ -22,6 +22,8 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     // The chaos engine's session layer (frames, acks, hold timers).
     ("ChaosEngine::step", "crates/bgp/src/chaos.rs"),
     ("ChaosEngine::run_to_stable", "crates/bgp/src/chaos.rs"),
+    // The asynchronous executor: the seeded scheduler's delivery loop.
+    ("run_event_driven", "crates/bgp/src/engine/event.rs"),
     // The public parallel protocol runner.
     ("run_sync_parallel", "crates/core/src/protocol.rs"),
     // Node recomputation: route selection and the pricing relaxation.

@@ -296,8 +296,9 @@ fn strip_qualifiers(text: &str) -> &str {
     loop {
         if let Some(after) = rest.strip_prefix("pub") {
             let after = after.trim_start();
-            if let Some(close) = after.strip_prefix('(').and_then(|a| a.find(')')) {
-                rest = after[close + 1..].trim_start();
+            if let Some(inner) = after.strip_prefix('(') {
+                let close = inner.find(')').map_or(inner.len(), |at| at + 1);
+                rest = inner[close..].trim_start();
             } else {
                 rest = after;
             }
@@ -449,6 +450,18 @@ impl fmt::Display for RunReport {
         assert_eq!(run_stage.sig_line, 2);
         assert_eq!(run_stage.body_start, 5);
         assert_eq!(run_stage.body_end, 7);
+    }
+
+    #[test]
+    fn restricted_visibility_fns_are_parsed() {
+        let src = "\
+impl Instruments {
+    pub(crate) fn enter(&mut self) {}
+    pub(in crate::engine) const fn exit(&self) {}
+}
+pub(super) fn free() {}";
+        let names: Vec<String> = parse_src(src).fns.iter().map(FnItem::qualified).collect();
+        assert_eq!(names, ["Instruments::enter", "Instruments::exit", "free"]);
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //!    `vec![` / `.to_vec()` / `.collect()` / `{Hash,BTree}Map::new()` /
 //!    `BTreeSet::new()` allocation inside the hot-path bodies listed in
 //!    [`STAGE_ALLOC_SCOPES`]: the synchronous engine's stage loop, the
-//!    wire-v2 encode path, the profiler brackets, the per-node step
-//!    (selector ingest/decide, the `handle`s, the relaxations, the
-//!    Adj-RIB-Out diff/emit), and the observer (the update tracer's
-//!    shadow diff, the health monitor's fold), whose buffers are reused
-//!    by design.
+//!    event scheduler's delivery loop, the wire-v2 encode path, the
+//!    profiler brackets, the per-node step (selector ingest/decide, the
+//!    `handle`s, the relaxations, the Adj-RIB-Out diff/emit), and the
+//!    observer (the instrument bundle's per-update calls, the update
+//!    tracer's shadow diff, the health monitor's fold), whose buffers are
+//!    reused by design.
 //! 7. **unsafe-audit** — every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`, no first-party line uses `unsafe`, and
 //!    vendored stand-ins are unsafe-free unless enumerated (with a reason)
@@ -523,7 +524,11 @@ fn trace_event_mentions(line: &str) -> Vec<String> {
 pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     (
         "crates/bgp/src/engine/sync.rs",
-        &["run_stage", "parallel_handle"],
+        &["run_stage", "advertise", "parallel_handle"],
+    ),
+    (
+        "crates/bgp/src/engine/event.rs",
+        &["deliver_all", "broadcast"],
     ),
     ("crates/telemetry/src/profile.rs", &["enter", "exit"]),
     (
@@ -553,7 +558,17 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/bgp/src/telemetry.rs",
-        &["observe_update", "on_broadcast"],
+        &[
+            "observe_update",
+            "on_broadcast",
+            "on_unicast",
+            "account",
+            "trace_update",
+            "enter",
+            "exit",
+            "record",
+            "record_all",
+        ],
     ),
     (
         "crates/telemetry/src/health.rs",

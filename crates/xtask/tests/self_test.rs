@@ -170,6 +170,7 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("trace-schema", "crates/telemetry/src/event.rs"), // TraceEvent::Mystery
         ("trace-schema", "crates/bgp/src/telemetry.rs"), // RouteSelected without cause/effect
         ("stage-alloc", "crates/bgp/src/engine/sync.rs"), // vec![ and Vec::new()
+        ("stage-alloc", "crates/bgp/src/engine/event.rs"), // .collect() per delivery in deliver_all
         ("stage-alloc", "crates/bgp/src/wire.rs"),     // Vec::new() in the codec hot path
         ("stage-alloc", "crates/telemetry/src/profile.rs"), // vec![ / Vec::new() in enter/exit
         ("stage-alloc", "crates/bgp/src/selector.rs"), // BTreeSet per ingest, Vec per candidate
@@ -180,10 +181,11 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("unsafe-audit", "crates/bgp/src/engine/sync.rs"), // unsafe block
         ("panic-reachability", "crates/bgp/src/engine/sync.rs"), // unwrap in run_stage
         ("panic-reachability", "crates/bgp/src/chaos.rs"), // step -> tick_parity -> panic!
-        ("panic-reachability", "crates/core/src/protocol.rs"), // nodes[i + 1] unguarded
-        ("determinism", "crates/core/src/protocol.rs"),    // HashMap + Instant::now
-        ("determinism", "crates/core/src/pricing_node.rs"), // thread_rng
-        ("stale-allow", "crates/bgp/src/node.rs"),         // allow above a clean const
+        ("panic-reachability", "crates/bgp/src/engine/event.rs"), // run_event_driven -> deliver_all -> pop_head -> unwrap
+        ("panic-reachability", "crates/core/src/protocol.rs"),    // nodes[i + 1] unguarded
+        ("determinism", "crates/core/src/protocol.rs"),           // HashMap + Instant::now
+        ("determinism", "crates/core/src/pricing_node.rs"),       // thread_rng
+        ("stale-allow", "crates/bgp/src/node.rs"),                // allow above a clean const
     ];
     for (rule, file) in planted {
         assert!(

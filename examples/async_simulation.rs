@@ -1,11 +1,12 @@
-//! Asynchrony does not matter: one OS thread per AS, channels as links.
+//! Asynchrony does not matter: one FIFO per link, a seeded scheduler.
 //!
 //! The paper proves its convergence bound in a synchronous-stage model, but
 //! the algorithm itself is a monotone relaxation whose fixpoint is unique.
-//! This example runs every AS of a random Internet-like topology as its own
-//! thread, exchanging updates over crossbeam channels with no global
-//! coordination, and shows the resulting routes and prices are *identical*
-//! to both the synchronous engine and the centralized VCG reference.
+//! This example runs a random Internet-like topology with no stages at
+//! all — messages are delivered one at a time, in per-link FIFO order but
+//! otherwise in whatever order a seeded scheduler draws — under three
+//! seeds, and shows the resulting routes and prices are *identical* to both
+//! the synchronous engine and the centralized VCG reference.
 //!
 //! Run with: `cargo run --example async_simulation`
 
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let costs = random_costs(n, 1, 10, &mut rng);
     let graph = barabasi_albert(costs, 2, &mut rng);
     println!(
-        "Barabási–Albert topology: {n} ASs, {} links — one OS thread per AS.",
+        "Barabási–Albert topology: {n} ASs, {} links — one FIFO per directed link.",
         graph.link_count()
     );
 
@@ -36,12 +37,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         sync_run.report.stages, sync_run.report.messages
     );
 
-    for trial in 1..=3 {
+    for seed in 1..=3 {
         let t0 = Instant::now();
-        let (async_outcome, report) = protocol::run_async(&graph)?;
+        let (async_outcome, report) = protocol::run_async(&graph, seed)?;
         let async_time = t0.elapsed();
         println!(
-            "Asynchronous run {trial}: {} messages in {async_time:?} (interleaving differs every run).",
+            "Asynchronous run, seed {seed}: {} messages in {async_time:?} (each seed replays its own interleaving).",
             report.messages
         );
         assert_eq!(

@@ -335,9 +335,9 @@ fn run_simulate(
     );
 
     let outcome = if asynchronous {
-        let (outcome, report) = protocol::run_async(&g).map_err(|e| e.to_string())?;
+        let (outcome, report) = protocol::run_async(&g, seed).map_err(|e| e.to_string())?;
         println!(
-            "Asynchronous engine: {} messages to quiescence.",
+            "Asynchronous engine (delivery order drawn from seed {seed}): {} messages to quiescence.",
             report.messages
         );
         outcome

@@ -41,7 +41,7 @@ fn distributed_equals_centralized_across_families() {
     }
 }
 
-/// The asynchronous engine (threads + channels) reaches the same unique
+/// The asynchronous engine (seeded scheduler) reaches the same unique
 /// fixpoint as the synchronous one, under arbitrary interleavings.
 #[test]
 fn async_equals_sync_equals_centralized() {
@@ -50,8 +50,8 @@ fn async_equals_sync_equals_centralized() {
     let reference = vcg::compute(&g).unwrap();
     let sync_run = protocol::run_sync(&g).unwrap();
     assert_eq!(sync_run.outcome, reference);
-    for _ in 0..3 {
-        let (async_outcome, _) = protocol::run_async(&g).unwrap();
+    for seed in 0..3 {
+        let (async_outcome, _) = protocol::run_async(&g, seed).unwrap();
         assert_eq!(async_outcome, reference);
     }
 }
@@ -137,7 +137,7 @@ fn non_biconnected_rejected_everywhere() {
     let path = b.build();
     assert!(vcg::compute(&path).is_err());
     assert!(protocol::run_sync(&path).is_err());
-    assert!(protocol::run_async(&path).is_err());
+    assert!(protocol::run_async(&path, 0).is_err());
     assert!(protocol::build_sync_engine(&path).is_err());
 }
 

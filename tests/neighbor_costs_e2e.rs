@@ -32,7 +32,7 @@ fn nc_three_way_agreement() {
         let (sync_outcome, sync_report) = neighbor_costs::run_nc_sync(&g).unwrap();
         assert!(sync_report.converged, "seed {seed}");
         assert_eq!(sync_outcome, reference, "seed {seed}: sync");
-        let (async_outcome, _) = neighbor_costs::run_nc_async(&g).unwrap();
+        let (async_outcome, _) = neighbor_costs::run_nc_async(&g, seed).unwrap();
         assert_eq!(async_outcome, reference, "seed {seed}: async");
     }
 }

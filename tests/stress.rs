@@ -106,17 +106,17 @@ fn event_storm_stays_exact() {
     assert_eq!(applied, 25, "storm must complete");
 }
 
-/// Asynchronous chaos soak: adversarial cross-sender scheduling at n = 64,
-/// several seeds, all reaching the exact fixpoint.
+/// Asynchronous soak: seeded cross-sender scheduling at n = 64, several
+/// seeds, all reaching the exact fixpoint.
 #[test]
 #[ignore = "soak test: run with --ignored (release recommended)"]
 fn chaotic_async_soak() {
-    use bgp_vcg::bgp::engine::run_event_driven_chaotic;
+    use bgp_vcg::bgp::engine::run_event_driven;
     let g = big_graph(64, 4);
     let reference = vcg::compute(&g).unwrap();
     for seed in 0..4 {
-        let (nodes, _) =
-            run_event_driven_chaotic(&g, bgp_vcg::PricingBgpNode::from_graph(&g), 0.5, seed);
+        let nodes = bgp_vcg::PricingBgpNode::from_graph(&g);
+        let (nodes, _) = run_event_driven(&g, nodes, seed, 0.0, None);
         assert_eq!(
             protocol::outcome_from_nodes(&nodes).unwrap(),
             reference,

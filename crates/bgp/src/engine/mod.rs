@@ -4,7 +4,7 @@
 //! ([`run_event_driven`]).
 
 mod event;
-mod invariants;
+pub(crate) mod invariants;
 mod sync;
 
 pub use event::{run_event_driven, EventReport};

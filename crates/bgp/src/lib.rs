@@ -19,10 +19,13 @@
 //!   behind a sequenced session layer, showing the mechanism
 //!   self-stabilizes.
 //!
-//! The route-selection logic itself lives in [`RouteSelector`] so that both
-//! the plain BGP node ([`PlainBgpNode`]) and the pricing extension in
-//! `bgpvcg-core` share it — the paper's price computation is deliberately an
-//! *extension* of BGP, not a new protocol.
+//! The node logic is stated once, as [`Node`]: ingest the neighbors'
+//! tables, select ([`RouteSelector`]), relax the price array, advertise on
+//! change. A [`PricePolicy`] names what a cost model changes in that step —
+//! nothing for plain BGP ([`NoPrices`], i.e. [`PlainBgpNode`]); two terms
+//! of the relaxation bound for the pricing models of `bgpvcg-core`, which
+//! are two more policies of the same node. The paper's price computation is
+//! deliberately an *extension* of BGP, not a new protocol.
 //!
 //! Messages ([`Update`]) carry, per destination, the AS path annotated with
 //! each on-path node's declared cost, the path cost, and (for the pricing
@@ -65,6 +68,6 @@ pub use adversary::{Accusation, Adversary, Strategy, WireAuditor, WireFinding};
 pub use chaos::{ChaosEngine, ChaosReport, FaultPlan};
 pub use dynamics::{LocalEvent, TopologyEvent};
 pub use message::{Frame, FrameKind, PathEntry, RouteAdvertisement, RouteInfo, SharedPath, Update};
-pub use node::{uncaused, AdjRibOut, PlainBgpNode, ProtocolNode};
+pub use node::{NoPrices, Node, PlainBgpNode, PricePolicy, ProtocolNode};
 pub use selector::{RouteSelector, SelectedRoute};
 pub use stats::StateSnapshot;

@@ -1,10 +1,18 @@
-//! The protocol-node abstraction and the plain (price-free) BGP node.
+//! The protocol-node abstraction and the one node that implements it.
+//!
+//! The paper states the whole protocol as one step (Sect. 5–6): ingest the
+//! neighbors' tables, select the lowest-cost path, relax the price array,
+//! advertise on change. [`Node`] is that step; a [`PricePolicy`] names what
+//! a cost model changes in it — nothing ([`NoPrices`], plain BGP), or terms
+//! of the relaxation bound (the pricing models of `bgpvcg-core`).
 
 use crate::dynamics::LocalEvent;
-use crate::message::{RouteAdvertisement, RouteInfo, Update};
+use crate::message::{PathEntry, RouteAdvertisement, RouteInfo, Update};
 use crate::selector::{RouteSelector, SelectedRoute};
 use crate::stats::StateSnapshot;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
+use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// The behaviour an AS must implement to be driven by either engine.
@@ -49,8 +57,7 @@ pub trait ProtocolNode: Send {
 
     /// Enables or disables price-delta advertisement emission (wire v2's
     /// compression hook). Default: no-op, for node types without the
-    /// optimization; implementors with an adj-RIB-out forward this to
-    /// their `set_delta_encoding` inherent method.
+    /// optimization; implementors with an adj-RIB-out forward this to it.
     fn configure_delta_encoding(&mut self, _on: bool) {}
 }
 
@@ -59,18 +66,18 @@ const NOT_DIRTY: u32 = u32::MAX;
 
 /// Pairs destinations with cause 0, the environment: what `start` and
 /// local events hand to [`AdjRibOut::emit`].
-pub fn uncaused(dests: impl IntoIterator<Item = AsId>) -> impl Iterator<Item = (AsId, u64)> {
+fn uncaused(dests: impl IntoIterator<Item = AsId>) -> impl Iterator<Item = (AsId, u64)> {
     dests.into_iter().map(|dest| (dest, 0))
 }
 
 /// Adj-RIB-Out: what a node last advertised per destination, and with it
-/// the advertise-on-change step every node type shares — folding a stage's
+/// the advertise-on-change step — folding a stage's
 /// inbox into a dirty list with provenance, suppressing unchanged
 /// advertisements, and compressing price-only changes to
 /// [`RouteInfo::PriceDelta`]. Tables are indexed by destination and the
 /// scratch is reused, so a `handle` call allocates only what it emits.
 #[derive(Debug, Clone)]
-pub struct AdjRibOut {
+struct AdjRibOut {
     /// What was last advertised per destination (`None`: nothing yet), so
     /// only changes are sent. Always holds the *full* route state — when a
     /// compressed [`RouteInfo::PriceDelta`] goes out on the wire, this
@@ -91,7 +98,7 @@ pub struct AdjRibOut {
 
 impl AdjRibOut {
     /// An empty Adj-RIB-Out for a node of an `n`-node network.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         AdjRibOut {
             advertised: vec![None; n],
             delta_encoding: true,
@@ -100,22 +107,11 @@ impl AdjRibOut {
         }
     }
 
-    /// Enables or disables [`RouteInfo::PriceDelta`] compression of change
-    /// advertisements (on by default).
-    pub fn set_delta_encoding(&mut self, on: bool) {
-        self.delta_encoding = on;
-    }
-
-    /// Forgets everything advertised (a restart).
-    pub fn reset(&mut self) {
-        self.advertised.fill(None);
-    }
-
     /// Ingests one stage's inbox into `selector` and returns the affected
     /// destinations, ascending, each attributed to the last inbound update
     /// whose ingestion touched it. The list is this value's own buffer:
     /// hand it back with [`recycle`](Self::recycle) once emitted.
-    pub fn ingest(
+    fn ingest(
         &mut self,
         selector: &mut RouteSelector,
         updates: &[Arc<Update>],
@@ -143,21 +139,21 @@ impl AdjRibOut {
     }
 
     /// Takes back the list [`ingest`](Self::ingest) lent out.
-    pub fn recycle(&mut self, mut dirty: Vec<(AsId, u64)>) {
+    fn recycle(&mut self, mut dirty: Vec<(AsId, u64)>) {
         dirty.clear();
         self.dirty = dirty;
     }
 
     /// Builds the outgoing update for the given `(destination, cause)`
     /// pairs: each destination's current state — `selector`'s route plus
-    /// the caller's price array for it — is compared with what was last
-    /// advertised, and what differs is sent and recorded. The update's
-    /// `causes` vector is built in lockstep with its advertisements.
-    pub fn emit<'p>(
+    /// its row of `prices` — is compared with what was last advertised, and
+    /// what differs is sent and recorded. The update's `causes` vector is
+    /// built in lockstep with its advertisements.
+    fn emit(
         &mut self,
         selector: &RouteSelector,
         dests: impl IntoIterator<Item = (AsId, u64)>,
-        prices: impl Fn(AsId) -> &'p [Cost],
+        prices: &[Vec<Cost>],
     ) -> Option<Update> {
         // Nearly every destination that reaches this point has changed, so
         // both output lists are sized once instead of grown by doubling.
@@ -167,7 +163,7 @@ impl AdjRibOut {
         // lint:allow(output: the emitted update's provenance list)
         let mut causes = Vec::with_capacity(dests.size_hint().0);
         for (dest, cause) in dests {
-            if let Some(info) = self.diff(dest, selector.selected(dest), prices(dest)) {
+            if let Some(info) = self.diff(dest, selector.selected(dest), row(prices, dest)) {
                 ads.push(RouteAdvertisement {
                     destination: dest,
                     info,
@@ -233,35 +229,70 @@ impl AdjRibOut {
         info.store_into(sent);
         Some(info)
     }
+}
 
-    /// `selector`'s whole table as an update, with the caller's price
-    /// arrays — what a real BGP speaker sends when a session is
-    /// established. Reads the table, not what was last advertised.
-    pub fn full_table<'p>(
-        selector: &RouteSelector,
-        prices: impl Fn(AsId) -> &'p [Cost],
-    ) -> Option<Update> {
-        let ads = selector
-            .destinations()
-            .filter_map(|dest| {
-                let route = selector.selected(dest)?;
-                Some(RouteAdvertisement {
-                    destination: dest,
-                    info: RouteInfo::Reachable {
-                        path: route.path.clone(),
-                        path_cost: route.cost,
-                        prices: prices(dest).to_vec(),
-                    },
-                })
-            })
-            .collect();
-        Update::if_nonempty(selector.id(), ads)
+/// What a cost model changes in the node step. The relaxation bound
+/// (stated once, in `Node::relax`) has one shape for every model; a policy
+/// supplies the terms that differ, and where a node's configuration comes
+/// from. The defaults are the paper's base model — one scalar cost per
+/// node — so a generalization states only what it changes.
+pub trait PricePolicy: fmt::Debug + Clone + Send + 'static {
+    /// The graph a node of this model is built from, around its topology.
+    type Graph: AsRef<AsGraph>;
+
+    /// Whether the model carries prices at all; `false` makes the
+    /// relaxation a compile-time no-op.
+    const PRICED: bool = true;
+
+    /// Whether a scalar [`LocalEvent::CostChange`] means anything to the
+    /// model.
+    const SCALAR_COST: bool = true;
+
+    /// The scalar transit cost node `id` stamps into the path entries it
+    /// originates or extends.
+    fn declared_cost(graph: &Self::Graph, id: AsId) -> Cost {
+        graph.as_ref().cost(id)
+    }
+
+    /// The receive-cost vector node `id` attaches to every UPDATE it sends
+    /// (empty where the model has none).
+    fn sender_costs(_graph: &Self::Graph, _id: AsId) -> Vec<(AsId, Cost)> {
+        Vec::new()
+    }
+
+    /// `c_a`: what neighbor `a` charges for a transit packet this node
+    /// hands it, given the path `a` advertised. `None` when that is not
+    /// known yet, and `a` then offers no bound.
+    fn charged_by(_selector: &RouteSelector, _a: AsId, a_path: &[PathEntry]) -> Option<Cost> {
+        a_path.first().map(|entry| entry.cost)
+    }
+
+    /// What the case-(iv) bound for transit node `k` starts from, before
+    /// the shift: the part of `k`'s price that no detour removes.
+    fn detour_base(k: &PathEntry) -> Cost {
+        k.cost
+    }
+
+    /// How the stored entry for transit node `k` of the selected route
+    /// reads back as the price `p^k`.
+    fn price(_k: &PathEntry, stored: Cost) -> Cost {
+        stored
     }
 }
 
-/// A plain lowest-cost-path BGP speaker: route selection and advertisement,
-/// no prices. This is the baseline protocol the paper extends; experiments
-/// E5/E6 compare its state and traffic against the pricing extension.
+/// Plain lowest-cost-path BGP: route selection and advertisement, no
+/// prices.
+#[derive(Debug, Clone, Copy)]
+pub struct NoPrices;
+
+impl PricePolicy for NoPrices {
+    type Graph = AsGraph;
+    const PRICED: bool = false;
+}
+
+/// A plain lowest-cost-path BGP speaker. This is the baseline protocol the
+/// paper extends; experiments E5/E6 compare its state and traffic against
+/// the pricing extension.
 ///
 /// # Example
 ///
@@ -273,47 +304,67 @@ impl AdjRibOut {
 /// let nodes = PlainBgpNode::from_graph(&g);
 /// assert_eq!(nodes.len(), g.node_count());
 /// ```
-#[derive(Debug, Clone)]
-pub struct PlainBgpNode {
-    selector: RouteSelector,
-    /// Change suppression. Plain BGP carries no prices, so delta encoding
-    /// is inert here and exists for API symmetry with the pricing node.
-    out: AdjRibOut,
+pub type PlainBgpNode = Node<NoPrices>;
+
+/// `dest`'s price array: empty for a destination without one — in an
+/// unpriced model, every destination.
+fn row(prices: &[Vec<Cost>], dest: AsId) -> &[Cost] {
+    prices.get(dest.index()).map_or(&[], Vec::as_slice)
 }
 
-impl PlainBgpNode {
-    /// Creates a node for AS `id` of the given graph.
+/// A BGP speaker: the shared decision process ([`RouteSelector`]), a
+/// per-destination price array relaxed from the neighbors' advertised
+/// arrays as `P` directs, and the advertise-on-change step (an
+/// Adj-RIB-Out). Route selection is the same code for every `P` — the
+/// paper's price computation is an *extension* of BGP, not a new protocol.
+#[derive(Debug, Clone)]
+pub struct Node<P: PricePolicy> {
+    selector: RouteSelector,
+    /// Per destination (index `dest.index()`): the entries `P` relaxes —
+    /// prices `p^k_ij`, or margins — aligned with the selected route's
+    /// transit nodes; empty where the route has none, and no rows at all
+    /// in an unpriced model. Recomputed from scratch on every refresh; see
+    /// `relax`.
+    prices: Vec<Vec<Cost>>,
+    /// Change suppression and delta compression of what goes out.
+    out: AdjRibOut,
+    /// The array `relax` relaxes into, reused across calls.
+    scratch: Vec<Cost>,
+    /// This node's declared receive-cost vector, attached to every UPDATE
+    /// (empty in the paper's base model).
+    sender_costs: Vec<(AsId, Cost)>,
+    policy: PhantomData<P>,
+}
+
+impl<P: PricePolicy> Node<P> {
+    /// Creates the node for AS `id` of the graph.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in the graph.
-    pub fn new(graph: &AsGraph, id: AsId) -> Self {
-        let n = graph.node_count();
-        PlainBgpNode {
+    pub fn new(graph: &P::Graph, id: AsId) -> Self {
+        let topology = graph.as_ref();
+        let n = topology.node_count();
+        Node {
             selector: RouteSelector::with_node_count(
                 id,
-                graph.cost(id),
-                graph.neighbors(id).iter().copied(),
+                P::declared_cost(graph, id),
+                topology.neighbors(id).iter().copied(),
                 n,
             ),
+            prices: vec![Vec::new(); if P::PRICED { n } else { 0 }],
             out: AdjRibOut::new(n),
+            scratch: Vec::new(),
+            sender_costs: P::sender_costs(graph, id),
+            policy: PhantomData,
         }
-    }
-
-    /// Enables or disables [`RouteInfo::PriceDelta`] compression of change
-    /// advertisements (on by default). The delta-stream equivalence
-    /// proptests run both settings and assert identical fixpoints.
-    pub fn set_delta_encoding(&mut self, on: bool) {
-        self.out.set_delta_encoding(on);
     }
 
     /// Creates one node per AS of the graph, in AS order — ready to hand to
     /// an engine.
-    pub fn from_graph(graph: &AsGraph) -> Vec<Self> {
-        graph
-            .nodes()
-            .map(|id| PlainBgpNode::new(graph, id))
-            .collect()
+    pub fn from_graph(graph: &P::Graph) -> Vec<Self> {
+        let ids = graph.as_ref().nodes();
+        ids.map(|id| Node::new(graph, id)).collect()
     }
 
     /// Read access to the decision process (selected routes, Rib-In).
@@ -321,19 +372,156 @@ impl PlainBgpNode {
         &self.selector
     }
 
-    /// Advertises whichever of `dests` changed since last advertised.
+    /// The current price `p^k_{i,dest}` for transit node `k` of the
+    /// selected route to `dest`; `None` if `k` is not transit on it — in
+    /// particular for this node's own destination, an unknown one, and a
+    /// route without transit nodes.
+    pub fn price(&self, dest: AsId, k: AsId) -> Option<Cost> {
+        let path = &self.selector.selected(dest)?.path;
+        let transit = path.get(1..path.len().checked_sub(1)?)?;
+        let mut entries = transit.iter().zip(row(&self.prices, dest));
+        let (entry, &stored) = entries.find(|(entry, _)| entry.node == k)?;
+        Some(P::price(entry, stored))
+    }
+
+    /// One relaxation pass for `dest`: recomputes the array *from scratch*
+    /// — reset every entry to `∞`, then apply every neighbor bound
+    /// available in the current Rib-In. Returns `true` if the stored array
+    /// changed.
+    ///
+    /// Recomputing from scratch (rather than taking a running minimum
+    /// across passes, as the paper's static-network presentation does) is
+    /// the realization of the paper's rule that "price computation must
+    /// start over whenever there is a route change": the array is a pure
+    /// function of the current Rib-In, so bounds grounded in routes that no
+    /// longer exist are flushed as soon as the corrected advertisements
+    /// arrive. In a static network every available bound is valid (never
+    /// below the true price — see the case analysis below), so the result
+    /// and the `max(d, d′)` convergence bound are unchanged; within one
+    /// pass the entries still only relax downward from `∞`, exactly as in
+    /// Fig. 3.
+    fn relax(&mut self, dest: AsId) -> bool {
+        if !P::PRICED {
+            return false;
+        }
+        let Some(stored) = self.prices.get_mut(dest.index()) else {
+            return false;
+        };
+        let transit: &[PathEntry] = match self.selector.selected(dest) {
+            Some(route) if dest != self.selector.id() => &route.path[1..route.path.len() - 1],
+            _ => &[],
+        };
+        if transit.is_empty() {
+            // Own destination, no route, or a route without transit nodes.
+            let had_prices = !stored.is_empty();
+            stored.clear();
+            return had_prices;
+        }
+        let my_route_cost = self.selector.route_cost(dest);
+        let arr = &mut self.scratch;
+        arr.clear();
+        arr.resize(transit.len(), Cost::INFINITE);
+
+        // The paper states its relaxation as four cases by the neighbor's
+        // position in the tree T(j) — parent (i), child (ii), unrelated
+        // with k on the neighbor's LCP (iii), unrelated without (iv). All
+        // of (i)–(iii) are instances of a single bound,
+        //
+        //   p^k_ij ≤ p^k_aj + c_a + c(a,j) − c(i,j),
+        //
+        // evaluated on the advertisement's own (prices, path cost) pair:
+        // for a parent, c(i,j) = c_a + c(a,j) collapses it to case (i); for
+        // a child, c(a,j) = c_i + c(i,j) collapses it to case (ii). Using
+        // the unified form is not just shorter — it is *required* for
+        // asynchronous correctness: classifying parent/child from the
+        // Rib-In can be stale (the neighbor's advertised path may pass
+        // through an old route of ours), and applying case (ii) with our
+        // current c(i,j) against a stale advertisement can produce an
+        // invalid, too-low bound that monotone relaxation never recovers
+        // from. The unified bound only combines values from one internally
+        // consistent advertisement plus our current route cost, and is
+        // valid for every neighbor and every interleaving (the advertised
+        // prices-plus-path-cost sum is grounded in real k-avoiding paths).
+        // Case (iv) is the same bound with `P::detour_base(k)` standing in
+        // for the advertised entry. A cost model only chooses `c_a`
+        // (`P::charged_by`) and that base; the shape is shared.
+        // Neighbors are the outer loop so the per-advertisement values
+        // (`c_a`, shift) are hoisted out of the transit scan and the
+        // Rib-In row is walked once. The component-wise minimum is
+        // order-independent, so the array is identical either way.
+        for (a, info) in self.selector.rib_for(dest) {
+            let RouteInfo::Reachable {
+                path: a_path,
+                path_cost: a_route_cost,
+                prices: a_prices,
+            } = info
+            else {
+                continue;
+            };
+            let Some(a_charges) = P::charged_by(&self.selector, a, a_path) else {
+                continue;
+            };
+            // Shift shared by all cases; a transiently inconsistent
+            // Rib-In can make it negative, in which case the bound is
+            // skipped (it would have been invalid anyway).
+            let Some(shift) = (a_charges + *a_route_cost).checked_sub(my_route_cost) else {
+                continue;
+            };
+            for (k_entry, cell) in transit.iter().zip(arr.iter_mut()) {
+                let k = k_entry.node;
+                // Excluded case: the link i–a is never on a k-avoiding path
+                // when a IS k, so that neighbor offers no bound for k.
+                if a == k {
+                    continue;
+                }
+                // One scan of a's path places k on it.
+                let bound = match a_path.iter().position(|e| e.node == k) {
+                    // Case (iv): k is not on a's path at all, so that path
+                    // extended by the link i–a is itself k-avoiding.
+                    None => P::detour_base(k_entry) + shift,
+                    // Cases (i)/(ii)/(iii): k is a transit node of a's
+                    // advertised path, whose array bounds the cost of a's
+                    // best k-avoiding path.
+                    Some(at) if at + 1 < a_path.len() => match a_prices.get(at - 1) {
+                        Some(&p) => p + shift,
+                        None => continue, // an array shorter than its path
+                    },
+                    // k is the far endpoint of a's path (k == a was
+                    // excluded above and k == dest cannot be transit on our
+                    // route, so this is only reachable on transiently
+                    // inconsistent state); no bound.
+                    Some(_) => continue,
+                };
+                if bound < *cell {
+                    *cell = bound;
+                }
+            }
+        }
+
+        crate::engine::invariants::relaxation_step(transit, arr.as_slice());
+        let changed = stored != arr;
+        if changed {
+            stored.clone_from(arr);
+        }
+        changed
+    }
+
+    /// Advertises whichever of `dests` changed since last advertised, with
+    /// this node's receive-cost vector attached.
     fn emit(&mut self, dests: impl IntoIterator<Item = (AsId, u64)>) -> Option<Update> {
-        self.out.emit(&self.selector, dests, |_| &[])
+        let mut update = self.out.emit(&self.selector, dests, &self.prices)?;
+        update.sender_costs.clone_from(&self.sender_costs);
+        Some(update)
     }
 }
 
-impl ProtocolNode for PlainBgpNode {
+impl<P: PricePolicy> ProtocolNode for Node<P> {
     fn id(&self) -> AsId {
         self.selector.id()
     }
 
     fn configure_delta_encoding(&mut self, on: bool) {
-        self.set_delta_encoding(on);
+        self.out.delta_encoding = on;
     }
 
     fn start(&mut self) -> Option<Update> {
@@ -342,7 +530,10 @@ impl ProtocolNode for PlainBgpNode {
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
         let mut dirty = self.out.ingest(&mut self.selector, updates);
-        dirty.retain(|&(dest, _)| self.selector.decide(dest));
+        dirty.retain(|&(dest, _)| {
+            let route_changed = self.selector.decide(dest);
+            self.relax(dest) || route_changed
+        });
         let update = self.emit(dirty.iter().copied());
         self.out.recycle(dirty);
         update
@@ -351,17 +542,40 @@ impl ProtocolNode for PlainBgpNode {
     fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
         match event {
             LocalEvent::LinkDown(neighbor) => {
-                let changed = self.selector.link_down(neighbor);
-                self.emit(uncaused(changed))
+                // Only the destinations the vanished Rib-In covered can
+                // change: both route selection and the relaxation draw
+                // their candidates/bounds for `dest` exclusively from rib
+                // entries *for `dest`*, and a refresh recomputes from
+                // scratch as a pure function of the current Rib-In — so
+                // every other destination's route and price array are
+                // provably unchanged and need no recompute (and the dead
+                // link's bounds are flushed exactly where they could
+                // exist).
+                let affected = self.selector.rib_destinations(neighbor);
+                // Re-decides `affected`. The dead link's entry also leaves
+                // the declared vector, which is attached to whatever this
+                // emit (and later ones) sends.
+                self.selector.link_down(neighbor);
+                self.sender_costs.retain(|&(a, _)| a != neighbor);
+                for &dest in &affected {
+                    self.relax(dest);
+                }
+                self.emit(uncaused(affected))
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
                 None // the engine sends `full_table` to the new neighbor
             }
+            // Where the model has no scalar cost, re-declarations are a
+            // static-model concern: rebuild the node set for a new graph.
+            LocalEvent::CostChange(_) if !P::SCALAR_COST => None,
             LocalEvent::CostChange(cost) => {
-                // Only the destinations whose table entry actually restamped
-                // are re-advertised — `set_declared_cost` reports them, and a
-                // no-op change (same cost) reports none.
+                // The declared cost never enters this node's *own*
+                // relaxation — the bound combines neighbor-advertised
+                // values with our route's transit cost only — so the price
+                // arrays are untouched. Re-advertise exactly the table
+                // entries whose first path entry restamped
+                // (`set_declared_cost` reports them; none for a no-op).
                 let changed = self.selector.set_declared_cost(cost);
                 self.emit(uncaused(changed))
             }
@@ -369,173 +583,42 @@ impl ProtocolNode for PlainBgpNode {
     }
 
     fn full_table(&self) -> Option<Update> {
-        AdjRibOut::full_table(&self.selector, |_| &[])
+        // Reads the table, not what was last advertised.
+        let reachable = |dest| {
+            let route = self.selector.selected(dest)?;
+            Some(RouteAdvertisement {
+                destination: dest,
+                info: RouteInfo::Reachable {
+                    path: route.path.clone(),
+                    path_cost: route.cost,
+                    prices: row(&self.prices, dest).to_vec(),
+                },
+            })
+        };
+        let ads = self.selector.destinations().filter_map(reachable).collect();
+        let table = Update::if_nonempty(self.selector.id(), ads)?;
+        Some(table.with_sender_costs(self.sender_costs.clone()))
     }
 
     fn reset(&mut self) {
+        // The declared vector is configuration, not learned state: a
+        // restarted node still charges the same per-neighbor receive costs.
         self.selector.reset();
-        self.out.reset();
+        self.prices.iter_mut().for_each(Vec::clear);
+        self.out.advertised.fill(None);
     }
 
     fn state(&self) -> StateSnapshot {
-        self.selector.state()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
-    use bgpvcg_netgraph::Cost;
-
-    #[test]
-    fn start_advertises_origin_only() {
-        let g = fig1();
-        let mut node = PlainBgpNode::new(&g, Fig1::D);
-        let update = node.start().expect("origin must be advertised");
-        assert_eq!(update.entry_count(), 1);
-        assert_eq!(update.advertisements[0].destination, Fig1::D);
-        let info = &update.advertisements[0].info;
-        assert_eq!(info.path().unwrap().len(), 1);
-        assert_eq!(info.path().unwrap()[0].cost, Cost::new(1));
-    }
-
-    #[test]
-    fn handle_learns_and_forwards() {
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        let mut z = PlainBgpNode::new(&g, Fig1::Z);
-        let z_origin = Arc::new(z.start().unwrap());
-        let out = d.handle(&[z_origin]).expect("new route must be advertised");
-        // D now advertises its route to Z (D, Z with cost 0) besides having
-        // learned it.
-        assert!(out
-            .advertisements
-            .iter()
-            .any(|ad| ad.destination == Fig1::Z));
-        assert_eq!(
-            d.selector().route_cost(Fig1::Z),
-            Cost::ZERO,
-            "one-hop route has no transit"
-        );
-    }
-
-    #[test]
-    fn duplicate_updates_produce_silence() {
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        let mut z = PlainBgpNode::new(&g, Fig1::Z);
-        let z_origin = Arc::new(z.start().unwrap());
-        assert!(d.handle(std::slice::from_ref(&z_origin)).is_some());
-        assert!(
-            d.handle(&[z_origin]).is_none(),
-            "re-delivery of identical state must not re-advertise"
-        );
-    }
-
-    #[test]
-    fn full_table_covers_all_destinations() {
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        let mut z = PlainBgpNode::new(&g, Fig1::Z);
-        d.handle(&[Arc::new(z.start().unwrap())]);
-        let table = d.full_table().unwrap();
-        assert_eq!(table.entry_count(), 2); // D itself and Z
-    }
-
-    #[test]
-    fn link_down_withdraws_lost_routes() {
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        let mut z = PlainBgpNode::new(&g, Fig1::Z);
-        d.handle(&[Arc::new(z.start().unwrap())]);
-        let out = d
-            .apply_event(LocalEvent::LinkDown(Fig1::Z))
-            .expect("losing the only route must produce a withdrawal");
-        let ad = out
-            .advertisements
-            .iter()
-            .find(|ad| ad.destination == Fig1::Z)
-            .expect("withdrawal for Z");
-        assert_eq!(ad.info, RouteInfo::Withdrawn);
-    }
-
-    #[test]
-    fn cost_change_readvertises_table() {
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        d.start();
-        let out = d
-            .apply_event(LocalEvent::CostChange(Cost::new(42)))
-            .expect("cost change must re-advertise");
-        let info = &out.advertisements[0].info;
-        assert_eq!(info.path().unwrap()[0].cost, Cost::new(42));
-    }
-
-    #[test]
-    fn reset_restores_just_constructed_behaviour() {
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        let mut z = PlainBgpNode::new(&g, Fig1::Z);
-        d.start();
-        let z_origin = Arc::new(z.start().unwrap());
-        d.handle(std::slice::from_ref(&z_origin));
-        d.reset();
-        // Learned route is gone; the node behaves exactly like a fresh one:
-        // start() re-advertises the origin, and re-delivery of Z's origin is
-        // a change again (the suppression memory was wiped).
-        assert_eq!(d.selector().route_cost(Fig1::Z), Cost::INFINITE);
-        assert!(d.start().is_some(), "restart re-advertises the origin");
-        assert!(d.handle(&[z_origin]).is_some());
-    }
-
-    #[test]
-    fn state_snapshot_counts_entries() {
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        let mut z = PlainBgpNode::new(&g, Fig1::Z);
-        d.handle(&[Arc::new(z.start().unwrap())]);
-        let snap = d.state();
-        assert_eq!(snap.table_entries, 2);
-        assert_eq!(snap.table_path_nodes, 1 + 2);
-        assert_eq!(snap.rib_entries, 1);
-        assert_eq!(snap.price_entries, 0);
-    }
-
-    #[test]
-    fn out_of_range_ids_neither_panic_nor_grow_a_graph_built_node() {
-        use crate::message::PathEntry;
-        let g = fig1();
-        let mut d = PlainBgpNode::new(&g, Fig1::D);
-        let huge = AsId::new(u32::MAX);
-        let hop = |node, cost| PathEntry {
-            node,
-            cost: Cost::new(cost),
-        };
-        let reach = |destination, path: Vec<PathEntry>| RouteAdvertisement {
-            destination,
-            info: RouteInfo::Reachable {
-                path: path.into(),
-                path_cost: Cost::ZERO,
-                prices: Vec::new(),
-            },
-        };
-        let before = d.state();
-        let hostile = Update::if_nonempty(
-            Fig1::Z,
-            vec![
-                reach(huge, vec![hop(Fig1::Z, 4), hop(huge, 1)]),
-                reach(
-                    Fig1::X,
-                    vec![hop(Fig1::Z, 4), hop(huge, 1), hop(Fig1::X, 1)],
-                ),
-            ],
-        )
-        .unwrap();
-        assert!(d.selector.ingest(&hostile).is_empty(), "nothing affected");
-        assert!(d.handle(&[Arc::new(hostile)]).is_none());
-        assert_eq!(d.state(), before);
-        assert_eq!(d.selector().route_cost(huge), Cost::INFINITE);
-        assert_eq!(d.selector().destinations().count(), 1);
+        // The shared structures, plus the extension's price state (own
+        // arrays and the arrays remembered in the Rib-In are both part of
+        // the node's footprint; the former is the paper's "added state").
+        // The arrays are stored here aligned with the selected route's
+        // transit slice, but a deployable encoding labels each entry with
+        // the transit node it prices — one AS cell per entry, counted as
+        // `price_path_nodes`.
+        let mut snapshot = self.selector.state();
+        snapshot.price_entries = self.prices.iter().map(Vec::len).sum();
+        snapshot.price_path_nodes = snapshot.price_entries;
+        snapshot
     }
 }

@@ -4,7 +4,6 @@ use crate::message::{PathEntry, RouteInfo, SharedPath, Update};
 use crate::stats::StateSnapshot;
 use bgpvcg_lcp::Route;
 use bgpvcg_netgraph::{AsId, Cost};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A selected routing-table entry: the chosen path (cost-annotated) and its
@@ -68,6 +67,36 @@ fn well_formed(from: AsId, destination: AsId, info: &RouteInfo, bound: usize) ->
     simple && prices.len() <= path.len().saturating_sub(2)
 }
 
+/// The cost a receive-cost vector (ascending by AS) names for packets
+/// handed over by `from`.
+fn recv_cost(vector: &[(AsId, Cost)], from: AsId) -> Option<Cost> {
+    let at = vector.binary_search_by_key(&from, |&(u, _)| u).ok()?;
+    vector.get(at).map(|&(_, cost)| cost)
+}
+
+/// Replaces `known` by `sent` read as a map — ascending by AS, the last
+/// entry for an AS winning — and returns `true` if that changed it.
+fn replace_vector(known: &mut Vec<(AsId, Cost)>, sent: &[(AsId, Cost)]) -> bool {
+    // Every honest speaker sends its vector ascending, which is the stored
+    // form already: compare in place and copy only on change.
+    if sent.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+        let changed = known != sent;
+        if changed {
+            known.clear();
+            known.extend_from_slice(sent);
+        }
+        return changed;
+    }
+    // Anything else is brought into that form first. The sort is stable,
+    // so reversed each AS's last-sent entry leads its run and survives.
+    let mut ordered = sent.to_vec();
+    ordered.sort_by_key(|&(u, _)| u);
+    ordered.reverse();
+    ordered.dedup_by_key(|&mut (u, _)| u);
+    ordered.reverse();
+    replace_vector(known, &ordered)
+}
+
 /// The AS numbers along a path, for the lexicographic tie-break.
 fn nodes(path: &[PathEntry]) -> impl Iterator<Item = AsId> + '_ {
     path.iter().map(|e| e.node)
@@ -97,10 +126,10 @@ pub struct RouteSelector {
     /// Physical neighbors, ascending; a neighbor's position is its slot.
     neighbors: Vec<AsId>,
     /// Per slot: the receive-cost vector that neighbor last advertised
-    /// (per-neighbor cost model only; empty in the paper's base model).
-    /// `vectors[slot][u]` is the cost the neighbor incurs receiving a
-    /// transit packet from `u`.
-    vectors: Vec<BTreeMap<AsId, Cost>>,
+    /// (per-neighbor cost model only; empty in the paper's base model),
+    /// ascending by AS: the entry for `u` is the cost the neighbor incurs
+    /// receiving a transit packet from `u`.
+    vectors: Vec<Vec<(AsId, Cost)>>,
     /// Rib-In: `rib[dest.index() * neighbors.len() + slot]` is the route
     /// that neighbor last advertised for `dest`.
     rib: Vec<Option<RouteInfo>>,
@@ -160,7 +189,7 @@ impl RouteSelector {
         RouteSelector {
             id,
             declared_cost,
-            vectors: vec![BTreeMap::new(); neighbors.len()],
+            vectors: vec![Vec::new(); neighbors.len()],
             rib: vec![None; rows * neighbors.len()],
             neighbors,
             table,
@@ -260,17 +289,16 @@ impl RouteSelector {
     }
 
     /// The receive-cost vector neighbor `a` last advertised (per-neighbor
-    /// cost model), if any.
-    pub fn neighbor_vector(&self, a: AsId) -> Option<&BTreeMap<AsId, Cost>> {
-        self.vectors
-            .get(self.slot(a)?)
-            .filter(|vector| !vector.is_empty())
+    /// cost model), ascending by AS, if any.
+    pub fn neighbor_vector(&self, a: AsId) -> Option<&[(AsId, Cost)]> {
+        let vector = self.vectors.get(self.slot(a)?)?;
+        (!vector.is_empty()).then_some(vector.as_slice())
     }
 
     /// The cost neighbor `a` incurs receiving a transit packet *from this
     /// node*, per `a`'s advertised vector (per-neighbor model only).
     pub fn recv_cost_from(&self, a: AsId) -> Option<Cost> {
-        self.neighbor_vector(a)?.get(&self.id).copied()
+        recv_cost(self.vectors.get(self.slot(a)?)?, self.id)
     }
 
     /// The selected route to `dest` (trivial for `dest == id`).
@@ -298,7 +326,7 @@ impl RouteSelector {
     }
 
     /// Table and Rib-In sizes in one pass over the dense rows (the price
-    /// fields stay zero: prices belong to the node types built on top).
+    /// fields stay zero: prices belong to the node built on top).
     /// Rib-In cells are counted for destinations that have a selected
     /// route, which at a fixpoint is every destination anyone advertises.
     pub fn state(&self) -> StateSnapshot {
@@ -330,10 +358,8 @@ impl RouteSelector {
         };
         let deg = self.neighbors.len();
         if !update.sender_costs.is_empty() {
-            // lint:allow(per-neighbor cost model only: the vector is retained state, and the paper's base model never sends one)
-            let vector: BTreeMap<AsId, Cost> = update.sender_costs.iter().copied().collect();
-            if let Some(known) = self.vectors.get_mut(slot).filter(|known| **known != vector) {
-                *known = vector;
+            let known = self.vectors.get_mut(slot);
+            if known.is_some_and(|known| replace_vector(known, &update.sender_costs)) {
                 // A changed cost vector re-prices every candidate through
                 // this neighbor.
                 let column = self.rib_destinations(update.from);
@@ -440,7 +466,7 @@ impl RouteSelector {
             // receive cost *from us*, taken from its advertised vector, and
             // the advertiser's entry is restamped with it: each path entry
             // carries the node's cost *given its predecessor on this path*.
-            let vector_cost = vector.get(&self.id).copied();
+            let vector_cost = recv_cost(vector, self.id);
             let added = match vector_cost {
                 _ if a == dest => Cost::ZERO,
                 Some(cost) => cost,
@@ -514,7 +540,7 @@ impl RouteSelector {
         };
         let deg = self.neighbors.len();
         self.neighbors.insert(slot, a);
-        self.vectors.insert(slot, BTreeMap::new());
+        self.vectors.insert(slot, Vec::new());
         // Re-stride every row around the new column.
         let mut cells = std::mem::take(&mut self.rib).into_iter();
         self.rib.reserve(self.table.len() * (deg + 1));
@@ -533,7 +559,7 @@ impl RouteSelector {
     /// (who it is, what it charges, which links are physically attached).
     pub fn reset(&mut self) {
         self.rib.fill(None);
-        self.vectors.iter_mut().for_each(BTreeMap::clear);
+        self.vectors.iter_mut().for_each(Vec::clear);
         let own = self.id.index();
         for (dest, route) in self.table.iter_mut().enumerate() {
             if dest != own {

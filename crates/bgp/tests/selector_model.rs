@@ -509,7 +509,13 @@ fn assert_same_state(dense: &RouteSelector, oracle: &MapSelector) -> Result<(), 
             "rib_destinations {}",
             x
         );
-        prop_assert_eq!(dense.neighbor_vector(x), oracle.neighbor_vectors.get(&x));
+        let vector = oracle.neighbor_vectors.get(&x);
+        prop_assert_eq!(
+            dense.neighbor_vector(x).map(<[_]>::to_vec),
+            vector.map(|v| v.iter().map(|(&u, &c)| (u, c)).collect::<Vec<_>>()),
+            "neighbor_vector {}",
+            x
+        );
         for y in probes() {
             let known = oracle.rib_in.get(&x).and_then(|r| r.get(&y));
             prop_assert_eq!(dense.rib(x, y), known, "rib {} {}", x, y);

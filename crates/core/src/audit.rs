@@ -315,7 +315,7 @@ impl OnlineAuditor {
         let n = shadows.len();
         let mut expected = vec![BTreeMap::new(); n];
         for (idx, shadow) in shadows.iter_mut().enumerate() {
-            shadow.set_delta_encoding(false);
+            shadow.configure_delta_encoding(false);
             if let Some(update) = shadow.start() {
                 fold_advertisements(&mut expected[idx], &update);
             }

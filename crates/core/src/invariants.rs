@@ -1,36 +1,16 @@
 //! Feature-gated mechanism invariant hooks.
 //!
 //! With the `invariant-checks` cargo feature enabled, these functions
-//! install `debug_assert!`-based audits at the mechanism's relaxation and
-//! precondition points; without it they compile to nothing. `cargo xtask
-//! audit` verifies both that the hooks stay wired in and that the
+//! install `debug_assert!`-based audits at the mechanism's extraction and
+//! precondition points; without it they compile to nothing. (The per-pass
+//! relaxation audit lives with the relaxation, in `bgpvcg-bgp`.) `cargo
+//! xtask audit` verifies both that the hooks stay wired in and that the
 //! feature-enabled test suite passes.
 
 #[cfg(feature = "invariant-checks")]
-use bgpvcg_bgp::{PathEntry, SelectedRoute};
+use bgpvcg_bgp::SelectedRoute;
 #[cfg(feature = "invariant-checks")]
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
-
-/// Audits one price-relaxation pass of [`crate::PricingBgpNode`]: the price
-/// array aligns one-to-one with the route's transit nodes.
-///
-/// Deliberately *not* checked here: `p^k ≥ c_k`. That holds at convergence
-/// (see [`converged_prices`]) but not per pass — during reconvergence after
-/// a cost change, a neighbor's price array grounded in the old declared
-/// cost can legally sit below the restamped `c_k` until relaxation flushes
-/// it.
-#[cfg(feature = "invariant-checks")]
-pub(crate) fn relaxation_step(transit: &[PathEntry], prices: &[Cost]) {
-    debug_assert_eq!(
-        transit.len(),
-        prices.len(),
-        "price array must align with the route's transit nodes"
-    );
-}
-
-#[cfg(not(feature = "invariant-checks"))]
-#[inline(always)]
-pub(crate) fn relaxation_step<P, C>(_transit: &[P], _prices: &[C]) {}
 
 /// Audits one extracted pair of a quiescent network: Theorem 1 prices are
 /// `p^k = c_k + margin` with `margin ≥ 0`, so at the fixpoint every price
@@ -60,23 +40,6 @@ pub(crate) fn converged_prices(route: Option<&SelectedRoute>, prices: &[(AsId, C
 #[cfg(not(feature = "invariant-checks"))]
 #[inline(always)]
 pub(crate) fn converged_prices<R, P>(_route: Option<&R>, _prices: &[P]) {}
-
-/// Audits one margin-relaxation pass of the neighbor-cost extension's
-/// pricing node: the margin array must align one-to-one with the route's
-/// transit nodes (margins themselves are non-negative by construction —
-/// [`bgpvcg_netgraph::Cost`] is unsigned saturating arithmetic).
-#[cfg(feature = "invariant-checks")]
-pub(crate) fn margin_step(transit: &[PathEntry], margins: &[Cost]) {
-    debug_assert_eq!(
-        transit.len(),
-        margins.len(),
-        "margin array must align with the route's transit nodes"
-    );
-}
-
-#[cfg(not(feature = "invariant-checks"))]
-#[inline(always)]
-pub(crate) fn margin_step<P, C>(_transit: &[P], _margins: &[C]) {}
 
 /// Audits the mechanism's graph preconditions after validation: a graph
 /// that passed [`AsGraph::validate_for_mechanism`] really is biconnected,

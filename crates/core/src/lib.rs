@@ -9,7 +9,10 @@
 //!   from lowest-cost and k-avoiding path costs; serves as ground truth.
 //! * [`PricingBgpNode`] — **Sect. 6**: the distributed price computation as
 //!   a straightforward extension of BGP — the four-case relaxation of the
-//!   paper's Fig. 3, running on the substrate of `bgpvcg-bgp`.
+//!   paper's Fig. 3. It is `bgpvcg-bgp`'s one `Node` under the [`Fpss`]
+//!   policy (every term of the relaxation bound the paper's own); the
+//!   per-neighbor model below is the same node under
+//!   [`neighbor_costs::Margins`], which changes two of those terms.
 //! * [`protocol`] — turnkey runners wiring pricing nodes into the
 //!   synchronous or asynchronous engine and extracting a [`RoutingOutcome`].
 //! * [`accounting`] — **Sect. 6.4**: per-packet tallies turning prices into
@@ -72,4 +75,4 @@ mod pricing_node;
 
 pub use errors::MechanismError;
 pub use outcome::{PairOutcome, RoutingOutcome};
-pub use pricing_node::PricingBgpNode;
+pub use pricing_node::{Fpss, PricingBgpNode};

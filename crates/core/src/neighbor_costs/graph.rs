@@ -149,6 +149,12 @@ impl NeighborCostGraph {
     }
 }
 
+impl AsRef<AsGraph> for NeighborCostGraph {
+    fn as_ref(&self) -> &AsGraph {
+        &self.topology
+    }
+}
+
 impl fmt::Display for NeighborCostGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

@@ -21,13 +21,51 @@
 
 use super::graph::NeighborCostGraph;
 use crate::errors::MechanismError;
-use crate::outcome::{PairOutcome, RoutingOutcome};
+use crate::outcome::RoutingOutcome;
+use crate::protocol::outcome_from_nodes;
 use bgpvcg_bgp::engine::{RunReport, SyncEngine};
-use bgpvcg_bgp::{
-    uncaused, AdjRibOut, LocalEvent, ProtocolNode, RouteInfo, RouteSelector, StateSnapshot, Update,
-};
+use bgpvcg_bgp::{Node, PathEntry, PricePolicy, RouteSelector};
 use bgpvcg_netgraph::{AsId, Cost};
-use std::sync::Arc;
+
+/// The per-neighbor (receive-side) cost model: what the node stores and
+/// relaxes is the margin `m^k_ij`, and the terms of the bound that differ
+/// from the base model are exactly the two in the module docs.
+#[derive(Debug, Clone, Copy)]
+pub struct Margins;
+
+impl PricePolicy for Margins {
+    type Graph = NeighborCostGraph;
+    // A scalar cost change has no meaning in the per-neighbor model.
+    const SCALAR_COST: bool = false;
+
+    /// Zero: in this model a node's cost lives on its links, and each path
+    /// entry is restamped by the extender with the cost matching the
+    /// entry's predecessor.
+    fn declared_cost(_graph: &NeighborCostGraph, _id: AsId) -> Cost {
+        Cost::ZERO
+    }
+
+    fn sender_costs(graph: &NeighborCostGraph, id: AsId) -> Vec<(AsId, Cost)> {
+        graph.cost_vector(id)
+    }
+
+    /// `c_a(i)`: `a`'s receive cost from us, from `a`'s advertised vector.
+    fn charged_by(selector: &RouteSelector, a: AsId, _a_path: &[PathEntry]) -> Option<Cost> {
+        selector.recv_cost_from(a)
+    }
+
+    /// Nothing: a margin has `c_k(pred)` already subtracted, so a's path,
+    /// itself k-avoiding once extended by i–a, bounds it by the shift alone.
+    fn detour_base(_k: &PathEntry) -> Cost {
+        Cost::ZERO
+    }
+
+    /// `p^k = c_k(pred) + m^k`: the path entry carries `c_k(pred)` for this
+    /// path (restamped on extension).
+    fn price(k: &PathEntry, margin: Cost) -> Cost {
+        k.cost + margin
+    }
+}
 
 /// A BGP speaker computing VCG prices under per-neighbor (receive-side)
 /// transit costs, by distributed margin relaxation.
@@ -45,243 +83,7 @@ use std::sync::Arc;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct NcPricingNode {
-    selector: RouteSelector,
-    /// This node's declared receive-cost vector, attached to every UPDATE.
-    vector: Vec<(AsId, Cost)>,
-    /// Per destination (index `dest.index()`): margin entries aligned with
-    /// the selected route's transit nodes (empty where it has none),
-    /// recomputed from scratch on every refresh (same rationale as the base
-    /// `PricingBgpNode`).
-    margins: Vec<Vec<Cost>>,
-    /// Change suppression and delta compression of what goes out.
-    out: AdjRibOut,
-    /// The array `refresh_margins` relaxes into, reused across calls.
-    scratch: Vec<Cost>,
-}
-
-impl NcPricingNode {
-    /// Creates the node for AS `id` of the generalized graph.
-    ///
-    /// The selector's scalar declared cost is zero: in this model a node's
-    /// cost lives on its links, and each path entry is restamped by the
-    /// extender with the cost matching the entry's predecessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the graph.
-    pub fn new(graph: &NeighborCostGraph, id: AsId) -> Self {
-        let n = graph.node_count();
-        NcPricingNode {
-            selector: RouteSelector::with_node_count(
-                id,
-                Cost::ZERO,
-                graph.neighbors(id).iter().copied(),
-                n,
-            ),
-            vector: graph.cost_vector(id),
-            margins: vec![Vec::new(); n],
-            out: AdjRibOut::new(n),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Enables or disables [`RouteInfo::PriceDelta`] compression of change
-    /// advertisements (on by default). The delta-stream equivalence
-    /// proptests run both settings and assert identical fixpoints.
-    pub fn set_delta_encoding(&mut self, on: bool) {
-        self.out.set_delta_encoding(on);
-    }
-
-    /// One node per AS, in AS order.
-    pub fn from_graph(graph: &NeighborCostGraph) -> Vec<Self> {
-        graph
-            .nodes()
-            .map(|id| NcPricingNode::new(graph, id))
-            .collect()
-    }
-
-    /// Read access to the routing decision process.
-    pub fn selector(&self) -> &RouteSelector {
-        &self.selector
-    }
-
-    /// The current price `p^k = c_k(pred) + margin` for transit node `k` of
-    /// the selected route to `dest`.
-    pub fn price(&self, dest: AsId, k: AsId) -> Option<Cost> {
-        let route = self.selector.selected(dest)?;
-        if route.path.len() < 3 {
-            return None;
-        }
-        let transit = &route.path[1..route.path.len() - 1];
-        let pos = transit.iter().position(|e| e.node == k)?;
-        let margin = self.margins.get(dest.index())?.get(pos).copied()?;
-        // The path entry carries c_k(pred) for this path (restamped on
-        // extension).
-        // lint:allow(bounds: pos is a position hit over transit itself)
-        Some(transit[pos].cost + margin)
-    }
-
-    /// Recomputes the margin array for `dest` from the current Rib-In;
-    /// returns `true` if it changed.
-    fn refresh_margins(&mut self, dest: AsId) -> bool {
-        let Some(stored) = self.margins.get_mut(dest.index()) else {
-            return false;
-        };
-        let transit = match self.selector.selected(dest) {
-            Some(route) if dest != self.selector.id() => &route.path[1..route.path.len() - 1],
-            _ => &[],
-        };
-        if transit.is_empty() {
-            // Own destination, no route, or a route without transit nodes.
-            let had_margins = !stored.is_empty();
-            stored.clear();
-            return had_margins;
-        }
-        let my_route_cost = self.selector.route_cost(dest);
-        let arr = &mut self.scratch;
-        arr.clear();
-        arr.resize(transit.len(), Cost::INFINITE);
-
-        // Neighbors outer, transit inner: the per-advertisement values
-        // (receive cost, shift) hoist out of the transit scan and the
-        // Rib-In row is walked once. The component-wise minimum is
-        // order-independent, so the array is identical either way.
-        for (a, info) in self.selector.rib_for(dest) {
-            // c_a(i): a's receive cost from us, from a's vector.
-            let Some(a_recv_from_me) = self.selector.recv_cost_from(a) else {
-                continue;
-            };
-            let RouteInfo::Reachable {
-                path: a_path,
-                path_cost: a_route_cost,
-                prices: a_margins,
-            } = info
-            else {
-                continue;
-            };
-            let Some(shift) = (a_recv_from_me + *a_route_cost).checked_sub(my_route_cost) else {
-                continue;
-            };
-            for (k_entry, cell) in transit.iter().zip(arr.iter_mut()) {
-                let k = k_entry.node;
-                if a == k {
-                    continue; // the link i–a is never on a k-avoiding path
-                }
-                // One scan of a's path places k on it.
-                let bound = match a_path.iter().position(|e| e.node == k) {
-                    // a's path is itself k-avoiding once extended by i–a.
-                    None => shift,
-                    // k is transit on a's path: compose margins.
-                    Some(at) if at + 1 < a_path.len() => match a_margins.get(at - 1) {
-                        Some(&m) => m + shift,
-                        None => continue, // a margin array shorter than its path
-                    },
-                    Some(_) => continue, // k is an endpoint of a's path (only k == dest)
-                };
-                if bound < *cell {
-                    *cell = bound;
-                }
-            }
-        }
-        crate::invariants::margin_step(transit, arr.as_slice());
-        let changed = stored != arr;
-        if changed {
-            stored.clone_from(arr);
-        }
-        changed
-    }
-
-    /// Advertises whichever of `dests` changed since last advertised, with
-    /// this node's receive-cost vector attached. Margin-only movement on an
-    /// unchanged path compresses to a delta exactly like the base model's
-    /// price relaxation.
-    fn emit(&mut self, dests: impl IntoIterator<Item = (AsId, u64)>) -> Option<Update> {
-        self.out
-            .emit(&self.selector, dests, |dest| &self.margins[dest.index()])
-            .map(|u| u.with_sender_costs(self.vector.clone()))
-    }
-}
-
-impl ProtocolNode for NcPricingNode {
-    fn id(&self) -> AsId {
-        self.selector.id()
-    }
-
-    fn configure_delta_encoding(&mut self, on: bool) {
-        self.set_delta_encoding(on);
-    }
-
-    fn start(&mut self) -> Option<Update> {
-        self.emit(uncaused([self.selector.id()]))
-    }
-
-    fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut dirty = self.out.ingest(&mut self.selector, updates);
-        dirty.retain(|&(dest, _)| {
-            let route_changed = self.selector.decide(dest);
-            self.refresh_margins(dest) || route_changed
-        });
-        let update = self.emit(dirty.iter().copied());
-        self.out.recycle(dirty);
-        update
-    }
-
-    fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
-        match event {
-            LocalEvent::LinkDown(neighbor) => {
-                if !self.selector.has_neighbor(neighbor) {
-                    return None;
-                }
-                // Only destinations the vanished Rib-In covered can change
-                // (bounds and candidates for `dest` come exclusively from
-                // rib entries for `dest`; a margin refresh recomputes from
-                // scratch off the current Rib-In) — same argument as the
-                // base `PricingBgpNode`.
-                let affected = self.selector.rib_destinations(neighbor);
-                self.selector.link_down(neighbor); // re-decides `affected`
-                                                   // The dead link's entry leaves our declared vector; it is
-                                                   // attached to whatever this emit (and later ones) sends.
-                self.vector.retain(|&(a, _)| a != neighbor);
-                for &dest in &affected {
-                    self.refresh_margins(dest);
-                }
-                self.emit(uncaused(affected))
-            }
-            LocalEvent::LinkUp(neighbor) => {
-                self.selector.link_up(neighbor);
-                None // the engine delivers full_table to the new neighbor
-            }
-            // A scalar cost change has no meaning in the per-neighbor
-            // model; vector re-declarations are a static-model concern
-            // (rebuild the node set for a new NeighborCostGraph instead).
-            LocalEvent::CostChange(_) => None,
-        }
-    }
-
-    fn full_table(&self) -> Option<Update> {
-        AdjRibOut::full_table(&self.selector, |dest| &self.margins[dest.index()])
-            .map(|u| u.with_sender_costs(self.vector.clone()))
-    }
-
-    fn reset(&mut self) {
-        // The declared vector is configuration, not learned state: a
-        // restarted node still charges the same per-neighbor receive costs.
-        self.selector.reset();
-        self.margins.iter_mut().for_each(Vec::clear);
-        self.out.reset();
-    }
-
-    fn state(&self) -> StateSnapshot {
-        // One margin per transit node of the selected route; a deployable
-        // encoding labels each with that node's AS number (one cell each).
-        let mut snapshot = self.selector.state();
-        snapshot.price_entries = self.margins.iter().map(Vec::len).sum();
-        snapshot.price_path_nodes = snapshot.price_entries;
-        snapshot
-    }
-}
+pub type NcPricingNode = Node<Margins>;
 
 /// Runs the generalized pricing protocol to convergence on the synchronous
 /// engine and extracts the outcome (directly comparable with
@@ -297,43 +99,8 @@ pub fn run_nc_sync(
     graph.validate_for_mechanism()?;
     let mut engine = SyncEngine::new(graph.topology(), NcPricingNode::from_graph(graph));
     let report = engine.run_to_convergence();
-    let outcome = outcome_from_nc_nodes(&engine.into_nodes())?;
+    let outcome = outcome_from_nodes(&engine.into_nodes())?;
     Ok((outcome, report))
-}
-
-/// Extracts the distributed state of converged NC nodes into a
-/// [`RoutingOutcome`].
-///
-/// # Errors
-///
-/// Returns [`MechanismError::MissingPrice`] if a selected route carries a
-/// transit node without a converged margin entry — i.e. the nodes were
-/// read before the relaxation fixpoint was reached.
-fn outcome_from_nc_nodes(nodes: &[NcPricingNode]) -> Result<RoutingOutcome, MechanismError> {
-    let n = nodes.len();
-    let mut pairs: Vec<Option<PairOutcome>> = vec![None; n * n];
-    for node in nodes {
-        let i = node.id();
-        for j in node.selector().destinations().collect::<Vec<_>>() {
-            if j == i {
-                continue;
-            }
-            let Some(route) = node.selector().route(j) else {
-                continue;
-            };
-            let mut prices = Vec::with_capacity(route.transit_nodes().len());
-            for &k in route.transit_nodes() {
-                let price = node.price(j, k).ok_or(MechanismError::MissingPrice {
-                    source: i,
-                    destination: j,
-                    transit: k,
-                })?;
-                prices.push((k, price));
-            }
-            pairs[i.index() * n + j.index()] = Some(PairOutcome::new(route, prices));
-        }
-    }
-    Ok(RoutingOutcome::from_pairs(n, pairs))
 }
 
 /// Runs the generalized pricing protocol on the asynchronous engine until
@@ -353,14 +120,14 @@ pub fn run_nc_async(
     let nodes = NcPricingNode::from_graph(graph);
     let (nodes, report) =
         bgpvcg_bgp::engine::run_event_driven(graph.topology(), nodes, seed, 0.0, None);
-    Ok((outcome_from_nc_nodes(&nodes)?, report))
+    Ok((outcome_from_nodes(&nodes)?, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::mechanism::compute;
     use super::*;
-    use bgpvcg_bgp::TopologyEvent;
+    use bgpvcg_bgp::{ProtocolNode, TopologyEvent};
     use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
     use bgpvcg_netgraph::generators::{erdos_renyi, random_costs};
     use rand::rngs::StdRng;

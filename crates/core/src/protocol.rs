@@ -13,7 +13,7 @@ use crate::outcome::{PairOutcome, RoutingOutcome};
 use crate::pricing_node::PricingBgpNode;
 use bgpvcg_bgp::chaos::{ChaosEngine, ChaosReport, FaultPlan};
 use bgpvcg_bgp::engine::{run_event_driven, EventReport, RunReport, SyncEngine};
-use bgpvcg_bgp::{ProtocolNode, StateSnapshot};
+use bgpvcg_bgp::{Node, PricePolicy, ProtocolNode, StateSnapshot};
 use bgpvcg_netgraph::{AsGraph, GraphError};
 
 /// Everything a synchronous pricing run produces.
@@ -200,8 +200,8 @@ pub fn run_chaos(
     Ok((outcome_from_nodes(&engine.into_nodes())?, report))
 }
 
-/// Extracts the distributed state of converged nodes into a
-/// [`RoutingOutcome`].
+/// Extracts the distributed state of converged nodes — of either priced
+/// model — into a [`RoutingOutcome`].
 ///
 /// # Errors
 ///
@@ -212,7 +212,9 @@ pub fn run_chaos(
 /// # Panics
 ///
 /// Panics if the nodes are not in AS order (engines return them sorted).
-pub fn outcome_from_nodes(nodes: &[PricingBgpNode]) -> Result<RoutingOutcome, MechanismError> {
+pub fn outcome_from_nodes<P: PricePolicy>(
+    nodes: &[Node<P>],
+) -> Result<RoutingOutcome, MechanismError> {
     let n = nodes.len();
     let mut pairs: Vec<Option<PairOutcome>> = vec![None; n * n];
     for (idx, node) in nodes.iter().enumerate() {

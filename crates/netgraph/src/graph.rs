@@ -286,6 +286,12 @@ impl AsGraph {
     }
 }
 
+impl AsRef<AsGraph> for AsGraph {
+    fn as_ref(&self) -> &AsGraph {
+        self
+    }
+}
+
 impl fmt::Display for AsGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

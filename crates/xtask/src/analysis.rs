@@ -26,12 +26,14 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("run_event_driven", "crates/bgp/src/engine/event.rs"),
     // The public parallel protocol runner.
     ("run_sync_parallel", "crates/core/src/protocol.rs"),
-    // Node recomputation: route selection and the pricing relaxation.
-    ("PlainBgpNode::handle", "crates/bgp/src/node.rs"),
-    ("PricingBgpNode::handle", "crates/core/src/pricing_node.rs"),
+    // Node recomputation: the one node's step and its relaxation, shared
+    // by every cost model. A generic `P::name(…)` call resolves to no
+    // edge, so the one policy function that reads state is named itself.
+    ("Node::handle", "crates/bgp/src/node.rs"),
+    ("Node::relax", "crates/bgp/src/node.rs"),
     (
-        "PricingBgpNode::refresh_prices",
-        "crates/core/src/pricing_node.rs",
+        "Margins::charged_by",
+        "crates/core/src/neighbor_costs/node.rs",
     ),
 ];
 

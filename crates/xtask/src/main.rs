@@ -313,10 +313,10 @@ fn cmd_analyze(root: &Path) -> ExitCode {
 /// `invariant-checks` feature to mean anything. Checked textually so a
 /// refactor cannot silently drop the audit wiring.
 const INVARIANT_HOOK_SITES: &[(&str, &str)] = &[
-    ("crates/core/src/invariants.rs", "relaxation_step"),
-    ("crates/core/src/pricing_node.rs", "invariants::"),
-    ("crates/core/src/neighbor_costs/node.rs", "invariants::"),
+    ("crates/core/src/invariants.rs", "converged_prices"),
     ("crates/core/src/protocol.rs", "invariants::"),
+    ("crates/bgp/src/engine/invariants.rs", "relaxation_step"),
+    ("crates/bgp/src/node.rs", "invariants::relaxation_step"),
     ("crates/bgp/src/engine/invariants.rs", "convergence"),
     ("crates/bgp/src/engine/sync.rs", "invariants::"),
 ];

@@ -25,10 +25,12 @@
 //!    [`STAGE_ALLOC_SCOPES`]: the synchronous engine's stage loop, the
 //!    event scheduler's delivery loop, the wire-v2 encode path, the
 //!    profiler brackets, the per-node step (selector ingest/decide, the
-//!    `handle`s, the relaxations, the Adj-RIB-Out diff/emit), and the
-//!    observer (the instrument bundle's per-update calls, the update
-//!    tracer's shadow diff, the health monitor's fold), whose buffers are
-//!    reused by design.
+//!    node's `handle` and relaxation with the policy terms it evaluates,
+//!    the Adj-RIB-Out diff/emit), and the observer (the instrument
+//!    bundle's per-update calls, the update tracer's shadow diff, the
+//!    health monitor's fold), whose buffers are reused by design. A listed
+//!    file or function that no longer exists is itself a violation: a
+//!    rename must not leave the rule checking nothing.
 //! 7. **unsafe-audit** — every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`, no first-party line uses `unsafe`, and
 //!    vendored stand-ins are unsafe-free unless enumerated (with a reason)
@@ -511,16 +513,16 @@ fn trace_event_mentions(line: &str) -> Vec<String> {
 /// the span profiler's enter/exit brackets (they wrap every hot-path
 /// phase, so an allocation there would tax everything they measure), and
 /// the per-node step the engine loop spends its time in — `RouteSelector`
-/// ingest/decide, the three node types' `handle`, the price and margin
-/// relaxations, and the shared Adj-RIB-Out diff/emit. At node level the
-/// only allocations left are the ones that *are* the output (the emitted
-/// update's lists, a full advertisement's price array, the interned
-/// winning path); each carries a `lint:allow` naming it. The observer is
-/// held to the same rule: the update tracer's shadow diff and the health
-/// monitor's fold run once per advertisement and once per event of every
-/// observed run, and may grow only a shadow row toward the node count
-/// (`bgpvcg_telemetry::dense_cell`) and the reused event buffer toward its
-/// high-water mark.
+/// ingest/decide, the node's `handle` and relaxation, the policy terms the
+/// relaxation's inner loop evaluates, and the Adj-RIB-Out diff/emit. At
+/// node level the only allocations left are the ones that *are* the output
+/// (the emitted update's lists, a full advertisement's price array, the
+/// interned winning path); each carries a `lint:allow` naming it. The
+/// observer is held to the same rule: the update tracer's shadow diff and
+/// the health monitor's fold run once per advertisement and once per event
+/// of every observed run, and may grow only a shadow row toward the node
+/// count (`bgpvcg_telemetry::dense_cell`) and the reused event buffer
+/// toward its high-water mark.
 pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     (
         "crates/bgp/src/engine/sync.rs",
@@ -546,15 +548,19 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     ("crates/bgp/src/selector.rs", &["ingest", "decide"]),
     (
         "crates/bgp/src/node.rs",
-        &["handle", "ingest", "emit", "diff"],
-    ),
-    (
-        "crates/core/src/pricing_node.rs",
-        &["handle", "refresh_prices", "emit"],
+        &[
+            "handle",
+            "relax",
+            "charged_by",
+            "detour_base",
+            "ingest",
+            "emit",
+            "diff",
+        ],
     ),
     (
         "crates/core/src/neighbor_costs/node.rs",
-        &["handle", "refresh_margins", "emit"],
+        &["charged_by", "detour_base"],
     ),
     (
         "crates/bgp/src/telemetry.rs",
@@ -614,15 +620,40 @@ const STAGE_ALLOC_TOKENS: &[(&str, &str)] = &[
 ];
 
 /// Rule 6: no allocation in the stage-loop or codec hot paths listed in
-/// [`STAGE_ALLOC_SCOPES`]. Body spans come from the parsed item trees.
+/// [`STAGE_ALLOC_SCOPES`]. Body spans come from the parsed item trees. A
+/// scope whose file, or a hot function whose name, is not found is itself
+/// a violation — a rename must never leave the rule checking nothing.
 pub fn check_stage_alloc(files: &[SourceFile], trees: &[ParsedFile], out: &mut Vec<Violation>) {
-    for (file, tree) in files.iter().zip(trees) {
-        let Some((_, hot_fns)) = STAGE_ALLOC_SCOPES
-            .iter()
-            .find(|(path, _)| file.rel_path == Path::new(path))
-        else {
+    for (path, hot_fns) in STAGE_ALLOC_SCOPES {
+        let mut scope = files.iter().zip(trees);
+        let Some((file, tree)) = scope.find(|(file, _)| file.rel_path == Path::new(path)) else {
+            out.push(Violation {
+                rule: "stage-alloc",
+                file: PathBuf::from(path),
+                line: 1,
+                message: "hot-path file not found — the rule would go vacuous; update \
+                          rules::STAGE_ALLOC_SCOPES if the hot path moved"
+                    .into(),
+            });
             continue;
         };
+        for name in *hot_fns {
+            if !tree
+                .fns
+                .iter()
+                .any(|item| !item.is_test && item.name == *name)
+            {
+                out.push(Violation {
+                    rule: "stage-alloc",
+                    file: file.rel_path.clone(),
+                    line: 1,
+                    message: format!(
+                        "hot-path function `{name}` not found — the rule would go vacuous; \
+                         update rules::STAGE_ALLOC_SCOPES if it was renamed"
+                    ),
+                });
+            }
+        }
         for item in &tree.fns {
             if item.is_test || !hot_fns.contains(&item.name.as_str()) {
                 continue;
@@ -963,13 +994,31 @@ mod tests {
         assert_eq!(out[0].rule, "trace-schema");
     }
 
-    #[test]
-    fn stage_alloc_flags_allocation_in_stage_loop_only() {
-        let src = "fn run_stage(&mut self) {\n    let v = Vec::new();\n    let m = vec![0; 4];\n}\nfn elsewhere() {\n    let fine = Vec::new();\n}";
-        let files = vec![file("crates/bgp/src/engine/sync.rs", src)];
+    /// Runs the stage-alloc rule over a workspace in which every listed
+    /// scope exists and is clean, with each `extra` source placed first in
+    /// its file (so the line numbers the tests name hold).
+    fn stage_alloc(extra: &[(&str, &str)]) -> Vec<Violation> {
+        let mut sources: std::collections::BTreeMap<&str, String> = extra
+            .iter()
+            .map(|(path, src)| (*path, format!("{src}\n")))
+            .collect();
+        for (path, hot_fns) in STAGE_ALLOC_SCOPES {
+            let src = sources.entry(path).or_default();
+            for name in *hot_fns {
+                src.push_str(&format!("fn {name}() {{}}\n"));
+            }
+        }
+        let files: Vec<SourceFile> = sources.iter().map(|(p, s)| file(p, s)).collect();
         let trees = trees(&files);
         let mut out = Vec::new();
         check_stage_alloc(&files, &trees, &mut out);
+        out
+    }
+
+    #[test]
+    fn stage_alloc_flags_allocation_in_stage_loop_only() {
+        let src = "fn run_stage(&mut self) {\n    let v = Vec::new();\n    let m = vec![0; 4];\n}\nfn elsewhere() {\n    let fine = Vec::new();\n}";
+        let out = stage_alloc(&[("crates/bgp/src/engine/sync.rs", src)]);
         let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
         assert_eq!(lines, vec![2, 3], "{out:?}");
     }
@@ -977,16 +1026,13 @@ mod tests {
     #[test]
     fn stage_alloc_respects_allow_and_other_files() {
         let allowed_src = "fn parallel_handle() {\n    // lint:allow(one-off merge buffer, sized below)\n    let v = Vec::new();\n}";
-        let files = vec![
-            file("crates/bgp/src/engine/sync.rs", allowed_src),
-            file(
+        let out = stage_alloc(&[
+            ("crates/bgp/src/engine/sync.rs", allowed_src),
+            (
                 "crates/bgp/src/engine/event.rs",
                 "fn f() { let v = Vec::new(); }",
             ),
-        ];
-        let trees = trees(&files);
-        let mut out = Vec::new();
-        check_stage_alloc(&files, &trees, &mut out);
+        ]);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -1011,19 +1057,16 @@ mod tests {
                 "fn diff(&mut self) {\n    let p = prices.to_vec();\n}",
             ),
             (
-                "crates/core/src/pricing_node.rs",
-                "fn refresh_prices(&mut self) {\n    let a = vec![0; 3];\n}",
+                "crates/bgp/src/node.rs",
+                "fn relax(&mut self) {\n    let a = vec![0; 3];\n}",
             ),
             (
                 "crates/core/src/neighbor_costs/node.rs",
-                "fn refresh_margins(&mut self) {\n    let a: Vec<u8> = it.collect();\n}",
+                "fn charged_by(&self) {\n    let a: Vec<u8> = it.collect();\n}",
             ),
         ];
         for (path, src) in cases {
-            let files = vec![file(path, src)];
-            let trees = trees(&files);
-            let mut out = Vec::new();
-            check_stage_alloc(&files, &trees, &mut out);
+            let out = stage_alloc(&[(path, src)]);
             assert_eq!(out.len(), 1, "{path}: {out:?}");
             assert_eq!(out[0].line, 2, "{path}: {out:?}");
         }
@@ -1031,11 +1074,29 @@ mod tests {
         // and the same tokens outside the listed functions are not
         // findings.
         let src = "fn decide(&mut self) {\n    // lint:allow(output: the interned winning path)\n    let p: Vec<u8> = it.collect();\n}\nfn link_up(&mut self) {\n    let v = Vec::new();\n}";
-        let files = vec![file("crates/bgp/src/selector.rs", src)];
+        let out = stage_alloc(&[("crates/bgp/src/selector.rs", src)]);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn stage_alloc_scope_that_no_longer_exists_is_a_violation() {
+        // Only the selector exists, and its `decide` was renamed: every
+        // other scope file, and that one function, must be called out.
+        let files = vec![file(
+            "crates/bgp/src/selector.rs",
+            "fn ingest(&mut self) {}\nfn choose(&mut self) {}",
+        )];
         let trees = trees(&files);
         let mut out = Vec::new();
         check_stage_alloc(&files, &trees, &mut out);
-        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(out.len(), STAGE_ALLOC_SCOPES.len(), "{out:?}");
+        assert!(out.iter().all(|v| v.message.contains("not found")));
+        let renamed: Vec<_> = out
+            .iter()
+            .filter(|v| v.file == Path::new("crates/bgp/src/selector.rs"))
+            .collect();
+        assert_eq!(renamed.len(), 1, "{out:?}");
+        assert!(renamed[0].message.contains("`decide`"), "{out:?}");
     }
 
     #[test]

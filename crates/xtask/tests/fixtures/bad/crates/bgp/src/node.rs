@@ -1,16 +1,30 @@
-//! Fixture: a node with an undocumented public helper and a stale allow.
+//! Fixture: a node that builds a set per inbox and a fresh array per
+//! relaxation, with an undocumented public helper and a stale allow.
 
 /// A best-route node.
 #[derive(Debug)]
-pub struct PlainBgpNode {
+pub struct Node {
     best: u64,
+    prices: Vec<u64>,
 }
 
-impl PlainBgpNode {
+impl Node {
     /// Handles a batch.
     pub fn handle(&mut self, delivered: &[u64]) -> u64 {
+        let mut affected = std::collections::BTreeSet::new();
+        affected.extend(delivered.iter().copied());
+        self.relax(affected.iter().sum());
         self.best = delivered.first().copied().unwrap_or(self.best);
         self.best
+    }
+
+    /// Relaxes prices into a brand-new array every call.
+    fn relax(&mut self, candidate: u64) {
+        let mut relaxed = vec![u64::MAX; self.prices.len()];
+        for (slot, old) in relaxed.iter_mut().zip(&self.prices) {
+            *slot = (*old).min(candidate);
+        }
+        self.prices = relaxed;
     }
 }
 

@@ -13,6 +13,13 @@ impl SyncEngine {
         self.buffers.clear();
         Ok(total)
     }
+
+    /// Queues one node's emission into the preallocated buffers.
+    pub fn advertise(&mut self, emitted: u32) {
+        if let Some(slot) = self.buffers.first_mut() {
+            *slot = slot.saturating_add(emitted);
+        }
+    }
 }
 
 /// Partitions receivers across scoped workers and merges emissions.

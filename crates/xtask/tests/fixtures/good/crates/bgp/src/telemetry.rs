@@ -79,3 +79,57 @@ impl UpdateTracer {
         &self.events
     }
 }
+
+/// The instrument bundle: counters and a reused event buffer, touched once
+/// per update without allocating.
+#[derive(Debug)]
+pub struct Instruments {
+    messages: u64,
+    bytes: u64,
+    depth: u32,
+    tracer: UpdateTracer,
+    sink: Vec<u64>,
+}
+
+impl Instruments {
+    /// Accounts one broadcast of `bytes` to `copies` neighbors.
+    pub fn on_broadcast(&mut self, copies: u64, bytes: u64) {
+        self.account(copies, bytes);
+    }
+
+    /// Accounts one unicast of `bytes`.
+    pub fn on_unicast(&mut self, bytes: u64) {
+        self.account(1, bytes);
+    }
+
+    fn account(&mut self, messages: u64, bytes: u64) {
+        self.messages += messages;
+        self.bytes += bytes * messages;
+    }
+
+    /// Diffs one update against the tracer's shadow and records what moved.
+    pub fn trace_update(&mut self, node: usize, ads: &[(usize, u64)]) {
+        let Instruments { tracer, sink, .. } = self;
+        sink.extend_from_slice(tracer.observe_update(node, ads));
+    }
+
+    /// Opens a profiler span.
+    pub fn enter(&mut self) {
+        self.depth += 1;
+    }
+
+    /// Closes the innermost profiler span.
+    pub fn exit(&mut self) {
+        self.depth = self.depth.saturating_sub(1);
+    }
+
+    /// Hands one event to the sink.
+    pub fn record(&mut self, event: u64) {
+        self.sink.push(event);
+    }
+
+    /// Hands a batch of events to the sink.
+    pub fn record_all(&mut self, events: &[u64]) {
+        self.sink.extend_from_slice(events);
+    }
+}

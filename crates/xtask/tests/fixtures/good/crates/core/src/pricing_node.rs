@@ -1,23 +1,8 @@
-//! Fixture: the pricing node.
+//! Fixture: the base pricing model, stated as a policy of the one node —
+//! every term of the bound is the policy trait's default.
 
-/// A VCG-pricing node.
-#[derive(Debug)]
-pub struct PricingBgpNode {
-    prices: Vec<u64>,
-}
+/// The paper's cost model: one scalar transit cost per node.
+#[derive(Debug, Clone, Copy)]
+pub struct Fpss;
 
-impl PricingBgpNode {
-    /// Handles a delivered batch and may emit an update.
-    pub fn handle(&mut self, delivered: &[u64]) -> Option<u64> {
-        let sum: u64 = delivered.iter().sum();
-        self.refresh_prices(sum);
-        self.prices.last().copied()
-    }
-
-    /// Relaxes the per-transit price vector toward `candidate`.
-    pub fn refresh_prices(&mut self, candidate: u64) {
-        for slot in self.prices.iter_mut() {
-            *slot = (*slot).min(candidate);
-        }
-    }
-}
+impl PricePolicy for Fpss {}

@@ -174,7 +174,8 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("stage-alloc", "crates/bgp/src/wire.rs"),     // Vec::new() in the codec hot path
         ("stage-alloc", "crates/telemetry/src/profile.rs"), // vec![ / Vec::new() in enter/exit
         ("stage-alloc", "crates/bgp/src/selector.rs"), // BTreeSet per ingest, Vec per candidate
-        ("stage-alloc", "crates/core/src/pricing_node.rs"), // BTreeSet in handle, vec![ in refresh_prices
+        ("stage-alloc", "crates/bgp/src/node.rs"),     // BTreeSet in handle, vec![ in relax
+        ("stage-alloc", "crates/core/src/neighbor_costs/node.rs"), // .collect() into a map in charged_by
         ("stage-alloc", "crates/bgp/src/telemetry.rs"), // .collect() of the path in observe_update
         ("stage-alloc", "crates/telemetry/src/health.rs"), // BTreeMap in fold, .to_vec() in on_progress
         ("unsafe-audit", "crates/bgp/src/lib.rs"),         // missing #![forbid(unsafe_code)]
@@ -251,31 +252,77 @@ fn panic_reachability_reports_the_call_chain() {
     );
 }
 
-#[test]
-fn missing_entry_point_is_reported_not_silently_vacuous() {
+/// The good corpus with `node.rs` re-lexed from `source` (or dropped, for
+/// `None`), and every violation the full wall then reports.
+fn with_node_source(source: Option<&str>) -> Vec<Violation> {
     let mut corpus = load("good");
-    // Delete the file that defines `PlainBgpNode::handle`; the analysis
-    // must complain instead of quietly shrinking its coverage.
     let node_idx = corpus
         .files
         .iter()
-        .position(|f| f.rel_path.ends_with("node.rs"))
+        .position(|f| f.rel_path.ends_with("bgp/src/node.rs"))
         .expect("good corpus has node.rs");
-    corpus.files.remove(node_idx);
-    corpus.raws.remove(node_idx);
-    corpus.trees.remove(node_idx);
-    let violations = analysis::run_all(&corpus.files, &corpus.trees);
+    match source {
+        Some(source) => {
+            corpus.files[node_idx].lexed = lexer::lex(source);
+            corpus.raws[node_idx] = source.lines().map(str::to_string).collect();
+            corpus.trees[node_idx] = parser::parse(&corpus.files[node_idx].lexed);
+        }
+        None => {
+            corpus.files.remove(node_idx);
+            corpus.raws.remove(node_idx);
+            corpus.trees.remove(node_idx);
+        }
+    }
+    all_violations(&corpus, &[])
+}
+
+fn assert_reported(violations: &[Violation], rule: &str, needle: &str) {
     assert!(
-        violations.iter().any(|v| {
-            v.rule == "panic-reachability" && v.message.contains("PlainBgpNode::handle")
-        }),
-        "expected a missing-entry-point violation, got:\n{}",
+        violations
+            .iter()
+            .any(|v| v.rule == rule && v.message.contains(needle)),
+        "expected a `{rule}` violation naming `{needle}`, got:\n{}",
         violations
             .iter()
             .map(|v| format!("  {v}"))
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn missing_hot_path_file_is_reported_not_silently_vacuous() {
+    // Delete the file that defines `Node::handle`: the reachability walk
+    // and the stage-alloc rule must both complain instead of quietly
+    // shrinking their coverage.
+    let violations = with_node_source(None);
+    assert_reported(
+        &violations,
+        "panic-reachability",
+        "entry point `Node::handle`",
+    );
+    assert_reported(&violations, "stage-alloc", "hot-path file not found");
+}
+
+#[test]
+fn stale_hot_path_name_is_reported_not_silently_vacuous() {
+    // Rename the relaxation and leave the analyzers' lists alone — exactly
+    // what a refactor does: the stale name must fail both, naming it.
+    let untouched = fs::read_to_string(fixture_root("good").join("crates/bgp/src/node.rs"))
+        .expect("fixture source");
+    let violations = with_node_source(Some(&untouched.replace("relax(", "refresh(")));
+    assert_reported(
+        &violations,
+        "panic-reachability",
+        "entry point `Node::relax`",
+    );
+    assert_reported(
+        &violations,
+        "stage-alloc",
+        "hot-path function `relax` not found",
+    );
+    // ...and it is the rename, not the re-lexing, that trips them.
+    assert!(with_node_source(Some(&untouched)).is_empty());
 }
 
 #[test]

@@ -1,0 +1,204 @@
+//! The emitted update stream of every node type, pinned bit for bit.
+//!
+//! Each scenario drives one node type through the synchronous engine — a
+//! cold convergence, then `LinkDown` → `LinkUp` → `CostChange` → a crash
+//! and restart (`reset` and relearn) — and folds every delivery the engine
+//! queues (sender, receiver, wire-v2 bytes, update id, provenance causes)
+//! into one digest, and the nodes' final `state()` into another. The
+//! expected digests were recorded on the commit *before* the three node
+//! structs became one `Node<P>`, so any drift in emission order, change
+//! suppression, delta compression or provenance fails here.
+
+use bgp_vcg::bgp::engine::SyncEngine;
+use bgp_vcg::bgp::{
+    wire, Accusation, LocalEvent, PlainBgpNode, ProtocolNode, TopologyEvent, Update, WireAuditor,
+};
+use bgp_vcg::core::neighbor_costs::{NcPricingNode, NeighborCostGraph};
+use bgp_vcg::netgraph::generators::structured::fig1;
+use bgp_vcg::netgraph::generators::{barabasi_albert, erdos_renyi, random_costs};
+use bgp_vcg::{AsGraph, AsId, Cost, PricingBgpNode};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex};
+
+/// FNV-1a over everything fed to it, plus how many deliveries that was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Digest {
+    hash: u64,
+    deliveries: u64,
+}
+
+impl Digest {
+    const EMPTY: Digest = Digest {
+        hash: 0xcbf2_9ce4_8422_2325,
+        deliveries: 0,
+    };
+
+    fn feed(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Folds every queued delivery into the shared digest; accuses nobody.
+struct Tap(Arc<Mutex<Digest>>);
+
+impl WireAuditor for Tap {
+    fn on_wire(&mut self, from: AsId, to: AsId, update: &Arc<Update>) {
+        let mut digest = self.0.lock().expect("no holder of the digest panics");
+        digest.deliveries += 1;
+        digest.feed(&(from.index() as u64).to_le_bytes());
+        digest.feed(&(to.index() as u64).to_le_bytes());
+        digest.feed(&wire::encode_update_v2(update));
+        digest.feed(&update.id.to_le_bytes());
+        for cause in &update.causes {
+            digest.feed(&cause.to_le_bytes());
+        }
+    }
+
+    fn begin_stage(&mut self, _stage: u64) {}
+    fn on_topology(&mut self, _event: &TopologyEvent) {}
+    fn on_local_event(&mut self, _node: AsId, _event: &LocalEvent) {}
+    fn end_stage(&mut self, _stage: u64) -> Vec<Accusation> {
+        Vec::new()
+    }
+}
+
+/// Runs the scripted scenario over `nodes` on `topology` and returns the
+/// (stream, final-state) digests.
+fn scenario<N: ProtocolNode>(topology: &AsGraph, nodes: Vec<N>) -> (Digest, u64) {
+    let stream = Arc::new(Mutex::new(Digest::EMPTY));
+    let mut engine = SyncEngine::new(topology, nodes);
+    engine.attach_auditor(Box::new(Tap(Arc::clone(&stream))));
+    assert!(engine.run_to_convergence().converged, "cold run");
+
+    // A link whose loss keeps the topology biconnected, down and up again.
+    let link = topology
+        .links()
+        .iter()
+        .find(|l| {
+            topology
+                .without_link(l.a(), l.b())
+                .is_ok_and(|t| t.is_biconnected())
+        })
+        .copied()
+        .expect("a removable link exists");
+    for event in [
+        TopologyEvent::LinkDown(link.a(), link.b()),
+        TopologyEvent::LinkUp(link.a(), link.b()),
+        TopologyEvent::CostChange(link.a(), topology.cost(link.a()) + Cost::new(3)),
+    ] {
+        assert!(engine.apply_event(event).converged, "{event:?}");
+    }
+    // The first node the engine lets crash (the rest stays biconnected):
+    // `NodeDown` resets it, `NodeUp` has it relearn over fresh sessions.
+    let (crashed, report) = topology
+        .nodes()
+        .find_map(|k| Some(k).zip(engine.try_apply_event(TopologyEvent::NodeDown(k)).ok()))
+        .expect("a removable node exists");
+    assert!(report.converged, "crash of {crashed}");
+    assert!(
+        engine.apply_event(TopologyEvent::NodeUp(crashed)).converged,
+        "restart of {crashed}"
+    );
+
+    let mut state = Digest::EMPTY;
+    for snapshot in engine.state_snapshots() {
+        state.feed(format!("{snapshot:?}").as_bytes());
+    }
+    let stream = *stream.lock().expect("no holder of the digest panics");
+    (stream, state.hash)
+}
+
+fn ba48() -> AsGraph {
+    let mut rng = StdRng::seed_from_u64(48);
+    barabasi_albert(random_costs(48, 1, 9, &mut rng), 2, &mut rng)
+}
+
+/// Heterogeneous receive costs over an Erdős–Rényi topology, as the
+/// neighbour-cost unit tests draw them.
+fn nc_er14() -> NeighborCostGraph {
+    let mut rng = StdRng::seed_from_u64(200);
+    let base = erdos_renyi(random_costs(14, 0, 9, &mut rng), 0.3, &mut rng);
+    let mut g = NeighborCostGraph::uniform(&base);
+    for k in base.nodes() {
+        for &a in base.neighbors(k) {
+            g = g
+                .with_recv_cost(k, a, Cost::new(rng.gen_range(0..10)))
+                .unwrap();
+        }
+    }
+    g
+}
+
+fn check(what: &str, observed: (Digest, u64), hash: u64, deliveries: u64, state: u64) {
+    let expected = (Digest { hash, deliveries }, state);
+    assert_eq!(
+        observed, expected,
+        "{what}: got ({:#018x}, {}, {:#018x})",
+        observed.0.hash, observed.0.deliveries, observed.1
+    );
+}
+
+#[test]
+fn plain_stream_is_pinned() {
+    let g = fig1();
+    check(
+        "plain/fig1",
+        scenario(&g, PlainBgpNode::from_graph(&g)),
+        0x19e6_a07a_1f8e_d3b5,
+        132,
+        0x81d7_bd07_f7c9_6cdb,
+    );
+    let g = ba48();
+    check(
+        "plain/ba48",
+        scenario(&g, PlainBgpNode::from_graph(&g)),
+        0x96cd_aca7_169f_6fb8,
+        4148,
+        0xd29f_70d3_3a6e_f80e,
+    );
+}
+
+#[test]
+fn fpss_stream_is_pinned() {
+    let g = fig1();
+    check(
+        "fpss/fig1",
+        scenario(&g, PricingBgpNode::from_graph(&g)),
+        0xfced_20c2_e140_c84e,
+        171,
+        0xfd30_6f65_f307_79ab,
+    );
+    let g = ba48();
+    check(
+        "fpss/ba48",
+        scenario(&g, PricingBgpNode::from_graph(&g)),
+        0xb068_c64b_6265_0b19,
+        4751,
+        0xb375_7f4e_a9cb_79ae,
+    );
+}
+
+#[test]
+fn neighbor_cost_stream_is_pinned() {
+    let g = NeighborCostGraph::uniform(&fig1());
+    let nodes = NcPricingNode::from_graph(&g);
+    check(
+        "nc/fig1",
+        scenario(g.topology(), nodes),
+        0x0ccf_7763_68bc_d9f2,
+        150,
+        0xdf0c_b3a2_943d_4f9c,
+    );
+    let g = nc_er14();
+    let nodes = NcPricingNode::from_graph(&g);
+    check(
+        "nc/er14",
+        scenario(g.topology(), nodes),
+        0xeb61_f0a7_a827_562d,
+        1127,
+        0x9c02_03db_eb27_49b6,
+    );
+}

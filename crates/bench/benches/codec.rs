@@ -1,6 +1,6 @@
-//! Criterion microbench for the wire codec — v1 (fixed-width) vs v2
-//! (varint + path-delta + price-delta), encode and decode, over realistic
-//! message mixes harvested from converged networks.
+//! Criterion microbench for the wire codec — v2 (varint + path-delta +
+//! price-delta), the one version still emitted — encode and decode, over
+//! realistic message mixes harvested from converged networks.
 //!
 //! Two workloads per size:
 //!
@@ -74,19 +74,6 @@ fn bench_encode(c: &mut Criterion) {
         assert_eq!(ad_count(&full), ad_count(&delta));
         for (label, stream) in [("full", &full), ("delta", &delta)] {
             group.bench_with_input(
-                BenchmarkId::new(format!("v1_{label}"), n),
-                stream,
-                |b, stream| {
-                    b.iter(|| {
-                        let mut total = 0usize;
-                        for u in stream {
-                            total += wire::encode_update(u).len();
-                        }
-                        black_box(total)
-                    })
-                },
-            );
-            group.bench_with_input(
                 BenchmarkId::new(format!("v2_{label}"), n),
                 stream,
                 |b, stream| {
@@ -112,23 +99,20 @@ fn bench_decode(c: &mut Criterion) {
         let full = full_tables(n);
         let delta = as_deltas(&full);
         for (label, stream) in [("full", &full), ("delta", &delta)] {
-            let v1: Vec<Vec<u8>> = stream.iter().map(wire::encode_update).collect();
-            let v2: Vec<Vec<u8>> = stream.iter().map(wire::encode_update_v2).collect();
-            for (version, frames) in [("v1", v1), ("v2", v2)] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{version}_{label}"), n),
-                    &frames,
-                    |b, frames| {
-                        b.iter(|| {
-                            let mut entries = 0usize;
-                            for bytes in frames {
-                                entries += wire::decode_update(bytes).unwrap().entry_count();
-                            }
-                            black_box(entries)
-                        })
-                    },
-                );
-            }
+            let frames: Vec<Vec<u8>> = stream.iter().map(wire::encode_update_v2).collect();
+            group.bench_with_input(
+                BenchmarkId::new(format!("v2_{label}"), n),
+                &frames,
+                |b, frames| {
+                    b.iter(|| {
+                        let mut entries = 0usize;
+                        for bytes in frames {
+                            entries += wire::decode_update(bytes).unwrap().entry_count();
+                        }
+                        black_box(entries)
+                    })
+                },
+            );
         }
     }
     group.finish();

@@ -82,11 +82,11 @@ fn bench_wire_codec(c: &mut Criterion) {
         id: 0,
         causes: Vec::new(),
     };
-    let bytes = wire::encode_update(&update);
+    let bytes = wire::encode_update_v2(&update);
     let mut group = c.benchmark_group("wire_codec");
     group.throughput(criterion::Throughput::Bytes(bytes.len() as u64));
     group.bench_function("encode_64_entries", |b| {
-        b.iter(|| wire::encode_update(black_box(&update)))
+        b.iter(|| wire::encode_update_v2(black_box(&update)))
     });
     group.bench_function("decode_64_entries", |b| {
         b.iter(|| wire::decode_update(black_box(&bytes)).unwrap())

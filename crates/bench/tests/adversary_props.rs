@@ -15,6 +15,7 @@
 //!    everything: accusations, quarantine set, and outcome.
 
 use bgpvcg_bench::families::Family;
+use bgpvcg_bgp::chaos::FaultPlan;
 use bgpvcg_bgp::{Adversary, Strategy, TopologyEvent};
 use bgpvcg_core::protocol;
 use bgpvcg_netgraph::{AsGraph, AsId};
@@ -28,6 +29,41 @@ fn removable_node(g: &AsGraph) -> Option<AsId> {
         engine.run_to_convergence();
         engine.try_apply_event(TopologyEvent::NodeDown(k)).is_ok()
     })
+}
+
+/// `set_adversary` turns delta encoding off on the tapped node so every
+/// strategy sees full advertisements; a later engine-wide
+/// `set_delta_encoding(true)` must not turn it back on there, or the node's
+/// price-only revisions leave as `PriceDelta`s no strategy touches. Checked
+/// on both engines: the tap injects exactly as much with the later call as
+/// without it.
+#[test]
+fn engine_wide_delta_switch_leaves_a_wire_tap_armed() {
+    let graph = Family::BarabasiAlbert.build(40, 7);
+    let liar = AsId::new(3);
+    let tap = || Adversary::new(Strategy::PriceInflate, 4);
+    let injected_sync = |rearm: bool| {
+        let mut engine = protocol::build_sync_engine(&graph).unwrap();
+        engine.set_adversary(liar, tap());
+        if rearm {
+            engine.set_delta_encoding(true);
+        }
+        assert!(engine.run_to_convergence().converged);
+        engine.adversary(liar).map(Adversary::injected)
+    };
+    let injected_chaos = |rearm: bool| {
+        let mut engine = protocol::build_chaos_engine(&graph, FaultPlan::quiet()).unwrap();
+        engine.set_adversary(liar, tap());
+        if rearm {
+            engine.set_delta_encoding(true);
+        }
+        assert!(engine.run_to_stable(2_000).converged);
+        engine.adversary(liar).map(Adversary::injected)
+    };
+    assert!(injected_sync(false) > Some(0), "the tap fires at all");
+    assert_eq!(injected_sync(true), injected_sync(false));
+    assert!(injected_chaos(false) > Some(0), "the tap fires at all");
+    assert_eq!(injected_chaos(true), injected_chaos(false));
 }
 
 proptest! {

@@ -2,7 +2,8 @@
 //!
 //! The paper's convergence results (Sect. 5–6) assume reliable message
 //! exchange between neighbors. This module drops that assumption and shows
-//! the mechanism *self-stabilizes*: a [`ChaosEngine`] perturbs the
+//! the mechanism *self-stabilizes*: a [`ChaosEngine`] — the shared stage
+//! [`Engine`] over the [`Sessions`] transport — perturbs the
 //! inter-node frame streams — dropping, duplicating, delaying (and thereby
 //! reordering) frames, flapping links, crashing and restarting whole nodes
 //! — all replayable from a single `u64` seed, while a sequenced session
@@ -48,21 +49,19 @@
 //! See `docs/ROBUSTNESS.md` for the full fault model and the
 //! self-stabilization argument.
 
-use crate::adversary::Adversary;
 use crate::dynamics::LocalEvent;
-use crate::message::{Frame, FrameKind, Update};
+use crate::engine::kernel::{enqueue, Engine, Parcel, Transport};
+use crate::message::{Frame, FrameKind};
 use crate::node::ProtocolNode;
-use crate::telemetry::Instruments;
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId};
-use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot};
+use bgpvcg_telemetry::flight::{self, StateSnapshot};
 use bgpvcg_telemetry::profile::span;
-use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
+use bgpvcg_telemetry::TraceEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Stages an unacknowledged frame waits before being retransmitted. Two
@@ -104,7 +103,9 @@ pub mod fault {
 /// Stochastic channel faults (drop / duplicate / delay) apply to every
 /// frame sent before `horizon`, drawn from a [`StdRng`] seeded with
 /// `seed`; structural faults (crashes, restarts, flaps, cuts) fire at the
-/// exact stages listed. Identical plans produce bit-identical runs.
+/// exact stages listed. Identical plans produce bit-identical runs. The
+/// three rates must be probabilities in `[0, 1]`; [`ChaosEngine::new`]
+/// rejects a plan where one is not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// RNG seed for the stochastic channel faults.
@@ -329,6 +330,20 @@ struct Session {
     recv: RecvStream,
 }
 
+impl Session {
+    /// Frames `kind` as number `seq` of the send stream, piggybacking the
+    /// cumulative receive state of the reverse stream.
+    fn frame(&self, seq: u64, kind: FrameKind) -> Frame {
+        Frame {
+            epoch: self.send.epoch,
+            seq,
+            ack_epoch: self.recv.epoch,
+            ack: self.recv.next_seq,
+            kind,
+        }
+    }
+}
+
 /// One direction of a link: frames in flight, each with the stage it
 /// becomes deliverable.
 #[derive(Debug, Clone, Default)]
@@ -336,245 +351,147 @@ struct Channel {
     queue: Vec<(u64, Frame)>,
 }
 
-/// The chaos harness: drives [`ProtocolNode`]s over seeded-faulty channels
-/// through the sequenced session layer, in deterministic stages.
-///
-/// Unlike [`SyncEngine`](crate::engine::SyncEngine) this engine owns a
-/// *transport*: nodes exchange [`Frame`]s, not bare updates, and the
-/// harness injects the [`FaultPlan`]'s faults at the channel boundary.
-/// Everything is single-threaded and iteration orders are fixed, so a
-/// `(plan, topology)` pair replays bit-identically.
+/// The session layer as a transport: sequenced frames over seeded-faulty
+/// channels, with everything that needs — per-direction session state,
+/// frames in flight, the [`FaultPlan`] and its rng, the epoch allocator —
+/// and the stage clock and [`ChaosReport`] of the harness that drives it.
+/// Frames are accounted where they arrive, so nothing is sized at send
+/// time.
 #[derive(Debug)]
-pub struct ChaosEngine<N> {
-    nodes: Vec<N>,
-    /// Static physical adjacency from the construction graph.
-    adjacency: Vec<Vec<AsId>>,
-    /// Liveness of each node (crashed nodes are down).
-    up: Vec<bool>,
+pub struct Sessions {
     /// Undirected links administratively dead (silent cuts), normalized
-    /// `(min, max)`.
-    cut: Vec<(u32, u32)>,
+    /// by [`undirected`].
+    cut: Vec<(AsId, AsId)>,
     /// Per-node, per-neighbor session state.
-    sessions: Vec<BTreeMap<u32, Session>>,
+    sessions: Vec<BTreeMap<AsId, Session>>,
     /// Directed channels keyed `(sender, receiver)`.
-    channels: BTreeMap<(u32, u32), Channel>,
+    channels: BTreeMap<(AsId, AsId), Channel>,
     plan: FaultPlan,
     rng: StdRng,
     /// Harness-global epoch allocator (monotone across crashes).
     epoch_counter: u64,
-    /// Monotone provenance counter for broadcast [`Update`]s (0 = never
-    /// broadcast). Session full-table syncs are deliberately unstamped:
-    /// they re-state environment-known state, so advertisements they cause
-    /// attribute to cause 0 like origin advertisements do.
-    update_seq: u64,
     stage: u64,
     report: ChaosReport,
-    /// Everything that observes a run (see [`Instruments`]).
-    instruments: Instruments,
-    /// Scratch: updates delivered in-order this stage, per node index.
-    pending: Vec<Vec<Arc<Update>>>,
     /// Scratch: `true` while the current stage has observed recovery-layer
     /// or protocol activity (used by the stabilization detector).
     stage_active: bool,
-    /// Reusable scratch buffer for v2 byte accounting — one encoder per
-    /// engine, zero per-frame allocations.
-    scratch: Vec<u8>,
-    /// Per-node Byzantine wire taps (see [`crate::adversary`]); `None` =
-    /// honest. Taps perturb outgoing Data payloads — broadcasts *and*
-    /// session full-table resends — through the same deterministic
-    /// function, so retransmitted and re-established streams stay
-    /// self-consistent and runs replay exactly.
-    adversaries: Vec<Option<Adversary>>,
 }
 
-impl<N: ProtocolNode> ChaosEngine<N> {
+/// The key of the undirected link `a`–`b`.
+fn undirected(a: AsId, b: AsId) -> (AsId, AsId) {
+    (a.min(b), a.max(b))
+}
+
+impl Sessions {
+    /// `me`'s session with `peer`, created idle if there is none yet.
+    fn session(&mut self, me: AsId, peer: AsId) -> &mut Session {
+        self.sessions[me.index()].entry(peer).or_default()
+    }
+
+    /// Empties both directions of the link `a`–`b`; what was in flight
+    /// counts as dropped.
+    fn flush(&mut self, a: AsId, b: AsId) {
+        for dir in [(a, b), (b, a)] {
+            if let Some(channel) = self.channels.get_mut(&dir) {
+                self.report.frames_dropped += channel.queue.len() as u64;
+                channel.queue.clear();
+            }
+        }
+    }
+}
+
+impl Transport for Sessions {
+    /// A link is usable once its send stream is established.
+    fn is_open(&self, from: AsId, to: AsId) -> bool {
+        let session = self.sessions[from.index()].get(&to);
+        session.is_some_and(|s| s.send.established)
+    }
+
+    /// Frames the payload as sequenced Data. Frames share the update by
+    /// `Arc` — provenance never crosses the wire codec.
+    fn send<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId, parcel: &Parcel) {
+        engine.send_frame(from, to, FrameKind::Data(Arc::clone(&parcel.update)));
+    }
+}
+
+/// The chaos harness: drives [`ProtocolNode`]s over seeded-faulty channels
+/// through the sequenced session layer, in deterministic stages.
+///
+/// Unlike [`SyncEngine`](crate::engine::SyncEngine) this engine's transport
+/// is lossy: nodes exchange [`Frame`]s, not bare updates, and the harness
+/// injects the [`FaultPlan`]'s faults at the channel boundary. Everything
+/// is single-threaded and iteration orders are fixed, so a
+/// `(plan, topology)` pair replays bit-identically.
+pub type ChaosEngine<N> = Engine<N, Sessions>;
+
+impl<N: ProtocolNode> Engine<N, Sessions> {
     /// Creates a harness over the graph's topology with one prepared node
     /// per AS and the given fault plan.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the graph's node count or ids
-    /// are out of order.
+    /// are out of order, or if the plan's `drop_rate`, `duplicate_rate` or
+    /// `delay_rate` is not a probability in `[0, 1]` (NaN included).
     pub fn new(graph: &AsGraph, nodes: Vec<N>, plan: FaultPlan) -> Self {
-        assert_eq!(nodes.len(), graph.node_count(), "one node per AS");
-        for (idx, node) in nodes.iter().enumerate() {
-            assert_eq!(node.id().index(), idx, "nodes must be in AS order");
+        for (name, rate) in [
+            ("drop_rate", plan.drop_rate),
+            ("duplicate_rate", plan.duplicate_rate),
+            ("delay_rate", plan.delay_rate),
+        ] {
+            assert!(
+                (0.0..=1.0).contains(&rate),
+                "{name} must be a probability in [0, 1], got {rate}"
+            );
         }
-        let n = nodes.len();
         let mut channels = BTreeMap::new();
         for i in graph.nodes() {
             for &j in graph.neighbors(i) {
-                channels.insert((i.index() as u32, j.index() as u32), Channel::default());
+                channels.insert((i, j), Channel::default());
             }
         }
-        let rng = StdRng::seed_from_u64(plan.seed);
-        ChaosEngine {
-            nodes,
-            adjacency: graph.nodes().map(|k| graph.neighbors(k).to_vec()).collect(),
-            up: vec![true; n],
+        let link = Sessions {
             cut: Vec::new(),
-            sessions: vec![BTreeMap::new(); n],
+            sessions: vec![BTreeMap::new(); nodes.len()],
             channels,
+            rng: StdRng::seed_from_u64(plan.seed),
             plan,
-            rng,
             epoch_counter: 0,
-            update_seq: 0,
             stage: 0,
             report: ChaosReport {
                 converged: true,
                 ..ChaosReport::default()
             },
-            instruments: Instruments::new(n),
-            pending: vec![Vec::new(); n],
             stage_active: false,
-            scratch: Vec::new(),
-            adversaries: (0..n).map(|_| None).collect(),
-        }
-    }
-
-    /// Arms a Byzantine wire tap on `node` (see [`crate::adversary`]):
-    /// every outgoing Data payload — change broadcast or session
-    /// full-table resend — passes through the adversary's deterministic
-    /// per-neighbor perturbation before framing. The node's own protocol
-    /// state stays honest; only what crosses the wire lies. Delta
-    /// encoding is disabled on the node so every perturbed advertisement
-    /// carries absolute state the receivers can ingest directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_adversary(&mut self, node: AsId, adversary: Adversary) {
-        self.nodes[node.index()].configure_delta_encoding(false);
-        self.adversaries[node.index()] = Some(adversary);
-    }
-
-    /// The Byzantine tap armed on `node`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn adversary(&self, node: AsId) -> Option<&Adversary> {
-        self.adversaries[node.index()].as_ref()
-    }
-
-    /// Runs an outgoing Data payload from `from` toward `to` through
-    /// `from`'s Byzantine tap, if armed. Returns the perturbed payload
-    /// to frame instead (tracing the injection), or `None` when the
-    /// delivery passes through honestly.
-    fn adversarial_payload(&mut self, from: u32, to: u32, update: &Update) -> Option<Update> {
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.adversaries[from as usize].as_ref()?;
-        self.instruments.enter(span::ADVERSARY_TAP);
-        let out = self.adversarial_payload_tapped(from, to, update);
-        self.instruments.exit();
-        out
-    }
-
-    /// The armed-tap body of [`adversarial_payload`]
-    /// (Self::adversarial_payload), split out so the profiler span
-    /// brackets every early return.
-    fn adversarial_payload_tapped(
-        &mut self,
-        from: u32,
-        to: u32,
-        update: &Update,
-    ) -> Option<Update> {
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let rank = self.adjacency[from as usize]
-            .iter()
-            .position(|a| a.index() as u32 == to)?;
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let adversary = self.adversaries[from as usize].as_mut()?;
-        let strategy = adversary.strategy().code();
-        let perturbed = adversary.perturb(AsId::new(to), rank, update)?;
-        self.instruments.record(&TraceEvent::AdversaryInjected {
-            stage: self.stage,
-            node: from,
-            peer: to,
-            strategy,
-        });
-        Some(perturbed)
-    }
-
-    /// Attaches observability: fault injections, retransmits, session
-    /// resets and restarts are traced, and broadcast updates narrate
-    /// through the same `UpdateTracer` the synchronous engine uses. The
-    /// `attach_*` methods compose in any order.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.instruments.attach_telemetry(telemetry);
-    }
-
-    /// Attaches a divergence flight recorder: the most recent `capacity`
-    /// trace events are retained, and a run that exhausts its stage budget
-    /// without stabilizing dumps the tail plus per-node session snapshots
-    /// to `path` (see [`bgpvcg_telemetry::flight`]). The recorder is teed
-    /// into whatever telemetry is attached, and works standalone on a
-    /// detached engine.
-    pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        self.instruments.attach_flight_recorder(path, capacity);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.instruments.flight_recorder()
-    }
-
-    /// Attaches the hierarchical span profiler over the harness phases
-    /// (per-stage root, route-select/handle, wire framing, and the
-    /// session/retransmit timer pass). Timestamps come from the attached
-    /// telemetry's clock, or a fresh `SystemClock` when detached.
-    pub fn attach_profiler(&mut self) {
-        self.instruments.attach_profiler();
-    }
-
-    /// The attached span profiler's current totals, if any.
-    pub fn profiler(&self) -> Option<&SpanProfiler> {
-        self.instruments.profiler()
-    }
-
-    /// Detaches and returns the span profiler (e.g. to merge shards).
-    pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
-        self.instruments.take_profiler()
-    }
-
-    /// Attaches the streaming convergence-health monitor: a [`HealthSink`]
-    /// is teed into the trace stream so it folds every event as recorded.
-    /// [`run_to_stable`](Self::run_to_stable) polls the stall detector
-    /// after every stage and — with a flight recorder attached — writes a
-    /// [`flight::REASON_HEALTH_STALL`] post-mortem at first stall, before
-    /// the stage budget runs out.
-    pub fn attach_health(&mut self, config: HealthConfig) {
-        self.instruments.attach_health(config);
-    }
-
-    /// The attached health monitor, if any.
-    pub fn health_sink(&self) -> Option<&Arc<HealthSink>> {
-        self.instruments.health_sink()
+        };
+        Engine::over(graph, nodes, link)
     }
 
     /// Writes the divergence dump after a budget exhaustion.
     fn dump_flight(&self) {
-        let frames_in_flight: u64 = self.channels.values().map(|c| c.queue.len() as u64).sum();
+        let in_flight = self.link.channels.values().map(|c| c.queue.len() as u64);
+        let report = &self.link.report;
         let summary = [
-            ("stages", self.report.stages),
-            ("messages", self.report.messages),
-            ("frames_dropped", self.report.frames_dropped),
-            ("retransmits", self.report.retransmits),
-            ("session_resets", self.report.session_resets),
-            ("holds_fired", self.report.holds_fired),
-            ("frames_in_flight", frames_in_flight),
+            ("stages", report.stages),
+            ("messages", report.messages),
+            ("frames_dropped", report.frames_dropped),
+            ("retransmits", report.retransmits),
+            ("session_resets", report.session_resets),
+            ("holds_fired", report.holds_fired),
+            ("frames_in_flight", in_flight.sum()),
             ("updates_stamped", self.update_seq),
             ("nodes", self.nodes.len() as u64),
         ];
         let snapshots = || {
-            let per_node = self.sessions.iter().zip(&self.up).zip(&self.pending);
+            let per_node = self.link.sessions.iter();
+            let per_node = per_node.zip(&self.down).zip(&self.inboxes);
             per_node
                 .take(64)
                 .enumerate()
-                .map(|(idx, ((sessions, &up), pending))| StateSnapshot {
+                .map(|(idx, ((sessions, &down), pending))| StateSnapshot {
                     node: idx as u32,
                     fields: vec![
-                        ("up", u64::from(up)),
+                        ("up", u64::from(!down)),
                         (
                             "sessions_established",
                             sessions.values().filter(|s| s.send.established).count() as u64,
@@ -588,75 +505,51 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 })
                 .collect()
         };
-        self.instruments.dump_abort(
-            flight::REASON_NOT_STABILIZED,
-            self.stage,
-            &summary,
-            snapshots,
-        );
-    }
-
-    /// Read access to a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node(&self, id: AsId) -> &N {
-        &self.nodes[id.index()]
-    }
-
-    /// Iterates over all nodes in AS order.
-    pub fn nodes(&self) -> impl Iterator<Item = &N> {
-        self.nodes.iter()
-    }
-
-    /// Enables or disables price-delta advertisement emission on every
-    /// node. Session-resync full-table resends stay full either way.
-    pub fn set_delta_encoding(&mut self, on: bool) {
-        for node in &mut self.nodes {
-            node.configure_delta_encoding(on);
-        }
-    }
-
-    /// `true` if node `k` is currently crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn is_down(&self, k: AsId) -> bool {
-        !self.up[k.index()]
+        let stage = self.link.stage;
+        self.instruments
+            .dump_abort(flight::REASON_NOT_STABILIZED, stage, &summary, snapshots);
     }
 
     /// Stages executed so far.
     pub fn stage(&self) -> u64 {
-        self.stage
+        self.link.stage
     }
 
-    /// Consumes the engine, returning the nodes (for fixpoint
-    /// comparisons).
-    pub fn into_nodes(self) -> Vec<N> {
-        self.nodes
+    /// Traces a fault injected this stage at `node` (toward `peer`, or
+    /// [`fault::NODE_PEER`]).
+    fn trace_fault(&self, node: AsId, peer: u32, fault: u32) {
+        self.instruments.record(&TraceEvent::FaultInjected {
+            stage: self.link.stage,
+            node: node.raw(),
+            peer,
+            fault,
+        });
+    }
+
+    /// Counts and traces one reset of `me`'s receive state from `peer`.
+    fn session_reset(&mut self, me: AsId, peer: AsId) {
+        self.link.report.session_resets += 1;
+        self.instruments.record(&TraceEvent::SessionReset {
+            stage: self.link.stage,
+            node: me.raw(),
+            peer: peer.raw(),
+        });
     }
 
     /// `true` if the undirected link `a`–`b` exists, both ends are up, and
     /// it has not been cut.
-    fn live_link(&self, a: u32, b: u32) -> bool {
-        let (lo, hi) = (a.min(b), a.max(b));
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.up[a as usize]
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            && self.up[b as usize]
-            && !self.cut.contains(&(lo, hi))
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            && self.adjacency[a as usize].contains(&AsId::new(b))
+    fn live_link(&self, a: AsId, b: AsId) -> bool {
+        !self.down[a.index()]
+            && !self.down[b.index()]
+            && !self.link.cut.contains(&undirected(a, b))
+            && self.adjacency[a.index()].contains(&b)
     }
 
     /// Sends `kind` from `from` to `to` through the fault layer; sequenced
     /// kinds consume a seq and enter the retransmit buffer.
-    fn send_frame(&mut self, from: u32, to: u32, kind: FrameKind) {
-        let stage = self.stage;
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let session = self.sessions[from as usize].entry(to).or_default();
+    fn send_frame(&mut self, from: AsId, to: AsId, kind: FrameKind) {
+        let stage = self.link.stage;
+        let session = self.link.session(from, to);
         let sequenced = !matches!(kind, FrameKind::Keepalive);
         let seq = session.send.next_seq;
         if sequenced {
@@ -664,65 +557,45 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             session.send.unacked.push((seq, kind.clone(), stage));
         }
         session.send.last_sent = stage;
-        let frame = Frame {
-            epoch: session.send.epoch,
-            seq,
-            ack_epoch: session.recv.epoch,
-            ack: session.recv.next_seq,
-            kind,
-        };
+        let frame = session.frame(seq, kind);
         self.transmit(from, to, frame);
     }
 
     /// Pushes a fully built frame into the channel, applying the plan's
     /// stochastic faults (and flap/cut/crash losses).
-    fn transmit(&mut self, from: u32, to: u32, frame: Frame) {
+    fn transmit(&mut self, from: AsId, to: AsId, frame: Frame) {
         if !self.live_link(from, to) {
             // Crashed endpoint or administratively dead link: the frame
             // vanishes without being a counted stochastic fault.
             return;
         }
-        let stage = self.stage;
-        if self.plan.is_flapped(stage, AsId::new(from), AsId::new(to)) {
-            self.report.frames_dropped += 1;
+        let stage = self.link.stage;
+        if self.link.plan.is_flapped(stage, from, to) {
+            self.link.report.frames_dropped += 1;
             return;
         }
         let mut deliver_at = stage + 1;
-        if stage < self.plan.horizon {
-            if self.rng.gen_bool(self.plan.drop_rate) {
-                self.report.frames_dropped += 1;
-                self.instruments.record(&TraceEvent::FaultInjected {
-                    stage,
-                    node: from,
-                    peer: to,
-                    fault: fault::DROP,
-                });
+        if stage < self.link.plan.horizon {
+            if self.link.rng.gen_bool(self.link.plan.drop_rate) {
+                self.link.report.frames_dropped += 1;
+                self.trace_fault(from, to.raw(), fault::DROP);
                 return;
             }
-            if self.rng.gen_bool(self.plan.delay_rate) {
-                deliver_at += self.rng.gen_range(1..=self.plan.max_delay.max(1));
-                self.report.frames_delayed += 1;
-                self.instruments.record(&TraceEvent::FaultInjected {
-                    stage,
-                    node: from,
-                    peer: to,
-                    fault: fault::DELAY,
-                });
+            if self.link.rng.gen_bool(self.link.plan.delay_rate) {
+                let max_delay = self.link.plan.max_delay.max(1);
+                deliver_at += self.link.rng.gen_range(1..=max_delay);
+                self.link.report.frames_delayed += 1;
+                self.trace_fault(from, to.raw(), fault::DELAY);
             }
-            if self.rng.gen_bool(self.plan.duplicate_rate) {
-                self.report.frames_duplicated += 1;
-                self.instruments.record(&TraceEvent::FaultInjected {
-                    stage,
-                    node: from,
-                    peer: to,
-                    fault: fault::DUPLICATE,
-                });
-                if let Some(channel) = self.channels.get_mut(&(from, to)) {
+            if self.link.rng.gen_bool(self.link.plan.duplicate_rate) {
+                self.link.report.frames_duplicated += 1;
+                self.trace_fault(from, to.raw(), fault::DUPLICATE);
+                if let Some(channel) = self.link.channels.get_mut(&(from, to)) {
                     channel.queue.push((deliver_at + 1, frame.clone()));
                 }
             }
         }
-        if let Some(channel) = self.channels.get_mut(&(from, to)) {
+        if let Some(channel) = self.link.channels.get_mut(&(from, to)) {
             channel.queue.push((deliver_at, frame));
         }
     }
@@ -730,208 +603,135 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// (Re)establishes the send stream `from → to`: fresh epoch, Open,
     /// full table. The sender also (re)attaches the neighbor locally —
     /// session establishment is what makes a link usable in this model.
-    fn establish(&mut self, from: u32, to: u32) {
-        self.epoch_counter += 1;
-        let epoch = self.epoch_counter;
-        let stage = self.stage;
-        {
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let session = self.sessions[from as usize].entry(to).or_default();
-            session.send.established = true;
-            session.send.epoch = epoch;
-            session.send.next_seq = 0;
-            session.send.acked_high = 0;
-            session.send.peer_acked = false;
-            session.send.unacked.clear();
-            // Re-arm the hold timer: a fresh session gets a full
-            // `HOLD_STAGES` grace period to hear back before silence is
-            // read as failure (otherwise a post-expiry re-establishment
-            // would trip the still-stale timer immediately).
-            session.recv.last_heard = stage;
-        }
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let _ = self.nodes[from as usize].apply_event(LocalEvent::LinkUp(AsId::new(to)));
+    fn establish(&mut self, from: AsId, to: AsId) {
+        self.link.epoch_counter += 1;
+        let epoch = self.link.epoch_counter;
+        let stage = self.link.stage;
+        let session = self.link.session(from, to);
+        session.send.established = true;
+        session.send.epoch = epoch;
+        session.send.next_seq = 0;
+        session.send.acked_high = 0;
+        session.send.peer_acked = false;
+        session.send.unacked.clear();
+        // Re-arm the hold timer: a fresh session gets a full `HOLD_STAGES`
+        // grace period to hear back before silence is read as failure
+        // (otherwise a post-expiry re-establishment would trip the
+        // still-stale timer immediately).
+        session.recv.last_heard = stage;
+        let _ = self.nodes[from.index()].apply_event(LocalEvent::LinkUp(to));
         self.send_frame(from, to, FrameKind::Open);
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let table = self.nodes[from as usize].full_table();
-        if let Some(table) = table {
-            let payload = self.adversarial_payload(from, to, &table).unwrap_or(table);
-            self.send_frame(from, to, FrameKind::Data(payload.into()));
-        }
-        self.stage_active = true;
+        self.ship_table(from, to, stage);
+        self.link.stage_active = true;
     }
 
     /// Tears down both directions of the session with `peer` after a hold
     /// expiry, applying the implicit link-down to the node.
-    fn hold_expire(&mut self, me: u32, peer: u32) {
-        self.report.holds_fired += 1;
-        self.report.session_resets += 1;
-        self.stage_active = true;
-        self.instruments.record(&TraceEvent::SessionReset {
-            stage: self.stage,
-            node: me,
-            peer,
-        });
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        if let Some(session) = self.sessions[me as usize].get_mut(&peer) {
+    fn hold_expire(&mut self, me: AsId, peer: AsId) {
+        let stage = self.link.stage;
+        self.link.report.holds_fired += 1;
+        self.link.stage_active = true;
+        self.session_reset(me, peer);
+        if let Some(session) = self.link.sessions[me.index()].get_mut(&peer) {
             session.send.established = false;
             session.send.peer_acked = false;
             session.send.unacked.clear();
             session.recv.epoch = 0;
             session.recv.next_seq = 0;
             session.recv.buffer.clear();
-            session.recv.last_heard = self.stage;
+            session.recv.last_heard = stage;
         }
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let out = self.nodes[me as usize].apply_event(LocalEvent::LinkDown(AsId::new(peer)));
+        let out = self.nodes[me.index()].apply_event(LocalEvent::LinkDown(peer));
         if let Some(update) = out {
-            self.broadcast(me, update);
-        }
-    }
-
-    /// Broadcasts `update` from node `idx` as sequenced Data frames to
-    /// every established session. The update is stamped with the next
-    /// provenance id here, *before* tracing and framing, so receivers see
-    /// the same id the tracer reported (frames share the update by `Arc` —
-    /// provenance never crosses the wire codec). Only an
-    /// adversary-perturbed copy gets a payload of its own.
-    fn broadcast(&mut self, idx: u32, mut update: Update) {
-        self.update_seq += 1;
-        update.id = self.update_seq;
-        self.stage_active = true;
-        self.instruments.trace_update(&update, self.stage);
-        let update = Arc::new(update);
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let neighbors = self.adjacency[idx as usize].clone();
-        for to in neighbors {
-            let to = to.index() as u32;
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let established = self.sessions[idx as usize]
-                .get(&to)
-                .is_some_and(|s| s.send.established);
-            if established {
-                let payload = match self.adversarial_payload(idx, to, &update) {
-                    Some(perturbed) => Arc::new(perturbed),
-                    None => Arc::clone(&update),
-                };
-                self.send_frame(idx, to, FrameKind::Data(payload));
-            }
+            self.advertise(me, update, stage);
         }
     }
 
     /// Processes one frame arriving at `me` from `peer`; in-order Data
-    /// payloads are queued into `pending[me]` for this stage's handle
-    /// pass.
-    fn receive(&mut self, me: u32, peer: u32, frame: Frame) {
-        self.report.messages += 1;
-        self.report.bytes += wire::frame_size(&frame) as u64;
-        self.report.bytes_v2 += wire::frame_size_v2_with(&mut self.scratch, &frame) as u64;
-        let stage = self.stage;
+    /// payloads are queued into `me`'s inbox for this stage's handle pass.
+    fn receive(&mut self, me: AsId, peer: AsId, frame: Frame) {
+        self.link.report.messages += 1;
+        self.link.report.bytes += wire::frame_size(&frame) as u64;
+        self.link.report.bytes_v2 += wire::frame_size_v2_with(&mut self.scratch, &frame) as u64;
+        let stage = self.link.stage;
         let mut reestablish = false;
-        let mut resets = 0u64;
+        let mut reset = false;
         let mut opened = false;
-        {
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let session = self.sessions[me as usize].entry(peer).or_default();
-            session.recv.last_heard = stage;
-            // Ack processing for our own stream toward `peer`.
-            if session.send.established {
-                if frame.ack_epoch == session.send.epoch {
-                    if frame.ack > session.send.acked_high {
-                        session.send.acked_high = frame.ack;
-                        session.send.unacked.retain(|&(seq, ..)| seq >= frame.ack);
-                    } else if session.send.peer_acked && frame.ack < session.send.acked_high {
-                        // Cumulative acks regressed: the peer lost its
-                        // receive state but re-adopted this epoch from a
-                        // retransmitted frame before we noticed. (A
-                        // spurious trigger from a delayed old frame is
-                        // possible pre-horizon and merely wasteful.)
-                        reestablish = true;
-                    }
-                    session.send.peer_acked = true;
-                } else if session.send.peer_acked {
-                    // The peer acked this epoch once and no longer does:
-                    // it lost its receive state (crash/restart). Start
-                    // over with a fresh epoch and a full table.
+        let session = self.link.session(me, peer);
+        session.recv.last_heard = stage;
+        // Ack processing for our own stream toward `peer`.
+        if session.send.established {
+            if frame.ack_epoch == session.send.epoch {
+                if frame.ack > session.send.acked_high {
+                    session.send.acked_high = frame.ack;
+                    session.send.unacked.retain(|&(seq, ..)| seq >= frame.ack);
+                } else if session.send.peer_acked && frame.ack < session.send.acked_high {
+                    // Cumulative acks regressed: the peer lost its receive
+                    // state but re-adopted this epoch from a retransmitted
+                    // frame before we noticed. (A spurious trigger from a
+                    // delayed old frame is possible pre-horizon and merely
+                    // wasteful.)
                     reestablish = true;
                 }
+                session.send.peer_acked = true;
+            } else if session.send.peer_acked {
+                // The peer acked this epoch once and no longer does: it
+                // lost its receive state (crash/restart). Start over with
+                // a fresh epoch and a full table.
+                reestablish = true;
             }
-            // Sequencing for the peer's stream toward us.
-            if frame.is_sequenced() {
-                if frame.epoch < session.recv.epoch {
-                    // Stale epoch: a frame from a torn-down incarnation.
-                } else {
-                    if frame.epoch > session.recv.epoch {
-                        session.recv.epoch = frame.epoch;
-                        session.recv.next_seq = 0;
-                        session.recv.buffer.clear();
-                        resets += 1;
-                    }
-                    session.recv.last_seq_heard = stage;
-                    if frame.seq >= session.recv.next_seq {
-                        session.recv.buffer.insert(frame.seq, frame.kind);
-                        while let Some(kind) = session.recv.buffer.remove(&session.recv.next_seq) {
-                            session.recv.next_seq += 1;
-                            match kind {
-                                FrameKind::Open => opened = true,
-                                FrameKind::Data(update) => {
-                                    // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                                    self.pending[me as usize].push(update);
-                                }
-                                FrameKind::Keepalive => {}
-                            }
+        }
+        // Sequencing for the peer's stream toward us; a frame of an older
+        // epoch comes from a torn-down incarnation and is dropped.
+        if frame.is_sequenced() && frame.epoch >= session.recv.epoch {
+            if frame.epoch > session.recv.epoch {
+                session.recv.epoch = frame.epoch;
+                session.recv.next_seq = 0;
+                session.recv.buffer.clear();
+                reset = true;
+            }
+            session.recv.last_seq_heard = stage;
+            if frame.seq >= session.recv.next_seq {
+                session.recv.buffer.insert(frame.seq, frame.kind);
+                while let Some(kind) = session.recv.buffer.remove(&session.recv.next_seq) {
+                    session.recv.next_seq += 1;
+                    match kind {
+                        FrameKind::Open => opened = true,
+                        FrameKind::Data(update) => {
+                            enqueue(&mut self.inboxes, &mut self.dirty, me, update);
                         }
+                        FrameKind::Keepalive => {}
                     }
                 }
             }
         }
-        if resets > 0 {
-            self.report.session_resets += resets;
-            self.stage_active = true;
-            self.instruments.record(&TraceEvent::SessionReset {
-                stage,
-                node: me,
-                peer,
-            });
+        if reset {
+            self.link.stage_active = true;
+            self.session_reset(me, peer);
         }
         if opened {
             // An accepted Open precedes all Data of its epoch, so the
             // neighbor is attached before any of its routes are ingested.
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let _ = self.nodes[me as usize].apply_event(LocalEvent::LinkUp(AsId::new(peer)));
-            self.stage_active = true;
+            let _ = self.nodes[me.index()].apply_event(LocalEvent::LinkUp(peer));
+            self.link.stage_active = true;
             // The peer restarting its stream means it (re)initialized its
             // view of us — typically after dropping everything we ever
             // sent (restart, hold expiry, detected regression). Resend our
             // full table on our own stream so its Rib-In refills; an Open
             // triggers only Data, never a counter-Open, so two nodes can
             // never ping-pong establishments.
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let established = self.sessions[me as usize]
-                .get(&peer)
-                .is_some_and(|s| s.send.established);
-            if established {
-                // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                if let Some(table) = self.nodes[me as usize].full_table() {
-                    let payload = self.adversarial_payload(me, peer, &table).unwrap_or(table);
-                    self.send_frame(me, peer, FrameKind::Data(payload.into()));
-                }
+            if self.link.is_open(me, peer) {
+                self.ship_table(me, peer, stage);
             }
         }
         if reestablish && self.live_link(me, peer) {
             // The peer's state loss also invalidates everything we learned
             // from it over the dead incarnation: bounce the link locally so
             // the stale Rib-In is dropped before the sessions restart.
-            self.report.session_resets += 1;
-            self.instruments.record(&TraceEvent::SessionReset {
-                stage,
-                node: me,
-                peer,
-            });
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let out = self.nodes[me as usize].apply_event(LocalEvent::LinkDown(AsId::new(peer)));
+            self.session_reset(me, peer);
+            let out = self.nodes[me.index()].apply_event(LocalEvent::LinkDown(peer));
             if let Some(update) = out {
-                self.broadcast(me, update);
+                self.advertise(me, update, stage);
             }
             self.establish(me, peer);
         }
@@ -939,144 +739,84 @@ impl<N: ProtocolNode> ChaosEngine<N> {
 
     /// Applies the structural faults scheduled for the current stage.
     fn apply_scheduled_faults(&mut self) {
-        let stage = self.stage;
-        let crashes: Vec<AsId> = self
-            .plan
-            .crashes
-            .iter()
-            .filter(|&&(s, _)| s == stage)
-            .map(|&(_, k)| k)
-            .collect();
-        for k in crashes {
-            if k.index() >= self.nodes.len() || !self.up[k.index()] {
-                self.report.rejected_events += 1;
+        let stage = self.link.stage;
+        let due = |schedule: &[(u64, AsId)]| -> Vec<AsId> {
+            let due = schedule.iter().filter(|&&(s, _)| s == stage);
+            due.map(|&(_, k)| k).collect()
+        };
+        for k in due(&self.link.plan.crashes) {
+            if k.index() >= self.nodes.len() || self.down[k.index()] {
+                self.link.report.rejected_events += 1;
                 continue;
             }
             self.crash(k);
         }
-        let restarts: Vec<AsId> = self
-            .plan
-            .restarts
-            .iter()
-            .filter(|&&(s, _)| s == stage)
-            .map(|&(_, k)| k)
-            .collect();
-        for k in restarts {
-            if k.index() >= self.nodes.len() || self.up[k.index()] {
-                self.report.rejected_events += 1;
+        for k in due(&self.link.plan.restarts) {
+            if k.index() >= self.nodes.len() || !self.down[k.index()] {
+                self.link.report.rejected_events += 1;
                 continue;
             }
             self.restart(k);
         }
-        let cuts: Vec<(AsId, AsId)> = self
-            .plan
-            .cuts
-            .iter()
-            .filter(|&&(s, ..)| s == stage)
-            .map(|&(_, a, b)| (a, b))
-            .collect();
+        let cuts = self.link.plan.cuts.iter().filter(|&&(s, ..)| s == stage);
+        let cuts: Vec<(AsId, AsId)> = cuts.map(|&(_, a, b)| (a, b)).collect();
         for (a, b) in cuts {
-            let (ai, bi) = (a.index() as u32, b.index() as u32);
-            let key = (ai.min(bi), ai.max(bi));
-            if ai as usize >= self.nodes.len()
-                || bi as usize >= self.nodes.len()
-                // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                || !self.adjacency[ai as usize].contains(&b)
-                || self.cut.contains(&key)
+            let key = undirected(a, b);
+            if a.index() >= self.nodes.len()
+                || b.index() >= self.nodes.len()
+                || !self.adjacency[a.index()].contains(&b)
+                || self.link.cut.contains(&key)
             {
-                self.report.rejected_events += 1;
+                self.link.report.rejected_events += 1;
                 continue;
             }
-            self.cut.push(key);
-            self.stage_active = true;
-            self.instruments.record(&TraceEvent::FaultInjected {
-                stage,
-                node: ai,
-                peer: bi,
-                fault: fault::LINK_FLAP,
-            });
-            for dir in [(ai, bi), (bi, ai)] {
-                if let Some(channel) = self.channels.get_mut(&dir) {
-                    self.report.frames_dropped += channel.queue.len() as u64;
-                    channel.queue.clear();
-                }
-            }
+            self.link.cut.push(key);
+            self.link.stage_active = true;
+            self.trace_fault(a, b.raw(), fault::LINK_FLAP);
+            self.link.flush(a, b);
         }
-        // Flap windows opening this stage: trace once and flush whatever
-        // is in flight (the window also eats frames at delivery time).
-        for &(from, _, a, b) in &self.plan.flaps {
-            if from != stage {
-                continue;
+        // Flap windows opening this stage: trace once (the window eats
+        // frames at send and at delivery time).
+        for &(from, until, a, b) in &self.link.plan.flaps {
+            if from == stage {
+                self.trace_fault(a, b.raw(), fault::LINK_FLAP);
             }
-            let (ai, bi) = (a.index() as u32, b.index() as u32);
-            self.instruments.record(&TraceEvent::FaultInjected {
-                stage,
-                node: ai,
-                peer: bi,
-                fault: fault::LINK_FLAP,
-            });
+            self.link.stage_active |= stage >= from && stage < until;
         }
-        self.stage_active |= self
-            .plan
-            .flaps
-            .iter()
-            .any(|&(from, until, ..)| stage >= from && stage < until);
     }
 
     /// Crashes node `k`: state lost, channels emptied, sessions wiped.
     /// Neighbors are *not* told — their hold timers will notice.
     fn crash(&mut self, k: AsId) {
-        let ki = k.index();
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.up[ki] = false;
-        self.report.crashes += 1;
-        self.stage_active = true;
-        self.instruments.record(&TraceEvent::FaultInjected {
-            stage: self.stage,
-            node: ki as u32,
-            peer: fault::NODE_PEER,
-            fault: fault::CRASH,
-        });
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.nodes[ki].reset();
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let neighbors = self.adjacency[ki].clone();
-        for a in neighbors {
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let _ = self.nodes[ki].apply_event(LocalEvent::LinkDown(a));
-            for dir in [(ki as u32, a.index() as u32), (a.index() as u32, ki as u32)] {
-                if let Some(channel) = self.channels.get_mut(&dir) {
-                    self.report.frames_dropped += channel.queue.len() as u64;
-                    channel.queue.clear();
-                }
-            }
+        self.down[k.index()] = true;
+        self.link.report.crashes += 1;
+        self.link.stage_active = true;
+        self.trace_fault(k, fault::NODE_PEER, fault::CRASH);
+        self.nodes[k.index()].reset();
+        for a in self.adjacency[k.index()].clone() {
+            let _ = self.nodes[k.index()].apply_event(LocalEvent::LinkDown(a));
+            self.link.flush(k, a);
         }
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.sessions[ki].clear();
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.pending[ki].clear();
+        self.link.sessions[k.index()].clear();
+        self.drop_inbox(k);
     }
 
     /// Restarts node `k` from scratch; its sessions re-establish in this
     /// stage's establishment pass.
     fn restart(&mut self, k: AsId) {
-        let ki = k.index();
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.up[ki] = true;
-        self.report.restarts += 1;
-        self.stage_active = true;
+        self.down[k.index()] = false;
+        self.link.report.restarts += 1;
+        self.link.stage_active = true;
         self.instruments.record(&TraceEvent::NodeRestart {
-            stage: self.stage,
-            node: ki as u32,
+            stage: self.link.stage,
+            node: k.raw(),
         });
         // The crash already detached every link, so reset() restores a
         // link-less fresh node; the establishment pass this same stage
         // re-attaches neighbors and ships the full table. start() here
         // just primes the change-suppression memory with the origin.
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.nodes[ki].reset();
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let _ = self.nodes[ki].start();
+        self.nodes[k.index()].reset();
+        let _ = self.nodes[k.index()].start();
     }
 
     /// Executes one harness stage. Ordering within a stage is fixed —
@@ -1084,235 +824,164 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// iterates in ascending node/peer order, so runs replay exactly.
     pub fn step(&mut self) {
         self.instruments.enter(span::STAGE);
-        self.stage += 1;
-        self.stage_active = false;
-        let stage = self.stage;
+        self.link.stage += 1;
+        self.link.stage_active = false;
+        let stage = self.link.stage;
         self.instruments.record(&TraceEvent::StageStart { stage });
         self.apply_scheduled_faults();
 
         // Establishment pass: every live directed link without an
         // established send stream opens one (initial startup, post-restart
         // rejoin, post-hold repair).
-        for from in 0..self.nodes.len() as u32 {
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            if !self.up[from as usize] {
-                continue;
-            }
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let peers: Vec<u32> = self.adjacency[from as usize]
-                .iter()
-                .map(|a| a.index() as u32)
-                .collect();
-            for to in peers {
-                if !self.live_link(from, to) {
-                    continue;
-                }
-                // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                let established = self.sessions[from as usize]
-                    .get(&to)
-                    .is_some_and(|s| s.send.established);
-                if !established {
+        for from in (0..self.nodes.len() as u32).map(AsId::new) {
+            for rank in 0..self.adjacency[from.index()].len() {
+                // lint:allow(bounds: `rank` runs below the length of the list it indexes)
+                let to = self.adjacency[from.index()][rank];
+                if self.live_link(from, to) && !self.link.is_open(from, to) {
                     self.establish(from, to);
                 }
             }
         }
 
         // Delivery pass: pop due frames per directed channel in key order.
-        let keys: Vec<(u32, u32)> = self.channels.keys().copied().collect();
+        // A frame whose receiver is down, or whose link is flapped or cut
+        // by now, is lost.
+        let keys: Vec<(AsId, AsId)> = self.link.channels.keys().copied().collect();
         for (from, to) in keys {
-            let due: Vec<Frame> = {
-                let Some(channel) = self.channels.get_mut(&(from, to)) else {
-                    continue;
-                };
-                let mut due = Vec::new();
-                let mut rest = Vec::with_capacity(channel.queue.len());
-                for (at, frame) in channel.queue.drain(..) {
-                    if at <= stage {
-                        due.push(frame);
-                    } else {
-                        rest.push((at, frame));
-                    }
-                }
-                channel.queue = rest;
-                due
+            let Some(channel) = self.link.channels.get_mut(&(from, to)) else {
+                continue;
             };
+            let due = channel.queue.extract_if(.., |(at, _)| *at <= stage);
+            let due: Vec<Frame> = due.map(|(_, frame)| frame).collect();
+            let lost = self.down[to.index()]
+                || self.link.plan.is_flapped(stage, from, to)
+                || self.link.cut.contains(&undirected(from, to));
             for frame in due {
-                // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                if !self.up[to as usize] {
-                    self.report.frames_dropped += 1;
-                    continue;
+                if lost {
+                    self.link.report.frames_dropped += 1;
+                } else {
+                    self.receive(to, from, frame);
                 }
-                if self.plan.is_flapped(stage, AsId::new(from), AsId::new(to)) {
-                    self.report.frames_dropped += 1;
-                    continue;
-                }
-                let (lo, hi) = (from.min(to), from.max(to));
-                if self.cut.contains(&(lo, hi)) {
-                    self.report.frames_dropped += 1;
-                    continue;
-                }
-                self.receive(to, from, frame);
             }
         }
 
         // Handle pass: nodes ingest this stage's in-order Data payloads
         // and broadcast what changed.
-        self.instruments.enter(span::ROUTE_SELECT);
-        for idx in 0..self.nodes.len() as u32 {
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let updates = std::mem::take(&mut self.pending[idx as usize]);
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            if updates.is_empty() || !self.up[idx as usize] {
-                continue;
-            }
-            self.stage_active = true;
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let out = self.nodes[idx as usize].handle(&updates);
-            if let Some(update) = out {
-                self.instruments.enter(span::WIRE_ENCODE);
-                self.broadcast(idx, update);
-                self.instruments.exit();
-            }
-        }
-        self.instruments.exit();
+        let (receiving, _) = self.handle_pass(stage);
+        self.link.stage_active |= receiving > 0;
 
         // Timer pass: retransmits, hold expiry, keepalives.
         self.instruments.enter(span::SESSION_RETRANSMIT);
-        for me in 0..self.nodes.len() as u32 {
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            if !self.up[me as usize] {
+        for me in (0..self.nodes.len() as u32).map(AsId::new) {
+            if self.down[me.index()] {
                 continue;
             }
-            // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-            let peers: Vec<u32> = self.sessions[me as usize].keys().copied().collect();
+            let peers: Vec<AsId> = self.link.sessions[me.index()].keys().copied().collect();
             for peer in peers {
-                let (resend, expire, keepalive) = {
-                    // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                    let Some(session) = self.sessions[me as usize].get_mut(&peer) else {
-                        continue;
-                    };
-                    let active = session.send.established || session.recv.epoch > 0;
-                    let expire =
-                        active && stage.saturating_sub(session.recv.last_heard) >= HOLD_STAGES;
-                    let mut resend: Vec<(u64, FrameKind)> = Vec::new();
-                    if session.send.established && !expire {
-                        for (seq, kind, last_sent) in session.send.unacked.iter_mut() {
-                            if stage.saturating_sub(*last_sent) >= RETRANSMIT_AFTER {
-                                *last_sent = stage;
-                                resend.push((*seq, kind.clone()));
-                            }
-                        }
-                    }
-                    // A keepalive goes out when the stream has been quiet
-                    // long enough to worry the peer's hold timer, or — the
-                    // immediate ack — when sequenced frames arrived this
-                    // stage and nothing (which would have piggybacked the
-                    // ack) was sent back, so the peer's retransmit timer
-                    // never fires spuriously on a healthy channel.
-                    let keepalive = session.send.established
-                        && !expire
-                        && resend.is_empty()
-                        && (stage.saturating_sub(session.send.last_sent) >= KEEPALIVE_AFTER
-                            || (session.recv.last_seq_heard == stage
-                                && session.send.last_sent < stage));
-                    (resend, expire, keepalive)
-                };
-                if expire {
-                    self.hold_expire(me, peer);
-                    continue;
-                }
-                for (seq, kind) in resend {
-                    self.report.retransmits += 1;
-                    self.stage_active = true;
-                    self.instruments.record(&TraceEvent::Retransmit {
-                        stage,
-                        from: me,
-                        to: peer,
-                        seq,
-                    });
-                    let frame = {
-                        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-                        let Some(session) = self.sessions[me as usize].get_mut(&peer) else {
-                            continue;
-                        };
-                        session.send.last_sent = stage;
-                        Frame {
-                            epoch: session.send.epoch,
-                            seq,
-                            ack_epoch: session.recv.epoch,
-                            ack: session.recv.next_seq,
-                            kind,
-                        }
-                    };
-                    self.transmit(me, peer, frame);
-                }
-                if keepalive {
-                    self.send_frame(me, peer, FrameKind::Keepalive);
-                }
+                self.run_timers(me, peer);
             }
         }
         self.instruments.exit();
         self.instruments.exit();
+    }
+
+    /// The timer pass for `me`'s session with `peer`: hold expiry, else
+    /// retransmits of what went unacknowledged too long, else a keepalive.
+    fn run_timers(&mut self, me: AsId, peer: AsId) {
+        let stage = self.link.stage;
+        let Some(session) = self.link.sessions[me.index()].get_mut(&peer) else {
+            return;
+        };
+        let active = session.send.established || session.recv.epoch > 0;
+        if active && stage.saturating_sub(session.recv.last_heard) >= HOLD_STAGES {
+            self.hold_expire(me, peer);
+            return;
+        }
+        if !session.send.established {
+            return;
+        }
+        let mut resend: Vec<(u64, FrameKind)> = Vec::new();
+        for (seq, kind, last_sent) in session.send.unacked.iter_mut() {
+            if stage.saturating_sub(*last_sent) >= RETRANSMIT_AFTER {
+                *last_sent = stage;
+                resend.push((*seq, kind.clone()));
+            }
+        }
+        if resend.is_empty() {
+            // A keepalive goes out when the stream has been quiet long
+            // enough to worry the peer's hold timer, or — the immediate ack
+            // — when sequenced frames arrived this stage and nothing (which
+            // would have piggybacked the ack) was sent back, so the peer's
+            // retransmit timer never fires spuriously on a healthy channel.
+            let quiet = stage.saturating_sub(session.send.last_sent) >= KEEPALIVE_AFTER;
+            if quiet || (session.recv.last_seq_heard == stage && session.send.last_sent < stage) {
+                self.send_frame(me, peer, FrameKind::Keepalive);
+            }
+            return;
+        }
+        session.send.last_sent = stage;
+        for (seq, kind) in resend {
+            self.link.report.retransmits += 1;
+            self.link.stage_active = true;
+            self.instruments.record(&TraceEvent::Retransmit {
+                stage,
+                from: me.raw(),
+                to: peer.raw(),
+                seq,
+            });
+            let frame = self.link.session(me, peer).frame(seq, kind);
+            self.transmit(me, peer, frame);
+        }
     }
 
     /// `true` when nothing recovery-relevant is pending: no sequenced
     /// frames in flight, no retransmit backlog, and the stage produced no
     /// protocol or session activity.
     fn is_idle(&self) -> bool {
-        if self.stage_active {
-            return false;
-        }
-        let backlog = self
-            .channels
-            .values()
-            .flat_map(|c| c.queue.iter())
-            .any(|(_, frame)| frame.is_sequenced());
-        if backlog {
-            return false;
-        }
-        !self
-            .sessions
-            .iter()
-            .flat_map(|peers| peers.values())
-            .any(|s| s.send.established && !s.send.unacked.is_empty())
+        let mut in_flight = self.link.channels.values().flat_map(|c| c.queue.iter());
+        let mut sessions = self.link.sessions.iter().flat_map(|peers| peers.values());
+        !self.link.stage_active
+            && !in_flight.any(|(_, frame)| frame.is_sequenced())
+            && !sessions.any(|s| s.send.established && !s.send.unacked.is_empty())
     }
 
     /// Runs stages until the network stabilizes (two consecutive idle
     /// stages after the fault schedule's end) or `max_stages` runs out.
     pub fn run_to_stable(&mut self, max_stages: u64) -> ChaosReport {
-        let activity_end = self.plan.activity_end();
+        let activity_end = self.link.plan.activity_end();
         let mut idle_streak = 0u64;
-        while self.stage < max_stages {
+        while self.link.stage < max_stages {
             self.step();
             let run_counters = [
-                ("messages", self.report.messages),
-                ("retransmits", self.report.retransmits),
-                ("session_resets", self.report.session_resets),
+                ("messages", self.link.report.messages),
+                ("retransmits", self.link.report.retransmits),
+                ("session_resets", self.link.report.session_resets),
                 ("updates_stamped", self.update_seq),
                 ("nodes", self.nodes.len() as u64),
             ];
-            self.instruments.poll_stall(self.stage, &run_counters);
-            if self.stage > activity_end && self.is_idle() {
+            self.instruments.poll_stall(self.link.stage, &run_counters);
+            if self.link.stage > activity_end && self.is_idle() {
                 idle_streak += 1;
                 if idle_streak >= 2 {
                     self.finish(activity_end);
-                    return self.report;
+                    return self.link.report;
                 }
             } else {
                 idle_streak = 0;
             }
         }
-        self.report.converged = false;
+        self.link.report.converged = false;
         self.finish(activity_end);
         self.dump_flight();
-        self.report
+        self.link.report
     }
 
     fn finish(&mut self, activity_end: u64) {
-        self.report.stages = self.stage;
-        self.report.recovery_stages = self.stage.saturating_sub(activity_end);
-        self.instruments
-            .finish(self.stage, Some(self.report.messages));
+        let stage = self.link.stage;
+        self.link.report.stages = stage;
+        self.link.report.recovery_stages = stage.saturating_sub(activity_end);
+        let messages = Some(self.link.report.messages);
+        self.instruments.finish(stage, messages);
     }
 }
 
@@ -1323,6 +992,7 @@ mod tests {
     use crate::node::PlainBgpNode;
     use bgpvcg_netgraph::generators::structured::{fig1, hypercube};
     use bgpvcg_netgraph::Cost;
+    use bgpvcg_telemetry::Telemetry;
 
     fn sync_fixpoint(g: &AsGraph) -> SyncEngine<PlainBgpNode> {
         let mut engine = SyncEngine::new(g, PlainBgpNode::from_graph(g));
@@ -1463,6 +1133,35 @@ mod tests {
         assert!(report.converged, "{report}");
         assert_eq!(report.rejected_events, 3);
         assert_route_parity(&g, &chaos);
+    }
+
+    fn engine_with_rates(drop_rate: f64, duplicate_rate: f64, delay_rate: f64) {
+        let g = fig1();
+        let plan = FaultPlan {
+            drop_rate,
+            duplicate_rate,
+            delay_rate,
+            ..FaultPlan::quiet()
+        };
+        let _ = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "drop_rate must be a probability")]
+    fn out_of_range_drop_rate_is_rejected_up_front() {
+        engine_with_rates(1.5, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate_rate must be a probability")]
+    fn negative_duplicate_rate_is_rejected_up_front() {
+        engine_with_rates(0.0, -0.25, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "delay_rate must be a probability")]
+    fn nan_delay_rate_is_rejected_up_front() {
+        engine_with_rates(0.0, 0.0, f64::NAN);
     }
 
     #[test]

@@ -1,28 +1,28 @@
-//! The synchronous-stage engine of the paper's Sect. 5.
+//! The synchronous-stage engine of the paper's Sect. 5: the shared
+//! [`Engine`] over the [`LockStep`] transport.
 //!
-//! The hot path is incremental and allocation-free per stage: per-node
-//! inboxes are double-buffered `Vec<Arc<Update>>` queues whose capacity
-//! survives across stages, a dirty list names exactly the nodes with
-//! pending input, and one broadcast shares a single [`Arc`]'d payload
-//! across all receiving links. Stages can optionally run on a scoped
-//! worker pool ([`SyncEngine::with_parallelism`]) that is bit-for-bit
-//! identical to the serial reference path — see `docs/PERFORMANCE.md`
-//! for the architecture and the determinism argument.
+//! All nodes exchange routing tables in lock-step rounds. Each stage
+//! consists of (1) delivering every update queued in the previous stage,
+//! (2) letting each node that received something recompute, and (3)
+//! queueing whatever those nodes want to re-advertise; the run ends at the
+//! first stage with nothing queued. Steps (2) and (3) are the shared
+//! engine's handle pass and send path; this file adds what only lock-step
+//! delivery has — the run loop with its stage accounting, the optional
+//! worker pool, the online auditor with quarantine, and topology events.
 
 use super::invariants;
-use crate::adversary::{Accusation, Adversary, WireAuditor};
+use super::kernel::{enqueue, AuditorSlot, Engine, ObserverSlot, Parcel, StageObserver, Transport};
+use crate::adversary::{Accusation, WireAuditor};
 use crate::dynamics::{LocalEvent, TopologyEvent};
-use crate::message::{RouteInfo, Update};
+use crate::message::RouteInfo;
 use crate::node::ProtocolNode;
 use crate::stats::StateSnapshot;
-use crate::telemetry::{metric, Instruments};
-use crate::wire;
+use crate::telemetry::metric;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost, GraphError};
-use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
+use bgpvcg_telemetry::flight::{self, StateSnapshot as FlightSnapshot};
 use bgpvcg_telemetry::profile::span;
-use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
+use bgpvcg_telemetry::TraceEvent;
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 
 /// What one call to [`SyncEngine::run_to_convergence`] did.
@@ -37,11 +37,12 @@ pub struct RunReport {
     pub messages: usize,
     /// Routing-table entries carried by all delivered messages.
     pub entries: usize,
-    /// Total bytes under the [`wire`] model (v1 fixed-width encoding —
-    /// the historical baseline column).
+    /// Total bytes under the [`wire`](crate::wire) model (v1 fixed-width
+    /// encoding — the historical baseline column).
     pub bytes: usize,
     /// Total bytes under the v2 varint/delta encoding
-    /// ([`wire::encode_update_v2_into`]) of the same message stream.
+    /// ([`wire::encode_update_v2_into`](crate::wire::encode_update_v2_into))
+    /// of the same message stream.
     pub bytes_v2: usize,
     /// Peak messages delivered on any single link in any single stage.
     pub max_link_messages_per_stage: usize,
@@ -61,6 +62,13 @@ impl RunReport {
             .max_link_messages_per_stage
             .max(other.max_link_messages_per_stage);
         self.converged = other.converged;
+    }
+
+    fn account(&mut self, sent: Sent) {
+        self.messages += sent.messages;
+        self.entries += sent.entries;
+        self.bytes += sent.bytes;
+        self.bytes_v2 += sent.bytes_v2;
     }
 }
 
@@ -109,89 +117,44 @@ impl fmt::Display for StageTrace {
     }
 }
 
+/// Traffic the lock-step transport has accounted at send time: one update
+/// crossing one link is one message.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sent {
+    messages: usize,
+    entries: usize,
+    /// v1 bytes — the column the public [`StageTrace`] and the `bgp_bytes`
+    /// counter keep for display stability.
+    bytes: usize,
+    bytes_v2: usize,
+}
+
 /// Everything one executed stage produced beyond its public [`StageTrace`]:
-/// the table-entry count for the run report and the stage's peak per-link
-/// message count.
+/// the stage's traffic for the run report and its peak per-link message
+/// count.
 struct StageOutcome {
     trace: StageTrace,
-    entries: usize,
-    /// v2-encoded bytes this stage (the public [`StageTrace`] keeps the v1
-    /// `bytes` column for display stability).
-    bytes_v2: usize,
+    sent: Sent,
     link_max: usize,
 }
 
-/// The synchronous-stage engine: all nodes exchange routing tables in
-/// lock-step rounds, exactly the computational model of the paper's Sect. 5.
-///
-/// Each stage consists of (1) delivering every update queued in the previous
-/// stage, (2) letting each node that received something recompute, and (3)
-/// queueing whatever those nodes want to re-advertise. The run ends at the
-/// first stage with nothing queued.
-///
-/// The engine is generic over the node type so the plain BGP speaker and the
-/// pricing extension run on identical machinery and their traffic statistics
-/// are directly comparable.
-///
-/// Node recomputation within a stage is independent by construction (each
-/// `handle` reads only the node's own inbox, filled last stage), so stages
-/// can run on a worker pool — [`with_parallelism`](Self::with_parallelism) —
-/// while broadcasts are merged in ascending node order, keeping parallel
-/// runs bit-for-bit identical to serial ones.
+/// Perfect lock-step delivery: a payload sent in one stage sits in the
+/// neighbor's inbox for the next, and is accounted the moment it is sent.
+/// Also holds what only the lock-step run loop keeps: the stage budget, the
+/// links of crashed nodes, and the auditor's verdicts.
 #[derive(Debug)]
-pub struct SyncEngine<N> {
-    nodes: Vec<N>,
-    /// Physical adjacency (kept here, mutable by topology events).
-    adjacency: Vec<Vec<AsId>>,
-    /// Per-node inbox for the next stage. One broadcast pushes one shared
-    /// `Arc` per receiving link, never a payload copy.
-    inboxes: Vec<Vec<Arc<Update>>>,
-    /// Double buffer for `inboxes`: holds the *current* stage's deliveries
-    /// while `inboxes` collects the next stage's. All slots are empty
-    /// between stages but keep their capacity, so steady-state stages
-    /// allocate nothing.
-    delivered: Vec<Vec<Arc<Update>>>,
-    /// Dirty list: indices of nodes with a non-empty inbox, i.e. exactly
-    /// the nodes the next stage must run. Maintained by `broadcast` /
-    /// `unicast` (a slot is pushed when it transitions empty → non-empty).
-    dirty: Vec<u32>,
-    /// `down[k]` marks node `k` as crashed: no incident links, no inbox,
-    /// protocol state already wiped (see [`TopologyEvent::NodeDown`]).
-    down: Vec<bool>,
+pub struct LockStep {
     /// The neighbor list each crashed node had when it went down, so
     /// [`TopologyEvent::NodeUp`] can restore exactly those links. A link
     /// whose far end is *also* down is handed over to that node's parked
     /// list when this one restarts, so both-down links resurface when the
     /// second endpoint comes back.
     parked: Vec<Vec<AsId>>,
-    /// Double buffer for `dirty`, empty between stages.
-    stage_dirty: Vec<u32>,
-    /// Reusable scratch buffer for v2 byte accounting: every broadcast's
-    /// v2 size is measured by encoding into this one buffer, so the hot
-    /// path performs zero per-message encoder allocations.
-    scratch: Vec<u8>,
-    /// Worker threads per stage; 1 = the serial reference path.
-    workers: usize,
     /// Safety valve: abort after this many stages (default `8n + 64`).
     stage_limit: usize,
     started: bool,
     /// Stage counter for the step-wise API.
     steps_executed: usize,
-    /// Monotone provenance counter: every broadcast [`Update`] is stamped
-    /// with the next id (in ascending node order, which is also the merge
-    /// order of the parallel path — so serial and parallel runs assign
-    /// identical ids). 0 is reserved for the environment; see
-    /// [`Update::id`].
-    update_seq: u64,
-    /// Everything that observes a run (see [`Instruments`]); detached, it
-    /// costs an `Option` check per call.
-    instruments: Instruments,
-    /// Per-node Byzantine wire wrappers (`None` = honest). Consulted on
-    /// every outgoing delivery; see [`set_adversary`](Self::set_adversary).
-    adversaries: Vec<Option<Adversary>>,
-    /// Attached online auditor (watchdog), if any. Kept in a slot so the
-    /// engine's derived `Debug` survives the `dyn` trait object.
-    auditor: Option<AuditorSlot>,
     /// Whether an auditor accusation triggers automatic NodeDown
     /// quarantine (on by default when an auditor is attached).
     auto_quarantine: bool,
@@ -200,41 +163,42 @@ pub struct SyncEngine<N> {
     quarantined: Vec<AsId>,
     /// Every accusation the attached auditor returned, in order.
     accusations: Vec<Accusation>,
-    /// Scratch: trace events produced inside `broadcast`/`unicast`,
-    /// recorded after each delivery batch so an injection follows the
-    /// events of the batch it perturbed. Empty on the honest path.
-    pending_events: Vec<TraceEvent>,
-    /// Per-stage observer over the settled node array (economic gauges
-    /// etc.), invoked after every executed stage of a traced run.
-    stage_observer: Option<ObserverSlot<N>>,
+    /// Sends accounted since the run loop last [settled](Engine::take_sent).
+    sent: Sent,
+    /// The provenance counter when the run loop last settled: the updates
+    /// stamped since are the broadcasts `sent` belongs to.
+    settled_seq: u64,
 }
 
-/// A per-stage observer closure: invoked with `(stage, nodes)` after
-/// every executed stage of a traced run.
-pub type StageObserver<N> = Box<dyn FnMut(u64, &[N]) + Send>;
+impl Transport for LockStep {
+    /// The adjacency *is* the live link set.
+    fn is_open(&self, _from: AsId, _to: AsId) -> bool {
+        true
+    }
 
-/// Holder giving the stage-observer closure a `Debug` representation so
-/// [`SyncEngine`] keeps its derived `Debug` (same pattern as
-/// [`AuditorSlot`]).
-struct ObserverSlot<N>(StageObserver<N>);
-
-impl<N> fmt::Debug for ObserverSlot<N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("StageObserver")
+    fn send<N: ProtocolNode>(engine: &mut Engine<N, Self>, _from: AsId, to: AsId, parcel: &Parcel) {
+        let (bytes, bytes_v2) = parcel.sizes(&mut engine.scratch);
+        let sent = &mut engine.link.sent;
+        sent.messages += 1;
+        sent.entries += parcel.update.entry_count();
+        sent.bytes += bytes;
+        sent.bytes_v2 += bytes_v2;
+        let update = Arc::clone(&parcel.update);
+        enqueue(&mut engine.inboxes, &mut engine.dirty, to, update);
     }
 }
 
-/// Holder giving the attached `dyn` auditor a `Debug` representation so
-/// [`SyncEngine`] keeps its derived `Debug`.
-struct AuditorSlot(Box<dyn WireAuditor>);
+/// The synchronous-stage engine: all nodes exchange routing tables in
+/// lock-step rounds, exactly the computational model of the paper's Sect. 5.
+///
+/// Node recomputation within a stage is independent by construction (each
+/// `handle` reads only the node's own inbox, filled last stage), so stages
+/// can run on a worker pool — [`with_parallelism`](Engine::with_parallelism)
+/// — while broadcasts go out in ascending node order, keeping parallel runs
+/// bit-for-bit identical to serial ones.
+pub type SyncEngine<N> = Engine<N, LockStep>;
 
-impl fmt::Debug for AuditorSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("WireAuditor")
-    }
-}
-
-impl<N: ProtocolNode> SyncEngine<N> {
+impl<N: ProtocolNode> Engine<N, LockStep> {
     /// Creates an engine over the graph's topology with one prepared node
     /// per AS (in AS order — see e.g.
     /// [`PlainBgpNode::from_graph`](crate::PlainBgpNode::from_graph)).
@@ -244,50 +208,26 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// Panics if `nodes.len()` differs from the graph's node count or ids
     /// are out of order.
     pub fn new(graph: &AsGraph, nodes: Vec<N>) -> Self {
-        assert_eq!(nodes.len(), graph.node_count(), "one node per AS");
-        for (idx, node) in nodes.iter().enumerate() {
-            assert_eq!(node.id().index(), idx, "nodes must be in AS order");
-        }
         let n = nodes.len();
-        SyncEngine {
-            nodes,
-            adjacency: graph.nodes().map(|k| graph.neighbors(k).to_vec()).collect(),
-            inboxes: vec![Vec::new(); n],
-            delivered: vec![Vec::new(); n],
-            dirty: Vec::new(),
-            down: vec![false; n],
+        let link = LockStep {
             parked: vec![Vec::new(); n],
-            stage_dirty: Vec::new(),
-            scratch: Vec::new(),
-            workers: 1,
             stage_limit: 8 * n + 64,
             started: false,
             steps_executed: 0,
-            update_seq: 0,
-            instruments: Instruments::new(n),
-            adversaries: vec![None; n],
-            auditor: None,
             auto_quarantine: true,
             quarantined: Vec::new(),
             accusations: Vec::new(),
-            pending_events: Vec::new(),
-            stage_observer: None,
-        }
-    }
-
-    /// Stamps `update` with the next provenance id. The counter is
-    /// engine-local, so co-resident engines replaying the same run emit
-    /// identical id streams (the parallel-parity suite relies on this).
-    fn stamp(&mut self, update: &mut Update) {
-        self.update_seq += 1;
-        update.id = self.update_seq;
+            sent: Sent::default(),
+            settled_seq: 0,
+        };
+        Engine::over(graph, nodes, link)
     }
 
     /// Sets the number of worker threads a stage's node recomputation is
     /// partitioned across (clamped to at least 1; 1 = the serial reference
     /// path). Any value produces bit-identical runs — reports, fixpoints,
     /// message streams, and telemetry all match the serial engine exactly,
-    /// because emitted updates are merged in ascending node order. See
+    /// because emitted updates are advertised in ascending node order. See
     /// `docs/PERFORMANCE.md` for the determinism argument.
     #[must_use]
     pub fn with_parallelism(mut self, workers: usize) -> Self {
@@ -298,69 +238,6 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// The configured number of stage workers (1 = serial).
     pub fn parallelism(&self) -> usize {
         self.workers
-    }
-
-    /// Attaches observability: from now on every run narrates itself as
-    /// [`TraceEvent`]s through `telemetry`'s sink and keeps the shared
-    /// registry's `bgp_*` metrics (see [`metric`]) current. Detached
-    /// engines pay nothing. The `attach_*` methods compose in any order.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.instruments.attach_telemetry(telemetry);
-    }
-
-    /// Attaches a divergence flight recorder: the most recent `capacity`
-    /// trace events are retained in memory, and if a run exceeds the stage
-    /// limit the tail plus per-node state snapshots are dumped to `path`
-    /// as one schema-valid JSON artifact (see
-    /// [`bgpvcg_telemetry::flight`]). The recorder is teed into whatever
-    /// telemetry is attached, and works standalone on a detached engine.
-    pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        self.instruments.attach_flight_recorder(path, capacity);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.instruments.flight_recorder()
-    }
-
-    /// Attaches the hierarchical span profiler over the engine phases of
-    /// [`span`] (route-select, wire-encode, price-relax, audit
-    /// shadow-execute, adversary tap, health fold — all nested under the
-    /// per-stage root). Enter/exit on the hot path is allocation-free;
-    /// detached engines pay nothing. Timestamps come from the attached
-    /// telemetry's clock (so tests can script them), or a fresh
-    /// `SystemClock` on a detached engine.
-    pub fn attach_profiler(&mut self) {
-        self.instruments.attach_profiler();
-    }
-
-    /// The attached span profiler's current totals, if any.
-    pub fn profiler(&self) -> Option<&SpanProfiler> {
-        self.instruments.profiler()
-    }
-
-    /// Detaches and returns the span profiler (e.g. to merge shards).
-    pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
-        self.instruments.take_profiler()
-    }
-
-    /// Attaches the streaming convergence-health monitor: a
-    /// [`HealthSink`] is teed into the trace stream (exactly like
-    /// [`attach_flight_recorder`](Self::attach_flight_recorder), and works
-    /// standalone on a detached engine) so every event is folded as it is
-    /// recorded. The engine polls the stall detector between stages and —
-    /// when a flight recorder is also attached — dumps a
-    /// [`flight::REASON_HEALTH_STALL`] post-mortem at first stall, before
-    /// any stage-limit overrun destroys the evidence. Freshly-fired
-    /// findings are emitted as `HealthVerdict` trace events at each run
-    /// end.
-    pub fn attach_health(&mut self, config: HealthConfig) {
-        self.instruments.attach_health(config);
-    }
-
-    /// The attached health monitor, if any.
-    pub fn health_sink(&self) -> Option<&Arc<HealthSink>> {
-        self.instruments.health_sink()
     }
 
     /// Installs a per-stage observer invoked with `(stage, nodes)` after
@@ -374,7 +251,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// Writes the divergence dump after a stage-limit abort.
     fn dump_flight(&self, executed: usize, report: &RunReport) {
         let summary = [
-            ("stage_limit", self.stage_limit as u64),
+            ("stage_limit", self.link.stage_limit as u64),
             ("stages_with_changes", report.stages as u64),
             ("messages", report.messages as u64),
             ("entries", report.entries as u64),
@@ -434,8 +311,8 @@ impl<N: ProtocolNode> SyncEngine<N> {
             }
             self.dump_audit_flight(stage, &accusation);
             let culprit = accusation.node;
-            self.accusations.push(accusation);
-            if !self.auto_quarantine || self.down[culprit.index()] {
+            self.link.accusations.push(accusation);
+            if !self.link.auto_quarantine || self.down[culprit.index()] {
                 continue;
             }
             if self
@@ -450,7 +327,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 // sends nothing more to perturb.
                 self.adversaries[culprit.index()] = None;
                 self.inject_event(TopologyEvent::NodeDown(culprit), report);
-                self.quarantined.push(culprit);
+                self.link.quarantined.push(culprit);
             }
         }
         self.instruments.exit();
@@ -504,58 +381,9 @@ impl<N: ProtocolNode> SyncEngine<N> {
         self.nodes.len()
     }
 
-    /// Read access to a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node(&self, id: AsId) -> &N {
-        &self.nodes[id.index()]
-    }
-
-    /// Iterates over all nodes in AS order.
-    pub fn nodes(&self) -> impl Iterator<Item = &N> {
-        self.nodes.iter()
-    }
-
     /// Overrides the stage safety limit.
     pub fn set_stage_limit(&mut self, limit: usize) {
-        self.stage_limit = limit;
-    }
-
-    /// Enables or disables price-delta advertisement emission on every
-    /// node (see [`ProtocolNode::configure_delta_encoding`]). Deltas are
-    /// on by default; the equivalence suite turns them off to prove the
-    /// compressed stream reaches the identical fixpoint.
-    pub fn set_delta_encoding(&mut self, on: bool) {
-        for node in &mut self.nodes {
-            node.configure_delta_encoding(on);
-        }
-    }
-
-    /// Wraps `node` in a Byzantine wire-layer adversary: from now on every
-    /// outgoing delivery (broadcast copies and session full-table unicasts
-    /// alike) is offered to [`Adversary::perturb`] for per-neighbor
-    /// corruption. The wrapped node itself keeps running the honest
-    /// protocol on its real inbox — only its wire output lies. Delta
-    /// encoding is disabled on the node so perturbations operate on full
-    /// advertisements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_adversary(&mut self, node: AsId, adversary: Adversary) {
-        self.nodes[node.index()].configure_delta_encoding(false);
-        self.adversaries[node.index()] = Some(adversary);
-    }
-
-    /// The adversary currently wrapping `node`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn adversary(&self, node: AsId) -> Option<&Adversary> {
-        self.adversaries[node.index()].as_ref()
+        self.link.stage_limit = limit;
     }
 
     /// Attaches an online auditor: every queued delivery is narrated to it
@@ -574,193 +402,48 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// Enables or disables automatic quarantine of accused nodes (on by
     /// default). With it off, accusations are still recorded and traced.
     pub fn set_auto_quarantine(&mut self, on: bool) {
-        self.auto_quarantine = on;
+        self.link.auto_quarantine = on;
     }
 
     /// Nodes the auditor quarantined over this engine's lifetime.
     pub fn quarantined(&self) -> &[AsId] {
-        &self.quarantined
+        &self.link.quarantined
     }
 
     /// Every accusation the attached auditor has returned, in order.
     pub fn accusations(&self) -> &[Accusation] {
-        &self.accusations
+        &self.link.accusations
     }
 
-    /// Queues `update` from `from` to every current neighbor of `from`,
-    /// returning (messages, entries, bytes, bytes_v2) accounted. The
-    /// payload is shared: each receiving inbox gets an `Arc` clone, not a
-    /// copy. `stage` labels the delivery for the adversary/auditor hooks;
-    /// with neither attached the watched path is skipped entirely.
-    fn broadcast(
-        &mut self,
-        from: AsId,
-        update: &Arc<Update>,
-        stage: u64,
-    ) -> (usize, usize, usize, usize) {
-        if self.auditor.is_some() || self.adversaries[from.index()].is_some() {
-            return self.broadcast_watched(from, update, stage);
+    /// Closes the books on what was sent since the last call: feeds the
+    /// `bgp_*` traffic counters (one `updates_sent` per update stamped in
+    /// between — full tables are unstamped) and hands the totals to the
+    /// caller's report.
+    fn take_sent(&mut self) -> Sent {
+        let sent = std::mem::take(&mut self.link.sent);
+        let updates = self.update_seq - self.link.settled_seq;
+        self.link.settled_seq = self.update_seq;
+        if updates > 0 || sent.messages > 0 {
+            self.instruments
+                .account(updates, sent.messages, sent.entries, sent.bytes);
         }
-        let size = wire::update_size(update);
-        let size_v2 = wire::update_size_v2_with(&mut self.scratch, update);
-        let neighbors = &self.adjacency[from.index()];
-        let mut messages = 0;
-        for &to in neighbors {
-            let inbox = &mut self.inboxes[to.index()];
-            if inbox.is_empty() {
-                self.dirty.push(to.index() as u32);
-            }
-            inbox.push(Arc::clone(update));
-            messages += 1;
-        }
-        (
-            messages,
-            messages * update.entry_count(),
-            messages * size,
-            messages * size_v2,
-        )
-    }
-
-    /// The watched twin of [`broadcast`](Self::broadcast): offers each
-    /// per-neighbor copy to the sender's adversary for perturbation and
-    /// narrates every queued delivery to the attached auditor. Only taken
-    /// when an adversary or auditor is attached, so the honest hot path
-    /// stays allocation-free.
-    fn broadcast_watched(
-        &mut self,
-        from: AsId,
-        update: &Arc<Update>,
-        stage: u64,
-    ) -> (usize, usize, usize, usize) {
-        let mut messages = 0usize;
-        let mut entries = 0usize;
-        let mut bytes = 0usize;
-        let mut bytes_v2 = 0usize;
-        let tapped = self.adversaries[from.index()].is_some();
-        if tapped {
-            self.instruments.enter(span::ADVERSARY_TAP);
-        }
-        let neighbors = &self.adjacency[from.index()];
-        for (rank, &to) in neighbors.iter().enumerate() {
-            let perturbed = match self.adversaries[from.index()].as_mut() {
-                Some(adversary) => adversary
-                    .perturb(to, rank, update)
-                    .map(|p| (p, adversary.strategy().code())),
-                None => None,
-            };
-            let delivered = match perturbed {
-                Some((corrupted, strategy)) => {
-                    self.pending_events.push(TraceEvent::AdversaryInjected {
-                        stage,
-                        node: from.index() as u32,
-                        peer: to.index() as u32,
-                        strategy,
-                    });
-                    Arc::new(corrupted)
-                }
-                None => Arc::clone(update),
-            };
-            bytes += wire::update_size(&delivered);
-            bytes_v2 += wire::update_size_v2_with(&mut self.scratch, &delivered);
-            entries += delivered.entry_count();
-            let inbox = &mut self.inboxes[to.index()];
-            if inbox.is_empty() {
-                self.dirty.push(to.index() as u32);
-            }
-            inbox.push(Arc::clone(&delivered));
-            if let Some(auditor) = self.auditor.as_mut() {
-                auditor.0.on_wire(from, to, &delivered);
-            }
-            messages += 1;
-        }
-        if tapped {
-            self.instruments.exit();
-        }
-        (messages, entries, bytes, bytes_v2)
-    }
-
-    /// Delivers `update` from `from` to `to` only (used for session
-    /// establishment on link-up). Runs the same adversary/auditor hooks as
-    /// [`broadcast`](Self::broadcast).
-    fn unicast(
-        &mut self,
-        from: AsId,
-        to: AsId,
-        mut update: Update,
-        stage: u64,
-    ) -> (usize, usize, usize, usize) {
-        if let Some(adversary) = self.adversaries[from.index()].as_mut() {
-            let rank = self.adjacency[from.index()]
-                .iter()
-                .position(|&x| x == to)
-                .unwrap_or(0);
-            if let Some(corrupted) = adversary.perturb(to, rank, &update) {
-                self.pending_events.push(TraceEvent::AdversaryInjected {
-                    stage,
-                    node: from.index() as u32,
-                    peer: to.index() as u32,
-                    strategy: adversary.strategy().code(),
-                });
-                update = corrupted;
-            }
-        }
-        let size = wire::update_size(&update);
-        let size_v2 = wire::update_size_v2_with(&mut self.scratch, &update);
-        let entries = update.entry_count();
-        let delivered = Arc::new(update);
-        let inbox = &mut self.inboxes[to.index()];
-        if inbox.is_empty() {
-            self.dirty.push(to.index() as u32);
-        }
-        inbox.push(Arc::clone(&delivered));
-        if let Some(auditor) = self.auditor.as_mut() {
-            auditor.0.on_wire(from, to, &delivered);
-        }
-        (1, entries, size, size_v2)
-    }
-
-    /// Records the trace events produced inside `broadcast`/`unicast`
-    /// (adversary injections). A no-op on honest runs.
-    fn drain_pending_events(&mut self) {
-        if !self.pending_events.is_empty() {
-            self.instruments.record_all(&self.pending_events);
-            self.pending_events.clear();
-        }
+        sent
     }
 
     /// Runs every node's `start()` hook, announcing the origin
-    /// advertisements.
+    /// advertisements — ahead of a run's stage 1, so traced as stage 0.
     fn start_protocol(&mut self, report: &mut RunReport) {
-        for idx in 0..self.nodes.len() {
-            // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            if let Some(update) = self.nodes[idx].start() {
-                self.announce(AsId::new(idx as u32), update, report);
+        for k in (0..self.nodes.len() as u32).map(AsId::new) {
+            if let Some(update) = self.nodes[k.index()].start() {
+                self.advertise(k, update, 0);
             }
         }
-        self.drain_pending_events();
+        report.account(self.take_sent());
     }
 
-    /// Stamps and broadcasts what a node emits ahead of a run's stage 1 —
-    /// its origin advertisement, or its reaction to a topology event —
-    /// traced as stage 0 and accounted to `report`.
-    fn announce(&mut self, from: AsId, mut update: Update, report: &mut RunReport) {
-        self.stamp(&mut update);
-        let update = Arc::new(update);
-        let (m, e, b, b2) = self.broadcast(from, &update, 0);
-        self.instruments.on_broadcast(&update, 0, m, e, b);
-        report.messages += m;
-        report.entries += e;
-        report.bytes += b;
-        report.bytes_v2 += b2;
-    }
-
-    /// Executes one synchronous stage: swap the double-buffered queues,
-    /// run `handle` for every dirty node (serially or on the worker pool),
-    /// and broadcast the emitted updates in ascending node order.
-    ///
-    /// This is the engine's hot loop: it must not allocate per stage
-    /// beyond inbox growth toward the run's high-water mark (enforced by
-    /// the `stage-alloc` xtask lint rule on this function body).
+    /// Executes one synchronous stage: the shared handle pass over what the
+    /// previous stage queued, bracketed by the stage's trace, span and
+    /// traffic accounting.
     fn run_stage(&mut self, stage: usize) -> StageOutcome {
         self.instruments.enter(span::STAGE);
         let wall_start = self.instruments.telemetry().map(|telemetry| {
@@ -769,61 +452,16 @@ impl<N: ProtocolNode> SyncEngine<N> {
             });
             telemetry.now_nanos()
         });
-        // Swap the double buffers: `delivered`/`receiving` now hold this
-        // stage's input, while `inboxes`/`dirty` (emptied last stage,
-        // capacity retained) collect the next stage's.
-        std::mem::swap(&mut self.inboxes, &mut self.delivered);
-        std::mem::swap(&mut self.dirty, &mut self.stage_dirty);
         if let Some(auditor) = self.auditor.as_mut() {
             auditor.0.begin_stage(stage as u64);
         }
-        let mut receiving = std::mem::take(&mut self.stage_dirty);
-        // Ascending node order: the broadcast order below is the engine's
-        // determinism contract (serial and parallel runs match exactly).
-        receiving.sort_unstable();
-        let mut outcome = StageOutcome {
-            trace: StageTrace {
-                stage,
-                receiving_nodes: receiving.len(),
-                changed_nodes: 0,
-                messages: 0,
-                bytes: 0,
-            },
-            entries: 0,
-            bytes_v2: 0,
-            link_max: 0,
-        };
-        for &idx in &receiving {
+        let depths = self.dirty.iter().map(|&idx| {
             // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            outcome.link_max = outcome.link_max.max(self.delivered[idx as usize].len());
-        }
-        self.instruments.enter(span::ROUTE_SELECT);
-        if self.workers > 1 && receiving.len() > 1 {
-            // Parallel path: handles run partitioned across the pool, the
-            // merged emissions come back sorted by node index, and
-            // advertising them in that order replays the serial run exactly.
-            let merged =
-                parallel_handle(&mut self.nodes, &self.delivered, &receiving, self.workers);
-            for (idx, emitted) in merged {
-                self.advertise(idx, emitted, &mut outcome);
-            }
-        } else {
-            for &idx in &receiving {
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                let emitted = self.nodes[idx as usize].handle(&self.delivered[idx as usize]);
-                self.advertise(idx, emitted, &mut outcome);
-            }
-        }
-        self.instruments.exit();
-        // Restore the reusable buffers: only the slots this stage actually
-        // used need clearing (everything else is already empty).
-        for &idx in &receiving {
-            // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            self.delivered[idx as usize].clear();
-        }
-        receiving.clear();
-        self.stage_dirty = receiving;
-        self.drain_pending_events();
+            self.inboxes[idx as usize].len()
+        });
+        let link_max = depths.max().unwrap_or(0);
+        let (receiving_nodes, changed_nodes) = self.handle_pass(stage as u64);
+        let sent = self.take_sent();
         if let (Some(telemetry), Some(start)) = (self.instruments.telemetry(), wall_start) {
             let elapsed = telemetry.now_nanos().saturating_sub(start);
             telemetry
@@ -831,30 +469,18 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 .observe(elapsed);
         }
         self.instruments.exit();
-        outcome
-    }
-
-    /// What a stage does with node `idx`'s `handle` result, on the serial
-    /// and the parallel path alike: stamp the emitted update, broadcast it
-    /// and account it to the stage.
-    fn advertise(&mut self, idx: u32, emitted: Option<Update>, outcome: &mut StageOutcome) {
-        let Some(mut update) = emitted else {
-            return;
+        let trace = StageTrace {
+            stage,
+            receiving_nodes,
+            changed_nodes,
+            messages: sent.messages,
+            bytes: sent.bytes,
         };
-        let stage = outcome.trace.stage as u64;
-        self.stamp(&mut update);
-        let update = Arc::new(update);
-        outcome.trace.changed_nodes += 1;
-        self.instruments.enter(span::WIRE_ENCODE);
-        let (m, e, b, b2) = self.broadcast(AsId::new(idx), &update, stage);
-        self.instruments.exit();
-        self.instruments.enter(span::PRICE_RELAX);
-        self.instruments.on_broadcast(&update, stage, m, e, b);
-        self.instruments.exit();
-        outcome.trace.messages += m;
-        outcome.entries += e;
-        outcome.trace.bytes += b;
-        outcome.bytes_v2 += b2;
+        StageOutcome {
+            trace,
+            sent,
+            link_max,
+        }
     }
 
     /// Runs stages until no node has pending input, starting the protocol
@@ -884,16 +510,16 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// assert!(stages >= 3, "Fig. 1 routing needs d = 3 stages plus drain");
     /// ```
     pub fn step(&mut self) -> Option<StageTrace> {
-        if !self.started {
-            self.started = true;
+        if !self.link.started {
+            self.link.started = true;
             self.start_protocol(&mut RunReport::default());
-            self.steps_executed = 0;
+            self.link.steps_executed = 0;
         }
         if self.dirty.is_empty() {
             return None;
         }
-        self.steps_executed += 1;
-        Some(self.run_stage(self.steps_executed).trace)
+        self.link.steps_executed += 1;
+        Some(self.run_stage(self.link.steps_executed).trace)
     }
 
     /// Like [`run_to_convergence`](Self::run_to_convergence), but invokes
@@ -908,8 +534,8 @@ impl<N: ProtocolNode> SyncEngine<N> {
             converged: true,
             ..RunReport::default()
         };
-        if !self.started {
-            self.started = true;
+        if !self.link.started {
+            self.link.started = true;
             self.start_protocol(&mut report);
         }
         // Cross-check the stage-0 emissions (origin broadcasts, or the
@@ -924,9 +550,9 @@ impl<N: ProtocolNode> SyncEngine<N> {
         // "converges within d stages" counts table changes.
         let mut executed = 0usize;
         while !self.dirty.is_empty() {
-            if executed >= self.stage_limit {
+            if executed >= self.link.stage_limit {
                 report.converged = false;
-                invariants::convergence(&report, executed, self.stage_limit);
+                invariants::convergence(&report, executed, self.link.stage_limit);
                 self.instruments.finish(executed as u64, None);
                 self.dump_flight(executed, &report);
                 return report;
@@ -936,15 +562,12 @@ impl<N: ProtocolNode> SyncEngine<N> {
             if outcome.trace.changed_nodes > 0 {
                 report.stages = executed;
             }
-            report.messages += outcome.trace.messages;
-            report.entries += outcome.entries;
-            report.bytes += outcome.trace.bytes;
-            report.bytes_v2 += outcome.bytes_v2;
+            report.account(outcome.sent);
             report.max_link_messages_per_stage =
                 report.max_link_messages_per_stage.max(outcome.link_max);
             self.audit_stage(executed as u64, &mut report);
             let run_counters = [
-                ("stage_limit", self.stage_limit as u64),
+                ("stage_limit", self.link.stage_limit as u64),
                 ("messages", report.messages as u64),
                 ("dirty_nodes", self.dirty.len() as u64),
                 ("updates_stamped", self.update_seq),
@@ -957,7 +580,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
             }
             observer(outcome.trace);
         }
-        invariants::convergence(&report, executed, self.stage_limit);
+        invariants::convergence(&report, executed, self.link.stage_limit);
         if let Some(telemetry) = self.instruments.telemetry() {
             telemetry
                 .gauge(metric::STAGES_TO_QUIESCENCE)
@@ -983,17 +606,6 @@ impl<N: ProtocolNode> SyncEngine<N> {
             // lint:allow(documented # Panics contract: the infallible API surfaces invalid events as programming errors)
             Err(error) => panic!("cannot apply {event:?}: {error}"),
         }
-    }
-
-    /// Returns `true` if node `k` is currently crashed
-    /// ([`TopologyEvent::NodeDown`] without a matching
-    /// [`TopologyEvent::NodeUp`] yet).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn is_down(&self, k: AsId) -> bool {
-        self.down[k.index()]
     }
 
     /// Checks that `event` can be applied to the current topology without
@@ -1096,7 +708,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
         if bring_up {
             // The restart restores exactly the parked links whose far end
             // is live; a crashed node's adjacency above was empty.
-            for &a in &self.parked[toggle.index()] {
+            for &a in &self.link.parked[toggle.index()] {
                 if remap[a.index()] != u32::MAX {
                     builder.add_link(
                         AsId::new(remap[toggle.index()]),
@@ -1170,55 +782,42 @@ impl<N: ProtocolNode> SyncEngine<N> {
             }
             TopologyEvent::CostChange(..) => {}
             TopologyEvent::NodeDown(k) => {
-                let ki = k.index();
                 // Detach every incident link (both directions) and park
                 // the neighbor list for the eventual restart.
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                let neighbors = std::mem::take(&mut self.adjacency[ki]);
+                let neighbors = std::mem::take(&mut self.adjacency[k.index()]);
                 for &a in &neighbors {
                     self.adjacency[a.index()].retain(|&x| x != k);
                 }
                 // Crash semantics: the node loses all protocol state now
                 // (its links too — it restarts with none until they are
                 // restored), and anything queued for it is gone with it.
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                self.nodes[ki].reset();
+                self.nodes[k.index()].reset();
                 for &a in &neighbors {
-                    // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                    let _ = self.nodes[ki].apply_event(LocalEvent::LinkDown(a));
+                    let _ = self.nodes[k.index()].apply_event(LocalEvent::LinkDown(a));
                 }
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                self.inboxes[ki].clear();
-                self.dirty.retain(|&idx| idx as usize != ki);
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                self.parked[ki] = neighbors;
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                self.down[ki] = true;
+                self.drop_inbox(k);
+                self.link.parked[k.index()] = neighbors;
+                self.down[k.index()] = true;
             }
             TopologyEvent::NodeUp(k) => {
-                let ki = k.index();
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                self.down[ki] = false;
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                let parked = std::mem::take(&mut self.parked[ki]);
+                self.down[k.index()] = false;
+                let parked = std::mem::take(&mut self.link.parked[k.index()]);
                 for &a in &parked {
                     if self.down[a.index()] {
                         // The far end is still down: hand the link over to
                         // its parked set so it returns when *that* node
                         // restarts.
-                        if !self.parked[a.index()].contains(&k) {
-                            self.parked[a.index()].push(k);
+                        if !self.link.parked[a.index()].contains(&k) {
+                            self.link.parked[a.index()].push(k);
                         }
                     } else {
-                        // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                        self.adjacency[ki].push(a);
+                        self.adjacency[k.index()].push(a);
                         self.adjacency[a.index()].push(k);
                         self.adjacency[a.index()].sort_unstable();
                         restored.push(a);
                     }
                 }
-                // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                self.adjacency[ki].sort_unstable();
+                self.adjacency[k.index()].sort_unstable();
             }
         }
         // Let the affected nodes react. Reaction broadcasts precede the
@@ -1226,7 +825,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
         // events expand into per-neighbor link views here, because only the
         // engine knows the adjacency in force when the node went down/up.
         let views: Vec<(AsId, LocalEvent)> = match event {
-            TopologyEvent::NodeDown(k) => self.parked[k.index()]
+            TopologyEvent::NodeDown(k) => self.link.parked[k.index()]
                 .iter()
                 .map(|&a| (a, LocalEvent::LinkDown(k)))
                 .collect(),
@@ -1247,7 +846,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 auditor.0.on_local_event(id, &local);
             }
             if let Some(update) = self.nodes[id.index()].apply_event(local) {
-                self.announce(id, update, report);
+                self.advertise(id, update, 0);
             }
         }
         // Session establishment: every (re)activated link exchanges full
@@ -1259,40 +858,17 @@ impl<N: ProtocolNode> SyncEngine<N> {
             _ => Vec::new(),
         };
         for (me, other) in established {
-            if let Some(table) = self.nodes[me.index()].full_table() {
-                let (m, e, bytes, bytes_v2) = self.unicast(me, other, table, 0);
-                self.instruments.on_unicast(m, e, bytes);
-                report.messages += m;
-                report.entries += e;
-                report.bytes += bytes;
-                report.bytes_v2 += bytes_v2;
-            }
+            self.ship_table(me, other, 0);
         }
-        self.drain_pending_events();
+        report.account(self.take_sent());
     }
 
     /// State snapshots of every node (for the E5 experiment), in AS order.
     pub fn state_snapshots(&self) -> Vec<StateSnapshot> {
         self.nodes.iter().map(ProtocolNode::state).collect()
     }
-
-    /// Consumes the engine, returning the nodes.
-    pub fn into_nodes(self) -> Vec<N> {
-        self.nodes
-    }
 }
 
-/// Runs `handle` for every receiving node, partitioned across a scoped
-/// worker pool, and returns the emissions sorted by node index so the
-/// caller's broadcast sequence replays the serial order exactly.
-///
-/// Each worker gets a *contiguous* run of the (ascending) receiving list,
-/// so the matching node shards can be carved with `split_at_mut` — safe
-/// disjoint `&mut` access, no locking and no `unsafe`. Handles only read
-/// the current stage's `delivered` buffers (filled last stage) and mutate
-/// their own node, so execution order across workers is immaterial; all
-/// observable ordering (broadcast and telemetry) happens on the caller's
-/// thread afterwards.
 /// Flattens an audited advertisement into the telemetry cost encoding:
 /// the route's path cost when one is advertised, `u64::MAX` for
 /// withdrawals, silence, and price-delta frames (which carry no cost).
@@ -1302,57 +878,15 @@ fn advertised_cost_raw(info: Option<&RouteInfo>) -> u64 {
         .unwrap_or(u64::MAX)
 }
 
-fn parallel_handle<N: ProtocolNode>(
-    nodes: &mut [N],
-    delivered: &[Vec<Arc<Update>>],
-    receiving: &[u32],
-    workers: usize,
-) -> Vec<(u32, Option<Update>)> {
-    let chunk = receiving.len().div_ceil(workers).max(1);
-    // lint:allow(output: the merged result list this function returns, sized once)
-    let mut merged = Vec::with_capacity(receiving.len());
-    let (sender, collector) = crossbeam::channel::unbounded();
-    std::thread::scope(|scope| {
-        let mut rest = nodes;
-        let mut offset = 0usize; // index of `rest[0]` in the full node array
-        for run in receiving.chunks(chunk) {
-            let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
-                continue; // unreachable: chunks() never yields an empty slice
-            };
-            let lo = first as usize;
-            let hi = last as usize;
-            let (_, tail) = rest.split_at_mut(lo - offset);
-            let (shard, tail) = tail.split_at_mut(hi - lo + 1);
-            rest = tail;
-            offset = hi + 1;
-            let tx = sender.clone();
-            scope.spawn(move || {
-                for &idx in run {
-                    // lint:allow(bounds: the split_at_mut partition puts every emitter index in lo..hi for its shard)
-                    let emitted = shard[idx as usize - lo].handle(&delivered[idx as usize]);
-                    // The collector outlives the scope, so this send
-                    // cannot fail while the pool runs.
-                    let _ = tx.send((idx, emitted));
-                }
-            });
-        }
-    });
-    drop(sender);
-    while let Ok(pair) = collector.try_recv() {
-        merged.push(pair);
-    }
-    merged.sort_unstable_by_key(|&(idx, _)| idx);
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::PlainBgpNode;
+    use crate::wire;
     use bgpvcg_lcp::{bellman, AllPairsLcp};
     use bgpvcg_netgraph::generators::structured::{fig1, ring, Fig1};
     use bgpvcg_netgraph::generators::{barabasi_albert, erdos_renyi, random_costs};
-    use bgpvcg_netgraph::Cost;
+    use bgpvcg_telemetry::{HealthConfig, Telemetry};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -5,19 +5,24 @@
 //! physical neighbors. Each node stores, per destination, the selected
 //! lowest-cost AS path and its cost; a node re-advertises exactly when its
 //! table changes. Three executors drive the same node logic, all
-//! deterministic and all observed through one instrument bundle:
+//! deterministic and all observed through one instrument bundle. Two of
+//! them run it in stages and are one [`engine::Engine`] — one handle pass,
+//! one send path, one wire tap — over two transports:
 //!
-//! * [`engine::SyncEngine`] — the paper's synchronous-stage model: each
-//!   stage every node ingests the tables its neighbors sent last stage,
-//!   recomputes, and re-advertises on change. Deterministic; used by all
-//!   experiments; its stage counter is the quantity bounded by `d` (plain
-//!   BGP) and `max(d, d′)` (the pricing extension).
+//! * [`engine::SyncEngine`] (`Engine<N, LockStep>`) — the paper's
+//!   synchronous-stage model: each stage every node ingests the tables its
+//!   neighbors sent last stage, recomputes, and re-advertises on change.
+//!   Used by all experiments; its stage counter is the quantity bounded by
+//!   `d` (plain BGP) and `max(d, d′)` (the pricing extension).
+//! * [`chaos::ChaosEngine`] (`Engine<N, Sessions>`) — the same stages over
+//!   seeded-faulty channels behind a sequenced session layer, showing the
+//!   mechanism self-stabilizes.
+//!
+//! The third has no stages:
+//!
 //! * [`engine::run_event_driven`] — an asynchronous engine (one FIFO per
 //!   directed link, deliveries in an order a seeded scheduler draws)
 //!   showing that nothing depends on stage synchrony.
-//! * [`chaos::ChaosEngine`] — the same stages over seeded-faulty channels
-//!   behind a sequenced session layer, showing the mechanism
-//!   self-stabilizes.
 //!
 //! The node logic is stated once, as [`Node`]: ingest the neighbors'
 //! tables, select ([`RouteSelector`]), relax the price array, advertise on

@@ -376,12 +376,6 @@ impl Instruments {
         }
     }
 
-    pub(crate) fn record_all(&self, events: &[TraceEvent]) {
-        if let Some(telemetry) = self.telemetry() {
-            telemetry.record_all(events);
-        }
-    }
-
     /// Narrates one broadcast without accounting traffic — for an executor
     /// that counts messages where they arrive, not where they are sent.
     pub(crate) fn trace_update(&mut self, update: &Update, stage: u64) {
@@ -400,33 +394,29 @@ impl Instruments {
         entries: usize,
         bytes: usize,
     ) {
-        if let Some(traffic) = self.account(messages, entries, bytes) {
-            traffic.updates_sent.inc();
-        }
+        self.account(1, messages, entries, bytes);
         self.trace_update(update, stage);
     }
 
-    /// Accounts a session-establishment unicast (full table): traffic only,
-    /// no events — a full table re-states unchanged routes, which the
-    /// tracer's change semantics must not misreport as reselections.
-    pub(crate) fn on_unicast(&mut self, messages: usize, entries: usize, bytes: usize) {
-        self.account(messages, entries, bytes);
-    }
-
-    /// Adds deliveries to the traffic counters, registering them first if
+    /// Adds `updates` broadcasts and the deliveries they (and any
+    /// session-establishment full tables, which are traffic but not
+    /// updates) made to the traffic counters, registering them first if
     /// this is the first accounted delivery since the last attach.
-    fn account(&mut self, messages: usize, entries: usize, bytes: usize) -> Option<&Traffic> {
-        let telemetry = self.tracer.as_ref()?.telemetry();
+    pub(crate) fn account(&mut self, updates: u64, messages: usize, entries: usize, bytes: usize) {
+        let Some(tracer) = self.tracer.as_ref() else {
+            return;
+        };
+        let telemetry = tracer.telemetry();
         let traffic = self.traffic.get_or_insert_with(|| Traffic {
             updates_sent: telemetry.counter(metric::UPDATES_SENT),
             messages: telemetry.counter(metric::MESSAGES),
             entries: telemetry.counter(metric::ENTRIES),
             bytes: telemetry.counter(metric::BYTES),
         });
+        traffic.updates_sent.add(updates);
         traffic.messages.add(messages as u64);
         traffic.entries.add(entries as u64);
         traffic.bytes.add(bytes as u64);
-        Some(traffic)
     }
 
     /// Polls the health monitor's stall verdict — it folded the stage's

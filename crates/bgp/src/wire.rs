@@ -7,7 +7,11 @@
 //! length. Encoding and decoding round-trip exactly — tested here and by
 //! property tests — so the byte counts in experiments E5/E6/E11 are real.
 //!
-//! Two message versions share one decoder, dispatched on the version byte:
+//! Two message versions share one decoder, dispatched on the version byte.
+//! Only v2 is still emitted: v1 survives as the decoder — frozen
+//! interoperability surface, pinned by a literal corpus in
+//! `tests/wire_golden.rs` — and as the arithmetic size model
+//! ([`update_size`], [`frame_size`]) behind the historical `bytes` columns.
 //!
 //! **v1** (fixed-width, all integers little-endian; 4-byte AS numbers as in
 //! BGP-4, 8-byte costs, explicit `∞` sentinel):
@@ -177,67 +181,6 @@ fn zigzag64(value: i64) -> u64 {
 /// Inverse of [`zigzag64`].
 fn unzigzag64(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
-fn encode_advertisement(out: &mut Vec<u8>, ad: &RouteAdvertisement) {
-    out.extend_from_slice(&ad.destination.raw().to_le_bytes());
-    match &ad.info {
-        RouteInfo::Withdrawn => out.push(KIND_WITHDRAWN),
-        RouteInfo::Reachable {
-            path,
-            path_cost,
-            prices,
-        } => {
-            out.push(KIND_REACHABLE);
-            out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-            for entry in path.iter() {
-                out.extend_from_slice(&entry.node.raw().to_le_bytes());
-                put_cost(out, entry.cost);
-            }
-            put_cost(out, *path_cost);
-            out.extend_from_slice(&(prices.len() as u16).to_le_bytes());
-            for &p in prices {
-                put_cost(out, p);
-            }
-        }
-        RouteInfo::PriceDelta {
-            base_path_hash,
-            entries,
-        } => {
-            out.push(KIND_PRICE_DELTA);
-            out.extend_from_slice(&base_path_hash.to_le_bytes());
-            out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-            for &(index, price) in entries {
-                out.extend_from_slice(&index.to_le_bytes());
-                put_cost(out, price);
-            }
-        }
-    }
-}
-
-/// Serializes an UPDATE to its v1 wire form.
-///
-/// # Panics
-///
-/// Panics if the update carries more than `u16::MAX` advertisements or a
-/// path/price list longer than `u16::MAX` (far beyond any real table).
-pub fn encode_update(update: &Update) -> Vec<u8> {
-    assert!(update.advertisements.len() <= usize::from(u16::MAX));
-    let mut out = Vec::with_capacity(MESSAGE_HEADER_BYTES + update.advertisements.len() * 32);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&update.from.raw().to_le_bytes());
-    assert!(update.sender_costs.len() <= usize::from(u16::MAX));
-    out.extend_from_slice(&(update.sender_costs.len() as u16).to_le_bytes());
-    for &(node, cost) in &update.sender_costs {
-        out.extend_from_slice(&node.raw().to_le_bytes());
-        put_cost(&mut out, cost);
-    }
-    out.extend_from_slice(&(update.advertisements.len() as u16).to_le_bytes());
-    for ad in &update.advertisements {
-        encode_advertisement(&mut out, ad);
-    }
-    out
 }
 
 /// Appends one v2 table entry to `out` without allocating.
@@ -712,23 +655,6 @@ fn frame_kind_byte(kind: &FrameKind) -> u8 {
     }
 }
 
-/// Serializes a sequenced session frame (recovery layer) to its v1 wire
-/// form.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES);
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(VERSION);
-    out.push(frame_kind_byte(&frame.kind));
-    out.extend_from_slice(&frame.epoch.to_le_bytes());
-    out.extend_from_slice(&frame.seq.to_le_bytes());
-    out.extend_from_slice(&frame.ack_epoch.to_le_bytes());
-    out.extend_from_slice(&frame.ack.to_le_bytes());
-    if let FrameKind::Data(update) = &frame.kind {
-        out.extend_from_slice(&encode_update(update));
-    }
-    out
-}
-
 /// Appends a session frame's v2 wire form (varint counters, v2 payload)
 /// to `out` without allocating.
 pub fn encode_frame_v2_into(out: &mut Vec<u8>, frame: &Frame) {
@@ -906,6 +832,33 @@ mod tests {
         }
     }
 
+    /// [`sample_update`] in its v1 wire form — frozen bytes: the v1 encoder is
+    /// gone, the decoder must keep accepting what it produced. (Header 11
+    /// bytes, then the three advertisements; `tests/wire_golden.rs` pins an
+    /// annotated corpus field by field.)
+    const V1_SAMPLE: [u8; 134] = [
+        0x42, 0x56, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x63, //
+        0x00, 0x00, 0x00, 0x01, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, //
+        0x00, 0x0B, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0B, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, //
+        0xFF, 0xFF, //
+    ];
+
+    /// [`delta_ad`] in its v1 wire form: dest = 42, kind = delta(2), the base
+    /// path hash, two entries — (0, 3) and (2, ∞).
+    const V1_DELTA_AD: [u8; 35] = [
+        0x2A, 0x00, 0x00, 0x00, 0x02, 0x0D, 0xF0, 0xAD, 0x0B, 0xEF, 0xBE, 0xAD, //
+        0xDE, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x02, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, //
+    ];
+
     /// The sample plus a price-delta entry and a descending path (negative
     /// zigzag deltas) — every v2 construct in one message.
     fn sample_update_v2() -> Update {
@@ -924,17 +877,17 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_exact() {
-        let update = sample_update();
-        let bytes = encode_update(&update);
-        assert_eq!(decode_update(&bytes).unwrap(), update);
+    fn v1_bytes_decode_exactly() {
+        assert_eq!(decode_update(&V1_SAMPLE).unwrap(), sample_update());
     }
 
     #[test]
-    fn v1_round_trip_carries_price_deltas() {
+    fn v1_bytes_carry_price_deltas() {
         let mut update = sample_update();
         update.advertisements.push(delta_ad());
-        let bytes = encode_update(&update);
+        let mut bytes = V1_SAMPLE.to_vec();
+        bytes[9] = 4; // advertisement count
+        bytes.extend_from_slice(&V1_DELTA_AD);
         assert_eq!(decode_update(&bytes).unwrap(), update);
         assert_eq!(update_size(&update), bytes.len());
     }
@@ -950,7 +903,7 @@ mod tests {
     fn v2_is_smaller_than_v1() {
         let update = sample_update_v2();
         assert!(
-            encode_update_v2(&update).len() < encode_update(&update).len(),
+            encode_update_v2(&update).len() < update_size(&update),
             "varint + delta coding must shrink the sample"
         );
     }
@@ -975,7 +928,7 @@ mod tests {
     #[test]
     fn infinite_prices_survive_the_wire() {
         let update = sample_update();
-        for bytes in [encode_update(&update), encode_update_v2(&update)] {
+        for bytes in [V1_SAMPLE.to_vec(), encode_update_v2(&update)] {
             let decoded = decode_update(&bytes).unwrap();
             let RouteInfo::Reachable { prices, .. } = &decoded.advertisements[2].info else {
                 panic!("third entry is reachable");
@@ -986,16 +939,12 @@ mod tests {
 
     #[test]
     fn update_size_equals_encoded_length() {
-        let update = sample_update();
-        assert_eq!(update_size(&update), encode_update(&update).len());
+        assert_eq!(update_size(&sample_update()), V1_SAMPLE.len());
     }
 
     #[test]
     fn truncation_is_detected_at_every_length() {
-        for bytes in [
-            encode_update(&sample_update()),
-            encode_update_v2(&sample_update_v2()),
-        ] {
+        for bytes in [V1_SAMPLE.to_vec(), encode_update_v2(&sample_update_v2())] {
             for cut in 0..bytes.len() {
                 let err = decode_update(&bytes[..cut]).unwrap_err();
                 assert!(
@@ -1008,10 +957,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        for mut bytes in [
-            encode_update(&sample_update()),
-            encode_update_v2(&sample_update_v2()),
-        ] {
+        for mut bytes in [V1_SAMPLE.to_vec(), encode_update_v2(&sample_update_v2())] {
             bytes.push(0xAB);
             assert_eq!(
                 decode_update(&bytes).unwrap_err(),
@@ -1022,11 +968,11 @@ mod tests {
 
     #[test]
     fn bad_magic_and_kind_are_rejected() {
-        let mut bytes = encode_update(&sample_update());
+        let mut bytes = V1_SAMPLE;
         bytes[0] = b'X';
         assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadHeader);
 
-        let mut bytes = encode_update(&sample_update());
+        let mut bytes = V1_SAMPLE;
         // The kind byte of the first advertisement sits right after the
         // header and the 4-byte destination.
         let kind_pos = MESSAGE_HEADER_BYTES + 4;
@@ -1036,7 +982,7 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
-        let mut bytes = encode_update(&sample_update());
+        let mut bytes = V1_SAMPLE;
         bytes[2] = 3;
         assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadHeader);
     }
@@ -1138,19 +1084,6 @@ mod tests {
         assert!(priced < 2 * plain, "pricing must stay a constant factor");
     }
 
-    #[test]
-    fn empty_update_is_just_a_header() {
-        let update = Update {
-            from: AsId::new(0),
-            sender_costs: Vec::new(),
-            advertisements: vec![],
-            id: 0,
-            causes: Vec::new(),
-        };
-        assert_eq!(encode_update(&update).len(), MESSAGE_HEADER_BYTES);
-        assert_eq!(decode_update(&encode_update(&update)).unwrap(), update);
-    }
-
     fn sample_frames() -> Vec<Frame> {
         vec![
             Frame {
@@ -1177,10 +1110,32 @@ mod tests {
         ]
     }
 
+    /// The `Open` of [`sample_frames`] in its v1 wire form: magic "BF",
+    /// version 1, kind 0, then epoch = 3, seq = 0, ack_epoch = 2, ack = 7 as
+    /// u64 LE.
+    const V1_OPEN: [u8; FRAME_HEADER_BYTES] = [
+        0x42, 0x46, 0x01, 0x00, //
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    ];
+
+    /// [`sample_frames`] in v1 wire form, in the same order: the other two
+    /// differ from the `Open` in the kind byte, `seq` (Data) or `ack`
+    /// (Keepalive), and the Data frame's embedded UPDATE.
+    fn v1_frames() -> [Vec<u8>; 3] {
+        let mut data = V1_OPEN.to_vec();
+        (data[3], data[12]) = (FRAME_KIND_DATA, 1);
+        data.extend_from_slice(&V1_SAMPLE);
+        let mut keepalive = V1_OPEN.to_vec();
+        (keepalive[3], keepalive[28]) = (FRAME_KIND_KEEPALIVE, 9);
+        [V1_OPEN.to_vec(), data, keepalive]
+    }
+
     #[test]
-    fn frames_round_trip_and_report_their_size() {
-        for frame in sample_frames() {
-            let bytes = encode_frame(&frame);
+    fn v1_frames_decode_and_report_their_size() {
+        for (frame, bytes) in sample_frames().into_iter().zip(v1_frames()) {
             assert_eq!(frame_size(&frame), bytes.len());
             assert_eq!(decode_frame(&bytes).unwrap(), frame);
         }
@@ -1194,7 +1149,7 @@ mod tests {
             assert_eq!(frame_size_v2_with(&mut scratch, &frame), bytes.len());
             assert_eq!(decode_frame(&bytes).unwrap(), frame);
             assert!(
-                bytes.len() <= encode_frame(&frame).len(),
+                bytes.len() <= frame_size(&frame),
                 "v2 never exceeds v1 for protocol-generated frames"
             );
         }
@@ -1202,8 +1157,8 @@ mod tests {
 
     #[test]
     fn frame_truncation_is_detected_at_every_length() {
-        for frame in sample_frames() {
-            for bytes in [encode_frame(&frame), encode_frame_v2(&frame)] {
+        for (frame, v1) in sample_frames().into_iter().zip(v1_frames()) {
+            for bytes in [v1, encode_frame_v2(&frame)] {
                 for cut in 0..bytes.len() {
                     let err = decode_frame(&bytes[..cut]).unwrap_err();
                     assert!(
@@ -1217,14 +1172,12 @@ mod tests {
 
     #[test]
     fn frame_corruption_is_rejected_with_typed_errors() {
-        let mut bytes = encode_frame(&sample_frames()[0]);
+        let [open, data, keepalive] = v1_frames();
+        let mut bytes = open.clone();
         bytes[0] = b'X';
         assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
 
-        for mut bytes in [
-            encode_frame(&sample_frames()[0]),
-            encode_frame_v2(&sample_frames()[0]),
-        ] {
+        for mut bytes in [open, encode_frame_v2(&sample_frames()[0])] {
             bytes[3] = 9; // kind byte
             assert_eq!(
                 decode_frame(&bytes).unwrap_err(),
@@ -1232,10 +1185,7 @@ mod tests {
             );
         }
 
-        for mut bytes in [
-            encode_frame(&sample_frames()[2]),
-            encode_frame_v2(&sample_frames()[2]),
-        ] {
+        for mut bytes in [keepalive, encode_frame_v2(&sample_frames()[2])] {
             bytes.push(0xAB);
             assert_eq!(
                 decode_frame(&bytes).unwrap_err(),
@@ -1245,11 +1195,11 @@ mod tests {
 
         // A Data frame whose embedded UPDATE is corrupted surfaces the
         // inner decoder's typed error.
-        let mut bytes = encode_frame(&sample_frames()[1]);
+        let mut bytes = data.clone();
         bytes[FRAME_HEADER_BYTES] = b'X'; // embedded UPDATE magic
         assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
 
-        let mut bytes = encode_frame(&sample_frames()[1]);
+        let mut bytes = data;
         bytes[2] = 3; // unknown frame version
         assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
     }

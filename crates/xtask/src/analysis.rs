@@ -16,12 +16,20 @@ use std::path::{Path, PathBuf};
 /// (renamed, deleted) is itself a violation: the analysis must never
 /// silently go vacuous.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    // The synchronous stage loop and its worker-pool shard/merge path.
-    ("SyncEngine::run_stage", "crates/bgp/src/engine/sync.rs"),
-    ("parallel_handle", "crates/bgp/src/engine/sync.rs"),
-    // The chaos engine's session layer (frames, acks, hold timers).
-    ("ChaosEngine::step", "crates/bgp/src/chaos.rs"),
-    ("ChaosEngine::run_to_stable", "crates/bgp/src/chaos.rs"),
+    // The shared stage engine: the handle pass with its worker-pool shards
+    // and the send path behind it. `T::send(…)` is a generic call and
+    // resolves to no edge, so the two transports' sends are named
+    // themselves.
+    ("Engine::handle_pass", "crates/bgp/src/engine/kernel.rs"),
+    ("sharded_handle", "crates/bgp/src/engine/kernel.rs"),
+    ("LockStep::send", "crates/bgp/src/engine/sync.rs"),
+    ("Sessions::send", "crates/bgp/src/chaos.rs"),
+    // The lock-step stage around the handle pass.
+    ("Engine::run_stage", "crates/bgp/src/engine/sync.rs"),
+    // The chaos engine's session layer (frames, acks, hold timers); its
+    // `step` shares a name with the lock-step one, so both are entries.
+    ("Engine::step", "crates/bgp/src/chaos.rs"),
+    ("Engine::run_to_stable", "crates/bgp/src/chaos.rs"),
     // The asynchronous executor: the seeded scheduler's delivery loop.
     ("run_event_driven", "crates/bgp/src/engine/event.rs"),
     // The public parallel protocol runner.
@@ -476,15 +484,14 @@ mod tests {
     fn unwrap_reachable_through_a_helper_chain_is_reported_with_path() {
         let out = with_stubs(&[(
             "crates/bgp/src/engine/sync.rs",
-            "impl SyncEngine {\n    fn run_stage(&mut self) { helper(); }\n}\nfn helper() { deep(); }\nfn deep() { x.unwrap(); }",
+            "impl Engine {\n    fn run_stage(&mut self) { helper(); }\n}\nfn helper() { deep(); }\nfn deep() { x.unwrap(); }",
         )]);
         let hit = out
             .iter()
             .find(|v| v.message.contains("`.unwrap()`"))
             .expect("unwrap must be reported");
         assert!(
-            hit.message
-                .contains("SyncEngine::run_stage → helper → deep"),
+            hit.message.contains("Engine::run_stage → helper → deep"),
             "{}",
             hit.message
         );
@@ -503,7 +510,7 @@ mod tests {
     fn allowlisted_sites_are_suppressed() {
         let out = with_stubs(&[(
             "crates/bgp/src/engine/sync.rs",
-            "impl SyncEngine {\n    fn run_stage(&mut self) { x.unwrap(); } // lint:allow(test of the allowlist)\n}",
+            "impl Engine {\n    fn run_stage(&mut self) { x.unwrap(); } // lint:allow(test of the allowlist)\n}",
         )]);
         assert!(out.is_empty(), "{out:?}");
     }
@@ -512,7 +519,7 @@ mod tests {
     fn unguarded_indexing_is_reported_but_guarded_forms_are_not() {
         let out = with_stubs(&[(
             "crates/bgp/src/engine/sync.rs",
-            "impl SyncEngine {\n    fn run_stage(&mut self, i: usize) { let _ = self.inboxes[i]; \
+            "impl Engine {\n    fn run_stage(&mut self, i: usize) { let _ = self.inboxes[i]; \
              let _ = FIRST[0]; let _ = self.nodes[id.index()]; let _ = path[1..path.len() - 1]; }\n}",
         )]);
         assert_eq!(out.len(), 1, "{out:?}");
@@ -523,7 +530,7 @@ mod tests {
     fn asserts_are_precondition_guards_not_panic_sites() {
         let out = with_stubs(&[(
             "crates/bgp/src/engine/sync.rs",
-            "impl SyncEngine {\n    fn run_stage(&mut self) { debug_assert!(ok); assert!(ok); assert_eq!(a, b); }\n}",
+            "impl Engine {\n    fn run_stage(&mut self) { debug_assert!(ok); assert!(ok); assert_eq!(a, b); }\n}",
         )]);
         assert!(out.is_empty(), "{out:?}");
     }
@@ -535,7 +542,7 @@ mod tests {
         let out = with_stubs(&[
             (
                 "crates/bgp/src/engine/sync.rs",
-                "impl SyncEngine {\n    fn run_stage(&mut self) { self.b.build(); }\n}",
+                "impl Engine {\n    fn run_stage(&mut self) { self.b.build(); }\n}",
             ),
             (
                 "crates/bench/src/families.rs",

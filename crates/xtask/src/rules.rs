@@ -525,9 +525,18 @@ fn trace_event_mentions(line: &str) -> Vec<String> {
 /// toward its high-water mark.
 pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     (
-        "crates/bgp/src/engine/sync.rs",
-        &["run_stage", "advertise", "parallel_handle"],
+        "crates/bgp/src/engine/kernel.rs",
+        &[
+            "handle_pass",
+            "sharded_handle",
+            "advertise",
+            "send_tapped",
+            "enqueue",
+            "sizes",
+        ],
     ),
+    ("crates/bgp/src/engine/sync.rs", &["run_stage", "send"]),
+    ("crates/bgp/src/chaos.rs", &["send", "is_open"]),
     (
         "crates/bgp/src/engine/event.rs",
         &["deliver_all", "broadcast"],
@@ -567,13 +576,11 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
         &[
             "observe_update",
             "on_broadcast",
-            "on_unicast",
             "account",
             "trace_update",
             "enter",
             "exit",
             "record",
-            "record_all",
         ],
     ),
     (

@@ -2,11 +2,11 @@
 
 /// Chaos-mode engine.
 #[derive(Debug)]
-pub struct ChaosEngine {
+pub struct Engine {
     ticks: u32,
 }
 
-impl ChaosEngine {
+impl Engine {
     /// Advances one step.
     pub fn step(&mut self) -> bool {
         self.ticks += 1;

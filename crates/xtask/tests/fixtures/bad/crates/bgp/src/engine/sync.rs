@@ -3,23 +3,17 @@
 
 /// The stage engine.
 #[derive(Debug)]
-pub struct SyncEngine {
+pub struct Engine {
     buffers: Vec<u32>,
 }
 
-impl SyncEngine {
+impl Engine {
     /// Runs one stage, allocating fresh buffers every time.
     pub fn run_stage(&mut self) -> u32 {
         let staged: Vec<u32> = vec![0; self.buffers.len()];
         let handle = std::thread::spawn(move || staged.len() as u32);
         handle.join().unwrap()
     }
-}
-
-/// Merges worker emissions into the caller's buffer.
-pub fn parallel_handle(merged: &mut Vec<u32>) {
-    let extra: Vec<u32> = Vec::new();
-    merged.extend(extra);
 }
 
 /// Bumps the stage counter without ordering guarantees.

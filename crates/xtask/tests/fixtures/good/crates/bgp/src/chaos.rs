@@ -1,14 +1,33 @@
-//! Fixture: the chaos session engine, with one consciously-accepted
-//! panic site proving the allowlist mechanism end to end.
+//! Fixture: the session side of the stage engine, with one
+//! consciously-accepted panic site proving the allowlist mechanism end to
+//! end.
 
-/// Chaos-mode engine with seeded fault injection.
+/// The stage engine as the chaos harness sees it.
 #[derive(Debug)]
-pub struct ChaosEngine {
+pub struct Engine {
     stable: bool,
     ticks: u32,
 }
 
-impl ChaosEngine {
+/// The sequenced session layer.
+#[derive(Debug)]
+pub struct Sessions {
+    established: bool,
+}
+
+impl Sessions {
+    /// Whether the send stream is established.
+    pub fn is_open(&self) -> bool {
+        self.established
+    }
+
+    /// Frames one payload for the channel.
+    pub fn send(engine: &mut Engine, bytes: u32) {
+        engine.ticks = engine.ticks.saturating_add(bytes);
+    }
+}
+
+impl Engine {
     /// Advances one chaotic step.
     pub fn step(&mut self) -> Result<bool, String> {
         self.ticks = self.ticks.checked_add(1).ok_or("tick overflow")?;

@@ -1,37 +1,26 @@
-//! Fixture: the synchronous stage engine, hygiene-clean.
+//! Fixture: the lock-step side of the stage engine, hygiene-clean.
 
-/// The stage engine, with buffers preallocated at construction.
+/// The stage engine as the lock-step run loop sees it.
 #[derive(Debug)]
-pub struct SyncEngine {
-    buffers: Vec<u32>,
+pub struct Engine {
+    sent: u32,
 }
 
-impl SyncEngine {
-    /// Runs one stage, reusing the preallocated buffers.
+/// Perfect delivery into the next stage's inbox.
+#[derive(Debug)]
+pub struct LockStep;
+
+impl LockStep {
+    /// Accounts one payload as it is queued.
+    pub fn send(engine: &mut Engine, bytes: u32) {
+        engine.sent = engine.sent.saturating_add(bytes);
+    }
+}
+
+impl Engine {
+    /// Runs one stage and settles what it sent.
     pub fn run_stage(&mut self) -> Result<u32, String> {
-        let total: u32 = self.buffers.iter().sum();
-        self.buffers.clear();
-        Ok(total)
+        LockStep::send(self, 1);
+        Ok(std::mem::take(&mut self.sent))
     }
-
-    /// Queues one node's emission into the preallocated buffers.
-    pub fn advertise(&mut self, emitted: u32) {
-        if let Some(slot) = self.buffers.first_mut() {
-            *slot = slot.saturating_add(emitted);
-        }
-    }
-}
-
-/// Partitions receivers across scoped workers and merges emissions.
-pub fn parallel_handle(receiving: &mut [u32]) -> Result<(), String> {
-    std::thread::scope(|scope| {
-        for chunk in receiving.chunks_mut(2) {
-            scope.spawn(move || {
-                for slot in chunk.iter_mut() {
-                    *slot = slot.saturating_add(1);
-                }
-            });
-        }
-    });
-    Ok(())
 }

@@ -97,11 +97,6 @@ impl Instruments {
         self.account(copies, bytes);
     }
 
-    /// Accounts one unicast of `bytes`.
-    pub fn on_unicast(&mut self, bytes: u64) {
-        self.account(1, bytes);
-    }
-
     fn account(&mut self, messages: u64, bytes: u64) {
         self.messages += messages;
         self.bytes += bytes * messages;
@@ -126,10 +121,5 @@ impl Instruments {
     /// Hands one event to the sink.
     pub fn record(&mut self, event: u64) {
         self.sink.push(event);
-    }
-
-    /// Hands a batch of events to the sink.
-    pub fn record_all(&mut self, events: &[u64]) {
-        self.sink.extend_from_slice(events);
     }
 }

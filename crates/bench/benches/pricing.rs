@@ -1,11 +1,10 @@
 //! Criterion benches for the mechanism: Theorem-1 price computation,
 //! payment settlement (Sect. 6.4), overcharge analysis (Sect. 7), and the
 //! distributed counterpart's per-node step — one `PricingBgpNode::handle`
-//! call (ingest, select, `refresh_prices`, advertise-on-change) on
-//! converged tables.
+//! call (ingest, select, relax, advertise-on-change) on converged tables.
 
 use bgpvcg_bench::families::Family;
-use bgpvcg_bench::fixpoint::converged_hub;
+use bgpvcg_bench::fixpoint::converged;
 use bgpvcg_bgp::ProtocolNode;
 use bgpvcg_core::{accounting::PaymentLedger, overcharge::OverchargeReport, vcg};
 use bgpvcg_netgraph::TrafficMatrix;
@@ -54,25 +53,34 @@ fn bench_overcharge_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-/// The price relaxation as the engines run it: the hub of
-/// `fixpoint::converged_hub` handles its first neighbour's two alternating
-/// tables. Each call overwrites the neighbour's Rib-In column, re-selects
-/// and re-relaxes every destination it names, and emits the price deltas
-/// that result — the steady-state stage of Sect. 6, with nothing cold in
-/// it.
+/// The price relaxation as the engines run it: AS 0 of a converged network
+/// handles its first neighbour's two alternating tables (see
+/// `fixpoint::converged`). Each call overwrites the neighbour's Rib-In
+/// column, re-selects and re-relaxes every destination it names, and emits
+/// the price deltas that result — the steady-state stage of Sect. 6, with
+/// nothing cold in it. Two shapes: the Barabási–Albert hub (`hub/n`), many
+/// neighbours and few-hop paths; and a node of the 128-ring (`ring/128`),
+/// two neighbours and paths of up to 64 hops, where the relaxation's cost
+/// in path length dominates.
 fn bench_handle(c: &mut Criterion) {
     let mut group = c.benchmark_group("pricing_handle");
     group.sample_size(20);
-    for &n in &[64usize, 256] {
-        let (mut nodes, tables) = converged_hub(n);
+    let cases = [
+        ("hub", Family::BarabasiAlbert, 64usize),
+        ("hub", Family::BarabasiAlbert, 256),
+        ("ring", Family::Ring, 128),
+    ];
+    for (shape, family, n) in cases {
+        let (mut nodes, tables) = converged(family, n);
         let inboxes = tables.map(|table| [Arc::new(table)]);
-        let hub = &mut nodes[0];
+        let node = &mut nodes[0];
         group.throughput(Throughput::Elements(inboxes[0][0].entry_count() as u64));
-        group.bench_function(BenchmarkId::new("relax_and_emit", n), |b| {
+        let id = BenchmarkId::new("relax_and_emit", format!("{shape}/{n}"));
+        group.bench_function(id, |b| {
             let mut flip = 0;
             b.iter(|| {
                 flip ^= 1;
-                black_box(hub.handle(black_box(&inboxes[flip])))
+                black_box(node.handle(black_box(&inboxes[flip])))
             })
         });
     }

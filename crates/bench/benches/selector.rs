@@ -2,9 +2,9 @@
 //! `RouteSelector::ingest` and `RouteSelector::decide` over converged
 //! tables, without an engine around them.
 //!
-//! The selector under test is the hub of `fixpoint::converged_hub`, cloned
-//! out of its node; the message is its first neighbour's full converged
-//! table.
+//! The selector under test is the hub of the Barabási–Albert
+//! `fixpoint::converged` network, cloned out of its node; the message is
+//! its first neighbour's full converged table.
 //!
 //! * **ingest/changed** — that table, alternating with a copy whose every
 //!   price is one higher, so each call overwrites every Rib-In cell of the
@@ -17,7 +17,8 @@
 //!
 //! Run with: `cargo bench -p bgpvcg-bench --bench selector`
 
-use bgpvcg_bench::fixpoint::converged_hub;
+use bgpvcg_bench::families::Family;
+use bgpvcg_bench::fixpoint::converged;
 use bgpvcg_netgraph::AsId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -26,7 +27,7 @@ fn bench_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("selector_ingest");
     group.sample_size(20);
     for &n in &[64usize, 256] {
-        let (nodes, [table, other]) = converged_hub(n);
+        let (nodes, [table, other]) = converged(Family::BarabasiAlbert, n);
         let mut selector = nodes[0].selector().clone();
         group.throughput(Throughput::Elements(table.entry_count() as u64));
         group.bench_function(BenchmarkId::new("changed", n), |b| {
@@ -49,7 +50,7 @@ fn bench_decide(c: &mut Criterion) {
     let mut group = c.benchmark_group("selector_decide");
     group.sample_size(20);
     for &n in &[64usize, 256] {
-        let mut selector = converged_hub(n).0[0].selector().clone();
+        let mut selector = converged(Family::BarabasiAlbert, n).0[0].selector().clone();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_function(BenchmarkId::new("converged", n), |b| {
             b.iter(|| {

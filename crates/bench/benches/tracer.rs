@@ -2,9 +2,10 @@
 //! `UpdateTracer::observe_update` diffing converged full tables into trace
 //! events, without an engine around it.
 //!
-//! The input is the `full_table()` of every node of
-//! `fixpoint::converged_hub(n)`: one advertisement per `(node, destination)`
-//! pair, so one sweep touches every cell of the tracer's shadow.
+//! The input is the `full_table()` of every node of the Barabási–Albert
+//! `fixpoint::converged` network: one advertisement per
+//! `(node, destination)` pair, so one sweep touches every cell of the
+//! tracer's shadow.
 //!
 //! * **fresh** — the sweep into a new tracer (built and dropped inside the
 //!   timed call): every cell is new, every route and every finite price
@@ -19,7 +20,8 @@
 //!
 //! Run with: `cargo bench -p bgpvcg-bench --bench tracer`
 
-use bgpvcg_bench::fixpoint::converged_hub;
+use bgpvcg_bench::families::Family;
+use bgpvcg_bench::fixpoint::converged;
 use bgpvcg_bgp::telemetry::UpdateTracer;
 use bgpvcg_bgp::{ProtocolNode, Update};
 use bgpvcg_telemetry::{HealthConfig, HealthSink, Telemetry};
@@ -46,7 +48,7 @@ fn bench_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracer_observe");
     group.sample_size(20);
     for &n in &[64usize, 256] {
-        let (nodes, _) = converged_hub(n);
+        let (nodes, _) = converged(Family::BarabasiAlbert, n);
         let tables: Vec<Update> = nodes.iter().filter_map(|node| node.full_table()).collect();
         let ads: usize = tables.iter().map(Update::entry_count).sum();
         group.throughput(Throughput::Elements(ads as u64));

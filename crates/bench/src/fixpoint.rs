@@ -1,10 +1,10 @@
 //! A converged network to microbench the per-node layers on.
 //!
 //! The selector and pricing benches replay the same steady-state
-//! message against the same node, so that their numbers add up: the hub
-//! (AS 0) of a converged Barabási–Albert network receives its first
-//! neighbour's full table, alternating with a copy whose every price is
-//! one higher — each delivery overwrites the neighbour's whole Rib-In
+//! message against the same node, so that their numbers add up: AS 0 of a
+//! converged network — the hub, on Barabási–Albert graphs — receives its
+//! first neighbour's full table, alternating with a copy whose every price
+//! is one higher. Each delivery overwrites the neighbour's whole Rib-In
 //! column, which is the shape of a Sect. 6 relaxation round.
 
 use crate::families::Family;
@@ -12,16 +12,16 @@ use bgpvcg_bgp::{ProtocolNode, RouteInfo, Update};
 use bgpvcg_core::{protocol, PricingBgpNode};
 use bgpvcg_netgraph::Cost;
 
-/// The converged pricing nodes of Barabási–Albert `n` (seed 61, the
-/// repo's yardstick graph family) and the two tables the hub's first
-/// neighbour alternates between.
+/// The converged pricing nodes of `family` at size `n` (seed 61, the
+/// repo's yardstick seed) and the two tables AS 0's first neighbour
+/// alternates between.
 ///
 /// # Panics
 ///
 /// Panics if the graph fails validation or the run does not converge —
-/// neither happens for this family.
-pub fn converged_hub(n: usize) -> (Vec<PricingBgpNode>, [Update; 2]) {
-    let g = Family::BarabasiAlbert.build(n, 61);
+/// neither happens for the Barabási–Albert and ring families.
+pub fn converged(family: Family, n: usize) -> (Vec<PricingBgpNode>, [Update; 2]) {
+    let g = family.build(n, 61);
     let mut engine = protocol::build_sync_engine(&g).expect("valid graph");
     assert!(engine.run_to_convergence().converged);
     let nodes = engine.into_nodes();

@@ -11,8 +11,6 @@
 use super::sync::RunReport;
 #[cfg(feature = "invariant-checks")]
 use crate::message::PathEntry;
-#[cfg(feature = "invariant-checks")]
-use bgpvcg_netgraph::Cost;
 
 /// Audits the bookkeeping of one synchronous convergence run.
 ///
@@ -57,7 +55,7 @@ pub(crate) fn convergence<R>(_report: &R, _executed: usize, _stage_limit: usize)
 /// the old declared cost can legally sit below the restamped `c_k` until
 /// relaxation flushes it.
 #[cfg(feature = "invariant-checks")]
-pub(crate) fn relaxation_step(transit: &[PathEntry], relaxed: &[Cost]) {
+pub(crate) fn relaxation_step<T>(transit: &[PathEntry], relaxed: &[T]) {
     debug_assert_eq!(
         transit.len(),
         relaxed.len(),

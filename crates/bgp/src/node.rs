@@ -61,8 +61,28 @@ pub trait ProtocolNode: Send {
     fn configure_delta_encoding(&mut self, _on: bool) {}
 }
 
-/// `mark` value of a destination no inbound update has touched yet.
+/// `mark` value of an AS the call in progress has not placed: a
+/// destination no inbound update has touched yet, or a node that is not
+/// transit on the route being relaxed.
 const NOT_DIRTY: u32 = u32::MAX;
+
+/// One destination a `handle` call touched: the id of the last inbound
+/// update that touched it, and whether anything but a price delta did
+/// (only then can its selection change).
+type Dirty = (AsId, u64, bool);
+
+/// The stamp of a transit node no neighbor's path has held yet.
+const UNSTAMPED: u32 = u32::MAX;
+
+/// Lowers `bound` to `to` if that is smaller. Most bounds offered do not
+/// improve on the one held, so the store is skipped for them: one slot is
+/// lowered by every neighbor in turn, and an unconditional store would
+/// chain each neighbor's read of it to the previous neighbor's write.
+fn lower(bound: &mut Cost, to: Cost) {
+    if to < *bound {
+        *bound = to;
+    }
+}
 
 /// Pairs destinations with cause 0, the environment: what `start` and
 /// local events hand to [`AdjRibOut::emit`].
@@ -89,10 +109,13 @@ struct AdjRibOut {
     /// Sect. 6). On by default.
     delta_encoding: bool,
     /// The destinations the `handle` call in progress touched, each with
-    /// the id of the last inbound update (in inbox order) that touched it.
-    /// Lent to the caller by `ingest`, returned through `recycle`.
-    dirty: Vec<(AsId, u64)>,
-    /// Per destination: its position in `dirty`, or [`NOT_DIRTY`].
+    /// the id of the last inbound update (in inbox order) that touched it
+    /// and whether any touch could re-route it. Lent to the caller by
+    /// `ingest`, returned through `recycle`.
+    dirty: Vec<Dirty>,
+    /// An AS-indexed position table, all [`NOT_DIRTY`] between uses. Inside
+    /// `ingest` it holds each destination's position in `dirty`; inside
+    /// `Node::relax`, each transit node's position on the route relaxed.
     mark: Vec<u32>,
 }
 
@@ -109,37 +132,37 @@ impl AdjRibOut {
 
     /// Ingests one stage's inbox into `selector` and returns the affected
     /// destinations, ascending, each attributed to the last inbound update
-    /// whose ingestion touched it. The list is this value's own buffer:
-    /// hand it back with [`recycle`](Self::recycle) once emitted.
-    fn ingest(
-        &mut self,
-        selector: &mut RouteSelector,
-        updates: &[Arc<Update>],
-    ) -> Vec<(AsId, u64)> {
+    /// whose ingestion touched it and flagged if any touch was more than a
+    /// price delta. The list is this value's own buffer: hand it back with
+    /// [`recycle`](Self::recycle) once emitted.
+    fn ingest(&mut self, selector: &mut RouteSelector, updates: &[Arc<Update>]) -> Vec<Dirty> {
         let mut dirty = std::mem::take(&mut self.dirty);
         for update in updates {
-            for &dest in selector.ingest(update) {
+            for (dest, reroute) in selector.ingest_flagged(update) {
                 let Some(mark) = self.mark.get_mut(dest.index()) else {
                     continue;
                 };
                 match dirty.get_mut(*mark as usize) {
-                    Some(touched) => touched.1 = update.id,
+                    Some(touched) => {
+                        touched.1 = update.id;
+                        touched.2 |= reroute;
+                    }
                     None => {
                         *mark = dirty.len() as u32;
-                        dirty.push((dest, update.id));
+                        dirty.push((dest, update.id, reroute));
                     }
                 }
             }
         }
-        for &(dest, _) in &dirty {
+        for &(dest, ..) in &dirty {
             self.mark[dest.index()] = NOT_DIRTY;
         }
-        dirty.sort_unstable_by_key(|&(dest, _)| dest);
+        dirty.sort_unstable_by_key(|&(dest, ..)| dest);
         dirty
     }
 
     /// Takes back the list [`ingest`](Self::ingest) lent out.
-    fn recycle(&mut self, mut dirty: Vec<(AsId, u64)>) {
+    fn recycle(&mut self, mut dirty: Vec<Dirty>) {
         dirty.clear();
         self.dirty = dirty;
     }
@@ -328,8 +351,10 @@ pub struct Node<P: PricePolicy> {
     prices: Vec<Vec<Cost>>,
     /// Change suppression and delta compression of what goes out.
     out: AdjRibOut,
-    /// The array `relax` relaxes into, reused across calls.
-    scratch: Vec<Cost>,
+    /// What `relax` relaxes into, reused across calls: per transit node of
+    /// the route, its bound so far and the ordinal of the last neighbor
+    /// whose path holds it.
+    scratch: Vec<(Cost, u32)>,
     /// This node's declared receive-cost vector, attached to every UPDATE
     /// (empty in the paper's base model).
     sender_costs: Vec<(AsId, Cost)>,
@@ -400,6 +425,20 @@ impl<P: PricePolicy> Node<P> {
     /// and the `max(d, d′)` convergence bound are unchanged; within one
     /// pass the entries still only relax downward from `∞`, exactly as in
     /// Fig. 3.
+    ///
+    /// A pass costs O(deg · L) for paths of length L, not O(deg · L²): it
+    /// never searches a neighbor's path for a transit node. Once per call,
+    /// each of our transit nodes' positions goes into an AS-indexed table
+    /// (the Adj-RIB-Out's `mark`, idle outside its `ingest`), and is
+    /// cleared again at the end. Each neighbor's path is then walked once,
+    /// interior only — its first entry is the neighbor itself, which offers
+    /// no bound for itself, and its last is `dest`, never transit on our
+    /// route — and every transit node met there takes the case (i)–(iii)
+    /// bound and a stamp with the neighbor's ordinal. One pass over our
+    /// transit gives every node left unstamped, other than the neighbor,
+    /// the case-(iv) bound. Stamps are ordinals, so they are reset once per
+    /// call, not once per neighbor: on short paths through high-degree
+    /// nodes, per-neighbor setup would cost more than the walk saves.
     fn relax(&mut self, dest: AsId) -> bool {
         if !P::PRICED {
             return false;
@@ -418,9 +457,16 @@ impl<P: PricePolicy> Node<P> {
             return had_prices;
         }
         let my_route_cost = self.selector.route_cost(dest);
-        let arr = &mut self.scratch;
-        arr.clear();
-        arr.resize(transit.len(), Cost::INFINITE);
+        self.scratch.clear();
+        self.scratch
+            .resize(transit.len(), (Cost::INFINITE, UNSTAMPED));
+        let slots = self.scratch.as_mut_slice();
+        let position = self.out.mark.as_mut_slice();
+        for (slot, k_entry) in (0u32..).zip(transit) {
+            if let Some(cell) = position.get_mut(k_entry.node.index()) {
+                *cell = slot;
+            }
+        }
 
         // The paper states its relaxation as four cases by the neighbor's
         // position in the tree T(j) — parent (i), child (ii), unrelated
@@ -446,10 +492,10 @@ impl<P: PricePolicy> Node<P> {
         // for the advertised entry. A cost model only chooses `c_a`
         // (`P::charged_by`) and that base; the shape is shared.
         // Neighbors are the outer loop so the per-advertisement values
-        // (`c_a`, shift) are hoisted out of the transit scan and the
+        // (`c_a`, shift) are hoisted out of both inner passes and the
         // Rib-In row is walked once. The component-wise minimum is
         // order-independent, so the array is identical either way.
-        for (a, info) in self.selector.rib_for(dest) {
+        for (ordinal, (a, info)) in (0u32..).zip(self.selector.rib_for(dest)) {
             let RouteInfo::Reachable {
                 path: a_path,
                 path_cost: a_route_cost,
@@ -467,41 +513,47 @@ impl<P: PricePolicy> Node<P> {
             let Some(shift) = (a_charges + *a_route_cost).checked_sub(my_route_cost) else {
                 continue;
             };
-            for (k_entry, cell) in transit.iter().zip(arr.iter_mut()) {
-                let k = k_entry.node;
-                // Excluded case: the link i–a is never on a k-avoiding path
-                // when a IS k, so that neighbor offers no bound for k.
-                if a == k {
+            // Cases (i)/(ii)/(iii): k is a transit node of a's advertised
+            // path, whose array bounds the cost of a's best k-avoiding
+            // path. Well-formed paths are simple, so each k is met at most
+            // once, and never at position 0 (k == a).
+            let interior = a_path.get(1..a_path.len().saturating_sub(1));
+            for (at, entry) in (1..).zip(interior.unwrap_or_default()) {
+                let placed = position.get(entry.node.index());
+                // A node that is not transit on our route reads NOT_DIRTY,
+                // which is no slot.
+                let Some((bound, stamp)) = placed.and_then(|&slot| slots.get_mut(slot as usize))
+                else {
                     continue;
-                }
-                // One scan of a's path places k on it.
-                let bound = match a_path.iter().position(|e| e.node == k) {
-                    // Case (iv): k is not on a's path at all, so that path
-                    // extended by the link i–a is itself k-avoiding.
-                    None => P::detour_base(k_entry) + shift,
-                    // Cases (i)/(ii)/(iii): k is a transit node of a's
-                    // advertised path, whose array bounds the cost of a's
-                    // best k-avoiding path.
-                    Some(at) if at + 1 < a_path.len() => match a_prices.get(at - 1) {
-                        Some(&p) => p + shift,
-                        None => continue, // an array shorter than its path
-                    },
-                    // k is the far endpoint of a's path (k == a was
-                    // excluded above and k == dest cannot be transit on our
-                    // route, so this is only reachable on transiently
-                    // inconsistent state); no bound.
-                    Some(_) => continue,
                 };
-                if bound < *cell {
-                    *cell = bound;
+                *stamp = ordinal;
+                // An array shorter than its path bounds nothing here.
+                if let Some(&p) = a_prices.get(at - 1) {
+                    lower(bound, p + shift);
+                }
+            }
+            // Case (iv): k is not on a's path at all, so that path
+            // extended by the link i–a is itself k-avoiding. Excluded: the
+            // link i–a is never on a k-avoiding path when a IS k, so that
+            // neighbor offers no bound for k.
+            for (k_entry, (bound, stamp)) in transit.iter().zip(slots.iter_mut()) {
+                if *stamp != ordinal && k_entry.node != a {
+                    lower(bound, P::detour_base(k_entry) + shift);
                 }
             }
         }
+        for k_entry in transit {
+            if let Some(cell) = position.get_mut(k_entry.node.index()) {
+                *cell = NOT_DIRTY;
+            }
+        }
 
-        crate::engine::invariants::relaxation_step(transit, arr.as_slice());
-        let changed = stored != arr;
+        crate::engine::invariants::relaxation_step(transit, slots);
+        let relaxed = slots.iter().map(|&(bound, _)| bound);
+        let changed = !stored.iter().copied().eq(relaxed.clone());
         if changed {
-            stored.clone_from(arr);
+            stored.clear();
+            stored.extend(relaxed);
         }
         changed
     }
@@ -530,11 +582,13 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
         let mut dirty = self.out.ingest(&mut self.selector, updates);
-        dirty.retain(|&(dest, _)| {
-            let route_changed = self.selector.decide(dest);
+        // Only a route change re-opens selection: a destination only price
+        // deltas touched keeps its route and goes straight to relaxation.
+        dirty.retain(|&(dest, _, reroute)| {
+            let route_changed = reroute && self.selector.decide(dest);
             self.relax(dest) || route_changed
         });
-        let update = self.emit(dirty.iter().copied());
+        let update = self.emit(dirty.iter().map(|&(dest, cause, _)| (dest, cause)));
         self.out.recycle(dirty);
         update
     }
@@ -620,5 +674,81 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
         snapshot.price_entries = self.prices.iter().map(Vec::len).sum();
         snapshot.price_path_nodes = snapshot.price_entries;
         snapshot
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgpvcg_netgraph::generators::from_edges;
+
+    /// The paper's base cost model: every policy term at its default.
+    #[derive(Debug, Clone, Copy)]
+    struct Priced;
+
+    impl PricePolicy for Priced {
+        type Graph = AsGraph;
+    }
+
+    /// One reachable advertisement from the path's first node for its
+    /// last, every node declaring cost 1.
+    fn advertises(path: &[u32], path_cost: u64, prices: &[u64]) -> RouteAdvertisement {
+        let entries: Vec<PathEntry> = path
+            .iter()
+            .map(|&raw| PathEntry {
+                node: AsId::new(raw),
+                cost: Cost::new(1),
+            })
+            .collect();
+        RouteAdvertisement {
+            destination: entries[entries.len() - 1].node,
+            info: RouteInfo::Reachable {
+                path: entries.into(),
+                path_cost: Cost::new(path_cost),
+                prices: prices.iter().map(|&p| Cost::new(p)).collect(),
+            },
+        }
+    }
+
+    fn update(from: u32, ads: Vec<RouteAdvertisement>) -> Arc<Update> {
+        Arc::new(Update::if_nonempty(AsId::new(from), ads).unwrap())
+    }
+
+    #[test]
+    fn sized_node_never_sizes_or_prices_by_id_value() {
+        // Node 0 of a unit-cost 5-cycle reaches 2 via 1; 4's detour around
+        // 1 prices it by case (iv) at c_1 + c_4 + c(4,2) − c(0,2) = 2.
+        let ring = from_edges(
+            vec![Cost::new(1); 5],
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+        );
+        let (dest, transit) = (AsId::new(2), AsId::new(1));
+        let mut node = Node::<Priced>::new(&ring, AsId::new(0));
+        node.handle(&[
+            update(1, vec![advertises(&[1, 2], 0, &[])]),
+            update(4, vec![advertises(&[4, 3, 2], 1, &[5])]),
+        ]);
+        assert_eq!(node.price(dest, transit), Some(Cost::new(2)));
+        let before = node.state();
+
+        // The id as a transit node on a path to a destination in range, and
+        // as a destination: both are dropped before any table is indexed.
+        let huge = u32::MAX;
+        let hostile = update(
+            4,
+            vec![
+                advertises(&[4, huge, 2], 1, &[0]),
+                advertises(&[4, huge], 0, &[]),
+            ],
+        );
+        assert!(node.handle(&[hostile]).is_none());
+        assert_eq!(node.price(dest, transit), Some(Cost::new(2)));
+        assert_eq!(node.price(AsId::new(huge), transit), None);
+        assert_eq!(node.state(), before);
+        // The position table keeps its size and is idle again; the
+        // relaxation scratch never outgrows the longest route.
+        assert_eq!(node.out.mark, [NOT_DIRTY; 5]);
+        assert_eq!(node.prices.len(), 5);
+        assert!(node.scratch.len() <= 1);
     }
 }

@@ -142,6 +142,9 @@ pub struct RouteSelector {
     bound: usize,
     /// `ingest`'s result buffer, reused across calls.
     affected: Vec<AsId>,
+    /// Aligned with `affected`: whether that change can re-open selection
+    /// (anything but a price delta), reused across calls.
+    reroutes: Vec<bool>,
 }
 
 impl RouteSelector {
@@ -195,6 +198,7 @@ impl RouteSelector {
             table,
             bound,
             affected: Vec::new(),
+            reroutes: Vec::new(),
         }
     }
 
@@ -352,9 +356,33 @@ impl RouteSelector {
     /// asynchronous engine) are ignored. The returned slice is the
     /// selector's own buffer, valid until the next call.
     pub fn ingest(&mut self, update: &Update) -> &[AsId] {
+        self.update_rib(update);
+        &self.affected
+    }
+
+    /// [`ingest`](Self::ingest), with each affected destination paired
+    /// with whether anything other than a [`RouteInfo::PriceDelta`] touched
+    /// it: a full advertisement, a withdrawal, or a changed cost vector. A
+    /// delta only patches prices on a retained path — no candidate's path,
+    /// cost or loop status moves — so a destination that only deltas
+    /// touched keeps its selection, and [`decide`](Self::decide) on it
+    /// would be wasted.
+    pub(crate) fn ingest_flagged(
+        &mut self,
+        update: &Update,
+    ) -> impl Iterator<Item = (AsId, bool)> + '_ {
+        self.update_rib(update);
+        let reroutes = self.reroutes.iter().copied();
+        self.affected.iter().copied().zip(reroutes)
+    }
+
+    /// The one body of both ingests: applies `update` to the Rib-In and
+    /// fills `affected` and `reroutes`.
+    fn update_rib(&mut self, update: &Update) {
         self.affected.clear();
+        self.reroutes.clear();
         let Some(slot) = self.slot(update.from) else {
-            return &self.affected;
+            return;
         };
         let deg = self.neighbors.len();
         if !update.sender_costs.is_empty() {
@@ -364,6 +392,7 @@ impl RouteSelector {
                 // this neighbor.
                 let column = self.rib_destinations(update.from);
                 self.affected.extend(column);
+                self.reroutes.resize(self.affected.len(), true);
             }
         }
         for ad in &update.advertisements {
@@ -429,9 +458,10 @@ impl RouteSelector {
             };
             if changed {
                 self.affected.push(dest);
+                self.reroutes
+                    .push(!matches!(ad.info, RouteInfo::PriceDelta { .. }));
             }
         }
-        &self.affected
     }
 
     /// Re-runs route selection for one destination; returns `true` if the

@@ -17,8 +17,14 @@
 //!   events in one stage exceeds [`HealthConfig::churn_factor`] × the
 //!   trailing mean over the previous [`HealthConfig::churn_window`] full
 //!   stages (and an absolute floor, so small reconvergences never
-//!   alarm). Warm-up stages — before one full window of history exists —
-//!   are never judged, which keeps honest initial convergence quiet.
+//!   alarm). History starts at the first stage that relaxed any price,
+//!   and warm-up stages — before one full window of it exists — are never
+//!   judged, which keeps honest initial convergence quiet. Counting from
+//!   the first relaxation rather than the first stage matters on long
+//!   paths: a price needs routes from both sides of its transit node, so
+//!   on a ring the first price wave arrives only after about n/2 stages
+//!   of route-only traffic, and judged against that all-zero window it
+//!   would read as a spike.
 //! * **Convergence stall** (detector 2): stages keep starting but no
 //!   advertised state (route, price, withdrawal) has changed for more
 //!   than [`HealthConfig::stall_stages`] stages. Engines use
@@ -231,7 +237,10 @@ impl HealthMonitor {
         self.stages_seen += 1;
         // Judge the stage that just completed against the trailing baseline,
         // then roll it into the history.
-        if stage > self.current_stage && self.current_stage > 0 {
+        // History starts at the first stage that relaxed anything: before
+        // prices move there is no rate to compare against.
+        let started = !self.churn_history.is_empty() || self.relax_in_stage > 0;
+        if stage > self.current_stage && self.current_stage > 0 && started {
             self.judge_churn();
             if self.churn_history.len() == self.config.churn_window as usize {
                 self.churn_history.remove(0);
@@ -594,6 +603,33 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].detector, DETECTOR_CHURN);
         assert_eq!(findings[0].count, 40);
+    }
+
+    #[test]
+    fn a_late_first_price_wave_is_warm_up_not_a_spike() {
+        // A ring's shape: a full window of route-only stages, then the
+        // first relaxations arrive all at once.
+        let relax = |stage: u64| TraceEvent::PriceRelaxed {
+            node: 1,
+            dest: 2,
+            k: 3,
+            stage,
+            old: 10,
+            new: 9,
+            cause: 0,
+            effect: 1,
+        };
+        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        for stage in 1..=9u64 {
+            monitor.fold(&TraceEvent::StageStart { stage });
+            monitor.fold(&select(1, 2, stage, 2, 100 - stage));
+        }
+        monitor.fold(&TraceEvent::StageStart { stage: 10 });
+        for _ in 0..180 {
+            monitor.fold(&relax(10));
+        }
+        monitor.fold(&TraceEvent::StageStart { stage: 11 });
+        assert!(monitor.findings().is_empty(), "{:?}", monitor.findings());
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl MapMonitor {
 
     fn on_stage_start(&mut self, stage: u64) {
         self.stages_seen += 1;
-        if stage > self.current_stage && self.current_stage > 0 {
+        let started = !self.churn_history.is_empty() || self.relax_in_stage > 0;
+        if stage > self.current_stage && self.current_stage > 0 && started {
             self.judge_churn();
             if self.churn_history.len() == self.config.churn_window as usize {
                 self.churn_history.remove(0);

@@ -554,7 +554,10 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
             "update_size",
         ],
     ),
-    ("crates/bgp/src/selector.rs", &["ingest", "decide"]),
+    (
+        "crates/bgp/src/selector.rs",
+        &["ingest", "ingest_flagged", "update_rib", "decide"],
+    ),
     (
         "crates/bgp/src/node.rs",
         &[
@@ -1056,6 +1059,10 @@ mod tests {
                 "fn ingest(&mut self) {\n    let s = BTreeSet::new();\n}",
             ),
             (
+                "crates/bgp/src/selector.rs",
+                "fn update_rib(&mut self) {\n    let s = BTreeSet::new();\n}",
+            ),
+            (
                 "crates/bgp/src/node.rs",
                 "fn handle(&mut self) {\n    let m = BTreeMap::new();\n}",
             ),
@@ -1091,7 +1098,8 @@ mod tests {
         // other scope file, and that one function, must be called out.
         let files = vec![file(
             "crates/bgp/src/selector.rs",
-            "fn ingest(&mut self) {}\nfn choose(&mut self) {}",
+            "fn ingest(&mut self) {}\nfn ingest_flagged(&mut self) {}\n\
+             fn update_rib(&mut self) {}\nfn choose(&mut self) {}",
         )];
         let trees = trees(&files);
         let mut out = Vec::new();

@@ -973,8 +973,8 @@ mod tests {
             assert!(total >= self_nanos);
         }
         assert_eq!(profiler.truncated(), 0);
-        // The trace stream carries the new summary emissions, all
-        // schema-valid.
+        // The trace stream carries the new summary emissions, each of
+        // which decodes back from its JSONL line.
         let events = ring_sink.events();
         assert!(events
             .iter()
@@ -982,9 +982,8 @@ mod tests {
         assert!(!events
             .iter()
             .any(|e| matches!(e, TraceEvent::HealthVerdict { .. })));
-        let schema = bgpvcg_telemetry::Schema::golden();
         for event in &events {
-            schema.validate_line(&event.to_json()).unwrap();
+            assert_eq!(TraceEvent::from_json(&event.to_json()).as_ref(), Ok(event));
         }
     }
 
@@ -1169,7 +1168,7 @@ mod tests {
         let report = engine.run_to_convergence();
         assert!(!report.converged);
         let text = std::fs::read_to_string(&path).expect("stall must leave a dump");
-        flight::validate_dump(&text).expect("dump validates against the golden schema");
+        flight::validate_dump(&text).expect("dump validates");
         assert!(text.contains(flight::REASON_STAGE_LIMIT));
         assert!(
             text.contains("\"inbox_depth\""),

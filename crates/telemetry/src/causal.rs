@@ -168,61 +168,6 @@ impl CausalDag {
         dags
     }
 
-    /// Like [`CausalDag::from_events`], over JSONL text: one event object
-    /// per line, as produced by `--trace-out`. Unknown event types are
-    /// skipped (forward compatibility is the schema validator's business,
-    /// not this builder's).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn from_jsonl(text: &str) -> Result<Vec<CausalDag>, String> {
-        let mut dags = Vec::new();
-        let mut current = CausalDag::default();
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value = parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-            let kind = value
-                .get("type")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("line {}: missing type tag", idx + 1))?;
-            let field = |name: &str| -> Result<u64, String> {
-                value
-                    .get(name)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("line {}: missing field {name}", idx + 1))
-            };
-            match kind {
-                "RouteSelected" | "PriceRelaxed" | "Withdrawn" => {
-                    let dest = u32::try_from(field("dest")?)
-                        .map_err(|_| format!("line {}: dest out of range", idx + 1))?;
-                    let node = u32::try_from(field("node")?)
-                        .map_err(|_| format!("line {}: node out of range", idx + 1))?;
-                    current.observe_causal(
-                        kind,
-                        node,
-                        dest,
-                        field("stage")?,
-                        field("cause")?,
-                        field("effect")?,
-                    );
-                }
-                "Quiescent" => {
-                    current.reported_stages = Some(field("stage")?);
-                    current.reported_messages = Some(field("messages")?);
-                    dags.push(std::mem::take(&mut current));
-                }
-                _ => {}
-            }
-        }
-        if !current.updates.is_empty() {
-            dags.push(current);
-        }
-        Ok(dags)
-    }
-
     /// Feeds one typed event into the segment under construction.
     fn observe(&mut self, event: &TraceEvent) {
         match *event {
@@ -870,16 +815,6 @@ mod tests {
             late[0].validate_origin_roots(),
             Err(CausalError::LateRoot { id: 5, stage: 2 })
         );
-    }
-
-    #[test]
-    fn jsonl_builder_matches_the_typed_builder() {
-        let events = sample_events();
-        let text: String = events.iter().map(|e| e.to_json() + "\n").collect();
-        let from_text = CausalDag::from_jsonl(&text).expect("parses");
-        assert_eq!(from_text, CausalDag::from_events(&events));
-        assert!(CausalDag::from_jsonl("{\"type\":\"RouteSelected\"}").is_err());
-        assert!(CausalDag::from_jsonl("not json").is_err());
     }
 
     #[test]

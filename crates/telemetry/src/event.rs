@@ -1,10 +1,16 @@
-//! The typed trace-event vocabulary.
+//! The typed trace-event vocabulary and its JSONL form.
 //!
 //! Every convergence run narrates itself as a stream of these events, keyed
-//! by node / destination / stage. The JSONL encoding produced by
-//! [`TraceEvent::to_json`] is the wire form consumed by `cargo xtask obs`
-//! and validated against the golden schema in `trace-schema.json` (the
-//! `trace-schema` lint rule keeps the two in sync).
+//! by node / destination / stage. The [`TraceEvent`] declaration below is
+//! the only statement of the trace format — the enum is the schema. It is
+//! written inside `trace_events!`, which derives the type tags
+//! ([`TraceEvent::kind`], [`TraceEvent::KINDS`]), the encoder
+//! ([`TraceEvent::to_json`]) and the decoder ([`TraceEvent::from_json`])
+//! from the one variant and field list. A JSONL line is an object whose
+//! `type` is the variant name, followed by exactly the variant's fields in
+//! declaration order, each an unsigned integer of the declared width.
+//! Decoding is validation: `cargo xtask obs`, its causal pass and the
+//! flight-dump validator read traces through the decoder.
 //!
 //! Numeric conventions: AS identities are raw `u32` AS numbers; `stage` is
 //! the synchronous engine's 1-based stage counter (0 for pre-stage origin
@@ -12,9 +18,92 @@
 //! asynchronous engine, which has no stages); costs and prices are raw
 //! `u64` values where `u64::MAX` encodes the protocol's `∞`.
 
+use crate::json::{self, JsonError, JsonValue};
+use std::collections::BTreeMap;
+use std::fmt;
+
 /// Raw encoding of an infinite cost/price (`Cost::INFINITE` upstream).
 pub const INFINITE: u64 = u64::MAX;
 
+/// Declares the event enum and derives its tags, encoder and decoder from
+/// the variant and field list. Every variant must carry a `stage` field
+/// (the [`TraceEvent::stage`] accessor reads it) and only unsigned integer
+/// fields.
+macro_rules! trace_events {
+    (
+        $(#[$enum_meta:meta])* pub enum TraceEvent {
+            $(
+                $(#[$kind_meta:meta])*
+                $kind:ident {
+                    $( $(#[$field_meta:meta])* $field:ident: $ty:ty ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$enum_meta])* pub enum TraceEvent {
+            $( $(#[$kind_meta])* $kind { $( $(#[$field_meta])* $field: $ty, )* }, )*
+        }
+
+        impl TraceEvent {
+            /// Every event kind's type tag, in declaration order.
+            pub const KINDS: &'static [&'static str] = &[$(stringify!($kind)),*];
+
+            /// The event's type tag, as it appears in the JSONL `type`
+            /// field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$kind { .. } => stringify!($kind),)*
+                }
+            }
+
+            /// The stage (or async sequence number) the event is keyed by.
+            pub fn stage(&self) -> u64 {
+                match *self {
+                    $(TraceEvent::$kind { stage, .. } => stage,)*
+                }
+            }
+
+            /// Encodes the event as one compact JSON object (no trailing
+            /// newline): the `type` tag, then every field in declaration
+            /// order, so traces diff cleanly.
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(96);
+                out.push_str("{\"type\":");
+                json::write_string(&mut out, self.kind());
+                match *self {
+                    $(TraceEvent::$kind { $($field),* } => {
+                        $(push_field(&mut out, stringify!($field), $field);)*
+                    })*
+                }
+                out.push('}');
+                out
+            }
+
+            /// [`TraceEvent::from_json`] on an already parsed value.
+            pub(crate) fn from_json_value(value: &JsonValue) -> Result<TraceEvent, DecodeError> {
+                let JsonValue::Object(object) = value else {
+                    return Err(DecodeError::NotAnEvent);
+                };
+                let Some(kind) = object.get("type").and_then(JsonValue::as_str) else {
+                    return Err(DecodeError::NotAnEvent);
+                };
+                match kind {
+                    $(stringify!($kind) => {
+                        let fields = Fields { kind: stringify!($kind), object };
+                        let event = TraceEvent::$kind {
+                            $($field: fields.get(stringify!($field))?,)*
+                        };
+                        fields.exactly(&[$(stringify!($field)),*])?;
+                        Ok(event)
+                    })*
+                    _ => Err(DecodeError::UnknownKind(kind.to_string())),
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
 /// One structured event in a convergence trace.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceEvent {
@@ -206,368 +295,225 @@ pub enum TraceEvent {
         self_nanos: u64,
     },
 }
+}
 
 impl TraceEvent {
-    /// The event's type tag, as it appears in the JSONL `type` field and in
-    /// the golden schema.
-    pub fn kind(&self) -> &'static str {
+    /// Decodes one JSONL trace line: an object with a known `type` tag and
+    /// exactly that kind's fields, each an unsigned integer that fits its
+    /// declared width.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`DecodeError`] the line exhibits.
+    pub fn from_json(line: &str) -> Result<TraceEvent, DecodeError> {
+        let value = json::parse(line).map_err(DecodeError::Json)?;
+        TraceEvent::from_json_value(&value)
+    }
+}
+
+/// Appends `,"key":value` to an event object under construction.
+fn push_field(out: &mut String, key: &str, value: impl Into<u64>) {
+    out.push(',');
+    json::write_string(out, key);
+    out.push(':');
+    json::write_uint(out, value.into());
+}
+
+/// One JSON object being decoded as the event kind `kind`.
+struct Fields<'a> {
+    kind: &'static str,
+    object: &'a BTreeMap<String, JsonValue>,
+}
+
+impl Fields<'_> {
+    /// The field `name` as an unsigned integer of width `T`.
+    fn get<T: TryFrom<u64>>(&self, name: &'static str) -> Result<T, DecodeError> {
+        let value = self.object.get(name).ok_or(DecodeError::MissingField {
+            kind: self.kind,
+            field: name,
+        })?;
+        value
+            .as_u64()
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or(DecodeError::BadField {
+                kind: self.kind,
+                field: name,
+            })
+    }
+
+    /// Fails on the first key that is neither `type` nor one of `names`.
+    fn exactly(&self, names: &[&str]) -> Result<(), DecodeError> {
+        match self
+            .object
+            .keys()
+            .find(|key| *key != "type" && !names.contains(&key.as_str()))
+        {
+            Some(key) => Err(DecodeError::UnknownField {
+                kind: self.kind,
+                field: key.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Why a JSONL line is not a trace event.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DecodeError {
+    /// The line is not valid JSON.
+    Json(JsonError),
+    /// The line is valid JSON but not an object with a string `type`.
+    NotAnEvent,
+    /// The `type` tag names no event kind.
+    UnknownKind(String),
+    /// A field of the kind is missing.
+    MissingField {
+        /// The event kind being decoded.
+        kind: &'static str,
+        /// The absent field.
+        field: &'static str,
+    },
+    /// A field is not an unsigned integer of its declared width.
+    BadField {
+        /// The event kind being decoded.
+        kind: &'static str,
+        /// The offending field.
+        field: &'static str,
+    },
+    /// The object carries a field the kind does not have.
+    UnknownField {
+        /// The event kind being decoded.
+        kind: &'static str,
+        /// The unexpected field.
+        field: String,
+    },
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceEvent::StageStart { .. } => "StageStart",
-            TraceEvent::RouteSelected { .. } => "RouteSelected",
-            TraceEvent::PriceRelaxed { .. } => "PriceRelaxed",
-            TraceEvent::Withdrawn { .. } => "Withdrawn",
-            TraceEvent::Quiescent { .. } => "Quiescent",
-            TraceEvent::FaultInjected { .. } => "FaultInjected",
-            TraceEvent::Retransmit { .. } => "Retransmit",
-            TraceEvent::SessionReset { .. } => "SessionReset",
-            TraceEvent::NodeRestart { .. } => "NodeRestart",
-            TraceEvent::AdversaryInjected { .. } => "AdversaryInjected",
-            TraceEvent::AuditViolation { .. } => "AuditViolation",
-            TraceEvent::NodeQuarantined { .. } => "NodeQuarantined",
-            TraceEvent::HealthVerdict { .. } => "HealthVerdict",
-            TraceEvent::SpanSummary { .. } => "SpanSummary",
-        }
-    }
-
-    /// The stage (or async sequence number) the event is keyed by.
-    pub fn stage(&self) -> u64 {
-        match *self {
-            TraceEvent::StageStart { stage }
-            | TraceEvent::RouteSelected { stage, .. }
-            | TraceEvent::PriceRelaxed { stage, .. }
-            | TraceEvent::Withdrawn { stage, .. }
-            | TraceEvent::Quiescent { stage, .. }
-            | TraceEvent::FaultInjected { stage, .. }
-            | TraceEvent::Retransmit { stage, .. }
-            | TraceEvent::SessionReset { stage, .. }
-            | TraceEvent::NodeRestart { stage, .. }
-            | TraceEvent::AdversaryInjected { stage, .. }
-            | TraceEvent::AuditViolation { stage, .. }
-            | TraceEvent::NodeQuarantined { stage, .. }
-            | TraceEvent::HealthVerdict { stage, .. }
-            | TraceEvent::SpanSummary { stage, .. } => stage,
-        }
-    }
-
-    /// Encodes the event as one compact JSON object (no trailing newline).
-    /// All values are numbers except the `type` tag; field order is fixed,
-    /// so traces diff cleanly. Every variant is routed through one escaped
-    /// key/value writer ([`EventJson`]) so an encoding can never drift from
-    /// the golden schema one variant at a time.
-    pub fn to_json(&self) -> String {
-        let mut w = EventJson::new(self.kind());
-        match *self {
-            TraceEvent::StageStart { stage } => {
-                w.field("stage", stage);
+            DecodeError::Json(e) => write!(f, "{e}"),
+            DecodeError::NotAnEvent => {
+                write!(f, "line is not an object with a string `type` tag")
             }
-            TraceEvent::RouteSelected {
-                node,
-                dest,
-                stage,
-                hops,
-                path_cost,
-                cause,
-                effect,
-            } => {
-                w.field("node", u64::from(node));
-                w.field("dest", u64::from(dest));
-                w.field("stage", stage);
-                w.field("hops", u64::from(hops));
-                w.field("path_cost", path_cost);
-                w.field("cause", cause);
-                w.field("effect", effect);
+            DecodeError::UnknownKind(kind) => write!(f, "unknown event kind `{kind}`"),
+            DecodeError::MissingField { kind, field } => {
+                write!(f, "{kind}: required field `{field}` is missing")
             }
-            TraceEvent::PriceRelaxed {
-                node,
-                dest,
-                k,
-                stage,
-                old,
-                new,
-                cause,
-                effect,
-            } => {
-                w.field("node", u64::from(node));
-                w.field("dest", u64::from(dest));
-                w.field("k", u64::from(k));
-                w.field("stage", stage);
-                w.field("old", old);
-                w.field("new", new);
-                w.field("cause", cause);
-                w.field("effect", effect);
+            DecodeError::BadField { kind, field } => {
+                write!(f, "{kind}: field `{field}` has the wrong type/width")
             }
-            TraceEvent::Withdrawn {
-                node,
-                dest,
-                stage,
-                cause,
-                effect,
-            } => {
-                w.field("node", u64::from(node));
-                w.field("dest", u64::from(dest));
-                w.field("stage", stage);
-                w.field("cause", cause);
-                w.field("effect", effect);
-            }
-            TraceEvent::Quiescent { stage, messages } => {
-                w.field("stage", stage);
-                w.field("messages", messages);
-            }
-            TraceEvent::FaultInjected {
-                stage,
-                node,
-                peer,
-                fault,
-            } => {
-                w.field("stage", stage);
-                w.field("node", u64::from(node));
-                w.field("peer", u64::from(peer));
-                w.field("fault", u64::from(fault));
-            }
-            TraceEvent::Retransmit {
-                stage,
-                from,
-                to,
-                seq,
-            } => {
-                w.field("stage", stage);
-                w.field("from", u64::from(from));
-                w.field("to", u64::from(to));
-                w.field("seq", seq);
-            }
-            TraceEvent::SessionReset { stage, node, peer } => {
-                w.field("stage", stage);
-                w.field("node", u64::from(node));
-                w.field("peer", u64::from(peer));
-            }
-            TraceEvent::NodeRestart { stage, node } => {
-                w.field("stage", stage);
-                w.field("node", u64::from(node));
-            }
-            TraceEvent::AdversaryInjected {
-                stage,
-                node,
-                peer,
-                strategy,
-            } => {
-                w.field("stage", stage);
-                w.field("node", u64::from(node));
-                w.field("peer", u64::from(peer));
-                w.field("strategy", u64::from(strategy));
-            }
-            TraceEvent::AuditViolation {
-                stage,
-                node,
-                dest,
-                expected,
-                advertised,
-                violation,
-            } => {
-                w.field("stage", stage);
-                w.field("node", u64::from(node));
-                w.field("dest", u64::from(dest));
-                w.field("expected", expected);
-                w.field("advertised", advertised);
-                w.field("violation", u64::from(violation));
-            }
-            TraceEvent::NodeQuarantined { stage, node } => {
-                w.field("stage", stage);
-                w.field("node", u64::from(node));
-            }
-            TraceEvent::HealthVerdict {
-                stage,
-                detector,
-                node,
-                dest,
-                count,
-                threshold,
-            } => {
-                w.field("stage", stage);
-                w.field("detector", u64::from(detector));
-                w.field("node", u64::from(node));
-                w.field("dest", u64::from(dest));
-                w.field("count", count);
-                w.field("threshold", threshold);
-            }
-            TraceEvent::SpanSummary {
-                stage,
-                span,
-                count,
-                total_nanos,
-                self_nanos,
-            } => {
-                w.field("stage", stage);
-                w.field("span", u64::from(span));
-                w.field("count", count);
-                w.field("total_nanos", total_nanos);
-                w.field("self_nanos", self_nanos);
+            DecodeError::UnknownField { kind, field } => {
+                write!(f, "{kind}: field `{field}` is not part of the event")
             }
         }
-        w.finish()
     }
 }
 
-/// The single JSONL object writer behind [`TraceEvent::to_json`]: opens
-/// with the escaped `type` tag, appends `"key":value` pairs (every event
-/// field is an unsigned integer), and closes the object. Keys and the tag
-/// pass through one escaping routine, so no per-variant format string can
-/// drift from `trace-schema.json` on its own.
-struct EventJson {
-    out: String,
-}
-
-impl EventJson {
-    fn new(kind: &str) -> EventJson {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"type\":");
-        push_json_string(&mut out, kind);
-        EventJson { out }
-    }
-
-    fn field(&mut self, key: &str, value: u64) {
-        self.out.push(',');
-        push_json_string(&mut self.out, key);
-        self.out.push(':');
-        // u64 formatting never needs escaping; itoa-style inline keeps the
-        // writer allocation-light.
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        let mut v = value;
-        loop {
-            i -= 1;
-            // lint:allow(bounds: u64 has at most 20 decimal digits, so i stays in range)
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        for &digit in &buf[i..] {
-            self.out.push(digit as char);
-        }
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
-}
-
-/// Appends `s` as a quoted, escaped JSON string.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let code = c as u32;
-                for shift in [12, 8, 4, 0] {
-                    let digit = (code >> shift) & 0xF;
-                    out.push(char::from_digit(digit, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+impl std::error::Error for DecodeError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One event of `kind` with every `u32` field set to `small` and every
+    /// `u64` field to `big`; `None` for a kind with no sample yet.
+    fn sample(kind: &str, small: u32, big: u64) -> Option<TraceEvent> {
+        Some(match kind {
+            "StageStart" => TraceEvent::StageStart { stage: big },
+            "RouteSelected" => TraceEvent::RouteSelected {
+                node: small,
+                dest: small,
+                stage: big,
+                hops: small,
+                path_cost: big,
+                cause: big,
+                effect: big,
+            },
+            "PriceRelaxed" => TraceEvent::PriceRelaxed {
+                node: small,
+                dest: small,
+                k: small,
+                stage: big,
+                old: big,
+                new: big,
+                cause: big,
+                effect: big,
+            },
+            "Withdrawn" => TraceEvent::Withdrawn {
+                node: small,
+                dest: small,
+                stage: big,
+                cause: big,
+                effect: big,
+            },
+            "Quiescent" => TraceEvent::Quiescent {
+                stage: big,
+                messages: big,
+            },
+            "FaultInjected" => TraceEvent::FaultInjected {
+                stage: big,
+                node: small,
+                peer: small,
+                fault: small,
+            },
+            "Retransmit" => TraceEvent::Retransmit {
+                stage: big,
+                from: small,
+                to: small,
+                seq: big,
+            },
+            "SessionReset" => TraceEvent::SessionReset {
+                stage: big,
+                node: small,
+                peer: small,
+            },
+            "NodeRestart" => TraceEvent::NodeRestart {
+                stage: big,
+                node: small,
+            },
+            "AdversaryInjected" => TraceEvent::AdversaryInjected {
+                stage: big,
+                node: small,
+                peer: small,
+                strategy: small,
+            },
+            "AuditViolation" => TraceEvent::AuditViolation {
+                stage: big,
+                node: small,
+                dest: small,
+                expected: big,
+                advertised: big,
+                violation: small,
+            },
+            "NodeQuarantined" => TraceEvent::NodeQuarantined {
+                stage: big,
+                node: small,
+            },
+            "HealthVerdict" => TraceEvent::HealthVerdict {
+                stage: big,
+                detector: small,
+                node: small,
+                dest: small,
+                count: big,
+                threshold: big,
+            },
+            "SpanSummary" => TraceEvent::SpanSummary {
+                stage: big,
+                span: small,
+                count: big,
+                total_nanos: big,
+                self_nanos: big,
+            },
+            _ => return None,
+        })
+    }
+
     #[test]
     fn kinds_are_distinct_and_stable() {
-        let events = [
-            TraceEvent::StageStart { stage: 1 },
-            TraceEvent::RouteSelected {
-                node: 0,
-                dest: 1,
-                stage: 1,
-                hops: 2,
-                path_cost: 0,
-                cause: 0,
-                effect: 1,
-            },
-            TraceEvent::PriceRelaxed {
-                node: 0,
-                dest: 1,
-                k: 2,
-                stage: 1,
-                old: INFINITE,
-                new: 3,
-                cause: 1,
-                effect: 2,
-            },
-            TraceEvent::Withdrawn {
-                node: 0,
-                dest: 1,
-                stage: 2,
-                cause: 2,
-                effect: 3,
-            },
-            TraceEvent::Quiescent {
-                stage: 3,
-                messages: 42,
-            },
-            TraceEvent::FaultInjected {
-                stage: 4,
-                node: 0,
-                peer: 1,
-                fault: 0,
-            },
-            TraceEvent::Retransmit {
-                stage: 5,
-                from: 0,
-                to: 1,
-                seq: 7,
-            },
-            TraceEvent::SessionReset {
-                stage: 6,
-                node: 1,
-                peer: 0,
-            },
-            TraceEvent::NodeRestart { stage: 7, node: 2 },
-            TraceEvent::AdversaryInjected {
-                stage: 8,
-                node: 3,
-                peer: 1,
-                strategy: 2,
-            },
-            TraceEvent::AuditViolation {
-                stage: 9,
-                node: 3,
-                dest: 5,
-                expected: 4,
-                advertised: 2,
-                violation: 0,
-            },
-            TraceEvent::NodeQuarantined { stage: 9, node: 3 },
-            TraceEvent::HealthVerdict {
-                stage: 10,
-                detector: 0,
-                node: 1,
-                dest: 2,
-                count: 4,
-                threshold: 3,
-            },
-            TraceEvent::SpanSummary {
-                stage: 10,
-                span: 1,
-                count: 12,
-                total_nanos: 900,
-                self_nanos: 600,
-            },
-        ];
-        let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
         assert_eq!(
-            kinds,
-            vec![
+            TraceEvent::KINDS,
+            [
                 "StageStart",
                 "RouteSelected",
                 "PriceRelaxed",
@@ -584,8 +530,28 @@ mod tests {
                 "SpanSummary",
             ]
         );
+        let mut kinds = TraceEvent::KINDS.to_vec();
+        kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 14);
+        assert_eq!(kinds.len(), TraceEvent::KINDS.len());
+    }
+
+    #[test]
+    fn every_kind_round_trips_at_zero_mid_and_max() {
+        for &kind in TraceEvent::KINDS {
+            for (small, big) in [
+                (0, 0),
+                (1 << 31, 1 << 63),
+                (0x8765_4321, 0x1234_5678_9abc_def0),
+                (u32::MAX, u64::MAX),
+            ] {
+                let event = sample(kind, small, big)
+                    .unwrap_or_else(|| panic!("no round-trip sample for `{kind}`"));
+                assert_eq!(event.kind(), kind);
+                assert_eq!(event.stage(), big);
+                assert_eq!(TraceEvent::from_json(&event.to_json()), Ok(event));
+            }
+        }
     }
 
     #[test]
@@ -610,10 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn writer_escapes_strings_and_formats_extremes() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\n\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\n\\u0001\"");
+    fn encoding_formats_extremes() {
         let zero = TraceEvent::StageStart { stage: 0 }.to_json();
         assert_eq!(zero, "{\"type\":\"StageStart\",\"stage\":0}");
         let max = TraceEvent::StageStart { stage: u64::MAX }.to_json();
@@ -624,15 +587,88 @@ mod tests {
     }
 
     #[test]
-    fn stage_accessor_covers_all_variants() {
-        assert_eq!(TraceEvent::StageStart { stage: 9 }.stage(), 9);
+    fn decoder_ignores_key_order_and_whitespace() {
         assert_eq!(
-            TraceEvent::Quiescent {
-                stage: 4,
-                messages: 0
-            }
-            .stage(),
-            4
+            TraceEvent::from_json(" { \"messages\" : 2 , \"stage\":1,\"type\":\"Quiescent\" } "),
+            Ok(TraceEvent::Quiescent {
+                stage: 1,
+                messages: 2
+            })
+        );
+    }
+
+    #[test]
+    fn decoder_rejects_what_is_not_an_event() {
+        let missing = |field| DecodeError::MissingField {
+            kind: "Withdrawn",
+            field,
+        };
+        let bad = |field| DecodeError::BadField {
+            kind: "StageStart",
+            field,
+        };
+        assert!(matches!(
+            TraceEvent::from_json("not json"),
+            Err(DecodeError::Json(_))
+        ));
+        // A repeated key is malformed JSON, not "last value wins".
+        assert!(matches!(
+            TraceEvent::from_json(
+                "{\"type\":\"StageStart\",\"type\":\"Quiescent\",\"stage\":1,\"messages\":2}"
+            ),
+            Err(DecodeError::Json(_))
+        ));
+        for line in ["[1]", "{\"stage\":1}", "{\"type\":3,\"stage\":1}"] {
+            assert_eq!(
+                TraceEvent::from_json(line),
+                Err(DecodeError::NotAnEvent),
+                "{line}"
+            );
+        }
+        assert_eq!(
+            TraceEvent::from_json("{\"type\":\"Mystery\",\"stage\":1}"),
+            Err(DecodeError::UnknownKind("Mystery".into()))
+        );
+        assert_eq!(
+            TraceEvent::from_json("{\"type\":\"StageStart\"}"),
+            Err(DecodeError::MissingField {
+                kind: "StageStart",
+                field: "stage"
+            })
+        );
+        // Causal events without provenance ids are not events.
+        assert_eq!(
+            TraceEvent::from_json("{\"type\":\"Withdrawn\",\"node\":4,\"dest\":1,\"stage\":1}"),
+            Err(missing("cause"))
+        );
+        for value in ["1.5", "1e3", "-1", "\"1\"", "null", "true", "[1]"] {
+            assert_eq!(
+                TraceEvent::from_json(&format!("{{\"type\":\"StageStart\",\"stage\":{value}}}")),
+                Err(bad("stage")),
+                "{value}"
+            );
+        }
+        // A u32 field rejects 2^32; a u64 field takes it.
+        assert_eq!(
+            TraceEvent::from_json(
+                "{\"type\":\"Withdrawn\",\"node\":4294967296,\"dest\":1,\"stage\":1,\
+                 \"cause\":0,\"effect\":1}"
+            ),
+            Err(DecodeError::BadField {
+                kind: "Withdrawn",
+                field: "node"
+            })
+        );
+        assert_eq!(
+            TraceEvent::from_json("{\"type\":\"StageStart\",\"stage\":4294967296}"),
+            Ok(TraceEvent::StageStart { stage: 1 << 32 })
+        );
+        assert_eq!(
+            TraceEvent::from_json("{\"type\":\"StageStart\",\"stage\":1,\"extra\":2}"),
+            Err(DecodeError::UnknownField {
+                kind: "StageStart",
+                field: "extra".into()
+            })
         );
     }
 }

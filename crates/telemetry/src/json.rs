@@ -4,10 +4,11 @@
 //! validation needs its own reader. This one covers exactly the JSON this
 //! crate emits — objects, arrays, strings, integers, floats, booleans,
 //! null — and keeps unsigned integers exact (`u64::MAX` encodes `∞` in
-//! traces, which `f64` cannot represent).
+//! traces, which `f64` cannot represent). An object that repeats a key is
+//! malformed, not "last value wins".
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +56,7 @@ impl JsonValue {
 
     /// Re-serializes the value as compact JSON. Object keys come out in
     /// normalized ([`BTreeMap`]) order, so `parse(x).render()` is a
-    /// canonical form of `x` — what the flight-recorder validator feeds
-    /// back through the line schema.
+    /// canonical form of `x`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -68,22 +68,7 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::UInt(v) => {
-                let mut buf = [0u8; 20];
-                let mut i = buf.len();
-                let mut v = *v;
-                loop {
-                    i -= 1;
-                    buf[i] = b'0' + (v % 10) as u8;
-                    v /= 10;
-                    if v == 0 {
-                        break;
-                    }
-                }
-                for &digit in &buf[i..] {
-                    out.push(digit as char);
-                }
-            }
+            JsonValue::UInt(v) => write_uint(out, *v),
             JsonValue::Float(v) => {
                 let text = format!("{v}");
                 out.push_str(&text);
@@ -94,23 +79,7 @@ impl JsonValue {
                     out.push_str(".0");
                 }
             }
-            JsonValue::String(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            JsonValue::String(s) => write_string(out, s),
             JsonValue::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -127,7 +96,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    JsonValue::String(key.clone()).render_into(out);
+                    write_string(out, key);
                     out.push(':');
                     value.render_into(out);
                 }
@@ -135,6 +104,32 @@ impl JsonValue {
             }
         }
     }
+}
+
+/// Appends `s` as a quoted, escaped JSON string — the one string writer
+/// behind [`JsonValue::render`] and the trace-event encoder.
+pub(crate) fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends `v` in decimal — the one integer writer behind
+/// [`JsonValue::render`] and the trace-event encoder.
+pub(crate) fn write_uint(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
 }
 
 /// Where and why parsing failed.
@@ -240,11 +235,14 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
+        let key_start = *pos;
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
         let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
+        if map.insert(key, value).is_some() {
+            return Err(err(key_start, "duplicate key in object"));
+        }
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -406,7 +404,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "\"unterminated", "12 34", "{]"] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "\"unterminated",
+            "12 34",
+            "{]",
+            "{\"a\":1,\"a\":1}",
+            "{\"type\":\"StageStart\",\"type\":\"Quiescent\",\"stage\":1,\"messages\":2}",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
     }
@@ -429,6 +437,13 @@ mod tests {
             assert_eq!(v.render(), text, "already-canonical text is fixed");
             assert_eq!(parse(&v.render()).unwrap(), v, "render re-parses");
         }
+    }
+
+    #[test]
+    fn render_escapes_strings() {
+        let v = JsonValue::String("a\"b\\c\n\u{1}".into());
+        assert_eq!(v.render(), "\"a\\\"b\\\\c\\n\\u0001\"");
+        assert_eq!(parse(&v.render()).unwrap(), v);
     }
 
     #[test]

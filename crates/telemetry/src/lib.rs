@@ -15,14 +15,15 @@
 //!    `Quiescent`, plus the fault vocabulary `FaultInjected`,
 //!    `Retransmit`, `SessionReset`, `NodeRestart`) keyed by
 //!    node/destination/stage, written as JSONL
-//!    ([`JsonlSink`]) or kept in memory ([`RingBufferSink`]), and checked
-//!    against the golden schema in `trace-schema.json` ([`schema::Schema`]).
+//!    ([`JsonlSink`]) or kept in memory ([`RingBufferSink`]). The enum is
+//!    the schema: [`TraceEvent::from_json`] decodes exactly what
+//!    [`TraceEvent::to_json`] writes, so decoding a trace validates it.
 //! 3. **Provenance** ([`causal::CausalDag`]): the causal `(cause, effect)`
 //!    ids carried by route/price events rebuilt into per-run convergence
 //!    DAGs — acyclicity and root validation, critical-path extraction,
 //!    amplification and price-churn attribution — plus the divergence
 //!    flight recorder ([`flight::FlightRecorder`]) that dumps the tail of
-//!    a stalled run as one schema-valid JSON artifact.
+//!    a stalled run as one validated JSON artifact.
 //! 4. **Time** ([`Clock`]): injectable nanosecond sources so per-stage wall
 //!    time can be measured for real ([`SystemClock`]) or scripted in tests
 //!    ([`ManualClock`]).
@@ -54,7 +55,6 @@ pub mod health;
 pub mod json;
 pub mod profile;
 pub mod registry;
-pub mod schema;
 pub mod series;
 pub mod sink;
 
@@ -68,7 +68,6 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     DEFAULT_NANOS_BOUNDS,
 };
-pub use schema::Schema;
 pub use series::{QuantileSketch, TimeSeries};
 pub use sink::{JsonlSink, NullSink, RingBufferSink, TeeSink, TraceSink};
 

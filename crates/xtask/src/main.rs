@@ -4,7 +4,7 @@
 //! lint engine carries its own minimal lexer instead of depending on `syn`.
 //!
 //! Subcommands:
-//! - `lint`  — run the seven protocol lint rules (see `xtask::rules`);
+//! - `lint`  — run the six protocol lint rules (see `xtask::rules`);
 //!   exit 1 on any violation outside the `// lint:allow(reason)` allowlist.
 //! - `analyze` — the parser-backed analyses (see `xtask::analysis`): build
 //!   the workspace call graph, walk panic-reachability from the engine
@@ -15,8 +15,8 @@
 //!   with `--features invariant-checks` so the debug assertions execute.
 //!   `--static-only` skips the test run.
 //! - `obs`   — the observability pipeline: run the `obs_smoke` fixture with
-//!   `--trace-out`/`--metrics-out`, validate every trace line against the
-//!   golden schema, require full event-kind coverage, check both metric
+//!   `--trace-out`/`--metrics-out`, decode every trace line as a
+//!   `TraceEvent`, require full event-kind coverage, check both metric
 //!   expositions, and print the per-stage convergence summary. `--causal`
 //!   additionally runs the traced E3 sweep, rebuilds the causal provenance
 //!   DAG of every run segment (acyclicity, origin-root, and
@@ -47,6 +47,7 @@
 //!   reported and skipped rather than failed, so `ci` works in minimal
 //!   containers.
 
+use bgpvcg_telemetry::TraceEvent;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use xtask::rules::{self, SourceFile};
@@ -92,8 +93,8 @@ fn print_help() {
     println!(
         "cargo xtask <subcommand>\n\n\
          \tlint                run the protocol lint rules (no-panic, pub-docs,\n\
-         \t                    wire-golden, engine-hygiene, trace-schema,\n\
-         \t                    stage-alloc, unsafe-audit)\n\
+         \t                    wire-golden, engine-hygiene, stage-alloc,\n\
+         \t                    unsafe-audit)\n\
          \tanalyze             parser-backed analyses: panic-reachability over\n\
          \t                    the workspace call graph from the engine entry\n\
          \t                    points, plus the determinism lints (hashed-order\n\
@@ -102,8 +103,8 @@ fn print_help() {
          \t                    check allowlist hygiene + invariant-hook wiring,\n\
          \t                    then run tests with --features invariant-checks\n\
          \tobs [--causal] [--health] [--profile]\n\
-         \t                    run the traced smoke topology, validate the JSONL\n\
-         \t                    trace against the golden schema, check metric\n\
+         \t                    run the traced smoke topology, decode every JSONL\n\
+         \t                    trace line as a TraceEvent, check metric\n\
          \t                    expositions, print the convergence summary;\n\
          \t                    --causal also runs the traced E3 sweep, validates\n\
          \t                    every run's causal provenance DAG (acyclic,\n\
@@ -254,24 +255,17 @@ fn collect_vendor(root: &Path) -> Vec<rules::VendorCrate> {
     out
 }
 
-/// Reads the golden trace schema fixture for the trace-schema rule; `None`
-/// if it is missing (which the rule reports as a violation).
-fn trace_schema_text(root: &Path) -> Option<String> {
-    std::fs::read_to_string(root.join(rules::TRACE_SCHEMA)).ok()
-}
-
 fn cmd_lint(root: &Path) -> ExitCode {
     let (files, raw_lines) = collect_sources(root);
     let trees = parse_trees(&files);
     let vendor = collect_vendor(root);
-    let schema = trace_schema_text(root);
-    let violations = rules::run_all(&files, &raw_lines, &trees, schema.as_deref(), &vendor);
+    let violations = rules::run_all(&files, &raw_lines, &trees, &vendor);
     for v in &violations {
         println!("{v}");
     }
     if violations.is_empty() {
         println!(
-            "xtask lint: clean ({} files, 7 rules, 0 violations)",
+            "xtask lint: clean ({} files, 6 rules, 0 violations)",
             files.len()
         );
         ExitCode::SUCCESS
@@ -327,8 +321,7 @@ fn cmd_audit(root: &Path, static_only: bool) -> ExitCode {
     // marked used; what remains unused is stale.
     let trees = parse_trees(&files);
     let vendor = collect_vendor(root);
-    let schema = trace_schema_text(root);
-    let mut violations = rules::run_all(&files, &raw_lines, &trees, schema.as_deref(), &vendor);
+    let mut violations = rules::run_all(&files, &raw_lines, &trees, &vendor);
     violations.extend(analysis::run_all(&files, &trees));
     let mut problems = rules::stale_allows(&files);
 
@@ -429,14 +422,14 @@ fn run_step(root: &Path, label: &str, program: &str, args: &[&str], optional: bo
     }
 }
 
-/// The observability pipeline: run the traced smoke topology, validate
-/// every JSONL line against the golden schema, require full event-kind
+/// The observability pipeline: run the traced smoke topology, decode
+/// every JSONL line as a [`TraceEvent`], require full event-kind
 /// coverage, sanity-check both metric expositions, and print a per-stage
 /// convergence summary table. With `causal`, additionally run the traced
 /// E3 sweep and validate + summarize its causal provenance DAGs (see
 /// [`run_causal`]). See `docs/OBSERVABILITY.md`.
 fn cmd_obs(root: &Path, causal: bool, health: bool, profile: bool) -> ExitCode {
-    use bgpvcg_telemetry::{json, Schema};
+    use bgpvcg_telemetry::json;
     use std::collections::BTreeMap;
 
     let out_dir = root.join("target").join("obs");
@@ -478,8 +471,8 @@ fn cmd_obs(root: &Path, causal: bool, health: bool, profile: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Validate every trace line against the golden schema, and fold the
-    // stream into kind counts and a per-stage summary.
+    // Decode every trace line (decoding is validation: the enum is the
+    // schema), and fold the stream into kind counts and a per-stage summary.
     let trace = match std::fs::read_to_string(&trace_path) {
         Ok(text) => text,
         Err(err) => {
@@ -487,43 +480,38 @@ fn cmd_obs(root: &Path, causal: bool, health: bool, profile: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let schema = Schema::golden();
-    let mut kind_counts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut kind_counts: BTreeMap<&str, u64> = BTreeMap::new();
     // stage -> [selected, relaxed, withdrawn]
     let mut per_stage: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
     let mut bad_lines = 0usize;
     let mut lines = 0usize;
     for (idx, line) in trace.lines().enumerate() {
         lines += 1;
-        let kind = match schema.validate_line(line) {
-            Ok(kind) => kind,
+        let event = match TraceEvent::from_json(line) {
+            Ok(event) => event,
             Err(err) => {
-                println!("{}:{}: [trace-schema] {err}", trace_path.display(), idx + 1);
+                println!("{}:{}: {err}", trace_path.display(), idx + 1);
                 bad_lines += 1;
                 continue;
             }
         };
-        let stage = json::parse(line)
-            .ok()
-            .and_then(|v| v.get("stage").and_then(json::JsonValue::as_u64))
-            .unwrap_or(0);
-        let slot = match kind.as_str() {
-            "RouteSelected" => Some(0),
-            "PriceRelaxed" => Some(1),
-            "Withdrawn" => Some(2),
+        let slot = match event {
+            TraceEvent::RouteSelected { .. } => Some(0),
+            TraceEvent::PriceRelaxed { .. } => Some(1),
+            TraceEvent::Withdrawn { .. } => Some(2),
             _ => None,
         };
         if let Some(slot) = slot {
-            per_stage.entry(stage).or_insert([0; 3])[slot] += 1;
+            per_stage.entry(event.stage()).or_insert([0; 3])[slot] += 1;
         }
-        *kind_counts.entry(kind).or_insert(0) += 1;
+        *kind_counts.entry(event.kind()).or_insert(0) += 1;
     }
     println!(
         "==> trace validation: {} line(s), {} invalid",
         lines, bad_lines
     );
     let mut missing_kinds = 0usize;
-    for kind in schema.kinds() {
+    for kind in TraceEvent::KINDS {
         if kind_counts.get(kind).copied().unwrap_or(0) == 0 {
             println!("==> event kind `{kind}` never appeared in the smoke trace");
             missing_kinds += 1;
@@ -610,8 +598,8 @@ fn cmd_obs(root: &Path, causal: bool, health: bool, profile: bool) -> ExitCode {
         && profile_problems == 0
     {
         println!(
-            "\nxtask obs: trace schema-valid, all {} event kinds covered, expositions ok{}{}{}",
-            schema.kinds().len(),
+            "\nxtask obs: trace decodes, all {} event kinds covered, expositions ok{}{}{}",
+            TraceEvent::KINDS.len(),
             if causal { ", causal DAGs valid" } else { "" },
             if health { ", health report ok" } else { "" },
             if profile { ", span profile ok" } else { "" }
@@ -813,13 +801,17 @@ fn run_causal(root: &Path) -> usize {
             return 1;
         }
     };
-    let dags = match CausalDag::from_jsonl(&trace) {
-        Ok(dags) => dags,
-        Err(err) => {
-            println!("==> causal: trace does not build a DAG: {err}");
-            return 1;
+    let mut events = Vec::new();
+    for (idx, line) in trace.lines().enumerate() {
+        match TraceEvent::from_json(line) {
+            Ok(event) => events.push(event),
+            Err(err) => {
+                println!("==> causal: {}:{}: {err}", trace_path.display(), idx + 1);
+                return 1;
+            }
         }
-    };
+    }
+    let dags = CausalDag::from_events(&events);
     let mut problems = 0usize;
     if dags.is_empty() {
         println!("==> causal: trace produced no run segments");

@@ -14,12 +14,7 @@
 //!    golden round-trip suite `crates/bgp/tests/wire_golden.rs`.
 //! 4. **engine-hygiene** — no `Ordering::Relaxed` and no bare
 //!    `thread::spawn` inside `crates/bgp/src/engine/`.
-//! 5. **trace-schema** — every `TraceEvent` variant (definition and every
-//!    emission site) is described by the golden trace schema
-//!    `crates/telemetry/trace-schema.json`; additionally, every
-//!    construction of a causal kind ([`CAUSAL_EVENT_KINDS`]) must thread
-//!    explicit `cause`/`effect` provenance ids.
-//! 6. **stage-alloc** — no `Vec::new()` / `Vec::with_capacity(` /
+//! 5. **stage-alloc** — no `Vec::new()` / `Vec::with_capacity(` /
 //!    `vec![` / `.to_vec()` / `.collect()` / `{Hash,BTree}Map::new()` /
 //!    `BTreeSet::new()` allocation inside the hot-path bodies listed in
 //!    [`STAGE_ALLOC_SCOPES`]: the synchronous engine's stage loop, the
@@ -31,12 +26,12 @@
 //!    health monitor's fold), whose buffers are reused by design. A listed
 //!    file or function that no longer exists is itself a violation: a
 //!    rename must not leave the rule checking nothing.
-//! 7. **unsafe-audit** — every first-party crate root carries
+//! 6. **unsafe-audit** — every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`, no first-party line uses `unsafe`, and
 //!    vendored stand-ins are unsafe-free unless enumerated (with a reason)
 //!    in [`VENDOR_UNSAFE_EXCEPTIONS`].
 //!
-//! Rules 3, 5, and 6 are parser-backed: enum variants and function body
+//! Rules 3 and 5 are parser-backed: enum variants and function body
 //! spans come from [`crate::parser`] item trees rather than ad-hoc brace
 //! tracking.
 
@@ -325,186 +320,6 @@ pub fn check_engine_hygiene(files: &[SourceFile], out: &mut Vec<Violation>) {
     }
 }
 
-/// The telemetry event enum whose variants define the trace vocabulary.
-pub const TRACE_EVENT_FILE: &str = "crates/telemetry/src/event.rs";
-
-/// The golden trace schema fixture `cargo xtask obs` validates against.
-pub const TRACE_SCHEMA: &str = "crates/telemetry/trace-schema.json";
-
-/// Rule 5: every `TraceEvent` variant must be described (named as a JSON
-/// key) in the golden trace schema. `schema_text` is the fixture's content,
-/// read by the driver (it is JSON, not a lexed source file). Variant
-/// inventory comes from the parsed item trees.
-pub fn check_trace_schema(
-    files: &[SourceFile],
-    trees: &[ParsedFile],
-    schema_text: Option<&str>,
-    out: &mut Vec<Violation>,
-) {
-    let Some(schema) = schema_text else {
-        out.push(Violation {
-            rule: "trace-schema",
-            file: PathBuf::from(TRACE_SCHEMA),
-            line: 1,
-            message: "golden trace schema fixture is missing".into(),
-        });
-        return;
-    };
-    for (file, tree) in files.iter().zip(trees) {
-        if file.rel_path != Path::new(TRACE_EVENT_FILE) {
-            continue;
-        }
-        for item in &tree.enums {
-            if item.name != "TraceEvent" || item.is_test {
-                continue;
-            }
-            for (variant, line) in &item.variants {
-                let key = format!("\"{variant}\"");
-                if !schema.contains(&key) && !allowed(&file.lexed.allows, *line) {
-                    out.push(Violation {
-                        rule: "trace-schema",
-                        file: file.rel_path.clone(),
-                        line: line + 1,
-                        message: format!(
-                            "`TraceEvent::{variant}` is not described by {TRACE_SCHEMA}"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    // Emission-site coverage: every `TraceEvent::Kind` construction in the
-    // workspace must name a schema-described kind.
-    for file in files {
-        if file.rel_path == Path::new(TRACE_EVENT_FILE) {
-            continue; // definitions handled above
-        }
-        for (idx, line) in file.lexed.code_lines.iter().enumerate() {
-            for variant in trace_event_mentions(line) {
-                let key = format!("\"{variant}\"");
-                if !schema.contains(&key) && !allowed(&file.lexed.allows, idx) {
-                    out.push(Violation {
-                        rule: "trace-schema",
-                        file: file.rel_path.clone(),
-                        line: idx + 1,
-                        message: format!(
-                            "emission of `TraceEvent::{variant}` not described by {TRACE_SCHEMA}"
-                        ),
-                    });
-                }
-            }
-        }
-        check_causal_provenance(file, out);
-    }
-}
-
-/// Trace kinds that carry causal provenance. Every construction of one of
-/// these must thread explicit `cause`/`effect` ids — a site that drops them
-/// breaks the convergence DAG (`bgpvcg_telemetry::causal`) silently.
-pub const CAUSAL_EVENT_KINDS: &[&str] = &["RouteSelected", "PriceRelaxed", "Withdrawn"];
-
-/// The provenance half of rule 5: every causal-kind construction site must
-/// name both `cause` and `effect`. Spans destructuring with `..` are
-/// patterns — they consume events rather than emit them — and are exempt;
-/// a pattern that binds every field names the ids anyway.
-fn check_causal_provenance(file: &SourceFile, out: &mut Vec<Violation>) {
-    for idx in 0..file.lexed.code_lines.len() {
-        let line = &file.lexed.code_lines[idx];
-        for (pos, _) in line.match_indices("TraceEvent::") {
-            let rest = &line[pos + "TraceEvent::".len()..];
-            let ident: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !CAUSAL_EVENT_KINDS.contains(&ident.as_str()) {
-                continue;
-            }
-            let after = pos + "TraceEvent::".len() + ident.len();
-            let Some(span) = brace_span(&file.lexed.code_lines, idx, after) else {
-                continue; // bare path mention, not a construction
-            };
-            if span.contains("..") {
-                continue; // destructuring pattern
-            }
-            let names = |field: &str| {
-                span.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                    .any(|w| w == field)
-            };
-            if (!names("cause") || !names("effect")) && !allowed(&file.lexed.allows, idx) {
-                out.push(Violation {
-                    rule: "trace-schema",
-                    file: file.rel_path.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "emission of `TraceEvent::{ident}` must thread `cause`/`effect` \
-                         provenance ids"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Collects the text of the brace-balanced span opening at the first `{`
-/// after column `after` on `code_lines[idx]` (spanning lines as needed, up
-/// to a 64-line cap against malformed input); `None` when the next
-/// non-whitespace character is not `{`.
-fn brace_span(code_lines: &[String], idx: usize, after: usize) -> Option<String> {
-    let mut span = String::new();
-    let mut depth = 0usize;
-    let mut opened = false;
-    for (n, line) in code_lines.iter().enumerate().skip(idx).take(64) {
-        let text = if n == idx {
-            &line[after..]
-        } else {
-            line.as_str()
-        };
-        for c in text.chars() {
-            if !opened {
-                if c.is_whitespace() {
-                    continue;
-                }
-                if c != '{' {
-                    return None;
-                }
-                opened = true;
-                depth = 1;
-                continue;
-            }
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(span);
-                    }
-                }
-                c => span.push(c),
-            }
-        }
-        span.push(' ');
-    }
-    None
-}
-
-/// Extracts every `Kind` out of `TraceEvent::Kind` mentions on one code
-/// line (CamelCase identifiers only, so paths like `TraceEvent::default()`
-/// or a bare `use …::TraceEvent;` do not match).
-fn trace_event_mentions(line: &str) -> Vec<String> {
-    let mut found = Vec::new();
-    for (pos, _) in line.match_indices("TraceEvent::") {
-        let rest = &line[pos + "TraceEvent::".len()..];
-        let ident: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if ident.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-            found.push(ident);
-        }
-    }
-    found
-}
-
 /// The (file, hot-path functions) scopes whose bodies must not allocate,
 /// matched by bare name against the parsed item tree: the synchronous
 /// engine's per-stage loop, the wire codec's zero-allocation encode
@@ -629,7 +444,7 @@ const STAGE_ALLOC_TOKENS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Rule 6: no allocation in the stage-loop or codec hot paths listed in
+/// Rule 5: no allocation in the stage-loop or codec hot paths listed in
 /// [`STAGE_ALLOC_SCOPES`]. Body spans come from the parsed item trees. A
 /// scope whose file, or a hot function whose name, is not found is itself
 /// a violation — a rename must never leave the rule checking nothing.
@@ -718,7 +533,7 @@ fn is_first_party_crate_root(path: &Path) -> bool {
     )
 }
 
-/// Rule 7: the unsafe audit. First-party crate roots must forbid unsafe
+/// Rule 6: the unsafe audit. First-party crate roots must forbid unsafe
 /// code, no first-party line may use `unsafe`, and vendored crates must be
 /// unsafe-free unless enumerated in [`VENDOR_UNSAFE_EXCEPTIONS`].
 pub fn check_unsafe_audit(
@@ -783,16 +598,14 @@ pub fn check_unsafe_audit(
     }
 }
 
-/// Runs all seven rules; `raw_lines[i]` are the unlexed lines of `files[i]`
+/// Runs all six rules; `raw_lines[i]` are the unlexed lines of `files[i]`
 /// (needed by pub-docs to see doc comments, which the lexer blanks),
-/// `trees[i]` is the parsed item tree of `files[i]`, `schema_text` is the
-/// golden trace schema's content if it exists, and `vendor` is the
+/// `trees[i]` is the parsed item tree of `files[i]`, and `vendor` is the
 /// vendored-crate unsafe inventory.
 pub fn run_all(
     files: &[SourceFile],
     raw_lines: &[Vec<String>],
     trees: &[ParsedFile],
-    schema_text: Option<&str>,
     vendor: &[VendorCrate],
 ) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -800,7 +613,6 @@ pub fn run_all(
     check_pub_docs(files, raw_lines, &mut out);
     check_wire_golden(files, trees, &mut out);
     check_engine_hygiene(files, &mut out);
-    check_trace_schema(files, trees, schema_text, &mut out);
     check_stage_alloc(files, trees, &mut out);
     check_unsafe_audit(files, trees, vendor, &mut out);
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -939,69 +751,6 @@ mod tests {
         let mut out = Vec::new();
         check_engine_hygiene(&files, &mut out);
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn trace_schema_finds_undescribed_variant() {
-        let files = vec![file(
-            "crates/telemetry/src/event.rs",
-            "/// E.\npub enum TraceEvent {\n    StageStart { stage: u64 },\n    Quiescent { stage: u64 },\n}",
-        )];
-        let trees = trees(&files);
-        let schema = r#"{"version":1,"events":{"StageStart":{"stage":"u64"}}}"#;
-        let mut out = Vec::new();
-        check_trace_schema(&files, &trees, Some(schema), &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("TraceEvent::Quiescent"));
-    }
-
-    #[test]
-    fn trace_schema_flags_undescribed_emission_site() {
-        let files = vec![file(
-            "crates/bgp/src/chaos.rs",
-            "fn f(t: &Telemetry) {\n    t.record(&TraceEvent::FaultInjected { stage: 0 });\n    t.record(&TraceEvent::Mystery { stage: 0 });\n}",
-        )];
-        let trees = trees(&files);
-        let schema = r#"{"version":1,"events":{"FaultInjected":{"stage":"u64"}}}"#;
-        let mut out = Vec::new();
-        check_trace_schema(&files, &trees, Some(schema), &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("TraceEvent::Mystery"));
-        assert_eq!(out[0].line, 3);
-    }
-
-    #[test]
-    fn trace_schema_requires_provenance_on_causal_emissions() {
-        let schema = r#"{"version":1,"events":{"RouteSelected":{},"Withdrawn":{}}}"#;
-        // Multi-line construction missing the ids: fires.
-        let files = vec![file(
-            "crates/bgp/src/telemetry.rs",
-            "fn f(t: &Telemetry) {\n    t.record(&TraceEvent::RouteSelected {\n        node: 1,\n        dest: 2,\n        stage: 0,\n    });\n}",
-        )];
-        let trees_ = trees(&files);
-        let mut out = Vec::new();
-        check_trace_schema(&files, &trees_, Some(schema), &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("provenance"), "{out:?}");
-        assert_eq!(out[0].line, 2);
-
-        // Construction threading both ids, and a `..` pattern: silent.
-        let files = vec![file(
-            "crates/bgp/src/telemetry.rs",
-            "fn f(t: &Telemetry) {\n    t.record(&TraceEvent::RouteSelected {\n        node: 1, dest: 2, stage: 0, cause: 0, effect: 7,\n    });\n    if matches!(e, TraceEvent::Withdrawn { .. }) {}\n}",
-        )];
-        let trees_ = trees(&files);
-        let mut out = Vec::new();
-        check_trace_schema(&files, &trees_, Some(schema), &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn trace_schema_missing_fixture_is_itself_a_violation() {
-        let mut out = Vec::new();
-        check_trace_schema(&[], &[], None, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "trace-schema");
     }
 
     /// Runs the stage-alloc rule over a workspace in which every listed

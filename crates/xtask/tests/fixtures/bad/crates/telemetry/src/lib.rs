@@ -2,5 +2,4 @@
 
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod health;

@@ -1,51 +1,5 @@
-//! Fixture: causal emission sites thread full provenance, and the update
-//! tracer diffs against a dense shadow without allocating per advertisement.
-
-/// Emits a route selection carrying its `cause`/`effect` ids.
-pub fn observe_selection(t: &Telemetry) {
-    t.record(&TraceEvent::RouteSelected {
-        node: 1,
-        dest: 2,
-        stage: 0,
-        cause: 0,
-        effect: 1,
-    });
-}
-
-/// Narrates a quarantine; Byzantine-audit kinds are schema-described but
-/// carry no causal provenance, so a plain construction is clean.
-pub fn observe_quarantine(t: &Telemetry) {
-    t.record(&TraceEvent::NodeQuarantined { stage: 3, node: 4 });
-}
-
-/// Narrates an SLO finding and a span rollup; both kinds are
-/// schema-described and carry no causal provenance.
-pub fn observe_health(t: &Telemetry) {
-    t.record(&TraceEvent::HealthVerdict {
-        stage: 9,
-        detector: 0,
-        node: 2,
-        dest: 0,
-        count: 3,
-        threshold: 3,
-    });
-    t.record(&TraceEvent::SpanSummary {
-        stage: 9,
-        span: 1,
-        count: 40,
-        total_nanos: 900,
-        self_nanos: 700,
-    });
-}
-
-/// Consumes events; destructuring patterns are exempt from the
-/// provenance requirement.
-pub fn count_selections(events: &[TraceEvent]) -> usize {
-    events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::RouteSelected { .. }))
-        .count()
-}
+//! Fixture: the update tracer diffs against a dense shadow without
+//! allocating per advertisement.
 
 /// A dense update tracer: one shadow cell per `(advertiser, destination)`
 /// in rows indexed by AS number, and one reused event buffer.

@@ -3,5 +3,4 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
-pub mod event;
 pub mod health;

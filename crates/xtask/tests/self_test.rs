@@ -21,7 +21,6 @@ struct Corpus {
     files: Vec<SourceFile>,
     raws: Vec<Vec<String>>,
     trees: Vec<ParsedFile>,
-    schema: Option<String>,
 }
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -60,25 +59,13 @@ fn load(name: &str) -> Corpus {
     walk(&root, &root, &mut files, &mut raws);
     assert!(!files.is_empty(), "fixture corpus `{name}` is empty");
     let trees: Vec<ParsedFile> = files.iter().map(|f| parser::parse(&f.lexed)).collect();
-    let schema = fs::read_to_string(root.join(rules::TRACE_SCHEMA)).ok();
-    Corpus {
-        files,
-        raws,
-        trees,
-        schema,
-    }
+    Corpus { files, raws, trees }
 }
 
 /// The full wall, in driver order: rules, then analyses, then the stale
 /// sweep (which must run last so live allows are already marked used).
 fn all_violations(corpus: &Corpus, vendor: &[rules::VendorCrate]) -> Vec<Violation> {
-    let mut out = rules::run_all(
-        &corpus.files,
-        &corpus.raws,
-        &corpus.trees,
-        corpus.schema.as_deref(),
-        vendor,
-    );
+    let mut out = rules::run_all(&corpus.files, &corpus.raws, &corpus.trees, vendor);
     out.extend(analysis::run_all(&corpus.files, &corpus.trees));
     out.extend(rules::stale_allows(&corpus.files));
     out
@@ -135,7 +122,6 @@ fn bad_corpus_trips_every_rule_and_analysis() {
         "pub-docs",
         "wire-golden",
         "engine-hygiene",
-        "trace-schema",
         "stage-alloc",
         "unsafe-audit",
         "panic-reachability",
@@ -167,8 +153,6 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("pub-docs", "crates/bgp/src/node.rs"),        // undocumented_helper
         ("wire-golden", "crates/bgp/src/message.rs"),  // Message::Bogus uncovered
         ("engine-hygiene", "crates/bgp/src/engine/sync.rs"), // thread::spawn + Relaxed
-        ("trace-schema", "crates/telemetry/src/event.rs"), // TraceEvent::Mystery
-        ("trace-schema", "crates/bgp/src/telemetry.rs"), // RouteSelected without cause/effect
         ("stage-alloc", "crates/bgp/src/engine/sync.rs"), // vec![ in run_stage
         ("stage-alloc", "crates/bgp/src/engine/kernel.rs"), // .collect() in handle_pass, Vec::new() in sharded_handle
         ("stage-alloc", "crates/bgp/src/engine/event.rs"), // .collect() per delivery in deliver_all
@@ -193,33 +177,6 @@ fn bad_corpus_fires_at_the_planted_sites() {
         assert!(
             fires_at(&violations, rule, file),
             "expected `{rule}` to fire in {file}; violations:\n{}",
-            violations
-                .iter()
-                .map(|v| format!("  {v}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
-}
-
-#[test]
-fn byzantine_trace_kinds_are_guarded() {
-    let corpus = load("bad");
-    let violations = all_violations(&corpus, &[]);
-    // The quarantine variant added to the enum without a schema entry, and
-    // the two Byzantine emission sites the schema never learned, must each
-    // be called out by name.
-    for needle in [
-        "`TraceEvent::NodeQuarantined` is not described",
-        "emission of `TraceEvent::AdversaryInjected` not described",
-        "emission of `TraceEvent::AuditViolation` not described",
-        "emission of `TraceEvent::HealthVerdict` not described",
-    ] {
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.rule == "trace-schema" && v.message.contains(needle)),
-            "expected a trace-schema violation matching `{needle}`; got:\n{}",
             violations
                 .iter()
                 .map(|v| format!("  {v}"))

@@ -10,13 +10,15 @@
 //! families × fault seeds.
 
 use bgpvcg_bench::families::Family;
-use bgpvcg_bgp::chaos::FaultPlan;
-use bgpvcg_bgp::engine::run_event_driven;
+use bgpvcg_bgp::chaos::{ChaosEngine, FaultPlan};
 use bgpvcg_bgp::TopologyEvent;
-use bgpvcg_core::{protocol, PricingBgpNode};
+use bgpvcg_core::neighbor_costs::{self, NcPricingNode, NeighborCostGraph};
+use bgpvcg_core::protocol;
 use bgpvcg_netgraph::generators::structured::hypercube;
 use bgpvcg_netgraph::{AsId, Cost};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Generous stage budget: recovery after the fault horizon is bounded by a
 /// few retransmit/hold rounds plus one reconvergence, far below this.
@@ -63,11 +65,11 @@ proptest! {
         prop_assert_eq!(outcome, reference);
     }
 
-    /// The asynchronous engine — seeded reordering plus 10% duplicated
-    /// deliveries — reaches the same fixpoint as the synchronous reference
-    /// for any seed.
+    /// Asynchrony — per-link FIFO delivery in a seed-drawn interleaving —
+    /// reaches the same fixpoint as the synchronous reference for any seed,
+    /// without one session restart.
     #[test]
-    fn faulty_async_matches_fault_free_fixpoint(
+    fn asynchronous_matches_fault_free_fixpoint(
         family_idx in 0usize..Family::ALL.len(),
         n in 8usize..13,
         seed in 0u64..u64::MAX,
@@ -75,9 +77,47 @@ proptest! {
         let family = Family::ALL[family_idx];
         let graph = family.build(n, seed ^ 0xA076_1D64);
         let reference = protocol::run_sync(&graph).unwrap().outcome;
-        let nodes = PricingBgpNode::from_graph(&graph);
-        let (nodes, _) = run_event_driven(&graph, nodes, seed, 0.10, None);
-        prop_assert_eq!(protocol::outcome_from_nodes(&nodes).unwrap(), reference);
+        let plan = FaultPlan::asynchronous(seed);
+        let (outcome, report) = protocol::run_chaos(&graph, plan, MAX_STAGES).unwrap();
+        prop_assert!(report.converged, "did not quiesce: {report}");
+        prop_assert_eq!(report.holds_fired, 0);
+        prop_assert_eq!(report.session_resets, 2 * graph.link_count() as u64);
+        prop_assert_eq!(outcome, reference);
+    }
+
+    /// Per-neighbour receive costs under loss, and under loss with a crash
+    /// and restart: every link that comes back up, by re-establishment or
+    /// restart, must declare its receive cost again for the margins to
+    /// reach the fault-free fixpoint.
+    #[test]
+    fn neighbor_cost_chaos_matches_fault_free_fixpoint(
+        family_idx in 0usize..Family::ALL.len(),
+        n in 8usize..13,
+        seed in 0u64..u64::MAX,
+        crash in any::<bool>(),
+        victim in 0u32..1000,
+    ) {
+        let family = Family::ALL[family_idx];
+        let base = family.build(n, seed ^ 0x2545_F491);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut graph = NeighborCostGraph::uniform(&base);
+        for k in base.nodes() {
+            for &a in base.neighbors(k) {
+                graph = graph.with_recv_cost(k, a, Cost::new(rng.gen_range(0..12))).unwrap();
+            }
+        }
+        let (reference, _) = neighbor_costs::run_nc_sync(&graph).unwrap();
+        let mut plan = FaultPlan::lossy(seed, 16);
+        if crash {
+            plan = plan.with_crash(4, AsId::new(victim % n as u32), 11);
+        }
+        let nodes = NcPricingNode::from_graph(&graph);
+        let mut engine = ChaosEngine::new(&base, nodes, plan);
+        let report = engine.run_to_stable(MAX_STAGES);
+        prop_assert!(report.converged, "did not quiesce: {report}");
+        prop_assert_eq!(report.crashes, u64::from(crash));
+        let outcome = protocol::outcome_from_nodes(&engine.into_nodes()).unwrap();
+        prop_assert_eq!(outcome, reference);
     }
 }
 

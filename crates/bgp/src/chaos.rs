@@ -39,7 +39,11 @@
 //!   epoch after having matched it once has lost its receive state
 //!   (crashed and restarted), so the sender re-establishes with a full
 //!   table. The "after having matched once" guard is what makes crossed
-//!   Opens at startup terminate instead of ping-ponging.
+//!   Opens at startup terminate instead of ping-ponging. Only a frame
+//!   newer than every frame already read from the peer is read this way:
+//!   a delayed frame that was overtaken carries an older ack by
+//!   construction, while a peer that really lost state sends from a fresh
+//!   epoch.
 //! * **Hold timer.** [`HOLD_STAGES`] of silence on an active session is
 //!   an implicit link failure: the node applies
 //!   [`LocalEvent::LinkDown`], tears both directions down, and relearns
@@ -170,6 +174,25 @@ impl FaultPlan {
             restarts: Vec::new(),
             flaps: Vec::new(),
             cuts: Vec::new(),
+        }
+    }
+
+    /// An asynchronous network: nothing is lost or duplicated, but until
+    /// stage 64 half of all frames arrive a stage late, so links interleave
+    /// in a seeded order while the session layer keeps each one FIFO — the
+    /// model of Sect. 5–6, where only per-link order is guaranteed. A seed
+    /// replays its interleaving exactly. One stage of delay each way still
+    /// gets a frame acked before [`RETRANSMIT_AFTER`], so nothing is ever
+    /// retransmitted, no hold timer fires and no session is re-established:
+    /// the run reaches a reliable network's fixpoint through nothing but
+    /// reordering.
+    pub fn asynchronous(seed: u64) -> Self {
+        FaultPlan {
+            seed,
+            delay_rate: 0.5,
+            max_delay: 1,
+            horizon: 64,
+            ..FaultPlan::quiet()
         }
     }
 
@@ -306,6 +329,14 @@ struct SendStream {
     last_sent: u64,
 }
 
+/// Where `frame` stands in its sender's stream: epoch, then sending order —
+/// a keepalive carries the next unassigned seq, so it sorts between the
+/// sequenced frames sent before and after it. Acks never decrease along
+/// this order unless the sender lost its receive state.
+fn stream_order(frame: &Frame) -> (u64, u64) {
+    (frame.epoch, 2 * frame.seq + u64::from(frame.is_sequenced()))
+}
+
 /// Receive-direction session state from one neighbor.
 #[derive(Debug, Clone, Default)]
 struct RecvStream {
@@ -315,6 +346,10 @@ struct RecvStream {
     next_seq: u64,
     /// Out-of-order frames of the accepted epoch, keyed by seq.
     buffer: BTreeMap<u64, FrameKind>,
+    /// [`stream_order`] of the newest frame read so far, of any epoch.
+    /// Only a newer frame's ack can reveal that the peer lost state: a
+    /// delayed older one carries an older ack by construction.
+    newest: (u64, u64),
     /// Stage a frame last arrived on this channel (any kind, any epoch).
     last_heard: u64,
     /// Stage a *sequenced* frame of the accepted epoch last arrived —
@@ -659,22 +694,26 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
         let mut opened = false;
         let session = self.link.session(me, peer);
         session.recv.last_heard = stage;
-        // Ack processing for our own stream toward `peer`.
+        let order = stream_order(&frame);
+        let newest = order > session.recv.newest;
+        session.recv.newest = session.recv.newest.max(order);
+        // Ack processing for our own stream toward `peer`. Any frame may
+        // advance the ack; only one newer than all before it may read as
+        // the peer having lost state, or an overtaken frame would bounce a
+        // healthy session.
         if session.send.established {
             if frame.ack_epoch == session.send.epoch {
                 if frame.ack > session.send.acked_high {
                     session.send.acked_high = frame.ack;
                     session.send.unacked.retain(|&(seq, ..)| seq >= frame.ack);
-                } else if session.send.peer_acked && frame.ack < session.send.acked_high {
+                } else if newest && session.send.peer_acked && frame.ack < session.send.acked_high {
                     // Cumulative acks regressed: the peer lost its receive
                     // state but re-adopted this epoch from a retransmitted
-                    // frame before we noticed. (A spurious trigger from a
-                    // delayed old frame is possible pre-horizon and merely
-                    // wasteful.)
+                    // frame before we noticed.
                     reestablish = true;
                 }
                 session.send.peer_acked = true;
-            } else if session.send.peer_acked {
+            } else if newest && session.send.peer_acked {
                 // The peer acked this epoch once and no longer does: it
                 // lost its receive state (crash/restart). Start over with
                 // a fresh epoch and a full table.
@@ -1023,6 +1062,61 @@ mod tests {
         assert_eq!(report.frames_dropped, 0);
         assert_eq!(report.retransmits, 0);
         assert_route_parity(&g, &chaos);
+    }
+
+    #[test]
+    fn an_overtaken_frame_does_not_reestablish() {
+        use bgpvcg_netgraph::generators::structured::Fig1;
+        let g = fig1();
+        let (a, b) = (Fig1::D, Fig1::Z);
+        let mut chaos = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), FaultPlan::quiet());
+        // After two stages `b` has read `a`'s Open, so what it sends next
+        // acks `a`'s epoch at a value `a` will overtake.
+        chaos.step();
+        chaos.step();
+        let old = chaos.link.channels[&(b, a)].queue[0].1.clone();
+        assert_eq!(old.ack_epoch, chaos.link.sessions[a.index()][&b].send.epoch);
+        let report = chaos.run_to_stable(200);
+        assert!(report.converged, "{report}");
+        assert!(chaos.link.sessions[a.index()][&b].send.acked_high > old.ack);
+
+        // Deliver it again, long after the frames that overtook it.
+        let at = chaos.stage() + 1;
+        chaos
+            .link
+            .channels
+            .get_mut(&(b, a))
+            .unwrap()
+            .queue
+            .push((at, old));
+        chaos.step();
+        assert_eq!(chaos.link.report.messages, report.messages + 1);
+        assert_eq!(
+            chaos.link.report.session_resets, report.session_resets,
+            "an overtaken frame's older ack is not a peer that lost state"
+        );
+        assert!(chaos.link.sessions[b.index()][&a].send.established);
+        assert_route_parity(&g, &chaos);
+    }
+
+    #[test]
+    fn asynchronous_plan_delays_without_reestablishing() {
+        let g = hypercube(4, Cost::new(2));
+        let quiet = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), FaultPlan::quiet())
+            .run_to_stable(400)
+            .session_resets;
+        assert_eq!(quiet, 2 * g.link_count() as u64, "one Open per direction");
+        for seed in 0..4 {
+            let plan = FaultPlan::asynchronous(seed);
+            let mut chaos = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), plan);
+            let report = chaos.run_to_stable(400);
+            assert!(report.converged, "seed {seed}: {report}");
+            assert!(report.frames_delayed > 0, "seed {seed}: {report}");
+            assert_eq!(report.frames_dropped + report.frames_duplicated, 0);
+            assert_eq!(report.retransmits + report.holds_fired, 0, "seed {seed}");
+            assert_eq!(report.session_resets, quiet, "seed {seed}");
+            assert_route_parity(&g, &chaos);
+        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! network of Autonomous Systems exchanging *routing tables* with their
 //! physical neighbors. Each node stores, per destination, the selected
 //! lowest-cost AS path and its cost; a node re-advertises exactly when its
-//! table changes. Three executors drive the same node logic, all
-//! deterministic and all observed through one instrument bundle. Two of
-//! them run it in stages and are one [`engine::Engine`] — one handle pass,
-//! one send path, one wire tap — over two transports:
+//! table changes. One [`engine::Engine`] drives the same node logic —
+//! one handle pass, one send path, one wire tap, deterministic and observed
+//! through one instrument bundle — over two transports:
 //!
 //! * [`engine::SyncEngine`] (`Engine<N, LockStep>`) — the paper's
 //!   synchronous-stage model: each stage every node ingests the tables its
@@ -16,13 +15,10 @@
 //!   `d` (plain BGP) and `max(d, d′)` (the pricing extension).
 //! * [`chaos::ChaosEngine`] (`Engine<N, Sessions>`) — the same stages over
 //!   seeded-faulty channels behind a sequenced session layer, showing the
-//!   mechanism self-stabilizes.
-//!
-//! The third has no stages:
-//!
-//! * [`engine::run_event_driven`] — an asynchronous engine (one FIFO per
-//!   directed link, deliveries in an order a seeded scheduler draws)
-//!   showing that nothing depends on stage synchrony.
+//!   mechanism self-stabilizes. Under the delay-only
+//!   [`chaos::FaultPlan::asynchronous`] it is the asynchronous model —
+//!   FIFO per link, a seed-drawn interleaving across links — showing that
+//!   nothing depends on stage synchrony.
 //!
 //! The node logic is stated once, as [`Node`]: ingest the neighbors'
 //! tables, select ([`RouteSelector`]), relax the price array, advertise on

@@ -355,9 +355,12 @@ pub struct Node<P: PricePolicy> {
     /// the route, its bound so far and the ordinal of the last neighbor
     /// whose path holds it.
     scratch: Vec<(Cost, u32)>,
-    /// This node's declared receive-cost vector, attached to every UPDATE
-    /// (empty in the paper's base model).
+    /// This node's declared receive-cost vector over its live links,
+    /// attached to every UPDATE (empty in the paper's base model).
     sender_costs: Vec<(AsId, Cost)>,
+    /// The configured vector, over every link of the graph the node was
+    /// built from: what a link coming (back) up declares again.
+    configured_costs: Vec<(AsId, Cost)>,
     policy: PhantomData<P>,
 }
 
@@ -381,6 +384,7 @@ impl<P: PricePolicy> Node<P> {
             out: AdjRibOut::new(n),
             scratch: Vec::new(),
             sender_costs: P::sender_costs(graph, id),
+            configured_costs: P::sender_costs(graph, id),
             policy: PhantomData,
         }
     }
@@ -618,6 +622,10 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
+                // The link's configured receive cost is declared again, in
+                // configuration order.
+                let live = |&&(a, _): &&(AsId, Cost)| self.selector.has_neighbor(a);
+                self.sender_costs = self.configured_costs.iter().filter(live).copied().collect();
                 None // the engine sends `full_table` to the new neighbor
             }
             // Where the model has no scalar cost, re-declarations are a

@@ -376,26 +376,12 @@ impl Instruments {
         }
     }
 
-    /// Narrates one broadcast without accounting traffic — for an executor
-    /// that counts messages where they arrive, not where they are sent.
+    /// Narrates one broadcast; its traffic is accounted apart, where the
+    /// transport counts it.
     pub(crate) fn trace_update(&mut self, update: &Update, stage: u64) {
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.observe_update(update, stage);
         }
-    }
-
-    /// Accounts one broadcast: the update's events plus its per-link
-    /// traffic.
-    pub(crate) fn on_broadcast(
-        &mut self,
-        update: &Update,
-        stage: u64,
-        messages: usize,
-        entries: usize,
-        bytes: usize,
-    ) {
-        self.account(1, messages, entries, bytes);
-        self.trace_update(update, stage);
     }
 
     /// Adds `updates` broadcasts and the deliveries they (and any

@@ -3,7 +3,8 @@
 //! plane composes, topology events reconverge correctly, and the
 //! asynchronous engine reaches the same fixpoint.
 
-use bgpvcg_bgp::engine::{run_event_driven, SyncEngine};
+use bgpvcg_bgp::chaos::{ChaosEngine, FaultPlan};
+use bgpvcg_bgp::engine::SyncEngine;
 use bgpvcg_bgp::{
     forwarding, wire, Frame, FrameKind, PathEntry, PlainBgpNode, ProtocolNode, RouteAdvertisement,
     RouteInfo, RouteSelector, TopologyEvent, Update,
@@ -332,16 +333,21 @@ proptest! {
     }
 }
 
-/// The asynchronous engine reaches the synchronous fixpoint, whatever
-/// delivery order the seed draws.
+/// Asynchronous runs reach the synchronous fixpoint, whatever link
+/// interleaving the seed draws.
 #[test]
 fn async_reaches_sync_fixpoint() {
     for seed in 0..8 {
         let g = graph_from(12, 0.3, seed * 1_234_567);
         let mut sync_engine = SyncEngine::new(&g, PlainBgpNode::from_graph(&g));
         sync_engine.run_to_convergence();
-        let (async_nodes, _) = run_event_driven(&g, PlainBgpNode::from_graph(&g), seed, 0.0, None);
-        for node in &async_nodes {
+        let plan = FaultPlan::asynchronous(seed);
+        let mut async_engine = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), plan);
+        let report = async_engine.run_to_stable(1_000);
+        assert!(report.converged, "seed {seed}: {report}");
+        assert_eq!(report.holds_fired, 0, "seed {seed}: {report}");
+        assert_eq!(report.session_resets, 2 * g.link_count() as u64);
+        for node in async_engine.nodes() {
             let id = node.selector().id();
             for j in g.nodes() {
                 assert_eq!(

@@ -14,7 +14,8 @@
 //!   per-neighbor model below is the same node under
 //!   [`neighbor_costs::Margins`], which changes two of those terms.
 //! * [`protocol`] — turnkey runners wiring pricing nodes into the
-//!   synchronous or asynchronous engine and extracting a [`RoutingOutcome`].
+//!   synchronous or the session engine (lossy, or asynchronous under a
+//!   delay-only plan) and extracting a [`RoutingOutcome`].
 //! * [`accounting`] — **Sect. 6.4**: per-packet tallies turning prices into
 //!   payments under a traffic matrix.
 //! * [`strategy`] — the game-theoretic harness: agent utilities, deviation

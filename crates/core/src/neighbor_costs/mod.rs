@@ -39,5 +39,5 @@ mod routing;
 
 pub use graph::{NeighborCostGraph, NeighborCostGraphBuilder};
 pub use mechanism::{compute, deviate, evaluate, NeighborCostDeviation, NeighborCostView};
-pub use node::{run_nc_async, run_nc_sync, Margins, NcPricingNode};
+pub use node::{run_nc_sync, Margins, NcPricingNode};
 pub use routing::{avoiding_tree_nc, shortest_tree_nc};

@@ -103,26 +103,6 @@ pub fn run_nc_sync(
     Ok((outcome, report))
 }
 
-/// Runs the generalized pricing protocol on the asynchronous engine until
-/// quiescence, in the delivery order `seed` draws; the margin relaxation's
-/// fixpoint is unique, so the result equals [`run_nc_sync`]'s (and
-/// [`super::compute`]'s) for any interleaving.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the topology violates the
-/// mechanism's preconditions.
-pub fn run_nc_async(
-    graph: &NeighborCostGraph,
-    seed: u64,
-) -> Result<(RoutingOutcome, bgpvcg_bgp::engine::EventReport), MechanismError> {
-    graph.validate_for_mechanism()?;
-    let nodes = NcPricingNode::from_graph(graph);
-    let (nodes, report) =
-        bgpvcg_bgp::engine::run_event_driven(graph.topology(), nodes, seed, 0.0, None);
-    Ok((outcome_from_nodes(&nodes)?, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::mechanism::compute;
@@ -236,43 +216,50 @@ mod tests {
     }
 
     #[test]
-    fn run_nc_async_matches_centralized() {
-        let g = random_nc_graph(12, 500);
+    fn a_bounced_link_declares_its_receive_cost_again() {
+        // Down and up again is no change at all: the fixpoint is the
+        // original graph's, whichever link bounced (of those whose loss
+        // keeps every price finite).
+        let g = random_nc_graph(12, 400);
         let reference = compute(&g).unwrap();
-        let (outcome, report) = run_nc_async(&g, 0).unwrap();
-        assert!(report.messages > 0);
-        assert_eq!(outcome, reference);
+        let links = g.topology().links().iter().filter(|l| {
+            let without = g.topology().without_link(l.a(), l.b());
+            without.is_ok_and(|t| t.is_biconnected())
+        });
+        let mut bounced = 0;
+        for link in links {
+            bounced += 1;
+            let mut engine = SyncEngine::new(g.topology(), NcPricingNode::from_graph(&g));
+            engine.run_to_convergence();
+            for event in [
+                TopologyEvent::LinkDown(link.a(), link.b()),
+                TopologyEvent::LinkUp(link.a(), link.b()),
+            ] {
+                assert!(engine.apply_event(event).converged, "{event:?}");
+            }
+            let outcome = outcome_from_nodes(&engine.into_nodes()).unwrap();
+            assert_eq!(outcome, reference, "{link:?} bounced");
+        }
+        assert!(bounced > 5, "only {bounced} links bounced");
     }
 
     #[test]
-    fn async_engine_matches_centralized_nc() {
-        // The asynchronous engine is generic over ProtocolNode, so the
-        // generalized pricing node runs on it unchanged; the margin
-        // relaxation must reach the same unique fixpoint under arbitrary
-        // interleavings.
-        use bgpvcg_bgp::engine::run_event_driven;
+    fn asynchronous_runs_match_centralized() {
+        // The margin relaxation reaches the same unique fixpoint under
+        // seed-drawn interleavings of per-link FIFO delivery.
+        use bgpvcg_bgp::chaos::{ChaosEngine, FaultPlan};
         let g = random_nc_graph(12, 400);
         let reference = compute(&g).unwrap();
         for seed in 0..2 {
             let nodes = NcPricingNode::from_graph(&g);
-            let (nodes, _) = run_event_driven(g.topology(), nodes, seed, 0.0, None);
-            for node in &nodes {
-                let i = node.id();
-                for j in g.nodes() {
-                    if i == j {
-                        continue;
-                    }
-                    let pair = reference.pair(i, j).unwrap();
-                    assert_eq!(
-                        node.selector().route(j).as_ref(),
-                        Some(pair.route()),
-                        "{i}->{j} route"
-                    );
-                    for &(k, price) in pair.prices() {
-                        assert_eq!(node.price(j, k), Some(price), "{i}->{j} price of {k}");
-                    }
-                }
-            }
+            let mut engine = ChaosEngine::new(g.topology(), nodes, FaultPlan::asynchronous(seed));
+            let report = engine.run_to_stable(1_000);
+            assert!(report.converged, "seed {seed}: {report}");
+            assert_eq!(report.holds_fired, 0, "seed {seed}: {report}");
+            let opens = 2 * g.topology().link_count() as u64;
+            assert_eq!(report.session_resets, opens, "seed {seed}: {report}");
+            let outcome = outcome_from_nodes(&engine.into_nodes()).unwrap();
+            assert_eq!(outcome, reference, "seed {seed}");
         }
     }
 

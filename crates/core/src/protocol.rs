@@ -12,7 +12,7 @@ use crate::errors::MechanismError;
 use crate::outcome::{PairOutcome, RoutingOutcome};
 use crate::pricing_node::PricingBgpNode;
 use bgpvcg_bgp::chaos::{ChaosEngine, ChaosReport, FaultPlan};
-use bgpvcg_bgp::engine::{run_event_driven, EventReport, RunReport, SyncEngine};
+use bgpvcg_bgp::engine::{RunReport, SyncEngine};
 use bgpvcg_bgp::{Node, PricePolicy, ProtocolNode, StateSnapshot};
 use bgpvcg_netgraph::{AsGraph, GraphError};
 
@@ -138,26 +138,6 @@ pub fn run_sync_parallel(graph: &AsGraph, workers: usize) -> Result<PricingRun, 
     })
 }
 
-/// Runs the pricing protocol on the asynchronous executor until
-/// quiescence, delivering messages in the per-link-FIFO order `seed` draws
-/// (see [`run_event_driven`]). The outcome does not depend on the seed: the
-/// pricing fixpoint is unique.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail.
-pub fn run_async(
-    graph: &AsGraph,
-    seed: u64,
-) -> Result<(RoutingOutcome, EventReport), MechanismError> {
-    graph.validate_for_mechanism()?;
-    crate::invariants::mechanism_preconditions(graph);
-    let nodes = PricingBgpNode::from_graph(graph);
-    let (nodes, report) = run_event_driven(graph, nodes, seed, 0.0, None);
-    Ok((outcome_from_nodes(&nodes)?, report))
-}
-
 /// Builds a chaos harness loaded with pricing nodes, without running it.
 ///
 /// # Errors
@@ -183,7 +163,9 @@ pub fn build_chaos_engine(
 /// Once the plan's faults cease, the sequenced session layer recovers
 /// every lost exchange, so the extracted `(routes, prices)` must be
 /// *identical* to a fault-free run — the self-stabilization property the
-/// parity suite checks. See `docs/ROBUSTNESS.md`.
+/// parity suite checks. See `docs/ROBUSTNESS.md`. Under
+/// [`FaultPlan::asynchronous`] this is the asynchronous run: per-link FIFO
+/// delivery in a seed-drawn interleaving.
 ///
 /// # Errors
 ///
@@ -356,31 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn async_engine_matches_centralized() {
-        let g = fig1();
-        let (outcome, report) = run_async(&g, 0).unwrap();
-        assert!(report.messages > 0);
-        assert_eq!(outcome, vcg::compute(&g).unwrap());
-    }
-
-    #[test]
-    fn async_engine_matches_on_random_graph() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let costs = random_costs(14, 0, 8, &mut rng);
-        let g = erdos_renyi(costs, 0.3, &mut rng);
-        let (outcome, _) = run_async(&g, 1).unwrap();
-        assert_eq!(outcome, vcg::compute(&g).unwrap());
-    }
-
-    #[test]
-    fn reordered_async_delivery_still_computes_vcg_prices() {
+    fn asynchronous_runs_compute_vcg_prices() {
         let mut rng = StdRng::seed_from_u64(77);
         let costs = random_costs(14, 1, 9, &mut rng);
-        let g = erdos_renyi(costs, 0.3, &mut rng);
-        let reference = vcg::compute(&g).unwrap();
-        for seed in 0..2 {
-            let (outcome, _) = run_async(&g, seed).unwrap();
-            assert_eq!(outcome, reference, "seed {seed}");
+        let random = erdos_renyi(costs, 0.3, &mut rng);
+        for g in [fig1(), random] {
+            let reference = vcg::compute(&g).unwrap();
+            for seed in 0..2 {
+                let plan = FaultPlan::asynchronous(seed);
+                let (outcome, report) = run_chaos(&g, plan, 1_000).unwrap();
+                assert!(report.converged && report.frames_delayed > 0, "{report}");
+                assert_eq!(report.holds_fired, 0, "{report}");
+                assert_eq!(report.session_resets, 2 * g.link_count() as u64);
+                assert_eq!(outcome, reference, "seed {seed}");
+            }
         }
     }
 
@@ -407,28 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_async_delivery_still_computes_vcg_prices() {
-        let mut rng = StdRng::seed_from_u64(91);
-        let costs = random_costs(12, 1, 9, &mut rng);
-        let g = erdos_renyi(costs, 0.3, &mut rng);
-        let reference = vcg::compute(&g).unwrap();
-        for seed in 0..2 {
-            let nodes = PricingBgpNode::from_graph(&g);
-            let (nodes, _) = run_event_driven(&g, nodes, seed, 0.2, None);
-            assert_eq!(
-                outcome_from_nodes(&nodes).unwrap(),
-                reference,
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_invalid_graphs() {
         let path =
             bgpvcg_netgraph::generators::from_edges(vec![Cost::new(1); 3], &[(0, 1), (1, 2)]);
         assert!(run_sync(&path).is_err());
-        assert!(run_async(&path, 0).is_err());
+        assert!(run_chaos(&path, FaultPlan::asynchronous(0), 100).is_err());
         assert!(build_sync_engine(&path).is_err());
     }
 

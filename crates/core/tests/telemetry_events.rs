@@ -1,16 +1,17 @@
 //! Cross-engine telemetry equivalence on the paper's Fig. 1.
 //!
-//! The two engines schedule message deliveries completely differently, so
+//! A synchronous run and an asynchronous one (per-link FIFO, seed-drawn
+//! interleaving) schedule message deliveries completely differently, so
 //! the *trajectories* of price relaxation (how many intermediate values a
 //! `p^k_ij` cell passes through, and at what stage) are legitimately
 //! schedule-dependent. What the mechanism guarantees — and what these tests
 //! pin — is the *fixpoint projection*: for every `(node, dest, k)` cell,
-//! the last `PriceRelaxed.new` value both engines trace is the same, and it
+//! the last `PriceRelaxed.new` value both runs trace is the same, and it
 //! equals the converged Theorem-1 price.
 
-use bgpvcg_bgp::engine::run_event_driven;
+use bgpvcg_bgp::chaos::FaultPlan;
 use bgpvcg_core::telemetry::metric as vcg_metric;
-use bgpvcg_core::{protocol, vcg, PricingBgpNode};
+use bgpvcg_core::{protocol, vcg};
 use bgpvcg_netgraph::generators::structured::fig1;
 use bgpvcg_netgraph::AsId;
 use bgpvcg_telemetry::{Telemetry, TraceEvent, INFINITE};
@@ -49,7 +50,7 @@ fn fixpoint_projection(events: &[TraceEvent]) -> BTreeMap<(u32, u32, u32), u64> 
 }
 
 #[test]
-fn sync_and_event_price_relaxations_project_to_the_same_fixpoint() {
+fn sync_and_asynchronous_price_relaxations_project_to_the_same_fixpoint() {
     let g = fig1();
 
     let (sync_tel, sync_ring) = Telemetry::ring(1 << 16);
@@ -59,17 +60,23 @@ fn sync_and_event_price_relaxations_project_to_the_same_fixpoint() {
     let sync_outcome = protocol::outcome_from_nodes(&engine.into_nodes()).unwrap();
     let sync_prices = fixpoint_projection(&sync_ring.events());
 
-    let (event_tel, event_ring) = Telemetry::ring(1 << 16);
-    let nodes = PricingBgpNode::from_graph(&g);
-    let (nodes, _) = run_event_driven(&g, nodes, 7, 0.0, Some(&event_tel));
-    let event_outcome = protocol::outcome_from_nodes(&nodes).unwrap();
-    let event_prices = fixpoint_projection(&event_ring.events());
+    // No session restarts: a link bounce would legitimately raise prices
+    // and break the downward chains.
+    let (async_tel, async_ring) = Telemetry::ring(1 << 16);
+    let mut engine = protocol::build_chaos_engine(&g, FaultPlan::asynchronous(7)).unwrap();
+    engine.attach_telemetry(&async_tel);
+    let report = engine.run_to_stable(1_000);
+    assert!(report.converged && report.frames_delayed > 0, "{report}");
+    assert_eq!(report.holds_fired, 0, "{report}");
+    assert_eq!(report.session_resets, 2 * g.link_count() as u64, "{report}");
+    let async_outcome = protocol::outcome_from_nodes(&engine.into_nodes()).unwrap();
+    let async_prices = fixpoint_projection(&async_ring.events());
 
     assert_eq!(
-        sync_prices, event_prices,
-        "both engines must relax every price cell to the same fixpoint"
+        sync_prices, async_prices,
+        "both runs must relax every price cell to the same fixpoint"
     );
-    assert_eq!(sync_outcome, event_outcome);
+    assert_eq!(sync_outcome, async_outcome);
 
     // The traced fixpoint is the converged Theorem-1 price table: every
     // extracted finite price appears as some cell's final traced value.

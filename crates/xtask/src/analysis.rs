@@ -30,8 +30,6 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     // `step` shares a name with the lock-step one, so both are entries.
     ("Engine::step", "crates/bgp/src/chaos.rs"),
     ("Engine::run_to_stable", "crates/bgp/src/chaos.rs"),
-    // The asynchronous executor: the seeded scheduler's delivery loop.
-    ("run_event_driven", "crates/bgp/src/engine/event.rs"),
     // The public parallel protocol runner.
     ("run_sync_parallel", "crates/core/src/protocol.rs"),
     // Node recomputation: the one node's step and its relaxation, shared

@@ -17,8 +17,8 @@
 //! 5. **stage-alloc** — no `Vec::new()` / `Vec::with_capacity(` /
 //!    `vec![` / `.to_vec()` / `.collect()` / `{Hash,BTree}Map::new()` /
 //!    `BTreeSet::new()` allocation inside the hot-path bodies listed in
-//!    [`STAGE_ALLOC_SCOPES`]: the synchronous engine's stage loop, the
-//!    event scheduler's delivery loop, the wire-v2 encode path, the
+//!    [`STAGE_ALLOC_SCOPES`]: the shared stage engine's handle pass and
+//!    send path under both transports, the wire-v2 encode path, the
 //!    profiler brackets, the per-node step (selector ingest/decide, the
 //!    node's `handle` and relaxation with the policy terms it evaluates,
 //!    the Adj-RIB-Out diff/emit), and the observer (the instrument
@@ -352,10 +352,6 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     ),
     ("crates/bgp/src/engine/sync.rs", &["run_stage", "send"]),
     ("crates/bgp/src/chaos.rs", &["send", "is_open"]),
-    (
-        "crates/bgp/src/engine/event.rs",
-        &["deliver_all", "broadcast"],
-    ),
     ("crates/telemetry/src/profile.rs", &["enter", "exit"]),
     (
         "crates/bgp/src/wire.rs",
@@ -393,7 +389,6 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
         "crates/bgp/src/telemetry.rs",
         &[
             "observe_update",
-            "on_broadcast",
             "account",
             "trace_update",
             "enter",
@@ -788,7 +783,7 @@ mod tests {
         let out = stage_alloc(&[
             ("crates/bgp/src/engine/sync.rs", allowed_src),
             (
-                "crates/bgp/src/engine/event.rs",
+                "crates/bgp/src/dynamics.rs",
                 "fn f() { let v = Vec::new(); }",
             ),
         ]);

@@ -1,4 +1,6 @@
-//! Fixture: a chaos engine whose helper chain panics.
+//! Fixture: a chaos engine whose helper chain panics, over a session
+//! transport that rebuilds its ready list on every delivery and unwraps a
+//! queue head it never checked.
 
 /// Chaos-mode engine.
 #[derive(Debug)]
@@ -18,6 +20,37 @@ impl Engine {
         while !self.step() {}
         self.ticks
     }
+}
+
+/// The session transport: one FIFO of frames per directed link.
+#[derive(Debug)]
+pub struct Sessions {
+    queues: Vec<std::collections::VecDeque<u64>>,
+}
+
+impl Sessions {
+    /// Whether `link` can carry a frame.
+    pub fn is_open(&self, link: usize) -> bool {
+        link < self.queues.len()
+    }
+
+    /// Delivers one frame per step, scanning for non-empty links each time.
+    pub fn send(&mut self) -> u64 {
+        let mut delivered = 0;
+        loop {
+            let ready: Vec<usize> = (0..self.queues.len())
+                .filter(|&link| !self.queues[link].is_empty())
+                .collect();
+            let Some(&link) = ready.first() else {
+                return delivered;
+            };
+            delivered += pop_head(&mut self.queues[link]);
+        }
+    }
+}
+
+fn pop_head(queue: &mut std::collections::VecDeque<u64>) -> u64 {
+    queue.pop_front().unwrap()
 }
 
 fn tick_parity(ticks: u32) -> bool {

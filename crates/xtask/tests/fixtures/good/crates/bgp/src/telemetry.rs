@@ -46,12 +46,8 @@ pub struct Instruments {
 }
 
 impl Instruments {
-    /// Accounts one broadcast of `bytes` to `copies` neighbors.
-    pub fn on_broadcast(&mut self, copies: u64, bytes: u64) {
-        self.account(copies, bytes);
-    }
-
-    fn account(&mut self, messages: u64, bytes: u64) {
+    /// Accounts `messages` deliveries of `bytes` each.
+    pub fn account(&mut self, messages: u64, bytes: u64) {
         self.messages += messages;
         self.bytes += bytes * messages;
     }

@@ -155,11 +155,11 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("engine-hygiene", "crates/bgp/src/engine/sync.rs"), // thread::spawn + Relaxed
         ("stage-alloc", "crates/bgp/src/engine/sync.rs"), // vec![ in run_stage
         ("stage-alloc", "crates/bgp/src/engine/kernel.rs"), // .collect() in handle_pass, Vec::new() in sharded_handle
-        ("stage-alloc", "crates/bgp/src/engine/event.rs"), // .collect() per delivery in deliver_all
-        ("stage-alloc", "crates/bgp/src/wire.rs"),         // Vec::new() in the codec hot path
+        ("stage-alloc", "crates/bgp/src/chaos.rs"), // .collect() per delivery in Sessions::send
+        ("stage-alloc", "crates/bgp/src/wire.rs"),  // Vec::new() in the codec hot path
         ("stage-alloc", "crates/telemetry/src/profile.rs"), // vec![ / Vec::new() in enter/exit
-        ("stage-alloc", "crates/bgp/src/selector.rs"),     // BTreeSet per ingest, Vec per candidate
-        ("stage-alloc", "crates/bgp/src/node.rs"),         // BTreeSet in handle, vec![ in relax
+        ("stage-alloc", "crates/bgp/src/selector.rs"), // BTreeSet per ingest, Vec per candidate
+        ("stage-alloc", "crates/bgp/src/node.rs"),  // BTreeSet in handle, vec![ in relax
         ("stage-alloc", "crates/core/src/neighbor_costs/node.rs"), // .collect() into a map in charged_by
         ("stage-alloc", "crates/bgp/src/telemetry.rs"), // .collect() of the path in observe_update
         ("stage-alloc", "crates/telemetry/src/health.rs"), // BTreeMap in fold, .to_vec() in on_progress
@@ -167,11 +167,11 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("unsafe-audit", "crates/bgp/src/engine/sync.rs"), // unsafe block
         ("panic-reachability", "crates/bgp/src/engine/sync.rs"), // unwrap in run_stage
         ("panic-reachability", "crates/bgp/src/chaos.rs"), // step -> tick_parity -> panic!
-        ("panic-reachability", "crates/bgp/src/engine/event.rs"), // run_event_driven -> deliver_all -> pop_head -> unwrap
-        ("panic-reachability", "crates/core/src/protocol.rs"),    // nodes[i + 1] unguarded
-        ("determinism", "crates/core/src/protocol.rs"),           // HashMap + Instant::now
-        ("determinism", "crates/core/src/pricing_node.rs"),       // thread_rng
-        ("stale-allow", "crates/bgp/src/node.rs"),                // allow above a clean const
+        ("panic-reachability", "crates/bgp/src/chaos.rs"), // Sessions::send -> pop_head -> unwrap
+        ("panic-reachability", "crates/core/src/protocol.rs"), // nodes[i + 1] unguarded
+        ("determinism", "crates/core/src/protocol.rs"),    // HashMap + Instant::now
+        ("determinism", "crates/core/src/pricing_node.rs"), // thread_rng
+        ("stale-allow", "crates/bgp/src/node.rs"),         // allow above a clean const
     ];
     for (rule, file) in planted {
         assert!(
@@ -207,6 +207,33 @@ fn panic_reachability_reports_the_call_chain() {
         chained.message.contains("tick_parity"),
         "chain must name the intermediate helper: {}",
         chained.message
+    );
+    // The transport's send is an entry point of its own, and its delivery
+    // loop is a stage-alloc scope.
+    let planted = |rule: &str, needles: &[&str]| {
+        violations.iter().any(|v| {
+            v.rule == rule
+                && v.file.ends_with("crates/bgp/src/chaos.rs")
+                && needles.iter().all(|needle| v.message.contains(needle))
+        })
+    };
+    assert!(
+        planted("panic-reachability", &["Sessions::send", "pop_head"]),
+        "expected Sessions::send -> pop_head -> unwrap; got:\n{}",
+        violations
+            .iter()
+            .map(|v| format!("  {v}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    assert!(
+        planted("stage-alloc", &["send", ".collect()"]),
+        "expected the per-delivery .collect() in Sessions::send; got:\n{}",
+        violations
+            .iter()
+            .map(|v| format!("  {v}"))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }
 

@@ -1,15 +1,18 @@
-//! Asynchrony does not matter: one FIFO per link, a seeded scheduler.
+//! Asynchrony does not matter: FIFO per link, a seed-drawn interleaving.
 //!
 //! The paper proves its convergence bound in a synchronous-stage model, but
-//! the algorithm itself is a monotone relaxation whose fixpoint is unique.
-//! This example runs a random Internet-like topology with no stages at
-//! all — messages are delivered one at a time, in per-link FIFO order but
-//! otherwise in whatever order a seeded scheduler draws — under three
-//! seeds, and shows the resulting routes and prices are *identical* to both
-//! the synchronous engine and the centralized VCG reference.
+//! the algorithm itself is a monotone relaxation whose fixpoint is unique;
+//! all it needs from the network is in-order delivery on each link, the
+//! guarantee BGP gets from TCP. This example runs a random Internet-like
+//! topology over sequenced sessions whose frames
+//! [`FaultPlan::asynchronous`] holds back at random — so every link stays
+//! FIFO while the links interleave in an order drawn from the seed — under
+//! three seeds, and shows the resulting routes and prices are *identical*
+//! to both the synchronous engine and the centralized VCG reference.
 //!
 //! Run with: `cargo run --example async_simulation`
 
+use bgp_vcg::bgp::FaultPlan;
 use bgp_vcg::netgraph::generators::{barabasi_albert, random_costs};
 use bgp_vcg::{protocol, vcg};
 use rand::rngs::StdRng;
@@ -23,7 +26,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let costs = random_costs(n, 1, 10, &mut rng);
     let graph = barabasi_albert(costs, 2, &mut rng);
     println!(
-        "Barabási–Albert topology: {n} ASs, {} links — one FIFO per directed link.",
+        "Barabási–Albert topology: {n} ASs, {} links — one FIFO session per directed link.",
         graph.link_count()
     );
 
@@ -39,12 +42,14 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     for seed in 1..=3 {
         let t0 = Instant::now();
-        let (async_outcome, report) = protocol::run_async(&graph, seed)?;
+        let (async_outcome, report) =
+            protocol::run_chaos(&graph, FaultPlan::asynchronous(seed), 1_000)?;
         let async_time = t0.elapsed();
         println!(
-            "Asynchronous run, seed {seed}: {} messages in {async_time:?} (each seed replays its own interleaving).",
-            report.messages
+            "Asynchronous run, seed {seed}: {} frames, {} of them late, in {async_time:?} (each seed replays its own interleaving).",
+            report.messages, report.frames_delayed
         );
+        assert!(report.converged, "the run must quiesce: {report}");
         assert_eq!(
             async_outcome, reference,
             "async outcome must equal the centralized VCG prices"

@@ -12,6 +12,7 @@
 //! Argument parsing is hand-rolled (the project's dependency policy admits
 //! no CLI crates) and unit-tested below.
 
+use bgp_vcg::bgp::FaultPlan;
 use bgp_vcg::core::accounting::PaymentLedger;
 use bgp_vcg::core::overcharge::OverchargeReport;
 use bgp_vcg::core::strategy;
@@ -26,6 +27,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
+/// Stage budget of `simulate --engine async`: the plan's delays end at
+/// stage 64, and reconvergence after that is bounded by the topology.
+const ASYNC_MAX_STAGES: u64 = 10_000;
+
 const USAGE: &str = "\
 bgpvcg — strategyproof lowest-cost interdomain routing (PODC 2002)
 
@@ -36,7 +41,9 @@ USAGE:
                     [--trace stages]
         Converge the pricing protocol on a generated topology and report
         stages, traffic, diameters, payments, and overcharging; with
-        --trace stages, print per-stage progress.
+        --trace stages, print per-stage progress; with --engine async, run
+        it over sessions whose frames a seeded plan delays (FIFO per link,
+        interleaving across links drawn from the seed).
     bgpvcg deviate --family <F> --nodes <N> --agent <K> --declare <C> [--seed <S>]
         Evaluate one strategic deviation: agent K declares cost C.
     bgpvcg diameters --family <F> --nodes <N> [--seed <S>]
@@ -335,10 +342,12 @@ fn run_simulate(
     );
 
     let outcome = if asynchronous {
-        let (outcome, report) = protocol::run_async(&g, seed).map_err(|e| e.to_string())?;
+        let plan = FaultPlan::asynchronous(seed);
+        let (outcome, report) =
+            protocol::run_chaos(&g, plan, ASYNC_MAX_STAGES).map_err(|e| e.to_string())?;
         println!(
-            "Asynchronous engine (delivery order drawn from seed {seed}): {} messages to quiescence.",
-            report.messages
+            "Asynchronous engine (link interleaving drawn from seed {seed}): {} frames, {} delayed, quiescent after {} stages.",
+            report.messages, report.frames_delayed, report.stages
         );
         outcome
     } else if trace {

@@ -19,8 +19,9 @@
 //!
 //! * [`netgraph`] — AS graphs, costs, traffic matrices, topology generators.
 //! * [`lcp`] — centralized lowest-cost routing, k-avoiding paths, diameters.
-//! * [`bgp`] — the abstract BGP substrate: path-vector nodes and both
-//!   synchronous-stage and asynchronous channel-driven engines.
+//! * [`bgp`] — the abstract BGP substrate: path-vector nodes and one stage
+//!   engine, lock-step or over seeded-faulty sessions (asynchronous under
+//!   a delay-only fault plan).
 //! * [`core`] — the mechanism itself: Theorem-1 pricing, the distributed
 //!   price-computation protocol, payment accounting, the strategyproofness
 //!   and efficiency-loss harnesses, overcharging analysis, baselines, the

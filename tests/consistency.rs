@@ -5,14 +5,14 @@
 //! Routing has three implementations (Dijkstra, Bellman–Ford fixpoint,
 //! path-vector protocol), the avoidance table has two (punctured Dijkstra,
 //! subtree relaxation), price computation has two (Theorem-1 closed form,
-//! distributed relaxation), the distributed run has three schedulers
-//! (synchronous, asynchronous, chaotic-asynchronous), and settlement has
+//! distributed relaxation), the distributed run has three schedules
+//! (synchronous, asynchronous, lossy), and settlement has
 //! two (closed-form, source-side over the forwarding plane). Any
 //! disagreement anywhere is a bug in at least one of them; agreement across
 //! all on random instances is the strongest single check the workspace has.
 
-use bgp_vcg::bgp::engine::{run_event_driven, SyncEngine};
-use bgp_vcg::bgp::{forwarding, PlainBgpNode, RouteSelector};
+use bgp_vcg::bgp::engine::SyncEngine;
+use bgp_vcg::bgp::{forwarding, FaultPlan, PlainBgpNode, RouteSelector};
 use bgp_vcg::core::accounting::PaymentLedger;
 use bgp_vcg::lcp::avoiding::AvoidanceTable;
 use bgp_vcg::lcp::{bellman, shortest_tree, AllPairsLcp};
@@ -20,6 +20,9 @@ use bgp_vcg::netgraph::generators::{barabasi_albert, erdos_renyi, random_costs};
 use bgp_vcg::{protocol, vcg, AsGraph, PricingBgpNode, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Stage budget of the session-layer runs, far beyond what they need.
+const MAX_STAGES: u64 = 2_000;
 
 fn instance(seed: u64) -> AsGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -62,23 +65,30 @@ fn all_implementation_paths_agree() {
         let fast = AvoidanceTable::compute_fast(&g, &lcp);
         assert_eq!(slow, fast, "seed {seed}: avoidance tables");
 
-        // --- Prices: closed form vs three distributed schedulers. ---
+        // --- Prices: closed form vs three distributed schedules. ---
         let reference = vcg::from_parts(&g, &lcp, &fast).unwrap();
         let sync_run = protocol::run_sync(&g).unwrap();
         assert_eq!(sync_run.outcome, reference, "seed {seed}: sync protocol");
-        let (async_nodes, _) =
-            run_event_driven(&g, PricingBgpNode::from_graph(&g), seed, 0.0, None);
+        let mut engine = protocol::build_chaos_engine(&g, FaultPlan::asynchronous(seed)).unwrap();
+        let report = engine.run_to_stable(MAX_STAGES);
+        let opens = 2 * g.link_count() as u64;
+        assert!(report.converged, "seed {seed}: {report}");
+        assert!(
+            report.holds_fired == 0 && report.session_resets == opens,
+            "{report}"
+        );
+        let async_nodes = engine.into_nodes();
         assert_eq!(
             protocol::outcome_from_nodes(&async_nodes).unwrap(),
             reference,
             "seed {seed}: async protocol"
         );
-        let (chaos_nodes, _) =
-            run_event_driven(&g, PricingBgpNode::from_graph(&g), !seed, 0.3, None);
+        let (lossy, report) =
+            protocol::run_chaos(&g, FaultPlan::lossy(!seed, 16), MAX_STAGES).unwrap();
+        assert!(report.converged, "{report}");
         assert_eq!(
-            protocol::outcome_from_nodes(&chaos_nodes).unwrap(),
-            reference,
-            "seed {seed}: reordered and duplicated deliveries"
+            lossy, reference,
+            "seed {seed}: dropped, duplicated and reordered frames"
         );
 
         // --- Forwarding plane composes with the control plane. ---

@@ -2,7 +2,7 @@
 //! generation through distributed price computation, checked against the
 //! centralized Theorem-1 reference.
 
-use bgp_vcg::bgp::TopologyEvent;
+use bgp_vcg::bgp::{FaultPlan, TopologyEvent};
 use bgp_vcg::core::accounting::PaymentLedger;
 use bgp_vcg::core::overcharge::OverchargeReport;
 use bgp_vcg::netgraph::generators::structured::{fig1, petersen, ring, torus, wheel, Fig1};
@@ -41,8 +41,8 @@ fn distributed_equals_centralized_across_families() {
     }
 }
 
-/// The asynchronous engine (seeded scheduler) reaches the same unique
-/// fixpoint as the synchronous one, under arbitrary interleavings.
+/// Asynchronous runs (per-link FIFO, seed-drawn interleaving) reach the same
+/// unique fixpoint as the synchronous engine.
 #[test]
 fn async_equals_sync_equals_centralized() {
     let mut rng = StdRng::seed_from_u64(5);
@@ -51,7 +51,11 @@ fn async_equals_sync_equals_centralized() {
     let sync_run = protocol::run_sync(&g).unwrap();
     assert_eq!(sync_run.outcome, reference);
     for seed in 0..3 {
-        let (async_outcome, _) = protocol::run_async(&g, seed).unwrap();
+        let plan = FaultPlan::asynchronous(seed);
+        let (async_outcome, report) = protocol::run_chaos(&g, plan, 1_000).unwrap();
+        assert!(report.converged, "seed {seed}: {report}");
+        assert_eq!(report.holds_fired, 0, "seed {seed}: {report}");
+        assert_eq!(report.session_resets, 2 * g.link_count() as u64);
         assert_eq!(async_outcome, reference);
     }
 }
@@ -137,7 +141,7 @@ fn non_biconnected_rejected_everywhere() {
     let path = b.build();
     assert!(vcg::compute(&path).is_err());
     assert!(protocol::run_sync(&path).is_err());
-    assert!(protocol::run_async(&path, 0).is_err());
+    assert!(protocol::run_chaos(&path, FaultPlan::asynchronous(0), 100).is_err());
     assert!(protocol::build_sync_engine(&path).is_err());
 }
 

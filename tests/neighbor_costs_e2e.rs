@@ -1,10 +1,11 @@
 //! Root-level integration tests for the Sect. 3 per-neighbor-cost
 //! extension, exercised purely through the public facade.
 
-use bgp_vcg::core::neighbor_costs::{self, NeighborCostGraph};
+use bgp_vcg::bgp::{ChaosEngine, FaultPlan};
+use bgp_vcg::core::neighbor_costs::{self, NcPricingNode, NeighborCostGraph};
 use bgp_vcg::netgraph::generators::structured::{fig1, Fig1};
 use bgp_vcg::netgraph::generators::{barabasi_albert, random_costs};
-use bgp_vcg::{vcg, Cost, TrafficMatrix};
+use bgp_vcg::{protocol, vcg, Cost, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +33,13 @@ fn nc_three_way_agreement() {
         let (sync_outcome, sync_report) = neighbor_costs::run_nc_sync(&g).unwrap();
         assert!(sync_report.converged, "seed {seed}");
         assert_eq!(sync_outcome, reference, "seed {seed}: sync");
-        let (async_outcome, _) = neighbor_costs::run_nc_async(&g, seed).unwrap();
+        let plan = FaultPlan::asynchronous(seed);
+        let mut engine = ChaosEngine::new(g.topology(), NcPricingNode::from_graph(&g), plan);
+        let report = engine.run_to_stable(1_000);
+        assert!(report.converged, "seed {seed}: {report}");
+        assert_eq!(report.holds_fired, 0, "seed {seed}: {report}");
+        assert_eq!(report.session_resets, 2 * g.topology().link_count() as u64);
+        let async_outcome = protocol::outcome_from_nodes(&engine.into_nodes()).unwrap();
         assert_eq!(async_outcome, reference, "seed {seed}: async");
     }
 }

@@ -3,19 +3,23 @@
 //! per-neighbour margins ([`Margins`]) are one `Node<P>`, so whatever an
 //! engine may rely on — origin-only `start`, advertise-on-change and
 //! nothing else, withdrawals, `reset` ≡ freshly built, state counts,
-//! hostile ids neither panicking nor growing state — is one generic body
-//! instantiated three times. Price-specific behaviour is tested next to
-//! each policy.
+//! hostile ids neither panicking nor growing state, a duplicated delivery
+//! changing nothing — is one generic body instantiated three times.
+//! Price-specific behaviour is tested next to each policy.
 
+use bgp_vcg::bgp::engine::SyncEngine;
 use bgp_vcg::bgp::{
-    LocalEvent, NoPrices, Node, PathEntry, PricePolicy, ProtocolNode, RouteAdvertisement,
-    RouteInfo, Update,
+    Accusation, LocalEvent, NoPrices, Node, PathEntry, PricePolicy, ProtocolNode,
+    RouteAdvertisement, RouteInfo, TopologyEvent, Update, WireAuditor,
 };
 use bgp_vcg::core::neighbor_costs::{Margins, NeighborCostGraph};
 use bgp_vcg::core::Fpss;
 use bgp_vcg::netgraph::generators::structured::{fig1, Fig1};
-use bgp_vcg::{AsId, Cost};
-use std::sync::Arc;
+use bgp_vcg::netgraph::generators::{barabasi_albert, random_costs};
+use bgp_vcg::{AsGraph, AsId, Cost};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex};
 
 /// One reachable advertisement from the path's first node for its last.
 fn advertises(path: &[(AsId, u64)], path_cost: u64, prices: &[Cost]) -> RouteAdvertisement {
@@ -165,6 +169,84 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
     assert_eq!(x.price(huge, Fig1::A), None);
 }
 
+/// Every batch a lock-step run hands each receiver, in order: what the wire
+/// carries is staged, and handed out at the start of the stage that
+/// ingests it.
+#[derive(Default)]
+struct Batches {
+    staged: Vec<(AsId, Arc<Update>)>,
+    per_node: Vec<Vec<Vec<Arc<Update>>>>,
+}
+
+struct Recorder(Arc<Mutex<Batches>>);
+
+impl WireAuditor for Recorder {
+    fn on_wire(&mut self, _from: AsId, to: AsId, update: &Arc<Update>) {
+        let mut batches = self.0.lock().expect("no holder of the batches panics");
+        batches.staged.push((to, Arc::clone(update)));
+    }
+    fn begin_stage(&mut self, _stage: u64) {
+        let mut batches = self.0.lock().expect("no holder of the batches panics");
+        let staged = std::mem::take(&mut batches.staged);
+        let mut opened = Vec::new();
+        for (to, update) in staged {
+            if !opened.contains(&to) {
+                opened.push(to);
+                batches.per_node[to.index()].push(Vec::new());
+            }
+            let batch = batches.per_node[to.index()].last_mut();
+            batch.expect("opened above").push(update);
+        }
+    }
+    fn on_topology(&mut self, _event: &TopologyEvent) {}
+    fn on_local_event(&mut self, _node: AsId, _event: &LocalEvent) {}
+    fn end_stage(&mut self, _stage: u64) -> Vec<Accusation> {
+        Vec::new()
+    }
+}
+
+/// `handle(x)` twice ≡ `handle(x)` once, on every batch a real cold run
+/// delivers: the second delivery emits nothing and leaves table, prices,
+/// Rib-In and suppression memory as the first left them. This is what an
+/// at-least-once transport would rely on; the session layer dedupes by
+/// sequence number, so no engine run can exercise it.
+fn duplicates_are_absorbed<P: PricePolicy>(graph: &P::Graph) {
+    let topology: &AsGraph = graph.as_ref();
+    let batches = Arc::new(Mutex::new(Batches {
+        per_node: vec![Vec::new(); topology.node_count()],
+        ..Batches::default()
+    }));
+    let mut engine = SyncEngine::new(topology, Node::<P>::from_graph(graph));
+    engine.attach_auditor(Box::new(Recorder(Arc::clone(&batches))));
+    assert!(engine.run_to_convergence().converged);
+    let batches = batches.lock().expect("no holder of the batches panics");
+    let mut delivered = 0;
+    for (i, stream) in topology.nodes().zip(&batches.per_node) {
+        let mut once = Node::<P>::new(graph, i);
+        let mut twice = Node::<P>::new(graph, i);
+        assert_eq!(once.start(), twice.start());
+        for (at, batch) in stream.iter().enumerate() {
+            delivered += batch.len();
+            assert_eq!(once.handle(batch), twice.handle(batch), "{i}, batch {at}");
+            assert_eq!(twice.handle(batch), None, "{i}, batch {at} again");
+            assert_eq!(twice.full_table(), once.full_table(), "{i}, batch {at}");
+            assert_eq!(twice.state(), once.state(), "{i}, batch {at}");
+            for j in topology.nodes() {
+                let selected = |node: &Node<P>| node.selector().selected(j).cloned();
+                assert_eq!(selected(&twice), selected(&once), "{i} -> {j}");
+            }
+        }
+        // Suppression memory: the next change is advertised alike.
+        assert_eq!(twice.start(), once.start(), "{i}");
+    }
+    assert!(delivered > topology.link_count(), "{delivered} deliveries");
+}
+
+fn ba14() -> AsGraph {
+    let mut rng = StdRng::seed_from_u64(7);
+    barabasi_albert(random_costs(14, 1, 9, &mut rng), 2, &mut rng)
+}
+
 #[test]
 fn plain_nodes_keep_the_contract() {
     contract::<NoPrices>(&fig1());
@@ -178,4 +260,21 @@ fn fpss_nodes_keep_the_contract() {
 #[test]
 fn neighbor_cost_nodes_keep_the_contract() {
     contract::<Margins>(&NeighborCostGraph::uniform(&fig1()));
+}
+
+#[test]
+fn duplicated_deliveries_are_absorbed() {
+    for g in [fig1(), ba14()] {
+        duplicates_are_absorbed::<NoPrices>(&g);
+        duplicates_are_absorbed::<Fpss>(&g);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut nc = NeighborCostGraph::uniform(&g);
+        for k in g.nodes() {
+            for &a in g.neighbors(k) {
+                let cost = Cost::new(rng.gen_range(0..12));
+                nc = nc.with_recv_cost(k, a, cost).unwrap();
+            }
+        }
+        duplicates_are_absorbed::<Margins>(&nc);
+    }
 }

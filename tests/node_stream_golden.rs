@@ -13,10 +13,10 @@ use bgp_vcg::bgp::engine::SyncEngine;
 use bgp_vcg::bgp::{
     wire, Accusation, LocalEvent, PlainBgpNode, ProtocolNode, TopologyEvent, Update, WireAuditor,
 };
-use bgp_vcg::core::neighbor_costs::{NcPricingNode, NeighborCostGraph};
+use bgp_vcg::core::neighbor_costs::{self, NcPricingNode, NeighborCostGraph};
 use bgp_vcg::netgraph::generators::structured::fig1;
 use bgp_vcg::netgraph::generators::{barabasi_albert, erdos_renyi, random_costs};
-use bgp_vcg::{AsGraph, AsId, Cost, PricingBgpNode};
+use bgp_vcg::{protocol, AsGraph, AsId, Cost, PricingBgpNode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -66,8 +66,8 @@ impl WireAuditor for Tap {
 }
 
 /// Runs the scripted scenario over `nodes` on `topology` and returns the
-/// (stream, final-state) digests.
-fn scenario<N: ProtocolNode>(topology: &AsGraph, nodes: Vec<N>) -> (Digest, u64) {
+/// (stream, final-state) digests and the final nodes.
+fn scenario<N: ProtocolNode>(topology: &AsGraph, nodes: Vec<N>) -> (Digest, u64, Vec<N>) {
     let stream = Arc::new(Mutex::new(Digest::EMPTY));
     let mut engine = SyncEngine::new(topology, nodes);
     engine.attach_auditor(Box::new(Tap(Arc::clone(&stream))));
@@ -108,7 +108,7 @@ fn scenario<N: ProtocolNode>(topology: &AsGraph, nodes: Vec<N>) -> (Digest, u64)
         state.feed(format!("{snapshot:?}").as_bytes());
     }
     let stream = *stream.lock().expect("no holder of the digest panics");
-    (stream, state.hash)
+    (stream, state.hash, engine.into_nodes())
 }
 
 fn ba48() -> AsGraph {
@@ -132,13 +132,25 @@ fn nc_er14() -> NeighborCostGraph {
     g
 }
 
-fn check(what: &str, observed: (Digest, u64), hash: u64, deliveries: u64, state: u64) {
+/// Holds a scenario's digests to the pinned ones; hands back its nodes.
+fn check<N>(
+    what: &str,
+    scenario: (Digest, u64, Vec<N>),
+    hash: u64,
+    deliveries: u64,
+    state: u64,
+) -> Vec<N> {
+    let (stream, observed, nodes) = scenario;
     let expected = (Digest { hash, deliveries }, state);
     assert_eq!(
-        observed, expected,
+        (stream, observed),
+        expected,
         "{what}: got ({:#018x}, {}, {:#018x})",
-        observed.0.hash, observed.0.deliveries, observed.1
+        stream.hash,
+        stream.deliveries,
+        observed
     );
+    nodes
 }
 
 #[test]
@@ -183,22 +195,33 @@ fn fpss_stream_is_pinned() {
 
 #[test]
 fn neighbor_cost_stream_is_pinned() {
+    // The scenario ends on the graph it began with (a scalar cost change
+    // means nothing to this model), so it must end on the centralized
+    // prices. Both digests were re-recorded when `LinkUp` began to declare
+    // the bounced link's receive cost again; the ones before pinned a
+    // stream whose fixpoint missed it.
+    let ends_on_the_centralized_prices = |g: &NeighborCostGraph, nodes: Vec<NcPricingNode>| {
+        let outcome = protocol::outcome_from_nodes(&nodes).unwrap();
+        assert_eq!(outcome, neighbor_costs::compute(g).unwrap());
+    };
     let g = NeighborCostGraph::uniform(&fig1());
     let nodes = NcPricingNode::from_graph(&g);
-    check(
+    let nodes = check(
         "nc/fig1",
         scenario(g.topology(), nodes),
-        0x0ccf_7763_68bc_d9f2,
-        150,
-        0xdf0c_b3a2_943d_4f9c,
+        0xe8a3_62bb_4524_4d56,
+        148,
+        0x473e_1efc_9f12_0b68,
     );
+    ends_on_the_centralized_prices(&g, nodes);
     let g = nc_er14();
     let nodes = NcPricingNode::from_graph(&g);
-    check(
+    let nodes = check(
         "nc/er14",
         scenario(g.topology(), nodes),
-        0xeb61_f0a7_a827_562d,
-        1127,
-        0x9c02_03db_eb27_49b6,
+        0xbd2b_c2ca_e95c_f29d,
+        1119,
+        0x614a_6892_25d9_e7cf,
     );
+    ends_on_the_centralized_prices(&g, nodes);
 }

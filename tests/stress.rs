@@ -106,21 +106,20 @@ fn event_storm_stays_exact() {
     assert_eq!(applied, 25, "storm must complete");
 }
 
-/// Asynchronous soak: seeded cross-sender scheduling at n = 64, several
-/// seeds, all reaching the exact fixpoint.
+/// Asynchronous soak: seed-drawn link interleavings at n = 64, several
+/// seeds, all reaching the exact fixpoint without a session restart.
 #[test]
 #[ignore = "soak test: run with --ignored (release recommended)"]
 fn chaotic_async_soak() {
-    use bgp_vcg::bgp::engine::run_event_driven;
+    use bgp_vcg::bgp::FaultPlan;
     let g = big_graph(64, 4);
     let reference = vcg::compute(&g).unwrap();
     for seed in 0..4 {
-        let nodes = bgp_vcg::PricingBgpNode::from_graph(&g);
-        let (nodes, _) = run_event_driven(&g, nodes, seed, 0.0, None);
-        assert_eq!(
-            protocol::outcome_from_nodes(&nodes).unwrap(),
-            reference,
-            "seed {seed}"
-        );
+        let plan = FaultPlan::asynchronous(seed);
+        let (outcome, report) = protocol::run_chaos(&g, plan, 2_000).unwrap();
+        assert!(report.converged, "seed {seed}: {report}");
+        assert_eq!(report.holds_fired, 0, "seed {seed}: {report}");
+        assert_eq!(report.session_resets, 2 * g.link_count() as u64);
+        assert_eq!(outcome, reference, "seed {seed}");
     }
 }

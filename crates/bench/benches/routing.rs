@@ -1,6 +1,7 @@
 //! Criterion benches for the routing substrate: per-destination Dijkstra,
 //! all-pairs LCPs, the Bellman–Ford fixpoint, and k-avoiding path tables —
-//! the computational kernels behind experiments E3/E4/E7.
+//! the centralized Theorem-1 solver behind every experiment and the
+//! repository benchmark's `lcp.*` layer.
 
 use bgpvcg_bench::families::Family;
 use bgpvcg_lcp::avoiding::AvoidanceTable;
@@ -9,16 +10,20 @@ use bgpvcg_netgraph::AsId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-fn bench_single_destination(c: &mut Criterion) {
-    let mut group = c.benchmark_group("single_destination_tree");
-    for &n in &[32usize, 64, 128, 256] {
+fn bench_shortest_tree(c: &mut Criterion) {
+    // One destination's tree: the (cost, hops, parent)-keyed Dijkstra, and
+    // the staged fixpoint (its oracle) at the sizes where it is affordable.
+    let mut group = c.benchmark_group("shortest_tree");
+    for &n in &[32usize, 256, 1024] {
         let g = Family::BarabasiAlbert.build(n, 5);
         group.bench_with_input(BenchmarkId::new("dijkstra", n), &g, |b, g| {
             b.iter(|| shortest_tree(black_box(g), AsId::new(0)))
         });
-        group.bench_with_input(BenchmarkId::new("bellman_fixpoint", n), &g, |b, g| {
-            b.iter(|| bellman::fixpoint(black_box(g), AsId::new(0)))
-        });
+        if n <= 256 {
+            group.bench_with_input(BenchmarkId::new("bellman_fixpoint", n), &g, |b, g| {
+                b.iter(|| bellman::fixpoint(black_box(g), AsId::new(0)))
+            });
+        }
     }
     group.finish();
 }
@@ -26,7 +31,7 @@ fn bench_single_destination(c: &mut Criterion) {
 fn bench_all_pairs(c: &mut Criterion) {
     let mut group = c.benchmark_group("all_pairs_lcp");
     group.sample_size(20);
-    for &n in &[32usize, 64, 128] {
+    for &n in &[32usize, 256, 512, 1024] {
         let g = Family::BarabasiAlbert.build(n, 5);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| AllPairsLcp::compute(black_box(g)))
@@ -36,22 +41,25 @@ fn bench_all_pairs(c: &mut Criterion) {
 }
 
 fn bench_avoidance_table(c: &mut Criterion) {
-    // Ablation: full punctured Dijkstra per (j, k) vs the subtree-local
-    // relaxation exploiting the paper's Sect. 6.2 suffix structure.
+    // The punctured-Dijkstra oracle against the one subtree-local solver.
+    // The oracle stops at n = 256: it grows roughly as n³ (3.5 s at 256), so
+    // one call at 1024 takes minutes.
     let mut group = c.benchmark_group("avoidance_table");
     group.sample_size(10);
-    for &n in &[32usize, 64, 128] {
+    for &n in &[32usize, 256, 512, 1024] {
         let g = Family::BarabasiAlbert.build(n, 5);
         let lcp = AllPairsLcp::compute(&g);
+        if n <= 256 {
+            group.bench_with_input(
+                BenchmarkId::new("punctured_oracle", n),
+                &(&g, &lcp),
+                |b, (g, lcp)| b.iter(|| AvoidanceTable::compute(black_box(*g), black_box(lcp))),
+            );
+        }
         group.bench_with_input(
-            BenchmarkId::new("punctured_dijkstra", n),
+            BenchmarkId::new("subtree_local", n),
             &(&g, &lcp),
-            |b, (g, lcp)| b.iter(|| AvoidanceTable::compute(black_box(g), black_box(lcp))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("subtree_relaxation", n),
-            &(&g, &lcp),
-            |b, (g, lcp)| b.iter(|| AvoidanceTable::compute_fast(black_box(g), black_box(lcp))),
+            |b, (g, lcp)| b.iter(|| AvoidanceTable::compute_fast(black_box(*g), black_box(lcp))),
         );
     }
     group.finish();
@@ -59,7 +67,7 @@ fn bench_avoidance_table(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_single_destination,
+    bench_shortest_tree,
     bench_all_pairs,
     bench_avoidance_table
 );

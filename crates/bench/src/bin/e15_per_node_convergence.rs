@@ -48,7 +48,7 @@ fn main() {
         for &n in &[16usize, 32] {
             let g = family.build(n, 71);
             let lcp = AllPairsLcp::compute(&g);
-            let avoidance = AvoidanceTable::compute(&g, &lcp);
+            let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
 
             // Tee the run's event stream into a ring buffer: the shared
             // --trace-out/--metrics-out telemetry observes everything, and

@@ -41,7 +41,7 @@ fn main() {
         for &n in &sizes {
             let g = family.build(n, 13);
             let lcp = AllPairsLcp::compute(&g);
-            let avoidance = AvoidanceTable::compute(&g, &lcp);
+            let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
             let d = diameter::lcp_hop_diameter(&lcp);
             let dprime = diameter::avoiding_hop_diameter(&avoidance);
             let bound = d.max(dprime);

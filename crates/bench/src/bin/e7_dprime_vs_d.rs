@@ -37,7 +37,7 @@ fn main() {
             for &seed in &seeds {
                 let g = family.build(n, seed);
                 let lcp = AllPairsLcp::compute(&g);
-                let avoidance = AvoidanceTable::compute(&g, &lcp);
+                let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
                 let d = diameter::lcp_hop_diameter(&lcp) as f64;
                 let dprime = diameter::avoiding_hop_diameter(&avoidance) as f64;
                 ds.push(d);
@@ -84,7 +84,7 @@ fn main() {
             bgpvcg_netgraph::Cost::new(10),
         );
         let lcp = AllPairsLcp::compute(&g);
-        let avoidance = AvoidanceTable::compute(&g, &lcp);
+        let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
         let d = diameter::lcp_hop_diameter(&lcp);
         let dprime = diameter::avoiding_hop_diameter(&avoidance);
         wheel_table.row([

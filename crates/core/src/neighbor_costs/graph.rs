@@ -1,5 +1,6 @@
 //! AS graphs with per-neighbor (receive-side) transit costs.
 
+use bgpvcg_lcp::CostModel;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost, GraphError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -149,6 +150,20 @@ impl NeighborCostGraph {
     }
 }
 
+/// The receive-side extension rule: prepending `from` to a route whose
+/// source is `transit` adds `c_transit(from)`. It depends on the new link's
+/// two ends only, so the route order, Dijkstra, the tree types and the
+/// subtree-local avoidance pass of `bgpvcg-lcp` all carry over unchanged.
+impl CostModel for NeighborCostGraph {
+    fn topology(&self) -> &AsGraph {
+        &self.topology
+    }
+
+    fn transit_cost(&self, transit: AsId, from: AsId) -> Cost {
+        self.recv_cost(transit, from)
+    }
+}
+
 impl AsRef<AsGraph> for NeighborCostGraph {
     fn as_ref(&self) -> &AsGraph {
         &self.topology
@@ -232,7 +247,12 @@ impl NeighborCostGraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpvcg_lcp::avoiding::avoiding_tree;
+    use bgpvcg_lcp::shortest_tree;
     use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
+    use bgpvcg_netgraph::generators::{erdos_renyi, random_costs};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn uniform_lift_copies_node_costs() {
@@ -317,6 +337,69 @@ mod tests {
         b.add_link(x, y, Cost::ZERO, Cost::ZERO);
         b.add_link(y, x, Cost::ZERO, Cost::ZERO);
         assert!(b.build().is_err());
+    }
+
+    #[test]
+    fn uniform_costs_reduce_to_base_routing() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let base = erdos_renyi(random_costs(15, 0, 9, &mut rng), 0.3, &mut rng);
+        let g = NeighborCostGraph::uniform(&base);
+        for j in base.nodes() {
+            assert_eq!(shortest_tree(&g, j), shortest_tree(&base, j), "dest {j}");
+            for k in base.nodes() {
+                if k != j {
+                    assert_eq!(
+                        avoiding_tree(&g, j, k),
+                        avoiding_tree(&base, j, k),
+                        "dest {j} avoid {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expensive_incoming_link_is_routed_around() {
+        // Base Fig. 1: X->Z goes X B D Z. Make D's B-facing link ruinous;
+        // the LCP must shift to X A Z (cost 5).
+        let g = NeighborCostGraph::uniform(&fig1())
+            .with_recv_cost(Fig1::D, Fig1::B, Cost::new(50))
+            .unwrap();
+        let t = shortest_tree(&g, Fig1::Z);
+        let route = t.route(Fig1::X).unwrap();
+        assert_eq!(route.nodes(), &[Fig1::X, Fig1::A, Fig1::Z]);
+        assert_eq!(route.transit_cost(), Cost::new(5));
+        // D itself is still fine via its Y-facing link for Y's traffic.
+        assert_eq!(
+            t.route(Fig1::Y).unwrap().nodes(),
+            &[Fig1::Y, Fig1::D, Fig1::Z]
+        );
+        // Avoiding D leaves X on X A Z.
+        assert_eq!(
+            avoiding_tree(&g, Fig1::Z, Fig1::D).cost(Fig1::X),
+            Cost::new(5)
+        );
+    }
+
+    #[test]
+    fn asymmetric_costs_make_routing_direction_dependent() {
+        // Square x-y-z-w-x plus the diagonal y-w, where y's x-facing link is
+        // dear: x routes to z around y, while y itself goes direct.
+        let mut b = NeighborCostGraph::builder();
+        let x = b.add_node();
+        let y = b.add_node();
+        let z = b.add_node();
+        let w = b.add_node();
+        b.add_link(x, y, Cost::ZERO, Cost::new(10)); // y pays 10 receiving from x
+        b.add_link(y, z, Cost::new(1), Cost::new(1));
+        b.add_link(z, w, Cost::new(1), Cost::new(1));
+        b.add_link(w, x, Cost::new(1), Cost::new(1));
+        b.add_link(y, w, Cost::new(1), Cost::new(1));
+        let g = b.build().unwrap();
+        let t = shortest_tree(&g, z);
+        // x -> z: via y costs 10 (y's receive from x), via w costs 1.
+        assert_eq!(t.route(x).unwrap().nodes(), &[x, w, z]);
+        assert_eq!(t.route(y).unwrap().nodes(), &[y, z]);
     }
 
     #[test]

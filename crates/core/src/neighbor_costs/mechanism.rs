@@ -13,13 +13,14 @@
 //! so `c_k(pred)` is `k`'s actual incurred cost on that route.
 
 use super::graph::NeighborCostGraph;
-use super::routing::{avoiding_tree_nc, shortest_tree_nc};
-use crate::outcome::{PairOutcome, RoutingOutcome};
+use crate::outcome::RoutingOutcome;
+use crate::vcg;
 use bgpvcg_netgraph::{AsId, Cost, GraphError, TrafficMatrix};
 use rand::Rng;
 
 /// Computes the full generalized-VCG outcome: all lowest-cost routes and
-/// all per-packet prices under per-neighbor costs.
+/// all per-packet prices under per-neighbor costs — [`vcg::compute`]'s
+/// one solver, with the receive-cost extension rule.
 ///
 /// # Errors
 ///
@@ -41,52 +42,7 @@ use rand::Rng;
 /// # }
 /// ```
 pub fn compute(graph: &NeighborCostGraph) -> Result<RoutingOutcome, GraphError> {
-    graph.validate_for_mechanism()?;
-    let n = graph.node_count();
-    let mut pairs: Vec<Option<PairOutcome>> = vec![None; n * n];
-    for j in graph.nodes() {
-        let tree = shortest_tree_nc(graph, j);
-        // One avoiding tree per transit node of T(j), shared across sources.
-        let transit_nodes: Vec<AsId> = graph
-            .nodes()
-            .filter(|&k| k != j && !tree.children(k).is_empty())
-            .collect();
-        let avoiding: Vec<(AsId, bgpvcg_lcp::DestinationTree)> = transit_nodes
-            .iter()
-            .map(|&k| (k, avoiding_tree_nc(graph, j, k)))
-            .collect();
-        for i in graph.nodes() {
-            if i == j {
-                continue;
-            }
-            let Some(route) = tree.route(i) else { continue };
-            let lcp_cost = route.transit_cost();
-            let nodes = route.nodes();
-            let transit = route.transit_nodes();
-            let mut prices = Vec::with_capacity(transit.len());
-            for &k in transit {
-                let pos = nodes
-                    .iter()
-                    .position(|&x| x == k)
-                    .expect("a route's transit nodes lie on the route"); // lint:allow(structural invariant of the Route type)
-                let pred = nodes[pos - 1];
-                let incurred = graph.recv_cost(k, pred);
-                let avoid_cost = avoiding
-                    .iter()
-                    .find(|(a, _)| *a == k)
-                    .map(|(_, t)| t.cost(i))
-                    .expect("transit_nodes filter above enumerated every transit of T(j)"); // lint:allow(avoiding list is built from the same tree)
-                                                                                            // An unsubtractable (infinite) avoiding cost means no
-                                                                                            // k-avoiding path exists: biconnectivity was lost.
-                let margin = avoid_cost
-                    .checked_sub(lcp_cost)
-                    .ok_or(GraphError::NotBiconnected)?;
-                prices.push((k, incurred + margin));
-            }
-            pairs[i.index() * n + j.index()] = Some(PairOutcome::new(route.clone(), prices));
-        }
-    }
-    Ok(RoutingOutcome::from_pairs(n, pairs))
+    vcg::compute(graph)
 }
 
 /// Agent `k`'s view of one declaration profile in the generalized game.
@@ -204,7 +160,6 @@ pub fn deviate<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vcg;
     use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
     use bgpvcg_netgraph::generators::{erdos_renyi, random_costs};
     use rand::rngs::StdRng;

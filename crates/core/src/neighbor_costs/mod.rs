@@ -35,9 +35,7 @@
 mod graph;
 mod mechanism;
 mod node;
-mod routing;
 
 pub use graph::{NeighborCostGraph, NeighborCostGraphBuilder};
 pub use mechanism::{compute, deviate, evaluate, NeighborCostDeviation, NeighborCostView};
 pub use node::{run_nc_sync, Margins, NcPricingNode};
-pub use routing::{avoiding_tree_nc, shortest_tree_nc};

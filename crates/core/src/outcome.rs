@@ -23,9 +23,11 @@ impl PairOutcome {
     /// Panics if the price list does not match the route's transit nodes in
     /// order.
     pub fn new(route: Route, prices: Vec<(AsId, Cost)>) -> Self {
-        assert_eq!(
-            prices.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            route.transit_nodes(),
+        assert!(
+            prices
+                .iter()
+                .map(|&(k, _)| k)
+                .eq(route.transit_nodes().iter().copied()),
             "prices must cover exactly the transit nodes, in path order"
         );
         PairOutcome { route, prices }

@@ -326,7 +326,7 @@ mod tests {
             let costs = random_costs(20, 1, 9, &mut rng);
             let g = erdos_renyi(costs, 0.2, &mut rng);
             let lcp = AllPairsLcp::compute(&g);
-            let avoidance = AvoidanceTable::compute(&g, &lcp);
+            let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
             let bound = diameter::convergence_bound(&lcp, &avoidance);
             let run = run_sync(&g).unwrap();
             assert!(

@@ -10,18 +10,22 @@
 //! ```
 //!
 //! where `P` is the selected LCP and `P_{-k}` the lowest-cost k-avoiding
-//! path. This module computes those prices from the centralized routing
+//! path. Under the per-neighbour costs of [`crate::neighbor_costs`], `c_k`
+//! is `c_k(pred)`, what `k` incurs receiving from its predecessor on `P`.
+//! This module computes those prices from the centralized routing
 //! structures of `bgpvcg-lcp`; it is the ground truth against which the
 //! distributed protocol is checked (Theorem 2), and the reference
 //! implementation used by the strategyproofness harness.
 
 use crate::outcome::{PairOutcome, RoutingOutcome};
 use bgpvcg_lcp::avoiding::AvoidanceTable;
-use bgpvcg_lcp::AllPairsLcp;
-use bgpvcg_netgraph::{AsGraph, Cost, GraphError};
+use bgpvcg_lcp::{AllPairsLcp, CostModel};
+use bgpvcg_netgraph::{Cost, GraphError};
 
 /// Computes the full VCG outcome — all LCPs and all prices — for a
-/// biconnected graph.
+/// biconnected graph, under either cost model ([`CostModel`]: node costs
+/// on an [`AsGraph`](bgpvcg_netgraph::AsGraph), or the per-neighbour costs
+/// of [`crate::neighbor_costs`]).
 ///
 /// # Errors
 ///
@@ -44,12 +48,13 @@ use bgpvcg_netgraph::{AsGraph, Cost, GraphError};
 /// # Ok(())
 /// # }
 /// ```
-pub fn compute(graph: &AsGraph) -> Result<RoutingOutcome, GraphError> {
-    graph.validate_for_mechanism()?;
+pub fn compute<C: CostModel + ?Sized>(graph: &C) -> Result<RoutingOutcome, GraphError> {
+    graph.topology().validate_for_mechanism()?;
     let lcp = AllPairsLcp::compute(graph);
-    // The subtree-local computation (Sect. 6.2's suffix structure) produces
-    // the identical table to the per-(j,k) punctured Dijkstra — asserted in
-    // `bgpvcg-lcp`'s tests — several times faster on sparse graphs.
+    // Subtree-local (Lemma 1): each (j, k) relaxes only k's subtree of
+    // T(j), so the table costs one O(n + m) numbering per destination plus
+    // work proportional to its own size — not a punctured Dijkstra per
+    // (j, k).
     let avoidance = AvoidanceTable::compute_fast(graph, &lcp);
     from_parts(graph, &lcp, &avoidance)
 }
@@ -63,15 +68,16 @@ pub fn compute(graph: &AsGraph) -> Result<RoutingOutcome, GraphError> {
 /// Returns [`GraphError::NotBiconnected`] if some required k-avoiding path
 /// does not exist; [`compute`] validates the graph up front so this can
 /// only surface here when bypassing validation.
-pub fn from_parts(
-    graph: &AsGraph,
+pub fn from_parts<C: CostModel + ?Sized>(
+    graph: &C,
     lcp: &AllPairsLcp,
     avoidance: &AvoidanceTable,
 ) -> Result<RoutingOutcome, GraphError> {
-    let n = graph.node_count();
+    let topology = graph.topology();
+    let n = topology.node_count();
     let mut pairs: Vec<Option<PairOutcome>> = vec![None; n * n];
-    for i in graph.nodes() {
-        for j in graph.nodes() {
+    for i in topology.nodes() {
+        for j in topology.nodes() {
             if i == j {
                 continue;
             }
@@ -81,14 +87,17 @@ pub fn from_parts(
             let lcp_cost = route.transit_cost();
             let entries = avoidance.entries(i, j);
             let mut prices = Vec::with_capacity(entries.len());
-            for entry in entries {
+            // Entries follow the path, so entry m's transit node receives
+            // the packet from nodes[m]; c_k(pred) is what k incurs.
+            for (entry, &pred) in entries.iter().zip(route.nodes()) {
                 // An infinite k-avoiding cost means no k-avoiding path
                 // exists: the graph lost biconnectivity.
                 let avoid_cost = entry.cost.finite().ok_or(GraphError::NotBiconnected)?;
                 let margin = Cost::new(avoid_cost)
                     .checked_sub(lcp_cost)
                     .expect("a k-avoiding path is itself a path, so it cannot beat the LCP"); // lint:allow(mathematical invariant of shortest paths)
-                prices.push((entry.avoided, graph.cost(entry.avoided) + margin));
+                let incurred = graph.transit_cost(entry.avoided, pred);
+                prices.push((entry.avoided, incurred + margin));
             }
             pairs[i.index() * n + j.index()] = Some(PairOutcome::new(route.clone(), prices));
         }
@@ -101,7 +110,7 @@ mod tests {
     use super::*;
     use bgpvcg_netgraph::generators::structured::{fig1, ring, wheel, Fig1};
     use bgpvcg_netgraph::generators::{erdos_renyi, from_edges, random_costs};
-    use bgpvcg_netgraph::AsId;
+    use bgpvcg_netgraph::{AsGraph, AsId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -202,7 +211,7 @@ mod tests {
     fn from_parts_matches_compute() {
         let g = fig1();
         let lcp = AllPairsLcp::compute(&g);
-        let avoidance = AvoidanceTable::compute(&g, &lcp);
+        let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
         assert_eq!(
             from_parts(&g, &lcp, &avoidance).unwrap(),
             compute(&g).unwrap()

@@ -1,9 +1,9 @@
 //! All-pairs lowest-cost routes.
 
-use crate::dijkstra::shortest_tree;
+use crate::dijkstra::{shortest_tree, CostModel};
 use crate::route::Route;
 use crate::tree::DestinationTree;
-use bgpvcg_netgraph::{AsGraph, AsId, Cost};
+use bgpvcg_netgraph::{AsId, Cost};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -33,8 +33,12 @@ pub struct AllPairsLcp {
 impl AllPairsLcp {
     /// Computes selected routes for every destination by running
     /// per-destination Dijkstra `n` times.
-    pub fn compute(graph: &AsGraph) -> Self {
-        let trees = graph.nodes().map(|j| shortest_tree(graph, j)).collect();
+    pub fn compute<C: CostModel + ?Sized>(graph: &C) -> Self {
+        let trees = graph
+            .topology()
+            .nodes()
+            .map(|j| shortest_tree(graph, j))
+            .collect();
         AllPairsLcp { trees }
     }
 

@@ -11,9 +11,11 @@
 //! convergence bound `max(d, d′)` of Lemma 2, so this module records both.
 
 use crate::all_pairs::AllPairsLcp;
-use crate::route::Route;
+use crate::dijkstra::{dijkstra, CostModel};
 use crate::tree::DestinationTree;
-use bgpvcg_netgraph::{AsGraph, AsId, Cost};
+use bgpvcg_netgraph::{AsId, Cost};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Computes the tree of lowest-cost `avoid`-avoiding routes to
@@ -41,53 +43,18 @@ use std::fmt;
 /// // The paper: the lowest-cost D-avoiding path from X to Z is X A Z, cost 5.
 /// assert_eq!(t.cost(Fig1::X), Cost::new(5));
 /// ```
-pub fn avoiding_tree(graph: &AsGraph, destination: AsId, avoid: AsId) -> DestinationTree {
+pub fn avoiding_tree<C: CostModel + ?Sized>(
+    graph: &C,
+    destination: AsId,
+    avoid: AsId,
+) -> DestinationTree {
+    let topology = graph.topology();
     assert!(
-        graph.contains_node(destination) && graph.contains_node(avoid),
+        topology.contains_node(destination) && topology.contains_node(avoid),
         "nodes must be in the graph"
     );
     assert!(destination != avoid, "cannot avoid the destination itself");
-    // Dijkstra on the punctured graph. Rather than materializing a copy of
-    // the graph, run the same algorithm and skip `avoid`.
-    let n = graph.node_count();
-    let mut selected: Vec<Option<Route>> = vec![None; n];
-    // Pre-settling `avoid` (with no route) keeps pops and relaxations from
-    // ever touching it.
-    let mut settled = vec![false; n];
-    settled[avoid.index()] = true;
-
-    let mut heap = std::collections::BinaryHeap::new();
-    heap.push(std::cmp::Reverse(Route::trivial(destination)));
-
-    while let Some(std::cmp::Reverse(route)) = heap.pop() {
-        let u: AsId = route.source();
-        if settled[u.index()] {
-            continue;
-        }
-        settled[u.index()] = true;
-        selected[u.index()] = Some(route.clone());
-        for &v in graph.neighbors(u) {
-            if settled[v.index()] || route.contains(v) {
-                continue;
-            }
-            let candidate = route.extend(v, graph.cost(u));
-            let better = match &selected[v.index()] {
-                None => true,
-                Some(current) => candidate < *current,
-            };
-            if better {
-                selected[v.index()] = Some(candidate.clone());
-                heap.push(std::cmp::Reverse(candidate));
-            }
-        }
-    }
-
-    for (idx, slot) in selected.iter_mut().enumerate() {
-        if !settled[idx] || idx == avoid.index() {
-            *slot = None;
-        }
-    }
-    DestinationTree::from_routes(destination, selected)
+    dijkstra(graph, destination, Some(avoid))
 }
 
 /// One recorded avoiding-path fact: for a transit node `k` on the LCP from
@@ -109,9 +76,8 @@ pub struct AvoidingEntry {
 /// every transit node `k` on the selected LCP from `i` to `j`, the cost and
 /// hop count of `P_{-k}(c; i, j)`.
 ///
-/// Built with one punctured Dijkstra per (destination, avoided-node) pair
-/// where the avoided node actually carries transit traffic toward that
-/// destination — `O(n²)` Dijkstras worst case, far less on sparse trees.
+/// [`AvoidanceTable::compute_fast`] is the solver;
+/// [`AvoidanceTable::compute`] is its test oracle.
 ///
 /// # Example
 ///
@@ -122,191 +88,270 @@ pub struct AvoidingEntry {
 ///
 /// let g = fig1();
 /// let lcp = AllPairsLcp::compute(&g);
-/// let avoid = AvoidanceTable::compute(&g, &lcp);
+/// let avoid = AvoidanceTable::compute_fast(&g, &lcp);
 /// let entry = avoid.get(Fig1::X, Fig1::Z, Fig1::D).expect("D is transit");
 /// assert_eq!(entry.cost, Cost::new(5)); // X A Z
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvoidanceTable {
     n: usize,
-    /// `entries[j][i]` lists, in LCP path order, one entry per transit node
-    /// on the selected route from `i` to `j`. Empty when the route has no
-    /// transit nodes (or does not exist).
-    entries: Vec<Vec<Vec<AvoidingEntry>>>,
+    /// The `(i, j)` list is `entries[starts[j·n + i]..starts[j·n + i + 1]]`:
+    /// one entry per transit node of the selected route from `i` to `j`, in
+    /// LCP path order. Empty when the route has no transit nodes (or does
+    /// not exist).
+    starts: Vec<usize>,
+    entries: Vec<AvoidingEntry>,
+}
+
+/// `T(j)` numbered in DFS preorder, with the graph's adjacency renumbered
+/// to match: position `p` holds node `order[p]`, and its proper subtree is
+/// the contiguous range `p + 1..=last[p]` — membership is one range test.
+#[derive(Debug, Default)]
+struct Preorder {
+    order: Vec<AsId>,
+    /// Node → position; `usize::MAX` for nodes unreachable from `j`.
+    tin: Vec<usize>,
+    /// The last position of `order[p]`'s subtree.
+    last: Vec<usize>,
+    /// The parent's position (`0`, the root's own, for the root).
+    parent: Vec<usize>,
+    /// Position `p`'s links are `links[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+    links: Vec<Link>,
+}
+
+/// A link from position `p` to the neighbour at position `to`, with the
+/// two values the avoidance pass reads off it.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    to: usize,
+    /// What `order[p]` charges the neighbour to carry its packet: the
+    /// relaxation step `neighbour → order[p] → …`.
+    relax: Cost,
+    /// `(cost, hops)` of leaving through the neighbour onto its LCP:
+    /// `order[p] → neighbour → … → j`.
+    exit: (Cost, usize),
+}
+
+/// The `(cost, hops)` of an entry with no k-avoiding path: the graph is not
+/// biconnected.
+const UNREACHED: (Cost, usize) = (Cost::INFINITE, 0);
+
+impl Preorder {
+    fn number<C: CostModel + ?Sized>(&mut self, graph: &C, tree: &DestinationTree) {
+        let j = tree.destination();
+        self.order.clear();
+        self.tin.clear();
+        self.tin.resize(tree.node_count(), usize::MAX);
+        let mut stack = vec![j];
+        while let Some(v) = stack.pop() {
+            self.tin[v.index()] = self.order.len();
+            self.order.push(v);
+            stack.extend(tree.children(v).iter().rev());
+        }
+        self.parent.clear();
+        self.parent.extend(
+            self.order
+                .iter()
+                .map(|&v| tree.parent(v).map_or(0, |up| self.tin[up.index()])),
+        );
+        // Children follow their parent in preorder, so a reverse sweep
+        // closes every subtree before its parent's.
+        self.last.clear();
+        self.last.extend(0..self.order.len());
+        for p in (1..self.order.len()).rev() {
+            let up = self.parent[p];
+            self.last[up] = self.last[up].max(self.last[p]);
+        }
+        self.starts.clear();
+        self.links.clear();
+        for &u in &self.order {
+            self.starts.push(self.links.len());
+            for &a in graph.topology().neighbors(u) {
+                let route = tree
+                    .route(a)
+                    .expect("neighbours of reachable nodes are reachable");
+                let exit = if a == j {
+                    (Cost::ZERO, 1)
+                } else {
+                    (
+                        graph.transit_cost(a, u) + route.transit_cost(),
+                        route.hops() + 1,
+                    )
+                };
+                self.links.push(Link {
+                    to: self.tin[a.index()],
+                    relax: graph.transit_cost(u, a),
+                    exit,
+                });
+            }
+        }
+        self.starts.push(self.links.len());
+    }
+
+    fn links(&self, p: usize) -> &[Link] {
+        &self.links[self.starts[p]..self.starts[p + 1]]
+    }
 }
 
 impl AvoidanceTable {
-    /// Computes the table for the given graph and its all-pairs routes.
+    /// The test oracle: one punctured Dijkstra ([`avoiding_tree`]) per
+    /// `(j, k)` with `k` transit in `T(j)`, read off along each route. It
+    /// has the standing of [`bellman::fixpoint`](crate::bellman::fixpoint)
+    /// and [`enumerate::brute_force_avoiding`](crate::enumerate::brute_force_avoiding):
+    /// slow (`O(n²)` full Dijkstras worst case) and obviously right, kept for
+    /// tests to check [`compute_fast`](Self::compute_fast) against.
     ///
     /// For graphs that are not biconnected, entries whose avoiding path does
-    /// not exist carry [`Cost::INFINITE`]; callers that require the
-    /// mechanism's preconditions should validate the graph first.
-    pub fn compute(graph: &AsGraph, lcp: &AllPairsLcp) -> Self {
-        let n = graph.node_count();
-        let mut entries: Vec<Vec<Vec<AvoidingEntry>>> = vec![vec![Vec::new(); n]; n];
-        for j in graph.nodes() {
-            let tree = lcp.tree(j);
-            // A node k carries transit traffic toward j iff it has children
-            // in T(j) and is not j itself (its subtree routes pass through it).
-            let transit_nodes: Vec<AsId> = graph
+    /// not exist carry [`Cost::INFINITE`].
+    pub fn compute<C: CostModel + ?Sized>(graph: &C, lcp: &AllPairsLcp) -> Self {
+        let n = lcp.node_count();
+        let mut table = AvoidanceTable {
+            n,
+            starts: vec![0],
+            entries: Vec::new(),
+        };
+        for tree in lcp.trees() {
+            let j = tree.destination();
+            // A node carries transit traffic toward j iff it has children.
+            let avoiding: Vec<Option<DestinationTree>> = graph
+                .topology()
                 .nodes()
-                .filter(|&k| k != j && !tree.children(k).is_empty())
+                .map(|k| {
+                    (k != j && !tree.children(k).is_empty()).then(|| avoiding_tree(graph, j, k))
+                })
                 .collect();
-            for &k in &transit_nodes {
-                let avoid = avoiding_tree(graph, j, k);
-                for i in graph.nodes() {
-                    if i == j || !tree.is_transit(k, i) {
-                        continue;
-                    }
-                    let (cost, hops) = match avoid.route(i) {
-                        Some(route) => (route.transit_cost(), route.hops()),
-                        None => (Cost::INFINITE, 0),
-                    };
-                    entries[j.index()][i.index()].push(AvoidingEntry {
+            for i in graph.topology().nodes() {
+                let transit = tree.route(i).map_or(&[][..], |r| r.transit_nodes());
+                for &k in transit {
+                    let avoid = avoiding[k.index()]
+                        .as_ref()
+                        .expect("transit nodes have children");
+                    table.entries.push(AvoidingEntry {
                         avoided: k,
-                        cost,
-                        hops,
+                        cost: avoid.cost(i),
+                        hops: avoid.hops(i).unwrap_or(0),
                     });
                 }
-            }
-            // Keep each (i, j) list in LCP path order so downstream price
-            // arrays line up with the advertised path.
-            for i in graph.nodes() {
-                if i == j {
-                    continue;
-                }
-                let Some(route) = tree.route(i) else { continue };
-                let order: Vec<AsId> = route.transit_nodes().to_vec();
-                entries[j.index()][i.index()].sort_by_key(|e| {
-                    order
-                        .iter()
-                        .position(|&t| t == e.avoided)
-                        .expect("entry for non-transit node")
-                });
+                table.starts.push(table.entries.len());
             }
         }
-        AvoidanceTable { n, entries }
+        table
     }
 
     /// Computes the table by relaxing **within the avoided node's subtree
-    /// only** — the centralized counterpart of the paper's Sect. 6.2 suffix
-    /// structure, and the reason its distributed algorithm is local:
+    /// only** — the centralized reading of the paper's Lemma 1 (Sect. 6.2's
+    /// suffix structure), and the node-avoiding cousin of Hershberger and
+    /// Suri's replacement paths.
     ///
     /// A node `i` needs a k-avoiding cost only if `k` is transit on its
-    /// LCP, i.e. `i` lies in `k`'s subtree of the tree `T(j)`. For such an
-    /// `i`, the lowest-cost k-avoiding path either exits the subtree
-    /// immediately (first hop to a neighbor `a` outside the subtree, whose
-    /// own LCP is already k-free — cost `c_a + c(a, j)`), or moves to
+    /// LCP, i.e. `i` lies in `k`'s subtree `S_k` of the tree `T(j)`. An
+    /// optimal k-avoiding path leaves `S_k` exactly once, and every node
+    /// outside keeps its LCP: the path either exits at once (first hop to
+    /// a neighbour `a ∉ S_k ∪ {k}`, cost `c_a + c(a, j)`), or moves to
     /// another subtree node `a` and continues along *its* best k-avoiding
-    /// path (cost `c_a + A(a)`). Solving that recurrence with a
-    /// Dijkstra-style priority queue over the subtree alone costs
-    /// `O(S log S + edges(S))` per `(j, k)` with `S` the subtree size —
-    /// usually a small fraction of `n` — instead of a full punctured
-    /// Dijkstra over the whole graph.
+    /// path (cost `c_a + A(a)`). A Dijkstra over `S_k` alone solves that
+    /// recurrence.
     ///
-    /// Produces **exactly** the same table as [`AvoidanceTable::compute`]
-    /// (asserted by tests and the `routing` Criterion bench group measures
-    /// the speedup): costs are tie-free quantities and hop counts are
-    /// minimized among minimum-cost paths under both orderings.
-    pub fn compute_fast(graph: &AsGraph, lcp: &AllPairsLcp) -> Self {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+    /// # Complexity
+    ///
+    /// Per destination, one DFS numbering of `T(j)` and its links
+    /// (`O(n + m)`), after which `S_k` is a contiguous preorder range.
+    /// Seeding and relaxation then walk `S_k` only: `O(edges(S_k) log
+    /// |S_k|)` per `(j, k)`. Summed over `k`, `Σ|S_k|` is the number of
+    /// `j`'s table entries; they are written once, in path order, by
+    /// walking each source's ancestors — nothing is sorted.
+    ///
+    /// Produces **exactly** the table of [`AvoidanceTable::compute`] —
+    /// costs, hops and entry order (asserted by tests): costs are
+    /// tie-free, and hop counts are minimised among minimum-cost paths
+    /// under both.
+    pub fn compute_fast<C: CostModel + ?Sized>(graph: &C, lcp: &AllPairsLcp) -> Self {
+        Self::solve(graph, lcp).0
+    }
 
-        let n = graph.node_count();
-        let mut entries: Vec<Vec<Vec<AvoidingEntry>>> = vec![vec![Vec::new(); n]; n];
-        for j in graph.nodes() {
-            let tree = lcp.tree(j);
-            let transit_nodes: Vec<AsId> = graph
-                .nodes()
-                .filter(|&k| k != j && !tree.children(k).is_empty())
-                .collect();
-            for &k in &transit_nodes {
-                // Membership: i is in k's subtree iff k is transit on P(i, j).
-                let in_subtree: Vec<bool> = (0..n)
-                    .map(|i| tree.is_transit(k, AsId::new(i as u32)))
-                    .collect();
-                // Best-known (cost, hops) per subtree node.
-                let mut best: Vec<Option<(Cost, usize)>> = vec![None; n];
-                let mut settled = vec![false; n];
-                let mut heap: BinaryHeap<Reverse<(Cost, usize, u32)>> = BinaryHeap::new();
-
-                // Seed: exits from the subtree to an already-k-free LCP.
-                for i in graph.nodes() {
-                    if !in_subtree[i.index()] {
-                        continue;
-                    }
-                    for &a in graph.neighbors(i) {
-                        if a == k || in_subtree[a.index()] {
-                            continue;
-                        }
-                        let Some(a_route) = tree.route(a) else {
-                            continue;
-                        };
-                        let exit_cost = if a == j {
-                            Cost::ZERO
-                        } else {
-                            graph.cost(a) + a_route.transit_cost()
-                        };
-                        let exit_hops = 1 + a_route.hops();
-                        let candidate = (exit_cost, exit_hops);
-                        if best[i.index()].is_none_or(|cur| candidate < cur) {
-                            best[i.index()] = Some(candidate);
-                            heap.push(Reverse((exit_cost, exit_hops, i.raw())));
-                        }
-                    }
-                }
-
-                // Relax within the subtree.
-                while let Some(Reverse((cost, hops, raw))) = heap.pop() {
-                    let u = AsId::new(raw);
-                    if settled[u.index()] {
-                        continue;
-                    }
-                    settled[u.index()] = true;
-                    for &v in graph.neighbors(u) {
-                        if v == k || !in_subtree[v.index()] || settled[v.index()] {
-                            continue;
-                        }
-                        // v -> u -> (u's best k-avoiding path): u becomes
-                        // transit and pays its declared cost.
-                        let candidate = (cost + graph.cost(u), hops + 1);
-                        if best[v.index()].is_none_or(|cur| candidate < cur) {
-                            best[v.index()] = Some(candidate);
-                            heap.push(Reverse((candidate.0, candidate.1, v.raw())));
-                        }
-                    }
-                }
-
-                for i in graph.nodes() {
-                    if !in_subtree[i.index()] {
-                        continue;
-                    }
-                    let (cost, hops) = match best[i.index()] {
-                        Some((c, h)) if settled[i.index()] => (c, h),
-                        _ => (Cost::INFINITE, 0),
-                    };
-                    entries[j.index()][i.index()].push(AvoidingEntry {
-                        avoided: k,
-                        cost,
-                        hops,
-                    });
-                }
-            }
-            for i in graph.nodes() {
-                if i == j {
-                    continue;
-                }
-                let Some(route) = tree.route(i) else { continue };
-                let order: Vec<AsId> = route.transit_nodes().to_vec();
-                entries[j.index()][i.index()].sort_by_key(|e| {
-                    order
+    /// [`compute_fast`](Self::compute_fast), also returning each
+    /// destination's work: the nodes its pass numbered plus the nodes it
+    /// settled — a count the clock cannot blur.
+    fn solve<C: CostModel + ?Sized>(graph: &C, lcp: &AllPairsLcp) -> (Self, Vec<usize>) {
+        let n = lcp.node_count();
+        let mut starts = Vec::with_capacity(n * n + 1);
+        starts.push(0);
+        let mut entries = Vec::new();
+        let mut work = vec![0; n];
+        let mut dfs = Preorder::default();
+        // Best-known (cost, hops) per preorder position; only `S_k`'s range
+        // is ever written or read.
+        let mut best = vec![UNREACHED; n];
+        let mut heap = BinaryHeap::new();
+        // `j`'s answers, subtree after subtree: `S_k`'s slice starts at
+        // `offset[tin[k]]` and follows preorder.
+        let (mut answers, mut offset) = (Vec::new(), Vec::with_capacity(n));
+        for tree in lcp.trees() {
+            dfs.number(graph, tree);
+            work[tree.destination().index()] = n;
+            answers.clear();
+            offset.clear();
+            offset.push(0); // the root's subtree holds no answers
+            for (at_k, &last) in dfs.last.iter().enumerate().skip(1) {
+                let first = at_k + 1;
+                let inside = |q: usize| first <= q && q <= last;
+                // Seed: every subtree node's best exit onto an already
+                // k-free LCP, heapified at once.
+                let mut seeds = std::mem::take(&mut heap).into_vec();
+                seeds.clear();
+                for (p, exit) in best.iter_mut().enumerate().take(last + 1).skip(first) {
+                    *exit = dfs
+                        .links(p)
                         .iter()
-                        .position(|&t| t == e.avoided)
-                        .expect("entry for non-transit node")
-                });
+                        .filter(|link| link.to != at_k && !inside(link.to))
+                        .map(|link| link.exit)
+                        .min()
+                        .unwrap_or(UNREACHED);
+                    if *exit != UNREACHED {
+                        seeds.push(Reverse((*exit, p)));
+                    }
+                }
+                heap = BinaryHeap::from(seeds);
+                // Relax within the subtree: v → u → (u's best k-avoiding
+                // path), u turning transit. Nodes never reached stay
+                // `UNREACHED`.
+                while let Some(Reverse(((cost, hops), p))) = heap.pop() {
+                    if best[p] != (cost, hops) {
+                        continue; // stale entry
+                    }
+                    work[tree.destination().index()] += 1;
+                    for link in dfs.links(p) {
+                        let candidate = (cost + link.relax, hops + 1);
+                        if inside(link.to) && candidate < best[link.to] {
+                            best[link.to] = candidate;
+                            heap.push(Reverse((candidate, link.to)));
+                        }
+                    }
+                }
+                offset.push(answers.len());
+                answers.extend_from_slice(&best[first..last + 1]);
+            }
+            // Gather, in table order: source by source, each source's
+            // transit nodes from its parent up.
+            entries.reserve(answers.len());
+            for &p in &dfs.tin {
+                if p != usize::MAX {
+                    let mut k = dfs.parent[p];
+                    while k != 0 {
+                        let (cost, hops) = answers[offset[k] + p - k - 1];
+                        entries.push(AvoidingEntry {
+                            avoided: dfs.order[k],
+                            cost,
+                            hops,
+                        });
+                        k = dfs.parent[k];
+                    }
+                }
+                starts.push(entries.len());
             }
         }
-        AvoidanceTable { n, entries }
+        (AvoidanceTable { n, starts, entries }, work)
     }
 
     /// Number of ASs covered.
@@ -320,7 +365,8 @@ impl AvoidanceTable {
     ///
     /// Panics if an index is out of range.
     pub fn entries(&self, i: AsId, j: AsId) -> &[AvoidingEntry] {
-        &self.entries[j.index()][i.index()]
+        let pair = j.index() * self.n + i.index();
+        &self.entries[self.starts[pair]..self.starts[pair + 1]]
     }
 
     /// The avoiding-path fact for transit node `k` on the LCP from `i` to
@@ -332,13 +378,7 @@ impl AvoidanceTable {
     /// The largest hop count of any recorded lowest-cost k-avoiding path —
     /// the paper's `d′`. Returns 0 for graphs with no transit traffic.
     pub fn max_hops(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.hops)
-            .max()
-            .unwrap_or(0)
+        self.entries.iter().map(|e| e.hops).max().unwrap_or(0)
     }
 }
 
@@ -358,7 +398,9 @@ mod tests {
     use super::*;
     use crate::dijkstra::shortest_tree;
     use bgpvcg_netgraph::generators::structured::{fig1, ring, Fig1};
-    use bgpvcg_netgraph::generators::{erdos_renyi, from_edges, random_costs};
+    use bgpvcg_netgraph::generators::{
+        barabasi_albert, erdos_renyi, from_edges, hierarchy, random_costs, HierarchyConfig,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -529,34 +571,45 @@ mod tests {
     }
 
     #[test]
-    fn compute_fast_equals_compute_on_random_families() {
-        use bgpvcg_netgraph::generators::barabasi_albert;
-        for seed in 0..8 {
-            let mut rng = StdRng::seed_from_u64(500 + seed);
-            let costs = random_costs(24, 0, 9, &mut rng);
-            let g = if seed % 2 == 0 {
-                erdos_renyi(costs, 0.2, &mut rng)
-            } else {
-                barabasi_albert(costs, 2, &mut rng)
-            };
-            let lcp = AllPairsLcp::compute(&g);
-            assert_eq!(
-                AvoidanceTable::compute_fast(&g, &lcp),
-                AvoidanceTable::compute(&g, &lcp),
-                "seed {seed}"
-            );
-        }
+    fn compute_fast_equals_compute_without_biconnectivity() {
+        // Path 0-1-2-3: every avoiding path is missing, so every entry is
+        // infinite with zero hops, in both.
+        let g = from_edges(vec![Cost::new(1); 4], &[(0, 1), (1, 2), (2, 3)]);
+        let lcp = AllPairsLcp::compute(&g);
+        let fast = AvoidanceTable::compute_fast(&g, &lcp);
+        assert_eq!(fast, AvoidanceTable::compute(&g, &lcp));
+        let entries = fast.entries(AsId::new(0), AsId::new(3));
+        assert_eq!(entries.len(), 2);
+        assert!(entries
+            .iter()
+            .all(|e| e.cost == Cost::INFINITE && e.hops == 0));
     }
 
     #[test]
-    fn compute_fast_equals_compute_with_zero_costs() {
-        // Zero costs maximize ties; cost and hop values must still agree.
-        let g = ring(9, Cost::ZERO);
-        let lcp = AllPairsLcp::compute(&g);
-        assert_eq!(
-            AvoidanceTable::compute_fast(&g, &lcp),
-            AvoidanceTable::compute(&g, &lcp)
-        );
+    fn work_is_subtree_local() {
+        // Per destination the pass numbers n nodes and settles only nodes
+        // of the avoided node's subtree: at most Σ_k |S_k| + n, where
+        // |S_k| counts the sources whose LCP has k as a transit node.
+        let mut rng = StdRng::seed_from_u64(32);
+        let ba = barabasi_albert(random_costs(60, 1, 10, &mut rng), 2, &mut rng);
+        let hier = hierarchy(HierarchyConfig::default(), &mut rng);
+        for g in [ring(40, Cost::new(2)), ba, hier] {
+            let n = g.node_count();
+            let lcp = AllPairsLcp::compute(&g);
+            let (_, work) = AvoidanceTable::solve(&g, &lcp);
+            for j in g.nodes() {
+                let tree = lcp.tree(j);
+                let subtrees: usize = g
+                    .nodes()
+                    .map(|k| g.nodes().filter(|&i| tree.is_transit(k, i)).count())
+                    .sum();
+                assert!(
+                    work[j.index()] <= subtrees + n,
+                    "n={n} dest {j}: work {} > Σ|S_k| {subtrees} + n",
+                    work[j.index()]
+                );
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod tests {
 
     fn tables(g: &bgpvcg_netgraph::AsGraph) -> (AllPairsLcp, AvoidanceTable) {
         let lcp = AllPairsLcp::compute(g);
-        let table = AvoidanceTable::compute(g, &lcp);
+        let table = AvoidanceTable::compute_fast(g, &lcp);
         (lcp, table)
     }
 

@@ -1,10 +1,38 @@
-//! Per-destination Dijkstra under the deterministic route order.
+//! The one Dijkstra, under the deterministic route order, for both cost
+//! models.
 
 use crate::route::Route;
 use crate::tree::DestinationTree;
-use bgpvcg_netgraph::{AsGraph, AsId};
+use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// The cost side of a graph, as the route extension rule reads it: what a
+/// transit node charges to carry a packet handed to it by a neighbour.
+///
+/// [`AsGraph`] implements it with the paper's node costs (`c_u`, whoever
+/// hands the packet over); `bgpvcg-core` implements it for the Sect. 3
+/// extension to per-neighbour receive costs (`c_u(from)`). Every solver in
+/// this crate is generic over it, so both cost models share one Dijkstra,
+/// one avoidance pass and one set of oracles.
+pub trait CostModel {
+    /// The topology the costs are declared on.
+    fn topology(&self) -> &AsGraph;
+
+    /// What `transit` charges per packet it receives from its neighbour
+    /// `from` and forwards.
+    fn transit_cost(&self, transit: AsId, from: AsId) -> Cost;
+}
+
+impl CostModel for AsGraph {
+    fn topology(&self) -> &AsGraph {
+        self
+    }
+
+    fn transit_cost(&self, transit: AsId, _from: AsId) -> Cost {
+        self.cost(transit)
+    }
+}
 
 /// Computes the tree `T(j)` of selected lowest-cost routes to `destination`.
 ///
@@ -19,9 +47,12 @@ use std::collections::BinaryHeap;
 ///
 /// # Complexity
 ///
-/// `O(m log n)` heap operations; each carries a route clone of length
-/// `O(d)`, so the total work is `O(m d log n)` — ample for the laptop-scale
-/// experiments this repository targets.
+/// `O(m log n)` heap operations on `(cost, hops, parent, node)` keys, plus
+/// `O(n d)` to materialise each selected route once (`d` the hop diameter).
+///
+/// # Panics
+///
+/// Panics if `destination` is not in the graph.
 ///
 /// # Example
 ///
@@ -34,54 +65,66 @@ use std::collections::BinaryHeap;
 /// let t = shortest_tree(&g, Fig1::Z);
 /// assert_eq!(t.cost(Fig1::X), Cost::new(3));
 /// ```
-pub fn shortest_tree(graph: &AsGraph, destination: AsId) -> DestinationTree {
+pub fn shortest_tree<C: CostModel + ?Sized>(graph: &C, destination: AsId) -> DestinationTree {
     assert!(
-        graph.contains_node(destination),
+        graph.topology().contains_node(destination),
         "destination {destination} not in graph"
     );
-    let n = graph.node_count();
-    let mut selected: Vec<Option<Route>> = vec![None; n];
+    dijkstra(graph, destination, None)
+}
+
+/// Dijkstra toward `destination` on the graph with `avoid` (if any) removed.
+///
+/// Two candidate routes to `v` are `v` prepended to two selected routes,
+/// and they first differ at `v`'s parent — so the route order's
+/// lexicographic tie-break is exactly "smaller parent id", and the heap
+/// carries `(cost, hops, parent)` keys instead of routes. A route is
+/// materialised once, when its node settles, by extending its parent's.
+pub(crate) fn dijkstra<C: CostModel + ?Sized>(
+    graph: &C,
+    destination: AsId,
+    avoid: Option<AsId>,
+) -> DestinationTree {
+    let topology = graph.topology();
+    let n = topology.node_count();
+    let mut routes: Vec<Option<Route>> = vec![None; n];
+    let mut best: Vec<Option<(Cost, usize, AsId)>> = vec![None; n];
+    // Pre-settling `avoid` (with no route) keeps pops and relaxations from
+    // ever touching it.
     let mut settled = vec![false; n];
-
-    // Max-heap + Reverse = min-heap on the route order.
-    let mut heap: BinaryHeap<Reverse<Route>> = BinaryHeap::new();
-    heap.push(Reverse(Route::trivial(destination)));
-
-    while let Some(Reverse(route)) = heap.pop() {
-        let u = route.source();
+    if let Some(k) = avoid {
+        settled[k.index()] = true;
+    }
+    let mut heap = BinaryHeap::new();
+    heap.push(Reverse((Cost::ZERO, 0, destination, destination)));
+    while let Some(Reverse((cost, hops, parent, u))) = heap.pop() {
         if settled[u.index()] {
             continue; // stale entry
         }
         settled[u.index()] = true;
-        selected[u.index()] = Some(route.clone());
-        for &v in graph.neighbors(u) {
-            if settled[v.index()] || route.contains(v) {
+        let route = match &routes[parent.index()] {
+            Some(via) => via.extend(u, graph.transit_cost(parent, u)),
+            None => Route::trivial(u), // the destination, popped first
+        };
+        routes[u.index()] = Some(route);
+        for &v in topology.neighbors(u) {
+            if settled[v.index()] {
                 continue;
             }
-            let candidate = route.extend(v, graph.cost(u));
-            let better = match &selected[v.index()] {
-                None => true,
-                Some(current) => candidate < *current,
+            // v → u → …: u turns transit unless it is the destination.
+            let through = if u == destination {
+                Cost::ZERO
+            } else {
+                graph.transit_cost(u, v)
             };
-            if better {
-                // Track the best-known candidate to cut heap churn; final
-                // selection still happens at pop time.
-                selected[v.index()] = Some(candidate.clone());
-                heap.push(Reverse(candidate));
+            let key = (cost + through, hops + 1, u);
+            if best[v.index()].is_none_or(|b| key < b) {
+                best[v.index()] = Some(key);
+                heap.push(Reverse((key.0, key.1, u, v)));
             }
         }
     }
-
-    // Unsettled nodes keep provisional candidates only if they were settled;
-    // clear leftovers for unreachable nodes (none exist in connected graphs,
-    // but stay safe).
-    for idx in 0..n {
-        if !settled[idx] {
-            selected[idx] = None;
-        }
-    }
-
-    DestinationTree::from_routes(destination, selected)
+    DestinationTree::from_routes(destination, routes)
 }
 
 #[cfg(test)]

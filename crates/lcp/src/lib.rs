@@ -19,6 +19,9 @@
 //!
 //! Path costs count **transit nodes only**: the endpoints of a route
 //! contribute nothing (paper, Sect. 3: `I_i(c; i, j) = I_j(c; i, j) = 0`).
+//! Every solver is generic over [`CostModel`] — what a transit node charges
+//! for a packet handed over by a neighbour — so the paper's node costs and
+//! its per-neighbour extension share one Dijkstra and one avoidance pass.
 //!
 //! # Example
 //!
@@ -48,6 +51,6 @@ mod route;
 mod tree;
 
 pub use all_pairs::AllPairsLcp;
-pub use dijkstra::shortest_tree;
+pub use dijkstra::{shortest_tree, CostModel};
 pub use route::Route;
 pub use tree::{DestinationTree, Relation};

@@ -333,7 +333,7 @@ fn run_simulate(
         g.link_count()
     );
     let lcp = AllPairsLcp::compute(&g);
-    let avoidance = AvoidanceTable::compute(&g, &lcp);
+    let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
     let d = diameter::lcp_hop_diameter(&lcp);
     let dprime = diameter::avoiding_hop_diameter(&avoidance);
     println!(
@@ -430,7 +430,7 @@ fn run_deviate(family: &str, n: usize, seed: u64, agent: u32, declare: u64) -> R
 fn run_diameters(family: &str, n: usize, seed: u64) -> Result<(), String> {
     let g = build_family(family, n, seed)?;
     let lcp = AllPairsLcp::compute(&g);
-    let avoidance = AvoidanceTable::compute(&g, &lcp);
+    let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
     let d = diameter::lcp_hop_diameter(&lcp);
     let dprime = diameter::avoiding_hop_diameter(&avoidance);
     println!(

@@ -47,7 +47,7 @@ proptest! {
     fn convergence_bound_holds((n, density, max_cost, seed) in graph_params()) {
         let g = graph_from(n, density, max_cost, seed);
         let lcp = AllPairsLcp::compute(&g);
-        let avoidance = AvoidanceTable::compute(&g, &lcp);
+        let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
         let bound = diameter::convergence_bound(&lcp, &avoidance);
         let run = protocol::run_sync(&g).unwrap();
         prop_assert!(
@@ -174,7 +174,7 @@ proptest! {
     fn avoidance_table_consistency((n, density, max_cost, seed) in graph_params()) {
         let g = graph_from(n, density, max_cost, seed);
         let lcp = AllPairsLcp::compute(&g);
-        let table = AvoidanceTable::compute(&g, &lcp);
+        let table = AvoidanceTable::compute_fast(&g, &lcp);
         for i in g.nodes() {
             for j in g.nodes() {
                 if i == j {

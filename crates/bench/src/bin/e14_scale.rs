@@ -14,14 +14,14 @@
 //! Besides the human table, the run appends to the perf record: a
 //! machine-readable `BENCH_scale.json` at the repository root, validated in
 //! CI by `cargo xtask bench --smoke` against
-//! `crates/bench/bench-scale-schema.json`.
+//! `crates/bench/bench-scale-schema.json`. The JSON holds only
+//! deterministic counts, so `cargo xtask bench --compare` is exact on
+//! every field; the wall-clock figures are printed in the table alone.
 //!
 //! Each serial run additionally carries the streaming health monitor
 //! (honest scale runs must raise zero SLO findings) and the zero-alloc
-//! span profiler; each JSON row gains an optional `span_nanos` block (the
-//! per-phase hot-path breakdown, timing-exempt in `--compare`), and the
-//! sweep-merged profile/health artifacts land at the shared
-//! `--profile-out` / `--health-out` paths.
+//! span profiler; the sweep-merged profile and the last health report
+//! land in the `--obs-out` bundle.
 //!
 //! Flags:
 //!
@@ -29,8 +29,7 @@
 //! * `--out PATH` — where to write the JSON (default: repo-root
 //!   `BENCH_scale.json`).
 //! * `--workers K` — parallel worker count (default 4).
-//! * plus the shared observability surface (`--trace-out`,
-//!   `--metrics-out`, `--health-out`, `--profile-out`, ... — see
+//! * `--obs-out DIR` — the shared observability bundle (see
 //!   `bgpvcg_bench::obs`).
 //!
 //! Regenerate with: `cargo run --release -p bgpvcg-bench --bin e14_scale`
@@ -40,14 +39,13 @@ use bgpvcg_bench::obs::ObsConfig;
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::{wire, ProtocolNode};
 use bgpvcg_core::{protocol, vcg};
-use bgpvcg_telemetry::profile::span;
 use bgpvcg_telemetry::{HealthConfig, SpanProfiler};
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Instant;
 
-/// One family × size measurement, holding everything both report formats
-/// (table and JSON) need.
+/// One family × size measurement: the deterministic counts of one
+/// `BENCH_scale.json` row.
 struct Row {
     family: &'static str,
     n: usize,
@@ -56,21 +54,7 @@ struct Row {
     messages: usize,
     bytes: usize,
     bytes_v2: usize,
-    serial_nanos: u128,
-    parallel_nanos: u128,
-    encode_nanos: u128,
-    /// Per-span `(name, total_nanos)` hot-path breakdown of the serial
-    /// run, for spans that fired (emitted as the optional `span_nanos`
-    /// JSON block).
-    span_nanos: Vec<(&'static str, u64)>,
     exact: bool,
-}
-
-impl Row {
-    /// Parallel speedup: serial wall-clock over parallel wall-clock.
-    fn speedup(&self) -> f64 {
-        self.serial_nanos as f64 / self.parallel_nanos as f64
-    }
 }
 
 struct Config {
@@ -80,7 +64,7 @@ struct Config {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: e14_scale [--smoke] [--out PATH] [--workers K]");
+    eprintln!("usage: e14_scale [--smoke] [--out PATH] [--workers K] [--obs-out DIR]");
     exit(2);
 }
 
@@ -136,18 +120,9 @@ fn render_json(config: &Config, rows: &[Row]) -> String {
     out.push_str(&format!("  \"workers\": {},\n", config.workers));
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let mut span_block = String::new();
-        for (j, (name, nanos)) in row.span_nanos.iter().enumerate() {
-            span_block.push_str(&format!(
-                "{}\"{name}\": {nanos}",
-                if j == 0 { "" } else { ", " }
-            ));
-        }
         out.push_str(&format!(
             "    {{\"family\": \"{}\", \"n\": {}, \"links\": {}, \"stages\": {}, \
-             \"messages\": {}, \"bytes\": {}, \"bytes_v2\": {}, \"serial_nanos\": {}, \
-             \"parallel_nanos\": {}, \"speedup\": {:.4}, \"encode_nanos\": {}, \
-             \"span_nanos\": {{{span_block}}}, \"exact\": {}}}{}\n",
+             \"messages\": {}, \"bytes\": {}, \"bytes_v2\": {}, \"exact\": {}}}{}\n",
             row.family,
             row.n,
             row.links,
@@ -155,10 +130,6 @@ fn render_json(config: &Config, rows: &[Row]) -> String {
             row.messages,
             row.bytes,
             row.bytes_v2,
-            row.serial_nanos,
-            row.parallel_nanos,
-            row.speedup(),
-            row.encode_nanos,
             row.exact,
             if i + 1 == rows.len() { "" } else { "," },
         ));
@@ -214,14 +185,7 @@ fn main() {
                 health.findings()
             );
             last_health = Some(health);
-            let profile = engine.take_profiler().expect("profiler attached");
-            let span_nanos: Vec<(&'static str, u64)> = (0..span::NAMES.len())
-                .filter_map(|id| {
-                    let (count, total, _) = profile.stat(id);
-                    (count > 0).then(|| (span::NAMES[id], total))
-                })
-                .collect();
-            sweep_profile.merge(&profile);
+            sweep_profile.merge(&engine.take_profiler().expect("profiler attached"));
             let serial_nodes = engine.into_nodes();
             let serial_outcome = protocol::outcome_from_nodes(&serial_nodes).expect("converged");
             let serial_time = t0.elapsed();
@@ -266,10 +230,6 @@ fn main() {
                 messages: serial_report.messages,
                 bytes: serial_report.bytes,
                 bytes_v2: serial_report.bytes_v2,
-                serial_nanos: serial_time.as_nanos(),
-                parallel_nanos: parallel_time.as_nanos(),
-                encode_nanos: encode_time.as_nanos(),
-                span_nanos,
                 exact,
             };
             table.row([
@@ -282,7 +242,10 @@ fn main() {
                 format!("{:.1}", row.bytes_v2 as f64 / (1024.0 * 1024.0)),
                 format!("{:.2}", serial_time.as_secs_f64()),
                 format!("{:.2}", parallel_time.as_secs_f64()),
-                format!("{:.2}x", row.speedup()),
+                format!(
+                    "{:.2}x",
+                    serial_time.as_secs_f64() / parallel_time.as_secs_f64()
+                ),
                 format!("{:.2}", encode_time.as_secs_f64() * 1000.0),
                 format!("{:.2}", verify_time.as_secs_f64()),
                 exact.to_string(),

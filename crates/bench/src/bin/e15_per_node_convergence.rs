@@ -20,7 +20,7 @@
 //! itself is unaffected.
 //!
 //! Regenerate with: `cargo run --release -p bgpvcg-bench --bin e15_per_node_convergence`
-//! Optional: `--trace-out PATH` / `--metrics-out PATH`.
+//! Optional: `--obs-out DIR` (trace and metrics; see `bgpvcg_bench::obs`).
 
 use bgpvcg_bench::families::Family;
 use bgpvcg_bench::obs::ObsConfig;
@@ -51,7 +51,7 @@ fn main() {
             let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
 
             // Tee the run's event stream into a ring buffer: the shared
-            // --trace-out/--metrics-out telemetry observes everything, and
+            // telemetry (and any bundle trace) observes everything, and
             // the ring is folded below into last-change stages.
             let ring = Arc::new(RingBufferSink::new(1 << 21));
             let ring_tel = obs.telemetry().tee(Arc::clone(&ring) as Arc<dyn TraceSink>);

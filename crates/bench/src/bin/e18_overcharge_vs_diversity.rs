@@ -27,7 +27,7 @@
 //! books, per AS, to the unit.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e18_overcharge_vs_diversity`
-//! Optional: the shared observability flags (`--metrics-out` exports the
+//! Optional: `--obs-out DIR` (the bundle's `metrics.json` exports the
 //! `vcg_premium_as_<k>` / `vcg_welfare_total` gauges; see
 //! `bgpvcg_bench::obs`).
 

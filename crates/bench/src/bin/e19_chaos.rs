@@ -23,12 +23,13 @@
 //! `BENCH_chaos.json` at the repository root, validated in CI by
 //! `cargo xtask chaos --smoke` against `crates/bench/bench-chaos-schema.json`.
 //!
+//! Every field of the JSON is a deterministic count, so `cargo xtask chaos
+//! --compare` is exact on every field.
+//!
 //! Every run also carries the streaming health monitor and the span
 //! profiler: the table reports how many SLO findings the fault schedule
-//! provoked, each JSON row gains an optional `span_nanos` block (the
-//! per-phase harness breakdown, timing-exempt in `--compare`), and the
-//! sweep-merged profile/health artifacts land at the shared
-//! `--profile-out` / `--health-out` paths.
+//! provoked, and the sweep-merged profile and the last health report land
+//! in the `--obs-out` bundle.
 //!
 //! Flags:
 //!
@@ -37,28 +38,24 @@
 //!   scenarios), printing each full `ChaosReport`.
 //! * `--out PATH` — where to write the JSON (default: repo-root
 //!   `BENCH_chaos.json`).
-//! * `--flight-out PATH` — attach a divergence flight recorder to every
-//!   run: if a run ever exhausts the stage budget instead of stabilizing,
-//!   the last trace events and per-node session state are dumped to
-//!   `PATH` as a schema-valid post-mortem (see `docs/OBSERVABILITY.md`).
-//!   Converged runs leave no dump. Part of the shared observability
-//!   surface (`bgpvcg_bench::obs`), alongside `--trace-out`,
-//!   `--metrics-out`, `--health-out`, and `--profile-out`.
+//! * `--obs-out DIR` — the shared observability bundle
+//!   (`bgpvcg_bench::obs`). It also attaches a divergence flight recorder
+//!   to every run: if a run ever exhausts the stage budget instead of
+//!   stabilizing, the last trace events and per-node session state are
+//!   dumped to the bundle's `flight.json` as a schema-valid post-mortem
+//!   (see `docs/OBSERVABILITY.md`). Converged runs leave no dump.
 //!
 //! Regenerate with: `cargo run --release -p bgpvcg-bench --bin e19_chaos`
 
 use bgpvcg_bench::families::Family;
-use bgpvcg_bench::obs::ObsConfig;
+use bgpvcg_bench::obs::{ObsConfig, FLIGHT};
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::chaos::FaultPlan;
-use bgpvcg_bgp::{wire, ProtocolNode};
 use bgpvcg_core::protocol;
 use bgpvcg_netgraph::AsId;
-use bgpvcg_telemetry::profile::span;
 use bgpvcg_telemetry::{HealthConfig, SpanProfiler};
 use std::path::PathBuf;
 use std::process::exit;
-use std::time::Instant;
 
 /// Stage budget per run; self-stabilization lands far below this.
 const MAX_STAGES: u64 = 5_000;
@@ -77,7 +74,6 @@ struct Row {
     recovery_stages: u64,
     messages: u64,
     bytes_v2: u64,
-    encode_nanos: u128,
     frames_dropped: u64,
     frames_duplicated: u64,
     frames_delayed: u64,
@@ -86,9 +82,6 @@ struct Row {
     holds_fired: u64,
     crashes: u64,
     restarts: u64,
-    /// Per-span `(name, total_nanos)` harness breakdown for spans that
-    /// fired (emitted as the optional `span_nanos` JSON block).
-    span_nanos: Vec<(&'static str, u64)>,
     exact: bool,
 }
 
@@ -99,10 +92,7 @@ struct Config {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: e19_chaos [--smoke] [--seed S] [--out PATH] [--flight-out PATH] \
-         [--health-out PATH] [--profile-out PATH]"
-    );
+    eprintln!("usage: e19_chaos [--smoke] [--seed S] [--out PATH] [--obs-out DIR]");
     exit(2);
 }
 
@@ -175,10 +165,10 @@ fn render_json(config: &Config, rows: &[Row]) -> String {
         out.push_str(&format!(
             "    {{\"family\": \"{}\", \"n\": {}, \"seed\": {}, \"scenario\": \"{}\", \
              \"stages\": {}, \"recovery_stages\": {}, \"messages\": {}, \
-             \"bytes_v2\": {}, \"encode_nanos\": {}, \
+             \"bytes_v2\": {}, \
              \"frames_dropped\": {}, \"frames_duplicated\": {}, \"frames_delayed\": {}, \
              \"retransmits\": {}, \"session_resets\": {}, \"holds_fired\": {}, \
-             \"crashes\": {}, \"restarts\": {}, \"span_nanos\": {{{}}}, \"exact\": {}}}{}\n",
+             \"crashes\": {}, \"restarts\": {}, \"exact\": {}}}{}\n",
             row.family,
             row.n,
             row.seed,
@@ -187,7 +177,6 @@ fn render_json(config: &Config, rows: &[Row]) -> String {
             row.recovery_stages,
             row.messages,
             row.bytes_v2,
-            row.encode_nanos,
             row.frames_dropped,
             row.frames_duplicated,
             row.frames_delayed,
@@ -196,14 +185,6 @@ fn render_json(config: &Config, rows: &[Row]) -> String {
             row.holds_fired,
             row.crashes,
             row.restarts,
-            row.span_nanos
-                .iter()
-                .enumerate()
-                .map(|(j, (name, nanos))| format!(
-                    "{}\"{name}\": {nanos}",
-                    if j == 0 { "" } else { ", " }
-                ))
-                .collect::<String>(),
             row.exact,
             if i + 1 == rows.len() { "" } else { "," },
         ));
@@ -250,22 +231,19 @@ fn main() {
                     let plan = plan_for(scenario, seed, n, (link.a(), link.b()));
                     let mut engine = protocol::build_chaos_engine(&g, plan).expect("valid graph");
                     engine.attach_telemetry(obs.telemetry());
-                    if let Some(path) = obs.flight_out() {
+                    if obs.dir().is_some() {
                         // With a flight recorder attached, a stage-budget
                         // overrun leaves a post-mortem dump before the
                         // assert below aborts the sweep.
-                        engine.attach_flight_recorder(path, 256);
+                        engine.attach_flight_recorder(&obs.flight_path(FLIGHT), 256);
                     }
                     engine.attach_health(HealthConfig::default());
                     engine.attach_profiler();
                     let report = engine.run_to_stable(MAX_STAGES);
                     assert!(
                         report.converged,
-                        "{} n={n} seed={seed} {scenario}: did not quiesce{}: {report}",
-                        family.name(),
-                        obs.flight_out()
-                            .map(|p| format!(" (flight dump at {})", p.display()))
-                            .unwrap_or_default()
+                        "{} n={n} seed={seed} {scenario}: did not quiesce: {report}",
+                        family.name()
                     );
                     // Fault schedules may legitimately provoke SLO findings
                     // (that is the monitor doing its job); report, don't
@@ -280,30 +258,8 @@ fn main() {
                     let findings = health.findings().len();
                     total_findings += findings;
                     last_health = Some(health);
-                    let profile = engine.take_profiler().expect("profiler attached");
-                    let span_nanos: Vec<(&'static str, u64)> = (0..span::NAMES.len())
-                        .filter_map(|id| {
-                            let (count, total, _) = profile.stat(id);
-                            (count > 0).then(|| (span::NAMES[id], total))
-                        })
-                        .collect();
-                    sweep_profile.merge(&profile);
+                    sweep_profile.merge(&engine.take_profiler().expect("profiler attached"));
                     let nodes = engine.into_nodes();
-
-                    // Encode-cost microfigure: v2-encode every node's full
-                    // stabilized table through one reused scratch buffer.
-                    let mut scratch = Vec::new();
-                    let mut encoded = 0usize;
-                    // lint:allow(bench wall-clock timing is the measurement itself, not protocol state)
-                    let t0 = Instant::now();
-                    for node in &nodes {
-                        if let Some(tbl) = node.full_table() {
-                            encoded += wire::update_size_v2_with(&mut scratch, &tbl);
-                        }
-                    }
-                    let encode_nanos = t0.elapsed().as_nanos();
-                    assert!(encoded > 0);
-
                     let outcome = protocol::outcome_from_nodes(&nodes)
                         .expect("converged nodes have priced routes");
                     let exact = outcome == reference;
@@ -338,7 +294,6 @@ fn main() {
                         recovery_stages: report.recovery_stages,
                         messages: report.messages,
                         bytes_v2: report.bytes_v2,
-                        encode_nanos,
                         frames_dropped: report.frames_dropped,
                         frames_duplicated: report.frames_duplicated,
                         frames_delayed: report.frames_delayed,
@@ -347,7 +302,6 @@ fn main() {
                         holds_fired: report.holds_fired,
                         crashes: report.crashes,
                         restarts: report.restarts,
-                        span_nanos,
                         exact,
                     });
                 }

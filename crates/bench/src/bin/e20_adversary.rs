@@ -29,26 +29,25 @@
 //! Flags:
 //!
 //! * `--smoke` — reduced matrix for CI (`cargo xtask ci` runs this).
-//! * `--flight-out PATH` — where the audit-violation flight post-mortem
-//!   (PR 7's divergence recorder, armed by the auditor) is dumped;
-//!   defaults to `target/e20_adversary_flight.json`. The artifact is
-//!   validated against the flight dump schema either way.
-//! * `--health-out PATH` / `--profile-out PATH` — the shared observability
-//!   surface (`bgpvcg_bench::obs`): the honest sweep's health report
-//!   (asserted finding-free even under parallel workers) and the span
+//! * `--obs-out DIR` — the shared observability bundle
+//!   (`bgpvcg_bench::obs`): `flight.json`, the audit-violation flight
+//!   post-mortem (the divergence recorder, armed by the auditor); the
+//!   honest sweep's `health.json` (asserted finding-free even under
+//!   parallel workers); and `profile.json` + `profile.folded`, the span
 //!   profile of the adversarial post-mortem run, which covers the
-//!   audit-shadow and adversary-tap phases.
+//!   audit-shadow and adversary-tap phases. Without it the post-mortem
+//!   lands in a temp dir that is removed on success. It is validated
+//!   against the flight dump schema either way.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e20_adversary`
 
 use bgpvcg_bench::families::Family;
-use bgpvcg_bench::obs::ObsConfig;
+use bgpvcg_bench::obs::{ObsConfig, FLIGHT};
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::{Adversary, Strategy, TopologyEvent};
 use bgpvcg_core::{protocol, RoutingOutcome};
 use bgpvcg_netgraph::{AsGraph, AsId};
 use bgpvcg_telemetry::{flight, HealthConfig};
-use std::path::PathBuf;
 
 /// Finds a node whose removal keeps the mechanism preconditions (the
 /// residual graph biconnected), together with the reference outcome of
@@ -151,18 +150,11 @@ fn main() {
             "--smoke" => smoke = true,
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!(
-                    "usage: e20_adversary [--smoke] [--flight-out PATH] \
-                     [--health-out PATH] [--profile-out PATH]"
-                );
+                eprintln!("usage: e20_adversary [--smoke] [--obs-out DIR]");
                 std::process::exit(2);
             }
         }
     }
-    let flight_out = obs
-        .flight_out()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/e20_adversary_flight.json"));
 
     println!("E20 — Byzantine adversaries, online auditing, quarantine-and-reconverge (Sect. 7)\n");
     let n = if smoke { 12 } else { 20 };
@@ -341,9 +333,7 @@ fn main() {
     );
 
     // ── 3. Flight post-mortem on an audit violation ─────────────────────
-    if let Some(dir) = flight_out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
+    let flight_out = obs.flight_path(FLIGHT);
     let g = Family::ErdosRenyi.build(n, graph_seed);
     let (culprit, _) = quarantine_reference(&g).expect("erdos-renyi keeps a removable node");
     let mut engine = protocol::build_audited_sync_engine(&g).unwrap();
@@ -360,8 +350,7 @@ fn main() {
         "post-mortem carries the audit-violation reason"
     );
     println!(
-        "Flight post-mortem: {} (schema-valid, reason `{}`)",
-        flight_out.display(),
+        "Flight post-mortem: {FLIGHT} (schema-valid, reason `{}`)",
         flight::REASON_AUDIT_VIOLATION
     );
     if let Some(health) = &last_health {

@@ -16,12 +16,11 @@
 //!
 //! Every run also carries the convergence health monitor (honest sweeps
 //! must raise zero SLO findings) and the span profiler; the merged profile
-//! lands at `--profile-out` and the final run's health report at
-//! `--health-out`.
+//! and the final run's health report land in the `--obs-out` bundle.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e3_bgp_convergence`
-//! Optional: `--trace-out PATH` / `--metrics-out PATH` /
-//! `--health-out PATH` / `--profile-out PATH`.
+//! Optional: `--obs-out DIR` (trace, metrics, health, profile; see
+//! `bgpvcg_bench::obs`).
 
 use bgpvcg_bench::families::Family;
 use bgpvcg_bench::obs::ObsConfig;
@@ -62,7 +61,7 @@ fn main() {
             let d = diameter::lcp_hop_diameter(&lcp);
             let mut engine = SyncEngine::new(&g, PlainBgpNode::from_graph(&g));
             // Tee this run's events into a private ring (the shared
-            // registry and any --trace-out file still see everything) so
+            // registry and any bundle trace still see everything) so
             // the causal DAG can be rebuilt and checked per run.
             let ring = Arc::new(RingBufferSink::new(1 << 16));
             let traced = telemetry.tee(Arc::clone(&ring) as Arc<dyn TraceSink>);

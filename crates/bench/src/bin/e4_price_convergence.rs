@@ -11,7 +11,7 @@
 //! (see `docs/OBSERVABILITY.md`), and cross-checked against the report.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e4_price_convergence`
-//! Optional: `--trace-out PATH` / `--metrics-out PATH`.
+//! Optional: `--obs-out DIR` (trace and metrics; see `bgpvcg_bench::obs`).
 
 use bgpvcg_bench::families::Family;
 use bgpvcg_bench::obs::ObsConfig;

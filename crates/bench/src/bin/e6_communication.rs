@@ -11,7 +11,7 @@
 //! `docs/OBSERVABILITY.md`), cross-checked against the engine reports.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e6_communication`
-//! Optional: `--trace-out PATH` / `--metrics-out PATH`.
+//! Optional: `--obs-out DIR` (trace and metrics; see `bgpvcg_bench::obs`).
 
 use bgpvcg_bench::families::Family;
 use bgpvcg_bench::obs::ObsConfig;

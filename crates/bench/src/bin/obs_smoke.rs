@@ -18,19 +18,19 @@
 //! 4. **Flight recorder**: a pricing engine is deliberately stalled (stage
 //!    limit 1) with a divergence flight recorder attached; the dump it
 //!    leaves behind must validate against the flight schema. The artifact
-//!    lands at `--flight-out` if given, else in a temp dir it cleans up.
+//!    is the bundle's `flight.json`.
 //! 5. **Byzantine quarantine**: an equivocating wire adversary runs on the
 //!    Petersen graph under the online auditor; the tap's injections, the
 //!    auditor's accusation, and the resulting quarantine are all narrated.
 //!    Exercises `AdversaryInjected`, `AuditViolation`, and
 //!    `NodeQuarantined`. The span profiler rides along, covering the
 //!    audit-shadow and adversary-tap phases on top of the hot path; its
-//!    report lands at `--profile-out` (plus a `.folded` collapsed-stack
-//!    sibling) and its totals are emitted as `SpanSummary` events.
+//!    report is the bundle's `profile.json` + `profile.folded`, and its
+//!    totals are emitted as `SpanSummary` events.
 //! 6. **Observed honest run**: a pricing engine with the streaming health
 //!    monitor and profiler attached converges cleanly; the monitor must
 //!    report **zero** findings, and its report (latency quantiles per
-//!    destination) lands at `--health-out`.
+//!    destination) is the bundle's `health.json`.
 //! 7. **Cost-flap oscillation**: node D's declared cost is toggled
 //!    repeatedly, so routes through D revisit recently-abandoned
 //!    signatures; the oscillation detector must fire **exactly once**,
@@ -38,18 +38,19 @@
 //! 8. **Health-stall post-mortem**: a chaos run under a permanent link
 //!    flap stops making advertised-state progress while stages keep
 //!    ticking; the stall detector arms the flight recorder with a
-//!    `health-stall` dump *before* the stage budget runs out.
+//!    `health-stall` dump (`flight-health-stall.json`) *before* the stage
+//!    budget runs out.
 //!
 //! A single invocation therefore emits every `TraceEvent` kind — and every
-//! causal event carries its `cause`/`effect` provenance ids — which
-//! `cargo xtask obs` checks by decoding the trace line by line.
+//! causal event carries its `cause`/`effect` provenance ids — which this
+//! binary asserts on an in-memory copy of the stream; `cargo xtask obs`
+//! decodes the written trace line by line.
 //!
-//! Run with: `cargo run -p bgpvcg-bench --bin obs_smoke -- \
-//!     --trace-out trace.jsonl --metrics-out metrics.json \
-//!     --flight-out flight.json --health-out health.json \
-//!     --profile-out profile.json`
+//! Run with: `cargo run -p bgpvcg-bench --bin obs_smoke -- --obs-out DIR`
+//! (without `--obs-out`, the two flight dumps land in a temp dir that is
+//! removed on success).
 
-use bgpvcg_bench::obs::ObsConfig;
+use bgpvcg_bench::obs::{ObsConfig, FLIGHT, FLIGHT_HEALTH_STALL};
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::chaos::{ChaosEngine, FaultPlan};
 use bgpvcg_bgp::engine::SyncEngine;
@@ -68,7 +69,7 @@ fn main() {
     println!("obs_smoke — Fig. 1: traced pricing run + link failures\n");
 
     // Tee the event stream into a ring so this binary can summarize what
-    // the --trace-out file (if any) received.
+    // the bundle's trace (if any) received.
     let ring = Arc::new(RingBufferSink::new(1 << 12));
     let telemetry = obs.telemetry().tee(Arc::clone(&ring) as Arc<dyn TraceSink>);
     let g = fig1();
@@ -108,14 +109,7 @@ fn main() {
 
     // Phase 4: stall a fresh pricing engine on purpose so the divergence
     // flight recorder fires, and validate the artifact it leaves behind.
-    let (flight_path, flight_tmp) = match obs.flight_out() {
-        Some(path) => (path.to_path_buf(), None),
-        None => {
-            let dir = std::env::temp_dir().join(format!("bgpvcg-obs-smoke-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("flight temp dir");
-            (dir.join("flight.json"), Some(dir))
-        }
-    };
+    let flight_path = obs.flight_path(FLIGHT);
     let mut stalled = protocol::build_sync_engine(&g).expect("Fig. 1 is biconnected");
     stalled.attach_telemetry(&telemetry);
     stalled.attach_flight_recorder(&flight_path, 64);
@@ -127,13 +121,9 @@ fn main() {
     let dump = std::fs::read_to_string(&flight_path).expect("stall must leave a flight dump");
     flight::validate_dump(&dump).expect("flight dump validates");
     println!(
-        "flight recorder: stalled run dumped {} bytes to {}",
-        dump.len(),
-        flight_path.display()
+        "flight recorder: stalled run dumped {} bytes to {FLIGHT}",
+        dump.len()
     );
-    if let Some(dir) = flight_tmp {
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     // Phase 5: a Byzantine equivocator under the online auditor. Petersen
     // is 3-connected, so quarantining the culprit is always a valid
@@ -222,9 +212,7 @@ fn main() {
     // Phase 8: a permanent link flap starves the chaos run of progress;
     // the stall detector must write the health post-mortem before the
     // stage budget expires, and the dump must carry the health reason.
-    let stall_dir = std::env::temp_dir().join(format!("bgpvcg-obs-stall-{}", std::process::id()));
-    std::fs::create_dir_all(&stall_dir).expect("stall temp dir");
-    let stall_path = stall_dir.join("flight_health_stall.json");
+    let stall_path = obs.flight_path(FLIGHT_HEALTH_STALL);
     let stall_plan = FaultPlan::quiet().with_flap(5, 10_000, Fig1::B, Fig1::D);
     let mut stall = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), stall_plan);
     stall.attach_telemetry(&telemetry);
@@ -254,7 +242,6 @@ fn main() {
         stall_dump.len(),
         flight::REASON_HEALTH_STALL
     );
-    std::fs::remove_dir_all(&stall_dir).ok();
 
     let mut kind_counts: BTreeMap<&str, u64> = BTreeMap::new();
     for event in ring.events() {

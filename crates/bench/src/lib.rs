@@ -17,8 +17,8 @@
 //! * [`table`] — a plain-text table renderer so every binary prints
 //!   paper-style rows that can be pasted into `EXPERIMENTS.md`.
 //! * [`stats`] — small numeric summaries (mean/min/max).
-//! * [`obs`] — the shared `--trace-out` / `--metrics-out` observability
-//!   surface (see `docs/OBSERVABILITY.md`).
+//! * [`obs`] — the shared `--obs-out DIR` observability bundle (see
+//!   `docs/OBSERVABILITY.md`).
 
 #![forbid(unsafe_code)]
 

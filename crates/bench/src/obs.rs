@@ -1,286 +1,223 @@
 //! Shared observability CLI surface for experiment binaries.
 //!
-//! Every instrumented binary accepts the same two optional flags:
+//! Every instrumented binary accepts one optional flag, `--obs-out DIR`.
+//! It creates `DIR` and leaves the run's artifacts there under fixed
+//! names — the bundle layout, which is the whole contract (there is no
+//! manifest file):
 //!
-//! * `--trace-out PATH` — stream the structured event trace as JSONL
-//!   (one [`bgpvcg_telemetry::TraceEvent`] per line) to `PATH`.
-//! * `--metrics-out PATH` — at exit, write the final metrics snapshot as
-//!   JSON to `PATH` and as Prometheus text exposition to a sibling file
-//!   with the extension replaced by `.prom`.
-//! * `--flight-out PATH` — where a binary that wires up a divergence
-//!   flight recorder ([`bgpvcg_telemetry::flight`]) should dump the
-//!   last-events ring and state snapshot if a run overruns its stage
-//!   budget. Binaries that attach no recorder accept and ignore it.
-//! * `--health-out PATH` — at exit, write the streaming health monitor's
-//!   report (`bgpvcg-health-v1`: findings plus per-destination
-//!   convergence-latency quantiles; see [`bgpvcg_telemetry::health`]).
-//! * `--profile-out PATH` — at exit, write the span profiler's report
-//!   (`bgpvcg-profile-v1`) plus a collapsed-stack text sibling with the
-//!   extension replaced by `.folded` (flamegraph-ready; see
+//! * [`TRACE`] — the structured event trace as JSONL, one
+//!   [`bgpvcg_telemetry::TraceEvent`] per line.
+//! * [`METRICS`] — the final metrics snapshot as JSON
+//!   ([`bgpvcg_telemetry::MetricsSnapshot::to_json`]).
+//! * [`HEALTH`] — the streaming health monitor's report
+//!   (`bgpvcg-health-v1`: findings plus per-destination convergence
+//!   latency quantiles; see [`bgpvcg_telemetry::health`]).
+//! * [`PROFILE`] + [`FOLDED`] — the span profiler's report
+//!   (`bgpvcg-profile-v1`) and its flamegraph-ready collapsed stacks (see
 //!   [`bgpvcg_telemetry::profile`]).
+//! * `flight*.json` ([`FLIGHT`], [`FLIGHT_HEALTH_STALL`]) — a divergence
+//!   flight-recorder dump ([`bgpvcg_telemetry::flight`]), present only
+//!   when a run dumped one.
 //!
-//! Without flags the binaries behave exactly as before: the registry still
-//! aggregates (the tables are printed from it), but nothing hits disk.
-//! See `docs/OBSERVABILITY.md` for the event taxonomy and metric names.
+//! A binary writes only the artifacts it produces: health and profile
+//! reports come from the binaries that attach those instruments. Without
+//! the flag the runs are the same (the registry still aggregates and the
+//! tables are printed from it), but nothing hits disk except a flight
+//! dump a binary reads back; that lands in one per-process temp directory
+//! which [`ObsConfig::finish`] removes. See `docs/OBSERVABILITY.md` for
+//! the event taxonomy, metric names and who reads each file.
 
-use bgpvcg_telemetry::{expose, HealthMonitor, SpanProfiler, Telemetry};
+use bgpvcg_telemetry::{HealthMonitor, SpanProfiler, Telemetry};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-/// Parsed `--trace-out` / `--metrics-out` / `--flight-out` /
-/// `--health-out` / `--profile-out` flags plus the [`Telemetry`] handle
-/// they configure.
+/// The JSONL event trace.
+pub const TRACE: &str = "trace.jsonl";
+/// The final metrics snapshot.
+pub const METRICS: &str = "metrics.json";
+/// The `bgpvcg-health-v1` report.
+pub const HEALTH: &str = "health.json";
+/// The `bgpvcg-profile-v1` report.
+pub const PROFILE: &str = "profile.json";
+/// The span profile's collapsed stacks.
+pub const FOLDED: &str = "profile.folded";
+/// A flight-recorder dump (stage-budget overrun or audit violation).
+pub const FLIGHT: &str = "flight.json";
+/// A flight-recorder dump armed by the health monitor's stall detector.
+pub const FLIGHT_HEALTH_STALL: &str = "flight-health-stall.json";
+
+/// The parsed `--obs-out DIR` flag plus the [`Telemetry`] handle it
+/// configures.
 #[derive(Debug)]
 pub struct ObsConfig {
-    metrics_out: Option<PathBuf>,
-    flight_out: Option<PathBuf>,
-    health_out: Option<PathBuf>,
-    profile_out: Option<PathBuf>,
+    dir: Option<PathBuf>,
     telemetry: Telemetry,
 }
 
 impl ObsConfig {
-    /// Parses the process arguments. Unknown flags print usage to stderr
-    /// and exit with status 2, so a typo never silently runs the (often
-    /// minutes-long) sweep without its requested outputs.
+    /// Parses the process arguments. Any other argument — a retired
+    /// per-artifact flag such as `--trace-out` included — prints usage to
+    /// stderr and exits with status 2, so a stale script never silently
+    /// runs the (often minutes-long) sweep without its requested outputs.
     pub fn from_args() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+        let (dir, rest) = split(std::env::args().skip(1));
+        if let Some(arg) = rest.first() {
+            eprintln!("unknown argument `{arg}`");
+            eprintln!("usage: <experiment> [--obs-out DIR]");
+            exit(2);
+        }
+        Self::open(dir)
     }
 
-    /// Splits `args` into the shared observability flags (consumed into an
-    /// `ObsConfig`) and everything else (returned for the binary's own
-    /// parser). Lets experiments with their own CLIs (`--smoke`, `--out`,
-    /// ...) still accept the shared `--trace-out`/.../`--profile-out`
-    /// surface.
+    /// Splits `args` into `--obs-out DIR` (consumed into an `ObsConfig`)
+    /// and everything else (returned for the binary's own parser, whose
+    /// usage line names `[--obs-out DIR]`).
     pub fn extract<I: IntoIterator<Item = String>>(args: I) -> (Self, Vec<String>) {
-        let mut obs_args = Vec::new();
-        let mut rest = Vec::new();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            if matches!(
-                arg.as_str(),
-                "--trace-out" | "--metrics-out" | "--flight-out" | "--health-out" | "--profile-out"
-            ) {
-                match args.next() {
-                    Some(path) => {
-                        obs_args.push(arg);
-                        obs_args.push(path);
-                    }
-                    None => {
-                        eprintln!("`{arg}` requires a PATH argument");
-                        exit(2);
-                    }
-                }
-            } else {
-                rest.push(arg);
-            }
-        }
-        (Self::from_iter(obs_args), rest)
+        let (dir, rest) = split(args);
+        (Self::open(dir), rest)
     }
 
-    fn from_iter<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut trace_out: Option<PathBuf> = None;
-        let mut metrics_out: Option<PathBuf> = None;
-        let mut flight_out: Option<PathBuf> = None;
-        let mut health_out: Option<PathBuf> = None;
-        let mut profile_out: Option<PathBuf> = None;
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let slot = match arg.as_str() {
-                "--trace-out" => &mut trace_out,
-                "--metrics-out" => &mut metrics_out,
-                "--flight-out" => &mut flight_out,
-                "--health-out" => &mut health_out,
-                "--profile-out" => &mut profile_out,
-                _ => {
-                    eprintln!("unknown argument `{arg}`");
-                    eprintln!(
-                        "usage: <experiment> [--trace-out PATH] \
-                         [--metrics-out PATH] [--flight-out PATH] \
-                         [--health-out PATH] [--profile-out PATH]"
-                    );
-                    exit(2);
-                }
-            };
-            match args.next() {
-                Some(path) => *slot = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("`{arg}` requires a PATH argument");
-                    exit(2);
-                }
+    /// Creates the bundle directory and opens its trace.
+    fn open(dir: Option<PathBuf>) -> Self {
+        let telemetry = match &dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)
+                    .unwrap_or_else(|err| panic!("cannot create {}: {err}", dir.display()));
+                let path = dir.join(TRACE);
+                Telemetry::jsonl_file(&path)
+                    .unwrap_or_else(|err| panic!("cannot open {}: {err}", path.display()))
             }
-        }
-        let telemetry = match &trace_out {
-            Some(path) => Telemetry::jsonl_file(path)
-                .unwrap_or_else(|err| panic!("cannot open {}: {err}", path.display())),
             None => Telemetry::null(),
         };
-        ObsConfig {
-            metrics_out,
-            flight_out,
-            health_out,
-            profile_out,
-            telemetry,
-        }
+        ObsConfig { dir, telemetry }
     }
 
-    /// Where a flight-recorder dump should land if a run diverges, when
-    /// the caller asked for one with `--flight-out`.
-    pub fn flight_out(&self) -> Option<&Path> {
-        self.flight_out.as_deref()
+    /// The bundle directory, when `--obs-out` was given.
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
     }
 
-    /// Where the health report should land (`--health-out`).
-    pub fn health_out(&self) -> Option<&Path> {
-        self.health_out.as_deref()
+    /// Where a flight dump named `name` lands: in the bundle if there is
+    /// one, else in this process's temp directory (created on demand,
+    /// removed by [`ObsConfig::finish`]).
+    pub fn flight_path(&self, name: &str) -> PathBuf {
+        let dir = self.dir.clone().unwrap_or_else(scratch_dir);
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|err| panic!("cannot create {}: {err}", dir.display()));
+        dir.join(name)
     }
 
-    /// Where the profile report should land (`--profile-out`).
-    pub fn profile_out(&self) -> Option<&Path> {
-        self.profile_out.as_deref()
-    }
-
-    /// Writes `monitor`'s `bgpvcg-health-v1` report to the `--health-out`
-    /// path, if one was given. Call once, with the sweep's merged (or
-    /// final) monitor state.
+    /// Writes `monitor`'s report to the bundle's [`HEALTH`]. Call once,
+    /// with the sweep's merged (or final) monitor state.
     pub fn write_health(&self, monitor: &HealthMonitor) {
-        if let Some(path) = &self.health_out {
-            write_or_die(path, &monitor.to_json());
-        }
+        self.write(HEALTH, &monitor.to_json());
     }
 
-    /// Writes `profiler`'s `bgpvcg-profile-v1` report to the
-    /// `--profile-out` path plus its collapsed-stack text to the
-    /// `.folded` sibling, if a path was given.
+    /// Writes `profiler`'s report to the bundle's [`PROFILE`] and its
+    /// collapsed stacks to [`FOLDED`].
     pub fn write_profile(&self, profiler: &SpanProfiler) {
-        if let Some(path) = &self.profile_out {
-            write_or_die(path, &profiler.to_json());
-            write_or_die(&path.with_extension("folded"), &profiler.collapsed());
-        }
+        self.write(PROFILE, &profiler.to_json());
+        self.write(FOLDED, &profiler.collapsed());
     }
 
     /// The telemetry handle every run in the binary should share, so the
-    /// final exposition aggregates the whole sweep.
+    /// final snapshot aggregates the whole sweep.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
-    /// Flushes the trace and writes the metrics expositions (JSON at the
-    /// `--metrics-out` path, Prometheus text at its `.prom` sibling).
+    /// Flushes the trace and writes the bundle's [`METRICS`]; without a
+    /// bundle, removes the temp directory of [`ObsConfig::flight_path`].
     /// Call once, after the last run.
     pub fn finish(&self) {
         self.telemetry.flush();
-        let Some(path) = &self.metrics_out else {
-            return;
-        };
-        let snapshot = self.telemetry.snapshot();
-        write_or_die(path, &expose::json(&snapshot));
-        write_or_die(
-            &path.with_extension("prom"),
-            &expose::prometheus_text(&snapshot),
-        );
+        if self.dir.is_some() {
+            self.write(METRICS, &self.telemetry.snapshot().to_json());
+        } else {
+            std::fs::remove_dir_all(scratch_dir()).ok();
+        }
+    }
+
+    fn write(&self, name: &str, contents: &str) {
+        if let Some(dir) = &self.dir {
+            let path = dir.join(name);
+            std::fs::write(&path, contents)
+                .unwrap_or_else(|err| panic!("cannot write {}: {err}", path.display()));
+        }
     }
 }
 
-fn write_or_die(path: &Path, contents: &str) {
-    std::fs::write(path, contents)
-        .unwrap_or_else(|err| panic!("cannot write {}: {err}", path.display()));
+/// Takes `--obs-out DIR` out of `args`; a missing `DIR` exits with
+/// status 2.
+fn split<I: IntoIterator<Item = String>>(args: I) -> (Option<PathBuf>, Vec<String>) {
+    let mut dir = None;
+    let mut rest = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg != "--obs-out" {
+            rest.push(arg);
+        } else if let Some(path) = args.next() {
+            dir = Some(PathBuf::from(path));
+        } else {
+            eprintln!("`--obs-out` requires a DIR argument");
+            exit(2);
+        }
+    }
+    (dir, rest)
+}
+
+/// The per-process directory flight dumps fall back to without a bundle.
+fn scratch_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("bgpvcg-obs-{}", std::process::id()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpvcg_telemetry::profile::span;
     use bgpvcg_telemetry::TraceEvent;
 
     #[test]
-    fn no_flags_yields_a_null_sink_and_no_files() {
-        let config = ObsConfig::from_iter(Vec::new());
-        config
-            .telemetry()
-            .record(&TraceEvent::StageStart { stage: 1 });
-        config.finish(); // must not write anywhere
-        assert!(config.metrics_out.is_none());
-        assert!(config.flight_out().is_none());
-    }
-
-    #[test]
-    fn flight_out_is_parsed_and_exposed() {
-        let config = ObsConfig::from_iter([
-            "--flight-out".to_string(),
-            "target/obs/flight.json".to_string(),
-        ]);
-        assert_eq!(
-            config.flight_out().unwrap().to_str().unwrap(),
-            "target/obs/flight.json"
-        );
-    }
-
-    #[test]
-    fn extract_splits_obs_flags_from_binary_flags() {
+    fn obs_out_creates_a_bundle_of_exactly_the_documented_files() {
+        let dir = std::env::temp_dir().join(format!("bgpvcg-obs-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let (config, rest) = ObsConfig::extract(
             [
                 "--smoke",
-                "--health-out",
-                "target/obs/health.json",
+                "--obs-out",
+                dir.to_str().unwrap(),
                 "--out",
                 "x.json",
-                "--profile-out",
-                "target/obs/profile.json",
             ]
             .map(str::to_string),
         );
-        assert_eq!(
-            config.health_out().unwrap().to_str().unwrap(),
-            "target/obs/health.json"
-        );
-        assert_eq!(
-            config.profile_out().unwrap().to_str().unwrap(),
-            "target/obs/profile.json"
-        );
-        assert!(config.flight_out().is_none());
         assert_eq!(rest, ["--smoke", "--out", "x.json"]);
-    }
+        assert!(dir.is_dir(), "--obs-out creates the bundle directory");
+        assert_eq!(config.flight_path(FLIGHT), dir.join(FLIGHT));
 
-    #[test]
-    fn health_and_profile_writers_emit_schema_pinned_artifacts() {
-        use bgpvcg_telemetry::profile::span;
-        let dir = std::env::temp_dir().join("bgpvcg-obs-writers-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let health_path = dir.join("health.json");
-        let profile_path = dir.join("profile.json");
-        let config = ObsConfig::from_iter([
-            "--health-out".to_string(),
-            health_path.display().to_string(),
-            "--profile-out".to_string(),
-            profile_path.display().to_string(),
-        ]);
+        config
+            .telemetry()
+            .record(&TraceEvent::StageStart { stage: 1 });
+        config.telemetry().counter("bgp_messages_total").add(7);
         config.write_health(&HealthMonitor::new(Default::default()));
         let mut profiler = SpanProfiler::engine();
         profiler.enter(span::STAGE, 10);
         profiler.exit(30);
         config.write_profile(&profiler);
-        let health = std::fs::read_to_string(&health_path).unwrap();
-        assert!(health.contains("bgpvcg-health-v1"), "{health}");
-        let profile = std::fs::read_to_string(&profile_path).unwrap();
-        assert!(profile.contains("bgpvcg-profile-v1"), "{profile}");
-        let folded = std::fs::read_to_string(profile_path.with_extension("folded")).unwrap();
-        assert!(folded.contains("stage 20"), "{folded}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn metrics_out_writes_json_and_prom_siblings() {
-        let dir = std::env::temp_dir().join("bgpvcg-obs-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json_path = dir.join("metrics.json");
-        let config =
-            ObsConfig::from_iter(["--metrics-out".to_string(), json_path.display().to_string()]);
-        config.telemetry().counter("bgp_messages_total").add(7);
         config.finish();
-        let json = std::fs::read_to_string(&json_path).unwrap();
-        assert!(json.contains("\"bgp_messages_total\":7"), "{json}");
-        let prom = std::fs::read_to_string(json_path.with_extension("prom")).unwrap();
-        assert!(prom.contains("bgp_messages_total 7"), "{prom}");
+
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, [HEALTH, METRICS, FOLDED, PROFILE, TRACE]);
+        let read = |name| std::fs::read_to_string(dir.join(name)).unwrap();
+        assert_eq!(read(TRACE).lines().count(), 1);
+        assert!(read(METRICS).contains("\"bgp_messages_total\":7"));
+        assert!(read(HEALTH).contains("bgpvcg-health-v1"));
+        assert!(read(PROFILE).contains("bgpvcg-profile-v1"));
+        assert!(read(FOLDED).contains("stage 20"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

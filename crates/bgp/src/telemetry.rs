@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Canonical metric names shared by the engines and every experiment
-/// binary, so `--metrics-out` expositions are comparable across runs.
+/// binary, so bundle `metrics.json` files are comparable across runs.
 pub mod metric {
     /// UPDATE broadcasts (one per advertising node per change, not per
     /// link).

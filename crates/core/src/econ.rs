@@ -44,9 +44,9 @@ impl EconomicsSampler {
         EconomicsSampler {
             true_costs: graph.costs().to_vec(),
             per_as: (0..graph.node_count())
-                .map(|_| TimeSeries::new("vcg_premium", capacity))
+                .map(|_| TimeSeries::new(capacity))
                 .collect(),
-            aggregate: TimeSeries::new("vcg_welfare", capacity),
+            aggregate: TimeSeries::new(capacity),
             telemetry: None,
         }
     }
@@ -93,22 +93,6 @@ impl EconomicsSampler {
             .iter()
             .map(|series| series.last().map_or(0, |(_, v)| v))
             .collect()
-    }
-
-    /// JSON report: the aggregate trajectory plus one per-AS series.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.per_as.len() * 64);
-        out.push_str("{\"aggregate\":");
-        out.push_str(&self.aggregate.to_json());
-        out.push_str(",\"per_as\":[");
-        for (k, series) in self.per_as.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&series.to_json());
-        }
-        out.push_str("]}");
-        out
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`bgpvcg_bgp::telemetry::metric`]; this module names the metrics the
 //! mechanism itself contributes — payment settlement, the
 //! strategyproofness harness and the economic gauges — so every experiment
-//! binary's `--metrics-out` exposition uses one vocabulary. See
+//! binary's bundle `metrics.json` uses one vocabulary. See
 //! `docs/OBSERVABILITY.md` for the full taxonomy.
 
 /// Mechanism metric names (`vcg_*` namespace).

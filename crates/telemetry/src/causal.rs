@@ -16,7 +16,7 @@
 //!   crosses at least one synchronous stage boundary, so its *edge* length
 //!   is bounded by the stage count the engine reported at quiescence — the
 //!   cross-check [`CausalDag::validate`] performs per update
-//!   (`depth(u) ≤ stage(u)`) and `cargo xtask obs --causal` reports.
+//!   (`depth(u) ≤ stage(u)`) and `cargo xtask obs` reports.
 //! * **Message amplification** attributes each update to the AS whose
 //!   earlier update caused it; **price churn** attributes each
 //!   `PriceRelaxed` to its destination.
@@ -442,7 +442,7 @@ impl CausalDag {
     }
 }
 
-/// Schema tag of the causal-summary artifact `cargo xtask obs --causal`
+/// Schema tag of the causal-summary artifact `cargo xtask obs`
 /// writes (and [`validate_summary_json`] checks).
 pub const SUMMARY_SCHEMA: &str = "bgpvcg-causal-summary-v1";
 

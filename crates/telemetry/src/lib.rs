@@ -8,8 +8,8 @@
 //! Four layers:
 //!
 //! 1. **Metrics** ([`MetricsRegistry`]): named counters, gauges, and
-//!    histograms with atomic updates, exposed via
-//!    [`expose::prometheus_text`] and [`expose::json`].
+//!    histograms with atomic updates, exported as JSON by
+//!    [`MetricsSnapshot::to_json`].
 //! 2. **Tracing** ([`TraceEvent`], [`TraceSink`]): a typed event stream
 //!    (`StageStart`, `RouteSelected`, `PriceRelaxed`, `Withdrawn`,
 //!    `Quiescent`, plus the fault vocabulary `FaultInjected`,
@@ -49,7 +49,6 @@
 pub mod causal;
 pub mod clock;
 pub mod event;
-pub mod expose;
 pub mod flight;
 pub mod health;
 pub mod json;

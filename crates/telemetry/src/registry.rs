@@ -88,7 +88,7 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of one histogram, for exposition.
+/// Point-in-time copy of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bounds of the finite buckets.
@@ -102,7 +102,7 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
-/// Point-in-time copy of the whole registry, for exposition.
+/// Point-in-time copy of the whole registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -111,6 +111,31 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Histogram contents by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+impl MetricsSnapshot {
+    /// Renders the snapshot as one JSON object:
+    /// `{"counters":{...},"gauges":{...},"histograms":{"name":{"bounds":[...],
+    /// "buckets":[...],"sum":N,"count":N}}}`. Keys are sorted (BTreeMap
+    /// order), so output is deterministic and diffable.
+    pub fn to_json(&self) -> String {
+        fn object<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> String) -> String {
+            let fields: Vec<String> = map
+                .iter()
+                .map(|(name, v)| format!("\"{name}\":{}", value(v)))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        }
+        format!(
+            "{{\"counters\":{},\"gauges\":{},\"histograms\":{}}}",
+            object(&self.counters, u64::to_string),
+            object(&self.gauges, u64::to_string),
+            object(&self.histograms, |h| format!(
+                "{{\"bounds\":{:?},\"buckets\":{:?},\"sum\":{},\"count\":{}}}",
+                h.bounds, h.buckets, h.sum, h.count
+            )),
+        )
+    }
 }
 
 /// Default histogram bounds for nanosecond durations: powers of four from
@@ -286,6 +311,30 @@ mod tests {
         let snap = registry.snapshot().histograms["lat"].clone();
         assert_eq!(snap.buckets, vec![2, 1, 1]);
         assert_eq!(snap.bounds, vec![10, 100]);
+    }
+
+    #[test]
+    fn snapshot_json_is_exact_and_parses() {
+        let registry = MetricsRegistry::new();
+        assert_eq!(
+            registry.snapshot().to_json(),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
+        );
+        registry.counter("bgp_messages_total").add(12);
+        registry.counter("a").inc();
+        registry.gauge("bgp_stages_to_quiescence").set(4);
+        let h = registry.histogram_with_bounds("lat", &[10, 100]);
+        h.observe(5);
+        h.observe(500);
+        let json = registry.snapshot().to_json();
+        assert_eq!(
+            json,
+            "{\"counters\":{\"a\":1,\"bgp_messages_total\":12},\
+             \"gauges\":{\"bgp_stages_to_quiescence\":4},\
+             \"histograms\":{\"lat\":{\"bounds\":[10, 100],\"buckets\":[1, 0, 1],\
+             \"sum\":505,\"count\":2}}}"
+        );
+        assert!(crate::json::parse(&json).is_ok());
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub const SKETCH_BUCKETS: usize = 65;
 /// A fixed-capacity ring of `(stage, value)` samples in arrival order.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
-    name: &'static str,
     samples: Vec<(u64, u64)>,
     capacity: usize,
     head: usize,
@@ -42,20 +41,14 @@ impl TimeSeries {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(name: &'static str, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "time series capacity must be positive");
         TimeSeries {
-            name,
             samples: Vec::with_capacity(capacity),
             capacity,
             head: 0,
             dropped: 0,
         }
-    }
-
-    /// The series name (used as the JSON key on export).
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Appends one sample, overwriting the oldest once full. Never
@@ -103,28 +96,6 @@ impl TimeSeries {
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let (tail, front) = self.samples.split_at(self.head);
         front.iter().chain(tail.iter()).copied()
-    }
-
-    /// Compact JSON: `{"name":"...","dropped":N,"points":[[stage,value],..]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + self.len() * 12);
-        out.push_str("{\"name\":\"");
-        out.push_str(self.name);
-        out.push_str("\",\"dropped\":");
-        out.push_str(&self.dropped.to_string());
-        out.push_str(",\"points\":[");
-        for (i, (stage, value)) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            out.push_str(&stage.to_string());
-            out.push(',');
-            out.push_str(&value.to_string());
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -272,7 +243,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let mut series = TimeSeries::new("s", 3);
+        let mut series = TimeSeries::new(3);
         for stage in 1..=5u64 {
             series.push(stage, stage * 10);
         }
@@ -281,17 +252,6 @@ mod tests {
         let points: Vec<_> = series.iter().collect();
         assert_eq!(points, vec![(3, 30), (4, 40), (5, 50)]);
         assert_eq!(series.last(), Some((5, 50)));
-    }
-
-    #[test]
-    fn series_json_is_exact() {
-        let mut series = TimeSeries::new("premium", 4);
-        series.push(1, 7);
-        series.push(2, 9);
-        assert_eq!(
-            series.to_json(),
-            "{\"name\":\"premium\",\"dropped\":0,\"points\":[[1,7],[2,9]]}"
-        );
     }
 
     #[test]

@@ -14,39 +14,32 @@
 //!   verify the invariant-hook wiring is present, then run the test suite
 //!   with `--features invariant-checks` so the debug assertions execute.
 //!   `--static-only` skips the test run.
-//! - `obs`   — the observability pipeline: run the `obs_smoke` fixture with
-//!   `--trace-out`/`--metrics-out`, decode every trace line as a
-//!   `TraceEvent`, require full event-kind coverage, check both metric
-//!   expositions, and print the per-stage convergence summary. `--causal`
-//!   additionally runs the traced E3 sweep, rebuilds the causal provenance
-//!   DAG of every run segment (acyclicity, origin-root, and
-//!   critical-path-vs-stages validation), and writes a schema-validated
-//!   causal summary to `target/obs/causal.json`. `--health` additionally
-//!   collects and validates the SLO health report (`bgpvcg-health-v1`:
-//!   zero findings on the honest phase, exactly the seeded
-//!   `HealthVerdict` events in the trace); `--profile` collects and
-//!   validates the span profile (`bgpvcg-profile-v1`: ≥ 6 engine phases
-//!   observed, inclusive ≥ exclusive nanos, no truncated exits, non-empty
-//!   collapsed stacks). See `docs/OBSERVABILITY.md`.
-//! - `bench` — the perf-record pipeline: run the E14 scale benchmark
-//!   (serial vs parallel, asserted bit-identical) and validate the emitted
-//!   `BENCH_scale.json` against the checked-in schema. `--smoke` runs small
-//!   sizes for CI and also re-validates the checked-in `BENCH_chaos.json`.
-//!   `--compare` regenerates the full trajectory into `target/bench/` and
-//!   diffs it field-by-field against the committed baseline (timing fields
-//!   exempt, per the schema's `timing` list). See `docs/PERFORMANCE.md`.
-//! - `chaos` — the robustness pipeline: run the E19 chaos benchmark (every
-//!   run asserted bit-identical to the fault-free fixpoint) and validate
-//!   the emitted `BENCH_chaos.json` against the checked-in schema.
-//!   `--smoke` runs small sizes for CI; `--compare` diffs a fresh full
-//!   trajectory against the committed baseline. See `docs/ROBUSTNESS.md`.
-//! - `ci`    — the full offline-tolerant pipeline: fmt check, lint, clippy
-//!   wall, workspace tests, invariant-checked tests, obs --causal --health --profile,
-//!   bench --smoke --compare, chaos --smoke --compare. Steps whose
-//!   external tool is unavailable (no rustfmt/clippy component) are
-//!   reported and skipped rather than failed, so `ci` works in minimal
-//!   containers.
+//! - `obs`   — the observability pipeline: run the `obs_smoke` fixture
+//!   into the bundle `target/obs/smoke/` and the traced E3 sweep into
+//!   `target/obs/e3/` (`--obs-out`), decode every trace line as a
+//!   `TraceEvent`, check that the smoke bundle's metrics, health and
+//!   profile files parse (counters non-zero, schema tags present, collapsed
+//!   stacks non-empty), print the per-stage convergence summary, and
+//!   validate the causal provenance DAG of every E3 run segment, writing
+//!   the summary to `target/obs/e3/causal.json`. See
+//!   `docs/OBSERVABILITY.md`.
+//! - `bench` / `chaos` — the two determinism gates: run E14 (serial vs
+//!   parallel, asserted bit-identical) or E19 (every run asserted to
+//!   self-stabilize to the fault-free fixpoint) and validate the emitted
+//!   JSON against the checked-in schema. `--smoke` runs small sizes into
+//!   `target/bench/` and also validates the committed `BENCH_scale.json` /
+//!   `BENCH_chaos.json`; `--compare` regenerates the full trajectory into
+//!   `target/bench/` and requires it to equal the committed baseline line
+//!   for line. See `docs/PERFORMANCE.md` and `docs/ROBUSTNESS.md`.
+//! - `ci`    — the full offline-tolerant pipeline: fmt check, lint,
+//!   analyze, audit, clippy wall, workspace tests, invariant-checked
+//!   tests, obs, bench and chaos `--smoke --compare`, the e20 adversary
+//!   smoke and the microbench smokes. Steps whose external tool is
+//!   unavailable (no rustfmt/clippy component) are reported and skipped
+//!   rather than failed, so `ci` works in minimal containers.
 
+use bgpvcg_bench::obs;
+use bgpvcg_telemetry::json::{self, JsonValue};
 use bgpvcg_telemetry::TraceEvent;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -60,19 +53,10 @@ fn main() -> ExitCode {
         Some("lint") => cmd_lint(&root),
         Some("analyze") => cmd_analyze(&root),
         Some("audit") => cmd_audit(&root, args.iter().any(|a| a == "--static-only")),
-        Some("obs") => cmd_obs(
+        Some("obs") => cmd_obs(&root),
+        Some(name @ ("bench" | "chaos")) => cmd_gate(
             &root,
-            args.iter().any(|a| a == "--causal"),
-            args.iter().any(|a| a == "--health"),
-            args.iter().any(|a| a == "--profile"),
-        ),
-        Some("bench") => cmd_bench(
-            &root,
-            args.iter().any(|a| a == "--smoke"),
-            args.iter().any(|a| a == "--compare"),
-        ),
-        Some("chaos") => cmd_chaos(
-            &root,
+            if name == "bench" { &SCALE } else { &CHAOS },
             args.iter().any(|a| a == "--smoke"),
             args.iter().any(|a| a == "--compare"),
         ),
@@ -102,40 +86,25 @@ fn print_help() {
          \taudit [--static-only]\n\
          \t                    check allowlist hygiene + invariant-hook wiring,\n\
          \t                    then run tests with --features invariant-checks\n\
-         \tobs [--causal] [--health] [--profile]\n\
-         \t                    run the traced smoke topology, decode every JSONL\n\
-         \t                    trace line as a TraceEvent, check metric\n\
-         \t                    expositions, print the convergence summary;\n\
-         \t                    --causal also runs the traced E3 sweep, validates\n\
-         \t                    every run's causal provenance DAG (acyclic,\n\
-         \t                    stage-0 roots, critical path <= stages) and\n\
-         \t                    writes target/obs/causal.json; --health validates\n\
-         \t                    the SLO health report (zero findings honest,\n\
-         \t                    exactly the seeded HealthVerdicts in the trace)\n\
-         \t                    at target/obs/health.json; --profile validates\n\
-         \t                    the span profile (>= 6 phases, no truncation)\n\
-         \t                    at target/obs/profile.json + .folded\n\
+         \tobs                 run obs_smoke and the traced E3 sweep into the\n\
+         \t                    bundles target/obs/smoke/ and target/obs/e3/,\n\
+         \t                    decode every trace line as a TraceEvent, check\n\
+         \t                    metrics/health/profile parse, print the per-stage\n\
+         \t                    summary, validate every E3 causal DAG and write\n\
+         \t                    target/obs/e3/causal.json\n\
          \tbench [--smoke] [--compare]\n\
-         \t                    run the E14 scale benchmark (serial vs parallel)\n\
-         \t                    and validate BENCH_scale.json against\n\
-         \t                    crates/bench/bench-scale-schema.json; --smoke\n\
-         \t                    runs small sizes into target/bench/ and also\n\
-         \t                    validates the checked-in trajectory files\n\
-         \t                    (scale and chaos); --compare regenerates the\n\
-         \t                    full trajectory and diffs it against the\n\
-         \t                    committed baseline (timing fields exempt)\n\
+         \t                    run E14 (serial vs parallel) and validate\n\
+         \t                    BENCH_scale.json against its schema; --smoke runs\n\
+         \t                    small sizes into target/bench/ and validates the\n\
+         \t                    committed file; --compare requires a fresh full\n\
+         \t                    run to equal it line for line\n\
          \tchaos [--smoke] [--compare]\n\
-         \t                    run the E19 chaos benchmark (seeded faults,\n\
-         \t                    self-stabilization asserted) and validate\n\
-         \t                    BENCH_chaos.json against\n\
-         \t                    crates/bench/bench-chaos-schema.json; --smoke\n\
-         \t                    runs small sizes into target/bench/; --compare\n\
-         \t                    diffs a fresh full trajectory against the\n\
-         \t                    committed baseline\n\
+         \t                    the same gate over E19 (seeded faults,\n\
+         \t                    self-stabilization asserted) and BENCH_chaos.json\n\
          \tci                  fmt check, lint, analyze, clippy, tests,\n\
-         \t                    invariant tests, obs --causal --health --profile,\n\
-         \t                    bench --smoke --compare, chaos --smoke --compare,\n\
-         \t                    e20_adversary --smoke\n\
+         \t                    invariant tests, obs, bench and chaos --smoke\n\
+         \t                    --compare, e20_adversary --smoke, microbench\n\
+         \t                    smokes\n\
          \thelp                this message"
     );
 }
@@ -422,396 +391,167 @@ fn run_step(root: &Path, label: &str, program: &str, args: &[&str], optional: bo
     }
 }
 
-/// The observability pipeline: run the traced smoke topology, decode
-/// every JSONL line as a [`TraceEvent`], require full event-kind
-/// coverage, sanity-check both metric expositions, and print a per-stage
-/// convergence summary table. With `causal`, additionally run the traced
-/// E3 sweep and validate + summarize its causal provenance DAGs (see
-/// [`run_causal`]). See `docs/OBSERVABILITY.md`.
-fn cmd_obs(root: &Path, causal: bool, health: bool, profile: bool) -> ExitCode {
-    use bgpvcg_telemetry::json;
-    use std::collections::BTreeMap;
-
-    let out_dir = root.join("target").join("obs");
-    if let Err(err) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("xtask obs: cannot create {}: {err}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    let trace_path = out_dir.join("trace.jsonl");
-    let metrics_path = out_dir.join("metrics.json");
-    let health_path = out_dir.join("health.json");
-    let profile_path = out_dir.join("profile.json");
-    let mut run_args: Vec<String> = [
-        "run",
-        "--release",
-        "-q",
-        "-p",
-        "bgpvcg-bench",
-        "--bin",
-        "obs_smoke",
-        "--",
-        "--trace-out",
-    ]
-    .map(str::to_string)
-    .to_vec();
-    run_args.push(trace_path.display().to_string());
-    run_args.push("--metrics-out".to_string());
-    run_args.push(metrics_path.display().to_string());
-    if health {
-        run_args.push("--health-out".to_string());
-        run_args.push(health_path.display().to_string());
-    }
-    if profile {
-        run_args.push("--profile-out".to_string());
-        run_args.push(profile_path.display().to_string());
-    }
-    let run_args: Vec<&str> = run_args.iter().map(String::as_str).collect();
-    let ran = run_step(root, "obs smoke run", "cargo", &run_args, false);
-    if !ran {
-        return ExitCode::FAILURE;
-    }
-
-    // Decode every trace line (decoding is validation: the enum is the
-    // schema), and fold the stream into kind counts and a per-stage summary.
-    let trace = match std::fs::read_to_string(&trace_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("xtask obs: cannot read {}: {err}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut kind_counts: BTreeMap<&str, u64> = BTreeMap::new();
-    // stage -> [selected, relaxed, withdrawn]
-    let mut per_stage: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
-    let mut bad_lines = 0usize;
-    let mut lines = 0usize;
-    for (idx, line) in trace.lines().enumerate() {
-        lines += 1;
-        let event = match TraceEvent::from_json(line) {
-            Ok(event) => event,
-            Err(err) => {
-                println!("{}:{}: {err}", trace_path.display(), idx + 1);
-                bad_lines += 1;
-                continue;
-            }
-        };
-        let slot = match event {
-            TraceEvent::RouteSelected { .. } => Some(0),
-            TraceEvent::PriceRelaxed { .. } => Some(1),
-            TraceEvent::Withdrawn { .. } => Some(2),
-            _ => None,
-        };
-        if let Some(slot) = slot {
-            per_stage.entry(event.stage()).or_insert([0; 3])[slot] += 1;
-        }
-        *kind_counts.entry(event.kind()).or_insert(0) += 1;
-    }
-    println!(
-        "==> trace validation: {} line(s), {} invalid",
-        lines, bad_lines
-    );
-    let mut missing_kinds = 0usize;
-    for kind in TraceEvent::KINDS {
-        if kind_counts.get(kind).copied().unwrap_or(0) == 0 {
-            println!("==> event kind `{kind}` never appeared in the smoke trace");
-            missing_kinds += 1;
-        }
-    }
-
-    println!("\nper-stage convergence summary (stage 0 = origin/reaction broadcasts):");
-    println!("  stage | routes selected | prices relaxed | withdrawals");
-    for (stage, [selected, relaxed, withdrawn]) in &per_stage {
-        println!("  {stage:>5} | {selected:>15} | {relaxed:>14} | {withdrawn:>11}");
-    }
-
-    // Both expositions must exist and parse/scan plausibly.
-    let mut expo_problems = 0usize;
-    match std::fs::read_to_string(&metrics_path) {
-        Ok(text) => match json::parse(&text) {
-            Ok(value) => {
-                for counter in ["bgp_updates_sent_total", "bgp_price_relaxations_total"] {
-                    let present = value
-                        .get("counters")
-                        .and_then(|c| c.get(counter))
-                        .and_then(json::JsonValue::as_u64)
-                        .is_some_and(|v| v > 0);
-                    if !present {
-                        println!("==> metrics JSON: counter `{counter}` missing or zero");
-                        expo_problems += 1;
-                    }
-                }
-            }
-            Err(err) => {
-                println!("==> metrics JSON does not parse: {err}");
-                expo_problems += 1;
-            }
-        },
-        Err(err) => {
-            println!("==> cannot read {}: {err}", metrics_path.display());
-            expo_problems += 1;
-        }
-    }
-    let prom_path = metrics_path.with_extension("prom");
-    match std::fs::read_to_string(&prom_path) {
-        Ok(text) => {
-            for needle in [
-                "# TYPE bgp_messages_total counter",
-                "# TYPE bgp_stages_to_quiescence gauge",
-                "# TYPE bgp_stage_wall_nanos histogram",
-            ] {
-                if !text.contains(needle) {
-                    println!("==> Prometheus exposition is missing `{needle}`");
-                    expo_problems += 1;
-                }
-            }
-        }
-        Err(err) => {
-            println!("==> cannot read {}: {err}", prom_path.display());
-            expo_problems += 1;
-        }
-    }
-
-    // The smoke fixture seeds exactly two SLO verdicts (one oscillation,
-    // one stall) — the trace must carry exactly those, no more, no fewer.
-    let mut health_problems = 0usize;
-    if health {
-        let verdicts = kind_counts.get("HealthVerdict").copied().unwrap_or(0);
-        if verdicts != 2 {
-            println!("==> expected exactly 2 HealthVerdict events in the trace, saw {verdicts}");
-            health_problems += 1;
-        }
-        health_problems += validate_health_artifact(&health_path);
-    }
-    let profile_problems = if profile {
-        validate_profile_artifact(&profile_path)
-    } else {
-        0
-    };
-
-    let causal_problems = if causal { run_causal(root) } else { 0 };
-
-    if bad_lines == 0
-        && missing_kinds == 0
-        && expo_problems == 0
-        && causal_problems == 0
-        && health_problems == 0
-        && profile_problems == 0
-    {
-        println!(
-            "\nxtask obs: trace decodes, all {} event kinds covered, expositions ok{}{}{}",
-            TraceEvent::KINDS.len(),
-            if causal { ", causal DAGs valid" } else { "" },
-            if health { ", health report ok" } else { "" },
-            if profile { ", span profile ok" } else { "" }
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "\nxtask obs: FAILED ({bad_lines} invalid line(s), {missing_kinds} uncovered kind(s), {expo_problems} exposition problem(s), {causal_problems} causal problem(s), {health_problems} health problem(s), {profile_problems} profile problem(s))"
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// Validates the `bgpvcg-health-v1` artifact the smoke fixture wrote for
-/// its *honest* phase: schema-pinned, zero findings, and a non-empty
-/// per-destination latency section. Returns the number of problems
-/// (all printed).
-fn validate_health_artifact(path: &Path) -> usize {
-    use bgpvcg_telemetry::json::{self, JsonValue};
-
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("==> cannot read {}: {err}", path.display());
-            return 1;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(value) => value,
-        Err(err) => {
-            println!("==> health report does not parse: {err}");
-            return 1;
-        }
-    };
-    let mut problems = 0usize;
-    if value.get("schema").and_then(JsonValue::as_str) != Some("bgpvcg-health-v1") {
-        println!("==> health report schema is not `bgpvcg-health-v1`");
-        problems += 1;
-    }
-    match value.get("findings") {
-        Some(JsonValue::Array(findings)) if findings.is_empty() => {}
-        Some(JsonValue::Array(findings)) => {
-            println!(
-                "==> honest health report carries {} finding(s); expected zero",
-                findings.len()
-            );
-            problems += 1;
-        }
-        _ => {
-            println!("==> health report has no `findings` array");
-            problems += 1;
-        }
-    }
-    match value.get("destinations") {
-        Some(JsonValue::Array(dests)) if !dests.is_empty() => {
-            for dest in dests {
-                let count = dest
-                    .get("latency")
-                    .and_then(|l| l.get("count"))
-                    .and_then(JsonValue::as_u64);
-                if count.is_none_or(|c| c == 0) {
-                    println!("==> health report destination with an empty latency sketch");
-                    problems += 1;
-                    break;
-                }
-            }
-        }
-        _ => {
-            println!("==> health report has no per-destination latency quantiles");
-            problems += 1;
-        }
-    }
-    problems
-}
-
-/// Validates the `bgpvcg-profile-v1` artifact plus its `.folded` sibling:
-/// schema-pinned, no truncated exits, at least six engine phases actually
-/// observed (count > 0) with inclusive >= exclusive nanos, and a
-/// non-empty collapsed-stack rendering. Returns the number of problems
-/// (all printed).
-fn validate_profile_artifact(path: &Path) -> usize {
-    use bgpvcg_telemetry::json::{self, JsonValue};
-
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("==> cannot read {}: {err}", path.display());
-            return 1;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(value) => value,
-        Err(err) => {
-            println!("==> span profile does not parse: {err}");
-            return 1;
-        }
-    };
-    let mut problems = 0usize;
-    if value.get("schema").and_then(JsonValue::as_str) != Some("bgpvcg-profile-v1") {
-        println!("==> span profile schema is not `bgpvcg-profile-v1`");
-        problems += 1;
-    }
-    if value.get("truncated").and_then(JsonValue::as_u64) != Some(0) {
-        println!("==> span profile reports truncated span exits");
-        problems += 1;
-    }
-    match value.get("spans") {
-        Some(JsonValue::Array(spans)) => {
-            let mut covered = 0usize;
-            for span in spans {
-                let count = span.get("count").and_then(JsonValue::as_u64).unwrap_or(0);
-                if count == 0 {
-                    continue;
-                }
-                covered += 1;
-                let total = span.get("total_nanos").and_then(JsonValue::as_u64);
-                let self_nanos = span.get("self_nanos").and_then(JsonValue::as_u64);
-                match (total, self_nanos) {
-                    (Some(total), Some(self_nanos)) if total >= self_nanos => {}
-                    _ => {
-                        println!(
-                            "==> span `{}`: inclusive nanos must dominate exclusive nanos",
-                            span.get("name").and_then(JsonValue::as_str).unwrap_or("?")
-                        );
-                        problems += 1;
-                    }
-                }
-            }
-            if covered < 6 {
-                println!(
-                    "==> span profile covers {covered} engine phase(s); the smoke fixture must light up at least 6"
-                );
-                problems += 1;
-            }
-        }
-        _ => {
-            println!("==> span profile has no `spans` array");
-            problems += 1;
-        }
-    }
-    let folded_path = path.with_extension("folded");
-    match std::fs::read_to_string(&folded_path) {
-        Ok(folded) if folded.lines().any(|l| !l.trim().is_empty()) => {}
-        Ok(_) => {
-            println!(
-                "==> collapsed-stack file {} is empty",
-                folded_path.display()
-            );
-            problems += 1;
-        }
-        Err(err) => {
-            println!("==> cannot read {}: {err}", folded_path.display());
-            problems += 1;
-        }
-    }
-    problems
-}
-
-/// The causal half of the observability pipeline: run the full traced E3
-/// convergence sweep, rebuild one provenance DAG per run segment, validate
-/// each (acyclic by monotone ids, roots are stage-0 origin advertisements,
-/// critical path bounded by the reported stage count), and write the
-/// schema-validated summary document to `target/obs/causal.json`. Returns
-/// the number of problems found (all printed).
-fn run_causal(root: &Path) -> usize {
-    use bgpvcg_telemetry::causal::{self, CausalDag};
-
-    let out_dir = root.join("target").join("obs");
-    if let Err(err) = std::fs::create_dir_all(&out_dir) {
-        println!("==> causal: cannot create {}: {err}", out_dir.display());
-        return 1;
-    }
-    let trace_path = out_dir.join("causal-trace.jsonl");
-    let trace_arg = trace_path.display().to_string();
-    if !run_step(
-        root,
-        "causal e3 run",
-        "cargo",
-        &[
+/// The observability pipeline: run `obs_smoke` into `target/obs/smoke/`
+/// and the traced E3 sweep into `target/obs/e3/` (each with `--obs-out`),
+/// then check what the written bundles can show, each once: every trace
+/// line decodes as a [`TraceEvent`]; the smoke bundle's metrics parse
+/// with their two non-zero counters, its health and profile reports parse
+/// with their schema tags, and its collapsed stacks are non-empty; every
+/// causal DAG of the E3 trace and their summary (written to
+/// `target/obs/e3/causal.json`) validate. What the fixture asserts
+/// in-process — every event kind, exactly the two seeded verdicts, profile
+/// coverage, a finding-free honest run — is not checked again here. See
+/// `docs/OBSERVABILITY.md`.
+fn cmd_obs(root: &Path) -> ExitCode {
+    let smoke = root.join("target/obs/smoke");
+    let e3 = root.join("target/obs/e3");
+    for (bin, dir) in [("obs_smoke", &smoke), ("e3_bgp_convergence", &e3)] {
+        let dir_arg = dir.display().to_string();
+        let args = [
             "run",
             "--release",
             "-q",
             "-p",
             "bgpvcg-bench",
             "--bin",
-            "e3_bgp_convergence",
+            bin,
             "--",
-            "--trace-out",
-            &trace_arg,
-        ],
-        false,
-    ) {
-        return 1;
-    }
-    let trace = match std::fs::read_to_string(&trace_path) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("==> causal: cannot read {}: {err}", trace_path.display());
-            return 1;
+            "--obs-out",
+            &dir_arg,
+        ];
+        if !run_step(root, &format!("{bin} run"), "cargo", &args, false) {
+            return ExitCode::FAILURE;
         }
+    }
+
+    let mut problems = match read_trace(&smoke.join(obs::TRACE)) {
+        Ok(events) => {
+            print_stage_summary(&events);
+            0
+        }
+        Err(bad) => bad,
     };
+    problems += read_json(&smoke.join(obs::METRICS)).map_or(1, |metrics| {
+        let mut bad = 0;
+        for counter in ["bgp_updates_sent_total", "bgp_price_relaxations_total"] {
+            let count = metrics.get("counters").and_then(|c| c.get(counter));
+            if count.and_then(JsonValue::as_u64).unwrap_or(0) == 0 {
+                println!("==> {}: counter `{counter}` missing or zero", obs::METRICS);
+                bad += 1;
+            }
+        }
+        bad
+    });
+    for (file, schema) in [
+        (obs::HEALTH, "bgpvcg-health-v1"),
+        (obs::PROFILE, "bgpvcg-profile-v1"),
+    ] {
+        problems += read_json(&smoke.join(file)).map_or(1, |report| {
+            let tagged = report.get("schema").and_then(JsonValue::as_str) == Some(schema);
+            if !tagged {
+                println!("==> {file}: schema is not `{schema}`");
+            }
+            usize::from(!tagged)
+        });
+    }
+    problems += read_text(&smoke.join(obs::FOLDED)).map_or(1, |folded| {
+        let empty = folded.trim().is_empty();
+        if empty {
+            println!("==> {}: no collapsed stacks", obs::FOLDED);
+        }
+        usize::from(empty)
+    });
+    problems += read_trace(&e3.join(obs::TRACE))
+        .map_or_else(|bad| bad, |events| check_causal(&events, &e3));
+
+    if problems == 0 {
+        println!(
+            "\nxtask obs: bundles ok (traces decode, metrics/health/profile parse, causal DAGs valid)"
+        );
+        ExitCode::SUCCESS
+    } else {
+        println!("\nxtask obs: FAILED ({problems} problem(s))");
+        ExitCode::FAILURE
+    }
+}
+
+/// Reads a file, printing the error (and counting it as one problem).
+fn read_text(path: &Path) -> Result<String, usize> {
+    std::fs::read_to_string(path).map_err(|err| {
+        println!("==> cannot read {}: {err}", path.display());
+        1
+    })
+}
+
+/// Reads and parses a JSON file, printing any error.
+fn read_json(path: &Path) -> Result<JsonValue, usize> {
+    parse_json(&read_text(path)?, &path.display().to_string())
+}
+
+/// Parses JSON text, printing the error (and counting it as one problem).
+fn parse_json(text: &str, label: &str) -> Result<JsonValue, usize> {
+    json::parse(text).map_err(|err| {
+        println!("==> {label}: does not parse: {err}");
+        1
+    })
+}
+
+/// Decodes every line of a JSONL trace (decoding is validation: the enum
+/// is the schema). `Err` carries the number of problems, all printed.
+fn read_trace(path: &Path) -> Result<Vec<TraceEvent>, usize> {
+    let text = read_text(path)?;
     let mut events = Vec::new();
-    for (idx, line) in trace.lines().enumerate() {
+    let mut bad = 0usize;
+    for (idx, line) in text.lines().enumerate() {
         match TraceEvent::from_json(line) {
             Ok(event) => events.push(event),
             Err(err) => {
-                println!("==> causal: {}:{}: {err}", trace_path.display(), idx + 1);
-                return 1;
+                println!("{}:{}: {err}", path.display(), idx + 1);
+                bad += 1;
             }
         }
     }
-    let dags = CausalDag::from_events(&events);
+    println!(
+        "==> {}: {} line(s), {bad} invalid",
+        path.display(),
+        events.len() + bad
+    );
+    if bad == 0 {
+        Ok(events)
+    } else {
+        Err(bad)
+    }
+}
+
+/// Prints how many routes were selected, prices relaxed and routes
+/// withdrawn per stage (stage 0 = origin/reaction broadcasts).
+fn print_stage_summary(events: &[TraceEvent]) {
+    let mut per_stage: std::collections::BTreeMap<u64, [u64; 3]> = Default::default();
+    for event in events {
+        let slot = match event {
+            TraceEvent::RouteSelected { .. } => 0,
+            TraceEvent::PriceRelaxed { .. } => 1,
+            TraceEvent::Withdrawn { .. } => 2,
+            _ => continue,
+        };
+        per_stage.entry(event.stage()).or_insert([0; 3])[slot] += 1;
+    }
+    println!("\nper-stage convergence summary (stage 0 = origin/reaction broadcasts):");
+    println!("  stage | routes selected | prices relaxed | withdrawals");
+    for (stage, [selected, relaxed, withdrawn]) in &per_stage {
+        println!("  {stage:>5} | {selected:>15} | {relaxed:>14} | {withdrawn:>11}");
+    }
+}
+
+/// Rebuilds one provenance DAG per run segment of a traced sweep,
+/// validates each (acyclic by monotone ids, roots are stage-0 origin
+/// advertisements, critical path bounded by the reported stage count),
+/// and writes the validated summary document to `dir/causal.json`.
+/// Returns the number of problems found (all printed).
+fn check_causal(events: &[TraceEvent], dir: &Path) -> usize {
+    use bgpvcg_telemetry::causal::{self, CausalDag};
+
+    let dags = CausalDag::from_events(events);
     let mut problems = 0usize;
     if dags.is_empty() {
         println!("==> causal: trace produced no run segments");
@@ -819,13 +559,11 @@ fn run_causal(root: &Path) -> usize {
     }
     let mut summaries = Vec::with_capacity(dags.len());
     for (idx, dag) in dags.iter().enumerate() {
-        if let Err(err) = dag.validate() {
-            println!("==> causal: segment {idx}: {err}");
-            problems += 1;
-        }
-        if let Err(err) = dag.validate_origin_roots() {
-            println!("==> causal: segment {idx}: {err}");
-            problems += 1;
+        for result in [dag.validate(), dag.validate_origin_roots()] {
+            if let Err(err) = result {
+                println!("==> causal: segment {idx}: {err}");
+                problems += 1;
+            }
         }
         summaries.push(dag.summary());
     }
@@ -834,7 +572,7 @@ fn run_causal(root: &Path) -> usize {
         println!("==> causal: summary document invalid: {err}");
         problems += 1;
     }
-    let summary_path = out_dir.join("causal.json");
+    let summary_path = dir.join("causal.json");
     if let Err(err) = std::fs::write(&summary_path, &doc) {
         println!("==> causal: cannot write {}: {err}", summary_path.display());
         problems += 1;
@@ -865,47 +603,61 @@ fn run_causal(root: &Path) -> usize {
     problems
 }
 
-/// Path of the checked-in schema BENCH_scale.json must conform to.
-const BENCH_SCHEMA: &str = "crates/bench/bench-scale-schema.json";
+/// One determinism gate: an experiment binary that writes a JSON
+/// trajectory with `--out PATH` (small sizes with `--smoke`), the
+/// committed repo-root baseline it must reproduce, and the checked-in
+/// schema both obey.
+struct Gate {
+    /// The `cargo xtask` subcommand.
+    name: &'static str,
+    /// The experiment binary.
+    bin: &'static str,
+    /// The committed baseline, relative to the workspace root.
+    baseline: &'static str,
+    /// The schema, relative to the workspace root.
+    schema: &'static str,
+}
 
-/// Path of the checked-in schema BENCH_chaos.json must conform to.
-const CHAOS_SCHEMA: &str = "crates/bench/bench-chaos-schema.json";
+/// `cargo xtask bench`: E14, serial vs parallel (the binary asserts the
+/// two bit-identical). See `docs/PERFORMANCE.md`.
+const SCALE: Gate = Gate {
+    name: "bench",
+    bin: "e14_scale",
+    baseline: "BENCH_scale.json",
+    schema: "crates/bench/bench-scale-schema.json",
+};
 
-/// Checks one parsed JSON value against a schema type tag (see
-/// [`BENCH_SCHEMA`]'s `description` for the vocabulary).
-fn bench_type_ok(value: &bgpvcg_telemetry::json::JsonValue, ty: &str) -> bool {
-    use bgpvcg_telemetry::json::JsonValue;
+/// `cargo xtask chaos`: E19, every run asserted to self-stabilize to the
+/// bit-identical fault-free fixpoint. See `docs/ROBUSTNESS.md`.
+const CHAOS: Gate = Gate {
+    name: "chaos",
+    bin: "e19_chaos",
+    baseline: "BENCH_chaos.json",
+    schema: "crates/bench/bench-chaos-schema.json",
+};
+
+/// Checks one parsed JSON value against a schema type tag (see a
+/// schema's `description` for the vocabulary).
+fn bench_type_ok(value: &JsonValue, ty: &str) -> bool {
     match ty {
         "uint" => matches!(value, JsonValue::UInt(_)),
         "number" => matches!(value, JsonValue::UInt(_) | JsonValue::Float(_)),
         "string" => matches!(value, JsonValue::String(_)),
         "bool" => matches!(value, JsonValue::Bool(_)),
         "array" => matches!(value, JsonValue::Array(_)),
-        "object" => matches!(value, JsonValue::Object(_)),
         _ => false,
     }
 }
 
-/// Validates one BENCH_scale.json document against the checked-in schema:
-/// every `top` key present with its declared type, `rows` non-empty, and
-/// every row carrying every `row` key with its declared type. Keys listed
-/// under `row_optional` are type-checked only when a row carries them
-/// (older committed baselines without them stay valid). Returns the
-/// number of problems found (all printed).
-fn validate_bench_json(
-    label: &str,
-    text: &str,
-    schema: &bgpvcg_telemetry::json::JsonValue,
-) -> usize {
-    use bgpvcg_telemetry::json::{parse, JsonValue};
-    let doc = match parse(text) {
+/// Validates one trajectory document against its schema: every `top` key
+/// present with its declared type, `rows` non-empty, and every row
+/// carrying every `row` key with its declared type. Returns the number of
+/// problems found (all printed).
+fn validate_bench_json(label: &str, text: &str, schema: &JsonValue) -> usize {
+    let doc = match parse_json(text, label) {
         Ok(doc) => doc,
-        Err(err) => {
-            println!("==> {label}: does not parse: {err}");
-            return 1;
-        }
+        Err(bad) => return bad,
     };
-    let mut problems = 0usize;
     let check_keys = |spec: Option<&JsonValue>, target: &JsonValue, what: &str| {
         let Some(JsonValue::Object(spec)) = spec else {
             println!("==> {label}: schema has no `{what}` object");
@@ -928,29 +680,11 @@ fn validate_bench_json(
         }
         bad
     };
-    // Optional row keys: validated when present, absent rows stay valid.
-    let check_optional_keys = |row: &JsonValue| {
-        let Some(JsonValue::Object(spec)) = schema.get("row_optional") else {
-            return 0usize;
-        };
-        let mut bad = 0usize;
-        for (key, ty) in spec {
-            let ty = ty.as_str().unwrap_or("");
-            if let Some(value) = row.get(key) {
-                if !bench_type_ok(value, ty) {
-                    println!("==> {label}: optional row key `{key}` is not a {ty}");
-                    bad += 1;
-                }
-            }
-        }
-        bad
-    };
-    problems += check_keys(schema.get("top"), &doc, "top");
+    let mut problems = check_keys(schema.get("top"), &doc, "top");
     match doc.get("rows") {
         Some(JsonValue::Array(rows)) if !rows.is_empty() => {
             for row in rows {
                 problems += check_keys(schema.get("row"), row, "row");
-                problems += check_optional_keys(row);
             }
         }
         Some(JsonValue::Array(_)) => {
@@ -962,348 +696,125 @@ fn validate_bench_json(
     problems
 }
 
-/// Diffs a freshly generated trajectory against the committed baseline.
-/// Every schema-declared field — top-level keys and each row's — must match
-/// the baseline exactly, except the row fields the schema lists under
-/// `timing` (environment-dependent nanosecond measurements and their
-/// ratios). Exactness flags (`exact`) and count fields are thus pinned: a
-/// protocol change that shifts stage/message/byte counts fails the diff
-/// until the baseline is regenerated deliberately. Returns the number of
-/// mismatches (all printed).
-fn compare_bench_json(
-    label: &str,
-    fresh_text: &str,
-    baseline_text: &str,
-    schema: &bgpvcg_telemetry::json::JsonValue,
-) -> usize {
-    use bgpvcg_telemetry::json::{parse, JsonValue};
-    let (fresh, baseline) = match (parse(fresh_text), parse(baseline_text)) {
-        (Ok(f), Ok(b)) => (f, b),
-        (Err(err), _) => {
-            println!("==> {label}: fresh output does not parse: {err}");
-            return 1;
-        }
-        (_, Err(err)) => {
-            println!("==> {label}: baseline does not parse: {err}");
-            return 1;
-        }
-    };
-    let timing: Vec<&str> = match schema.get("timing") {
-        Some(JsonValue::Array(entries)) => entries.iter().filter_map(JsonValue::as_str).collect(),
-        _ => {
-            println!("==> {label}: schema has no `timing` exemption list");
-            return 1;
-        }
-    };
-    let mut problems = 0usize;
-    let render = |v: Option<&JsonValue>| v.map(JsonValue::render);
-    if let Some(JsonValue::Object(top)) = schema.get("top") {
-        for key in top.keys().filter(|k| k.as_str() != "rows") {
-            let (f, b) = (render(fresh.get(key)), render(baseline.get(key)));
-            if f != b {
-                println!(
-                    "==> {label}: top key `{key}` differs: fresh {} vs baseline {}",
-                    f.unwrap_or_else(|| "<missing>".into()),
-                    b.unwrap_or_else(|| "<missing>".into())
-                );
-                problems += 1;
-            }
-        }
+/// Runs a gate's binary with `--out out` (plus `--smoke`) and returns what
+/// it wrote.
+fn run_gate_binary(root: &Path, gate: &Gate, out: &Path, smoke: bool) -> Result<String, usize> {
+    let out_arg = out.display().to_string();
+    let mut args = vec![
+        "run",
+        "--release",
+        "-q",
+        "-p",
+        "bgpvcg-bench",
+        "--bin",
+        gate.bin,
+        "--",
+        "--out",
+        &out_arg,
+    ];
+    if smoke {
+        args.push("--smoke");
     }
-    let (Some(JsonValue::Array(fresh_rows)), Some(JsonValue::Array(baseline_rows))) =
-        (fresh.get("rows"), baseline.get("rows"))
-    else {
-        println!("==> {label}: both documents need a `rows` array");
-        return problems + 1;
+    let label = format!("{} {} run", gate.bin, if smoke { "smoke" } else { "full" });
+    if !run_step(root, &label, "cargo", &args, false) {
+        return Err(1);
+    }
+    read_text(out)
+}
+
+/// A determinism gate ([`SCALE`], [`CHAOS`]). Without flags, a full run
+/// regenerates the committed baseline and validates it against the
+/// schema. With `smoke`, small sizes run into `target/bench/` and both
+/// that output and the committed baseline are validated, so CI catches a
+/// broken emitter and a hand-mangled baseline alike. With `compare`, a
+/// fresh full run into `target/bench/` must equal the committed baseline
+/// line for line — every field is a deterministic count, so a protocol
+/// change that shifts a stage, message or byte count fails until the
+/// baseline is regenerated on purpose.
+fn cmd_gate(root: &Path, gate: &Gate, smoke: bool, compare: bool) -> ExitCode {
+    let schema = match read_json(&root.join(gate.schema)) {
+        Ok(schema) => schema,
+        Err(_) => return ExitCode::FAILURE,
     };
-    if fresh_rows.len() != baseline_rows.len() {
-        println!(
-            "==> {label}: row count differs: fresh {} vs baseline {}",
-            fresh_rows.len(),
-            baseline_rows.len()
+    let bench_dir = root.join("target/bench");
+    if let Err(err) = std::fs::create_dir_all(&bench_dir) {
+        eprintln!(
+            "xtask {}: cannot create {}: {err}",
+            gate.name,
+            bench_dir.display()
         );
-        return problems + 1;
+        return ExitCode::FAILURE;
     }
-    let Some(JsonValue::Object(row_spec)) = schema.get("row") else {
-        println!("==> {label}: schema has no `row` object");
-        return problems + 1;
-    };
-    for (idx, (f_row, b_row)) in fresh_rows.iter().zip(baseline_rows).enumerate() {
-        for key in row_spec.keys() {
-            if timing.contains(&key.as_str()) {
-                continue;
-            }
-            let (f, b) = (render(f_row.get(key)), render(b_row.get(key)));
-            if f != b {
-                println!(
-                    "==> {label}: row {idx} key `{key}` differs: fresh {} vs baseline {}",
-                    f.unwrap_or_else(|| "<missing>".into()),
-                    b.unwrap_or_else(|| "<missing>".into())
-                );
-                problems += 1;
-            }
-        }
+    let baseline = root.join(gate.baseline);
+    let in_bench_dir = |suffix: &str| bench_dir.join(gate.baseline.replace(".json", suffix));
+
+    let mut problems = 0;
+    if smoke || !compare {
+        let out = if smoke {
+            in_bench_dir(".smoke.json")
+        } else {
+            baseline.clone()
+        };
+        problems += run_gate_binary(root, gate, &out, smoke).map_or_else(
+            |bad| bad,
+            |text| validate_bench_json(&out.display().to_string(), &text, &schema),
+        );
     }
-    problems
+    if smoke {
+        problems += read_text(&baseline).map_or_else(
+            |bad| bad,
+            |text| validate_bench_json(gate.baseline, &text, &schema),
+        );
+    }
+    if compare {
+        let fresh = in_bench_dir(".fresh.json");
+        problems += match (
+            run_gate_binary(root, gate, &fresh, false),
+            read_text(&baseline),
+        ) {
+            (Ok(fresh), Ok(baseline)) => diff_lines(gate.baseline, &fresh, &baseline),
+            (fresh, baseline) => fresh.err().unwrap_or(0) + baseline.err().unwrap_or(0),
+        };
+    }
+
+    if problems == 0 {
+        println!(
+            "\nxtask {}: {} schema-valid{}",
+            gate.name,
+            gate.baseline,
+            if compare { ", reproduced exactly" } else { "" }
+        );
+        ExitCode::SUCCESS
+    } else {
+        println!("\nxtask {}: FAILED ({problems} problem(s))", gate.name);
+        ExitCode::FAILURE
+    }
 }
 
-/// Runs one benchmark binary in full (non-smoke) mode into
-/// `target/bench/<name>.fresh.json` and diffs the result against the
-/// committed repo-root baseline via [`compare_bench_json`]. Returns the
-/// number of problems (all printed).
-fn compare_against_baseline(
-    root: &Path,
-    bin: &str,
-    baseline_name: &str,
-    schema: &bgpvcg_telemetry::json::JsonValue,
-) -> usize {
-    let out_dir = root.join("target").join("bench");
-    if let Err(err) = std::fs::create_dir_all(&out_dir) {
-        println!("==> compare: cannot create {}: {err}", out_dir.display());
-        return 1;
+/// Compares a fresh trajectory with the committed baseline line by line
+/// (one row per line); returns the number of differences (all printed).
+fn diff_lines(label: &str, fresh: &str, baseline: &str) -> usize {
+    let (fresh, baseline): (Vec<&str>, Vec<&str>) =
+        (fresh.lines().collect(), baseline.lines().collect());
+    let mut problems = 0usize;
+    if fresh.len() != baseline.len() {
+        println!(
+            "==> {label} compare: fresh run has {} line(s), baseline {}",
+            fresh.len(),
+            baseline.len()
+        );
+        problems += 1;
     }
-    let fresh_path = out_dir.join(format!("{baseline_name}.fresh.json"));
-    let fresh_arg = fresh_path.display().to_string();
-    if !run_step(
-        root,
-        &format!("{bin} full run (compare)"),
-        "cargo",
-        &[
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "bgpvcg-bench",
-            "--bin",
-            bin,
-            "--",
-            "--out",
-            &fresh_arg,
-        ],
-        false,
-    ) {
-        return 1;
-    }
-    let label = format!("{baseline_name}.json compare");
-    let fresh_text = match std::fs::read_to_string(&fresh_path) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("==> {label}: cannot read {}: {err}", fresh_path.display());
-            return 1;
-        }
-    };
-    let baseline_path = root.join(format!("{baseline_name}.json"));
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
+    for (idx, (f, b)) in fresh.iter().zip(&baseline).enumerate() {
+        if f != b {
             println!(
-                "==> {label}: cannot read {}: {err}",
-                baseline_path.display()
+                "==> {label} compare: line {} differs\n    fresh:    {f}\n    baseline: {b}",
+                idx + 1
             );
-            return 1;
+            problems += 1;
         }
-    };
-    let problems = compare_bench_json(&label, &fresh_text, &baseline_text, schema);
-    if problems == 0 {
-        println!("==> {label}: fresh run matches the committed baseline (timing exempt)");
     }
     problems
-}
-
-/// The perf-record pipeline: run E14 (serial vs parallel — the binary
-/// itself asserts the two are bit-identical) and validate the emitted
-/// JSON against [`BENCH_SCHEMA`]. With `--smoke`, small sizes run into
-/// `target/bench/` and the checked-in repo-root `BENCH_scale.json` is
-/// validated as well, so CI catches both a broken emitter and a stale or
-/// hand-mangled trajectory file. With `--compare`, a fresh full trajectory
-/// is diffed field-by-field against the committed baseline (timing exempt).
-fn cmd_bench(root: &Path, smoke: bool, compare: bool) -> ExitCode {
-    use bgpvcg_telemetry::json;
-
-    let schema_text = match std::fs::read_to_string(root.join(BENCH_SCHEMA)) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("xtask bench: cannot read {BENCH_SCHEMA}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let schema = match json::parse(&schema_text) {
-        Ok(schema) => schema,
-        Err(err) => {
-            eprintln!("xtask bench: {BENCH_SCHEMA} does not parse: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let out_path = if smoke {
-        let out_dir = root.join("target").join("bench");
-        if let Err(err) = std::fs::create_dir_all(&out_dir) {
-            eprintln!("xtask bench: cannot create {}: {err}", out_dir.display());
-            return ExitCode::FAILURE;
-        }
-        out_dir.join("BENCH_scale.smoke.json")
-    } else {
-        root.join("BENCH_scale.json")
-    };
-    let out_arg = out_path.display().to_string();
-    let mut cargo_args = vec![
-        "run",
-        "--release",
-        "-q",
-        "-p",
-        "bgpvcg-bench",
-        "--bin",
-        "e14_scale",
-        "--",
-        "--out",
-        &out_arg,
-    ];
-    if smoke {
-        cargo_args.push("--smoke");
-    }
-    if !run_step(root, "e14 scale run", "cargo", &cargo_args, false) {
-        return ExitCode::FAILURE;
-    }
-
-    let mut problems = 0usize;
-    match std::fs::read_to_string(&out_path) {
-        Ok(text) => problems += validate_bench_json("bench output", &text, &schema),
-        Err(err) => {
-            println!("==> cannot read {}: {err}", out_path.display());
-            problems += 1;
-        }
-    }
-    if smoke {
-        // The checked-in trajectories must stay schema-valid too.
-        let tracked = root.join("BENCH_scale.json");
-        match std::fs::read_to_string(&tracked) {
-            Ok(text) => problems += validate_bench_json("BENCH_scale.json", &text, &schema),
-            Err(err) => {
-                println!("==> cannot read {}: {err}", tracked.display());
-                problems += 1;
-            }
-        }
-        problems += validate_tracked_chaos(root);
-    }
-    if compare {
-        problems += compare_against_baseline(root, "e14_scale", "BENCH_scale", &schema);
-    }
-
-    if problems == 0 {
-        println!("\nxtask bench: BENCH_scale.json schema-valid");
-        ExitCode::SUCCESS
-    } else {
-        println!("\nxtask bench: FAILED ({problems} problem(s))");
-        ExitCode::FAILURE
-    }
-}
-
-/// Validates the checked-in repo-root `BENCH_chaos.json` against
-/// [`CHAOS_SCHEMA`]; returns the number of problems (all printed).
-fn validate_tracked_chaos(root: &Path) -> usize {
-    use bgpvcg_telemetry::json;
-
-    let schema_text = match std::fs::read_to_string(root.join(CHAOS_SCHEMA)) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("==> cannot read {CHAOS_SCHEMA}: {err}");
-            return 1;
-        }
-    };
-    let schema = match json::parse(&schema_text) {
-        Ok(schema) => schema,
-        Err(err) => {
-            println!("==> {CHAOS_SCHEMA} does not parse: {err}");
-            return 1;
-        }
-    };
-    let tracked = root.join("BENCH_chaos.json");
-    match std::fs::read_to_string(&tracked) {
-        Ok(text) => validate_bench_json("BENCH_chaos.json", &text, &schema),
-        Err(err) => {
-            println!("==> cannot read {}: {err}", tracked.display());
-            1
-        }
-    }
-}
-
-/// The robustness pipeline: run E19 (every run asserts chaos self-stabilizes
-/// to the bit-identical fault-free fixpoint before reporting) and validate
-/// the emitted JSON against [`CHAOS_SCHEMA`]. With `--smoke`, small sizes
-/// run into `target/bench/` and the checked-in repo-root `BENCH_chaos.json`
-/// is validated as well. With `--compare`, a fresh full trajectory is
-/// diffed field-by-field against the committed baseline (every chaos field
-/// is a deterministic count, so nothing is exempt).
-fn cmd_chaos(root: &Path, smoke: bool, compare: bool) -> ExitCode {
-    use bgpvcg_telemetry::json;
-
-    let schema_text = match std::fs::read_to_string(root.join(CHAOS_SCHEMA)) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("xtask chaos: cannot read {CHAOS_SCHEMA}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let schema = match json::parse(&schema_text) {
-        Ok(schema) => schema,
-        Err(err) => {
-            eprintln!("xtask chaos: {CHAOS_SCHEMA} does not parse: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let out_path = if smoke {
-        let out_dir = root.join("target").join("bench");
-        if let Err(err) = std::fs::create_dir_all(&out_dir) {
-            eprintln!("xtask chaos: cannot create {}: {err}", out_dir.display());
-            return ExitCode::FAILURE;
-        }
-        out_dir.join("BENCH_chaos.smoke.json")
-    } else {
-        root.join("BENCH_chaos.json")
-    };
-    let out_arg = out_path.display().to_string();
-    let mut cargo_args = vec![
-        "run",
-        "--release",
-        "-q",
-        "-p",
-        "bgpvcg-bench",
-        "--bin",
-        "e19_chaos",
-        "--",
-        "--out",
-        &out_arg,
-    ];
-    if smoke {
-        cargo_args.push("--smoke");
-    }
-    if !run_step(root, "e19 chaos run", "cargo", &cargo_args, false) {
-        return ExitCode::FAILURE;
-    }
-
-    let mut problems = 0usize;
-    match std::fs::read_to_string(&out_path) {
-        Ok(text) => problems += validate_bench_json("chaos output", &text, &schema),
-        Err(err) => {
-            println!("==> cannot read {}: {err}", out_path.display());
-            problems += 1;
-        }
-    }
-    if smoke {
-        problems += validate_tracked_chaos(root);
-    }
-    if compare {
-        problems += compare_against_baseline(root, "e19_chaos", "BENCH_chaos", &schema);
-    }
-
-    if problems == 0 {
-        println!("\nxtask chaos: BENCH_chaos.json schema-valid");
-        ExitCode::SUCCESS
-    } else {
-        println!("\nxtask chaos: FAILED ({problems} problem(s))");
-        ExitCode::FAILURE
-    }
 }
 
 fn cmd_ci(root: &Path) -> ExitCode {
@@ -1340,9 +851,9 @@ fn cmd_ci(root: &Path) -> ExitCode {
         &["test", "-q", "--features", "invariant-checks"],
         false,
     );
-    ok &= cmd_obs(root, true, true, true) == ExitCode::SUCCESS;
-    ok &= cmd_bench(root, true, true) == ExitCode::SUCCESS;
-    ok &= cmd_chaos(root, true, true) == ExitCode::SUCCESS;
+    ok &= cmd_obs(root) == ExitCode::SUCCESS;
+    ok &= cmd_gate(root, &SCALE, true, true) == ExitCode::SUCCESS;
+    ok &= cmd_gate(root, &CHAOS, true, true) == ExitCode::SUCCESS;
     ok &= run_step(
         root,
         "adversary smoke",

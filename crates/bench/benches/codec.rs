@@ -1,5 +1,5 @@
 //! Criterion microbench for the wire codec — v2 (varint + path-delta +
-//! price-delta), the one version still emitted — encode and decode, over
+//! price-delta), the one wire format — encode and decode, over
 //! realistic message mixes harvested from converged networks.
 //!
 //! Two workloads per size:

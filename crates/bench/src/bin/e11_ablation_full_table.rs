@@ -92,11 +92,11 @@ fn main() {
                 full_report.stages.to_string(),
                 incr_report.entries.to_string(),
                 full_report.entries.to_string(),
-                (incr_report.bytes / 1024).to_string(),
-                (full_report.bytes / 1024).to_string(),
+                (incr_report.bytes_v2 / 1024).to_string(),
+                (full_report.bytes_v2 / 1024).to_string(),
                 format!(
                     "{:.1}x",
-                    full_report.bytes as f64 / incr_report.bytes as f64
+                    full_report.bytes_v2 as f64 / incr_report.bytes_v2 as f64
                 ),
             ]);
         }

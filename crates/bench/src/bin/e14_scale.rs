@@ -52,7 +52,6 @@ struct Row {
     links: usize,
     stages: usize,
     messages: usize,
-    bytes: usize,
     bytes_v2: usize,
     exact: bool,
 }
@@ -122,13 +121,12 @@ fn render_json(config: &Config, rows: &[Row]) -> String {
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"family\": \"{}\", \"n\": {}, \"links\": {}, \"stages\": {}, \
-             \"messages\": {}, \"bytes\": {}, \"bytes_v2\": {}, \"exact\": {}}}{}\n",
+             \"messages\": {}, \"bytes_v2\": {}, \"exact\": {}}}{}\n",
             row.family,
             row.n,
             row.links,
             row.stages,
             row.messages,
-            row.bytes,
             row.bytes_v2,
             row.exact,
             if i + 1 == rows.len() { "" } else { "," },
@@ -156,7 +154,6 @@ fn main() {
         "links",
         "stages",
         "messages",
-        "MiB on wire",
         "MiB v2",
         "serial (s)",
         "parallel (s)",
@@ -228,7 +225,6 @@ fn main() {
                 links: g.link_count(),
                 stages: serial_report.stages,
                 messages: serial_report.messages,
-                bytes: serial_report.bytes,
                 bytes_v2: serial_report.bytes_v2,
                 exact,
             };
@@ -238,7 +234,6 @@ fn main() {
                 row.links.to_string(),
                 row.stages.to_string(),
                 row.messages.to_string(),
-                format!("{:.1}", row.bytes as f64 / (1024.0 * 1024.0)),
                 format!("{:.1}", row.bytes_v2 as f64 / (1024.0 * 1024.0)),
                 format!("{:.2}", serial_time.as_secs_f64()),
                 format!("{:.2}", parallel_time.as_secs_f64()),
@@ -264,15 +259,10 @@ fn main() {
     }
     obs.write_profile(&sweep_profile);
     obs.finish();
-    let (v1, v2) = rows
-        .iter()
-        .fold((0usize, 0usize), |(a, b), r| (a + r.bytes, b + r.bytes_v2));
     println!(
         "\nVERDICT: the full pipeline (distributed pricing + centralized verification) runs \
          to exact agreement at n = 256 in seconds on commodity hardware; parallel runs are \
          asserted bit-identical to serial (speedup is hardware-dependent — see \
-         docs/PERFORMANCE.md); wire v2 (varint + path-delta + price-delta) carries the same \
-         update stream in {:.1}% of the v1 bytes",
-        100.0 * v2 as f64 / v1 as f64
+         docs/PERFORMANCE.md)"
     );
 }

@@ -84,7 +84,7 @@ fn main() {
 
     println!(
         "Protocol converged in {} stages ({} messages, {} bytes).",
-        run.report.stages, run.report.messages, run.report.bytes
+        run.report.stages, run.report.messages, run.report.bytes_v2
     );
     println!(
         "\nVERDICT: {}",

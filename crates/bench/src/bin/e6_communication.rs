@@ -1,6 +1,6 @@
 //! E6 — Sect. 5/6: communication overhead of the price extension.
 //!
-//! Measures total messages, carried table entries, and modelled wire bytes
+//! Measures total messages, carried table entries, and encoded wire bytes
 //! to convergence for plain BGP vs the pricing extension on identical
 //! topologies. The paper claims a "corresponding constant-factor increase
 //! in the communication requirements of BGP" (costs and prices ride inside
@@ -41,7 +41,7 @@ fn measured_run<N: ProtocolNode>(
     let report = engine.run_to_convergence();
     let (m, b) = (messages.get() - m0, bytes.get() - b0);
     assert_eq!(m, report.messages as u64);
-    assert_eq!(b, report.bytes as u64);
+    assert_eq!(b, report.bytes_v2 as u64);
     (m, b, report)
 }
 

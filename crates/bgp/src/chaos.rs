@@ -254,11 +254,8 @@ pub struct ChaosReport {
     pub stages: u64,
     /// Frames delivered (keepalives included).
     pub messages: u64,
-    /// Bytes delivered under the [`wire`] v1 frame model (the historical
-    /// baseline column).
-    pub bytes: u64,
-    /// Bytes the same frame stream occupies under the v2 varint/delta
-    /// encoding ([`wire::frame_size_v2_with`]).
+    /// Encoded bytes of all delivered frames
+    /// ([`wire::frame_size_v2_with`]).
     pub bytes_v2: u64,
     /// Frames silently dropped by the fault layer (flap/cut losses
     /// included).
@@ -686,7 +683,6 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
     /// payloads are queued into `me`'s inbox for this stage's handle pass.
     fn receive(&mut self, me: AsId, peer: AsId, frame: Frame) {
         self.link.report.messages += 1;
-        self.link.report.bytes += wire::frame_size(&frame) as u64;
         self.link.report.bytes_v2 += wire::frame_size_v2_with(&mut self.scratch, &frame) as u64;
         let stage = self.link.stage;
         let mut reestablish = false;

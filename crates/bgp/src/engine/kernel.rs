@@ -48,33 +48,33 @@ pub trait Transport: Sized {
 }
 
 /// One distinct payload on its way out: the update every honest copy of a
-/// broadcast shares, or one copy a wire tap rewrote. Its wire sizes are
+/// broadcast shares, or one copy a wire tap rewrote. Its wire size is
 /// computed at most once however many links it crosses, and not at all
 /// under a transport that accounts bytes where frames arrive.
 #[derive(Debug)]
 pub struct Parcel {
     pub(crate) update: Arc<Update>,
-    /// `(v1, v2)` encoded sizes, once asked for.
-    sizes: Cell<Option<(usize, usize)>>,
+    /// The encoded size, once asked for.
+    size: Cell<Option<usize>>,
 }
 
 impl Parcel {
     fn new(update: Update) -> Self {
         Parcel {
             update: Arc::new(update),
-            sizes: Cell::new(None),
+            size: Cell::new(None),
         }
     }
 
-    /// The payload's `(v1, v2)` encoded sizes; the v2 size is measured by
-    /// encoding into `scratch`, so sizing allocates nothing.
-    pub(crate) fn sizes(&self, scratch: &mut Vec<u8>) -> (usize, usize) {
-        let sizes = self.sizes.get().unwrap_or_else(|| {
-            let v1 = wire::update_size(&self.update);
-            (v1, wire::update_size_v2_with(scratch, &self.update))
-        });
-        self.sizes.set(Some(sizes));
-        sizes
+    /// The payload's encoded size, measured by encoding into `scratch`, so
+    /// sizing allocates nothing.
+    pub(crate) fn size(&self, scratch: &mut Vec<u8>) -> usize {
+        let size = self
+            .size
+            .get()
+            .unwrap_or_else(|| wire::update_size_v2_with(scratch, &self.update));
+        self.size.set(Some(size));
+        size
     }
 }
 

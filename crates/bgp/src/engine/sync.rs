@@ -37,12 +37,8 @@ pub struct RunReport {
     pub messages: usize,
     /// Routing-table entries carried by all delivered messages.
     pub entries: usize,
-    /// Total bytes under the [`wire`](crate::wire) model (v1 fixed-width
-    /// encoding — the historical baseline column).
-    pub bytes: usize,
-    /// Total bytes under the v2 varint/delta encoding
-    /// ([`wire::encode_update_v2_into`](crate::wire::encode_update_v2_into))
-    /// of the same message stream.
+    /// Total encoded bytes of all delivered messages
+    /// ([`wire::encode_update_v2_into`](crate::wire::encode_update_v2_into)).
     pub bytes_v2: usize,
     /// Peak messages delivered on any single link in any single stage.
     pub max_link_messages_per_stage: usize,
@@ -56,7 +52,6 @@ impl RunReport {
         self.stages += other.stages;
         self.messages += other.messages;
         self.entries += other.entries;
-        self.bytes += other.bytes;
         self.bytes_v2 += other.bytes_v2;
         self.max_link_messages_per_stage = self
             .max_link_messages_per_stage
@@ -67,7 +62,6 @@ impl RunReport {
     fn account(&mut self, sent: Sent) {
         self.messages += sent.messages;
         self.entries += sent.entries;
-        self.bytes += sent.bytes;
         self.bytes_v2 += sent.bytes_v2;
     }
 }
@@ -76,11 +70,10 @@ impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} stages, {} messages, {} entries, {} bytes ({} v2){}",
+            "{} stages, {} messages, {} entries, {} bytes{}",
             self.stages,
             self.messages,
             self.entries,
-            self.bytes,
             self.bytes_v2,
             if self.converged {
                 ""
@@ -103,7 +96,8 @@ pub struct StageTrace {
     pub changed_nodes: usize,
     /// Messages sent this stage (update × receiving link).
     pub messages: usize,
-    /// Encoded bytes sent this stage.
+    /// Encoded bytes sent this stage; over a run they sum to
+    /// [`RunReport::bytes_v2`].
     pub bytes: usize,
 }
 
@@ -123,9 +117,6 @@ impl fmt::Display for StageTrace {
 struct Sent {
     messages: usize,
     entries: usize,
-    /// v1 bytes — the column the public [`StageTrace`] and the `bgp_bytes`
-    /// counter keep for display stability.
-    bytes: usize,
     bytes_v2: usize,
 }
 
@@ -177,12 +168,11 @@ impl Transport for LockStep {
     }
 
     fn send<N: ProtocolNode>(engine: &mut Engine<N, Self>, _from: AsId, to: AsId, parcel: &Parcel) {
-        let (bytes, bytes_v2) = parcel.sizes(&mut engine.scratch);
+        let bytes = parcel.size(&mut engine.scratch);
         let sent = &mut engine.link.sent;
         sent.messages += 1;
         sent.entries += parcel.update.entry_count();
-        sent.bytes += bytes;
-        sent.bytes_v2 += bytes_v2;
+        sent.bytes_v2 += bytes;
         let update = Arc::clone(&parcel.update);
         enqueue(&mut engine.inboxes, &mut engine.dirty, to, update);
     }
@@ -233,11 +223,6 @@ impl<N: ProtocolNode> Engine<N, LockStep> {
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
-    }
-
-    /// The configured number of stage workers (1 = serial).
-    pub fn parallelism(&self) -> usize {
-        self.workers
     }
 
     /// Installs a per-stage observer invoked with `(stage, nodes)` after
@@ -425,7 +410,7 @@ impl<N: ProtocolNode> Engine<N, LockStep> {
         self.link.settled_seq = self.update_seq;
         if updates > 0 || sent.messages > 0 {
             self.instruments
-                .account(updates, sent.messages, sent.entries, sent.bytes);
+                .account(updates, sent.messages, sent.entries, sent.bytes_v2);
         }
         sent
     }
@@ -474,7 +459,7 @@ impl<N: ProtocolNode> Engine<N, LockStep> {
             receiving_nodes,
             changed_nodes,
             messages: sent.messages,
-            bytes: sent.bytes,
+            bytes: sent.bytes_v2,
         };
         StageOutcome {
             trace,
@@ -882,7 +867,6 @@ fn advertised_cost_raw(info: Option<&RouteInfo>) -> u64 {
 mod tests {
     use super::*;
     use crate::node::PlainBgpNode;
-    use crate::wire;
     use bgpvcg_lcp::{bellman, AllPairsLcp};
     use bgpvcg_netgraph::generators::structured::{fig1, ring, Fig1};
     use bgpvcg_netgraph::generators::{barabasi_albert, erdos_renyi, random_costs};
@@ -1113,7 +1097,9 @@ mod tests {
             report.entries >= report.messages,
             "every message carries ≥1 entry"
         );
-        assert!(report.bytes > report.messages * wire::MESSAGE_HEADER_BYTES);
+        // A message is at least a 6-byte header, an entry at least its
+        // destination and kind byte.
+        assert!(report.bytes_v2 >= 6 * report.messages + 2 * report.entries);
     }
 
     #[test]
@@ -1391,7 +1377,7 @@ mod tests {
         // Registry counters agree with the engine's own report.
         assert_eq!(snap.counters[metric::MESSAGES], report.messages as u64);
         assert_eq!(snap.counters[metric::ENTRIES], report.entries as u64);
-        assert_eq!(snap.counters[metric::BYTES], report.bytes as u64);
+        assert_eq!(snap.counters[metric::BYTES], report.bytes_v2 as u64);
         assert_eq!(
             snap.gauges[metric::STAGES_TO_QUIESCENCE],
             report.stages as u64

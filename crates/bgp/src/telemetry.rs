@@ -31,7 +31,8 @@ pub mod metric {
     pub const MESSAGES: &str = "bgp_messages_total";
     /// Routing-table entries carried by all delivered messages.
     pub const ENTRIES: &str = "bgp_entries_total";
-    /// Bytes under the [`wire`](crate::wire) model.
+    /// Encoded bytes of all delivered messages (the v2
+    /// [`wire`](crate::wire) format, as `RunReport::bytes_v2`).
     pub const BYTES: &str = "bgp_bytes_total";
     /// Reachable-route advertisements (route newly selected or changed).
     pub const ROUTES_SELECTED: &str = "bgp_routes_selected_total";

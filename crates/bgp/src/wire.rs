@@ -7,30 +7,17 @@
 //! length. Encoding and decoding round-trip exactly — tested here and by
 //! property tests — so the byte counts in experiments E5/E6/E11 are real.
 //!
-//! Two message versions share one decoder, dispatched on the version byte.
-//! Only v2 is still emitted: v1 survives as the decoder — frozen
-//! interoperability surface, pinned by a literal corpus in
-//! `tests/wire_golden.rs` — and as the arithmetic size model
-//! ([`update_size`], [`frame_size`]) behind the historical `bytes` columns.
+//! There is one UPDATE format, version 2. A message or session frame that
+//! carries any other version byte — the retired fixed-width version 1
+//! included — is a [`DecodeError::BadHeader`]. The one v1 remnant is
+//! [`update_size`], an arithmetic size model kept for a single outside
+//! reader (see its doc); nothing on a run path calls it.
 //!
-//! **v1** (fixed-width, all integers little-endian; 4-byte AS numbers as in
-//! BGP-4, 8-byte costs, explicit `∞` sentinel):
-//!
-//! ```text
-//! message   := magic "BV" | version 1 | from u32
-//!            | sender_cost_len u16 | (node u32, cost u64)*
-//!            | count u16 | advert*
-//! advert    := dest u32 | kind u8    (0 = withdrawn, 1 = reachable, 2 = delta)
-//! reachable += path_len u16 | (node u32, cost u64)* | path_cost u64
-//!            | prices_len u16 | price u64*
-//! delta     += base_path_hash u64 | entries_len u16 | (index u16, price u64)*
-//! ```
-//!
-//! **v2** (variable-width): unsigned LEB128 varints (`uvarint`, at most 10
-//! bytes, canonical — overlong encodings are rejected), AS ids inside a
-//! path delta-coded against their predecessor as zigzag varints, and costs
-//! as `vcost` — `uvarint(0)` is the explicit `∞` sentinel, a finite cost
-//! `c` encodes as `uvarint(c + 1)`:
+//! The format is variable-width: unsigned LEB128 varints (`uvarint`, at
+//! most 10 bytes, canonical — overlong encodings are rejected), AS ids
+//! inside a path delta-coded against their predecessor as zigzag varints,
+//! and costs as `vcost` — `uvarint(0)` is the explicit `∞` sentinel, a
+//! finite cost `c` encodes as `uvarint(c + 1)`:
 //!
 //! ```text
 //! message   := magic "BV" | version 2 | from uvarint
@@ -47,7 +34,8 @@
 //!
 //! Topology-dynamics events (experiment E10 replays recorded traces of
 //! them) have their own control frame, distinguished from UPDATEs by the
-//! magic (v1-only — they never ride the hot path):
+//! magic. They never ride the hot path, keep their own version byte 1 and
+//! fixed-width little-endian fields (`∞` is `u64::MAX`):
 //!
 //! ```text
 //! event     := magic "BE" | version 1 | tag u8 | payload
@@ -59,14 +47,12 @@
 //! ```
 //!
 //! The lossy-channel recovery layer (see `chaos` and `docs/ROBUSTNESS.md`)
-//! wraps UPDATEs in sequenced session frames with their own magic. Like
-//! messages, frames come in v1 (fixed u64 counters) and v2 (uvarint
-//! counters, v2 payload):
+//! wraps UPDATEs in sequenced session frames with their own magic:
 //!
 //! ```text
-//! frame     := magic "BF" | version u8 | kind u8
-//!            | epoch | seq | ack_epoch | ack | payload
-//!              (v1: four u64 LE; v2: four uvarint)
+//! frame     := magic "BF" | version 2 | kind u8
+//!            | epoch uvarint | seq uvarint | ack_epoch uvarint | ack uvarint
+//!            | payload
 //! kind 0    := (no payload)              (FrameKind::Open)
 //! kind 1    := message                   (FrameKind::Data, embedded UPDATE)
 //! kind 2    := (no payload)              (FrameKind::Keepalive)
@@ -78,22 +64,19 @@ use bgpvcg_netgraph::{AsId, Cost};
 use std::error::Error;
 use std::fmt;
 
-/// Bytes per AS number on the v1 wire (BGP-4 uses 4-byte AS numbers).
-pub const AS_NUMBER_BYTES: usize = 4;
-/// Bytes per declared cost or price on the v1 wire.
-pub const COST_BYTES: usize = 8;
-/// Fixed v1 per-message header: magic (2) + version (1) + sender (4) +
-/// sender-cost count (2) + entry count (2).
-pub const MESSAGE_HEADER_BYTES: usize = 11;
-/// Fixed v1 per-session-frame header: magic (2) + version (1) + kind (1) +
-/// epoch (8) + seq (8) + ack_epoch (8) + ack (8).
-pub const FRAME_HEADER_BYTES: usize = 36;
+/// Bytes per AS number in the v1 size model (BGP-4's 4-byte AS numbers).
+const AS_NUMBER_BYTES: usize = 4;
+/// Bytes per declared cost or price in the v1 size model.
+const COST_BYTES: usize = 8;
+/// Fixed per-message header of the v1 size model: magic (2) + version (1)
+/// + sender (4) + sender-cost count (2) + entry count (2).
+const MESSAGE_HEADER_BYTES: usize = 11;
 
 const MAGIC: [u8; 2] = *b"BV";
 const EVENT_MAGIC: [u8; 2] = *b"BE";
 const FRAME_MAGIC: [u8; 2] = *b"BF";
-const VERSION: u8 = 1;
-const VERSION_V2: u8 = 2;
+const EVENT_VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const KIND_WITHDRAWN: u8 = 0;
 const KIND_REACHABLE: u8 = 1;
 const KIND_PRICE_DELTA: u8 = 2;
@@ -108,7 +91,8 @@ const TAG_TOPO_NODE_UP: u8 = 7;
 const FRAME_KIND_OPEN: u8 = 0;
 const FRAME_KIND_DATA: u8 = 1;
 const FRAME_KIND_KEEPALIVE: u8 = 2;
-/// On-wire sentinel for [`Cost::INFINITE`] (v1 fixed-width costs).
+/// On-wire sentinel for [`Cost::INFINITE`] in event frames' fixed-width
+/// costs.
 const INFINITE_WIRE: u64 = u64::MAX;
 
 /// Errors decoding a wire message.
@@ -236,7 +220,7 @@ fn encode_advertisement_v2(out: &mut Vec<u8>, ad: &RouteAdvertisement) {
 /// buffer.
 pub fn encode_update_v2_into(out: &mut Vec<u8>, update: &Update) {
     out.extend_from_slice(&MAGIC);
-    out.push(VERSION_V2);
+    out.push(VERSION);
     put_uvarint(out, u64::from(update.from.raw()));
     put_uvarint(out, update.sender_costs.len() as u64);
     for &(node, cost) in &update.sender_costs {
@@ -287,14 +271,6 @@ impl<'a> Reader<'a> {
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        let bytes = self
-            .take(2)?
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        Ok(u16::from_le_bytes(bytes))
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
@@ -366,71 +342,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_update_v1(r: &mut Reader<'_>) -> Result<Update, DecodeError> {
-    let from = AsId::new(r.u32()?);
-    let sender_cost_len = r.u16()?;
-    let mut sender_costs = Vec::with_capacity(usize::from(sender_cost_len));
-    for _ in 0..sender_cost_len {
-        let node = AsId::new(r.u32()?);
-        let cost = r.cost()?;
-        sender_costs.push((node, cost));
-    }
-    let count = r.u16()?;
-    let mut advertisements = Vec::with_capacity(usize::from(count));
-    for _ in 0..count {
-        let destination = AsId::new(r.u32()?);
-        let info = match r.u8()? {
-            KIND_WITHDRAWN => RouteInfo::Withdrawn,
-            KIND_REACHABLE => {
-                let path_len = r.u16()?;
-                let mut path = Vec::with_capacity(usize::from(path_len));
-                for _ in 0..path_len {
-                    let node = AsId::new(r.u32()?);
-                    let cost = r.cost()?;
-                    path.push(PathEntry { node, cost });
-                }
-                let path_cost = r.cost()?;
-                let prices_len = r.u16()?;
-                let mut prices = Vec::with_capacity(usize::from(prices_len));
-                for _ in 0..prices_len {
-                    prices.push(r.cost()?);
-                }
-                RouteInfo::Reachable {
-                    path: path.into(),
-                    path_cost,
-                    prices,
-                }
-            }
-            KIND_PRICE_DELTA => {
-                let base_path_hash = r.u64()?;
-                let entries_len = r.u16()?;
-                let mut entries = Vec::with_capacity(usize::from(entries_len));
-                for _ in 0..entries_len {
-                    let index = r.u16()?;
-                    let price = r.cost()?;
-                    entries.push((index, price));
-                }
-                RouteInfo::PriceDelta {
-                    base_path_hash,
-                    entries,
-                }
-            }
-            other => return Err(DecodeError::BadKind(other)),
-        };
-        advertisements.push(RouteAdvertisement { destination, info });
-    }
-    Ok(Update {
-        from,
-        sender_costs,
-        advertisements,
-        // Provenance metadata is observability-only: it never crosses the
-        // wire, so decoded updates come back unstamped.
-        id: 0,
-        causes: Vec::new(),
-    })
-}
-
-fn decode_update_v2(r: &mut Reader<'_>) -> Result<Update, DecodeError> {
+fn decode_update_body(r: &mut Reader<'_>) -> Result<Update, DecodeError> {
     let from = AsId::new(r.uvarint_u32()?);
     let sender_cost_len = r.uvarint_len()?;
     // Length claims come off the wire: cap pre-allocation by the bytes
@@ -503,27 +415,26 @@ fn decode_update_v2(r: &mut Reader<'_>) -> Result<Update, DecodeError> {
         from,
         sender_costs,
         advertisements,
+        // Provenance metadata is observability-only: it never crosses the
+        // wire, so decoded updates come back unstamped.
         id: 0,
         causes: Vec::new(),
     })
 }
 
-/// Parses a wire message (either version) back into an [`Update`].
+/// Parses a wire message back into an [`Update`].
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncation, bad header, unknown
-/// advertisement kinds, malformed varints, or trailing bytes.
+/// Returns a [`DecodeError`] on truncation, bad magic or a version other
+/// than 2, unknown advertisement kinds, malformed varints, or trailing
+/// bytes.
 pub fn decode_update(buf: &[u8]) -> Result<Update, DecodeError> {
     let mut r = Reader { buf, pos: 0 };
-    if r.take(2)? != MAGIC {
+    if r.take(2)? != MAGIC || r.u8()? != VERSION {
         return Err(DecodeError::BadHeader);
     }
-    let update = match r.u8()? {
-        VERSION => decode_update_v1(&mut r)?,
-        VERSION_V2 => decode_update_v2(&mut r)?,
-        _ => return Err(DecodeError::BadHeader),
-    };
+    let update = decode_update_body(&mut r)?;
     if r.pos != buf.len() {
         return Err(DecodeError::TrailingBytes(buf.len() - r.pos));
     }
@@ -533,7 +444,7 @@ pub fn decode_update(buf: &[u8]) -> Result<Update, DecodeError> {
 fn event_frame(tag: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     out.extend_from_slice(&EVENT_MAGIC);
-    out.push(VERSION);
+    out.push(EVENT_VERSION);
     out.push(tag);
     out
 }
@@ -595,7 +506,7 @@ pub fn encode_local_event(event: &LocalEvent) -> Vec<u8> {
 
 fn event_reader(buf: &[u8]) -> Result<(Reader<'_>, u8), DecodeError> {
     let mut r = Reader { buf, pos: 0 };
-    if r.take(2)? != EVENT_MAGIC || r.u8()? != VERSION {
+    if r.take(2)? != EVENT_MAGIC || r.u8()? != EVENT_VERSION {
         return Err(DecodeError::BadHeader);
     }
     let tag = r.u8()?;
@@ -659,7 +570,7 @@ fn frame_kind_byte(kind: &FrameKind) -> u8 {
 /// to `out` without allocating.
 pub fn encode_frame_v2_into(out: &mut Vec<u8>, frame: &Frame) {
     out.extend_from_slice(&FRAME_MAGIC);
-    out.push(VERSION_V2);
+    out.push(VERSION);
     out.push(frame_kind_byte(&frame.kind));
     put_uvarint(out, frame.epoch);
     put_uvarint(out, frame.seq);
@@ -686,36 +597,26 @@ pub fn frame_size_v2_with(scratch: &mut Vec<u8>, frame: &Frame) -> usize {
     scratch.len()
 }
 
-/// Parses a wire session frame (either version) back into a [`Frame`].
+/// Parses a wire session frame back into a [`Frame`].
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncation, bad header, an unknown frame
-/// kind, a malformed embedded UPDATE, or trailing bytes.
+/// Returns a [`DecodeError`] on truncation, bad magic or a version other
+/// than 2, an unknown frame kind, a malformed embedded UPDATE, or trailing
+/// bytes.
 pub fn decode_frame(buf: &[u8]) -> Result<Frame, DecodeError> {
     let mut r = Reader { buf, pos: 0 };
-    if r.take(2)? != FRAME_MAGIC {
-        return Err(DecodeError::BadHeader);
-    }
-    let version = r.u8()?;
-    if version != VERSION && version != VERSION_V2 {
+    if r.take(2)? != FRAME_MAGIC || r.u8()? != VERSION {
         return Err(DecodeError::BadHeader);
     }
     let kind_tag = r.u8()?;
-    let (epoch, seq, ack_epoch, ack) = if version == VERSION {
-        (r.u64()?, r.u64()?, r.u64()?, r.u64()?)
-    } else {
-        (r.uvarint()?, r.uvarint()?, r.uvarint()?, r.uvarint()?)
-    };
+    let (epoch, seq, ack_epoch, ack) = (r.uvarint()?, r.uvarint()?, r.uvarint()?, r.uvarint()?);
     let kind = match kind_tag {
         FRAME_KIND_OPEN => {
             finish_frame(&r)?;
             FrameKind::Open
         }
         FRAME_KIND_DATA => {
-            // The embedded UPDATE carries its own version byte; a v2 frame
-            // can legally carry a v1 payload (and vice versa) during a
-            // version transition.
             let payload = r.take(buf.len() - r.pos)?;
             FrameKind::Data(decode_update(payload)?.into())
         }
@@ -734,19 +635,8 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame, DecodeError> {
     })
 }
 
-/// v1 wire size of a session frame (its encoded length), computed
-/// arithmetically without encoding.
-pub fn frame_size(frame: &Frame) -> usize {
-    FRAME_HEADER_BYTES
-        + match &frame.kind {
-            FrameKind::Data(update) => update_size(update),
-            FrameKind::Open | FrameKind::Keepalive => 0,
-        }
-}
-
-/// v1 wire size of one table entry (its encoded length), computed
-/// arithmetically without encoding — every v1 field is fixed-width.
-pub fn advertisement_size(ad: &RouteAdvertisement) -> usize {
+/// v1 wire size of one table entry — every v1 field is fixed-width.
+fn advertisement_size(ad: &RouteAdvertisement) -> usize {
     AS_NUMBER_BYTES
         + 1
         + match &ad.info {
@@ -761,8 +651,12 @@ pub fn advertisement_size(ad: &RouteAdvertisement) -> usize {
         }
 }
 
-/// v1 wire size of a whole UPDATE message (its encoded length), computed
-/// arithmetically without encoding.
+/// Size of an UPDATE under the retired fixed-width v1 format, computed
+/// arithmetically: 4-byte AS numbers, 8-byte costs and `u16` counts. No
+/// v1 codec is left, and no engine or report counts these bytes. The model
+/// is kept only as the denominator of the repo benchmark's
+/// `bgp.wire.v2_over_v1` ratio (`perf/src/layers.rs`) until that harness
+/// retires the ratio.
 pub fn update_size(update: &Update) -> usize {
     MESSAGE_HEADER_BYTES
         + update.sender_costs.len() * (AS_NUMBER_BYTES + COST_BYTES)
@@ -832,33 +726,6 @@ mod tests {
         }
     }
 
-    /// [`sample_update`] in its v1 wire form — frozen bytes: the v1 encoder is
-    /// gone, the decoder must keep accepting what it produced. (Header 11
-    /// bytes, then the three advertisements; `tests/wire_golden.rs` pins an
-    /// annotated corpus field by field.)
-    const V1_SAMPLE: [u8; 134] = [
-        0x42, 0x56, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x63, //
-        0x00, 0x00, 0x00, 0x01, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, //
-        0x00, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
-        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, //
-        0x00, 0x0B, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0B, 0x00, 0x00, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, //
-        0xFF, 0xFF, //
-    ];
-
-    /// [`delta_ad`] in its v1 wire form: dest = 42, kind = delta(2), the base
-    /// path hash, two entries — (0, 3) and (2, ∞).
-    const V1_DELTA_AD: [u8; 35] = [
-        0x2A, 0x00, 0x00, 0x00, 0x02, 0x0D, 0xF0, 0xAD, 0x0B, 0xEF, 0xBE, 0xAD, //
-        0xDE, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
-        0x00, 0x02, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, //
-    ];
-
     /// The sample plus a price-delta entry and a descending path (negative
     /// zigzag deltas) — every v2 construct in one message.
     fn sample_update_v2() -> Update {
@@ -877,35 +744,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_decode_exactly() {
-        assert_eq!(decode_update(&V1_SAMPLE).unwrap(), sample_update());
-    }
-
-    #[test]
-    fn v1_bytes_carry_price_deltas() {
-        let mut update = sample_update();
-        update.advertisements.push(delta_ad());
-        let mut bytes = V1_SAMPLE.to_vec();
-        bytes[9] = 4; // advertisement count
-        bytes.extend_from_slice(&V1_DELTA_AD);
-        assert_eq!(decode_update(&bytes).unwrap(), update);
-        assert_eq!(update_size(&update), bytes.len());
-    }
-
-    #[test]
     fn v2_round_trip_is_exact() {
         let update = sample_update_v2();
         let bytes = encode_update_v2(&update);
         assert_eq!(decode_update(&bytes).unwrap(), update);
     }
 
+    /// The retired v1 size model, pinned to the length the v1 encoder
+    /// produced for the sample (11-byte header, entries of 68, 5 and 50
+    /// bytes).
     #[test]
-    fn v2_is_smaller_than_v1() {
-        let update = sample_update_v2();
-        assert!(
-            encode_update_v2(&update).len() < update_size(&update),
-            "varint + delta coding must shrink the sample"
-        );
+    fn update_size_is_the_v1_length() {
+        assert_eq!(update_size(&sample_update()), 134);
     }
 
     #[test]
@@ -927,64 +777,56 @@ mod tests {
 
     #[test]
     fn infinite_prices_survive_the_wire() {
-        let update = sample_update();
-        for bytes in [V1_SAMPLE.to_vec(), encode_update_v2(&update)] {
-            let decoded = decode_update(&bytes).unwrap();
-            let RouteInfo::Reachable { prices, .. } = &decoded.advertisements[2].info else {
-                panic!("third entry is reachable");
-            };
-            assert_eq!(prices, &[Cost::INFINITE]);
-        }
-    }
-
-    #[test]
-    fn update_size_equals_encoded_length() {
-        assert_eq!(update_size(&sample_update()), V1_SAMPLE.len());
+        let decoded = decode_update(&encode_update_v2(&sample_update())).unwrap();
+        let RouteInfo::Reachable { prices, .. } = &decoded.advertisements[2].info else {
+            panic!("third entry is reachable");
+        };
+        assert_eq!(prices, &[Cost::INFINITE]);
     }
 
     #[test]
     fn truncation_is_detected_at_every_length() {
-        for bytes in [V1_SAMPLE.to_vec(), encode_update_v2(&sample_update_v2())] {
-            for cut in 0..bytes.len() {
-                let err = decode_update(&bytes[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, DecodeError::Truncated | DecodeError::BadHeader),
-                    "cut at {cut}: {err:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        for mut bytes in [V1_SAMPLE.to_vec(), encode_update_v2(&sample_update_v2())] {
-            bytes.push(0xAB);
-            assert_eq!(
-                decode_update(&bytes).unwrap_err(),
-                DecodeError::TrailingBytes(1)
+        let bytes = encode_update_v2(&sample_update_v2());
+        for cut in 0..bytes.len() {
+            let err = decode_update(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, DecodeError::Truncated | DecodeError::BadHeader),
+                "cut at {cut}: {err:?}"
             );
         }
     }
 
     #[test]
-    fn bad_magic_and_kind_are_rejected() {
-        let mut bytes = V1_SAMPLE;
-        bytes[0] = b'X';
-        assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadHeader);
-
-        let mut bytes = V1_SAMPLE;
-        // The kind byte of the first advertisement sits right after the
-        // header and the 4-byte destination.
-        let kind_pos = MESSAGE_HEADER_BYTES + 4;
-        bytes[kind_pos] = 9;
-        assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadKind(9));
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = encode_update_v2(&sample_update_v2());
+        bytes.push(0xAB);
+        assert_eq!(
+            decode_update(&bytes).unwrap_err(),
+            DecodeError::TrailingBytes(1)
+        );
     }
 
     #[test]
-    fn unknown_version_is_rejected() {
-        let mut bytes = V1_SAMPLE;
-        bytes[2] = 3;
+    fn bad_magic_version_and_kind_are_rejected() {
+        let sample = encode_update_v2(&sample_update_v2());
+        let mut bytes = sample.clone();
+        bytes[0] = b'X';
         assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadHeader);
+
+        for version in [0, 1, 3] {
+            let mut bytes = sample.clone();
+            bytes[2] = version;
+            assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadHeader);
+        }
+
+        // The first advertisement's kind byte follows the 3-byte header,
+        // `from`, the two sender costs with their count, the entry count
+        // and the one-byte destination.
+        let mut bytes = sample;
+        let kind_pos = 3 + 1 + 1 + 2 * 2 + 1 + 1;
+        assert_eq!(bytes[kind_pos], KIND_REACHABLE);
+        bytes[kind_pos] = 9;
+        assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadKind(9));
     }
 
     #[test]
@@ -1042,7 +884,7 @@ mod tests {
         // Path of two nodes where the second's delta walks below zero.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION_V2);
+        bytes.push(VERSION);
         put_uvarint(&mut bytes, 7); // from
         put_uvarint(&mut bytes, 0); // sender costs
         put_uvarint(&mut bytes, 1); // one advertisement
@@ -1058,34 +900,8 @@ mod tests {
         assert_eq!(decode_update(&bytes).unwrap_err(), DecodeError::BadVarint);
     }
 
-    #[test]
-    fn withdrawal_is_small() {
-        let ad = RouteAdvertisement {
-            destination: AsId::new(1),
-            info: RouteInfo::Withdrawn,
-        };
-        assert_eq!(advertisement_size(&ad), AS_NUMBER_BYTES + 1);
-    }
-
-    #[test]
-    fn size_grows_linearly_with_path() {
-        let short = advertisement_size(&reachable_ad(2, 0));
-        let long = advertisement_size(&reachable_ad(4, 0));
-        assert_eq!(long - short, 2 * (AS_NUMBER_BYTES + COST_BYTES));
-    }
-
-    #[test]
-    fn prices_add_constant_factor_not_blowup() {
-        // A priced entry for a path with t transit nodes adds t prices:
-        // bounded by the path length itself times COST_BYTES.
-        let plain = advertisement_size(&reachable_ad(5, 0));
-        let priced = advertisement_size(&reachable_ad(5, 3));
-        assert_eq!(priced - plain, 3 * COST_BYTES);
-        assert!(priced < 2 * plain, "pricing must stay a constant factor");
-    }
-
-    fn sample_frames() -> Vec<Frame> {
-        vec![
+    fn sample_frames() -> [Frame; 3] {
+        [
             Frame {
                 epoch: 3,
                 seq: 0,
@@ -1110,37 +926,6 @@ mod tests {
         ]
     }
 
-    /// The `Open` of [`sample_frames`] in its v1 wire form: magic "BF",
-    /// version 1, kind 0, then epoch = 3, seq = 0, ack_epoch = 2, ack = 7 as
-    /// u64 LE.
-    const V1_OPEN: [u8; FRAME_HEADER_BYTES] = [
-        0x42, 0x46, 0x01, 0x00, //
-        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
-        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
-        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
-    ];
-
-    /// [`sample_frames`] in v1 wire form, in the same order: the other two
-    /// differ from the `Open` in the kind byte, `seq` (Data) or `ack`
-    /// (Keepalive), and the Data frame's embedded UPDATE.
-    fn v1_frames() -> [Vec<u8>; 3] {
-        let mut data = V1_OPEN.to_vec();
-        (data[3], data[12]) = (FRAME_KIND_DATA, 1);
-        data.extend_from_slice(&V1_SAMPLE);
-        let mut keepalive = V1_OPEN.to_vec();
-        (keepalive[3], keepalive[28]) = (FRAME_KIND_KEEPALIVE, 9);
-        [V1_OPEN.to_vec(), data, keepalive]
-    }
-
-    #[test]
-    fn v1_frames_decode_and_report_their_size() {
-        for (frame, bytes) in sample_frames().into_iter().zip(v1_frames()) {
-            assert_eq!(frame_size(&frame), bytes.len());
-            assert_eq!(decode_frame(&bytes).unwrap(), frame);
-        }
-    }
-
     #[test]
     fn v2_frames_round_trip_and_report_their_size() {
         let mut scratch = Vec::new();
@@ -1148,59 +933,54 @@ mod tests {
             let bytes = encode_frame_v2(&frame);
             assert_eq!(frame_size_v2_with(&mut scratch, &frame), bytes.len());
             assert_eq!(decode_frame(&bytes).unwrap(), frame);
-            assert!(
-                bytes.len() <= frame_size(&frame),
-                "v2 never exceeds v1 for protocol-generated frames"
-            );
         }
     }
 
     #[test]
     fn frame_truncation_is_detected_at_every_length() {
-        for (frame, v1) in sample_frames().into_iter().zip(v1_frames()) {
-            for bytes in [v1, encode_frame_v2(&frame)] {
-                for cut in 0..bytes.len() {
-                    let err = decode_frame(&bytes[..cut]).unwrap_err();
-                    assert!(
-                        matches!(err, DecodeError::Truncated | DecodeError::BadHeader),
-                        "cut at {cut}: {err:?}"
-                    );
-                }
+        for frame in sample_frames() {
+            let bytes = encode_frame_v2(&frame);
+            for cut in 0..bytes.len() {
+                let err = decode_frame(&bytes[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, DecodeError::Truncated | DecodeError::BadHeader),
+                    "cut at {cut}: {err:?}"
+                );
             }
         }
     }
 
     #[test]
     fn frame_corruption_is_rejected_with_typed_errors() {
-        let [open, data, keepalive] = v1_frames();
+        let [open, data, keepalive] = sample_frames().map(|frame| encode_frame_v2(&frame));
         let mut bytes = open.clone();
         bytes[0] = b'X';
         assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
 
-        for mut bytes in [open, encode_frame_v2(&sample_frames()[0])] {
-            bytes[3] = 9; // kind byte
-            assert_eq!(
-                decode_frame(&bytes).unwrap_err(),
-                DecodeError::BadFrameKind(9)
-            );
+        for version in [1, 3] {
+            let mut bytes = data.clone();
+            bytes[2] = version;
+            assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
         }
 
-        for mut bytes in [keepalive, encode_frame_v2(&sample_frames()[2])] {
-            bytes.push(0xAB);
-            assert_eq!(
-                decode_frame(&bytes).unwrap_err(),
-                DecodeError::TrailingBytes(1)
-            );
-        }
+        let mut bytes = open;
+        bytes[3] = 9; // kind byte
+        assert_eq!(
+            decode_frame(&bytes).unwrap_err(),
+            DecodeError::BadFrameKind(9)
+        );
+
+        let mut bytes = keepalive;
+        bytes.push(0xAB);
+        assert_eq!(
+            decode_frame(&bytes).unwrap_err(),
+            DecodeError::TrailingBytes(1)
+        );
 
         // A Data frame whose embedded UPDATE is corrupted surfaces the
-        // inner decoder's typed error.
-        let mut bytes = data.clone();
-        bytes[FRAME_HEADER_BYTES] = b'X'; // embedded UPDATE magic
-        assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
-
+        // inner decoder's typed error. The four counters are one byte each.
         let mut bytes = data;
-        bytes[2] = 3; // unknown frame version
+        bytes[4 + 4] = b'X'; // embedded UPDATE magic
         assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
     }
 

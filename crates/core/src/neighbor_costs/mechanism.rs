@@ -13,6 +13,8 @@
 //! so `c_k(pred)` is `k`'s actual incurred cost on that route.
 
 use super::graph::NeighborCostGraph;
+use crate::accounting::PaymentLedger;
+use crate::errors::MechanismError;
 use crate::outcome::RoutingOutcome;
 use crate::vcg;
 use bgpvcg_netgraph::{AsId, Cost, GraphError, TrafficMatrix};
@@ -60,11 +62,13 @@ pub struct NeighborCostView {
 
 /// Evaluates agent `k` declaring `declared` while everyone else declares
 /// the vectors in `graph`; incurred costs use `graph`'s (true) vectors.
+/// Payments settle through the [`PaymentLedger`]; only the incurred cost
+/// `Σ c_k(pred)·t` is particular to per-neighbor costs.
 ///
 /// # Errors
 ///
-/// Returns the graph-validation error if the topology violates the
-/// mechanism's preconditions.
+/// Returns [`MechanismError::Graph`] if the topology violates the
+/// mechanism's preconditions, and the ledger's errors otherwise.
 ///
 /// # Panics
 ///
@@ -74,41 +78,31 @@ pub fn evaluate(
     k: AsId,
     declared: &[(AsId, Cost)],
     traffic: &TrafficMatrix,
-) -> Result<NeighborCostView, GraphError> {
-    let declared_graph = graph.with_cost_vector(k, declared);
-    let outcome = compute(&declared_graph)?;
-    let mut payment: u128 = 0;
-    let mut packets_carried: u128 = 0;
+) -> Result<NeighborCostView, MechanismError> {
+    let outcome = compute(&graph.with_cost_vector(k, declared))?;
+    let ledger = PaymentLedger::settle(&outcome, traffic)?;
     let mut incurred: u128 = 0;
     for (i, j, t) in traffic.flows() {
-        // `compute` on a validated (connected) graph routes every pair.
-        let pair = outcome.pair(i, j).ok_or(GraphError::Disconnected)?;
-        let Some(price) = pair.price_of(k) else {
+        // The ledger settled every flow, so every pair is routed.
+        let Some(route) = outcome.route(i, j) else {
             continue;
         };
-        let nodes = pair.route().nodes();
-        let pos = nodes
-            .iter()
-            .position(|&x| x == k)
-            .expect("a priced node is a transit node of the route"); // lint:allow(prices are keyed by the route's own transit nodes)
-        let pred = nodes[pos - 1];
+        // `k` carries the flow when it is a transit node: the node before
+        // it hands it the packet.
+        let Some(hop) = route.nodes().windows(2).find(|hop| hop[1] == k && k != j) else {
+            continue;
+        };
         let true_cost = graph
-            .recv_cost(k, pred)
+            .recv_cost(k, hop[0])
             .finite()
             .expect("declared cost vectors are validated finite"); // lint:allow(NeighborCostGraph construction rejects infinite costs)
         incurred += u128::from(true_cost) * u128::from(t);
-        payment += u128::from(
-            price
-                .finite()
-                // lint:allow(prices are sums of validated finite costs)
-                .expect("finite declared costs and margins sum finite"),
-        ) * u128::from(t);
-        packets_carried += u128::from(t);
     }
+    let payment = ledger.payment(k);
     Ok(NeighborCostView {
         declared: declared.to_vec(),
         payment,
-        packets_carried,
+        packets_carried: ledger.packets_carried(k),
         utility: payment as i128 - incurred as i128,
     })
 }
@@ -136,15 +130,14 @@ impl NeighborCostDeviation {
 ///
 /// # Errors
 ///
-/// Returns the graph-validation error if the topology violates the
-/// mechanism's preconditions.
+/// As [`evaluate`].
 pub fn deviate<R: Rng + ?Sized>(
     graph: &NeighborCostGraph,
     k: AsId,
     ceiling: u64,
     traffic: &TrafficMatrix,
     rng: &mut R,
-) -> Result<NeighborCostDeviation, GraphError> {
+) -> Result<NeighborCostDeviation, MechanismError> {
     let truth = graph.cost_vector(k);
     let lie: Vec<(AsId, Cost)> = truth
         .iter()

@@ -33,10 +33,10 @@
 //!   for line. See `docs/PERFORMANCE.md` and `docs/ROBUSTNESS.md`.
 //! - `ci`    — the full offline-tolerant pipeline: fmt check, lint,
 //!   analyze, audit, clippy wall, workspace tests, invariant-checked
-//!   tests, obs, bench and chaos `--smoke --compare`, the e20 adversary
-//!   smoke and the microbench smokes. Steps whose external tool is
-//!   unavailable (no rustfmt/clippy component) are reported and skipped
-//!   rather than failed, so `ci` works in minimal containers.
+//!   tests, `perf/`'s tests (`--locked`), obs, bench and chaos `--smoke
+//!   --compare`, the e20 adversary smoke and the microbench smokes. Steps
+//!   whose external tool is unavailable (no rustfmt/clippy component) are
+//!   reported and skipped, not failed, so `ci` works in minimal containers.
 
 use bgpvcg_bench::obs;
 use bgpvcg_telemetry::json::{self, JsonValue};
@@ -102,9 +102,9 @@ fn print_help() {
          \t                    the same gate over E19 (seeded faults,\n\
          \t                    self-stabilization asserted) and BENCH_chaos.json\n\
          \tci                  fmt check, lint, analyze, clippy, tests,\n\
-         \t                    invariant tests, obs, bench and chaos --smoke\n\
-         \t                    --compare, e20_adversary --smoke, microbench\n\
-         \t                    smokes\n\
+         \t                    invariant tests, perf/ tests, obs, bench and\n\
+         \t                    chaos --smoke --compare, e20_adversary --smoke,\n\
+         \t                    microbench smokes\n\
          \thelp                this message"
     );
 }
@@ -851,6 +851,22 @@ fn cmd_ci(root: &Path) -> ExitCode {
         &["test", "-q", "--features", "invariant-checks"],
         false,
     );
+    // The benchmark harness is its own workspace, built on its pinned lock.
+    ok &= run_step(
+        root,
+        "benchmark harness tests",
+        "cargo",
+        &[
+            "test",
+            "--offline",
+            "--locked",
+            "--manifest-path",
+            "perf/Cargo.toml",
+            "--target-dir",
+            "target/perf",
+        ],
+        false,
+    );
     ok &= cmd_obs(root) == ExitCode::SUCCESS;
     ok &= cmd_gate(root, &SCALE, true, true) == ExitCode::SUCCESS;
     ok &= cmd_gate(root, &CHAOS, true, true) == ExitCode::SUCCESS;
@@ -870,23 +886,7 @@ fn cmd_ci(root: &Path) -> ExitCode {
         ],
         false,
     );
-    ok &= run_step(
-        root,
-        "codec microbench smoke",
-        "cargo",
-        &[
-            "bench",
-            "-q",
-            "-p",
-            "bgpvcg-bench",
-            "--bench",
-            "codec",
-            "--",
-            "--test",
-        ],
-        false,
-    );
-    for bench in ["selector", "pricing", "tracer"] {
+    for bench in ["codec", "selector", "pricing", "tracer"] {
         ok &= run_step(
             root,
             &format!("{bench} microbench smoke"),

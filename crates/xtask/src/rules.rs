@@ -347,7 +347,7 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
             "advertise",
             "send_tapped",
             "enqueue",
-            "sizes",
+            "size",
         ],
     ),
     ("crates/bgp/src/engine/sync.rs", &["run_stage", "send"]),

@@ -8,7 +8,7 @@ pub struct Parcel {
 
 impl Parcel {
     /// The payload's encoded size, computed on first use.
-    pub fn sizes(&mut self) -> u32 {
+    pub fn size(&mut self) -> u32 {
         *self.bytes.get_or_insert(8)
     }
 }

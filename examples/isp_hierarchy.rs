@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "Pricing protocol converged in {} stages, {} messages, {} KiB.\n",
         run.report.stages,
         run.report.messages,
-        run.report.bytes / 1024
+        run.report.bytes_v2 / 1024
     );
 
     // Gravity-model interdomain traffic (real matrices are proprietary).

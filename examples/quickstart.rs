@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let run = protocol::run_sync(&graph)?;
     println!(
         "Pricing protocol converged in {} stages ({} messages, {} bytes).",
-        run.report.stages, run.report.messages, run.report.bytes
+        run.report.stages, run.report.messages, run.report.bytes_v2
     );
 
     // Cross-check against the centralized Theorem-1 reference.

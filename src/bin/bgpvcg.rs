@@ -357,7 +357,7 @@ fn run_simulate(
             "Synchronous engine: {} stages, {} messages, {} KiB.",
             report.stages,
             report.messages,
-            report.bytes / 1024
+            report.bytes_v2 / 1024
         );
         let nodes: Vec<_> = engine.into_nodes();
         protocol::outcome_from_nodes(&nodes).map_err(|e| e.to_string())?
@@ -367,7 +367,7 @@ fn run_simulate(
             "Synchronous engine: {} stages, {} messages, {} KiB.",
             run.report.stages,
             run.report.messages,
-            run.report.bytes / 1024
+            run.report.bytes_v2 / 1024
         );
         run.outcome
     };

@@ -13,7 +13,9 @@
 //! drift in stage order, delivery order, provenance ids, rng draw order or
 //! frame order fails here. The two lossy chaos digests were re-recorded
 //! when a delayed frame overtaken by newer ones stopped reading as a peer
-//! that lost state (so stopped bouncing its session).
+//! that lost state (so stopped bouncing its session). Every outcome digest
+//! was re-recorded when the reports lost their v1 `bytes` field: each new
+//! value is the hash of the old text with `bytes: N, ` removed.
 //!
 //! One freedom is granted: in a tapped lock-step run an `AdversaryInjected`
 //! event may directly follow the perturbed update's own events instead of
@@ -241,7 +243,7 @@ fn sync_cold_stream_is_pinned() {
         8384,
         Fnv::EMPTY.0,
         0,
-        0xadc6_8e8b_37c5_293a,
+        0xa5c6_98b5_ef67_d622,
     );
     check("sync/cold", sync_cold(1), expected);
     check("sync/cold/2 workers", sync_cold(2), expected);
@@ -254,7 +256,7 @@ fn sync_tapped_stream_is_pinned() {
         12880,
         0x377b_0168_1749_7eda,
         4,
-        0xb6fb_ad4c_2cb8_9b1e,
+        0xc50e_88a6_2c9b_3158,
     );
     check("sync/tapped", sync_tapped(1, true), expected);
     check("sync/tapped/2 workers", sync_tapped(2, true), expected);
@@ -263,7 +265,7 @@ fn sync_tapped_stream_is_pinned() {
         9239,
         0x18ce_7c71_b936_dd00,
         95,
-        0x4c6e_4987_1e83_9ca2,
+        0xf172_687f_ce80_d7c0,
     );
     check("sync/tapped, accused only", sync_tapped(1, false), expected);
     check(
@@ -280,7 +282,7 @@ fn sync_warm_stream_is_pinned() {
         16185,
         Fnv::EMPTY.0,
         0,
-        0x2595_e412_b795_b05c,
+        0x51b3_79c2_2dca_89e2,
     );
     check("sync/warm", sync_warm(), expected);
 }
@@ -293,7 +295,7 @@ fn chaos_crash_stream_is_pinned() {
         5204,
         Fnv::EMPTY.0,
         0,
-        0xf3ac_3a57_d239_aa08,
+        0x8cb0_208c_6bf1_39ff,
     );
     check("chaos/lossy+crash", chaos(plan, None), expected);
 }
@@ -312,7 +314,7 @@ fn chaos_flap_and_cut_stream_is_pinned() {
         2752,
         Fnv::EMPTY.0,
         0,
-        0x9b98_8b2e_707e_1299,
+        0x0878_1eb8_882b_c68e,
     );
     check("chaos/flap+cut", chaos(plan, None), expected);
 }
@@ -332,7 +334,7 @@ fn chaos_tapped_stream_is_pinned() {
         0x15a8,
         0xb27d_8263_e8e6_c78f,
         0x158,
-        0xd39a_99a2_a916_2dc8,
+        0x327d_f552_20bd_85e0,
     );
     check("chaos/lossy+flap+tap", chaos(plan, Some(tap)), expected);
 }

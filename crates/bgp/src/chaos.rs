@@ -3,18 +3,22 @@
 //! The paper's convergence results (Sect. 5–6) assume reliable message
 //! exchange between neighbors. This module drops that assumption and shows
 //! the mechanism *self-stabilizes*: a [`ChaosEngine`] — the shared stage
-//! [`Engine`] over the [`Sessions`] transport — perturbs the
-//! inter-node frame streams — dropping, duplicating, delaying (and thereby
-//! reordering) frames, flapping links, crashing and restarting whole nodes
-//! — all replayable from a single `u64` seed, while a sequenced session
-//! layer ([`Frame`]/[`FrameKind`], wire format in [`crate::wire`])
-//! recovers: per-direction epochs and sequence numbers reject stale or
-//! duplicated state, cumulative acks drive retransmission, and a hold
-//! timer turns silence into an implicit link failure exactly like an
-//! explicit [`LocalEvent::LinkDown`]. Once the fault schedule's horizon
-//! passes, every run reconverges to the same `(routes, prices)` fixpoint
-//! as a fault-free run — the property `tests/chaos_parity.rs` checks over
-//! topology families × fault seeds.
+//! [`Engine`] over the [`Sessions`] transport — perturbs the inter-node
+//! frame streams with the [`FaultPlan`]'s *silent* faults — dropping,
+//! duplicating, delaying (and thereby reordering) frames, flapping and
+//! cutting links, crashing and restarting nodes, none of which any node is
+//! told of — all replayable from a single `u64` seed. Announced changes are
+//! [`TopologyEvent`]s, applied through the engine's one event path exactly
+//! as under lock-step: a downed link or node loses its channels and
+//! sessions, a new link opens in the next stage's establishment pass.
+//! Throughout, a sequenced session layer ([`Frame`]/[`FrameKind`], wire
+//! format in [`crate::wire`]) recovers: per-direction epochs and sequence
+//! numbers reject stale or duplicated state, cumulative acks drive
+//! retransmission, and a hold timer turns silence into an implicit link
+//! failure exactly like an explicit [`LocalEvent::LinkDown`]. Once the
+//! fault schedule's horizon passes, every run reconverges to the same
+//! `(routes, prices)` fixpoint as a fault-free run — the property
+//! `tests/chaos_parity.rs` checks over topology families × fault seeds.
 //!
 //! # Session protocol
 //!
@@ -53,13 +57,12 @@
 //! See `docs/ROBUSTNESS.md` for the full fault model and the
 //! self-stabilization argument.
 
-use crate::dynamics::LocalEvent;
-use crate::engine::kernel::{enqueue, Engine, Parcel, Transport};
+use crate::dynamics::{LocalEvent, TopologyEvent};
+use crate::engine::kernel::{enqueue, Engine, Parcel, Report, RunTally, Sent, Transport};
 use crate::message::{Frame, FrameKind};
 use crate::node::ProtocolNode;
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId};
-use bgpvcg_telemetry::flight::{self, StateSnapshot};
 use bgpvcg_telemetry::profile::span;
 use bgpvcg_telemetry::TraceEvent;
 use rand::rngs::StdRng;
@@ -170,10 +173,7 @@ impl FaultPlan {
             delay_rate: 0.10,
             max_delay: 3,
             horizon,
-            crashes: Vec::new(),
-            restarts: Vec::new(),
-            flaps: Vec::new(),
-            cuts: Vec::new(),
+            ..FaultPlan::quiet()
         }
     }
 
@@ -306,6 +306,12 @@ impl fmt::Display for ChaosReport {
     }
 }
 
+impl Report for ChaosReport {
+    fn quiescence(&self) -> (u64, u64) {
+        (self.stages, self.messages)
+    }
+}
+
 /// Send-direction session state toward one neighbor.
 #[derive(Debug, Clone, Default)]
 struct SendStream {
@@ -376,19 +382,11 @@ impl Session {
     }
 }
 
-/// One direction of a link: frames in flight, each with the stage it
-/// becomes deliverable.
-#[derive(Debug, Clone, Default)]
-struct Channel {
-    queue: Vec<(u64, Frame)>,
-}
-
 /// The session layer as a transport: sequenced frames over seeded-faulty
 /// channels, with everything that needs — per-direction session state,
 /// frames in flight, the [`FaultPlan`] and its rng, the epoch allocator —
-/// and the stage clock and [`ChaosReport`] of the harness that drives it.
-/// Frames are accounted where they arrive, so nothing is sized at send
-/// time.
+/// and the counters of the [`ChaosReport`]. Frames are accounted where
+/// they arrive, so nothing is sized at send time.
 #[derive(Debug)]
 pub struct Sessions {
     /// Undirected links administratively dead (silent cuts), normalized
@@ -396,17 +394,25 @@ pub struct Sessions {
     cut: Vec<(AsId, AsId)>,
     /// Per-node, per-neighbor session state.
     sessions: Vec<BTreeMap<AsId, Session>>,
-    /// Directed channels keyed `(sender, receiver)`.
-    channels: BTreeMap<(AsId, AsId), Channel>,
+    /// Directed channels keyed `(sender, receiver)`: the frames in flight,
+    /// each with the stage it becomes deliverable.
+    channels: BTreeMap<(AsId, AsId), Vec<(u64, Frame)>>,
     plan: FaultPlan,
     rng: StdRng,
     /// Harness-global epoch allocator (monotone across crashes).
     epoch_counter: u64,
-    stage: u64,
+    /// The fault and recovery counters; stages and traffic are filled in
+    /// when a run closes.
     report: ChaosReport,
-    /// Scratch: `true` while the current stage has observed recovery-layer
-    /// or protocol activity (used by the stabilization detector).
+    /// Frames accounted since the engine last settled.
+    sent: Sent,
+    /// `true` while the current stage has observed recovery-layer or
+    /// protocol activity (used by the stabilization detector).
     stage_active: bool,
+    /// Idle stages in a row past the plan's
+    /// [`activity_end`](FaultPlan::activity_end); an announced event resets
+    /// it.
+    idle_streak: u64,
 }
 
 /// The key of the undirected link `a`–`b`.
@@ -425,133 +431,36 @@ impl Sessions {
     fn flush(&mut self, a: AsId, b: AsId) {
         for dir in [(a, b), (b, a)] {
             if let Some(channel) = self.channels.get_mut(&dir) {
-                self.report.frames_dropped += channel.queue.len() as u64;
-                channel.queue.clear();
+                self.report.frames_dropped += channel.len() as u64;
+                channel.clear();
             }
         }
     }
-}
 
-impl Transport for Sessions {
-    /// A link is usable once its send stream is established.
-    fn is_open(&self, from: AsId, to: AsId) -> bool {
-        let session = self.sessions[from.index()].get(&to);
-        session.is_some_and(|s| s.send.established)
+    /// An announced link loss: the channels are flushed and both ends
+    /// forget the session, so a later `LinkUp` starts from scratch.
+    fn disconnect(&mut self, a: AsId, b: AsId) {
+        self.flush(a, b);
+        self.sessions[a.index()].remove(&b);
+        self.sessions[b.index()].remove(&a);
     }
 
-    /// Frames the payload as sequenced Data. Frames share the update by
-    /// `Arc` — provenance never crosses the wire codec.
-    fn send<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId, parcel: &Parcel) {
-        engine.send_frame(from, to, FrameKind::Data(Arc::clone(&parcel.update)));
-    }
-}
-
-/// The chaos harness: drives [`ProtocolNode`]s over seeded-faulty channels
-/// through the sequenced session layer, in deterministic stages.
-///
-/// Unlike [`SyncEngine`](crate::engine::SyncEngine) this engine's transport
-/// is lossy: nodes exchange [`Frame`]s, not bare updates, and the harness
-/// injects the [`FaultPlan`]'s faults at the channel boundary. Everything
-/// is single-threaded and iteration orders are fixed, so a
-/// `(plan, topology)` pair replays bit-identically.
-pub type ChaosEngine<N> = Engine<N, Sessions>;
-
-impl<N: ProtocolNode> Engine<N, Sessions> {
-    /// Creates a harness over the graph's topology with one prepared node
-    /// per AS and the given fault plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph's node count or ids
-    /// are out of order, or if the plan's `drop_rate`, `duplicate_rate` or
-    /// `delay_rate` is not a probability in `[0, 1]` (NaN included).
-    pub fn new(graph: &AsGraph, nodes: Vec<N>, plan: FaultPlan) -> Self {
-        for (name, rate) in [
-            ("drop_rate", plan.drop_rate),
-            ("duplicate_rate", plan.duplicate_rate),
-            ("delay_rate", plan.delay_rate),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&rate),
-                "{name} must be a probability in [0, 1], got {rate}"
-            );
-        }
-        let mut channels = BTreeMap::new();
-        for i in graph.nodes() {
-            for &j in graph.neighbors(i) {
-                channels.insert((i, j), Channel::default());
-            }
-        }
-        let link = Sessions {
-            cut: Vec::new(),
-            sessions: vec![BTreeMap::new(); nodes.len()],
-            channels,
-            rng: StdRng::seed_from_u64(plan.seed),
-            plan,
-            epoch_counter: 0,
-            stage: 0,
-            report: ChaosReport {
-                converged: true,
-                ..ChaosReport::default()
-            },
-            stage_active: false,
-        };
-        Engine::over(graph, nodes, link)
-    }
-
-    /// Writes the divergence dump after a budget exhaustion.
-    fn dump_flight(&self) {
-        let in_flight = self.link.channels.values().map(|c| c.queue.len() as u64);
-        let report = &self.link.report;
-        let summary = [
-            ("stages", report.stages),
-            ("messages", report.messages),
-            ("frames_dropped", report.frames_dropped),
-            ("retransmits", report.retransmits),
-            ("session_resets", report.session_resets),
-            ("holds_fired", report.holds_fired),
-            ("frames_in_flight", in_flight.sum()),
-            ("updates_stamped", self.update_seq),
-            ("nodes", self.nodes.len() as u64),
-        ];
-        let snapshots = || {
-            let per_node = self.link.sessions.iter();
-            let per_node = per_node.zip(&self.down).zip(&self.inboxes);
-            per_node
-                .take(64)
-                .enumerate()
-                .map(|(idx, ((sessions, &down), pending))| StateSnapshot {
-                    node: idx as u32,
-                    fields: vec![
-                        ("up", u64::from(!down)),
-                        (
-                            "sessions_established",
-                            sessions.values().filter(|s| s.send.established).count() as u64,
-                        ),
-                        (
-                            "unacked_frames",
-                            sessions.values().map(|s| s.send.unacked.len() as u64).sum(),
-                        ),
-                        ("pending_updates", pending.len() as u64),
-                    ],
-                })
-                .collect()
-        };
-        let stage = self.link.stage;
-        self.instruments
-            .dump_abort(flight::REASON_NOT_STABILIZED, stage, &summary, snapshots);
-    }
-
-    /// Stages executed so far.
-    pub fn stage(&self) -> u64 {
-        self.link.stage
+    /// `true` when nothing recovery-relevant is pending: no sequenced
+    /// frames in flight, no retransmit backlog, and the stage produced no
+    /// protocol or session activity.
+    fn is_idle(&self) -> bool {
+        let mut in_flight = self.channels.values().flatten();
+        let mut sessions = self.sessions.iter().flat_map(|peers| peers.values());
+        !self.stage_active
+            && !in_flight.any(|(_, frame)| frame.is_sequenced())
+            && !sessions.any(|s| s.send.established && !s.send.unacked.is_empty())
     }
 
     /// Traces a fault injected this stage at `node` (toward `peer`, or
     /// [`fault::NODE_PEER`]).
-    fn trace_fault(&self, node: AsId, peer: u32, fault: u32) {
-        self.instruments.record(&TraceEvent::FaultInjected {
-            stage: self.link.stage,
+    fn trace_fault<N>(engine: &Engine<N, Self>, node: AsId, peer: u32, fault: u32) {
+        engine.instruments.record(&TraceEvent::FaultInjected {
+            stage: engine.stage,
             node: node.raw(),
             peer,
             fault,
@@ -559,10 +468,10 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
     }
 
     /// Counts and traces one reset of `me`'s receive state from `peer`.
-    fn session_reset(&mut self, me: AsId, peer: AsId) {
-        self.link.report.session_resets += 1;
-        self.instruments.record(&TraceEvent::SessionReset {
-            stage: self.link.stage,
+    fn session_reset<N>(engine: &mut Engine<N, Self>, me: AsId, peer: AsId) {
+        engine.link.report.session_resets += 1;
+        engine.instruments.record(&TraceEvent::SessionReset {
+            stage: engine.stage,
             node: me.raw(),
             peer: peer.raw(),
         });
@@ -570,18 +479,18 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
 
     /// `true` if the undirected link `a`–`b` exists, both ends are up, and
     /// it has not been cut.
-    fn live_link(&self, a: AsId, b: AsId) -> bool {
-        !self.down[a.index()]
-            && !self.down[b.index()]
-            && !self.link.cut.contains(&undirected(a, b))
-            && self.adjacency[a.index()].contains(&b)
+    fn live_link<N>(engine: &Engine<N, Self>, a: AsId, b: AsId) -> bool {
+        !engine.down[a.index()]
+            && !engine.down[b.index()]
+            && !engine.link.cut.contains(&undirected(a, b))
+            && engine.adjacency[a.index()].contains(&b)
     }
 
     /// Sends `kind` from `from` to `to` through the fault layer; sequenced
     /// kinds consume a seq and enter the retransmit buffer.
-    fn send_frame(&mut self, from: AsId, to: AsId, kind: FrameKind) {
-        let stage = self.link.stage;
-        let session = self.link.session(from, to);
+    fn send_frame<N>(engine: &mut Engine<N, Self>, from: AsId, to: AsId, kind: FrameKind) {
+        let stage = engine.stage;
+        let session = engine.link.session(from, to);
         let sequenced = !matches!(kind, FrameKind::Keepalive);
         let seq = session.send.next_seq;
         if sequenced {
@@ -590,56 +499,56 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
         }
         session.send.last_sent = stage;
         let frame = session.frame(seq, kind);
-        self.transmit(from, to, frame);
+        Self::transmit(engine, from, to, frame);
     }
 
     /// Pushes a fully built frame into the channel, applying the plan's
     /// stochastic faults (and flap/cut/crash losses).
-    fn transmit(&mut self, from: AsId, to: AsId, frame: Frame) {
-        if !self.live_link(from, to) {
+    fn transmit<N>(engine: &mut Engine<N, Self>, from: AsId, to: AsId, frame: Frame) {
+        if !Self::live_link(engine, from, to) {
             // Crashed endpoint or administratively dead link: the frame
             // vanishes without being a counted stochastic fault.
             return;
         }
-        let stage = self.link.stage;
-        if self.link.plan.is_flapped(stage, from, to) {
-            self.link.report.frames_dropped += 1;
+        let stage = engine.stage;
+        if engine.link.plan.is_flapped(stage, from, to) {
+            engine.link.report.frames_dropped += 1;
             return;
         }
         let mut deliver_at = stage + 1;
-        if stage < self.link.plan.horizon {
-            if self.link.rng.gen_bool(self.link.plan.drop_rate) {
-                self.link.report.frames_dropped += 1;
-                self.trace_fault(from, to.raw(), fault::DROP);
+        if stage < engine.link.plan.horizon {
+            if engine.link.rng.gen_bool(engine.link.plan.drop_rate) {
+                engine.link.report.frames_dropped += 1;
+                Self::trace_fault(engine, from, to.raw(), fault::DROP);
                 return;
             }
-            if self.link.rng.gen_bool(self.link.plan.delay_rate) {
-                let max_delay = self.link.plan.max_delay.max(1);
-                deliver_at += self.link.rng.gen_range(1..=max_delay);
-                self.link.report.frames_delayed += 1;
-                self.trace_fault(from, to.raw(), fault::DELAY);
+            if engine.link.rng.gen_bool(engine.link.plan.delay_rate) {
+                let max_delay = engine.link.plan.max_delay.max(1);
+                deliver_at += engine.link.rng.gen_range(1..=max_delay);
+                engine.link.report.frames_delayed += 1;
+                Self::trace_fault(engine, from, to.raw(), fault::DELAY);
             }
-            if self.link.rng.gen_bool(self.link.plan.duplicate_rate) {
-                self.link.report.frames_duplicated += 1;
-                self.trace_fault(from, to.raw(), fault::DUPLICATE);
-                if let Some(channel) = self.link.channels.get_mut(&(from, to)) {
-                    channel.queue.push((deliver_at + 1, frame.clone()));
+            if engine.link.rng.gen_bool(engine.link.plan.duplicate_rate) {
+                engine.link.report.frames_duplicated += 1;
+                Self::trace_fault(engine, from, to.raw(), fault::DUPLICATE);
+                if let Some(channel) = engine.link.channels.get_mut(&(from, to)) {
+                    channel.push((deliver_at + 1, frame.clone()));
                 }
             }
         }
-        if let Some(channel) = self.link.channels.get_mut(&(from, to)) {
-            channel.queue.push((deliver_at, frame));
+        if let Some(channel) = engine.link.channels.get_mut(&(from, to)) {
+            channel.push((deliver_at, frame));
         }
     }
 
     /// (Re)establishes the send stream `from → to`: fresh epoch, Open,
     /// full table. The sender also (re)attaches the neighbor locally —
     /// session establishment is what makes a link usable in this model.
-    fn establish(&mut self, from: AsId, to: AsId) {
-        self.link.epoch_counter += 1;
-        let epoch = self.link.epoch_counter;
-        let stage = self.link.stage;
-        let session = self.link.session(from, to);
+    fn open_stream<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId) {
+        engine.link.epoch_counter += 1;
+        let epoch = engine.link.epoch_counter;
+        let stage = engine.stage;
+        let session = engine.link.session(from, to);
         session.send.established = true;
         session.send.epoch = epoch;
         session.send.next_seq = 0;
@@ -651,20 +560,20 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
         // (otherwise a post-expiry re-establishment would trip the
         // still-stale timer immediately).
         session.recv.last_heard = stage;
-        let _ = self.nodes[from.index()].apply_event(LocalEvent::LinkUp(to));
-        self.send_frame(from, to, FrameKind::Open);
-        self.ship_table(from, to, stage);
-        self.link.stage_active = true;
+        engine.local_event(from, LocalEvent::LinkUp(to), stage);
+        Self::send_frame(engine, from, to, FrameKind::Open);
+        engine.ship_table(from, to, stage);
+        engine.link.stage_active = true;
     }
 
     /// Tears down both directions of the session with `peer` after a hold
     /// expiry, applying the implicit link-down to the node.
-    fn hold_expire(&mut self, me: AsId, peer: AsId) {
-        let stage = self.link.stage;
-        self.link.report.holds_fired += 1;
-        self.link.stage_active = true;
-        self.session_reset(me, peer);
-        if let Some(session) = self.link.sessions[me.index()].get_mut(&peer) {
+    fn hold_expire<N: ProtocolNode>(engine: &mut Engine<N, Self>, me: AsId, peer: AsId) {
+        let stage = engine.stage;
+        engine.link.report.holds_fired += 1;
+        engine.link.stage_active = true;
+        Self::session_reset(engine, me, peer);
+        if let Some(session) = engine.link.sessions[me.index()].get_mut(&peer) {
             session.send.established = false;
             session.send.peer_acked = false;
             session.send.unacked.clear();
@@ -673,22 +582,24 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
             session.recv.buffer.clear();
             session.recv.last_heard = stage;
         }
-        let out = self.nodes[me.index()].apply_event(LocalEvent::LinkDown(peer));
-        if let Some(update) = out {
-            self.advertise(me, update, stage);
-        }
+        engine.local_event(me, LocalEvent::LinkDown(peer), stage);
     }
 
     /// Processes one frame arriving at `me` from `peer`; in-order Data
     /// payloads are queued into `me`'s inbox for this stage's handle pass.
-    fn receive(&mut self, me: AsId, peer: AsId, frame: Frame) {
-        self.link.report.messages += 1;
-        self.link.report.bytes_v2 += wire::frame_size_v2_with(&mut self.scratch, &frame) as u64;
-        let stage = self.link.stage;
+    fn receive<N: ProtocolNode>(engine: &mut Engine<N, Self>, me: AsId, peer: AsId, frame: Frame) {
+        let sent = &mut engine.link.sent;
+        sent.messages += 1;
+        sent.bytes_v2 += wire::frame_size_v2_with(&mut engine.scratch, &frame);
+        if let FrameKind::Data(update) = &frame.kind {
+            sent.entries += update.entry_count();
+        }
+        let stage = engine.stage;
         let mut reestablish = false;
         let mut reset = false;
         let mut opened = false;
-        let session = self.link.session(me, peer);
+        let mut queued = false;
+        let session = engine.link.session(me, peer);
         session.recv.last_heard = stage;
         let order = stream_order(&frame);
         let newest = order > session.recv.newest;
@@ -733,203 +644,135 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
                     match kind {
                         FrameKind::Open => opened = true,
                         FrameKind::Data(update) => {
-                            enqueue(&mut self.inboxes, &mut self.dirty, me, update);
+                            queued = true;
+                            enqueue(&mut engine.inboxes, &mut engine.dirty, me, update);
                         }
                         FrameKind::Keepalive => {}
                     }
                 }
             }
         }
+        // Input for this stage's handle pass makes the stage active.
+        engine.link.stage_active |= queued;
         if reset {
-            self.link.stage_active = true;
-            self.session_reset(me, peer);
+            engine.link.stage_active = true;
+            Self::session_reset(engine, me, peer);
         }
         if opened {
             // An accepted Open precedes all Data of its epoch, so the
             // neighbor is attached before any of its routes are ingested.
-            let _ = self.nodes[me.index()].apply_event(LocalEvent::LinkUp(peer));
-            self.link.stage_active = true;
+            engine.local_event(me, LocalEvent::LinkUp(peer), stage);
+            engine.link.stage_active = true;
             // The peer restarting its stream means it (re)initialized its
             // view of us — typically after dropping everything we ever
             // sent (restart, hold expiry, detected regression). Resend our
             // full table on our own stream so its Rib-In refills; an Open
             // triggers only Data, never a counter-Open, so two nodes can
             // never ping-pong establishments.
-            if self.link.is_open(me, peer) {
-                self.ship_table(me, peer, stage);
+            if engine.link.is_open(me, peer) {
+                engine.ship_table(me, peer, stage);
             }
         }
-        if reestablish && self.live_link(me, peer) {
+        if reestablish && Self::live_link(engine, me, peer) {
             // The peer's state loss also invalidates everything we learned
             // from it over the dead incarnation: bounce the link locally so
             // the stale Rib-In is dropped before the sessions restart.
-            self.session_reset(me, peer);
-            let out = self.nodes[me.index()].apply_event(LocalEvent::LinkDown(peer));
-            if let Some(update) = out {
-                self.advertise(me, update, stage);
-            }
-            self.establish(me, peer);
+            Self::session_reset(engine, me, peer);
+            engine.local_event(me, LocalEvent::LinkDown(peer), stage);
+            Self::open_stream(engine, me, peer);
         }
     }
 
     /// Applies the structural faults scheduled for the current stage.
-    fn apply_scheduled_faults(&mut self) {
-        let stage = self.link.stage;
+    fn apply_scheduled_faults<N: ProtocolNode>(engine: &mut Engine<N, Self>) {
+        let stage = engine.stage;
         let due = |schedule: &[(u64, AsId)]| -> Vec<AsId> {
             let due = schedule.iter().filter(|&&(s, _)| s == stage);
             due.map(|&(_, k)| k).collect()
         };
-        for k in due(&self.link.plan.crashes) {
-            if k.index() >= self.nodes.len() || self.down[k.index()] {
-                self.link.report.rejected_events += 1;
+        for k in due(&engine.link.plan.crashes) {
+            if k.index() >= engine.nodes.len() || engine.down[k.index()] {
+                engine.link.report.rejected_events += 1;
                 continue;
             }
-            self.crash(k);
+            Self::crash(engine, k);
         }
-        for k in due(&self.link.plan.restarts) {
-            if k.index() >= self.nodes.len() || !self.down[k.index()] {
-                self.link.report.rejected_events += 1;
+        for k in due(&engine.link.plan.restarts) {
+            if k.index() >= engine.nodes.len() || !engine.down[k.index()] {
+                engine.link.report.rejected_events += 1;
                 continue;
             }
-            self.restart(k);
+            Self::restart(engine, k);
         }
-        let cuts = self.link.plan.cuts.iter().filter(|&&(s, ..)| s == stage);
+        let cuts = engine.link.plan.cuts.iter().filter(|&&(s, ..)| s == stage);
         let cuts: Vec<(AsId, AsId)> = cuts.map(|&(_, a, b)| (a, b)).collect();
         for (a, b) in cuts {
             let key = undirected(a, b);
-            if a.index() >= self.nodes.len()
-                || b.index() >= self.nodes.len()
-                || !self.adjacency[a.index()].contains(&b)
-                || self.link.cut.contains(&key)
+            if a.index() >= engine.nodes.len()
+                || b.index() >= engine.nodes.len()
+                || !engine.adjacency[a.index()].contains(&b)
+                || engine.link.cut.contains(&key)
             {
-                self.link.report.rejected_events += 1;
+                engine.link.report.rejected_events += 1;
                 continue;
             }
-            self.link.cut.push(key);
-            self.link.stage_active = true;
-            self.trace_fault(a, b.raw(), fault::LINK_FLAP);
-            self.link.flush(a, b);
+            engine.link.cut.push(key);
+            engine.link.stage_active = true;
+            Self::trace_fault(engine, a, b.raw(), fault::LINK_FLAP);
+            engine.link.flush(a, b);
         }
         // Flap windows opening this stage: trace once (the window eats
         // frames at send and at delivery time).
-        for &(from, until, a, b) in &self.link.plan.flaps {
+        for &(from, until, a, b) in &engine.link.plan.flaps {
             if from == stage {
-                self.trace_fault(a, b.raw(), fault::LINK_FLAP);
+                Self::trace_fault(engine, a, b.raw(), fault::LINK_FLAP);
             }
-            self.link.stage_active |= stage >= from && stage < until;
+            engine.link.stage_active |= stage >= from && stage < until;
         }
     }
 
     /// Crashes node `k`: state lost, channels emptied, sessions wiped.
     /// Neighbors are *not* told — their hold timers will notice.
-    fn crash(&mut self, k: AsId) {
-        self.down[k.index()] = true;
-        self.link.report.crashes += 1;
-        self.link.stage_active = true;
-        self.trace_fault(k, fault::NODE_PEER, fault::CRASH);
-        self.nodes[k.index()].reset();
-        for a in self.adjacency[k.index()].clone() {
-            let _ = self.nodes[k.index()].apply_event(LocalEvent::LinkDown(a));
-            self.link.flush(k, a);
+    fn crash<N: ProtocolNode>(engine: &mut Engine<N, Self>, k: AsId) {
+        engine.link.report.crashes += 1;
+        engine.link.stage_active = true;
+        Self::trace_fault(engine, k, fault::NODE_PEER, fault::CRASH);
+        for &a in &engine.adjacency[k.index()] {
+            engine.link.flush(k, a);
         }
-        self.link.sessions[k.index()].clear();
-        self.drop_inbox(k);
+        engine.link.sessions[k.index()].clear();
+        let links = engine.adjacency[k.index()].clone();
+        engine.crash(k, &links, engine.stage);
     }
 
     /// Restarts node `k` from scratch; its sessions re-establish in this
     /// stage's establishment pass.
-    fn restart(&mut self, k: AsId) {
-        self.down[k.index()] = false;
-        self.link.report.restarts += 1;
-        self.link.stage_active = true;
-        self.instruments.record(&TraceEvent::NodeRestart {
-            stage: self.link.stage,
+    fn restart<N: ProtocolNode>(engine: &mut Engine<N, Self>, k: AsId) {
+        engine.down[k.index()] = false;
+        engine.link.report.restarts += 1;
+        engine.link.stage_active = true;
+        engine.instruments.record(&TraceEvent::NodeRestart {
+            stage: engine.stage,
             node: k.raw(),
         });
         // The crash already detached every link, so reset() restores a
         // link-less fresh node; the establishment pass this same stage
         // re-attaches neighbors and ships the full table. start() here
         // just primes the change-suppression memory with the origin.
-        self.nodes[k.index()].reset();
-        let _ = self.nodes[k.index()].start();
-    }
-
-    /// Executes one harness stage. Ordering within a stage is fixed —
-    /// faults, establishment, delivery, handling, timers — and every loop
-    /// iterates in ascending node/peer order, so runs replay exactly.
-    pub fn step(&mut self) {
-        self.instruments.enter(span::STAGE);
-        self.link.stage += 1;
-        self.link.stage_active = false;
-        let stage = self.link.stage;
-        self.instruments.record(&TraceEvent::StageStart { stage });
-        self.apply_scheduled_faults();
-
-        // Establishment pass: every live directed link without an
-        // established send stream opens one (initial startup, post-restart
-        // rejoin, post-hold repair).
-        for from in (0..self.nodes.len() as u32).map(AsId::new) {
-            for rank in 0..self.adjacency[from.index()].len() {
-                // lint:allow(bounds: `rank` runs below the length of the list it indexes)
-                let to = self.adjacency[from.index()][rank];
-                if self.live_link(from, to) && !self.link.is_open(from, to) {
-                    self.establish(from, to);
-                }
-            }
-        }
-
-        // Delivery pass: pop due frames per directed channel in key order.
-        // A frame whose receiver is down, or whose link is flapped or cut
-        // by now, is lost.
-        let keys: Vec<(AsId, AsId)> = self.link.channels.keys().copied().collect();
-        for (from, to) in keys {
-            let Some(channel) = self.link.channels.get_mut(&(from, to)) else {
-                continue;
-            };
-            let due = channel.queue.extract_if(.., |(at, _)| *at <= stage);
-            let due: Vec<Frame> = due.map(|(_, frame)| frame).collect();
-            let lost = self.down[to.index()]
-                || self.link.plan.is_flapped(stage, from, to)
-                || self.link.cut.contains(&undirected(from, to));
-            for frame in due {
-                if lost {
-                    self.link.report.frames_dropped += 1;
-                } else {
-                    self.receive(to, from, frame);
-                }
-            }
-        }
-
-        // Handle pass: nodes ingest this stage's in-order Data payloads
-        // and broadcast what changed.
-        let (receiving, _) = self.handle_pass(stage);
-        self.link.stage_active |= receiving > 0;
-
-        // Timer pass: retransmits, hold expiry, keepalives.
-        self.instruments.enter(span::SESSION_RETRANSMIT);
-        for me in (0..self.nodes.len() as u32).map(AsId::new) {
-            if self.down[me.index()] {
-                continue;
-            }
-            let peers: Vec<AsId> = self.link.sessions[me.index()].keys().copied().collect();
-            for peer in peers {
-                self.run_timers(me, peer);
-            }
-        }
-        self.instruments.exit();
-        self.instruments.exit();
+        engine.nodes[k.index()].reset();
+        let _ = engine.nodes[k.index()].start();
     }
 
     /// The timer pass for `me`'s session with `peer`: hold expiry, else
     /// retransmits of what went unacknowledged too long, else a keepalive.
-    fn run_timers(&mut self, me: AsId, peer: AsId) {
-        let stage = self.link.stage;
-        let Some(session) = self.link.sessions[me.index()].get_mut(&peer) else {
+    fn run_timers<N: ProtocolNode>(engine: &mut Engine<N, Self>, me: AsId, peer: AsId) {
+        let stage = engine.stage;
+        let Some(session) = engine.link.sessions[me.index()].get_mut(&peer) else {
             return;
         };
         let active = session.send.established || session.recv.epoch > 0;
         if active && stage.saturating_sub(session.recv.last_heard) >= HOLD_STAGES {
-            self.hold_expire(me, peer);
+            Self::hold_expire(engine, me, peer);
             return;
         }
         if !session.send.established {
@@ -950,73 +793,215 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
             // retransmit timer never fires spuriously on a healthy channel.
             let quiet = stage.saturating_sub(session.send.last_sent) >= KEEPALIVE_AFTER;
             if quiet || (session.recv.last_seq_heard == stage && session.send.last_sent < stage) {
-                self.send_frame(me, peer, FrameKind::Keepalive);
+                Self::send_frame(engine, me, peer, FrameKind::Keepalive);
             }
             return;
         }
         session.send.last_sent = stage;
         for (seq, kind) in resend {
-            self.link.report.retransmits += 1;
-            self.link.stage_active = true;
-            self.instruments.record(&TraceEvent::Retransmit {
+            engine.link.report.retransmits += 1;
+            engine.link.stage_active = true;
+            engine.instruments.record(&TraceEvent::Retransmit {
                 stage,
                 from: me.raw(),
                 to: peer.raw(),
                 seq,
             });
-            let frame = self.link.session(me, peer).frame(seq, kind);
-            self.transmit(me, peer, frame);
+            let frame = engine.link.session(me, peer).frame(seq, kind);
+            Self::transmit(engine, me, peer, frame);
+        }
+    }
+}
+
+impl Transport for Sessions {
+    type Report = ChaosReport;
+
+    /// A link is usable once its send stream is established.
+    fn is_open(&self, from: AsId, to: AsId) -> bool {
+        let session = self.sessions[from.index()].get(&to);
+        session.is_some_and(|s| s.send.established)
+    }
+
+    /// Frames the payload as sequenced Data. Frames share the update by
+    /// `Arc` — provenance never crosses the wire codec.
+    fn send<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId, parcel: &Parcel) {
+        let update = Arc::clone(&parcel.update);
+        Self::send_frame(engine, from, to, FrameKind::Data(update));
+    }
+
+    fn take_sent(&mut self) -> Sent {
+        std::mem::take(&mut self.sent)
+    }
+
+    /// Ahead of the handle pass, in ascending node/peer order so runs
+    /// replay exactly: the plan's structural faults, establishment (every
+    /// live directed link without a send stream opens one), and delivery
+    /// of the frames due.
+    fn before_handle<N: ProtocolNode>(engine: &mut Engine<N, Self>, stage: u64) {
+        engine.link.stage_active = false;
+        Self::apply_scheduled_faults(engine);
+        for from in (0..engine.nodes.len() as u32).map(AsId::new) {
+            for rank in 0..engine.adjacency[from.index()].len() {
+                // lint:allow(bounds: `rank` runs below the length of the list it indexes)
+                let to = engine.adjacency[from.index()][rank];
+                if Self::live_link(engine, from, to) && !engine.link.is_open(from, to) {
+                    Self::open_stream(engine, from, to);
+                }
+            }
+        }
+        // Pop due frames per directed channel in key order. A frame whose
+        // receiver is down, or whose link is flapped or cut by now, is lost.
+        let keys: Vec<(AsId, AsId)> = engine.link.channels.keys().copied().collect();
+        for (from, to) in keys {
+            let Some(channel) = engine.link.channels.get_mut(&(from, to)) else {
+                continue;
+            };
+            let due = channel.extract_if(.., |(at, _)| *at <= stage);
+            let due: Vec<Frame> = due.map(|(_, frame)| frame).collect();
+            let lost = engine.down[to.index()]
+                || engine.link.plan.is_flapped(stage, from, to)
+                || engine.link.cut.contains(&undirected(from, to));
+            for frame in due {
+                if lost {
+                    engine.link.report.frames_dropped += 1;
+                } else {
+                    Self::receive(engine, to, from, frame);
+                }
+            }
         }
     }
 
-    /// `true` when nothing recovery-relevant is pending: no sequenced
-    /// frames in flight, no retransmit backlog, and the stage produced no
-    /// protocol or session activity.
-    fn is_idle(&self) -> bool {
-        let mut in_flight = self.link.channels.values().flat_map(|c| c.queue.iter());
-        let mut sessions = self.link.sessions.iter().flat_map(|peers| peers.values());
-        !self.link.stage_active
-            && !in_flight.any(|(_, frame)| frame.is_sequenced())
-            && !sessions.any(|s| s.send.established && !s.send.unacked.is_empty())
+    /// After the handle pass: the timer pass (retransmits, hold expiry,
+    /// keepalives), then the stage's verdict for the stabilization
+    /// detector.
+    fn after_handle<N: ProtocolNode>(engine: &mut Engine<N, Self>, stage: u64) {
+        engine.instruments.enter(span::SESSION_RETRANSMIT);
+        for me in (0..engine.nodes.len() as u32).map(AsId::new) {
+            if engine.down[me.index()] {
+                continue;
+            }
+            let peers: Vec<AsId> = engine.link.sessions[me.index()].keys().copied().collect();
+            for peer in peers {
+                Self::run_timers(engine, me, peer);
+            }
+        }
+        engine.instruments.exit();
+        let link = &mut engine.link;
+        let idle = stage > link.plan.activity_end() && link.is_idle();
+        link.idle_streak = if idle { link.idle_streak + 1 } else { 0 };
+    }
+
+    /// An announced loss flushes the channels and forgets the sessions it
+    /// ends; an announced link gets channels and sheds a silent cut.
+    fn on_topology<N: ProtocolNode>(engine: &mut Engine<N, Self>, event: TopologyEvent) {
+        let link = &mut engine.link;
+        link.idle_streak = 0;
+        match event {
+            TopologyEvent::LinkDown(a, b) => link.disconnect(a, b),
+            TopologyEvent::LinkUp(a, b) => {
+                link.cut.retain(|&key| key != undirected(a, b));
+                for dir in [(a, b), (b, a)] {
+                    link.channels.entry(dir).or_default();
+                }
+            }
+            TopologyEvent::NodeDown(k) => {
+                for &a in &engine.adjacency[k.index()] {
+                    link.disconnect(k, a);
+                }
+            }
+            TopologyEvent::CostChange(..) | TopologyEvent::NodeUp(_) => {}
+        }
+    }
+
+    /// Nothing now: the next stage's establishment pass opens the
+    /// session, Open and full table first.
+    fn establish<N: ProtocolNode>(_engine: &mut Engine<N, Self>, _from: AsId, _to: AsId) {}
+
+    /// Stable after two idle stages past the plan's activity end.
+    fn quiescent<N: ProtocolNode>(engine: &Engine<N, Self>) -> bool {
+        engine.link.idle_streak >= 2
+    }
+
+    /// The cumulative report: the stage clock, the recovery stages past
+    /// the plan's activity end, and the run's traffic added on.
+    fn report<N: ProtocolNode>(engine: &mut Engine<N, Self>, run: &RunTally) -> ChaosReport {
+        let stage = engine.stage;
+        let link = &mut engine.link;
+        link.report.stages = stage;
+        link.report.recovery_stages = stage.saturating_sub(link.plan.activity_end());
+        link.report.messages += run.sent.messages as u64;
+        link.report.bytes_v2 += run.sent.bytes_v2 as u64;
+        link.report.converged = run.converged;
+        link.report
+    }
+}
+
+/// The chaos harness: drives [`ProtocolNode`]s over seeded-faulty channels
+/// through the sequenced session layer, in deterministic stages.
+///
+/// Unlike [`SyncEngine`](crate::engine::SyncEngine) this engine's transport
+/// is lossy: nodes exchange [`Frame`]s, not bare updates, and the harness
+/// injects the [`FaultPlan`]'s faults at the channel boundary. Everything
+/// is single-threaded and iteration orders are fixed, so a
+/// `(plan, topology)` pair replays bit-identically.
+pub type ChaosEngine<N> = Engine<N, Sessions>;
+
+impl<N: ProtocolNode> Engine<N, Sessions> {
+    /// Creates a harness over the graph's topology with one prepared node
+    /// per AS and the given fault plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len()` differs from the graph's node count or ids
+    /// are out of order, or if the plan's `drop_rate`, `duplicate_rate` or
+    /// `delay_rate` is not a probability in `[0, 1]` (NaN included).
+    pub fn new(graph: &AsGraph, nodes: Vec<N>, plan: FaultPlan) -> Self {
+        for (name, rate) in [
+            ("drop_rate", plan.drop_rate),
+            ("duplicate_rate", plan.duplicate_rate),
+            ("delay_rate", plan.delay_rate),
+        ] {
+            assert!(
+                (0.0..=1.0).contains(&rate),
+                "{name} must be a probability in [0, 1], got {rate}"
+            );
+        }
+        let mut channels = BTreeMap::new();
+        for i in graph.nodes() {
+            for &j in graph.neighbors(i) {
+                channels.insert((i, j), Vec::new());
+            }
+        }
+        let link = Sessions {
+            cut: Vec::new(),
+            sessions: vec![BTreeMap::new(); nodes.len()],
+            channels,
+            rng: StdRng::seed_from_u64(plan.seed),
+            plan,
+            epoch_counter: 0,
+            report: ChaosReport::default(),
+            sent: Sent::default(),
+            stage_active: false,
+            idle_streak: 0,
+        };
+        let mut engine = Engine::over(graph, nodes, link);
+        // Nothing to announce up front: a session's full table carries the
+        // origin.
+        engine.started = true;
+        engine
+    }
+
+    /// Executes one stage: faults, establishment, delivery, handling,
+    /// timers.
+    pub fn step(&mut self) {
+        self.run_stage();
     }
 
     /// Runs stages until the network stabilizes (two consecutive idle
-    /// stages after the fault schedule's end) or `max_stages` runs out.
+    /// stages after the fault schedule's end) or the stage clock reaches
+    /// `max_stages`.
     pub fn run_to_stable(&mut self, max_stages: u64) -> ChaosReport {
-        let activity_end = self.link.plan.activity_end();
-        let mut idle_streak = 0u64;
-        while self.link.stage < max_stages {
-            self.step();
-            let run_counters = [
-                ("messages", self.link.report.messages),
-                ("retransmits", self.link.report.retransmits),
-                ("session_resets", self.link.report.session_resets),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ];
-            self.instruments.poll_stall(self.link.stage, &run_counters);
-            if self.link.stage > activity_end && self.is_idle() {
-                idle_streak += 1;
-                if idle_streak >= 2 {
-                    self.finish(activity_end);
-                    return self.link.report;
-                }
-            } else {
-                idle_streak = 0;
-            }
-        }
-        self.link.report.converged = false;
-        self.finish(activity_end);
-        self.dump_flight();
-        self.link.report
-    }
-
-    fn finish(&mut self, activity_end: u64) {
-        let stage = self.link.stage;
-        self.link.report.stages = stage;
-        self.link.report.recovery_stages = stage.saturating_sub(activity_end);
-        let messages = Some(self.link.report.messages);
-        self.instruments.finish(stage, messages);
+        self.run(max_stages, |_| {})
     }
 }
 
@@ -1027,7 +1012,7 @@ mod tests {
     use crate::node::PlainBgpNode;
     use bgpvcg_netgraph::generators::structured::{fig1, hypercube};
     use bgpvcg_netgraph::Cost;
-    use bgpvcg_telemetry::Telemetry;
+    use bgpvcg_telemetry::{flight, Telemetry};
 
     fn sync_fixpoint(g: &AsGraph) -> SyncEngine<PlainBgpNode> {
         let mut engine = SyncEngine::new(g, PlainBgpNode::from_graph(g));
@@ -1070,7 +1055,7 @@ mod tests {
         // acks `a`'s epoch at a value `a` will overtake.
         chaos.step();
         chaos.step();
-        let old = chaos.link.channels[&(b, a)].queue[0].1.clone();
+        let old = chaos.link.channels[&(b, a)][0].1.clone();
         assert_eq!(old.ack_epoch, chaos.link.sessions[a.index()][&b].send.epoch);
         let report = chaos.run_to_stable(200);
         assert!(report.converged, "{report}");
@@ -1083,10 +1068,9 @@ mod tests {
             .channels
             .get_mut(&(b, a))
             .unwrap()
-            .queue
             .push((at, old));
         chaos.step();
-        assert_eq!(chaos.link.report.messages, report.messages + 1);
+        assert_eq!(chaos.run.sent.messages, 1, "one frame since the report");
         assert_eq!(
             chaos.link.report.session_resets, report.session_resets,
             "an overtaken frame's older ack is not a peer that lost state"
@@ -1319,9 +1303,8 @@ mod tests {
         assert!(!report.converged);
         let text = std::fs::read_to_string(&path).expect("flight artifact written");
         flight::validate_dump(&text).expect("flight artifact validates");
-        assert!(text.contains(flight::REASON_NOT_STABILIZED));
-        assert!(text.contains("\"sessions_established\""));
-        assert!(text.contains("\"frames_in_flight\""));
+        assert!(text.contains(flight::REASON_STAGE_LIMIT));
+        assert!(text.contains("\"inbox_depth\""));
 
         // A converged run must not leave a dump behind.
         std::fs::remove_file(&path).expect("remove stalled dump");

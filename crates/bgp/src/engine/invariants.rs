@@ -8,42 +8,40 @@
 //! feature-enabled test suite passes.
 
 #[cfg(feature = "invariant-checks")]
-use super::sync::RunReport;
-#[cfg(feature = "invariant-checks")]
 use crate::message::PathEntry;
 
-/// Audits the bookkeeping of one synchronous convergence run.
+/// Audits the bookkeeping of one run of the shared run loop, given the
+/// stage clock at the last table change and at the run's end, and the
+/// clock value the run was limited to.
 ///
 /// Invariants checked:
-/// * the reported convergence stage never exceeds the stages executed
-///   (`stages` counts the last stage with a table change; trailing stages
-///   are pure message drain);
-/// * a converged run stopped strictly before the stage safety limit;
+/// * the last stage with a table change is never past the stages executed
+///   (trailing stages are pure message drain, or session timers);
+/// * a converged run stopped no later than its stage limit;
 /// * a non-converged run executed exactly up to the limit — "did not
 ///   converge" must mean "ran out of budget", never an early bail.
 #[cfg(feature = "invariant-checks")]
-pub(crate) fn convergence(report: &RunReport, executed: usize, stage_limit: usize) {
+pub(crate) fn convergence(changed: u64, stage: u64, limit: u64, converged: bool) {
     debug_assert!(
-        report.stages <= executed,
-        "convergence stage {} exceeds {executed} executed stages",
-        report.stages
+        changed <= stage,
+        "last change at stage {changed} is past the {stage} stages executed"
     );
-    if report.converged {
+    if converged {
         debug_assert!(
-            executed <= stage_limit,
-            "converged run executed {executed} stages past the limit {stage_limit}"
+            stage <= limit,
+            "converged run executed {stage} stages past the limit {limit}"
         );
     } else {
         debug_assert!(
-            executed >= stage_limit,
-            "non-converged run stopped at {executed} stages below the limit {stage_limit}"
+            stage >= limit,
+            "non-converged run stopped at stage {stage} below the limit {limit}"
         );
     }
 }
 
 #[cfg(not(feature = "invariant-checks"))]
 #[inline(always)]
-pub(crate) fn convergence<R>(_report: &R, _executed: usize, _stage_limit: usize) {}
+pub(crate) fn convergence(_changed: u64, _stage: u64, _limit: u64, _converged: bool) {}
 
 /// Audits one relaxation pass of [`crate::Node`], whatever the cost model:
 /// the relaxed array (prices or margins) aligns one-to-one with the route's

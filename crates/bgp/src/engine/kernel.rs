@@ -1,19 +1,20 @@
-//! The stage engine both executors with stages share.
+//! The one stage engine both transports share.
 //!
-//! The paper's protocol is one step run in synchronous stages — ingest,
-//! select, relax, advertise on change (Sect. 5–6) — and nothing in it
-//! depends on how an advertisement reaches the neighbour's inbox. So there
-//! is one [`Engine`], generic over the node type and over a [`Transport`]:
-//! it owns the nodes, the adjacency and liveness, the double-buffered
-//! inboxes, the provenance counter, the instruments and the wire taps, and
-//! runs the **handle pass** (every node with pending input recomputes, in
-//! ascending order, serially or on a worker pool) and the **send path**
-//! (stamp → trace → per neighbour: tap → [`Transport::send`]) that is also
-//! what ships a full table when a session is established. What differs is
-//! the transport: [`LockStep`](super::LockStep) pushes a payload straight
-//! into the neighbour's next-stage inbox, [`Sessions`](crate::chaos::Sessions)
-//! frames it for a lossy channel and delivers what survives, in order, into
-//! the same inboxes.
+//! The paper's protocol is one step run in stages — ingest, select, relax,
+//! advertise on change (Sect. 5–6) — and after any topology or cost change
+//! "the convergence process begins again" (Sect. 6). None of that depends
+//! on how an advertisement reaches the neighbour's inbox. So one
+//! [`Engine`], generic over the node type and a [`Transport`], owns the
+//! nodes, adjacency, liveness, double-buffered inboxes, provenance counter,
+//! instruments and wire taps; the **handle pass** (every node with pending
+//! input recomputes, in ascending order, serially or on a worker pool); the
+//! **send path** (stamp → trace → per neighbour: tap → [`Transport::send`]);
+//! the announced-[`TopologyEvent`] path; the online auditor with
+//! quarantine; and the one stage body and run loop. A transport only hooks
+//! in: [`LockStep`](super::LockStep) pushes a payload straight into the
+//! neighbour's next-stage inbox, [`Sessions`](crate::chaos::Sessions)
+//! frames it for a lossy channel, delivers before the handle pass and runs
+//! its timers after it.
 //!
 //! The hot path is incremental and allocation-free per stage: inboxes are
 //! `Vec<Arc<Update>>` queues whose capacity survives across stages, a dirty
@@ -21,13 +22,16 @@
 //! shares a single [`Arc`]'d payload across all receiving links. See
 //! `docs/PERFORMANCE.md` for the architecture and the determinism argument.
 
-use crate::adversary::{Adversary, WireAuditor};
-use crate::message::Update;
+use super::invariants;
+use crate::adversary::{Accusation, Adversary, WireAuditor, WireFinding};
+use crate::dynamics::{LocalEvent, TopologyEvent};
+use crate::message::{RouteInfo, Update};
 use crate::node::ProtocolNode;
-use crate::telemetry::Instruments;
+use crate::stats::StateSnapshot;
+use crate::telemetry::{metric, Instruments};
 use crate::wire;
-use bgpvcg_netgraph::{AsGraph, AsId};
-use bgpvcg_telemetry::flight::FlightRecorder;
+use bgpvcg_netgraph::{AsGraph, AsId, Cost, GraphError};
+use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
 use bgpvcg_telemetry::profile::span;
 use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
 use std::cell::Cell;
@@ -35,9 +39,14 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// How a payload leaving one node reaches the inbox of a neighbour — the
-/// one thing the two stage engines do differently.
+/// What the two stage engines do differently: how a payload reaches a
+/// neighbour's inbox, and one hook per stage concern around the shared
+/// stage body and run loop. Every hook that does nothing under
+/// [`LockStep`](super::LockStep) has an empty default.
 pub trait Transport: Sized {
+    /// What a run returns.
+    type Report: Report;
+
     /// Whether `from` can currently send to its physical neighbour `to`.
     /// Asked before the wire tap sees the copy, so a tap never perturbs —
     /// and never counts — a delivery that is not made.
@@ -45,6 +54,86 @@ pub trait Transport: Sized {
 
     /// Puts `parcel` on the link `from → to`.
     fn send<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId, parcel: &Parcel);
+
+    /// Hands over the traffic accounted since the last call: a payload when
+    /// it is sent, or a frame when it arrives.
+    fn take_sent(&mut self) -> Sent;
+
+    /// Runs ahead of the handle pass of `stage`.
+    fn before_handle<N: ProtocolNode>(_engine: &mut Engine<N, Self>, _stage: u64) {}
+
+    /// Runs after the handle pass of `stage`.
+    fn after_handle<N: ProtocolNode>(_engine: &mut Engine<N, Self>, _stage: u64) {}
+
+    /// An announced, validated `event` is about to change the topology:
+    /// the link layer's share of it, before the engine's.
+    fn on_topology<N: ProtocolNode>(_engine: &mut Engine<N, Self>, _event: TopologyEvent) {}
+
+    /// The link `from → to` came (back) up: establish it.
+    fn establish<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId);
+
+    /// Whether the run is over, asked before every stage.
+    fn quiescent<N: ProtocolNode>(engine: &Engine<N, Self>) -> bool;
+
+    /// Closes a run: its report, from what the run loop tallied.
+    fn report<N: ProtocolNode>(engine: &mut Engine<N, Self>, run: &RunTally) -> Self::Report;
+}
+
+/// What the shared run loop reads back from a transport's report.
+pub trait Report {
+    /// The stage and message counts the report states: the quiescence
+    /// gauge and the closing `Quiescent` event carry them.
+    fn quiescence(&self) -> (u64, u64);
+}
+
+/// Traffic a transport accounted: one payload crossing one link (or one
+/// frame arriving) is one message.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sent {
+    pub(crate) messages: usize,
+    pub(crate) entries: usize,
+    pub(crate) bytes_v2: usize,
+}
+
+/// What the run loop tallies between two reports.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunTally {
+    /// The traffic settled since the last report.
+    pub(crate) sent: Sent,
+    /// The stage clock at the last stage in which some node re-advertised.
+    pub(crate) changed: u64,
+    /// Peak input queued for one node in one stage.
+    pub(crate) link_max: usize,
+    /// `false` if the run hit its stage budget before quiescing.
+    pub(crate) converged: bool,
+}
+
+/// One stage as seen by a trace observer (see
+/// [`Engine::run_to_convergence_traced`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageTrace {
+    /// The stage's number: 1-based within a lock-step run, the engine's
+    /// stage clock under sessions.
+    pub stage: usize,
+    /// Nodes that received at least one update this stage.
+    pub receiving_nodes: usize,
+    /// Nodes whose advertised state changed (they re-advertised).
+    pub changed_nodes: usize,
+    /// Messages accounted this stage.
+    pub messages: usize,
+    /// Encoded bytes accounted this stage; over a run they sum to the
+    /// report's `bytes_v2`.
+    pub bytes: usize,
+}
+
+impl fmt::Display for StageTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "stage {:>3}: {:>3} nodes received, {:>3} changed, {:>5} msgs, {:>8} bytes",
+            self.stage, self.receiving_nodes, self.changed_nodes, self.messages, self.bytes
+        )
+    }
 }
 
 /// One distinct payload on its way out: the update every honest copy of a
@@ -79,26 +168,16 @@ impl Parcel {
 }
 
 /// A per-stage observer closure: invoked with `(stage, nodes)` after
-/// every executed stage of a traced run.
+/// every executed stage.
 pub type StageObserver<N> = Box<dyn FnMut(u64, &[N]) + Send>;
 
-/// Holder giving the stage-observer closure a `Debug` representation so
+/// Holder giving a closure or `dyn` object a `Debug` representation, so
 /// [`Engine`] keeps its derived `Debug`.
-pub(crate) struct ObserverSlot<N>(pub(crate) StageObserver<N>);
+pub(crate) struct Opaque<T>(pub(crate) T);
 
-impl<N> fmt::Debug for ObserverSlot<N> {
+impl<T> fmt::Debug for Opaque<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("StageObserver")
-    }
-}
-
-/// Holder giving the attached `dyn` auditor a `Debug` representation so
-/// [`Engine`] keeps its derived `Debug`.
-pub(crate) struct AuditorSlot(pub(crate) Box<dyn WireAuditor>);
-
-impl fmt::Debug for AuditorSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("WireAuditor")
+        f.write_str(std::any::type_name::<T>())
     }
 }
 
@@ -106,8 +185,9 @@ impl fmt::Debug for AuditorSlot {
 /// stages over a transport `T`. [`SyncEngine`](super::SyncEngine) is
 /// `Engine<N, LockStep>`, the paper's Sect. 5 model;
 /// [`ChaosEngine`](crate::chaos::ChaosEngine) is `Engine<N, Sessions>`, the
-/// same stages over seeded-faulty channels. Everything here is common to
-/// both; what only one has lives in `impl` blocks next to its transport.
+/// same stages over seeded-faulty channels. Topology events, the auditor
+/// and the run loop are the same on both; only the constructors, the
+/// two `step`s and `run_to_stable` are per transport.
 ///
 /// The engine is generic over the node type so the plain BGP speaker and
 /// the pricing extension run on identical machinery and their traffic
@@ -115,10 +195,16 @@ impl fmt::Debug for AuditorSlot {
 #[derive(Debug)]
 pub struct Engine<N, T> {
     pub(crate) nodes: Vec<N>,
-    /// Physical adjacency, each list ascending. Lock-step topology events
-    /// mutate it; under sessions it stays the construction graph and the
-    /// session state says which links are usable.
+    /// Physical adjacency, each list ascending. Announced topology events
+    /// mutate it; under sessions the session state also says which links
+    /// are usable, and silent faults leave it alone.
     pub(crate) adjacency: Vec<Vec<AsId>>,
+    /// The neighbor list each node had when an announced
+    /// [`TopologyEvent::NodeDown`] took it out, so `NodeUp` restores
+    /// exactly those links. A link whose far end is *also* down is handed
+    /// over to that node's parked list when this one restarts, so
+    /// both-down links resurface when the second endpoint comes back.
+    parked: Vec<Vec<AsId>>,
     /// `down[k]` marks node `k` as crashed: protocol state wiped, nothing
     /// delivered to it, nothing sent by it.
     pub(crate) down: Vec<bool>,
@@ -149,14 +235,33 @@ pub struct Engine<N, T> {
     /// Per-node Byzantine wire taps (`None` = honest), consulted on every
     /// outgoing copy; see [`set_adversary`](Self::set_adversary).
     pub(crate) adversaries: Vec<Option<Adversary>>,
-    /// The attached online auditor, told of every copy the tap lets out.
-    /// Only the lock-step engine attaches one: it compares per-link
-    /// receiver views stage by stage, which loss and delay would turn into
-    /// false accusations.
-    pub(crate) auditor: Option<AuditorSlot>,
+    /// The attached online auditor, told of every copy the tap lets out
+    /// and of every local view a node applies. It compares per-link
+    /// receiver views stage by stage, so it is sound where every copy
+    /// arrives the stage after it is sent: lock-step, or quiet sessions.
+    auditor: Option<Opaque<Box<dyn WireAuditor>>>,
+    /// Whether an accusation triggers automatic NodeDown quarantine (on
+    /// by default).
+    auto_quarantine: bool,
+    /// Nodes the auditor quarantined over this engine's lifetime, in
+    /// accusation order.
+    quarantined: Vec<AsId>,
+    /// Every accusation the attached auditor returned, in order.
+    accusations: Vec<Accusation>,
     /// Per-stage observer over the settled node array (economic gauges
-    /// etc.), invoked by the lock-step run loop.
-    pub(crate) stage_observer: Option<ObserverSlot<N>>,
+    /// etc.), invoked after every stage.
+    stage_observer: Option<Opaque<StageObserver<N>>>,
+    /// The stage clock: the last stage executed. A lock-step report
+    /// restarts it, so each lock-step run numbers its stages from 1.
+    pub(crate) stage: u64,
+    /// Safety valve: a run executes at most this many stages (default
+    /// `8n + 64`).
+    stage_limit: usize,
+    /// Whether the nodes announced their origins. Sessions need no
+    /// announcement: a session's full table carries the origin.
+    pub(crate) started: bool,
+    /// What the run loop tallied since the last report.
+    pub(crate) run: RunTally,
     /// Reusable scratch buffer for v2 byte accounting: every v2 size is
     /// measured by encoding into this one buffer, so the hot path performs
     /// zero per-message encoder allocations.
@@ -207,9 +312,17 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
             stage_dirty: Vec::new(),
             update_seq: 0,
             instruments: Instruments::new(n),
+            parked: vec![Vec::new(); n],
             adversaries: vec![None; n],
             auditor: None,
+            auto_quarantine: true,
+            quarantined: Vec::new(),
+            accusations: Vec::new(),
             stage_observer: None,
+            stage: 0,
+            stage_limit: 8 * n + 64,
+            started: false,
+            run: RunTally::default(),
             scratch: Vec::new(),
             workers: 1,
             link,
@@ -351,11 +464,585 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         self.adversaries[node.index()].as_ref()
     }
 
-    /// Crash semantics for node `k`'s input: anything queued for it is gone
-    /// with it.
-    pub(crate) fn drop_inbox(&mut self, k: AsId) {
+    /// Crash semantics for node `k`: it loses all protocol state and sees
+    /// each of `links` go down, and anything queued for it is gone with it.
+    pub(crate) fn crash(&mut self, k: AsId, links: &[AsId], stage: u64) {
+        self.down[k.index()] = true;
+        self.nodes[k.index()].reset();
+        for &a in links {
+            self.local_event(k, LocalEvent::LinkDown(a), stage);
+        }
         self.inboxes[k.index()].clear();
         self.dirty.retain(|&idx| idx as usize != k.index());
+    }
+
+    /// Sets the number of worker threads a stage's node recomputation is
+    /// partitioned across (clamped to at least 1; 1 = the serial reference
+    /// path). Any value produces bit-identical runs — reports, fixpoints,
+    /// message streams, and telemetry all match the serial engine exactly,
+    /// because emitted updates are advertised in ascending node order. See
+    /// `docs/PERFORMANCE.md` for the determinism argument.
+    #[must_use]
+    pub fn with_parallelism(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
+    }
+
+    /// Installs a per-stage observer invoked with `(stage, nodes)` after
+    /// every executed stage — the hook economic instrumentation
+    /// (premium/welfare gauges) samples through without the engine knowing
+    /// about pricing.
+    pub fn set_stage_observer(&mut self, observer: StageObserver<N>) {
+        self.stage_observer = Some(Opaque(observer));
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The stage clock: the last stage executed (within the current run,
+    /// under lock-step).
+    pub fn stage(&self) -> u64 {
+        self.stage
+    }
+
+    /// Overrides the stage safety limit of
+    /// [`run_to_convergence`](Self::run_to_convergence) and the event path.
+    pub fn set_stage_limit(&mut self, limit: usize) {
+        self.stage_limit = limit;
+    }
+
+    /// Attaches an online auditor: every copy the wire tap lets out is
+    /// narrated to it via [`WireAuditor::on_wire`], every local view a node
+    /// applies via [`WireAuditor::on_local_event`], and after the stage-0
+    /// emissions plus every executed stage — stepped or run — the engine
+    /// collects its accusations. Unless
+    /// [`set_auto_quarantine`](Self::set_auto_quarantine) is turned off,
+    /// each accused node is immediately cut from the topology via the
+    /// [`TopologyEvent::NodeDown`] machinery (when the residual graph stays
+    /// biconnected) so the honest subgraph reconverges. Sound on lock-step
+    /// and on quiet sessions, where every copy arrives the stage after it
+    /// is sent.
+    pub fn attach_auditor(&mut self, auditor: Box<dyn WireAuditor>) {
+        self.auditor = Some(Opaque(auditor));
+    }
+
+    /// Enables or disables automatic quarantine of accused nodes (on by
+    /// default). With it off, accusations are still recorded and traced.
+    pub fn set_auto_quarantine(&mut self, on: bool) {
+        self.auto_quarantine = on;
+    }
+
+    /// Nodes the auditor quarantined over this engine's lifetime.
+    pub fn quarantined(&self) -> &[AsId] {
+        &self.quarantined
+    }
+
+    /// Every accusation the attached auditor has returned, in order.
+    pub fn accusations(&self) -> &[Accusation] {
+        &self.accusations
+    }
+
+    /// State snapshots of every node (for the E5 experiment), in AS order.
+    pub fn state_snapshots(&self) -> Vec<StateSnapshot> {
+        self.nodes.iter().map(ProtocolNode::state).collect()
+    }
+
+    /// Runs stages until the transport reports quiescence or the stage
+    /// limit runs out, announcing the nodes' origins first if that has not
+    /// happened yet.
+    pub fn run_to_convergence(&mut self) -> T::Report {
+        self.run_to_convergence_traced(|_| {})
+    }
+
+    /// Like [`run_to_convergence`](Self::run_to_convergence), but invokes
+    /// `observer` with a [`StageTrace`] after every executed stage — the
+    /// hook behind the CLI's `--trace` flag and any custom progress
+    /// reporting.
+    pub fn run_to_convergence_traced<F: FnMut(StageTrace)>(&mut self, observer: F) -> T::Report {
+        self.run(self.stage + self.stage_limit as u64, observer)
+    }
+
+    /// Applies a topology event and reconverges, returning the report for
+    /// the reconvergence (the "convergence process begins again" of
+    /// Sect. 6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event is invalid in the current topology — see
+    /// [`try_apply_event`](Self::try_apply_event), the fallible variant
+    /// chaos harnesses use, for the exact conditions.
+    pub fn apply_event(&mut self, event: TopologyEvent) -> T::Report {
+        match self.try_apply_event(event) {
+            Ok(report) => report,
+            // lint:allow(documented # Panics contract: the infallible API surfaces invalid events as programming errors)
+            Err(error) => panic!("cannot apply {event:?}: {error}"),
+        }
+    }
+
+    /// Applies a topology event and reconverges — the fallible twin of
+    /// [`apply_event`](Self::apply_event), used wherever invalid events
+    /// are *data* rather than programming errors (the chaos harness feeds
+    /// randomly generated schedules through this path). The report covers
+    /// the event's reaction broadcasts and the reconvergence.
+    ///
+    /// # Errors
+    ///
+    /// Returns — without mutating anything — [`GraphError::UnknownNode`]
+    /// for out-of-range ids, [`GraphError::MissingLink`] /
+    /// [`GraphError::DuplicateLink`] / [`GraphError::SelfLoop`] for
+    /// invalid link events, [`GraphError::NodeOffline`] /
+    /// [`GraphError::NodeOnline`] for events touching a node in the wrong
+    /// liveness state, and [`GraphError::NotBiconnected`] /
+    /// [`GraphError::TooSmall`] when a node removal (or a restart whose
+    /// surviving link set is too thin) would leave the live topology
+    /// without the biconnectivity VCG pricing requires — instead of
+    /// letting prices silently become undefined.
+    pub fn try_apply_event(&mut self, event: TopologyEvent) -> Result<T::Report, GraphError> {
+        self.validate_event(event)?;
+        self.inject_event(event);
+        Ok(self.run_to_convergence())
+    }
+
+    /// Announces every node's origin ahead of the first stage — traced as
+    /// stage 0 — unless that already happened. Returns whether this call
+    /// did it.
+    pub(crate) fn start(&mut self) -> bool {
+        if self.started {
+            return false;
+        }
+        self.started = true;
+        for k in (0..self.nodes.len() as u32).map(AsId::new) {
+            if let Some(update) = self.nodes[k.index()].start() {
+                self.advertise(k, update, 0);
+            }
+        }
+        self.settle_sent();
+        true
+    }
+
+    /// The one run loop: stages until [`Transport::quiescent`] or until the
+    /// stage clock reaches `limit`, then the report and the run's close —
+    /// quiescence gauge and `Quiescent` event, or the stage-limit flight
+    /// dump. The report also covers the traffic settled since the last one
+    /// (an event's reactions); the `Quiescent` event counts only what the
+    /// loop carried.
+    pub(crate) fn run<F: FnMut(StageTrace)>(&mut self, limit: u64, mut observer: F) -> T::Report {
+        let carried_before = self.run.sent.messages as u64;
+        self.start();
+        // Cross-check the emissions queued ahead of this run's first stage
+        // (origin broadcasts, or the topology-event reactions) before it
+        // delivers them.
+        self.audit_stage(self.stage);
+        let converged = loop {
+            if T::quiescent(self) {
+                break true;
+            }
+            if self.stage >= limit {
+                break false;
+            }
+            observer(self.run_stage());
+        };
+        let stage = self.stage;
+        invariants::convergence(self.run.changed, stage, limit, converged);
+        if !converged {
+            self.dump_flight(stage, limit);
+        }
+        self.run.converged = converged;
+        let run = std::mem::take(&mut self.run);
+        let report = T::report(self, &run);
+        if converged {
+            let (stages, messages) = report.quiescence();
+            if let Some(telemetry) = self.instruments.telemetry() {
+                telemetry.gauge(metric::STAGES_TO_QUIESCENCE).set(stages);
+            }
+            let carried = messages - carried_before;
+            self.instruments.finish(stages, Some(carried));
+        } else {
+            self.instruments.finish(stage, None);
+        }
+        report
+    }
+
+    /// The one stage body: the transport's pre-pass, the shared handle
+    /// pass, the transport's post-pass, then the stage's accounting — the
+    /// `bgp_*` traffic counters and the wall-time histogram — and its
+    /// audit, stall poll and observer.
+    ///
+    /// This is on the engine's hot path: it must not allocate (enforced by
+    /// the `stage-alloc` xtask lint rule on this function body).
+    pub(crate) fn run_stage(&mut self) -> StageTrace {
+        self.stage += 1;
+        let stage = self.stage;
+        self.instruments.enter(span::STAGE);
+        let wall_start = self.instruments.telemetry().map(|telemetry| {
+            telemetry.record(&TraceEvent::StageStart { stage });
+            telemetry.now_nanos()
+        });
+        if let Some(auditor) = self.auditor.as_mut() {
+            auditor.0.begin_stage(stage);
+        }
+        T::before_handle(self, stage);
+        let depths = self.dirty.iter().map(|&idx| {
+            // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
+            self.inboxes[idx as usize].len()
+        });
+        self.run.link_max = self.run.link_max.max(depths.max().unwrap_or(0));
+        let (receiving_nodes, changed_nodes) = self.handle_pass(stage);
+        T::after_handle(self, stage);
+        let sent = self.settle_sent();
+        if changed_nodes > 0 {
+            self.run.changed = stage;
+        }
+        if let (Some(telemetry), Some(start)) = (self.instruments.telemetry(), wall_start) {
+            let elapsed = telemetry.now_nanos().saturating_sub(start);
+            telemetry
+                .histogram(metric::STAGE_WALL_NANOS)
+                .observe(elapsed);
+        }
+        self.instruments.exit();
+        self.audit_stage(stage);
+        let counters = self.counters(self.stage_limit as u64);
+        self.instruments.poll_stall(stage, &counters);
+        if let Some(mut slot) = self.stage_observer.take() {
+            (slot.0)(stage, &self.nodes);
+            self.stage_observer = Some(slot);
+        }
+        StageTrace {
+            stage: stage as usize,
+            receiving_nodes,
+            changed_nodes,
+            messages: sent.messages,
+            bytes: sent.bytes_v2,
+        }
+    }
+
+    /// Closes the books on the traffic since the last call: feeds the
+    /// `bgp_*` traffic counters (one `updates_sent` per update stamped in
+    /// between — full tables are unstamped) and adds it to the run's tally.
+    fn settle_sent(&mut self) -> Sent {
+        let sent = self.link.take_sent();
+        self.instruments.account(self.update_seq, &sent);
+        let run = &mut self.run.sent;
+        run.messages += sent.messages;
+        run.entries += sent.entries;
+        run.bytes_v2 += sent.bytes_v2;
+        sent
+    }
+
+    /// The run's counters a post-mortem summarizes, under stage limit
+    /// `limit`.
+    fn counters(&self, limit: u64) -> [(&'static str, u64); 7] {
+        [
+            ("stage_limit", limit),
+            ("stages_with_changes", self.run.changed),
+            ("messages", self.run.sent.messages as u64),
+            ("entries", self.run.sent.entries as u64),
+            ("dirty_nodes", self.dirty.len() as u64),
+            ("updates_stamped", self.update_seq),
+            ("nodes", self.nodes.len() as u64),
+        ]
+    }
+
+    /// Writes the divergence dump after a run hit its stage limit.
+    fn dump_flight(&self, stage: u64, limit: u64) {
+        let summary = self.counters(limit);
+        let snapshots = || {
+            let per_node = self.inboxes.iter().zip(&self.adjacency).zip(&self.down);
+            // Bound the artifact on huge topologies; the run summary still
+            // carries the totals.
+            per_node
+                .take(64)
+                .enumerate()
+                .map(|(idx, ((inbox, neighbors), &down))| FlightSnapshot {
+                    node: idx as u32,
+                    fields: vec![
+                        ("inbox_depth", inbox.len() as u64),
+                        ("neighbors", neighbors.len() as u64),
+                        ("down", u64::from(down)),
+                    ],
+                })
+                .collect()
+        };
+        self.instruments
+            .dump_abort(flight::REASON_STAGE_LIMIT, stage, &summary, snapshots);
+    }
+
+    /// Collects the attached auditor's end-of-stage accusations, narrates
+    /// them (`AuditViolation` trace events plus a flight post-mortem), and
+    /// — with auto-quarantine on — cuts each accused node from the
+    /// topology via the [`TopologyEvent::NodeDown`] machinery. Quarantine
+    /// reaction broadcasts land at the head of the continuing run, so the
+    /// honest subgraph reconverges within the same run. An accusation
+    /// whose removal would break the live graph's biconnectivity is
+    /// recorded but not quarantined.
+    pub(crate) fn audit_stage(&mut self, stage: u64) {
+        let Some(auditor) = self.auditor.as_mut() else {
+            return;
+        };
+        self.instruments.enter(span::AUDIT_SHADOW);
+        for accusation in auditor.0.end_stage(stage) {
+            for finding in &accusation.findings {
+                self.instruments.record(&TraceEvent::AuditViolation {
+                    stage,
+                    node: accusation.node.index() as u32,
+                    dest: finding.destination.index() as u32,
+                    expected: advertised_cost_raw(finding.expected.as_ref()),
+                    advertised: advertised_cost_raw(finding.advertised.as_ref()),
+                    violation: u32::from(finding.equivocation),
+                });
+            }
+            self.dump_audit_flight(stage, &accusation);
+            let culprit = accusation.node;
+            self.accusations.push(accusation);
+            if !self.auto_quarantine || self.down[culprit.index()] {
+                continue;
+            }
+            if self
+                .validate_event(TopologyEvent::NodeDown(culprit))
+                .is_ok()
+            {
+                self.instruments.record(&TraceEvent::NodeQuarantined {
+                    stage,
+                    node: culprit.index() as u32,
+                });
+                // The wire tap goes with the node: a quarantined adversary
+                // sends nothing more to perturb.
+                self.adversaries[culprit.index()] = None;
+                self.inject_event(TopologyEvent::NodeDown(culprit));
+                self.quarantined.push(culprit);
+            }
+        }
+        self.instruments.exit();
+    }
+
+    /// Writes the audit post-mortem after an accusation: the accused node,
+    /// every diverging destination with its expected-vs-advertised costs,
+    /// and the recorded event tail. Best-effort like
+    /// [`dump_flight`](Self::dump_flight).
+    fn dump_audit_flight(&self, stage: u64, accusation: &Accusation) {
+        let Some(recorder) = self.instruments.flight_recorder() else {
+            return;
+        };
+        let findings = &accusation.findings;
+        let equivocations = findings.iter().filter(|f| f.equivocation).count();
+        let summary = [
+            ("accused", u64::from(accusation.node.raw())),
+            ("stage", stage),
+            ("diverging_destinations", findings.len() as u64),
+            ("equivocations", equivocations as u64),
+        ];
+        let snapshot = |finding: &WireFinding| FlightSnapshot {
+            node: finding.destination.raw(),
+            fields: vec![
+                (
+                    "expected_cost",
+                    advertised_cost_raw(finding.expected.as_ref()),
+                ),
+                (
+                    "advertised_cost",
+                    advertised_cost_raw(finding.advertised.as_ref()),
+                ),
+                ("equivocation", u64::from(finding.equivocation)),
+            ],
+        };
+        let snapshots: Vec<FlightSnapshot> = findings.iter().take(64).map(snapshot).collect();
+        let _ = recorder.dump(flight::REASON_AUDIT_VIOLATION, stage, &summary, &snapshots);
+    }
+
+    /// Checks that `event` can be applied to the current topology without
+    /// touching anything.
+    fn validate_event(&self, event: TopologyEvent) -> Result<(), GraphError> {
+        let n = self.nodes.len();
+        let known = |id: AsId| {
+            (id.index() < n)
+                .then_some(id)
+                .ok_or(GraphError::UnknownNode(id))
+        };
+        let live = |id: AsId| match self.down[known(id)?.index()] {
+            true => Err(GraphError::NodeOffline(id)),
+            false => Ok(id),
+        };
+        match event {
+            TopologyEvent::LinkDown(a, b) => {
+                let (a, b) = (known(a)?, known(b)?);
+                match self.adjacency[a.index()].contains(&b) {
+                    true => Ok(()),
+                    false => Err(GraphError::MissingLink(a, b)),
+                }
+            }
+            TopologyEvent::LinkUp(a, b) => {
+                let (a, b) = (known(a)?, known(b)?);
+                if a == b {
+                    return Err(GraphError::SelfLoop(a));
+                }
+                let (a, b) = (live(a)?, live(b)?);
+                match self.adjacency[a.index()].contains(&b) {
+                    true => Err(GraphError::DuplicateLink(a, b)),
+                    false => Ok(()),
+                }
+            }
+            TopologyEvent::CostChange(k, _) => live(k).map(|_| ()),
+            TopologyEvent::NodeDown(k) => self.residual_biconnected(live(k)?, false),
+            TopologyEvent::NodeUp(k) => match live(k) {
+                Ok(k) => Err(GraphError::NodeOnline(k)),
+                Err(GraphError::NodeOffline(k)) => self.residual_biconnected(k, true),
+                Err(error) => Err(error),
+            },
+        }
+    }
+
+    /// Checks that the set of *live* nodes — with `toggle` additionally
+    /// removed (`bring_up == false`) or restored with its parked links
+    /// (`bring_up == true`) — still forms a biconnected graph, the
+    /// precondition for k-avoiding paths and hence VCG prices (paper,
+    /// Sect. 4). Costs are irrelevant to the check, so the scratch graph
+    /// uses zeros; surviving ids are renumbered densely.
+    fn residual_biconnected(&self, toggle: AsId, bring_up: bool) -> Result<(), GraphError> {
+        let mut builder = AsGraph::builder();
+        let remap: Vec<Option<AsId>> = (0..self.nodes.len())
+            .map(|idx| match idx == toggle.index() {
+                true => bring_up,
+                // lint:allow(bounds: idx runs below the node count, the length of every per-node buffer)
+                false => !self.down[idx],
+            })
+            .map(|included| included.then(|| builder.add_node(Cost::ZERO)))
+            .collect();
+        let survivors = remap.iter().flatten().count();
+        if survivors < 3 {
+            return Err(GraphError::TooSmall { nodes: survivors });
+        }
+        // A crashed node's adjacency is empty: a restart restores exactly
+        // its parked links whose far end is live.
+        let parked = self.parked[toggle.index()].iter().map(|&a| (toggle, a));
+        let parked = parked.filter(|_| bring_up);
+        let links = self
+            .adjacency
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, neighbors)| {
+                let a = AsId::new(idx as u32);
+                neighbors
+                    .iter()
+                    .filter(move |b| b.index() > idx)
+                    .map(move |&b| (a, b))
+            });
+        for (a, b) in links.chain(parked) {
+            if let (Some(a), Some(b)) = (remap[a.index()], remap[b.index()]) {
+                builder.add_link(a, b)?;
+            }
+        }
+        if builder.build().is_biconnected() {
+            Ok(())
+        } else {
+            Err(GraphError::NotBiconnected)
+        }
+    }
+
+    /// Applies an already-validated topology event *without* reconverging:
+    /// lets the transport act on its links, mutates the topology, delivers
+    /// the affected nodes' local views (their reaction broadcasts trace at
+    /// stage 0, the environment's), and establishes the (re)activated
+    /// links. Callers run (or are already inside) the run loop that
+    /// absorbs the queued traffic — the auditor's quarantine path injects
+    /// events mid-run through exactly this hook.
+    fn inject_event(&mut self, event: TopologyEvent) {
+        if let Some(auditor) = self.auditor.as_mut() {
+            auditor.0.on_topology(&event);
+        }
+        T::on_topology(self, event);
+        // `restored` collects the links a NodeUp brings back; empty
+        // otherwise.
+        let mut restored: Vec<AsId> = Vec::new();
+        match event {
+            TopologyEvent::LinkDown(a, b) => {
+                self.adjacency[a.index()].retain(|&x| x != b);
+                self.adjacency[b.index()].retain(|&x| x != a);
+            }
+            TopologyEvent::LinkUp(a, b) => {
+                self.adjacency[a.index()].push(b);
+                self.adjacency[a.index()].sort_unstable();
+                self.adjacency[b.index()].push(a);
+                self.adjacency[b.index()].sort_unstable();
+            }
+            TopologyEvent::CostChange(..) => {}
+            TopologyEvent::NodeDown(k) => {
+                // Detach every incident link (both directions) and park
+                // the neighbor list for the eventual restart.
+                let neighbors = std::mem::take(&mut self.adjacency[k.index()]);
+                for &a in &neighbors {
+                    self.adjacency[a.index()].retain(|&x| x != k);
+                }
+                // It restarts with no links until they are restored.
+                self.crash(k, &neighbors, 0);
+                self.parked[k.index()] = neighbors;
+            }
+            TopologyEvent::NodeUp(k) => {
+                self.down[k.index()] = false;
+                let parked = std::mem::take(&mut self.parked[k.index()]);
+                for &a in &parked {
+                    if self.down[a.index()] {
+                        // The far end is still down: hand the link over to
+                        // its parked set so it returns when *that* node
+                        // restarts.
+                        if !self.parked[a.index()].contains(&k) {
+                            self.parked[a.index()].push(k);
+                        }
+                    } else {
+                        self.adjacency[k.index()].push(a);
+                        self.adjacency[a.index()].push(k);
+                        self.adjacency[a.index()].sort_unstable();
+                        restored.push(a);
+                    }
+                }
+                self.adjacency[k.index()].sort_unstable();
+            }
+        }
+        // Let the affected nodes react. Node-level events expand into
+        // per-neighbor link views here, because only the engine knows the
+        // adjacency in force when the node went down/up.
+        let views: Vec<(AsId, LocalEvent)> = match event {
+            TopologyEvent::NodeDown(k) => self.parked[k.index()]
+                .iter()
+                .map(|&a| (a, LocalEvent::LinkDown(k)))
+                .collect(),
+            TopologyEvent::NodeUp(k) => restored
+                .iter()
+                .flat_map(|&a| [(k, LocalEvent::LinkUp(a)), (a, LocalEvent::LinkUp(k))])
+                .collect(),
+            _ => event.local_views(),
+        };
+        if let TopologyEvent::NodeUp(k) = event {
+            self.instruments.record(&TraceEvent::NodeRestart {
+                stage: 0,
+                node: k.index() as u32,
+            });
+        }
+        for &(id, local) in &views {
+            self.local_event(id, local, 0);
+        }
+        // Every (re)activated link is established in both directions — on
+        // restart the rejoining node's table is just its origin route,
+        // exactly a from-scratch join.
+        for &(me, local) in &views {
+            if let LocalEvent::LinkUp(other) = local {
+                T::establish(self, me, other);
+            }
+        }
+        self.settle_sent();
+    }
+
+    /// The one local-view path: node `id` observes `event`. The auditor's
+    /// shadow is told first, then the node applies it, and what it
+    /// re-advertises goes out traced at `stage`.
+    pub(crate) fn local_event(&mut self, id: AsId, event: LocalEvent, stage: u64) {
+        if let Some(auditor) = self.auditor.as_mut() {
+            auditor.0.on_local_event(id, &event);
+        }
+        if let Some(update) = self.nodes[id.index()].apply_event(event) {
+            self.advertise(id, update, stage);
+        }
     }
 
     /// One handle pass: swap the double-buffered queues, run `handle` for
@@ -478,6 +1165,15 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         }
         T::send(self, from, to, parcel);
     }
+}
+
+/// Flattens an audited advertisement into the telemetry cost encoding:
+/// the route's path cost when one is advertised, `u64::MAX` for
+/// withdrawals, silence, and price-delta frames (which carry no cost).
+fn advertised_cost_raw(info: Option<&RouteInfo>) -> u64 {
+    info.and_then(RouteInfo::path_cost)
+        .and_then(Cost::finite)
+        .unwrap_or(u64::MAX)
 }
 
 /// Runs `handle` for every receiving node, partitioned across a scoped

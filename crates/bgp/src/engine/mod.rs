@@ -9,5 +9,5 @@ pub(crate) mod invariants;
 pub(crate) mod kernel;
 mod sync;
 
-pub use kernel::Engine;
-pub use sync::{LockStep, RunReport, StageTrace, SyncEngine};
+pub use kernel::{Engine, StageTrace};
+pub use sync::{LockStep, RunReport, SyncEngine};

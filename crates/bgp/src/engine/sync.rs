@@ -1,31 +1,18 @@
-//! The synchronous-stage engine of the paper's Sect. 5: the shared
-//! [`Engine`] over the [`LockStep`] transport.
-//!
-//! All nodes exchange routing tables in lock-step rounds. Each stage
-//! consists of (1) delivering every update queued in the previous stage,
-//! (2) letting each node that received something recompute, and (3)
-//! queueing whatever those nodes want to re-advertise; the run ends at the
-//! first stage with nothing queued. Steps (2) and (3) are the shared
-//! engine's handle pass and send path; this file adds what only lock-step
-//! delivery has — the run loop with its stage accounting, the optional
-//! worker pool, the online auditor with quarantine, and topology events.
+//! The paper's Sect. 5 model: the shared [`Engine`] over the [`LockStep`]
+//! transport. Each stage delivers every update queued in the previous one,
+//! lets each node that received something recompute, and queues what those
+//! nodes re-advertise; a run ends at the first stage with nothing queued.
+//! The stages, events, auditor and run loop are the shared engine's; this
+//! file holds the transport, its report, and the constructor and `step`.
 
-use super::invariants;
-use super::kernel::{enqueue, AuditorSlot, Engine, ObserverSlot, Parcel, StageObserver, Transport};
-use crate::adversary::{Accusation, WireAuditor};
-use crate::dynamics::{LocalEvent, TopologyEvent};
-use crate::message::RouteInfo;
+use super::kernel::{enqueue, Engine, Parcel, Report, RunTally, Sent, StageTrace, Transport};
 use crate::node::ProtocolNode;
-use crate::stats::StateSnapshot;
-use crate::telemetry::metric;
-use bgpvcg_netgraph::{AsGraph, AsId, Cost, GraphError};
-use bgpvcg_telemetry::flight::{self, StateSnapshot as FlightSnapshot};
-use bgpvcg_telemetry::profile::span;
-use bgpvcg_telemetry::TraceEvent;
+use bgpvcg_netgraph::{AsGraph, AsId};
 use std::fmt;
 use std::sync::Arc;
 
-/// What one call to [`SyncEngine::run_to_convergence`] did.
+/// What one lock-step run did — with an event's reaction broadcasts, for
+/// [`try_apply_event`](Engine::try_apply_event).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Stages executed until quiescence. A stage is one synchronous round of
@@ -47,22 +34,9 @@ pub struct RunReport {
     pub converged: bool,
 }
 
-impl RunReport {
-    fn absorb(&mut self, other: RunReport) {
-        self.stages += other.stages;
-        self.messages += other.messages;
-        self.entries += other.entries;
-        self.bytes_v2 += other.bytes_v2;
-        self.max_link_messages_per_stage = self
-            .max_link_messages_per_stage
-            .max(other.max_link_messages_per_stage);
-        self.converged = other.converged;
-    }
-
-    fn account(&mut self, sent: Sent) {
-        self.messages += sent.messages;
-        self.entries += sent.entries;
-        self.bytes_v2 += sent.bytes_v2;
+impl Report for RunReport {
+    fn quiescence(&self) -> (u64, u64) {
+        (self.stages as u64, self.messages as u64)
     }
 }
 
@@ -84,84 +58,17 @@ impl fmt::Display for RunReport {
     }
 }
 
-/// One synchronous stage as seen by a trace observer (see
-/// [`SyncEngine::run_to_convergence_traced`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageTrace {
-    /// 1-based stage number within this run.
-    pub stage: usize,
-    /// Nodes that received at least one update this stage.
-    pub receiving_nodes: usize,
-    /// Nodes whose advertised state changed (they re-advertised).
-    pub changed_nodes: usize,
-    /// Messages sent this stage (update × receiving link).
-    pub messages: usize,
-    /// Encoded bytes sent this stage; over a run they sum to
-    /// [`RunReport::bytes_v2`].
-    pub bytes: usize,
-}
-
-impl fmt::Display for StageTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "stage {:>3}: {:>3} nodes received, {:>3} changed, {:>5} msgs, {:>8} bytes",
-            self.stage, self.receiving_nodes, self.changed_nodes, self.messages, self.bytes
-        )
-    }
-}
-
-/// Traffic the lock-step transport has accounted at send time: one update
-/// crossing one link is one message.
-#[derive(Debug, Clone, Copy, Default)]
-struct Sent {
-    messages: usize,
-    entries: usize,
-    bytes_v2: usize,
-}
-
-/// Everything one executed stage produced beyond its public [`StageTrace`]:
-/// the stage's traffic for the run report and its peak per-link message
-/// count.
-struct StageOutcome {
-    trace: StageTrace,
-    sent: Sent,
-    link_max: usize,
-}
-
 /// Perfect lock-step delivery: a payload sent in one stage sits in the
 /// neighbor's inbox for the next, and is accounted the moment it is sent.
-/// Also holds what only the lock-step run loop keeps: the stage budget, the
-/// links of crashed nodes, and the auditor's verdicts.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LockStep {
-    /// The neighbor list each crashed node had when it went down, so
-    /// [`TopologyEvent::NodeUp`] can restore exactly those links. A link
-    /// whose far end is *also* down is handed over to that node's parked
-    /// list when this one restarts, so both-down links resurface when the
-    /// second endpoint comes back.
-    parked: Vec<Vec<AsId>>,
-    /// Safety valve: abort after this many stages (default `8n + 64`).
-    stage_limit: usize,
-    started: bool,
-    /// Stage counter for the step-wise API.
-    steps_executed: usize,
-    /// Whether an auditor accusation triggers automatic NodeDown
-    /// quarantine (on by default when an auditor is attached).
-    auto_quarantine: bool,
-    /// Nodes the auditor quarantined over this engine's lifetime, in
-    /// accusation order.
-    quarantined: Vec<AsId>,
-    /// Every accusation the attached auditor returned, in order.
-    accusations: Vec<Accusation>,
-    /// Sends accounted since the run loop last [settled](Engine::take_sent).
+    /// Sends accounted since the engine last settled.
     sent: Sent,
-    /// The provenance counter when the run loop last settled: the updates
-    /// stamped since are the broadcasts `sent` belongs to.
-    settled_seq: u64,
 }
 
 impl Transport for LockStep {
+    type Report = RunReport;
+
     /// The adjacency *is* the live link set.
     fn is_open(&self, _from: AsId, _to: AsId) -> bool {
         true
@@ -175,6 +82,37 @@ impl Transport for LockStep {
         sent.bytes_v2 += bytes;
         let update = Arc::clone(&parcel.update);
         enqueue(&mut engine.inboxes, &mut engine.dirty, to, update);
+    }
+
+    fn take_sent(&mut self) -> Sent {
+        std::mem::take(&mut self.sent)
+    }
+
+    /// Ships the full table now: it is in the neighbor's inbox next stage.
+    fn establish<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId) {
+        engine.ship_table(from, to, 0);
+    }
+
+    /// Quiescent once no node has pending input.
+    fn quiescent<N: ProtocolNode>(engine: &Engine<N, Self>) -> bool {
+        engine.dirty.is_empty()
+    }
+
+    /// The run's tally as a report; the next run numbers its stages from
+    /// 1 again. `stages` is the last stage in which some node's advertised
+    /// state changed — the moment the tables are final. The stage after it
+    /// only drains the resulting no-op deliveries, and the paper's
+    /// "converges within d stages" counts table changes.
+    fn report<N: ProtocolNode>(engine: &mut Engine<N, Self>, run: &RunTally) -> RunReport {
+        engine.stage = 0;
+        RunReport {
+            stages: run.changed as usize,
+            messages: run.sent.messages,
+            entries: run.sent.entries,
+            bytes_v2: run.sent.bytes_v2,
+            max_link_messages_per_stage: run.link_max,
+            converged: run.converged,
+        }
     }
 }
 
@@ -198,287 +136,14 @@ impl<N: ProtocolNode> Engine<N, LockStep> {
     /// Panics if `nodes.len()` differs from the graph's node count or ids
     /// are out of order.
     pub fn new(graph: &AsGraph, nodes: Vec<N>) -> Self {
-        let n = nodes.len();
-        let link = LockStep {
-            parked: vec![Vec::new(); n],
-            stage_limit: 8 * n + 64,
-            started: false,
-            steps_executed: 0,
-            auto_quarantine: true,
-            quarantined: Vec::new(),
-            accusations: Vec::new(),
-            sent: Sent::default(),
-            settled_seq: 0,
-        };
-        Engine::over(graph, nodes, link)
+        Engine::over(graph, nodes, LockStep::default())
     }
 
-    /// Sets the number of worker threads a stage's node recomputation is
-    /// partitioned across (clamped to at least 1; 1 = the serial reference
-    /// path). Any value produces bit-identical runs — reports, fixpoints,
-    /// message streams, and telemetry all match the serial engine exactly,
-    /// because emitted updates are advertised in ascending node order. See
-    /// `docs/PERFORMANCE.md` for the determinism argument.
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Installs a per-stage observer invoked with `(stage, nodes)` after
-    /// every executed stage of a traced run — the hook economic
-    /// instrumentation (premium/welfare gauges) samples through without
-    /// the engine knowing about pricing.
-    pub fn set_stage_observer(&mut self, observer: StageObserver<N>) {
-        self.stage_observer = Some(ObserverSlot(observer));
-    }
-
-    /// Writes the divergence dump after a stage-limit abort.
-    fn dump_flight(&self, executed: usize, report: &RunReport) {
-        let summary = [
-            ("stage_limit", self.link.stage_limit as u64),
-            ("stages_with_changes", report.stages as u64),
-            ("messages", report.messages as u64),
-            ("entries", report.entries as u64),
-            ("dirty_nodes", self.dirty.len() as u64),
-            ("updates_stamped", self.update_seq),
-            ("nodes", self.nodes.len() as u64),
-        ];
-        let snapshots = || {
-            let per_node = self.inboxes.iter().zip(&self.adjacency).zip(&self.down);
-            // Bound the artifact on huge topologies; the run summary still
-            // carries the totals.
-            per_node
-                .take(64)
-                .enumerate()
-                .map(|(idx, ((inbox, neighbors), &down))| FlightSnapshot {
-                    node: idx as u32,
-                    fields: vec![
-                        ("inbox_depth", inbox.len() as u64),
-                        ("neighbors", neighbors.len() as u64),
-                        ("down", u64::from(down)),
-                    ],
-                })
-                .collect()
-        };
-        let stage = executed as u64;
-        self.instruments
-            .dump_abort(flight::REASON_STAGE_LIMIT, stage, &summary, snapshots);
-    }
-
-    /// Collects the attached auditor's end-of-stage accusations, narrates
-    /// them (`AuditViolation` trace events plus a flight post-mortem), and
-    /// — with auto-quarantine on — cuts each accused node from the
-    /// topology via the [`TopologyEvent::NodeDown`] machinery. Quarantine
-    /// reaction broadcasts land at the head of the continuing run, so the
-    /// honest subgraph reconverges within the same
-    /// `run_to_convergence` call. An accusation whose removal would break
-    /// the live graph's biconnectivity is recorded but not quarantined.
-    fn audit_stage(&mut self, stage: u64, report: &mut RunReport) {
-        if self.auditor.is_none() {
-            return;
-        }
-        self.instruments.enter(span::AUDIT_SHADOW);
-        let accusations = match self.auditor.as_mut() {
-            Some(auditor) => auditor.0.end_stage(stage),
-            None => Vec::new(),
-        };
-        for accusation in accusations {
-            for finding in &accusation.findings {
-                self.instruments.record(&TraceEvent::AuditViolation {
-                    stage,
-                    node: accusation.node.index() as u32,
-                    dest: finding.destination.index() as u32,
-                    expected: advertised_cost_raw(finding.expected.as_ref()),
-                    advertised: advertised_cost_raw(finding.advertised.as_ref()),
-                    violation: u32::from(finding.equivocation),
-                });
-            }
-            self.dump_audit_flight(stage, &accusation);
-            let culprit = accusation.node;
-            self.link.accusations.push(accusation);
-            if !self.link.auto_quarantine || self.down[culprit.index()] {
-                continue;
-            }
-            if self
-                .validate_event(TopologyEvent::NodeDown(culprit))
-                .is_ok()
-            {
-                self.instruments.record(&TraceEvent::NodeQuarantined {
-                    stage,
-                    node: culprit.index() as u32,
-                });
-                // The wire tap goes with the node: a quarantined adversary
-                // sends nothing more to perturb.
-                self.adversaries[culprit.index()] = None;
-                self.inject_event(TopologyEvent::NodeDown(culprit), report);
-                self.link.quarantined.push(culprit);
-            }
-        }
-        self.instruments.exit();
-    }
-
-    /// Writes the audit post-mortem after an accusation: the accused node,
-    /// every diverging destination with its expected-vs-advertised costs,
-    /// and the recorded event tail. Best-effort like
-    /// [`dump_flight`](Self::dump_flight).
-    fn dump_audit_flight(&self, stage: u64, accusation: &Accusation) {
-        let Some(recorder) = self.instruments.flight_recorder() else {
-            return;
-        };
-        let summary: Vec<(&str, u64)> = vec![
-            ("accused", u64::from(accusation.node.index() as u32)),
-            ("stage", stage),
-            ("diverging_destinations", accusation.findings.len() as u64),
-            (
-                "equivocations",
-                accusation
-                    .findings
-                    .iter()
-                    .filter(|f| f.equivocation)
-                    .count() as u64,
-            ),
-        ];
-        let snapshots: Vec<FlightSnapshot> = accusation
-            .findings
-            .iter()
-            .take(64)
-            .map(|finding| FlightSnapshot {
-                node: finding.destination.index() as u32,
-                fields: vec![
-                    (
-                        "expected_cost",
-                        advertised_cost_raw(finding.expected.as_ref()),
-                    ),
-                    (
-                        "advertised_cost",
-                        advertised_cost_raw(finding.advertised.as_ref()),
-                    ),
-                    ("equivocation", u64::from(finding.equivocation)),
-                ],
-            })
-            .collect();
-        let _ = recorder.dump(flight::REASON_AUDIT_VIOLATION, stage, &summary, &snapshots);
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Overrides the stage safety limit.
-    pub fn set_stage_limit(&mut self, limit: usize) {
-        self.link.stage_limit = limit;
-    }
-
-    /// Attaches an online auditor: every queued delivery is narrated to it
-    /// via [`WireAuditor::on_wire`], and after the stage-0 reaction
-    /// broadcasts plus every executed stage the engine collects its
-    /// accusations. Unless [`set_auto_quarantine`](Self::set_auto_quarantine)
-    /// is turned off, each accused node is immediately cut from the
-    /// topology via the [`TopologyEvent::NodeDown`] machinery (when the
-    /// residual graph stays biconnected) so the honest subgraph
-    /// reconverges. Supported on the `run_to_convergence` /
-    /// `apply_event` APIs; the step-wise API does not drive audit hooks.
-    pub fn attach_auditor(&mut self, auditor: Box<dyn WireAuditor>) {
-        self.auditor = Some(AuditorSlot(auditor));
-    }
-
-    /// Enables or disables automatic quarantine of accused nodes (on by
-    /// default). With it off, accusations are still recorded and traced.
-    pub fn set_auto_quarantine(&mut self, on: bool) {
-        self.link.auto_quarantine = on;
-    }
-
-    /// Nodes the auditor quarantined over this engine's lifetime.
-    pub fn quarantined(&self) -> &[AsId] {
-        &self.link.quarantined
-    }
-
-    /// Every accusation the attached auditor has returned, in order.
-    pub fn accusations(&self) -> &[Accusation] {
-        &self.link.accusations
-    }
-
-    /// Closes the books on what was sent since the last call: feeds the
-    /// `bgp_*` traffic counters (one `updates_sent` per update stamped in
-    /// between — full tables are unstamped) and hands the totals to the
-    /// caller's report.
-    fn take_sent(&mut self) -> Sent {
-        let sent = std::mem::take(&mut self.link.sent);
-        let updates = self.update_seq - self.link.settled_seq;
-        self.link.settled_seq = self.update_seq;
-        if updates > 0 || sent.messages > 0 {
-            self.instruments
-                .account(updates, sent.messages, sent.entries, sent.bytes_v2);
-        }
-        sent
-    }
-
-    /// Runs every node's `start()` hook, announcing the origin
-    /// advertisements — ahead of a run's stage 1, so traced as stage 0.
-    fn start_protocol(&mut self, report: &mut RunReport) {
-        for k in (0..self.nodes.len() as u32).map(AsId::new) {
-            if let Some(update) = self.nodes[k.index()].start() {
-                self.advertise(k, update, 0);
-            }
-        }
-        report.account(self.take_sent());
-    }
-
-    /// Executes one synchronous stage: the shared handle pass over what the
-    /// previous stage queued, bracketed by the stage's trace, span and
-    /// traffic accounting.
-    fn run_stage(&mut self, stage: usize) -> StageOutcome {
-        self.instruments.enter(span::STAGE);
-        let wall_start = self.instruments.telemetry().map(|telemetry| {
-            telemetry.record(&TraceEvent::StageStart {
-                stage: stage as u64,
-            });
-            telemetry.now_nanos()
-        });
-        if let Some(auditor) = self.auditor.as_mut() {
-            auditor.0.begin_stage(stage as u64);
-        }
-        let depths = self.dirty.iter().map(|&idx| {
-            // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            self.inboxes[idx as usize].len()
-        });
-        let link_max = depths.max().unwrap_or(0);
-        let (receiving_nodes, changed_nodes) = self.handle_pass(stage as u64);
-        let sent = self.take_sent();
-        if let (Some(telemetry), Some(start)) = (self.instruments.telemetry(), wall_start) {
-            let elapsed = telemetry.now_nanos().saturating_sub(start);
-            telemetry
-                .histogram(metric::STAGE_WALL_NANOS)
-                .observe(elapsed);
-        }
-        self.instruments.exit();
-        let trace = StageTrace {
-            stage,
-            receiving_nodes,
-            changed_nodes,
-            messages: sent.messages,
-            bytes: sent.bytes_v2,
-        };
-        StageOutcome {
-            trace,
-            sent,
-            link_max,
-        }
-    }
-
-    /// Runs stages until no node has pending input, starting the protocol
-    /// (initial origin advertisements) on the first call.
-    pub fn run_to_convergence(&mut self) -> RunReport {
-        self.run_to_convergence_traced(|_| {})
-    }
-
-    /// Executes the protocol one stage at a time: `start()` (first call
-    /// only) plus a single delivery round, returning its [`StageTrace`] —
-    /// or `None` when the network is quiescent. Lets callers inspect node
-    /// state between stages (e.g. the per-node convergence experiment
-    /// behind Lemma 2's `d_i` bound).
+    /// Executes the protocol one stage at a time: the origin announcement
+    /// (first call only, audited like a run's) plus a single delivery
+    /// round, returning its [`StageTrace`] — or `None` when the network is
+    /// quiescent. Lets callers inspect node state between stages (e.g. the
+    /// per-node convergence experiment behind Lemma 2's `d_i` bound).
     ///
     /// # Example
     ///
@@ -495,382 +160,24 @@ impl<N: ProtocolNode> Engine<N, LockStep> {
     /// assert!(stages >= 3, "Fig. 1 routing needs d = 3 stages plus drain");
     /// ```
     pub fn step(&mut self) -> Option<StageTrace> {
-        if !self.link.started {
-            self.link.started = true;
-            self.start_protocol(&mut RunReport::default());
-            self.link.steps_executed = 0;
+        if self.start() {
+            self.audit_stage(0);
         }
-        if self.dirty.is_empty() {
-            return None;
-        }
-        self.link.steps_executed += 1;
-        Some(self.run_stage(self.link.steps_executed).trace)
+        (!self.dirty.is_empty()).then(|| self.run_stage())
     }
-
-    /// Like [`run_to_convergence`](Self::run_to_convergence), but invokes
-    /// `observer` with a [`StageTrace`] after every executed stage — the
-    /// hook behind the CLI's `--trace` flag and any custom progress
-    /// reporting.
-    pub fn run_to_convergence_traced<F: FnMut(StageTrace)>(
-        &mut self,
-        mut observer: F,
-    ) -> RunReport {
-        let mut report = RunReport {
-            converged: true,
-            ..RunReport::default()
-        };
-        if !self.link.started {
-            self.link.started = true;
-            self.start_protocol(&mut report);
-        }
-        // Cross-check the stage-0 emissions (origin broadcasts, or the
-        // topology-event reactions a caller queued before entering) before
-        // stage 1 delivers them.
-        self.audit_stage(0, &mut report);
-
-        // `stages` reports the last stage in which some node's advertised
-        // state changed — the moment the tables are final. One further
-        // stage is executed to drain the resulting (no-op) deliveries, but
-        // it is pure message drain, not computation, and the paper's
-        // "converges within d stages" counts table changes.
-        let mut executed = 0usize;
-        while !self.dirty.is_empty() {
-            if executed >= self.link.stage_limit {
-                report.converged = false;
-                invariants::convergence(&report, executed, self.link.stage_limit);
-                self.instruments.finish(executed as u64, None);
-                self.dump_flight(executed, &report);
-                return report;
-            }
-            executed += 1;
-            let outcome = self.run_stage(executed);
-            if outcome.trace.changed_nodes > 0 {
-                report.stages = executed;
-            }
-            report.account(outcome.sent);
-            report.max_link_messages_per_stage =
-                report.max_link_messages_per_stage.max(outcome.link_max);
-            self.audit_stage(executed as u64, &mut report);
-            let run_counters = [
-                ("stage_limit", self.link.stage_limit as u64),
-                ("messages", report.messages as u64),
-                ("dirty_nodes", self.dirty.len() as u64),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ];
-            self.instruments.poll_stall(executed as u64, &run_counters);
-            if let Some(mut slot) = self.stage_observer.take() {
-                (slot.0)(executed as u64, &self.nodes);
-                self.stage_observer = Some(slot);
-            }
-            observer(outcome.trace);
-        }
-        invariants::convergence(&report, executed, self.link.stage_limit);
-        if let Some(telemetry) = self.instruments.telemetry() {
-            telemetry
-                .gauge(metric::STAGES_TO_QUIESCENCE)
-                .set(report.stages as u64);
-        }
-        let messages = Some(report.messages as u64);
-        self.instruments.finish(report.stages as u64, messages);
-        report
-    }
-
-    /// Applies a topology event and reconverges, returning the report for
-    /// the reconvergence (the "convergence process begins again" of
-    /// Sect. 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event is invalid in the current topology — see
-    /// [`try_apply_event`](Self::try_apply_event), the fallible variant
-    /// chaos harnesses use, for the exact conditions.
-    pub fn apply_event(&mut self, event: TopologyEvent) -> RunReport {
-        match self.try_apply_event(event) {
-            Ok(report) => report,
-            // lint:allow(documented # Panics contract: the infallible API surfaces invalid events as programming errors)
-            Err(error) => panic!("cannot apply {event:?}: {error}"),
-        }
-    }
-
-    /// Checks that `event` can be applied to the current topology without
-    /// touching anything.
-    fn validate_event(&self, event: TopologyEvent) -> Result<(), GraphError> {
-        let in_range = |id: AsId| {
-            if id.index() < self.nodes.len() {
-                Ok(())
-            } else {
-                Err(GraphError::UnknownNode(id))
-            }
-        };
-        match event {
-            TopologyEvent::LinkDown(a, b) => {
-                in_range(a)?;
-                in_range(b)?;
-                if !self.adjacency[a.index()].contains(&b) {
-                    return Err(GraphError::MissingLink(a, b));
-                }
-                Ok(())
-            }
-            TopologyEvent::LinkUp(a, b) => {
-                in_range(a)?;
-                in_range(b)?;
-                if a == b {
-                    return Err(GraphError::SelfLoop(a));
-                }
-                for id in [a, b] {
-                    if self.down[id.index()] {
-                        return Err(GraphError::NodeOffline(id));
-                    }
-                }
-                if self.adjacency[a.index()].contains(&b) {
-                    return Err(GraphError::DuplicateLink(a, b));
-                }
-                Ok(())
-            }
-            TopologyEvent::CostChange(k, _) => {
-                in_range(k)?;
-                if self.down[k.index()] {
-                    return Err(GraphError::NodeOffline(k));
-                }
-                Ok(())
-            }
-            TopologyEvent::NodeDown(k) => {
-                in_range(k)?;
-                if self.down[k.index()] {
-                    return Err(GraphError::NodeOffline(k));
-                }
-                self.residual_biconnected(k, false)
-            }
-            TopologyEvent::NodeUp(k) => {
-                in_range(k)?;
-                if !self.down[k.index()] {
-                    return Err(GraphError::NodeOnline(k));
-                }
-                self.residual_biconnected(k, true)
-            }
-        }
-    }
-
-    /// Checks that the set of *live* nodes — with `toggle` additionally
-    /// removed (`bring_up == false`) or restored with its parked links
-    /// (`bring_up == true`) — still forms a biconnected graph, the
-    /// precondition for k-avoiding paths and hence VCG prices (paper,
-    /// Sect. 4). Costs are irrelevant to the check, so the scratch graph
-    /// uses zeros; surviving ids are renumbered densely.
-    fn residual_biconnected(&self, toggle: AsId, bring_up: bool) -> Result<(), GraphError> {
-        let n = self.nodes.len();
-        let included = |idx: usize| {
-            // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            (!self.down[idx] && (bring_up || idx != toggle.index()))
-                || (bring_up && idx == toggle.index())
-        };
-        let mut remap = vec![u32::MAX; n];
-        let mut builder = AsGraph::builder();
-        let mut survivors = 0usize;
-        for (idx, slot) in remap.iter_mut().enumerate() {
-            if included(idx) {
-                *slot = builder.add_node(Cost::ZERO).index() as u32;
-                survivors += 1;
-            }
-        }
-        if survivors < 3 {
-            return Err(GraphError::TooSmall { nodes: survivors });
-        }
-        for idx in 0..n {
-            // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            if remap[idx] == u32::MAX {
-                continue;
-            }
-            // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            for &b in &self.adjacency[idx] {
-                if b.index() > idx && remap[b.index()] != u32::MAX {
-                    // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-                    builder.add_link(AsId::new(remap[idx]), AsId::new(remap[b.index()]))?;
-                }
-            }
-        }
-        if bring_up {
-            // The restart restores exactly the parked links whose far end
-            // is live; a crashed node's adjacency above was empty.
-            for &a in &self.link.parked[toggle.index()] {
-                if remap[a.index()] != u32::MAX {
-                    builder.add_link(
-                        AsId::new(remap[toggle.index()]),
-                        AsId::new(remap[a.index()]),
-                    )?;
-                }
-            }
-        }
-        if builder.build().is_biconnected() {
-            Ok(())
-        } else {
-            Err(GraphError::NotBiconnected)
-        }
-    }
-
-    /// Applies a topology event and reconverges — the fallible twin of
-    /// [`apply_event`](Self::apply_event), used wherever invalid events
-    /// are *data* rather than programming errors (the chaos harness feeds
-    /// randomly generated schedules through this path).
-    ///
-    /// # Errors
-    ///
-    /// Returns — without mutating anything — [`GraphError::UnknownNode`]
-    /// for out-of-range ids, [`GraphError::MissingLink`] /
-    /// [`GraphError::DuplicateLink`] / [`GraphError::SelfLoop`] for
-    /// invalid link events, [`GraphError::NodeOffline`] /
-    /// [`GraphError::NodeOnline`] for events touching a node in the wrong
-    /// liveness state, and [`GraphError::NotBiconnected`] /
-    /// [`GraphError::TooSmall`] when a node removal (or a restart whose
-    /// surviving link set is too thin) would leave the live topology
-    /// without the biconnectivity VCG pricing requires — instead of
-    /// letting prices silently become undefined.
-    pub fn try_apply_event(&mut self, event: TopologyEvent) -> Result<RunReport, GraphError> {
-        self.validate_event(event)?;
-        let mut report = RunReport {
-            converged: true,
-            ..RunReport::default()
-        };
-        self.inject_event(event, &mut report);
-        let reconverge = self.run_to_convergence();
-        report.absorb(reconverge);
-        Ok(report)
-    }
-
-    /// Applies an already-validated topology event *without* reconverging:
-    /// mutates the topology, delivers the affected nodes' local views
-    /// (their reaction broadcasts trace at stage 0), and queues the
-    /// session-establishment full-table exchanges. Callers run (or are
-    /// already inside) the convergence loop that absorbs the queued
-    /// traffic — the auditor's quarantine path injects events mid-run
-    /// through exactly this hook.
-    fn inject_event(&mut self, event: TopologyEvent, report: &mut RunReport) {
-        if let Some(auditor) = self.auditor.as_mut() {
-            auditor.0.on_topology(&event);
-        }
-        // Update the engine's own topology state first (validated by the
-        // caller).
-        // `restored` collects the links a NodeUp brings back; empty
-        // otherwise.
-        let mut restored: Vec<AsId> = Vec::new();
-        match event {
-            TopologyEvent::LinkDown(a, b) => {
-                self.adjacency[a.index()].retain(|&x| x != b);
-                self.adjacency[b.index()].retain(|&x| x != a);
-            }
-            TopologyEvent::LinkUp(a, b) => {
-                self.adjacency[a.index()].push(b);
-                self.adjacency[a.index()].sort_unstable();
-                self.adjacency[b.index()].push(a);
-                self.adjacency[b.index()].sort_unstable();
-            }
-            TopologyEvent::CostChange(..) => {}
-            TopologyEvent::NodeDown(k) => {
-                // Detach every incident link (both directions) and park
-                // the neighbor list for the eventual restart.
-                let neighbors = std::mem::take(&mut self.adjacency[k.index()]);
-                for &a in &neighbors {
-                    self.adjacency[a.index()].retain(|&x| x != k);
-                }
-                // Crash semantics: the node loses all protocol state now
-                // (its links too — it restarts with none until they are
-                // restored), and anything queued for it is gone with it.
-                self.nodes[k.index()].reset();
-                for &a in &neighbors {
-                    let _ = self.nodes[k.index()].apply_event(LocalEvent::LinkDown(a));
-                }
-                self.drop_inbox(k);
-                self.link.parked[k.index()] = neighbors;
-                self.down[k.index()] = true;
-            }
-            TopologyEvent::NodeUp(k) => {
-                self.down[k.index()] = false;
-                let parked = std::mem::take(&mut self.link.parked[k.index()]);
-                for &a in &parked {
-                    if self.down[a.index()] {
-                        // The far end is still down: hand the link over to
-                        // its parked set so it returns when *that* node
-                        // restarts.
-                        if !self.link.parked[a.index()].contains(&k) {
-                            self.link.parked[a.index()].push(k);
-                        }
-                    } else {
-                        self.adjacency[k.index()].push(a);
-                        self.adjacency[a.index()].push(k);
-                        self.adjacency[a.index()].sort_unstable();
-                        restored.push(a);
-                    }
-                }
-                self.adjacency[k.index()].sort_unstable();
-            }
-        }
-        // Let the affected nodes react. Reaction broadcasts precede the
-        // reconvergence run's stage 1, so they trace at stage 0. Node-level
-        // events expand into per-neighbor link views here, because only the
-        // engine knows the adjacency in force when the node went down/up.
-        let views: Vec<(AsId, LocalEvent)> = match event {
-            TopologyEvent::NodeDown(k) => self.link.parked[k.index()]
-                .iter()
-                .map(|&a| (a, LocalEvent::LinkDown(k)))
-                .collect(),
-            TopologyEvent::NodeUp(k) => restored
-                .iter()
-                .flat_map(|&a| [(k, LocalEvent::LinkUp(a)), (a, LocalEvent::LinkUp(k))])
-                .collect(),
-            _ => event.local_views(),
-        };
-        if let TopologyEvent::NodeUp(k) = event {
-            self.instruments.record(&TraceEvent::NodeRestart {
-                stage: 0,
-                node: k.index() as u32,
-            });
-        }
-        for (id, local) in views {
-            if let Some(auditor) = self.auditor.as_mut() {
-                auditor.0.on_local_event(id, &local);
-            }
-            if let Some(update) = self.nodes[id.index()].apply_event(local) {
-                self.advertise(id, update, 0);
-            }
-        }
-        // Session establishment: every (re)activated link exchanges full
-        // tables in both directions — on restart the rejoining node's
-        // "table" is just its origin route, exactly a from-scratch join.
-        let established: Vec<(AsId, AsId)> = match event {
-            TopologyEvent::LinkUp(a, b) => vec![(a, b), (b, a)],
-            TopologyEvent::NodeUp(k) => restored.iter().flat_map(|&a| [(k, a), (a, k)]).collect(),
-            _ => Vec::new(),
-        };
-        for (me, other) in established {
-            self.ship_table(me, other, 0);
-        }
-        report.account(self.take_sent());
-    }
-
-    /// State snapshots of every node (for the E5 experiment), in AS order.
-    pub fn state_snapshots(&self) -> Vec<StateSnapshot> {
-        self.nodes.iter().map(ProtocolNode::state).collect()
-    }
-}
-
-/// Flattens an audited advertisement into the telemetry cost encoding:
-/// the route's path cost when one is advertised, `u64::MAX` for
-/// withdrawals, silence, and price-delta frames (which carry no cost).
-fn advertised_cost_raw(info: Option<&RouteInfo>) -> u64 {
-    info.and_then(RouteInfo::path_cost)
-        .and_then(Cost::finite)
-        .unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamics::TopologyEvent;
     use crate::node::PlainBgpNode;
+    use crate::telemetry::metric;
     use bgpvcg_lcp::{bellman, AllPairsLcp};
     use bgpvcg_netgraph::generators::structured::{fig1, ring, Fig1};
     use bgpvcg_netgraph::generators::{barabasi_albert, erdos_renyi, random_costs};
-    use bgpvcg_telemetry::{HealthConfig, Telemetry};
+    use bgpvcg_netgraph::{Cost, GraphError};
+    use bgpvcg_telemetry::{flight, profile::span, HealthConfig, Telemetry, TraceEvent};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -5,8 +5,9 @@
 //! physical neighbors. Each node stores, per destination, the selected
 //! lowest-cost AS path and its cost; a node re-advertises exactly when its
 //! table changes. One [`engine::Engine`] drives the same node logic —
-//! one handle pass, one send path, one wire tap, deterministic and observed
-//! through one instrument bundle — over two transports:
+//! one stage loop, one send path, one wire tap, one topology-event path
+//! and one auditor, deterministic and observed through one instrument
+//! bundle — over two transports:
 //!
 //! * [`engine::SyncEngine`] (`Engine<N, LockStep>`) — the paper's
 //!   synchronous-stage model: each stage every node ingests the tables its

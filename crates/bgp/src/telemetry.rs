@@ -10,6 +10,7 @@
 //! one `Instruments` bundle, which owns everything else that observes a run
 //! too: flight recorder, health monitor, span profiler.
 
+use crate::engine::kernel::Sent;
 use crate::message::{RouteInfo, SharedPath, Update};
 use bgpvcg_netgraph::Cost;
 use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
@@ -274,6 +275,8 @@ pub(crate) struct Instruments {
     traffic: Option<Traffic>,
     /// Whether the one-shot health-stall post-mortem has been written.
     stall_dumped: bool,
+    /// The provenance counter when traffic was last accounted.
+    settled_seq: u64,
 }
 
 /// Cached handles of the four traffic counters.
@@ -385,14 +388,19 @@ impl Instruments {
         }
     }
 
-    /// Adds `updates` broadcasts and the deliveries they (and any
+    /// Adds the updates stamped since the last call (`update_seq` is the
+    /// provenance counter) and the deliveries they — and any
     /// session-establishment full tables, which are traffic but not
-    /// updates) made to the traffic counters, registering them first if
+    /// updates — made to the traffic counters, registering them first if
     /// this is the first accounted delivery since the last attach.
-    pub(crate) fn account(&mut self, updates: u64, messages: usize, entries: usize, bytes: usize) {
+    pub(crate) fn account(&mut self, update_seq: u64, sent: &Sent) {
+        let updates = update_seq - std::mem::replace(&mut self.settled_seq, update_seq);
         let Some(tracer) = self.tracer.as_ref() else {
             return;
         };
+        if updates == 0 && sent.messages == 0 {
+            return;
+        }
         let telemetry = tracer.telemetry();
         let traffic = self.traffic.get_or_insert_with(|| Traffic {
             updates_sent: telemetry.counter(metric::UPDATES_SENT),
@@ -401,9 +409,9 @@ impl Instruments {
             bytes: telemetry.counter(metric::BYTES),
         });
         traffic.updates_sent.add(updates);
-        traffic.messages.add(messages as u64);
-        traffic.entries.add(entries as u64);
-        traffic.bytes.add(bytes as u64);
+        traffic.messages.add(sent.messages as u64);
+        traffic.entries.add(sent.entries as u64);
+        traffic.bytes.add(sent.bytes_v2 as u64);
     }
 
     /// Polls the health monitor's stall verdict — it folded the stage's

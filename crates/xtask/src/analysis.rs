@@ -24,10 +24,16 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("sharded_handle", "crates/bgp/src/engine/kernel.rs"),
     ("LockStep::send", "crates/bgp/src/engine/sync.rs"),
     ("Sessions::send", "crates/bgp/src/chaos.rs"),
-    // The lock-step stage around the handle pass.
-    ("Engine::run_stage", "crates/bgp/src/engine/sync.rs"),
-    // The chaos engine's session layer (frames, acks, hold timers); its
-    // `step` shares a name with the lock-step one, so both are entries.
+    // The one stage body around the handle pass, on either transport.
+    ("Engine::run_stage", "crates/bgp/src/engine/kernel.rs"),
+    // The session layer (faults, establishment, frames, acks, hold
+    // timers): the stage body reaches it through `T::before_handle(…)` and
+    // `T::after_handle(…)`, generic calls with no edge, so both hooks are
+    // named themselves.
+    ("Sessions::before_handle", "crates/bgp/src/chaos.rs"),
+    ("Sessions::after_handle", "crates/bgp/src/chaos.rs"),
+    // The chaos engine's public `step` and run; its `step` shares a name
+    // with the lock-step one, so both are entries.
     ("Engine::step", "crates/bgp/src/chaos.rs"),
     ("Engine::run_to_stable", "crates/bgp/src/chaos.rs"),
     // The public parallel protocol runner.
@@ -481,7 +487,7 @@ mod tests {
     #[test]
     fn unwrap_reachable_through_a_helper_chain_is_reported_with_path() {
         let out = with_stubs(&[(
-            "crates/bgp/src/engine/sync.rs",
+            "crates/bgp/src/engine/kernel.rs",
             "impl Engine {\n    fn run_stage(&mut self) { helper(); }\n}\nfn helper() { deep(); }\nfn deep() { x.unwrap(); }",
         )]);
         let hit = out
@@ -507,7 +513,7 @@ mod tests {
     #[test]
     fn allowlisted_sites_are_suppressed() {
         let out = with_stubs(&[(
-            "crates/bgp/src/engine/sync.rs",
+            "crates/bgp/src/engine/kernel.rs",
             "impl Engine {\n    fn run_stage(&mut self) { x.unwrap(); } // lint:allow(test of the allowlist)\n}",
         )]);
         assert!(out.is_empty(), "{out:?}");
@@ -516,7 +522,7 @@ mod tests {
     #[test]
     fn unguarded_indexing_is_reported_but_guarded_forms_are_not() {
         let out = with_stubs(&[(
-            "crates/bgp/src/engine/sync.rs",
+            "crates/bgp/src/engine/kernel.rs",
             "impl Engine {\n    fn run_stage(&mut self, i: usize) { let _ = self.inboxes[i]; \
              let _ = FIRST[0]; let _ = self.nodes[id.index()]; let _ = path[1..path.len() - 1]; }\n}",
         )]);
@@ -527,7 +533,7 @@ mod tests {
     #[test]
     fn asserts_are_precondition_guards_not_panic_sites() {
         let out = with_stubs(&[(
-            "crates/bgp/src/engine/sync.rs",
+            "crates/bgp/src/engine/kernel.rs",
             "impl Engine {\n    fn run_stage(&mut self) { debug_assert!(ok); assert!(ok); assert_eq!(a, b); }\n}",
         )]);
         assert!(out.is_empty(), "{out:?}");
@@ -539,7 +545,7 @@ mod tests {
         // pull bench code into reachability.
         let out = with_stubs(&[
             (
-                "crates/bgp/src/engine/sync.rs",
+                "crates/bgp/src/engine/kernel.rs",
                 "impl Engine {\n    fn run_stage(&mut self) { self.b.build(); }\n}",
             ),
             (

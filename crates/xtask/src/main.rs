@@ -281,7 +281,7 @@ const INVARIANT_HOOK_SITES: &[(&str, &str)] = &[
     ("crates/bgp/src/engine/invariants.rs", "relaxation_step"),
     ("crates/bgp/src/node.rs", "invariants::relaxation_step"),
     ("crates/bgp/src/engine/invariants.rs", "convergence"),
-    ("crates/bgp/src/engine/sync.rs", "invariants::"),
+    ("crates/bgp/src/engine/kernel.rs", "invariants::"),
 ];
 
 fn cmd_audit(root: &Path, static_only: bool) -> ExitCode {

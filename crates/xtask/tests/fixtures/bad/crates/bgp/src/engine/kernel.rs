@@ -1,5 +1,5 @@
-//! Fixture: a shared stage engine whose worker pool allocates a merge
-//! buffer per stage.
+//! Fixture: a shared stage engine whose stage body and worker pool
+//! allocate per stage.
 
 /// The stage engine.
 #[derive(Debug)]
@@ -8,6 +8,12 @@ pub struct Engine {
 }
 
 impl Engine {
+    /// Runs one stage, staging its trace in a fresh buffer every time.
+    pub fn run_stage(&mut self) -> u32 {
+        let trace = vec![self.handle_pass()];
+        trace.len() as u32
+    }
+
     /// Runs every dirty node, collecting into a fresh list every time.
     pub fn handle_pass(&mut self) -> u32 {
         let staged: Vec<u32> = self.buffers.iter().copied().collect();

@@ -1,15 +1,15 @@
-//! Fixture: a stage engine that allocates per stage, leaks a thread,
-//! relaxes an ordering, panics on a hot path, and dips into unsafe.
+//! Fixture: a lock-step transport that allocates per send, leaks a
+//! thread, relaxes an ordering, panics on a hot path, and dips into unsafe.
 
-/// The stage engine.
+/// The lock-step transport.
 #[derive(Debug)]
-pub struct Engine {
+pub struct LockStep {
     buffers: Vec<u32>,
 }
 
-impl Engine {
-    /// Runs one stage, allocating fresh buffers every time.
-    pub fn run_stage(&mut self) -> u32 {
+impl LockStep {
+    /// Queues one payload, allocating a fresh buffer every time.
+    pub fn send(&mut self) -> u32 {
         let staged: Vec<u32> = vec![0; self.buffers.len()];
         let handle = std::thread::spawn(move || staged.len() as u32);
         handle.join().unwrap()

@@ -25,6 +25,16 @@ impl Sessions {
     pub fn send(engine: &mut Engine, bytes: u32) {
         engine.ticks = engine.ticks.saturating_add(bytes);
     }
+
+    /// Delivers the frames due ahead of the handle pass.
+    pub fn before_handle(engine: &mut Engine) {
+        engine.ticks = engine.ticks.saturating_add(1);
+    }
+
+    /// Runs the session timers after the handle pass.
+    pub fn after_handle(engine: &mut Engine) {
+        engine.stable = engine.ticks % 2 == 0;
+    }
 }
 
 impl Engine {

@@ -27,6 +27,12 @@ pub struct Engine {
 }
 
 impl Engine {
+    /// Runs one stage around the handle pass and settles what it sent.
+    pub fn run_stage(&mut self) -> Result<u32, String> {
+        let total = self.handle_pass()?;
+        Ok(total.saturating_add(1))
+    }
+
     /// Runs every dirty node, reusing the preallocated buffers.
     pub fn handle_pass(&mut self) -> Result<u32, String> {
         let total: u32 = self.buffers.iter().sum();

@@ -153,8 +153,8 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("pub-docs", "crates/bgp/src/node.rs"),        // undocumented_helper
         ("wire-golden", "crates/bgp/src/message.rs"),  // Message::Bogus uncovered
         ("engine-hygiene", "crates/bgp/src/engine/sync.rs"), // thread::spawn + Relaxed
-        ("stage-alloc", "crates/bgp/src/engine/sync.rs"), // vec![ in run_stage
-        ("stage-alloc", "crates/bgp/src/engine/kernel.rs"), // .collect() in handle_pass, Vec::new() in sharded_handle
+        ("stage-alloc", "crates/bgp/src/engine/sync.rs"), // vec![ in LockStep::send
+        ("stage-alloc", "crates/bgp/src/engine/kernel.rs"), // vec![ in run_stage, .collect() in handle_pass, Vec::new() in sharded_handle
         ("stage-alloc", "crates/bgp/src/chaos.rs"), // .collect() per delivery in Sessions::send
         ("stage-alloc", "crates/bgp/src/wire.rs"),  // Vec::new() in the codec hot path
         ("stage-alloc", "crates/telemetry/src/profile.rs"), // vec![ / Vec::new() in enter/exit
@@ -165,7 +165,7 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("stage-alloc", "crates/telemetry/src/health.rs"), // BTreeMap in fold, .to_vec() in on_progress
         ("unsafe-audit", "crates/bgp/src/lib.rs"),         // missing #![forbid(unsafe_code)]
         ("unsafe-audit", "crates/bgp/src/engine/sync.rs"), // unsafe block
-        ("panic-reachability", "crates/bgp/src/engine/sync.rs"), // unwrap in run_stage
+        ("panic-reachability", "crates/bgp/src/engine/sync.rs"), // unwrap in LockStep::send
         ("panic-reachability", "crates/bgp/src/chaos.rs"), // step -> tick_parity -> panic!
         ("panic-reachability", "crates/bgp/src/chaos.rs"), // Sessions::send -> pop_head -> unwrap
         ("panic-reachability", "crates/core/src/protocol.rs"), // nodes[i + 1] unguarded

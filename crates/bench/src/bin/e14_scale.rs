@@ -20,8 +20,8 @@
 //!
 //! Each serial run additionally carries the streaming health monitor
 //! (honest scale runs must raise zero SLO findings) and the zero-alloc
-//! span profiler; the sweep-merged profile and the last health report
-//! land in the `--obs-out` bundle.
+//! span profiler; the sweep-merged profile lands in the `--obs-out`
+//! bundle.
 //!
 //! Flags:
 //!
@@ -141,7 +141,6 @@ fn main() {
     let (config, obs) = parse_args();
     println!("E14 — end-to-end scale on Internet-like topologies\n");
     let mut sweep_profile = SpanProfiler::engine();
-    let mut last_health = None;
     let sizes: &[usize] = if config.smoke {
         &[32, 64]
     } else {
@@ -174,14 +173,12 @@ fn main() {
             engine.attach_profiler();
             let serial_report = engine.run_to_convergence();
             // Honest scale runs are the SLO baseline: zero findings.
-            let health = engine.health_sink().expect("health attached").snapshot();
+            let findings = engine.health_sink().expect("health attached").findings();
             assert!(
-                health.findings().is_empty(),
-                "{} n={n}: honest run raised health findings: {:?}",
-                family.name(),
-                health.findings()
+                findings.is_empty(),
+                "{} n={n}: honest run raised health findings: {findings:?}",
+                family.name()
             );
-            last_health = Some(health);
             sweep_profile.merge(&engine.take_profiler().expect("profiler attached"));
             let serial_nodes = engine.into_nodes();
             let serial_outcome = protocol::outcome_from_nodes(&serial_nodes).expect("converged");
@@ -254,9 +251,6 @@ fn main() {
     std::fs::write(&config.out, json)
         .unwrap_or_else(|err| panic!("cannot write {}: {err}", config.out.display()));
     println!("\nwrote {}", config.out.display());
-    if let Some(health) = &last_health {
-        obs.write_health(health);
-    }
     obs.write_profile(&sweep_profile);
     obs.finish();
     println!(

@@ -28,8 +28,8 @@
 //!
 //! Every run also carries the streaming health monitor and the span
 //! profiler: the table reports how many SLO findings the fault schedule
-//! provoked, and the sweep-merged profile and the last health report land
-//! in the `--obs-out` bundle.
+//! provoked, each finding is a `HealthVerdict` line of the `--obs-out`
+//! bundle's trace, and the sweep-merged profile lands in the bundle.
 //!
 //! Flags:
 //!
@@ -198,7 +198,6 @@ fn main() {
     let (config, obs) = parse_args();
     println!("E19 — seeded chaos: self-stabilization of the pricing protocol\n");
     let mut sweep_profile = SpanProfiler::engine();
-    let mut last_health = None;
     let mut total_findings = 0usize;
     let sizes: &[usize] = if config.smoke { &[8] } else { &[16, 32] };
     let seeds: Vec<u64> = match config.seed {
@@ -249,7 +248,7 @@ fn main() {
                     // (that is the monitor doing its job); report, don't
                     // assert — but a *stall* verdict on a run that
                     // stabilized would be a detector bug.
-                    let health = engine.health_sink().expect("health attached").snapshot();
+                    let health = engine.health_sink().expect("health attached");
                     assert!(
                         !health.stalled(),
                         "{} n={n} seed={seed} {scenario}: stabilized run flagged as stalled",
@@ -257,7 +256,6 @@ fn main() {
                     );
                     let findings = health.findings().len();
                     total_findings += findings;
-                    last_health = Some(health);
                     sweep_profile.merge(&engine.take_profiler().expect("profiler attached"));
                     let nodes = engine.into_nodes();
                     let outcome = protocol::outcome_from_nodes(&nodes)
@@ -313,9 +311,6 @@ fn main() {
     std::fs::write(&config.out, json)
         .unwrap_or_else(|err| panic!("cannot write {}: {err}", config.out.display()));
     println!("\nwrote {}", config.out.display());
-    if let Some(health) = &last_health {
-        obs.write_health(health);
-    }
     obs.write_profile(&sweep_profile);
     obs.finish();
     println!("health: {total_findings} SLO finding(s) across the fault sweep, 0 stall verdicts");

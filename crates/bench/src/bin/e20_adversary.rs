@@ -32,10 +32,11 @@
 //! * `--obs-out DIR` — the shared observability bundle
 //!   (`bgpvcg_bench::obs`): `flight.json`, the audit-violation flight
 //!   post-mortem (the divergence recorder, armed by the auditor); the
-//!   honest sweep's `health.json` (asserted finding-free even under
-//!   parallel workers); and `profile.json` + `profile.folded`, the span
-//!   profile of the adversarial post-mortem run, which covers the
-//!   audit-shadow and adversary-tap phases. Without it the post-mortem
+//!   trace, in which the health-monitored honest sweep leaves no
+//!   `HealthVerdict` (asserted even under parallel workers); and
+//!   `profile.json` + `profile.folded`, the span profile of the
+//!   adversarial post-mortem run, which covers the audit-shadow and
+//!   adversary-tap phases. Without it the post-mortem
 //!   lands in a temp dir that is removed on success. It is validated
 //!   against the flight dump schema either way.
 //!
@@ -283,7 +284,6 @@ fn main() {
     let seeds: &[u64] = if smoke { &[7, 51] } else { &[7, 23, 51, 97] };
     let workers: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
     let mut honest_runs = 0usize;
-    let mut last_health = None;
     for &family in Family::ALL.iter() {
         for &seed in seeds {
             let g = family.build(n, seed);
@@ -305,14 +305,12 @@ fn main() {
                 // The SLO story mirrors the audit story: honest runs draw
                 // zero health findings at every worker count, not just
                 // zero accusations.
-                let health = engine.health_sink().expect("health attached").snapshot();
+                let findings = engine.health_sink().expect("health attached").findings();
                 assert!(
-                    health.findings().is_empty(),
-                    "{}/seed {seed}/workers {w}: honest run raised health findings: {:?}",
-                    family.name(),
-                    health.findings()
+                    findings.is_empty(),
+                    "{}/seed {seed}/workers {w}: honest run raised health findings: {findings:?}",
+                    family.name()
                 );
-                last_health = Some(health);
                 let outcome = protocol::outcome_from_nodes(&engine.into_nodes()).unwrap();
                 assert_eq!(
                     outcome,
@@ -353,9 +351,6 @@ fn main() {
         "Flight post-mortem: {FLIGHT} (schema-valid, reason `{}`)",
         flight::REASON_AUDIT_VIOLATION
     );
-    if let Some(health) = &last_health {
-        obs.write_health(health);
-    }
     obs.write_profile(&profile);
     obs.finish();
 

@@ -16,7 +16,7 @@
 //!
 //! Every run also carries the convergence health monitor (honest sweeps
 //! must raise zero SLO findings) and the span profiler; the merged profile
-//! and the final run's health report land in the `--obs-out` bundle.
+//! lands in the `--obs-out` bundle.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e3_bgp_convergence`
 //! Optional: `--obs-out DIR` (trace, metrics, health, profile; see
@@ -53,7 +53,6 @@ fn main() {
     let stages_gauge = telemetry.gauge(metric::STAGES_TO_QUIESCENCE);
     let mut all_within = true;
     let mut sweep_profile = SpanProfiler::engine();
-    let mut last_health = None;
     for family in Family::ALL {
         for &n in &sizes {
             let g = family.build(n, 11);
@@ -72,14 +71,12 @@ fn main() {
             let report = engine.run_to_convergence();
             assert!(report.converged, "{} n={n}", family.name());
             // Honest convergence is the SLO baseline: zero findings.
-            let health = engine.health_sink().expect("health attached").snapshot();
+            let findings = engine.health_sink().expect("health attached").findings();
             assert!(
-                health.findings().is_empty(),
-                "{} n={n}: honest run raised health findings: {:?}",
-                family.name(),
-                health.findings()
+                findings.is_empty(),
+                "{} n={n}: honest run raised health findings: {findings:?}",
+                family.name()
             );
-            last_health = Some(health);
             sweep_profile.merge(&engine.take_profiler().expect("profiler attached"));
             // The registry is the source of truth for the table; the engine
             // report must agree (observation is non-perturbing).
@@ -144,9 +141,6 @@ fn main() {
         }
     }
     println!("{table}");
-    if let Some(health) = &last_health {
-        obs.write_health(health);
-    }
     obs.write_profile(&sweep_profile);
     println!("Paper claim: \"BGP converges within d stages of computation\".");
     println!(

@@ -9,9 +9,6 @@
 //!   [`bgpvcg_telemetry::TraceEvent`] per line.
 //! * [`METRICS`] — the final metrics snapshot as JSON
 //!   ([`bgpvcg_telemetry::MetricsSnapshot::to_json`]).
-//! * [`HEALTH`] — the streaming health monitor's report
-//!   (`bgpvcg-health-v1`: findings plus per-destination convergence
-//!   latency quantiles; see [`bgpvcg_telemetry::health`]).
 //! * [`PROFILE`] + [`FOLDED`] — the span profiler's report
 //!   (`bgpvcg-profile-v1`) and its flamegraph-ready collapsed stacks (see
 //!   [`bgpvcg_telemetry::profile`]).
@@ -19,15 +16,16 @@
 //!   flight-recorder dump ([`bgpvcg_telemetry::flight`]), present only
 //!   when a run dumped one.
 //!
-//! A binary writes only the artifacts it produces: health and profile
-//! reports come from the binaries that attach those instruments. Without
-//! the flag the runs are the same (the registry still aggregates and the
-//! tables are printed from it), but nothing hits disk except a flight
-//! dump a binary reads back; that lands in one per-process temp directory
-//! which [`ObsConfig::finish`] removes. See `docs/OBSERVABILITY.md` for
-//! the event taxonomy, metric names and who reads each file.
+//! A binary writes only the artifacts it produces: the profile comes from
+//! the binaries that attach the profiler, and the health monitor's
+//! findings are `HealthVerdict` lines of the trace. Without the flag the
+//! runs are the same (the registry still aggregates and the tables are
+//! printed from it), but nothing hits disk except a flight dump a binary
+//! reads back; that lands in one per-process temp directory which
+//! [`ObsConfig::finish`] removes. See `docs/OBSERVABILITY.md` for the
+//! event taxonomy, metric names and who reads each file.
 
-use bgpvcg_telemetry::{HealthMonitor, SpanProfiler, Telemetry};
+use bgpvcg_telemetry::{SpanProfiler, Telemetry};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -35,8 +33,6 @@ use std::process::exit;
 pub const TRACE: &str = "trace.jsonl";
 /// The final metrics snapshot.
 pub const METRICS: &str = "metrics.json";
-/// The `bgpvcg-health-v1` report.
-pub const HEALTH: &str = "health.json";
 /// The `bgpvcg-profile-v1` report.
 pub const PROFILE: &str = "profile.json";
 /// The span profile's collapsed stacks.
@@ -105,12 +101,6 @@ impl ObsConfig {
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|err| panic!("cannot create {}: {err}", dir.display()));
         dir.join(name)
-    }
-
-    /// Writes `monitor`'s report to the bundle's [`HEALTH`]. Call once,
-    /// with the sweep's merged (or final) monitor state.
-    pub fn write_health(&self, monitor: &HealthMonitor) {
-        self.write(HEALTH, &monitor.to_json());
     }
 
     /// Writes `profiler`'s report to the bundle's [`PROFILE`] and its
@@ -199,7 +189,6 @@ mod tests {
             .telemetry()
             .record(&TraceEvent::StageStart { stage: 1 });
         config.telemetry().counter("bgp_messages_total").add(7);
-        config.write_health(&HealthMonitor::new(Default::default()));
         let mut profiler = SpanProfiler::engine();
         profiler.enter(span::STAGE, 10);
         profiler.exit(30);
@@ -211,11 +200,10 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         files.sort();
-        assert_eq!(files, [HEALTH, METRICS, FOLDED, PROFILE, TRACE]);
+        assert_eq!(files, [METRICS, FOLDED, PROFILE, TRACE]);
         let read = |name| std::fs::read_to_string(dir.join(name)).unwrap();
         assert_eq!(read(TRACE).lines().count(), 1);
         assert!(read(METRICS).contains("\"bgp_messages_total\":7"));
-        assert!(read(HEALTH).contains("bgpvcg-health-v1"));
         assert!(read(PROFILE).contains("bgpvcg-profile-v1"));
         assert!(read(FOLDED).contains("stage 20"));
         std::fs::remove_dir_all(&dir).ok();

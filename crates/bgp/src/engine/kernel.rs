@@ -371,7 +371,8 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         self.instruments.profiler()
     }
 
-    /// Detaches and returns the span profiler (e.g. to merge shards).
+    /// Detaches and returns the span profiler (e.g. to merge this run's
+    /// totals into a sweep's).
     pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
         self.instruments.take_profiler()
     }

@@ -253,9 +253,8 @@ mod tests {
         let health = engine.health_sink().expect("health attached");
         assert!(health.findings().is_empty());
         assert!(!health.stalled());
-        // The monitor saw every stage and folded quiescence latency.
+        // The monitor saw every stage.
         assert!(health.snapshot().stages_seen() > 0);
-        assert!(!health.snapshot().latency().is_empty());
         // Profiler covered the hot-path phases with consistent nesting.
         let profiler = engine.profiler().expect("profiler attached");
         for id in [span::STAGE, span::ROUTE_SELECT, span::WIRE_ENCODE] {

@@ -1,14 +1,15 @@
 //! Telemetry glue: turning protocol [`Update`]s into typed trace events
 //! and shared-registry metrics.
 //!
-//! All three executors drive the same [`UpdateTracer`]: it watches every
-//! broadcast UPDATE and narrates it as [`TraceEvent`]s — `RouteSelected` /
-//! `Withdrawn` per advertisement, and `PriceRelaxed` per price-entry change,
-//! diffed against a shadow copy of the last value traced per
-//! `(node, destination, transit)` cell (absent cells read as `∞`, matching
-//! the paper's "prices start at ∞ and relax downward"). They hold it inside
-//! one `Instruments` bundle, which owns everything else that observes a run
-//! too: flight recorder, health monitor, span profiler.
+//! The one engine, `Engine<N, T>`, drives an [`UpdateTracer`] under both
+//! transports: it watches every broadcast UPDATE and narrates it as
+//! [`TraceEvent`]s — `RouteSelected` / `Withdrawn` per advertisement, and
+//! `PriceRelaxed` per price-entry change, diffed against a shadow copy of
+//! the last value traced per `(node, destination, transit)` cell (absent
+//! cells read as `∞`, matching the paper's "prices start at ∞ and relax
+//! downward"). The engine holds it inside one `Instruments` bundle, which
+//! owns everything else that observes a run too: flight recorder, health
+//! monitor, span profiler.
 
 use crate::engine::kernel::Sent;
 use crate::message::{RouteInfo, SharedPath, Update};
@@ -59,9 +60,8 @@ pub fn cost_raw(cost: Cost) -> u64 {
 #[derive(Debug)]
 pub struct UpdateTracer {
     telemetry: Telemetry,
-    /// Advertisements naming an AS at or beyond this index are not traced:
-    /// the node count for a sized tracer, unbounded for one that grows on
-    /// demand.
+    /// Advertisements naming an AS at or beyond this index (the node
+    /// count) are not traced.
     bound: usize,
     /// `shadow[node][dest]`: what `node` last advertised for `dest`. A
     /// node's row is allocated at its first advertisement.
@@ -111,16 +111,9 @@ fn relax(traced: &mut Vec<(u32, u64)>, i: usize, k: u32, new: u64) -> Option<u64
 
 impl UpdateTracer {
     /// Creates a tracer recording through `telemetry`'s sink and registry
-    /// whose shadow grows to the largest AS number an update names — for
-    /// trusted streams only; an engine, which knows its node count, builds
-    /// one [`with_node_count`](Self::with_node_count).
-    pub fn new(telemetry: &Telemetry) -> Self {
-        Self::with_node_count(telemetry, usize::MAX)
-    }
-
-    /// Creates a tracer for an `n`-node network: an advertisement from or
-    /// for an AS outside `0..n` is not traced, so no update can make the
-    /// tracer allocate by the value of an id it carries.
+    /// for an `n`-node network: an advertisement from or for an AS outside
+    /// `0..n` is not traced, so no update can make the tracer allocate by
+    /// the value of an id it carries.
     pub fn with_node_count(telemetry: &Telemetry, n: usize) -> Self {
         UpdateTracer {
             routes_selected: telemetry.counter(metric::ROUTES_SELECTED),
@@ -519,7 +512,7 @@ mod tests {
     #[test]
     fn price_changes_diff_against_infinity_then_previous_value() {
         let (telemetry, ring) = Telemetry::ring(64);
-        let mut tracer = UpdateTracer::new(&telemetry);
+        let mut tracer = UpdateTracer::with_node_count(&telemetry, 8);
         tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::INFINITE], 1, 0), 1);
         // Second advertisement relaxes the ∞ entry and lowers the first.
         tracer.observe_update(&priced_update(vec![Cost::new(4), Cost::new(7)], 2, 1), 2);
@@ -575,7 +568,7 @@ mod tests {
     #[test]
     fn withdrawals_trace_and_count() {
         let (telemetry, ring) = Telemetry::ring(8);
-        let mut tracer = UpdateTracer::new(&telemetry);
+        let mut tracer = UpdateTracer::with_node_count(&telemetry, 8);
         let update = Update {
             from: AsId::new(4),
             sender_costs: Vec::new(),

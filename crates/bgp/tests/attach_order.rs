@@ -3,19 +3,19 @@
 //! Both engines take their instruments — telemetry, flight recorder, health
 //! monitor, span profiler — through four independent `attach_*` calls. Each
 //! of the 24 orders must observe the same run the same way: the same event
-//! stream in the caller's sink, the same `bgpvcg-health-v1` report, the same
-//! flight-recorder ring, and a profiler stamped by the attached telemetry's
-//! clock. What this guards against: an attach that builds the tee from
-//! whatever was attached *before* it rather than from all the parts, so
-//! that e.g. `attach_health` followed by `attach_telemetry` silently
-//! unplugs the monitor.
+//! stream in the caller's sink, the same health findings and stage count,
+//! the same flight-recorder ring, and a profiler stamped by the attached
+//! telemetry's clock. What this guards against: an attach that builds the
+//! tee from whatever was attached *before* it rather than from all the
+//! parts, so that e.g. `attach_health` followed by `attach_telemetry`
+//! silently unplugs the monitor.
 
 use bgpvcg_bgp::chaos::{ChaosEngine, FaultPlan};
 use bgpvcg_bgp::engine::SyncEngine;
 use bgpvcg_bgp::PlainBgpNode;
 use bgpvcg_netgraph::generators::structured::ring;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
-use bgpvcg_telemetry::{Clock, HealthConfig, Telemetry, TraceEvent};
+use bgpvcg_telemetry::{Clock, HealthConfig, HealthFinding, Telemetry, TraceEvent};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +36,7 @@ impl Clock for TickClock {
 #[derive(PartialEq)]
 struct Observation {
     events: Vec<TraceEvent>,
-    health_report: String,
+    findings: Vec<HealthFinding>,
     stages_seen: u64,
     flight_ring: Vec<TraceEvent>,
     stage_span: (u64, u64, u64),
@@ -64,7 +64,7 @@ macro_rules! observe {
         let health = engine.health_sink().expect("health attached");
         Observation {
             events: sink.events(),
-            health_report: health.to_json(),
+            findings: health.findings(),
             stages_seen: health.snapshot().stages_seen(),
             flight_ring: engine
                 .flight_recorder()
@@ -114,7 +114,7 @@ fn assert_order_independent(observe: impl Fn([usize; 4]) -> Observation) {
         // of printing two whole traces.
         assert_eq!(seen.stages_seen, reference.stages_seen, "{order:?}");
         assert_eq!(seen.stage_span, reference.stage_span, "{order:?}");
-        assert_eq!(seen.health_report, reference.health_report, "{order:?}");
+        assert_eq!(seen.findings, reference.findings, "{order:?}");
         assert!(seen.events == reference.events, "{order:?}: event stream");
         assert!(seen == reference, "{order:?}: flight ring");
     }

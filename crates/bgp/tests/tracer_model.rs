@@ -280,18 +280,18 @@ struct Traced {
 }
 
 impl Traced {
-    /// A grow-on-demand tracer recording into one ring.
-    fn open() -> Traced {
+    /// A tracer sized to the universe recording into one ring.
+    fn one_ring() -> Traced {
         let (telemetry, ring) = Telemetry::ring(1 << 16);
         Traced {
-            tracer: UpdateTracer::new(&telemetry),
+            tracer: UpdateTracer::with_node_count(&telemetry, UNIVERSE as usize),
             telemetry,
             rings: vec![ring],
         }
     }
 
     /// A tracer sized to the universe recording into a tee of two rings.
-    fn sized_tee() -> Traced {
+    fn tee() -> Traced {
         let rings = vec![
             Arc::new(RingBufferSink::new(1 << 16)),
             Arc::new(RingBufferSink::new(1 << 16)),
@@ -324,7 +324,7 @@ impl Traced {
 fn run(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut wire = Wire::default();
     let mut oracle = MapTracer::default();
-    let mut traced = [Traced::open(), Traced::sized_tee()];
+    let mut traced = [Traced::one_ring(), Traced::tee()];
     for (step, op) in ops.iter().enumerate() {
         let Some(update) = wire.update(op) else {
             continue;

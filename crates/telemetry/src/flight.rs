@@ -43,9 +43,6 @@ pub const DEFAULT_CAPACITY: usize = 256;
 /// Reason string for a synchronous run that exceeded its stage horizon.
 pub const REASON_STAGE_LIMIT: &str = "stage-limit-exceeded";
 
-/// Reason string for a chaos run that failed to restabilize in budget.
-pub const REASON_NOT_STABILIZED: &str = "chaos-not-stabilized";
-
 /// Reason string for a dump triggered by the online auditor catching a
 /// node advertising something the honest protocol would not have.
 pub const REASON_AUDIT_VIOLATION: &str = "audit-violation";
@@ -308,7 +305,7 @@ mod tests {
         let recorder = recorder(&dir);
         recorder.sink().record(&TraceEvent::StageStart { stage: 2 });
         let path = recorder
-            .dump(REASON_NOT_STABILIZED, 2, &[("stages", 2)], &[])
+            .dump(REASON_STAGE_LIMIT, 2, &[("stages", 2)], &[])
             .expect("dump writes");
         let text = std::fs::read_to_string(&path).expect("artifact readable");
         validate_dump(&text).expect("pristine dump validates");

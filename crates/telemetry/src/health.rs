@@ -1,8 +1,7 @@
 //! Streaming convergence-health detectors (SLO monitors).
 //!
 //! [`HealthMonitor`] folds the live [`TraceEvent`] stream — no replay, no
-//! buffering of the whole trace — and maintains three detectors plus
-//! per-destination convergence-latency sketches
+//! buffering of the whole trace — and maintains three detectors
 //! (`docs/OBSERVABILITY.md` §health-SLOs):
 //!
 //! * **Route oscillation** (detector 0): a `(node, dest)` pair re-selects
@@ -38,13 +37,11 @@
 //!
 //! Everything is stage-denominated integer arithmetic — no wall clock —
 //! so serial and parallel engines folding the same (deterministically
-//! ordered) event stream produce bit-identical verdicts and sketches.
+//! ordered) event stream produce bit-identical verdicts.
 
 use crate::dense_cell;
 use crate::event::TraceEvent;
-use crate::series::QuantileSketch;
 use crate::sink::TraceSink;
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Detector code for route-flap / oscillation findings.
@@ -117,11 +114,6 @@ impl HealthFinding {
             threshold: self.threshold,
         }
     }
-
-    /// Human-readable detector name.
-    pub fn detector_name(&self) -> &'static str {
-        detector_name(self.detector)
-    }
 }
 
 /// Human-readable name for a detector code.
@@ -148,9 +140,8 @@ struct RouteHistory {
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     config: HealthConfig,
-    /// Events naming an AS at or beyond this index leave the dense tables
-    /// untouched: the node count for a sized monitor, unbounded for one
-    /// that grows on demand.
+    /// Events naming an AS at or beyond this index (the node count) leave
+    /// the dense tables untouched.
     bound: usize,
     /// `routes[node][dest]`; a node's row is allocated at its first
     /// selection.
@@ -162,24 +153,12 @@ pub struct HealthMonitor {
     /// `churn_window`.
     churn_history: Vec<u64>,
     last_progress_stage: u64,
-    /// Stage of the last advertised-state change, indexed by destination,
-    /// folded into `latency` at each quiescence.
-    last_change_by_dest: Vec<Option<u64>>,
-    latency: BTreeMap<u32, QuantileSketch>,
     findings: Vec<HealthFinding>,
     fired: [bool; 3],
     stages_seen: u64,
 }
 
 impl HealthMonitor {
-    /// A monitor with the given thresholds whose tables grow to the largest
-    /// AS number an event names — for trusted streams only; a monitor for
-    /// a known network should be built
-    /// [`with_node_count`](Self::with_node_count) instead.
-    pub fn new(config: HealthConfig) -> Self {
-        Self::with_node_count(config, usize::MAX)
-    }
-
     /// A monitor for an `n`-node network: an event naming an AS outside
     /// `0..n` (including [`RUN_WIDE`]) still counts as progress and churn
     /// but never sizes a table, so no event can make the monitor allocate
@@ -193,17 +172,10 @@ impl HealthMonitor {
             relax_in_stage: 0,
             churn_history: Vec::new(),
             last_progress_stage: 0,
-            last_change_by_dest: Vec::new(),
-            latency: BTreeMap::new(),
             findings: Vec::new(),
             fired: [false; 3],
             stages_seen: 0,
         }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
     }
 
     /// Folds one trace event into the detectors.
@@ -218,17 +190,16 @@ impl HealthMonitor {
                 path_cost,
                 ..
             } => {
-                self.on_progress(dest, stage);
+                self.on_progress(stage);
                 self.on_route_selected(node, dest, stage, (hops, path_cost));
             }
-            TraceEvent::PriceRelaxed { dest, stage, .. } => {
-                self.on_progress(dest, stage);
+            TraceEvent::PriceRelaxed { stage, .. } => {
+                self.on_progress(stage);
                 if stage == self.current_stage {
                     self.relax_in_stage += 1;
                 }
             }
-            TraceEvent::Withdrawn { dest, stage, .. } => self.on_progress(dest, stage),
-            TraceEvent::Quiescent { .. } => self.on_quiescent(),
+            TraceEvent::Withdrawn { stage, .. } => self.on_progress(stage),
             _ => {}
         }
     }
@@ -286,11 +257,8 @@ impl HealthMonitor {
         }
     }
 
-    fn on_progress(&mut self, dest: u32, stage: u64) {
+    fn on_progress(&mut self, stage: u64) {
         self.last_progress_stage = self.last_progress_stage.max(stage);
-        if let Some(last) = dense_cell(&mut self.last_change_by_dest, dest, self.bound) {
-            *last = (*last).max(Some(stage));
-        }
     }
 
     fn on_route_selected(&mut self, node: u32, dest: u32, stage: u64, sig: (u32, u64)) {
@@ -343,16 +311,6 @@ impl HealthMonitor {
         }
     }
 
-    fn on_quiescent(&mut self) {
-        // Fold each destination's settle stage into its latency sketch and
-        // reset for the next convergence episode on the same monitor.
-        for (dest, last) in self.last_change_by_dest.iter_mut().enumerate() {
-            if let Some(stage) = last.take() {
-                self.latency.entry(dest as u32).or_default().record(stage);
-            }
-        }
-    }
-
     fn fire(&mut self, finding: HealthFinding) {
         // lint:allow(bounds: findings are only constructed with the fixed detector codes 0..DETECTORS)
         self.fired[finding.detector as usize] = true;
@@ -371,57 +329,9 @@ impl HealthMonitor {
         self.fired[DETECTOR_STALL as usize]
     }
 
-    /// Per-destination convergence-latency sketches (one sample per
-    /// quiescence).
-    pub fn latency(&self) -> &BTreeMap<u32, QuantileSketch> {
-        &self.latency
-    }
-
     /// Stages observed so far.
     pub fn stages_seen(&self) -> u64 {
         self.stages_seen
-    }
-
-    /// Schema-pinned report JSON (`bgpvcg-health-v1`): findings in firing
-    /// order plus per-destination latency quantiles. Stage-denominated
-    /// throughout — no timing fields — so serial and parallel runs of the
-    /// same scenario serialize byte-identically.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.findings.len() * 96);
-        out.push_str("{\"version\":1,\"schema\":\"bgpvcg-health-v1\",\"stages\":");
-        out.push_str(&self.stages_seen.to_string());
-        out.push_str(",\"findings\":[");
-        for (i, finding) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"detector\":\"");
-            out.push_str(finding.detector_name());
-            out.push_str("\",\"stage\":");
-            out.push_str(&finding.stage.to_string());
-            out.push_str(",\"node\":");
-            out.push_str(&finding.node.to_string());
-            out.push_str(",\"dest\":");
-            out.push_str(&finding.dest.to_string());
-            out.push_str(",\"count\":");
-            out.push_str(&finding.count.to_string());
-            out.push_str(",\"threshold\":");
-            out.push_str(&finding.threshold.to_string());
-            out.push('}');
-        }
-        out.push_str("],\"destinations\":[");
-        for (i, (dest, sketch)) in self.latency.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"dest\":");
-            out.push_str(&dest.to_string());
-            out.push_str(",\"latency\":");
-            out.push_str(&sketch.to_json());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -443,12 +353,6 @@ struct HealthSinkState {
 }
 
 impl HealthSink {
-    /// A sink folding into a fresh grow-on-demand monitor
-    /// ([`HealthMonitor::new`]) with the given thresholds.
-    pub fn new(config: HealthConfig) -> Self {
-        Self::with_node_count(config, usize::MAX)
-    }
-
     /// A sink folding into a fresh monitor sized for an `n`-node network
     /// ([`HealthMonitor::with_node_count`]).
     pub fn with_node_count(config: HealthConfig, n: usize) -> Self {
@@ -485,11 +389,6 @@ impl HealthSink {
         self.lock().monitor.clone()
     }
 
-    /// The monitor's schema-pinned report JSON.
-    pub fn to_json(&self) -> String {
-        self.lock().monitor.to_json()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, HealthSinkState> {
         // lint:allow(poisoning requires a prior panic while folding; propagating it is the only sound move)
         self.state.lock().expect("health sink poisoned")
@@ -513,6 +412,11 @@ impl TraceSink for HealthSink {
 mod tests {
     use super::*;
 
+    /// A monitor sized to the AS numbers these tests use.
+    fn monitor(config: HealthConfig) -> HealthMonitor {
+        HealthMonitor::with_node_count(config, 8)
+    }
+
     fn select(node: u32, dest: u32, stage: u64, hops: u32, cost: u64) -> TraceEvent {
         TraceEvent::RouteSelected {
             node,
@@ -527,7 +431,7 @@ mod tests {
 
     #[test]
     fn steady_convergence_raises_no_findings() {
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        let mut monitor = monitor(HealthConfig::default());
         for stage in 1..=10u64 {
             monitor.fold(&TraceEvent::StageStart { stage });
             monitor.fold(&select(1, 2, stage, 2, 100 - stage));
@@ -538,8 +442,7 @@ mod tests {
         });
         assert!(monitor.findings().is_empty());
         assert!(!monitor.stalled());
-        assert_eq!(monitor.latency()[&2].count(), 1);
-        assert_eq!(monitor.latency()[&2].max(), 10);
+        assert_eq!(monitor.stages_seen(), 10);
     }
 
     #[test]
@@ -548,7 +451,7 @@ mod tests {
             flap_revisits: 3,
             ..HealthConfig::default()
         };
-        let mut monitor = HealthMonitor::new(config);
+        let mut monitor = monitor(config);
         // Route toggles A (2 hops, 10) <-> B (3 hops, 9): each return to a
         // recently-held signature is one revisit.
         for stage in 1..=12u64 {
@@ -581,7 +484,7 @@ mod tests {
             cause: 0,
             effect: 1,
         };
-        let mut monitor = HealthMonitor::new(config);
+        let mut monitor = monitor(config);
         // A huge first stage during warm-up must NOT alarm.
         monitor.fold(&TraceEvent::StageStart { stage: 1 });
         for _ in 0..100 {
@@ -619,7 +522,7 @@ mod tests {
             cause: 0,
             effect: 1,
         };
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        let mut monitor = monitor(HealthConfig::default());
         for stage in 1..=9u64 {
             monitor.fold(&TraceEvent::StageStart { stage });
             monitor.fold(&select(1, 2, stage, 2, 100 - stage));
@@ -638,7 +541,7 @@ mod tests {
             stall_stages: 5,
             ..HealthConfig::default()
         };
-        let mut monitor = HealthMonitor::new(config);
+        let mut monitor = monitor(config);
         monitor.fold(&TraceEvent::StageStart { stage: 1 });
         monitor.fold(&select(1, 2, 1, 2, 9));
         for stage in 2..=6u64 {
@@ -672,22 +575,17 @@ mod tests {
             monitor.fold(&TraceEvent::StageStart { stage });
             monitor.fold(&select(RUN_WIDE, RUN_WIDE, stage, 2, 9));
         }
-        assert!(monitor.routes.is_empty() && monitor.last_change_by_dest.is_empty());
+        assert!(monitor.routes.is_empty());
         assert!(!monitor.stalled() && monitor.findings().is_empty());
         monitor.fold(&select(1, RUN_WIDE, 8, 2, 9));
         assert!(
             monitor.routes.iter().all(Vec::is_empty),
             "an out-of-range dest sizes no row"
         );
-        monitor.fold(&TraceEvent::Quiescent {
-            stage: 8,
-            messages: 0,
-        });
-        assert!(monitor.latency().is_empty());
         // In-range events are tracked as ever.
         monitor.fold(&select(1, 2, 8, 2, 9));
         assert_eq!(monitor.routes.len(), 4);
-        assert_eq!(monitor.last_change_by_dest, [None, None, Some(8), None]);
+        assert!(monitor.routes[1][2].is_some());
     }
 
     #[test]
@@ -696,7 +594,7 @@ mod tests {
             stall_stages: 2,
             ..HealthConfig::default()
         };
-        let sink = HealthSink::new(config);
+        let sink = HealthSink::with_node_count(config, 4);
         sink.record(&TraceEvent::StageStart { stage: 1 });
         sink.record(&select(1, 2, 1, 2, 9));
         for stage in 2..=4u64 {
@@ -709,22 +607,5 @@ mod tests {
         assert!(sink.drain_new_findings().is_empty());
         assert_eq!(sink.findings().len(), 1);
         assert_eq!(sink.snapshot().findings().len(), 1);
-        assert!(sink.to_json().contains("\"stall\""));
-    }
-
-    #[test]
-    fn report_json_is_deterministic_and_schema_pinned() {
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
-        monitor.fold(&TraceEvent::StageStart { stage: 1 });
-        monitor.fold(&select(1, 2, 1, 2, 9));
-        monitor.fold(&TraceEvent::Quiescent {
-            stage: 1,
-            messages: 1,
-        });
-        let json = monitor.to_json();
-        assert!(json.starts_with("{\"version\":1,\"schema\":\"bgpvcg-health-v1\""));
-        assert!(json.contains("\"findings\":[]"));
-        assert!(json.contains("{\"dest\":2,\"latency\":{\"count\":1"));
-        assert_eq!(json, monitor.clone().to_json());
     }
 }

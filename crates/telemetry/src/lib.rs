@@ -20,10 +20,9 @@
 //!    [`TraceEvent::to_json`] writes, so decoding a trace validates it.
 //! 3. **Provenance** ([`causal::CausalDag`]): the causal `(cause, effect)`
 //!    ids carried by route/price events rebuilt into per-run convergence
-//!    DAGs — acyclicity and root validation, critical-path extraction,
-//!    amplification and price-churn attribution — plus the divergence
-//!    flight recorder ([`flight::FlightRecorder`]) that dumps the tail of
-//!    a stalled run as one validated JSON artifact.
+//!    DAGs — acyclicity and root validation, critical-path extraction —
+//!    plus the divergence flight recorder ([`flight::FlightRecorder`])
+//!    that dumps the tail of a stalled run as one validated JSON artifact.
 //! 4. **Time** ([`Clock`]): injectable nanosecond sources so per-stage wall
 //!    time can be measured for real ([`SystemClock`]) or scripted in tests
 //!    ([`ManualClock`]).
@@ -57,7 +56,7 @@ pub mod registry;
 pub mod series;
 pub mod sink;
 
-pub use causal::{CausalDag, CausalError, CausalSummary};
+pub use causal::{CausalDag, CausalError};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use event::{TraceEvent, INFINITE};
 pub use flight::{FlightRecorder, StateSnapshot};
@@ -67,29 +66,23 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     DEFAULT_NANOS_BOUNDS,
 };
-pub use series::{QuantileSketch, TimeSeries};
+pub use series::TimeSeries;
 pub use sink::{JsonlSink, NullSink, RingBufferSink, TeeSink, TraceSink};
 
 use std::path::Path;
 use std::sync::Arc;
 
 /// The cell for AS number `id` in one of the observers' dense shadow
-/// tables, or `None` when `id` is outside `0..bound` — a table never
-/// allocates by the value of an id a message carries. A table with a node
-/// count is sized to it the first time it is touched; an unbounded one
-/// (`bound == usize::MAX`) grows to the largest id seen.
+/// tables, or `None` when `id` is outside `0..bound` (the node count) — a
+/// table never allocates by the value of an id a message carries. A table
+/// is sized to `bound` the first time it is touched.
 pub fn dense_cell<T: Default>(table: &mut Vec<T>, id: u32, bound: usize) -> Option<&mut T> {
     let index = id as usize;
     if index >= bound {
         return None;
     }
     if table.len() <= index {
-        let len = if bound == usize::MAX {
-            index + 1
-        } else {
-            bound
-        };
-        table.resize_with(len, T::default);
+        table.resize_with(bound, T::default);
     }
     table.get_mut(index)
 }

@@ -46,14 +46,13 @@ impl Gauge {
     }
 }
 
-/// Shared storage of one histogram: fixed upper bounds, per-bucket counts,
-/// plus running sum and count. All updates are atomic.
-#[derive(Debug)]
+/// Shared storage of one histogram: per-bucket counts over
+/// [`DEFAULT_NANOS_BOUNDS`], plus running sum and count. All updates are
+/// atomic.
+#[derive(Debug, Default)]
 struct HistogramCore {
-    /// Inclusive upper bounds of the finite buckets, strictly increasing.
-    bounds: Vec<u64>,
     /// One count per finite bucket plus the overflow (`+Inf`) bucket.
-    buckets: Vec<AtomicU64>,
+    buckets: [AtomicU64; DEFAULT_NANOS_BOUNDS.len() + 1],
     sum: AtomicU64,
     count: AtomicU64,
 }
@@ -66,11 +65,10 @@ impl Histogram {
     /// Records one observation.
     pub fn observe(&self, value: u64) {
         let core = &self.0;
-        let idx = core
-            .bounds
+        let idx = DEFAULT_NANOS_BOUNDS
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(core.bounds.len());
+            .unwrap_or(DEFAULT_NANOS_BOUNDS.len());
         // lint:allow(bounds: buckets is sized one past bounds len and idx never exceeds it)
         core.buckets[idx].fetch_add(1, Ordering::SeqCst);
         core.sum.fetch_add(value, Ordering::SeqCst);
@@ -194,38 +192,13 @@ impl MetricsRegistry {
     }
 
     /// Returns the histogram named `name` with [`DEFAULT_NANOS_BOUNDS`],
-    /// creating it on first use. If the name already exists, the existing
-    /// bounds win.
+    /// creating it empty on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with_bounds(name, &DEFAULT_NANOS_BOUNDS)
-    }
-
-    /// Returns the histogram named `name`, creating it with the given
-    /// strictly-increasing upper `bounds` on first use. If the name already
-    /// exists, the existing bounds win.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn histogram_with_bounds(&self, name: &str, bounds: &[u64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
         let mut map = self
             .histograms
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let core = map.entry(name.to_string()).or_insert_with(|| {
-            Arc::new(HistogramCore {
-                bounds: bounds.to_vec(),
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum: AtomicU64::new(0),
-                count: AtomicU64::new(0),
-            })
-        });
-        Histogram(Arc::clone(core))
+        Histogram(Arc::clone(map.entry(name.to_string()).or_default()))
     }
 
     /// Copies every metric's current value.
@@ -253,7 +226,7 @@ impl MetricsRegistry {
                 (
                     k.clone(),
                     HistogramSnapshot {
-                        bounds: core.bounds.clone(),
+                        bounds: DEFAULT_NANOS_BOUNDS.to_vec(),
                         buckets: core
                             .buckets
                             .iter()
@@ -301,16 +274,16 @@ mod tests {
     #[test]
     fn histogram_buckets_and_moments() {
         let registry = MetricsRegistry::new();
-        let h = registry.histogram_with_bounds("lat", &[10, 100]);
+        let h = registry.histogram("lat");
         h.observe(5); // bucket 0
-        h.observe(10); // bucket 0 (inclusive bound)
-        h.observe(50); // bucket 1
-        h.observe(1_000); // overflow
+        h.observe(1_000); // bucket 0 (inclusive bound)
+        h.observe(3_000); // bucket 1
+        h.observe(5_000_000_000); // overflow
         assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1_065);
+        assert_eq!(h.sum(), 5_000_004_005);
         let snap = registry.snapshot().histograms["lat"].clone();
-        assert_eq!(snap.buckets, vec![2, 1, 1]);
-        assert_eq!(snap.bounds, vec![10, 100]);
+        assert_eq!(snap.buckets, [2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(snap.bounds, DEFAULT_NANOS_BOUNDS);
     }
 
     #[test]
@@ -323,35 +296,19 @@ mod tests {
         registry.counter("bgp_messages_total").add(12);
         registry.counter("a").inc();
         registry.gauge("bgp_stages_to_quiescence").set(4);
-        let h = registry.histogram_with_bounds("lat", &[10, 100]);
+        let h = registry.histogram("lat");
         h.observe(5);
-        h.observe(500);
+        h.observe(5_000);
         let json = registry.snapshot().to_json();
         assert_eq!(
             json,
             "{\"counters\":{\"a\":1,\"bgp_messages_total\":12},\
              \"gauges\":{\"bgp_stages_to_quiescence\":4},\
-             \"histograms\":{\"lat\":{\"bounds\":[10, 100],\"buckets\":[1, 0, 1],\
-             \"sum\":505,\"count\":2}}}"
+             \"histograms\":{\"lat\":{\"bounds\":[1000, 4000, 16000, 64000, 256000, \
+             1024000, 4096000, 16384000, 65536000, 262144000, 1048576000, 4194304000],\
+             \"buckets\":[1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],\"sum\":5005,\"count\":2}}}"
         );
         assert!(crate::json::parse(&json).is_ok());
-    }
-
-    #[test]
-    fn histogram_bounds_first_registration_wins() {
-        let registry = MetricsRegistry::new();
-        let a = registry.histogram_with_bounds("h", &[1, 2, 3]);
-        let b = registry.histogram_with_bounds("h", &[500]);
-        b.observe(2);
-        assert_eq!(a.count(), 1);
-        assert_eq!(registry.snapshot().histograms["h"].bounds, vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_unsorted_bounds() {
-        let registry = MetricsRegistry::new();
-        let _ = registry.histogram_with_bounds("h", &[5, 5]);
     }
 
     #[test]

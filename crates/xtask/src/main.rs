@@ -17,11 +17,11 @@
 //! - `obs`   — the observability pipeline: run the `obs_smoke` fixture
 //!   into the bundle `target/obs/smoke/` and the traced E3 sweep into
 //!   `target/obs/e3/` (`--obs-out`), decode every trace line as a
-//!   `TraceEvent`, check that the smoke bundle's metrics, health and
-//!   profile files parse (counters non-zero, schema tags present, collapsed
+//!   `TraceEvent`, check that the smoke trace carries exactly the two
+//!   seeded health verdicts and that the smoke bundle's metrics and
+//!   profile files parse (counters non-zero, schema tag present, collapsed
 //!   stacks non-empty), print the per-stage convergence summary, and
-//!   validate the causal provenance DAG of every E3 run segment, writing
-//!   the summary to `target/obs/e3/causal.json`. See
+//!   validate the causal provenance DAG of every E3 run segment. See
 //!   `docs/OBSERVABILITY.md`.
 //! - `bench` / `chaos` — the two determinism gates: run E14 (serial vs
 //!   parallel, asserted bit-identical) or E19 (every run asserted to
@@ -39,8 +39,9 @@
 //!   reported and skipped, not failed, so `ci` works in minimal containers.
 
 use bgpvcg_bench::obs;
+use bgpvcg_telemetry::causal::CausalDag;
 use bgpvcg_telemetry::json::{self, JsonValue};
-use bgpvcg_telemetry::TraceEvent;
+use bgpvcg_telemetry::{health, TraceEvent};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use xtask::rules::{self, SourceFile};
@@ -89,9 +90,9 @@ fn print_help() {
          \tobs                 run obs_smoke and the traced E3 sweep into the\n\
          \t                    bundles target/obs/smoke/ and target/obs/e3/,\n\
          \t                    decode every trace line as a TraceEvent, check\n\
-         \t                    metrics/health/profile parse, print the per-stage\n\
-         \t                    summary, validate every E3 causal DAG and write\n\
-         \t                    target/obs/e3/causal.json\n\
+         \t                    the two seeded health verdicts and that metrics/\n\
+         \t                    profile parse, print the per-stage summary and\n\
+         \t                    validate every E3 causal DAG\n\
          \tbench [--smoke] [--compare]\n\
          \t                    run E14 (serial vs parallel) and validate\n\
          \t                    BENCH_scale.json against its schema; --smoke runs\n\
@@ -394,13 +395,13 @@ fn run_step(root: &Path, label: &str, program: &str, args: &[&str], optional: bo
 /// The observability pipeline: run `obs_smoke` into `target/obs/smoke/`
 /// and the traced E3 sweep into `target/obs/e3/` (each with `--obs-out`),
 /// then check what the written bundles can show, each once: every trace
-/// line decodes as a [`TraceEvent`]; the smoke bundle's metrics parse
-/// with their two non-zero counters, its health and profile reports parse
-/// with their schema tags, and its collapsed stacks are non-empty; every
-/// causal DAG of the E3 trace and their summary (written to
-/// `target/obs/e3/causal.json`) validate. What the fixture asserts
-/// in-process — every event kind, exactly the two seeded verdicts, profile
-/// coverage, a finding-free honest run — is not checked again here. See
+/// line decodes as a [`TraceEvent`]; the smoke trace's `HealthVerdict`s
+/// are exactly the two the fixture seeds (an oscillation, then a stall);
+/// the smoke bundle's metrics parse with their two non-zero counters, its
+/// profile report parses with its schema tag, and its collapsed stacks are
+/// non-empty; every causal DAG of the E3 trace validates. What the fixture
+/// asserts in-process — every event kind, profile coverage, a
+/// finding-free honest run — is not checked again here. See
 /// `docs/OBSERVABILITY.md`.
 fn cmd_obs(root: &Path) -> ExitCode {
     let smoke = root.join("target/obs/smoke");
@@ -427,7 +428,7 @@ fn cmd_obs(root: &Path) -> ExitCode {
     let mut problems = match read_trace(&smoke.join(obs::TRACE)) {
         Ok(events) => {
             print_stage_summary(&events);
-            0
+            check_verdicts(&events)
         }
         Err(bad) => bad,
     };
@@ -442,18 +443,14 @@ fn cmd_obs(root: &Path) -> ExitCode {
         }
         bad
     });
-    for (file, schema) in [
-        (obs::HEALTH, "bgpvcg-health-v1"),
-        (obs::PROFILE, "bgpvcg-profile-v1"),
-    ] {
-        problems += read_json(&smoke.join(file)).map_or(1, |report| {
-            let tagged = report.get("schema").and_then(JsonValue::as_str) == Some(schema);
-            if !tagged {
-                println!("==> {file}: schema is not `{schema}`");
-            }
-            usize::from(!tagged)
-        });
-    }
+    problems += read_json(&smoke.join(obs::PROFILE)).map_or(1, |report| {
+        let schema = "bgpvcg-profile-v1";
+        let tagged = report.get("schema").and_then(JsonValue::as_str) == Some(schema);
+        if !tagged {
+            println!("==> {}: schema is not `{schema}`", obs::PROFILE);
+        }
+        usize::from(!tagged)
+    });
     problems += read_text(&smoke.join(obs::FOLDED)).map_or(1, |folded| {
         let empty = folded.trim().is_empty();
         if empty {
@@ -461,12 +458,12 @@ fn cmd_obs(root: &Path) -> ExitCode {
         }
         usize::from(empty)
     });
-    problems += read_trace(&e3.join(obs::TRACE))
-        .map_or_else(|bad| bad, |events| check_causal(&events, &e3));
+    problems +=
+        read_trace(&e3.join(obs::TRACE)).map_or_else(|bad| bad, |events| check_causal(&events));
 
     if problems == 0 {
         println!(
-            "\nxtask obs: bundles ok (traces decode, metrics/health/profile parse, causal DAGs valid)"
+            "\nxtask obs: bundles ok (traces decode, exactly the seeded verdicts, metrics/profile parse, causal DAGs valid)"
         );
         ExitCode::SUCCESS
     } else {
@@ -543,21 +540,54 @@ fn print_stage_summary(events: &[TraceEvent]) {
     }
 }
 
-/// Rebuilds one provenance DAG per run segment of a traced sweep,
-/// validates each (acyclic by monotone ids, roots are stage-0 origin
-/// advertisements, critical path bounded by the reported stage count),
-/// and writes the validated summary document to `dir/causal.json`.
-/// Returns the number of problems found (all printed).
-fn check_causal(events: &[TraceEvent], dir: &Path) -> usize {
-    use bgpvcg_telemetry::causal::{self, CausalDag};
+/// The health detectors `obs_smoke` seeds, in firing order: the cost
+/// flap's oscillation, then the flapped link's stall.
+const SEEDED_VERDICTS: [u32; 2] = [health::DETECTOR_OSCILLATION, health::DETECTOR_STALL];
 
+/// Checks that the smoke trace's `HealthVerdict` events are exactly the
+/// seeded findings — no more, no fewer, in order. Returns the number of
+/// problems found (all printed).
+fn check_verdicts(events: &[TraceEvent]) -> usize {
+    let detectors: Vec<u32> = events
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::HealthVerdict { detector, .. } => Some(*detector),
+            _ => None,
+        })
+        .collect();
+    let named = |codes: &[u32]| -> Vec<&str> {
+        codes
+            .iter()
+            .map(|&code| health::detector_name(code))
+            .collect()
+    };
+    if detectors == SEEDED_VERDICTS {
+        println!("==> health verdicts: {:?}, as seeded", named(&detectors));
+        0
+    } else {
+        println!(
+            "==> health verdicts: {:?}, but the fixture seeds exactly {:?}",
+            named(&detectors),
+            named(&SEEDED_VERDICTS)
+        );
+        1
+    }
+}
+
+/// Rebuilds one provenance DAG per run segment of a traced sweep and
+/// validates each (acyclic by monotone ids, roots are stage-0 origin
+/// advertisements, critical path bounded by the reported stage count).
+/// Returns the number of problems found (all printed).
+fn check_causal(events: &[TraceEvent]) -> usize {
     let dags = CausalDag::from_events(events);
     let mut problems = 0usize;
     if dags.is_empty() {
         println!("==> causal: trace produced no run segments");
         problems += 1;
     }
-    let mut summaries = Vec::with_capacity(dags.len());
+    println!("\ncausal provenance ({} run segment(s)):", dags.len());
+    println!("  segment | updates | links | roots | depth | stages");
+    let mut deepest: Vec<u64> = Vec::new();
     for (idx, dag) in dags.iter().enumerate() {
         for result in [dag.validate(), dag.validate_origin_roots()] {
             if let Err(err) = result {
@@ -565,41 +595,27 @@ fn check_causal(events: &[TraceEvent], dir: &Path) -> usize {
                 problems += 1;
             }
         }
-        summaries.push(dag.summary());
-    }
-    let doc = causal::summaries_to_json(&summaries);
-    if let Err(err) = causal::validate_summary_json(&doc) {
-        println!("==> causal: summary document invalid: {err}");
-        problems += 1;
-    }
-    let summary_path = dir.join("causal.json");
-    if let Err(err) = std::fs::write(&summary_path, &doc) {
-        println!("==> causal: cannot write {}: {err}", summary_path.display());
-        problems += 1;
-    }
-
-    println!("\ncausal provenance ({} run segment(s)):", summaries.len());
-    println!("  segment | updates | links | roots | depth | stages | heaviest AS");
-    for (idx, s) in summaries.iter().enumerate() {
-        let stages = s.reported_stages.map_or("-".to_string(), |v| v.to_string());
-        let heaviest = s
-            .top_amplifiers
-            .first()
-            .map_or("-".to_string(), |(node, caused)| {
-                format!("{node} ({caused} caused)")
-            });
+        let path = dag.critical_path();
+        let stages = dag
+            .reported_stages()
+            .map_or("-".to_string(), |v| v.to_string());
         println!(
-            "  {idx:>7} | {:>7} | {:>5} | {:>5} | {:>5} | {stages:>6} | {heaviest}",
-            s.updates, s.links, s.roots, s.max_depth
+            "  {idx:>7} | {:>7} | {:>5} | {:>5} | {:>5} | {stages:>6}",
+            dag.update_count(),
+            dag.edge_count(),
+            dag.roots().len(),
+            path.len().saturating_sub(1)
+        );
+        if path.len() > deepest.len() {
+            deepest = path;
+        }
+    }
+    if !deepest.is_empty() {
+        println!(
+            "  deepest causal chain: {} hop(s) through updates {deepest:?}",
+            deepest.len() - 1
         );
     }
-    if let Some(deepest) = summaries.iter().max_by_key(|s| s.max_depth) {
-        println!(
-            "  deepest causal chain: {} hop(s) through updates {:?}",
-            deepest.max_depth, deepest.critical_path
-        );
-    }
-    println!("  summary written to {}", summary_path.display());
     problems
 }
 

@@ -18,18 +18,16 @@
 //! against the ratio *growing with* diversity, not against seed noise.
 //!
 //! The study closes with the *live* side of the same economics: the
-//! distributed engine re-runs the sparsest and densest configurations
-//! with the per-stage economics sampler attached
-//! (`bgpvcg_core::econ::attach_economics`), tabulates the aggregate
-//! premium trajectory stage by stage, and asserts the final sample is
-//! *identical* to the settled payment ledger under uniform
-//! one-packet-per-pair traffic — streaming attribution agrees with the
-//! books, per AS, to the unit.
+//! distributed engine re-runs the sparsest and densest configurations,
+//! samples every AS's premium after each stage (`bgpvcg_core::econ::premiums`
+//! in the traced run's per-stage closure), tabulates the aggregate premium
+//! trajectory stage by stage, and asserts the final sample is *identical*
+//! to the settled payment ledger under uniform one-packet-per-pair traffic
+//! — streaming attribution agrees with the books, per AS, to the unit.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e18_overcharge_vs_diversity`
-//! Optional: `--obs-out DIR` (the bundle's `metrics.json` exports the
-//! `vcg_premium_as_<k>` / `vcg_welfare_total` gauges; see
-//! `bgpvcg_bench::obs`).
+//! Optional: `--obs-out DIR` (the protocol-layer trace and metrics of the
+//! two live runs; see `bgpvcg_bench::obs`).
 
 use bgpvcg_bench::families::Family;
 use bgpvcg_bench::obs::ObsConfig;
@@ -59,18 +57,20 @@ fn densify(mut g: AsGraph, extra: usize, rng: &mut StdRng) -> AsGraph {
     g
 }
 
-/// Runs the distributed protocol on `g` with the economics sampler
-/// attached, appends the aggregate premium trajectory to `table` under
-/// `label`, and asserts the final sample equals the settled ledger
+/// Runs the distributed protocol on `g`, sampling every AS's premium
+/// after each stage, appends the aggregate premium trajectory to `table`
+/// under `label`, and asserts the final sample equals the settled ledger
 /// welfare for every AS (the streaming-attribution identity).
 fn attribution_run(label: &str, g: &AsGraph, obs: &ObsConfig, table: &mut Table) -> u64 {
     let mut engine = protocol::build_sync_engine(g).expect("valid graph");
     engine.attach_telemetry(obs.telemetry());
-    let shared = econ::attach_economics(&mut engine, g, 256, Some(obs.telemetry()));
-    assert!(engine.run_to_convergence().converged, "{label}");
+    let mut samples = Vec::new();
+    let report = engine.run_to_convergence_traced(|t, nodes| {
+        samples.push((t.stage, econ::premiums(g.costs(), nodes)))
+    });
+    assert!(report.converged, "{label}");
     let nodes = engine.into_nodes();
-    let sampler = shared.lock().expect("economics sampler poisoned");
-    let finals = sampler.final_premiums();
+    let (_, finals) = samples.last().expect("sampled at least once");
     let traffic = TrafficMatrix::uniform(g.node_count(), 1);
     let ledger = PaymentLedger::settle_from_nodes(&nodes, &traffic).expect("settles");
     for k in g.nodes() {
@@ -80,21 +80,15 @@ fn attribution_run(label: &str, g: &AsGraph, obs: &ObsConfig, table: &mut Table)
             "{label}: live premium({k}) != settled ledger welfare"
         );
     }
-    for (stage, welfare) in sampler.aggregate().iter() {
-        let max_premium = sampler
-            .per_as()
-            .iter()
-            .filter_map(|series| series.iter().find(|&(s, _)| s == stage).map(|(_, v)| v))
-            .max()
-            .unwrap_or(0);
+    for (stage, premiums) in &samples {
         table.row([
             label.to_string(),
             stage.to_string(),
-            welfare.to_string(),
-            max_premium.to_string(),
+            premiums.iter().sum::<u64>().to_string(),
+            premiums.iter().max().unwrap_or(&0).to_string(),
         ]);
     }
-    sampler.aggregate().last().expect("sampled at least once").1
+    finals.iter().sum()
 }
 
 fn main() {

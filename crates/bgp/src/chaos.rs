@@ -1001,7 +1001,7 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
     /// stages after the fault schedule's end) or the stage clock reaches
     /// `max_stages`.
     pub fn run_to_stable(&mut self, max_stages: u64) -> ChaosReport {
-        self.run(max_stages, |_| {})
+        self.run(max_stages, |_, _| {})
     }
 }
 

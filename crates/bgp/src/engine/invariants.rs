@@ -1,13 +1,10 @@
-//! Feature-gated protocol invariant hooks for the engines and the node
-//! step they drive.
+//! Protocol invariant hooks for the engines and the node step they drive.
 //!
-//! With the `invariant-checks` cargo feature enabled, these functions
-//! install `debug_assert!`-based audits at the engine's convergence points
-//! and the node's relaxation; without it they compile to nothing. `cargo
-//! xtask audit` verifies both that the hooks stay wired in and that the
-//! feature-enabled test suite passes.
+//! These functions hold `debug_assert!`-based audits at the engine's
+//! convergence points and the node's relaxation, so every debug build
+//! (every `cargo test`) runs them and release builds compile them to
+//! nothing. `cargo xtask audit` verifies that the hooks stay wired in.
 
-#[cfg(feature = "invariant-checks")]
 use crate::message::PathEntry;
 
 /// Audits the bookkeeping of one run of the shared run loop, given the
@@ -20,7 +17,6 @@ use crate::message::PathEntry;
 /// * a converged run stopped no later than its stage limit;
 /// * a non-converged run executed exactly up to the limit — "did not
 ///   converge" must mean "ran out of budget", never an early bail.
-#[cfg(feature = "invariant-checks")]
 pub(crate) fn convergence(changed: u64, stage: u64, limit: u64, converged: bool) {
     debug_assert!(
         changed <= stage,
@@ -39,10 +35,6 @@ pub(crate) fn convergence(changed: u64, stage: u64, limit: u64, converged: bool)
     }
 }
 
-#[cfg(not(feature = "invariant-checks"))]
-#[inline(always)]
-pub(crate) fn convergence(_changed: u64, _stage: u64, _limit: u64, _converged: bool) {}
-
 /// Audits one relaxation pass of [`crate::Node`], whatever the cost model:
 /// the relaxed array (prices or margins) aligns one-to-one with the route's
 /// transit nodes.
@@ -52,7 +44,6 @@ pub(crate) fn convergence(_changed: u64, _stage: u64, _limit: u64, _converged: b
 /// reconvergence after a cost change, a neighbor's price array grounded in
 /// the old declared cost can legally sit below the restamped `c_k` until
 /// relaxation flushes it.
-#[cfg(feature = "invariant-checks")]
 pub(crate) fn relaxation_step<T>(transit: &[PathEntry], relaxed: &[T]) {
     debug_assert_eq!(
         transit.len(),
@@ -61,6 +52,14 @@ pub(crate) fn relaxation_step<T>(transit: &[PathEntry], relaxed: &[T]) {
     );
 }
 
-#[cfg(not(feature = "invariant-checks"))]
-#[inline(always)]
-pub(crate) fn relaxation_step<P, C>(_transit: &[P], _relaxed: &[C]) {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past the 3 stages executed")]
+    fn a_change_after_the_last_stage_trips_the_hook() {
+        convergence(5, 3, 10, true);
+    }
+}

@@ -167,11 +167,7 @@ impl Parcel {
     }
 }
 
-/// A per-stage observer closure: invoked with `(stage, nodes)` after
-/// every executed stage.
-pub type StageObserver<N> = Box<dyn FnMut(u64, &[N]) + Send>;
-
-/// Holder giving a closure or `dyn` object a `Debug` representation, so
+/// Holder giving a `dyn` object a `Debug` representation, so
 /// [`Engine`] keeps its derived `Debug`.
 pub(crate) struct Opaque<T>(pub(crate) T);
 
@@ -248,9 +244,6 @@ pub struct Engine<N, T> {
     quarantined: Vec<AsId>,
     /// Every accusation the attached auditor returned, in order.
     accusations: Vec<Accusation>,
-    /// Per-stage observer over the settled node array (economic gauges
-    /// etc.), invoked after every stage.
-    stage_observer: Option<Opaque<StageObserver<N>>>,
     /// The stage clock: the last stage executed. A lock-step report
     /// restarts it, so each lock-step run numbers its stages from 1.
     pub(crate) stage: u64,
@@ -318,7 +311,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
             auto_quarantine: true,
             quarantined: Vec::new(),
             accusations: Vec::new(),
-            stage_observer: None,
             stage: 0,
             stage_limit: 8 * n + 64,
             started: false,
@@ -489,14 +481,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         self
     }
 
-    /// Installs a per-stage observer invoked with `(stage, nodes)` after
-    /// every executed stage — the hook economic instrumentation
-    /// (premium/welfare gauges) samples through without the engine knowing
-    /// about pricing.
-    pub fn set_stage_observer(&mut self, observer: StageObserver<N>) {
-        self.stage_observer = Some(Opaque(observer));
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -554,14 +538,18 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
     /// limit runs out, announcing the nodes' origins first if that has not
     /// happened yet.
     pub fn run_to_convergence(&mut self) -> T::Report {
-        self.run_to_convergence_traced(|_| {})
+        self.run_to_convergence_traced(|_, _| {})
     }
 
     /// Like [`run_to_convergence`](Self::run_to_convergence), but invokes
-    /// `observer` with a [`StageTrace`] after every executed stage — the
-    /// hook behind the CLI's `--trace` flag and any custom progress
-    /// reporting.
-    pub fn run_to_convergence_traced<F: FnMut(StageTrace)>(&mut self, observer: F) -> T::Report {
+    /// `observer` after every executed stage with its [`StageTrace`] and
+    /// the settled node array, in AS order — the hook behind the CLI's
+    /// `--trace` flag and per-stage sampling of node state (e18's premium
+    /// trajectories).
+    pub fn run_to_convergence_traced<F: FnMut(StageTrace, &[N])>(
+        &mut self,
+        observer: F,
+    ) -> T::Report {
         self.run(self.stage + self.stage_limit as u64, observer)
     }
 
@@ -629,7 +617,11 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
     /// dump. The report also covers the traffic settled since the last one
     /// (an event's reactions); the `Quiescent` event counts only what the
     /// loop carried.
-    pub(crate) fn run<F: FnMut(StageTrace)>(&mut self, limit: u64, mut observer: F) -> T::Report {
+    pub(crate) fn run<F: FnMut(StageTrace, &[N])>(
+        &mut self,
+        limit: u64,
+        mut observer: F,
+    ) -> T::Report {
         let carried_before = self.run.sent.messages as u64;
         self.start();
         // Cross-check the emissions queued ahead of this run's first stage
@@ -643,7 +635,8 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
             if self.stage >= limit {
                 break false;
             }
-            observer(self.run_stage());
+            let trace = self.run_stage();
+            observer(trace, &self.nodes);
         };
         let stage = self.stage;
         invariants::convergence(self.run.changed, stage, limit, converged);
@@ -669,7 +662,7 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
     /// The one stage body: the transport's pre-pass, the shared handle
     /// pass, the transport's post-pass, then the stage's accounting — the
     /// `bgp_*` traffic counters and the wall-time histogram — and its
-    /// audit, stall poll and observer.
+    /// audit and stall poll.
     ///
     /// This is on the engine's hot path: it must not allocate (enforced by
     /// the `stage-alloc` xtask lint rule on this function body).
@@ -706,10 +699,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         self.audit_stage(stage);
         let counters = self.counters(self.stage_limit as u64);
         self.instruments.poll_stall(stage, &counters);
-        if let Some(mut slot) = self.stage_observer.take() {
-            (slot.0)(stage, &self.nodes);
-            self.stage_observer = Some(slot);
-        }
         StageTrace {
             stage: stage as usize,
             receiving_nodes,

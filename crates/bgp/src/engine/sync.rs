@@ -235,17 +235,9 @@ mod tests {
         engine.attach_health(HealthConfig::default());
         engine.attach_profiler();
         let mut observed_stages = Vec::new();
-        {
-            // Channel the observer's samples out through a shared cell.
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let sink = Arc::clone(&seen);
-            engine.set_stage_observer(Box::new(move |stage, nodes: &[PlainBgpNode]| {
-                sink.lock().unwrap().push((stage, nodes.len()));
-            }));
-            let report = engine.run_to_convergence();
-            assert!(report.converged);
-            observed_stages.extend(seen.lock().unwrap().iter().copied());
-        }
+        let report = engine
+            .run_to_convergence_traced(|t, nodes| observed_stages.push((t.stage, nodes.len())));
+        assert!(report.converged);
         // Observer fired once per executed stage over the full node array.
         assert!(!observed_stages.is_empty());
         assert!(observed_stages.iter().all(|&(_, n)| n == g.node_count()));
@@ -503,7 +495,7 @@ mod tests {
         let g = ring(7, Cost::new(1));
         let mut engine = SyncEngine::new(&g, PlainBgpNode::from_graph(&g));
         let mut traces = Vec::new();
-        let report = engine.run_to_convergence_traced(|t| traces.push(t));
+        let report = engine.run_to_convergence_traced(|t, _| traces.push(t));
         assert!(report.converged);
         // Stage numbers are consecutive from 1.
         for (idx, t) in traces.iter().enumerate() {

@@ -50,7 +50,7 @@ impl SharedPath {
 
 /// FNV-1a-64 over the path's wire-relevant content: each entry's AS number
 /// as 4 little-endian bytes followed by its raw cost as 8 little-endian
-/// bytes (`∞` as `u64::MAX`, as in the fixed-width event frames).
+/// bytes (`∞` as `u64::MAX`).
 fn fnv1a_path(entries: &[PathEntry]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -32,20 +32,6 @@
 //!            | (index uvarint, vcost)*
 //! ```
 //!
-//! Topology-dynamics events (experiment E10 replays recorded traces of
-//! them) have their own control frame, distinguished from UPDATEs by the
-//! magic. They never ride the hot path, keep their own version byte 1 and
-//! fixed-width little-endian fields (`∞` is `u64::MAX`):
-//!
-//! ```text
-//! event     := magic "BE" | version 1 | tag u8 | payload
-//! tag 0/1   := a u32 | b u32             (TopologyEvent::LinkDown/LinkUp)
-//! tag 2     := node u32 | cost u64       (TopologyEvent::CostChange)
-//! tag 3/4   := neighbor u32              (LocalEvent::LinkDown/LinkUp)
-//! tag 5     := cost u64                  (LocalEvent::CostChange)
-//! tag 6/7   := node u32                  (TopologyEvent::NodeDown/NodeUp)
-//! ```
-//!
 //! The lossy-channel recovery layer (see `chaos` and `docs/ROBUSTNESS.md`)
 //! wraps UPDATEs in sequenced session frames with their own magic:
 //!
@@ -58,7 +44,6 @@
 //! kind 2    := (no payload)              (FrameKind::Keepalive)
 //! ```
 
-use crate::dynamics::{LocalEvent, TopologyEvent};
 use crate::message::{Frame, FrameKind, PathEntry, RouteAdvertisement, RouteInfo, Update};
 use bgpvcg_netgraph::{AsId, Cost};
 use std::error::Error;
@@ -73,27 +58,14 @@ const COST_BYTES: usize = 8;
 const MESSAGE_HEADER_BYTES: usize = 11;
 
 const MAGIC: [u8; 2] = *b"BV";
-const EVENT_MAGIC: [u8; 2] = *b"BE";
 const FRAME_MAGIC: [u8; 2] = *b"BF";
-const EVENT_VERSION: u8 = 1;
 const VERSION: u8 = 2;
 const KIND_WITHDRAWN: u8 = 0;
 const KIND_REACHABLE: u8 = 1;
 const KIND_PRICE_DELTA: u8 = 2;
-const TAG_TOPO_LINK_DOWN: u8 = 0;
-const TAG_TOPO_LINK_UP: u8 = 1;
-const TAG_TOPO_COST_CHANGE: u8 = 2;
-const TAG_LOCAL_LINK_DOWN: u8 = 3;
-const TAG_LOCAL_LINK_UP: u8 = 4;
-const TAG_LOCAL_COST_CHANGE: u8 = 5;
-const TAG_TOPO_NODE_DOWN: u8 = 6;
-const TAG_TOPO_NODE_UP: u8 = 7;
 const FRAME_KIND_OPEN: u8 = 0;
 const FRAME_KIND_DATA: u8 = 1;
 const FRAME_KIND_KEEPALIVE: u8 = 2;
-/// On-wire sentinel for [`Cost::INFINITE`] in event frames' fixed-width
-/// costs.
-const INFINITE_WIRE: u64 = u64::MAX;
 
 /// Errors decoding a wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,8 +77,6 @@ pub enum DecodeError {
     BadHeader,
     /// An advertisement kind byte named no known kind.
     BadKind(u8),
-    /// An event tag byte named no known event variant.
-    BadEventTag(u8),
     /// A session-frame kind byte named no known frame kind.
     BadFrameKind(u8),
     /// A v2 varint was overlong, overflowed 64 bits, or reconstructed a
@@ -123,7 +93,6 @@ impl fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "message truncated"),
             DecodeError::BadHeader => write!(f, "bad magic or version"),
             DecodeError::BadKind(k) => write!(f, "unknown advertisement kind {k}"),
-            DecodeError::BadEventTag(t) => write!(f, "unknown event tag {t}"),
             DecodeError::BadFrameKind(k) => write!(f, "unknown frame kind {k}"),
             DecodeError::BadVarint => write!(f, "malformed varint"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing byte(s)"),
@@ -132,10 +101,6 @@ impl fmt::Display for DecodeError {
 }
 
 impl Error for DecodeError {}
-
-fn put_cost(out: &mut Vec<u8>, cost: Cost) {
-    out.extend_from_slice(&cost.finite().unwrap_or(INFINITE_WIRE).to_le_bytes());
-}
 
 /// Appends an unsigned LEB128 varint (canonical: no trailing zero groups).
 fn put_uvarint(out: &mut Vec<u8>, mut value: u64) {
@@ -273,29 +238,12 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let bytes = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
     fn u64(&mut self) -> Result<u64, DecodeError> {
         let bytes = self
             .take(8)?
             .try_into()
             .map_err(|_| DecodeError::Truncated)?;
         Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn cost(&mut self) -> Result<Cost, DecodeError> {
-        let raw = self.u64()?;
-        Ok(if raw == INFINITE_WIRE {
-            Cost::INFINITE
-        } else {
-            Cost::new(raw)
-        })
     }
 
     /// Reads a canonical unsigned LEB128 varint: at most 10 bytes, no
@@ -441,121 +389,11 @@ pub fn decode_update(buf: &[u8]) -> Result<Update, DecodeError> {
     Ok(update)
 }
 
-fn event_frame(tag: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&EVENT_MAGIC);
-    out.push(EVENT_VERSION);
-    out.push(tag);
-    out
-}
-
-/// Serializes a network-level topology event to its control-frame form.
-pub fn encode_topology_event(event: &TopologyEvent) -> Vec<u8> {
-    match *event {
-        TopologyEvent::LinkDown(a, b) => {
-            let mut out = event_frame(TAG_TOPO_LINK_DOWN);
-            out.extend_from_slice(&a.raw().to_le_bytes());
-            out.extend_from_slice(&b.raw().to_le_bytes());
-            out
-        }
-        TopologyEvent::LinkUp(a, b) => {
-            let mut out = event_frame(TAG_TOPO_LINK_UP);
-            out.extend_from_slice(&a.raw().to_le_bytes());
-            out.extend_from_slice(&b.raw().to_le_bytes());
-            out
-        }
-        TopologyEvent::CostChange(node, cost) => {
-            let mut out = event_frame(TAG_TOPO_COST_CHANGE);
-            out.extend_from_slice(&node.raw().to_le_bytes());
-            put_cost(&mut out, cost);
-            out
-        }
-        TopologyEvent::NodeDown(node) => {
-            let mut out = event_frame(TAG_TOPO_NODE_DOWN);
-            out.extend_from_slice(&node.raw().to_le_bytes());
-            out
-        }
-        TopologyEvent::NodeUp(node) => {
-            let mut out = event_frame(TAG_TOPO_NODE_UP);
-            out.extend_from_slice(&node.raw().to_le_bytes());
-            out
-        }
-    }
-}
-
-/// Serializes a node-local event observation to its control-frame form.
-pub fn encode_local_event(event: &LocalEvent) -> Vec<u8> {
-    match *event {
-        LocalEvent::LinkDown(neighbor) => {
-            let mut out = event_frame(TAG_LOCAL_LINK_DOWN);
-            out.extend_from_slice(&neighbor.raw().to_le_bytes());
-            out
-        }
-        LocalEvent::LinkUp(neighbor) => {
-            let mut out = event_frame(TAG_LOCAL_LINK_UP);
-            out.extend_from_slice(&neighbor.raw().to_le_bytes());
-            out
-        }
-        LocalEvent::CostChange(cost) => {
-            let mut out = event_frame(TAG_LOCAL_COST_CHANGE);
-            put_cost(&mut out, cost);
-            out
-        }
-    }
-}
-
-fn event_reader(buf: &[u8]) -> Result<(Reader<'_>, u8), DecodeError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(2)? != EVENT_MAGIC || r.u8()? != EVENT_VERSION {
-        return Err(DecodeError::BadHeader);
-    }
-    let tag = r.u8()?;
-    Ok((r, tag))
-}
-
 fn finish_frame(r: &Reader<'_>) -> Result<(), DecodeError> {
     if r.pos != r.buf.len() {
         return Err(DecodeError::TrailingBytes(r.buf.len() - r.pos));
     }
     Ok(())
-}
-
-/// Parses a control frame back into a [`TopologyEvent`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, bad header, a tag that does not
-/// name a topology event, or trailing bytes.
-pub fn decode_topology_event(buf: &[u8]) -> Result<TopologyEvent, DecodeError> {
-    let (mut r, tag) = event_reader(buf)?;
-    let event = match tag {
-        TAG_TOPO_LINK_DOWN => TopologyEvent::LinkDown(AsId::new(r.u32()?), AsId::new(r.u32()?)),
-        TAG_TOPO_LINK_UP => TopologyEvent::LinkUp(AsId::new(r.u32()?), AsId::new(r.u32()?)),
-        TAG_TOPO_COST_CHANGE => TopologyEvent::CostChange(AsId::new(r.u32()?), r.cost()?),
-        TAG_TOPO_NODE_DOWN => TopologyEvent::NodeDown(AsId::new(r.u32()?)),
-        TAG_TOPO_NODE_UP => TopologyEvent::NodeUp(AsId::new(r.u32()?)),
-        other => return Err(DecodeError::BadEventTag(other)),
-    };
-    finish_frame(&r)?;
-    Ok(event)
-}
-
-/// Parses a control frame back into a [`LocalEvent`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, bad header, a tag that does not
-/// name a local event, or trailing bytes.
-pub fn decode_local_event(buf: &[u8]) -> Result<LocalEvent, DecodeError> {
-    let (mut r, tag) = event_reader(buf)?;
-    let event = match tag {
-        TAG_LOCAL_LINK_DOWN => LocalEvent::LinkDown(AsId::new(r.u32()?)),
-        TAG_LOCAL_LINK_UP => LocalEvent::LinkUp(AsId::new(r.u32()?)),
-        TAG_LOCAL_COST_CHANGE => LocalEvent::CostChange(r.cost()?),
-        other => return Err(DecodeError::BadEventTag(other)),
-    };
-    finish_frame(&r)?;
-    Ok(event)
 }
 
 fn frame_kind_byte(kind: &FrameKind) -> u8 {
@@ -982,16 +820,5 @@ mod tests {
         let mut bytes = data;
         bytes[4 + 4] = b'X'; // embedded UPDATE magic
         assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::BadHeader);
-    }
-
-    #[test]
-    fn node_events_round_trip() {
-        for event in [
-            TopologyEvent::NodeDown(AsId::new(6)),
-            TopologyEvent::NodeUp(AsId::new(6)),
-        ] {
-            let bytes = encode_topology_event(&event);
-            assert_eq!(decode_topology_event(&bytes).unwrap(), event);
-        }
     }
 }

@@ -7,10 +7,7 @@
 //! mutually-consistent-but-new codecs. The retired version 1 is pinned
 //! too, as a header error.
 
-use bgpvcg_bgp::{
-    wire, Frame, FrameKind, LocalEvent, PathEntry, RouteAdvertisement, RouteInfo, TopologyEvent,
-    Update,
-};
+use bgpvcg_bgp::{wire, Frame, FrameKind, PathEntry, RouteAdvertisement, RouteInfo, Update};
 use bgpvcg_netgraph::{AsId, Cost};
 
 fn sample() -> Update {
@@ -161,126 +158,6 @@ fn v2_messages_reject_corruption() {
     );
 }
 
-/// One golden vector per topology-event variant: the exact control-frame
-/// bytes, plus the round trip back through `decode_topology_event`.
-#[test]
-fn golden_topology_event_frames() {
-    let cases: Vec<(TopologyEvent, Vec<u8>)> = vec![
-        (
-            TopologyEvent::LinkDown(AsId::new(1), AsId::new(2)),
-            vec![
-                // magic "BE", version 1, tag 0
-                0x42, 0x45, 0x01, 0x00, //
-                // a = 1, b = 2 (u32 LE each)
-                0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-            ],
-        ),
-        (
-            TopologyEvent::LinkUp(AsId::new(3), AsId::new(4)),
-            vec![
-                0x42, 0x45, 0x01, 0x01, //
-                0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
-            ],
-        ),
-        (
-            TopologyEvent::CostChange(AsId::new(5), Cost::new(9)),
-            vec![
-                0x42, 0x45, 0x01, 0x02, //
-                0x05, 0x00, 0x00, 0x00, //
-                0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-            ],
-        ),
-    ];
-    for (event, expected) in cases {
-        let bytes = wire::encode_topology_event(&event);
-        assert_eq!(bytes, expected, "layout changed for {event:?}");
-        assert_eq!(wire::decode_topology_event(&bytes).unwrap(), event);
-    }
-}
-
-/// One golden vector per local-event variant, with round trips.
-#[test]
-fn golden_local_event_frames() {
-    let cases: Vec<(LocalEvent, Vec<u8>)> = vec![
-        (
-            LocalEvent::LinkDown(AsId::new(6)),
-            vec![0x42, 0x45, 0x01, 0x03, 0x06, 0x00, 0x00, 0x00],
-        ),
-        (
-            LocalEvent::LinkUp(AsId::new(7)),
-            vec![0x42, 0x45, 0x01, 0x04, 0x07, 0x00, 0x00, 0x00],
-        ),
-        (
-            LocalEvent::CostChange(Cost::INFINITE),
-            vec![
-                0x42, 0x45, 0x01, 0x05, //
-                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
-            ],
-        ),
-    ];
-    for (event, expected) in cases {
-        let bytes = wire::encode_local_event(&event);
-        assert_eq!(bytes, expected, "layout changed for {event:?}");
-        assert_eq!(wire::decode_local_event(&bytes).unwrap(), event);
-    }
-}
-
-/// Malformed control frames are rejected, never misparsed.
-#[test]
-fn event_frames_reject_corruption() {
-    let bytes = wire::encode_topology_event(&TopologyEvent::LinkDown(AsId::new(1), AsId::new(2)));
-
-    let mut bad_magic = bytes.clone();
-    bad_magic[0] = b'X';
-    assert!(wire::decode_topology_event(&bad_magic).is_err());
-
-    let mut bad_tag = bytes.clone();
-    bad_tag[3] = 9;
-    assert!(wire::decode_topology_event(&bad_tag).is_err());
-
-    for cut in 0..bytes.len() {
-        assert!(
-            wire::decode_topology_event(&bytes[..cut]).is_err(),
-            "cut {cut}"
-        );
-    }
-
-    let mut trailing = bytes.clone();
-    trailing.push(0);
-    assert!(wire::decode_topology_event(&trailing).is_err());
-
-    // A local-event tag inside a topology decode (and vice versa) is a tag
-    // error, not a misparse.
-    let local = wire::encode_local_event(&LocalEvent::LinkUp(AsId::new(1)));
-    assert!(wire::decode_topology_event(&local).is_err());
-    assert!(wire::decode_local_event(&bytes).is_err());
-}
-
-/// One golden vector per node-liveness topology-event variant.
-#[test]
-fn golden_node_event_frames() {
-    let cases: Vec<(TopologyEvent, Vec<u8>)> = vec![
-        (
-            TopologyEvent::NodeDown(AsId::new(8)),
-            vec![
-                // magic "BE", version 1, tag 6
-                0x42, 0x45, 0x01, 0x06, //
-                // node = 8 (u32 LE)
-                0x08, 0x00, 0x00, 0x00,
-            ],
-        ),
-        (
-            TopologyEvent::NodeUp(AsId::new(9)),
-            vec![0x42, 0x45, 0x01, 0x07, 0x09, 0x00, 0x00, 0x00],
-        ),
-    ];
-    for (event, expected) in cases {
-        let bytes = wire::encode_topology_event(&event);
-        assert_eq!(bytes, expected, "layout changed for {event:?}");
-        assert_eq!(wire::decode_topology_event(&bytes).unwrap(), event);
-    }
-}
-
 /// Every single-bit corruption of the v2 golden corpus — bare and framed —
 /// decodes to a typed error or to a message that re-encodes to exactly the
 /// corrupted bytes (the encoding is canonical), never to a panic. The
@@ -312,10 +189,9 @@ fn v2_corpus_survives_every_bit_flip() {
 }
 
 /// Version 1 is retired: a well-formed v1 UPDATE or session frame is a
-/// header error like any unknown version. The `"BE"` event frames never had
-/// a second version; they keep version byte 1 and round-trip.
+/// header error like any unknown version.
 #[test]
-fn version_1_is_rejected_but_event_frames_keep_it() {
+fn version_1_is_rejected() {
     // An empty v1 UPDATE: magic "BV", version 1, from = 0 (u32 LE), no
     // sender costs and no entries (u16 counts).
     let update = [0x42, 0x56, 0x01, 0, 0, 0, 0, 0, 0, 0, 0];
@@ -327,29 +203,6 @@ fn version_1_is_rejected_but_event_frames_keep_it() {
     let mut open = vec![0x42, 0x46, 0x01, 0x00];
     open.resize(36, 0);
     assert_eq!(wire::decode_frame(&open), Err(wire::DecodeError::BadHeader));
-
-    let topology = [
-        TopologyEvent::LinkDown(AsId::new(1), AsId::new(2)),
-        TopologyEvent::LinkUp(AsId::new(3), AsId::new(4)),
-        TopologyEvent::CostChange(AsId::new(5), Cost::INFINITE),
-        TopologyEvent::NodeDown(AsId::new(6)),
-        TopologyEvent::NodeUp(AsId::new(7)),
-    ];
-    for event in topology {
-        let bytes = wire::encode_topology_event(&event);
-        assert_eq!(&bytes[..3], b"BE\x01", "{event:?}");
-        assert_eq!(wire::decode_topology_event(&bytes), Ok(event));
-    }
-    let local = [
-        LocalEvent::LinkDown(AsId::new(8)),
-        LocalEvent::LinkUp(AsId::new(9)),
-        LocalEvent::CostChange(Cost::new(10)),
-    ];
-    for event in local {
-        let bytes = wire::encode_local_event(&event);
-        assert_eq!(&bytes[..3], b"BE\x01", "{event:?}");
-        assert_eq!(wire::decode_local_event(&bytes), Ok(event));
-    }
 }
 
 /// Golden vectors for the v2 session-frame header: varint counters and a

@@ -90,39 +90,6 @@ impl PaymentLedger {
         Ok(ledger)
     }
 
-    /// Like [`PaymentLedger::settle`], but records the settlement's volume
-    /// into `telemetry`'s shared registry: flows settled, packets those
-    /// flows carried, and total payments disbursed (the `vcg_*` metrics —
-    /// see [`crate::telemetry::metric`]). Failed settlements record
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`PaymentLedger::settle`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix covers a different node count than the outcome.
-    pub fn settle_with_telemetry(
-        outcome: &RoutingOutcome,
-        traffic: &TrafficMatrix,
-        telemetry: &bgpvcg_telemetry::Telemetry,
-    ) -> Result<Self, MechanismError> {
-        let ledger = PaymentLedger::settle(outcome, traffic)?;
-        let flows = traffic.flows().count() as u64;
-        let packets: u128 = traffic.flows().map(|(_, _, t)| u128::from(t)).sum();
-        telemetry
-            .counter(crate::telemetry::metric::FLOWS_SETTLED)
-            .add(flows);
-        telemetry
-            .counter(crate::telemetry::metric::PACKETS_SETTLED)
-            .add(u64::try_from(packets).unwrap_or(u64::MAX));
-        telemetry
-            .counter(crate::telemetry::metric::PAYMENTS_SETTLED)
-            .add(u64::try_from(ledger.total_payments()).unwrap_or(u64::MAX));
-        Ok(ledger)
-    }
-
     /// Settles traffic **using only distributed node state**, the way the
     /// paper's Sect. 6.4 actually deploys: the *source* of every packet
     /// holds the full price vector for its route, so tallies accumulate at

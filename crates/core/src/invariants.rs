@@ -1,15 +1,13 @@
-//! Feature-gated mechanism invariant hooks.
+//! Mechanism invariant hooks.
 //!
-//! With the `invariant-checks` cargo feature enabled, these functions
-//! install `debug_assert!`-based audits at the mechanism's extraction and
-//! precondition points; without it they compile to nothing. (The per-pass
-//! relaxation audit lives with the relaxation, in `bgpvcg-bgp`.) `cargo
-//! xtask audit` verifies both that the hooks stay wired in and that the
-//! feature-enabled test suite passes.
+//! These functions hold `debug_assert!`-based audits at the mechanism's
+//! extraction and precondition points, so every debug build (every
+//! `cargo test`) runs them and release builds compile them to nothing.
+//! (The per-pass relaxation audit lives with the relaxation, in
+//! `bgpvcg-bgp`.) `cargo xtask audit` verifies that the hooks stay wired
+//! in.
 
-#[cfg(feature = "invariant-checks")]
 use bgpvcg_bgp::SelectedRoute;
-#[cfg(feature = "invariant-checks")]
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 
 /// Audits one extracted pair of a quiescent network: Theorem 1 prices are
@@ -17,35 +15,30 @@ use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 /// is at least the transit node's declared cost on the selected route
 /// (`INFINITE` entries — monopoly positions after topology damage — satisfy
 /// the bound trivially).
-#[cfg(feature = "invariant-checks")]
 pub(crate) fn converged_prices(route: Option<&SelectedRoute>, prices: &[(AsId, Cost)]) {
     let Some(route) = route else {
         debug_assert!(prices.is_empty(), "prices extracted without a route");
         return;
     };
-    for &(k, price) in prices {
-        let declared = route
-            .path
-            .iter()
-            .find(|e| e.node == k)
-            .map(|e| e.cost)
-            .unwrap_or(Cost::INFINITE);
-        debug_assert!(
-            price >= declared,
-            "converged price {price} of {k} below its declared cost {declared}"
-        );
+    if cfg!(debug_assertions) {
+        for &(k, price) in prices {
+            let declared = route
+                .path
+                .iter()
+                .find(|e| e.node == k)
+                .map_or(Cost::INFINITE, |e| e.cost);
+            debug_assert!(
+                price >= declared,
+                "converged price {price} of {k} below its declared cost {declared}"
+            );
+        }
     }
 }
-
-#[cfg(not(feature = "invariant-checks"))]
-#[inline(always)]
-pub(crate) fn converged_prices<R, P>(_route: Option<&R>, _prices: &[P]) {}
 
 /// Audits the mechanism's graph preconditions after validation: a graph
 /// that passed [`AsGraph::validate_for_mechanism`] really is biconnected,
 /// which is what guarantees every k-avoiding path (and hence every price)
 /// exists.
-#[cfg(feature = "invariant-checks")]
 pub(crate) fn mechanism_preconditions(graph: &AsGraph) {
     debug_assert!(
         graph.is_biconnected(),
@@ -53,6 +46,19 @@ pub(crate) fn mechanism_preconditions(graph: &AsGraph) {
     );
 }
 
-#[cfg(not(feature = "invariant-checks"))]
-#[inline(always)]
-pub(crate) fn mechanism_preconditions<G>(_graph: &G) {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgpvcg_netgraph::generators::structured::ring;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must be biconnected")]
+    fn a_non_biconnected_precondition_trips_the_hook() {
+        // A path is connected but not biconnected.
+        let g = ring(4, Cost::new(1))
+            .without_link(AsId::new(0), AsId::new(3))
+            .unwrap();
+        mechanism_preconditions(&g);
+    }
+}

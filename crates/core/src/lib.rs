@@ -31,8 +31,6 @@
 //! * [`baseline`] — the predecessors the paper contrasts itself with:
 //!   Nisan–Ronen's edge-agent VCG and the centralized single-pair
 //!   node-agent mechanism.
-//! * [`telemetry`] — mechanism-level metric names for the workspace
-//!   observability layer (`bgpvcg-telemetry`); see `docs/OBSERVABILITY.md`.
 //!
 //! # Quickstart
 //!
@@ -65,7 +63,6 @@ pub mod neighbor_costs;
 pub mod overcharge;
 pub mod protocol;
 pub mod strategy;
-pub mod telemetry;
 pub mod uniqueness;
 pub mod vcg;
 

@@ -47,12 +47,6 @@ impl PairOutcome {
     pub fn price_of(&self, k: AsId) -> Option<Cost> {
         self.prices.iter().find(|(n, _)| *n == k).map(|(_, p)| *p)
     }
-
-    /// Total per-packet payment across all transit nodes of this pair —
-    /// what one packet from `i` to `j` costs the mechanism in payments.
-    pub fn total_price(&self) -> Cost {
-        self.prices.iter().map(|(_, p)| *p).sum()
-    }
 }
 
 /// The complete mechanism output: a [`PairOutcome`] for every ordered pair
@@ -165,7 +159,6 @@ mod tests {
         assert_eq!(pair.price_of(Fig1::B), Some(Cost::new(4)));
         assert_eq!(pair.price_of(Fig1::D), Some(Cost::new(3)));
         assert_eq!(pair.price_of(Fig1::A), None);
-        assert_eq!(pair.total_price(), Cost::new(7));
     }
 
     #[test]

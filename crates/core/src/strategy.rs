@@ -249,33 +249,6 @@ pub fn sweep_deviations<R: Rng + ?Sized>(
     Ok(outcomes)
 }
 
-/// Like [`sweep_deviations`], but records the sweep's volume into
-/// `telemetry`'s shared registry: deviations evaluated and — Theorem 1
-/// willing, never — profitable ones (see [`crate::telemetry::metric`]).
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the graph violates the mechanism's
-/// preconditions.
-pub fn sweep_deviations_telemetry<R: Rng + ?Sized>(
-    graph: &AsGraph,
-    traffic: &TrafficMatrix,
-    lies_per_agent: usize,
-    lie_ceiling: u64,
-    rng: &mut R,
-    telemetry: &bgpvcg_telemetry::Telemetry,
-) -> Result<Vec<DeviationOutcome>, MechanismError> {
-    let outcomes = sweep_deviations(graph, traffic, lies_per_agent, lie_ceiling, rng)?;
-    telemetry
-        .counter(crate::telemetry::metric::DEVIATIONS_EVALUATED)
-        .add(outcomes.len() as u64);
-    let profitable = outcomes.iter().filter(|d| d.profitable()).count() as u64;
-    telemetry
-        .counter(crate::telemetry::metric::PROFITABLE_DEVIATIONS)
-        .add(profitable);
-    Ok(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

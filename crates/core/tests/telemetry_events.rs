@@ -10,7 +10,6 @@
 //! equals the converged Theorem-1 price.
 
 use bgpvcg_bgp::chaos::FaultPlan;
-use bgpvcg_core::telemetry::metric as vcg_metric;
 use bgpvcg_core::{protocol, vcg};
 use bgpvcg_netgraph::generators::structured::fig1;
 use bgpvcg_netgraph::AsId;
@@ -96,47 +95,4 @@ fn sync_and_asynchronous_price_relaxations_project_to_the_same_fixpoint() {
             }
         }
     }
-}
-
-#[test]
-fn settlement_and_sweep_wrappers_record_their_volume() {
-    use bgpvcg_core::accounting::PaymentLedger;
-    use bgpvcg_core::strategy;
-    use bgpvcg_netgraph::TrafficMatrix;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let g = fig1();
-    let telemetry = Telemetry::null();
-    let outcome = vcg::compute(&g).unwrap();
-    let traffic = TrafficMatrix::uniform(g.node_count(), 2);
-    let ledger = PaymentLedger::settle_with_telemetry(&outcome, &traffic, &telemetry).unwrap();
-    assert_eq!(
-        ledger,
-        PaymentLedger::settle(&outcome, &traffic).unwrap(),
-        "telemetry wrapper must not change settlement"
-    );
-    let snap = telemetry.snapshot();
-    assert_eq!(
-        snap.counters[vcg_metric::FLOWS_SETTLED],
-        traffic.flows().count() as u64
-    );
-    assert_eq!(
-        snap.counters[vcg_metric::PAYMENTS_SETTLED],
-        u64::try_from(ledger.total_payments()).unwrap()
-    );
-
-    let mut rng = StdRng::seed_from_u64(5);
-    let outcomes =
-        strategy::sweep_deviations_telemetry(&g, &traffic, 2, 10, &mut rng, &telemetry).unwrap();
-    let snap = telemetry.snapshot();
-    assert_eq!(
-        snap.counters[vcg_metric::DEVIATIONS_EVALUATED],
-        outcomes.len() as u64
-    );
-    assert_eq!(
-        snap.counters[vcg_metric::PROFITABLE_DEVIATIONS],
-        0,
-        "Theorem 1: no deviation is profitable"
-    );
 }

@@ -78,23 +78,6 @@ impl AllPairsLcp {
     pub fn is_transit(&self, k: AsId, i: AsId, j: AsId) -> bool {
         self.trees[j.index()].is_transit(k, i)
     }
-
-    /// Total cost incurred by node `k` across all unit flows: the number of
-    /// `(i, j)` pairs for which `k` is transit, times `c_k`, matching the
-    /// paper's `u_k(c)` for the uniform traffic matrix.
-    pub fn transit_pair_count(&self, k: AsId) -> usize {
-        let n = self.node_count();
-        let mut count = 0;
-        for j in 0..n {
-            let tree = &self.trees[j];
-            for i in 0..n {
-                if i != j && tree.is_transit(k, AsId::new(i as u32)) {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
 }
 
 impl fmt::Display for AllPairsLcp {
@@ -145,25 +128,6 @@ mod tests {
             for j in g.nodes() {
                 assert_eq!(lcp.cost(i, j), lcp.cost(j, i));
             }
-        }
-    }
-
-    #[test]
-    fn transit_pair_count_on_fig1() {
-        let g = fig1();
-        let lcp = AllPairsLcp::compute(&g);
-        // D carries X<->Z, Y<->Z, B<->Z, X<->Y(?) ... verify against the
-        // direct definition rather than a hand count.
-        for k in g.nodes() {
-            let mut expected = 0;
-            for i in g.nodes() {
-                for j in g.nodes() {
-                    if i != j && lcp.is_transit(k, i, j) {
-                        expected += 1;
-                    }
-                }
-            }
-            assert_eq!(lcp.transit_pair_count(k), expected);
         }
     }
 

@@ -1,6 +1,5 @@
 //! Traffic matrices `[T_ij]`.
 
-use crate::cost::Cost;
 use crate::graph::AsGraph;
 use crate::id::AsId;
 use rand::distributions::{Distribution, Uniform};
@@ -94,20 +93,6 @@ impl TrafficMatrix {
         t
     }
 
-    /// A hot-spot matrix: every AS sends `packets` to each of the given
-    /// destinations (content providers), and nothing elsewhere.
-    pub fn hotspot(n: usize, hotspots: &[AsId], packets: u64) -> Self {
-        let mut t = TrafficMatrix::zero(n);
-        for i in 0..n {
-            for &j in hotspots {
-                if i != j.index() {
-                    t.demand[i * n + j.index()] = packets;
-                }
-            }
-        }
-        t
-    }
-
     /// Number of ASs the matrix covers.
     pub fn node_count(&self) -> usize {
         self.n
@@ -159,25 +144,6 @@ impl TrafficMatrix {
     /// Total number of packets in the matrix.
     pub fn total_packets(&self) -> u64 {
         self.demand.iter().sum()
-    }
-
-    /// Total traffic-weighted cost `V(c) = Σ_ij T_ij · c(i, j)` given a
-    /// lookup for the LCP cost of each pair, i.e. the objective function the
-    /// mechanism minimizes (paper, Sect. 3). Pairs with zero demand are not
-    /// queried.
-    pub fn total_cost<F: FnMut(AsId, AsId) -> Cost>(&self, mut lcp_cost: F) -> Cost {
-        let mut total = Cost::ZERO;
-        for (i, j, packets) in self.flows() {
-            let unit = lcp_cost(i, j);
-            let Some(raw) = unit.finite() else {
-                return Cost::INFINITE;
-            };
-            match raw.checked_mul(packets) {
-                Some(weighted) if weighted < u64::MAX => total += Cost::new(weighted),
-                _ => return Cost::INFINITE,
-            }
-        }
-        total
     }
 
     /// Checks the matrix is compatible with a graph (same node count).
@@ -267,34 +233,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let t = TrafficMatrix::gravity(6, 10, &mut rng);
         assert_eq!(t.flows().count(), 6 * 5);
-    }
-
-    #[test]
-    fn hotspot_concentrates_traffic() {
-        let t = TrafficMatrix::hotspot(5, &[AsId::new(4)], 3);
-        assert_eq!(t.total_packets(), 4 * 3);
-        assert_eq!(t.demand(AsId::new(0), AsId::new(4)), 3);
-        assert_eq!(t.demand(AsId::new(0), AsId::new(1)), 0);
-        assert_eq!(t.demand(AsId::new(4), AsId::new(4)), 0);
-    }
-
-    #[test]
-    fn total_cost_weights_by_demand() {
-        let mut t = TrafficMatrix::zero(3);
-        t.set(AsId::new(0), AsId::new(1), 2);
-        t.set(AsId::new(1), AsId::new(2), 5);
-        let v = t.total_cost(|i, j| {
-            Cost::new((i.raw() + j.raw()) as u64) // fake "LCP costs": 1 and 3
-        });
-        assert_eq!(v, Cost::new(2 + 5 * 3)); // 2·1 + 5·3
-    }
-
-    #[test]
-    fn total_cost_propagates_infinity() {
-        let mut t = TrafficMatrix::zero(2);
-        t.set(AsId::new(0), AsId::new(1), 1);
-        let v = t.total_cost(|_, _| Cost::INFINITE);
-        assert_eq!(v, Cost::INFINITE);
     }
 
     #[test]

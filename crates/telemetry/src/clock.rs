@@ -1,8 +1,8 @@
 //! Injectable time sources.
 //!
 //! The registry's per-stage wall-time histogram must not make deterministic
-//! test runs (or the `invariant-checks` replay discipline) time-dependent,
-//! so every timing read goes through a [`Clock`] the caller chooses:
+//! test runs time-dependent, so every timing read goes through a [`Clock`]
+//! the caller chooses:
 //! [`SystemClock`] for real measurements, [`ManualClock`] for tests that
 //! advance time by hand.
 

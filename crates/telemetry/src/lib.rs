@@ -53,7 +53,6 @@ pub mod health;
 pub mod json;
 pub mod profile;
 pub mod registry;
-pub mod series;
 pub mod sink;
 
 pub use causal::{CausalDag, CausalError};
@@ -66,7 +65,6 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     DEFAULT_NANOS_BOUNDS,
 };
-pub use series::TimeSeries;
 pub use sink::{JsonlSink, NullSink, RingBufferSink, TeeSink, TraceSink};
 
 use std::path::Path;

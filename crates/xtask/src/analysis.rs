@@ -51,7 +51,7 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
 
 /// Panic-family tokens that make a function a panic source, with the hint
 /// shown on report. Two deliberate absences: `debug_assert*` compiles out
-/// of release builds and forms the `invariant-checks` seam, and the
+/// of release builds and carries the invariant hooks, and the
 /// `assert!` family encodes *intentional* precondition contracts
 /// (documented under `# Panics`) — this analysis hunts the unintentional
 /// panic paths.
@@ -136,7 +136,7 @@ fn line_panic_sites(line: &str, idx: usize, out: &mut Vec<PanicSite>) {
 ///   draws;
 /// - anything ending in `.index()` — the typed `AsId → usize` projection,
 ///   whose bound is the graph-size construction invariant (checked by
-///   `debug_assert` under `--features invariant-checks`).
+///   `debug_assert` in debug builds).
 fn unguarded_indexing(line: &str) -> Vec<String> {
     let bytes = line.as_bytes();
     let mut out = Vec::new();

@@ -10,10 +10,9 @@
 //!   the workspace call graph, walk panic-reachability from the engine
 //!   hot-path entry points, and run the determinism lints; prints
 //!   per-entry-point reachability statistics.
-//! - `audit` — lint allowlist hygiene (stale / reason-less annotations),
-//!   verify the invariant-hook wiring is present, then run the test suite
-//!   with `--features invariant-checks` so the debug assertions execute.
-//!   `--static-only` skips the test run.
+//! - `audit` — lint allowlist hygiene (stale / reason-less annotations)
+//!   and the invariant-hook wiring. The hooks are `debug_assert!`s, so
+//!   every debug test run executes them.
 //! - `obs`   — the observability pipeline: run the `obs_smoke` fixture
 //!   into the bundle `target/obs/smoke/` and the traced E3 sweep into
 //!   `target/obs/e3/` (`--obs-out`), decode every trace line as a
@@ -32,9 +31,9 @@
 //!   `target/bench/` and requires it to equal the committed baseline line
 //!   for line. See `docs/PERFORMANCE.md` and `docs/ROBUSTNESS.md`.
 //! - `ci`    — the full offline-tolerant pipeline: fmt check, lint,
-//!   analyze, audit, clippy wall, workspace tests, invariant-checked
-//!   tests, `perf/`'s tests (`--locked`), obs, bench and chaos `--smoke
-//!   --compare`, the e20 adversary smoke and the microbench smokes. Steps
+//!   analyze, audit, clippy wall, workspace tests, `perf/`'s tests
+//!   (`--locked`), obs, bench and chaos `--smoke --compare`, the e20
+//!   adversary smoke and the microbench smokes. Steps
 //!   whose external tool is unavailable (no rustfmt/clippy component) are
 //!   reported and skipped, not failed, so `ci` works in minimal containers.
 
@@ -53,7 +52,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(&root),
         Some("analyze") => cmd_analyze(&root),
-        Some("audit") => cmd_audit(&root, args.iter().any(|a| a == "--static-only")),
+        Some("audit") => cmd_audit(&root),
         Some("obs") => cmd_obs(&root),
         Some(name @ ("bench" | "chaos")) => cmd_gate(
             &root,
@@ -84,9 +83,7 @@ fn print_help() {
          \t                    the workspace call graph from the engine entry\n\
          \t                    points, plus the determinism lints (hashed-order\n\
          \t                    leaks, wall-clock/RNG outside the clock seam)\n\
-         \taudit [--static-only]\n\
-         \t                    check allowlist hygiene + invariant-hook wiring,\n\
-         \t                    then run tests with --features invariant-checks\n\
+         \taudit               check allowlist hygiene + invariant-hook wiring\n\
          \tobs                 run obs_smoke and the traced E3 sweep into the\n\
          \t                    bundles target/obs/smoke/ and target/obs/e3/,\n\
          \t                    decode every trace line as a TraceEvent, check\n\
@@ -102,10 +99,10 @@ fn print_help() {
          \tchaos [--smoke] [--compare]\n\
          \t                    the same gate over E19 (seeded faults,\n\
          \t                    self-stabilization asserted) and BENCH_chaos.json\n\
-         \tci                  fmt check, lint, analyze, clippy, tests,\n\
-         \t                    invariant tests, perf/ tests, obs, bench and\n\
-         \t                    chaos --smoke --compare, e20_adversary --smoke,\n\
-         \t                    microbench smokes\n\
+         \tci                  fmt check, lint, analyze, audit, clippy, tests,\n\
+         \t                    perf/ tests, obs, bench and chaos --smoke\n\
+         \t                    --compare, e20_adversary --smoke, microbench\n\
+         \t                    smokes\n\
          \thelp                this message"
     );
 }
@@ -273,9 +270,9 @@ fn cmd_analyze(root: &Path) -> ExitCode {
     }
 }
 
-/// Files that must carry invariant-hook call sites for the
-/// `invariant-checks` feature to mean anything. Checked textually so a
-/// refactor cannot silently drop the audit wiring.
+/// Files that must carry invariant-hook call sites for the debug-build
+/// audits to mean anything. Checked textually so a refactor cannot
+/// silently drop the audit wiring.
 const INVARIANT_HOOK_SITES: &[(&str, &str)] = &[
     ("crates/core/src/invariants.rs", "converged_prices"),
     ("crates/core/src/protocol.rs", "invariants::"),
@@ -285,7 +282,7 @@ const INVARIANT_HOOK_SITES: &[(&str, &str)] = &[
     ("crates/bgp/src/engine/kernel.rs", "invariants::"),
 ];
 
-fn cmd_audit(root: &Path, static_only: bool) -> ExitCode {
+fn cmd_audit(root: &Path) -> ExitCode {
     let (files, raw_lines) = collect_sources(root);
     // Run the rules AND the analyses first so every live annotation is
     // marked used; what remains unused is stale.
@@ -320,36 +317,7 @@ fn cmd_audit(root: &Path, static_only: bool) -> ExitCode {
         violations.len(),
         problems.len()
     );
-    if !problems.is_empty() {
-        return ExitCode::FAILURE;
-    }
-    if static_only {
-        return ExitCode::SUCCESS;
-    }
-    println!("xtask audit: running tests with --features invariant-checks");
-    let ok = run_step(
-        root,
-        "invariant tests",
-        "cargo",
-        &["test", "-q", "--features", "invariant-checks"],
-        false,
-    ) && run_step(
-        root,
-        "invariant tests (protocol crates)",
-        "cargo",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "bgpvcg-core",
-            "-p",
-            "bgpvcg-bgp",
-            "--features",
-            "bgpvcg-core/invariant-checks,bgpvcg-bgp/invariant-checks",
-        ],
-        false,
-    );
-    if ok {
+    if problems.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -838,7 +806,7 @@ fn cmd_ci(root: &Path) -> ExitCode {
     ok &= run_step(root, "format check", "cargo", &["fmt", "--check"], true);
     ok &= cmd_lint(root) == ExitCode::SUCCESS;
     ok &= cmd_analyze(root) == ExitCode::SUCCESS;
-    ok &= cmd_audit(root, true) == ExitCode::SUCCESS;
+    ok &= cmd_audit(root) == ExitCode::SUCCESS;
     ok &= run_step(
         root,
         "clippy wall",
@@ -858,13 +826,6 @@ fn cmd_ci(root: &Path) -> ExitCode {
         "workspace tests",
         "cargo",
         &["test", "-q", "--workspace"],
-        false,
-    );
-    ok &= run_step(
-        root,
-        "invariant tests",
-        "cargo",
-        &["test", "-q", "--features", "invariant-checks"],
         false,
     );
     // The benchmark harness is its own workspace, built on its pinned lock.

@@ -3,7 +3,6 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod dynamics;
 pub mod message;
 pub mod node;
 pub mod selector;

@@ -5,11 +5,7 @@ enum Message {
     Withdraw,
 }
 
-enum TopologyEvent {
-    LinkDown,
-}
-
 #[test]
 fn round_trips() {
-    let _ = (Message::Update, Message::Withdraw, TopologyEvent::LinkDown);
+    let _ = (Message::Update, Message::Withdraw);
 }

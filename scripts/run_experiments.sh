@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates every experiment (E1..E17) in release mode, saving outputs
+# Regenerates experiments E1..E18 in release mode, saving outputs
 # under results/. Fails if any experiment's verdict assertion trips.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1

@@ -132,11 +132,13 @@ fn flag<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn required_usize(pairs: &[(String, String)], key: &str) -> Result<usize, String> {
-    flag(pairs, key)
-        .ok_or_else(|| format!("missing required flag --{key}"))?
+/// The value of a required integer flag, parsed at its field's width so an
+/// out-of-range value is an error rather than a silent wrap.
+fn required<T: std::str::FromStr>(pairs: &[(String, String)], key: &str) -> Result<T, String> {
+    let value = flag(pairs, key).ok_or_else(|| format!("missing required flag --{key}"))?;
+    value
         .parse()
-        .map_err(|_| format!("--{key} must be a non-negative integer"))
+        .map_err(|_| format!("--{key} must be a non-negative integer in range, not '{value}'"))
 }
 
 fn parse_command(args: &[String]) -> Result<Command, String> {
@@ -171,7 +173,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                 family: flag(&pairs, "family")
                     .ok_or("missing required flag --family")?
                     .to_string(),
-                nodes: required_usize(&pairs, "nodes")?,
+                nodes: required(&pairs, "nodes")?,
                 seed: flag(&pairs, "seed")
                     .unwrap_or("1")
                     .parse()
@@ -186,13 +188,16 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                 family: flag(&pairs, "family")
                     .ok_or("missing required flag --family")?
                     .to_string(),
-                nodes: required_usize(&pairs, "nodes")?,
+                nodes: required(&pairs, "nodes")?,
                 seed: flag(&pairs, "seed")
                     .unwrap_or("1")
                     .parse()
                     .map_err(|_| "--seed must be an integer")?,
-                agent: required_usize(&pairs, "agent")? as u32,
-                declare: required_usize(&pairs, "declare")? as u64,
+                agent: required(&pairs, "agent")?,
+                declare: match required(&pairs, "declare")? {
+                    u64::MAX => return Err("--declare must be below u64::MAX".to_string()),
+                    declare => declare,
+                },
             })
         }
         "diameters" => {
@@ -201,7 +206,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                 family: flag(&pairs, "family")
                     .ok_or("missing required flag --family")?
                     .to_string(),
-                nodes: required_usize(&pairs, "nodes")?,
+                nodes: required(&pairs, "nodes")?,
                 seed: flag(&pairs, "seed")
                     .unwrap_or("1")
                     .parse()
@@ -213,7 +218,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             let family = flag(&pairs, "family")
                 .ok_or("missing required flag --family")?
                 .to_string();
-            let nodes = required_usize(&pairs, "nodes")?;
+            let nodes = required(&pairs, "nodes")?;
             let seed = flag(&pairs, "seed")
                 .unwrap_or("1")
                 .parse()
@@ -253,7 +258,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                 family: flag(&pairs, "family")
                     .ok_or("missing required flag --family")?
                     .to_string(),
-                nodes: required_usize(&pairs, "nodes")?,
+                nodes: required(&pairs, "nodes")?,
                 seed: flag(&pairs, "seed")
                     .unwrap_or("1")
                     .parse()
@@ -352,7 +357,7 @@ fn run_simulate(
         outcome
     } else if trace {
         let mut engine = protocol::build_sync_engine(&g).map_err(|e| e.to_string())?;
-        let report = engine.run_to_convergence_traced(|t| println!("  {t}"));
+        let report = engine.run_to_convergence_traced(|t, _| println!("  {t}"));
         println!(
             "Synchronous engine: {} stages, {} messages, {} KiB.",
             report.stages,
@@ -655,6 +660,42 @@ mod tests {
                 declare: 7
             }
         );
+    }
+
+    #[test]
+    fn deviate_rejects_an_agent_beyond_u32() {
+        // 2^32 + 3 must not wrap round to AS 3.
+        let err = parse_command(&strings(&[
+            "deviate",
+            "--family",
+            "ring",
+            "--nodes",
+            "16",
+            "--agent",
+            "4294967299",
+            "--declare",
+            "7",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--agent"), "{err}");
+    }
+
+    #[test]
+    fn deviate_rejects_the_infinite_sentinel_as_a_declaration() {
+        // u64::MAX is Cost's reserved infinity; Cost::new panics on it.
+        let err = parse_command(&strings(&[
+            "deviate",
+            "--family",
+            "ring",
+            "--nodes",
+            "16",
+            "--agent",
+            "3",
+            "--declare",
+            "18446744073709551615",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--declare"), "{err}");
     }
 
     #[test]

@@ -293,6 +293,30 @@ fn a_stepped_audited_run_accuses_like_a_whole_one() {
     }
 }
 
+/// The traced run's per-stage closure sees what a stepped twin shows after
+/// each `step()`: the same `StageTrace` and the same node states (their
+/// full `Debug` form: routes, prices, Adj-RIBs), stage by stage.
+#[test]
+fn the_traced_closure_sees_what_a_stepped_run_sees() {
+    fn states<'a>(nodes: impl Iterator<Item = &'a PricingBgpNode>) -> Vec<String> {
+        nodes.map(|node| format!("{node:?}")).collect()
+    }
+    for (name, g) in graphs() {
+        let mut traced = protocol::build_sync_engine(&g).unwrap();
+        let mut seen = Vec::new();
+        let report =
+            traced.run_to_convergence_traced(|t, nodes| seen.push((t, states(nodes.iter()))));
+        assert!(report.converged, "{name}");
+        let mut stepped = protocol::build_sync_engine(&g).unwrap();
+        let mut expected = Vec::new();
+        while let Some(t) = stepped.step() {
+            expected.push((t, states(stepped.nodes())));
+        }
+        assert!(!seen.is_empty(), "{name}");
+        assert_eq!(seen, expected, "{name}");
+    }
+}
+
 #[test]
 fn a_session_run_feeds_the_protocol_metrics() {
     let (_, g) = graphs().pop().expect("BA n=32");

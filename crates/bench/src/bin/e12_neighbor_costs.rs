@@ -74,8 +74,8 @@ fn main() {
         assert_eq!(distributed, outcome, "{} distributed", family.name());
         let mut min_margin = i128::MAX;
         for (_, _, pair) in outcome.pairs() {
-            let nodes = pair.route().nodes();
-            for &(k, p) in pair.prices() {
+            let nodes = pair.nodes();
+            for (k, p) in pair.prices() {
                 let pos = nodes.iter().position(|&x| x == k).unwrap();
                 let incurred = g.recv_cost(k, nodes[pos - 1]);
                 min_margin = min_margin

@@ -44,7 +44,7 @@ fn main() {
         let truthful = vcg::compute(&g).unwrap();
         let individually_rational = truthful
             .pairs()
-            .all(|(_, _, pair)| pair.prices().iter().all(|&(k, p)| p >= g.cost(k)));
+            .all(|(_, _, pair)| pair.prices().all(|(k, p)| p >= g.cost(k)));
         let ledger = PaymentLedger::settle(&truthful, &traffic).expect("converged outcome settles");
         let zero_pay_off_path = g
             .nodes()

@@ -408,9 +408,19 @@ impl<P: PricePolicy> Node<P> {
     pub fn price(&self, dest: AsId, k: AsId) -> Option<Cost> {
         let path = &self.selector.selected(dest)?.path;
         let transit = path.get(1..path.len().checked_sub(1)?)?;
-        let mut entries = transit.iter().zip(row(&self.prices, dest));
+        let mut entries = transit.iter().zip(self.price_row(dest));
         let (entry, &stored) = entries.find(|(entry, _)| entry.node == k)?;
         Some(P::price(entry, stored))
+    }
+
+    /// The stored entries for `dest`, aligned with the selected route's
+    /// transit nodes: entry `m` belongs to `path[m + 1]` and reads back as
+    /// its price through [`PricePolicy::price`]. Empty for a destination
+    /// without transit nodes, and in an unpriced model. Reading a whole
+    /// route's prices this way is one pass, where [`Node::price`] per
+    /// transit node searches the path each time.
+    pub fn price_row(&self, dest: AsId) -> &[Cost] {
+        row(&self.prices, dest)
     }
 
     /// One relaxation pass for `dest`: recomputes the array *from scratch*

@@ -77,7 +77,7 @@ impl PaymentLedger {
                 source: i,
                 destination: j,
             })?;
-            for &(k, price) in pair.prices() {
+            for (k, price) in pair.prices() {
                 let per_packet = price.finite().ok_or(MechanismError::MissingPrice {
                     source: i,
                     destination: j,

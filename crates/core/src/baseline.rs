@@ -221,7 +221,7 @@ pub fn all_pairs_via_single_pair_matches(graph: &AsGraph) -> Result<bool, GraphE
             let single = single_pair_node_vcg(graph, i, j)?;
             let expected: Vec<(AsId, Cost)> = reference
                 .pair(i, j)
-                .map(|p| p.prices().to_vec())
+                .map(|p| p.prices().collect())
                 .unwrap_or_default();
             if single != expected {
                 return Ok(false);

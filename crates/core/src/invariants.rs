@@ -7,29 +7,24 @@
 //! `bgpvcg-bgp`.) `cargo xtask audit` verifies that the hooks stay wired
 //! in.
 
-use bgpvcg_bgp::SelectedRoute;
-use bgpvcg_netgraph::{AsGraph, AsId, Cost};
+use bgpvcg_bgp::{PathEntry, PricePolicy};
+use bgpvcg_netgraph::{AsGraph, Cost};
 
 /// Audits one extracted pair of a quiescent network: Theorem 1 prices are
 /// `p^k = c_k + margin` with `margin ≥ 0`, so at the fixpoint every price
-/// is at least the transit node's declared cost on the selected route
-/// (`INFINITE` entries — monopoly positions after topology damage — satisfy
-/// the bound trivially).
-pub(crate) fn converged_prices(route: Option<&SelectedRoute>, prices: &[(AsId, Cost)]) {
-    let Some(route) = route else {
-        debug_assert!(prices.is_empty(), "prices extracted without a route");
-        return;
-    };
+/// — each entry of `row` read back through `P::price` against the transit
+/// entry it is aligned with — is at least that transit node's declared
+/// cost on the selected route (`INFINITE` entries — monopoly positions
+/// after topology damage — satisfy the bound trivially).
+pub(crate) fn converged_prices<P: PricePolicy>(transit: &[PathEntry], row: &[Cost]) {
     if cfg!(debug_assertions) {
-        for &(k, price) in prices {
-            let declared = route
-                .path
-                .iter()
-                .find(|e| e.node == k)
-                .map_or(Cost::INFINITE, |e| e.cost);
+        for (k, &stored) in transit.iter().zip(row) {
+            let price = P::price(k, stored);
             debug_assert!(
-                price >= declared,
-                "converged price {price} of {k} below its declared cost {declared}"
+                price >= k.cost,
+                "converged price {price} of {} below its declared cost {}",
+                k.node,
+                k.cost
             );
         }
     }
@@ -50,6 +45,7 @@ pub(crate) fn mechanism_preconditions(graph: &AsGraph) {
 mod tests {
     use super::*;
     use bgpvcg_netgraph::generators::structured::ring;
+    use bgpvcg_netgraph::AsId;
 
     #[test]
     #[cfg(debug_assertions)]

@@ -72,5 +72,5 @@ mod outcome;
 mod pricing_node;
 
 pub use errors::MechanismError;
-pub use outcome::{PairOutcome, RoutingOutcome};
+pub use outcome::{OutcomeBuilder, PairOutcome, RoutingOutcome};
 pub use pricing_node::{Fpss, PricingBgpNode};

@@ -84,12 +84,12 @@ pub fn evaluate(
     let mut incurred: u128 = 0;
     for (i, j, t) in traffic.flows() {
         // The ledger settled every flow, so every pair is routed.
-        let Some(route) = outcome.route(i, j) else {
+        let Some(pair) = outcome.pair(i, j) else {
             continue;
         };
         // `k` carries the flow when it is a transit node: the node before
         // it hands it the packet.
-        let Some(hop) = route.nodes().windows(2).find(|hop| hop[1] == k && k != j) else {
+        let Some(hop) = pair.nodes().windows(2).find(|hop| hop[1] == k && k != j) else {
             continue;
         };
         let true_cost = graph
@@ -187,8 +187,8 @@ mod tests {
         let g = random_nc_graph(12, 5);
         let outcome = compute(&g).unwrap();
         for (_, _, pair) in outcome.pairs() {
-            let nodes = pair.route().nodes();
-            for &(k, p) in pair.prices() {
+            let nodes = pair.nodes();
+            for (k, p) in pair.prices() {
                 let pos = nodes.iter().position(|&x| x == k).unwrap();
                 let incurred = g.recv_cost(k, nodes[pos - 1]);
                 assert!(p >= incurred, "{k}: price {p} below incurred {incurred}");
@@ -206,7 +206,7 @@ mod tests {
         // New LCP cost X B D Z = c_B + c_D(B) = 2 + 2 = 4 < 5, still wins.
         let outcome = compute(&g).unwrap();
         let pair = outcome.pair(Fig1::X, Fig1::Z).unwrap();
-        assert_eq!(pair.route().transit_cost(), Cost::new(4));
+        assert_eq!(pair.transit_cost(), Cost::new(4));
         // p_D = incurred 2 + (5 - 4) = 3; p_B = 2 + (5 - 4) = 3.
         assert_eq!(pair.price_of(Fig1::D), Some(Cost::new(3)));
         assert_eq!(pair.price_of(Fig1::B), Some(Cost::new(3)));

@@ -207,8 +207,8 @@ mod tests {
                 }
                 let route = node.selector().route(j).expect("still biconnected");
                 let expected_pair = reference.pair(i, j).unwrap();
-                assert_eq!(&route, expected_pair.route(), "{i}->{j} route");
-                for &(k, p) in expected_pair.prices() {
+                assert_eq!(route, expected_pair.route(), "{i}->{j} route");
+                for (k, p) in expected_pair.prices() {
                     assert_eq!(node.price(j, k), Some(p), "{i}->{j} price of {k}");
                 }
             }
@@ -273,10 +273,10 @@ mod tests {
         assert_eq!(outcome, compute(&g).unwrap());
         // Y->Z still goes Y D Z with D's Y-facing cost (1)...
         let yz = outcome.pair(Fig1::Y, Fig1::Z).unwrap();
-        assert_eq!(yz.route().nodes(), &[Fig1::Y, Fig1::D, Fig1::Z]);
+        assert_eq!(yz.nodes(), &[Fig1::Y, Fig1::D, Fig1::Z]);
         // ...while X->Z now weighs D at 4 via B: X B D Z costs 2+4=6 > 5,
         // so the LCP flips to X A Z.
         let xz = outcome.pair(Fig1::X, Fig1::Z).unwrap();
-        assert_eq!(xz.route().nodes(), &[Fig1::X, Fig1::A, Fig1::Z]);
+        assert_eq!(xz.nodes(), &[Fig1::X, Fig1::A, Fig1::Z]);
     }
 }

@@ -59,17 +59,15 @@ impl OverchargeReport {
     pub fn analyze(outcome: &RoutingOutcome) -> Self {
         let mut pairs = Vec::new();
         for (i, j, pair) in outcome.pairs() {
-            if pair.prices().is_empty() {
+            if pair.transit_nodes().is_empty() {
                 continue;
             }
             let route_cost = pair
-                .route()
                 .transit_cost()
                 .finite()
                 .expect("selected routes have finite cost"); // lint:allow(documented # Panics contract: caller passes a converged outcome)
             let total_payment = pair
                 .prices()
-                .iter()
                 .map(|(_, p)| p.finite().expect("converged prices are finite")) // lint:allow(documented # Panics contract: caller passes a converged outcome)
                 .sum();
             pairs.push(PairPremium {

@@ -9,12 +9,12 @@
 //! the nodes to [`outcome_from_nodes`].
 
 use crate::errors::MechanismError;
-use crate::outcome::{PairOutcome, RoutingOutcome};
+use crate::outcome::RoutingOutcome;
 use crate::pricing_node::PricingBgpNode;
 use bgpvcg_bgp::chaos::{ChaosEngine, ChaosReport, FaultPlan};
 use bgpvcg_bgp::engine::{RunReport, SyncEngine};
-use bgpvcg_bgp::{Node, PricePolicy, ProtocolNode, StateSnapshot};
-use bgpvcg_netgraph::{AsGraph, GraphError};
+use bgpvcg_bgp::{Node, PathEntry, PricePolicy, ProtocolNode, SelectedRoute, StateSnapshot};
+use bgpvcg_netgraph::{AsGraph, AsId, GraphError};
 
 /// Everything a synchronous pricing run produces.
 #[derive(Debug, Clone)]
@@ -167,11 +167,15 @@ pub fn build_chaos_engine(
 /// [`FaultPlan::asynchronous`] this is the asynchronous run: per-link FIFO
 /// delivery in a seed-drawn interleaving.
 ///
+/// A run cut off by `max_stages` before the fixpoint still returns `Ok`,
+/// with a partial outcome (missing pairs, `∞` prices): check
+/// [`ChaosReport::converged`].
+///
 /// # Errors
 ///
 /// Returns the graph-validation error if the mechanism's preconditions
-/// fail, [`MechanismError::MissingPrice`] if the run was cut off before
-/// the pricing fixpoint (check [`ChaosReport::converged`]).
+/// fail; see [`outcome_from_nodes`] for the defensive
+/// [`MechanismError::MissingPrice`].
 pub fn run_chaos(
     graph: &AsGraph,
     plan: FaultPlan,
@@ -182,14 +186,23 @@ pub fn run_chaos(
     Ok((outcome_from_nodes(&engine.into_nodes())?, report))
 }
 
-/// Extracts the distributed state of converged nodes — of either priced
-/// model — into a [`RoutingOutcome`].
+/// Extracts the distributed state of nodes — of either priced model —
+/// into a [`RoutingOutcome`], reading each selected path and its price row
+/// together in one pass.
+///
+/// Nodes read before the pricing fixpoint yield a *partial* outcome, not
+/// an error: pairs without a selected route are absent, and prices not
+/// yet relaxed read `∞`. Whether the run reached the fixpoint is the
+/// report's `converged` flag, not this result.
 ///
 /// # Errors
 ///
-/// Returns [`MechanismError::MissingPrice`] if a selected route carries a
-/// transit node without a converged price entry — i.e. the nodes were read
-/// before the pricing fixpoint was reached.
+/// Returns [`MechanismError::MissingPrice`] if a selected route has more
+/// transit nodes than its price row has entries: always for a route with
+/// transit nodes in the unpriced model, never for a priced node an engine
+/// ran — a selected route's row is relaxed to its full length whenever
+/// the route is selected — so there it is a defence, not a convergence
+/// signal.
 ///
 /// # Panics
 ///
@@ -197,32 +210,55 @@ pub fn run_chaos(
 pub fn outcome_from_nodes<P: PricePolicy>(
     nodes: &[Node<P>],
 ) -> Result<RoutingOutcome, MechanismError> {
-    let n = nodes.len();
-    let mut pairs: Vec<Option<PairOutcome>> = vec![None; n * n];
+    let mut table = RoutingOutcome::builder(nodes.len());
+    let lengths = nodes
+        .iter()
+        .flat_map(|node| selected_routes(node).map(|(_, selected)| selected.path.len()));
+    let (cells, transit) = lengths.fold((0, 0), |(cells, transit), len| {
+        (cells + len, transit + len.saturating_sub(2))
+    });
+    table.reserve(cells, transit);
     for (idx, node) in nodes.iter().enumerate() {
         assert_eq!(node.id().index(), idx, "nodes must be in AS order");
         let i = node.id();
-        for j in node.selector().destinations().collect::<Vec<_>>() {
-            if j == i {
-                continue;
-            }
-            let Some(route) = node.selector().route(j) else {
-                continue;
-            };
-            let mut prices = Vec::with_capacity(route.transit_nodes().len());
-            for &k in route.transit_nodes() {
-                let price = node.price(j, k).ok_or(MechanismError::MissingPrice {
+        for (j, selected) in selected_routes(node) {
+            let path: &[PathEntry] = &selected.path;
+            let transit = path
+                .get(1..path.len().saturating_sub(1))
+                .unwrap_or_default();
+            let row = node.price_row(j);
+            if let Some(k) = transit.get(row.len()) {
+                return Err(MechanismError::MissingPrice {
                     source: i,
                     destination: j,
-                    transit: k,
-                })?;
-                prices.push((k, price));
+                    transit: k.node,
+                });
             }
-            crate::invariants::converged_prices(node.selector().selected(j), prices.as_slice());
-            pairs[i.index() * n + j.index()] = Some(PairOutcome::new(route, prices));
+            crate::invariants::converged_prices::<P>(transit, row);
+            table.push(
+                i,
+                j,
+                selected.cost,
+                path.iter().map(|entry| entry.node),
+                transit
+                    .iter()
+                    .zip(row)
+                    .map(|(k, &stored)| P::price(k, stored)),
+            );
         }
     }
-    Ok(RoutingOutcome::from_pairs(n, pairs))
+    Ok(table.finish())
+}
+
+/// A node's selected routes to every destination other than itself.
+fn selected_routes<P: PricePolicy>(
+    node: &Node<P>,
+) -> impl Iterator<Item = (AsId, &SelectedRoute)> + '_ {
+    let selector = node.selector();
+    selector
+        .destinations()
+        .filter(move |&j| j != selector.id())
+        .filter_map(move |j| Some((j, selector.selected(j)?)))
 }
 
 #[cfg(test)]
@@ -375,6 +411,24 @@ mod tests {
         assert!(report.converged, "{report}");
         assert_eq!(report.crashes, 1);
         assert_eq!(outcome, reference);
+    }
+
+    #[test]
+    fn a_cut_off_run_yields_a_partial_outcome_not_an_error() {
+        // Three stages into an asynchronous ring run, few routes are
+        // selected and some prices are still ∞: the result is `Ok`, and
+        // only `converged` says it is not the fixpoint.
+        let g = ring(16, Cost::new(2));
+        let (outcome, report) = run_chaos(&g, FaultPlan::asynchronous(0), 3).unwrap();
+        assert!(!report.converged);
+        assert!(outcome.pairs().count() < 16 * 15, "some pairs unrouted");
+        let unrelaxed = outcome
+            .pairs()
+            .flat_map(|(_, _, pair)| pair.prices())
+            .filter(|(_, p)| p.is_infinite())
+            .count();
+        assert!(unrelaxed > 0, "some prices still ∞");
+        assert_ne!(outcome, vcg::compute(&g).unwrap());
     }
 
     #[test]

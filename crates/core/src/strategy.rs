@@ -180,7 +180,6 @@ pub fn efficiency_loss(
                 .pair(i, j)
                 .expect("validated graphs route every pair"); // lint:allow(vcg::compute validated connectivity two lines up)
             let route_true_cost: u128 = pair
-                .route()
                 .transit_nodes()
                 .iter()
                 .map(|&x| u128::from(graph.cost(x).finite().expect("finite true costs"))) // lint:allow(AsGraph construction rejects infinite node costs)

@@ -17,10 +17,10 @@
 //! distributed protocol is checked (Theorem 2), and the reference
 //! implementation used by the strategyproofness harness.
 
-use crate::outcome::{PairOutcome, RoutingOutcome};
+use crate::outcome::RoutingOutcome;
 use bgpvcg_lcp::avoiding::AvoidanceTable;
 use bgpvcg_lcp::{AllPairsLcp, CostModel};
-use bgpvcg_netgraph::{Cost, GraphError};
+use bgpvcg_netgraph::GraphError;
 
 /// Computes the full VCG outcome — all LCPs and all prices — for a
 /// biconnected graph, under either cost model ([`CostModel`]: node costs
@@ -74,8 +74,16 @@ pub fn from_parts<C: CostModel + ?Sized>(
     avoidance: &AvoidanceTable,
 ) -> Result<RoutingOutcome, GraphError> {
     let topology = graph.topology();
-    let n = topology.node_count();
-    let mut pairs: Vec<Option<PairOutcome>> = vec![None; n * n];
+    let mut table = RoutingOutcome::builder(topology.node_count());
+    let (mut nodes, mut transit) = (0, 0);
+    for i in topology.nodes() {
+        for j in topology.nodes().filter(|&j| j != i) {
+            let len = lcp.route(i, j).map_or(0, |route| route.nodes().len());
+            nodes += len;
+            transit += len.saturating_sub(2);
+        }
+    }
+    table.reserve(nodes, transit);
     for i in topology.nodes() {
         for j in topology.nodes() {
             if i == j {
@@ -86,23 +94,31 @@ pub fn from_parts<C: CostModel + ?Sized>(
             };
             let lcp_cost = route.transit_cost();
             let entries = avoidance.entries(i, j);
-            let mut prices = Vec::with_capacity(entries.len());
+            // An infinite k-avoiding cost means no k-avoiding path exists:
+            // the graph lost biconnectivity.
+            if entries.iter().any(|entry| entry.cost.is_infinite()) {
+                return Err(GraphError::NotBiconnected);
+            }
+            debug_assert!(
+                entries
+                    .iter()
+                    .map(|entry| entry.avoided)
+                    .eq(route.transit_nodes().iter().copied()),
+                "avoidance entries follow the route's transit nodes"
+            );
             // Entries follow the path, so entry m's transit node receives
             // the packet from nodes[m]; c_k(pred) is what k incurs.
-            for (entry, &pred) in entries.iter().zip(route.nodes()) {
-                // An infinite k-avoiding cost means no k-avoiding path
-                // exists: the graph lost biconnectivity.
-                let avoid_cost = entry.cost.finite().ok_or(GraphError::NotBiconnected)?;
-                let margin = Cost::new(avoid_cost)
+            let prices = entries.iter().zip(route.nodes()).map(|(entry, &pred)| {
+                let margin = entry
+                    .cost
                     .checked_sub(lcp_cost)
                     .expect("a k-avoiding path is itself a path, so it cannot beat the LCP"); // lint:allow(mathematical invariant of shortest paths)
-                let incurred = graph.transit_cost(entry.avoided, pred);
-                prices.push((entry.avoided, incurred + margin));
-            }
-            pairs[i.index() * n + j.index()] = Some(PairOutcome::new(route.clone(), prices));
+                graph.transit_cost(entry.avoided, pred) + margin
+            });
+            table.push(i, j, lcp_cost, route.nodes().iter().copied(), prices);
         }
     }
-    Ok(RoutingOutcome::from_pairs(n, pairs))
+    Ok(table.finish())
 }
 
 #[cfg(test)]
@@ -110,7 +126,7 @@ mod tests {
     use super::*;
     use bgpvcg_netgraph::generators::structured::{fig1, ring, wheel, Fig1};
     use bgpvcg_netgraph::generators::{erdos_renyi, from_edges, random_costs};
-    use bgpvcg_netgraph::{AsGraph, AsId};
+    use bgpvcg_netgraph::{AsGraph, AsId, Cost};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -141,7 +157,7 @@ mod tests {
         let g = erdos_renyi(costs, 0.3, &mut rng);
         let outcome = compute(&g).unwrap();
         for (_, _, pair) in outcome.pairs() {
-            for &(k, p) in pair.prices() {
+            for (k, p) in pair.prices() {
                 assert!(p >= g.cost(k), "price {p} below cost {} of {k}", g.cost(k));
             }
         }
@@ -186,7 +202,7 @@ mod tests {
                 }
                 let fwd = outcome.pair(i, j).unwrap();
                 let back = outcome.pair(j, i).unwrap();
-                for &(k, p) in fwd.prices() {
+                for (k, p) in fwd.prices() {
                     assert_eq!(back.price_of(k), Some(p), "{i}->{j} vs {j}->{i} at {k}");
                 }
             }
@@ -203,7 +219,7 @@ mod tests {
         // Opposite rim nodes 1 and 3: LCP is 1,0,3 (cost 0); best
         // hub-avoiding path is 1,2,3 (cost 10).
         let pair = outcome.pair(AsId::new(1), AsId::new(3)).unwrap();
-        assert_eq!(pair.route().nodes(), &[AsId::new(1), hub, AsId::new(3)]);
+        assert_eq!(pair.nodes(), &[AsId::new(1), hub, AsId::new(3)]);
         assert_eq!(pair.price_of(hub), Some(Cost::new(10)));
     }
 
@@ -267,11 +283,11 @@ mod tests {
                     let lcp_cost = paths.iter().map(|(_, c)| *c).min().unwrap();
                     let pair = outcome.pair(i, j).unwrap();
                     assert_eq!(
-                        pair.route().transit_cost(),
+                        pair.transit_cost(),
                         Cost::new(lcp_cost),
                         "seed {seed}: LCP cost {i}->{j}"
                     );
-                    for &(k, price) in pair.prices() {
+                    for (k, price) in pair.prices() {
                         let avoid_cost = paths
                             .iter()
                             .filter(|(p, _)| !p.contains(&k))

@@ -86,7 +86,7 @@ fn sync_and_asynchronous_price_relaxations_project_to_the_same_fixpoint() {
             let Some(pair) = reference.pair(AsId::new(i), AsId::new(j)) else {
                 continue;
             };
-            for &(k, price) in pair.prices() {
+            for (k, price) in pair.prices() {
                 assert_eq!(
                     sync_prices.get(&(i, j, k.raw())).copied(),
                     price.finite(),

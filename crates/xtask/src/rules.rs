@@ -15,17 +15,19 @@
 //! 4. **engine-hygiene** — no `Ordering::Relaxed` and no bare
 //!    `thread::spawn` inside `crates/bgp/src/engine/`.
 //! 5. **stage-alloc** — no `Vec::new()` / `Vec::with_capacity(` /
-//!    `vec![` / `.to_vec()` / `.collect()` / `{Hash,BTree}Map::new()` /
-//!    `BTreeSet::new()` allocation inside the hot-path bodies listed in
-//!    [`STAGE_ALLOC_SCOPES`]: the shared stage engine's stage body,
-//!    handle pass and send path under both transports, the wire-v2 encode
-//!    path, the profiler brackets, the per-node step (selector
-//!    ingest/decide, the node's `handle` and relaxation with the policy
-//!    terms it evaluates, the Adj-RIB-Out diff/emit), and the observer
-//!    (the instrument bundle's per-update calls, the update tracer's
-//!    shadow diff, the health monitor's fold), whose buffers are reused by
-//!    design. A listed file or function that no longer exists is itself
-//!    a violation: a rename must not leave the rule checking nothing.
+//!    `vec![` / `.to_vec()` / `.collect()` / `.collect::<` /
+//!    `{Hash,BTree}Map::new()` / `BTreeSet::new()` allocation inside the
+//!    hot-path bodies listed in [`STAGE_ALLOC_SCOPES`]: the shared stage
+//!    engine's stage body, handle pass and send path under both
+//!    transports, the wire-v2 encode path, the profiler brackets, the
+//!    per-node step (selector ingest/decide, the node's `handle` and
+//!    relaxation with the policy terms it evaluates, the Adj-RIB-Out
+//!    diff/emit), the observer (the instrument bundle's per-update calls,
+//!    the update tracer's shadow diff, the health monitor's fold), whose
+//!    buffers are reused by design, and the per-pair loops that build the
+//!    mechanism's output table. A listed file or function that no longer
+//!    exists is itself a violation: a rename must not leave the rule
+//!    checking nothing.
 //! 6. **unsafe-audit** — every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`, no first-party line uses `unsafe`, and
 //!    vendored stand-ins are unsafe-free unless enumerated (with a reason)
@@ -386,6 +388,11 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
         "crates/core/src/neighbor_costs/node.rs",
         &["charged_by", "detour_base"],
     ),
+    // The mechanism's output: both producers' per-pair loops and the flat
+    // table's append, which build it with no allocation per pair.
+    ("crates/core/src/protocol.rs", &["outcome_from_nodes"]),
+    ("crates/core/src/vcg.rs", &["from_parts"]),
+    ("crates/core/src/outcome.rs", &["push", "skip_to"]),
     (
         "crates/bgp/src/telemetry.rs",
         &[
@@ -436,6 +443,10 @@ const STAGE_ALLOC_TOKENS: &[(&str, &str)] = &[
     ),
     (
         ".collect()",
+        "collecting allocates — fill a reused buffer, or name the output it builds",
+    ),
+    (
+        ".collect::<",
         "collecting allocates — fill a reused buffer, or name the output it builds",
     ),
 ];
@@ -822,6 +833,18 @@ mod tests {
             (
                 "crates/core/src/neighbor_costs/node.rs",
                 "fn charged_by(&self) {\n    let a: Vec<u8> = it.collect();\n}",
+            ),
+            (
+                "crates/core/src/protocol.rs",
+                "fn outcome_from_nodes(nodes: &[N]) {\n    for j in d.collect::<Vec<_>>() {}\n}",
+            ),
+            (
+                "crates/core/src/vcg.rs",
+                "fn from_parts(g: &G) {\n    let prices = Vec::with_capacity(4);\n}",
+            ),
+            (
+                "crates/core/src/outcome.rs",
+                "fn push(&mut self) {\n    let route = nodes.to_vec();\n}",
             ),
         ];
         for (path, src) in cases {

@@ -26,13 +26,12 @@ fn show_x_to_z(outcome: &bgp_vcg::RoutingOutcome) {
         .collect();
     let prices: Vec<String> = pair
         .prices()
-        .iter()
         .map(|(k, p)| format!("{}={p}", names[k.index()]))
         .collect();
     println!(
         "  X->Z now routes {} (cost {}), prices [{}]",
         path.join(" "),
-        pair.route().transit_cost(),
+        pair.transit_cost(),
         prices.join(", ")
     );
 }

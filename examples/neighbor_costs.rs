@@ -48,7 +48,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             .collect();
         let prices: Vec<String> = pair
             .prices()
-            .iter()
             .map(|(k, p)| format!("{}={p}", NAMES[k.index()]))
             .collect();
         println!(
@@ -56,7 +55,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             NAMES[src.index()],
             NAMES[dst.index()],
             path.join(" "),
-            pair.route().transit_cost(),
+            pair.transit_cost(),
             prices.join(", ")
         );
     }

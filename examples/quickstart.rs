@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             .collect();
         let prices: Vec<String> = pair
             .prices()
-            .iter()
             .map(|(k, p)| format!("{}={p}", names[k.index()]))
             .collect();
         println!(
@@ -52,7 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             names[i.index()],
             names[j.index()],
             path.join(" "),
-            pair.route().transit_cost().to_string(),
+            pair.transit_cost().to_string(),
             prices.join(", ")
         );
     }

@@ -106,10 +106,10 @@ enum Command {
     Help,
 }
 
-/// Extracts `--key value` pairs; returns an error naming the first
-/// unknown or value-less flag.
-fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, String> {
-    let mut pairs = Vec::new();
+/// Extracts `--key value` pairs for a verb that accepts the flags `keys`;
+/// returns an error naming the first unknown, repeated or value-less flag.
+fn parse_flags(args: &[String], keys: &[&str]) -> Result<Vec<(String, String)>, String> {
+    let mut pairs: Vec<(String, String)> = Vec::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let Some(key) = flag.strip_prefix("--") else {
@@ -117,6 +117,16 @@ fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, String> {
                 "unexpected argument '{flag}' (flags start with --)"
             ));
         };
+        if !keys.contains(&key) {
+            let known: Vec<String> = keys.iter().map(|k| format!("--{k}")).collect();
+            return Err(format!(
+                "unknown flag --{key} (this command accepts {})",
+                known.join(", ")
+            ));
+        }
+        if pairs.iter().any(|(k, _)| k == key) {
+            return Err(format!("flag --{key} is given more than once"));
+        }
         let Some(value) = iter.next() else {
             return Err(format!("flag --{key} is missing a value"));
         };
@@ -156,7 +166,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             }
         }
         "simulate" => {
-            let pairs = parse_flags(rest)?;
+            let pairs = parse_flags(rest, &["family", "nodes", "seed", "engine", "trace"])?;
             let engine = flag(&pairs, "engine").unwrap_or("sync");
             if engine != "sync" && engine != "async" {
                 return Err("--engine must be 'sync' or 'async'".to_string());
@@ -183,7 +193,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             })
         }
         "deviate" => {
-            let pairs = parse_flags(rest)?;
+            let pairs = parse_flags(rest, &["family", "nodes", "seed", "agent", "declare"])?;
             Ok(Command::Deviate {
                 family: flag(&pairs, "family")
                     .ok_or("missing required flag --family")?
@@ -201,7 +211,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             })
         }
         "diameters" => {
-            let pairs = parse_flags(rest)?;
+            let pairs = parse_flags(rest, &["family", "nodes", "seed"])?;
             Ok(Command::Diameters {
                 family: flag(&pairs, "family")
                     .ok_or("missing required flag --family")?
@@ -214,7 +224,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             })
         }
         "metrics" | "audit" => {
-            let pairs = parse_flags(rest)?;
+            let pairs = parse_flags(rest, &["family", "nodes", "seed"])?;
             let family = flag(&pairs, "family")
                 .ok_or("missing required flag --family")?
                 .to_string();
@@ -238,7 +248,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             })
         }
         "dot" => {
-            let pairs = parse_flags(rest)?;
+            let pairs = parse_flags(rest, &["family", "nodes", "seed", "route"])?;
             let route = match flag(&pairs, "route") {
                 None => None,
                 Some(spec) => {
@@ -708,6 +718,41 @@ mod tests {
     fn flags_must_have_values() {
         let err = parse_command(&strings(&["diameters", "--family"])).unwrap_err();
         assert!(err.contains("missing a value"));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected_by_name() {
+        // A typo must not silently run with the default seed.
+        let err = parse_command(&strings(&[
+            "simulate", "--family", "ring", "--nodes", "16", "--sed", "5",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--sed"), "{err}");
+        // A flag of another verb is unknown here too.
+        let err = parse_command(&strings(&[
+            "diameters",
+            "--family",
+            "ring",
+            "--nodes",
+            "16",
+            "--agent",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--agent"), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_flag_is_rejected_by_name() {
+        // `--seed 5 --seed 9` must not silently pick one of the two.
+        let err = parse_command(&strings(&[
+            "simulate", "--family", "ring", "--nodes", "16", "--seed", "5", "--seed", "9",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("--seed") && err.contains("more than once"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn all_zero_costs_still_exact() {
     // With zero costs every price is zero: the avoiding margin is the only
     // term and all paths cost 0.
     for (_, _, pair) in run.outcome.pairs() {
-        for &(_, p) in pair.prices() {
+        for (_, p) in pair.prices() {
             assert_eq!(p, Cost::ZERO);
         }
     }
@@ -190,8 +190,8 @@ fn outcome_indexing_round_trip() {
     for (i, j, pair) in run.outcome.pairs() {
         assert_eq!(pair.route().source(), i);
         assert_eq!(pair.route().destination(), j);
-        assert_eq!(run.outcome.route(i, j), Some(pair.route()));
-        for &(k, p) in pair.prices() {
+        assert_eq!(run.outcome.pair(i, j), Some(pair));
+        for (k, p) in pair.prices() {
             assert_eq!(run.outcome.price(i, j, k), Some(p));
             assert!(k != i && k != j);
         }
@@ -207,10 +207,10 @@ fn routes_stay_within_graph() {
     let g = erdos_renyi(random_costs(15, 1, 9, &mut rng), 0.3, &mut rng);
     let run = protocol::run_sync(&g).unwrap();
     for (_, _, pair) in run.outcome.pairs() {
-        for &node in pair.route().nodes() {
+        for &node in pair.nodes() {
             assert!(g.contains_node(node));
         }
-        for w in pair.route().nodes().windows(2) {
+        for w in pair.nodes().windows(2) {
             assert!(g.has_link(w[0], w[1]), "route uses a non-existent link");
         }
     }
@@ -224,6 +224,6 @@ fn facade_reexports_compose() {
     let g: AsGraph = fig1();
     let _: AsId = Fig1::D;
     let outcome: bgp_vcg::RoutingOutcome = vcg::compute(&g).unwrap();
-    let _: Option<&bgp_vcg::PairOutcome> = outcome.pair(Fig1::X, Fig1::Z);
+    let _: Option<bgp_vcg::PairOutcome<'_>> = outcome.pair(Fig1::X, Fig1::Z);
     let _ = bgp_vcg::PricingBgpNode::from_graph(&g);
 }

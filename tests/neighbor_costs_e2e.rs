@@ -85,12 +85,12 @@ fn nc_asymmetry_is_flow_specific() {
     let outcome = neighbor_costs::compute(&g).unwrap();
     // X->Z rerouted off D...
     assert_eq!(
-        outcome.pair(Fig1::X, Fig1::Z).unwrap().route().nodes(),
+        outcome.pair(Fig1::X, Fig1::Z).unwrap().nodes(),
         &[Fig1::X, Fig1::A, Fig1::Z]
     );
     // ...while Y->Z still uses D through its untouched Y-facing link.
     assert_eq!(
-        outcome.pair(Fig1::Y, Fig1::Z).unwrap().route().nodes(),
+        outcome.pair(Fig1::Y, Fig1::Z).unwrap().nodes(),
         &[Fig1::Y, Fig1::D, Fig1::Z]
     );
     // And the distributed protocol agrees on the asymmetric instance.

@@ -63,7 +63,7 @@ proptest! {
         let g = graph_from(n, density, max_cost, seed);
         let outcome = vcg::compute(&g).unwrap();
         for (_, _, pair) in outcome.pairs() {
-            for &(k, p) in pair.prices() {
+            for (k, p) in pair.prices() {
                 prop_assert!(p >= g.cost(k));
                 prop_assert!(pair.route().is_transit(k));
             }

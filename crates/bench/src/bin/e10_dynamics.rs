@@ -2,7 +2,7 @@
 //! route is changed".
 //!
 //! Converges the pricing protocol on Internet-like topologies, then applies
-//! single topology events — link failures on and off LCPs, link
+//! single topology events — link failures (random, and at the hub), link
 //! activations, and cost re-declarations — measuring reconvergence stages
 //! and traffic, and verifying after every event that the distributed state
 //! again equals a fresh centralized VCG computation on the changed network.
@@ -14,30 +14,9 @@ use bgpvcg_bench::stats;
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::TopologyEvent;
 use bgpvcg_core::{protocol, vcg};
-use bgpvcg_lcp::AllPairsLcp;
 use bgpvcg_netgraph::{AsGraph, Cost};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Classifies a link as on-LCP (carries some selected route) or off-LCP.
-fn link_on_some_lcp(lcp: &AllPairsLcp, a: bgpvcg_netgraph::AsId, b: bgpvcg_netgraph::AsId) -> bool {
-    let n = lcp.node_count();
-    for j in 0..n {
-        let tree = lcp.tree(bgpvcg_netgraph::AsId::new(j as u32));
-        for i in tree.reachable() {
-            if let Some(route) = tree.route(i) {
-                if route
-                    .nodes()
-                    .windows(2)
-                    .any(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a))
-                {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
 
 fn main() {
     println!("E10 — reconvergence after topology events (pricing protocol)\n");
@@ -52,10 +31,10 @@ fn main() {
         "mean msgs",
         "exact after event",
     ]);
-    // Note: there is no "link off every LCP" category — the direct link
-    // between two ASs is always their own selected route (cost 0, one
-    // hop), so every link carries at least one LCP. The hub category fails
-    // a link at the highest-degree node instead, the worst blast radius.
+    // Every link is on some LCP: the direct link between two ASs is their
+    // own selected route (cost 0, one hop, and no other path has one hop),
+    // so a failed link always moves routes. The hub category fails a link
+    // at the highest-degree node, the worst blast radius.
     for family in [
         Family::BarabasiAlbert,
         Family::Hierarchy,
@@ -75,7 +54,6 @@ fn main() {
             while done < trials && seed < 200 {
                 seed += 1;
                 let g = family.build(n, seed);
-                let lcp = AllPairsLcp::compute(&g);
                 let mut rng = StdRng::seed_from_u64(1_000 + seed);
 
                 // Pick an applicable event; skip seeds where none exists.
@@ -91,7 +69,6 @@ fn main() {
                             .filter(|l| {
                                 let touches_hub = l.a() == hub || l.b() == hub;
                                 (event_kind.contains("hub") == touches_hub)
-                                    && link_on_some_lcp(&lcp, l.a(), l.b())
                                     && g.without_link(l.a(), l.b())
                                         .is_ok_and(|g2| g2.is_biconnected())
                             })

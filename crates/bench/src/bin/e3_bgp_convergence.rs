@@ -120,7 +120,7 @@ fn main() {
             for i in g.nodes().take(4) {
                 for j in g.nodes().take(4) {
                     assert_eq!(
-                        engine.node(i).selector().route(j).as_ref(),
+                        engine.node(i).selector().route(j),
                         lcp.route(i, j),
                         "{} n={n}: {i}->{j}",
                         family.name()

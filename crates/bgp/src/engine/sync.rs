@@ -197,7 +197,7 @@ mod tests {
         let lcp = AllPairsLcp::compute(&g);
         for i in g.nodes() {
             for j in g.nodes() {
-                let expected = lcp.route(i, j).unwrap().clone();
+                let expected = lcp.route(i, j).unwrap();
                 let actual = engine.node(i).selector().route(j).unwrap();
                 assert_eq!(actual, expected, "{i} -> {j}");
             }
@@ -310,7 +310,7 @@ mod tests {
             for i in g.nodes() {
                 for j in g.nodes() {
                     assert_eq!(
-                        engine.node(i).selector().route(j).as_ref(),
+                        engine.node(i).selector().route(j),
                         lcp.route(i, j),
                         "seed {seed}: {i} -> {j}"
                     );
@@ -340,7 +340,7 @@ mod tests {
         for i in g.nodes() {
             for j in g.nodes() {
                 assert_eq!(
-                    engine.node(i).selector().route(j).as_ref(),
+                    engine.node(i).selector().route(j),
                     lcp2.route(i, j),
                     "{i} -> {j} after link failure"
                 );
@@ -358,7 +358,7 @@ mod tests {
         for i in fig1().nodes() {
             for j in fig1().nodes() {
                 assert_eq!(
-                    engine.node(i).selector().route(j).as_ref(),
+                    engine.node(i).selector().route(j),
                     lcp.route(i, j),
                     "{i} -> {j} after link up"
                 );
@@ -378,7 +378,7 @@ mod tests {
         for i in g.nodes() {
             for j in g.nodes() {
                 assert_eq!(
-                    engine.node(i).selector().route(j).as_ref(),
+                    engine.node(i).selector().route(j),
                     lcp2.route(i, j),
                     "{i} -> {j} after cost change"
                 );
@@ -429,7 +429,7 @@ mod tests {
         let lcp = AllPairsLcp::compute(&g);
         for i in g.nodes() {
             assert_eq!(
-                engine.node(i).selector().route(AsId::new(0)).as_ref(),
+                engine.node(i).selector().route(AsId::new(0)),
                 lcp.route(i, AsId::new(0))
             );
         }

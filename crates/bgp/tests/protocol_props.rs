@@ -30,7 +30,7 @@ fn assert_routes_match(
     for i in g.nodes() {
         for j in g.nodes() {
             let actual = engine.node(i).selector().route(j);
-            prop_assert_eq!(actual.as_ref(), lcp.route(i, j), "{} -> {}", i, j);
+            prop_assert_eq!(actual, lcp.route(i, j), "{} -> {}", i, j);
         }
     }
     Ok(())

@@ -78,7 +78,7 @@ pub fn from_parts<C: CostModel + ?Sized>(
     let (mut nodes, mut transit) = (0, 0);
     for i in topology.nodes() {
         for j in topology.nodes().filter(|&j| j != i) {
-            let len = lcp.route(i, j).map_or(0, |route| route.nodes().len());
+            let len = lcp.tree(j).hops(i).map_or(0, |hops| hops + 1);
             nodes += len;
             transit += len.saturating_sub(2);
         }
@@ -86,13 +86,12 @@ pub fn from_parts<C: CostModel + ?Sized>(
     table.reserve(nodes, transit);
     for i in topology.nodes() {
         for j in topology.nodes() {
-            if i == j {
+            let tree = lcp.tree(j);
+            if i == j || tree.hops(i).is_none() {
                 continue;
             }
-            let Some(route) = lcp.route(i, j) else {
-                continue;
-            };
-            let lcp_cost = route.transit_cost();
+            let lcp_cost = tree.cost(i);
+            let path = tree.path(i);
             let entries = avoidance.entries(i, j);
             // An infinite k-avoiding cost means no k-avoiding path exists:
             // the graph lost biconnectivity.
@@ -103,19 +102,19 @@ pub fn from_parts<C: CostModel + ?Sized>(
                 entries
                     .iter()
                     .map(|entry| entry.avoided)
-                    .eq(route.transit_nodes().iter().copied()),
+                    .eq(path.clone().skip(1).filter(|&k| k != j)),
                 "avoidance entries follow the route's transit nodes"
             );
             // Entries follow the path, so entry m's transit node receives
-            // the packet from nodes[m]; c_k(pred) is what k incurs.
-            let prices = entries.iter().zip(route.nodes()).map(|(entry, &pred)| {
+            // the packet from the path's node m; c_k(pred) is what k incurs.
+            let prices = entries.iter().zip(path.clone()).map(|(entry, pred)| {
                 let margin = entry
                     .cost
                     .checked_sub(lcp_cost)
                     .expect("a k-avoiding path is itself a path, so it cannot beat the LCP"); // lint:allow(mathematical invariant of shortest paths)
                 graph.transit_cost(entry.avoided, pred) + margin
             });
-            table.push(i, j, lcp_cost, route.nodes().iter().copied(), prices);
+            table.push(i, j, lcp_cost, path, prices);
         }
     }
     Ok(table.finish())

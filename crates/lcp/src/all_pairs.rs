@@ -3,9 +3,7 @@
 use crate::dijkstra::{shortest_tree, CostModel};
 use crate::route::Route;
 use crate::tree::DestinationTree;
-use bgpvcg_netgraph::{AsId, Cost};
-use serde::{Deserialize, Serialize};
-use std::fmt;
+use bgpvcg_netgraph::AsId;
 
 /// Lowest-cost routes for **all** source–destination pairs: one
 /// [`DestinationTree`] per destination.
@@ -22,10 +20,10 @@ use std::fmt;
 ///
 /// let g = fig1();
 /// let lcp = AllPairsLcp::compute(&g);
-/// assert!(lcp.is_transit(Fig1::D, Fig1::X, Fig1::Z));
-/// assert!(!lcp.is_transit(Fig1::A, Fig1::X, Fig1::Z));
+/// let route = lcp.route(Fig1::X, Fig1::Z).expect("connected");
+/// assert_eq!(route.transit_nodes(), &[Fig1::B, Fig1::D]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllPairsLcp {
     trees: Vec<DestinationTree>,
 }
@@ -63,30 +61,8 @@ impl AllPairsLcp {
 
     /// The selected route from `i` to `j` (`None` if unreachable; the
     /// trivial route if `i == j`).
-    pub fn route(&self, i: AsId, j: AsId) -> Option<&Route> {
+    pub fn route(&self, i: AsId, j: AsId) -> Option<Route> {
         self.trees[j.index()].route(i)
-    }
-
-    /// The LCP cost `c(i, j)`; zero when `i == j`, infinite when
-    /// unreachable.
-    pub fn cost(&self, i: AsId, j: AsId) -> Cost {
-        self.trees[j.index()].cost(i)
-    }
-
-    /// The indicator `I_k(c; i, j)`: is `k` a transit node on the selected
-    /// route from `i` to `j`? Always `false` when `k ∈ {i, j}`.
-    pub fn is_transit(&self, k: AsId, i: AsId, j: AsId) -> bool {
-        self.trees[j.index()].is_transit(k, i)
-    }
-}
-
-impl fmt::Display for AllPairsLcp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "AllPairsLcp over {} ASs", self.node_count())?;
-        for tree in &self.trees {
-            write!(f, "{tree}")?;
-        }
-        Ok(())
     }
 }
 
@@ -94,6 +70,7 @@ impl fmt::Display for AllPairsLcp {
 mod tests {
     use super::*;
     use bgpvcg_netgraph::generators::structured::{fig1, ring, Fig1};
+    use bgpvcg_netgraph::Cost;
 
     #[test]
     fn computes_every_tree() {
@@ -107,11 +84,9 @@ mod tests {
     }
 
     #[test]
-    fn route_and_cost_delegate_to_trees() {
+    fn route_delegates_to_trees() {
         let g = fig1();
         let lcp = AllPairsLcp::compute(&g);
-        assert_eq!(lcp.cost(Fig1::X, Fig1::Z), Cost::new(3));
-        assert_eq!(lcp.cost(Fig1::Z, Fig1::Z), Cost::ZERO);
         assert_eq!(
             lcp.route(Fig1::Y, Fig1::Z).unwrap().nodes(),
             &[Fig1::Y, Fig1::D, Fig1::Z]
@@ -126,22 +101,7 @@ mod tests {
         let lcp = AllPairsLcp::compute(&g);
         for i in g.nodes() {
             for j in g.nodes() {
-                assert_eq!(lcp.cost(i, j), lcp.cost(j, i));
-            }
-        }
-    }
-
-    #[test]
-    fn endpoints_are_never_transit() {
-        let g = fig1();
-        let lcp = AllPairsLcp::compute(&g);
-        for i in g.nodes() {
-            for j in g.nodes() {
-                if i == j {
-                    continue;
-                }
-                assert!(!lcp.is_transit(i, i, j));
-                assert!(!lcp.is_transit(j, i, j));
+                assert_eq!(lcp.tree(j).cost(i), lcp.tree(i).cost(j));
             }
         }
     }

@@ -118,6 +118,9 @@ struct Preorder {
     /// Position `p`'s links are `links[starts[p]..starts[p + 1]]`.
     starts: Vec<usize>,
     links: Vec<Link>,
+    /// Scratch, by node: the smallest child, and the next larger sibling.
+    first_child: Vec<Option<AsId>>,
+    next_sibling: Vec<Option<AsId>>,
 }
 
 /// A link from position `p` to the neighbour at position `to`, with the
@@ -140,14 +143,29 @@ const UNREACHED: (Cost, usize) = (Cost::INFINITE, 0);
 impl Preorder {
     fn number<C: CostModel + ?Sized>(&mut self, graph: &C, tree: &DestinationTree) {
         let j = tree.destination();
+        let n = tree.node_count();
+        // Child lists from the parent array: prepending in descending id
+        // order leaves every list ascending.
+        self.first_child.clear();
+        self.first_child.resize(n, None);
+        self.next_sibling.clear();
+        self.next_sibling.resize(n, None);
+        for v in (0..n as u32).rev().map(AsId::new) {
+            if let Some(up) = tree.parent(v) {
+                self.next_sibling[v.index()] = self.first_child[up.index()].replace(v);
+            }
+        }
+        // Preorder: a popped node pushes its next sibling, then its first
+        // child on top, so its whole subtree is numbered before the sibling.
         self.order.clear();
         self.tin.clear();
-        self.tin.resize(tree.node_count(), usize::MAX);
+        self.tin.resize(n, usize::MAX);
         let mut stack = vec![j];
         while let Some(v) = stack.pop() {
             self.tin[v.index()] = self.order.len();
             self.order.push(v);
-            stack.extend(tree.children(v).iter().rev());
+            stack.extend(self.next_sibling[v.index()]);
+            stack.extend(self.first_child[v.index()]);
         }
         self.parent.clear();
         self.parent.extend(
@@ -168,16 +186,13 @@ impl Preorder {
         for &u in &self.order {
             self.starts.push(self.links.len());
             for &a in graph.topology().neighbors(u) {
-                let route = tree
-                    .route(a)
+                let hops = tree
+                    .hops(a)
                     .expect("neighbours of reachable nodes are reachable");
                 let exit = if a == j {
                     (Cost::ZERO, 1)
                 } else {
-                    (
-                        graph.transit_cost(a, u) + route.transit_cost(),
-                        route.hops() + 1,
-                    )
+                    (graph.transit_cost(a, u) + tree.cost(a), hops + 1)
                 };
                 self.links.push(Link {
                     to: self.tin[a.index()],
@@ -213,20 +228,22 @@ impl AvoidanceTable {
         };
         for tree in lcp.trees() {
             let j = tree.destination();
-            // A node carries transit traffic toward j iff it has children.
+            // A node carries transit traffic toward j iff it is some node's
+            // parent.
+            let mut is_parent = vec![false; n];
+            for up in graph.topology().nodes().filter_map(|i| tree.parent(i)) {
+                is_parent[up.index()] = true;
+            }
             let avoiding: Vec<Option<DestinationTree>> = graph
                 .topology()
                 .nodes()
-                .map(|k| {
-                    (k != j && !tree.children(k).is_empty()).then(|| avoiding_tree(graph, j, k))
-                })
+                .map(|k| (k != j && is_parent[k.index()]).then(|| avoiding_tree(graph, j, k)))
                 .collect();
             for i in graph.topology().nodes() {
-                let transit = tree.route(i).map_or(&[][..], |r| r.transit_nodes());
-                for &k in transit {
+                for k in tree.path(i).skip(1).filter(|&k| k != j) {
                     let avoid = avoiding[k.index()]
                         .as_ref()
-                        .expect("transit nodes have children");
+                        .expect("transit nodes are parents");
                     table.entries.push(AvoidingEntry {
                         avoided: k,
                         cost: avoid.cost(i),
@@ -601,7 +618,7 @@ mod tests {
                 let tree = lcp.tree(j);
                 let subtrees: usize = g
                     .nodes()
-                    .map(|k| g.nodes().filter(|&i| tree.is_transit(k, i)).count())
+                    .map(|i| tree.path(i).count().saturating_sub(2))
                     .sum();
                 assert!(
                     work[j.index()] <= subtrees + n,

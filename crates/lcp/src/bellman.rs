@@ -14,7 +14,7 @@
 
 use crate::route::Route;
 use crate::tree::DestinationTree;
-use bgpvcg_netgraph::{AsGraph, AsId};
+use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 
 /// Result of the staged fixpoint computation for one destination.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +91,20 @@ pub fn fixpoint(graph: &AsGraph, destination: AsId) -> FixpointResult {
         stages += 1;
     }
 
+    let parents = current
+        .iter()
+        .map(|r| r.as_ref().and_then(|r| r.nodes().get(1).copied()))
+        .collect();
+    let costs = current
+        .iter()
+        .map(|r| r.as_ref().map_or(Cost::INFINITE, Route::transit_cost))
+        .collect();
+    let hops = current
+        .iter()
+        .map(|r| r.as_ref().map_or(0, Route::hops))
+        .collect();
     FixpointResult {
-        tree: DestinationTree::from_routes(destination, current),
+        tree: DestinationTree::from_parts(destination, parents, costs, hops),
         stages,
     }
 }
@@ -117,7 +129,6 @@ mod tests {
     use bgpvcg_netgraph::generators::{
         barabasi_albert, erdos_renyi, random_costs, waxman, WaxmanConfig,
     };
-    use bgpvcg_netgraph::Cost;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

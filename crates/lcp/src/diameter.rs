@@ -29,17 +29,7 @@ use crate::avoiding::AvoidanceTable;
 /// assert_eq!(diameter::lcp_hop_diameter(&lcp), 3); // X B D Z
 /// ```
 pub fn lcp_hop_diameter(lcp: &AllPairsLcp) -> usize {
-    let n = lcp.node_count();
-    let mut d = 0;
-    for j in 0..n {
-        let tree = lcp.tree(bgpvcg_netgraph::AsId::new(j as u32));
-        for i in tree.reachable() {
-            if let Some(h) = tree.hops(i) {
-                d = d.max(h);
-            }
-        }
-    }
-    d
+    lcp.trees().map(|tree| tree.depth()).max().unwrap_or(0)
 }
 
 /// The k-avoiding hop diameter `d′`: the maximum hop count over all

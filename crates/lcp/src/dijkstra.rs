@@ -1,7 +1,6 @@
 //! The one Dijkstra, under the deterministic route order, for both cost
 //! models.
 
-use crate::route::Route;
 use crate::tree::DestinationTree;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use std::cmp::Reverse;
@@ -47,8 +46,8 @@ impl CostModel for AsGraph {
 ///
 /// # Complexity
 ///
-/// `O(m log n)` heap operations on `(cost, hops, parent, node)` keys, plus
-/// `O(n d)` to materialise each selected route once (`d` the hop diameter).
+/// `O(m log n)` heap operations on `(cost, hops, parent, node)` keys; each
+/// settled node stores its key, so the tree is `O(n)` words.
 ///
 /// # Panics
 ///
@@ -78,8 +77,8 @@ pub fn shortest_tree<C: CostModel + ?Sized>(graph: &C, destination: AsId) -> Des
 /// Two candidate routes to `v` are `v` prepended to two selected routes,
 /// and they first differ at `v`'s parent — so the route order's
 /// lexicographic tie-break is exactly "smaller parent id", and the heap
-/// carries `(cost, hops, parent)` keys instead of routes. A route is
-/// materialised once, when its node settles, by extending its parent's.
+/// carries `(cost, hops, parent)` keys instead of routes. A node's key at
+/// settling is its entry in the tree.
 pub(crate) fn dijkstra<C: CostModel + ?Sized>(
     graph: &C,
     destination: AsId,
@@ -87,7 +86,9 @@ pub(crate) fn dijkstra<C: CostModel + ?Sized>(
 ) -> DestinationTree {
     let topology = graph.topology();
     let n = topology.node_count();
-    let mut routes: Vec<Option<Route>> = vec![None; n];
+    let mut parents: Vec<Option<AsId>> = vec![None; n];
+    let mut costs = vec![Cost::INFINITE; n];
+    let mut depths = vec![0; n];
     let mut best: Vec<Option<(Cost, usize, AsId)>> = vec![None; n];
     // Pre-settling `avoid` (with no route) keeps pops and relaxations from
     // ever touching it.
@@ -102,11 +103,10 @@ pub(crate) fn dijkstra<C: CostModel + ?Sized>(
             continue; // stale entry
         }
         settled[u.index()] = true;
-        let route = match &routes[parent.index()] {
-            Some(via) => via.extend(u, graph.transit_cost(parent, u)),
-            None => Route::trivial(u), // the destination, popped first
-        };
-        routes[u.index()] = Some(route);
+        // The destination, popped first, is its own "parent".
+        parents[u.index()] = (u != destination).then_some(parent);
+        costs[u.index()] = cost;
+        depths[u.index()] = hops;
         for &v in topology.neighbors(u) {
             if settled[v.index()] {
                 continue;
@@ -124,12 +124,13 @@ pub(crate) fn dijkstra<C: CostModel + ?Sized>(
             }
         }
     }
-    DestinationTree::from_routes(destination, routes)
+    DestinationTree::from_parts(destination, parents, costs, depths)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::Route;
     use bgpvcg_netgraph::generators::structured::{complete, fig1, ring, Fig1};
     use bgpvcg_netgraph::generators::{erdos_renyi, from_edges, random_costs};
     use bgpvcg_netgraph::Cost;
@@ -152,7 +153,7 @@ mod tests {
     fn destination_route_is_trivial() {
         let g = fig1();
         let t = shortest_tree(&g, Fig1::Z);
-        assert_eq!(t.route(Fig1::Z).unwrap(), &Route::trivial(Fig1::Z));
+        assert_eq!(t.route(Fig1::Z).unwrap(), Route::trivial(Fig1::Z));
     }
 
     #[test]
@@ -223,8 +224,8 @@ mod tests {
 
     #[test]
     fn all_trees_are_consistent_on_random_graphs() {
-        // from_routes re-verifies the tree property internally, so building
-        // trees for every destination on random graphs is itself a test.
+        // Every node of a connected graph is one hop deeper than its
+        // parent; `route_order_props` checks the whole suffix property.
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
             let costs = random_costs(30, 0, 10, &mut rng);
@@ -232,6 +233,10 @@ mod tests {
             for j in g.nodes() {
                 let t = shortest_tree(&g, j);
                 assert_eq!(t.reachable().count(), g.node_count());
+                for i in g.nodes().filter(|&i| i != j) {
+                    let parent = t.parent(i).unwrap();
+                    assert_eq!(t.hops(i), t.hops(parent).map(|h| h + 1));
+                }
             }
         }
     }
@@ -279,7 +284,7 @@ mod tests {
                         continue;
                     }
                     let expected = best_route_brute(&g, i, j);
-                    assert_eq!(t.route(i).unwrap(), &expected, "seed {seed}, {i}->{j}");
+                    assert_eq!(t.route(i).unwrap(), expected, "seed {seed}, {i}->{j}");
                 }
             }
         }

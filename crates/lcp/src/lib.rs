@@ -53,4 +53,4 @@ mod tree;
 pub use all_pairs::AllPairsLcp;
 pub use dijkstra::{shortest_tree, CostModel};
 pub use route::Route;
-pub use tree::{DestinationTree, Relation};
+pub use tree::DestinationTree;

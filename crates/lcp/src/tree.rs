@@ -2,115 +2,57 @@
 
 use crate::route::Route;
 use bgpvcg_netgraph::{AsId, Cost};
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// The relation of a neighbor `a` to a node `i` in the tree `T(j)`, which
-/// selects among the four price-relaxation cases of the paper's Sect. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Relation {
-    /// `a` is `i`'s parent: the LCP from `i` to `j` goes `i → a → … → j`
-    /// (case i).
-    Parent,
-    /// `a` is one of `i`'s children: `i` is on the LCP from `a` to `j`
-    /// (case ii).
-    Child,
-    /// `a` is neither parent nor child of `i` (cases iii and iv).
-    Unrelated,
-}
 
 /// The selected-routes tree `T(j)` for one destination `j`: every node's
 /// lowest-cost route to `j` under the deterministic route order, arranged as
 /// a tree rooted at `j` (paper, Sect. 6: "the LCPs selected form a tree
 /// rooted at `j`").
 ///
-/// For a connected graph every node has a route; `route` returns `None`
-/// only for nodes disconnected from `j`.
+/// A selected route is its source followed by its parent's selected route,
+/// so the tree stores one parent per node, with that node's LCP cost and
+/// hop count; [`path`](Self::path) walks a route off the parent array. A
+/// node disconnected from `j` has no parent and infinite cost.
 ///
 /// # Example
 ///
 /// ```
 /// use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
-/// use bgpvcg_lcp::{shortest_tree, Relation};
+/// use bgpvcg_lcp::shortest_tree;
 ///
 /// let g = fig1();
 /// let t = shortest_tree(&g, Fig1::Z);
 /// // Fig. 2 of the paper: in T(Z), D is the parent of B.
 /// assert_eq!(t.parent(Fig1::B), Some(Fig1::D));
-/// assert_eq!(t.relation(Fig1::B, Fig1::D), Relation::Parent);
-/// assert_eq!(t.relation(Fig1::D, Fig1::B), Relation::Child);
+/// assert!(t.path(Fig1::X).eq([Fig1::X, Fig1::B, Fig1::D, Fig1::Z]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DestinationTree {
     destination: AsId,
-    /// Selected route per node (`None` = unreachable). The destination's
-    /// own entry is the trivial route.
-    routes: Vec<Option<Route>>,
     /// Parent per node (`None` for the destination and unreachable nodes).
     parents: Vec<Option<AsId>>,
-    /// Children lists, sorted ascending.
-    children: Vec<Vec<AsId>>,
+    /// LCP cost per node ([`Cost::INFINITE`] when unreachable).
+    costs: Vec<Cost>,
+    /// Hop count per node (`0` for the destination and unreachable nodes).
+    hops: Vec<usize>,
 }
 
 impl DestinationTree {
-    /// Assembles a tree from per-node selected routes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the routes are inconsistent: the destination's entry is not
-    /// trivial, some route does not end at the destination, or a node's
-    /// route is not its parent's route extended by one hop (i.e. the routes
-    /// do not form a tree).
-    pub fn from_routes(destination: AsId, routes: Vec<Option<Route>>) -> Self {
-        let n = routes.len();
-        assert!(destination.index() < n, "destination out of range");
-        let mut parents: Vec<Option<AsId>> = vec![None; n];
-        let mut children: Vec<Vec<AsId>> = vec![Vec::new(); n];
-        for (idx, entry) in routes.iter().enumerate() {
-            let Some(route) = entry else { continue };
-            assert_eq!(
-                route.source(),
-                AsId::new(idx as u32),
-                "route stored under the wrong node"
-            );
-            assert_eq!(
-                route.destination(),
-                destination,
-                "route does not end at the destination"
-            );
-            if idx == destination.index() {
-                assert_eq!(route.hops(), 0, "destination's route must be trivial");
-                continue;
-            }
-            assert!(route.hops() >= 1, "non-destination route must have hops");
-            let parent = route.nodes()[1];
-            parents[idx] = Some(parent);
-            children[parent.index()].push(AsId::new(idx as u32));
-        }
-        // Verify the suffix property: each route is parent's route + 1 hop.
-        for (idx, entry) in routes.iter().enumerate() {
-            let Some(route) = entry else { continue };
-            if idx == destination.index() {
-                continue;
-            }
-            let parent = parents[idx].expect("set above");
-            let parent_route = routes[parent.index()]
-                .as_ref()
-                .expect("parent on a selected route must itself have a route");
-            assert_eq!(
-                &route.nodes()[1..],
-                parent_route.nodes(),
-                "node {idx}: route is not an extension of its parent's route"
-            );
-        }
-        for list in &mut children {
-            list.sort_unstable();
-        }
+    /// Assembles a tree from its per-node parents, costs and hop counts.
+    /// The callers settle each node from its parent's entry, so the arrays
+    /// describe a tree by construction; the route-order property test
+    /// checks it.
+    pub(crate) fn from_parts(
+        destination: AsId,
+        parents: Vec<Option<AsId>>,
+        costs: Vec<Cost>,
+        hops: Vec<usize>,
+    ) -> Self {
+        debug_assert!(parents.len() == costs.len() && costs.len() == hops.len());
         DestinationTree {
             destination,
-            routes,
             parents,
-            children,
+            costs,
+            hops,
         }
     }
 
@@ -121,7 +63,19 @@ impl DestinationTree {
 
     /// Number of nodes the tree covers (the graph's node count).
     pub fn node_count(&self) -> usize {
-        self.routes.len()
+        self.parents.len()
+    }
+
+    /// The selected route from `i` to the destination, source first: `i`,
+    /// then its parent, up to the destination. Empty if `i` is
+    /// unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn path(&self, i: AsId) -> impl Iterator<Item = AsId> + Clone + '_ {
+        let reachable = i == self.destination || self.parents[i.index()].is_some();
+        std::iter::successors(reachable.then_some(i), |at| self.parents[at.index()])
     }
 
     /// The selected route from `i` to the destination, or `None` if `i` is
@@ -130,21 +84,28 @@ impl DestinationTree {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn route(&self, i: AsId) -> Option<&Route> {
-        self.routes[i.index()].as_ref()
+    pub fn route(&self, i: AsId) -> Option<Route> {
+        let hops = self.hops(i)?;
+        let mut nodes = Vec::with_capacity(hops + 1);
+        nodes.extend(self.path(i));
+        Some(Route::from_parts(nodes, self.cost(i)))
     }
 
     /// The LCP cost `c(i, j)`, or [`Cost::INFINITE`] if unreachable.
     pub fn cost(&self, i: AsId) -> Cost {
-        self.routes[i.index()]
-            .as_ref()
-            .map_or(Cost::INFINITE, Route::transit_cost)
+        self.costs[i.index()]
     }
 
     /// The number of hops on `i`'s selected route, or `None` if
     /// unreachable.
     pub fn hops(&self, i: AsId) -> Option<usize> {
-        self.routes[i.index()].as_ref().map(Route::hops)
+        self.path(i).next().map(|_| self.hops[i.index()])
+    }
+
+    /// The largest hop count of any selected route (`0` if only the
+    /// destination is reachable).
+    pub(crate) fn depth(&self) -> usize {
+        self.hops.iter().copied().max().unwrap_or(0)
     }
 
     /// `i`'s parent in `T(j)` (`None` for the destination and unreachable
@@ -153,55 +114,11 @@ impl DestinationTree {
         self.parents[i.index()]
     }
 
-    /// `i`'s children in `T(j)`, ascending.
-    pub fn children(&self, i: AsId) -> &[AsId] {
-        &self.children[i.index()]
-    }
-
-    /// Classifies node `a` relative to node `i`: parent, child, or
-    /// unrelated. `a` is typically a physical neighbor of `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == i`.
-    pub fn relation(&self, i: AsId, a: AsId) -> Relation {
-        assert!(a != i, "a node has no relation to itself");
-        if self.parents[i.index()] == Some(a) {
-            Relation::Parent
-        } else if self.parents[a.index()] == Some(i) {
-            Relation::Child
-        } else {
-            Relation::Unrelated
-        }
-    }
-
-    /// The indicator `I_k(c; i, j)`: `true` iff `k` is a *transit* node on
-    /// the selected route from `i` to the destination.
-    pub fn is_transit(&self, k: AsId, i: AsId) -> bool {
-        self.routes[i.index()]
-            .as_ref()
-            .is_some_and(|r| r.is_transit(k))
-    }
-
     /// All reachable sources, ascending (includes the destination itself).
     pub fn reachable(&self) -> impl Iterator<Item = AsId> + '_ {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, r)| r.as_ref().map(|_| AsId::new(idx as u32)))
-    }
-}
-
-impl fmt::Display for DestinationTree {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "T({}):", self.destination)?;
-        for (idx, entry) in self.routes.iter().enumerate() {
-            match entry {
-                Some(route) => writeln!(f, "  {}: {}", AsId::new(idx as u32), route)?,
-                None => writeln!(f, "  {}: unreachable", AsId::new(idx as u32))?,
-            }
-        }
-        Ok(())
+        (0..self.node_count())
+            .map(|idx| AsId::new(idx as u32))
+            .filter(|&i| self.hops(i).is_some())
     }
 }
 
@@ -229,25 +146,6 @@ mod tests {
         assert_eq!(t.parent(Fig1::Y), Some(Fig1::D));
         assert_eq!(t.parent(Fig1::X), Some(Fig1::B));
         assert_eq!(t.parent(Fig1::Z), None);
-        assert_eq!(t.children(Fig1::D), &[Fig1::B, Fig1::Y]);
-        assert_eq!(t.children(Fig1::Z), &[Fig1::A, Fig1::D]);
-        assert_eq!(t.children(Fig1::X), &[] as &[AsId]);
-    }
-
-    #[test]
-    fn relations_match_fig2() {
-        let (_, t) = t_z();
-        assert_eq!(t.relation(Fig1::B, Fig1::D), Relation::Parent);
-        assert_eq!(t.relation(Fig1::D, Fig1::B), Relation::Child);
-        assert_eq!(t.relation(Fig1::X, Fig1::A), Relation::Unrelated);
-        assert_eq!(t.relation(Fig1::Y, Fig1::B), Relation::Unrelated);
-    }
-
-    #[test]
-    #[should_panic(expected = "no relation to itself")]
-    fn relation_to_self_panics() {
-        let (_, t) = t_z();
-        let _ = t.relation(Fig1::X, Fig1::X);
     }
 
     #[test]
@@ -262,16 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn transit_indicator() {
+    fn path_walks_parents_to_the_root() {
         let (_, t) = t_z();
-        assert!(t.is_transit(Fig1::D, Fig1::X));
-        assert!(t.is_transit(Fig1::B, Fig1::X));
-        assert!(!t.is_transit(Fig1::A, Fig1::X));
-        assert!(!t.is_transit(Fig1::X, Fig1::X), "source is not transit");
-        assert!(
-            !t.is_transit(Fig1::Z, Fig1::X),
-            "destination is not transit"
-        );
+        assert!(t.path(Fig1::X).eq([Fig1::X, Fig1::B, Fig1::D, Fig1::Z]));
+        assert!(t.path(Fig1::Z).eq([Fig1::Z]));
+        let route = t.route(Fig1::X).unwrap();
+        assert_eq!(route.transit_nodes(), &[Fig1::B, Fig1::D]);
+        assert_eq!(route.transit_cost(), Cost::new(3));
     }
 
     #[test]
@@ -285,46 +180,6 @@ mod tests {
         let (_, t) = t_z();
         assert_eq!(t.hops(Fig1::X), Some(3));
         assert_eq!(t.hops(Fig1::Z), Some(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "extension of its parent")]
-    fn from_routes_rejects_non_tree() {
-        let g = fig1();
-        // X's route claims to go via A, but A's stored route goes via Z
-        // directly — fine; now corrupt: give X a route whose tail is not A's
-        // route.
-        let mut routes: Vec<Option<Route>> = vec![None; g.node_count()];
-        routes[Fig1::Z.index()] = Some(Route::trivial(Fig1::Z));
-        routes[Fig1::A.index()] = Some(Route::from_nodes(&g, vec![Fig1::A, Fig1::Z]));
-        routes[Fig1::D.index()] = Some(Route::from_nodes(&g, vec![Fig1::D, Fig1::Z]));
-        // Corrupt entry: X -> A -> Z is a real path, but we deliberately
-        // store X's route as X,B,D,Z while claiming B is absent; the parent
-        // B has no route, which must be rejected.
-        routes[Fig1::X.index()] = Some(Route::from_nodes(&g, vec![Fig1::X, Fig1::A, Fig1::Z]));
-        // Make A's route inconsistent instead: A routes via X (loopy tree).
-        routes[Fig1::A.index()] = Some(Route::from_nodes(
-            &g,
-            vec![Fig1::A, Fig1::X, Fig1::B, Fig1::D, Fig1::Z],
-        ));
-        let _ = DestinationTree::from_routes(Fig1::Z, routes);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong node")]
-    fn from_routes_rejects_misfiled_route() {
-        let g = fig1();
-        let mut routes: Vec<Option<Route>> = vec![None; g.node_count()];
-        routes[Fig1::Z.index()] = Some(Route::trivial(Fig1::Z));
-        routes[Fig1::X.index()] = Some(Route::from_nodes(&g, vec![Fig1::A, Fig1::Z]));
-        let _ = DestinationTree::from_routes(Fig1::Z, routes);
-    }
-
-    #[test]
-    fn display_contains_routes() {
-        let (_, t) = t_z();
-        let text = t.to_string();
-        assert!(text.contains("T(AS2)"));
-        assert!(text.contains("AS0"));
+        assert_eq!(t.depth(), 3);
     }
 }

@@ -4,7 +4,8 @@
 //! agree on selected routes — the precondition of every exact-equality test
 //! in the workspace.
 
-use bgpvcg_lcp::{bellman, shortest_tree, Route};
+use bgpvcg_lcp::avoiding::avoiding_tree;
+use bgpvcg_lcp::{bellman, shortest_tree, CostModel, DestinationTree, Route};
 use bgpvcg_netgraph::generators::{erdos_renyi, random_costs};
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use proptest::prelude::*;
@@ -39,8 +40,109 @@ fn graph_from(n: usize, density: f64, seed: u64) -> AsGraph {
     erdos_renyi(costs, density, &mut rng)
 }
 
+/// Per-neighbour receive costs on a graph's topology: transit `t` charges
+/// its node cost plus a surcharge that depends on who hands the packet
+/// over, so trees differ from the node-cost ones.
+struct PerNeighbour(AsGraph);
+
+impl CostModel for PerNeighbour {
+    fn topology(&self) -> &AsGraph {
+        &self.0
+    }
+
+    fn transit_cost(&self, transit: AsId, from: AsId) -> Cost {
+        let surcharge = (u64::from(transit.raw()) * 7 + u64::from(from.raw()) * 3) % 5;
+        self.0.cost(transit) + Cost::new(surcharge)
+    }
+}
+
+/// Every reachable node's entry in `tree` is a walk up the parent array:
+/// a simple, linked path ending at the destination, whose route is the node
+/// followed by its parent's route, with the cost and hop count the path
+/// implies, and which never touches `avoid`. Unreachable nodes have no
+/// path, route, parent or finite cost.
+fn check_tree<C: CostModel>(
+    graph: &C,
+    tree: &DestinationTree,
+    avoid: Option<AsId>,
+) -> Result<(), TestCaseError> {
+    let topology = graph.topology();
+    let j = tree.destination();
+    for i in topology.nodes() {
+        let path: Vec<AsId> = tree.path(i).collect();
+        let Some(hops) = tree.hops(i) else {
+            prop_assert!(path.is_empty(), "{} unreachable but has a path", i);
+            prop_assert_eq!(tree.route(i), None);
+            prop_assert_eq!(tree.parent(i), None);
+            prop_assert_eq!(tree.cost(i), Cost::INFINITE);
+            continue;
+        };
+        prop_assert_eq!(path.first(), Some(&i));
+        prop_assert_eq!(path.last(), Some(&j));
+        prop_assert_eq!(hops, path.len() - 1, "hops of {}", i);
+        let mut seen = std::collections::BTreeSet::new();
+        prop_assert!(path.iter().all(|&v| seen.insert(v)), "{} walks a loop", i);
+        for w in path.windows(2) {
+            prop_assert!(
+                topology.has_link(w[0], w[1]),
+                "{} and {} unlinked",
+                w[0],
+                w[1]
+            );
+        }
+        if let Some(k) = avoid {
+            prop_assert!(!path.contains(&k), "{}'s route passes avoided {}", i, k);
+        }
+        let recomputed: Cost = path
+            .windows(3)
+            .map(|w| graph.transit_cost(w[1], w[0]))
+            .sum();
+        prop_assert_eq!(tree.cost(i), recomputed, "cost of {}", i);
+        let route = tree.route(i).expect("reachable");
+        prop_assert_eq!(route.nodes(), path.as_slice());
+        prop_assert_eq!(route.transit_cost(), recomputed);
+        if i == j {
+            prop_assert_eq!(tree.parent(i), None);
+        } else {
+            let parent = tree.parent(i).expect("a routed node has a parent");
+            let up = tree.route(parent).expect("a parent is reachable");
+            prop_assert_eq!(&route.nodes()[1..], up.nodes());
+        }
+    }
+    if let Some(k) = avoid {
+        prop_assert_eq!(tree.hops(k), None, "avoided {} is routed", k);
+    }
+    Ok(())
+}
+
+/// [`check_tree`] over every destination's shortest tree and every
+/// `(destination, avoided)` pair's avoiding tree.
+fn check_all_trees<C: CostModel>(graph: &C) -> Result<(), TestCaseError> {
+    for j in graph.topology().nodes() {
+        check_tree(graph, &shortest_tree(graph, j), None)?;
+        for k in graph.topology().nodes().filter(|&k| k != j) {
+            check_tree(graph, &avoiding_tree(graph, j, k), Some(k))?;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The tree invariant of Sect. 6, under both cost models: every
+    /// selected route and every avoiding route is its node followed by its
+    /// parent's route.
+    #[test]
+    fn trees_are_parent_walks(
+        n in 5usize..16,
+        density in 0.15f64..0.8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let g = graph_from(n, density, seed);
+        check_all_trees(&g)?;
+        check_all_trees(&PerNeighbour(g))?;
+    }
 
     /// The order is total and antisymmetric: exactly one of <, ==, > holds,
     /// and equality only for identical routes.
@@ -121,7 +223,7 @@ proptest! {
                 let Some(route) = tree.route(i) else { continue };
                 for &s in route.nodes() {
                     let suffix = route.suffix_from(&g, s).unwrap();
-                    prop_assert_eq!(tree.route(s), Some(&suffix), "suffix from {}", s);
+                    prop_assert_eq!(tree.route(s), Some(suffix), "suffix from {}", s);
                 }
             }
         }

@@ -863,7 +863,7 @@ fn cmd_ci(root: &Path) -> ExitCode {
         ],
         false,
     );
-    for bench in ["codec", "selector", "pricing", "tracer"] {
+    for bench in ["codec", "selector", "pricing", "tracer", "routing"] {
         ok &= run_step(
             root,
             &format!("{bench} microbench smoke"),

@@ -53,7 +53,7 @@ fn all_implementation_paths_agree() {
         for i in g.nodes() {
             for j in g.nodes() {
                 assert_eq!(
-                    plain.node(i).selector().route(j).as_ref(),
+                    plain.node(i).selector().route(j),
                     lcp.route(i, j),
                     "seed {seed}: protocol vs dijkstra, {i}->{j}"
                 );

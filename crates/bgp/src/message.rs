@@ -7,17 +7,20 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// One node of an advertised AS path, annotated with the cost that node
-/// declared.
+/// declared — or [`Cost::ZERO`] for the path's last node, the destination,
+/// which is never transit on a route to itself.
 ///
 /// Carrying declared costs inside path attributes is the "declared cost …
 /// included in the routing message exchanges" of the paper's Sect. 5/6: a
-/// receiver learns the cost of every node on every path it hears about,
-/// which the case-(iv) price relaxation needs (`p^k_ij ≤ c_k + …`).
+/// receiver learns the cost of every node that can be transit on a path it
+/// hears about — the advertiser and the interior — which the case-(iv)
+/// price relaxation needs (`p^k_ij ≤ c_k + …`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PathEntry {
     /// The AS.
     pub node: AsId,
-    /// That AS's declared per-packet transit cost.
+    /// That AS's declared per-packet transit cost; zero when the AS is the
+    /// path's destination.
     pub cost: Cost,
 }
 
@@ -117,8 +120,10 @@ pub enum RouteInfo {
     /// The advertiser has a route; fields describe it.
     Reachable {
         /// AS path from the advertiser (first entry) to the destination
-        /// (last entry), each annotated with its declared cost. The
-        /// advertiser's own entry carries its own declared cost.
+        /// (last entry). The advertiser's entry and every interior entry
+        /// carry that node's declared cost; the destination's entry
+        /// carries [`Cost::ZERO`], so a re-declaration by the destination
+        /// leaves every route to it unchanged.
         path: SharedPath,
         /// Transit cost `c(advertiser, destination)` of the path (sum of
         /// intermediate nodes' declared costs).
@@ -217,7 +222,7 @@ impl RouteInfo {
     /// Writes this route into a retained-state cell (Rib-In, Adj-RIB-Out).
     /// A cell that already holds a route keeps its price vector's
     /// allocation, and one taking its first priced route gets room for
-    /// [`PRICE_ROOM`] entries, so cells that are overwritten stage after
+    /// `PRICE_ROOM` entries, so cells that are overwritten stage after
     /// stage — while paths, and with them price arrays, still lengthen —
     /// settle into not allocating at all.
     pub fn store_into(&self, cell: &mut Option<RouteInfo>) {

@@ -271,8 +271,10 @@ pub trait PricePolicy: fmt::Debug + Clone + Send + 'static {
     /// model.
     const SCALAR_COST: bool = true;
 
-    /// The scalar transit cost node `id` stamps into the path entries it
-    /// originates or extends.
+    /// The scalar transit cost node `id` stamps into the head entry of
+    /// every route it extends. Its origin route `[id]` carries
+    /// [`Cost::ZERO`] whatever this returns: a destination is never
+    /// transit.
     fn declared_cost(graph: &Self::Graph, id: AsId) -> Cost {
         graph.as_ref().cost(id)
     }
@@ -647,7 +649,8 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
                 // values with our route's transit cost only — so the price
                 // arrays are untouched. Re-advertise exactly the table
                 // entries whose first path entry restamped
-                // (`set_declared_cost` reports them; none for a no-op).
+                // (`set_declared_cost` reports them; none for a no-op, and
+                // never the origin route, whose entry carries no cost).
                 let changed = self.selector.set_declared_cost(cost);
                 self.emit(uncaused(changed))
             }

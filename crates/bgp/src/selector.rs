@@ -15,8 +15,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectedRoute {
     /// The path from this node (first entry) to the destination (last
-    /// entry), each node annotated with its declared cost as learned from
-    /// advertisements.
+    /// entry): this node's entry carries its declared cost, every interior
+    /// entry the cost learned from advertisements, and the destination's
+    /// entry [`Cost::ZERO`].
     pub path: SharedPath,
     /// Transit cost of the path.
     pub cost: Cost,
@@ -120,8 +121,9 @@ fn nodes(path: &[PathEntry]) -> impl Iterator<Item = AsId> + '_ {
 #[derive(Debug, Clone)]
 pub struct RouteSelector {
     id: AsId,
-    /// This node's own declared transit cost (what it stamps into path
-    /// entries it originates or extends).
+    /// This node's own declared transit cost: what it stamps into the head
+    /// entry of every route it extends. Its own trivial route carries
+    /// [`Cost::ZERO`] instead, since a destination is never transit.
     declared_cost: Cost,
     /// Physical neighbors, ascending; a neighbor's position is its slot.
     neighbors: Vec<AsId>,
@@ -181,10 +183,13 @@ impl RouteSelector {
         neighbors.sort_unstable();
         neighbors.dedup();
         let mut table = vec![None; rows];
+        // A destination is never transit on a route to itself, so its entry
+        // carries no cost: a re-declaration then leaves every route to this
+        // node as it was.
         table[id.index()] = Some(SelectedRoute {
             path: vec![PathEntry {
                 node: id,
-                cost: declared_cost,
+                cost: Cost::ZERO,
             }]
             .into(),
             cost: Cost::ZERO,
@@ -213,10 +218,12 @@ impl RouteSelector {
     }
 
     /// Changes this node's declared cost (a strategic deviation or dynamic
-    /// re-declaration). Every selected route's first path entry carries the
-    /// declared cost, so all of them are restamped; the returned list names
-    /// exactly the destinations whose table entry changed, ascending (empty
-    /// for a no-op re-declaration of the same cost), so the caller
+    /// re-declaration). Every selected route but the trivial one carries
+    /// the declared cost in its first path entry, so those are restamped;
+    /// the trivial route's entry is a destination's and stays
+    /// [`Cost::ZERO`]. The returned list names exactly the destinations
+    /// whose table entry changed, ascending and never this node's own
+    /// (empty for a no-op re-declaration of the same cost), so the caller
     /// re-advertises only those instead of rescanning the table.
     pub fn set_declared_cost(&mut self, cost: Cost) -> Vec<AsId> {
         if cost == self.declared_cost {
@@ -227,7 +234,8 @@ impl RouteSelector {
             node: self.id,
             cost,
         };
-        for route in self.table.iter_mut().flatten() {
+        // The trivial route is the only one without a hop.
+        for route in self.table.iter_mut().flatten().filter(|r| r.hops() > 0) {
             // Interned paths are immutable: restamping the declared cost
             // mints a fresh handle (re-declaration is rare; sharing wins on
             // the per-stage re-advertisement path).
@@ -235,7 +243,8 @@ impl RouteSelector {
                 .chain(route.path[1..].iter().copied())
                 .collect();
         }
-        self.destinations().collect()
+        let own = self.id;
+        self.destinations().filter(|&dest| dest != own).collect()
     }
 
     /// Current physical neighbors, ascending.
@@ -785,10 +794,32 @@ mod tests {
     #[test]
     fn set_declared_cost_updates_own_entry() {
         let mut s = selector();
-        s.set_declared_cost(Cost::new(11));
+        assert_eq!(s.selected(AsId::new(0)).unwrap().path[0].cost, Cost::ZERO);
+        s.ingest(&update(1, vec![ad(1, vec![entry(1, 0)], 0)]));
+        s.ingest(&update(
+            2,
+            vec![ad(9, vec![entry(2, 1), entry(4, 2), entry(9, 0)], 2)],
+        ));
+        assert_eq!(s.decide_all(), [AsId::new(1), AsId::new(9)]);
+        assert_eq!(
+            s.set_declared_cost(Cost::new(11)),
+            [AsId::new(1), AsId::new(9)]
+        );
         assert_eq!(s.declared_cost(), Cost::new(11));
+        // The trivial route's entry is a destination's: it carries nothing.
         let own = s.selected(AsId::new(0)).unwrap();
-        assert_eq!(own.path[0].cost, Cost::new(11));
+        assert_eq!(own.path[..], [entry(0, 0)]);
+        // Every other route's head is restamped; the rest is as learned.
+        let direct = s.selected(AsId::new(1)).unwrap();
+        assert_eq!(direct.path[..], [entry(0, 11), entry(1, 0)]);
+        let far = s.selected(AsId::new(9)).unwrap();
+        assert_eq!(
+            far.path[..],
+            [entry(0, 11), entry(2, 1), entry(4, 2), entry(9, 0)]
+        );
+        assert_eq!(far.cost, Cost::new(3), "the own head is never transit");
+        // Re-declaring the same cost changes nothing.
+        assert!(s.set_declared_cost(Cost::new(11)).is_empty());
     }
 
     #[test]

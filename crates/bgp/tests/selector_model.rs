@@ -63,7 +63,7 @@ impl MapSelector {
         let trivial = SelectedRoute {
             path: vec![PathEntry {
                 node: id,
-                cost: declared_cost,
+                cost: Cost::ZERO,
             }]
             .into(),
             cost: Cost::ZERO,
@@ -82,12 +82,17 @@ impl MapSelector {
             return BTreeSet::new();
         }
         self.declared_cost = cost;
-        for route in self.table.values_mut() {
+        // The trivial route's only entry is the destination's, which
+        // carries no cost and never changes.
+        let id = self.id;
+        let mut changed = BTreeSet::new();
+        for (&dest, route) in self.table.iter_mut().filter(|(&dest, _)| dest != id) {
             let mut entries = route.path.to_vec();
             entries[0].cost = cost;
             route.path = entries.into();
+            changed.insert(dest);
         }
-        self.table.keys().copied().collect()
+        changed
     }
 
     fn rib_destinations(&self, a: AsId) -> BTreeSet<AsId> {

@@ -93,7 +93,7 @@ impl PaymentLedger {
     /// Settles traffic **using only distributed node state**, the way the
     /// paper's Sect. 6.4 actually deploys: the *source* of every packet
     /// holds the full price vector for its route, so tallies accumulate at
-    /// sources ("each node i keep[s] running tallies of owed charges") and
+    /// sources ("each node i keep\[s\] running tallies of owed charges") and
     /// are submitted to the clearing system out of band. Each flow's packet
     /// is additionally forwarded hop-by-hop across the converged tables, so
     /// settlement only succeeds if the data plane really delivers along the

@@ -49,7 +49,10 @@ pub type PricingBgpNode = Node<Fpss>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpvcg_bgp::{PathEntry, ProtocolNode, RouteAdvertisement, RouteInfo, Update};
+    use bgpvcg_bgp::{
+        Adversary, PathEntry, ProtocolNode, RouteAdvertisement, RouteInfo, Strategy, Update,
+    };
+    use bgpvcg_netgraph::generators::from_edges;
     use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
     use bgpvcg_netgraph::{AsId, Cost};
     use std::sync::Arc;
@@ -117,6 +120,37 @@ mod tests {
         assert_eq!(x.state().price_entries, 2);
         assert_eq!(x.price(Fig1::Z, Fig1::B), Some(Cost::new(4)));
         assert_eq!(x.price(Fig1::Z, Fig1::A), None);
+    }
+
+    #[test]
+    fn a_detour_ending_at_the_destination_charges_it_nothing() {
+        // A triangle whose AS 2 equivocates: AS 0, its second neighbor,
+        // hears 2's origin route with the path cost inflated by 6, so it
+        // routes to 2 via 1. The detour around 1 is the direct link, and
+        // `decide` adds nothing for a destination: it costs the advertised
+        // 6, so `p^1` = c_1 + 6 − c(0, 2) = 6. Were 2's own entry to carry
+        // c_2, the bound would charge it too and read 8.
+        let g = from_edges(
+            vec![Cost::new(1), Cost::new(1), Cost::new(2)],
+            &[(0, 1), (1, 2), (2, 0)],
+        );
+        let (i, x, j) = (AsId::new(0), AsId::new(1), AsId::new(2));
+        let origin = PricingBgpNode::new(&g, j).start().expect("an origin route");
+        let lie = Adversary::new(Strategy::Equivocate, 5)
+            .perturb(i, 1, &origin)
+            .expect("a second neighbor hears the inflated cost");
+        let lied = lie.advertisements[0].info.path_cost();
+        assert_eq!(lied, Some(Cost::new(6)));
+        let relay = PricingBgpNode::new(&g, x).handle(&[Arc::new(origin)]);
+        let via_x = relay.expect("1 advertises its route to 2");
+
+        let mut node = PricingBgpNode::new(&g, i);
+        node.handle(&[Arc::new(lie), Arc::new(via_x)]);
+        let route = node.selector().selected(j).expect("a route to 2");
+        assert_eq!(route.next_hop(), Some(x));
+        assert_eq!(route.cost, Cost::new(1));
+        assert_eq!(route.path.last().map(|e| e.cost), Some(Cost::ZERO));
+        assert_eq!(node.price(j, x), Some(Cost::new(6)));
     }
 
     #[test]

@@ -211,10 +211,10 @@ impl SpanProfiler {
         self.truncated
     }
 
-    /// One [`TraceEvent::SpanSummary`] per span with at least one
-    /// completed interval, in span-id order, stamped with `stage` (the
-    /// quiescence stage of the run being summarized). Totals are
-    /// cumulative over the profiler's lifetime.
+    /// One [`TraceEvent::SpanSummary`](crate::event::TraceEvent::SpanSummary)
+    /// per span with at least one completed interval, in span-id order,
+    /// stamped with `stage` (the quiescence stage of the run being
+    /// summarized). Totals are cumulative over the profiler's lifetime.
     pub fn summary_events(&self, stage: u64) -> Vec<crate::event::TraceEvent> {
         let mut out = Vec::new();
         for id in 0..self.registered {

@@ -352,7 +352,7 @@ pub fn run_all(files: &[SourceFile], trees: &[ParsedFile]) -> Vec<Violation> {
 const DOWNSTREAM_CRATES: &[&str] = &["crates/bench", "crates/xtask"];
 
 /// Builds and resolves the workspace call graph from lexed + parsed files.
-/// Test/bench/example files and [`DOWNSTREAM_CRATES`] contribute no nodes.
+/// Test/bench/example files and `DOWNSTREAM_CRATES` contribute no nodes.
 pub fn build_graph(files: &[SourceFile], trees: &[ParsedFile]) -> CallGraph {
     let paths: Vec<PathBuf> = files.iter().map(|f| f.rel_path.clone()).collect();
     let is_test_file: Vec<bool> = files

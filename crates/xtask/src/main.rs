@@ -31,7 +31,8 @@
 //!   `target/bench/` and requires it to equal the committed baseline line
 //!   for line. See `docs/PERFORMANCE.md` and `docs/ROBUSTNESS.md`.
 //! - `ci`    — the full offline-tolerant pipeline: fmt check, lint,
-//!   analyze, audit, clippy wall, workspace tests, `perf/`'s tests
+//!   analyze, audit, clippy wall, rustdoc with `-D warnings`, workspace
+//!   tests, `perf/`'s tests
 //!   (`--locked`), obs, bench and chaos `--smoke --compare`, the e20
 //!   adversary smoke and the microbench smokes. Steps
 //!   whose external tool is unavailable (no rustfmt/clippy component) are
@@ -99,8 +100,8 @@ fn print_help() {
          \tchaos [--smoke] [--compare]\n\
          \t                    the same gate over E19 (seeded faults,\n\
          \t                    self-stabilization asserted) and BENCH_chaos.json\n\
-         \tci                  fmt check, lint, analyze, audit, clippy, tests,\n\
-         \t                    perf/ tests, obs, bench and chaos --smoke\n\
+         \tci                  fmt check, lint, analyze, audit, clippy, docs,\n\
+         \t                    tests, perf/ tests, obs, bench and chaos --smoke\n\
          \t                    --compare, e20_adversary --smoke, microbench\n\
          \t                    smokes\n\
          \thelp                this message"
@@ -329,8 +330,25 @@ fn cmd_audit(root: &Path) -> ExitCode {
 /// notice instead of failing — this keeps `ci` usable offline and in
 /// minimal containers.
 fn run_step(root: &Path, label: &str, program: &str, args: &[&str], optional: bool) -> bool {
-    println!("==> {label}: {program} {}", args.join(" "));
-    let output = Command::new(program).args(args).current_dir(root).output();
+    run_step_with(root, label, &[], program, args, optional)
+}
+
+/// [`run_step`] with `env` set for the step's process.
+fn run_step_with(
+    root: &Path,
+    label: &str,
+    env: &[(&str, &str)],
+    program: &str,
+    args: &[&str],
+    optional: bool,
+) -> bool {
+    let vars: Vec<String> = env.iter().map(|(k, v)| format!("{k}=\"{v}\" ")).collect();
+    println!("==> {label}: {}{program} {}", vars.concat(), args.join(" "));
+    let output = Command::new(program)
+        .args(args)
+        .envs(env.iter().copied())
+        .current_dir(root)
+        .output();
     match output {
         Ok(out) if out.status.success() => true,
         Ok(out) => {
@@ -820,6 +838,15 @@ fn cmd_ci(root: &Path) -> ExitCode {
             "warnings",
         ],
         true,
+    );
+    // Every intra-doc link resolves and no public doc names a private item.
+    ok &= run_step_with(
+        root,
+        "docs",
+        &[("RUSTDOCFLAGS", "-D warnings")],
+        "cargo",
+        &["doc", "--workspace", "--no-deps"],
+        false,
     );
     ok &= run_step(
         root,

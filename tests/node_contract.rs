@@ -50,19 +50,24 @@ fn d_knows_z<P: PricePolicy>(graph: &P::Graph) -> (Node<P>, Arc<Update>) {
         .handle(std::slice::from_ref(&z_origin))
         .expect("new route must be advertised");
     // D now advertises its route to Z (D, Z: no transit) besides having
-    // learned it.
-    assert!(out
+    // learned it: D's head carries its declared cost, the destination's
+    // entry none.
+    let to_z = out
         .advertisements
         .iter()
-        .any(|ad| ad.destination == Fig1::Z));
+        .find(|ad| ad.destination == Fig1::Z)
+        .expect("D advertises its route to Z");
+    let declared = P::declared_cost(graph, Fig1::D);
+    let path = to_z.info.path().expect("a reachable route");
+    assert_eq!(path.len(), 2);
+    assert_eq!((path[0].node, path[0].cost), (Fig1::D, declared));
+    assert_eq!((path[1].node, path[1].cost), (Fig1::Z, Cost::ZERO));
     assert_eq!(d.selector().route_cost(Fig1::Z), Cost::ZERO);
     (d, z_origin)
 }
 
 /// The whole contract, on Fig. 1 as `graph` presents it to model `P`.
 fn contract<P: PricePolicy>(graph: &P::Graph) {
-    let declared = P::declared_cost(graph, Fig1::D);
-
     // `start` advertises the origin route and nothing else, unpriced.
     let mut fresh = Node::<P>::new(graph, Fig1::D);
     let update = fresh.start().expect("origin must be advertised");
@@ -73,7 +78,9 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
         panic!("origin must be reachable");
     };
     assert_eq!(path.len(), 1);
-    assert_eq!(path[0].cost, declared);
+    // The origin's only entry is the destination's: it carries no cost,
+    // whatever D declares.
+    assert_eq!(path[0].cost, Cost::ZERO);
     assert!(prices.is_empty());
     // Nothing is priced on the trivial route (this slice used to panic),
     // an unknown destination, or a route without transit nodes.
@@ -99,8 +106,12 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
     // scalar cost, and is silence where it has none.
     match d.apply_event(LocalEvent::CostChange(Cost::new(42))) {
         Some(out) if P::SCALAR_COST => {
-            let head = out.advertisements[0].info.path().unwrap()[0];
-            assert_eq!(head.cost, Cost::new(42));
+            // Only the route to Z moves: the origin route carries no cost.
+            assert_eq!(out.entry_count(), 1);
+            assert_eq!(out.advertisements[0].destination, Fig1::Z);
+            let path = out.advertisements[0].info.path().unwrap();
+            assert_eq!(path[0].cost, Cost::new(42));
+            assert_eq!(path[1].cost, Cost::ZERO);
         }
         None if !P::SCALAR_COST => {}
         other => panic!("cost change answered {other:?}"),

@@ -1,9 +1,11 @@
 //! Criterion benches for the routing substrate: per-destination Dijkstra,
-//! all-pairs LCPs, the Bellman–Ford fixpoint, and k-avoiding path tables —
-//! the centralized Theorem-1 solver behind every experiment and the
-//! repository benchmark's `lcp.*` layer.
+//! all-pairs LCPs, the Bellman–Ford fixpoint, k-avoiding path tables, and
+//! `vcg::compute` on top of them — the centralized Theorem-1 yardstick
+//! behind every experiment and the repository benchmark's `lcp.*` and
+//! `core.vcg.*` layers.
 
 use bgpvcg_bench::families::Family;
+use bgpvcg_core::vcg;
 use bgpvcg_lcp::avoiding::AvoidanceTable;
 use bgpvcg_lcp::{bellman, shortest_tree, AllPairsLcp};
 use bgpvcg_netgraph::AsId;
@@ -65,10 +67,26 @@ fn bench_avoidance_table(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_vcg_compute(c: &mut Criterion) {
+    // The whole centralized mechanism: validation, all-pairs LCPs, and the
+    // subtree-local pass writing each price into the outcome table. Not
+    // at 1024, whose table alone is tens of MB.
+    let mut group = c.benchmark_group("vcg_compute");
+    group.sample_size(10);
+    for &n in &[32usize, 256, 512] {
+        let g = Family::BarabasiAlbert.build(n, 5);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
+            b.iter(|| vcg::compute(black_box(g)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_shortest_tree,
     bench_all_pairs,
-    bench_avoidance_table
+    bench_avoidance_table,
+    bench_vcg_compute
 );
 criterion_main!(benches);

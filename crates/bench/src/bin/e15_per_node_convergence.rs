@@ -26,8 +26,7 @@ use bgpvcg_bench::families::Family;
 use bgpvcg_bench::obs::ObsConfig;
 use bgpvcg_bench::table::Table;
 use bgpvcg_core::protocol;
-use bgpvcg_lcp::avoiding::AvoidanceTable;
-use bgpvcg_lcp::AllPairsLcp;
+use bgpvcg_lcp::{avoiding, AllPairsLcp};
 use bgpvcg_telemetry::{RingBufferSink, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -48,7 +47,11 @@ fn main() {
         for &n in &[16usize, 32] {
             let g = family.build(n, 71);
             let lcp = AllPairsLcp::compute(&g);
-            let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
+            // Hop count of each k-avoiding path, by (i, j, k's transit slot).
+            let mut avoid_hops = BTreeMap::new();
+            avoiding::for_each_destination(&g, &lcp, |j, i, slot, entry| {
+                avoid_hops.insert((i, j, slot), entry.hops);
+            });
 
             // Tee the run's event stream into a ring buffer: the shared
             // telemetry (and any bundle trace) observes everything, and
@@ -99,9 +102,8 @@ fn main() {
                     }
                     let route = lcp.route(i, j).expect("connected");
                     let lcp_hops = route.hops();
-                    for &k in route.transit_nodes() {
-                        let avoid_hops = avoidance.get(i, j, k).expect("biconnected").hops;
-                        let bound = lcp_hops.max(avoid_hops);
+                    for (slot, &k) in route.transit_nodes().iter().enumerate() {
+                        let bound = lcp_hops.max(avoid_hops[&(i, j, slot)]);
                         let stabilized = price_last[&(i.raw(), j.raw(), k.raw())];
                         checked += 1;
                         if stabilized <= bound {

@@ -18,7 +18,6 @@ use bgpvcg_bench::obs::ObsConfig;
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::telemetry::metric;
 use bgpvcg_core::{protocol, vcg};
-use bgpvcg_lcp::avoiding::AvoidanceTable;
 use bgpvcg_lcp::{diameter, AllPairsLcp};
 
 fn main() {
@@ -41,9 +40,8 @@ fn main() {
         for &n in &sizes {
             let g = family.build(n, 13);
             let lcp = AllPairsLcp::compute(&g);
-            let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
             let d = diameter::lcp_hop_diameter(&lcp);
-            let dprime = diameter::avoiding_hop_diameter(&avoidance);
+            let dprime = diameter::avoiding_hop_diameter(&g, &lcp);
             let bound = d.max(dprime);
 
             let mut engine =
@@ -52,8 +50,7 @@ fn main() {
             let report = engine.run_to_convergence();
             let outcome = protocol::outcome_from_nodes(&engine.into_nodes())
                 .expect("a converged run has every price");
-            let reference =
-                vcg::from_parts(&g, &lcp, &avoidance).expect("family graphs are biconnected");
+            let reference = vcg::compute(&g).expect("family graphs are biconnected");
             let exact = outcome == reference;
             let stages = telemetry.gauge(metric::STAGES_TO_QUIESCENCE).get() as usize;
             assert_eq!(stages, report.stages, "gauge mirrors the report");

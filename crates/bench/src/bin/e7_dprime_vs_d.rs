@@ -13,7 +13,6 @@
 use bgpvcg_bench::families::Family;
 use bgpvcg_bench::stats;
 use bgpvcg_bench::table::Table;
-use bgpvcg_lcp::avoiding::AvoidanceTable;
 use bgpvcg_lcp::{diameter, AllPairsLcp};
 
 fn main() {
@@ -37,9 +36,8 @@ fn main() {
             for &seed in &seeds {
                 let g = family.build(n, seed);
                 let lcp = AllPairsLcp::compute(&g);
-                let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
                 let d = diameter::lcp_hop_diameter(&lcp) as f64;
-                let dprime = diameter::avoiding_hop_diameter(&avoidance) as f64;
+                let dprime = diameter::avoiding_hop_diameter(&g, &lcp) as f64;
                 ds.push(d);
                 dprimes.push(dprime);
                 ratios.push(dprime / d);
@@ -84,9 +82,8 @@ fn main() {
             bgpvcg_netgraph::Cost::new(10),
         );
         let lcp = AllPairsLcp::compute(&g);
-        let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
         let d = diameter::lcp_hop_diameter(&lcp);
-        let dprime = diameter::avoiding_hop_diameter(&avoidance);
+        let dprime = diameter::avoiding_hop_diameter(&g, &lcp);
         wheel_table.row([
             format!("wheel({n})"),
             d.to_string(),

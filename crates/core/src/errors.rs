@@ -8,7 +8,7 @@
 //! before prices converged.
 
 use bgpvcg_bgp::forwarding::ForwardingError;
-use bgpvcg_netgraph::{AsId, GraphError};
+use bgpvcg_netgraph::{AsId, Cost, GraphError};
 use std::error::Error;
 use std::fmt;
 
@@ -28,6 +28,21 @@ pub enum MechanismError {
         destination: AsId,
         /// The transit node whose price entry is absent.
         transit: AsId,
+    },
+    /// A converged price is below its transit node's declared cost, which
+    /// no Theorem-1 price can be (`p^k = c_k + margin`, `margin ≥ 0`): the
+    /// nodes rest on a stale or corrupted fixpoint.
+    PriceBelowCost {
+        /// Source AS of the priced route.
+        source: AsId,
+        /// Destination AS of the priced route.
+        destination: AsId,
+        /// The underpriced transit node.
+        transit: AsId,
+        /// Its extracted price.
+        price: Cost,
+        /// Its declared cost on the selected route.
+        cost: Cost,
     },
     /// Traffic was demanded between a pair no selected route serves.
     UnroutedPair {
@@ -52,6 +67,17 @@ impl fmt::Display for MechanismError {
             } => write!(
                 f,
                 "no converged price for transit {transit} on route {source}->{destination}"
+            ),
+            MechanismError::PriceBelowCost {
+                source,
+                destination,
+                transit,
+                price,
+                cost,
+            } => write!(
+                f,
+                "converged price {price} of transit {transit} on route {source}->{destination} \
+                 is below its declared cost {cost}"
             ),
             MechanismError::UnroutedPair {
                 source,

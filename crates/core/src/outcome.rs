@@ -166,6 +166,18 @@ impl RoutingOutcome {
         self.pair(i, j).and_then(|p| p.price_of(k))
     }
 
+    /// The pair `(i, j)`'s route nodes and its writable price cells (both
+    /// empty for an absent pair): [`crate::vcg::compute`] lays the table
+    /// out with placeholder prices, then writes each into its cell.
+    pub(crate) fn price_row_mut(&mut self, i: AsId, j: AsId) -> (&[AsId], &mut [Cost]) {
+        let p = i.index() * self.n + j.index();
+        let (from, to) = (self.starts[p], self.starts[p + 1]);
+        (
+            &self.nodes[from.node as usize..to.node as usize],
+            &mut self.prices[from.price as usize..to.price as usize],
+        )
+    }
+
     /// Iterates over all ordered pairs with an outcome, row-major.
     pub fn pairs(&self) -> impl Iterator<Item = (AsId, AsId, PairOutcome<'_>)> {
         (0..self.transit_costs.len()).filter_map(move |p| {

@@ -106,6 +106,31 @@ mod tests {
     }
 
     #[test]
+    fn extraction_reports_a_price_below_its_declared_cost() {
+        // B lies that D's price is 0, below D's declared cost 1. X prices D
+        // from B's array (case (i)), so the extracted outcome would pay D
+        // less than it declared: an error in every build, not a panic.
+        let g = fig1();
+        let mut nodes = PricingBgpNode::from_graph(&g);
+        let lying_b = advertises(
+            &[(Fig1::B, 2), (Fig1::D, 1), (Fig1::Z, 0)],
+            1,
+            &[Cost::ZERO],
+        );
+        nodes[Fig1::X.index()].handle(&[lying_b, via_a()]);
+        assert_eq!(
+            crate::protocol::outcome_from_nodes(&nodes),
+            Err(crate::MechanismError::PriceBelowCost {
+                source: Fig1::X,
+                destination: Fig1::Z,
+                transit: Fig1::D,
+                price: Cost::ZERO,
+                cost: Cost::new(1),
+            })
+        );
+    }
+
+    #[test]
     fn route_change_resets_prices() {
         let mut x = PricingBgpNode::new(&fig1(), Fig1::X);
         // First: only the expensive route via A is known.

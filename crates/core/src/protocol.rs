@@ -202,7 +202,9 @@ pub fn run_chaos(
 /// transit nodes in the unpriced model, never for a priced node an engine
 /// ran — a selected route's row is relaxed to its full length whenever
 /// the route is selected — so there it is a defence, not a convergence
-/// signal.
+/// signal. Returns [`MechanismError::PriceBelowCost`] if a price is below
+/// its transit node's declared cost, which no fixpoint of honest nodes
+/// holds.
 ///
 /// # Panics
 ///
@@ -234,7 +236,7 @@ pub fn outcome_from_nodes<P: PricePolicy>(
                     transit: k.node,
                 });
             }
-            crate::invariants::converged_prices::<P>(transit, row);
+            crate::invariants::converged_prices::<P>((i, j), transit, row)?;
             table.push(
                 i,
                 j,
@@ -355,15 +357,13 @@ mod tests {
 
     #[test]
     fn convergence_within_max_d_dprime_stages() {
-        use bgpvcg_lcp::avoiding::AvoidanceTable;
         use bgpvcg_lcp::{diameter, AllPairsLcp};
         for seed in 0..6 {
             let mut rng = StdRng::seed_from_u64(100 + seed);
             let costs = random_costs(20, 1, 9, &mut rng);
             let g = erdos_renyi(costs, 0.2, &mut rng);
             let lcp = AllPairsLcp::compute(&g);
-            let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
-            let bound = diameter::convergence_bound(&lcp, &avoidance);
+            let bound = diameter::convergence_bound(&g, &lcp);
             let run = run_sync(&g).unwrap();
             assert!(
                 run.report.stages <= bound,

@@ -18,14 +18,20 @@
 //! implementation used by the strategyproofness harness.
 
 use crate::outcome::RoutingOutcome;
-use bgpvcg_lcp::avoiding::AvoidanceTable;
-use bgpvcg_lcp::{AllPairsLcp, CostModel};
-use bgpvcg_netgraph::GraphError;
+use bgpvcg_lcp::{avoiding, AllPairsLcp, CostModel};
+use bgpvcg_netgraph::{Cost, GraphError};
+use std::iter;
 
 /// Computes the full VCG outcome — all LCPs and all prices — for a
 /// biconnected graph, under either cost model ([`CostModel`]: node costs
 /// on an [`AsGraph`](bgpvcg_netgraph::AsGraph), or the per-neighbour costs
 /// of [`crate::neighbor_costs`]).
+///
+/// The table's layout depends only on the LCP hop counts, so every cell
+/// is placed first, prices at `∞`; the subtree-local pass
+/// ([`avoiding::for_each_destination`], Lemma 1) then writes each price
+/// into its cell, holding nothing beyond the LCP trees and `O(n + m)`
+/// scratch.
 ///
 /// # Errors
 ///
@@ -49,75 +55,41 @@ use bgpvcg_netgraph::GraphError;
 /// # }
 /// ```
 pub fn compute<C: CostModel + ?Sized>(graph: &C) -> Result<RoutingOutcome, GraphError> {
-    graph.topology().validate_for_mechanism()?;
-    let lcp = AllPairsLcp::compute(graph);
-    // Subtree-local (Lemma 1): each (j, k) relaxes only k's subtree of
-    // T(j), so the table costs one O(n + m) numbering per destination plus
-    // work proportional to its own size — not a punctured Dijkstra per
-    // (j, k).
-    let avoidance = AvoidanceTable::compute_fast(graph, &lcp);
-    from_parts(graph, &lcp, &avoidance)
-}
-
-/// Computes the outcome from precomputed routing structures (useful when
-/// the caller already has them, e.g. in benchmarks that sweep many traffic
-/// matrices over one topology).
-///
-/// # Errors
-///
-/// Returns [`GraphError::NotBiconnected`] if some required k-avoiding path
-/// does not exist; [`compute`] validates the graph up front so this can
-/// only surface here when bypassing validation.
-pub fn from_parts<C: CostModel + ?Sized>(
-    graph: &C,
-    lcp: &AllPairsLcp,
-    avoidance: &AvoidanceTable,
-) -> Result<RoutingOutcome, GraphError> {
     let topology = graph.topology();
+    topology.validate_for_mechanism()?;
+    let lcp = &AllPairsLcp::compute(graph);
+    // Every routed pair with its hop count: hops + 1 node cells and
+    // hops − 1 price cells.
+    let routes = || {
+        topology.nodes().flat_map(move |i| {
+            let others = topology.nodes().filter(move |&j| j != i);
+            others.filter_map(move |j| Some((i, j, lcp.tree(j).hops(i)?)))
+        })
+    };
+    let transit = routes().map(|(_, _, hops)| hops - 1).sum();
     let mut table = RoutingOutcome::builder(topology.node_count());
-    let (mut nodes, mut transit) = (0, 0);
-    for i in topology.nodes() {
-        for j in topology.nodes().filter(|&j| j != i) {
-            let len = lcp.tree(j).hops(i).map_or(0, |hops| hops + 1);
-            nodes += len;
-            transit += len.saturating_sub(2);
-        }
+    table.reserve(transit + 2 * routes().count(), transit);
+    for (i, j, hops) in routes() {
+        let tree = lcp.tree(j);
+        let unpriced = iter::repeat_n(Cost::INFINITE, hops - 1);
+        table.push(i, j, tree.cost(i), tree.path(i), unpriced);
     }
-    table.reserve(nodes, transit);
-    for i in topology.nodes() {
-        for j in topology.nodes() {
-            let tree = lcp.tree(j);
-            if i == j || tree.hops(i).is_none() {
-                continue;
-            }
-            let lcp_cost = tree.cost(i);
-            let path = tree.path(i);
-            let entries = avoidance.entries(i, j);
-            // An infinite k-avoiding cost means no k-avoiding path exists:
-            // the graph lost biconnectivity.
-            if entries.iter().any(|entry| entry.cost.is_infinite()) {
-                return Err(GraphError::NotBiconnected);
-            }
-            debug_assert!(
-                entries
-                    .iter()
-                    .map(|entry| entry.avoided)
-                    .eq(path.clone().skip(1).filter(|&k| k != j)),
-                "avoidance entries follow the route's transit nodes"
-            );
-            // Entries follow the path, so entry m's transit node receives
-            // the packet from the path's node m; c_k(pred) is what k incurs.
-            let prices = entries.iter().zip(path.clone()).map(|(entry, pred)| {
-                let margin = entry
-                    .cost
-                    .checked_sub(lcp_cost)
-                    .expect("a k-avoiding path is itself a path, so it cannot beat the LCP"); // lint:allow(mathematical invariant of shortest paths)
-                graph.transit_cost(entry.avoided, pred) + margin
-            });
-            table.push(i, j, lcp_cost, path, prices);
+    let mut outcome = table.finish();
+    // The pass visits each price cell once: p^k_ij = c_k(pred) + Cost(P_{-k})
+    // − Cost(P), where k receives from the route's node at `slot`. With no
+    // k-avoiding path the margin is `None` and the cell stays ∞.
+    let mut priced = 0;
+    avoiding::for_each_destination(graph, lcp, |j, i, slot, entry| {
+        if let Some(margin) = entry.cost.checked_sub(lcp.tree(j).cost(i)) {
+            let (route, prices) = outcome.price_row_mut(i, j);
+            prices[slot] = graph.transit_cost(route[slot + 1], route[slot]) + margin;
+            priced += 1;
         }
+    });
+    if priced < transit {
+        return Err(GraphError::NotBiconnected);
     }
-    Ok(table.finish())
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -220,17 +192,6 @@ mod tests {
         let pair = outcome.pair(AsId::new(1), AsId::new(3)).unwrap();
         assert_eq!(pair.nodes(), &[AsId::new(1), hub, AsId::new(3)]);
         assert_eq!(pair.price_of(hub), Some(Cost::new(10)));
-    }
-
-    #[test]
-    fn from_parts_matches_compute() {
-        let g = fig1();
-        let lcp = AllPairsLcp::compute(&g);
-        let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
-        assert_eq!(
-            from_parts(&g, &lcp, &avoidance).unwrap(),
-            compute(&g).unwrap()
-        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! The price formula only needs the avoiding path's **cost**, which is
 //! tie-independent; the avoiding path's **hop count** additionally feeds the
-//! convergence bound `max(d, d′)` of Lemma 2, so this module records both.
+//! convergence bound `max(d, d′)` of Lemma 2, so this module reports both.
+//! [`for_each_destination`] is the one solver: it hands each fact to its
+//! caller one destination at a time, and keeps none of them.
 
 use crate::all_pairs::AllPairsLcp;
 use crate::dijkstra::{dijkstra, CostModel};
@@ -16,7 +18,6 @@ use crate::tree::DestinationTree;
 use bgpvcg_netgraph::{AsId, Cost};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 /// Computes the tree of lowest-cost `avoid`-avoiding routes to
 /// `destination`: Dijkstra on the graph with node `avoid` removed, under the
@@ -57,13 +58,12 @@ pub fn avoiding_tree<C: CostModel + ?Sized>(
     dijkstra(graph, destination, Some(avoid))
 }
 
-/// One recorded avoiding-path fact: for a transit node `k` on the LCP from
-/// some `i` to some `j`, the cost and hop count of the lowest-cost
-/// k-avoiding path from `i` to `j`.
+/// One avoiding-path fact: for a transit node `k` on the LCP from some `i`
+/// to some `j`, the cost and hop count of the lowest-cost k-avoiding path
+/// from `i` to `j`. Which `k` it is follows from where it is delivered:
+/// its slot among the route's transit nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AvoidingEntry {
-    /// The avoided transit node `k`.
-    pub avoided: AsId,
     /// `Cost(P_{-k}(c; i, j))`; infinite only if the graph is not
     /// biconnected.
     pub cost: Cost,
@@ -72,26 +72,14 @@ pub struct AvoidingEntry {
     pub hops: usize,
 }
 
-/// All the k-avoiding facts the mechanism needs: for every pair `(i, j)` and
-/// every transit node `k` on the selected LCP from `i` to `j`, the cost and
-/// hop count of `P_{-k}(c; i, j)`.
+/// Every k-avoiding fact at once: for every pair `(i, j)` and every
+/// transit node `k` on the selected LCP from `i` to `j`, the cost and hop
+/// count of `P_{-k}(c; i, j)`.
 ///
-/// [`AvoidanceTable::compute_fast`] is the solver;
-/// [`AvoidanceTable::compute`] is its test oracle.
-///
-/// # Example
-///
-/// ```
-/// use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
-/// use bgpvcg_lcp::{avoiding::AvoidanceTable, AllPairsLcp};
-/// use bgpvcg_netgraph::Cost;
-///
-/// let g = fig1();
-/// let lcp = AllPairsLcp::compute(&g);
-/// let avoid = AvoidanceTable::compute_fast(&g, &lcp);
-/// let entry = avoid.get(Fig1::X, Fig1::Z, Fig1::D).expect("D is transit");
-/// assert_eq!(entry.cost, Cost::new(5)); // X A Z
-/// ```
+/// The mechanism never builds this table: it takes each fact from
+/// [`for_each_destination`] as it is found. The table is what tests and
+/// benches compare — [`AvoidanceTable::compute_fast`] collects the pass,
+/// [`AvoidanceTable::compute`] is its oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvoidanceTable {
     n: usize,
@@ -115,12 +103,15 @@ struct Preorder {
     last: Vec<usize>,
     /// The parent's position (`0`, the root's own, for the root).
     parent: Vec<usize>,
+    /// The hop count of `order[p]`'s route to `j`.
+    depth: Vec<usize>,
     /// Position `p`'s links are `links[starts[p]..starts[p + 1]]`.
     starts: Vec<usize>,
     links: Vec<Link>,
     /// Scratch, by node: the smallest child, and the next larger sibling.
     first_child: Vec<Option<AsId>>,
     next_sibling: Vec<Option<AsId>>,
+    stack: Vec<AsId>,
 }
 
 /// A link from position `p` to the neighbour at position `to`, with the
@@ -160,12 +151,12 @@ impl Preorder {
         self.order.clear();
         self.tin.clear();
         self.tin.resize(n, usize::MAX);
-        let mut stack = vec![j];
-        while let Some(v) = stack.pop() {
+        self.stack.push(j);
+        while let Some(v) = self.stack.pop() {
             self.tin[v.index()] = self.order.len();
             self.order.push(v);
-            stack.extend(self.next_sibling[v.index()]);
-            stack.extend(self.first_child[v.index()]);
+            self.stack.extend(self.next_sibling[v.index()]);
+            self.stack.extend(self.first_child[v.index()]);
         }
         self.parent.clear();
         self.parent.extend(
@@ -173,6 +164,9 @@ impl Preorder {
                 .iter()
                 .map(|&v| tree.parent(v).map_or(0, |up| self.tin[up.index()])),
         );
+        self.depth.clear();
+        self.depth
+            .extend(self.order.iter().map(|&v| tree.hops(v).unwrap_or(0)));
         // Children follow their parent in preorder, so a reverse sweep
         // closes every subtree before its parent's.
         self.last.clear();
@@ -209,13 +203,129 @@ impl Preorder {
     }
 }
 
+/// The Theorem-1 pass: every k-avoiding fact the mechanism needs, one
+/// destination at a time, each handed to `visit(j, i, slot, entry)` as
+/// soon as it is known.
+///
+/// `entry` is the lowest-cost k-avoiding path from `i` to `j` for the
+/// transit node `k` at `slot` of `i`'s route — `k` is
+/// `route.transit_nodes()[slot]`, and `slot = hops_j(i) − hops_j(k) − 1`.
+/// Every such `(i, j, k)` is visited exactly once; a missing avoiding
+/// path (the graph is not biconnected) has infinite cost and zero hops.
+///
+/// The pass relaxes **within the avoided node's subtree only** — the
+/// centralized reading of the paper's Lemma 1 (Sect. 6.2's suffix
+/// structure), and the node-avoiding cousin of Hershberger and Suri's
+/// replacement paths. `i` needs a k-avoiding cost only if it lies in
+/// `k`'s subtree `S_k` of `T(j)`. An optimal k-avoiding path leaves `S_k`
+/// exactly once, and every node outside keeps its LCP: the path either
+/// exits at once (first hop to a neighbour `a ∉ S_k ∪ {k}`, cost
+/// `c_a + c(a, j)`), or moves to another subtree node `a` and continues
+/// along *its* best k-avoiding path (cost `c_a + A(a)`). A Dijkstra over
+/// `S_k` alone solves that recurrence, with the punctured Dijkstra's
+/// ([`avoiding_tree`]) costs and hop counts exactly.
+///
+/// # Complexity
+///
+/// Per destination, one DFS numbering of `T(j)` and its links
+/// (`O(n + m)`), after which `S_k` is a contiguous preorder range;
+/// relaxation walks `S_k` only, `O(edges(S_k) log |S_k|)` per `(j, k)`.
+/// The `O(n + m)` scratch is made once and reused for every destination.
+///
+/// # Example
+///
+/// ```
+/// use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
+/// use bgpvcg_lcp::{avoiding, AllPairsLcp};
+///
+/// let (g, mut facts) = (fig1(), Vec::new());
+/// avoiding::for_each_destination(&g, &AllPairsLcp::compute(&g), |j, i, slot, e| {
+///     facts.push(((i, j, slot), e.cost.finite(), e.hops));
+/// });
+/// // Y D Z: avoiding D (slot 0) takes Y B X A Z, cost 9 over 4 hops.
+/// assert!(facts.contains(&((Fig1::Y, Fig1::Z, 0), Some(9), 4)));
+/// ```
+pub fn for_each_destination<C, F>(graph: &C, lcp: &AllPairsLcp, visit: F)
+where
+    C: CostModel + ?Sized,
+    F: FnMut(AsId, AsId, usize, AvoidingEntry),
+{
+    solve(graph, lcp, visit);
+}
+
+/// [`for_each_destination`], also returning each destination's work: the
+/// nodes its pass numbered plus the nodes it settled — a count the clock
+/// cannot blur.
+fn solve<C, F>(graph: &C, lcp: &AllPairsLcp, mut visit: F) -> Vec<usize>
+where
+    C: CostModel + ?Sized,
+    F: FnMut(AsId, AsId, usize, AvoidingEntry),
+{
+    let n = lcp.node_count();
+    let mut work = vec![0; n];
+    let mut dfs = Preorder::default();
+    // Best-known (cost, hops) per preorder position; only `S_k`'s range
+    // is ever written or read.
+    let mut best = vec![UNREACHED; n];
+    let mut heap = BinaryHeap::new();
+    for tree in lcp.trees() {
+        let j = tree.destination();
+        dfs.number(graph, tree);
+        work[j.index()] = n;
+        for (at_k, &last) in dfs.last.iter().enumerate().skip(1) {
+            let first = at_k + 1;
+            let inside = |q: usize| first <= q && q <= last;
+            // Seed: every subtree node's best exit onto an already k-free
+            // LCP, heapified at once.
+            let mut seeds = std::mem::take(&mut heap).into_vec();
+            seeds.clear();
+            for (p, exit) in best.iter_mut().enumerate().take(last + 1).skip(first) {
+                *exit = dfs
+                    .links(p)
+                    .iter()
+                    .filter(|link| link.to != at_k && !inside(link.to))
+                    .map(|link| link.exit)
+                    .min()
+                    .unwrap_or(UNREACHED);
+                if *exit != UNREACHED {
+                    seeds.push(Reverse((*exit, p)));
+                }
+            }
+            heap = BinaryHeap::from(seeds);
+            // Relax within the subtree: v → u → (u's best k-avoiding
+            // path), u turning transit. Nodes never reached stay
+            // `UNREACHED`.
+            while let Some(Reverse(((cost, hops), p))) = heap.pop() {
+                if best[p] != (cost, hops) {
+                    continue; // stale entry
+                }
+                work[j.index()] += 1;
+                for link in dfs.links(p) {
+                    let candidate = (cost + link.relax, hops + 1);
+                    if inside(link.to) && candidate < best[link.to] {
+                        best[link.to] = candidate;
+                        heap.push(Reverse((candidate, link.to)));
+                    }
+                }
+            }
+            // Hand out S_k: k sits `depth − depth(k)` hops up each route.
+            let k_depth = dfs.depth[at_k];
+            for (p, &(cost, hops)) in best.iter().enumerate().take(last + 1).skip(first) {
+                let slot = dfs.depth[p] - k_depth - 1;
+                visit(j, dfs.order[p], slot, AvoidingEntry { cost, hops });
+            }
+        }
+    }
+    work
+}
+
 impl AvoidanceTable {
     /// The test oracle: one punctured Dijkstra ([`avoiding_tree`]) per
     /// `(j, k)` with `k` transit in `T(j)`, read off along each route. It
     /// has the standing of [`bellman::fixpoint`](crate::bellman::fixpoint)
     /// and [`enumerate::brute_force_avoiding`](crate::enumerate::brute_force_avoiding):
     /// slow (`O(n²)` full Dijkstras worst case) and obviously right, kept for
-    /// tests to check [`compute_fast`](Self::compute_fast) against.
+    /// tests to check [`for_each_destination`] against.
     ///
     /// For graphs that are not biconnected, entries whose avoiding path does
     /// not exist carry [`Cost::INFINITE`].
@@ -228,24 +338,13 @@ impl AvoidanceTable {
         };
         for tree in lcp.trees() {
             let j = tree.destination();
-            // A node carries transit traffic toward j iff it is some node's
-            // parent.
-            let mut is_parent = vec![false; n];
-            for up in graph.topology().nodes().filter_map(|i| tree.parent(i)) {
-                is_parent[up.index()] = true;
-            }
-            let avoiding: Vec<Option<DestinationTree>> = graph
-                .topology()
-                .nodes()
-                .map(|k| (k != j && is_parent[k.index()]).then(|| avoiding_tree(graph, j, k)))
-                .collect();
+            // One punctured tree per transit node of T(j), made on first use.
+            let mut avoiding: Vec<Option<DestinationTree>> = vec![None; n];
             for i in graph.topology().nodes() {
                 for k in tree.path(i).skip(1).filter(|&k| k != j) {
-                    let avoid = avoiding[k.index()]
-                        .as_ref()
-                        .expect("transit nodes are parents");
+                    let avoid =
+                        avoiding[k.index()].get_or_insert_with(|| avoiding_tree(graph, j, k));
                     table.entries.push(AvoidingEntry {
-                        avoided: k,
                         cost: avoid.cost(i),
                         hops: avoid.hops(i).unwrap_or(0),
                     });
@@ -256,127 +355,33 @@ impl AvoidanceTable {
         table
     }
 
-    /// Computes the table by relaxing **within the avoided node's subtree
-    /// only** — the centralized reading of the paper's Lemma 1 (Sect. 6.2's
-    /// suffix structure), and the node-avoiding cousin of Hershberger and
-    /// Suri's replacement paths.
-    ///
-    /// A node `i` needs a k-avoiding cost only if `k` is transit on its
-    /// LCP, i.e. `i` lies in `k`'s subtree `S_k` of the tree `T(j)`. An
-    /// optimal k-avoiding path leaves `S_k` exactly once, and every node
-    /// outside keeps its LCP: the path either exits at once (first hop to
-    /// a neighbour `a ∉ S_k ∪ {k}`, cost `c_a + c(a, j)`), or moves to
-    /// another subtree node `a` and continues along *its* best k-avoiding
-    /// path (cost `c_a + A(a)`). A Dijkstra over `S_k` alone solves that
-    /// recurrence.
-    ///
-    /// # Complexity
-    ///
-    /// Per destination, one DFS numbering of `T(j)` and its links
-    /// (`O(n + m)`), after which `S_k` is a contiguous preorder range.
-    /// Seeding and relaxation then walk `S_k` only: `O(edges(S_k) log
-    /// |S_k|)` per `(j, k)`. Summed over `k`, `Σ|S_k|` is the number of
-    /// `j`'s table entries; they are written once, in path order, by
-    /// walking each source's ancestors — nothing is sorted.
-    ///
-    /// Produces **exactly** the table of [`AvoidanceTable::compute`] —
-    /// costs, hops and entry order (asserted by tests): costs are
-    /// tie-free, and hop counts are minimised among minimum-cost paths
-    /// under both.
+    /// [`for_each_destination`] collected into a table: the lists are laid
+    /// out from the LCP hop counts, and each visited entry is written into
+    /// its slot. Produces **exactly** the table of
+    /// [`AvoidanceTable::compute`] (asserted by tests).
     pub fn compute_fast<C: CostModel + ?Sized>(graph: &C, lcp: &AllPairsLcp) -> Self {
-        Self::solve(graph, lcp).0
-    }
-
-    /// [`compute_fast`](Self::compute_fast), also returning each
-    /// destination's work: the nodes its pass numbered plus the nodes it
-    /// settled — a count the clock cannot blur.
-    fn solve<C: CostModel + ?Sized>(graph: &C, lcp: &AllPairsLcp) -> (Self, Vec<usize>) {
         let n = lcp.node_count();
         let mut starts = Vec::with_capacity(n * n + 1);
         starts.push(0);
-        let mut entries = Vec::new();
-        let mut work = vec![0; n];
-        let mut dfs = Preorder::default();
-        // Best-known (cost, hops) per preorder position; only `S_k`'s range
-        // is ever written or read.
-        let mut best = vec![UNREACHED; n];
-        let mut heap = BinaryHeap::new();
-        // `j`'s answers, subtree after subtree: `S_k`'s slice starts at
-        // `offset[tin[k]]` and follows preorder.
-        let (mut answers, mut offset) = (Vec::new(), Vec::with_capacity(n));
         for tree in lcp.trees() {
-            dfs.number(graph, tree);
-            work[tree.destination().index()] = n;
-            answers.clear();
-            offset.clear();
-            offset.push(0); // the root's subtree holds no answers
-            for (at_k, &last) in dfs.last.iter().enumerate().skip(1) {
-                let first = at_k + 1;
-                let inside = |q: usize| first <= q && q <= last;
-                // Seed: every subtree node's best exit onto an already
-                // k-free LCP, heapified at once.
-                let mut seeds = std::mem::take(&mut heap).into_vec();
-                seeds.clear();
-                for (p, exit) in best.iter_mut().enumerate().take(last + 1).skip(first) {
-                    *exit = dfs
-                        .links(p)
-                        .iter()
-                        .filter(|link| link.to != at_k && !inside(link.to))
-                        .map(|link| link.exit)
-                        .min()
-                        .unwrap_or(UNREACHED);
-                    if *exit != UNREACHED {
-                        seeds.push(Reverse((*exit, p)));
-                    }
-                }
-                heap = BinaryHeap::from(seeds);
-                // Relax within the subtree: v → u → (u's best k-avoiding
-                // path), u turning transit. Nodes never reached stay
-                // `UNREACHED`.
-                while let Some(Reverse(((cost, hops), p))) = heap.pop() {
-                    if best[p] != (cost, hops) {
-                        continue; // stale entry
-                    }
-                    work[tree.destination().index()] += 1;
-                    for link in dfs.links(p) {
-                        let candidate = (cost + link.relax, hops + 1);
-                        if inside(link.to) && candidate < best[link.to] {
-                            best[link.to] = candidate;
-                            heap.push(Reverse((candidate, link.to)));
-                        }
-                    }
-                }
-                offset.push(answers.len());
-                answers.extend_from_slice(&best[first..last + 1]);
-            }
-            // Gather, in table order: source by source, each source's
-            // transit nodes from its parent up.
-            entries.reserve(answers.len());
-            for &p in &dfs.tin {
-                if p != usize::MAX {
-                    let mut k = dfs.parent[p];
-                    while k != 0 {
-                        let (cost, hops) = answers[offset[k] + p - k - 1];
-                        entries.push(AvoidingEntry {
-                            avoided: dfs.order[k],
-                            cost,
-                            hops,
-                        });
-                        k = dfs.parent[k];
-                    }
-                }
-                starts.push(entries.len());
+            for i in graph.topology().nodes() {
+                let transit = tree.hops(i).map_or(0, |hops| hops.saturating_sub(1));
+                starts.push(starts[starts.len() - 1] + transit);
             }
         }
-        (AvoidanceTable { n, starts, entries }, work)
+        let unset = AvoidingEntry {
+            cost: Cost::INFINITE,
+            hops: 0,
+        };
+        let mut entries = vec![unset; starts[n * n]];
+        for_each_destination(graph, lcp, |j, i, slot, entry| {
+            entries[starts[j.index() * n + i.index()] + slot] = entry;
+        });
+        AvoidanceTable { n, starts, entries }
     }
 
-    /// Number of ASs covered.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// The avoiding-path facts for the pair `(i, j)`, in LCP path order.
+    /// The avoiding-path facts for the pair `(i, j)`, one per transit node
+    /// of the route, in LCP path order.
     ///
     /// # Panics
     ///
@@ -384,29 +389,6 @@ impl AvoidanceTable {
     pub fn entries(&self, i: AsId, j: AsId) -> &[AvoidingEntry] {
         let pair = j.index() * self.n + i.index();
         &self.entries[self.starts[pair]..self.starts[pair + 1]]
-    }
-
-    /// The avoiding-path fact for transit node `k` on the LCP from `i` to
-    /// `j`, or `None` if `k` is not a transit node of that route.
-    pub fn get(&self, i: AsId, j: AsId, k: AsId) -> Option<AvoidingEntry> {
-        self.entries(i, j).iter().copied().find(|e| e.avoided == k)
-    }
-
-    /// The largest hop count of any recorded lowest-cost k-avoiding path —
-    /// the paper's `d′`. Returns 0 for graphs with no transit traffic.
-    pub fn max_hops(&self) -> usize {
-        self.entries.iter().map(|e| e.hops).max().unwrap_or(0)
-    }
-}
-
-impl fmt::Display for AvoidanceTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "AvoidanceTable over {} ASs (d' = {})",
-            self.n,
-            self.max_hops()
-        )
     }
 }
 
@@ -524,33 +506,30 @@ mod tests {
         let g = fig1();
         let lcp = AllPairsLcp::compute(&g);
         let table = AvoidanceTable::compute(&g, &lcp);
-        // X -> Z has transit nodes B, D in that order.
+        // X -> Z has transit nodes B, D in that order; avoiding either
+        // costs 5 (X A Z).
         let entries = table.entries(Fig1::X, Fig1::Z);
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].avoided, Fig1::B);
+        assert_eq!(
+            entries[0].cost,
+            avoiding_tree(&g, Fig1::Z, Fig1::B).cost(Fig1::X)
+        );
         assert_eq!(entries[0].cost, Cost::new(5));
-        assert_eq!(entries[1].avoided, Fig1::D);
+        assert_eq!(
+            entries[1].cost,
+            avoiding_tree(&g, Fig1::Z, Fig1::D).cost(Fig1::X)
+        );
         assert_eq!(entries[1].cost, Cost::new(5));
         // Y -> Z has one transit node D with avoiding cost 9 over 4 hops.
-        let entries = table.entries(Fig1::Y, Fig1::Z);
-        assert_eq!(entries.len(), 1);
         assert_eq!(
-            entries[0],
-            AvoidingEntry {
-                avoided: Fig1::D,
+            table.entries(Fig1::Y, Fig1::Z),
+            [AvoidingEntry {
                 cost: Cost::new(9),
                 hops: 4
-            }
+            }]
         );
-    }
-
-    #[test]
-    fn table_get_returns_none_for_non_transit() {
-        let g = fig1();
-        let lcp = AllPairsLcp::compute(&g);
-        let table = AvoidanceTable::compute(&g, &lcp);
-        assert!(table.get(Fig1::X, Fig1::Z, Fig1::A).is_none());
-        assert!(table.get(Fig1::X, Fig1::Z, Fig1::D).is_some());
+        // A route without transit nodes has no entries.
+        assert!(table.entries(Fig1::A, Fig1::Z).is_empty());
     }
 
     #[test]
@@ -570,8 +549,8 @@ mod tests {
                 assert_eq!(entries.len(), route.transit_nodes().len());
                 for (slot, &k) in route.transit_nodes().iter().enumerate() {
                     let direct = avoiding_tree(&g, j, k);
-                    assert_eq!(entries[slot].avoided, k);
                     assert_eq!(entries[slot].cost, direct.cost(i));
+                    assert_eq!(entries[slot].hops, direct.hops(i).unwrap());
                 }
             }
         }
@@ -613,7 +592,7 @@ mod tests {
         for g in [ring(40, Cost::new(2)), ba, hier] {
             let n = g.node_count();
             let lcp = AllPairsLcp::compute(&g);
-            let (_, work) = AvoidanceTable::solve(&g, &lcp);
+            let work = solve(&g, &lcp, |_, _, _, _| {});
             for j in g.nodes() {
                 let tree = lcp.tree(j);
                 let subtrees: usize = g
@@ -627,16 +606,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn max_hops_on_ring() {
-        // On a uniform ring, avoiding a node on the short arc forces the
-        // long way around. The shortest LCP with a transit node has 2 hops,
-        // so the longest avoiding detour has n - 2 hops.
-        let g = ring(8, Cost::new(1));
-        let lcp = AllPairsLcp::compute(&g);
-        let table = AvoidanceTable::compute(&g, &lcp);
-        assert_eq!(table.max_hops(), 6);
     }
 }

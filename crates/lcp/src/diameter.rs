@@ -14,7 +14,8 @@
 //! `d′/d` on Internet-like synthetic families to reproduce that remark.
 
 use crate::all_pairs::AllPairsLcp;
-use crate::avoiding::AvoidanceTable;
+use crate::avoiding;
+use crate::dijkstra::CostModel;
 
 /// The LCP hop diameter `d`: the maximum hop count over all selected
 /// lowest-cost routes. Returns 0 when no pair is connected.
@@ -33,14 +34,20 @@ pub fn lcp_hop_diameter(lcp: &AllPairsLcp) -> usize {
 }
 
 /// The k-avoiding hop diameter `d′`: the maximum hop count over all
-/// recorded lowest-cost k-avoiding paths.
-pub fn avoiding_hop_diameter(table: &AvoidanceTable) -> usize {
-    table.max_hops()
+/// lowest-cost k-avoiding paths the prices need, taken as a running max
+/// over [`avoiding::for_each_destination`]. Returns 0 for graphs with no
+/// transit traffic.
+pub fn avoiding_hop_diameter<C: CostModel + ?Sized>(graph: &C, lcp: &AllPairsLcp) -> usize {
+    let mut dprime = 0;
+    avoiding::for_each_destination(graph, lcp, |_, _, _, entry| {
+        dprime = dprime.max(entry.hops);
+    });
+    dprime
 }
 
 /// The paper's convergence bound `max(d, d′)` (Corollary 1).
-pub fn convergence_bound(lcp: &AllPairsLcp, table: &AvoidanceTable) -> usize {
-    lcp_hop_diameter(lcp).max(avoiding_hop_diameter(table))
+pub fn convergence_bound<C: CostModel + ?Sized>(graph: &C, lcp: &AllPairsLcp) -> usize {
+    lcp_hop_diameter(lcp).max(avoiding_hop_diameter(graph, lcp))
 }
 
 #[cfg(test)]
@@ -49,36 +56,35 @@ mod tests {
     use bgpvcg_netgraph::generators::structured::{complete, fig1, ring};
     use bgpvcg_netgraph::Cost;
 
-    fn tables(g: &bgpvcg_netgraph::AsGraph) -> (AllPairsLcp, AvoidanceTable) {
-        let lcp = AllPairsLcp::compute(g);
-        let table = AvoidanceTable::compute_fast(g, &lcp);
-        (lcp, table)
-    }
-
     #[test]
     fn fig1_diameters() {
-        let (lcp, table) = tables(&fig1());
+        let g = fig1();
+        let lcp = AllPairsLcp::compute(&g);
         assert_eq!(lcp_hop_diameter(&lcp), 3);
         // The D-avoiding path Y B X A Z has 4 hops.
-        assert_eq!(avoiding_hop_diameter(&table), 4);
-        assert_eq!(convergence_bound(&lcp, &table), 4);
+        assert_eq!(avoiding_hop_diameter(&g, &lcp), 4);
+        assert_eq!(convergence_bound(&g, &lcp), 4);
     }
 
     #[test]
     fn complete_graph_diameter_is_small() {
-        let (lcp, table) = tables(&complete(6, Cost::new(3)));
+        let g = complete(6, Cost::new(3));
+        let lcp = AllPairsLcp::compute(&g);
         assert_eq!(lcp_hop_diameter(&lcp), 1);
         // No LCP has a transit node (direct links always win at equal cost),
         // so d' has nothing to measure.
-        assert_eq!(avoiding_hop_diameter(&table), 0);
+        assert_eq!(avoiding_hop_diameter(&g, &lcp), 0);
     }
 
     #[test]
     fn ring_diameters_grow_linearly() {
-        let (lcp, table) = tables(&ring(10, Cost::new(1)));
-        assert_eq!(lcp_hop_diameter(&lcp), 5); // antipodal pairs
-                                               // Avoiding the middle of a 2-hop LCP forces the n-2 hop detour.
-        assert_eq!(avoiding_hop_diameter(&table), 8);
-        assert_eq!(convergence_bound(&lcp, &table), 8);
+        // Avoiding the middle of a 2-hop LCP forces the n − 2 hop detour.
+        for (n, d, dprime) in [(8, 4, 6), (10, 5, 8)] {
+            let g = ring(n, Cost::new(1));
+            let lcp = AllPairsLcp::compute(&g);
+            assert_eq!(lcp_hop_diameter(&lcp), d); // antipodal pairs
+            assert_eq!(avoiding_hop_diameter(&g, &lcp), dprime);
+            assert_eq!(convergence_bound(&g, &lcp), dprime);
+        }
     }
 }

@@ -36,8 +36,6 @@ use std::fmt;
 /// assert_eq!(r.destination(), AsId::new(2));
 /// assert_eq!(r.hops(), 3);
 /// assert_eq!(r.transit_nodes(), &[AsId::new(4), AsId::new(3)]);
-/// assert!(r.is_transit(AsId::new(4)));
-/// assert!(!r.is_transit(AsId::new(0)), "endpoints are not transit nodes");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Route {
@@ -176,31 +174,6 @@ impl Route {
     /// included).
     pub fn contains(&self, k: AsId) -> bool {
         self.nodes.contains(&k)
-    }
-
-    /// Returns `true` if `k` is a *transit* node of the route — the
-    /// indicator `I_k(c; i, j)` of the paper.
-    pub fn is_transit(&self, k: AsId) -> bool {
-        self.transit_nodes().contains(&k)
-    }
-
-    /// The suffix of this route starting at `k`, or `None` if `k` is not on
-    /// the route. The suffix of an LCP is itself an LCP (and the suffix of a
-    /// lowest-cost k-avoiding path is either an LCP or a lowest-cost
-    /// k-avoiding path — paper, Sect. 6.2), which the correctness argument
-    /// of the distributed algorithm leans on.
-    ///
-    /// The transit cost of the suffix must be supplied-free: it is computed
-    /// by subtracting the costs of the dropped transit nodes, so the caller
-    /// needs the graph.
-    pub fn suffix_from(&self, graph: &AsGraph, k: AsId) -> Option<Route> {
-        let pos = self.nodes.iter().position(|&x| x == k)?;
-        let nodes = self.nodes[pos..].to_vec();
-        let transit_cost = transit_slice(&nodes).iter().map(|&x| graph.cost(x)).sum();
-        Some(Route {
-            nodes,
-            transit_cost,
-        })
     }
 }
 
@@ -346,36 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn suffix_from_recomputes_cost() {
+    fn transit_nodes_exclude_endpoints() {
         let g = fig1();
         let r = Route::from_nodes(&g, vec![Fig1::X, Fig1::B, Fig1::D, Fig1::Z]);
-        let suffix = r.suffix_from(&g, Fig1::B).unwrap();
-        assert_eq!(suffix.nodes(), &[Fig1::B, Fig1::D, Fig1::Z]);
-        assert_eq!(suffix.transit_cost(), Cost::new(1)); // c_D only
-        assert_eq!(r.suffix_from(&g, Fig1::Y), None);
-        let whole = r.suffix_from(&g, Fig1::X).unwrap();
-        assert_eq!(whole, r);
-    }
-
-    #[test]
-    fn suffix_from_destination_is_trivial() {
-        // Regression: slicing the single-node suffix used to panic.
-        let g = fig1();
-        let r = Route::from_nodes(&g, vec![Fig1::X, Fig1::B, Fig1::D, Fig1::Z]);
-        let end = r.suffix_from(&g, Fig1::Z).unwrap();
-        assert_eq!(end, Route::trivial(Fig1::Z));
-        assert_eq!(end.transit_cost(), Cost::ZERO);
-    }
-
-    #[test]
-    fn is_transit_excludes_endpoints() {
-        let g = fig1();
-        let r = Route::from_nodes(&g, vec![Fig1::X, Fig1::B, Fig1::D, Fig1::Z]);
-        assert!(r.is_transit(Fig1::B));
-        assert!(r.is_transit(Fig1::D));
-        assert!(!r.is_transit(Fig1::X));
-        assert!(!r.is_transit(Fig1::Z));
-        assert!(!r.is_transit(Fig1::A));
+        assert_eq!(r.transit_nodes(), &[Fig1::B, Fig1::D]);
         assert!(r.contains(Fig1::X));
     }
 

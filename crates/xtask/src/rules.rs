@@ -391,7 +391,7 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     // The mechanism's output: both producers' per-pair loops and the flat
     // table's append, which build it with no allocation per pair.
     ("crates/core/src/protocol.rs", &["outcome_from_nodes"]),
-    ("crates/core/src/vcg.rs", &["from_parts"]),
+    ("crates/core/src/vcg.rs", &["compute"]),
     ("crates/core/src/outcome.rs", &["push", "skip_to"]),
     (
         "crates/bgp/src/telemetry.rs",
@@ -840,7 +840,7 @@ mod tests {
             ),
             (
                 "crates/core/src/vcg.rs",
-                "fn from_parts(g: &G) {\n    let prices = Vec::with_capacity(4);\n}",
+                "fn compute(g: &G) {\n    let prices = Vec::with_capacity(4);\n}",
             ),
             (
                 "crates/core/src/outcome.rs",

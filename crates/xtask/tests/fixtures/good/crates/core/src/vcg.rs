@@ -1,6 +1,8 @@
 //! Fixture: the centralized prices, written straight into the table.
 
-/// Appends each pair's prices to the table.
-pub fn from_parts(prices: &[u64], table: &mut Vec<u64>) {
-    table.extend(prices.iter().map(|p| p + 1));
+/// Writes each pair's price into its cell of the table.
+pub fn compute(prices: &[u64], table: &mut [u64]) {
+    for (cell, p) in table.iter_mut().zip(prices) {
+        *cell = p + 1;
+    }
 }

@@ -16,7 +16,6 @@ use bgp_vcg::bgp::FaultPlan;
 use bgp_vcg::core::accounting::PaymentLedger;
 use bgp_vcg::core::overcharge::OverchargeReport;
 use bgp_vcg::core::strategy;
-use bgp_vcg::lcp::avoiding::AvoidanceTable;
 use bgp_vcg::lcp::{diameter, AllPairsLcp};
 use bgp_vcg::netgraph::generators::structured::{fig1, Fig1};
 use bgp_vcg::netgraph::generators::{
@@ -348,9 +347,8 @@ fn run_simulate(
         g.link_count()
     );
     let lcp = AllPairsLcp::compute(&g);
-    let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
     let d = diameter::lcp_hop_diameter(&lcp);
-    let dprime = diameter::avoiding_hop_diameter(&avoidance);
+    let dprime = diameter::avoiding_hop_diameter(&g, &lcp);
     println!(
         "d = {d}, d' = {dprime}, convergence bound max(d, d') = {}.",
         d.max(dprime)
@@ -445,9 +443,8 @@ fn run_deviate(family: &str, n: usize, seed: u64, agent: u32, declare: u64) -> R
 fn run_diameters(family: &str, n: usize, seed: u64) -> Result<(), String> {
     let g = build_family(family, n, seed)?;
     let lcp = AllPairsLcp::compute(&g);
-    let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
     let d = diameter::lcp_hop_diameter(&lcp);
-    let dprime = diameter::avoiding_hop_diameter(&avoidance);
+    let dprime = diameter::avoiding_hop_diameter(&g, &lcp);
     println!(
         "{family} (n={n}, seed={seed}): d = {d}, d' = {dprime}, max(d, d') = {}",
         d.max(dprime)

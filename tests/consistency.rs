@@ -66,7 +66,7 @@ fn all_implementation_paths_agree() {
         assert_eq!(slow, fast, "seed {seed}: avoidance tables");
 
         // --- Prices: closed form vs three distributed schedules. ---
-        let reference = vcg::from_parts(&g, &lcp, &fast).unwrap();
+        let reference = vcg::compute(&g).unwrap();
         let sync_run = protocol::run_sync(&g).unwrap();
         assert_eq!(sync_run.outcome, reference, "seed {seed}: sync protocol");
         let mut engine = protocol::build_chaos_engine(&g, FaultPlan::asynchronous(seed)).unwrap();

@@ -9,7 +9,7 @@ use bgp_vcg::core::neighbor_costs;
 use bgp_vcg::core::overcharge::OverchargeReport;
 use bgp_vcg::core::strategy;
 use bgp_vcg::lcp::avoiding::{avoiding_tree, AvoidanceTable};
-use bgp_vcg::lcp::{diameter, shortest_tree, AllPairsLcp};
+use bgp_vcg::lcp::{diameter, shortest_tree, AllPairsLcp, Route};
 use bgp_vcg::netgraph::generators::{erdos_renyi, random_costs};
 use bgp_vcg::{protocol, vcg, AsGraph, AsId, Cost, TrafficMatrix};
 use proptest::prelude::*;
@@ -47,8 +47,7 @@ proptest! {
     fn convergence_bound_holds((n, density, max_cost, seed) in graph_params()) {
         let g = graph_from(n, density, max_cost, seed);
         let lcp = AllPairsLcp::compute(&g);
-        let avoidance = AvoidanceTable::compute_fast(&g, &lcp);
-        let bound = diameter::convergence_bound(&lcp, &avoidance);
+        let bound = diameter::convergence_bound(&g, &lcp);
         let run = protocol::run_sync(&g).unwrap();
         prop_assert!(
             run.report.stages <= bound,
@@ -65,7 +64,7 @@ proptest! {
         for (_, _, pair) in outcome.pairs() {
             for (k, p) in pair.prices() {
                 prop_assert!(p >= g.cost(k));
-                prop_assert!(pair.route().is_transit(k));
+                prop_assert!(pair.transit_nodes().contains(&k));
             }
         }
     }
@@ -153,8 +152,9 @@ proptest! {
                         continue;
                     }
                     let Some(route) = avoid.route(i) else { continue };
-                    for &s in route.transit_nodes() {
-                        let suffix = route.suffix_from(&g, s).unwrap();
+                    let nodes = route.nodes();
+                    for (at, &s) in nodes.iter().enumerate().take(nodes.len() - 1).skip(1) {
+                        let suffix = Route::from_nodes(&g, nodes[at..].to_vec());
                         let suffix_cost = suffix.transit_cost();
                         let is_lcp_cost = plain.cost(s) == suffix_cost;
                         let is_avoid_cost = avoid.cost(s) == suffix_cost;
@@ -175,15 +175,23 @@ proptest! {
         let g = graph_from(n, density, max_cost, seed);
         let lcp = AllPairsLcp::compute(&g);
         let table = AvoidanceTable::compute_fast(&g, &lcp);
-        for i in g.nodes() {
-            for j in g.nodes() {
-                if i == j {
-                    continue;
-                }
-                let route = lcp.route(i, j).unwrap();
-                for entry in table.entries(i, j) {
-                    prop_assert!(entry.cost >= route.transit_cost());
-                    prop_assert!(route.is_transit(entry.avoided));
+        for j in g.nodes() {
+            for i in g.nodes().filter(|&i| i != j) {
+                let transit = lcp.route(i, j).unwrap().transit_nodes().len();
+                prop_assert_eq!(table.entries(i, j).len(), transit);
+            }
+            for k in g.nodes().filter(|&k| k != j) {
+                let avoid = avoiding_tree(&g, j, k);
+                for i in g.nodes().filter(|&i| i != j && i != k) {
+                    let route = lcp.route(i, j).unwrap();
+                    match route.transit_nodes().iter().position(|&t| t == k) {
+                        Some(slot) => {
+                            let entry = table.entries(i, j)[slot];
+                            prop_assert!(entry.cost >= route.transit_cost());
+                            prop_assert_eq!(entry.cost, avoid.cost(i));
+                        }
+                        None => prop_assert_eq!(avoid.cost(i), route.transit_cost()),
+                    }
                 }
             }
         }

@@ -1,14 +1,19 @@
 //! The one centralized Theorem-1 solver against its oracles.
 //!
-//! `AvoidanceTable::compute_fast` (subtree-local) must equal the punctured
-//! oracle `AvoidanceTable::compute` — costs, hops *and* entry order — and
-//! `shortest_tree` must equal the staged fixpoint and, on small graphs,
-//! exhaustive enumeration. Inputs: every experiment family, zero-cost
-//! rings and complete graphs (maximal ties), and random per-neighbour
-//! receive costs.
+//! The subtree-local pass (`avoiding::for_each_destination`, collected by
+//! `AvoidanceTable::compute_fast`) must equal the punctured oracle
+//! `AvoidanceTable::compute` — costs, hops *and* entry order — with each
+//! slot's cost that of a punctured Dijkstra around the route's transit node
+//! there; `vcg::compute`, which writes its prices straight from the pass,
+//! must equal the outcome the oracle table gives through the per-pair
+//! Theorem-1 formula; and `shortest_tree` must equal the staged fixpoint
+//! and, on small graphs, exhaustive enumeration. Inputs: every experiment
+//! family, zero-cost rings and complete graphs (maximal ties), costs in
+//! `0..=3`, and random per-neighbour receive costs.
 
 use bgp_vcg::core::neighbor_costs::{self, NeighborCostGraph};
-use bgp_vcg::lcp::avoiding::AvoidanceTable;
+use bgp_vcg::core::RoutingOutcome;
+use bgp_vcg::lcp::avoiding::{avoiding_tree, AvoidanceTable};
 use bgp_vcg::lcp::{bellman, enumerate, shortest_tree, AllPairsLcp, CostModel};
 use bgp_vcg::netgraph::generators::structured::{complete, ring};
 use bgp_vcg::{vcg, AsGraph, Cost};
@@ -46,24 +51,61 @@ fn receive_costs(base: &AsGraph, max_cost: u64, seed: u64) -> NeighborCostGraph 
     g
 }
 
-/// The fast table equals the oracle, and each `(i, j)` list names the
-/// route's transit nodes in path order.
+/// One family graph with every declared cost redrawn from `0..=3`: zero
+/// costs and many equal-cost ties.
+fn small_costs(family: usize, n: usize, seed: u64) -> AsGraph {
+    let base = family_graph(family, n, seed);
+    let mut rng = StdRng::seed_from_u64(!seed);
+    base.nodes().fold(base.clone(), |g, k| {
+        g.with_cost(k, Cost::new(rng.gen_range(0..=3)))
+    })
+}
+
+/// The fast table equals the oracle, and each `(i, j)` list holds one
+/// entry per transit node of the route, whose cost is the punctured
+/// Dijkstra's around the transit node at that slot.
 fn tables_agree<C: CostModel>(graph: &C) -> Result<(), TestCaseError> {
     let lcp = AllPairsLcp::compute(graph);
     let fast = AvoidanceTable::compute_fast(graph, &lcp);
     prop_assert_eq!(&fast, &AvoidanceTable::compute(graph, &lcp));
     for tree in lcp.trees() {
+        let j = tree.destination();
         for i in tree.reachable() {
             let route = tree.route(i).expect("reachable");
-            let avoided: Vec<_> = fast
-                .entries(i, tree.destination())
-                .iter()
-                .map(|e| e.avoided)
-                .collect();
-            prop_assert_eq!(avoided.as_slice(), route.transit_nodes());
+            let entries = fast.entries(i, j);
+            prop_assert_eq!(entries.len(), route.transit_nodes().len());
+            for (slot, &k) in route.transit_nodes().iter().enumerate() {
+                prop_assert_eq!(entries[slot].cost, avoiding_tree(graph, j, k).cost(i));
+            }
         }
     }
     Ok(())
+}
+
+/// The outcome Theorem 1 defines, assembled pair by pair from the
+/// punctured oracle's table: `p^k_ij = c_k(pred) + Cost(P_{-k}) −
+/// Cost(P)`, entry `m` pricing the route's node `m + 1`.
+fn oracle_outcome<C: CostModel>(graph: &C) -> RoutingOutcome {
+    let lcp = AllPairsLcp::compute(graph);
+    let table = AvoidanceTable::compute(graph, &lcp);
+    let mut outcome = RoutingOutcome::builder(graph.topology().node_count());
+    for i in graph.topology().nodes() {
+        for j in graph.topology().nodes().filter(|&j| j != i) {
+            let route = lcp.route(i, j).expect("family graphs are connected");
+            let prices: Vec<Cost> = table
+                .entries(i, j)
+                .iter()
+                .zip(route.nodes().windows(2))
+                .map(|(entry, hop)| {
+                    let margin = entry.cost.checked_sub(route.transit_cost());
+                    graph.transit_cost(hop[1], hop[0]) + margin.expect("biconnected")
+                })
+                .collect();
+            let nodes = route.nodes().iter().copied();
+            outcome.push(i, j, route.transit_cost(), nodes, prices);
+        }
+    }
+    outcome.finish()
 }
 
 proptest! {
@@ -88,6 +130,25 @@ proptest! {
         seed in any::<u64>(),
     ) {
         tables_agree(&receive_costs(&family_graph(family, n, seed), max_cost, !seed))?;
+    }
+
+    fn vcg_compute_equals_the_oracle_outcome(
+        family in 0usize..5,
+        n in 8usize..24,
+        seed in any::<u64>(),
+    ) {
+        let g = small_costs(family, n, seed);
+        prop_assert_eq!(vcg::compute(&g), Ok(oracle_outcome(&g)));
+    }
+
+    fn vcg_compute_equals_the_oracle_outcome_under_receive_costs(
+        family in 0usize..5,
+        n in 8usize..24,
+        max_cost in 0u64..12,
+        seed in any::<u64>(),
+    ) {
+        let g = receive_costs(&family_graph(family, n, seed), max_cost, !seed);
+        prop_assert_eq!(vcg::compute(&g), Ok(oracle_outcome(&g)));
     }
 
     fn dijkstra_equals_fixpoint_and_brute_force(

@@ -757,10 +757,8 @@ impl Sessions {
         });
         // The crash already detached every link, so reset() restores a
         // link-less fresh node; the establishment pass this same stage
-        // re-attaches neighbors and ships the full table. start() here
-        // just primes the change-suppression memory with the origin.
+        // re-attaches neighbors and ships the full table.
         engine.nodes[k.index()].reset();
-        let _ = engine.nodes[k.index()].start();
     }
 
     /// The timer pass for `me`'s session with `peer`: hold expiry, else

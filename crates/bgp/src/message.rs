@@ -196,10 +196,16 @@ impl RouteInfo {
     /// The [`RouteInfo::PriceDelta`] that turns the price array `sent`
     /// into `now` on the unchanged `path` — for a sender whose selected
     /// path and path cost equal what it last advertised and whose prices
-    /// alone moved. `None` whenever a full advertisement is required: the
-    /// arrays differ in length, are too long for a `u16` index, or are
-    /// equal.
-    pub fn price_delta(path: &SharedPath, sent: &[Cost], now: &[Cost]) -> Option<RouteInfo> {
+    /// alone moved. `now` is read once, so a sender can build the delta
+    /// while relaxing, before it overwrites `sent`. `None` whenever a full
+    /// advertisement is required: the arrays differ in length, are too long
+    /// for a `u16` index, or are equal.
+    pub fn price_delta<I>(path: &SharedPath, sent: &[Cost], now: I) -> Option<RouteInfo>
+    where
+        I: IntoIterator<Item = Cost>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let now = now.into_iter();
         if sent.len() != now.len() || now.len() > usize::from(u16::MAX) {
             return None;
         }
@@ -207,8 +213,8 @@ impl RouteInfo {
             .iter()
             .zip(now)
             .enumerate()
-            .filter(|(_, (old, new))| old != new)
-            .map(|(idx, (_, new))| (idx as u16, *new))
+            .filter(|(_, (&old, new))| old != *new)
+            .map(|(idx, (_, new))| (idx as u16, new))
             .collect();
         if entries.is_empty() {
             return None;
@@ -219,10 +225,10 @@ impl RouteInfo {
         })
     }
 
-    /// Writes this route into a retained-state cell (Rib-In, Adj-RIB-Out).
-    /// A cell that already holds a route keeps its price vector's
-    /// allocation, and one taking its first priced route gets room for
-    /// `PRICE_ROOM` entries, so cells that are overwritten stage after
+    /// Writes this route into a Rib-In cell, the one retained copy of an
+    /// advertisement. A cell that already holds a route keeps its price
+    /// vector's allocation, and one taking its first priced route gets room
+    /// for `PRICE_ROOM` entries, so cells that are overwritten stage after
     /// stage — while paths, and with them price arrays, still lengthen —
     /// settle into not allocating at all.
     pub fn store_into(&self, cell: &mut Option<RouteInfo>) {
@@ -492,7 +498,7 @@ mod tests {
             unreachable!()
         };
         let now = [Cost::new(4), Cost::new(2)];
-        let delta = RouteInfo::price_delta(&path, &prices, &now).expect("one price cell relaxed");
+        let delta = RouteInfo::price_delta(&path, &prices, now).expect("one price cell relaxed");
         assert_eq!(
             delta,
             RouteInfo::PriceDelta {
@@ -508,12 +514,10 @@ mod tests {
             unreachable!()
         };
         // Unchanged prices: nothing to send as a delta.
-        assert_eq!(RouteInfo::price_delta(&path, &prices, &prices), None);
+        let same = prices.iter().copied();
+        assert_eq!(RouteInfo::price_delta(&path, &prices, same), None);
         // A different transit count means a different path: full advertisement.
-        assert_eq!(
-            RouteInfo::price_delta(&path, &prices, &[Cost::new(3)]),
-            None
-        );
+        assert_eq!(RouteInfo::price_delta(&path, &prices, [Cost::new(3)]), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::dynamics::LocalEvent;
 use crate::message::{PathEntry, RouteAdvertisement, RouteInfo, Update};
-use crate::selector::{RouteSelector, SelectedRoute};
+use crate::selector::RouteSelector;
 use crate::stats::StateSnapshot;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use std::fmt;
@@ -47,9 +47,9 @@ pub trait ProtocolNode: Send {
 
     /// Forgets all learned state, returning the node to its
     /// just-constructed condition — same id, declared cost, and current
-    /// link set, but empty RIBs and change-suppression memory. The chaos
-    /// harness calls this to model a crash followed by a restart; the node
-    /// relearns everything through session re-establishment afterwards.
+    /// link set, but empty RIBs and prices. The chaos harness calls this to
+    /// model a crash followed by a restart; the node relearns everything
+    /// through session re-establishment afterwards.
     fn reset(&mut self);
 
     /// Sizes of the node's protocol state, for the E5 experiment.
@@ -57,7 +57,9 @@ pub trait ProtocolNode: Send {
 
     /// Enables or disables price-delta advertisement emission (wire v2's
     /// compression hook). Default: no-op, for node types without the
-    /// optimization; implementors with an adj-RIB-out forward this to it.
+    /// optimization; a node that relaxes prices builds each delta from the
+    /// row it is about to overwrite, and sends that row whole instead while
+    /// this is off.
     fn configure_delta_encoding(&mut self, _on: bool) {}
 }
 
@@ -66,9 +68,10 @@ pub trait ProtocolNode: Send {
 /// transit on the route being relaxed.
 const NOT_DIRTY: u32 = u32::MAX;
 
-/// One destination a `handle` call touched: the id of the last inbound
-/// update that touched it, and whether anything but a price delta did
-/// (only then can its selection change).
+/// One destination a step touched: the id of the last inbound update that
+/// touched it (0 for a local event), and whether anything but a price
+/// delta did — only then can its selection change — until selection has
+/// run, and whether it did after.
 type Dirty = (AsId, u64, bool);
 
 /// The stamp of a transit node no neighbor's path has held yet.
@@ -84,25 +87,24 @@ fn lower(bound: &mut Cost, to: Cost) {
     }
 }
 
-/// Pairs destinations with cause 0, the environment: what `start` and
-/// local events hand to [`AdjRibOut::emit`].
-fn uncaused(dests: impl IntoIterator<Item = AsId>) -> impl Iterator<Item = (AsId, u64)> {
-    dests.into_iter().map(|dest| (dest, 0))
+/// What one relaxation pass did to a destination's price row.
+enum Relaxed {
+    /// The row is as it was.
+    Same,
+    /// The row moved, and no delta was asked for or one could not say it.
+    Moved,
+    /// The row moved, and this delta from the old row says how.
+    Delta(RouteInfo),
 }
 
-/// Adj-RIB-Out: what a node last advertised per destination, and with it
-/// the advertise-on-change step — folding a stage's
-/// inbox into a dirty list with provenance, suppressing unchanged
-/// advertisements, and compressing price-only changes to
-/// [`RouteInfo::PriceDelta`]. Tables are indexed by destination and the
-/// scratch is reused, so a `handle` call allocates only what it emits.
+/// The advertise-on-change step's bookkeeping: folding a stage's inbox
+/// into a dirty list with provenance, and whether price-only changes go
+/// out compressed to [`RouteInfo::PriceDelta`]. Nothing here remembers
+/// what was sent — a node's table *is* what it advertised, because every
+/// change is advertised in the step that makes it — and the scratch is
+/// reused, so a `handle` call allocates only what it emits.
 #[derive(Debug, Clone)]
 struct AdjRibOut {
-    /// What was last advertised per destination (`None`: nothing yet), so
-    /// only changes are sent. Always holds the *full* route state — when a
-    /// compressed [`RouteInfo::PriceDelta`] goes out on the wire, this
-    /// still records the reassembled `Reachable` it stands for.
-    advertised: Vec<Option<RouteInfo>>,
     /// Whether change advertisements may be compressed to
     /// [`RouteInfo::PriceDelta`] when only price entries moved on an
     /// unchanged selected path (the monotone-relaxation common case of
@@ -120,10 +122,9 @@ struct AdjRibOut {
 }
 
 impl AdjRibOut {
-    /// An empty Adj-RIB-Out for a node of an `n`-node network.
+    /// Empty bookkeeping for a node of an `n`-node network.
     fn new(n: usize) -> Self {
         AdjRibOut {
-            advertised: vec![None; n],
             delta_encoding: true,
             dirty: Vec::new(),
             mark: vec![NOT_DIRTY; n],
@@ -134,7 +135,7 @@ impl AdjRibOut {
     /// destinations, ascending, each attributed to the last inbound update
     /// whose ingestion touched it and flagged if any touch was more than a
     /// price delta. The list is this value's own buffer: hand it back with
-    /// [`recycle`](Self::recycle) once emitted.
+    /// [`recycle`](Self::recycle) once advertised.
     fn ingest(&mut self, selector: &mut RouteSelector, updates: &[Arc<Update>]) -> Vec<Dirty> {
         let mut dirty = std::mem::take(&mut self.dirty);
         for update in updates {
@@ -165,92 +166,6 @@ impl AdjRibOut {
     fn recycle(&mut self, mut dirty: Vec<Dirty>) {
         dirty.clear();
         self.dirty = dirty;
-    }
-
-    /// Builds the outgoing update for the given `(destination, cause)`
-    /// pairs: each destination's current state — `selector`'s route plus
-    /// its row of `prices` — is compared with what was last advertised, and
-    /// what differs is sent and recorded. The update's `causes` vector is
-    /// built in lockstep with its advertisements.
-    fn emit(
-        &mut self,
-        selector: &RouteSelector,
-        dests: impl IntoIterator<Item = (AsId, u64)>,
-        prices: &[Vec<Cost>],
-    ) -> Option<Update> {
-        // Nearly every destination that reaches this point has changed, so
-        // both output lists are sized once instead of grown by doubling.
-        let dests = dests.into_iter();
-        // lint:allow(output: the emitted update's advertisement list)
-        let mut ads = Vec::with_capacity(dests.size_hint().0);
-        // lint:allow(output: the emitted update's provenance list)
-        let mut causes = Vec::with_capacity(dests.size_hint().0);
-        for (dest, cause) in dests {
-            if let Some(info) = self.diff(dest, selector.selected(dest), row(prices, dest)) {
-                ads.push(RouteAdvertisement {
-                    destination: dest,
-                    info,
-                });
-                causes.push(cause);
-            }
-        }
-        let mut update = Update::if_nonempty(selector.id(), ads)?;
-        update.causes = causes;
-        Some(update)
-    }
-
-    /// The wire form of `dest`'s current state if it differs from what was
-    /// last advertised, recording it; `None` when there is nothing to say.
-    /// State is compared with the recorded advertisement in place, so an
-    /// unchanged destination costs no allocation and a changed one only
-    /// its wire form.
-    fn diff(
-        &mut self,
-        dest: AsId,
-        route: Option<&SelectedRoute>,
-        prices: &[Cost],
-    ) -> Option<RouteInfo> {
-        let sent = self.advertised.get_mut(dest.index())?;
-        let Some(route) = route else {
-            // Never advertise an initial withdrawal: silence means the
-            // same thing and costs nothing.
-            if matches!(sent, None | Some(RouteInfo::Withdrawn)) {
-                return None;
-            }
-            *sent = Some(RouteInfo::Withdrawn);
-            return Some(RouteInfo::Withdrawn);
-        };
-        if let Some(RouteInfo::Reachable {
-            path,
-            path_cost,
-            prices: sent_prices,
-        }) = sent
-        {
-            if *path == route.path && *path_cost == route.cost {
-                if sent_prices == prices {
-                    return None;
-                }
-                // Only price entries moved on an unchanged path (the
-                // monotone-relaxation common case): send a compressed delta
-                // against the previously advertised route; the receiver
-                // patches its retained copy.
-                let delta = self
-                    .delta_encoding
-                    .then(|| RouteInfo::price_delta(path, sent_prices, prices));
-                if let Some(delta) = delta.flatten() {
-                    sent_prices.copy_from_slice(prices);
-                    return Some(delta);
-                }
-            }
-        }
-        let info = RouteInfo::Reachable {
-            path: route.path.clone(),
-            path_cost: route.cost,
-            // lint:allow(output: a full advertisement's own price array)
-            prices: prices.to_vec(),
-        };
-        info.store_into(sent);
-        Some(info)
     }
 }
 
@@ -339,9 +254,10 @@ fn row(prices: &[Vec<Cost>], dest: AsId) -> &[Cost] {
 
 /// A BGP speaker: the shared decision process ([`RouteSelector`]), a
 /// per-destination price array relaxed from the neighbors' advertised
-/// arrays as `P` directs, and the advertise-on-change step (an
-/// Adj-RIB-Out). Route selection is the same code for every `P` — the
-/// paper's price computation is an *extension* of BGP, not a new protocol.
+/// arrays as `P` directs, and the advertise-on-change step, which sends
+/// each change in the step that makes it. Route selection is the same code
+/// for every `P` — the paper's price computation is an *extension* of BGP,
+/// not a new protocol.
 #[derive(Debug, Clone)]
 pub struct Node<P: PricePolicy> {
     selector: RouteSelector,
@@ -351,7 +267,7 @@ pub struct Node<P: PricePolicy> {
     /// in an unpriced model. Recomputed from scratch on every refresh; see
     /// `relax`.
     prices: Vec<Vec<Cost>>,
-    /// Change suppression and delta compression of what goes out.
+    /// The dirty list, position table and delta switch of what goes out.
     out: AdjRibOut,
     /// What `relax` relaxes into, reused across calls: per transit node of
     /// the route, its bound so far and the ordinal of the last neighbor
@@ -427,8 +343,10 @@ impl<P: PricePolicy> Node<P> {
 
     /// One relaxation pass for `dest`: recomputes the array *from scratch*
     /// — reset every entry to `∞`, then apply every neighbor bound
-    /// available in the current Rib-In. Returns `true` if the stored array
-    /// changed.
+    /// available in the current Rib-In — and reports whether the stored
+    /// array moved. With `delta` set, a move is reported as the
+    /// [`RouteInfo::PriceDelta`] from the stored array to the new one,
+    /// built before the new one overwrites it, where a delta can say it.
     ///
     /// Recomputing from scratch (rather than taking a running minimum
     /// across passes, as the paper's static-network presentation does) is
@@ -455,22 +373,23 @@ impl<P: PricePolicy> Node<P> {
     /// the case-(iv) bound. Stamps are ordinals, so they are reset once per
     /// call, not once per neighbor: on short paths through high-degree
     /// nodes, per-neighbor setup would cost more than the walk saves.
-    fn relax(&mut self, dest: AsId) -> bool {
+    fn relax(&mut self, dest: AsId, delta: bool) -> Relaxed {
         if !P::PRICED {
-            return false;
+            return Relaxed::Same;
         }
         let Some(stored) = self.prices.get_mut(dest.index()) else {
-            return false;
+            return Relaxed::Same;
         };
-        let transit: &[PathEntry] = match self.selector.selected(dest) {
-            Some(route) if dest != self.selector.id() => &route.path[1..route.path.len() - 1],
-            _ => &[],
-        };
+        let own = self.selector.id();
+        let route = self.selector.selected(dest).filter(|_| dest != own);
+        let transit: &[PathEntry] = route.map_or(&[], |route| &route.path[1..route.path.len() - 1]);
         if transit.is_empty() {
             // Own destination, no route, or a route without transit nodes.
-            let had_prices = !stored.is_empty();
+            if stored.is_empty() {
+                return Relaxed::Same;
+            }
             stored.clear();
-            return had_prices;
+            return Relaxed::Moved;
         }
         let my_route_cost = self.selector.route_cost(dest);
         self.scratch.clear();
@@ -566,18 +485,65 @@ impl<P: PricePolicy> Node<P> {
 
         crate::engine::invariants::relaxation_step(transit, slots);
         let relaxed = slots.iter().map(|&(bound, _)| bound);
-        let changed = !stored.iter().copied().eq(relaxed.clone());
-        if changed {
-            stored.clear();
-            stored.extend(relaxed);
+        if stored.iter().copied().eq(relaxed.clone()) {
+            return Relaxed::Same;
         }
-        changed
+        let said = route
+            .filter(|_| delta)
+            .and_then(|route| RouteInfo::price_delta(&route.path, stored, relaxed.clone()));
+        stored.clear();
+        stored.extend(relaxed);
+        said.map_or(Relaxed::Moved, Relaxed::Delta)
     }
 
-    /// Advertises whichever of `dests` changed since last advertised, with
-    /// this node's receive-cost vector attached.
-    fn emit(&mut self, dests: impl IntoIterator<Item = (AsId, u64)>) -> Option<Update> {
-        let mut update = self.out.emit(&self.selector, dests, &self.prices)?;
+    /// `dest`'s state as a full advertisement: the selected route with its
+    /// price row, or a withdrawal where there is no route.
+    fn current(&self, dest: AsId) -> RouteInfo {
+        let Some(route) = self.selector.selected(dest) else {
+            return RouteInfo::Withdrawn;
+        };
+        RouteInfo::Reachable {
+            path: route.path.clone(),
+            path_cost: route.cost,
+            // lint:allow(output: a full advertisement's own price array)
+            prices: self.price_row(dest).to_vec(),
+        }
+    }
+
+    /// What `dest` advertises once its selection has run: its prices are
+    /// relaxed, then a re-routed destination sends its whole state (a
+    /// withdrawal if it lost its route), one whose prices alone moved sends
+    /// a delta (its whole state when delta encoding is off or a delta
+    /// cannot say the move), and an unchanged one sends nothing. The
+    /// neighbors heard every earlier change the same way, so the stored
+    /// row is what they hold, and the delta is built against it.
+    fn advertise(&mut self, dest: AsId, rerouted: bool) -> Option<RouteInfo> {
+        match self.relax(dest, !rerouted && self.out.delta_encoding) {
+            Relaxed::Delta(delta) => Some(delta),
+            Relaxed::Same if !rerouted => None,
+            _ => Some(self.current(dest)),
+        }
+    }
+
+    /// The update for one step's touched destinations, in order: what each
+    /// of them advertises, attributed to its cause, with this node's
+    /// receive-cost vector attached; `None` when none of them changed.
+    fn announce(&mut self, touched: &[Dirty]) -> Option<Update> {
+        // lint:allow(output: the emitted update's advertisement list)
+        let mut ads = Vec::with_capacity(touched.len());
+        // lint:allow(output: the emitted update's provenance list)
+        let mut causes = Vec::with_capacity(touched.len());
+        for &(dest, cause, rerouted) in touched {
+            if let Some(info) = self.advertise(dest, rerouted) {
+                ads.push(RouteAdvertisement {
+                    destination: dest,
+                    info,
+                });
+                causes.push(cause);
+            }
+        }
+        let mut update = Update::if_nonempty(self.selector.id(), ads)?;
+        update.causes = causes;
         update.sender_costs.clone_from(&self.sender_costs);
         Some(update)
     }
@@ -593,18 +559,17 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
     }
 
     fn start(&mut self) -> Option<Update> {
-        self.emit(uncaused([self.selector.id()]))
+        self.announce(&[(self.selector.id(), 0, true)])
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
         let mut dirty = self.out.ingest(&mut self.selector, updates);
         // Only a route change re-opens selection: a destination only price
         // deltas touched keeps its route and goes straight to relaxation.
-        dirty.retain(|&(dest, _, reroute)| {
-            let route_changed = reroute && self.selector.decide(dest);
-            self.relax(dest) || route_changed
-        });
-        let update = self.emit(dirty.iter().map(|&(dest, cause, _)| (dest, cause)));
+        for (dest, _, reroute) in &mut dirty {
+            *reroute = *reroute && self.selector.decide(*dest);
+        }
+        let update = self.announce(&dirty);
         self.out.recycle(dirty);
         update
     }
@@ -622,15 +587,16 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
                 // link's bounds are flushed exactly where they could
                 // exist).
                 let affected = self.selector.rib_destinations(neighbor);
-                // Re-decides `affected`. The dead link's entry also leaves
-                // the declared vector, which is attached to whatever this
-                // emit (and later ones) sends.
-                self.selector.link_down(neighbor);
+                // Re-decides `affected`, naming those it re-routed. The dead
+                // link's entry also leaves the declared vector, which is
+                // attached to whatever this step (and later ones) sends.
+                let rerouted = self.selector.link_down(neighbor);
                 self.sender_costs.retain(|&(a, _)| a != neighbor);
-                for &dest in &affected {
-                    self.relax(dest);
-                }
-                self.emit(uncaused(affected))
+                let touched: Vec<Dirty> = affected
+                    .into_iter()
+                    .map(|dest| (dest, 0, rerouted.binary_search(&dest).is_ok()))
+                    .collect();
+                self.announce(&touched)
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
@@ -644,33 +610,30 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
             // static-model concern: rebuild the node set for a new graph.
             LocalEvent::CostChange(_) if !P::SCALAR_COST => None,
             LocalEvent::CostChange(cost) => {
-                // The declared cost never enters this node's *own*
-                // relaxation — the bound combines neighbor-advertised
-                // values with our route's transit cost only — so the price
-                // arrays are untouched. Re-advertise exactly the table
-                // entries whose first path entry restamped
-                // (`set_declared_cost` reports them; none for a no-op, and
-                // never the origin route, whose entry carries no cost).
-                let changed = self.selector.set_declared_cost(cost);
-                self.emit(uncaused(changed))
+                // Re-advertise exactly the table entries whose first path
+                // entry restamped (`set_declared_cost` reports them; none
+                // for a no-op, and never the origin route, whose entry
+                // carries no cost). The declared cost never enters this
+                // node's *own* relaxation — the bound combines
+                // neighbor-advertised values with our route's transit cost
+                // only — so their price arrays relax to what they were.
+                let restamped = self.selector.set_declared_cost(cost);
+                let touched: Vec<Dirty> =
+                    restamped.into_iter().map(|dest| (dest, 0, true)).collect();
+                self.announce(&touched)
             }
         }
     }
 
     fn full_table(&self) -> Option<Update> {
-        // Reads the table, not what was last advertised.
-        let reachable = |dest| {
-            let route = self.selector.selected(dest)?;
-            Some(RouteAdvertisement {
+        let ads = self
+            .selector
+            .destinations()
+            .map(|dest| RouteAdvertisement {
                 destination: dest,
-                info: RouteInfo::Reachable {
-                    path: route.path.clone(),
-                    path_cost: route.cost,
-                    prices: row(&self.prices, dest).to_vec(),
-                },
+                info: self.current(dest),
             })
-        };
-        let ads = self.selector.destinations().filter_map(reachable).collect();
+            .collect();
         let table = Update::if_nonempty(self.selector.id(), ads)?;
         Some(table.with_sender_costs(self.sender_costs.clone()))
     }
@@ -680,7 +643,6 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
         // restarted node still charges the same per-neighbor receive costs.
         self.selector.reset();
         self.prices.iter_mut().for_each(Vec::clear);
-        self.out.advertised.fill(None);
     }
 
     fn state(&self) -> StateSnapshot {

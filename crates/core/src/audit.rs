@@ -42,17 +42,19 @@
 //! idea onto the wire: it shadows every node with an honest
 //! [`PricingBgpNode`] fed the *actual* deliveries (perturbed or not), and
 //! after every engine stage compares what each node advertised on each
-//! link against what its honest shadow — same inbox, same code path —
-//! advertised. The expected values come from the production route
-//! selection and pricing code, not a parallel implementation, so the
-//! auditor cannot drift from the protocol it polices.
+//! link against the table of its honest shadow — same inbox, same code
+//! path. A node advertises every change of its table in the step that
+//! makes it, so that table is what the honest node has advertised. The
+//! expected values come from the production route selection and pricing
+//! code, not a parallel implementation, so the auditor cannot drift from
+//! the protocol it polices.
 
 use crate::pricing_node::PricingBgpNode;
 use bgpvcg_bgp::{
-    Accusation, LocalEvent, ProtocolNode, RouteAdvertisement, RouteInfo, TopologyEvent, Update,
-    WireAuditor, WireFinding,
+    Accusation, LocalEvent, ProtocolNode, RouteAdvertisement, RouteInfo, SelectedRoute,
+    TopologyEvent, Update, WireAuditor, WireFinding,
 };
-use bgpvcg_netgraph::{AsGraph, AsId};
+use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -211,6 +213,7 @@ pub fn audit_network(graph: &AsGraph, nodes: &[PricingBgpNode]) -> Vec<AuditFind
 ///
 /// The mirror matters: the auditor's link views must equal what receivers
 /// actually retain, or honest delta streams would produce false positives.
+/// A sender's own table is never folded: it is read where it lies.
 ///
 /// [`RouteSelector::ingest`]: bgpvcg_bgp::RouteSelector::ingest
 fn fold_advertisements(map: &mut BTreeMap<AsId, RouteInfo>, update: &Update) {
@@ -246,6 +249,25 @@ fn fold_advertisements(map: &mut BTreeMap<AsId, RouteInfo>, update: &Update) {
     }
 }
 
+/// Whether a receiver's `view` of one destination is the sender's table
+/// entry for it — `route` with its price row `prices` — or, where the
+/// sender has no route, nothing. Compared in place: an agreeing view costs
+/// no allocation.
+fn holds(view: Option<&RouteInfo>, route: Option<&SelectedRoute>, prices: &[Cost]) -> bool {
+    match (view, route) {
+        (None, None) => true,
+        (
+            Some(RouteInfo::Reachable {
+                path,
+                path_cost,
+                prices: heard,
+            }),
+            Some(route),
+        ) => *path == route.path && *path_cost == route.cost && heard == prices,
+        _ => false,
+    }
+}
+
 /// The online incremental auditor: an engine-attached watchdog that
 /// cross-checks every node's wire behavior against an honest shadow
 /// replay, stage by stage, while the protocol runs.
@@ -257,18 +279,17 @@ fn fold_advertisements(map: &mut BTreeMap<AsId, RouteInfo>, update: &Update) {
 /// * a **shadow** — an honest [`PricingBgpNode`] at the same graph
 ///   position, fed exactly the deliveries the real node receives (via
 ///   [`WireAuditor::on_wire`] + the engine's stage boundary signals).
-///   Delta encoding is disabled on shadows so their emissions are
-///   absolute values;
-/// * the **expected** advertisement state — the cumulative fold of the
-///   shadow's emissions: what the node *should* currently be advertising;
+///   Its table — selected route plus price row per destination — is what
+///   the node *should* currently be advertising, since an honest node
+///   advertises every change of its table in the step that makes it;
 /// * per-link **views** — what each neighbor has cumulatively heard from
 ///   this node, folded with receiver-exact retention semantics.
 ///
 /// After each stage the engine calls [`WireAuditor::end_stage`]; the
 /// auditor first replays the stage's inboxes through the shadows (keeping
-/// `expected` in lock-step with honest behavior), then compares every
+/// their tables in lock-step with honest behavior), then compares every
 /// (sender, destination) pair touched on the wire this stage: each
-/// neighbor's view must equal the expected value (divergence), and all
+/// neighbor's view must equal the shadow's entry (divergence), and all
 /// neighbors' views must equal *each other* (equivocation — the check no
 /// offline audit can make). Violations come back as [`Accusation`]s, which
 /// the engine's quarantine machinery can act on.
@@ -278,18 +299,16 @@ fn fold_advertisements(map: &mut BTreeMap<AsId, RouteInfo>, update: &Update) {
 /// The [`Adversary`](bgpvcg_bgp::Adversary) model perturbs a node's wire
 /// *output* only; the wrapped node ingests its inbox honestly. Its shadow
 /// ingests the same inbox, so shadow and real node track each other
-/// exactly and `expected` is precisely the honest output — no tolerance
+/// exactly and its table is precisely the honest output — no tolerance
 /// thresholds, no drift. Receivers' shadows are fed the *perturbed* wire
 /// (what was really delivered), so downstream nodes' honest reactions to
 /// poisoned input are never mis-accused: the auditor flags the liar, not
 /// the lied-to.
 #[derive(Debug)]
 pub struct OnlineAuditor {
-    /// Honest replica of every node, fed the real deliveries.
+    /// Honest replica of every node, fed the real deliveries: shadow `f`'s
+    /// table is the honest advertisement state of `f`.
     shadows: Vec<PricingBgpNode>,
-    /// `expected[f]`: cumulative fold of shadow `f`'s emissions — the
-    /// honest advertisement state (absent = withdrawn / never advertised).
-    expected: Vec<BTreeMap<AsId, RouteInfo>>,
     /// `links[t][f]`: what neighbor `t` has cumulatively heard from `f`,
     /// per destination (pruned when the `f`–`t` link goes down).
     links: Vec<BTreeMap<AsId, BTreeMap<AsId, RouteInfo>>>,
@@ -307,22 +326,14 @@ pub struct OnlineAuditor {
 }
 
 impl OnlineAuditor {
-    /// Builds the auditor for `graph`, with every shadow started (origin
-    /// advertisements folded into the expected state) so it can be
-    /// attached to an engine before `run_to_convergence`.
+    /// Builds the auditor for `graph`, every shadow holding only its
+    /// origin route, so it can be attached to an engine before
+    /// `run_to_convergence`.
     pub fn new(graph: &AsGraph) -> Self {
-        let mut shadows = PricingBgpNode::from_graph(graph);
+        let shadows = PricingBgpNode::from_graph(graph);
         let n = shadows.len();
-        let mut expected = vec![BTreeMap::new(); n];
-        for (idx, shadow) in shadows.iter_mut().enumerate() {
-            shadow.configure_delta_encoding(false);
-            if let Some(update) = shadow.start() {
-                fold_advertisements(&mut expected[idx], &update);
-            }
-        }
         OnlineAuditor {
             shadows,
-            expected,
             links: vec![BTreeMap::new(); n],
             staging: vec![Vec::new(); n],
             inbox: vec![Vec::new(); n],
@@ -364,13 +375,6 @@ impl WireAuditor for OnlineAuditor {
                 self.staging[k.index()].clear();
                 self.inbox[k.index()].clear();
                 self.links[k.index()].clear();
-                self.expected[k.index()].clear();
-                // Seed the expected state with the post-crash table (the
-                // origin route), so the full-table unicast a later NodeUp
-                // triggers compares clean.
-                if let Some(table) = self.shadows[k.index()].full_table() {
-                    fold_advertisements(&mut self.expected[k.index()], &table);
-                }
                 self.down[k.index()] = true;
             }
             TopologyEvent::NodeUp(k) => {
@@ -389,33 +393,21 @@ impl WireAuditor for OnlineAuditor {
         if let LocalEvent::LinkDown(peer) = event {
             // The receiver-side view of a dead link is gone: the engine
             // will never deliver over it again, and comparing a stale view
-            // against a live expected state would be a false positive.
+            // against the live shadow's table would be a false positive.
             self.links[node.index()].remove(peer);
         }
-        if let Some(update) = self.shadows[node.index()].apply_event(*event) {
-            fold_advertisements(&mut self.expected[node.index()], &update);
-        }
+        let _ = self.shadows[node.index()].apply_event(*event);
     }
 
     fn end_stage(&mut self, stage: u64) -> Vec<Accusation> {
         // Phase A — advance the shadows: replay this stage's inboxes
         // through the honest replicas, in the engine's ascending node
-        // order, folding their emissions into the expected state.
-        let replicas = self
-            .shadows
-            .iter_mut()
-            .zip(self.expected.iter_mut())
-            .zip(self.inbox.iter_mut())
-            .zip(self.down.iter());
-        for (((shadow, expected), inbox), &down) in replicas {
-            if inbox.is_empty() {
-                continue;
-            }
+        // order.
+        let replicas = self.shadows.iter_mut().zip(&mut self.inbox).zip(&self.down);
+        for ((shadow, inbox), &down) in replicas {
             let batch = std::mem::take(inbox);
-            if !down {
-                if let Some(update) = shadow.handle(&batch) {
-                    fold_advertisements(expected, &update);
-                }
+            if !down && !batch.is_empty() {
+                let _ = shadow.handle(&batch);
             }
         }
         // Phase B — cross-check every (sender, destination) pair that
@@ -427,9 +419,10 @@ impl WireAuditor for OnlineAuditor {
             if self.down[sender.index()] {
                 continue;
             }
-            let expected = self.expected[sender.index()].get(&dest);
+            let shadow = &self.shadows[sender.index()];
+            let (route, prices) = (shadow.selector().selected(dest), shadow.price_row(dest));
             // Every neighbor currently holding a live link view of
-            // `sender` must agree with the expected value — and with each
+            // `sender` must agree with the shadow's table — and with each
             // other (a node cannot tell different neighbors different
             // stories, even stories that are each individually plausible).
             let mut views: Vec<Option<&RouteInfo>> = Vec::new();
@@ -438,7 +431,7 @@ impl WireAuditor for OnlineAuditor {
                     views.push(link.get(&dest));
                 }
             }
-            let divergent = views.iter().find(|view| **view != expected);
+            let divergent = views.iter().find(|view| !holds(**view, route, prices));
             let equivocation = views.windows(2).any(|pair| pair[0] != pair[1]);
             if divergent.is_none() && !equivocation {
                 continue;
@@ -447,9 +440,14 @@ impl WireAuditor for OnlineAuditor {
                 Some(view) => view.cloned(),
                 None => views.first().copied().flatten().cloned(),
             };
+            let expected = route.map(|route| RouteInfo::Reachable {
+                path: route.path.clone(),
+                path_cost: route.cost,
+                prices: prices.to_vec(),
+            });
             let finding = WireFinding {
                 destination: dest,
-                expected: expected.cloned(),
+                expected,
                 advertised,
                 equivocation,
             };

@@ -21,8 +21,8 @@
 //!    engine's stage body, handle pass and send path under both
 //!    transports, the wire-v2 encode path, the profiler brackets, the
 //!    per-node step (selector ingest/decide, the node's `handle` and
-//!    relaxation with the policy terms it evaluates, the Adj-RIB-Out
-//!    diff/emit), the observer (the instrument bundle's per-update calls,
+//!    relaxation with the policy terms it evaluates, the per-destination
+//!    advertise body and the update it fills), the observer (the instrument bundle's per-update calls,
 //!    the update tracer's shadow diff, the health monitor's fold), whose
 //!    buffers are reused by design, and the per-pair loops that build the
 //!    mechanism's output table. A listed file or function that no longer
@@ -380,8 +380,9 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
             "charged_by",
             "detour_base",
             "ingest",
-            "emit",
-            "diff",
+            "announce",
+            "advertise",
+            "current",
         ],
     ),
     (
@@ -824,7 +825,7 @@ mod tests {
             ),
             (
                 "crates/bgp/src/node.rs",
-                "fn diff(&mut self) {\n    let p = prices.to_vec();\n}",
+                "fn advertise(&mut self) {\n    let p = prices.to_vec();\n}",
             ),
             (
                 "crates/bgp/src/node.rs",

@@ -1,5 +1,6 @@
-//! Fixture: a node that builds a set per inbox and a fresh array per
-//! relaxation, with an undocumented public helper and a stale allow.
+//! Fixture: a node that builds a set per inbox, a fresh array per
+//! relaxation and an unannotated copy per advertisement, with an
+//! undocumented public helper and a stale allow.
 
 /// A best-route node.
 #[derive(Debug)]
@@ -25,6 +26,12 @@ impl Node {
             *slot = (*old).min(candidate);
         }
         self.prices = relaxed;
+    }
+
+    /// Advertises the relaxed row through an unannotated copy.
+    fn advertise(&mut self, candidate: u64) -> Vec<u64> {
+        self.relax(candidate);
+        self.prices.to_vec()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Fixture: the one protocol node, the policy naming what a cost model
-//! changes in it, and its Adj-RIB-Out — reused buffers throughout, and one
-//! annotated allocation for what is sent.
+//! changes in it, and its advertise-on-change step — reused buffers
+//! throughout, and annotated allocations for what is sent.
 
 use std::marker::PhantomData;
 
@@ -18,42 +18,20 @@ pub trait PricePolicy {
     }
 }
 
-/// What was last advertised per destination, plus a reused dirty list.
+/// A reused dirty list.
 #[derive(Debug)]
 pub struct AdjRibOut {
-    advertised: Vec<Option<u64>>,
     dirty: Vec<usize>,
 }
 
 impl AdjRibOut {
-    /// Folds an inbox into the reused dirty list.
-    pub fn ingest(&mut self, delivered: &[usize]) -> &[usize] {
-        self.dirty.clear();
-        self.dirty.extend_from_slice(delivered);
-        &self.dirty
-    }
-
-    /// Builds what goes out for `dests`; the list itself is the output.
-    pub fn emit(&mut self, dests: &[usize], state: &[u64]) -> Vec<(usize, u64)> {
-        // lint:allow(output: the emitted update's advertisement list)
-        let mut ads = Vec::with_capacity(dests.len());
-        for &dest in dests {
-            let now = state.get(dest).copied().unwrap_or(u64::MAX);
-            if let Some(changed) = self.diff(dest, now) {
-                ads.push((dest, changed));
-            }
-        }
-        ads
-    }
-
-    /// `dest`'s state if it differs from what was sent, compared in place.
-    fn diff(&mut self, dest: usize, now: u64) -> Option<u64> {
-        let sent = self.advertised.get_mut(dest)?;
-        if *sent == Some(now) {
-            return None;
-        }
-        *sent = Some(now);
-        Some(now)
+    /// Folds an inbox into the reused dirty list, lent out until the
+    /// caller hands it back.
+    pub fn ingest(&mut self, delivered: &[usize]) -> Vec<usize> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.clear();
+        dirty.extend_from_slice(delivered);
+        dirty
     }
 }
 
@@ -68,9 +46,34 @@ pub struct Node<P> {
 
 impl<P: PricePolicy> Node<P> {
     /// Handles one delivered batch and returns what changed.
-    pub fn handle(&mut self, delivered: &[usize]) -> Vec<(usize, u64)> {
-        self.relax(delivered.len() as u64);
-        self.out.emit(delivered, &self.prices)
+    pub fn handle(&mut self, delivered: &[usize]) -> Vec<(usize, Vec<u64>)> {
+        let dirty = self.out.ingest(delivered);
+        let ads = self.announce(&dirty);
+        self.out.dirty = dirty;
+        ads
+    }
+
+    /// What the touched destinations advertise; the list is the output.
+    fn announce(&mut self, touched: &[usize]) -> Vec<(usize, Vec<u64>)> {
+        // lint:allow(output: the emitted update's advertisement list)
+        let mut ads = Vec::with_capacity(touched.len());
+        for &dest in touched {
+            if let Some(info) = self.advertise(dest) {
+                ads.push((dest, info));
+            }
+        }
+        ads
+    }
+
+    /// `dest`'s state if the relaxation moved it.
+    fn advertise(&mut self, dest: usize) -> Option<Vec<u64>> {
+        self.relax(dest as u64).then(|| self.current())
+    }
+
+    /// The state as a full advertisement.
+    fn current(&self) -> Vec<u64> {
+        // lint:allow(output: a full advertisement's own price array)
+        self.prices.to_vec()
     }
 
     /// Relaxes the price row toward `bound` through the reused scratch.

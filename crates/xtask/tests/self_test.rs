@@ -159,7 +159,7 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("stage-alloc", "crates/bgp/src/wire.rs"),  // Vec::new() in the codec hot path
         ("stage-alloc", "crates/telemetry/src/profile.rs"), // vec![ / Vec::new() in enter/exit
         ("stage-alloc", "crates/bgp/src/selector.rs"), // BTreeSet per ingest, Vec per candidate
-        ("stage-alloc", "crates/bgp/src/node.rs"),  // BTreeSet in handle, vec![ in relax
+        ("stage-alloc", "crates/bgp/src/node.rs"), // BTreeSet in handle, vec![ in relax, .to_vec() in advertise
         ("stage-alloc", "crates/core/src/neighbor_costs/node.rs"), // .collect() into a map in charged_by
         ("stage-alloc", "crates/bgp/src/telemetry.rs"), // .collect() of the path in observe_update
         ("stage-alloc", "crates/telemetry/src/health.rs"), // BTreeMap in fold, .to_vec() in on_progress
@@ -308,6 +308,34 @@ fn stale_hot_path_name_is_reported_not_silently_vacuous() {
     );
     // ...and it is the rename, not the re-lexing, that trips them.
     assert!(with_node_source(Some(&untouched)).is_empty());
+}
+
+#[test]
+fn an_allocation_in_the_advertise_body_is_flagged() {
+    // The per-destination advertise body is on the stage path: a copy
+    // planted there — in the bad corpus, or in the good one's body — fires
+    // naming it.
+    let named = |violations: &[Violation]| {
+        violations.iter().any(|v| {
+            v.rule == "stage-alloc"
+                && v.file.ends_with("crates/bgp/src/node.rs")
+                && v.message.contains("hot path `advertise`")
+        })
+    };
+    assert!(named(&all_violations(&load("bad"), &[])));
+    let untouched = fs::read_to_string(fixture_root("good").join("crates/bgp/src/node.rs"))
+        .expect("fixture source");
+    let body = "fn advertise(&mut self, dest: usize) -> Option<Vec<u64>> {\n";
+    assert!(
+        untouched.contains(body),
+        "the good fixture's advertise body"
+    );
+    let planted = untouched.replace(
+        body,
+        &format!("{body}        let _p: Vec<u8> = Vec::new();\n"),
+    );
+    assert!(named(&with_node_source(Some(&planted))));
+    assert!(!named(&with_node_source(Some(&untouched))));
 }
 
 #[test]

@@ -19,6 +19,7 @@ use bgp_vcg::netgraph::generators::{barabasi_albert, random_costs};
 use bgp_vcg::{AsGraph, AsId, Cost};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// One reachable advertisement from the path's first node for its last.
@@ -287,5 +288,303 @@ fn duplicated_deliveries_are_absorbed() {
             }
         }
         duplicates_are_absorbed::<Margins>(&nc);
+    }
+}
+
+/// What a neighbour holds of a node after hearing `update` on top of
+/// `held`: a full advertisement replaces, a delta patches, a withdrawal
+/// removes. A delta that would not apply, or a withdrawal of nothing, is a
+/// message the neighbour could not have understood.
+fn fold(held: &mut BTreeMap<AsId, RouteInfo>, update: &Update) {
+    for ad in &update.advertisements {
+        let dest = ad.destination;
+        match &ad.info {
+            RouteInfo::Withdrawn => {
+                assert!(held.remove(&dest).is_some(), "withdraws unsent {dest}");
+            }
+            RouteInfo::PriceDelta {
+                base_path_hash,
+                entries,
+            } => {
+                let Some(RouteInfo::Reachable { path, prices, .. }) = held.get_mut(&dest) else {
+                    panic!("a delta for unsent {dest}");
+                };
+                assert_eq!(path.hash64(), *base_path_hash, "a delta off {dest}'s path");
+                for &(at, value) in entries {
+                    let cell = prices.get_mut(usize::from(at));
+                    *cell.expect("a delta inside the sent row") = value;
+                }
+            }
+            full => {
+                held.insert(dest, full.clone());
+            }
+        }
+    }
+}
+
+/// The node's full table, by destination.
+fn table<P: PricePolicy>(node: &Node<P>) -> BTreeMap<AsId, RouteInfo> {
+    let table = node.full_table().expect("the origin at least");
+    let entries = table.advertisements.into_iter();
+    entries.map(|ad| (ad.destination, ad.info)).collect()
+}
+
+/// A random inbound stream for one node: its neighbours' advertisements
+/// (well-formed, looping, malformed), withdrawals and price deltas (most
+/// against what the neighbour sent, some off it), with link and cost
+/// events between them.
+struct Inbound {
+    rng: StdRng,
+    me: AsId,
+    n: u32,
+    neighbours: Vec<AsId>,
+    /// Links taken down and not yet back.
+    down: Vec<AsId>,
+    /// Each neighbour's last full advertisement per destination.
+    sent: BTreeMap<(AsId, AsId), RouteInfo>,
+    next_id: u64,
+}
+
+impl Inbound {
+    fn cost(&mut self) -> Cost {
+        match self.rng.gen_range(0..8) {
+            0 => Cost::INFINITE,
+            c => Cost::new(c),
+        }
+    }
+
+    /// A reachable advertisement from `from`, well-formed unless
+    /// `malformed`; it may pass through the receiver.
+    fn reachable(&mut self, from: AsId, malformed: bool) -> RouteAdvertisement {
+        let mut nodes = vec![from];
+        for _ in 0..self.rng.gen_range(1..5) {
+            let next = AsId::new(self.rng.gen_range(0..self.n));
+            if !nodes.contains(&next) {
+                nodes.push(next);
+            }
+        }
+        if malformed {
+            match self.rng.gen_range(0..4) {
+                0 => nodes[0] = self.me,
+                1 => nodes.push(from),
+                2 => nodes.push(AsId::new(self.n + 3)),
+                _ => {}
+            }
+        }
+        let transit = nodes.len().saturating_sub(2);
+        let extra = usize::from(malformed);
+        let path: Vec<(AsId, u64)> = (0..nodes.len())
+            .map(|at| (nodes[at], self.rng.gen_range(0..6)))
+            .collect();
+        let prices: Vec<Cost> = (0..transit + extra).map(|_| self.cost()).collect();
+        advertises(&path, self.rng.gen_range(0..30), &prices)
+    }
+
+    /// A delta for something `from` sent — off its path or row now and then.
+    fn delta(&mut self, from: AsId) -> Option<RouteAdvertisement> {
+        let range = (from, AsId::new(0))..=(from, AsId::new(u32::MAX));
+        let count = self.sent.range(range.clone()).count();
+        let at = self.rng.gen_range(0..count.max(1));
+        let (&(_, dest), info) = self.sent.range(range).nth(at)?;
+        let RouteInfo::Reachable { path, prices, .. } = info.clone() else {
+            return None;
+        };
+        let mut entries = Vec::new();
+        for at in 0..prices.len() {
+            if self.rng.gen_bool(0.5) {
+                entries.push((at as u16, self.cost()));
+            }
+        }
+        let mut base_path_hash = path.hash64();
+        match self.rng.gen_range(0..10) {
+            0 => base_path_hash ^= 1,
+            1 => entries.push((prices.len() as u16, Cost::new(1))),
+            _ => {}
+        }
+        let ad = RouteAdvertisement {
+            destination: dest,
+            info: RouteInfo::PriceDelta {
+                base_path_hash,
+                entries,
+            },
+        };
+        Some(ad)
+    }
+
+    /// One update from a neighbour (a stranger now and then).
+    fn update(&mut self) -> Arc<Update> {
+        let from = match self.rng.gen_range(0..10) {
+            0 => AsId::new(self.rng.gen_range(0..self.n)),
+            _ => self.neighbours[self.rng.gen_range(0..self.neighbours.len())],
+        };
+        let mut advertisements = Vec::new();
+        for _ in 0..self.rng.gen_range(1..5) {
+            let roll = self.rng.gen_range(0..20);
+            let ad = match roll {
+                0..=8 => self.reachable(from, false),
+                9..=11 => RouteAdvertisement {
+                    destination: AsId::new(self.rng.gen_range(0..self.n)),
+                    info: RouteInfo::Withdrawn,
+                },
+                12..=17 => match self.delta(from) {
+                    Some(ad) => ad,
+                    None => continue,
+                },
+                _ => self.reachable(from, true),
+            };
+            match &ad.info {
+                RouteInfo::Reachable { .. } if roll <= 8 => {
+                    self.sent.insert((from, ad.destination), ad.info.clone());
+                }
+                RouteInfo::Withdrawn => {
+                    self.sent.remove(&(from, ad.destination));
+                }
+                _ => {}
+            }
+            advertisements.push(ad);
+        }
+        let mut sender_costs = Vec::new();
+        if self.rng.gen_bool(0.4) {
+            for u in 0..self.n {
+                if AsId::new(u) == self.me || self.rng.gen_bool(0.2) {
+                    sender_costs.push((AsId::new(u), Cost::new(self.rng.gen_range(0..6))));
+                }
+            }
+        }
+        self.next_id += 1;
+        Arc::new(Update {
+            from,
+            sender_costs,
+            advertisements,
+            id: self.next_id,
+            causes: Vec::new(),
+        })
+    }
+
+    /// Everything `from` sent that it still stands by: what it re-sends
+    /// when a session with it is established.
+    fn resend(&mut self, from: AsId) -> Option<Arc<Update>> {
+        let range = (from, AsId::new(0))..=(from, AsId::new(u32::MAX));
+        let ads = self
+            .sent
+            .range(range)
+            .map(|(&(_, dest), info)| RouteAdvertisement {
+                destination: dest,
+                info: info.clone(),
+            });
+        let update = Update::if_nonempty(from, ads.collect())?;
+        self.next_id += 1;
+        Some(Arc::new(Update {
+            id: self.next_id,
+            ..update
+        }))
+    }
+}
+
+/// Folding what a node sent — its `start`, then every `handle` and
+/// `apply_event` answer — gives its full table after every step of a
+/// random inbound stream, with delta encoding on or off and across a
+/// `reset`: what a neighbour holds of a node is the node's table.
+fn sent_folds_to_the_table<P: PricePolicy>(graph: &P::Graph, seed: u64, deltas: bool) {
+    let topology: &AsGraph = graph.as_ref();
+    let me = topology
+        .nodes()
+        .max_by_key(|&x| topology.neighbors(x).len())
+        .expect("nodes");
+    let mut node = Node::<P>::new(graph, me);
+    node.configure_delta_encoding(deltas);
+    let mut inbound = Inbound {
+        rng: StdRng::seed_from_u64(seed),
+        me,
+        n: topology.node_count() as u32,
+        neighbours: topology.neighbors(me).to_vec(),
+        down: Vec::new(),
+        sent: BTreeMap::new(),
+        next_id: 0,
+    };
+    let mut held = BTreeMap::new();
+    // Full advertisements, deltas and withdrawals the node answered with.
+    let mut kinds = [0usize; 3];
+    fold(&mut held, &node.start().expect("the origin"));
+    assert_eq!(held, table(&node), "start");
+    for step in 0..400 {
+        let what = format!("seed {seed}, deltas {deltas}, step {step}");
+        let out = match inbound.rng.gen_range(0..40) {
+            0..=2 if inbound.down.len() + 1 < inbound.neighbours.len() => {
+                let live: Vec<AsId> = (inbound.neighbours.iter())
+                    .filter(|a| !inbound.down.contains(a))
+                    .copied()
+                    .collect();
+                let a = live[inbound.rng.gen_range(0..live.len())];
+                inbound.down.push(a);
+                node.apply_event(LocalEvent::LinkDown(a))
+            }
+            3..=4 if !inbound.down.is_empty() => {
+                let a = inbound.down.swap_remove(0);
+                assert_eq!(node.apply_event(LocalEvent::LinkUp(a)), None, "{what}");
+                let resent = inbound.resend(a);
+                resent.and_then(|update| node.handle(&[update]))
+            }
+            5..=6 => {
+                let cost = Cost::new(inbound.rng.gen_range(0..10));
+                node.apply_event(LocalEvent::CostChange(cost))
+            }
+            7 => {
+                // A restart: the neighbours hear the table afresh, and
+                // every live neighbour re-sends its own.
+                node.reset();
+                held.clear();
+                fold(&mut held, &node.full_table().expect("the origin"));
+                let live: Vec<AsId> = (inbound.neighbours.iter())
+                    .filter(|a| !inbound.down.contains(a))
+                    .copied()
+                    .collect();
+                let batch: Vec<Arc<Update>> =
+                    live.into_iter().filter_map(|a| inbound.resend(a)).collect();
+                node.handle(&batch)
+            }
+            _ => {
+                let batch: Vec<Arc<Update>> = (0..inbound.rng.gen_range(1..4))
+                    .map(|_| inbound.update())
+                    .collect();
+                node.handle(&batch)
+            }
+        };
+        for ad in out.iter().flat_map(|update| &update.advertisements) {
+            let kind = match ad.info {
+                RouteInfo::Reachable { .. } => 0,
+                RouteInfo::PriceDelta { .. } => 1,
+                RouteInfo::Withdrawn => 2,
+            };
+            kinds[kind] += 1;
+        }
+        if let Some(update) = out {
+            fold(&mut held, &update);
+        }
+        assert_eq!(held, table(&node), "{what}");
+    }
+    // The stream reached every kind of answer the node can give.
+    let priced_deltas = deltas && P::PRICED;
+    assert!(kinds[0] > 0 && kinds[2] > 0, "seed {seed}: {kinds:?}");
+    assert_eq!(kinds[1] > 0, priced_deltas, "seed {seed}: {kinds:?}");
+}
+
+#[test]
+fn what_a_node_sent_folds_to_its_table() {
+    let g = ba14();
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut nc = NeighborCostGraph::uniform(&g);
+    for k in g.nodes() {
+        for &a in g.neighbors(k) {
+            let cost = Cost::new(rng.gen_range(0..6));
+            nc = nc.with_recv_cost(k, a, cost).unwrap();
+        }
+    }
+    for seed in 0..6 {
+        for deltas in [true, false] {
+            sent_folds_to_the_table::<NoPrices>(&g, seed, deltas);
+            sent_folds_to_the_table::<Fpss>(&g, seed, deltas);
+            sent_folds_to_the_table::<Margins>(&nc, seed, deltas);
+        }
     }
 }

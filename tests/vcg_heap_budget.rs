@@ -1,14 +1,16 @@
-//! `vcg::compute`'s memory, counted: beyond the outcome it returns, it may
+//! Memory, counted. `vcg::compute`: beyond the outcome it returns, it may
 //! hold only the LCP trees and the avoidance pass's `O(n + m)` scratch at
 //! any moment — no structure that grows with the number of `(i, j, k)`
-//! facts, which is ≈ n³ on a ring.
+//! facts, which is ≈ n³ on a ring. The distributed run: a converged
+//! engine retains its nodes' Rib-In, table and price rows, and no second
+//! copy of what each node advertised.
 //!
 //! This binary installs its own counting allocator and holds one test, so
 //! no other test's thread allocates while it counts.
 
 use bgp_vcg::netgraph::generators::structured::ring;
 use bgp_vcg::netgraph::generators::{barabasi_albert, random_costs};
-use bgp_vcg::{vcg, AsGraph, Cost};
+use bgp_vcg::{protocol, vcg, AsGraph, Cost};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,6 +70,28 @@ static ALLOCATOR: Counting = Counting;
 /// The most `vcg::compute` may hold beyond its returned outcome.
 const BUDGET: usize = 2_000_000;
 
+/// The most a converged lock-step engine on [`ba128`] may retain: 10 %
+/// above the 9 036 464 bytes it holds. A node that also kept a copy of
+/// every route and price row it advertised held 10 488 400.
+const ENGINE_BUDGET: usize = 9_940_000;
+
+/// The graph the engine converges on: Barabási–Albert, n = 128, m = 2.
+fn ba128() -> AsGraph {
+    let mut rng = StdRng::seed_from_u64(61);
+    barabasi_albert(random_costs(128, 1, 10, &mut rng), 2, &mut rng)
+}
+
+/// The heap a converged lock-step engine on `g` retains: what is live
+/// after the run above what was live before the build.
+fn retained(g: &AsGraph) -> usize {
+    let start = LIVE.load(Ordering::SeqCst);
+    let mut engine = protocol::build_sync_engine(g).expect("biconnected");
+    assert!(engine.run_to_convergence().converged);
+    let held = LIVE.load(Ordering::SeqCst) - start;
+    drop(engine);
+    held
+}
+
 /// `vcg::compute`'s transient on `g`: its live peak above the heap it
 /// started from, less the outcome it returns.
 fn transient(g: &AsGraph) -> usize {
@@ -92,4 +116,10 @@ fn vcg_compute_holds_no_more_than_the_lcp_trees_beyond_its_outcome() {
             "{name}: vcg::compute's transient is {bytes} bytes, over {BUDGET}"
         );
     }
+    let bytes = retained(&ba128());
+    println!("BA n=128: a converged engine retains {bytes} bytes");
+    assert!(
+        bytes <= ENGINE_BUDGET,
+        "BA n=128: a converged engine retains {bytes} bytes, over {ENGINE_BUDGET}"
+    );
 }

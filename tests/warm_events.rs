@@ -9,11 +9,12 @@
 
 use bgp_vcg::bgp::chaos::{ChaosEngine, FaultPlan};
 use bgp_vcg::bgp::engine::SyncEngine;
-use bgp_vcg::bgp::{ProtocolNode, TopologyEvent};
+use bgp_vcg::bgp::{Accusation, LocalEvent, ProtocolNode, TopologyEvent, Update, WireAuditor};
 use bgp_vcg::netgraph::generators::{barabasi_albert, hierarchy, random_costs, HierarchyConfig};
 use bgp_vcg::{protocol, vcg, AsGraph, AsId, Cost, PricingBgpNode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 
 const MAX_STAGES: u64 = 5_000;
 
@@ -118,4 +119,86 @@ fn every_event_of_a_mixed_script_lands_on_the_cold_rebuild() {
             assert_eq!(tables(chaos.nodes()), cold, "{what}: sessions");
         }
     }
+}
+
+/// Every broadcast a run sends, with its sender. A full table shipped to
+/// establish a session is a unicast that states the origin by design; it
+/// carries no update id, and is left out.
+#[derive(Clone, Default)]
+struct Broadcasts(Arc<Mutex<Vec<Sent>>>);
+
+/// One broadcast copy and its sender.
+type Sent = (AsId, Arc<Update>);
+
+impl Broadcasts {
+    fn sent(&self) -> std::sync::MutexGuard<'_, Vec<Sent>> {
+        self.0.lock().expect("no holder of the broadcasts panics")
+    }
+
+    /// The senders of broadcasts that name the sender as a destination.
+    fn origin_senders(&self) -> Vec<AsId> {
+        let names_itself = |(from, update): &&Sent| {
+            let mut ads = update.advertisements.iter();
+            ads.any(|ad| ad.destination == *from)
+        };
+        self.sent()
+            .iter()
+            .filter(names_itself)
+            .map(|&(from, _)| from)
+            .collect()
+    }
+}
+
+impl WireAuditor for Broadcasts {
+    fn on_wire(&mut self, from: AsId, _to: AsId, update: &Arc<Update>) {
+        if update.id != 0 {
+            self.sent().push((from, Arc::clone(update)));
+        }
+    }
+    fn begin_stage(&mut self, _stage: u64) {}
+    fn on_topology(&mut self, _event: &TopologyEvent) {}
+    fn on_local_event(&mut self, _node: AsId, _event: &LocalEvent) {}
+    fn end_stage(&mut self, _stage: u64) -> Vec<Accusation> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn a_lost_link_never_re_advertises_an_origin() {
+    // An origin route never changes, so once announced it is never
+    // broadcast again — not when a link drops, and not when a neighbour's
+    // crash and restart bounces the sessions with it.
+    let g = ba32();
+    let (down, _) = script(&g).remove(4);
+    assert!(matches!(down, TopologyEvent::LinkDown(..)), "{down:?}");
+
+    let heard = Broadcasts::default();
+    let mut sync = lock_step(&g);
+    sync.attach_auditor(Box::new(heard.clone()));
+    assert!(sync.apply_event(down).converged);
+    let heard_sync = heard.sent().len();
+    assert!(heard_sync > 0, "the lost link re-routes someone");
+    assert_eq!(heard.origin_senders(), [], "lock-step, {down:?}");
+
+    let heard = Broadcasts::default();
+    let mut chaos = sessions(&g);
+    chaos.attach_auditor(Box::new(heard.clone()));
+    assert!(chaos.apply_event(down).converged);
+    assert_eq!(heard.sent().len(), heard_sync, "the same broadcasts");
+    assert_eq!(heard.origin_senders(), [], "sessions, {down:?}");
+
+    // The hub's crash: every neighbour's session with it drops.
+    let hub = g
+        .nodes()
+        .max_by_key(|&x| g.neighbors(x).len())
+        .expect("nodes");
+    let plan = FaultPlan::quiet().with_crash(40, hub, 44);
+    let heard = Broadcasts::default();
+    let mut chaos = protocol::build_chaos_engine(&g, plan).expect("a valid graph");
+    chaos.attach_auditor(Box::new(heard.clone()));
+    let report = chaos.run_to_stable(MAX_STAGES);
+    assert!(report.converged, "{report}");
+    assert_eq!((report.crashes, report.restarts), (1, 1), "{report}");
+    assert_eq!(heard.origin_senders(), [], "sessions, {hub} crashed");
+    assert_eq!(tables(chaos.nodes()), tables(lock_step(&g).nodes()));
 }

@@ -301,37 +301,39 @@ pub struct Accusation {
 
 /// An engine-attached watchdog observing link-level deliveries.
 ///
-/// [`SyncEngine`](crate::engine::SyncEngine) calls [`on_wire`] for every
-/// delivery it queues (broadcast copies and unicasts alike, in its
-/// deterministic ascending-sender order), [`on_topology`] /
-/// [`on_local_event`] when topology events mutate the network mid-run,
-/// and [`end_stage`] after the stage-0 reaction broadcasts and after
-/// every executed stage. Accusations returned from `end_stage` drive the
-/// engine's quarantine machinery.
+/// The [`Engine`](crate::engine::Engine) calls [`on_wire`] for every copy
+/// its wire tap lets out (broadcast copies and unicasts alike, in its
+/// deterministic ascending-sender order), [`on_delivery`] with the batch
+/// each node is about to handle (ascending receivers, once per handle
+/// pass), [`on_topology`] / [`on_local_event`] when topology events or
+/// session changes reach the nodes, and [`end_stage`] after the stage-0
+/// reaction broadcasts and after every executed stage. Accusations
+/// returned from `end_stage` drive the engine's quarantine machinery.
+///
+/// What was sent and what was delivered are told apart, so an auditor
+/// never has to guess when a copy arrives: under lock-step the two are a
+/// stage apart, under sessions a copy may be delayed or lost in between.
 ///
 /// [`on_wire`]: WireAuditor::on_wire
+/// [`on_delivery`]: WireAuditor::on_delivery
 /// [`on_topology`]: WireAuditor::on_topology
 /// [`on_local_event`]: WireAuditor::on_local_event
-/// [`begin_stage`]: WireAuditor::begin_stage
 /// [`end_stage`]: WireAuditor::end_stage
 pub trait WireAuditor: Send {
-    /// A payload was queued from `from` onto the link toward `to`.
+    /// A payload left `from` on the link toward `to`.
     fn on_wire(&mut self, from: AsId, to: AsId, update: &Arc<Update>);
 
-    /// The engine is about to execute `stage`: every delivery narrated via
-    /// [`on_wire`](WireAuditor::on_wire) so far will be ingested by its
-    /// receiver *in this stage* (the engine's double-buffer swap). Auditors
-    /// move their staged deliveries into the active inbox here, so that
-    /// reaction broadcasts emitted between stages (quarantine fallout) are
-    /// replayed at exactly the stage real nodes handle them.
-    fn begin_stage(&mut self, stage: u64);
+    /// Node `to` is about to handle `batch`, exactly what the engine
+    /// delivered to it this stage, in delivery order. Default: nothing, for
+    /// an auditor that reads only the wire.
+    fn on_delivery(&mut self, _to: AsId, _batch: &[Arc<Update>]) {}
 
     /// A topology event is about to mutate the network (quarantines
     /// included). Auditors drop state for downed nodes here.
     fn on_topology(&mut self, event: &TopologyEvent);
 
     /// Node `node` is about to apply `event` as its local view of a
-    /// topology change (the engine's stage-0 reaction path).
+    /// topology change or a session going up or down.
     fn on_local_event(&mut self, node: AsId, event: &LocalEvent);
 
     /// The engine finished delivering stage `stage`; cross-check and

@@ -231,10 +231,9 @@ pub struct Engine<N, T> {
     /// Per-node Byzantine wire taps (`None` = honest), consulted on every
     /// outgoing copy; see [`set_adversary`](Self::set_adversary).
     pub(crate) adversaries: Vec<Option<Adversary>>,
-    /// The attached online auditor, told of every copy the tap lets out
-    /// and of every local view a node applies. It compares per-link
-    /// receiver views stage by stage, so it is sound where every copy
-    /// arrives the stage after it is sent: lock-step, or quiet sessions.
+    /// The attached online auditor, told of every copy the tap lets out,
+    /// of every batch a node is handed and of every local view a node
+    /// applies.
     auditor: Option<Opaque<Box<dyn WireAuditor>>>,
     /// Whether an accusation triggers automatic NodeDown quarantine (on
     /// by default).
@@ -499,16 +498,18 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
     }
 
     /// Attaches an online auditor: every copy the wire tap lets out is
-    /// narrated to it via [`WireAuditor::on_wire`], every local view a node
-    /// applies via [`WireAuditor::on_local_event`], and after the stage-0
-    /// emissions plus every executed stage — stepped or run — the engine
-    /// collects its accusations. Unless
-    /// [`set_auto_quarantine`](Self::set_auto_quarantine) is turned off,
-    /// each accused node is immediately cut from the topology via the
-    /// [`TopologyEvent::NodeDown`] machinery (when the residual graph stays
-    /// biconnected) so the honest subgraph reconverges. Sound on lock-step
-    /// and on quiet sessions, where every copy arrives the stage after it
-    /// is sent.
+    /// narrated to it via [`WireAuditor::on_wire`], every batch the handle
+    /// pass hands a node via [`WireAuditor::on_delivery`] just before the
+    /// node handles it, every local view a node applies via
+    /// [`WireAuditor::on_local_event`], and after the stage-0 emissions plus
+    /// every executed stage — stepped or run — the engine collects its
+    /// accusations. Unless [`set_auto_quarantine`](Self::set_auto_quarantine)
+    /// is turned off, each accused node is immediately cut from the topology
+    /// via the [`TopologyEvent::NodeDown`] machinery (when the residual graph
+    /// stays biconnected) so the honest subgraph reconverges. Because the
+    /// auditor is told what each node really got, it follows the nodes
+    /// wherever delivery is reliable, lock-step or sessions, however late a
+    /// copy arrives.
     pub fn attach_auditor(&mut self, auditor: Box<dyn WireAuditor>) {
         self.auditor = Some(Opaque(auditor));
     }
@@ -674,9 +675,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
             telemetry.record(&TraceEvent::StageStart { stage });
             telemetry.now_nanos()
         });
-        if let Some(auditor) = self.auditor.as_mut() {
-            auditor.0.begin_stage(stage);
-        }
         T::before_handle(self, stage);
         let depths = self.dirty.iter().map(|&idx| {
             // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
@@ -1035,11 +1033,11 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         }
     }
 
-    /// One handle pass: swap the double-buffered queues, run `handle` for
-    /// every dirty node in ascending order (serially or on the worker
-    /// pool), advertise what each emits in that same order, and clear the
-    /// consumed input. Returns how many nodes received and how many
-    /// re-advertised.
+    /// One handle pass: swap the double-buffered queues, hand each dirty
+    /// node's batch to the attached auditor, run `handle` for every dirty
+    /// node in ascending order (serially or on the worker pool), advertise
+    /// what each emits in that same order, and clear the consumed input.
+    /// Returns how many nodes received and how many re-advertised.
     ///
     /// This is the engine's hot loop: it must not allocate per stage
     /// beyond inbox growth toward the run's high-water mark (enforced by
@@ -1054,6 +1052,15 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         // Ascending node order: the advertise order below is the engine's
         // determinism contract (serial and parallel runs match exactly).
         receiving.sort_unstable();
+        if let Some(auditor) = self.auditor.as_mut() {
+            self.instruments.enter(span::AUDIT_SHADOW);
+            for &idx in &receiving {
+                if let Some(batch) = self.delivered.get(idx as usize) {
+                    auditor.0.on_delivery(AsId::new(idx), batch);
+                }
+            }
+            self.instruments.exit();
+        }
         let mut changed = 0;
         self.instruments.enter(span::ROUTE_SELECT);
         if self.workers > 1 && receiving.len() > 1 {

@@ -225,44 +225,83 @@ impl RouteInfo {
         })
     }
 
-    /// Writes this route into a Rib-In cell, the one retained copy of an
-    /// advertisement. A cell that already holds a route keeps its price
-    /// vector's allocation, and one taking its first priced route gets room
-    /// for `PRICE_ROOM` entries, so cells that are overwritten stage after
-    /// stage — while paths, and with them price arrays, still lengthen —
-    /// settle into not allocating at all.
-    pub fn store_into(&self, cell: &mut Option<RouteInfo>) {
-        let RouteInfo::Reachable {
-            path,
-            path_cost,
-            prices,
-        } = self
-        else {
-            *cell = Some(self.clone());
-            return;
-        };
-        if let Some(RouteInfo::Reachable {
-            path: held_path,
-            path_cost: held_cost,
-            prices: held_prices,
-        }) = cell
-        {
-            held_path.clone_from(path);
-            *held_cost = *path_cost;
-            held_prices.clone_from(prices);
-            return;
+    /// Folds this advertisement into `cell`, a receiver's one retained copy
+    /// of what one neighbor advertised for one destination, and returns
+    /// whether the cell changed. A withdrawal clears the cell. A price delta
+    /// patches the retained route in place, and is dropped whole when no
+    /// route is retained, the retained path is not the one the delta was
+    /// computed against, or an index is out of range: the sender's next full
+    /// advertisement (session resynchronization always sends one) restores
+    /// the state. A full advertisement replaces the cell; one that already
+    /// holds a route keeps its price vector's allocation, and one taking its
+    /// first priced route gets room for `PRICE_ROOM` entries, so cells that
+    /// are overwritten stage after stage — while paths, and with them price
+    /// arrays, still lengthen — settle into not allocating at all.
+    ///
+    /// This is the one rule for what a receiver keeps. Its two callers are
+    /// the Rib-In ([`RouteSelector::ingest`](crate::RouteSelector::ingest),
+    /// once a full advertisement has passed its well-formedness check) and
+    /// the online auditor's per-link views of what each neighbor heard
+    /// (`bgpvcg_core::audit::OnlineAuditor`).
+    pub fn fold(&self, cell: &mut Option<RouteInfo>) -> bool {
+        match self {
+            RouteInfo::Withdrawn => cell.take().is_some(),
+            RouteInfo::PriceDelta {
+                base_path_hash,
+                entries,
+            } => {
+                let Some(RouteInfo::Reachable { path, prices, .. }) = cell else {
+                    return false;
+                };
+                if path.hash64() != *base_path_hash
+                    || entries
+                        .iter()
+                        .any(|&(idx, _)| usize::from(idx) >= prices.len())
+                {
+                    return false;
+                }
+                let mut changed = false;
+                for &(idx, value) in entries {
+                    // lint:allow(bounds: every idx range-checked above)
+                    let held = &mut prices[usize::from(idx)];
+                    changed |= *held != value;
+                    *held = value;
+                }
+                changed
+            }
+            RouteInfo::Reachable {
+                path,
+                path_cost,
+                prices,
+            } => {
+                if cell.as_ref() == Some(self) {
+                    return false;
+                }
+                if let Some(RouteInfo::Reachable {
+                    path: held_path,
+                    path_cost: held_cost,
+                    prices: held_prices,
+                }) = cell
+                {
+                    held_path.clone_from(path);
+                    *held_cost = *path_cost;
+                    held_prices.clone_from(prices);
+                    return true;
+                }
+                let room = match prices.len() {
+                    0 => 0, // plain BGP and transit-free routes carry no prices
+                    len => len.max(PRICE_ROOM),
+                };
+                let mut held_prices = Vec::with_capacity(room);
+                held_prices.extend_from_slice(prices);
+                *cell = Some(RouteInfo::Reachable {
+                    path: path.clone(),
+                    path_cost: *path_cost,
+                    prices: held_prices,
+                });
+                true
+            }
         }
-        let room = match prices.len() {
-            0 => 0, // plain BGP and transit-free routes carry no prices
-            len => len.max(PRICE_ROOM),
-        };
-        let mut held_prices = Vec::with_capacity(room);
-        held_prices.extend_from_slice(prices);
-        *cell = Some(RouteInfo::Reachable {
-            path: path.clone(),
-            path_cost: *path_cost,
-            prices: held_prices,
-        });
     }
 }
 
@@ -521,10 +560,11 @@ mod tests {
     }
 
     #[test]
-    fn store_into_reuses_the_held_price_vector() {
+    fn fold_keeps_what_a_receiver_keeps() {
         let mut cell = None;
-        reachable().store_into(&mut cell);
+        assert!(reachable().fold(&mut cell));
         assert_eq!(cell, Some(reachable()));
+        assert!(!reachable().fold(&mut cell), "a repeat changes nothing");
         let held = |cell: &Option<RouteInfo>| match cell {
             Some(RouteInfo::Reachable { prices, .. }) => (prices.as_ptr(), prices.capacity()),
             _ => unreachable!(),
@@ -534,23 +574,42 @@ mod tests {
             before.1 >= PRICE_ROOM,
             "room to lengthen without reallocating"
         );
+        let path: SharedPath = vec![
+            entry(0, 2),
+            entry(5, 1),
+            entry(4, 2),
+            entry(3, 1),
+            entry(2, 4),
+        ]
+        .into();
         let longer = RouteInfo::Reachable {
-            path: vec![
-                entry(0, 2),
-                entry(5, 1),
-                entry(4, 2),
-                entry(3, 1),
-                entry(2, 4),
-            ]
-            .into(),
+            path: path.clone(),
             path_cost: Cost::new(4),
             prices: vec![Cost::new(9), Cost::new(4), Cost::new(3)],
         };
-        longer.store_into(&mut cell);
+        assert!(longer.fold(&mut cell));
         assert_eq!(cell.as_ref(), Some(&longer));
         assert_eq!(held(&cell), before, "overwritten in place");
-        RouteInfo::Withdrawn.store_into(&mut cell);
-        assert_eq!(cell, Some(RouteInfo::Withdrawn));
+        // A delta patches the retained route only on its own path and
+        // inside its price array; otherwise it is dropped whole.
+        let delta = |hash: u64, entries: &[(u16, u64)]| RouteInfo::PriceDelta {
+            base_path_hash: hash,
+            entries: entries.iter().map(|&(i, p)| (i, Cost::new(p))).collect(),
+        };
+        assert!(!delta(path.hash64() ^ 1, &[(0, 7)]).fold(&mut cell));
+        assert!(!delta(path.hash64(), &[(0, 7), (3, 7)]).fold(&mut cell));
+        assert!(!delta(path.hash64(), &[(1, 4)]).fold(&mut cell));
+        assert_eq!(cell.as_ref(), Some(&longer));
+        assert!(delta(path.hash64(), &[(0, 7)]).fold(&mut cell));
+        assert_eq!(
+            cell.as_ref().and_then(|info| info.price_of(AsId::new(5))),
+            Some(Cost::new(7))
+        );
+        assert!(RouteInfo::Withdrawn.fold(&mut cell));
+        assert_eq!(cell, None);
+        assert!(!RouteInfo::Withdrawn.fold(&mut cell));
+        assert!(!delta(path.hash64(), &[(0, 7)]).fold(&mut cell));
+        assert_eq!(cell, None);
     }
 
     #[test]

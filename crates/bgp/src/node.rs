@@ -11,6 +11,7 @@ use crate::message::{PathEntry, RouteAdvertisement, RouteInfo, Update};
 use crate::selector::RouteSelector;
 use crate::stats::StateSnapshot;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
+use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -74,6 +75,15 @@ const NOT_DIRTY: u32 = u32::MAX;
 /// run, and whether it did after.
 type Dirty = (AsId, u64, bool);
 
+thread_local! {
+    /// What `Node::announce` gathers, each advertisement with its cause,
+    /// before it sizes the update's two lists; empty between calls. One
+    /// buffer per thread, not per node: a node would hold the capacity of
+    /// its busiest step for the whole run, while this one is reused by
+    /// every node the thread steps.
+    static SAID: RefCell<Vec<(RouteAdvertisement, u64)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The stamp of a transit node no neighbor's path has held yet.
 const UNSTAMPED: u32 = u32::MAX;
 
@@ -95,78 +105,6 @@ enum Relaxed {
     Moved,
     /// The row moved, and this delta from the old row says how.
     Delta(RouteInfo),
-}
-
-/// The advertise-on-change step's bookkeeping: folding a stage's inbox
-/// into a dirty list with provenance, and whether price-only changes go
-/// out compressed to [`RouteInfo::PriceDelta`]. Nothing here remembers
-/// what was sent — a node's table *is* what it advertised, because every
-/// change is advertised in the step that makes it — and the scratch is
-/// reused, so a `handle` call allocates only what it emits.
-#[derive(Debug, Clone)]
-struct AdjRibOut {
-    /// Whether change advertisements may be compressed to
-    /// [`RouteInfo::PriceDelta`] when only price entries moved on an
-    /// unchanged selected path (the monotone-relaxation common case of
-    /// Sect. 6). On by default.
-    delta_encoding: bool,
-    /// The destinations the `handle` call in progress touched, each with
-    /// the id of the last inbound update (in inbox order) that touched it
-    /// and whether any touch could re-route it. Lent to the caller by
-    /// `ingest`, returned through `recycle`.
-    dirty: Vec<Dirty>,
-    /// An AS-indexed position table, all [`NOT_DIRTY`] between uses. Inside
-    /// `ingest` it holds each destination's position in `dirty`; inside
-    /// `Node::relax`, each transit node's position on the route relaxed.
-    mark: Vec<u32>,
-}
-
-impl AdjRibOut {
-    /// Empty bookkeeping for a node of an `n`-node network.
-    fn new(n: usize) -> Self {
-        AdjRibOut {
-            delta_encoding: true,
-            dirty: Vec::new(),
-            mark: vec![NOT_DIRTY; n],
-        }
-    }
-
-    /// Ingests one stage's inbox into `selector` and returns the affected
-    /// destinations, ascending, each attributed to the last inbound update
-    /// whose ingestion touched it and flagged if any touch was more than a
-    /// price delta. The list is this value's own buffer: hand it back with
-    /// [`recycle`](Self::recycle) once advertised.
-    fn ingest(&mut self, selector: &mut RouteSelector, updates: &[Arc<Update>]) -> Vec<Dirty> {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        for update in updates {
-            for (dest, reroute) in selector.ingest_flagged(update) {
-                let Some(mark) = self.mark.get_mut(dest.index()) else {
-                    continue;
-                };
-                match dirty.get_mut(*mark as usize) {
-                    Some(touched) => {
-                        touched.1 = update.id;
-                        touched.2 |= reroute;
-                    }
-                    None => {
-                        *mark = dirty.len() as u32;
-                        dirty.push((dest, update.id, reroute));
-                    }
-                }
-            }
-        }
-        for &(dest, ..) in &dirty {
-            self.mark[dest.index()] = NOT_DIRTY;
-        }
-        dirty.sort_unstable_by_key(|&(dest, ..)| dest);
-        dirty
-    }
-
-    /// Takes back the list [`ingest`](Self::ingest) lent out.
-    fn recycle(&mut self, mut dirty: Vec<Dirty>) {
-        dirty.clear();
-        self.dirty = dirty;
-    }
 }
 
 /// What a cost model changes in the node step. The relaxation bound
@@ -267,8 +205,19 @@ pub struct Node<P: PricePolicy> {
     /// in an unpriced model. Recomputed from scratch on every refresh; see
     /// `relax`.
     prices: Vec<Vec<Cost>>,
-    /// The dirty list, position table and delta switch of what goes out.
-    out: AdjRibOut,
+    /// Whether a destination whose prices alone moved on an unchanged
+    /// selected path may go out as a [`RouteInfo::PriceDelta`] (the
+    /// monotone-relaxation common case of Sect. 6). On by default.
+    delta_encoding: bool,
+    /// The destinations the `handle` call in progress touched, each with
+    /// the id of the last inbound update (in inbox order) that touched it
+    /// and whether any touch could re-route it. Lent out by `ingest`,
+    /// handed back once announced.
+    dirty: Vec<Dirty>,
+    /// An AS-indexed position table, all [`NOT_DIRTY`] between uses. Inside
+    /// `ingest` it holds each destination's position in `dirty`; inside
+    /// `relax`, each transit node's position on the route relaxed.
+    mark: Vec<u32>,
     /// What `relax` relaxes into, reused across calls: per transit node of
     /// the route, its bound so far and the ordinal of the last neighbor
     /// whose path holds it.
@@ -299,7 +248,9 @@ impl<P: PricePolicy> Node<P> {
                 n,
             ),
             prices: vec![Vec::new(); if P::PRICED { n } else { 0 }],
-            out: AdjRibOut::new(n),
+            delta_encoding: true,
+            dirty: Vec::new(),
+            mark: vec![NOT_DIRTY; n],
             scratch: Vec::new(),
             sender_costs: P::sender_costs(graph, id),
             configured_costs: P::sender_costs(graph, id),
@@ -312,6 +263,37 @@ impl<P: PricePolicy> Node<P> {
     pub fn from_graph(graph: &P::Graph) -> Vec<Self> {
         let ids = graph.as_ref().nodes();
         ids.map(|id| Node::new(graph, id)).collect()
+    }
+
+    /// Ingests one stage's inbox into the selector and returns the affected
+    /// destinations, ascending, each attributed to the last inbound update
+    /// whose ingestion touched it and flagged if any touch was more than a
+    /// price delta. The list is `dirty`, lent out: hand it back once
+    /// announced.
+    fn ingest(&mut self, updates: &[Arc<Update>]) -> Vec<Dirty> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for update in updates {
+            for (dest, reroute) in self.selector.ingest_flagged(update) {
+                let Some(mark) = self.mark.get_mut(dest.index()) else {
+                    continue;
+                };
+                match dirty.get_mut(*mark as usize) {
+                    Some(touched) => {
+                        touched.1 = update.id;
+                        touched.2 |= reroute;
+                    }
+                    None => {
+                        *mark = dirty.len() as u32;
+                        dirty.push((dest, update.id, reroute));
+                    }
+                }
+            }
+        }
+        for &(dest, ..) in &dirty {
+            self.mark[dest.index()] = NOT_DIRTY;
+        }
+        dirty.sort_unstable_by_key(|&(dest, ..)| dest);
+        dirty
     }
 
     /// Read access to the decision process (selected routes, Rib-In).
@@ -363,12 +345,12 @@ impl<P: PricePolicy> Node<P> {
     /// A pass costs O(deg · L) for paths of length L, not O(deg · L²): it
     /// never searches a neighbor's path for a transit node. Once per call,
     /// each of our transit nodes' positions goes into an AS-indexed table
-    /// (the Adj-RIB-Out's `mark`, idle outside its `ingest`), and is
-    /// cleared again at the end. Each neighbor's path is then walked once,
-    /// interior only — its first entry is the neighbor itself, which offers
-    /// no bound for itself, and its last is `dest`, never transit on our
-    /// route — and every transit node met there takes the case (i)–(iii)
-    /// bound and a stamp with the neighbor's ordinal. One pass over our
+    /// (`mark`, idle outside `ingest`), and is cleared again at the end.
+    /// Each neighbor's path is then walked once, interior only — its first
+    /// entry is the neighbor itself, which offers no bound for itself, and
+    /// its last is `dest`, never transit on our route — and every transit
+    /// node met there takes the case (i)–(iii) bound and a stamp with the
+    /// neighbor's ordinal. One pass over our
     /// transit gives every node left unstamped, other than the neighbor,
     /// the case-(iv) bound. Stamps are ordinals, so they are reset once per
     /// call, not once per neighbor: on short paths through high-degree
@@ -396,7 +378,7 @@ impl<P: PricePolicy> Node<P> {
         self.scratch
             .resize(transit.len(), (Cost::INFINITE, UNSTAMPED));
         let slots = self.scratch.as_mut_slice();
-        let position = self.out.mark.as_mut_slice();
+        let position = self.mark.as_mut_slice();
         for (slot, k_entry) in (0u32..).zip(transit) {
             if let Some(cell) = position.get_mut(k_entry.node.index()) {
                 *cell = slot;
@@ -518,7 +500,7 @@ impl<P: PricePolicy> Node<P> {
     /// neighbors heard every earlier change the same way, so the stored
     /// row is what they hold, and the delta is built against it.
     fn advertise(&mut self, dest: AsId, rerouted: bool) -> Option<RouteInfo> {
-        match self.relax(dest, !rerouted && self.out.delta_encoding) {
+        match self.relax(dest, !rerouted && self.delta_encoding) {
             Relaxed::Delta(delta) => Some(delta),
             Relaxed::Same if !rerouted => None,
             _ => Some(self.current(dest)),
@@ -527,21 +509,25 @@ impl<P: PricePolicy> Node<P> {
 
     /// The update for one step's touched destinations, in order: what each
     /// of them advertises, attributed to its cause, with this node's
-    /// receive-cost vector attached; `None` when none of them changed.
+    /// receive-cost vector attached; `None` when none of them changed. Its
+    /// two lists are sized by what is advertised, not by what was touched.
     fn announce(&mut self, touched: &[Dirty]) -> Option<Update> {
-        // lint:allow(output: the emitted update's advertisement list)
-        let mut ads = Vec::with_capacity(touched.len());
-        // lint:allow(output: the emitted update's provenance list)
-        let mut causes = Vec::with_capacity(touched.len());
-        for &(dest, cause, rerouted) in touched {
-            if let Some(info) = self.advertise(dest, rerouted) {
-                ads.push(RouteAdvertisement {
-                    destination: dest,
-                    info,
-                });
+        let (ads, causes) = SAID.with_borrow_mut(|said| {
+            for &(destination, cause, rerouted) in touched {
+                if let Some(info) = self.advertise(destination, rerouted) {
+                    said.push((RouteAdvertisement { destination, info }, cause));
+                }
+            }
+            // lint:allow(output: the emitted update's advertisement list)
+            let mut ads = Vec::with_capacity(said.len());
+            // lint:allow(output: the emitted update's provenance list)
+            let mut causes = Vec::with_capacity(said.len());
+            for (ad, cause) in said.drain(..) {
+                ads.push(ad);
                 causes.push(cause);
             }
-        }
+            (ads, causes)
+        });
         let mut update = Update::if_nonempty(self.selector.id(), ads)?;
         update.causes = causes;
         update.sender_costs.clone_from(&self.sender_costs);
@@ -555,7 +541,7 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
     }
 
     fn configure_delta_encoding(&mut self, on: bool) {
-        self.out.delta_encoding = on;
+        self.delta_encoding = on;
     }
 
     fn start(&mut self) -> Option<Update> {
@@ -563,14 +549,15 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut dirty = self.out.ingest(&mut self.selector, updates);
+        let mut dirty = self.ingest(updates);
         // Only a route change re-opens selection: a destination only price
         // deltas touched keeps its route and goes straight to relaxation.
         for (dest, _, reroute) in &mut dirty {
             *reroute = *reroute && self.selector.decide(*dest);
         }
         let update = self.announce(&dirty);
-        self.out.recycle(dirty);
+        dirty.clear();
+        self.dirty = dirty;
         update
     }
 
@@ -730,7 +717,7 @@ mod tests {
         assert_eq!(node.state(), before);
         // The position table keeps its size and is idle again; the
         // relaxation scratch never outgrows the longest route.
-        assert_eq!(node.out.mark, [NOT_DIRTY; 5]);
+        assert_eq!(node.mark, [NOT_DIRTY; 5]);
         assert_eq!(node.prices.len(), 5);
         assert!(node.scratch.len() <= 1);
     }

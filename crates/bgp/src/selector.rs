@@ -50,7 +50,7 @@ impl SelectedRoute {
 fn well_formed(from: AsId, destination: AsId, info: &RouteInfo, bound: usize) -> bool {
     let RouteInfo::Reachable { path, prices, .. } = info else {
         // Withdrawals carry no structure; price deltas are validated
-        // against the retained route at application time (see `ingest`).
+        // against the retained route when folded (see `RouteInfo::fold`).
         return true;
     };
     let (Some(first), Some(last)) = (path.first(), path.last()) else {
@@ -406,66 +406,23 @@ impl RouteSelector {
         }
         for ad in &update.advertisements {
             let dest = ad.destination;
-            let changed = match &ad.info {
-                RouteInfo::Withdrawn => self
-                    .rib
-                    .get_mut(dest.index() * deg + slot)
-                    .is_some_and(|cell| cell.take().is_some()),
-                RouteInfo::PriceDelta {
-                    base_path_hash,
-                    entries,
-                } => {
-                    // Patch the retained full advertisement in place. Any
-                    // mismatch — no retained route, a path other than the
-                    // one the delta was computed against, or an out-of-range
-                    // price index — drops the delta silently: the sender's
-                    // next full advertisement (session resynchronization
-                    // always sends one) restores the state.
-                    let Some(Some(RouteInfo::Reachable { path, prices, .. })) =
-                        self.rib.get_mut(dest.index() * deg + slot)
-                    else {
-                        continue;
-                    };
-                    if path.hash64() != *base_path_hash
-                        || entries
-                            .iter()
-                            .any(|&(idx, _)| usize::from(idx) >= prices.len())
-                    {
-                        continue;
-                    }
-                    let mut touched = false;
-                    for &(idx, value) in entries {
-                        // lint:allow(bounds: every idx range-checked above)
-                        let cell = &mut prices[usize::from(idx)];
-                        touched |= *cell != value;
-                        *cell = value;
-                    }
-                    touched
+            if let RouteInfo::Reachable { .. } = ad.info {
+                // Drop structurally malformed advertisements instead of
+                // trusting them: a misbehaving or buggy neighbor must not be
+                // able to crash this node (the paper's Sect. 7 notes the
+                // agents themselves run the algorithm).
+                if !well_formed(update.from, dest, &ad.info, self.bound) {
+                    continue;
                 }
-                reachable => {
-                    // Drop structurally malformed advertisements instead of
-                    // trusting them: a misbehaving or buggy neighbor must
-                    // not be able to crash this node (the paper's Sect. 7
-                    // notes the agents themselves run the algorithm).
-                    if !well_formed(update.from, dest, reachable, self.bound) {
-                        continue;
-                    }
-                    if dest.index() >= self.table.len() {
-                        // Only a selector built without a node count gets
-                        // here: `well_formed` bounds every other one.
-                        self.table.resize(dest.index() + 1, None);
-                        self.rib.resize((dest.index() + 1) * deg, None);
-                    }
-                    match self.rib.get_mut(dest.index() * deg + slot) {
-                        Some(cell) if cell.as_ref() != Some(reachable) => {
-                            reachable.store_into(cell);
-                            true
-                        }
-                        _ => false,
-                    }
+                if dest.index() >= self.table.len() {
+                    // Only a selector built without a node count gets here:
+                    // `well_formed` bounds every other one.
+                    self.table.resize(dest.index() + 1, None);
+                    self.rib.resize((dest.index() + 1) * deg, None);
                 }
-            };
-            if changed {
+            }
+            let cell = self.rib.get_mut(dest.index() * deg + slot);
+            if cell.is_some_and(|cell| ad.info.fold(cell)) {
                 self.affected.push(dest);
                 self.reroutes
                     .push(!matches!(ad.info, RouteInfo::PriceDelta { .. }));

@@ -204,51 +204,6 @@ pub fn audit_network(graph: &AsGraph, nodes: &[PricingBgpNode]) -> Vec<AuditFind
     findings
 }
 
-/// Folds one update into a cumulative per-destination advertisement map,
-/// mirroring [`RouteSelector::ingest`]'s retention semantics exactly: a
-/// withdrawal removes the entry, a full advertisement replaces it, and a
-/// price delta patches the retained full route — silently dropped on a
-/// base-path-hash mismatch or an out-of-range index, just as a receiver
-/// would drop it.
-///
-/// The mirror matters: the auditor's link views must equal what receivers
-/// actually retain, or honest delta streams would produce false positives.
-/// A sender's own table is never folded: it is read where it lies.
-///
-/// [`RouteSelector::ingest`]: bgpvcg_bgp::RouteSelector::ingest
-fn fold_advertisements(map: &mut BTreeMap<AsId, RouteInfo>, update: &Update) {
-    for ad in &update.advertisements {
-        match &ad.info {
-            RouteInfo::Withdrawn => {
-                map.remove(&ad.destination);
-            }
-            RouteInfo::PriceDelta {
-                base_path_hash,
-                entries,
-            } => {
-                let Some(RouteInfo::Reachable { path, prices, .. }) = map.get_mut(&ad.destination)
-                else {
-                    continue;
-                };
-                if path.hash64() != *base_path_hash
-                    || entries
-                        .iter()
-                        .any(|&(idx, _)| usize::from(idx) >= prices.len())
-                {
-                    continue;
-                }
-                for &(idx, value) in entries {
-                    // lint:allow(bounds: every idx range-checked above)
-                    prices[usize::from(idx)] = value;
-                }
-            }
-            reachable => {
-                map.insert(ad.destination, reachable.clone());
-            }
-        }
-    }
-}
-
 /// Whether a receiver's `view` of one destination is the sender's table
 /// entry for it — `route` with its price row `prices` — or, where the
 /// sender has no route, nothing. Compared in place: an agreeing view costs
@@ -277,22 +232,23 @@ fn holds(view: Option<&RouteInfo>, route: Option<&SelectedRoute>, prices: &[Cost
 /// The auditor keeps, per AS:
 ///
 /// * a **shadow** — an honest [`PricingBgpNode`] at the same graph
-///   position, fed exactly the deliveries the real node receives (via
-///   [`WireAuditor::on_wire`] + the engine's stage boundary signals).
-///   Its table — selected route plus price row per destination — is what
-///   the node *should* currently be advertising, since an honest node
-///   advertises every change of its table in the step that makes it;
+///   position, handed each batch the real node is handed
+///   ([`WireAuditor::on_delivery`]) and each local view it applies, in the
+///   same order. Its table — selected route plus price row per
+///   destination — is what the node *should* currently be advertising,
+///   since an honest node advertises every change of its table in the step
+///   that makes it;
 /// * per-link **views** — what each neighbor has cumulatively heard from
-///   this node, folded with receiver-exact retention semantics.
+///   this node, folded at send time by [`RouteInfo::fold`], the rule the
+///   receiver's own Rib-In keeps it by.
 ///
 /// After each stage the engine calls [`WireAuditor::end_stage`]; the
-/// auditor first replays the stage's inboxes through the shadows (keeping
-/// their tables in lock-step with honest behavior), then compares every
-/// (sender, destination) pair touched on the wire this stage: each
-/// neighbor's view must equal the shadow's entry (divergence), and all
-/// neighbors' views must equal *each other* (equivocation — the check no
-/// offline audit can make). Violations come back as [`Accusation`]s, which
-/// the engine's quarantine machinery can act on.
+/// auditor compares every (sender, destination) pair touched on the wire
+/// this stage: each neighbor's view must equal the shadow's entry
+/// (divergence), and all neighbors' views must equal *each other*
+/// (equivocation — the check no offline audit can make). Violations come
+/// back as [`Accusation`]s, which the engine's quarantine machinery can
+/// act on.
 ///
 /// # Why a wrapped adversary cannot shake its shadow
 ///
@@ -304,25 +260,27 @@ fn holds(view: Option<&RouteInfo>, route: Option<&SelectedRoute>, prices: &[Cost
 /// (what was really delivered), so downstream nodes' honest reactions to
 /// poisoned input are never mis-accused: the auditor flags the liar, not
 /// the lied-to.
+///
+/// # Where it is sound
+///
+/// A view is what was *sent*; a shadow is what its node *got*. The two
+/// agree whenever every copy sent is delivered: lock-step, quiet sessions
+/// and delay-only ones ([`FaultPlan::asynchronous`]). A lost copy leaves a
+/// receiver's view ahead of what it holds, and a silent crash wipes a node
+/// its shadow never hears of; both can still draw false accusations.
+///
+/// [`FaultPlan::asynchronous`]: bgpvcg_bgp::chaos::FaultPlan::asynchronous
 #[derive(Debug)]
 pub struct OnlineAuditor {
-    /// Honest replica of every node, fed the real deliveries: shadow `f`'s
-    /// table is the honest advertisement state of `f`.
+    /// Honest replica of every node, handed what the node is handed: shadow
+    /// `f`'s table is the honest advertisement state of `f`.
     shadows: Vec<PricingBgpNode>,
     /// `links[t][f]`: what neighbor `t` has cumulatively heard from `f`,
     /// per destination (pruned when the `f`–`t` link goes down).
-    links: Vec<BTreeMap<AsId, BTreeMap<AsId, RouteInfo>>>,
-    /// Deliveries narrated since the last stage boundary (the engine is
-    /// still collecting them; receivers ingest them *next* stage).
-    staging: Vec<Vec<Arc<Update>>>,
-    /// Deliveries the engine's current stage is handing to receivers.
-    inbox: Vec<Vec<Arc<Update>>>,
+    links: Vec<BTreeMap<AsId, BTreeMap<AsId, Option<RouteInfo>>>>,
     /// (sender, destination) pairs whose wire state changed this stage —
     /// the only pairs `end_stage` needs to re-check.
     touched: BTreeSet<(AsId, AsId)>,
-    /// Quarantined / crashed nodes: their shadows are parked and they are
-    /// exempt from comparison until a `NodeUp`.
-    down: Vec<bool>,
 }
 
 impl OnlineAuditor {
@@ -331,65 +289,37 @@ impl OnlineAuditor {
     /// `run_to_convergence`.
     pub fn new(graph: &AsGraph) -> Self {
         let shadows = PricingBgpNode::from_graph(graph);
-        let n = shadows.len();
         OnlineAuditor {
+            links: vec![BTreeMap::new(); shadows.len()],
             shadows,
-            links: vec![BTreeMap::new(); n],
-            staging: vec![Vec::new(); n],
-            inbox: vec![Vec::new(); n],
             touched: BTreeSet::new(),
-            down: vec![false; n],
         }
     }
 }
 
 impl WireAuditor for OnlineAuditor {
     fn on_wire(&mut self, from: AsId, to: AsId, update: &Arc<Update>) {
+        let link = self.links[to.index()].entry(from).or_default();
         for ad in &update.advertisements {
             self.touched.insert((from, ad.destination));
+            ad.info.fold(link.entry(ad.destination).or_default());
         }
-        let link = self.links[to.index()].entry(from).or_default();
-        fold_advertisements(link, update);
-        self.staging[to.index()].push(Arc::clone(update));
     }
 
-    fn begin_stage(&mut self, _stage: u64) {
-        // The engine swapped its double buffers: everything narrated since
-        // the last boundary is delivered *this* stage. (`inbox` slots were
-        // drained by the previous `end_stage`, so `append` just moves.)
-        for (staged, active) in self.staging.iter_mut().zip(self.inbox.iter_mut()) {
-            active.append(staged);
-        }
+    fn on_delivery(&mut self, to: AsId, batch: &[Arc<Update>]) {
+        let _ = self.shadows[to.index()].handle(batch);
     }
 
     fn on_topology(&mut self, event: &TopologyEvent) {
-        match *event {
-            TopologyEvent::NodeDown(k) => {
-                // Mirror the engine's crash semantics on the shadow: full
-                // state loss, then the loss of every incident link.
-                let neighbors: Vec<AsId> = self.shadows[k.index()].selector().neighbors().collect();
-                self.shadows[k.index()].reset();
-                for a in neighbors {
-                    let _ = self.shadows[k.index()].apply_event(LocalEvent::LinkDown(a));
-                }
-                self.staging[k.index()].clear();
-                self.inbox[k.index()].clear();
-                self.links[k.index()].clear();
-                self.down[k.index()] = true;
-            }
-            TopologyEvent::NodeUp(k) => {
-                self.down[k.index()] = false;
-            }
-            // Link and cost events reach the affected nodes as local
-            // views; `on_local_event` mirrors those below.
-            _ => {}
+        // A crash wipes the node; the engine then tells it of every link it
+        // lost, and those local views reach the shadow too. Link and cost
+        // events reach the affected nodes as local views alone.
+        if let TopologyEvent::NodeDown(k) = *event {
+            self.shadows[k.index()].reset();
         }
     }
 
     fn on_local_event(&mut self, node: AsId, event: &LocalEvent) {
-        if self.down[node.index()] {
-            return;
-        }
         if let LocalEvent::LinkDown(peer) = event {
             // The receiver-side view of a dead link is gone: the engine
             // will never deliver over it again, and comparing a stale view
@@ -400,25 +330,12 @@ impl WireAuditor for OnlineAuditor {
     }
 
     fn end_stage(&mut self, stage: u64) -> Vec<Accusation> {
-        // Phase A — advance the shadows: replay this stage's inboxes
-        // through the honest replicas, in the engine's ascending node
-        // order.
-        let replicas = self.shadows.iter_mut().zip(&mut self.inbox).zip(&self.down);
-        for ((shadow, inbox), &down) in replicas {
-            let batch = std::mem::take(inbox);
-            if !down && !batch.is_empty() {
-                let _ = shadow.handle(&batch);
-            }
-        }
-        // Phase B — cross-check every (sender, destination) pair that
-        // moved on the wire this stage. BTreeSet order groups findings by
-        // sender ascending, destinations ascending within each.
+        // Cross-check every (sender, destination) pair that moved on the
+        // wire this stage. BTreeSet order groups findings by sender
+        // ascending, destinations ascending within each.
         let touched = std::mem::take(&mut self.touched);
         let mut accusations: Vec<Accusation> = Vec::new();
         for (sender, dest) in touched {
-            if self.down[sender.index()] {
-                continue;
-            }
             let shadow = &self.shadows[sender.index()];
             let (route, prices) = (shadow.selector().selected(dest), shadow.price_row(dest));
             // Every neighbor currently holding a live link view of
@@ -428,7 +345,7 @@ impl WireAuditor for OnlineAuditor {
             let mut views: Vec<Option<&RouteInfo>> = Vec::new();
             for per_receiver in &self.links {
                 if let Some(link) = per_receiver.get(&sender) {
-                    views.push(link.get(&dest));
+                    views.push(link.get(&dest).and_then(Option::as_ref));
                 }
             }
             let divergent = views.iter().find(|view| !holds(**view, route, prices));

@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn malformed_price_arrays_are_dropped_before_any_table_is_indexed() {
-        // The price table and the Adj-RIB-Out are indexed by destination:
+        // The price table and the position table are indexed by AS number:
         // an id outside the graph must never get that far, priced or not.
         let mut x = PricingBgpNode::new(&fig1(), Fig1::X);
         let huge = AsId::new(u32::MAX);

@@ -51,7 +51,8 @@ pub mod span {
     pub const WIRE_ENCODE: super::SpanId = 3;
     /// Session upkeep: retransmit timers, acks, hold timers (chaos engine).
     pub const SESSION_RETRANSMIT: super::SpanId = 4;
-    /// Online-audit shadow execution of accused nodes.
+    /// The online auditor: its shadows handling the batches the handle pass
+    /// hands over, and its end-of-stage comparison.
     pub const AUDIT_SHADOW: super::SpanId = 5;
     /// Byzantine adversary wire tap rewriting advertisements.
     pub const ADVERSARY_TAP: super::SpanId = 6;

@@ -330,8 +330,9 @@ pub fn check_engine_hygiene(files: &[SourceFile], out: &mut Vec<Violation>) {
 /// the span profiler's enter/exit brackets (they wrap every hot-path
 /// phase, so an allocation there would tax everything they measure), and
 /// the per-node step the engine loop spends its time in — `RouteSelector`
-/// ingest/decide, the node's `handle` and relaxation, the policy terms the
-/// relaxation's inner loop evaluates, and the Adj-RIB-Out diff/emit. At
+/// ingest/decide, the node's `handle`, its fold of an inbox into the dirty
+/// list (`ingest`) and relaxation, the policy terms the relaxation's inner
+/// loop evaluates, and the per-destination advertise body. At
 /// node level the only allocations left are the ones that *are* the output
 /// (the emitted update's lists, a full advertisement's price array, the
 /// interned winning path); each carries a `lint:allow` naming it. The
@@ -822,6 +823,10 @@ mod tests {
             (
                 "crates/bgp/src/node.rs",
                 "fn handle(&mut self) {\n    let m = BTreeMap::new();\n}",
+            ),
+            (
+                "crates/bgp/src/node.rs",
+                "fn ingest(&mut self) {\n    let d = Vec::new();\n}",
             ),
             (
                 "crates/bgp/src/node.rs",

@@ -1,4 +1,4 @@
-//! Fixture: a node that builds a set per inbox, a fresh array per
+//! Fixture: a node whose ingest builds a set per inbox, a fresh array per
 //! relaxation and an unannotated copy per advertisement, with an
 //! undocumented public helper and a stale allow.
 
@@ -12,11 +12,17 @@ pub struct Node {
 impl Node {
     /// Handles a batch.
     pub fn handle(&mut self, delivered: &[u64]) -> u64 {
-        let mut affected = std::collections::BTreeSet::new();
-        affected.extend(delivered.iter().copied());
+        let affected = self.ingest(delivered);
         self.relax(affected.iter().sum());
         self.best = delivered.first().copied().unwrap_or(self.best);
         self.best
+    }
+
+    /// Folds a batch into a brand-new set every call.
+    fn ingest(&mut self, delivered: &[u64]) -> std::collections::BTreeSet<u64> {
+        let mut affected = std::collections::BTreeSet::new();
+        affected.extend(delivered.iter().copied());
+        affected
     }
 
     /// Relaxes prices into a brand-new array every call.

@@ -18,39 +18,31 @@ pub trait PricePolicy {
     }
 }
 
-/// A reused dirty list.
-#[derive(Debug)]
-pub struct AdjRibOut {
-    dirty: Vec<usize>,
-}
-
-impl AdjRibOut {
-    /// Folds an inbox into the reused dirty list, lent out until the
-    /// caller hands it back.
-    pub fn ingest(&mut self, delivered: &[usize]) -> Vec<usize> {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.clear();
-        dirty.extend_from_slice(delivered);
-        dirty
-    }
-}
-
 /// The node: a price row relaxed as `P` directs, advertised on change.
 #[derive(Debug)]
 pub struct Node<P> {
     prices: Vec<u64>,
     scratch: Vec<u64>,
-    out: AdjRibOut,
+    dirty: Vec<usize>,
     policy: PhantomData<P>,
 }
 
 impl<P: PricePolicy> Node<P> {
     /// Handles one delivered batch and returns what changed.
     pub fn handle(&mut self, delivered: &[usize]) -> Vec<(usize, Vec<u64>)> {
-        let dirty = self.out.ingest(delivered);
+        let dirty = self.ingest(delivered);
         let ads = self.announce(&dirty);
-        self.out.dirty = dirty;
+        self.dirty = dirty;
         ads
+    }
+
+    /// Folds an inbox into the reused dirty list, lent out until the
+    /// caller hands it back.
+    fn ingest(&mut self, delivered: &[usize]) -> Vec<usize> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.clear();
+        dirty.extend_from_slice(delivered);
+        dirty
     }
 
     /// What the touched destinations advertise; the list is the output.

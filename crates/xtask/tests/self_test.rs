@@ -159,7 +159,7 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("stage-alloc", "crates/bgp/src/wire.rs"),  // Vec::new() in the codec hot path
         ("stage-alloc", "crates/telemetry/src/profile.rs"), // vec![ / Vec::new() in enter/exit
         ("stage-alloc", "crates/bgp/src/selector.rs"), // BTreeSet per ingest, Vec per candidate
-        ("stage-alloc", "crates/bgp/src/node.rs"), // BTreeSet in handle, vec![ in relax, .to_vec() in advertise
+        ("stage-alloc", "crates/bgp/src/node.rs"), // BTreeSet in ingest, vec![ in relax, .to_vec() in advertise
         ("stage-alloc", "crates/core/src/neighbor_costs/node.rs"), // .collect() into a map in charged_by
         ("stage-alloc", "crates/bgp/src/telemetry.rs"), // .collect() of the path in observe_update
         ("stage-alloc", "crates/telemetry/src/health.rs"), // BTreeMap in fold, .to_vec() in on_progress

@@ -11,7 +11,7 @@ use bgp_vcg::bgp::engine::SyncEngine;
 use bgp_vcg::bgp::telemetry::metric;
 use bgp_vcg::bgp::{Adversary, ProtocolNode, Strategy, TopologyEvent};
 use bgp_vcg::core::audit::OnlineAuditor;
-use bgp_vcg::netgraph::generators::structured::{fig1, hypercube};
+use bgp_vcg::netgraph::generators::structured::{fig1, hypercube, petersen};
 use bgp_vcg::netgraph::generators::{barabasi_albert, random_costs};
 use bgp_vcg::{protocol, AsGraph, AsId, Cost, GraphError, PricingBgpNode, RoutingOutcome};
 use bgpvcg_telemetry::Telemetry;
@@ -239,36 +239,88 @@ fn invalid_events_fail_alike_and_mutate_nothing() {
     }
 }
 
+/// Quiet sessions, and the delay-only plans of Sect. 5–6 under three
+/// seeds: every copy sent is delivered, so the auditor must follow.
+fn reliable_plans() -> Vec<(String, FaultPlan)> {
+    let delayed = (1..=3).map(|seed| {
+        (
+            format!("asynchronous({seed})"),
+            FaultPlan::asynchronous(seed),
+        )
+    });
+    std::iter::once(("quiet".to_string(), FaultPlan::quiet()))
+        .chain(delayed)
+        .collect()
+}
+
 #[test]
-fn an_honest_audited_quiet_session_run_accuses_no_one() {
+fn an_honest_audited_reliable_session_run_accuses_no_one() {
     for (name, g) in graphs() {
-        let mut audited = ChaosEngine::new(&g, PricingBgpNode::from_graph(&g), FaultPlan::quiet());
-        audited.attach_auditor(Box::new(OnlineAuditor::new(&g)));
-        let report = audited.run_to_stable(MAX_STAGES);
-        assert!(report.converged, "{name}: {report}");
-        assert_eq!(outcome(audited.nodes()), outcome(sessions(&g).nodes()));
-        // Announced events are narrated to the auditor too.
-        let (a, b) = removable_link(&g);
-        for event in [
-            TopologyEvent::LinkDown(a, b),
-            TopologyEvent::LinkUp(a, b),
-            TopologyEvent::CostChange(a, g.cost(a) + Cost::new(4)),
-        ] {
-            assert!(audited.apply_event(event).converged, "{name}: {event:?}");
+        for (plan_name, plan) in reliable_plans() {
+            let what = format!("{name}, {plan_name}");
+            let mut audited = ChaosEngine::new(&g, PricingBgpNode::from_graph(&g), plan);
+            audited.attach_auditor(Box::new(OnlineAuditor::new(&g)));
+            let report = audited.run_to_stable(MAX_STAGES);
+            assert!(report.converged, "{what}: {report}");
+            assert_eq!(
+                outcome(audited.nodes()),
+                outcome(lock_step(&g).nodes()),
+                "{what}"
+            );
+            // Announced events are narrated to the auditor too.
+            let (a, b) = removable_link(&g);
+            for event in [
+                TopologyEvent::LinkDown(a, b),
+                TopologyEvent::LinkUp(a, b),
+                TopologyEvent::CostChange(a, g.cost(a) + Cost::new(4)),
+            ] {
+                assert!(audited.apply_event(event).converged, "{what}: {event:?}");
+            }
+            assert!(
+                audited.accusations().is_empty(),
+                "{what}: {:?}",
+                audited.accusations()
+            );
+            assert!(audited.quarantined().is_empty(), "{what}");
+            let mut expected = lock_step(&g);
+            expected.apply_event(TopologyEvent::CostChange(a, g.cost(a) + Cost::new(4)));
+            assert_eq!(
+                outcome(audited.nodes()),
+                outcome(expected.nodes()),
+                "{what}"
+            );
         }
-        assert!(
-            audited.accusations().is_empty(),
-            "{name}: {:?}",
-            audited.accusations()
-        );
-        assert!(audited.quarantined().is_empty());
-        let mut expected = lock_step(&g);
-        expected.apply_event(TopologyEvent::CostChange(a, g.cost(a) + Cost::new(4)));
-        assert_eq!(
-            outcome(audited.nodes()),
-            outcome(expected.nodes()),
-            "{name}"
-        );
+    }
+}
+
+#[test]
+fn every_liar_is_caught_and_quarantined_under_delay() {
+    // Petersen is 3-connected: without any one node it stays biconnected,
+    // so quarantine is always a valid recovery.
+    let g = petersen(Cost::new(2));
+    let culprit = AsId::new(4);
+    let never_joined = {
+        let mut engine = lock_step(&g);
+        engine.apply_event(TopologyEvent::NodeDown(culprit));
+        outcome(engine.nodes())
+    };
+    for seed in [1, 2] {
+        for strategy in Strategy::ALL {
+            let what = format!("{}, asynchronous({seed})", strategy.name());
+            let plan = FaultPlan::asynchronous(seed);
+            let mut engine = ChaosEngine::new(&g, PricingBgpNode::from_graph(&g), plan);
+            engine.attach_auditor(Box::new(OnlineAuditor::new(&g)));
+            engine.set_adversary(culprit, Adversary::new(strategy, 11));
+            let report = engine.run_to_stable(MAX_STAGES);
+            assert!(report.converged, "{what}: {report}");
+            assert!(
+                engine.accusations().iter().all(|acc| acc.node == culprit),
+                "{what}: only the liar is accused: {:?}",
+                engine.accusations()
+            );
+            assert_eq!(engine.quarantined(), &[culprit], "{what}");
+            assert_eq!(outcome(engine.nodes()), never_joined, "{what}");
+        }
     }
 }
 

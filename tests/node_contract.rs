@@ -181,34 +181,17 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
     assert_eq!(x.price(huge, Fig1::A), None);
 }
 
-/// Every batch a lock-step run hands each receiver, in order: what the wire
-/// carries is staged, and handed out at the start of the stage that
-/// ingests it.
-#[derive(Default)]
-struct Batches {
-    staged: Vec<(AsId, Arc<Update>)>,
-    per_node: Vec<Vec<Vec<Arc<Update>>>>,
-}
+/// Every batch a lock-step run hands each receiver, in order, as the
+/// engine hands it over.
+type Batches = Vec<Vec<Vec<Arc<Update>>>>;
 
 struct Recorder(Arc<Mutex<Batches>>);
 
 impl WireAuditor for Recorder {
-    fn on_wire(&mut self, _from: AsId, to: AsId, update: &Arc<Update>) {
-        let mut batches = self.0.lock().expect("no holder of the batches panics");
-        batches.staged.push((to, Arc::clone(update)));
-    }
-    fn begin_stage(&mut self, _stage: u64) {
-        let mut batches = self.0.lock().expect("no holder of the batches panics");
-        let staged = std::mem::take(&mut batches.staged);
-        let mut opened = Vec::new();
-        for (to, update) in staged {
-            if !opened.contains(&to) {
-                opened.push(to);
-                batches.per_node[to.index()].push(Vec::new());
-            }
-            let batch = batches.per_node[to.index()].last_mut();
-            batch.expect("opened above").push(update);
-        }
+    fn on_wire(&mut self, _from: AsId, _to: AsId, _update: &Arc<Update>) {}
+    fn on_delivery(&mut self, to: AsId, batch: &[Arc<Update>]) {
+        let mut per_node = self.0.lock().expect("no holder of the batches panics");
+        per_node[to.index()].push(batch.to_vec());
     }
     fn on_topology(&mut self, _event: &TopologyEvent) {}
     fn on_local_event(&mut self, _node: AsId, _event: &LocalEvent) {}
@@ -224,16 +207,13 @@ impl WireAuditor for Recorder {
 /// sequence number, so no engine run can exercise it.
 fn duplicates_are_absorbed<P: PricePolicy>(graph: &P::Graph) {
     let topology: &AsGraph = graph.as_ref();
-    let batches = Arc::new(Mutex::new(Batches {
-        per_node: vec![Vec::new(); topology.node_count()],
-        ..Batches::default()
-    }));
+    let batches = Arc::new(Mutex::new(vec![Vec::new(); topology.node_count()]));
     let mut engine = SyncEngine::new(topology, Node::<P>::from_graph(graph));
     engine.attach_auditor(Box::new(Recorder(Arc::clone(&batches))));
     assert!(engine.run_to_convergence().converged);
     let batches = batches.lock().expect("no holder of the batches panics");
     let mut delivered = 0;
-    for (i, stream) in topology.nodes().zip(&batches.per_node) {
+    for (i, stream) in topology.nodes().zip(batches.iter()) {
         let mut once = Node::<P>::new(graph, i);
         let mut twice = Node::<P>::new(graph, i);
         assert_eq!(once.start(), twice.start());

@@ -155,7 +155,6 @@ impl WireAuditor for Broadcasts {
             self.sent().push((from, Arc::clone(update)));
         }
     }
-    fn begin_stage(&mut self, _stage: u64) {}
     fn on_topology(&mut self, _event: &TopologyEvent) {}
     fn on_local_event(&mut self, _node: AsId, _event: &LocalEvent) {}
     fn end_stage(&mut self, _stage: u64) -> Vec<Accusation> {

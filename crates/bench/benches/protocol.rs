@@ -80,7 +80,6 @@ fn bench_wire_codec(c: &mut Criterion) {
             })
             .collect(),
         id: 0,
-        causes: Vec::new(),
     };
     let bytes = wire::encode_update_v2(&update);
     let mut group = c.benchmark_group("wire_codec");

@@ -116,7 +116,6 @@ fn offline_findings(
         sender_costs: Vec::new(),
         advertisements,
         id: 0,
-        causes: Vec::new(),
     };
     let mut adversary = Adversary::new(strategy, 11);
     if strategy == Strategy::Replay {

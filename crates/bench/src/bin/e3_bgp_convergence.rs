@@ -8,11 +8,6 @@
 //! All table figures are sourced from the shared telemetry registry
 //! (`bgp_messages_total` deltas, the `bgp_stages_to_quiescence` gauge —
 //! see `docs/OBSERVABILITY.md`), cross-checked against the engine report.
-//! Each run's event stream is additionally rebuilt into its causal
-//! provenance DAG (`bgpvcg_telemetry::causal`): it must be a single valid
-//! segment rooted at exactly `n` origin advertisements whose critical
-//! path is bounded by the engine's own stage count; the table reports the
-//! measured causal depth next to the stage count.
 //!
 //! Every run also carries the convergence health monitor (honest sweeps
 //! must raise zero SLO findings) and the span profiler; the merged profile
@@ -29,8 +24,7 @@ use bgpvcg_bgp::engine::SyncEngine;
 use bgpvcg_bgp::telemetry::metric;
 use bgpvcg_bgp::PlainBgpNode;
 use bgpvcg_lcp::{diameter, AllPairsLcp};
-use bgpvcg_telemetry::{CausalDag, HealthConfig, RingBufferSink, SpanProfiler, TraceSink};
-use std::sync::Arc;
+use bgpvcg_telemetry::{HealthConfig, SpanProfiler};
 
 fn main() {
     let obs = ObsConfig::from_args();
@@ -44,7 +38,6 @@ fn main() {
         "d (LCP diameter)",
         "stages",
         "stages <= d",
-        "causal depth",
         "total msgs",
         "total entries",
     ]);
@@ -59,12 +52,7 @@ fn main() {
             let lcp = AllPairsLcp::compute(&g);
             let d = diameter::lcp_hop_diameter(&lcp);
             let mut engine = SyncEngine::new(&g, PlainBgpNode::from_graph(&g));
-            // Tee this run's events into a private ring (the shared
-            // registry and any bundle trace still see everything) so
-            // the causal DAG can be rebuilt and checked per run.
-            let ring = Arc::new(RingBufferSink::new(1 << 16));
-            let traced = telemetry.tee(Arc::clone(&ring) as Arc<dyn TraceSink>);
-            engine.attach_telemetry(&traced);
+            engine.attach_telemetry(telemetry);
             engine.attach_health(HealthConfig::default());
             engine.attach_profiler();
             let (messages_before, entries_before) = (messages.get(), entries.get());
@@ -88,34 +76,6 @@ fn main() {
             assert_eq!(stages, report.stages);
             let within = stages <= d;
             all_within &= within;
-            // The causal provenance DAG of the run must be a single valid
-            // segment: acyclic, rooted at exactly the n stage-0 origin
-            // advertisements, with no causal chain outrunning the stage
-            // count the engine itself reported.
-            let dags = CausalDag::from_events(&ring.events());
-            assert_eq!(
-                dags.len(),
-                1,
-                "{} n={n}: one run, one segment",
-                family.name()
-            );
-            let dag = &dags[0];
-            dag.validate()
-                .unwrap_or_else(|err| panic!("{} n={n}: {err}", family.name()));
-            dag.validate_origin_roots()
-                .unwrap_or_else(|err| panic!("{} n={n}: {err}", family.name()));
-            assert_eq!(
-                dag.roots().len(),
-                n,
-                "{} n={n}: one origin root per AS",
-                family.name()
-            );
-            let depth = dag.critical_path().len().saturating_sub(1);
-            assert!(
-                depth <= stages,
-                "{} n={n}: causal depth {depth} exceeds {stages} stages",
-                family.name()
-            );
             // Spot-check the routes themselves.
             for i in g.nodes().take(4) {
                 for j in g.nodes().take(4) {
@@ -134,7 +94,6 @@ fn main() {
                 d.to_string(),
                 stages.to_string(),
                 within.to_string(),
-                depth.to_string(),
                 run_messages.to_string(),
                 run_entries.to_string(),
             ]);

@@ -40,8 +40,7 @@
 //!    `health-stall` dump (`flight-health-stall.json`) *before* the stage
 //!    budget runs out.
 //!
-//! A single invocation therefore emits every `TraceEvent` kind — and every
-//! causal event carries its `cause`/`effect` provenance ids — which this
+//! A single invocation therefore emits every `TraceEvent` kind, which this
 //! binary asserts on an in-memory copy of the stream; `cargo xtask obs`
 //! decodes the written trace line by line.
 //!
@@ -273,25 +272,8 @@ fn main() {
         2,
         "the trace must carry exactly the two seeded health verdicts"
     );
-    // Causal provenance: every route/price/withdrawal event must carry a
-    // stamped effect id, and its cause must precede it in the monotone
-    // update-id order (0 = caused by the environment, not by an update).
-    let mut causal_events = 0u64;
-    for event in ring.events() {
-        let (cause, effect) = match event {
-            TraceEvent::RouteSelected { cause, effect, .. }
-            | TraceEvent::PriceRelaxed { cause, effect, .. }
-            | TraceEvent::Withdrawn { cause, effect, .. } => (cause, effect),
-            _ => continue,
-        };
-        causal_events += 1;
-        assert!(effect > 0, "causal events are stamped with an update id");
-        assert!(cause < effect, "causes precede their effects");
-    }
-    assert!(causal_events > 0, "smoke trace must contain causal events");
     println!(
-        "\nVERDICT: all {} trace event kinds emitted; {causal_events} causal \
-         events carry cause/effect provenance",
+        "\nVERDICT: all {} trace event kinds emitted",
         kind_counts.len()
     );
     obs.finish();

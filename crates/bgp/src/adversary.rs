@@ -166,7 +166,6 @@ impl Adversary {
             sender_costs: update.sender_costs.clone(),
             advertisements,
             id: update.id,
-            causes: update.causes.clone(),
         })
     }
 }
@@ -329,7 +328,8 @@ pub trait WireAuditor: Send {
     fn on_delivery(&mut self, _to: AsId, _batch: &[Arc<Update>]) {}
 
     /// A topology event is about to mutate the network (quarantines
-    /// included). Auditors drop state for downed nodes here.
+    /// included), or a node is about to crash silently (told as a
+    /// `NodeDown`). Auditors drop state for downed nodes here.
     fn on_topology(&mut self, event: &TopologyEvent);
 
     /// Node `node` is about to apply `event` as its local view of a
@@ -378,7 +378,6 @@ mod tests {
             sender_costs: Vec::new(),
             advertisements: ads,
             id: 1,
-            causes: Vec::new(),
         }
     }
 

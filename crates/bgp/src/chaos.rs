@@ -732,11 +732,16 @@ impl Sessions {
     }
 
     /// Crashes node `k`: state lost, channels emptied, sessions wiped.
-    /// Neighbors are *not* told — their hold timers will notice.
+    /// Neighbors are *not* told — their hold timers will notice. An
+    /// attached auditor is told as of a `NodeDown`, so its shadow of `k`
+    /// is wiped too.
     fn crash<N: ProtocolNode>(engine: &mut Engine<N, Self>, k: AsId) {
         engine.link.report.crashes += 1;
         engine.link.stage_active = true;
         Self::trace_fault(engine, k, fault::NODE_PEER, fault::CRASH);
+        if let Some(auditor) = engine.auditor.as_mut() {
+            auditor.0.on_topology(&TopologyEvent::NodeDown(k));
+        }
         for &a in &engine.adjacency[k.index()] {
             engine.link.flush(k, a);
         }
@@ -821,7 +826,7 @@ impl Transport for Sessions {
     }
 
     /// Frames the payload as sequenced Data. Frames share the update by
-    /// `Arc` — provenance never crosses the wire codec.
+    /// `Arc` — the update id never crosses the wire codec.
     fn send<N: ProtocolNode>(engine: &mut Engine<N, Self>, from: AsId, to: AsId, parcel: &Parcel) {
         let update = Arc::clone(&parcel.update);
         Self::send_frame(engine, from, to, FrameKind::Data(update));

@@ -5,7 +5,7 @@
 //! "the convergence process begins again" (Sect. 6). None of that depends
 //! on how an advertisement reaches the neighbour's inbox. So one
 //! [`Engine`], generic over the node type and a [`Transport`], owns the
-//! nodes, adjacency, liveness, double-buffered inboxes, provenance counter,
+//! nodes, adjacency, liveness, double-buffered inboxes, update counter,
 //! instruments and wire taps; the **handle pass** (every node with pending
 //! input recomputes, in ascending order, serially or on a worker pool); the
 //! **send path** (stamp → trace → per neighbour: tap → [`Transport::send`]);
@@ -218,12 +218,11 @@ pub struct Engine<N, T> {
     pub(crate) dirty: Vec<u32>,
     /// Double buffer for `dirty`, empty between passes.
     stage_dirty: Vec<u32>,
-    /// Monotone provenance counter: every advertised [`Update`] is stamped
+    /// Monotone update counter: every advertised [`Update`] is stamped
     /// with the next id, in ascending node order — which is also the order
     /// the worker pool's results are advertised in, so serial and parallel
-    /// runs assign identical ids. 0 is reserved for the environment (see
-    /// [`Update::id`]); session-establishment full tables re-state
-    /// environment-known state and stay unstamped.
+    /// runs assign identical ids. 0 means unstamped (see [`Update::id`]):
+    /// session-establishment full tables stay so.
     pub(crate) update_seq: u64,
     /// Everything that observes a run (see [`Instruments`]); detached, it
     /// costs an `Option` check per call.
@@ -234,7 +233,7 @@ pub struct Engine<N, T> {
     /// The attached online auditor, told of every copy the tap lets out,
     /// of every batch a node is handed and of every local view a node
     /// applies.
-    auditor: Option<Opaque<Box<dyn WireAuditor>>>,
+    pub(crate) auditor: Option<Opaque<Box<dyn WireAuditor>>>,
     /// Whether an accusation triggers automatic NodeDown quarantine (on
     /// by default).
     auto_quarantine: bool,
@@ -1098,7 +1097,7 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         (received, changed)
     }
 
-    /// The one send path: stamps `update` with the next provenance id —
+    /// The one send path: stamps `update` with the next sequence id —
     /// *before* tracing and sending, so receivers see the id the tracer
     /// reported — narrates it, and puts one copy on every open link of
     /// `from`, each through the wire tap. Honest copies share the update by

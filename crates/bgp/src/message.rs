@@ -334,16 +334,10 @@ pub struct Update {
     pub sender_costs: Vec<(AsId, Cost)>,
     /// Changed table entries.
     pub advertisements: Vec<RouteAdvertisement>,
-    /// Engine-assigned provenance id, monotone per engine run (0 = not yet
-    /// stamped). Observability metadata only: never wire-encoded, so byte
-    /// accounting and the wire golden corpus are unaffected.
+    /// Engine-assigned sequence number, monotone per engine run (0 = not
+    /// yet stamped). Observability metadata only: never wire-encoded, so
+    /// byte accounting and the wire golden corpus are unaffected.
     pub id: u64,
-    /// Per-advertisement cause ids, parallel to `advertisements`: entry `i`
-    /// names the [`Update::id`] of the inbound update whose ingestion
-    /// triggered advertisement `i`. Cause 0 is the environment (origin
-    /// advertisement, topology event, session full-table sync). An empty
-    /// vector means every entry is environment-caused. Never wire-encoded.
-    pub causes: Vec<u64>,
 }
 
 impl Update {
@@ -358,7 +352,6 @@ impl Update {
                 sender_costs: Vec::new(),
                 advertisements,
                 id: 0,
-                causes: Vec::new(),
             })
         }
     }
@@ -374,12 +367,6 @@ impl Update {
     /// Number of table entries carried.
     pub fn entry_count(&self) -> usize {
         self.advertisements.len()
-    }
-
-    /// Provenance cause of advertisement `i` (0 = environment; see
-    /// [`Update::causes`]).
-    pub fn cause_of(&self, i: usize) -> u64 {
-        self.causes.get(i).copied().unwrap_or(0)
     }
 }
 
@@ -641,7 +628,6 @@ mod tests {
                     sender_costs: Vec::new(),
                     advertisements: vec![],
                     id: 0,
-                    causes: Vec::new(),
                 }
                 .into(),
             ),
@@ -662,7 +648,6 @@ mod tests {
             sender_costs: Vec::new(),
             advertisements: vec![],
             id: 0,
-            causes: Vec::new(),
         };
         assert!(u.to_string().contains("AS7"));
     }

@@ -69,19 +69,17 @@ pub trait ProtocolNode: Send {
 /// transit on the route being relaxed.
 const NOT_DIRTY: u32 = u32::MAX;
 
-/// One destination a step touched: the id of the last inbound update that
-/// touched it (0 for a local event), and whether anything but a price
+/// One destination a step touched, and whether anything but a price
 /// delta did — only then can its selection change — until selection has
 /// run, and whether it did after.
-type Dirty = (AsId, u64, bool);
+type Dirty = (AsId, bool);
 
 thread_local! {
-    /// What `Node::announce` gathers, each advertisement with its cause,
-    /// before it sizes the update's two lists; empty between calls. One
-    /// buffer per thread, not per node: a node would hold the capacity of
-    /// its busiest step for the whole run, while this one is reused by
-    /// every node the thread steps.
-    static SAID: RefCell<Vec<(RouteAdvertisement, u64)>> = const { RefCell::new(Vec::new()) };
+    /// What `Node::announce` gathers before it sizes the update's
+    /// advertisement list; empty between calls. One buffer per thread, not
+    /// per node: a node would hold the capacity of its busiest step for the
+    /// whole run, while this one is reused by every node the thread steps.
+    static SAID: RefCell<Vec<RouteAdvertisement>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The stamp of a transit node no neighbor's path has held yet.
@@ -210,8 +208,7 @@ pub struct Node<P: PricePolicy> {
     /// monotone-relaxation common case of Sect. 6). On by default.
     delta_encoding: bool,
     /// The destinations the `handle` call in progress touched, each with
-    /// the id of the last inbound update (in inbox order) that touched it
-    /// and whether any touch could re-route it. Lent out by `ingest`,
+    /// whether any touch could re-route it. Lent out by `ingest`,
     /// handed back once announced.
     dirty: Vec<Dirty>,
     /// An AS-indexed position table, all [`NOT_DIRTY`] between uses. Inside
@@ -266,8 +263,7 @@ impl<P: PricePolicy> Node<P> {
     }
 
     /// Ingests one stage's inbox into the selector and returns the affected
-    /// destinations, ascending, each attributed to the last inbound update
-    /// whose ingestion touched it and flagged if any touch was more than a
+    /// destinations, ascending, each flagged if any touch was more than a
     /// price delta. The list is `dirty`, lent out: hand it back once
     /// announced.
     fn ingest(&mut self, updates: &[Arc<Update>]) -> Vec<Dirty> {
@@ -278,21 +274,18 @@ impl<P: PricePolicy> Node<P> {
                     continue;
                 };
                 match dirty.get_mut(*mark as usize) {
-                    Some(touched) => {
-                        touched.1 = update.id;
-                        touched.2 |= reroute;
-                    }
+                    Some(touched) => touched.1 |= reroute,
                     None => {
                         *mark = dirty.len() as u32;
-                        dirty.push((dest, update.id, reroute));
+                        dirty.push((dest, reroute));
                     }
                 }
             }
         }
-        for &(dest, ..) in &dirty {
+        for &(dest, _) in &dirty {
             self.mark[dest.index()] = NOT_DIRTY;
         }
-        dirty.sort_unstable_by_key(|&(dest, ..)| dest);
+        dirty.sort_unstable_by_key(|&(dest, _)| dest);
         dirty
     }
 
@@ -508,28 +501,22 @@ impl<P: PricePolicy> Node<P> {
     }
 
     /// The update for one step's touched destinations, in order: what each
-    /// of them advertises, attributed to its cause, with this node's
-    /// receive-cost vector attached; `None` when none of them changed. Its
-    /// two lists are sized by what is advertised, not by what was touched.
+    /// of them advertises, with this node's receive-cost vector attached;
+    /// `None` when none of them changed. Its advertisement list is sized by
+    /// what is advertised, not by what was touched.
     fn announce(&mut self, touched: &[Dirty]) -> Option<Update> {
-        let (ads, causes) = SAID.with_borrow_mut(|said| {
-            for &(destination, cause, rerouted) in touched {
+        let ads = SAID.with_borrow_mut(|said| {
+            for &(destination, rerouted) in touched {
                 if let Some(info) = self.advertise(destination, rerouted) {
-                    said.push((RouteAdvertisement { destination, info }, cause));
+                    said.push(RouteAdvertisement { destination, info });
                 }
             }
             // lint:allow(output: the emitted update's advertisement list)
             let mut ads = Vec::with_capacity(said.len());
-            // lint:allow(output: the emitted update's provenance list)
-            let mut causes = Vec::with_capacity(said.len());
-            for (ad, cause) in said.drain(..) {
-                ads.push(ad);
-                causes.push(cause);
-            }
-            (ads, causes)
+            ads.append(said);
+            ads
         });
         let mut update = Update::if_nonempty(self.selector.id(), ads)?;
-        update.causes = causes;
         update.sender_costs.clone_from(&self.sender_costs);
         Some(update)
     }
@@ -545,14 +532,14 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
     }
 
     fn start(&mut self) -> Option<Update> {
-        self.announce(&[(self.selector.id(), 0, true)])
+        self.announce(&[(self.selector.id(), true)])
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
         let mut dirty = self.ingest(updates);
         // Only a route change re-opens selection: a destination only price
         // deltas touched keeps its route and goes straight to relaxation.
-        for (dest, _, reroute) in &mut dirty {
+        for (dest, reroute) in &mut dirty {
             *reroute = *reroute && self.selector.decide(*dest);
         }
         let update = self.announce(&dirty);
@@ -581,7 +568,7 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
                 self.sender_costs.retain(|&(a, _)| a != neighbor);
                 let touched: Vec<Dirty> = affected
                     .into_iter()
-                    .map(|dest| (dest, 0, rerouted.binary_search(&dest).is_ok()))
+                    .map(|dest| (dest, rerouted.binary_search(&dest).is_ok()))
                     .collect();
                 self.announce(&touched)
             }
@@ -605,8 +592,7 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
                 // neighbor-advertised values with our route's transit cost
                 // only — so their price arrays relax to what they were.
                 let restamped = self.selector.set_declared_cost(cost);
-                let touched: Vec<Dirty> =
-                    restamped.into_iter().map(|dest| (dest, 0, true)).collect();
+                let touched: Vec<Dirty> = restamped.into_iter().map(|dest| (dest, true)).collect();
                 self.announce(&touched)
             }
         }
@@ -661,13 +647,16 @@ mod tests {
     }
 
     /// One reachable advertisement from the path's first node for its
-    /// last, every node declaring cost 1.
+    /// last, every transit node declaring cost 1 (the destination's entry
+    /// carries none).
     fn advertises(path: &[u32], path_cost: u64, prices: &[u64]) -> RouteAdvertisement {
+        let last = path.len() - 1;
         let entries: Vec<PathEntry> = path
             .iter()
-            .map(|&raw| PathEntry {
+            .enumerate()
+            .map(|(at, &raw)| PathEntry {
                 node: AsId::new(raw),
-                cost: Cost::new(1),
+                cost: Cost::new(u64::from(at < last)),
             })
             .collect();
         RouteAdvertisement {

@@ -41,7 +41,8 @@ impl SelectedRoute {
 }
 
 /// Structural validity of an incoming reachable advertisement: the path is
-/// non-empty, starts at the advertiser, ends at the destination, repeats no
+/// non-empty, starts at the advertiser, ends at the destination — whose
+/// entry carries no cost, as a destination is never transit — repeats no
 /// node, names no node at or beyond `bound` (the receiver's tables are
 /// indexed by AS number, so an id must never decide an allocation), and
 /// carries at most one price slot per transit node. Everything a receiver
@@ -56,7 +57,7 @@ fn well_formed(from: AsId, destination: AsId, info: &RouteInfo, bound: usize) ->
     let (Some(first), Some(last)) = (path.first(), path.last()) else {
         return false;
     };
-    if first.node != from || last.node != destination {
+    if first.node != from || last.node != destination || last.cost != Cost::ZERO {
         return false;
     }
     // Each node against its predecessors, in place: no set to build, and
@@ -630,7 +631,6 @@ mod tests {
             sender_costs: Vec::new(),
             advertisements: ads,
             id: 0,
-            causes: Vec::new(),
         }
     }
 
@@ -655,7 +655,7 @@ mod tests {
     fn ingest_and_decide_selects_direct_route() {
         let mut s = selector();
         // Neighbor 1 (cost 3) advertises itself.
-        let affected = s.ingest(&update(1, vec![ad(1, vec![entry(1, 3)], 0)]));
+        let affected = s.ingest(&update(1, vec![ad(1, vec![entry(1, 0)], 0)]));
         assert_eq!(affected, [AsId::new(1)]);
         assert!(s.decide(AsId::new(1)));
         let route = s.selected(AsId::new(1)).unwrap();
@@ -670,10 +670,10 @@ mod tests {
         // Route to 9 via neighbor 1 (1 declares cost 3): transit = 3 + 4.
         s.ingest(&update(
             1,
-            vec![ad(9, vec![entry(1, 3), entry(7, 4), entry(9, 2)], 4)],
+            vec![ad(9, vec![entry(1, 3), entry(7, 4), entry(9, 0)], 4)],
         ));
         // Route to 9 via neighbor 2 (2 declares cost 1): transit = 1 + 0.
-        s.ingest(&update(2, vec![ad(9, vec![entry(2, 1), entry(9, 2)], 0)]));
+        s.ingest(&update(2, vec![ad(9, vec![entry(2, 1), entry(9, 0)], 0)]));
         s.decide(AsId::new(9));
         let route = s.selected(AsId::new(9)).unwrap();
         assert_eq!(route.cost, Cost::new(1));
@@ -685,7 +685,7 @@ mod tests {
         let mut s = selector();
         s.ingest(&update(
             1,
-            vec![ad(9, vec![entry(1, 3), entry(0, 5), entry(9, 2)], 5)],
+            vec![ad(9, vec![entry(1, 3), entry(0, 5), entry(9, 0)], 5)],
         ));
         s.decide(AsId::new(9));
         assert!(s.selected(AsId::new(9)).is_none(), "only candidate loops");
@@ -694,7 +694,7 @@ mod tests {
     #[test]
     fn withdrawal_removes_route() {
         let mut s = selector();
-        s.ingest(&update(1, vec![ad(1, vec![entry(1, 3)], 0)]));
+        s.ingest(&update(1, vec![ad(1, vec![entry(1, 0)], 0)]));
         s.decide(AsId::new(1));
         assert!(s.selected(AsId::new(1)).is_some());
         let affected = s.ingest(&update(
@@ -712,14 +712,14 @@ mod tests {
     #[test]
     fn ingest_from_stranger_is_ignored() {
         let mut s = selector();
-        let affected = s.ingest(&update(77, vec![ad(1, vec![entry(77, 1)], 0)]));
+        let affected = s.ingest(&update(77, vec![ad(1, vec![entry(77, 0)], 0)]));
         assert!(affected.is_empty());
     }
 
     #[test]
     fn reingest_of_same_route_reports_no_change() {
         let mut s = selector();
-        let u = update(1, vec![ad(1, vec![entry(1, 3)], 0)]);
+        let u = update(1, vec![ad(1, vec![entry(1, 0)], 0)]);
         assert!(!s.ingest(&u).is_empty());
         assert!(s.ingest(&u).is_empty(), "identical re-advertisement");
     }
@@ -727,8 +727,8 @@ mod tests {
     #[test]
     fn link_down_drops_routes_via_neighbor() {
         let mut s = selector();
-        s.ingest(&update(1, vec![ad(1, vec![entry(1, 3)], 0)]));
-        s.ingest(&update(2, vec![ad(2, vec![entry(2, 1)], 0)]));
+        s.ingest(&update(1, vec![ad(1, vec![entry(1, 0)], 0)]));
+        s.ingest(&update(2, vec![ad(2, vec![entry(2, 0)], 0)]));
         s.decide_all();
         let changed = s.link_down(AsId::new(1));
         assert!(changed.contains(&AsId::new(1)));
@@ -744,7 +744,7 @@ mod tests {
         let mut s = selector();
         s.link_up(AsId::new(7));
         assert!(s.has_neighbor(AsId::new(7)));
-        let affected = s.ingest(&update(7, vec![ad(7, vec![entry(7, 2)], 0)]));
+        let affected = s.ingest(&update(7, vec![ad(7, vec![entry(7, 0)], 0)]));
         assert!(!affected.is_empty());
     }
 
@@ -801,7 +801,7 @@ mod tests {
         // costs 7" via its vector; the base path entry says 3. The
         // candidate must be priced (and restamped) with 7.
         let mut s = selector();
-        let u = update(1, vec![ad(9, vec![entry(1, 3), entry(9, 2)], 0)]).with_sender_costs(vec![
+        let u = update(1, vec![ad(9, vec![entry(1, 3), entry(9, 0)], 0)]).with_sender_costs(vec![
             (AsId::new(0), Cost::new(7)),
             (AsId::new(9), Cost::new(1)),
         ]);
@@ -821,7 +821,7 @@ mod tests {
     #[test]
     fn changed_vector_marks_all_neighbor_dests_affected() {
         let mut s = selector();
-        let u1 = update(1, vec![ad(9, vec![entry(1, 3), entry(9, 2)], 0)])
+        let u1 = update(1, vec![ad(9, vec![entry(1, 3), entry(9, 0)], 0)])
             .with_sender_costs(vec![(AsId::new(0), Cost::new(7))]);
         s.ingest(&u1);
         s.decide(AsId::new(9));
@@ -833,7 +833,6 @@ mod tests {
             sender_costs: u2.sender_costs,
             advertisements: vec![],
             id: 0,
-            causes: Vec::new(),
         };
         let affected = s.ingest(&u2);
         assert!(affected.contains(&AsId::new(9)), "{affected:?}");
@@ -844,7 +843,7 @@ mod tests {
     #[test]
     fn link_down_drops_neighbor_vector() {
         let mut s = selector();
-        let u = update(1, vec![ad(1, vec![entry(1, 3)], 0)])
+        let u = update(1, vec![ad(1, vec![entry(1, 0)], 0)])
             .with_sender_costs(vec![(AsId::new(0), Cost::new(7))]);
         s.ingest(&u);
         assert!(s.neighbor_vector(AsId::new(1)).is_some());
@@ -857,17 +856,23 @@ mod tests {
     fn malformed_advertisements_are_dropped() {
         let mut s = selector();
         // Wrong first node (claims to be node 7 but sent by 1).
-        let bad_first = update(1, vec![ad(9, vec![entry(7, 1), entry(9, 2)], 0)]);
+        let bad_first = update(1, vec![ad(9, vec![entry(7, 1), entry(9, 0)], 0)]);
         assert!(s.ingest(&bad_first).is_empty());
         // Path does not end at the destination.
-        let bad_last = update(1, vec![ad(9, vec![entry(1, 1), entry(8, 2)], 0)]);
+        let bad_last = update(1, vec![ad(9, vec![entry(1, 1), entry(8, 0)], 0)]);
         assert!(s.ingest(&bad_last).is_empty());
+        // The destination's entry carries a cost, on a long route and on
+        // an origin route.
+        let costed = update(1, vec![ad(9, vec![entry(1, 1), entry(9, 2)], 0)]);
+        assert!(s.ingest(&costed).is_empty());
+        let costed_origin = update(1, vec![ad(1, vec![entry(1, 3)], 0)]);
+        assert!(s.ingest(&costed_origin).is_empty());
         // Repeated node.
         let looped = update(
             1,
             vec![ad(
                 9,
-                vec![entry(1, 1), entry(4, 2), entry(1, 1), entry(9, 2)],
+                vec![entry(1, 1), entry(4, 2), entry(1, 1), entry(9, 0)],
                 0,
             )],
         );
@@ -879,13 +884,12 @@ mod tests {
             advertisements: vec![crate::message::RouteAdvertisement {
                 destination: AsId::new(9),
                 info: RouteInfo::Reachable {
-                    path: vec![entry(1, 1), entry(9, 2)].into(),
+                    path: vec![entry(1, 1), entry(9, 0)].into(),
                     path_cost: Cost::ZERO,
                     prices: vec![Cost::new(1)],
                 },
             }],
             id: 0,
-            causes: Vec::new(),
         };
         assert!(s.ingest(&overpriced).is_empty());
         // Empty path.
@@ -901,7 +905,6 @@ mod tests {
                 },
             }],
             id: 0,
-            causes: Vec::new(),
         };
         assert!(s.ingest(&empty).is_empty());
     }
@@ -909,7 +912,7 @@ mod tests {
     #[test]
     fn reset_forgets_learned_state_but_keeps_identity() {
         let mut s = selector();
-        let u = update(1, vec![ad(9, vec![entry(1, 3), entry(9, 2)], 0)])
+        let u = update(1, vec![ad(9, vec![entry(1, 3), entry(9, 0)], 0)])
             .with_sender_costs(vec![(AsId::new(0), Cost::new(7))]);
         s.ingest(&u);
         s.decide_all();
@@ -932,7 +935,7 @@ mod tests {
     #[test]
     fn decide_all_reports_only_changes() {
         let mut s = selector();
-        s.ingest(&update(1, vec![ad(1, vec![entry(1, 3)], 0)]));
+        s.ingest(&update(1, vec![ad(1, vec![entry(1, 0)], 0)]));
         let first = s.decide_all();
         assert_eq!(first, [AsId::new(1)]);
         let second = s.decide_all();
@@ -955,7 +958,6 @@ mod tests {
                 },
             }],
             id: 0,
-            causes: Vec::new(),
         };
         assert!(!s.ingest(&full).is_empty());
         path
@@ -973,7 +975,6 @@ mod tests {
                 },
             }],
             id: 0,
-            causes: Vec::new(),
         }
     }
 
@@ -1027,12 +1028,12 @@ mod tests {
         );
         let cells = s.rib.len();
         // As destination (the path must end there to be otherwise valid).
-        let as_dest = update(1, vec![ad(huge, vec![entry(1, 3), entry(huge, 2)], 0)]);
+        let as_dest = update(1, vec![ad(huge, vec![entry(1, 3), entry(huge, 0)], 0)]);
         assert!(s.ingest(&as_dest).is_empty());
         // As a transit node on a path to a destination that is in range.
         let as_transit = update(
             1,
-            vec![ad(9, vec![entry(1, 3), entry(huge, 1), entry(9, 2)], 1)],
+            vec![ad(9, vec![entry(1, 3), entry(huge, 1), entry(9, 0)], 1)],
         );
         assert!(s.ingest(&as_transit).is_empty());
         // Withdrawals and deltas for it find no cell.
@@ -1051,7 +1052,7 @@ mod tests {
         // a well-formed advertisement's destination asks for.
         let mut open = selector();
         assert!(!open
-            .ingest(&update(1, vec![ad(9, vec![entry(1, 3), entry(9, 2)], 0)]))
+            .ingest(&update(1, vec![ad(9, vec![entry(1, 3), entry(9, 0)], 0)]))
             .is_empty());
         assert_eq!(open.table.len(), 10);
     }

@@ -137,14 +137,13 @@ impl UpdateTracer {
     /// previously-advertised routes.
     pub fn observe_update(&mut self, update: &Update, stage: u64) {
         let node = update.from.raw();
-        let effect = update.id;
         let Some(row) = dense_cell(&mut self.shadow, node, self.bound) else {
             return;
         };
         let events = &mut self.events;
         events.clear();
         let (mut selected, mut withdrawn) = (0u64, 0u64);
-        for (i, ad) in update.advertisements.iter().enumerate() {
+        for ad in &update.advertisements {
             let dest = ad.destination.raw();
             let Some(ShadowCell {
                 route,
@@ -153,7 +152,6 @@ impl UpdateTracer {
             else {
                 continue;
             };
-            let cause = update.cause_of(i);
             let price_relaxed = |k: u32, old: u64, new: u64| TraceEvent::PriceRelaxed {
                 node,
                 dest,
@@ -161,8 +159,6 @@ impl UpdateTracer {
                 stage,
                 old,
                 new,
-                cause,
-                effect,
             };
             match &ad.info {
                 RouteInfo::Reachable {
@@ -179,8 +175,6 @@ impl UpdateTracer {
                             stage,
                             hops: path.len() as u32,
                             path_cost: cost_raw(*path_cost),
-                            cause,
-                            effect,
                         });
                     }
                     // Transit nodes are path[1..len-1], in path order —
@@ -218,13 +212,7 @@ impl UpdateTracer {
                 RouteInfo::Withdrawn => {
                     *route = None;
                     withdrawn += 1;
-                    events.push(TraceEvent::Withdrawn {
-                        node,
-                        dest,
-                        stage,
-                        cause,
-                        effect,
-                    });
+                    events.push(TraceEvent::Withdrawn { node, dest, stage });
                 }
             }
         }
@@ -268,7 +256,7 @@ pub(crate) struct Instruments {
     traffic: Option<Traffic>,
     /// Whether the one-shot health-stall post-mortem has been written.
     stall_dumped: bool,
-    /// The provenance counter when traffic was last accounted.
+    /// The update counter when traffic was last accounted.
     settled_seq: u64,
 }
 
@@ -382,7 +370,7 @@ impl Instruments {
     }
 
     /// Adds the updates stamped since the last call (`update_seq` is the
-    /// provenance counter) and the deliveries they — and any
+    /// update counter) and the deliveries they — and any
     /// session-establishment full tables, which are traffic but not
     /// updates — made to the traffic counters, registering them first if
     /// this is the first accounted delivery since the last attach.
@@ -492,7 +480,7 @@ mod tests {
         }
     }
 
-    fn priced_update(prices: Vec<Cost>, id: u64, cause: u64) -> Update {
+    fn priced_update(prices: Vec<Cost>) -> Update {
         Update {
             from: AsId::new(0),
             sender_costs: Vec::new(),
@@ -504,8 +492,7 @@ mod tests {
                     prices,
                 },
             }],
-            id,
-            causes: vec![cause],
+            id: 0,
         }
     }
 
@@ -513,11 +500,11 @@ mod tests {
     fn price_changes_diff_against_infinity_then_previous_value() {
         let (telemetry, ring) = Telemetry::ring(64);
         let mut tracer = UpdateTracer::with_node_count(&telemetry, 8);
-        tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::INFINITE], 1, 0), 1);
+        tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::INFINITE]), 1);
         // Second advertisement relaxes the ∞ entry and lowers the first.
-        tracer.observe_update(&priced_update(vec![Cost::new(4), Cost::new(7)], 2, 1), 2);
+        tracer.observe_update(&priced_update(vec![Cost::new(4), Cost::new(7)]), 2);
         // Re-advertising identical prices is silent on the price stream.
-        tracer.observe_update(&priced_update(vec![Cost::new(4), Cost::new(7)], 3, 2), 3);
+        tracer.observe_update(&priced_update(vec![Cost::new(4), Cost::new(7)]), 3);
         let relaxations: Vec<_> = ring
             .events()
             .into_iter()
@@ -532,9 +519,7 @@ mod tests {
                     k: 1,
                     stage: 1,
                     old: INFINITE,
-                    new: 5,
-                    cause: 0,
-                    effect: 1
+                    new: 5
                 },
                 TraceEvent::PriceRelaxed {
                     node: 0,
@@ -542,9 +527,7 @@ mod tests {
                     k: 1,
                     stage: 2,
                     old: 5,
-                    new: 4,
-                    cause: 1,
-                    effect: 2
+                    new: 4
                 },
                 TraceEvent::PriceRelaxed {
                     node: 0,
@@ -552,9 +535,7 @@ mod tests {
                     k: 2,
                     stage: 2,
                     old: INFINITE,
-                    new: 7,
-                    cause: 1,
-                    effect: 2
+                    new: 7
                 },
             ],
             "∞ entries never trace; finite changes trace once each"
@@ -576,8 +557,7 @@ mod tests {
                 destination: AsId::new(2),
                 info: RouteInfo::Withdrawn,
             }],
-            id: 6,
-            causes: vec![5],
+            id: 0,
         };
         tracer.observe_update(&update, 9);
         assert_eq!(
@@ -585,9 +565,7 @@ mod tests {
             vec![TraceEvent::Withdrawn {
                 node: 4,
                 dest: 2,
-                stage: 9,
-                cause: 5,
-                effect: 6
+                stage: 9
             }]
         );
         assert_eq!(telemetry.snapshot().counters[metric::ROUTES_WITHDRAWN], 1);
@@ -597,7 +575,7 @@ mod tests {
     fn sized_tracer_never_allocates_by_id_value() {
         let (telemetry, ring) = Telemetry::ring(8);
         let mut tracer = UpdateTracer::with_node_count(&telemetry, 4);
-        let mut update = priced_update(vec![Cost::new(5), Cost::new(6)], 1, 0);
+        let mut update = priced_update(vec![Cost::new(5), Cost::new(6)]);
         update.advertisements[0].destination = AsId::new(u32::MAX);
         tracer.observe_update(&update, 1);
         assert!(
@@ -610,7 +588,7 @@ mod tests {
         tracer.observe_update(&update, 2);
         assert_eq!(tracer.shadow.len(), 4);
         // In-range advertisements still trace: one route, two prices.
-        tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::new(6)], 2, 1), 3);
+        tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::new(6)]), 3);
         assert_eq!(ring.total_recorded(), 3);
     }
 

@@ -363,10 +363,9 @@ fn decode_update_body(r: &mut Reader<'_>) -> Result<Update, DecodeError> {
         from,
         sender_costs,
         advertisements,
-        // Provenance metadata is observability-only: it never crosses the
-        // wire, so decoded updates come back unstamped.
+        // The update id is observability-only: it never crosses the wire,
+        // so decoded updates come back unstamped.
         id: 0,
-        causes: Vec::new(),
     })
 }
 
@@ -560,7 +559,6 @@ mod tests {
                 },
             ],
             id: 0,
-            causes: Vec::new(),
         }
     }
 

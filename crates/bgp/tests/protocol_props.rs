@@ -180,7 +180,6 @@ fn update_strategy() -> impl Strategy<Value = Update> {
             sender_costs,
             advertisements,
             id: 0,
-            causes: Vec::new(),
         })
 }
 
@@ -320,13 +319,12 @@ proptest! {
             advertisements: vec![RouteAdvertisement {
                 destination: origin,
                 info: RouteInfo::Reachable {
-                    path: vec![PathEntry { node: origin, cost: Cost::new(1) }].into(),
+                    path: vec![PathEntry { node: origin, cost: Cost::ZERO }].into(),
                     path_cost: Cost::ZERO,
                     prices: vec![],
                 },
             }],
             id: 0,
-            causes: Vec::new(),
         };
         let _ = node.handle(&[std::sync::Arc::new(legit)]);
         prop_assert!(node.selector().selected(origin).is_some());

@@ -31,7 +31,7 @@ fn well_formed(from: AsId, destination: AsId, info: &RouteInfo) -> bool {
     let (Some(first), Some(last)) = (path.first(), path.last()) else {
         return false;
     };
-    if first.node != from || last.node != destination {
+    if first.node != from || last.node != destination || last.cost != Cost::ZERO {
         return false;
     }
     let mut seen = BTreeSet::new();
@@ -292,6 +292,7 @@ enum Flaw {
     WrongLast,
     TooManyPrices,
     EmptyPath,
+    CostedDestination,
 }
 
 #[derive(Debug, Clone)]
@@ -346,6 +347,7 @@ fn flaw() -> impl Strategy<Value = Flaw> {
         1 => Just(Flaw::WrongLast),
         1 => Just(Flaw::TooManyPrices),
         1 => Just(Flaw::EmptyPath),
+        1 => Just(Flaw::CostedDestination),
     ]
 }
 
@@ -459,8 +461,9 @@ fn advertisement(spec: &AdSpec, from: AsId, oracle: &MapSelector) -> RouteAdvert
                 Flaw::WrongLast => nodes.push(AsId::new(dest.raw() + 1)),
                 Flaw::TooManyPrices => prices.resize(nodes.len(), Cost::new(1)),
                 Flaw::EmptyPath => nodes.clear(),
+                Flaw::CostedDestination => {}
             }
-            let path: SharedPath = nodes
+            let mut entries: Vec<PathEntry> = nodes
                 .iter()
                 .zip(costs.iter().cycle())
                 .map(|(&node, &cost)| PathEntry {
@@ -468,6 +471,14 @@ fn advertisement(spec: &AdSpec, from: AsId, oracle: &MapSelector) -> RouteAdvert
                     cost: Cost::new(cost),
                 })
                 .collect();
+            // A destination is never transit: its entry carries no cost.
+            if let Some(last) = entries.last_mut() {
+                last.cost = match flaw {
+                    Flaw::CostedDestination => Cost::new(1),
+                    _ => Cost::ZERO,
+                };
+            }
+            let path: SharedPath = entries.into();
             (
                 dest,
                 RouteInfo::Reachable {
@@ -568,7 +579,6 @@ proptest! {
                             .map(|spec| advertisement(spec, from, &open_oracle))
                             .collect(),
                         id: 0,
-                        causes: Vec::new(),
                     };
                     let got: BTreeSet<AsId> = open.ingest(&update).iter().copied().collect();
                     prop_assert_eq!(got, open_oracle.ingest(&update), "{:?}", op);
@@ -654,7 +664,6 @@ fn update(from: u32, ads: Vec<RouteAdvertisement>) -> Update {
         sender_costs: Vec::new(),
         advertisements: ads,
         id: 0,
-        causes: Vec::new(),
     }
 }
 
@@ -663,12 +672,12 @@ fn link_up_in_the_middle_keeps_other_columns_intact() {
     // Neighbors 1 and 5; 3 sorts between them, so its column lands in
     // the middle of every row and both old columns shift around it.
     let mut s = RouteSelector::new(AsId::new(0), Cost::new(5), [AsId::new(1), AsId::new(5)]);
-    s.ingest(&update(1, vec![ad(9, vec![entry(1, 3), entry(9, 2)], 0)]));
+    s.ingest(&update(1, vec![ad(9, vec![entry(1, 3), entry(9, 0)], 0)]));
     s.ingest(&update(
         5,
         vec![
-            ad(9, vec![entry(5, 1), entry(9, 2)], 0),
-            ad(5, vec![entry(5, 1)], 0),
+            ad(9, vec![entry(5, 1), entry(9, 0)], 0),
+            ad(5, vec![entry(5, 0)], 0),
         ],
     ));
     let before: Vec<_> = [AsId::new(5), AsId::new(9)]
@@ -695,7 +704,7 @@ fn link_up_in_the_middle_keeps_other_columns_intact() {
     assert_eq!(before, after, "old neighbors keep their Rib-In");
     assert!(s.rib_destinations(AsId::new(3)).is_empty());
     // The new column is live: 3 offers the cheapest route to 9.
-    s.ingest(&update(3, vec![ad(9, vec![entry(3, 0), entry(9, 2)], 0)]));
+    s.ingest(&update(3, vec![ad(9, vec![entry(3, 0), entry(9, 0)], 0)]));
     s.decide(AsId::new(9));
     assert_eq!(
         s.selected(AsId::new(9)).unwrap().next_hop(),
@@ -711,8 +720,8 @@ fn link_down_of_a_middle_slot_then_up_again() {
         s.ingest(&update(
             from,
             vec![
-                ad(9, vec![entry(from, cost), entry(9, 2)], 0),
-                ad(from, vec![entry(from, cost)], 0),
+                ad(9, vec![entry(from, cost), entry(9, 0)], 0),
+                ad(from, vec![entry(from, 0)], 0),
             ],
         ));
     }

@@ -31,7 +31,7 @@ struct MapTracer {
 }
 
 impl MapTracer {
-    fn relax(&mut self, key: (u32, u32, u32), price: Cost, stage: u64, cause: u64, effect: u64) {
+    fn relax(&mut self, key: (u32, u32, u32), price: Cost, stage: u64) {
         let new = cost_raw(price);
         let old = self.prices.get(&key).copied().unwrap_or(INFINITE);
         if new != old {
@@ -44,18 +44,14 @@ impl MapTracer {
                 stage,
                 old,
                 new,
-                cause,
-                effect,
             });
         }
     }
 
     fn observe_update(&mut self, update: &Update, stage: u64) {
         let node = update.from.raw();
-        let effect = update.id;
-        for (i, ad) in update.advertisements.iter().enumerate() {
+        for ad in &update.advertisements {
             let dest = ad.destination.raw();
-            let cause = update.cause_of(i);
             match &ad.info {
                 RouteInfo::Reachable {
                     path,
@@ -75,14 +71,12 @@ impl MapTracer {
                             stage,
                             hops: path.len() as u32,
                             path_cost: cost_raw(*path_cost),
-                            cause,
-                            effect,
                         });
                     }
                     if path.len() >= 3 {
                         for (entry, price) in path[1..path.len() - 1].iter().zip(prices) {
                             let key = (node, dest, entry.node.raw());
-                            self.relax(key, *price, stage, cause, effect);
+                            self.relax(key, *price, stage);
                         }
                     }
                 }
@@ -94,19 +88,14 @@ impl MapTracer {
                         let Some(&(transit, _)) = shadow.get(usize::from(index) + 1) else {
                             continue;
                         };
-                        self.relax((node, dest, transit), price, stage, cause, effect);
+                        self.relax((node, dest, transit), price, stage);
                     }
                 }
                 RouteInfo::Withdrawn => {
                     self.routes.remove(&(node, dest));
                     self.withdrawn += 1;
-                    self.events.push(TraceEvent::Withdrawn {
-                        node,
-                        dest,
-                        stage,
-                        cause,
-                        effect,
-                    });
+                    self.events
+                        .push(TraceEvent::Withdrawn { node, dest, stage });
                 }
             }
         }
@@ -197,7 +186,6 @@ fn op() -> impl Strategy<Value = Op> {
 struct Wire {
     interned: BTreeMap<Vec<(u32, u64)>, SharedPath>,
     last: Option<Update>,
-    seq: u64,
 }
 
 impl Wire {
@@ -253,7 +241,6 @@ impl Wire {
     }
 
     fn update(&mut self, op: &Op) -> Option<Update> {
-        self.seq += 1;
         let update = match op {
             Op::Repeat => self.last.clone()?,
             Op::Send { from, ads } => Update {
@@ -263,8 +250,7 @@ impl Wire {
                     .iter()
                     .map(|spec| self.advertisement(*from, spec))
                     .collect(),
-                id: self.seq,
-                causes: (0..ads.len() as u64).map(|i| self.seq - i % 2).collect(),
+                id: 0,
             },
         };
         self.last = Some(update.clone());

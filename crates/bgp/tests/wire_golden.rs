@@ -39,7 +39,6 @@ fn sample() -> Update {
             },
         ],
         id: 0,
-        causes: Vec::new(),
     }
 }
 

@@ -131,7 +131,6 @@ pub fn audit_node(
                 sender_costs: Vec::new(),
                 advertisements: table.clone(),
                 id: 0,
-                causes: Vec::new(),
             };
             let _ = replay.handle(&[std::sync::Arc::new(update)]);
         }
@@ -264,10 +263,13 @@ fn holds(view: Option<&RouteInfo>, route: Option<&SelectedRoute>, prices: &[Cost
 /// # Where it is sound
 ///
 /// A view is what was *sent*; a shadow is what its node *got*. The two
-/// agree whenever every copy sent is delivered: lock-step, quiet sessions
-/// and delay-only ones ([`FaultPlan::asynchronous`]). A lost copy leaves a
-/// receiver's view ahead of what it holds, and a silent crash wipes a node
-/// its shadow never hears of; both can still draw false accusations.
+/// agree whenever every copy sent is delivered: lock-step, quiet sessions,
+/// delay-only ones ([`FaultPlan::asynchronous`]) and lossy ones, which
+/// retransmit. A view is dropped when its sender stops sending on the
+/// link — a `LinkDown` at the sender, announced or from a hold timer or a
+/// crash — and restarts from the full table a re-opened link carries. A
+/// silent crash resets the node's shadow as a `NodeDown` does; its
+/// neighbours, not yet told, keep sending to it, and that is no lie.
 ///
 /// [`FaultPlan::asynchronous`]: bgpvcg_bgp::chaos::FaultPlan::asynchronous
 #[derive(Debug)]
@@ -275,8 +277,9 @@ pub struct OnlineAuditor {
     /// Honest replica of every node, handed what the node is handed: shadow
     /// `f`'s table is the honest advertisement state of `f`.
     shadows: Vec<PricingBgpNode>,
-    /// `links[t][f]`: what neighbor `t` has cumulatively heard from `f`,
-    /// per destination (pruned when the `f`–`t` link goes down).
+    /// `links[f][t]`: what neighbor `t` has cumulatively heard from `f`,
+    /// per destination (pruned when `f` stops sending to `t`). Sender-major,
+    /// so a sender's views are its neighbors', in ascending order.
     links: Vec<BTreeMap<AsId, BTreeMap<AsId, Option<RouteInfo>>>>,
     /// (sender, destination) pairs whose wire state changed this stage —
     /// the only pairs `end_stage` needs to re-check.
@@ -299,7 +302,7 @@ impl OnlineAuditor {
 
 impl WireAuditor for OnlineAuditor {
     fn on_wire(&mut self, from: AsId, to: AsId, update: &Arc<Update>) {
-        let link = self.links[to.index()].entry(from).or_default();
+        let link = self.links[from.index()].entry(to).or_default();
         for ad in &update.advertisements {
             self.touched.insert((from, ad.destination));
             ad.info.fold(link.entry(ad.destination).or_default());
@@ -311,9 +314,10 @@ impl WireAuditor for OnlineAuditor {
     }
 
     fn on_topology(&mut self, event: &TopologyEvent) {
-        // A crash wipes the node; the engine then tells it of every link it
-        // lost, and those local views reach the shadow too. Link and cost
-        // events reach the affected nodes as local views alone.
+        // A crash, announced or silent, wipes the node; the engine then
+        // tells it of every link it lost, and those local views reach the
+        // shadow too. Link and cost events reach the affected nodes as
+        // local views alone.
         if let TopologyEvent::NodeDown(k) = *event {
             self.shadows[k.index()].reset();
         }
@@ -321,9 +325,11 @@ impl WireAuditor for OnlineAuditor {
 
     fn on_local_event(&mut self, node: AsId, event: &LocalEvent) {
         if let LocalEvent::LinkDown(peer) = event {
-            // The receiver-side view of a dead link is gone: the engine
-            // will never deliver over it again, and comparing a stale view
-            // against the live shadow's table would be a false positive.
+            // `node` stops sending to `peer`, so what `peer` heard from it
+            // stops following its table: comparing that stale view against
+            // the live shadow would be a false positive. A link that comes
+            // back starts over from a full table. What `node` heard from
+            // `peer` stays: until `peer` is told too, it keeps sending.
             self.links[node.index()].remove(peer);
         }
         let _ = self.shadows[node.index()].apply_event(*event);
@@ -342,12 +348,10 @@ impl WireAuditor for OnlineAuditor {
             // `sender` must agree with the shadow's table — and with each
             // other (a node cannot tell different neighbors different
             // stories, even stories that are each individually plausible).
-            let mut views: Vec<Option<&RouteInfo>> = Vec::new();
-            for per_receiver in &self.links {
-                if let Some(link) = per_receiver.get(&sender) {
-                    views.push(link.get(&dest).and_then(Option::as_ref));
-                }
-            }
+            let views: Vec<Option<&RouteInfo>> = self.links[sender.index()]
+                .values()
+                .map(|link| link.get(&dest).and_then(Option::as_ref))
+                .collect();
             let divergent = views.iter().find(|view| !holds(**view, route, prices));
             let equivocation = views.windows(2).any(|pair| pair[0] != pair[1]);
             if divergent.is_none() && !equivocation {

@@ -81,7 +81,7 @@ mod tests {
     /// B's route `B D Z` (transit cost 1, D not yet priced).
     fn via_b() -> Arc<Update> {
         advertises(
-            &[(Fig1::B, 2), (Fig1::D, 1), (Fig1::Z, 4)],
+            &[(Fig1::B, 2), (Fig1::D, 1), (Fig1::Z, 0)],
             1,
             &[Cost::INFINITE],
         )
@@ -89,7 +89,7 @@ mod tests {
 
     /// A's direct route `A Z`.
     fn via_a() -> Arc<Update> {
-        advertises(&[(Fig1::A, 5), (Fig1::Z, 4)], 0, &[])
+        advertises(&[(Fig1::A, 5), (Fig1::Z, 0)], 0, &[])
     }
 
     #[test]
@@ -186,7 +186,7 @@ mod tests {
         let huge = AsId::new(u32::MAX);
         let before = x.state();
         let priced = [Cost::new(2)];
-        let hostile = advertises(&[(Fig1::A, 5), (huge, 1), (Fig1::Z, 4)], 1, &priced);
+        let hostile = advertises(&[(Fig1::A, 5), (huge, 1), (Fig1::Z, 0)], 1, &priced);
         assert!(x.handle(&[hostile]).is_none());
         assert_eq!(x.state(), before);
         assert_eq!(x.price(huge, Fig1::A), None);

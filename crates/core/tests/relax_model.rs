@@ -286,12 +286,15 @@ fn advertisement<P: PricePolicy>(spec: &AdSpec, from: AsId, node: &Node<P>) -> R
                 }
                 Flaw::RepeatedNode => nodes.push(from),
             }
+            // A destination is never transit: its entry carries no cost.
+            let last = nodes.len().saturating_sub(1);
             let path: SharedPath = nodes
                 .iter()
                 .zip(costs.iter().cycle())
-                .map(|(&node, &cost)| PathEntry {
+                .enumerate()
+                .map(|(at, (&node, &cost))| PathEntry {
                     node,
-                    cost: Cost::new(cost),
+                    cost: Cost::new(if at == last { 0 } else { cost }),
                 })
                 .collect();
             (
@@ -363,7 +366,6 @@ fn drive<P: PricePolicy>(graph: &P::Graph, ops: &[Op]) -> Result<(), TestCaseErr
                             sender_costs,
                             advertisements: ads,
                             id: 0,
-                            causes: Vec::new(),
                         })
                     })
                     .collect();
@@ -404,12 +406,13 @@ fn transit_nodes_in_reverse_order_on_a_detour() {
     // 3's array at its own position.
     let graph = graph();
     let mut node = Node::<Fpss>::new(&graph, ME);
+    // Every transit node declares 1; the destination's entry carries none.
     let path = |nodes: &[u32]| -> SharedPath {
         nodes
             .iter()
             .map(|&n| PathEntry {
                 node: AsId::new(n),
-                cost: Cost::new(1),
+                cost: Cost::new(u64::from(n != 2)),
             })
             .collect()
     };

@@ -9,8 +9,8 @@
 //! from the one variant and field list. A JSONL line is an object whose
 //! `type` is the variant name, followed by exactly the variant's fields in
 //! declaration order, each an unsigned integer of the declared width.
-//! Decoding is validation: `cargo xtask obs`, its causal pass and the
-//! flight-dump validator read traces through the decoder.
+//! Decoding is validation: `cargo xtask obs` and the flight-dump validator
+//! read traces through the decoder.
 //!
 //! Numeric conventions: AS identities are raw `u32` AS numbers; `stage` is
 //! the synchronous engine's 1-based stage counter (0 for pre-stage origin
@@ -126,12 +126,6 @@ pub enum TraceEvent {
         /// Advertised transit cost of the path ([`INFINITE`] never occurs
         /// for a selected route).
         path_cost: u64,
-        /// Provenance id of the inbound update that triggered this
-        /// advertisement (0 = environment: origin advertisement, topology
-        /// event, or session full-table sync).
-        cause: u64,
-        /// Provenance id of the update carrying this advertisement.
-        effect: u64,
     },
     /// A node's price entry for transit node `k` toward `dest` changed.
     PriceRelaxed {
@@ -147,11 +141,6 @@ pub enum TraceEvent {
         old: u64,
         /// New entry.
         new: u64,
-        /// Provenance id of the inbound update that triggered this
-        /// relaxation (0 = environment).
-        cause: u64,
-        /// Provenance id of the update carrying the relaxed price.
-        effect: u64,
     },
     /// A node advertised that it lost its route to `dest`.
     Withdrawn {
@@ -161,11 +150,6 @@ pub enum TraceEvent {
         dest: u32,
         /// Stage (or async sequence) of the withdrawal.
         stage: u64,
-        /// Provenance id of the inbound update that triggered this
-        /// withdrawal (0 = environment).
-        cause: u64,
-        /// Provenance id of the update carrying this withdrawal.
-        effect: u64,
     },
     /// The run reached quiescence: no queued messages anywhere.
     Quiescent {
@@ -427,8 +411,6 @@ mod tests {
                 stage: big,
                 hops: small,
                 path_cost: big,
-                cause: big,
-                effect: big,
             },
             "PriceRelaxed" => TraceEvent::PriceRelaxed {
                 node: small,
@@ -437,15 +419,11 @@ mod tests {
                 stage: big,
                 old: big,
                 new: big,
-                cause: big,
-                effect: big,
             },
             "Withdrawn" => TraceEvent::Withdrawn {
                 node: small,
                 dest: small,
                 stage: big,
-                cause: big,
-                effect: big,
             },
             "Quiescent" => TraceEvent::Quiescent {
                 stage: big,
@@ -563,14 +541,12 @@ mod tests {
             stage: 2,
             old: INFINITE,
             new: 7,
-            cause: 11,
-            effect: 12,
         };
         assert_eq!(
             event.to_json(),
             format!(
                 "{{\"type\":\"PriceRelaxed\",\"node\":3,\"dest\":5,\"k\":4,\
-                 \"stage\":2,\"old\":{INFINITE},\"new\":7,\"cause\":11,\"effect\":12}}"
+                 \"stage\":2,\"old\":{INFINITE},\"new\":7}}"
             )
         );
     }
@@ -636,10 +612,10 @@ mod tests {
                 field: "stage"
             })
         );
-        // Causal events without provenance ids are not events.
+        // An event missing any declared field is not an event.
         assert_eq!(
-            TraceEvent::from_json("{\"type\":\"Withdrawn\",\"node\":4,\"dest\":1,\"stage\":1}"),
-            Err(missing("cause"))
+            TraceEvent::from_json("{\"type\":\"Withdrawn\",\"node\":4,\"dest\":1}"),
+            Err(missing("stage"))
         );
         for value in ["1.5", "1e3", "-1", "\"1\"", "null", "true", "[1]"] {
             assert_eq!(
@@ -651,8 +627,7 @@ mod tests {
         // A u32 field rejects 2^32; a u64 field takes it.
         assert_eq!(
             TraceEvent::from_json(
-                "{\"type\":\"Withdrawn\",\"node\":4294967296,\"dest\":1,\"stage\":1,\
-                 \"cause\":0,\"effect\":1}"
+                "{\"type\":\"Withdrawn\",\"node\":4294967296,\"dest\":1,\"stage\":1}"
             ),
             Err(DecodeError::BadField {
                 kind: "Withdrawn",

@@ -424,8 +424,6 @@ mod tests {
             stage,
             hops,
             path_cost: cost,
-            cause: 0,
-            effect: 1,
         }
     }
 
@@ -481,8 +479,6 @@ mod tests {
             stage,
             old: 10,
             new: 9,
-            cause: 0,
-            effect: 1,
         };
         let mut monitor = monitor(config);
         // A huge first stage during warm-up must NOT alarm.
@@ -519,8 +515,6 @@ mod tests {
             stage,
             old: 10,
             new: 9,
-            cause: 0,
-            effect: 1,
         };
         let mut monitor = monitor(HealthConfig::default());
         for stage in 1..=9u64 {

@@ -5,7 +5,7 @@
 //! deliberately **std-only** — the workspace's vendored serde is a no-op
 //! stand-in, so every wire format here is hand-rolled and self-validated.
 //!
-//! Four layers:
+//! Five layers:
 //!
 //! 1. **Metrics** ([`MetricsRegistry`]): named counters, gauges, and
 //!    histograms with atomic updates, exported as JSON by
@@ -18,18 +18,19 @@
 //!    ([`JsonlSink`]) or kept in memory ([`RingBufferSink`]). The enum is
 //!    the schema: [`TraceEvent::from_json`] decodes exactly what
 //!    [`TraceEvent::to_json`] writes, so decoding a trace validates it.
-//! 3. **Provenance** ([`causal::CausalDag`]): the causal `(cause, effect)`
-//!    ids carried by route/price events rebuilt into per-run convergence
-//!    DAGs — acyclicity and root validation, critical-path extraction —
-//!    plus the divergence flight recorder ([`flight::FlightRecorder`])
-//!    that dumps the tail of a stalled run as one validated JSON artifact.
-//! 4. **Time** ([`Clock`]): injectable nanosecond sources so per-stage wall
+//! 3. **Health** ([`HealthMonitor`]): streaming oscillation, price-churn
+//!    and stall detectors folded over the live event stream, plus the
+//!    divergence flight recorder ([`flight::FlightRecorder`]) that dumps
+//!    the tail of a stalled run as one validated JSON artifact.
+//! 4. **Profiling** ([`SpanProfiler`]): per-phase engine time in fixed
+//!    spans, exported as JSON and collapsed stacks.
+//! 5. **Time** ([`Clock`]): injectable nanosecond sources so per-stage wall
 //!    time can be measured for real ([`SystemClock`]) or scripted in tests
 //!    ([`ManualClock`]).
 //!
-//! The [`Telemetry`] handle bundles all three behind one cheaply cloneable
-//! value that engines and experiment binaries thread through their run
-//! loops.
+//! The [`Telemetry`] handle bundles metrics, tracing and the clock behind
+//! one cheaply cloneable value that engines and experiment binaries thread
+//! through their run loops.
 //!
 //! # Example
 //!
@@ -45,7 +46,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod causal;
 pub mod clock;
 pub mod event;
 pub mod flight;
@@ -55,7 +55,6 @@ pub mod profile;
 pub mod registry;
 pub mod sink;
 
-pub use causal::{CausalDag, CausalError};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use event::{TraceEvent, INFINITE};
 pub use flight::{FlightRecorder, StateSnapshot};

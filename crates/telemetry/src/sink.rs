@@ -203,8 +203,6 @@ mod tests {
             stage,
             old: INFINITE,
             new: stage,
-            cause: 0,
-            effect: stage,
         }
     }
 

@@ -206,8 +206,6 @@ fn select(node: u32, dest: u32, stage: u64, hops: u32, path_cost: u64) -> TraceE
         stage,
         hops,
         path_cost,
-        cause: 0,
-        effect: stage,
     }
 }
 
@@ -219,8 +217,6 @@ fn relax(dest: u32, stage: u64) -> TraceEvent {
         stage,
         old: 9,
         new: 8,
-        cause: 0,
-        effect: stage,
     }
 }
 
@@ -270,8 +266,6 @@ fn stream(seed: u64) -> Vec<TraceEvent> {
                     node: id(&mut rng),
                     dest: id(&mut rng),
                     stage: at,
-                    cause: 0,
-                    effect: at,
                 },
                 _ => TraceEvent::SessionReset {
                     stage: at,

@@ -20,8 +20,8 @@
 //!   seeded health verdicts and that the smoke bundle's metrics and
 //!   profile files parse (counters non-zero, schema tag present, collapsed
 //!   stacks non-empty), print the per-stage convergence summary, and
-//!   validate the causal provenance DAG of every E3 run segment. See
-//!   `docs/OBSERVABILITY.md`.
+//!   check that no E3 run segment changes state after the stage its
+//!   `Quiescent` event reports. See `docs/OBSERVABILITY.md`.
 //! - `bench` / `chaos` — the two determinism gates: run E14 (serial vs
 //!   parallel, asserted bit-identical) or E19 (every run asserted to
 //!   self-stabilize to the fault-free fixpoint) and validate the emitted
@@ -39,7 +39,6 @@
 //!   reported and skipped, not failed, so `ci` works in minimal containers.
 
 use bgpvcg_bench::obs;
-use bgpvcg_telemetry::causal::CausalDag;
 use bgpvcg_telemetry::json::{self, JsonValue};
 use bgpvcg_telemetry::{health, TraceEvent};
 use std::path::{Path, PathBuf};
@@ -90,7 +89,8 @@ fn print_help() {
          \t                    decode every trace line as a TraceEvent, check\n\
          \t                    the two seeded health verdicts and that metrics/\n\
          \t                    profile parse, print the per-stage summary and\n\
-         \t                    validate every E3 causal DAG\n\
+         \t                    check every E3 run's changes end by its\n\
+         \t                    Quiescent stage\n\
          \tbench [--smoke] [--compare]\n\
          \t                    run E14 (serial vs parallel) and validate\n\
          \t                    BENCH_scale.json against its schema; --smoke runs\n\
@@ -385,9 +385,9 @@ fn run_step_with(
 /// are exactly the two the fixture seeds (an oscillation, then a stall);
 /// the smoke bundle's metrics parse with their two non-zero counters, its
 /// profile report parses with its schema tag, and its collapsed stacks are
-/// non-empty; every causal DAG of the E3 trace validates. What the fixture
-/// asserts in-process — every event kind, profile coverage, a
-/// finding-free honest run — is not checked again here. See
+/// non-empty; no E3 run segment changes state after its `Quiescent`
+/// stage. What the fixture asserts in-process — every event kind, profile
+/// coverage, a finding-free honest run — is not checked again here. See
 /// `docs/OBSERVABILITY.md`.
 fn cmd_obs(root: &Path) -> ExitCode {
     let smoke = root.join("target/obs/smoke");
@@ -445,11 +445,11 @@ fn cmd_obs(root: &Path) -> ExitCode {
         usize::from(empty)
     });
     problems +=
-        read_trace(&e3.join(obs::TRACE)).map_or_else(|bad| bad, |events| check_causal(&events));
+        read_trace(&e3.join(obs::TRACE)).map_or_else(|bad| bad, |events| check_stages(&events));
 
     if problems == 0 {
         println!(
-            "\nxtask obs: bundles ok (traces decode, exactly the seeded verdicts, metrics/profile parse, causal DAGs valid)"
+            "\nxtask obs: bundles ok (traces decode, exactly the seeded verdicts, metrics/profile parse, E3 changes within their stages)"
         );
         ExitCode::SUCCESS
     } else {
@@ -560,47 +560,45 @@ fn check_verdicts(events: &[TraceEvent]) -> usize {
     }
 }
 
-/// Rebuilds one provenance DAG per run segment of a traced sweep and
-/// validates each (acyclic by monotone ids, roots are stage-0 origin
-/// advertisements, critical path bounded by the reported stage count).
-/// Returns the number of problems found (all printed).
-fn check_causal(events: &[TraceEvent]) -> usize {
-    let dags = CausalDag::from_events(events);
+/// Checks every run segment of a traced sweep (the events up to and
+/// including a `Quiescent`) against the stage count its engine reported:
+/// no route, price or withdrawal event is stamped later than the segment's
+/// `Quiescent` stage, and none follows the last `Quiescent`. Returns the
+/// number of problems found (all printed).
+fn check_stages(events: &[TraceEvent]) -> usize {
     let mut problems = 0usize;
-    if dags.is_empty() {
-        println!("==> causal: trace produced no run segments");
+    let (mut segments, mut changes, mut last_change) = (0usize, 0u64, 0u64);
+    println!("\nrun segments:");
+    println!("  segment | changes | last change | stages");
+    for event in events {
+        match event {
+            TraceEvent::RouteSelected { .. }
+            | TraceEvent::PriceRelaxed { .. }
+            | TraceEvent::Withdrawn { .. } => {
+                changes += 1;
+                last_change = last_change.max(event.stage());
+            }
+            TraceEvent::Quiescent { stage, .. } => {
+                println!("  {segments:>7} | {changes:>7} | {last_change:>11} | {stage:>6}");
+                if last_change > *stage {
+                    println!(
+                        "==> segment {segments}: a change at stage {last_change} \
+                         after quiescence at stage {stage}"
+                    );
+                    problems += 1;
+                }
+                (segments, changes, last_change) = (segments + 1, 0, 0);
+            }
+            _ => {}
+        }
+    }
+    if segments == 0 {
+        println!("==> trace produced no run segments");
         problems += 1;
     }
-    println!("\ncausal provenance ({} run segment(s)):", dags.len());
-    println!("  segment | updates | links | roots | depth | stages");
-    let mut deepest: Vec<u64> = Vec::new();
-    for (idx, dag) in dags.iter().enumerate() {
-        for result in [dag.validate(), dag.validate_origin_roots()] {
-            if let Err(err) = result {
-                println!("==> causal: segment {idx}: {err}");
-                problems += 1;
-            }
-        }
-        let path = dag.critical_path();
-        let stages = dag
-            .reported_stages()
-            .map_or("-".to_string(), |v| v.to_string());
-        println!(
-            "  {idx:>7} | {:>7} | {:>5} | {:>5} | {:>5} | {stages:>6}",
-            dag.update_count(),
-            dag.edge_count(),
-            dag.roots().len(),
-            path.len().saturating_sub(1)
-        );
-        if path.len() > deepest.len() {
-            deepest = path;
-        }
-    }
-    if !deepest.is_empty() {
-        println!(
-            "  deepest causal chain: {} hop(s) through updates {deepest:?}",
-            deepest.len() - 1
-        );
+    if changes > 0 {
+        println!("==> {changes} change event(s) after the last Quiescent");
+        problems += 1;
     }
     problems
 }

@@ -10,8 +10,8 @@
 //! report, the accusations and quarantine list, and every node's final
 //! `state()` and full table. The expected digests were recorded on the
 //! commit *before* the two engine structs became one `Engine<N, T>`, so any
-//! drift in stage order, delivery order, provenance ids, rng draw order or
-//! frame order fails here. The two lossy chaos digests were re-recorded
+//! drift in stage order, delivery order, rng draw order or frame order
+//! fails here. The two lossy chaos digests were re-recorded
 //! when a delayed frame overtaken by newer ones stopped reading as a peer
 //! that lost state (so stopped bouncing its session). Every outcome digest
 //! was re-recorded when the reports lost their v1 `bytes` field: each new
@@ -35,6 +35,13 @@
 //! of them); their reports kept every stage, message and frame count and
 //! lost 217 and 210 `bytes_v2`, so both digests were re-recorded. The
 //! lock-step digests and the tapped chaos digest did not move.
+//!
+//! Updates then stopped carrying a per-advertisement cause list, and the
+//! route, price and withdrawal events their `cause`/`effect` ids. Every
+//! stream and outcome digest was re-recorded: each new value is the hash
+//! of the old text with `, cause: N, effect: M` and `, causes: [..]`
+//! removed, computed on the commit before. Event counts and the
+//! `AdversaryInjected` digests did not move.
 //!
 //! One freedom is granted: in a tapped lock-step run an `AdversaryInjected`
 //! event may directly follow the perturbed update's own events instead of
@@ -258,11 +265,11 @@ fn chaos(plan: FaultPlan, tap: Option<(AsId, Adversary)>) -> Digest {
 #[test]
 fn sync_cold_stream_is_pinned() {
     let expected = pin(
-        0x8352_5e2c_9764_7723,
+        0xef23_52dc_debc_89a3,
         8384,
         Fnv::EMPTY.0,
         0,
-        0x3426_21e8_e505_215b,
+        0xf7c7_cfc0_01d1_fca3,
     );
     check("sync/cold", sync_cold(1), expected);
     check("sync/cold/2 workers", sync_cold(2), expected);
@@ -271,20 +278,20 @@ fn sync_cold_stream_is_pinned() {
 #[test]
 fn sync_tapped_stream_is_pinned() {
     let expected = pin(
-        0xe198_5969_e5df_3f8a,
+        0xfc6f_3808_1128_7b6b,
         12880,
         0x377b_0168_1749_7eda,
         4,
-        0x647f_1d9d_86b7_2db6,
+        0x1967_20bf_53d1_db26,
     );
     check("sync/tapped", sync_tapped(1, true), expected);
     check("sync/tapped/2 workers", sync_tapped(2, true), expected);
     let expected = pin(
-        0xfc99_1b61_4b7a_4a24,
+        0x0d1d_a130_7bf6_dac3,
         9239,
         0x18ce_7c71_b936_dd00,
         95,
-        0xfe18_785d_7baa_033e,
+        0x163b_6490_524c_be7e,
     );
     check("sync/tapped, accused only", sync_tapped(1, false), expected);
     check(
@@ -297,11 +304,11 @@ fn sync_tapped_stream_is_pinned() {
 #[test]
 fn sync_warm_stream_is_pinned() {
     let expected = pin(
-        0x0016_6a43_cfab_cca8,
+        0x71a9_a9f9_6a55_2fb0,
         16137,
         Fnv::EMPTY.0,
         0,
-        0xaced_84af_735a_3ffb,
+        0x7626_8cc1_a2d7_8e03,
     );
     check("sync/warm", sync_warm(), expected);
 }
@@ -310,11 +317,11 @@ fn sync_warm_stream_is_pinned() {
 fn chaos_crash_stream_is_pinned() {
     let plan = FaultPlan::lossy(7, 16).with_crash(4, AsId::new(9), 11);
     let expected = pin(
-        0xb9ed_b8a5_5262_3014,
+        0x9dd1_8fc1_3b91_6546,
         5201,
         Fnv::EMPTY.0,
         0,
-        0xa281_ccb7_f2dd_31a3,
+        0x7c88_06ee_d346_694b,
     );
     check("chaos/lossy+crash", chaos(plan, None), expected);
 }
@@ -329,11 +336,11 @@ fn chaos_flap_and_cut_stream_is_pinned() {
         .with_flap(3, 22, stub, g.neighbors(stub)[0])
         .with_cut(6, AsId::new(0), AsId::new(1));
     let expected = pin(
-        0x5cab_42fb_6d90_8483,
+        0xec06_d30a_90c7_ccb8,
         2750,
         Fnv::EMPTY.0,
         0,
-        0x6646_570d_4aa8_2903,
+        0xc1ae_a32a_5722_7133,
     );
     check("chaos/flap+cut", chaos(plan, None), expected);
 }
@@ -349,11 +356,11 @@ fn chaos_tapped_stream_is_pinned() {
     let plan = FaultPlan::lossy(13, 16).with_flap(3, 22, liar, flapped);
     let tap = (liar, Adversary::new(Strategy::Equivocate, 5));
     let expected = pin(
-        0xbade_8347_2b19_910c,
+        0x0ad0_2aea_e74a_df24,
         0x15a0,
         0xb27d_8263_e8e6_c78f,
         0x158,
-        0xf970_c5c3_a435_f2dc,
+        0x1b98_c911_3b69_b4f0,
     );
     check("chaos/lossy+flap+tap", chaos(plan, Some(tap)), expected);
 }

@@ -239,24 +239,36 @@ fn invalid_events_fail_alike_and_mutate_nothing() {
     }
 }
 
-/// Quiet sessions, and the delay-only plans of Sect. 5–6 under three
-/// seeds: every copy sent is delivered, so the auditor must follow.
-fn reliable_plans() -> Vec<(String, FaultPlan)> {
+/// Quiet sessions, the delay-only plans of Sect. 5–6 under three seeds,
+/// and lossy sessions, which retransmit, with and without a silent crash
+/// of node `n/2 + 1`: every copy sent is delivered, so the auditor must
+/// follow. A silently crashed node's neighbours keep sending to it until
+/// their hold timers fire, which is no lie.
+fn reliable_plans(g: &AsGraph) -> Vec<(String, FaultPlan)> {
     let delayed = (1..=3).map(|seed| {
         (
             format!("asynchronous({seed})"),
             FaultPlan::asynchronous(seed),
         )
     });
+    let k = AsId::new(g.node_count() as u32 / 2 + 1);
     std::iter::once(("quiet".to_string(), FaultPlan::quiet()))
         .chain(delayed)
+        .chain([
+            ("lossy(5, 16)".to_string(), FaultPlan::lossy(5, 16)),
+            (
+                format!("lossy(5, 16) + crash of {k}"),
+                FaultPlan::lossy(5, 16).with_crash(4, k, 11),
+            ),
+        ])
         .collect()
 }
 
 #[test]
 fn an_honest_audited_reliable_session_run_accuses_no_one() {
-    for (name, g) in graphs() {
-        for (plan_name, plan) in reliable_plans() {
+    let petersen = ("Petersen", petersen(Cost::new(2)));
+    for (name, g) in graphs().into_iter().chain([petersen]) {
+        for (plan_name, plan) in reliable_plans(&g) {
             let what = format!("{name}, {plan_name}");
             let mut audited = ChaosEngine::new(&g, PricingBgpNode::from_graph(&g), plan);
             audited.attach_auditor(Box::new(OnlineAuditor::new(&g)));

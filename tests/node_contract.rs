@@ -146,7 +146,7 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
     // the model prices at all, each with its AS label cell.
     let mut x = Node::<P>::new(graph, Fig1::X);
     let via_b = advertises(
-        &[(Fig1::B, 2), (Fig1::D, 1), (Fig1::Z, 4)],
+        &[(Fig1::B, 2), (Fig1::D, 1), (Fig1::Z, 0)],
         1,
         &[Cost::INFINITE],
     );
@@ -160,6 +160,24 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
     assert_eq!(x.price(Fig1::Z, Fig1::D).is_some(), P::PRICED);
     assert_eq!(x.price(Fig1::Z, Fig1::A), None, "A is not on the route");
 
+    // A destination is never transit, so a route whose destination entry
+    // carries a cost is malformed — a long one or an origin route — and
+    // is dropped without touching any table.
+    let mut x = Node::<P>::new(graph, Fig1::X);
+    let before = x.state();
+    let costed = Update::if_nonempty(
+        Fig1::B,
+        vec![
+            advertises(&[(Fig1::B, 2), (Fig1::D, 1), (Fig1::Z, 4)], 1, &[]),
+            advertises(&[(Fig1::B, 2)], 0, &[]),
+        ],
+    )
+    .unwrap();
+    assert!(x.handle(&[Arc::new(costed)]).is_none());
+    assert_eq!(x.state(), before);
+    assert_eq!(x.selector().route_cost(Fig1::Z), Cost::INFINITE);
+    assert_eq!(x.selector().route_cost(Fig1::B), Cost::INFINITE);
+
     // Ids outside the graph — as a destination, or as a transit node on a
     // path to a destination inside it — neither panic nor grow state.
     let mut x = Node::<P>::new(graph, Fig1::X);
@@ -168,8 +186,8 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
     let hostile = Update::if_nonempty(
         Fig1::A,
         vec![
-            advertises(&[(Fig1::A, 5), (huge, 1)], 0, &[]),
-            advertises(&[(Fig1::A, 5), (huge, 1), (Fig1::Z, 4)], 1, &[]),
+            advertises(&[(Fig1::A, 5), (huge, 0)], 0, &[]),
+            advertises(&[(Fig1::A, 5), (huge, 1), (Fig1::Z, 0)], 1, &[]),
         ],
     )
     .unwrap();
@@ -322,7 +340,6 @@ struct Inbound {
     down: Vec<AsId>,
     /// Each neighbour's last full advertisement per destination.
     sent: BTreeMap<(AsId, AsId), RouteInfo>,
-    next_id: u64,
 }
 
 impl Inbound {
@@ -343,19 +360,25 @@ impl Inbound {
                 nodes.push(next);
             }
         }
+        let mut costed = false;
         if malformed {
-            match self.rng.gen_range(0..4) {
+            match self.rng.gen_range(0..5) {
                 0 => nodes[0] = self.me,
                 1 => nodes.push(from),
                 2 => nodes.push(AsId::new(self.n + 3)),
+                3 => costed = true,
                 _ => {}
             }
         }
         let transit = nodes.len().saturating_sub(2);
         let extra = usize::from(malformed);
-        let path: Vec<(AsId, u64)> = (0..nodes.len())
+        let mut path: Vec<(AsId, u64)> = (0..nodes.len())
             .map(|at| (nodes[at], self.rng.gen_range(0..6)))
             .collect();
+        // A destination is never transit: its entry carries no cost.
+        if let Some(last) = path.last_mut() {
+            last.1 = u64::from(costed);
+        }
         let prices: Vec<Cost> = (0..transit + extra).map(|_| self.cost()).collect();
         advertises(&path, self.rng.gen_range(0..30), &prices)
     }
@@ -431,13 +454,11 @@ impl Inbound {
                 }
             }
         }
-        self.next_id += 1;
         Arc::new(Update {
             from,
             sender_costs,
             advertisements,
-            id: self.next_id,
-            causes: Vec::new(),
+            id: 0,
         })
     }
 
@@ -452,12 +473,7 @@ impl Inbound {
                 destination: dest,
                 info: info.clone(),
             });
-        let update = Update::if_nonempty(from, ads.collect())?;
-        self.next_id += 1;
-        Some(Arc::new(Update {
-            id: self.next_id,
-            ..update
-        }))
+        Update::if_nonempty(from, ads.collect()).map(Arc::new)
     }
 }
 
@@ -480,7 +496,6 @@ fn sent_folds_to_the_table<P: PricePolicy>(graph: &P::Graph, seed: u64, deltas: 
         neighbours: topology.neighbors(me).to_vec(),
         down: Vec::new(),
         sent: BTreeMap::new(),
-        next_id: 0,
     };
     let mut held = BTreeMap::new();
     // Full advertisements, deltas and withdrawals the node answered with.

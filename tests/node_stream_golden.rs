@@ -3,11 +3,11 @@
 //! Each scenario drives one node type through the synchronous engine — a
 //! cold convergence, then `LinkDown` → `LinkUp` → `CostChange` → a crash
 //! and restart (`reset` and relearn) — and folds every delivery the engine
-//! queues (sender, receiver, wire-v2 bytes, update id, provenance causes)
+//! queues (sender, receiver, wire-v2 bytes, update id)
 //! into one digest, and the nodes' final `state()` into another. The
 //! expected digests were recorded on the commit *before* the three node
 //! structs became one `Node<P>`, so any drift in emission order, change
-//! suppression, delta compression or provenance fails here.
+//! suppression or delta compression fails here.
 //!
 //! The plain and FPSS stream digests were re-recorded when a route's
 //! destination entry stopped carrying the destination's declared cost.
@@ -18,6 +18,11 @@
 //! minus the updates left empty, later update ids renumbered. That drops
 //! 2 deliveries on Fig. 1 and 31 on BA n=48 for plain BGP, none for FPSS
 //! (its updates carry price changes as well). No state digest moved.
+//!
+//! Every stream digest was re-recorded again when updates stopped carrying
+//! a per-advertisement cause list: each new value is the old stream with
+//! the causes no longer fed, computed on the commit before. Delivery
+//! counts and state digests did not move.
 
 use bgp_vcg::bgp::engine::SyncEngine;
 use bgp_vcg::bgp::{
@@ -62,9 +67,6 @@ impl WireAuditor for Tap {
         digest.feed(&(to.index() as u64).to_le_bytes());
         digest.feed(&wire::encode_update_v2(update));
         digest.feed(&update.id.to_le_bytes());
-        for cause in &update.causes {
-            digest.feed(&cause.to_le_bytes());
-        }
     }
 
     fn on_topology(&mut self, _event: &TopologyEvent) {}
@@ -168,7 +170,7 @@ fn plain_stream_is_pinned() {
     check(
         "plain/fig1",
         scenario(&g, PlainBgpNode::from_graph(&g)),
-        0x6949_3118_9187_7d79,
+        0x61b3_3376_3297_979e,
         130,
         0x81d7_bd07_f7c9_6cdb,
     );
@@ -176,7 +178,7 @@ fn plain_stream_is_pinned() {
     check(
         "plain/ba48",
         scenario(&g, PlainBgpNode::from_graph(&g)),
-        0x4c26_a8f0_c404_79a0,
+        0xbdbd_da38_38d5_5a6a,
         4117,
         0xd29f_70d3_3a6e_f80e,
     );
@@ -188,7 +190,7 @@ fn fpss_stream_is_pinned() {
     check(
         "fpss/fig1",
         scenario(&g, PricingBgpNode::from_graph(&g)),
-        0x8099_fad8_bf44_bad3,
+        0xe1f5_9c26_5e86_d7e2,
         171,
         0xfd30_6f65_f307_79ab,
     );
@@ -196,7 +198,7 @@ fn fpss_stream_is_pinned() {
     check(
         "fpss/ba48",
         scenario(&g, PricingBgpNode::from_graph(&g)),
-        0xd8e3_bc6d_d0e1_f0ca,
+        0xdbda_5e37_c959_5c28,
         4751,
         0xb375_7f4e_a9cb_79ae,
     );
@@ -218,7 +220,7 @@ fn neighbor_cost_stream_is_pinned() {
     let nodes = check(
         "nc/fig1",
         scenario(g.topology(), nodes),
-        0xe8a3_62bb_4524_4d56,
+        0xb7a6_efbc_71be_f3dd,
         148,
         0x473e_1efc_9f12_0b68,
     );
@@ -228,7 +230,7 @@ fn neighbor_cost_stream_is_pinned() {
     let nodes = check(
         "nc/er14",
         scenario(g.topology(), nodes),
-        0xbd2b_c2ca_e95c_f29d,
+        0xdaa8_5985_d401_bce8,
         1119,
         0x614a_6892_25d9_e7cf,
     );

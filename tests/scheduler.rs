@@ -138,7 +138,6 @@ impl Scripted {
             sender_costs: Vec::new(),
             advertisements: Vec::new(),
             id: 0,
-            causes: Vec::new(),
         }
     }
 }

@@ -63,6 +63,7 @@ pub mod wire;
 mod dynamics;
 mod message;
 mod node;
+mod rib;
 mod selector;
 mod stats;
 
@@ -71,5 +72,6 @@ pub use chaos::{ChaosEngine, ChaosReport, FaultPlan};
 pub use dynamics::{LocalEvent, TopologyEvent};
 pub use message::{Frame, FrameKind, PathEntry, RouteAdvertisement, RouteInfo, SharedPath, Update};
 pub use node::{NoPrices, Node, PlainBgpNode, PricePolicy, ProtocolNode};
+pub use rib::{PriceSlab, RibCell, RouteView};
 pub use selector::{RouteSelector, SelectedRoute};
 pub use stats::StateSnapshot;

@@ -1,5 +1,6 @@
 //! Protocol messages.
 
+use crate::rib::{PriceSlab, RibCell, Span};
 use bgpvcg_netgraph::{AsId, Cost};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -108,10 +109,6 @@ impl PartialEq for SharedPath {
 
 impl Eq for SharedPath {}
 
-/// Price slots a retained route's array starts with: the transit count of
-/// a six-node path, which few lowest-cost routes on AS-like graphs exceed.
-const PRICE_ROOM: usize = 4;
-
 /// The routing payload for one destination: a usable path, a compressed
 /// price-only delta against the previously advertised path, or an explicit
 /// withdrawal.
@@ -193,67 +190,41 @@ impl RouteInfo {
         prices.get(pos).copied()
     }
 
-    /// The [`RouteInfo::PriceDelta`] that turns the price array `sent`
-    /// into `now` on the unchanged `path` — for a sender whose selected
-    /// path and path cost equal what it last advertised and whose prices
-    /// alone moved. `now` is read once, so a sender can build the delta
-    /// while relaxing, before it overwrites `sent`. `None` whenever a full
-    /// advertisement is required: the arrays differ in length, are too long
-    /// for a `u16` index, or are equal.
-    pub fn price_delta<I>(path: &SharedPath, sent: &[Cost], now: I) -> Option<RouteInfo>
-    where
-        I: IntoIterator<Item = Cost>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let now = now.into_iter();
-        if sent.len() != now.len() || now.len() > usize::from(u16::MAX) {
-            return None;
-        }
-        let entries: Vec<(u16, Cost)> = sent
-            .iter()
-            .zip(now)
-            .enumerate()
-            .filter(|(_, (&old, new))| old != *new)
-            .map(|(idx, (_, new))| (idx as u16, new))
-            .collect();
-        if entries.is_empty() {
-            return None;
-        }
-        Some(RouteInfo::PriceDelta {
-            base_path_hash: path.hash64(),
-            entries,
-        })
-    }
-
     /// Folds this advertisement into `cell`, a receiver's one retained copy
-    /// of what one neighbor advertised for one destination, and returns
-    /// whether the cell changed. A withdrawal clears the cell. A price delta
-    /// patches the retained route in place, and is dropped whole when no
-    /// route is retained, the retained path is not the one the delta was
-    /// computed against, or an index is out of range: the sender's next full
-    /// advertisement (session resynchronization always sends one) restores
-    /// the state. A full advertisement replaces the cell; one that already
-    /// holds a route keeps its price vector's allocation, and one taking its
-    /// first priced route gets room for `PRICE_ROOM` entries, so cells that
-    /// are overwritten stage after stage — while paths, and with them price
-    /// arrays, still lengthen — settle into not allocating at all.
+    /// of what one neighbor advertised for one destination, whose price
+    /// array `slab` holds, and returns whether the retained route changed. A
+    /// withdrawal clears the cell. A price delta patches the retained
+    /// prices in place, and is dropped whole when no route is retained, the
+    /// retained path is not the one the delta was computed against, or an
+    /// index is out of range: the sender's next full advertisement (session
+    /// resynchronization always sends one) restores the state. A full
+    /// advertisement replaces the cell, its prices overwriting the old array
+    /// where they fit and appended to the slab where they do not; the
+    /// caller then [`tidy`](PriceSlab::tidy)s the slab over all its cells.
     ///
     /// This is the one rule for what a receiver keeps. Its two callers are
     /// the Rib-In ([`RouteSelector::ingest`](crate::RouteSelector::ingest),
     /// once a full advertisement has passed its well-formedness check) and
     /// the online auditor's per-link views of what each neighbor heard
     /// (`bgpvcg_core::audit::OnlineAuditor`).
-    pub fn fold(&self, cell: &mut Option<RouteInfo>) -> bool {
+    pub fn fold(&self, cell: &mut Option<RibCell>, slab: &mut PriceSlab) -> bool {
         match self {
-            RouteInfo::Withdrawn => cell.take().is_some(),
+            RouteInfo::Withdrawn => match cell.take() {
+                Some(held) => {
+                    slab.release(held.prices);
+                    true
+                }
+                None => false,
+            },
             RouteInfo::PriceDelta {
                 base_path_hash,
                 entries,
             } => {
-                let Some(RouteInfo::Reachable { path, prices, .. }) = cell else {
+                let Some(held) = cell else {
                     return false;
                 };
-                if path.hash64() != *base_path_hash
+                let prices = slab.get_mut(held.prices);
+                if held.path.hash64() != *base_path_hash
                     || entries
                         .iter()
                         .any(|&(idx, _)| usize::from(idx) >= prices.len())
@@ -263,9 +234,9 @@ impl RouteInfo {
                 let mut changed = false;
                 for &(idx, value) in entries {
                     // lint:allow(bounds: every idx range-checked above)
-                    let held = &mut prices[usize::from(idx)];
-                    changed |= *held != value;
-                    *held = value;
+                    let price = &mut prices[usize::from(idx)];
+                    changed |= *price != value;
+                    *price = value;
                 }
                 changed
             }
@@ -273,34 +244,31 @@ impl RouteInfo {
                 path,
                 path_cost,
                 prices,
-            } => {
-                if cell.as_ref() == Some(self) {
-                    return false;
-                }
-                if let Some(RouteInfo::Reachable {
-                    path: held_path,
-                    path_cost: held_cost,
-                    prices: held_prices,
-                }) = cell
+            } => match cell {
+                Some(held)
+                    if held.path == *path
+                        && held.path_cost == *path_cost
+                        && slab.get(held.prices) == &prices[..] =>
                 {
-                    held_path.clone_from(path);
-                    *held_cost = *path_cost;
-                    held_prices.clone_from(prices);
-                    return true;
+                    false
                 }
-                let room = match prices.len() {
-                    0 => 0, // plain BGP and transit-free routes carry no prices
-                    len => len.max(PRICE_ROOM),
-                };
-                let mut held_prices = Vec::with_capacity(room);
-                held_prices.extend_from_slice(prices);
-                *cell = Some(RouteInfo::Reachable {
-                    path: path.clone(),
-                    path_cost: *path_cost,
-                    prices: held_prices,
-                });
-                true
-            }
+                Some(held) => {
+                    held.path.clone_from(path);
+                    held.path_cost = *path_cost;
+                    slab.put(&mut held.prices, prices.iter().copied());
+                    true
+                }
+                None => {
+                    let mut span = Span::default();
+                    slab.put(&mut span, prices.iter().copied());
+                    *cell = Some(RibCell {
+                        path: path.clone(),
+                        path_cost: *path_cost,
+                        prices: span,
+                    });
+                    true
+                }
+            },
         }
     }
 }
@@ -519,48 +487,19 @@ mod tests {
     }
 
     #[test]
-    fn price_delta_lists_only_the_cells_that_moved() {
-        let RouteInfo::Reachable { path, prices, .. } = reachable() else {
-            unreachable!()
-        };
-        let now = [Cost::new(4), Cost::new(2)];
-        let delta = RouteInfo::price_delta(&path, &prices, now).expect("one price cell relaxed");
-        assert_eq!(
-            delta,
-            RouteInfo::PriceDelta {
-                base_path_hash: path.hash64(),
-                entries: vec![(1, Cost::new(2))],
-            }
-        );
-    }
-
-    #[test]
-    fn price_delta_requires_same_length_and_a_change() {
-        let RouteInfo::Reachable { path, prices, .. } = reachable() else {
-            unreachable!()
-        };
-        // Unchanged prices: nothing to send as a delta.
-        let same = prices.iter().copied();
-        assert_eq!(RouteInfo::price_delta(&path, &prices, same), None);
-        // A different transit count means a different path: full advertisement.
-        assert_eq!(RouteInfo::price_delta(&path, &prices, [Cost::new(3)]), None);
-    }
-
-    #[test]
     fn fold_keeps_what_a_receiver_keeps() {
+        let mut slab = PriceSlab::default();
         let mut cell = None;
-        assert!(reachable().fold(&mut cell));
-        assert_eq!(cell, Some(reachable()));
-        assert!(!reachable().fold(&mut cell), "a repeat changes nothing");
-        let held = |cell: &Option<RouteInfo>| match cell {
-            Some(RouteInfo::Reachable { prices, .. }) => (prices.as_ptr(), prices.capacity()),
-            _ => unreachable!(),
+        let held = |cell: &Option<RibCell>, slab: &PriceSlab| {
+            cell.as_ref().map(|held| held.view(slab).to_info())
         };
-        let before = held(&cell);
+        assert!(reachable().fold(&mut cell, &mut slab));
+        assert_eq!(held(&cell, &slab), Some(reachable()));
         assert!(
-            before.1 >= PRICE_ROOM,
-            "room to lengthen without reallocating"
+            !reachable().fold(&mut cell, &mut slab),
+            "a repeat changes nothing"
         );
+        assert_eq!(slab.len(), 2, "the route's two prices and no room besides");
         let path: SharedPath = vec![
             entry(0, 2),
             entry(5, 1),
@@ -574,29 +513,34 @@ mod tests {
             path_cost: Cost::new(4),
             prices: vec![Cost::new(9), Cost::new(4), Cost::new(3)],
         };
-        assert!(longer.fold(&mut cell));
-        assert_eq!(cell.as_ref(), Some(&longer));
-        assert_eq!(held(&cell), before, "overwritten in place");
+        assert!(longer.fold(&mut cell, &mut slab));
+        assert_eq!(held(&cell, &slab), Some(longer.clone()));
+        assert_eq!(slab.len(), 5, "a longer array is appended");
+        assert!(reachable().fold(&mut cell, &mut slab));
+        assert_eq!(held(&cell, &slab), Some(reachable()));
+        assert_eq!(slab.len(), 5, "a shorter one is written in place");
+        assert!(longer.fold(&mut cell, &mut slab));
         // A delta patches the retained route only on its own path and
         // inside its price array; otherwise it is dropped whole.
         let delta = |hash: u64, entries: &[(u16, u64)]| RouteInfo::PriceDelta {
             base_path_hash: hash,
             entries: entries.iter().map(|&(i, p)| (i, Cost::new(p))).collect(),
         };
-        assert!(!delta(path.hash64() ^ 1, &[(0, 7)]).fold(&mut cell));
-        assert!(!delta(path.hash64(), &[(0, 7), (3, 7)]).fold(&mut cell));
-        assert!(!delta(path.hash64(), &[(1, 4)]).fold(&mut cell));
-        assert_eq!(cell.as_ref(), Some(&longer));
-        assert!(delta(path.hash64(), &[(0, 7)]).fold(&mut cell));
+        assert!(!delta(path.hash64() ^ 1, &[(0, 7)]).fold(&mut cell, &mut slab));
+        assert!(!delta(path.hash64(), &[(0, 7), (3, 7)]).fold(&mut cell, &mut slab));
+        assert!(!delta(path.hash64(), &[(1, 4)]).fold(&mut cell, &mut slab));
+        assert_eq!(held(&cell, &slab), Some(longer.clone()));
+        assert!(delta(path.hash64(), &[(0, 7)]).fold(&mut cell, &mut slab));
+        let patched = cell.as_ref().map(|held| held.view(&slab).prices);
         assert_eq!(
-            cell.as_ref().and_then(|info| info.price_of(AsId::new(5))),
-            Some(Cost::new(7))
+            patched,
+            Some(&[Cost::new(7), Cost::new(4), Cost::new(3)][..])
         );
-        assert!(RouteInfo::Withdrawn.fold(&mut cell));
-        assert_eq!(cell, None);
-        assert!(!RouteInfo::Withdrawn.fold(&mut cell));
-        assert!(!delta(path.hash64(), &[(0, 7)]).fold(&mut cell));
-        assert_eq!(cell, None);
+        assert!(RouteInfo::Withdrawn.fold(&mut cell, &mut slab));
+        assert!(cell.is_none());
+        assert!(!RouteInfo::Withdrawn.fold(&mut cell, &mut slab));
+        assert!(!delta(path.hash64(), &[(0, 7)]).fold(&mut cell, &mut slab));
+        assert!(cell.is_none());
     }
 
     #[test]

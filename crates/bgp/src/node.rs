@@ -8,6 +8,7 @@
 
 use crate::dynamics::LocalEvent;
 use crate::message::{PathEntry, RouteAdvertisement, RouteInfo, Update};
+use crate::rib::{PriceSlab, RouteView, Span};
 use crate::selector::RouteSelector;
 use crate::stats::StateSnapshot;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
@@ -182,12 +183,6 @@ impl PricePolicy for NoPrices {
 /// ```
 pub type PlainBgpNode = Node<NoPrices>;
 
-/// `dest`'s price array: empty for a destination without one — in an
-/// unpriced model, every destination.
-fn row(prices: &[Vec<Cost>], dest: AsId) -> &[Cost] {
-    prices.get(dest.index()).map_or(&[], Vec::as_slice)
-}
-
 /// A BGP speaker: the shared decision process ([`RouteSelector`]), a
 /// per-destination price array relaxed from the neighbors' advertised
 /// arrays as `P` directs, and the advertise-on-change step, which sends
@@ -197,12 +192,14 @@ fn row(prices: &[Vec<Cost>], dest: AsId) -> &[Cost] {
 #[derive(Debug, Clone)]
 pub struct Node<P: PricePolicy> {
     selector: RouteSelector,
-    /// Per destination (index `dest.index()`): the entries `P` relaxes —
-    /// prices `p^k_ij`, or margins — aligned with the selected route's
-    /// transit nodes; empty where the route has none, and no rows at all
-    /// in an unpriced model. Recomputed from scratch on every refresh; see
-    /// `relax`.
-    prices: Vec<Vec<Cost>>,
+    /// Per destination (index `dest.index()`): where in `prices` its row
+    /// lies — the entries `P` relaxes, prices `p^k_ij` or margins, aligned
+    /// with the selected route's transit nodes; empty where the route has
+    /// none, and no spans at all in an unpriced model. Recomputed from
+    /// scratch on every refresh; see `relax`.
+    spans: Vec<Span>,
+    /// Every destination's price row, back to back.
+    prices: PriceSlab,
     /// Whether a destination whose prices alone moved on an unchanged
     /// selected path may go out as a [`RouteInfo::PriceDelta`] (the
     /// monotone-relaxation common case of Sect. 6). On by default.
@@ -244,7 +241,8 @@ impl<P: PricePolicy> Node<P> {
                 topology.neighbors(id).iter().copied(),
                 n,
             ),
-            prices: vec![Vec::new(); if P::PRICED { n } else { 0 }],
+            spans: vec![Span::default(); if P::PRICED { n } else { 0 }],
+            prices: PriceSlab::default(),
             delta_encoding: true,
             dirty: Vec::new(),
             mark: vec![NOT_DIRTY; n],
@@ -313,7 +311,9 @@ impl<P: PricePolicy> Node<P> {
     /// route's prices this way is one pass, where [`Node::price`] per
     /// transit node searches the path each time.
     pub fn price_row(&self, dest: AsId) -> &[Cost] {
-        row(&self.prices, dest)
+        self.spans
+            .get(dest.index())
+            .map_or(&[], |&span| self.prices.get(span))
     }
 
     /// One relaxation pass for `dest`: recomputes the array *from scratch*
@@ -321,7 +321,7 @@ impl<P: PricePolicy> Node<P> {
     /// available in the current Rib-In — and reports whether the stored
     /// array moved. With `delta` set, a move is reported as the
     /// [`RouteInfo::PriceDelta`] from the stored array to the new one,
-    /// built before the new one overwrites it, where a delta can say it.
+    /// where a delta can say it, built in the pass that overwrites it.
     ///
     /// Recomputing from scratch (rather than taking a running minimum
     /// across passes, as the paper's static-network presentation does) is
@@ -352,7 +352,7 @@ impl<P: PricePolicy> Node<P> {
         if !P::PRICED {
             return Relaxed::Same;
         }
-        let Some(stored) = self.prices.get_mut(dest.index()) else {
+        let Some(span) = self.spans.get_mut(dest.index()) else {
             return Relaxed::Same;
         };
         let own = self.selector.id();
@@ -360,10 +360,10 @@ impl<P: PricePolicy> Node<P> {
         let transit: &[PathEntry] = route.map_or(&[], |route| &route.path[1..route.path.len() - 1]);
         if transit.is_empty() {
             // Own destination, no route, or a route without transit nodes.
-            if stored.is_empty() {
+            if span.len() == 0 {
                 return Relaxed::Same;
             }
-            stored.clear();
+            self.prices.release(std::mem::take(span));
             return Relaxed::Moved;
         }
         let my_route_cost = self.selector.route_cost(dest);
@@ -406,21 +406,18 @@ impl<P: PricePolicy> Node<P> {
         // Rib-In row is walked once. The component-wise minimum is
         // order-independent, so the array is identical either way.
         for (ordinal, (a, info)) in (0u32..).zip(self.selector.rib_for(dest)) {
-            let RouteInfo::Reachable {
+            let RouteView {
                 path: a_path,
                 path_cost: a_route_cost,
                 prices: a_prices,
-            } = info
-            else {
-                continue;
-            };
+            } = info;
             let Some(a_charges) = P::charged_by(&self.selector, a, a_path) else {
                 continue;
             };
             // Shift shared by all cases; a transiently inconsistent
             // Rib-In can make it negative, in which case the bound is
             // skipped (it would have been invalid anyway).
-            let Some(shift) = (a_charges + *a_route_cost).checked_sub(my_route_cost) else {
+            let Some(shift) = (a_charges + a_route_cost).checked_sub(my_route_cost) else {
                 continue;
             };
             // Cases (i)/(ii)/(iii): k is a transit node of a's advertised
@@ -460,15 +457,42 @@ impl<P: PricePolicy> Node<P> {
 
         crate::engine::invariants::relaxation_step(transit, slots);
         let relaxed = slots.iter().map(|&(bound, _)| bound);
-        if stored.iter().copied().eq(relaxed.clone()) {
-            return Relaxed::Same;
+        if span.len() != slots.len() {
+            // A re-route changed the transit count: the neighbors get the
+            // whole row.
+            self.prices.put(span, relaxed);
+            self.prices.tidy_spans(self.spans.iter_mut());
+            return Relaxed::Moved;
         }
-        let said = route
-            .filter(|_| delta)
-            .and_then(|route| RouteInfo::price_delta(&route.path, stored, relaxed.clone()));
-        stored.clear();
-        stored.extend(relaxed);
-        said.map_or(Relaxed::Moved, Relaxed::Delta)
+        // Same length: overwrite in place, listing what moved for the delta
+        // (a `u16` index reaches every entry of a row this short).
+        let listed = delta && slots.len() <= usize::from(u16::MAX);
+        // lint:allow(output: a price delta's entry list, allocated at its first entry)
+        let mut entries = Vec::new();
+        let mut moved = false;
+        for (idx, (held, new)) in self
+            .prices
+            .get_mut(*span)
+            .iter_mut()
+            .zip(relaxed)
+            .enumerate()
+        {
+            if *held != new {
+                *held = new;
+                moved = true;
+                if listed {
+                    entries.push((idx as u16, new));
+                }
+            }
+        }
+        match (moved, route) {
+            (false, _) => Relaxed::Same,
+            (true, Some(route)) if listed => Relaxed::Delta(RouteInfo::PriceDelta {
+                base_path_hash: route.path.hash64(),
+                entries,
+            }),
+            (true, _) => Relaxed::Moved,
+        }
     }
 
     /// `dest`'s state as a full advertisement: the selected route with its
@@ -615,7 +639,8 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
         // The declared vector is configuration, not learned state: a
         // restarted node still charges the same per-neighbor receive costs.
         self.selector.reset();
-        self.prices.iter_mut().for_each(Vec::clear);
+        self.spans.fill(Span::default());
+        self.prices.clear();
     }
 
     fn state(&self) -> StateSnapshot {
@@ -627,7 +652,7 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
         // the transit node it prices — one AS cell per entry, counted as
         // `price_path_nodes`.
         let mut snapshot = self.selector.state();
-        snapshot.price_entries = self.prices.iter().map(Vec::len).sum();
+        snapshot.price_entries = self.spans.iter().map(|span| span.len()).sum();
         snapshot.price_path_nodes = snapshot.price_entries;
         snapshot
     }
@@ -707,7 +732,7 @@ mod tests {
         // The position table keeps its size and is idle again; the
         // relaxation scratch never outgrows the longest route.
         assert_eq!(node.mark, [NOT_DIRTY; 5]);
-        assert_eq!(node.prices.len(), 5);
+        assert_eq!(node.spans.len(), 5);
         assert!(node.scratch.len() <= 1);
     }
 }

@@ -1,6 +1,7 @@
 //! Route selection: the per-node path-vector decision process.
 
 use crate::message::{PathEntry, RouteInfo, SharedPath, Update};
+use crate::rib::{PriceSlab, RibCell, RouteView};
 use crate::stats::StateSnapshot;
 use bgpvcg_lcp::Route;
 use bgpvcg_netgraph::{AsId, Cost};
@@ -47,8 +48,15 @@ impl SelectedRoute {
 /// indexed by AS number, so an id must never decide an allocation), and
 /// carries at most one price slot per transit node. Everything a receiver
 /// later indexes into is covered, so a malformed message can be dropped
-/// here once instead of defended against everywhere.
-fn well_formed(from: AsId, destination: AsId, info: &RouteInfo, bound: usize) -> bool {
+/// here once instead of defended against everywhere. `seen` is scratch,
+/// reused across calls.
+fn well_formed(
+    from: AsId,
+    destination: AsId,
+    info: &RouteInfo,
+    bound: usize,
+    seen: &mut Vec<AsId>,
+) -> bool {
     let RouteInfo::Reachable { path, prices, .. } = info else {
         // Withdrawals carry no structure; price deltas are validated
         // against the retained route when folded (see `RouteInfo::fold`).
@@ -60,14 +68,28 @@ fn well_formed(from: AsId, destination: AsId, info: &RouteInfo, bound: usize) ->
     if first.node != from || last.node != destination || last.cost != Cost::ZERO {
         return false;
     }
-    // Each node against its predecessors, in place: no set to build, and
-    // on the few-hop paths of real tables fewer comparisons than one
-    // ordered-set insertion.
-    let simple = path.iter().enumerate().all(|(at, entry)| {
-        entry.node.index() < bound && path[..at].iter().all(|seen| seen.node != entry.node)
-    });
-    simple && prices.len() <= path.len().saturating_sub(2)
+    if prices.len() > path.len().saturating_sub(2)
+        || path.iter().any(|entry| entry.node.index() >= bound)
+    {
+        return false;
+    }
+    // A repeat is two equal neighbours once the ids are sorted: O(L log L)
+    // where comparing each node with its predecessors is O(L²) — 2 000
+    // comparisons on a 64-hop path — and no table indexed by an id.
+    seen.clear();
+    seen.extend(path.iter().map(|entry| entry.node));
+    seen.sort_unstable();
+    seen.windows(2).all(|pair| pair[0] != pair[1])
 }
+
+/// Consecutive destinations whose Rib-In price arrays share one
+/// [`PriceSlab`]. One slab per selector grows to tens of kilobytes on long
+/// paths, and reallocating blocks that size fragments the heap (on the
+/// 128-cycle, peak RSS rose 4.7 %); one slab per destination spends a
+/// vector header and a heap block on every row (on the hierarchy, peak RSS
+/// was 6 % above this grouping's). See `docs/PERFORMANCE.md` § "Price
+/// arrays in per-node storage".
+const SLAB_ROWS: usize = 4;
 
 /// The cost a receive-cost vector (ascending by AS) names for packets
 /// handed over by `from`.
@@ -135,7 +157,10 @@ pub struct RouteSelector {
     vectors: Vec<Vec<(AsId, Cost)>>,
     /// Rib-In: `rib[dest.index() * neighbors.len() + slot]` is the route
     /// that neighbor last advertised for `dest`.
-    rib: Vec<Option<RouteInfo>>,
+    rib: Vec<Option<RibCell>>,
+    /// `prices[dest.index() / SLAB_ROWS]`: the price arrays of the Rib-In
+    /// cells of `SLAB_ROWS` consecutive destinations.
+    prices: Vec<PriceSlab>,
     /// The selected routing table, indexed by destination. Own destination
     /// always holds the trivial route.
     table: Vec<Option<SelectedRoute>>,
@@ -148,6 +173,8 @@ pub struct RouteSelector {
     /// Aligned with `affected`: whether that change can re-open selection
     /// (anything but a price delta), reused across calls.
     reroutes: Vec<bool>,
+    /// `well_formed`'s sorted path ids, reused across calls.
+    seen: Vec<AsId>,
 }
 
 impl RouteSelector {
@@ -200,11 +227,13 @@ impl RouteSelector {
             declared_cost,
             vectors: vec![Vec::new(); neighbors.len()],
             rib: vec![None; rows * neighbors.len()],
+            prices: vec![PriceSlab::default(); rows.div_ceil(SLAB_ROWS)],
             neighbors,
             table,
             bound,
             affected: Vec::new(),
             reroutes: Vec::new(),
+            seen: Vec::new(),
         }
     }
 
@@ -265,15 +294,21 @@ impl RouteSelector {
 
     /// The Rib-In cells for `dest`, one per slot (empty for a destination
     /// beyond the tables).
-    fn row(&self, dest: AsId) -> &[Option<RouteInfo>] {
+    fn row(&self, dest: AsId) -> &[Option<RibCell>] {
         let deg = self.neighbors.len();
         let start = dest.index() * deg;
         self.rib.get(start..start + deg).unwrap_or(&[])
     }
 
+    /// The slab holding the price arrays of `dest`'s Rib-In cells.
+    fn slab(&self, dest: AsId) -> Option<&PriceSlab> {
+        self.prices.get(dest.index() / SLAB_ROWS)
+    }
+
     /// The route `a` last advertised for `dest`, if any.
-    pub fn rib(&self, a: AsId, dest: AsId) -> Option<&RouteInfo> {
-        self.row(dest).get(self.slot(a)?)?.as_ref()
+    pub fn rib(&self, a: AsId, dest: AsId) -> Option<RouteView<'_>> {
+        let cell = self.row(dest).get(self.slot(a)?)?.as_ref()?;
+        Some(cell.view(self.slab(dest)?))
     }
 
     /// The destinations neighbor `a` currently advertises, ascending. Empty
@@ -295,11 +330,12 @@ impl RouteSelector {
     /// The Rib-In entries for `dest` across all current neighbors, ascending
     /// by neighbor. This is the candidate set both route selection and the
     /// pricing relaxation pass iterate: one contiguous row.
-    pub fn rib_for(&self, dest: AsId) -> impl Iterator<Item = (AsId, &RouteInfo)> + '_ {
+    pub fn rib_for(&self, dest: AsId) -> impl Iterator<Item = (AsId, RouteView<'_>)> + '_ {
+        let slab = self.slab(dest);
         self.neighbors
             .iter()
             .zip(self.row(dest))
-            .filter_map(|(&a, cell)| cell.as_ref().map(|info| (a, info)))
+            .filter_map(move |(&a, cell)| Some((a, cell.as_ref()?.view(slab?))))
     }
 
     /// The receive-cost vector neighbor `a` last advertised (per-neighbor
@@ -351,9 +387,9 @@ impl RouteSelector {
             };
             snapshot.table_entries += 1;
             snapshot.table_path_nodes += route.path.len();
-            for info in self.row(AsId::new(dest)).iter().flatten() {
+            for cell in self.row(AsId::new(dest)).iter().flatten() {
                 snapshot.rib_entries += 1;
-                snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
+                snapshot.rib_path_nodes += cell.path.len();
             }
         }
         snapshot
@@ -412,21 +448,36 @@ impl RouteSelector {
                 // trusting them: a misbehaving or buggy neighbor must not be
                 // able to crash this node (the paper's Sect. 7 notes the
                 // agents themselves run the algorithm).
-                if !well_formed(update.from, dest, &ad.info, self.bound) {
+                if !well_formed(update.from, dest, &ad.info, self.bound, &mut self.seen) {
                     continue;
                 }
                 if dest.index() >= self.table.len() {
                     // Only a selector built without a node count gets here:
                     // `well_formed` bounds every other one.
                     self.table.resize(dest.index() + 1, None);
+                    let slabs = (dest.index() + 1).div_ceil(SLAB_ROWS);
+                    self.prices.resize(slabs, PriceSlab::default());
                     self.rib.resize((dest.index() + 1) * deg, None);
                 }
             }
-            let cell = self.rib.get_mut(dest.index() * deg + slot);
-            if cell.is_some_and(|cell| ad.info.fold(cell)) {
+            // The cells sharing the destination's slab, and the cell.
+            let group = dest.index() / SLAB_ROWS;
+            let start = group * SLAB_ROWS * deg;
+            let end = self.rib.len().min(start + SLAB_ROWS * deg);
+            let at = dest.index() % SLAB_ROWS * deg + slot;
+            let (Some(slab), Some(cells)) =
+                (self.prices.get_mut(group), self.rib.get_mut(start..end))
+            else {
+                continue;
+            };
+            if cells
+                .get_mut(at)
+                .is_some_and(|cell| ad.info.fold(cell, slab))
+            {
                 self.affected.push(dest);
                 self.reroutes
                     .push(!matches!(ad.info, RouteInfo::PriceDelta { .. }));
+                slab.tidy(cells.iter_mut().flatten());
             }
         }
     }
@@ -450,7 +501,7 @@ impl RouteSelector {
         let mut best: Option<(&[PathEntry], PathEntry, Cost)> = None;
         let cells = self.neighbors.iter().zip(&self.vectors).zip(self.row(dest));
         for ((&a, vector), cell) in cells {
-            let Some(RouteInfo::Reachable {
+            let Some(RibCell {
                 path, path_cost, ..
             }) = cell
             else {
@@ -556,6 +607,7 @@ impl RouteSelector {
     /// (who it is, what it charges, which links are physically attached).
     pub fn reset(&mut self) {
         self.rib.fill(None);
+        self.prices.iter_mut().for_each(PriceSlab::clear);
         self.vectors.iter_mut().for_each(Vec::clear);
         let own = self.id.index();
         for (dest, route) in self.table.iter_mut().enumerate() {
@@ -580,11 +632,22 @@ impl RouteSelector {
         };
         let mut dropped = self.rib_destinations(a);
         let deg = self.neighbors.len();
+        let groups = self.rib.chunks(SLAB_ROWS * deg).zip(&mut self.prices);
+        for (cells, slab) in groups {
+            let column = cells.iter().skip(slot).step_by(deg);
+            column.flatten().for_each(|cell| slab.release(cell.prices));
+        }
         let mut at = 0;
         self.rib.retain(|_| {
             at += 1;
             (at - 1) % deg != slot
         });
+        if deg > 1 {
+            let groups = self.rib.chunks_mut(SLAB_ROWS * (deg - 1));
+            for (cells, slab) in groups.zip(&mut self.prices) {
+                slab.tidy(cells.iter_mut().flatten());
+            }
+        }
         self.neighbors.remove(slot);
         self.vectors.remove(slot);
         dropped.retain(|&dest| self.decide(dest));
@@ -910,6 +973,41 @@ mod tests {
     }
 
     #[test]
+    fn a_repeat_deep_in_a_long_path_is_dropped() {
+        // Neighbor 1 advertises paths to destination 99 through 2, 3, ….
+        let long = |hops: u32, repeat: Option<(usize, usize)>| {
+            let mut nodes: Vec<u32> = (1..=hops).chain([99]).collect();
+            if let Some((copy, at)) = repeat {
+                nodes[at] = nodes[copy];
+            }
+            let last = nodes.len() - 1;
+            let path = nodes
+                .iter()
+                .enumerate()
+                .map(|(at, &raw)| entry(raw, u64::from(at < last)))
+                .collect();
+            update(1, vec![ad(99, path, u64::from(hops - 1))])
+        };
+        let mut s = RouteSelector::with_node_count(
+            AsId::new(0),
+            Cost::new(5),
+            [AsId::new(1), AsId::new(2)],
+            100,
+        );
+        // 40 hops, the 3rd node again at hop 37.
+        assert!(s.ingest(&long(40, Some((2, 37)))).is_empty());
+        assert!(s.rib(AsId::new(1), AsId::new(99)).is_none());
+        let simple = long(64, None);
+        assert_eq!(s.ingest(&simple), [AsId::new(99)]);
+        assert_eq!(
+            s.rib(AsId::new(1), AsId::new(99))
+                .map(|view| view.path.len()),
+            Some(65),
+            "a simple 64-hop path is kept"
+        );
+    }
+
+    #[test]
     fn reset_forgets_learned_state_but_keeps_identity() {
         let mut s = selector();
         let u = update(1, vec![ad(9, vec![entry(1, 3), entry(9, 0)], 0)])
@@ -985,10 +1083,10 @@ mod tests {
         let affected = s.ingest(&delta_update(path.hash64(), vec![(0, Cost::new(4))]));
         assert_eq!(affected, [AsId::new(9)]);
         let patched = s.rib(AsId::new(1), AsId::new(9)).unwrap();
-        assert_eq!(patched.price_of(AsId::new(4)), Some(Cost::new(4)));
+        assert_eq!(patched.prices, [Cost::new(4)]);
         assert_eq!(
-            patched.path_cost(),
-            Some(Cost::new(2)),
+            (patched.path, patched.path_cost),
+            (&path, Cost::new(2)),
             "path and cost survive the patch"
         );
         // A delta repeating the current value changes nothing.
@@ -1009,7 +1107,7 @@ mod tests {
             .ingest(&delta_update(path.hash64(), vec![(5, Cost::new(4))]))
             .is_empty());
         let retained = s.rib(AsId::new(1), AsId::new(9)).unwrap();
-        assert_eq!(retained.price_of(AsId::new(4)), Some(Cost::new(7)));
+        assert_eq!(retained.prices, [Cost::new(7)]);
         // No retained route at all (fresh selector).
         let mut fresh = selector();
         assert!(fresh

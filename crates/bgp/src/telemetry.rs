@@ -12,7 +12,7 @@
 //! monitor, span profiler.
 
 use crate::engine::kernel::Sent;
-use crate::message::{RouteInfo, SharedPath, Update};
+use crate::message::{PathEntry, RouteInfo, SharedPath, Update};
 use bgpvcg_netgraph::Cost;
 use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
 use bgpvcg_telemetry::profile::span;
@@ -66,6 +66,9 @@ pub struct UpdateTracer {
     /// `shadow[node][dest]`: what `node` last advertised for `dest`. A
     /// node's row is allocated at its first advertisement.
     shadow: Vec<Vec<ShadowCell>>,
+    /// An AS-indexed position table, all [`UNPLACED`] between uses; inside
+    /// `realign`, each traced transit's position in its cell's list.
+    position: Vec<u32>,
     /// One update's events, delivered to the sink in a single call.
     events: Vec<TraceEvent>,
     routes_selected: Counter,
@@ -84,6 +87,52 @@ struct ShadowCell {
     /// change; kept in the order of the last traced path, so the price at
     /// index `i` of an unchanged path is found at position `i`.
     prices: Vec<(u32, u64)>,
+}
+
+/// `position` value of an AS that is not in the list being realigned.
+const UNPLACED: u32 = u32::MAX;
+
+/// Reorders `traced` for a newly advertised path whose transit nodes are
+/// `transits`: each transit's entry moves to its price index, and one not
+/// traced yet is added at `∞`, so [`relax`] finds every entry of this path —
+/// and of the deltas that follow on it — where it looks first. One pass over
+/// the list and one over the path, through `position`; an id beyond that
+/// table is left where it is, for `relax` to search.
+fn realign(traced: &mut Vec<(u32, u64)>, transits: &[PathEntry], position: &mut [u32]) {
+    for (at, &(id, _)) in (0u32..).zip(traced.iter()) {
+        if let Some(slot) = position.get_mut(id as usize) {
+            *slot = at;
+        }
+    }
+    for (i, entry) in transits.iter().enumerate() {
+        let k = entry.node.raw();
+        let Some(slot) = position.get_mut(k as usize) else {
+            continue;
+        };
+        if *slot == UNPLACED {
+            *slot = traced.len() as u32;
+            traced.push((k, INFINITE));
+        }
+        let at = *slot as usize;
+        // An entry already left of `i` was placed for an earlier transit:
+        // `k` repeats on this path (or follows an id beyond the table).
+        if at <= i {
+            continue;
+        }
+        traced.swap(i, at);
+        for moved in [i, at] {
+            if let Some(&(id, _)) = traced.get(moved) {
+                if let Some(slot) = position.get_mut(id as usize) {
+                    *slot = moved as u32;
+                }
+            }
+        }
+    }
+    for &(id, _) in traced.iter() {
+        if let Some(slot) = position.get_mut(id as usize) {
+            *slot = UNPLACED;
+        }
+    }
 }
 
 /// Stores `new` in `traced` as the value last traced for transit `k`, which
@@ -121,6 +170,7 @@ impl UpdateTracer {
             price_relaxations: telemetry.counter(metric::PRICE_RELAXATIONS),
             bound: n,
             shadow: Vec::new(),
+            position: vec![UNPLACED; n],
             events: Vec::new(),
             telemetry: telemetry.clone(),
         }
@@ -141,6 +191,7 @@ impl UpdateTracer {
             return;
         };
         let events = &mut self.events;
+        let position = self.position.as_mut_slice();
         events.clear();
         let (mut selected, mut withdrawn) = (0u64, 0u64);
         for ad in &update.advertisements {
@@ -166,6 +217,9 @@ impl UpdateTracer {
                     path_cost,
                     prices,
                 } => {
+                    // Transit nodes are path[1..len-1], in path order —
+                    // the same order the price array uses.
+                    let transits = path.get(1..path.len().saturating_sub(1)).unwrap_or(&[]);
                     if route.as_ref() != Some(path) {
                         *route = Some(path.clone());
                         selected += 1;
@@ -176,12 +230,9 @@ impl UpdateTracer {
                             hops: path.len() as u32,
                             path_cost: cost_raw(*path_cost),
                         });
+                        realign(traced, transits, position);
                     }
-                    // Transit nodes are path[1..len-1], in path order —
-                    // the same order the price array uses.
-                    let transits = path.get(1..path.len().saturating_sub(1)).unwrap_or(&[]);
                     let priced = transits.iter().zip(prices);
-                    traced.reserve(priced.len().saturating_sub(traced.len()));
                     for (index, (entry, price)) in priced.enumerate() {
                         let (k, new) = (entry.node.raw(), cost_raw(*price));
                         if let Some(old) = relax(traced, index, k, new) {

@@ -516,7 +516,7 @@ fn assert_same_state(dense: &RouteSelector, oracle: &MapSelector) -> Result<(), 
             dense.route_cost(x),
             oracle.table.get(&x).map_or(Cost::INFINITE, |r| r.cost)
         );
-        let row: Vec<_> = dense.rib_for(x).map(|(a, i)| (a, i.clone())).collect();
+        let row: Vec<_> = dense.rib_for(x).map(|(a, v)| (a, v.to_info())).collect();
         prop_assert_eq!(row, oracle.rib_for(x), "rib_for {}", x);
         prop_assert_eq!(dense.has_neighbor(x), oracle.rib_in.contains_key(&x));
         prop_assert_eq!(
@@ -534,7 +534,13 @@ fn assert_same_state(dense: &RouteSelector, oracle: &MapSelector) -> Result<(), 
         );
         for y in probes() {
             let known = oracle.rib_in.get(&x).and_then(|r| r.get(&y));
-            prop_assert_eq!(dense.rib(x, y), known, "rib {} {}", x, y);
+            prop_assert_eq!(
+                dense.rib(x, y).map(|v| v.to_info()),
+                known.cloned(),
+                "rib {} {}",
+                x,
+                y
+            );
         }
     }
     Ok(())
@@ -684,7 +690,7 @@ fn link_up_in_the_middle_keeps_other_columns_intact() {
         .iter()
         .map(|&d| {
             s.rib_for(d)
-                .map(|(a, i)| (a, i.clone()))
+                .map(|(a, v)| (a, v.to_info()))
                 .collect::<Vec<_>>()
         })
         .collect();
@@ -697,7 +703,7 @@ fn link_up_in_the_middle_keeps_other_columns_intact() {
         .iter()
         .map(|&d| {
             s.rib_for(d)
-                .map(|(a, i)| (a, i.clone()))
+                .map(|(a, v)| (a, v.to_info()))
                 .collect::<Vec<_>>()
         })
         .collect();
@@ -753,8 +759,7 @@ fn link_down_of_a_middle_slot_then_up_again() {
     assert_eq!(s.neighbors().collect::<Vec<_>>(), all);
     assert!(s.rib_destinations(AsId::new(3)).is_empty());
     assert_eq!(
-        s.rib(AsId::new(5), AsId::new(9))
-            .and_then(RouteInfo::path_cost),
+        s.rib(AsId::new(5), AsId::new(9)).map(|view| view.path_cost),
         Some(Cost::ZERO)
     );
     assert!(s.decide_all().is_empty(), "nothing new to select from");

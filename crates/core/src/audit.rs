@@ -51,8 +51,8 @@
 
 use crate::pricing_node::PricingBgpNode;
 use bgpvcg_bgp::{
-    Accusation, LocalEvent, ProtocolNode, RouteAdvertisement, RouteInfo, SelectedRoute,
-    TopologyEvent, Update, WireAuditor, WireFinding,
+    Accusation, LocalEvent, PriceSlab, ProtocolNode, RibCell, RouteAdvertisement, RouteInfo,
+    RouteView, SelectedRoute, TopologyEvent, Update, WireAuditor, WireFinding,
 };
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use std::collections::{BTreeMap, BTreeSet};
@@ -207,18 +207,30 @@ pub fn audit_network(graph: &AsGraph, nodes: &[PricingBgpNode]) -> Vec<AuditFind
 /// entry for it — `route` with its price row `prices` — or, where the
 /// sender has no route, nothing. Compared in place: an agreeing view costs
 /// no allocation.
-fn holds(view: Option<&RouteInfo>, route: Option<&SelectedRoute>, prices: &[Cost]) -> bool {
+fn holds(view: Option<RouteView<'_>>, route: Option<&SelectedRoute>, prices: &[Cost]) -> bool {
     match (view, route) {
         (None, None) => true,
-        (
-            Some(RouteInfo::Reachable {
-                path,
-                path_cost,
-                prices: heard,
-            }),
-            Some(route),
-        ) => *path == route.path && *path_cost == route.cost && heard == prices,
+        (Some(view), Some(route)) => {
+            *view.path == route.path && view.path_cost == route.cost && view.prices == prices
+        }
         _ => false,
+    }
+}
+
+/// What one neighbor has cumulatively heard from one sender: a retained
+/// route per destination, kept by the receiver's own rule
+/// ([`RouteInfo::fold`]), with the price arrays in one slab.
+#[derive(Debug, Clone, Default)]
+struct LinkView {
+    cells: BTreeMap<AsId, Option<RibCell>>,
+    prices: PriceSlab,
+}
+
+impl LinkView {
+    /// The route heard for `dest`, if any.
+    fn get(&self, dest: AsId) -> Option<RouteView<'_>> {
+        let cell = self.cells.get(&dest)?.as_ref()?;
+        Some(cell.view(&self.prices))
     }
 }
 
@@ -280,7 +292,7 @@ pub struct OnlineAuditor {
     /// `links[f][t]`: what neighbor `t` has cumulatively heard from `f`,
     /// per destination (pruned when `f` stops sending to `t`). Sender-major,
     /// so a sender's views are its neighbors', in ascending order.
-    links: Vec<BTreeMap<AsId, BTreeMap<AsId, Option<RouteInfo>>>>,
+    links: Vec<BTreeMap<AsId, LinkView>>,
     /// (sender, destination) pairs whose wire state changed this stage —
     /// the only pairs `end_stage` needs to re-check.
     touched: BTreeSet<(AsId, AsId)>,
@@ -305,7 +317,10 @@ impl WireAuditor for OnlineAuditor {
         let link = self.links[from.index()].entry(to).or_default();
         for ad in &update.advertisements {
             self.touched.insert((from, ad.destination));
-            ad.info.fold(link.entry(ad.destination).or_default());
+            let cell = link.cells.entry(ad.destination).or_default();
+            if ad.info.fold(cell, &mut link.prices) {
+                link.prices.tidy(link.cells.values_mut().flatten());
+            }
         }
     }
 
@@ -348,19 +363,20 @@ impl WireAuditor for OnlineAuditor {
             // `sender` must agree with the shadow's table — and with each
             // other (a node cannot tell different neighbors different
             // stories, even stories that are each individually plausible).
-            let views: Vec<Option<&RouteInfo>> = self.links[sender.index()]
+            let views: Vec<Option<RouteView<'_>>> = self.links[sender.index()]
                 .values()
-                .map(|link| link.get(&dest).and_then(Option::as_ref))
+                .map(|link| link.get(dest))
                 .collect();
             let divergent = views.iter().find(|view| !holds(**view, route, prices));
             let equivocation = views.windows(2).any(|pair| pair[0] != pair[1]);
             if divergent.is_none() && !equivocation {
                 continue;
             }
-            let advertised = match divergent {
-                Some(view) => view.cloned(),
-                None => views.first().copied().flatten().cloned(),
-            };
+            let advertised = divergent
+                .or(views.first())
+                .copied()
+                .flatten()
+                .map(|view| view.to_info());
             let expected = route.map(|route| RouteInfo::Reachable {
                 path: route.path.clone(),
                 path_cost: route.cost,

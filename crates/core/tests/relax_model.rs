@@ -23,7 +23,7 @@
 
 use bgpvcg_bgp::{
     LocalEvent, Node, PathEntry, PricePolicy, ProtocolNode, RouteAdvertisement, RouteInfo,
-    SharedPath, Update,
+    RouteView, SharedPath, Update,
 };
 use bgpvcg_core::neighbor_costs::{Margins, NeighborCostGraph};
 use bgpvcg_core::Fpss;
@@ -44,18 +44,15 @@ fn relaxed<P: PricePolicy>(node: &Node<P>, dest: AsId) -> Vec<Cost> {
     let my_route_cost = selector.route_cost(dest);
     let mut arr = vec![Cost::INFINITE; transit.len()];
     for (a, info) in selector.rib_for(dest) {
-        let RouteInfo::Reachable {
+        let RouteView {
             path: a_path,
             path_cost: a_route_cost,
             prices: a_prices,
-        } = info
-        else {
-            continue;
-        };
+        } = info;
         let Some(a_charges) = P::charged_by(selector, a, a_path) else {
             continue;
         };
-        let Some(shift) = (a_charges + *a_route_cost).checked_sub(my_route_cost) else {
+        let Some(shift) = (a_charges + a_route_cost).checked_sub(my_route_cost) else {
             continue;
         };
         for (k_entry, cell) in transit.iter().zip(arr.iter_mut()) {
@@ -242,7 +239,7 @@ fn advertisement<P: PricePolicy>(spec: &AdSpec, from: AsId, node: &Node<P>) -> R
         } => {
             let dest = AsId::new(*dest);
             let hash = match node.selector().rib(from, dest) {
-                Some(RouteInfo::Reachable { path, .. }) if *fresh => path.hash64(),
+                Some(view) if *fresh => view.path.hash64(),
                 _ => 0xdead_beef,
             };
             let entries = entries

@@ -20,10 +20,11 @@
 //!    hot-path bodies listed in [`STAGE_ALLOC_SCOPES`]: the shared stage
 //!    engine's stage body, handle pass and send path under both
 //!    transports, the wire-v2 encode path, the profiler brackets, the
-//!    per-node step (selector ingest/decide, the node's `handle` and
+//!    per-node step (selector ingest/decide, the fold that keeps each
+//!    advertisement and the price slab it writes, the node's `handle` and
 //!    relaxation with the policy terms it evaluates, the per-destination
 //!    advertise body and the update it fills), the observer (the instrument bundle's per-update calls,
-//!    the update tracer's shadow diff, the health monitor's fold), whose
+//!    the update tracer's shadow diff and realignment, the health monitor's fold), whose
 //!    buffers are reused by design, and the per-pair loops that build the
 //!    mechanism's output table. A listed file or function that no longer
 //!    exists is itself a violation: a rename must not leave the rule
@@ -373,6 +374,21 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
         "crates/bgp/src/selector.rs",
         &["ingest", "ingest_flagged", "update_rib", "decide"],
     ),
+    // What a receiver keeps: the fold, and the slab holding the retained
+    // price arrays (its one growth allocation, compaction, is annotated).
+    ("crates/bgp/src/message.rs", &["fold"]),
+    (
+        "crates/bgp/src/rib.rs",
+        &[
+            "get",
+            "get_mut",
+            "put",
+            "release",
+            "tidy",
+            "tidy_spans",
+            "view",
+        ],
+    ),
     (
         "crates/bgp/src/node.rs",
         &[
@@ -399,6 +415,7 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
         "crates/bgp/src/telemetry.rs",
         &[
             "observe_update",
+            "realign",
             "account",
             "trace_update",
             "enter",

@@ -34,6 +34,31 @@ impl UpdateTracer {
     }
 }
 
+/// Moves each of `transits`' entries of `traced` to its index through the
+/// reused `position` table, adding the missing ones.
+pub fn realign(traced: &mut Vec<u64>, transits: &[u64], position: &mut [u32]) {
+    for (at, &id) in (0u32..).zip(traced.iter()) {
+        if let Some(slot) = position.get_mut(id as usize) {
+            *slot = at;
+        }
+    }
+    for (i, &k) in transits.iter().enumerate() {
+        let Some(&at) = position.get(k as usize) else {
+            continue;
+        };
+        if at == u32::MAX {
+            traced.push(k);
+        } else if (at as usize) > i {
+            traced.swap(i, at as usize);
+        }
+    }
+    for &id in traced.iter() {
+        if let Some(slot) = position.get_mut(id as usize) {
+            *slot = u32::MAX;
+        }
+    }
+}
+
 /// The instrument bundle: counters and a reused event buffer, touched once
 /// per update without allocating.
 #[derive(Debug)]

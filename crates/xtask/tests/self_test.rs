@@ -339,6 +339,51 @@ fn an_allocation_in_the_advertise_body_is_flagged() {
 }
 
 #[test]
+fn an_allocation_in_the_price_slab_is_flagged_and_its_growth_is_not() {
+    // What a receiver keeps is on the stage path: the slab's writes must
+    // reuse its buffer, and its one growth allocation — the compacted
+    // buffer — passes only because it carries a reason.
+    let path = "crates/bgp/src/rib.rs";
+    let untouched = fs::read_to_string(fixture_root("good").join(path)).expect("fixture source");
+    let relexed = |source: &str| {
+        let mut corpus = load("good");
+        let at = corpus
+            .files
+            .iter()
+            .position(|f| f.rel_path.ends_with(path))
+            .expect("good corpus has rib.rs");
+        corpus.files[at].lexed = lexer::lex(source);
+        corpus.raws[at] = source.lines().map(str::to_string).collect();
+        corpus.trees[at] = parser::parse(&corpus.files[at].lexed);
+        all_violations(&corpus, &[])
+    };
+    let named = |violations: &[Violation], hot: &str| {
+        violations.iter().any(|v| {
+            v.rule == "stage-alloc"
+                && v.file.ends_with(path)
+                && v.message.contains(&format!("hot path `{hot}`"))
+        })
+    };
+    assert!(relexed(&untouched).is_empty(), "the good slab is clean");
+    let body = "pub fn put(&mut self, span: &mut Span, values: &[u64]) {\n";
+    assert!(untouched.contains(body), "the good fixture's put body");
+    let planted = untouched.replace(
+        body,
+        &format!("{body}        let _copy = values.to_vec();\n"),
+    );
+    assert!(named(&relexed(&planted), "put"));
+    let reason = "        // lint:allow(growth: the compacted slab, one allocation per quarter of it gone dead)\n";
+    assert!(
+        untouched.contains(reason),
+        "the good fixture's growth reason"
+    );
+    assert!(named(
+        &relexed(&untouched.replace(reason, "")),
+        "tidy_spans"
+    ));
+}
+
+#[test]
 fn unenumerated_vendored_unsafe_is_flagged() {
     let corpus = load("good");
     let vendor = [rules::VendorCrate {

@@ -79,7 +79,7 @@ fn tamper(kind: &str, ads: &mut Vec<RouteAdvertisement>, rng: &mut StdRng) -> bo
                     if path.len() >= 3 {
                         // Claim a direct-ish route by deleting a transit hop.
                         // Shared paths are immutable: rebuild without it.
-                        let mut entries = path.to_vec();
+                        let mut entries: Vec<_> = path.iter().collect();
                         entries.remove(1);
                         *path = entries.into();
                         prices.clear();

@@ -405,7 +405,7 @@ mod tests {
         let inf = update_with(vec![RouteAdvertisement {
             destination: AsId::new(3),
             info: RouteInfo::Reachable {
-                path: reachable(3, 5, &[]).info.path().unwrap().to_vec().into(),
+                path: reachable(3, 5, &[]).info.path().unwrap().iter().collect(),
                 path_cost: Cost::new(5),
                 prices: vec![Cost::INFINITE],
             },

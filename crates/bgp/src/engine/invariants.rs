@@ -5,8 +5,6 @@
 //! (every `cargo test`) runs them and release builds compile them to
 //! nothing. `cargo xtask audit` verifies that the hooks stay wired in.
 
-use crate::message::PathEntry;
-
 /// Audits the bookkeeping of one run of the shared run loop, given the
 /// stage clock at the last table change and at the run's end, and the
 /// clock value the run was limited to.
@@ -36,17 +34,17 @@ pub(crate) fn convergence(changed: u64, stage: u64, limit: u64, converged: bool)
 }
 
 /// Audits one relaxation pass of [`crate::Node`], whatever the cost model:
-/// the relaxed array (prices or margins) aligns one-to-one with the route's
-/// transit nodes.
+/// the relaxed array (prices or margins) aligns one-to-one with the
+/// `transit` nodes of the route.
 ///
 /// Deliberately *not* checked here: `p^k ≥ c_k`. That holds at convergence
 /// (`bgpvcg-core` audits it on extraction) but not per pass — during
 /// reconvergence after a cost change, a neighbor's price array grounded in
 /// the old declared cost can legally sit below the restamped `c_k` until
 /// relaxation flushes it.
-pub(crate) fn relaxation_step<T>(transit: &[PathEntry], relaxed: &[T]) {
+pub(crate) fn relaxation_step<T>(transit: usize, relaxed: &[T]) {
     debug_assert_eq!(
-        transit.len(),
+        transit,
         relaxed.len(),
         "relaxed array must align with the route's transit nodes"
     );

@@ -7,7 +7,7 @@
 //! of the relaxation bound (the pricing models of `bgpvcg-core`).
 
 use crate::dynamics::LocalEvent;
-use crate::message::{PathEntry, RouteAdvertisement, RouteInfo, Update};
+use crate::message::{PathEntry, RouteAdvertisement, RouteInfo, SharedPath, Update};
 use crate::rib::{PriceSlab, RouteView, Span};
 use crate::selector::RouteSelector;
 use crate::stats::StateSnapshot;
@@ -86,6 +86,19 @@ thread_local! {
 /// The stamp of a transit node no neighbor's path has held yet.
 const UNSTAMPED: u32 = u32::MAX;
 
+/// One transit node of the route [`Node::relax`] relaxes.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// The node's entry on the route.
+    entry: PathEntry,
+    /// [`SharedPath::node_key`] of the route's suffix that starts there.
+    suffix: usize,
+    /// The bound so far.
+    bound: Cost,
+    /// The ordinal of the last neighbor whose path holds the node.
+    stamp: u32,
+}
+
 /// Lowers `bound` to `to` if that is smaller. Most bounds offered do not
 /// improve on the one held, so the store is skipped for them: one slot is
 /// lowered by every neighbor in turn, and an unconditional store would
@@ -93,6 +106,18 @@ const UNSTAMPED: u32 = u32::MAX;
 fn lower(bound: &mut Cost, to: Cost) {
     if to < *bound {
         *bound = to;
+    }
+}
+
+impl fmt::Debug for Slot {
+    /// Everything but the suffix key: an address, which differs from run
+    /// to run and means nothing outside the pass that took it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Slot")
+            .field("entry", &self.entry)
+            .field("bound", &self.bound)
+            .field("stamp", &self.stamp)
+            .finish_non_exhaustive()
     }
 }
 
@@ -140,7 +165,7 @@ pub trait PricePolicy: fmt::Debug + Clone + Send + 'static {
     /// `c_a`: what neighbor `a` charges for a transit packet this node
     /// hands it, given the path `a` advertised. `None` when that is not
     /// known yet, and `a` then offers no bound.
-    fn charged_by(_selector: &RouteSelector, _a: AsId, a_path: &[PathEntry]) -> Option<Cost> {
+    fn charged_by(_selector: &RouteSelector, _a: AsId, a_path: &SharedPath) -> Option<Cost> {
         a_path.first().map(|entry| entry.cost)
     }
 
@@ -212,10 +237,9 @@ pub struct Node<P: PricePolicy> {
     /// `ingest` it holds each destination's position in `dirty`; inside
     /// `relax`, each transit node's position on the route relaxed.
     mark: Vec<u32>,
-    /// What `relax` relaxes into, reused across calls: per transit node of
-    /// the route, its bound so far and the ordinal of the last neighbor
-    /// whose path holds it.
-    scratch: Vec<(Cost, u32)>,
+    /// What `relax` relaxes into, reused across calls: one slot per
+    /// transit node of the route.
+    scratch: Vec<Slot>,
     /// This node's declared receive-cost vector over its live links,
     /// attached to every UPDATE (empty in the paper's base model).
     sender_costs: Vec<(AsId, Cost)>,
@@ -298,10 +322,9 @@ impl<P: PricePolicy> Node<P> {
     /// route without transit nodes.
     pub fn price(&self, dest: AsId, k: AsId) -> Option<Cost> {
         let path = &self.selector.selected(dest)?.path;
-        let transit = path.get(1..path.len().checked_sub(1)?)?;
-        let mut entries = transit.iter().zip(self.price_row(dest));
+        let mut entries = path.transit().zip(self.price_row(dest));
         let (entry, &stored) = entries.find(|(entry, _)| entry.node == k)?;
-        Some(P::price(entry, stored))
+        Some(P::price(&entry, stored))
     }
 
     /// The stored entries for `dest`, aligned with the selected route's
@@ -357,26 +380,31 @@ impl<P: PricePolicy> Node<P> {
         };
         let own = self.selector.id();
         let route = self.selector.selected(dest).filter(|_| dest != own);
-        let transit: &[PathEntry] = route.map_or(&[], |route| &route.path[1..route.path.len() - 1]);
-        if transit.is_empty() {
+        let Some(path) = route.map(|route| &route.path).filter(|path| path.len() > 2) else {
             // Own destination, no route, or a route without transit nodes.
             if span.len() == 0 {
                 return Relaxed::Same;
             }
             self.prices.release(std::mem::take(span));
             return Relaxed::Moved;
-        }
+        };
+        let transit_len = path.len() - 2;
         let my_route_cost = self.selector.route_cost(dest);
+        let unbounded = Slot {
+            entry: PathEntry {
+                node: own,
+                cost: Cost::ZERO,
+            },
+            suffix: 0,
+            bound: Cost::INFINITE,
+            stamp: UNSTAMPED,
+        };
         self.scratch.clear();
-        self.scratch
-            .resize(transit.len(), (Cost::INFINITE, UNSTAMPED));
+        self.scratch.resize(transit_len, unbounded);
         let slots = self.scratch.as_mut_slice();
         let position = self.mark.as_mut_slice();
-        for (slot, k_entry) in (0u32..).zip(transit) {
-            if let Some(cell) = position.get_mut(k_entry.node.index()) {
-                *cell = slot;
-            }
-        }
+        // Whether `slots` hold our transit yet, and `position` places it.
+        let mut walked = false;
 
         // The paper states its relaxation as four cases by the neighbor's
         // position in the tree T(j) — parent (i), child (ii), unrelated
@@ -420,43 +448,106 @@ impl<P: PricePolicy> Node<P> {
             let Some(shift) = (a_charges + a_route_cost).checked_sub(my_route_cost) else {
                 continue;
             };
+            // Routes to one destination share their tails (`T(j)` is a
+            // tree), and two neighbors are placed by their tails alone, with
+            // no path walked. One whose path continues as our next hop's
+            // does — the next hop itself, or a sibling through the same
+            // node — holds our slot `m + 1` at its price index `m`, and of
+            // our slot 0, the next hop, only when it is that neighbor. One
+            // whose path continues as our whole route — it routes through
+            // us — holds our slot `m` at its index `m + 1`, and every slot.
+            let hop = path.rest();
+            let a_tail = a_path.rest();
+            let continues = |ours: Option<&SharedPath>| {
+                a_tail
+                    .zip(ours)
+                    .is_some_and(|(a_tail, ours)| a_tail.same_node(ours))
+            };
+            if continues(hop.and_then(SharedPath::rest)) {
+                for (slot, &p) in slots.iter_mut().skip(1).zip(a_prices) {
+                    lower(&mut slot.bound, p + shift);
+                }
+                let next_hop = hop.and_then(SharedPath::first);
+                if let (Some(slot), Some(k_entry)) = (slots.first_mut(), next_hop) {
+                    if k_entry.node != a {
+                        lower(&mut slot.bound, P::detour_base(&k_entry) + shift);
+                    }
+                }
+                continue;
+            }
+            if continues(Some(path)) {
+                for (slot, &p) in slots.iter_mut().zip(a_prices.iter().skip(1)) {
+                    lower(&mut slot.bound, p + shift);
+                }
+                continue;
+            }
+            // Any other neighbor is matched by AS: our transit, copied out
+            // of the path once for all of them.
+            if !walked {
+                walked = true;
+                for (slot, suffix) in slots.iter_mut().zip(path.suffixes().skip(1)) {
+                    slot.entry = suffix.first().unwrap_or(slot.entry);
+                    slot.suffix = suffix.node_key();
+                }
+                for (at, slot) in (0u32..).zip(slots.iter()) {
+                    if let Some(cell) = position.get_mut(slot.entry.node.index()) {
+                        *cell = at;
+                    }
+                }
+            }
             // Cases (i)/(ii)/(iii): k is a transit node of a's advertised
             // path, whose array bounds the cost of a's best k-avoiding
             // path. Well-formed paths are simple, so each k is met at most
             // once, and never at position 0 (k == a).
-            let interior = a_path.get(1..a_path.len().saturating_sub(1));
-            for (at, entry) in (1..).zip(interior.unwrap_or_default()) {
-                let placed = position.get(entry.node.index());
+            let interior = a_path.suffixes().skip(1);
+            for (at, suffix) in (1..).zip(interior.take(a_path.len().saturating_sub(2))) {
+                let Some(entry) = suffix.first() else {
+                    break;
+                };
                 // A node that is not transit on our route reads NOT_DIRTY,
                 // which is no slot.
-                let Some((bound, stamp)) = placed.and_then(|&slot| slots.get_mut(slot as usize))
-                else {
+                let Some(&placed) = position.get(entry.node.index()) else {
                     continue;
                 };
-                *stamp = ordinal;
-                // An array shorter than its path bounds nothing here.
-                if let Some(&p) = a_prices.get(at - 1) {
-                    lower(bound, p + shift);
+                let Some(shared) = slots.get_mut(placed as usize..) else {
+                    continue;
+                };
+                // Where a's path reaches a node of ours, the rest is ours
+                // too (`T(j)` is a tree): its entries are our slots from
+                // here on, in order, and need no walk.
+                let tail = match shared.first() {
+                    Some(slot) if slot.suffix == suffix.node_key() => shared.len(),
+                    _ => 1,
+                };
+                for (step, slot) in shared.iter_mut().take(tail).enumerate() {
+                    slot.stamp = ordinal;
+                    // An array shorter than its path bounds nothing here.
+                    if let Some(&p) = a_prices.get(at - 1 + step) {
+                        lower(&mut slot.bound, p + shift);
+                    }
+                }
+                if tail > 1 {
+                    break;
                 }
             }
             // Case (iv): k is not on a's path at all, so that path
             // extended by the link i–a is itself k-avoiding. Excluded: the
             // link i–a is never on a k-avoiding path when a IS k, so that
             // neighbor offers no bound for k.
-            for (k_entry, (bound, stamp)) in transit.iter().zip(slots.iter_mut()) {
-                if *stamp != ordinal && k_entry.node != a {
-                    lower(bound, P::detour_base(k_entry) + shift);
+            for slot in slots.iter_mut() {
+                if slot.stamp != ordinal && slot.entry.node != a {
+                    lower(&mut slot.bound, P::detour_base(&slot.entry) + shift);
                 }
             }
         }
-        for k_entry in transit {
-            if let Some(cell) = position.get_mut(k_entry.node.index()) {
+        for slot in slots.iter().filter(|_| walked) {
+            if let Some(cell) = position.get_mut(slot.entry.node.index()) {
                 *cell = NOT_DIRTY;
             }
         }
 
-        crate::engine::invariants::relaxation_step(transit, slots);
-        let relaxed = slots.iter().map(|&(bound, _)| bound);
+        crate::engine::invariants::relaxation_step(transit_len, slots);
+        let relaxed = slots.iter().map(|slot| slot.bound);
         if span.len() != slots.len() {
             // A re-route changed the transit count: the neighbors get the
             // whole row.

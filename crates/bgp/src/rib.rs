@@ -5,9 +5,9 @@
 //! back to back in a [`PriceSlab`] that the cells' owner holds — one per
 //! four destinations of a [`RouteSelector`](crate::RouteSelector), one per
 //! node for its own prices, one per link view of the online auditor. A cell
-//! is 40 bytes and owns no heap block of its own, so a priced route costs
-//! its price entries and nothing else: no vector header in the cell, no
-//! allocation per route.
+//! is 24 bytes — a thin path handle, the path cost and a span — and owns no
+//! heap block of its own, so a priced route costs its price entries and
+//! nothing else: no vector header in the cell, no allocation per route.
 
 use crate::message::{RouteInfo, SharedPath};
 use bgpvcg_netgraph::Cost;
@@ -97,7 +97,7 @@ impl PriceSlab {
         if end >= DOUBLING_BELOW && self.prices.capacity() - end < len {
             self.prices.reserve_exact(len.max(end / 8));
         }
-        // Offsets are `u32` to keep the cell at 40 bytes; 2^32 prices would
+        // Offsets are `u32` to keep the cell at 24 bytes; 2^32 prices would
         // be 32 GiB in one slab.
         assert!(
             end + len <= u32::MAX as usize,
@@ -174,9 +174,11 @@ pub struct RibCell {
     pub(crate) prices: Span,
 }
 
-// The Rib-In holds `deg · n` of these per node: keep the cell at five
-// words, the `SharedPath` providing the `Option` niche.
-const _: () = assert!(std::mem::size_of::<Option<RibCell>>() <= 40);
+// The Rib-In holds `deg · n` of these per node: keep the cell at three
+// words, the thin `SharedPath` providing the `Option` niche. A node's table
+// holds `n` selected routes, each a path handle and its cost.
+const _: () = assert!(std::mem::size_of::<Option<RibCell>>() <= 24);
+const _: () = assert!(std::mem::size_of::<Option<crate::SelectedRoute>>() <= 16);
 
 impl RibCell {
     /// The retained route, its prices read from `slab`, the slab this

@@ -87,6 +87,11 @@ struct ShadowCell {
     /// change; kept in the order of the last traced path, so the price at
     /// index `i` of an unchanged path is found at position `i`.
     prices: Vec<(u32, u64)>,
+    /// Whether position `i` of `prices` holds the route's transit node `i`
+    /// for every transit node — true for every simple path of in-range
+    /// ids — so a price index names its transit without a walk of the
+    /// path.
+    aligned: bool,
 }
 
 /// `position` value of an AS that is not in the list being realigned.
@@ -97,16 +102,23 @@ const UNPLACED: u32 = u32::MAX;
 /// traced yet is added at `∞`, so [`relax`] finds every entry of this path —
 /// and of the deltas that follow on it — where it looks first. One pass over
 /// the list and one over the path, through `position`; an id beyond that
-/// table is left where it is, for `relax` to search.
-fn realign(traced: &mut Vec<(u32, u64)>, transits: &[PathEntry], position: &mut [u32]) {
+/// table is left where it is, for `relax` to search. Returns whether every
+/// transit ended at its price index.
+fn realign(
+    traced: &mut Vec<(u32, u64)>,
+    transits: impl Iterator<Item = PathEntry>,
+    position: &mut [u32],
+) -> bool {
+    let mut aligned = true;
     for (at, &(id, _)) in (0u32..).zip(traced.iter()) {
         if let Some(slot) = position.get_mut(id as usize) {
             *slot = at;
         }
     }
-    for (i, entry) in transits.iter().enumerate() {
+    for (i, entry) in transits.enumerate() {
         let k = entry.node.raw();
         let Some(slot) = position.get_mut(k as usize) else {
+            aligned = false;
             continue;
         };
         if *slot == UNPLACED {
@@ -116,6 +128,7 @@ fn realign(traced: &mut Vec<(u32, u64)>, transits: &[PathEntry], position: &mut 
         let at = *slot as usize;
         // An entry already left of `i` was placed for an earlier transit:
         // `k` repeats on this path (or follows an id beyond the table).
+        aligned &= at >= i;
         if at <= i {
             continue;
         }
@@ -133,6 +146,7 @@ fn realign(traced: &mut Vec<(u32, u64)>, transits: &[PathEntry], position: &mut 
             *slot = UNPLACED;
         }
     }
+    aligned
 }
 
 /// Stores `new` in `traced` as the value last traced for transit `k`, which
@@ -199,6 +213,7 @@ impl UpdateTracer {
             let Some(ShadowCell {
                 route,
                 prices: traced,
+                aligned,
             }) = dense_cell(row, dest, self.bound)
             else {
                 continue;
@@ -219,7 +234,6 @@ impl UpdateTracer {
                 } => {
                     // Transit nodes are path[1..len-1], in path order —
                     // the same order the price array uses.
-                    let transits = path.get(1..path.len().saturating_sub(1)).unwrap_or(&[]);
                     if route.as_ref() != Some(path) {
                         *route = Some(path.clone());
                         selected += 1;
@@ -230,11 +244,21 @@ impl UpdateTracer {
                             hops: path.len() as u32,
                             path_cost: cost_raw(*path_cost),
                         });
-                        realign(traced, transits, position);
+                        *aligned = realign(traced, path.transit(), position);
                     }
-                    let priced = transits.iter().zip(prices);
-                    for (index, (entry, price)) in priced.enumerate() {
-                        let (k, new) = (entry.node.raw(), cost_raw(*price));
+                    // The route's transit in order: read off the aligned
+                    // list, or off the path where repeats keep the list out
+                    // of order.
+                    let mut on_path = (!*aligned).then(|| path.transit());
+                    for (index, price) in prices.iter().enumerate() {
+                        let k = match on_path.as_mut() {
+                            Some(transits) => transits.next().map(|entry| entry.node.raw()),
+                            None => traced.get(index).map(|&(id, _)| id),
+                        };
+                        let Some(k) = k.filter(|_| index + 2 < path.len()) else {
+                            break;
+                        };
+                        let new = cost_raw(*price);
                         if let Some(old) = relax(traced, index, k, new) {
                             events.push(price_relaxed(k, old, new));
                         }
@@ -250,11 +274,31 @@ impl UpdateTracer {
                     let Some(route) = route.as_ref() else {
                         continue;
                     };
+                    let transit_len = route.len().saturating_sub(2);
+                    // Off the aligned list the path is walked; indices
+                    // ascend, so one walk finds them all, and one that goes
+                    // back starts the walk over. An index past the transit
+                    // names the destination, and storing its price there
+                    // can move a transit's entry: the list is no longer
+                    // aligned.
+                    let mut walk = route.iter().enumerate();
                     for &(index, price) in entries {
-                        let Some(transit) = route.get(usize::from(index) + 1) else {
-                            continue;
+                        let at = usize::from(index) + 1;
+                        let k = match traced.get(usize::from(index)) {
+                            Some(&(id, _)) if *aligned && at <= transit_len => id,
+                            _ => {
+                                *aligned = false;
+                                let found = walk.find(|&(i, _)| i == at).or_else(|| {
+                                    walk = route.iter().enumerate();
+                                    walk.find(|&(i, _)| i == at)
+                                });
+                                let Some((_, transit)) = found else {
+                                    continue;
+                                };
+                                transit.node.raw()
+                            }
                         };
-                        let (k, new) = (transit.node.raw(), cost_raw(price));
+                        let new = cost_raw(price);
                         if let Some(old) = relax(traced, usize::from(index), k, new) {
                             events.push(price_relaxed(k, old, new));
                         }

@@ -87,7 +87,7 @@ impl MapSelector {
         let id = self.id;
         let mut changed = BTreeSet::new();
         for (&dest, route) in self.table.iter_mut().filter(|(&dest, _)| dest != id) {
-            let mut entries = route.path.to_vec();
+            let mut entries: Vec<PathEntry> = route.path.iter().collect();
             entries[0].cost = cost;
             route.path = entries.into();
             changed.insert(dest);
@@ -198,14 +198,14 @@ impl MapSelector {
             let added = if *a == dest {
                 Cost::ZERO
             } else {
-                vector_cost.unwrap_or(path[0].cost)
+                vector_cost.unwrap_or(path.first().unwrap().cost)
             };
             let mut full_path = Vec::with_capacity(path.len() + 1);
             full_path.push(PathEntry {
                 node: self.id,
                 cost: self.declared_cost,
             });
-            full_path.extend_from_slice(path);
+            full_path.extend(path.iter());
             if vector_cost.is_some() {
                 full_path[1].cost = added;
             }
@@ -222,7 +222,9 @@ impl MapSelector {
             }
         }
         let changed = match (&best, self.table.get(&dest)) {
-            (Some((path, cost)), Some(old)) => *cost != old.cost || path[..] != old.path[..],
+            (Some((path, cost)), Some(old)) => {
+                *cost != old.cost || !path.iter().copied().eq(old.path.iter())
+            }
             (None, None) => false,
             _ => true,
         };

@@ -74,7 +74,7 @@ impl MapTracer {
                         });
                     }
                     if path.len() >= 3 {
-                        for (entry, price) in path[1..path.len() - 1].iter().zip(prices) {
+                        for (entry, price) in path.transit().zip(prices) {
                             let key = (node, dest, entry.node.raw());
                             self.relax(key, *price, stage);
                         }

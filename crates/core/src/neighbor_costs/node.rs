@@ -24,7 +24,7 @@ use crate::errors::MechanismError;
 use crate::outcome::RoutingOutcome;
 use crate::protocol::outcome_from_nodes;
 use bgpvcg_bgp::engine::{RunReport, SyncEngine};
-use bgpvcg_bgp::{Node, PathEntry, PricePolicy, RouteSelector};
+use bgpvcg_bgp::{Node, PathEntry, PricePolicy, RouteSelector, SharedPath};
 use bgpvcg_netgraph::{AsId, Cost};
 
 /// The per-neighbor (receive-side) cost model: what the node stores and
@@ -50,7 +50,7 @@ impl PricePolicy for Margins {
     }
 
     /// `c_a(i)`: `a`'s receive cost from us, from `a`'s advertised vector.
-    fn charged_by(selector: &RouteSelector, a: AsId, _a_path: &[PathEntry]) -> Option<Cost> {
+    fn charged_by(selector: &RouteSelector, a: AsId, _a_path: &SharedPath) -> Option<Cost> {
         selector.recv_cost_from(a)
     }
 

@@ -16,7 +16,9 @@
 //! price arrays shorter than their paths, bounds with a negative shift
 //! (paths through this node), our transit nodes in another order on a
 //! neighbor's path, price deltas against stale or missing bases, and
-//! withdrawals, interleaved with link events and restarts. A path that
+//! withdrawals, and paths that share their tail with this node's route —
+//! through it, through its next hop, through a node further along —
+//! interleaved with link events and restarts. A path that
 //! ends anywhere but its destination — the only way one of our transit
 //! nodes could be a neighbor's far endpoint — is malformed, and the
 //! selector drops it before either relaxation sees it.
@@ -37,9 +39,9 @@ use std::sync::Arc;
 /// route.
 fn relaxed<P: PricePolicy>(node: &Node<P>, dest: AsId) -> Vec<Cost> {
     let selector = node.selector();
-    let transit: &[PathEntry] = match selector.selected(dest) {
-        Some(route) if dest != selector.id() => &route.path[1..route.path.len() - 1],
-        _ => &[],
+    let transit: Vec<PathEntry> = match selector.selected(dest) {
+        Some(route) if dest != selector.id() => route.path.transit().collect(),
+        _ => Vec::new(),
     };
     let my_route_cost = selector.route_cost(dest);
     let mut arr = vec![Cost::INFINITE; transit.len()];
@@ -134,6 +136,17 @@ enum AdSpec {
     Withdraw {
         dest: u32,
     },
+    /// The sender in front of a suffix of this node's own route to `dest`,
+    /// sharing its nodes as routes to one destination do: `depth` 0 is the
+    /// whole route (the sender routes through this node), 1 the next hop's
+    /// path, 2 and on a sibling through a node further along.
+    Shared {
+        dest: u32,
+        depth: usize,
+        cost: u64,
+        path_cost: u64,
+        prices: Vec<u64>,
+    },
 }
 
 /// One UPDATE of an inbox.
@@ -196,7 +209,21 @@ fn ad_spec() -> impl Strategy<Value = AdSpec> {
             fresh,
         });
     let withdraw = id().prop_map(|dest| AdSpec::Withdraw { dest });
-    prop_oneof![6 => reach, 4 => delta, 1 => withdraw]
+    let shared = (
+        id(),
+        0usize..4,
+        0u64..6,
+        0u64..12,
+        proptest::collection::vec(0u64..20, 0..5),
+    )
+        .prop_map(|(dest, depth, cost, path_cost, prices)| AdSpec::Shared {
+            dest,
+            depth,
+            cost,
+            path_cost,
+            prices,
+        });
+    prop_oneof![6 => reach, 4 => delta, 1 => withdraw, 3 => shared]
 }
 
 fn update_spec() -> impl Strategy<Value = UpdateSpec> {
@@ -232,6 +259,35 @@ fn op() -> impl Strategy<Value = Op> {
 fn advertisement<P: PricePolicy>(spec: &AdSpec, from: AsId, node: &Node<P>) -> RouteAdvertisement {
     let (destination, info) = match spec {
         AdSpec::Withdraw { dest } => (AsId::new(*dest), RouteInfo::Withdrawn),
+        AdSpec::Shared {
+            dest,
+            depth,
+            cost,
+            path_cost,
+            prices,
+        } => {
+            let dest = AsId::new(*dest);
+            let route = node.selector().selected(dest);
+            let tail = route.and_then(|route| route.path.suffixes().nth(*depth));
+            let info = match tail {
+                Some(tail) => {
+                    let head = PathEntry {
+                        node: from,
+                        cost: Cost::new(*cost),
+                    };
+                    let path = SharedPath::cons(head, Some(tail.clone()));
+                    let mut prices: Vec<Cost> = prices.iter().map(|&p| Cost::new(p)).collect();
+                    prices.truncate(path.len().saturating_sub(2));
+                    RouteInfo::Reachable {
+                        path,
+                        path_cost: Cost::new(*path_cost),
+                        prices,
+                    }
+                }
+                None => RouteInfo::Withdrawn,
+            };
+            (dest, info)
+        }
         AdSpec::Delta {
             dest,
             entries,
@@ -319,9 +375,9 @@ fn assert_consistent<P: PricePolicy>(node: &Node<P>) -> Result<(), TestCaseError
     prop_assert_eq!(fresh.decide_all(), Vec::<AsId>::new(), "stale selection");
     for dest in probes() {
         let expected = relaxed(node, dest);
-        let transit = match node.selector().selected(dest) {
-            Some(route) if dest != ME => &route.path[1..route.path.len() - 1],
-            _ => &[][..],
+        let transit: Vec<PathEntry> = match node.selector().selected(dest) {
+            Some(route) if dest != ME => route.path.transit().collect(),
+            _ => Vec::new(),
         };
         for (k_entry, &stored) in transit.iter().zip(&expected) {
             prop_assert_eq!(

@@ -20,7 +20,8 @@
 //!    hot-path bodies listed in [`STAGE_ALLOC_SCOPES`]: the shared stage
 //!    engine's stage body, handle pass and send path under both
 //!    transports, the wire-v2 encode path, the profiler brackets, the
-//!    per-node step (selector ingest/decide, the fold that keeps each
+//!    per-node step (selector ingest/decide and the cost restamp, the one
+//!    path node a selection prepends, the fold that keeps each
 //!    advertisement and the price slab it writes, the node's `handle` and
 //!    relaxation with the policy terms it evaluates, the per-destination
 //!    advertise body and the update it fills), the observer (the instrument bundle's per-update calls,
@@ -372,11 +373,19 @@ pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/bgp/src/selector.rs",
-        &["ingest", "ingest_flagged", "update_rib", "decide"],
+        &[
+            "ingest",
+            "ingest_flagged",
+            "update_rib",
+            "decide",
+            "set_declared_cost",
+        ],
     ),
     // What a receiver keeps: the fold, and the slab holding the retained
     // price arrays (its one growth allocation, compaction, is annotated).
-    ("crates/bgp/src/message.rs", &["fold"]),
+    // A selection's one allocation is the path node it prepends, made in
+    // `SharedPath::alloc` alone (annotated).
+    ("crates/bgp/src/message.rs", &["fold", "alloc"]),
     (
         "crates/bgp/src/rib.rs",
         &[
@@ -467,6 +476,10 @@ const STAGE_ALLOC_TOKENS: &[(&str, &str)] = &[
     (
         ".collect::<",
         "collecting allocates — fill a reused buffer, or name the output it builds",
+    ),
+    (
+        "Arc::new(",
+        "a new Arc is a heap block — share an existing handle, or name the output it builds",
     ),
 ];
 
@@ -869,6 +882,10 @@ mod tests {
                 "crates/core/src/outcome.rs",
                 "fn push(&mut self) {\n    let route = nodes.to_vec();\n}",
             ),
+            (
+                "crates/bgp/src/message.rs",
+                "fn alloc(node: N) -> P {\n    SharedPath(Arc::new(node))\n}",
+            ),
         ];
         for (path, src) in cases {
             let out = stage_alloc(&[(path, src)]);
@@ -890,7 +907,8 @@ mod tests {
         let files = vec![file(
             "crates/bgp/src/selector.rs",
             "fn ingest(&mut self) {}\nfn ingest_flagged(&mut self) {}\n\
-             fn update_rib(&mut self) {}\nfn choose(&mut self) {}",
+             fn update_rib(&mut self) {}\nfn choose(&mut self) {}\n\
+             fn set_declared_cost(&mut self) {}",
         )];
         let trees = trees(&files);
         let mut out = Vec::new();

@@ -1,5 +1,8 @@
-//! Fixture: wire vocabulary, fully covered by the golden suite, and the
-//! one rule for what a receiver keeps of it.
+//! Fixture: wire vocabulary, fully covered by the golden suite, the one
+//! rule for what a receiver keeps of it, and the one place a path node is
+//! allocated.
+
+use std::sync::Arc;
 
 /// A BGP wire message.
 #[derive(Debug)]
@@ -20,5 +23,20 @@ impl Message {
         let changed = *cell != next;
         *cell = next;
         changed
+    }
+}
+
+/// A path: its first AS, and the path it extends.
+#[derive(Debug)]
+pub struct SharedPath {
+    head: u32,
+    rest: Option<Arc<SharedPath>>,
+}
+
+impl SharedPath {
+    /// `head` in front of `rest`, sharing it.
+    pub fn alloc(head: u32, rest: Option<Arc<SharedPath>>) -> Arc<SharedPath> {
+        // lint:allow(output: one path node per route change)
+        Arc::new(SharedPath { head, rest })
     }
 }

@@ -338,6 +338,31 @@ fn an_allocation_in_the_advertise_body_is_flagged() {
     assert!(!named(&with_node_source(Some(&untouched))));
 }
 
+/// The good corpus with the file at `path` re-lexed from `source`, and
+/// every violation the full wall then reports.
+fn relexed(path: &str, source: &str) -> Vec<Violation> {
+    let mut corpus = load("good");
+    let at = corpus
+        .files
+        .iter()
+        .position(|f| f.rel_path.ends_with(path))
+        .expect("the good corpus has the file");
+    corpus.files[at].lexed = lexer::lex(source);
+    corpus.raws[at] = source.lines().map(str::to_string).collect();
+    corpus.trees[at] = parser::parse(&corpus.files[at].lexed);
+    all_violations(&corpus, &[])
+}
+
+/// Whether `violations` hold a stage-alloc finding in `path`'s hot
+/// function `hot`.
+fn stage_alloc_in(violations: &[Violation], path: &str, hot: &str) -> bool {
+    violations.iter().any(|v| {
+        v.rule == "stage-alloc"
+            && v.file.ends_with(path)
+            && v.message.contains(&format!("hot path `{hot}`"))
+    })
+}
+
 #[test]
 fn an_allocation_in_the_price_slab_is_flagged_and_its_growth_is_not() {
     // What a receiver keeps is on the stage path: the slab's writes must
@@ -345,25 +370,8 @@ fn an_allocation_in_the_price_slab_is_flagged_and_its_growth_is_not() {
     // buffer — passes only because it carries a reason.
     let path = "crates/bgp/src/rib.rs";
     let untouched = fs::read_to_string(fixture_root("good").join(path)).expect("fixture source");
-    let relexed = |source: &str| {
-        let mut corpus = load("good");
-        let at = corpus
-            .files
-            .iter()
-            .position(|f| f.rel_path.ends_with(path))
-            .expect("good corpus has rib.rs");
-        corpus.files[at].lexed = lexer::lex(source);
-        corpus.raws[at] = source.lines().map(str::to_string).collect();
-        corpus.trees[at] = parser::parse(&corpus.files[at].lexed);
-        all_violations(&corpus, &[])
-    };
-    let named = |violations: &[Violation], hot: &str| {
-        violations.iter().any(|v| {
-            v.rule == "stage-alloc"
-                && v.file.ends_with(path)
-                && v.message.contains(&format!("hot path `{hot}`"))
-        })
-    };
+    let relexed = |source: &str| relexed(path, source);
+    let named = |violations: &[Violation], hot: &str| stage_alloc_in(violations, path, hot);
     assert!(relexed(&untouched).is_empty(), "the good slab is clean");
     let body = "pub fn put(&mut self, span: &mut Span, values: &[u64]) {\n";
     assert!(untouched.contains(body), "the good fixture's put body");
@@ -381,6 +389,36 @@ fn an_allocation_in_the_price_slab_is_flagged_and_its_growth_is_not() {
         &relexed(&untouched.replace(reason, "")),
         "tidy_spans"
     ));
+}
+
+#[test]
+fn a_copied_path_in_decide_is_flagged_and_the_path_node_is_not() {
+    // A selection prepends one node to the advertised path: a path
+    // collected in `decide` is a copy, and the node itself passes only in
+    // `SharedPath::alloc`, which carries its reason.
+    let selector = "crates/bgp/src/selector.rs";
+    let untouched =
+        fs::read_to_string(fixture_root("good").join(selector)).expect("fixture source");
+    assert!(
+        relexed(selector, &untouched).is_empty(),
+        "the good selector is clean"
+    );
+    let body = "    pub fn decide(&mut self, dest: u32) -> bool {\n";
+    assert!(untouched.contains(body), "the good fixture's decide body");
+    let copy = "        let _copy = self.rib.iter().copied().collect::<SharedPath>();\n";
+    let planted = untouched.replace(body, &format!("{body}{copy}"));
+    assert!(stage_alloc_in(
+        &relexed(selector, &planted),
+        selector,
+        "decide"
+    ));
+
+    let message = "crates/bgp/src/message.rs";
+    let untouched = fs::read_to_string(fixture_root("good").join(message)).expect("fixture source");
+    let reason = "        // lint:allow(output: one path node per route change)\n";
+    assert!(untouched.contains(reason), "the good fixture's node reason");
+    let bare = untouched.replace(reason, "");
+    assert!(stage_alloc_in(&relexed(message, &bare), message, "alloc"));
 }
 
 #[test]

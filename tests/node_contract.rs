@@ -61,8 +61,8 @@ fn d_knows_z<P: PricePolicy>(graph: &P::Graph) -> (Node<P>, Arc<Update>) {
     let declared = P::declared_cost(graph, Fig1::D);
     let path = to_z.info.path().expect("a reachable route");
     assert_eq!(path.len(), 2);
-    assert_eq!((path[0].node, path[0].cost), (Fig1::D, declared));
-    assert_eq!((path[1].node, path[1].cost), (Fig1::Z, Cost::ZERO));
+    let entries: Vec<(AsId, Cost)> = path.iter().map(|e| (e.node, e.cost)).collect();
+    assert_eq!(entries, [(Fig1::D, declared), (Fig1::Z, Cost::ZERO)]);
     assert_eq!(d.selector().route_cost(Fig1::Z), Cost::ZERO);
     (d, z_origin)
 }
@@ -81,7 +81,7 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
     assert_eq!(path.len(), 1);
     // The origin's only entry is the destination's: it carries no cost,
     // whatever D declares.
-    assert_eq!(path[0].cost, Cost::ZERO);
+    assert_eq!(path.first().unwrap().cost, Cost::ZERO);
     assert!(prices.is_empty());
     // Nothing is priced on the trivial route (this slice used to panic),
     // an unknown destination, or a route without transit nodes.
@@ -111,8 +111,8 @@ fn contract<P: PricePolicy>(graph: &P::Graph) {
             assert_eq!(out.entry_count(), 1);
             assert_eq!(out.advertisements[0].destination, Fig1::Z);
             let path = out.advertisements[0].info.path().unwrap();
-            assert_eq!(path[0].cost, Cost::new(42));
-            assert_eq!(path[1].cost, Cost::ZERO);
+            let costs: Vec<Cost> = path.iter().map(|e| e.cost).collect();
+            assert_eq!(costs, [Cost::new(42), Cost::ZERO]);
         }
         None if !P::SCALAR_COST => {}
         other => panic!("cost change answered {other:?}"),

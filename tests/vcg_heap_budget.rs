@@ -71,9 +71,9 @@ static ALLOCATOR: Counting = Counting;
 const BUDGET: usize = 2_000_000;
 
 /// The most a converged lock-step engine on [`ba128`] may retain: 10 %
-/// above the 9 036 464 bytes it holds. A node that also kept a copy of
-/// every route and price row it advertised held 10 488 400.
-const ENGINE_BUDGET: usize = 9_940_000;
+/// above the 5 671 472 bytes it holds. With every path an array of its
+/// own, copied on each selection, it held 7 474 576.
+const ENGINE_BUDGET: usize = 6_240_000;
 
 /// The graph the engine converges on: Barabási–Albert, n = 128, m = 2.
 fn ba128() -> AsGraph {

@@ -10,7 +10,9 @@
 use bgp_vcg::bgp::chaos::{ChaosEngine, FaultPlan};
 use bgp_vcg::bgp::engine::SyncEngine;
 use bgp_vcg::bgp::{Accusation, LocalEvent, ProtocolNode, TopologyEvent, Update, WireAuditor};
-use bgp_vcg::netgraph::generators::{barabasi_albert, hierarchy, random_costs, HierarchyConfig};
+use bgp_vcg::netgraph::generators::{
+    barabasi_albert, from_edges, hierarchy, random_costs, HierarchyConfig,
+};
 use bgp_vcg::{protocol, vcg, AsGraph, AsId, Cost, PricingBgpNode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -200,4 +202,66 @@ fn a_lost_link_never_re_advertises_an_origin() {
     assert_eq!((report.crashes, report.restarts), (1, 1), "{report}");
     assert_eq!(heard.origin_senders(), [], "sessions, {hub} crashed");
     assert_eq!(tables(chaos.nodes()), tables(lock_step(&g).nodes()));
+}
+
+/// The price-raising cases of ROADMAP item 1: j = AS0 (cost 0), k = AS1
+/// (cost 1), a = AS2 and b = AS3 (cost `c` each), x = AS4 (cost 5), linked
+/// 0–1, 1–2, 1–3, 2–3, 2–4, 3–4 and 4–0; with `detour`, also y = AS5
+/// (cost 40), linked 4–5 and 5–0.
+fn raised(c: u64, detour: bool) -> AsGraph {
+    let mut costs = [0, 1, c, c, 5].map(Cost::new).to_vec();
+    let mut edges = vec![(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 0)];
+    if detour {
+        costs.push(Cost::new(40));
+        edges.extend([(4, 5), (5, 0)]);
+    }
+    from_edges(costs, &edges)
+}
+
+/// Applies `event` to converged lock-step and quiet-session engines on `g`
+/// and asserts each converges on the prices a cold run on `after` computes.
+fn reprices_as_cold(g: &AsGraph, event: TopologyEvent, after: &AsGraph, what: &str) {
+    let cold = vcg::compute(after).expect("a biconnected graph");
+    let mut sync = lock_step(g);
+    let report = sync.apply_event(event);
+    assert!(report.converged, "{what}, lock-step: {report}");
+    let nodes: Vec<PricingBgpNode> = sync.nodes().cloned().collect();
+    assert_eq!(
+        protocol::outcome_from_nodes(&nodes),
+        Ok(cold.clone()),
+        "{what}, lock-step"
+    );
+    let mut chaos = sessions(g);
+    let report = chaos.apply_event(event);
+    assert!(report.converged, "{what}, sessions: {report}");
+    let nodes: Vec<PricingBgpNode> = chaos.nodes().cloned().collect();
+    assert_eq!(
+        protocol::outcome_from_nodes(&nodes),
+        Ok(cold),
+        "{what}, sessions"
+    );
+}
+
+#[test]
+#[ignore = "ROADMAP item 1: warm prices after a price-raising event"]
+fn a_cost_rise_reprices_as_a_cold_run_does() {
+    let x = AsId::new(4);
+    for c in [0, 1, 3] {
+        let g = raised(c, false);
+        let event = TopologyEvent::CostChange(x, Cost::new(50));
+        let after = g.with_cost(x, Cost::new(50));
+        reprices_as_cold(&g, event, &after, &format!("c = {c}, {event:?}"));
+    }
+}
+
+#[test]
+#[ignore = "ROADMAP item 1: warm prices after a price-raising event"]
+fn a_lost_link_reprices_as_a_cold_run_does() {
+    let (x, j) = (AsId::new(4), AsId::new(0));
+    for c in [0, 1, 3] {
+        let g = raised(c, true);
+        let event = TopologyEvent::LinkDown(x, j);
+        let after = g.without_link(x, j).expect("the link x–j");
+        reprices_as_cold(&g, event, &after, &format!("c = {c}, {event:?}"));
+    }
 }

@@ -12,8 +12,8 @@
 //!
 //! v2 encoding goes through `encode_update_v2_into` with one reused
 //! scratch buffer — the zero-allocation hot path the engines run on every
-//! broadcast — so this bench also tracks the allocation discipline the
-//! `stage-alloc` lint enforces statically.
+//! broadcast — so this bench also tracks the allocation discipline
+//! `tests/allocations.rs` counts.
 //!
 //! Run with: `cargo bench -p bgpvcg-bench --bench codec`
 

@@ -413,6 +413,12 @@ pub struct Sessions {
     /// [`activity_end`](FaultPlan::activity_end); an announced event resets
     /// it.
     idle_streak: u64,
+    /// Snapshots the stage's passes walk — the channel keys, one
+    /// channel's due frames, one node's peers — reused so that a stable
+    /// stage allocates nothing.
+    keys: Vec<(AsId, AsId)>,
+    due: Vec<Frame>,
+    peers: Vec<AsId>,
 }
 
 /// The key of the undirected link `a`–`b`.
@@ -854,17 +860,20 @@ impl Transport for Sessions {
         }
         // Pop due frames per directed channel in key order. A frame whose
         // receiver is down, or whose link is flapped or cut by now, is lost.
-        let keys: Vec<(AsId, AsId)> = engine.link.channels.keys().copied().collect();
-        for (from, to) in keys {
+        // A channel added meanwhile waits for the next stage.
+        let mut keys = std::mem::take(&mut engine.link.keys);
+        let mut due = std::mem::take(&mut engine.link.due);
+        keys.extend(engine.link.channels.keys());
+        for &(from, to) in &keys {
             let Some(channel) = engine.link.channels.get_mut(&(from, to)) else {
                 continue;
             };
-            let due = channel.extract_if(.., |(at, _)| *at <= stage);
-            let due: Vec<Frame> = due.map(|(_, frame)| frame).collect();
+            let frames = channel.extract_if(.., |(at, _)| *at <= stage);
+            due.extend(frames.map(|(_, frame)| frame));
             let lost = engine.down[to.index()]
                 || engine.link.plan.is_flapped(stage, from, to)
                 || engine.link.cut.contains(&undirected(from, to));
-            for frame in due {
+            for frame in due.drain(..) {
                 if lost {
                     engine.link.report.frames_dropped += 1;
                 } else {
@@ -872,6 +881,9 @@ impl Transport for Sessions {
                 }
             }
         }
+        keys.clear();
+        engine.link.keys = keys;
+        engine.link.due = due;
     }
 
     /// After the handle pass: the timer pass (retransmits, hold expiry,
@@ -879,15 +891,18 @@ impl Transport for Sessions {
     /// detector.
     fn after_handle<N: ProtocolNode>(engine: &mut Engine<N, Self>, stage: u64) {
         engine.instruments.enter(span::SESSION_RETRANSMIT);
+        // A peer whose session opens meanwhile waits for the next stage.
+        let mut peers = std::mem::take(&mut engine.link.peers);
         for me in (0..engine.nodes.len() as u32).map(AsId::new) {
             if engine.down[me.index()] {
                 continue;
             }
-            let peers: Vec<AsId> = engine.link.sessions[me.index()].keys().copied().collect();
-            for peer in peers {
+            peers.extend(engine.link.sessions[me.index()].keys());
+            for peer in peers.drain(..) {
                 Self::run_timers(engine, me, peer);
             }
         }
+        engine.link.peers = peers;
         engine.instruments.exit();
         let link = &mut engine.link;
         let idle = stage > link.plan.activity_end() && link.is_idle();
@@ -986,6 +1001,9 @@ impl<N: ProtocolNode> Engine<N, Sessions> {
             sent: Sent::default(),
             stage_active: false,
             idle_streak: 0,
+            keys: Vec::new(),
+            due: Vec::new(),
+            peers: Vec::new(),
         };
         let mut engine = Engine::over(graph, nodes, link);
         // Nothing to announce up front: a session's full table carries the

@@ -139,7 +139,6 @@ impl SharedPath {
     }
 
     fn alloc(node: PathNode) -> SharedPath {
-        // lint:allow(output: one path node per route change)
         SharedPath(Arc::new(node))
     }
 

@@ -558,7 +558,6 @@ impl<P: PricePolicy> Node<P> {
         // Same length: overwrite in place, listing what moved for the delta
         // (a `u16` index reaches every entry of a row this short).
         let listed = delta && slots.len() <= usize::from(u16::MAX);
-        // lint:allow(output: a price delta's entry list, allocated at its first entry)
         let mut entries = Vec::new();
         let mut moved = false;
         for (idx, (held, new)) in self
@@ -595,7 +594,6 @@ impl<P: PricePolicy> Node<P> {
         RouteInfo::Reachable {
             path: route.path.clone(),
             path_cost: route.cost,
-            // lint:allow(output: a full advertisement's own price array)
             prices: self.price_row(dest).to_vec(),
         }
     }
@@ -626,7 +624,6 @@ impl<P: PricePolicy> Node<P> {
                     said.push(RouteAdvertisement { destination, info });
                 }
             }
-            // lint:allow(output: the emitted update's advertisement list)
             let mut ads = Vec::with_capacity(said.len());
             ads.append(said);
             ads

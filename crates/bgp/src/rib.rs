@@ -136,7 +136,6 @@ impl PriceSlab {
             return;
         }
         let live = self.prices.len() - self.dead;
-        // lint:allow(growth: the compacted slab, one allocation per quarter of it gone dead)
         let mut kept = Vec::with_capacity(live + live / 8);
         for span in spans {
             let offset = kept.len() as u32;

@@ -238,7 +238,6 @@ impl RouteSelector {
     /// re-advertises only those instead of rescanning the table.
     pub fn set_declared_cost(&mut self, cost: Cost) -> Vec<AsId> {
         if cost == self.declared_cost {
-            // lint:allow(output: nothing to re-advertise)
             return Vec::new();
         }
         self.declared_cost = cost;
@@ -258,7 +257,6 @@ impl RouteSelector {
         }
         let own = self.id;
         let restamped = self.destinations().filter(|&dest| dest != own);
-        // lint:allow(output: the destinations to re-advertise)
         restamped.collect()
     }
 

@@ -220,7 +220,6 @@ pub fn outcome_from_nodes<P: PricePolicy>(
         (cells + len, transit + len.saturating_sub(2))
     });
     table.reserve(cells, transit);
-    // lint:allow(scratch: one route's entries at a time, reused for every pair)
     let mut path = Vec::new();
     for (idx, node) in nodes.iter().enumerate() {
         assert_eq!(node.id().index(), idx, "nodes must be in AS order");

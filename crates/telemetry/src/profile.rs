@@ -5,8 +5,8 @@
 //! [`SpanProfiler::enter`] / [`SpanProfiler::exit`] touch only fixed-size
 //! arrays — no allocation, no hashing — so the profiler can sit inside the
 //! synchronous engine's per-stage hot loop without perturbing what it
-//! measures. The `stage-alloc` lint scope table pins `enter`/`exit` to the
-//! same no-allocation discipline as the engine hot loop itself.
+//! measures. `tests/allocations.rs` counts an observed run's blocks, so an
+//! allocation in `enter`/`exit` fails it.
 //!
 //! Exports (`docs/OBSERVABILITY.md` §profiler):
 //!
@@ -216,21 +216,20 @@ impl SpanProfiler {
     /// per span with at least one completed interval, in span-id order,
     /// stamped with `stage` (the quiescence stage of the run being
     /// summarized). Totals are cumulative over the profiler's lifetime.
-    pub fn summary_events(&self, stage: u64) -> Vec<crate::event::TraceEvent> {
-        let mut out = Vec::new();
-        for id in 0..self.registered {
+    pub fn summary_events(
+        &self,
+        stage: u64,
+    ) -> impl Iterator<Item = crate::event::TraceEvent> + '_ {
+        (0..self.registered).filter_map(move |id| {
             let (count, total_nanos, self_nanos) = self.stat(id);
-            if count > 0 {
-                out.push(crate::event::TraceEvent::SpanSummary {
-                    stage,
-                    span: id as u32,
-                    count,
-                    total_nanos,
-                    self_nanos,
-                });
-            }
-        }
-        out
+            (count > 0).then_some(crate::event::TraceEvent::SpanSummary {
+                stage,
+                span: id as u32,
+                count,
+                total_nanos,
+                self_nanos,
+            })
+        })
     }
 
     /// Folds `other`'s accumulated times into `self` so one profile can

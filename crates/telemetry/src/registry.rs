@@ -179,16 +179,20 @@ impl MetricsRegistry {
     }
 
     /// Returns the counter named `name`, creating it at zero on first use.
-    /// Handles to the same name share storage.
+    /// Handles to the same name share storage. Here and in the gauge and
+    /// histogram lookups, a known name is found without copying it, so a
+    /// caller that asks once per stage allocates nothing.
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        Counter(Arc::clone(map.entry(name.to_string()).or_default()))
+        let known = map.get(name).map(Arc::clone);
+        Counter(known.unwrap_or_else(|| Arc::clone(map.entry(name.to_string()).or_default())))
     }
 
     /// Returns the gauge named `name`, creating it at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
-        Gauge(Arc::clone(map.entry(name.to_string()).or_default()))
+        let known = map.get(name).map(Arc::clone);
+        Gauge(known.unwrap_or_else(|| Arc::clone(map.entry(name.to_string()).or_default())))
     }
 
     /// Returns the histogram named `name` with [`DEFAULT_NANOS_BOUNDS`],
@@ -198,7 +202,8 @@ impl MetricsRegistry {
             .histograms
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        Histogram(Arc::clone(map.entry(name.to_string()).or_default()))
+        let known = map.get(name).map(Arc::clone);
+        Histogram(known.unwrap_or_else(|| Arc::clone(map.entry(name.to_string()).or_default())))
     }
 
     /// Copies every metric's current value.

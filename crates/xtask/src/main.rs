@@ -4,7 +4,7 @@
 //! lint engine carries its own minimal lexer instead of depending on `syn`.
 //!
 //! Subcommands:
-//! - `lint`  — run the six protocol lint rules (see `xtask::rules`);
+//! - `lint`  — run the five protocol lint rules (see `xtask::rules`);
 //!   exit 1 on any violation outside the `// lint:allow(reason)` allowlist.
 //! - `analyze` — the parser-backed analyses (see `xtask::analysis`): build
 //!   the workspace call graph, walk panic-reachability from the engine
@@ -77,8 +77,7 @@ fn print_help() {
     println!(
         "cargo xtask <subcommand>\n\n\
          \tlint                run the protocol lint rules (no-panic, pub-docs,\n\
-         \t                    wire-golden, engine-hygiene, stage-alloc,\n\
-         \t                    unsafe-audit)\n\
+         \t                    wire-golden, engine-hygiene, unsafe-audit)\n\
          \tanalyze             parser-backed analyses: panic-reachability over\n\
          \t                    the workspace call graph from the engine entry\n\
          \t                    points, plus the determinism lints (hashed-order\n\
@@ -233,7 +232,7 @@ fn cmd_lint(root: &Path) -> ExitCode {
     }
     if violations.is_empty() {
         println!(
-            "xtask lint: clean ({} files, 6 rules, 0 violations)",
+            "xtask lint: clean ({} files, 5 rules, 0 violations)",
             files.len()
         );
         ExitCode::SUCCESS

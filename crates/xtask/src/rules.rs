@@ -14,30 +14,18 @@
 //!    golden round-trip suite `crates/bgp/tests/wire_golden.rs`.
 //! 4. **engine-hygiene** — no `Ordering::Relaxed` and no bare
 //!    `thread::spawn` inside `crates/bgp/src/engine/`.
-//! 5. **stage-alloc** — no `Vec::new()` / `Vec::with_capacity(` /
-//!    `vec![` / `.to_vec()` / `.collect()` / `.collect::<` /
-//!    `{Hash,BTree}Map::new()` / `BTreeSet::new()` allocation inside the
-//!    hot-path bodies listed in [`STAGE_ALLOC_SCOPES`]: the shared stage
-//!    engine's stage body, handle pass and send path under both
-//!    transports, the wire-v2 encode path, the profiler brackets, the
-//!    per-node step (selector ingest/decide and the cost restamp, the one
-//!    path node a selection prepends, the fold that keeps each
-//!    advertisement and the price slab it writes, the node's `handle` and
-//!    relaxation with the policy terms it evaluates, the per-destination
-//!    advertise body and the update it fills), the observer (the instrument bundle's per-update calls,
-//!    the update tracer's shadow diff and realignment, the health monitor's fold), whose
-//!    buffers are reused by design, and the per-pair loops that build the
-//!    mechanism's output table. A listed file or function that no longer
-//!    exists is itself a violation: a rename must not leave the rule
-//!    checking nothing.
-//! 6. **unsafe-audit** — every first-party crate root carries
+//! 5. **unsafe-audit** — every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`, no first-party line uses `unsafe`, and
 //!    vendored stand-ins are unsafe-free unless enumerated (with a reason)
 //!    in [`VENDOR_UNSAFE_EXCEPTIONS`].
 //!
-//! Rules 3 and 5 are parser-backed: enum variants and function body
-//! spans come from [`crate::parser`] item trees rather than ad-hoc brace
-//! tracking.
+//! Rules 3 and 5 are parser-backed: enum variants and crate-root
+//! attributes come from [`crate::parser`] item trees rather than ad-hoc
+//! brace tracking.
+//!
+//! Allocation on the stage path is counted, not linted: the root test
+//! `tests/allocations.rs` runs it under a counting allocator, so a block
+//! made in any helper the step calls is seen too.
 
 use crate::lexer::{Allow, LexedFile};
 use crate::parser::ParsedFile;
@@ -324,223 +312,6 @@ pub fn check_engine_hygiene(files: &[SourceFile], out: &mut Vec<Violation>) {
     }
 }
 
-/// The (file, hot-path functions) scopes whose bodies must not allocate,
-/// matched by bare name against the parsed item tree: the stage engine's
-/// one stage body, the wire codec's zero-allocation encode
-/// path (every broadcast runs it; the `*_v2` entry points write into a
-/// caller-owned scratch buffer, and the size models are pure arithmetic),
-/// the span profiler's enter/exit brackets (they wrap every hot-path
-/// phase, so an allocation there would tax everything they measure), and
-/// the per-node step the engine loop spends its time in — `RouteSelector`
-/// ingest/decide, the node's `handle`, its fold of an inbox into the dirty
-/// list (`ingest`) and relaxation, the policy terms the relaxation's inner
-/// loop evaluates, and the per-destination advertise body. At
-/// node level the only allocations left are the ones that *are* the output
-/// (the emitted update's lists, a full advertisement's price array, the
-/// interned winning path); each carries a `lint:allow` naming it. The
-/// observer is held to the same rule: the update tracer's shadow diff and
-/// the health monitor's fold run once per advertisement and once per event
-/// of every observed run, and may grow only a shadow row toward the node
-/// count (`bgpvcg_telemetry::dense_cell`) and the reused event buffer
-/// toward its high-water mark.
-pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
-    (
-        "crates/bgp/src/engine/kernel.rs",
-        &[
-            "handle_pass",
-            "sharded_handle",
-            "advertise",
-            "send_tapped",
-            "enqueue",
-            "size",
-            "run_stage",
-        ],
-    ),
-    ("crates/bgp/src/engine/sync.rs", &["send"]),
-    ("crates/bgp/src/chaos.rs", &["send", "is_open"]),
-    ("crates/telemetry/src/profile.rs", &["enter", "exit"]),
-    (
-        "crates/bgp/src/wire.rs",
-        &[
-            "encode_update_v2_into",
-            "encode_advertisement_v2",
-            "encode_frame_v2_into",
-            "update_size_v2_with",
-            "frame_size_v2_with",
-            "advertisement_size",
-            "update_size",
-        ],
-    ),
-    (
-        "crates/bgp/src/selector.rs",
-        &[
-            "ingest",
-            "ingest_flagged",
-            "update_rib",
-            "decide",
-            "set_declared_cost",
-        ],
-    ),
-    // What a receiver keeps: the fold, and the slab holding the retained
-    // price arrays (its one growth allocation, compaction, is annotated).
-    // A selection's one allocation is the path node it prepends, made in
-    // `SharedPath::alloc` alone (annotated).
-    ("crates/bgp/src/message.rs", &["fold", "alloc"]),
-    (
-        "crates/bgp/src/rib.rs",
-        &[
-            "get",
-            "get_mut",
-            "put",
-            "release",
-            "tidy",
-            "tidy_spans",
-            "view",
-        ],
-    ),
-    (
-        "crates/bgp/src/node.rs",
-        &[
-            "handle",
-            "relax",
-            "charged_by",
-            "detour_base",
-            "ingest",
-            "announce",
-            "advertise",
-            "current",
-        ],
-    ),
-    (
-        "crates/core/src/neighbor_costs/node.rs",
-        &["charged_by", "detour_base"],
-    ),
-    // The mechanism's output: both producers' per-pair loops and the flat
-    // table's append, which build it with no allocation per pair.
-    ("crates/core/src/protocol.rs", &["outcome_from_nodes"]),
-    ("crates/core/src/vcg.rs", &["compute"]),
-    ("crates/core/src/outcome.rs", &["push", "skip_to"]),
-    (
-        "crates/bgp/src/telemetry.rs",
-        &[
-            "observe_update",
-            "realign",
-            "account",
-            "trace_update",
-            "enter",
-            "exit",
-            "record",
-        ],
-    ),
-    (
-        "crates/telemetry/src/health.rs",
-        &["fold", "on_progress", "on_route_selected"],
-    ),
-];
-
-/// Allocation tokens banned inside the hot paths, with the reason shown
-/// on match.
-const STAGE_ALLOC_TOKENS: &[(&str, &str)] = &[
-    (
-        "Vec::new()",
-        "stage buffers are reused — preallocate and mem::take/swap instead",
-    ),
-    (
-        "Vec::with_capacity(",
-        "stage buffers are reused — preallocate and mem::take/swap instead",
-    ),
-    (
-        "HashMap::new()",
-        "stage buffers are reused — preallocate and mem::take/swap instead",
-    ),
-    (
-        "BTreeMap::new()",
-        "index dense per-node tables by AS number instead of building a map per call",
-    ),
-    (
-        "BTreeSet::new()",
-        "keep a reusable dirty list instead of building a set per call",
-    ),
-    (
-        "vec![",
-        "stage buffers are reused — preallocate and mem::take/swap instead",
-    ),
-    (
-        ".to_vec()",
-        "compare and patch in place; copy only into what is sent",
-    ),
-    (
-        ".collect()",
-        "collecting allocates — fill a reused buffer, or name the output it builds",
-    ),
-    (
-        ".collect::<",
-        "collecting allocates — fill a reused buffer, or name the output it builds",
-    ),
-    (
-        "Arc::new(",
-        "a new Arc is a heap block — share an existing handle, or name the output it builds",
-    ),
-];
-
-/// Rule 5: no allocation in the stage-loop or codec hot paths listed in
-/// [`STAGE_ALLOC_SCOPES`]. Body spans come from the parsed item trees. A
-/// scope whose file, or a hot function whose name, is not found is itself
-/// a violation — a rename must never leave the rule checking nothing.
-pub fn check_stage_alloc(files: &[SourceFile], trees: &[ParsedFile], out: &mut Vec<Violation>) {
-    for (path, hot_fns) in STAGE_ALLOC_SCOPES {
-        let mut scope = files.iter().zip(trees);
-        let Some((file, tree)) = scope.find(|(file, _)| file.rel_path == Path::new(path)) else {
-            out.push(Violation {
-                rule: "stage-alloc",
-                file: PathBuf::from(path),
-                line: 1,
-                message: "hot-path file not found — the rule would go vacuous; update \
-                          rules::STAGE_ALLOC_SCOPES if the hot path moved"
-                    .into(),
-            });
-            continue;
-        };
-        for name in *hot_fns {
-            if !tree
-                .fns
-                .iter()
-                .any(|item| !item.is_test && item.name == *name)
-            {
-                out.push(Violation {
-                    rule: "stage-alloc",
-                    file: file.rel_path.clone(),
-                    line: 1,
-                    message: format!(
-                        "hot-path function `{name}` not found — the rule would go vacuous; \
-                         update rules::STAGE_ALLOC_SCOPES if it was renamed"
-                    ),
-                });
-            }
-        }
-        for item in &tree.fns {
-            if item.is_test || !hot_fns.contains(&item.name.as_str()) {
-                continue;
-            }
-            for idx in item.body_start..=item.body_end {
-                let Some(line) = file.lexed.code_lines.get(idx) else {
-                    continue;
-                };
-                for (token, hint) in STAGE_ALLOC_TOKENS {
-                    if line.contains(token) && !allowed(&file.lexed.allows, idx) {
-                        out.push(Violation {
-                            rule: "stage-alloc",
-                            file: file.rel_path.clone(),
-                            line: idx + 1,
-                            message: format!("`{token}` in hot path `{}`: {hint}", item.name),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Vendored crates that are allowed to contain `unsafe`, with the reviewed
 /// reason. Currently empty: every stand-in under `vendor/` is std-only
 /// safe Rust. A new vendored dependency that genuinely needs `unsafe`
@@ -572,7 +343,7 @@ fn is_first_party_crate_root(path: &Path) -> bool {
     )
 }
 
-/// Rule 6: the unsafe audit. First-party crate roots must forbid unsafe
+/// Rule 5: the unsafe audit. First-party crate roots must forbid unsafe
 /// code, no first-party line may use `unsafe`, and vendored crates must be
 /// unsafe-free unless enumerated in [`VENDOR_UNSAFE_EXCEPTIONS`].
 pub fn check_unsafe_audit(
@@ -637,7 +408,7 @@ pub fn check_unsafe_audit(
     }
 }
 
-/// Runs all six rules; `raw_lines[i]` are the unlexed lines of `files[i]`
+/// Runs all five rules; `raw_lines[i]` are the unlexed lines of `files[i]`
 /// (needed by pub-docs to see doc comments, which the lexer blanks),
 /// `trees[i]` is the parsed item tree of `files[i]`, and `vendor` is the
 /// vendored-crate unsafe inventory.
@@ -652,7 +423,6 @@ pub fn run_all(
     check_pub_docs(files, raw_lines, &mut out);
     check_wire_golden(files, trees, &mut out);
     check_engine_hygiene(files, &mut out);
-    check_stage_alloc(files, trees, &mut out);
     check_unsafe_audit(files, trees, vendor, &mut out);
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
@@ -790,137 +560,6 @@ mod tests {
         let mut out = Vec::new();
         check_engine_hygiene(&files, &mut out);
         assert_eq!(out.len(), 2);
-    }
-
-    /// Runs the stage-alloc rule over a workspace in which every listed
-    /// scope exists and is clean, with each `extra` source placed first in
-    /// its file (so the line numbers the tests name hold).
-    fn stage_alloc(extra: &[(&str, &str)]) -> Vec<Violation> {
-        let mut sources: std::collections::BTreeMap<&str, String> = extra
-            .iter()
-            .map(|(path, src)| (*path, format!("{src}\n")))
-            .collect();
-        for (path, hot_fns) in STAGE_ALLOC_SCOPES {
-            let src = sources.entry(path).or_default();
-            for name in *hot_fns {
-                src.push_str(&format!("fn {name}() {{}}\n"));
-            }
-        }
-        let files: Vec<SourceFile> = sources.iter().map(|(p, s)| file(p, s)).collect();
-        let trees = trees(&files);
-        let mut out = Vec::new();
-        check_stage_alloc(&files, &trees, &mut out);
-        out
-    }
-
-    #[test]
-    fn stage_alloc_flags_allocation_in_stage_loop_only() {
-        let src = "fn run_stage(&mut self) {\n    let v = Vec::new();\n    let m = vec![0; 4];\n}\nfn elsewhere() {\n    let fine = Vec::new();\n}";
-        let out = stage_alloc(&[("crates/bgp/src/engine/kernel.rs", src)]);
-        let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![2, 3], "{out:?}");
-    }
-
-    #[test]
-    fn stage_alloc_respects_allow_and_other_files() {
-        let allowed_src = "fn parallel_handle() {\n    // lint:allow(one-off merge buffer, sized below)\n    let v = Vec::new();\n}";
-        let out = stage_alloc(&[
-            ("crates/bgp/src/engine/sync.rs", allowed_src),
-            (
-                "crates/bgp/src/dynamics.rs",
-                "fn f() { let v = Vec::new(); }",
-            ),
-        ]);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn stage_alloc_covers_the_per_node_step() {
-        // Every node-level scope fires on its own kind of allocation...
-        let cases = [
-            (
-                "crates/bgp/src/selector.rs",
-                "fn decide(&mut self) {\n    let p = Vec::with_capacity(4);\n}",
-            ),
-            (
-                "crates/bgp/src/selector.rs",
-                "fn ingest(&mut self) {\n    let s = BTreeSet::new();\n}",
-            ),
-            (
-                "crates/bgp/src/selector.rs",
-                "fn update_rib(&mut self) {\n    let s = BTreeSet::new();\n}",
-            ),
-            (
-                "crates/bgp/src/node.rs",
-                "fn handle(&mut self) {\n    let m = BTreeMap::new();\n}",
-            ),
-            (
-                "crates/bgp/src/node.rs",
-                "fn ingest(&mut self) {\n    let d = Vec::new();\n}",
-            ),
-            (
-                "crates/bgp/src/node.rs",
-                "fn advertise(&mut self) {\n    let p = prices.to_vec();\n}",
-            ),
-            (
-                "crates/bgp/src/node.rs",
-                "fn relax(&mut self) {\n    let a = vec![0; 3];\n}",
-            ),
-            (
-                "crates/core/src/neighbor_costs/node.rs",
-                "fn charged_by(&self) {\n    let a: Vec<u8> = it.collect();\n}",
-            ),
-            (
-                "crates/core/src/protocol.rs",
-                "fn outcome_from_nodes(nodes: &[N]) {\n    for j in d.collect::<Vec<_>>() {}\n}",
-            ),
-            (
-                "crates/core/src/vcg.rs",
-                "fn compute(g: &G) {\n    let prices = Vec::with_capacity(4);\n}",
-            ),
-            (
-                "crates/core/src/outcome.rs",
-                "fn push(&mut self) {\n    let route = nodes.to_vec();\n}",
-            ),
-            (
-                "crates/bgp/src/message.rs",
-                "fn alloc(node: N) -> P {\n    SharedPath(Arc::new(node))\n}",
-            ),
-        ];
-        for (path, src) in cases {
-            let out = stage_alloc(&[(path, src)]);
-            assert_eq!(out.len(), 1, "{path}: {out:?}");
-            assert_eq!(out[0].line, 2, "{path}: {out:?}");
-        }
-        // ...an allocation that *is* the output passes once it says so,
-        // and the same tokens outside the listed functions are not
-        // findings.
-        let src = "fn decide(&mut self) {\n    // lint:allow(output: the interned winning path)\n    let p: Vec<u8> = it.collect();\n}\nfn link_up(&mut self) {\n    let v = Vec::new();\n}";
-        let out = stage_alloc(&[("crates/bgp/src/selector.rs", src)]);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn stage_alloc_scope_that_no_longer_exists_is_a_violation() {
-        // Only the selector exists, and its `decide` was renamed: every
-        // other scope file, and that one function, must be called out.
-        let files = vec![file(
-            "crates/bgp/src/selector.rs",
-            "fn ingest(&mut self) {}\nfn ingest_flagged(&mut self) {}\n\
-             fn update_rib(&mut self) {}\nfn choose(&mut self) {}\n\
-             fn set_declared_cost(&mut self) {}",
-        )];
-        let trees = trees(&files);
-        let mut out = Vec::new();
-        check_stage_alloc(&files, &trees, &mut out);
-        assert_eq!(out.len(), STAGE_ALLOC_SCOPES.len(), "{out:?}");
-        assert!(out.iter().all(|v| v.message.contains("not found")));
-        let renamed: Vec<_> = out
-            .iter()
-            .filter(|v| v.file == Path::new("crates/bgp/src/selector.rs"))
-            .collect();
-        assert_eq!(renamed.len(), 1, "{out:?}");
-        assert!(renamed[0].message.contains("`decide`"), "{out:?}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Fixture: a chaos engine whose helper chain panics, over a session
-//! transport that rebuilds its ready list on every delivery and unwraps a
-//! queue head it never checked.
+//! transport that unwraps a queue head it never checked.
 
 /// Chaos-mode engine.
 #[derive(Debug)]
@@ -29,19 +28,12 @@ pub struct Sessions {
 }
 
 impl Sessions {
-    /// Whether `link` can carry a frame.
-    pub fn is_open(&self, link: usize) -> bool {
-        link < self.queues.len()
-    }
-
-    /// Delivers one frame per step, scanning for non-empty links each time.
+    /// Delivers one frame per step, scanning for a non-empty link each time.
     pub fn send(&mut self) -> u64 {
         let mut delivered = 0;
         loop {
-            let ready: Vec<usize> = (0..self.queues.len())
-                .filter(|&link| !self.queues[link].is_empty())
-                .collect();
-            let Some(&link) = ready.first() else {
+            let ready = (0..self.queues.len()).find(|&link| !self.queues[link].is_empty());
+            let Some(link) = ready else {
                 return delivered;
             };
             delivered += pop_head(&mut self.queues[link]);

@@ -1,5 +1,5 @@
-//! Fixture: a shared stage engine whose stage body and worker pool
-//! allocate per stage.
+//! Fixture: the shared stage engine's stage body, handle pass and worker
+//! pool, so the analysis finds its entry points.
 
 /// The stage engine.
 #[derive(Debug)]
@@ -8,21 +8,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Runs one stage, staging its trace in a fresh buffer every time.
+    /// Runs one stage.
     pub fn run_stage(&mut self) -> u32 {
-        let trace = vec![self.handle_pass()];
-        trace.len() as u32
+        self.handle_pass() + 1
     }
 
-    /// Runs every dirty node, collecting into a fresh list every time.
+    /// Runs every dirty node.
     pub fn handle_pass(&mut self) -> u32 {
-        let staged: Vec<u32> = self.buffers.iter().copied().collect();
-        staged.len() as u32
+        self.buffers.iter().sum()
     }
 }
 
 /// Merges worker emissions into the caller's buffer.
 pub fn sharded_handle(merged: &mut Vec<u32>) {
-    let extra: Vec<u32> = Vec::new();
-    merged.extend(extra);
+    merged.clear();
 }

@@ -1,5 +1,5 @@
-//! Fixture: a lock-step transport that allocates per send, leaks a
-//! thread, relaxes an ordering, panics on a hot path, and dips into unsafe.
+//! Fixture: a lock-step transport that leaks a thread, relaxes an
+//! ordering, panics on a hot path, and dips into unsafe.
 
 /// The lock-step transport.
 #[derive(Debug)]
@@ -8,10 +8,10 @@ pub struct LockStep {
 }
 
 impl LockStep {
-    /// Queues one payload, allocating a fresh buffer every time.
+    /// Queues one payload on a thread of its own.
     pub fn send(&mut self) -> u32 {
-        let staged: Vec<u32> = vec![0; self.buffers.len()];
-        let handle = std::thread::spawn(move || staged.len() as u32);
+        let staged = self.buffers.len() as u32;
+        let handle = std::thread::spawn(move || staged);
         handle.join().unwrap()
     }
 }

@@ -3,4 +3,3 @@
 pub mod chaos;
 pub mod message;
 pub mod node;
-pub mod selector;

@@ -1,5 +1,3 @@
 //! Fixture: telemetry crate root.
 
 #![forbid(unsafe_code)]
-
-pub mod health;

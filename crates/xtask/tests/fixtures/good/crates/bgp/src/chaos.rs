@@ -11,16 +11,9 @@ pub struct Engine {
 
 /// The sequenced session layer.
 #[derive(Debug)]
-pub struct Sessions {
-    established: bool,
-}
+pub struct Sessions;
 
 impl Sessions {
-    /// Whether the send stream is established.
-    pub fn is_open(&self) -> bool {
-        self.established
-    }
-
     /// Frames one payload for the channel.
     pub fn send(engine: &mut Engine, bytes: u32) {
         engine.ticks = engine.ticks.saturating_add(bytes);

@@ -10,11 +10,3 @@ pub fn run_sync_parallel(nodes: &[u32]) -> Result<BTreeMap<u32, u32>, String> {
     }
     Ok(merged)
 }
-
-/// Reads every node's selected route into one flat table, appending in
-/// place.
-pub fn outcome_from_nodes(nodes: &[u32], table: &mut Vec<u32>) {
-    for &node in nodes {
-        table.push(node);
-    }
-}

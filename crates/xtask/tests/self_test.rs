@@ -122,7 +122,6 @@ fn bad_corpus_trips_every_rule_and_analysis() {
         "pub-docs",
         "wire-golden",
         "engine-hygiene",
-        "stage-alloc",
         "unsafe-audit",
         "panic-reachability",
         "determinism",
@@ -153,25 +152,15 @@ fn bad_corpus_fires_at_the_planted_sites() {
         ("pub-docs", "crates/bgp/src/node.rs"),        // undocumented_helper
         ("wire-golden", "crates/bgp/src/message.rs"),  // Message::Bogus uncovered
         ("engine-hygiene", "crates/bgp/src/engine/sync.rs"), // thread::spawn + Relaxed
-        ("stage-alloc", "crates/bgp/src/engine/sync.rs"), // vec![ in LockStep::send
-        ("stage-alloc", "crates/bgp/src/engine/kernel.rs"), // vec![ in run_stage, .collect() in handle_pass, Vec::new() in sharded_handle
-        ("stage-alloc", "crates/bgp/src/chaos.rs"), // .collect() per delivery in Sessions::send
-        ("stage-alloc", "crates/bgp/src/wire.rs"),  // Vec::new() in the codec hot path
-        ("stage-alloc", "crates/telemetry/src/profile.rs"), // vec![ / Vec::new() in enter/exit
-        ("stage-alloc", "crates/bgp/src/selector.rs"), // BTreeSet per ingest, Vec per candidate
-        ("stage-alloc", "crates/bgp/src/node.rs"), // BTreeSet in ingest, vec![ in relax, .to_vec() in advertise
-        ("stage-alloc", "crates/core/src/neighbor_costs/node.rs"), // .collect() into a map in charged_by
-        ("stage-alloc", "crates/bgp/src/telemetry.rs"), // .collect() of the path in observe_update
-        ("stage-alloc", "crates/telemetry/src/health.rs"), // BTreeMap in fold, .to_vec() in on_progress
-        ("unsafe-audit", "crates/bgp/src/lib.rs"),         // missing #![forbid(unsafe_code)]
+        ("unsafe-audit", "crates/bgp/src/lib.rs"),     // missing #![forbid(unsafe_code)]
         ("unsafe-audit", "crates/bgp/src/engine/sync.rs"), // unsafe block
         ("panic-reachability", "crates/bgp/src/engine/sync.rs"), // unwrap in LockStep::send
         ("panic-reachability", "crates/bgp/src/chaos.rs"), // step -> tick_parity -> panic!
         ("panic-reachability", "crates/bgp/src/chaos.rs"), // Sessions::send -> pop_head -> unwrap
         ("panic-reachability", "crates/core/src/protocol.rs"), // nodes[i + 1] unguarded
-        ("determinism", "crates/core/src/protocol.rs"),    // HashMap + Instant::now
+        ("determinism", "crates/core/src/protocol.rs"), // HashMap + Instant::now
         ("determinism", "crates/core/src/pricing_node.rs"), // thread_rng
-        ("stale-allow", "crates/bgp/src/node.rs"),         // allow above a clean const
+        ("stale-allow", "crates/bgp/src/node.rs"),     // allow above a clean const
     ];
     for (rule, file) in planted {
         assert!(
@@ -208,27 +197,17 @@ fn panic_reachability_reports_the_call_chain() {
         "chain must name the intermediate helper: {}",
         chained.message
     );
-    // The transport's send is an entry point of its own, and its delivery
-    // loop is a stage-alloc scope.
-    let planted = |rule: &str, needles: &[&str]| {
+    // The transport's send is an entry point of its own.
+    let planted = |needles: &[&str]| {
         violations.iter().any(|v| {
-            v.rule == rule
+            v.rule == "panic-reachability"
                 && v.file.ends_with("crates/bgp/src/chaos.rs")
                 && needles.iter().all(|needle| v.message.contains(needle))
         })
     };
     assert!(
-        planted("panic-reachability", &["Sessions::send", "pop_head"]),
+        planted(&["Sessions::send", "pop_head"]),
         "expected Sessions::send -> pop_head -> unwrap; got:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        planted("stage-alloc", &["send", ".collect()"]),
-        "expected the per-delivery .collect() in Sessions::send; got:\n{}",
         violations
             .iter()
             .map(|v| format!("  {v}"))
@@ -278,21 +257,19 @@ fn assert_reported(violations: &[Violation], rule: &str, needle: &str) {
 #[test]
 fn missing_hot_path_file_is_reported_not_silently_vacuous() {
     // Delete the file that defines `Node::handle`: the reachability walk
-    // and the stage-alloc rule must both complain instead of quietly
-    // shrinking their coverage.
+    // must complain instead of quietly shrinking its coverage.
     let violations = with_node_source(None);
     assert_reported(
         &violations,
         "panic-reachability",
         "entry point `Node::handle`",
     );
-    assert_reported(&violations, "stage-alloc", "hot-path file not found");
 }
 
 #[test]
 fn stale_hot_path_name_is_reported_not_silently_vacuous() {
-    // Rename the relaxation and leave the analyzers' lists alone — exactly
-    // what a refactor does: the stale name must fail both, naming it.
+    // Rename the relaxation and leave the entry list alone — exactly what a
+    // refactor does: the stale name must fail the analysis, naming it.
     let untouched = fs::read_to_string(fixture_root("good").join("crates/bgp/src/node.rs"))
         .expect("fixture source");
     let violations = with_node_source(Some(&untouched.replace("relax(", "refresh(")));
@@ -301,124 +278,8 @@ fn stale_hot_path_name_is_reported_not_silently_vacuous() {
         "panic-reachability",
         "entry point `Node::relax`",
     );
-    assert_reported(
-        &violations,
-        "stage-alloc",
-        "hot-path function `relax` not found",
-    );
-    // ...and it is the rename, not the re-lexing, that trips them.
+    // ...and it is the rename, not the re-lexing, that trips it.
     assert!(with_node_source(Some(&untouched)).is_empty());
-}
-
-#[test]
-fn an_allocation_in_the_advertise_body_is_flagged() {
-    // The per-destination advertise body is on the stage path: a copy
-    // planted there — in the bad corpus, or in the good one's body — fires
-    // naming it.
-    let named = |violations: &[Violation]| {
-        violations.iter().any(|v| {
-            v.rule == "stage-alloc"
-                && v.file.ends_with("crates/bgp/src/node.rs")
-                && v.message.contains("hot path `advertise`")
-        })
-    };
-    assert!(named(&all_violations(&load("bad"), &[])));
-    let untouched = fs::read_to_string(fixture_root("good").join("crates/bgp/src/node.rs"))
-        .expect("fixture source");
-    let body = "fn advertise(&mut self, dest: usize) -> Option<Vec<u64>> {\n";
-    assert!(
-        untouched.contains(body),
-        "the good fixture's advertise body"
-    );
-    let planted = untouched.replace(
-        body,
-        &format!("{body}        let _p: Vec<u8> = Vec::new();\n"),
-    );
-    assert!(named(&with_node_source(Some(&planted))));
-    assert!(!named(&with_node_source(Some(&untouched))));
-}
-
-/// The good corpus with the file at `path` re-lexed from `source`, and
-/// every violation the full wall then reports.
-fn relexed(path: &str, source: &str) -> Vec<Violation> {
-    let mut corpus = load("good");
-    let at = corpus
-        .files
-        .iter()
-        .position(|f| f.rel_path.ends_with(path))
-        .expect("the good corpus has the file");
-    corpus.files[at].lexed = lexer::lex(source);
-    corpus.raws[at] = source.lines().map(str::to_string).collect();
-    corpus.trees[at] = parser::parse(&corpus.files[at].lexed);
-    all_violations(&corpus, &[])
-}
-
-/// Whether `violations` hold a stage-alloc finding in `path`'s hot
-/// function `hot`.
-fn stage_alloc_in(violations: &[Violation], path: &str, hot: &str) -> bool {
-    violations.iter().any(|v| {
-        v.rule == "stage-alloc"
-            && v.file.ends_with(path)
-            && v.message.contains(&format!("hot path `{hot}`"))
-    })
-}
-
-#[test]
-fn an_allocation_in_the_price_slab_is_flagged_and_its_growth_is_not() {
-    // What a receiver keeps is on the stage path: the slab's writes must
-    // reuse its buffer, and its one growth allocation — the compacted
-    // buffer — passes only because it carries a reason.
-    let path = "crates/bgp/src/rib.rs";
-    let untouched = fs::read_to_string(fixture_root("good").join(path)).expect("fixture source");
-    let relexed = |source: &str| relexed(path, source);
-    let named = |violations: &[Violation], hot: &str| stage_alloc_in(violations, path, hot);
-    assert!(relexed(&untouched).is_empty(), "the good slab is clean");
-    let body = "pub fn put(&mut self, span: &mut Span, values: &[u64]) {\n";
-    assert!(untouched.contains(body), "the good fixture's put body");
-    let planted = untouched.replace(
-        body,
-        &format!("{body}        let _copy = values.to_vec();\n"),
-    );
-    assert!(named(&relexed(&planted), "put"));
-    let reason = "        // lint:allow(growth: the compacted slab, one allocation per quarter of it gone dead)\n";
-    assert!(
-        untouched.contains(reason),
-        "the good fixture's growth reason"
-    );
-    assert!(named(
-        &relexed(&untouched.replace(reason, "")),
-        "tidy_spans"
-    ));
-}
-
-#[test]
-fn a_copied_path_in_decide_is_flagged_and_the_path_node_is_not() {
-    // A selection prepends one node to the advertised path: a path
-    // collected in `decide` is a copy, and the node itself passes only in
-    // `SharedPath::alloc`, which carries its reason.
-    let selector = "crates/bgp/src/selector.rs";
-    let untouched =
-        fs::read_to_string(fixture_root("good").join(selector)).expect("fixture source");
-    assert!(
-        relexed(selector, &untouched).is_empty(),
-        "the good selector is clean"
-    );
-    let body = "    pub fn decide(&mut self, dest: u32) -> bool {\n";
-    assert!(untouched.contains(body), "the good fixture's decide body");
-    let copy = "        let _copy = self.rib.iter().copied().collect::<SharedPath>();\n";
-    let planted = untouched.replace(body, &format!("{body}{copy}"));
-    assert!(stage_alloc_in(
-        &relexed(selector, &planted),
-        selector,
-        "decide"
-    ));
-
-    let message = "crates/bgp/src/message.rs";
-    let untouched = fs::read_to_string(fixture_root("good").join(message)).expect("fixture source");
-    let reason = "        // lint:allow(output: one path node per route change)\n";
-    assert!(untouched.contains(reason), "the good fixture's node reason");
-    let bare = untouched.replace(reason, "");
-    assert!(stage_alloc_in(&relexed(message, &bare), message, "alloc"));
 }
 
 #[test]

@@ -1,19 +1,19 @@
 //! Criterion microbench for the observer on its own —
-//! `UpdateTracer::observe_update` diffing converged full tables into trace
+//! `UpdateTracer::observe_update` narrating converged full tables as trace
 //! events, without an engine around it.
 //!
 //! The input is the `full_table()` of every node of the Barabási–Albert
 //! `fixpoint::converged` network: one advertisement per
-//! `(node, destination)` pair, so one sweep touches every cell of the
-//! tracer's shadow.
+//! `(node, destination)` pair, so one sweep touches every route cell of
+//! the tracer.
 //!
 //! * **fresh** — the sweep into a new tracer (built and dropped inside the
 //!   timed call): every cell is new, every route and every finite price
-//!   becomes an event, and the shadow rows are allocated on the way. The
+//!   becomes an event, and the route rows are allocated on the way. The
 //!   cold-convergence shape.
-//! * **steady** — the same sweep again into the same tracer: nothing
-//!   changed, so every path compares equal by pointer, every price is a
-//!   positional hit, and no event is built. The cost of watching a fixpoint.
+//! * **steady** — the same sweep again into the same tracer: every path
+//!   compares equal by pointer, so no route event is built, and every
+//!   finite price is narrated again as advertised. Nothing is allocated.
 //!
 //! Each case runs with a null sink (the tracer's own cost) and with the
 //! null sink teed into a health monitor (what `attach_health` adds).

@@ -5,18 +5,20 @@
 //! `d_i = max{|P(c; i, j)|, |P_k(c; i, j)|}` stages, `i` knows the correct
 //! path `P(c; i, j)` and the correct price `p^k_ij`". This experiment runs
 //! the pricing protocol with the telemetry tracer attached and reads the
-//! last-change stage of every `(i, j, k)` price cell (and every `(i, j)`
-//! route) straight off the structured event stream — the tracer emits
-//! `PriceRelaxed` / `RouteSelected` only when the advertised value actually
-//! changed, so the last event per cell *is* its stabilization stage. Tens of
-//! thousands of individual instances of Lemma 2, not one aggregate.
+//! last advertised stage of every `(i, j, k)` price cell (and the last
+//! change of every `(i, j)` route) straight off the structured event
+//! stream — the tracer emits `PriceRelaxed` each time `i` advertises the
+//! entry (every finite entry of a full row, every entry of a delta) and
+//! `RouteSelected` only when the advertised path changed, so the last
+//! event per cell is the last stage `i` told its neighbors anything about
+//! it. Tens of thousands of individual instances of Lemma 2, not one
+//! aggregate.
 //!
 //! Measurement note: this reads *advertised* stabilization (what neighbors
 //! can observe), which is what Lemma 2's "i knows the correct price" means
-//! on the wire. A cell whose internal table blips while the destination is
-//! temporarily advertised via a different path counts as stable from its
-//! last advertised change — a handful of entries therefore show one stage
-//! more slack than the old internal-table sampling did; the bound check
+//! on the wire. An entry re-advertised unchanged (its route's row re-sent
+//! for another entry's sake) counts from that last advertisement, so it
+//! can read later than the stage its value last changed; the bound check
 //! itself is unaffected.
 //!
 //! Regenerate with: `cargo run --release -p bgpvcg-bench --bin e15_per_node_convergence`
@@ -62,7 +64,7 @@ fn main() {
             engine.attach_telemetry(&ring_tel);
             let report = engine.run_to_convergence();
             assert!(report.converged, "{} n={n}", family.name());
-            // last stage at which i's advertised price p^k_ij changed
+            // last stage at which i advertised its price p^k_ij
             let mut price_last: BTreeMap<(u32, u32, u32), usize> = BTreeMap::new();
             // last stage at which i's advertised route to j changed
             let mut route_last: BTreeMap<(u32, u32), usize> = BTreeMap::new();

@@ -240,6 +240,9 @@ pub struct Node<P: PricePolicy> {
     /// What `relax` relaxes into, reused across calls: one slot per
     /// transit node of the route.
     scratch: Vec<Slot>,
+    /// The `(index, value)` pairs one `relax` call moved, reused across
+    /// calls: a delta's entry list is copied out of it at its exact size.
+    moved_entries: Vec<(u16, Cost)>,
     /// This node's declared receive-cost vector over its live links,
     /// attached to every UPDATE (empty in the paper's base model).
     sender_costs: Vec<(AsId, Cost)>,
@@ -271,6 +274,7 @@ impl<P: PricePolicy> Node<P> {
             dirty: Vec::new(),
             mark: vec![NOT_DIRTY; n],
             scratch: Vec::new(),
+            moved_entries: Vec::new(),
             sender_costs: P::sender_costs(graph, id),
             configured_costs: P::sender_costs(graph, id),
             policy: PhantomData,
@@ -558,7 +562,7 @@ impl<P: PricePolicy> Node<P> {
         // Same length: overwrite in place, listing what moved for the delta
         // (a `u16` index reaches every entry of a row this short).
         let listed = delta && slots.len() <= usize::from(u16::MAX);
-        let mut entries = Vec::new();
+        self.moved_entries.clear();
         let mut moved = false;
         for (idx, (held, new)) in self
             .prices
@@ -571,7 +575,7 @@ impl<P: PricePolicy> Node<P> {
                 *held = new;
                 moved = true;
                 if listed {
-                    entries.push((idx as u16, new));
+                    self.moved_entries.push((idx as u16, new));
                 }
             }
         }
@@ -579,7 +583,7 @@ impl<P: PricePolicy> Node<P> {
             (false, _) => Relaxed::Same,
             (true, Some(route)) if listed => Relaxed::Delta(RouteInfo::PriceDelta {
                 base_path_hash: route.path.hash64(),
-                entries,
+                entries: self.moved_entries.to_vec(),
             }),
             (true, _) => Relaxed::Moved,
         }

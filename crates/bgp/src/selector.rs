@@ -248,16 +248,19 @@ impl RouteSelector {
         // The trivial route is the only one without a hop, so every other
         // route has a rest: the next hop's path, which the restamped head
         // extends as the old one did.
+        let mut count = 0;
         for route in self.table.iter_mut().flatten() {
             if let Some(rest) = route.path.rest() {
                 // The same ids: simple exactly when the old head was.
                 let simple = route.path.is_simple();
                 route.path = SharedPath::link(head, Some(rest.clone()), simple);
+                count += 1;
             }
         }
         let own = self.id;
-        let restamped = self.destinations().filter(|&dest| dest != own);
-        restamped.collect()
+        let mut restamped = Vec::with_capacity(count);
+        restamped.extend(self.destinations().filter(|&dest| dest != own));
+        restamped
     }
 
     /// Current physical neighbors, ascending.
@@ -418,9 +421,11 @@ impl RouteSelector {
             let known = self.vectors.get_mut(slot);
             if known.is_some_and(|known| replace_vector(known, &update.sender_costs)) {
                 // A changed cost vector re-prices every candidate through
-                // this neighbor.
-                let column = self.rib_destinations(update.from);
-                self.affected.extend(column);
+                // this neighbor: the destinations of the slot's column.
+                let column = self.rib.iter().skip(slot).step_by(deg);
+                let filled = (0u32..).zip(column).filter(|(_, cell)| cell.is_some());
+                self.affected
+                    .extend(filled.map(|(dest, _)| AsId::new(dest)));
                 self.reroutes.resize(self.affected.len(), true);
             }
         }

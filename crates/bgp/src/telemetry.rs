@@ -3,13 +3,15 @@
 //!
 //! The one engine, `Engine<N, T>`, drives an [`UpdateTracer`] under both
 //! transports: it watches every broadcast UPDATE and narrates it as
-//! [`TraceEvent`]s — `RouteSelected` / `Withdrawn` per advertisement, and
-//! `PriceRelaxed` per price-entry change, diffed against a shadow copy of
-//! the last value traced per `(node, destination, transit)` cell (absent
-//! cells read as `∞`, matching the paper's "prices start at ∞ and relax
-//! downward"). The engine holds it inside one `Instruments` bundle, which
-//! owns everything else that observes a run too: flight recorder, health
-//! monitor, span profiler.
+//! [`TraceEvent`]s — `RouteSelected` when an advertised path differs from
+//! the one last traced for its `(node, destination)` pair, `Withdrawn` per
+//! withdrawal, and `PriceRelaxed` per price entry as advertised (every
+//! finite entry of a full row, every entry of a delta). A price update is
+//! what a node advertises, so the tracer keeps no copy of advertised
+//! prices: its only memory is the last path traced per pair, which names
+//! a delta's transit nodes. The engine holds it inside one `Instruments`
+//! bundle, which owns everything else that observes a run too: flight
+//! recorder, health monitor, span profiler.
 
 use crate::engine::kernel::Sent;
 use crate::message::{PathEntry, RouteInfo, SharedPath, Update};
@@ -40,7 +42,7 @@ pub mod metric {
     pub const ROUTES_SELECTED: &str = "bgp_routes_selected_total";
     /// Withdrawal advertisements (routes flapped away).
     pub const ROUTES_WITHDRAWN: &str = "bgp_routes_withdrawn_total";
-    /// Price-entry relaxations applied (one per changed `p^k` cell).
+    /// Price entries advertised (one per `PriceRelaxed` event).
     pub const PRICE_RELAXATIONS: &str = "bgp_price_relaxations_total";
     /// Gauge: last stage with advertised-state changes in the most recent
     /// synchronous run (the quantity the paper bounds by `max(d, d′)`).
@@ -54,7 +56,7 @@ pub fn cost_raw(cost: Cost) -> u64 {
     cost.finite().unwrap_or(INFINITE)
 }
 
-/// Diffs a stream of broadcast [`Update`]s into trace events and event
+/// Narrates a stream of broadcast [`Update`]s as trace events and event
 /// counters. One tracer observes one run; engines create it internally when
 /// telemetry is attached.
 #[derive(Debug)]
@@ -63,113 +65,15 @@ pub struct UpdateTracer {
     /// Advertisements naming an AS at or beyond this index (the node
     /// count) are not traced.
     bound: usize,
-    /// `shadow[node][dest]`: what `node` last advertised for `dest`. A
-    /// node's row is allocated at its first advertisement.
-    shadow: Vec<Vec<ShadowCell>>,
-    /// An AS-indexed position table, all [`UNPLACED`] between uses; inside
-    /// `realign`, each traced transit's position in its cell's list.
-    position: Vec<u32>,
+    /// `routes[node][dest]`: the path `node` last advertised for `dest` (a
+    /// pointer clone), `None` before its first advertisement or after a
+    /// withdrawal. A node's row is allocated at its first advertisement.
+    routes: Vec<Vec<Option<SharedPath>>>,
     /// One update's events, delivered to the sink in a single call.
     events: Vec<TraceEvent>,
     routes_selected: Counter,
     routes_withdrawn: Counter,
     price_relaxations: Counter,
-}
-
-/// The tracer's memory of one `(advertiser, destination)` pair.
-#[derive(Debug, Default)]
-struct ShadowCell {
-    /// Last path traced (a pointer clone of the advertised one) — `None` =
-    /// no route advertised, or the last advertisement was a withdrawal.
-    route: Option<SharedPath>,
-    /// Last value traced per transit node `k` — absent = `∞`. Keyed by the
-    /// transit's *id*, so an entry outlives both a withdrawal and a path
-    /// change; kept in the order of the last traced path, so the price at
-    /// index `i` of an unchanged path is found at position `i`.
-    prices: Vec<(u32, u64)>,
-    /// Whether position `i` of `prices` holds the route's transit node `i`
-    /// for every transit node — true for every simple path of in-range
-    /// ids — so a price index names its transit without a walk of the
-    /// path.
-    aligned: bool,
-}
-
-/// `position` value of an AS that is not in the list being realigned.
-const UNPLACED: u32 = u32::MAX;
-
-/// Reorders `traced` for a newly advertised path whose transit nodes are
-/// `transits`: each transit's entry moves to its price index, and one not
-/// traced yet is added at `∞`, so [`relax`] finds every entry of this path —
-/// and of the deltas that follow on it — where it looks first. One pass over
-/// the list and one over the path, through `position`; an id beyond that
-/// table is left where it is, for `relax` to search. Returns whether every
-/// transit ended at its price index.
-fn realign(
-    traced: &mut Vec<(u32, u64)>,
-    transits: impl Iterator<Item = PathEntry>,
-    position: &mut [u32],
-) -> bool {
-    let mut aligned = true;
-    for (at, &(id, _)) in (0u32..).zip(traced.iter()) {
-        if let Some(slot) = position.get_mut(id as usize) {
-            *slot = at;
-        }
-    }
-    for (i, entry) in transits.enumerate() {
-        let k = entry.node.raw();
-        let Some(slot) = position.get_mut(k as usize) else {
-            aligned = false;
-            continue;
-        };
-        if *slot == UNPLACED {
-            *slot = traced.len() as u32;
-            traced.push((k, INFINITE));
-        }
-        let at = *slot as usize;
-        // An entry already left of `i` was placed for an earlier transit:
-        // `k` repeats on this path (or follows an id beyond the table).
-        aligned &= at >= i;
-        if at <= i {
-            continue;
-        }
-        traced.swap(i, at);
-        for moved in [i, at] {
-            if let Some(&(id, _)) = traced.get(moved) {
-                if let Some(slot) = position.get_mut(id as usize) {
-                    *slot = moved as u32;
-                }
-            }
-        }
-    }
-    for &(id, _) in traced.iter() {
-        if let Some(slot) = position.get_mut(id as usize) {
-            *slot = UNPLACED;
-        }
-    }
-    aligned
-}
-
-/// Stores `new` in `traced` as the value last traced for transit `k`, which
-/// the advertised path carries at price index `i`, and returns the value it
-/// replaces if that differs. `k`'s entry moves to position `i`, where the
-/// next advertisement over the same path finds it without a search.
-fn relax(traced: &mut Vec<(u32, u64)>, i: usize, k: u32, new: u64) -> Option<u64> {
-    let mut at = i;
-    if traced.get(i).is_none_or(|&(id, _)| id != k) {
-        at = traced
-            .iter()
-            .position(|&(id, _)| id == k)
-            .unwrap_or(traced.len());
-        if at == traced.len() {
-            traced.push((k, INFINITE));
-        }
-        if i < traced.len() {
-            traced.swap(i, at);
-            at = i;
-        }
-    }
-    let (_, old) = traced.get_mut(at)?;
-    (*old != new).then(|| std::mem::replace(old, new))
 }
 
 impl UpdateTracer {
@@ -183,8 +87,7 @@ impl UpdateTracer {
             routes_withdrawn: telemetry.counter(metric::ROUTES_WITHDRAWN),
             price_relaxations: telemetry.counter(metric::PRICE_RELAXATIONS),
             bound: n,
-            shadow: Vec::new(),
-            position: vec![UNPLACED; n],
+            routes: Vec::new(),
             events: Vec::new(),
             telemetry: telemetry.clone(),
         }
@@ -192,38 +95,32 @@ impl UpdateTracer {
 
     /// Narrates one broadcast UPDATE at the given stage (or async delivery
     /// sequence). Callers must only feed *change* advertisements (broadcast
-    /// updates), not full-table session syncs. A pricing node re-advertises
-    /// a destination's entry whenever its route **or any price** for it
-    /// changed, so both event streams are diffed against shadow copies of
-    /// the last traced value: `RouteSelected` fires only when the advertised
-    /// path (hops or costs) changed, `PriceRelaxed` only when the `p^k` cell
-    /// changed. `Withdrawn` is unconditional — the protocol only withdraws
-    /// previously-advertised routes.
+    /// updates), not full-table session syncs. `RouteSelected` fires only
+    /// when the advertised path (hops or costs) differs from the one last
+    /// traced for the pair. `PriceRelaxed` names each price entry as it was
+    /// advertised: every finite entry of a full row (an `∞` there relaxed
+    /// nothing — prices start at `∞`), and every entry of a delta whose
+    /// index names a transit node of the last traced path (a delta with no
+    /// traced path is skipped). `Withdrawn` is unconditional — the protocol
+    /// only withdraws previously-advertised routes.
     pub fn observe_update(&mut self, update: &Update, stage: u64) {
         let node = update.from.raw();
-        let Some(row) = dense_cell(&mut self.shadow, node, self.bound) else {
+        let Some(row) = dense_cell(&mut self.routes, node, self.bound) else {
             return;
         };
         let events = &mut self.events;
-        let position = self.position.as_mut_slice();
         events.clear();
         let (mut selected, mut withdrawn) = (0u64, 0u64);
         for ad in &update.advertisements {
             let dest = ad.destination.raw();
-            let Some(ShadowCell {
-                route,
-                prices: traced,
-                aligned,
-            }) = dense_cell(row, dest, self.bound)
-            else {
+            let Some(route) = dense_cell(row, dest, self.bound) else {
                 continue;
             };
-            let price_relaxed = |k: u32, old: u64, new: u64| TraceEvent::PriceRelaxed {
+            let price_relaxed = |k: PathEntry, new: u64| TraceEvent::PriceRelaxed {
                 node,
                 dest,
-                k,
+                k: k.node.raw(),
                 stage,
-                old,
                 new,
             };
             match &ad.info {
@@ -232,8 +129,6 @@ impl UpdateTracer {
                     path_cost,
                     prices,
                 } => {
-                    // Transit nodes are path[1..len-1], in path order —
-                    // the same order the price array uses.
                     if route.as_ref() != Some(path) {
                         *route = Some(path.clone());
                         selected += 1;
@@ -244,63 +139,33 @@ impl UpdateTracer {
                             hops: path.len() as u32,
                             path_cost: cost_raw(*path_cost),
                         });
-                        *aligned = realign(traced, path.transit(), position);
                     }
-                    // The route's transit in order: read off the aligned
-                    // list, or off the path where repeats keep the list out
-                    // of order.
-                    let mut on_path = (!*aligned).then(|| path.transit());
-                    for (index, price) in prices.iter().enumerate() {
-                        let k = match on_path.as_mut() {
-                            Some(transits) => transits.next().map(|entry| entry.node.raw()),
-                            None => traced.get(index).map(|&(id, _)| id),
-                        };
-                        let Some(k) = k.filter(|_| index + 2 < path.len()) else {
-                            break;
-                        };
-                        let new = cost_raw(*price);
-                        if let Some(old) = relax(traced, index, k, new) {
-                            events.push(price_relaxed(k, old, new));
+                    // The price array is aligned with the transit nodes.
+                    for (k, price) in path.transit().zip(prices) {
+                        if let Some(new) = price.finite() {
+                            events.push(price_relaxed(k, new));
                         }
                     }
                 }
                 RouteInfo::PriceDelta { entries, .. } => {
-                    // A delta re-states the retained path and patches price
-                    // cells. The shadow route maps each price index `i` to
-                    // transit node `path[i + 1]`; a delta only ever follows
-                    // a full advertisement over the same session, so the
-                    // shadow is present — if it is not (defensive), the
-                    // cells cannot be attributed and the ad is skipped.
+                    // A delta re-states the retained path: price index `i`
+                    // names its transit node `i`. It only ever follows a
+                    // full advertisement over the same session; without a
+                    // traced path (defensive) its entries name no one.
                     let Some(route) = route.as_ref() else {
                         continue;
                     };
-                    let transit_len = route.len().saturating_sub(2);
-                    // Off the aligned list the path is walked; indices
-                    // ascend, so one walk finds them all, and one that goes
-                    // back starts the walk over. An index past the transit
-                    // names the destination, and storing its price there
-                    // can move a transit's entry: the list is no longer
-                    // aligned.
-                    let mut walk = route.iter().enumerate();
+                    // Indices ascend, so one walk of the path names them
+                    // all; one that goes back starts the walk over.
+                    let mut transit = route.transit().enumerate();
                     for &(index, price) in entries {
-                        let at = usize::from(index) + 1;
-                        let k = match traced.get(usize::from(index)) {
-                            Some(&(id, _)) if *aligned && at <= transit_len => id,
-                            _ => {
-                                *aligned = false;
-                                let found = walk.find(|&(i, _)| i == at).or_else(|| {
-                                    walk = route.iter().enumerate();
-                                    walk.find(|&(i, _)| i == at)
-                                });
-                                let Some((_, transit)) = found else {
-                                    continue;
-                                };
-                                transit.node.raw()
-                            }
-                        };
-                        let new = cost_raw(price);
-                        if let Some(old) = relax(traced, usize::from(index), k, new) {
-                            events.push(price_relaxed(k, old, new));
+                        let at = usize::from(index);
+                        let found = transit.find(|&(i, _)| i == at).or_else(|| {
+                            transit = route.transit().enumerate();
+                            transit.find(|&(i, _)| i == at)
+                        });
+                        if let Some((_, k)) = found {
+                            events.push(price_relaxed(k, cost_raw(price)));
                         }
                     }
                 }
@@ -565,7 +430,7 @@ impl Instruments {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{PathEntry, RouteAdvertisement};
+    use crate::message::RouteAdvertisement;
     use bgpvcg_netgraph::AsId;
 
     fn entry(raw: u32, cost: u64) -> PathEntry {
@@ -592,81 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn price_changes_diff_against_infinity_then_previous_value() {
-        let (telemetry, ring) = Telemetry::ring(64);
-        let mut tracer = UpdateTracer::with_node_count(&telemetry, 8);
-        tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::INFINITE]), 1);
-        // Second advertisement relaxes the ∞ entry and lowers the first.
-        tracer.observe_update(&priced_update(vec![Cost::new(4), Cost::new(7)]), 2);
-        // Re-advertising identical prices is silent on the price stream.
-        tracer.observe_update(&priced_update(vec![Cost::new(4), Cost::new(7)]), 3);
-        let relaxations: Vec<_> = ring
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e, TraceEvent::PriceRelaxed { .. }))
-            .collect();
-        assert_eq!(
-            relaxations,
-            vec![
-                TraceEvent::PriceRelaxed {
-                    node: 0,
-                    dest: 3,
-                    k: 1,
-                    stage: 1,
-                    old: INFINITE,
-                    new: 5
-                },
-                TraceEvent::PriceRelaxed {
-                    node: 0,
-                    dest: 3,
-                    k: 1,
-                    stage: 2,
-                    old: 5,
-                    new: 4
-                },
-                TraceEvent::PriceRelaxed {
-                    node: 0,
-                    dest: 3,
-                    k: 2,
-                    stage: 2,
-                    old: INFINITE,
-                    new: 7
-                },
-            ],
-            "∞ entries never trace; finite changes trace once each"
-        );
-        assert_eq!(telemetry.snapshot().counters[metric::PRICE_RELAXATIONS], 3);
-        // The path never changed, so only the first ad selects a route —
-        // the later two were price-only re-advertisements.
-        assert_eq!(telemetry.snapshot().counters[metric::ROUTES_SELECTED], 1);
-    }
-
-    #[test]
-    fn withdrawals_trace_and_count() {
-        let (telemetry, ring) = Telemetry::ring(8);
-        let mut tracer = UpdateTracer::with_node_count(&telemetry, 8);
-        let update = Update {
-            from: AsId::new(4),
-            sender_costs: Vec::new(),
-            advertisements: vec![RouteAdvertisement {
-                destination: AsId::new(2),
-                info: RouteInfo::Withdrawn,
-            }],
-            id: 0,
-        };
-        tracer.observe_update(&update, 9);
-        assert_eq!(
-            ring.events(),
-            vec![TraceEvent::Withdrawn {
-                node: 4,
-                dest: 2,
-                stage: 9
-            }]
-        );
-        assert_eq!(telemetry.snapshot().counters[metric::ROUTES_WITHDRAWN], 1);
-    }
-
-    #[test]
     fn sized_tracer_never_allocates_by_id_value() {
         let (telemetry, ring) = Telemetry::ring(8);
         let mut tracer = UpdateTracer::with_node_count(&telemetry, 4);
@@ -677,11 +467,11 @@ mod tests {
             ring.events().is_empty(),
             "an ad for an AS >= n is not traced"
         );
-        assert_eq!(tracer.shadow.len(), 4, "rows stop at the node count");
-        assert!(tracer.shadow.iter().all(|row| row.len() <= 4));
+        assert_eq!(tracer.routes.len(), 4, "rows stop at the node count");
+        assert!(tracer.routes.iter().all(|row| row.len() <= 4));
         update.from = AsId::new(u32::MAX);
         tracer.observe_update(&update, 2);
-        assert_eq!(tracer.shadow.len(), 4);
+        assert_eq!(tracer.routes.len(), 4);
         // In-range advertisements still trace: one route, two prices.
         tracer.observe_update(&priced_update(vec![Cost::new(5), Cost::new(6)]), 3);
         assert_eq!(ring.total_recorded(), 3);

@@ -1,13 +1,14 @@
 //! Differential model test for [`UpdateTracer`].
 //!
-//! The production tracer keeps its shadow of the last traced routes and
-//! prices in dense rows indexed by AS number, holds advertised paths by
-//! pointer, and delivers one update's events in a single sink call. The
-//! tracer it replaced kept two ordered maps and a `Vec` copy of every path
-//! and recorded event by event — slower, and for exactly that reason easy
-//! to believe. It lives on here, test-only, as the oracle: random update
-//! streams go through both and the event streams and counters must be
-//! identical.
+//! The production tracer keeps the last traced path of each
+//! `(node, destination)` pair in dense rows indexed by AS number, holds it
+//! by pointer, and delivers one update's events in a single sink call. The
+//! oracle here keeps a `Vec` copy of every path in an ordered map and
+//! records event by event — slower, and for exactly that reason easy to
+//! believe. Random update streams go through both and the event streams
+//! and counters must be identical. Both narrate prices as advertised: every
+//! finite entry of a full row, and every entry of a delta whose index names
+//! a transit node of the last traced path.
 
 use bgpvcg_bgp::telemetry::{cost_raw, metric, UpdateTracer};
 use bgpvcg_bgp::{PathEntry, RouteAdvertisement, RouteInfo, SharedPath, Update};
@@ -17,11 +18,9 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The map-based tracer, as it was before the dense shadow.
+/// The map-based tracer.
 #[derive(Debug, Default)]
 struct MapTracer {
-    /// Last price value traced per `(node, dest, transit)` — absent = `∞`.
-    prices: BTreeMap<(u32, u32, u32), u64>,
     /// Last path traced per `(node, dest)` — absent = none, or withdrawn.
     routes: BTreeMap<(u32, u32), Vec<(u32, u64)>>,
     events: Vec<TraceEvent>,
@@ -31,21 +30,15 @@ struct MapTracer {
 }
 
 impl MapTracer {
-    fn relax(&mut self, key: (u32, u32, u32), price: Cost, stage: u64) {
-        let new = cost_raw(price);
-        let old = self.prices.get(&key).copied().unwrap_or(INFINITE);
-        if new != old {
-            self.prices.insert(key, new);
-            self.relaxations += 1;
-            self.events.push(TraceEvent::PriceRelaxed {
-                node: key.0,
-                dest: key.1,
-                k: key.2,
-                stage,
-                old,
-                new,
-            });
-        }
+    fn relax(&mut self, (node, dest, k): (u32, u32, u32), new: u64, stage: u64) {
+        self.relaxations += 1;
+        self.events.push(TraceEvent::PriceRelaxed {
+            node,
+            dest,
+            k,
+            stage,
+            new,
+        });
     }
 
     fn observe_update(&mut self, update: &Update, stage: u64) {
@@ -58,12 +51,11 @@ impl MapTracer {
                     path_cost,
                     prices,
                 } => {
-                    let shadow: Vec<(u32, u64)> = path
+                    let hops: Vec<(u32, u64)> = path
                         .iter()
                         .map(|e| (e.node.raw(), cost_raw(e.cost)))
                         .collect();
-                    if self.routes.get(&(node, dest)) != Some(&shadow) {
-                        self.routes.insert((node, dest), shadow);
+                    if self.routes.get(&(node, dest)) != Some(&hops) {
                         self.selected += 1;
                         self.events.push(TraceEvent::RouteSelected {
                             node,
@@ -73,22 +65,24 @@ impl MapTracer {
                             path_cost: cost_raw(*path_cost),
                         });
                     }
-                    if path.len() >= 3 {
-                        for (entry, price) in path.transit().zip(prices) {
-                            let key = (node, dest, entry.node.raw());
-                            self.relax(key, *price, stage);
+                    let transit = hops.get(1..hops.len().saturating_sub(1)).unwrap_or(&[]);
+                    for (&(k, _), price) in transit.iter().zip(prices) {
+                        if let Some(new) = price.finite() {
+                            self.relax((node, dest, k), new, stage);
                         }
                     }
+                    self.routes.insert((node, dest), hops);
                 }
                 RouteInfo::PriceDelta { entries, .. } => {
-                    let Some(shadow) = self.routes.get(&(node, dest)).cloned() else {
+                    let Some(hops) = self.routes.get(&(node, dest)).cloned() else {
                         continue;
                     };
+                    let transit = hops.get(1..hops.len().saturating_sub(1)).unwrap_or(&[]);
                     for &(index, price) in entries {
-                        let Some(&(transit, _)) = shadow.get(usize::from(index) + 1) else {
+                        let Some(&(k, _)) = transit.get(usize::from(index)) else {
                             continue;
                         };
-                        self.relax((node, dest, transit), price, stage);
+                        self.relax((node, dest, k), cost_raw(price), stage);
                     }
                 }
                 RouteInfo::Withdrawn => {
@@ -148,9 +142,9 @@ fn price() -> impl Strategy<Value = Price> {
 }
 
 fn ad_spec() -> impl Strategy<Value = AdSpec> {
-    // Few transit ids, so a changed path usually keeps one; repeats allowed
-    // (the price memory is keyed by id wherever the id sits). The price
-    // list may be shorter or longer than the transit list.
+    // Few transit ids, so a changed path usually keeps one; repeats
+    // allowed. The price list may be shorter or longer than the transit
+    // list.
     let full = (
         0..UNIVERSE,
         proptest::collection::vec(0..UNIVERSE, 0..4),
@@ -306,8 +300,8 @@ impl Traced {
 }
 
 /// Feeds the stream to the oracle and to both production tracers, checking
-/// the whole event history after every update.
-fn run(ops: &[Op]) -> Result<(), TestCaseError> {
+/// the whole event history after every update. Returns the events.
+fn run(ops: &[Op]) -> Result<Vec<TraceEvent>, TestCaseError> {
     let mut wire = Wire::default();
     let mut oracle = MapTracer::default();
     let mut traced = [Traced::one_ring(), Traced::tee()];
@@ -322,59 +316,108 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
             t.check(&oracle)?;
         }
     }
-    Ok(())
+    Ok(oracle.events)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Same events, in the same order in every sink, with the same `old`
-    /// values, and the same three counters.
+    /// Same events, in the same order in every sink, and the same three
+    /// counters.
     fn dense_tracer_matches_map_oracle(ops in proptest::collection::vec(op(), 1..40)) {
         run(&ops)?;
     }
 }
 
-/// The cases the shadow layout could plausibly get wrong, spelled out, so
-/// each is exercised whatever the generator happens to draw.
-#[test]
-fn named_shadow_cases_match_the_oracle() {
-    let full = |dest, middle: &[u32], prices: &[Price], shared| AdSpec::Full {
+fn full(dest: u32, middle: &[u32], prices: &[Price], shared: bool) -> AdSpec {
+    AdSpec::Full {
         dest,
         middle: middle.to_vec(),
         hop_cost: 1,
         prices: prices.to_vec(),
         shared,
-    };
-    let delta = |dest, entries: &[(u16, Price)]| AdSpec::Delta {
+    }
+}
+
+fn delta(dest: u32, entries: &[(u16, Price)]) -> AdSpec {
+    AdSpec::Delta {
         dest,
         entries: entries.to_vec(),
-    };
-    let send = |ads: Vec<AdSpec>| Op::Send { from: 0, ads };
+    }
+}
+
+fn send(ad: AdSpec) -> Op {
+    Op::Send {
+        from: 0,
+        ads: vec![ad],
+    }
+}
+
+/// The `(k, new)` of every `PriceRelaxed` both tracers narrate for `ops`,
+/// and how many routes they selected.
+fn prices(ops: &[Op]) -> (Vec<(u32, u64)>, usize) {
+    let events = run(ops).expect("dense tracer and map oracle agree");
+    let selected = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::RouteSelected { .. }))
+        .count();
+    let relaxed = events.iter().filter_map(|e| match *e {
+        TraceEvent::PriceRelaxed { k, new, .. } => Some((k, new)),
+        _ => None,
+    });
+    (relaxed.collect(), selected)
+}
+
+#[test]
+fn an_infinite_entry_of_a_full_row_is_silent() {
+    let ops = [send(full(5, &[2, 3], &[None, Some(4)], false))];
+    assert_eq!(prices(&ops), (vec![(3, 4)], 1));
+}
+
+#[test]
+fn an_infinite_entry_of_a_delta_traces() {
     let ops = [
-        // A delta before any full advertisement: skipped.
-        send(vec![delta(5, &[(0, Some(3))])]),
-        // ∞ → finite → ∞ on transit 2; transit 3 stays ∞ (never traced).
-        send(vec![full(5, &[2, 3], &[None, None], false)]),
-        send(vec![full(5, &[2, 3], &[Some(4), None], true)]),
-        send(vec![delta(5, &[(0, None)])]),
-        // Repeated identical advertisements, by pointer and by content.
-        send(vec![full(5, &[2, 3], &[Some(1), Some(2)], true)]),
-        Op::Repeat,
-        send(vec![full(5, &[2, 3], &[Some(1), Some(2)], false)]),
-        // The path changes but keeps transit 3, now at index 0: its old
-        // value is the one traced at index 1 above.
-        send(vec![full(5, &[3, 4], &[Some(2), Some(9)], false)]),
-        // Delta indices: in range, the destination's own entry, past the path.
-        send(vec![delta(5, &[(1, Some(8)), (2, Some(7)), (3, Some(6))])]),
-        // Withdraw, then re-advertise the first path: a delta in between is
-        // skipped, and the price memory of transits 2 and 3 survives both.
-        send(vec![AdSpec::Withdraw { dest: 5 }]),
-        send(vec![delta(5, &[(0, Some(0))])]),
-        send(vec![full(5, &[2, 3], &[Some(1), Some(2)], true)]),
-        // More prices than transits, a transit repeated, and no transit.
-        send(vec![full(4, &[2, 2], &[Some(1), Some(2), Some(3)], false)]),
-        send(vec![full(3, &[], &[Some(1)], false)]),
+        send(full(5, &[2, 3], &[Some(1), Some(2)], false)),
+        send(delta(5, &[(0, None)])),
     ];
-    run(&ops).expect("dense tracer and map oracle agree");
+    assert_eq!(prices(&ops), (vec![(2, 1), (3, 2), (2, INFINITE)], 1));
+}
+
+#[test]
+fn a_repeated_full_advertisement_retraces_its_finite_prices() {
+    // By pointer, verbatim, and by content: one route, three rows.
+    let ops = [
+        send(full(5, &[2, 3], &[Some(1), None], true)),
+        Op::Repeat,
+        send(full(5, &[2, 3], &[Some(1), None], false)),
+    ];
+    assert_eq!(prices(&ops), (vec![(2, 1); 3], 1));
+}
+
+#[test]
+fn a_delta_without_a_traced_path_or_past_the_transit_is_skipped() {
+    let ops = [
+        // Before any full advertisement.
+        send(delta(5, &[(0, Some(3))])),
+        send(full(5, &[2, 3], &[Some(4), Some(5)], false)),
+        // The destination's own index and one past the path; then an index
+        // that goes back, which restarts the walk.
+        send(delta(5, &[(1, Some(2)), (2, Some(7)), (3, Some(6))])),
+        send(delta(5, &[(1, Some(1)), (0, Some(0))])),
+        // After a withdrawal.
+        send(AdSpec::Withdraw { dest: 5 }),
+        send(delta(5, &[(0, Some(0))])),
+    ];
+    let traced = vec![(2, 4), (3, 5), (3, 2), (3, 1), (2, 0)];
+    assert_eq!(prices(&ops), (traced, 1));
+}
+
+#[test]
+fn odd_paths_match_the_oracle() {
+    // More prices than transits, a transit repeated, and no transit.
+    let ops = [
+        send(full(4, &[2, 2], &[Some(1), Some(2), Some(3)], false)),
+        send(full(3, &[], &[Some(1)], false)),
+    ];
+    assert_eq!(prices(&ops), (vec![(2, 1), (2, 2)], 2));
 }

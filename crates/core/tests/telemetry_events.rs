@@ -16,33 +16,22 @@ use bgpvcg_netgraph::AsId;
 use bgpvcg_telemetry::{Telemetry, TraceEvent, INFINITE};
 use std::collections::BTreeMap;
 
-/// Last traced value per `(node, dest, k)` cell, plus chain coherence: each
-/// cell's events must form a strictly improving chain starting at `∞`
-/// (`old₀ = ∞`, `oldᵢ₊₁ = newᵢ`, values strictly decreasing) — the paper's
-/// "prices relax monotonically downward from ∞".
+/// Last traced value per `(node, dest, k)` cell, plus the paper's "prices
+/// relax monotonically downward from ∞": each cell's successive traced
+/// values strictly decrease.
 fn fixpoint_projection(events: &[TraceEvent]) -> BTreeMap<(u32, u32, u32), u64> {
     let mut last: BTreeMap<(u32, u32, u32), u64> = BTreeMap::new();
     for event in events {
         if let TraceEvent::PriceRelaxed {
-            node,
-            dest,
-            k,
-            old,
-            new,
-            ..
+            node, dest, k, new, ..
         } = event
         {
             let key = (*node, *dest, *k);
-            let expected_old = last.get(&key).copied().unwrap_or(INFINITE);
-            assert_eq!(
-                *old, expected_old,
-                "cell {key:?}: relaxation chain must link old to previous new"
-            );
+            let previous = last.insert(key, *new).unwrap_or(INFINITE);
             assert!(
-                *new < *old,
-                "cell {key:?}: prices only relax downward ({old} -> {new})"
+                *new < previous,
+                "cell {key:?}: prices only relax downward ({previous} -> {new})"
             );
-            last.insert(key, *new);
         }
     }
     last

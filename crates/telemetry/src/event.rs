@@ -127,7 +127,8 @@ pub enum TraceEvent {
         /// for a selected route).
         path_cost: u64,
     },
-    /// A node's price entry for transit node `k` toward `dest` changed.
+    /// A node advertised its price entry for transit node `k` toward
+    /// `dest`.
     PriceRelaxed {
         /// The AS holding the price entry.
         node: u32,
@@ -135,11 +136,10 @@ pub enum TraceEvent {
         dest: u32,
         /// The transit AS being priced.
         k: u32,
-        /// Stage (or async sequence) of the change.
+        /// Stage (or async sequence) of the advertisement.
         stage: u64,
-        /// Previous entry ([`INFINITE`] when not yet relaxed).
-        old: u64,
-        /// New entry.
+        /// The advertised entry ([`INFINITE`] when a delta raised it to
+        /// `∞`).
         new: u64,
     },
     /// A node advertised that it lost its route to `dest`.
@@ -417,7 +417,6 @@ mod tests {
                 dest: small,
                 k: small,
                 stage: big,
-                old: big,
                 new: big,
             },
             "Withdrawn" => TraceEvent::Withdrawn {
@@ -539,14 +538,13 @@ mod tests {
             dest: 5,
             k: 4,
             stage: 2,
-            old: INFINITE,
-            new: 7,
+            new: INFINITE,
         };
         assert_eq!(
             event.to_json(),
             format!(
                 "{{\"type\":\"PriceRelaxed\",\"node\":3,\"dest\":5,\"k\":4,\
-                 \"stage\":2,\"old\":{INFINITE},\"new\":7}}"
+                 \"stage\":2,\"new\":{INFINITE}}}"
             )
         );
     }

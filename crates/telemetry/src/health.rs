@@ -477,7 +477,6 @@ mod tests {
             dest: 2,
             k: 3,
             stage,
-            old: 10,
             new: 9,
         };
         let mut monitor = monitor(config);
@@ -513,7 +512,6 @@ mod tests {
             dest: 2,
             k: 3,
             stage,
-            old: 10,
             new: 9,
         };
         let mut monitor = monitor(HealthConfig::default());

@@ -376,7 +376,7 @@ mod tests {
     fn parses_trace_event_lines_exactly() {
         let line = format!(
             "{{\"type\":\"PriceRelaxed\",\"node\":3,\"dest\":5,\"k\":4,\
-             \"stage\":2,\"old\":{},\"new\":7}}",
+             \"stage\":2,\"new\":{}}}",
             u64::MAX
         );
         let v = parse(&line).unwrap();
@@ -384,8 +384,8 @@ mod tests {
             v.get("type").and_then(JsonValue::as_str),
             Some("PriceRelaxed")
         );
-        assert_eq!(v.get("old").and_then(JsonValue::as_u64), Some(u64::MAX));
-        assert_eq!(v.get("new").and_then(JsonValue::as_u64), Some(7));
+        assert_eq!(v.get("k").and_then(JsonValue::as_u64), Some(4));
+        assert_eq!(v.get("new").and_then(JsonValue::as_u64), Some(u64::MAX));
     }
 
     #[test]

@@ -69,10 +69,10 @@ pub use sink::{JsonlSink, NullSink, RingBufferSink, TeeSink, TraceSink};
 use std::path::Path;
 use std::sync::Arc;
 
-/// The cell for AS number `id` in one of the observers' dense shadow
-/// tables, or `None` when `id` is outside `0..bound` (the node count) — a
-/// table never allocates by the value of an id a message carries. A table
-/// is sized to `bound` the first time it is touched.
+/// The cell for AS number `id` in one of the observers' dense tables, or
+/// `None` when `id` is outside `0..bound` (the node count) — a table never
+/// allocates by the value of an id a message carries. A table is sized to
+/// `bound` the first time it is touched.
 pub fn dense_cell<T: Default>(table: &mut Vec<T>, id: u32, bound: usize) -> Option<&mut T> {
     let index = id as usize;
     if index >= bound {

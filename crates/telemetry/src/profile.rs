@@ -42,8 +42,8 @@ pub mod span {
     pub const STAGE: super::SpanId = 0;
     /// Route selection: delivering updates into nodes' route selectors.
     pub const ROUTE_SELECT: super::SpanId = 1;
-    /// The observer's share of a broadcast: the update tracer diffing the
-    /// advertised routes and prices against its shadow, plus every sink
+    /// The observer's share of a broadcast: the update tracer narrating the
+    /// advertised routes and prices, plus every sink
     /// teed behind it (the health monitor's fold included). The node's own
     /// price relaxation runs inside `handle`, under [`ROUTE_SELECT`].
     pub const PRICE_RELAX: super::SpanId = 2;

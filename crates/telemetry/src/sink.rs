@@ -192,7 +192,6 @@ impl TraceSink for TeeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::INFINITE;
     use std::sync::Arc;
 
     fn sample(stage: u64) -> TraceEvent {
@@ -201,7 +200,6 @@ mod tests {
             dest: 2,
             k: 3,
             stage,
-            old: INFINITE,
             new: stage,
         }
     }

@@ -215,7 +215,6 @@ fn relax(dest: u32, stage: u64) -> TraceEvent {
         dest,
         k: 1,
         stage,
-        old: 9,
         new: 8,
     }
 }

@@ -113,19 +113,19 @@ fn lock_step(ledger: &mut Ledger, e: Expected) {
 
     // The last AS re-stamps every route it holds. On the hierarchy: 127
     // path nodes, 125 price arrays (its routes with transit nodes), its
-    // growing re-stamped list (6), touched list (1) and advertisement list
-    // (1), the update's `Arc` (1) and the event's local view (1); its two
-    // neighbors re-select nothing. On BA, 255 + 253 + 7 + 1 + 1 + 1 + 1,
+    // re-stamped list (1), touched list (1) and advertisement list (1),
+    // the update's `Arc` (1) and the event's local view (1); its two
+    // neighbors re-select nothing. On BA, 255 + 253 + 1 + 1 + 1 + 1 + 1,
     // and 25 updates by other nodes: an `Arc` and an advertisement list
     // each, 4 re-selected routes' path nodes and price arrays, and 54
-    // events of price-delta entry lists. On the ring the change re-routes
-    // around the ring: per
-    // update an `Arc` and an advertisement list (3 048 up, 2 981 back), a
-    // path node per re-selected route (3 672), a price array per full
-    // advertisement (3 670), a price delta's entry list grown by doubling
-    // (51 005 and 50 994), the same 6 + 1 + 1 at the last AS, and on the
-    // way up only, buffers growing to a new high-water mark (1 822: the
-    // dirty and affected lists, the price slabs and the wire scratch).
+    // price deltas' entry lists. On the ring the change re-routes around
+    // the ring: per update an `Arc` and an advertisement list (3 048 up,
+    // 2 981 back), a path node per re-selected route (3 672), a price
+    // array per full advertisement (3 670), a price delta's entry list,
+    // copied out at its size (15 737 and 15 618), the same 1 + 1 + 1 at
+    // the last AS, and on the way up only, buffers growing to a new
+    // high-water mark (1 822: the dirty and affected lists, the price
+    // slabs and the wire scratch).
     let (up, back) = cost_change(g, |event| {
         engine.apply_event(event);
     });
@@ -159,10 +159,11 @@ fn lock_step(ledger: &mut Ledger, e: Expected) {
     ledger.exact(&case("undone, tapped"), audited.1, plain.1);
 
     // Null-sink telemetry, the health monitor and the span profiler
-    // together add nothing to a second run. To the ring's cost change they
-    // add the tracer's shadow cells growing to longer routes (16: none on
-    // a second change) and the churn-spike finding the change raises, with
-    // the drained list that carries it to the trace (2).
+    // together add nothing to a second run. To a cost change they add the
+    // tracer's event buffer growing to a new high-water mark (1 on BA, 6
+    // on the ring: none on a second change), and on the ring the
+    // churn-spike finding the change raises, with the drained list that
+    // carries it to the trace (2).
     let mut observed = protocol::build_sync_engine(g).expect("biconnected");
     observed.attach_telemetry(&Telemetry::null());
     observed.attach_health(HealthConfig::default());
@@ -269,8 +270,8 @@ fn sessions(ledger: &mut Ledger) {
     let (up, back) = cost_change(&g, |event| {
         chaos.apply_event(event);
     });
-    ledger.exact("hier128: a cost change over sessions", up, 262);
-    ledger.exact("hier128: undone over sessions", back, 262);
+    ledger.exact("hier128: a cost change over sessions", up, 257);
+    ledger.exact("hier128: undone over sessions", back, 257);
 }
 
 /// The per-neighbor cost model's node on the hierarchy.
@@ -288,9 +289,8 @@ fn margins(ledger: &mut Ledger) {
     // receive cost from it by one, and restores it. Every route through
     // that neighbor is re-priced: two path nodes for each of the 115 it
     // re-selects (its own entry, and the neighbor's entry re-stamped with
-    // the new cost), 115 price arrays, 10 price deltas' entry lists, the
-    // update's advertisement list and cost vector, and the neighbor's
-    // column of destinations the changed vector touches (6, growing).
+    // the new cost), 115 price arrays, 10 price deltas' entry lists, and
+    // the update's advertisement list and cost vector.
     let last = AsId::new(topology.node_count() as u32 - 1);
     let neighbor = topology.neighbors(last)[0];
     let table = nodes[neighbor.index()].full_table().expect("a table");
@@ -304,8 +304,8 @@ fn margins(ledger: &mut Ledger) {
     let (raised, table) = ([Arc::new(raised)], [Arc::new(table)]);
     let up = events(|| node.handle(&raised));
     let back = events(|| node.handle(&table));
-    ledger.exact("margins: a receive-cost change", up, 363);
-    ledger.exact("margins: undone", back, 363);
+    ledger.exact("margins: a receive-cost change", up, 357);
+    ledger.exact("margins: undone", back, 357);
 }
 
 #[test]
@@ -315,7 +315,7 @@ fn every_scenario_allocates_only_its_output() {
         Expected {
             name: "hier128",
             graph: hier128(),
-            serial: (262, 262),
+            serial: (257, 257),
             observed: (0, 0),
             extract: 5,
             central: 1_599,
@@ -324,8 +324,8 @@ fn every_scenario_allocates_only_its_output() {
         Expected {
             name: "BA n=256",
             graph: ba(256),
-            serial: (631, 631),
-            observed: (0, 0),
+            serial: (625, 625),
+            observed: (1, 0),
             extract: 7,
             central: 3_146,
             pairs: 1_018,
@@ -333,8 +333,8 @@ fn every_scenario_allocates_only_its_output() {
         Expected {
             name: "ring128",
             graph: ring128(),
-            serial: (66_273, 64_306),
-            observed: (18, 0),
+            serial: (31_000, 28_925),
+            observed: (8, 0),
             extract: 10,
             central: 820,
             pairs: 256,

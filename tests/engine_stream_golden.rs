@@ -43,6 +43,21 @@
 //! removed, computed on the commit before. Event counts and the
 //! `AdversaryInjected` digests did not move.
 //!
+//! `PriceRelaxed` then stopped diffing against a copy of what was last
+//! traced and lost its `old` field: it names each price entry as
+//! advertised (every finite entry of a full row, every entry of a delta).
+//! Every stream digest was re-recorded. Computed on both commits, every
+//! outcome digest, and the stream digest with `PriceRelaxed` (and
+//! `AdversaryInjected`) removed, are unchanged; only `PriceRelaxed` counts
+//! moved, by exactly the event-count change (cold 5 572 → 5 588, tapped
+//! 9 484 → 11 364, accused only 6 193 → 6 213, warm 12 207 → 14 384,
+//! crash 1 877 → 1 948, flap-and-cut 1 458 → 1 483, chaos tapped 2 090 →
+//! 2 171). Every cell on a final route ends at its final advertised price
+//! on both commits. The last `new` per cell is unchanged everywhere except
+//! 53 (tapped, quarantined) and 57 (warm) cells off every final route: a
+//! re-route's full row once traced them down to `∞`, a row's `∞` entries
+//! are now silent, so they end at their last finite value.
+//!
 //! One freedom is granted: in a tapped lock-step run an `AdversaryInjected`
 //! event may directly follow the perturbed update's own events instead of
 //! being held to the end of the stage. So `AdversaryInjected` events are
@@ -265,8 +280,8 @@ fn chaos(plan: FaultPlan, tap: Option<(AsId, Adversary)>) -> Digest {
 #[test]
 fn sync_cold_stream_is_pinned() {
     let expected = pin(
-        0xef23_52dc_debc_89a3,
-        8384,
+        0xff98_37a7_e4e3_0c61,
+        8400,
         Fnv::EMPTY.0,
         0,
         0xf7c7_cfc0_01d1_fca3,
@@ -278,8 +293,8 @@ fn sync_cold_stream_is_pinned() {
 #[test]
 fn sync_tapped_stream_is_pinned() {
     let expected = pin(
-        0xfc6f_3808_1128_7b6b,
-        12880,
+        0x7653_71bb_fd5d_0bb8,
+        14760,
         0x377b_0168_1749_7eda,
         4,
         0x1967_20bf_53d1_db26,
@@ -287,8 +302,8 @@ fn sync_tapped_stream_is_pinned() {
     check("sync/tapped", sync_tapped(1, true), expected);
     check("sync/tapped/2 workers", sync_tapped(2, true), expected);
     let expected = pin(
-        0x0d1d_a130_7bf6_dac3,
-        9239,
+        0x1014_8103_ae5a_efaa,
+        9259,
         0x18ce_7c71_b936_dd00,
         95,
         0x163b_6490_524c_be7e,
@@ -304,8 +319,8 @@ fn sync_tapped_stream_is_pinned() {
 #[test]
 fn sync_warm_stream_is_pinned() {
     let expected = pin(
-        0x71a9_a9f9_6a55_2fb0,
-        16137,
+        0xe64c_f474_526e_7304,
+        18314,
         Fnv::EMPTY.0,
         0,
         0x7626_8cc1_a2d7_8e03,
@@ -317,8 +332,8 @@ fn sync_warm_stream_is_pinned() {
 fn chaos_crash_stream_is_pinned() {
     let plan = FaultPlan::lossy(7, 16).with_crash(4, AsId::new(9), 11);
     let expected = pin(
-        0x9dd1_8fc1_3b91_6546,
-        5201,
+        0x2f5b_5f1e_869a_358d,
+        5272,
         Fnv::EMPTY.0,
         0,
         0x7c88_06ee_d346_694b,
@@ -336,8 +351,8 @@ fn chaos_flap_and_cut_stream_is_pinned() {
         .with_flap(3, 22, stub, g.neighbors(stub)[0])
         .with_cut(6, AsId::new(0), AsId::new(1));
     let expected = pin(
-        0xec06_d30a_90c7_ccb8,
-        2750,
+        0x91cd_34c9_8544_f4be,
+        2775,
         Fnv::EMPTY.0,
         0,
         0xc1ae_a32a_5722_7133,
@@ -356,8 +371,8 @@ fn chaos_tapped_stream_is_pinned() {
     let plan = FaultPlan::lossy(13, 16).with_flap(3, 22, liar, flapped);
     let tap = (liar, Adversary::new(Strategy::Equivocate, 5));
     let expected = pin(
-        0x0ad0_2aea_e74a_df24,
-        0x15a0,
+        0xf037_fdff_f3d2_a3e6,
+        0x15f1,
         0xb27d_8263_e8e6_c78f,
         0x158,
         0x1b98_c911_3b69_b4f0,

@@ -39,16 +39,14 @@
 //! * `--out PATH` — where to write the JSON (default: repo-root
 //!   `BENCH_chaos.json`).
 //! * `--obs-out DIR` — the shared observability bundle
-//!   (`bgpvcg_bench::obs`). It also attaches a divergence flight recorder
-//!   to every run: if a run ever exhausts the stage budget instead of
-//!   stabilizing, the last trace events and per-node session state are
-//!   dumped to the bundle's `flight.json` as a schema-valid post-mortem
-//!   (see `docs/OBSERVABILITY.md`). Converged runs leave no dump.
+//!   (`bgpvcg_bench::obs`). A run that exhausts the stage budget instead of
+//!   stabilizing leaves its stages in the bundle's trace, without a
+//!   closing `Quiescent`, before the assert below aborts the sweep.
 //!
 //! Regenerate with: `cargo run --release -p bgpvcg-bench --bin e19_chaos`
 
 use bgpvcg_bench::families::Family;
-use bgpvcg_bench::obs::{ObsConfig, FLIGHT};
+use bgpvcg_bench::obs::ObsConfig;
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::chaos::FaultPlan;
 use bgpvcg_core::protocol;
@@ -230,12 +228,6 @@ fn main() {
                     let plan = plan_for(scenario, seed, n, (link.a(), link.b()));
                     let mut engine = protocol::build_chaos_engine(&g, plan).expect("valid graph");
                     engine.attach_telemetry(obs.telemetry());
-                    if obs.dir().is_some() {
-                        // With a flight recorder attached, a stage-budget
-                        // overrun leaves a post-mortem dump before the
-                        // assert below aborts the sweep.
-                        engine.attach_flight_recorder(&obs.flight_path(FLIGHT), 256);
-                    }
                     engine.attach_health(HealthConfig::default());
                     engine.attach_profiler();
                     let report = engine.run_to_stable(MAX_STAGES);

@@ -30,25 +30,22 @@
 //!
 //! * `--smoke` — reduced matrix for CI (`cargo xtask ci` runs this).
 //! * `--obs-out DIR` — the shared observability bundle
-//!   (`bgpvcg_bench::obs`): `flight.json`, the audit-violation flight
-//!   post-mortem (the divergence recorder, armed by the auditor); the
-//!   trace, in which the health-monitored honest sweep leaves no
-//!   `HealthVerdict` (asserted even under parallel workers); and
-//!   `profile.json` + `profile.folded`, the span profile of the
-//!   adversarial post-mortem run, which covers the audit-shadow and
-//!   adversary-tap phases. Without it the post-mortem
-//!   lands in a temp dir that is removed on success. It is validated
-//!   against the flight dump schema either way.
+//!   (`bgpvcg_bench::obs`): the trace, in which the health-monitored
+//!   honest sweep leaves no `HealthVerdict` (asserted even under parallel
+//!   workers) and the profiled adversarial run leaves its
+//!   `AuditViolation`s; and `profile.json` + `profile.folded`, the span
+//!   profile of that adversarial run, which covers the audit-shadow and
+//!   adversary-tap phases.
 //!
 //! Regenerate with: `cargo run -p bgpvcg-bench --bin e20_adversary`
 
 use bgpvcg_bench::families::Family;
-use bgpvcg_bench::obs::{ObsConfig, FLIGHT};
+use bgpvcg_bench::obs::ObsConfig;
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::{Adversary, Strategy, TopologyEvent};
 use bgpvcg_core::{protocol, RoutingOutcome};
 use bgpvcg_netgraph::{AsGraph, AsId};
-use bgpvcg_telemetry::{flight, HealthConfig};
+use bgpvcg_telemetry::HealthConfig;
 
 /// Finds a node whose removal keeps the mechanism preconditions (the
 /// residual graph biconnected), together with the reference outcome of
@@ -330,28 +327,21 @@ fn main() {
         workers.len()
     );
 
-    // ── 3. Flight post-mortem on an audit violation ─────────────────────
-    let flight_out = obs.flight_path(FLIGHT);
+    // ── 3. A profiled audit violation ───────────────────────────────────
     let g = Family::ErdosRenyi.build(n, graph_seed);
     let (culprit, _) = quarantine_reference(&g).expect("erdos-renyi keeps a removable node");
     let mut engine = protocol::build_audited_sync_engine(&g).unwrap();
-    engine.attach_flight_recorder(&flight_out, 256);
+    engine.attach_telemetry(obs.telemetry());
     engine.attach_profiler();
     engine.set_adversary(culprit, Adversary::new(Strategy::Equivocate, 11));
     assert!(engine.run_to_convergence().converged);
-    assert!(!engine.accusations().is_empty());
-    let profile = engine.take_profiler().expect("profiler attached");
-    let dump = std::fs::read_to_string(&flight_out).expect("accusation must dump a post-mortem");
-    flight::validate_dump(&dump).expect("post-mortem must be schema-valid");
-    assert!(
-        dump.contains(flight::REASON_AUDIT_VIOLATION),
-        "post-mortem carries the audit-violation reason"
-    );
+    let accused = engine.accusations().len();
+    assert!(accused > 0, "the equivocator must be accused");
     println!(
-        "Flight post-mortem: {FLIGHT} (schema-valid, reason `{}`)",
-        flight::REASON_AUDIT_VIOLATION
+        "Profiled audit run: equivocator {culprit} drew {accused} accusation(s), \
+         narrated as AuditViolation trace events"
     );
-    obs.write_profile(&profile);
+    obs.write_profile(&engine.take_profiler().expect("profiler attached"));
     obs.finish();
 
     println!(

@@ -1,7 +1,7 @@
 //! Observability smoke run — the trace fixture behind `cargo xtask obs`.
 //!
-//! Two traced phases on the paper's Fig. 1 worked example, sharing one
-//! telemetry handle:
+//! Seven traced phases sharing one telemetry handle, all but the Byzantine
+//! one on the paper's Fig. 1 worked example:
 //!
 //! 1. **Pricing**: the full price-computation protocol converges, then the
 //!    B–D link fails and the protocol reconverges (the residual graph is
@@ -15,11 +15,7 @@
 //!    one node crash/restart, self-stabilizing to the fault-free fixpoint.
 //!    Exercises `FaultInjected`, `Retransmit`, `SessionReset`, and
 //!    `NodeRestart`.
-//! 4. **Flight recorder**: a pricing engine is deliberately stalled (stage
-//!    limit 1) with a divergence flight recorder attached; the dump it
-//!    leaves behind must validate against the flight schema. The artifact
-//!    is the bundle's `flight.json`.
-//! 5. **Byzantine quarantine**: an equivocating wire adversary runs on the
+//! 4. **Byzantine quarantine**: an equivocating wire adversary runs on the
 //!    Petersen graph under the online auditor; the tap's injections, the
 //!    auditor's accusation, and the resulting quarantine are all narrated.
 //!    Exercises `AdversaryInjected`, `AuditViolation`, and
@@ -27,28 +23,26 @@
 //!    audit-shadow and adversary-tap phases on top of the hot path; its
 //!    report is the bundle's `profile.json` + `profile.folded`, and its
 //!    totals are emitted as `SpanSummary` events.
-//! 6. **Observed honest run**: a pricing engine with the streaming health
+//! 5. **Observed honest run**: a pricing engine with the streaming health
 //!    monitor and profiler attached converges cleanly; the monitor must
 //!    report **zero** findings.
-//! 7. **Cost-flap oscillation**: node D's declared cost is toggled
+//! 6. **Cost-flap oscillation**: node D's declared cost is toggled
 //!    repeatedly, so routes through D revisit recently-abandoned
 //!    signatures; the oscillation detector must fire **exactly once**,
 //!    emitting the trace's `HealthVerdict`.
-//! 8. **Health-stall post-mortem**: a chaos run under a permanent link
-//!    flap stops making advertised-state progress while stages keep
-//!    ticking; the stall detector arms the flight recorder with a
-//!    `health-stall` dump (`flight-health-stall.json`) *before* the stage
-//!    budget runs out.
+//! 7. **Convergence stall**: a chaos run under a permanent link flap
+//!    stops making advertised-state progress while stages keep ticking;
+//!    the stall detector must fire before the stage budget runs out, and
+//!    the run's close records its `HealthVerdict` though no `Quiescent`
+//!    comes.
 //!
 //! A single invocation therefore emits every `TraceEvent` kind, which this
 //! binary asserts on an in-memory copy of the stream; `cargo xtask obs`
 //! decodes the written trace line by line.
 //!
 //! Run with: `cargo run -p bgpvcg-bench --bin obs_smoke -- --obs-out DIR`
-//! (without `--obs-out`, the two flight dumps land in a temp dir that is
-//! removed on success).
 
-use bgpvcg_bench::obs::{ObsConfig, FLIGHT, FLIGHT_HEALTH_STALL};
+use bgpvcg_bench::obs::ObsConfig;
 use bgpvcg_bench::table::Table;
 use bgpvcg_bgp::chaos::{ChaosEngine, FaultPlan};
 use bgpvcg_bgp::engine::SyncEngine;
@@ -58,7 +52,7 @@ use bgpvcg_core::protocol;
 use bgpvcg_netgraph::generators::structured::{fig1, petersen, Fig1};
 use bgpvcg_netgraph::{AsId, Cost};
 use bgpvcg_telemetry::health::DETECTOR_OSCILLATION;
-use bgpvcg_telemetry::{flight, HealthConfig, RingBufferSink, TraceEvent, TraceSink};
+use bgpvcg_telemetry::{HealthConfig, RingBufferSink, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -105,25 +99,7 @@ fn main() {
         "chaos run must self-stabilize to the fault-free fixpoint"
     );
 
-    // Phase 4: stall a fresh pricing engine on purpose so the divergence
-    // flight recorder fires, and validate the artifact it leaves behind.
-    let flight_path = obs.flight_path(FLIGHT);
-    let mut stalled = protocol::build_sync_engine(&g).expect("Fig. 1 is biconnected");
-    stalled.attach_telemetry(&telemetry);
-    stalled.attach_flight_recorder(&flight_path, 64);
-    stalled.set_stage_limit(1); // Fig. 1 pricing needs ~7 stages
-    assert!(
-        !stalled.run_to_convergence().converged,
-        "stage limit 1 must abort the run"
-    );
-    let dump = std::fs::read_to_string(&flight_path).expect("stall must leave a flight dump");
-    flight::validate_dump(&dump).expect("flight dump validates");
-    println!(
-        "flight recorder: stalled run dumped {} bytes to {FLIGHT}",
-        dump.len()
-    );
-
-    // Phase 5: a Byzantine equivocator under the online auditor. Petersen
+    // Phase 4: a Byzantine equivocator under the online auditor. Petersen
     // is 3-connected, so quarantining the culprit is always a valid
     // recovery and the run reconverges on the honest residual graph.
     let adversarial = petersen(Cost::new(2));
@@ -143,8 +119,8 @@ fn main() {
         "the equivocator must be quarantined"
     );
     // The audited adversarial run exercises the widest span set: stage,
-    // route-select, wire-encode, price-relax, audit-shadow, adversary-tap,
-    // and the health-fold poll — ≥ 6 phases with nonzero counts.
+    // route-select, wire-encode, price-relax, audit-shadow and
+    // adversary-tap — ≥ 6 phases with nonzero counts.
     let profiler = audited.profiler().expect("profiler attached");
     let covered = (0..bgpvcg_telemetry::profile::span::NAMES.len())
         .filter(|&id| profiler.stat(id).0 > 0)
@@ -156,7 +132,7 @@ fn main() {
     assert_eq!(profiler.truncated(), 0, "span stack must never overflow");
     obs.write_profile(profiler);
 
-    // Phase 6: an honest observed run — health monitor + profiler attached,
+    // Phase 5: an honest observed run — health monitor + profiler attached,
     // cleanly convergent, and therefore finding-free.
     let mut observed = protocol::build_sync_engine(&g).expect("Fig. 1 is biconnected");
     observed.attach_telemetry(&telemetry);
@@ -169,7 +145,7 @@ fn main() {
         "honest convergence must raise zero health findings: {honest_findings:?}"
     );
 
-    // Phase 7: flap D's declared cost so routes through D keep revisiting
+    // Phase 6: flap D's declared cost so routes through D keep revisiting
     // recently-abandoned signatures — the oscillation detector must fire
     // exactly once (at most one finding per detector per run).
     let mut flappy = protocol::build_sync_engine(&g).expect("Fig. 1 is biconnected");
@@ -201,14 +177,11 @@ fn main() {
         flap_findings[0].node, flap_findings[0].dest, flap_findings[0].count
     );
 
-    // Phase 8: a permanent link flap starves the chaos run of progress;
-    // the stall detector must write the health post-mortem before the
-    // stage budget expires, and the dump must carry the health reason.
-    let stall_path = obs.flight_path(FLIGHT_HEALTH_STALL);
+    // Phase 7: a permanent link flap starves the chaos run of progress;
+    // the stall detector must fire before the stage budget expires.
     let stall_plan = FaultPlan::quiet().with_flap(5, 10_000, Fig1::B, Fig1::D);
     let mut stall = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), stall_plan);
     stall.attach_telemetry(&telemetry);
-    stall.attach_flight_recorder(&stall_path, 64);
     stall.attach_health(HealthConfig {
         stall_stages: 24,
         ..HealthConfig::default()
@@ -222,18 +195,7 @@ fn main() {
         stall.health_sink().expect("health attached").stalled(),
         "the stall detector must fire before the stage budget"
     );
-    let stall_dump =
-        std::fs::read_to_string(&stall_path).expect("stall must leave a health post-mortem");
-    flight::validate_dump(&stall_dump).expect("health post-mortem validates against the schema");
-    assert!(
-        stall_dump.contains(&format!("\"reason\":\"{}\"", flight::REASON_HEALTH_STALL)),
-        "the post-mortem must carry the health-stall reason, not the generic one"
-    );
-    println!(
-        "health: stalled chaos run dumped a {}-byte {} post-mortem",
-        stall_dump.len(),
-        flight::REASON_HEALTH_STALL
-    );
+    println!("health: a permanent link flap stalled the chaos run before its stage budget");
 
     let mut kind_counts: BTreeMap<&str, u64> = BTreeMap::new();
     for event in ring.events() {
@@ -265,8 +227,8 @@ fn main() {
             "smoke trace must contain at least one {kind} event"
         );
     }
-    // Exactly the seeded findings: one oscillation (phase 7) plus one
-    // stall (phase 8) — the honest phases contribute nothing.
+    // Exactly the seeded findings: one oscillation (phase 6) plus one
+    // stall (phase 7) — the honest phases contribute nothing.
     assert_eq!(
         kind_counts.get("HealthVerdict").copied().unwrap_or(0),
         2,

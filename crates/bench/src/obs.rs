@@ -12,21 +12,16 @@
 //! * [`PROFILE`] + [`FOLDED`] — the span profiler's report
 //!   (`bgpvcg-profile-v1`) and its flamegraph-ready collapsed stacks (see
 //!   [`bgpvcg_telemetry::profile`]).
-//! * `flight*.json` ([`FLIGHT`], [`FLIGHT_HEALTH_STALL`]) — a divergence
-//!   flight-recorder dump ([`bgpvcg_telemetry::flight`]), present only
-//!   when a run dumped one.
 //!
 //! A binary writes only the artifacts it produces: the profile comes from
 //! the binaries that attach the profiler, and the health monitor's
 //! findings are `HealthVerdict` lines of the trace. Without the flag the
 //! runs are the same (the registry still aggregates and the tables are
-//! printed from it), but nothing hits disk except a flight dump a binary
-//! reads back; that lands in one per-process temp directory which
-//! [`ObsConfig::finish`] removes. See `docs/OBSERVABILITY.md` for the
-//! event taxonomy, metric names and who reads each file.
+//! printed from it), but nothing hits disk. See `docs/OBSERVABILITY.md`
+//! for the event taxonomy, metric names and who reads each file.
 
 use bgpvcg_telemetry::{SpanProfiler, Telemetry};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::exit;
 
 /// The JSONL event trace.
@@ -37,10 +32,6 @@ pub const METRICS: &str = "metrics.json";
 pub const PROFILE: &str = "profile.json";
 /// The span profile's collapsed stacks.
 pub const FOLDED: &str = "profile.folded";
-/// A flight-recorder dump (stage-budget overrun or audit violation).
-pub const FLIGHT: &str = "flight.json";
-/// A flight-recorder dump armed by the health monitor's stall detector.
-pub const FLIGHT_HEALTH_STALL: &str = "flight-health-stall.json";
 
 /// The parsed `--obs-out DIR` flag plus the [`Telemetry`] handle it
 /// configures.
@@ -88,21 +79,6 @@ impl ObsConfig {
         ObsConfig { dir, telemetry }
     }
 
-    /// The bundle directory, when `--obs-out` was given.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    /// Where a flight dump named `name` lands: in the bundle if there is
-    /// one, else in this process's temp directory (created on demand,
-    /// removed by [`ObsConfig::finish`]).
-    pub fn flight_path(&self, name: &str) -> PathBuf {
-        let dir = self.dir.clone().unwrap_or_else(scratch_dir);
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|err| panic!("cannot create {}: {err}", dir.display()));
-        dir.join(name)
-    }
-
     /// Writes `profiler`'s report to the bundle's [`PROFILE`] and its
     /// collapsed stacks to [`FOLDED`].
     pub fn write_profile(&self, profiler: &SpanProfiler) {
@@ -116,15 +92,12 @@ impl ObsConfig {
         &self.telemetry
     }
 
-    /// Flushes the trace and writes the bundle's [`METRICS`]; without a
-    /// bundle, removes the temp directory of [`ObsConfig::flight_path`].
-    /// Call once, after the last run.
+    /// Flushes the trace and writes the bundle's [`METRICS`]. Call once,
+    /// after the last run.
     pub fn finish(&self) {
         self.telemetry.flush();
         if self.dir.is_some() {
             self.write(METRICS, &self.telemetry.snapshot().to_json());
-        } else {
-            std::fs::remove_dir_all(scratch_dir()).ok();
         }
     }
 
@@ -156,11 +129,6 @@ fn split<I: IntoIterator<Item = String>>(args: I) -> (Option<PathBuf>, Vec<Strin
     (dir, rest)
 }
 
-/// The per-process directory flight dumps fall back to without a bundle.
-fn scratch_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("bgpvcg-obs-{}", std::process::id()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +151,6 @@ mod tests {
         );
         assert_eq!(rest, ["--smoke", "--out", "x.json"]);
         assert!(dir.is_dir(), "--obs-out creates the bundle directory");
-        assert_eq!(config.flight_path(FLIGHT), dir.join(FLIGHT));
 
         config
             .telemetry()

@@ -1033,7 +1033,7 @@ mod tests {
     use crate::node::PlainBgpNode;
     use bgpvcg_netgraph::generators::structured::{fig1, hypercube};
     use bgpvcg_netgraph::Cost;
-    use bgpvcg_telemetry::{flight, Telemetry};
+    use bgpvcg_telemetry::Telemetry;
 
     fn sync_fixpoint(g: &AsGraph) -> SyncEngine<PlainBgpNode> {
         let mut engine = SyncEngine::new(g, PlainBgpNode::from_graph(g));
@@ -1306,34 +1306,53 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_dumps_a_schema_valid_flight_artifact() {
+    fn an_exhausted_budget_leaves_its_stages_and_no_quiescent_in_the_trace() {
         let g = fig1();
-        let dir = std::env::temp_dir().join(format!(
-            "bgpvcg-chaos-flight-{}-{:p}",
-            std::process::id(),
-            &g
-        ));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("chaos-flight.json");
-
+        let (telemetry, ring) = Telemetry::ring(1 << 12);
         let mut chaos = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), FaultPlan::quiet());
-        chaos.attach_flight_recorder(&path, 64);
+        chaos.attach_telemetry(&telemetry);
+        chaos.attach_profiler();
         // Three stages is not even enough to finish session establishment,
-        // so the run must exhaust its budget and dump.
+        // so the run must exhaust its budget.
         let report = chaos.run_to_stable(3);
         assert!(!report.converged);
-        let text = std::fs::read_to_string(&path).expect("flight artifact written");
-        flight::validate_dump(&text).expect("flight artifact validates");
-        assert!(text.contains(flight::REASON_STAGE_LIMIT));
-        assert!(text.contains("\"inbox_depth\""));
+        let cut = ring.events();
+        let stages: Vec<u64> = cut
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::StageStart { stage } => Some(*stage),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            stages,
+            [1, 2, 3],
+            "one StageStart per stage, up to the budget"
+        );
+        assert!(
+            !cut.iter()
+                .any(|e| matches!(e, TraceEvent::Quiescent { .. })),
+            "a run cut off by its budget does not close with Quiescent"
+        );
+        assert!(
+            matches!(cut.last(), Some(TraceEvent::SpanSummary { .. })),
+            "the profile is summarized whether or not the run stabilized"
+        );
 
-        // A converged run must not leave a dump behind.
-        std::fs::remove_file(&path).expect("remove stalled dump");
-        let mut ok = ChaosEngine::new(&g, PlainBgpNode::from_graph(&g), FaultPlan::quiet());
-        ok.attach_flight_recorder(&path, 64);
-        let report = ok.run_to_stable(200);
+        // A converged follow-up closes with Quiescent; only the profile's
+        // summaries come after it.
+        let report = chaos.run_to_stable(200);
         assert!(report.converged, "{report}");
-        assert!(!path.exists(), "converged run must not dump");
-        std::fs::remove_dir_all(&dir).ok();
+        let events = ring.events();
+        let follow_up = events
+            .get(cut.len()..)
+            .expect("the ring keeps the whole run");
+        let close = follow_up
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Quiescent { .. }))
+            .expect("a converged run closes with Quiescent");
+        assert!(follow_up[close + 1..]
+            .iter()
+            .all(|e| matches!(e, TraceEvent::SpanSummary { .. })));
     }
 }

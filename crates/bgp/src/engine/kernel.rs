@@ -23,7 +23,7 @@
 //! `docs/PERFORMANCE.md` for the architecture and the determinism argument.
 
 use super::invariants;
-use crate::adversary::{Accusation, Adversary, WireAuditor, WireFinding};
+use crate::adversary::{Accusation, Adversary, WireAuditor};
 use crate::dynamics::{LocalEvent, TopologyEvent};
 use crate::message::{RouteInfo, Update};
 use crate::node::ProtocolNode;
@@ -31,12 +31,10 @@ use crate::stats::StateSnapshot;
 use crate::telemetry::{metric, Instruments};
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost, GraphError};
-use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
 use bgpvcg_telemetry::profile::span;
 use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
 use std::cell::Cell;
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 
 /// What the two stage engines do differently: how a payload reaches a
@@ -330,25 +328,10 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         self.instruments.attach_telemetry(telemetry);
     }
 
-    /// Attaches a divergence flight recorder: the most recent `capacity`
-    /// trace events are retained in memory, and if a run exhausts its stage
-    /// budget the tail plus per-node state snapshots are dumped to `path`
-    /// as one schema-valid JSON artifact (see
-    /// [`bgpvcg_telemetry::flight`]). The recorder is teed into whatever
-    /// telemetry is attached, and works standalone on a detached engine.
-    pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        self.instruments.attach_flight_recorder(path, capacity);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.instruments.flight_recorder()
-    }
-
     /// Attaches the hierarchical span profiler over the engine phases of
     /// [`span`] (route-select, wire-encode, price-relax, audit
-    /// shadow-execute, adversary tap, session timers, health fold — all
-    /// nested under the per-stage root). Enter/exit on the hot path is
+    /// shadow-execute, adversary tap, session timers — all nested under
+    /// the per-stage root). Enter/exit on the hot path is
     /// allocation-free; detached engines pay nothing. Timestamps come from
     /// the attached telemetry's clock (so tests can script them), or a
     /// fresh `SystemClock` on a detached engine.
@@ -368,15 +351,10 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
     }
 
     /// Attaches the streaming convergence-health monitor: a
-    /// [`HealthSink`] is teed into the trace stream (exactly like
-    /// [`attach_flight_recorder`](Self::attach_flight_recorder), and works
-    /// standalone on a detached engine) so every event is folded as it is
-    /// recorded. The run loop polls the stall detector after every stage
-    /// and — when a flight recorder is also attached — dumps a
-    /// [`REASON_HEALTH_STALL`](bgpvcg_telemetry::flight::REASON_HEALTH_STALL)
-    /// post-mortem at first stall, before a stage-budget overrun destroys
-    /// the evidence. Freshly-fired findings are emitted as `HealthVerdict`
-    /// trace events at each run end.
+    /// [`HealthSink`] is teed into the trace stream (it works standalone
+    /// on a detached engine too) so every event is folded as it is
+    /// recorded. Freshly-fired findings are emitted as `HealthVerdict`
+    /// trace events at each run end, whether or not the run converged.
     pub fn attach_health(&mut self, config: HealthConfig) {
         self.instruments.attach_health(config);
     }
@@ -613,10 +591,10 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
 
     /// The one run loop: stages until [`Transport::quiescent`] or until the
     /// stage clock reaches `limit`, then the report and the run's close —
-    /// quiescence gauge and `Quiescent` event, or the stage-limit flight
-    /// dump. The report also covers the traffic settled since the last one
-    /// (an event's reactions); the `Quiescent` event counts only what the
-    /// loop carried.
+    /// quiescence gauge and `Quiescent` event when it converged, health
+    /// verdicts and span summaries either way. The report also covers the
+    /// traffic settled since the last one (an event's reactions); the
+    /// `Quiescent` event counts only what the loop carried.
     pub(crate) fn run<F: FnMut(StageTrace, &[N])>(
         &mut self,
         limit: u64,
@@ -640,9 +618,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         };
         let stage = self.stage;
         invariants::convergence(self.run.changed, stage, limit, converged);
-        if !converged {
-            self.dump_flight(stage, limit);
-        }
         self.run.converged = converged;
         let run = std::mem::take(&mut self.run);
         let report = T::report(self, &run);
@@ -662,7 +637,7 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
     /// The one stage body: the transport's pre-pass, the shared handle
     /// pass, the transport's post-pass, then the stage's accounting — the
     /// `bgp_*` traffic counters and the wall-time histogram — and its
-    /// audit and stall poll.
+    /// audit.
     ///
     /// This is on the engine's hot path: a stage with nothing to deliver
     /// allocates nothing (counted by `tests/allocations.rs`).
@@ -694,8 +669,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         }
         self.instruments.exit();
         self.audit_stage(stage);
-        let counters = self.counters(self.stage_limit as u64);
-        self.instruments.poll_stall(stage, &counters);
         StageTrace {
             stage: stage as usize,
             receiving_nodes,
@@ -718,46 +691,8 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
         sent
     }
 
-    /// The run's counters a post-mortem summarizes, under stage limit
-    /// `limit`.
-    fn counters(&self, limit: u64) -> [(&'static str, u64); 7] {
-        [
-            ("stage_limit", limit),
-            ("stages_with_changes", self.run.changed),
-            ("messages", self.run.sent.messages as u64),
-            ("entries", self.run.sent.entries as u64),
-            ("dirty_nodes", self.dirty.len() as u64),
-            ("updates_stamped", self.update_seq),
-            ("nodes", self.nodes.len() as u64),
-        ]
-    }
-
-    /// Writes the divergence dump after a run hit its stage limit.
-    fn dump_flight(&self, stage: u64, limit: u64) {
-        let summary = self.counters(limit);
-        let snapshots = || {
-            let per_node = self.inboxes.iter().zip(&self.adjacency).zip(&self.down);
-            // Bound the artifact on huge topologies; the run summary still
-            // carries the totals.
-            per_node
-                .take(64)
-                .enumerate()
-                .map(|(idx, ((inbox, neighbors), &down))| FlightSnapshot {
-                    node: idx as u32,
-                    fields: vec![
-                        ("inbox_depth", inbox.len() as u64),
-                        ("neighbors", neighbors.len() as u64),
-                        ("down", u64::from(down)),
-                    ],
-                })
-                .collect()
-        };
-        self.instruments
-            .dump_abort(flight::REASON_STAGE_LIMIT, stage, &summary, snapshots);
-    }
-
     /// Collects the attached auditor's end-of-stage accusations, narrates
-    /// them (`AuditViolation` trace events plus a flight post-mortem), and
+    /// them (`AuditViolation` trace events), and
     /// — with auto-quarantine on — cuts each accused node from the
     /// topology via the [`TopologyEvent::NodeDown`] machinery. Quarantine
     /// reaction broadcasts land at the head of the continuing run, so the
@@ -780,7 +715,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
                     violation: u32::from(finding.equivocation),
                 });
             }
-            self.dump_audit_flight(stage, &accusation);
             let culprit = accusation.node;
             self.accusations.push(accusation);
             if !self.auto_quarantine || self.down[culprit.index()] {
@@ -802,40 +736,6 @@ impl<N: ProtocolNode, T: Transport> Engine<N, T> {
             }
         }
         self.instruments.exit();
-    }
-
-    /// Writes the audit post-mortem after an accusation: the accused node,
-    /// every diverging destination with its expected-vs-advertised costs,
-    /// and the recorded event tail. Best-effort like
-    /// [`dump_flight`](Self::dump_flight).
-    fn dump_audit_flight(&self, stage: u64, accusation: &Accusation) {
-        let Some(recorder) = self.instruments.flight_recorder() else {
-            return;
-        };
-        let findings = &accusation.findings;
-        let equivocations = findings.iter().filter(|f| f.equivocation).count();
-        let summary = [
-            ("accused", u64::from(accusation.node.raw())),
-            ("stage", stage),
-            ("diverging_destinations", findings.len() as u64),
-            ("equivocations", equivocations as u64),
-        ];
-        let snapshot = |finding: &WireFinding| FlightSnapshot {
-            node: finding.destination.raw(),
-            fields: vec![
-                (
-                    "expected_cost",
-                    advertised_cost_raw(finding.expected.as_ref()),
-                ),
-                (
-                    "advertised_cost",
-                    advertised_cost_raw(finding.advertised.as_ref()),
-                ),
-                ("equivocation", u64::from(finding.equivocation)),
-            ],
-        };
-        let snapshots: Vec<FlightSnapshot> = findings.iter().take(64).map(snapshot).collect();
-        let _ = recorder.dump(flight::REASON_AUDIT_VIOLATION, stage, &summary, &snapshots);
     }
 
     /// Checks that `event` can be applied to the current topology without

@@ -10,19 +10,16 @@
 //! what a node advertises, so the tracer keeps no copy of advertised
 //! prices: its only memory is the last path traced per pair, which names
 //! a delta's transit nodes. The engine holds it inside one `Instruments`
-//! bundle, which owns everything else that observes a run too: flight
-//! recorder, health monitor, span profiler.
+//! bundle, which owns everything else that observes a run too: health
+//! monitor, span profiler.
 
 use crate::engine::kernel::Sent;
 use crate::message::{PathEntry, RouteInfo, SharedPath, Update};
 use bgpvcg_netgraph::Cost;
-use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
-use bgpvcg_telemetry::profile::span;
 use bgpvcg_telemetry::{
     dense_cell, Clock, Counter, HealthConfig, HealthSink, SpanId, SpanProfiler, SystemClock,
     Telemetry, TraceEvent, TraceSink, INFINITE,
 };
-use std::path::Path;
 use std::sync::Arc;
 
 /// Canonical metric names shared by the engines and every experiment
@@ -190,8 +187,8 @@ impl UpdateTracer {
 }
 
 /// Everything that observes one executor's runs, behind one value: the
-/// parts a caller attached (base [`Telemetry`], flight recorder, health
-/// monitor, span profiler) and what is derived from them — the tee feeding
+/// parts a caller attached (base [`Telemetry`], health monitor, span
+/// profiler) and what is derived from them — the tee feeding
 /// every sink, the [`UpdateTracer`] recording through it, the cached
 /// traffic counters, and the clock spans are stamped with. Every attach
 /// rebuilds the derived state from the *parts*, so attach order does not
@@ -201,21 +198,18 @@ pub(crate) struct Instruments {
     /// Node count: sizes the tracer's and the health monitor's tables.
     n: usize,
     base: Option<Telemetry>,
-    flight: Option<FlightRecorder>,
     health: Option<Arc<HealthSink>>,
     profiler: Option<SpanProfiler>,
     /// The clock spans are stamped with: the attached telemetry's (so tests
     /// can script it), or a [`SystemClock`]. `Some` while a profiler is.
     clock: Option<Arc<dyn Clock>>,
-    /// Records through the tee base → flight ring → health monitor; `None`
-    /// when no sink is attached.
+    /// Records through the tee base → health monitor; `None` when no sink
+    /// is attached.
     tracer: Option<UpdateTracer>,
     /// The `bgp_*` traffic counter handles, registered by the first
     /// accounted delivery — an executor that only
     /// [`trace`](Self::trace_update)s never creates them.
     traffic: Option<Traffic>,
-    /// Whether the one-shot health-stall post-mortem has been written.
-    stall_dumped: bool,
     /// The update counter when traffic was last accounted.
     settled_seq: u64,
 }
@@ -242,15 +236,13 @@ impl Instruments {
     fn rebuild(&mut self) {
         let health = self
             .health
-            .iter()
+            .as_ref()
             .map(|h| Arc::clone(h) as Arc<dyn TraceSink>);
-        let extras = self.flight.iter().map(FlightRecorder::sink).chain(health);
-        let telemetry = extras.fold(self.base.clone(), |tee, sink| {
-            Some(match tee {
-                Some(telemetry) => telemetry.tee(sink),
-                None => Telemetry::new(sink),
-            })
-        });
+        let telemetry = match (&self.base, health) {
+            (Some(base), Some(health)) => Some(base.tee(health)),
+            (None, Some(health)) => Some(Telemetry::new(health)),
+            (base, None) => base.clone(),
+        };
         self.clock = self.profiler.as_ref().map(|_| match &telemetry {
             Some(telemetry) => telemetry.clock_handle(),
             None => Arc::new(SystemClock::new()),
@@ -264,11 +256,6 @@ impl Instruments {
         self.rebuild();
     }
 
-    pub(crate) fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        self.flight = Some(FlightRecorder::new(path.to_path_buf(), capacity));
-        self.rebuild();
-    }
-
     pub(crate) fn attach_health(&mut self, config: HealthConfig) {
         self.health = Some(Arc::new(HealthSink::with_node_count(config, self.n)));
         self.rebuild();
@@ -277,10 +264,6 @@ impl Instruments {
     pub(crate) fn attach_profiler(&mut self) {
         self.profiler = Some(SpanProfiler::engine());
         self.rebuild();
-    }
-
-    pub(crate) fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
     }
 
     pub(crate) fn health_sink(&self) -> Option<&Arc<HealthSink>> {
@@ -353,57 +336,6 @@ impl Instruments {
         traffic.messages.add(sent.messages as u64);
         traffic.entries.add(sent.entries as u64);
         traffic.bytes.add(sent.bytes_v2 as u64);
-    }
-
-    /// Polls the health monitor's stall verdict — it folded the stage's
-    /// events as they were recorded, sitting in the tee — and at the first
-    /// stall writes the one-shot [`flight::REASON_HEALTH_STALL`]
-    /// post-mortem: the fired findings as snapshots plus the executor's
-    /// `summary` counters. That arms the recorder the moment divergence is
-    /// detected, long before a stage-limit abort would bury the cause.
-    pub(crate) fn poll_stall(&mut self, stage: u64, summary: &[(&str, u64)]) {
-        self.enter(span::HEALTH_FOLD);
-        if !self.stall_dumped && self.health.as_ref().is_some_and(|h| h.stalled()) {
-            self.stall_dumped = true;
-            if let (Some(recorder), Some(health)) = (&self.flight, &self.health) {
-                let findings = health.findings();
-                let snapshots: Vec<FlightSnapshot> = findings
-                    .iter()
-                    .take(64)
-                    .map(|f| FlightSnapshot {
-                        node: f.node,
-                        fields: vec![
-                            ("detector", u64::from(f.detector)),
-                            ("stage", f.stage),
-                            ("dest", u64::from(f.dest)),
-                            ("count", f.count),
-                            ("threshold", f.threshold),
-                        ],
-                    })
-                    .collect();
-                let mut fields = vec![("findings", findings.len() as u64)];
-                fields.extend_from_slice(summary);
-                let _ = recorder.dump(flight::REASON_HEALTH_STALL, stage, &fields, &snapshots);
-            }
-        }
-        self.exit();
-    }
-
-    /// Writes the post-mortem of a run that hit its stage budget — unless
-    /// the health-stall dump already fired: that one is the richer artifact
-    /// and must not be overwritten. Best-effort: the recorder is advisory
-    /// and must not take a failing run further down, so I/O errors are
-    /// swallowed.
-    pub(crate) fn dump_abort(
-        &self,
-        reason: &str,
-        stage: u64,
-        summary: &[(&str, u64)],
-        snapshots: impl FnOnce() -> Vec<FlightSnapshot>,
-    ) {
-        if let Some(recorder) = self.flight.as_ref().filter(|_| !self.stall_dumped) {
-            let _ = recorder.dump(reason, stage, summary, &snapshots());
-        }
     }
 
     /// Ends a run: the closing `Quiescent` carrying `messages` (`None` for

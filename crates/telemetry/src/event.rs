@@ -9,8 +9,8 @@
 //! from the one variant and field list. A JSONL line is an object whose
 //! `type` is the variant name, followed by exactly the variant's fields in
 //! declaration order, each an unsigned integer of the declared width.
-//! Decoding is validation: `cargo xtask obs` and the flight-dump validator
-//! read traces through the decoder.
+//! Decoding is validation: `cargo xtask obs` reads traces through the
+//! decoder.
 //!
 //! Numeric conventions: AS identities are raw `u32` AS numbers; `stage` is
 //! the synchronous engine's 1-based stage counter (0 for pre-stage origin

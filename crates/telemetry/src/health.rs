@@ -1,7 +1,7 @@
 //! Streaming convergence-health detectors (SLO monitors).
 //!
 //! [`HealthMonitor`] folds the live [`TraceEvent`] stream — no replay, no
-//! buffering of the whole trace — and maintains three detectors
+//! buffering of the whole trace — and maintains two detectors
 //! (`docs/OBSERVABILITY.md` §health-SLOs):
 //!
 //! * **Route oscillation** (detector 0): a `(node, dest)` pair re-selects
@@ -12,24 +12,10 @@
 //!   (costs, links, or an adversary), and repeated revisits are the
 //!   instability signature the related route-incentive literature warns
 //!   about.
-//! * **Price-churn spike** (detector 1): the number of `PriceRelaxed`
-//!   events in one stage exceeds [`HealthConfig::churn_factor`] × the
-//!   trailing mean over the previous [`HealthConfig::churn_window`] full
-//!   stages (and an absolute floor, so small reconvergences never
-//!   alarm). History starts at the first stage that relaxed any price,
-//!   and warm-up stages — before one full window of it exists — are never
-//!   judged, which keeps honest initial convergence quiet. Counting from
-//!   the first relaxation rather than the first stage matters on long
-//!   paths: a price needs routes from both sides of its transit node, so
-//!   on a ring the first price wave arrives only after about n/2 stages
-//!   of route-only traffic, and judged against that all-zero window it
-//!   would read as a spike.
 //! * **Convergence stall** (detector 2): stages keep starting but no
 //!   advertised state (route, price, withdrawal) has changed for more
-//!   than [`HealthConfig::stall_stages`] stages. Engines use
-//!   [`HealthMonitor::stalled`] to arm the divergence flight recorder
-//!   with a [`crate::flight::REASON_HEALTH_STALL`] post-mortem *before*
-//!   the hard stage-limit overrun destroys the evidence.
+//!   than [`HealthConfig::stall_stages`] stages — a run that will end on
+//!   its stage limit rather than in `Quiescent`.
 //!
 //! Each detector reports **at most one finding per run** (the first
 //! trigger, with the measured count), so "exactly the seeded findings"
@@ -46,8 +32,6 @@ use std::sync::Mutex;
 
 /// Detector code for route-flap / oscillation findings.
 pub const DETECTOR_OSCILLATION: u32 = 0;
-/// Detector code for price-churn spike findings.
-pub const DETECTOR_CHURN: u32 = 1;
 /// Detector code for convergence-stall findings.
 pub const DETECTOR_STALL: u32 = 2;
 
@@ -61,12 +45,6 @@ pub struct HealthConfig {
     pub flap_revisits: u64,
     /// Window (in stages) revisits must fall within.
     pub flap_window: u64,
-    /// Trailing stages forming the churn baseline.
-    pub churn_window: u64,
-    /// Spike multiplier over the trailing mean.
-    pub churn_factor: u64,
-    /// Absolute floor: a stage below this many relaxations never spikes.
-    pub churn_min_events: u64,
     /// Consecutive stages without advertised-state change that count as a
     /// stall.
     pub stall_stages: u64,
@@ -77,9 +55,6 @@ impl Default for HealthConfig {
         HealthConfig {
             flap_revisits: 3,
             flap_window: 32,
-            churn_window: 8,
-            churn_factor: 4,
-            churn_min_events: 32,
             stall_stages: 64,
         }
     }
@@ -120,7 +95,6 @@ impl HealthFinding {
 pub fn detector_name(detector: u32) -> &'static str {
     match detector {
         DETECTOR_OSCILLATION => "oscillation",
-        DETECTOR_CHURN => "churn-spike",
         DETECTOR_STALL => "stall",
         _ => "unknown",
     }
@@ -146,34 +120,23 @@ pub struct HealthMonitor {
     /// `routes[node][dest]`; a node's row is allocated at its first
     /// selection.
     routes: Vec<Vec<Option<RouteHistory>>>,
-    /// Stage currently being filled by `relax_in_stage`.
-    current_stage: u64,
-    relax_in_stage: u64,
-    /// Completed-stage relaxation counts, most recent last, capped at
-    /// `churn_window`.
-    churn_history: Vec<u64>,
     last_progress_stage: u64,
     findings: Vec<HealthFinding>,
-    fired: [bool; 3],
     stages_seen: u64,
 }
 
 impl HealthMonitor {
     /// A monitor for an `n`-node network: an event naming an AS outside
-    /// `0..n` (including [`RUN_WIDE`]) still counts as progress and churn
-    /// but never sizes a table, so no event can make the monitor allocate
-    /// by the value of an id it carries.
+    /// `0..n` (including [`RUN_WIDE`]) still counts as progress but never
+    /// sizes a table, so no event can make the monitor allocate by the
+    /// value of an id it carries.
     pub fn with_node_count(config: HealthConfig, n: usize) -> Self {
         HealthMonitor {
             config,
             bound: n,
             routes: Vec::new(),
-            current_stage: 0,
-            relax_in_stage: 0,
-            churn_history: Vec::new(),
             last_progress_stage: 0,
             findings: Vec::new(),
-            fired: [false; 3],
             stages_seen: 0,
         }
     }
@@ -193,66 +156,25 @@ impl HealthMonitor {
                 self.on_progress(stage);
                 self.on_route_selected(node, dest, stage, (hops, path_cost));
             }
-            TraceEvent::PriceRelaxed { stage, .. } => {
+            TraceEvent::PriceRelaxed { stage, .. } | TraceEvent::Withdrawn { stage, .. } => {
                 self.on_progress(stage);
-                if stage == self.current_stage {
-                    self.relax_in_stage += 1;
-                }
             }
-            TraceEvent::Withdrawn { stage, .. } => self.on_progress(stage),
             _ => {}
         }
     }
 
     fn on_stage_start(&mut self, stage: u64) {
         self.stages_seen += 1;
-        // Judge the stage that just completed against the trailing baseline,
-        // then roll it into the history.
-        // History starts at the first stage that relaxed anything: before
-        // prices move there is no rate to compare against.
-        let started = !self.churn_history.is_empty() || self.relax_in_stage > 0;
-        if stage > self.current_stage && self.current_stage > 0 && started {
-            self.judge_churn();
-            if self.churn_history.len() == self.config.churn_window as usize {
-                self.churn_history.remove(0);
-            }
-            self.churn_history.push(self.relax_in_stage);
-        }
-        self.current_stage = stage;
-        self.relax_in_stage = 0;
         // Stall: stages keep starting with no advertised-state change.
         let quiet = stage.saturating_sub(self.last_progress_stage);
-        // lint:allow(bounds: fired is [bool; DETECTORS] and the detector codes are the fixed indices 0..DETECTORS)
-        if quiet > self.config.stall_stages && !self.fired[DETECTOR_STALL as usize] {
-            self.fire(HealthFinding {
+        if quiet > self.config.stall_stages && !self.fired(DETECTOR_STALL) {
+            self.findings.push(HealthFinding {
                 detector: DETECTOR_STALL,
                 stage,
                 node: RUN_WIDE,
                 dest: RUN_WIDE,
                 count: quiet,
                 threshold: self.config.stall_stages,
-            });
-        }
-    }
-
-    fn judge_churn(&mut self) {
-        if self.churn_history.len() < self.config.churn_window as usize
-            // lint:allow(bounds: fired is [bool; DETECTORS] and the detector codes are the fixed indices 0..DETECTORS)
-            || self.fired[DETECTOR_CHURN as usize]
-        {
-            return;
-        }
-        let baseline: u64 =
-            self.churn_history.iter().sum::<u64>() / self.config.churn_window.max(1);
-        let threshold = (baseline * self.config.churn_factor).max(self.config.churn_min_events);
-        if self.relax_in_stage > threshold {
-            self.fire(HealthFinding {
-                detector: DETECTOR_CHURN,
-                stage: self.current_stage,
-                node: RUN_WIDE,
-                dest: RUN_WIDE,
-                count: self.relax_in_stage,
-                threshold,
             });
         }
     }
@@ -303,18 +225,14 @@ impl HealthMonitor {
                 history.last = sig;
             }
         }
-        if let Some(finding) = finding {
-            // lint:allow(bounds: fired is [bool; DETECTORS] and the detector codes are the fixed indices 0..DETECTORS)
-            if !self.fired[DETECTOR_OSCILLATION as usize] {
-                self.fire(finding);
-            }
+        if let Some(finding) = finding.filter(|_| !self.fired(DETECTOR_OSCILLATION)) {
+            self.findings.push(finding);
         }
     }
 
-    fn fire(&mut self, finding: HealthFinding) {
-        // lint:allow(bounds: findings are only constructed with the fixed detector codes 0..DETECTORS)
-        self.fired[finding.detector as usize] = true;
-        self.findings.push(finding);
+    /// Whether `detector` has fired (its one finding is in the list).
+    fn fired(&self, detector: u32) -> bool {
+        self.findings.iter().any(|f| f.detector == detector)
     }
 
     /// Findings so far, in firing order (at most one per detector).
@@ -322,11 +240,9 @@ impl HealthMonitor {
         &self.findings
     }
 
-    /// True once the stall detector has fired — the engine's cue to dump a
-    /// [`crate::flight::REASON_HEALTH_STALL`] post-mortem.
+    /// True once the stall detector has fired.
     pub fn stalled(&self) -> bool {
-        // lint:allow(bounds: fired is [bool; DETECTORS] and the detector codes are the fixed indices 0..DETECTORS)
-        self.fired[DETECTOR_STALL as usize]
+        self.fired(DETECTOR_STALL)
     }
 
     /// Stages observed so far.
@@ -336,10 +252,9 @@ impl HealthMonitor {
 }
 
 /// A [`TraceSink`] adapter around a [`HealthMonitor`], so engines can tee
-/// the monitor into their telemetry stream exactly like a flight recorder:
-/// every recorded event is folded as it happens, and the engine polls
-/// [`HealthSink::stalled`] between stages and drains freshly-fired
-/// findings into `HealthVerdict` trace emissions at run end.
+/// the monitor into their telemetry stream: every recorded event is folded
+/// as it happens, and the engine drains freshly-fired findings into
+/// `HealthVerdict` trace emissions at run end.
 #[derive(Debug)]
 pub struct HealthSink {
     state: Mutex<HealthSinkState>,
@@ -462,69 +377,6 @@ mod tests {
         assert_eq!(findings[0].detector, DETECTOR_OSCILLATION);
         assert_eq!((findings[0].node, findings[0].dest), (7, 1));
         assert_eq!(findings[0].count, 3);
-    }
-
-    #[test]
-    fn churn_spike_needs_a_full_baseline_window() {
-        let config = HealthConfig {
-            churn_window: 3,
-            churn_factor: 2,
-            churn_min_events: 4,
-            ..HealthConfig::default()
-        };
-        let relax = |stage: u64| TraceEvent::PriceRelaxed {
-            node: 1,
-            dest: 2,
-            k: 3,
-            stage,
-            new: 9,
-        };
-        let mut monitor = monitor(config);
-        // A huge first stage during warm-up must NOT alarm.
-        monitor.fold(&TraceEvent::StageStart { stage: 1 });
-        for _ in 0..100 {
-            monitor.fold(&relax(1));
-        }
-        // Three quiet stages build the baseline (mean 1).
-        for stage in 2..=4u64 {
-            monitor.fold(&TraceEvent::StageStart { stage });
-            monitor.fold(&relax(stage));
-        }
-        assert!(monitor.findings().is_empty());
-        // Stage 5 spikes: 40 > max(1 * 2, 4).
-        monitor.fold(&TraceEvent::StageStart { stage: 5 });
-        for _ in 0..40 {
-            monitor.fold(&relax(5));
-        }
-        monitor.fold(&TraceEvent::StageStart { stage: 6 });
-        let findings = monitor.findings();
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].detector, DETECTOR_CHURN);
-        assert_eq!(findings[0].count, 40);
-    }
-
-    #[test]
-    fn a_late_first_price_wave_is_warm_up_not_a_spike() {
-        // A ring's shape: a full window of route-only stages, then the
-        // first relaxations arrive all at once.
-        let relax = |stage: u64| TraceEvent::PriceRelaxed {
-            node: 1,
-            dest: 2,
-            k: 3,
-            stage,
-            new: 9,
-        };
-        let mut monitor = monitor(HealthConfig::default());
-        for stage in 1..=9u64 {
-            monitor.fold(&TraceEvent::StageStart { stage });
-            monitor.fold(&select(1, 2, stage, 2, 100 - stage));
-        }
-        monitor.fold(&TraceEvent::StageStart { stage: 10 });
-        for _ in 0..180 {
-            monitor.fold(&relax(10));
-        }
-        monitor.fold(&TraceEvent::StageStart { stage: 11 });
-        assert!(monitor.findings().is_empty(), "{:?}", monitor.findings());
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!    ([`JsonlSink`]) or kept in memory ([`RingBufferSink`]). The enum is
 //!    the schema: [`TraceEvent::from_json`] decodes exactly what
 //!    [`TraceEvent::to_json`] writes, so decoding a trace validates it.
-//! 3. **Health** ([`HealthMonitor`]): streaming oscillation, price-churn
-//!    and stall detectors folded over the live event stream, plus the
-//!    divergence flight recorder ([`flight::FlightRecorder`]) that dumps
-//!    the tail of a stalled run as one validated JSON artifact.
+//! 3. **Health** ([`HealthMonitor`]): streaming oscillation and stall
+//!    detectors folded over the live event stream. A run that does not
+//!    converge leaves its evidence in the trace itself: `StageStart`s up to
+//!    the stage limit, no `Quiescent`, and the monitor's findings as
+//!    `HealthVerdict`s.
 //! 4. **Profiling** ([`SpanProfiler`]): per-phase engine time in fixed
 //!    spans, exported as JSON and collapsed stacks.
 //! 5. **Time** ([`Clock`]): injectable nanosecond sources so per-stage wall
@@ -48,7 +49,6 @@
 
 pub mod clock;
 pub mod event;
-pub mod flight;
 pub mod health;
 pub mod json;
 pub mod profile;
@@ -57,7 +57,6 @@ pub mod sink;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use event::{TraceEvent, INFINITE};
-pub use flight::{FlightRecorder, StateSnapshot};
 pub use health::{HealthConfig, HealthFinding, HealthMonitor, HealthSink};
 pub use profile::{SpanId, SpanProfiler};
 pub use registry::{

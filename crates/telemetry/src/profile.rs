@@ -56,13 +56,9 @@ pub mod span {
     pub const AUDIT_SHADOW: super::SpanId = 5;
     /// Byzantine adversary wire tap rewriting advertisements.
     pub const ADVERSARY_TAP: super::SpanId = 6;
-    /// The engine's per-stage poll of the health monitor's stall verdict
-    /// (the fold itself happens as events are recorded — see
-    /// [`PRICE_RELAX`]).
-    pub const HEALTH_FOLD: super::SpanId = 7;
 
     /// Names matching the ids above, exported in profile JSON.
-    pub const NAMES: [&str; 8] = [
+    pub const NAMES: [&str; 7] = [
         "stage",
         "route-select",
         "price-relax",
@@ -70,7 +66,6 @@ pub mod span {
         "session-retransmit",
         "audit-shadow",
         "adversary-tap",
-        "health-fold",
     ];
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates experiments E1..E18 in release mode, saving outputs
+# Regenerates experiments E1..E20 in release mode, saving outputs
 # under results/. Fails if any experiment's verdict assertion trips.
+# e19_chaos also rewrites BENCH_chaos.json (its default --out); the file
+# holds counts only, so a healthy run leaves it byte-identical.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 mkdir -p results
@@ -10,7 +12,7 @@ experiments=(
   e7_dprime_vs_d e8_overcharging e9_baseline_comparison e10_dynamics
   e11_ablation_full_table e12_neighbor_costs e13_audit e14_scale
   e15_per_node_convergence e16_topology_realism e17_uniqueness
-  e18_overcharge_vs_diversity
+  e18_overcharge_vs_diversity e19_chaos e20_adversary
 )
 # Build everything up front, then verify each expected binary actually
 # exists: a typo'd experiment name fails here in seconds instead of

@@ -161,9 +161,7 @@ fn lock_step(ledger: &mut Ledger, e: Expected) {
     // Null-sink telemetry, the health monitor and the span profiler
     // together add nothing to a second run. To a cost change they add the
     // tracer's event buffer growing to a new high-water mark (1 on BA, 6
-    // on the ring: none on a second change), and on the ring the
-    // churn-spike finding the change raises, with the drained list that
-    // carries it to the trace (2).
+    // on the ring: none on a second change).
     let mut observed = protocol::build_sync_engine(g).expect("biconnected");
     observed.attach_telemetry(&Telemetry::null());
     observed.attach_health(HealthConfig::default());
@@ -334,7 +332,7 @@ fn every_scenario_allocates_only_its_output() {
             name: "ring128",
             graph: ring128(),
             serial: (31_000, 28_925),
-            observed: (8, 0),
+            observed: (6, 0),
             extract: 10,
             central: 820,
             pairs: 256,

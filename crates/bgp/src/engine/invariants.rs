@@ -1,9 +1,13 @@
 //! Protocol invariant hooks for the engines and the node step they drive.
 //!
 //! These functions hold `debug_assert!`-based audits at the engine's
-//! convergence points and the node's relaxation, so every debug build
-//! (every `cargo test`) runs them and release builds compile them to
-//! nothing. `cargo xtask audit` verifies that the hooks stay wired in.
+//! convergence points and the node's selection and relaxation, so every
+//! debug build (every `cargo test`) runs them and release builds compile
+//! them to nothing. `cargo xtask audit` verifies that the hooks stay wired
+//! in.
+
+use crate::selector::RouteSelector;
+use bgpvcg_netgraph::AsId;
 
 /// Audits the bookkeeping of one run of the shared run loop, given the
 /// stage clock at the last table change and at the run's end, and the
@@ -48,6 +52,44 @@ pub(crate) fn relaxation_step<T>(transit: usize, relaxed: &[T]) {
         relaxed.len(),
         "relaxed array must align with the route's transit nodes"
     );
+}
+
+/// Audits the selections one [`crate::Node`] step kept: every destination
+/// it touched and did not re-route — whether its flag skipped selection or
+/// selection ran and changed nothing — holds what selection would choose
+/// from the Rib-In now. A skip the flags allowed wrongly fails here, in
+/// every debug build.
+pub(crate) fn selection_kept(selector: &RouteSelector, kept: impl Iterator<Item = AsId>) {
+    if cfg!(debug_assertions) {
+        for dest in kept {
+            debug_assert!(
+                selector.is_decided(dest),
+                "{} skipped selection for {dest}, but the Rib-In now selects another route",
+                selector.id()
+            );
+        }
+    }
+}
+
+/// Audits what [`RouteSelector::link_down`] relies on: every destination
+/// in the lost neighbor `a`'s column holds what selection would choose
+/// now. `link_down` re-decides only the destinations routed through `a`
+/// and keeps every other entry, which equals a rescan of the column only
+/// where that entry was decided.
+pub(crate) fn column_decided(
+    selector: &RouteSelector,
+    a: AsId,
+    column: impl Iterator<Item = AsId>,
+) {
+    if cfg!(debug_assertions) {
+        for dest in column {
+            debug_assert!(
+                selector.is_decided(dest),
+                "{} lost the link to {a} with {dest} undecided: decide before link_down",
+                selector.id()
+            );
+        }
+    }
 }
 
 #[cfg(test)]

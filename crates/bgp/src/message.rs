@@ -4,7 +4,6 @@ use crate::rib::{PriceSlab, RibCell, Span};
 use bgpvcg_netgraph::{AsId, Cost};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One node of an advertised AS path, annotated with the cost that node
@@ -39,11 +38,12 @@ pub struct PathEntry {
 /// Each node also records what a receiver checks of an advertised path —
 /// its length, destination, largest AS number, whether an AS repeats and
 /// whether the destination's entry is costless — so that check reads one
-/// node instead of walking the path, and it caches the path's FNV-1a-64
-/// hash the first time it is asked for. The hash identifies the path on
-/// the wire (see [`RouteInfo::PriceDelta::base_path_hash`]) and makes
-/// repeated equality checks cheap: pointer equality first, then length and
-/// hash, then contents, which stop at the first suffix the two share.
+/// node instead of walking the path, and the path's hash, made with the
+/// node from its rest's hash in one step (see [`hash64`](Self::hash64)).
+/// The hash identifies the path on the wire (see
+/// [`RouteInfo::PriceDelta::base_path_hash`]) and makes equality checks
+/// cheap: pointer equality first, then length and hash, then contents,
+/// which stop at the first suffix the two share.
 #[derive(Clone)]
 pub struct SharedPath(Arc<PathNode>);
 
@@ -60,8 +60,8 @@ struct PathNode {
     last_node: AsId,
     /// The largest AS number on the path.
     max_id: u32,
-    /// The path's FNV-1a-64 hash once computed, [`UNHASHED`] before.
-    hash: AtomicU64,
+    /// The path's hash: [`fnv1a_entry`] of the first entry over the rest's.
+    hash: u64,
     /// The path this one extends, `None` past the last entry.
     rest: Option<SharedPath>,
 }
@@ -73,9 +73,26 @@ const COSTLESS_END: u32 = 1 << 30;
 /// `meta` bits holding the entry count. A longer path would take 64 GiB.
 const LEN: u32 = COSTLESS_END - 1;
 
-/// The hash slot of a node whose hash has not been asked for. A path whose
-/// hash really is 0 hashes again on each request, and is still right.
-const UNHASHED: u64 = 0;
+const _: () = assert!(
+    std::mem::size_of::<PathNode>() == 40,
+    "a path node and its reference counts fill one 64-byte heap chunk"
+);
+
+/// The FNV-1a-64 offset basis: the hash of the path with no entry.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a-64 prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a-64 step from `hash` over `entry`'s 12 bytes: its AS number
+/// as 4 little-endian bytes, then its raw cost as 8 little-endian bytes
+/// (`∞` as `u64::MAX`).
+fn fnv1a_entry(hash: u64, entry: PathEntry) -> u64 {
+    let node = entry.node.raw().to_le_bytes();
+    let cost = entry.cost.finite().unwrap_or(u64::MAX).to_le_bytes();
+    node.into_iter().chain(cost).fold(hash, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
 
 impl Drop for PathNode {
     /// Unlinks the suffix node by node: the default drop would recurse once
@@ -104,14 +121,21 @@ impl SharedPath {
     /// `rest` is no rest: the result is the one-entry path.
     pub(crate) fn link(head: PathEntry, rest: Option<SharedPath>, simple: bool) -> SharedPath {
         let rest = rest.filter(|rest| !rest.is_empty());
-        let (len, last_node, max_id, costless_end) = match &rest {
+        let (len, last_node, max_id, costless_end, rest_hash) = match &rest {
             Some(rest) => (
                 rest.len() as u32 + 1,
                 rest.0.last_node,
                 rest.0.max_id.max(head.node.raw()),
                 rest.0.meta & COSTLESS_END != 0,
+                rest.0.hash,
             ),
-            None => (1, head.node, head.node.raw(), head.cost == Cost::ZERO),
+            None => (
+                1,
+                head.node,
+                head.node.raw(),
+                head.cost == Cost::ZERO,
+                FNV_OFFSET,
+            ),
         };
         let flags = if simple { SIMPLE } else { 0 } | if costless_end { COSTLESS_END } else { 0 };
         SharedPath::alloc(PathNode {
@@ -120,7 +144,7 @@ impl SharedPath {
             cost: head.cost,
             last_node,
             max_id,
-            hash: AtomicU64::new(UNHASHED),
+            hash: fnv1a_entry(rest_hash, head),
             rest,
         })
     }
@@ -133,7 +157,7 @@ impl SharedPath {
             cost: Cost::ZERO,
             last_node: AsId::new(0),
             max_id: 0,
-            hash: AtomicU64::new(UNHASHED),
+            hash: FNV_OFFSET,
             rest: None,
         })
     }
@@ -142,29 +166,21 @@ impl SharedPath {
         SharedPath(Arc::new(node))
     }
 
-    /// The FNV-1a-64 hash of the path contents (node ids and declared
-    /// costs), computed on the first call and cached. Two equal paths
-    /// always hash equal; collisions between different paths are possible
-    /// in principle, which is why the delta-advertisement protocol treats a
-    /// hash match as *necessary*, never as proof (the session layer already
-    /// guarantees the receiver's retained path is byte-identical to the
-    /// sender's).
+    /// The FNV-1a-64 hash of the path contents: the entries from *last to
+    /// first*, each as its AS number (4 bytes, little-endian) followed by
+    /// its raw cost (8 bytes, little-endian, `∞` as `u64::MAX`). Read
+    /// backwards, a path is its rest followed by its first entry, so a node
+    /// hashes its own entry over its rest's hash when it is made — one
+    /// 12-byte step, whatever the length — and a one-entry path hashes its
+    /// entry from the offset basis.
+    ///
+    /// Two equal paths always hash equal; collisions between different
+    /// paths are possible in principle, which is why the
+    /// delta-advertisement protocol treats a hash match as *necessary*,
+    /// never as proof (the session layer already guarantees the receiver's
+    /// retained path is byte-identical to the sender's).
     pub fn hash64(&self) -> u64 {
-        // The value depends on the contents alone, so racing first calls
-        // store the same number.
-        let cached = self.0.hash.load(Ordering::Relaxed);
-        if cached != UNHASHED {
-            return cached;
-        }
-        let hash = fnv1a_path(self.iter());
-        self.0.hash.store(hash, Ordering::Relaxed);
-        hash
-    }
-
-    /// The hash, if some earlier call computed it.
-    fn cached_hash(&self) -> Option<u64> {
-        let cached = self.0.hash.load(Ordering::Relaxed);
-        (cached != UNHASHED).then_some(cached)
+        self.0.hash
     }
 
     /// Number of entries.
@@ -292,28 +308,6 @@ impl Iterator for PathIter<'_> {
 
 impl ExactSizeIterator for PathIter<'_> {}
 
-/// FNV-1a-64 over the path's wire-relevant content: each entry's AS number
-/// as 4 little-endian bytes followed by its raw cost as 8 little-endian
-/// bytes (`∞` as `u64::MAX`).
-fn fnv1a_path(entries: impl Iterator<Item = PathEntry>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    };
-    for entry in entries {
-        for byte in (entry.node.index() as u32).to_le_bytes() {
-            eat(byte);
-        }
-        for byte in entry.cost.finite().unwrap_or(u64::MAX).to_le_bytes() {
-            eat(byte);
-        }
-    }
-    hash
-}
-
 impl From<Vec<PathEntry>> for SharedPath {
     /// Builds a path from its entries, first to last: one node each, made
     /// from the last entry back. The suffixes that repeat an AS are those
@@ -365,13 +359,8 @@ impl PartialEq for SharedPath {
         if Arc::ptr_eq(&self.0, &other.0) {
             return true;
         }
-        if self.len() != other.len() {
+        if self.len() != other.len() || self.hash64() != other.hash64() {
             return false;
-        }
-        if let (Some(ours), Some(theirs)) = (self.cached_hash(), other.cached_hash()) {
-            if ours != theirs {
-                return false;
-            }
         }
         // Walk both until they differ, or reach a suffix they share.
         for (ours, theirs) in self.suffixes().zip(other.suffixes()) {

@@ -70,8 +70,8 @@ pub trait ProtocolNode: Send {
 /// transit on the route being relaxed.
 const NOT_DIRTY: u32 = u32::MAX;
 
-/// One destination a step touched, and whether anything but a price
-/// delta did — only then can its selection change — until selection has
+/// One destination a step touched, and whether any touch can change its
+/// selection (see [`RouteSelector::ingest_flagged`]) until selection has
 /// run, and whether it did after.
 type Dirty = (AsId, bool);
 
@@ -230,7 +230,7 @@ pub struct Node<P: PricePolicy> {
     /// monotone-relaxation common case of Sect. 6). On by default.
     delta_encoding: bool,
     /// The destinations the `handle` call in progress touched, each with
-    /// whether any touch could re-route it. Lent out by `ingest`,
+    /// whether any touch can change its selection. Lent out by `ingest`,
     /// handed back once announced.
     dirty: Vec<Dirty>,
     /// An AS-indexed position table, all [`NOT_DIRTY`] between uses. Inside
@@ -289,8 +289,8 @@ impl<P: PricePolicy> Node<P> {
     }
 
     /// Ingests one stage's inbox into the selector and returns the affected
-    /// destinations, ascending, each flagged if any touch was more than a
-    /// price delta. The list is `dirty`, lent out: hand it back once
+    /// destinations, ascending, each flagged if any touch can change the
+    /// selection. The list is `dirty`, lent out: hand it back once
     /// announced.
     fn ingest(&mut self, updates: &[Arc<Update>]) -> Vec<Dirty> {
         let mut dirty = std::mem::take(&mut self.dirty);
@@ -653,11 +653,13 @@ impl<P: PricePolicy> ProtocolNode for Node<P> {
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
         let mut dirty = self.ingest(updates);
-        // Only a route change re-opens selection: a destination only price
-        // deltas touched keeps its route and goes straight to relaxation.
+        // Selection re-runs only where a touch can change it: any other
+        // destination keeps its route and goes straight to relaxation.
         for (dest, reroute) in &mut dirty {
             *reroute = *reroute && self.selector.decide(*dest);
         }
+        let kept = dirty.iter().filter(|&&(_, rerouted)| !rerouted);
+        crate::engine::invariants::selection_kept(&self.selector, kept.map(|&(dest, _)| dest));
         let update = self.announce(&dirty);
         dirty.clear();
         self.dirty = dirty;

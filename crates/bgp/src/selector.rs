@@ -42,6 +42,37 @@ impl SelectedRoute {
     }
 }
 
+/// The winner of selection where it lies in the Rib-In: the advertised
+/// path, the advertiser's entry as the route carries it, and the route's
+/// transit cost.
+#[derive(Debug, Clone, Copy)]
+struct Winner<'a> {
+    path: &'a SharedPath,
+    advertiser: PathEntry,
+    cost: Cost,
+}
+
+impl Winner<'_> {
+    /// The selected route: `head` prepended to the advertised path — or,
+    /// where the per-neighbor model restamped the advertiser's entry, to
+    /// that entry on the advertised rest. Either way the ids are the
+    /// advertised path's, which `well_formed` found simple and loop
+    /// suppression found free of this node, so neither node needs a walk
+    /// to know it is simple.
+    fn extend(self, head: PathEntry) -> SelectedRoute {
+        let simple = self.path.is_simple();
+        let hop = if self.path.first() == Some(self.advertiser) {
+            self.path.clone()
+        } else {
+            SharedPath::link(self.advertiser, self.path.rest().cloned(), simple)
+        };
+        SelectedRoute {
+            path: SharedPath::link(head, Some(hop), simple),
+            cost: self.cost,
+        }
+    }
+}
+
 /// Structural validity of an incoming reachable advertisement: the path is
 /// non-empty, starts at the advertiser, ends at the destination — whose
 /// entry carries no cost, as a destination is never transit — repeats no
@@ -110,15 +141,83 @@ fn nodes(path: &SharedPath) -> impl Iterator<Item = AsId> + '_ {
     path.iter().map(|e| e.node)
 }
 
+/// What extending `a`'s advertised route to `dest` adds to its cost: `a`
+/// turns transit, unless it is the destination, which stays an endpoint.
+/// In the base model `a`'s cost is its first path entry, `first`; in the
+/// per-neighbor model it is `a`'s receive cost *from us*, `vector_cost`,
+/// taken from its advertised vector.
+fn added_cost(a: AsId, dest: AsId, first: PathEntry, vector_cost: Option<Cost>) -> Cost {
+    match vector_cost {
+        _ if a == dest => Cost::ZERO,
+        Some(cost) => cost,
+        None => first.cost,
+    }
+}
+
+/// Whether the extension of advertised path `path` at `cost` precedes the
+/// one of `other` at `other_cost` in the route order `(transit cost, hop
+/// count, lexicographic AS path)`. Every extension starts with this node,
+/// so ordering the advertised paths orders the extensions.
+fn precedes(cost: Cost, path: &SharedPath, other_cost: Cost, other: &SharedPath) -> bool {
+    cost.cmp(&other_cost)
+        .then_with(|| path.len().cmp(&other.len()))
+        .then_with(|| nodes(path).cmp(nodes(other)))
+        .is_lt()
+}
+
+/// Whether `info`, just folded into the Rib-In cell `from` holds for
+/// `dest`, can change `held`, the selection the table holds for `dest` —
+/// the one selection would make from the Rib-In before the fold. Prices
+/// never enter selection, so a price delta cannot. Anything from the
+/// selected route's own next hop can, and anything at all where there is
+/// no route. From any other neighbor, the old cell was not the winner, so
+/// removing it leaves the winner standing: a withdrawal cannot, and a full
+/// advertisement can only if its extension precedes the winner.
+/// `vector_cost` is `from`'s current receive cost from us, if it sent one.
+fn can_change(
+    held: Option<&SelectedRoute>,
+    from: AsId,
+    dest: AsId,
+    info: &RouteInfo,
+    vector_cost: Option<Cost>,
+) -> bool {
+    let Some(held) = held else {
+        return !matches!(info, RouteInfo::PriceDelta { .. });
+    };
+    // The trivial route has no hop, and nothing precedes it.
+    let Some(hop) = held.path.rest() else {
+        return false;
+    };
+    match info {
+        RouteInfo::PriceDelta { .. } => false,
+        _ if held.next_hop() == Some(from) => true,
+        RouteInfo::Withdrawn => false,
+        RouteInfo::Reachable {
+            path, path_cost, ..
+        } => path.first().is_some_and(|first| {
+            let cost = *path_cost + added_cost(from, dest, first, vector_cost);
+            precedes(cost, path, held.cost, hop)
+        }),
+    }
+}
+
 /// The path-vector decision process of one AS: Rib-In (the last routes each
 /// neighbor advertised), route selection under the deterministic order, and
 /// the selected routing table.
 ///
-/// `RouteSelector` is deliberately protocol-logic only — no I/O — so the
-/// synchronous and asynchronous engines, and the pricing extension in
-/// `bgpvcg-core`, all drive the same code (the paper's mechanism is an
-/// extension of BGP, so the BGP decision process must be shared, not
-/// duplicated).
+/// `RouteSelector` is deliberately protocol-logic only — no I/O — so both
+/// transports of the stage engine (lock-step and session), and the pricing
+/// extension in `bgpvcg-core`, all drive the same code (the paper's
+/// mechanism is an extension of BGP, so the BGP decision process must be
+/// shared, not duplicated).
+///
+/// Selection is re-run only where it can change. Between calls the table
+/// is *decided* — each destination's entry is what [`decide`](Self::decide)
+/// would select from the Rib-In — once every destination the crate's
+/// flagging ingest marked as able to change has been decided, as
+/// [`Node`](crate::Node) does in every step; [`link_down`](Self::link_down)
+/// relies on it, and debug builds check it there. (A caller of plain
+/// [`ingest`](Self::ingest) decides what it returns.)
 ///
 /// State is dense and destination-major (AS numbers are `0..n`): the
 /// sorted neighbor list assigns each neighbor a *slot*, and the Rib-In
@@ -154,8 +253,8 @@ pub struct RouteSelector {
     bound: usize,
     /// `ingest`'s result buffer, reused across calls.
     affected: Vec<AsId>,
-    /// Aligned with `affected`: whether that change can re-open selection
-    /// (anything but a price delta), reused across calls.
+    /// Aligned with `affected`: whether that change can change the
+    /// selection (see `can_change`), reused across calls.
     reroutes: Vec<bool>,
 }
 
@@ -384,21 +483,29 @@ impl RouteSelector {
     /// Ingests an UPDATE from a neighbor into the Rib-In, returning the
     /// destinations whose advertised state changed, in message order (a
     /// destination the update names twice can appear twice). Messages from
-    /// non-neighbors (possible transiently around link failures in the
-    /// asynchronous engine) are ignored. The returned slice is the
-    /// selector's own buffer, valid until the next call.
+    /// non-neighbors (possible transiently around link failures, while a
+    /// session's frames are still in flight) are ignored. The returned
+    /// slice is the selector's own buffer, valid until the next call.
     pub fn ingest(&mut self, update: &Update) -> &[AsId] {
         self.update_rib(update);
         &self.affected
     }
 
     /// [`ingest`](Self::ingest), with each affected destination paired
-    /// with whether anything other than a [`RouteInfo::PriceDelta`] touched
-    /// it: a full advertisement, a withdrawal, or a changed cost vector. A
-    /// delta only patches prices on a retained path — no candidate's path,
-    /// cost or loop status moves — so a destination that only deltas
-    /// touched keeps its selection, and [`decide`](Self::decide) on it
-    /// would be wasted.
+    /// with whether the change can change the selection: it came from the
+    /// selected route's next hop, the destination has no route, the
+    /// sender's cost vector changed, or a full advertisement's extension
+    /// precedes the selected route in the route order. Anything else — a
+    /// price delta, which moves no candidate's path or cost, and a
+    /// withdrawal or a losing route from a neighbor that was not the
+    /// winner — leaves the winner standing, so [`decide`](Self::decide) on
+    /// it would be wasted.
+    ///
+    /// The flags read the table, so they are exact while the table is
+    /// decided: decide every flagged destination before the next
+    /// [`link_down`](Self::link_down). Within one batch of updates they
+    /// may be ORed per destination, as [`Node`](crate::Node) does, since a
+    /// destination no earlier update flagged still has its decided entry.
     pub(crate) fn ingest_flagged(
         &mut self,
         update: &Update,
@@ -429,6 +536,10 @@ impl RouteSelector {
                 self.reroutes.resize(self.affected.len(), true);
             }
         }
+        let vector_cost = self
+            .vectors
+            .get(slot)
+            .and_then(|vector| recv_cost(vector, self.id));
         for ad in &update.advertisements {
             let dest = ad.destination;
             if let RouteInfo::Reachable { .. } = ad.info {
@@ -462,31 +573,23 @@ impl RouteSelector {
                 .get_mut(at)
                 .is_some_and(|cell| ad.info.fold(cell, slab))
             {
+                let held = self.table.get(dest.index()).and_then(Option::as_ref);
                 self.affected.push(dest);
                 self.reroutes
-                    .push(!matches!(ad.info, RouteInfo::PriceDelta { .. }));
+                    .push(can_change(held, update.from, dest, &ad.info, vector_cost));
                 slab.tidy(cells.iter_mut().flatten());
             }
         }
     }
 
-    /// Re-runs route selection for one destination; returns `true` if the
-    /// selected route changed (including becoming unreachable).
-    ///
-    /// Selection: over all neighbors `a` whose Rib-In holds a route for
-    /// `dest` not containing this node (loop suppression), extend that route
-    /// by this node and keep the minimum under the deterministic route
-    /// order `(transit cost, hop count, lexicographic AS path)`.
-    pub fn decide(&mut self, dest: AsId) -> bool {
-        if dest == self.id {
-            return false; // the trivial route is permanent
-        }
-        // Candidates are compared where they lie in the row. Every
-        // extension starts with this node, so ordering the advertised
-        // paths orders the extensions; only a winner that differs from the
-        // table entry is materialised, as one hop on the advertised path,
-        // so losing candidates cost no allocation.
-        let mut best: Option<(&SharedPath, PathEntry, Cost)> = None;
+    /// The winner of selection for `dest` from the Rib-In, where it lies:
+    /// over all neighbors `a` whose Rib-In holds a route for `dest` not
+    /// containing this node (loop suppression), the extension of that
+    /// route by this node that comes first in the deterministic route order
+    /// `(transit cost, hop count, lexicographic AS path)`. Nothing is
+    /// materialised, so losing candidates cost no allocation.
+    fn best(&self, dest: AsId) -> Option<Winner<'_>> {
+        let mut best: Option<Winner<'_>> = None;
         let cells = self.neighbors.iter().zip(&self.vectors).zip(self.row(dest));
         for ((&a, vector), cell) in cells {
             let Some(RibCell {
@@ -495,75 +598,78 @@ impl RouteSelector {
             else {
                 continue;
             };
-            // Extending by ourselves turns the advertiser into a transit
-            // node (unless it is the destination, which stays an endpoint).
-            // In the base model the advertiser's cost is the first path
-            // entry; in the per-neighbor model it is the advertiser's
-            // receive cost *from us*, taken from its advertised vector, and
-            // the advertiser's entry is restamped with it: each path entry
-            // carries the node's cost *given its predecessor on this path*.
-            let vector_cost = recv_cost(vector, self.id);
             let Some(first) = path.first() else {
                 continue;
             };
-            let added = match vector_cost {
-                _ if a == dest => Cost::ZERO,
-                Some(cost) => cost,
-                None => first.cost,
-            };
-            let advertiser = PathEntry {
-                node: a,
-                cost: vector_cost.map_or(first.cost, |_| added),
-            };
+            // In the per-neighbor model the advertiser's entry is
+            // restamped with its receive cost from us: each path entry
+            // carries the node's cost *given its predecessor on this path*.
+            let vector_cost = recv_cost(vector, self.id);
+            let added = added_cost(a, dest, first, vector_cost);
             let cost = *path_cost + added;
-            let better = best.is_none_or(|(best_path, _, best_cost)| {
-                cost.cmp(&best_cost)
-                    .then_with(|| path.len().cmp(&best_path.len()))
-                    .then_with(|| nodes(path).cmp(nodes(best_path)))
-                    .is_lt()
-            });
+            let better = best.is_none_or(|best| precedes(cost, path, best.cost, best.path));
             // Loop suppression last: only a would-be winner needs it.
             if better && !path.contains(self.id) {
-                best = Some((path, advertiser, cost));
+                let advertiser = PathEntry {
+                    node: a,
+                    cost: vector_cost.map_or(first.cost, |_| added),
+                };
+                best = Some(Winner {
+                    path,
+                    advertiser,
+                    cost,
+                });
             }
         }
-        let head = PathEntry {
+        best
+    }
+
+    /// This node's head entry on every route it extends.
+    fn head(&self) -> PathEntry {
+        PathEntry {
             node: self.id,
             cost: self.declared_cost,
-        };
-        let unchanged = match (best, self.selected(dest)) {
+        }
+    }
+
+    /// Whether the table already holds `best` for `dest`: the same cost,
+    /// this node's head, the winner's advertiser entry, and the rest of the
+    /// winner's path.
+    fn holds(&self, dest: AsId, best: Option<&Winner<'_>>) -> bool {
+        match (best, self.selected(dest)) {
             (None, None) => true,
-            (Some((path, advertiser, cost)), Some(old)) => {
-                cost == old.cost
-                    && old.path.first() == Some(head)
+            (Some(best), Some(old)) => {
+                best.cost == old.cost
+                    && old.path.first() == Some(self.head())
                     && old.path.rest().is_some_and(|hop| {
-                        hop.first() == Some(advertiser) && hop.rest() == path.rest()
+                        hop.first() == Some(best.advertiser) && hop.rest() == best.path.rest()
                     })
             }
             _ => false,
-        };
-        if unchanged {
+        }
+    }
+
+    /// Whether `dest`'s table entry is what [`decide`](Self::decide) would
+    /// select now. The debug hooks that check each skipped decision and
+    /// `link_down`'s precondition ask this.
+    pub(crate) fn is_decided(&self, dest: AsId) -> bool {
+        dest == self.id || self.holds(dest, self.best(dest).as_ref())
+    }
+
+    /// Re-runs route selection for one destination; returns `true` if the
+    /// selected route changed (including becoming unreachable). Only a
+    /// winner that differs from the table entry is materialised, as one
+    /// hop on the advertised path.
+    pub fn decide(&mut self, dest: AsId) -> bool {
+        if dest == self.id {
+            return false; // the trivial route is permanent
+        }
+        let best = self.best(dest);
+        if self.holds(dest, best.as_ref()) {
             return false;
         }
-        let route = best.map(|(path, advertiser, cost)| {
-            // The advertised path itself, unless the per-neighbor model
-            // restamped the advertiser's entry: then that entry too is new.
-            // Either way the ids are the advertised path's, which
-            // `well_formed` found simple and loop suppression found free of
-            // this node, so neither node needs a walk to know it is simple.
-            let simple = path.is_simple();
-            let hop = if path.first() == Some(advertiser) {
-                path.clone()
-            } else {
-                SharedPath::link(advertiser, path.rest().cloned(), simple)
-            };
-            let path = SharedPath::link(head, Some(hop), simple);
-            // Loop suppression has just walked the advertised path, so its
-            // nodes are in cache: hash the route now, for the price deltas
-            // that will name it, rather than on a cold walk later.
-            path.hash64();
-            SelectedRoute { path, cost }
-        });
+        let head = self.head();
+        let route = best.map(|best| best.extend(head));
         if let Some(entry) = self.table.get_mut(dest.index()) {
             *entry = route;
         }
@@ -617,19 +723,27 @@ impl RouteSelector {
     }
 
     /// Handles the link to `a` going down: drops its Rib-In column and
-    /// re-decides the destinations it covered; returns those whose
+    /// re-decides the destinations routed through `a`; returns those whose
     /// selection changed, ascending.
     ///
     /// Removing neighbor `a` only removes candidates, and only for the
-    /// destinations `a` had advertised — every other destination's candidate
-    /// set (and therefore its selection) is untouched, so re-deciding the
-    /// dropped column's destinations is equivalent to a full `decide_all`
-    /// rescan.
+    /// destinations `a` had advertised. Where `a`'s candidate was not the
+    /// winner, the winner is still there and still first, so re-deciding
+    /// the destinations whose next hop was `a` equals a full `decide_all`
+    /// rescan — provided every destination `a` advertised is decided when
+    /// the link goes down. Call [`decide`](Self::decide) (or
+    /// [`decide_all`](Self::decide_all)) after [`ingest`](Self::ingest)
+    /// first; debug builds check it.
     pub fn link_down(&mut self, a: AsId) -> Vec<AsId> {
         let Some(slot) = self.slot(a) else {
             return Vec::new();
         };
-        let mut dropped = self.rib_destinations(a);
+        let mut routed = self.rib_destinations(a);
+        crate::engine::invariants::column_decided(self, a, routed.iter().copied());
+        routed.retain(|&dest| {
+            let held = self.selected(dest);
+            held.and_then(SelectedRoute::next_hop) == Some(a)
+        });
         let deg = self.neighbors.len();
         let groups = self.rib.chunks(SLAB_ROWS * deg).zip(&mut self.prices);
         for (cells, slab) in groups {
@@ -649,8 +763,8 @@ impl RouteSelector {
         }
         self.neighbors.remove(slot);
         self.vectors.remove(slot);
-        dropped.retain(|&dest| self.decide(dest));
-        dropped
+        routed.retain(|&dest| self.decide(dest));
+        routed
     }
 }
 
@@ -806,6 +920,15 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "decide before link_down")]
+    fn link_down_on_an_undecided_destination_trips_the_hook() {
+        let mut s = selector();
+        s.ingest(&update(1, vec![ad(1, vec![entry(1, 0)], 0)]));
+        s.link_down(AsId::new(1));
+    }
+
+    #[test]
     fn link_up_registers_neighbor() {
         let mut s = selector();
         s.link_up(AsId::new(7));
@@ -915,6 +1038,7 @@ mod tests {
         let u = update(1, vec![ad(1, vec![entry(1, 0)], 0)])
             .with_sender_costs(vec![(AsId::new(0), Cost::new(7))]);
         s.ingest(&u);
+        s.decide_all();
         assert!(s.neighbor_vector(AsId::new(1)).is_some());
         s.link_down(AsId::new(1));
         assert!(s.neighbor_vector(AsId::new(1)).is_none());
@@ -1159,5 +1283,257 @@ mod tests {
             .ingest(&update(1, vec![ad(9, vec![entry(1, 3), entry(9, 0)], 0)]))
             .is_empty());
         assert_eq!(open.table.len(), 10);
+    }
+}
+
+#[cfg(test)]
+mod selection_model {
+    //! Model test for the rule that decides which destinations selection
+    //! re-runs for.
+    //!
+    //! [`RouteSelector::ingest_flagged`] flags a destination only where the
+    //! update can change its selection, and [`RouteSelector::link_down`]
+    //! re-decides only the destinations routed through the lost neighbor. The
+    //! reference here decides everything instead: every destination an
+    //! update touched, and every destination the lost neighbor covered. Random
+    //! batches of updates go through both selectors — full advertisements
+    //! (some looping through the selector's own AS), price deltas against the
+    //! retained path or a stale one, and withdrawals, a destination repeated
+    //! within one update, receive-cost vectors out of order and with repeats,
+    //! senders that are not neighbors — with links going down and up between
+    //! batches. After every batch and every link event the two tables must be
+    //! identical, and a link going down must report the same changed
+    //! destinations.
+
+    use super::RouteSelector;
+    use crate::message::{PathEntry, RouteAdvertisement, RouteInfo, SharedPath, Update};
+    use bgpvcg_netgraph::{AsId, Cost};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// AS numbers the generated operations draw from: the selector's own AS
+    /// (0), its initial neighbors, and strangers that may become neighbors.
+    const UNIVERSE: u32 = 7;
+    const ME: AsId = AsId::new(0);
+    const INITIAL_NEIGHBORS: [AsId; 3] = [AsId::new(1), AsId::new(2), AsId::new(4)];
+
+    #[derive(Debug, Clone)]
+    enum AdSpec {
+        /// The path `from, middle.., dest`, its entries costed in turn from
+        /// `costs` (the destination's entry costless). `middle` may name the
+        /// selector's own AS, which makes the route loop.
+        Reach {
+            dest: u32,
+            middle: Vec<u32>,
+            costs: Vec<u64>,
+            path_cost: u64,
+        },
+        /// A price patch against the retained path, or (`fresh` off) a stale
+        /// hash.
+        Delta {
+            dest: u32,
+            value: u64,
+            fresh: bool,
+        },
+        Withdraw {
+            dest: u32,
+        },
+    }
+
+    #[derive(Debug, Clone)]
+    struct UpdateSpec {
+        from: u32,
+        ads: Vec<AdSpec>,
+        /// Sent as drawn: unordered, and an AS may repeat.
+        sender_costs: Vec<(u32, u64)>,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Batch(Vec<UpdateSpec>),
+        LinkDown(u32),
+        LinkUp(u32),
+    }
+
+    fn ad_spec() -> impl Strategy<Value = AdSpec> {
+        // Few destinations, so an update often names one twice.
+        let dest = 0..UNIVERSE;
+        let reach = (
+            dest.clone(),
+            proptest::collection::vec(0..UNIVERSE, 0..4),
+            proptest::collection::vec(0u64..4, 4..5),
+            0u64..8,
+        )
+            .prop_map(|(dest, middle, costs, path_cost)| AdSpec::Reach {
+                dest,
+                middle,
+                costs,
+                path_cost,
+            });
+        let delta = (dest.clone(), 0u64..9, any::<bool>())
+            .prop_map(|(dest, value, fresh)| AdSpec::Delta { dest, value, fresh });
+        let withdraw = dest.prop_map(|dest| AdSpec::Withdraw { dest });
+        prop_oneof![6 => reach, 2 => delta, 2 => withdraw]
+    }
+
+    fn update_spec() -> impl Strategy<Value = UpdateSpec> {
+        (
+            0..UNIVERSE,
+            proptest::collection::vec(ad_spec(), 0..6),
+            prop_oneof![
+                3 => Just(Vec::new()),
+                2 => proptest::collection::vec((0..UNIVERSE, 0u64..5), 1..5),
+            ],
+        )
+            .prop_map(|(from, ads, sender_costs)| UpdateSpec {
+                from,
+                ads,
+                sender_costs,
+            })
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            8 => proptest::collection::vec(update_spec(), 1..4).prop_map(Step::Batch),
+            1 => (1..UNIVERSE).prop_map(Step::LinkDown),
+            1 => (1..UNIVERSE).prop_map(Step::LinkUp),
+        ]
+    }
+
+    /// The update `spec` describes, with fresh deltas built against what
+    /// `retained` holds from the sender.
+    fn update(spec: &UpdateSpec, retained: &RouteSelector) -> Update {
+        let from = AsId::new(spec.from);
+        let advertisements = spec
+            .ads
+            .iter()
+            .map(|ad| {
+                let (destination, info) = match ad {
+                    AdSpec::Withdraw { dest } => (AsId::new(*dest), RouteInfo::Withdrawn),
+                    AdSpec::Delta { dest, value, fresh } => {
+                        let dest = AsId::new(*dest);
+                        let held = retained.rib(from, dest).filter(|_| *fresh);
+                        let info = RouteInfo::PriceDelta {
+                            base_path_hash: held.map_or(0xdead_beef, |view| view.path.hash64()),
+                            entries: vec![(0, Cost::new(*value))],
+                        };
+                        (dest, info)
+                    }
+                    AdSpec::Reach {
+                        dest,
+                        middle,
+                        costs,
+                        path_cost,
+                    } => {
+                        let dest = AsId::new(*dest);
+                        let mut nodes = vec![from];
+                        for &m in middle {
+                            let m = AsId::new(m);
+                            if m != dest && !nodes.contains(&m) {
+                                nodes.push(m);
+                            }
+                        }
+                        if dest != from {
+                            nodes.push(dest);
+                        }
+                        let last = nodes.len() - 1;
+                        let entries: Vec<PathEntry> = (nodes.iter().enumerate())
+                            .zip(costs.iter().cycle())
+                            .map(|((at, &node), &cost)| PathEntry {
+                                node,
+                                cost: Cost::new(if at == last { 0 } else { cost }),
+                            })
+                            .collect();
+                        let transit = nodes.len().saturating_sub(2);
+                        let info = RouteInfo::Reachable {
+                            path: SharedPath::from(entries),
+                            path_cost: Cost::new(*path_cost),
+                            prices: vec![Cost::new(9); transit],
+                        };
+                        (dest, info)
+                    }
+                };
+                RouteAdvertisement { destination, info }
+            })
+            .collect();
+        Update {
+            from,
+            sender_costs: (spec.sender_costs.iter())
+                .map(|&(u, cost)| (AsId::new(u), Cost::new(cost)))
+                .collect(),
+            advertisements,
+            id: 0,
+        }
+    }
+
+    /// Both tables, destination by destination, and the destinations each
+    /// selects for.
+    fn same_tables(
+        reference: &RouteSelector,
+        flagged: &RouteSelector,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            reference.destinations().collect::<Vec<_>>(),
+            flagged.destinations().collect::<Vec<_>>()
+        );
+        for dest in (0..UNIVERSE).map(AsId::new) {
+            prop_assert_eq!(reference.selected(dest), flagged.selected(dest), "{}", dest);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Following the flags, and re-deciding only the routes through a lost
+        /// link, selects exactly what deciding everything touched selects.
+        fn the_flags_skip_only_what_cannot_change(
+            steps in proptest::collection::vec(step(), 1..24),
+            declared in 0u64..4,
+        ) {
+            let declared = Cost::new(declared);
+            let mut reference = RouteSelector::new(ME, declared, INITIAL_NEIGHBORS);
+            let mut flagged = reference.clone();
+            for step in &steps {
+                match step {
+                    Step::Batch(specs) => {
+                        // One stage's inbox: the flags of its updates are ORed
+                        // per destination, and selection runs once, after all
+                        // of them, as in a node step.
+                        let mut touched = BTreeSet::new();
+                        let mut flags: BTreeMap<AsId, bool> = BTreeMap::new();
+                        for spec in specs {
+                            let update = update(spec, &reference);
+                            touched.extend(reference.ingest(&update).iter().copied());
+                            for (dest, flag) in flagged.ingest_flagged(&update) {
+                                *flags.entry(dest).or_default() |= flag;
+                            }
+                        }
+                        prop_assert_eq!(&touched, &flags.keys().copied().collect());
+                        for &dest in &touched {
+                            reference.decide(dest);
+                        }
+                        for (&dest, _) in flags.iter().filter(|(_, &flag)| flag) {
+                            flagged.decide(dest);
+                        }
+                    }
+                    Step::LinkDown(a) => {
+                        let a = AsId::new(*a);
+                        let covered = reference.rib_destinations(a);
+                        let mut changed: BTreeSet<AsId> =
+                            reference.link_down(a).into_iter().collect();
+                        changed.extend(covered.into_iter().filter(|&dest| reference.decide(dest)));
+                        let reported: BTreeSet<AsId> = flagged.link_down(a).into_iter().collect();
+                        prop_assert_eq!(reported, changed, "{:?}", step);
+                    }
+                    Step::LinkUp(a) => {
+                        reference.link_up(AsId::new(*a));
+                        flagged.link_up(AsId::new(*a));
+                    }
+                }
+                same_tables(&reference, &flagged)?;
+                prop_assert_eq!(reference.decide_all(), Vec::<AsId>::new(), "decided");
+            }
+        }
     }
 }

@@ -32,6 +32,11 @@
 //!            | (index uvarint, vcost)*
 //! ```
 //!
+//! `base_path_hash` is [`SharedPath::hash64`](crate::SharedPath::hash64)
+//! of the path the delta patches: FNV-1a-64 over its entries from last to
+//! first, each entry its AS number (4 bytes LE) then its raw cost (8 bytes
+//! LE, `∞` as `u64::MAX`).
+//!
 //! The lossy-channel recovery layer (see `chaos` and `docs/ROBUSTNESS.md`)
 //! wraps UPDATEs in sequenced session frames with their own magic:
 //!

@@ -289,6 +289,9 @@ fn run(ops: &[Op]) -> Result<bool, TestCaseError> {
                 }
             }
             Op::LinkDown(a) => {
+                // `link_down` wants a decided table; deciding touches no
+                // Rib-In cell.
+                selector.decide_all();
                 selector.link_down(AsId::new(*a));
                 oracle.retain(|&(from, _), _| from != *a);
                 neighbors.retain(|n| n != a);

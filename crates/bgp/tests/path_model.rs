@@ -4,11 +4,19 @@
 //! A path used to be one array of entries beside its FNV-1a hash, and the
 //! wire, the price deltas and every stream golden depend on that hash and
 //! on the array's derived `Debug` text. Both live on here, test-only, as
-//! the oracle: a path built by prepending one entry at a time, and the same
-//! path collected from its entries, must read back as the array in every
-//! accessor, hash as the array hashed and print as the array printed.
+//! the oracle: a path built by prepending one entry at a time, the same
+//! path collected from its entries, and the routes a selector makes from
+//! advertised paths — selected, and restamped with a new declared cost —
+//! must read back as the array in every accessor, hash as the reference
+//! hash and print as the array printed.
+//!
+//! The reference hash is FNV-1a-64 over the entries from last to first,
+//! computed here over the whole array. A path node hashes its own entry
+//! over its rest's hash when it is made; the array's hash used to run
+//! first to last, and moved to this order so that making a route costs one
+//! step instead of a walk of its path.
 
-use bgpvcg_bgp::{PathEntry, SharedPath};
+use bgpvcg_bgp::{PathEntry, RouteAdvertisement, RouteInfo, RouteSelector, SharedPath, Update};
 use bgpvcg_netgraph::{AsId, Cost};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -24,10 +32,10 @@ mod array {
 }
 
 /// FNV-1a-64 over each entry's AS number (4 bytes LE) and raw cost (8
-/// bytes LE, `∞` as `u64::MAX`), as the array's hash was computed.
+/// bytes LE, `∞` as `u64::MAX`), the entries taken from last to first.
 fn fnv1a_path(entries: &[PathEntry]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for entry in entries {
+    for entry in entries.iter().rev() {
         let node = (entry.node.index() as u32).to_le_bytes();
         let cost = entry.cost.finite().unwrap_or(u64::MAX).to_le_bytes();
         for byte in node.into_iter().chain(cost) {
@@ -145,6 +153,64 @@ proptest! {
             if let Some(rest) = by_prepends.rest() {
                 prop_assert_eq!(rest, &prepended(&entries[1..]));
             }
+        }
+    }
+}
+
+/// A route to `dest` for node 0, whose only neighbor `from` advertises
+/// `advertised`, selected and then restamped with declared cost 7; with
+/// `vector`, `from` sends a receive cost from node 0, which restamps its
+/// entry too. Each route is checked against its entries.
+fn selected_routes(advertised: &[PathEntry], vector: bool) -> Result<(), TestCaseError> {
+    let (from, dest) = (advertised[0].node, advertised[advertised.len() - 1].node);
+    let me = AsId::new(0);
+    let mut selector = RouteSelector::new(me, Cost::new(3), [from]);
+    let sender_costs = if vector {
+        vec![(me, Cost::new(4))]
+    } else {
+        Vec::new()
+    };
+    selector.ingest(&Update {
+        from,
+        sender_costs,
+        advertisements: vec![RouteAdvertisement {
+            destination: dest,
+            info: RouteInfo::Reachable {
+                path: advertised.to_vec().into(),
+                path_cost: Cost::ZERO,
+                prices: Vec::new(),
+            },
+        }],
+        id: 0,
+    });
+    prop_assert!(selector.decide(dest));
+    let mut expected = vec![entry(0, 3)];
+    expected.extend_from_slice(advertised);
+    if vector && from != dest {
+        expected[1].cost = Cost::new(4);
+    }
+    let route = selector.selected(dest).expect("selected");
+    agrees(&route.path, &expected)?;
+    prop_assert_eq!(selector.set_declared_cost(Cost::new(7)), [dest]);
+    expected[0].cost = Cost::new(7);
+    agrees(&selector.selected(dest).expect("restamped").path, &expected)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A route a selector makes — one node prepended to the advertised
+    /// path, or two where the advertiser's entry is restamped — and the
+    /// same route restamped with a new declared cost hash as the array.
+    fn selected_and_restamped_routes_hash_as_the_array(raw in entries(), vector in any::<bool>()) {
+        // A well-formed advertisement: simple, free of node 0, ending on a
+        // costless destination entry.
+        let mut seen = BTreeSet::from([AsId::new(0)]);
+        let mut advertised: Vec<PathEntry> =
+            raw.into_iter().filter(|e| seen.insert(e.node)).collect();
+        if let Some(last) = advertised.last_mut() {
+            last.cost = Cost::ZERO;
+            selected_routes(&advertised, vector)?;
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Property tests for the BGP substrate: the synchronous engine always
 //! converges to the centralized routes within the `d` bound, the forwarding
-//! plane composes, topology events reconverge correctly, and the
-//! asynchronous engine reaches the same fixpoint.
+//! plane composes, topology events reconverge correctly, and the chaos
+//! engine under a delay-only plan (`FaultPlan::asynchronous`) reaches the
+//! same fixpoint.
 
 use bgpvcg_bgp::chaos::{ChaosEngine, FaultPlan};
 use bgpvcg_bgp::engine::SyncEngine;

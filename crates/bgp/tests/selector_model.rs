@@ -607,6 +607,14 @@ proptest! {
                     sized_oracle.link_up(AsId::new(*a));
                 }
                 Op::LinkDown(a) => {
+                    // `link_down` re-decides only the destinations routed
+                    // through `a`, which equals re-deciding its whole
+                    // column on a decided table, so both sides decide
+                    // first.
+                    let expected: Vec<_> = open_oracle.decide_all().into_iter().collect();
+                    prop_assert_eq!(open.decide_all(), expected, "{:?}", op);
+                    let expected: Vec<_> = sized_oracle.decide_all().into_iter().collect();
+                    prop_assert_eq!(sized.decide_all(), expected, "sized {:?}", op);
                     let a = AsId::new(*a);
                     let expected: Vec<_> = open_oracle.link_down(a).into_iter().collect();
                     prop_assert_eq!(open.link_down(a), expected, "{:?}", op);

@@ -13,10 +13,10 @@
 //! decoder.
 //!
 //! Numeric conventions: AS identities are raw `u32` AS numbers; `stage` is
-//! the synchronous engine's 1-based stage counter (0 for pre-stage origin
-//! advertisements, and a per-run delivery sequence number on the
-//! asynchronous engine, which has no stages); costs and prices are raw
-//! `u64` values where `u64::MAX` encodes the protocol's `∞`.
+//! the stage engine's 1-based stage counter, under the lock-step and the
+//! session transport alike (0 for pre-stage origin advertisements); costs
+//! and prices are raw `u64` values where `u64::MAX` encodes the protocol's
+//! `∞`.
 
 use crate::json::{self, JsonError, JsonValue};
 use std::collections::BTreeMap;

@@ -278,6 +278,10 @@ const INVARIANT_HOOK_SITES: &[(&str, &str)] = &[
     ("crates/core/src/protocol.rs", "invariants::"),
     ("crates/bgp/src/engine/invariants.rs", "relaxation_step"),
     ("crates/bgp/src/node.rs", "invariants::relaxation_step"),
+    ("crates/bgp/src/engine/invariants.rs", "selection_kept"),
+    ("crates/bgp/src/node.rs", "invariants::selection_kept"),
+    ("crates/bgp/src/engine/invariants.rs", "column_decided"),
+    ("crates/bgp/src/selector.rs", "invariants::column_decided"),
     ("crates/bgp/src/engine/invariants.rs", "convergence"),
     ("crates/bgp/src/engine/kernel.rs", "invariants::"),
 ];

@@ -23,6 +23,13 @@
 //! a per-advertisement cause list: each new value is the old stream with
 //! the causes no longer fed, computed on the commit before. Delivery
 //! counts and state digests did not move.
+//!
+//! A path's hash then began to run over its entries from last to first.
+//! The four priced stream digests (FPSS and the per-neighbor model, each on
+//! two graphs) were re-recorded: their price deltas carry the hash of the
+//! path they patch. Computed on both commits with every delta's
+//! `base_path_hash` zeroed before encoding, every stream and state digest
+//! is identical. The plain digests and every state digest did not move.
 
 use bgp_vcg::bgp::engine::SyncEngine;
 use bgp_vcg::bgp::{
@@ -190,7 +197,7 @@ fn fpss_stream_is_pinned() {
     check(
         "fpss/fig1",
         scenario(&g, PricingBgpNode::from_graph(&g)),
-        0xe1f5_9c26_5e86_d7e2,
+        0x5a69_d745_0b4d_6c8a,
         171,
         0xfd30_6f65_f307_79ab,
     );
@@ -198,7 +205,7 @@ fn fpss_stream_is_pinned() {
     check(
         "fpss/ba48",
         scenario(&g, PricingBgpNode::from_graph(&g)),
-        0xdbda_5e37_c959_5c28,
+        0x110b_f4ac_5e49_d738,
         4751,
         0xb375_7f4e_a9cb_79ae,
     );
@@ -220,7 +227,7 @@ fn neighbor_cost_stream_is_pinned() {
     let nodes = check(
         "nc/fig1",
         scenario(g.topology(), nodes),
-        0xb7a6_efbc_71be_f3dd,
+        0x26f2_e2b2_f31c_eec2,
         148,
         0x473e_1efc_9f12_0b68,
     );
@@ -230,7 +237,7 @@ fn neighbor_cost_stream_is_pinned() {
     let nodes = check(
         "nc/er14",
         scenario(g.topology(), nodes),
-        0xdaa8_5985_d401_bce8,
+        0x1e2e_d777_c566_fc1a,
         1119,
         0x614a_6892_25d9_e7cf,
     );
